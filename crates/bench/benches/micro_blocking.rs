@@ -151,7 +151,7 @@ fn main() {
         gate_dataset = Some(dataset);
     }
 
-    // Overhead gate: the instrumented hot loop (build → scatter → emit,
+    // Overhead gate: the instrumented build (emit → group → order → assemble,
     // with its batched er-obs updates) must cost the same as with the
     // layer disabled, within 2%.
     println!();

@@ -4,48 +4,68 @@
 //! Suffix Arrays) are the same computation with a different per-token key
 //! expansion: tokenize every profile, derive blocking keys from the tokens,
 //! group entities by key, drop useless blocks, sort by key.  This module
-//! factors that computation into one engine driven by a [`KeyGenerator`]:
+//! factors that computation into one engine driven by a [`KeyGenerator`] and
+//! runs it as a lock-free, radix-partitioned hash aggregation:
 //!
-//! 1. **Parallel key emission.** Entities are split into contiguous ranges
-//!    pulled by workers through the shared work-stealing driver
+//! 1. **Emit.** Entities are split into contiguous ranges pulled by workers
+//!    through the shared work-stealing driver
 //!    (`er_core::map_ranges_parallel`).  Each worker streams its profiles'
 //!    tokens through `er_core::tokenize::for_each_token` — no per-profile
-//!    `Vec<String>`, no per-token `String`: already-lowercase tokens are
-//!    borrowed slices, case folding reuses one scratch buffer — and expands
-//!    tokens into keys.  Keys are emitted as `&str` slices — sub-token keys
-//!    (q-grams, suffixes) are byte-range views into the token, so expansion
-//!    allocates nothing.
-//! 2. **Sharded interning.** Every key is interned into a `u32` slot of one
-//!    of 128 hash-sharded maps (shard chosen by key hash, one mutex per
-//!    shard, no global lock).  A key string is allocated exactly once
-//!    globally, on first sight; per-entity deduplication happens on the
-//!    interned ids, not on strings.
-//! 3. **CSR materialisation.** Postings `(key, entity)` are buffered
-//!    per-worker and scattered into one flat entity arena via a counting
-//!    sort.  Because ranges are concatenated in ascending entity order, each
-//!    block's entity list comes out sorted without a per-block sort.
+//!    `Vec<String>`, no per-token `String` — and expands tokens into keys,
+//!    emitted as `&str` slices (q-grams and suffixes are byte-range views
+//!    into the token).  Every emitted key is hashed once and appended as a
+//!    `(hash, entity, len)` record plus its bytes; the range's records are
+//!    then counting-sorted by the top 7 hash bits, so each of the 128
+//!    partitions is one contiguous, entity-ascending slice of the range's
+//!    two buffers.
+//! 2. **Group.** Partitions own disjoint key sets, so they are aggregated
+//!    independently with no synchronisation: a small open-addressing table
+//!    of `(hash tag, local id)` over a bump key arena interns the
+//!    partition's keys (a few thousand, cache-resident), repeated keys of
+//!    one entity are dropped by a `last_entity[key]` check (records arrive
+//!    in ascending entity order), postings are grouped by a partition-local
+//!    counting sort — which leaves every entity list sorted — and blocks
+//!    over the generator's size cap or without a comparison are dropped
+//!    right there.
+//! 3. **Order.** Only the surviving keys are sorted lexicographically, on a
+//!    cached big-endian 8-byte prefix that falls back to the key bytes on
+//!    ties — the kernel behind [`sorted_key_order`].
+//! 4. **Assemble.** Survivor keys and entity lists are gathered into the
+//!    final CSR arrays in sorted order; contiguous block-id ranges own
+//!    contiguous output ranges, so the gather is chunked over the workers.
+//!
+//! Transient memory is proportional to the emitted keys (one 16-byte record
+//! plus the key bytes each) and is released before the survivor sort.
 //!
 //! # Determinism
 //!
-//! Worker scheduling only affects *provisional* key ids; final block ids are
-//! assigned by sorting the interned keys lexicographically, and entity lists
-//! are ordered by construction.  The output is therefore bit-identical to the
+//! Scheduling decides only which worker handles which entity range or
+//! partition.  Ranges are visited in ascending order inside every partition,
+//! block ids come from the lexicographic key sort and entity lists are
+//! ordered by construction, so the output is bit-identical to the
 //! sequential reference builders in [`crate::reference`] for any thread
 //! count — a property the workspace property tests assert for all three
 //! schemes.
 
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
 
-use er_core::{Dataset, EntityId, FxHashMap, FxHasher};
+use er_core::fxhash::{hash_bytes, high_bits};
+use er_core::{Dataset, DatasetKind, EntityId, EntityProfile};
 
-use crate::csr::{CsrBlockCollection, KeyStore};
+use crate::csr::{slice_cardinalities, CsrBlockCollection, KeyStore};
 
-/// Number of interner shards.  A power of two well above the worker cap (8)
-/// keeps the probability of two workers contending on one shard low.
-const SHARD_COUNT: usize = 128;
-/// Shards are selected by the top bits of the key hash (the best-mixed bits
-/// of the Fx multiply hash).
-const SHARD_SHIFT: u32 = 64 - SHARD_COUNT.trailing_zeros();
+/// Keys are partitioned by the top `PARTITION_BITS` bits of their hash.  128
+/// partitions keep one partition's table and key arena cache-resident at
+/// millions of distinct keys and give the group phase 16 units of work per
+/// worker at the 8-worker cap.
+const PARTITION_BITS: u32 = 7;
+const PARTITIONS: usize = 1 << PARTITION_BITS;
+/// Entity ranges of the emit phase are capped so that one range's staging
+/// buffers stay cache-sized (a megabyte or two at ten keys per entity) and
+/// the build's transient memory does not double when one worker would
+/// otherwise stage the whole corpus.
+const MAX_TASK_ENTITIES: usize = 1 << 13;
 
 /// Reusable per-worker scratch handed to [`KeyGenerator::for_each_key`]:
 /// the char-boundary table of the current token.
@@ -171,122 +191,425 @@ impl KeyGenerator for SuffixKeys {
     }
 }
 
-/// Hashes a key with the workspace Fx hasher (used only for shard selection,
-/// so it just has to be deterministic and well-mixed).
+/// One emitted key: its hash, the emitting entity and the key's byte length.
+/// The bytes sit in the owning [`TaskRun::bytes`], concatenated in record
+/// order.
+#[derive(Clone, Copy, Default)]
+struct Record {
+    hash: u64,
+    entity: u32,
+    len: u32,
+}
+
 #[inline]
-fn hash_key(key: &str) -> u64 {
-    use std::hash::Hasher;
-    let mut hasher = FxHasher::default();
-    hasher.write(key.as_bytes());
-    hasher.finish()
+fn partition_of(hash: u64) -> usize {
+    high_bits(hash, 0, PARTITION_BITS)
 }
 
-/// The sharded key interner: `SHARD_COUNT` independent `key → slot` maps,
-/// each behind its own mutex.  Workers lock only the shard their key hashes
-/// to, so concurrent interning of different keys almost never contends.
-struct ShardedInterner {
-    shards: Vec<Mutex<FxHashMap<Box<str>, u32>>>,
+/// Everything one entity range emitted, counting-sorted by partition:
+/// partition `p` is `records[record_starts[p]..record_starts[p + 1]]` (in
+/// ascending entity order) with its key bytes at
+/// `bytes[byte_starts[p]..byte_starts[p + 1]]`.
+struct TaskRun {
+    records: Vec<Record>,
+    bytes: Vec<u8>,
+    record_starts: [usize; PARTITIONS + 1],
+    byte_starts: [usize; PARTITIONS + 1],
 }
 
-impl ShardedInterner {
+impl TaskRun {
+    fn partition(&self, p: usize) -> (&[Record], &[u8]) {
+        (
+            &self.records[self.record_starts[p]..self.record_starts[p + 1]],
+            &self.bytes[self.byte_starts[p]..self.byte_starts[p + 1]],
+        )
+    }
+}
+
+/// Phase 1 for one entity range: tokenise, expand, hash, then counting-sort
+/// the emitted records (and their key bytes) by partition.
+fn emit_task<G: KeyGenerator + ?Sized>(
+    profiles: &[EntityProfile],
+    range: Range<usize>,
+    generator: &G,
+) -> TaskRun {
+    let mut case_scratch = String::new();
+    let mut scratch = KeyScratch::default();
+    let mut staged: Vec<Record> = Vec::new();
+    let mut staged_bytes: Vec<u8> = Vec::new();
+    // Per-partition counts first, turned into start offsets below.
+    let mut record_starts = [0usize; PARTITIONS + 1];
+    let mut byte_starts = [0usize; PARTITIONS + 1];
+    for e in range {
+        let entity = e as u32;
+        for attribute in &profiles[e].attributes {
+            er_core::tokenize::for_each_token(&attribute.value, &mut case_scratch, |token| {
+                generator.for_each_key(token, &mut scratch, &mut |key| {
+                    let hash = hash_bytes(key.as_bytes());
+                    let p = partition_of(hash);
+                    record_starts[p + 1] += 1;
+                    byte_starts[p + 1] += key.len();
+                    staged.push(Record {
+                        hash,
+                        entity,
+                        len: key.len() as u32,
+                    });
+                    staged_bytes.extend_from_slice(key.as_bytes());
+                });
+            });
+        }
+    }
+    for p in 0..PARTITIONS {
+        record_starts[p + 1] += record_starts[p];
+        byte_starts[p + 1] += byte_starts[p];
+    }
+
+    let mut records = vec![Record::default(); staged.len()];
+    let mut bytes = vec![0u8; staged_bytes.len()];
+    let mut record_cursors = record_starts;
+    let mut byte_cursors = byte_starts;
+    let mut pos = 0;
+    for record in staged {
+        let p = partition_of(record.hash);
+        let len = record.len as usize;
+        records[record_cursors[p]] = record;
+        record_cursors[p] += 1;
+        bytes[byte_cursors[p]..byte_cursors[p] + len]
+            .copy_from_slice(&staged_bytes[pos..pos + len]);
+        byte_cursors[p] += len;
+        pos += len;
+    }
+    TaskRun {
+        records,
+        bytes,
+        record_starts,
+        byte_starts,
+    }
+}
+
+/// Distinct keys as one byte buffer plus an offset table; ids are dense in
+/// push order.
+struct KeyArena {
+    bytes: Vec<u8>,
+    offsets: Vec<u32>,
+}
+
+impl KeyArena {
     fn new() -> Self {
-        ShardedInterner {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+        KeyArena {
+            bytes: Vec::new(),
+            offsets: vec![0],
         }
     }
 
-    /// Interns a key, returning a provisional id packing `(shard, slot)`.
-    /// Provisional ids are *not* stable across runs (slot order depends on
-    /// scheduling); they are remapped to deterministic key-sorted ids during
-    /// materialisation.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.offsets.truncate(1);
+    }
+
+    fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.offsets.push(self.bytes.len() as u32);
+    }
+
     #[inline]
-    fn intern(&self, key: &str) -> u64 {
-        let shard = (hash_key(key) >> SHARD_SHIFT) as usize;
-        let mut map = self.shards[shard].lock().expect("interner shard poisoned");
-        let slot = match map.get(key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = map.len() as u32;
-                map.insert(key.into(), slot);
-                slot
-            }
-        };
-        ((shard as u64) << 32) | u64::from(slot)
-    }
-
-    /// Consumes the interner, returning every key in provisional-id order
-    /// (`dense id = base[shard] + slot`) plus the per-shard bases.
-    fn into_key_table(self) -> (Vec<Box<str>>, Vec<u32>) {
-        let maps: Vec<FxHashMap<Box<str>, u32>> = self
-            .shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("interner shard poisoned"))
-            .collect();
-        let mut bases = Vec::with_capacity(SHARD_COUNT);
-        let mut total = 0u32;
-        for map in &maps {
-            bases.push(total);
-            total += map.len() as u32;
-        }
-        let mut keys: Vec<Option<Box<str>>> = vec![None; total as usize];
-        for (shard, map) in maps.into_iter().enumerate() {
-            let base = bases[shard] as usize;
-            for (key, slot) in map {
-                keys[base + slot as usize] = Some(key);
-            }
-        }
-        let keys = keys
-            .into_iter()
-            .map(|k| k.expect("interner slot unfilled"))
-            .collect();
-        (keys, bases)
+    fn get(&self, id: usize) -> &[u8] {
+        &self.bytes[self.offsets[id] as usize..self.offsets[id + 1] as usize]
     }
 }
 
-/// Returns the indices of `keys` in ascending lexicographic order — the
-/// deterministic block-id assignment shared by the batch builder (phase 2
-/// below) and the `er-stream` per-epoch compaction.
+/// The blocks of a run of partitions that survived the size cap and the
+/// comparison test, in `(partition, first appearance)` order, plus the
+/// counts the build reports.
+struct Survivors {
+    keys: KeyArena,
+    entities: Vec<EntityId>,
+    entity_offsets: Vec<u32>,
+    first_counts: Vec<u32>,
+    /// Distinct keys seen, survivors or not.
+    distinct_keys: u64,
+    /// `(key, entity)` postings after per-entity deduplication, survivors
+    /// or not.
+    postings: u64,
+}
+
+impl Survivors {
+    fn new() -> Self {
+        Survivors {
+            keys: KeyArena::new(),
+            entities: Vec::new(),
+            entity_offsets: vec![0],
+            first_counts: Vec::new(),
+            distinct_keys: 0,
+            postings: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first_counts.len()
+    }
+
+    fn push(&mut self, key: &[u8], entities: &[EntityId], first: u32) {
+        self.keys.push(key);
+        self.entities.extend_from_slice(entities);
+        self.entity_offsets.push(self.entities.len() as u32);
+        self.first_counts.push(first);
+    }
+
+    fn entities(&self, i: usize) -> &[EntityId] {
+        &self.entities[self.entity_offsets[i] as usize..self.entity_offsets[i + 1] as usize]
+    }
+}
+
+/// Marks an empty [`PartitionScratch::slots`] entry; also the
+/// `last_entity` value no real entity id equals (ids are below the entity
+/// count, which fits a `u32`).
+const NONE: u32 = u32::MAX;
+
+/// The reusable state of the group phase: one partition's key table, key
+/// arena, per-key counters and posting buffers.  One instance serves a whole
+/// run of partitions, so a worker holds a handful of allocations that stop
+/// growing after the first partition.
+struct PartitionScratch {
+    /// Open-addressing table of `(tag, local key id)`, linear probing, a
+    /// power-of-two number of slots kept at most half full.  The tag is the
+    /// 32 hash bits below the partition bits; the home slot is the tag's
+    /// top `slot_bits` bits (see `er_core::fxhash::high_bits` for why not
+    /// the low ones).
+    slots: Vec<(u32, u32)>,
+    slot_bits: u32,
+    /// The partition's distinct keys, local id order.
+    keys: KeyArena,
+    /// Per local key, the last entity that posted it.
+    last_entity: Vec<u32>,
+    /// Per local key, its posting count; then its cursor into `grouped`.
+    cursors: Vec<u32>,
+    /// Deduplicated `(local key, entity)` postings, entity-ascending.
+    postings: Vec<(u32, u32)>,
+    /// `postings` counting-sorted by key.
+    grouped: Vec<EntityId>,
+}
+
+impl PartitionScratch {
+    fn new() -> Self {
+        let slot_bits = 10;
+        PartitionScratch {
+            slots: vec![(0, NONE); 1 << slot_bits],
+            slot_bits,
+            keys: KeyArena::new(),
+            last_entity: Vec::new(),
+            cursors: Vec::new(),
+            postings: Vec::new(),
+            grouped: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn home_slot(tag: u32, slot_bits: u32) -> usize {
+        (tag >> (32 - slot_bits)) as usize
+    }
+
+    /// The local id of `key`, interning it on first sight.
+    #[inline]
+    fn intern(&mut self, hash: u64, key: &[u8]) -> usize {
+        let tag = high_bits(hash, PARTITION_BITS, 32) as u32;
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::home_slot(tag, self.slot_bits);
+        loop {
+            let (slot_tag, id) = self.slots[slot];
+            if id == NONE {
+                break;
+            }
+            let id = id as usize;
+            if slot_tag == tag && self.keys.get(id) == key {
+                return id;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.last_entity.len();
+        self.slots[slot] = (tag, id as u32);
+        self.keys.push(key);
+        self.last_entity.push(NONE);
+        self.cursors.push(0);
+        if (id + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the table.  Stored keys are distinct, so re-inserting needs
+    /// the tags only.
+    fn grow(&mut self) {
+        self.slot_bits += 1;
+        assert!(self.slot_bits < 32, "partition key table overflow");
+        let old = std::mem::replace(&mut self.slots, vec![(0, NONE); 1 << self.slot_bits]);
+        let mask = self.slots.len() - 1;
+        for (tag, id) in old {
+            if id == NONE {
+                continue;
+            }
+            let mut slot = Self::home_slot(tag, self.slot_bits);
+            while self.slots[slot].1 != NONE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = (tag, id);
+        }
+    }
+
+    /// Phase 2 for one partition: intern and deduplicate its records from
+    /// every range (ascending, so entities arrive in order), group the
+    /// postings by key and append the surviving blocks to `out`.
+    fn group_partition(
+        &mut self,
+        p: usize,
+        runs: &[TaskRun],
+        cap: usize,
+        kind: DatasetKind,
+        split: usize,
+        out: &mut Survivors,
+    ) {
+        self.slots.fill((0, NONE));
+        self.keys.clear();
+        self.last_entity.clear();
+        self.cursors.clear();
+        self.postings.clear();
+
+        for run in runs {
+            let (records, bytes) = run.partition(p);
+            let mut pos = 0;
+            for record in records {
+                let len = record.len as usize;
+                let id = self.intern(record.hash, &bytes[pos..pos + len]);
+                pos += len;
+                if self.last_entity[id] != record.entity {
+                    self.last_entity[id] = record.entity;
+                    self.cursors[id] += 1;
+                    self.postings.push((id as u32, record.entity));
+                }
+            }
+        }
+
+        // Counting sort by local key; stable, so every list stays ascending.
+        let mut start = 0u32;
+        for cursor in &mut self.cursors {
+            let size = *cursor;
+            *cursor = start;
+            start += size;
+        }
+        self.grouped.clear();
+        self.grouped.resize(self.postings.len(), EntityId(0));
+        for &(id, entity) in &self.postings {
+            let cursor = &mut self.cursors[id as usize];
+            self.grouped[*cursor as usize] = EntityId(entity);
+            *cursor += 1;
+        }
+
+        // Each cursor now sits at the end of its key's list.
+        let mut start = 0usize;
+        for (id, &end) in self.cursors.iter().enumerate() {
+            let block = &self.grouped[start..end as usize];
+            start = end as usize;
+            if block.len() > cap {
+                continue;
+            }
+            let (first, comparisons) = slice_cardinalities(block, kind, split);
+            if comparisons > 0 {
+                out.push(self.keys.get(id), block, first);
+            }
+        }
+        out.distinct_keys += self.cursors.len() as u64;
+        out.postings += self.postings.len() as u64;
+    }
+}
+
+/// The first eight bytes of a key as a big-endian integer, zero-padded:
+/// comparing two prefixes agrees with comparing the keys whenever the
+/// prefixes differ.
+#[inline]
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    let n = key.len().min(8);
+    buf[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(buf)
+}
+
+/// Returns `0..n` ordered by `key(i)` ascending (bytewise, i.e. `str` order
+/// for UTF-8).  Sort entries carry the key's 8-byte prefix, so comparisons
+/// touch the key bytes only on prefix ties.
 ///
 /// With more than one worker the index range is split into contiguous
 /// chunks, each chunk is sorted on its own worker, and the sorted runs are
-/// folded by a k-way merge on the calling thread.  Interned keys are
-/// distinct, so comparisons never tie and the resulting order — hence every
-/// block id downstream — is identical for any thread count.
-pub fn sorted_key_order<K: AsRef<str> + Sync>(keys: &[K], threads: usize) -> Vec<u32> {
-    let n = keys.len();
-    let key = |i: u32| keys[i as usize].as_ref();
+/// folded by a k-way merge on the calling thread.
+fn order_by_key<'k>(n: usize, key: impl Fn(u32) -> &'k [u8] + Sync, threads: usize) -> Vec<u32> {
+    let compare =
+        |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1)));
+    let sorted_run = |range: Range<usize>| {
+        let mut run: Vec<(u64, u32)> = (range.start as u32..range.end as u32)
+            .map(|i| (key_prefix(key(i)), i))
+            .collect();
+        run.sort_unstable_by(compare);
+        run
+    };
     // Below ~64k keys the chunk sorts finish faster than the threads spawn.
     if threads <= 1 || n < 65_536 {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        return order;
+        return sorted_run(0..n).into_iter().map(|(_, i)| i).collect();
     }
-    let runs: Vec<Vec<u32>> = er_core::map_ranges_parallel(n, threads, threads, |range| {
-        let mut run: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        run.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        run
-    });
+    let runs: Vec<Vec<(u64, u32)>> = er_core::map_ranges_parallel(n, threads, threads, sorted_run);
     // K-way merge of the sorted runs; k is the worker count (≤ 8), so a
     // linear scan over the run heads beats a heap.
     let mut cursors = vec![0usize; runs.len()];
     let mut order = Vec::with_capacity(n);
     loop {
-        let mut best: Option<(usize, &str)> = None;
+        let mut best: Option<(usize, &(u64, u32))> = None;
         for (r, run) in runs.iter().enumerate() {
-            if let Some(&head) = run.get(cursors[r]) {
-                let head_key = key(head);
-                if best.is_none_or(|(_, k)| head_key < k) {
-                    best = Some((r, head_key));
+            if let Some(head) = run.get(cursors[r]) {
+                if best.is_none_or(|(_, b)| compare(head, b).is_lt()) {
+                    best = Some((r, head));
                 }
             }
         }
-        let Some((r, _)) = best else { break };
-        order.push(runs[r][cursors[r]]);
+        let Some((r, head)) = best else { break };
+        order.push(head.1);
         cursors[r] += 1;
     }
     order
+}
+
+/// Returns the indices of `keys` in ascending lexicographic order — the
+/// deterministic block-id assignment shared by the batch builder (phase 3
+/// below) and the `er-stream` per-epoch compaction.
+///
+/// Keys are compared on a cached 8-byte prefix first; with more than one
+/// worker, chunks are sorted in parallel and merged.  Interned keys are
+/// distinct, so comparisons never tie and the resulting order — hence every
+/// block id downstream — is identical for any thread count.
+pub fn sorted_key_order<K: AsRef<str> + Sync>(keys: &[K], threads: usize) -> Vec<u32> {
+    order_by_key(
+        keys.len(),
+        |i| keys[i as usize].as_ref().as_bytes(),
+        threads,
+    )
+}
+
+/// Phase 4 for one contiguous range of final block ids: copies the keys and
+/// entity lists of `order`'s survivors, in order, into the output ranges
+/// those ids own.
+fn gather<'s>(
+    order: &[u32],
+    survivor: impl Fn(u32) -> (&'s Survivors, usize),
+    text: &mut [u8],
+    entities: &mut [EntityId],
+) {
+    let (mut text_pos, mut entity_pos) = (0, 0);
+    for &s in order {
+        let (group, i) = survivor(s);
+        let key = group.keys.get(i);
+        text[text_pos..text_pos + key.len()].copy_from_slice(key);
+        text_pos += key.len();
+        let block = group.entities(i);
+        entities[entity_pos..entity_pos + block.len()].copy_from_slice(block);
+        entity_pos += block.len();
+    }
 }
 
 /// Builds the block collection of `dataset` under the scheme described by
@@ -303,124 +626,110 @@ pub fn build_blocks<G: KeyGenerator + ?Sized>(
 ) -> CsrBlockCollection {
     let num_entities = dataset.num_entities();
     let threads = threads.max(1);
-    let interner = ShardedInterner::new();
-    let profiles = &dataset.profiles;
+    let o = crate::obs::obs();
 
-    // Phase 1: parallel key emission + interning.  One posting buffer per
-    // contiguous entity range; ~8 ranges per worker keep the queue balanced
-    // when profile sizes are skewed.
-    let num_tasks = if threads <= 1 { 1 } else { threads * 8 };
-    let runs: Vec<Vec<(u64, u32)>> =
+    // Phase 1: emit.  ~8 ranges per worker keep the queue balanced when
+    // profile sizes are skewed.
+    let timer = o.emit_ns.start_timer();
+    let num_tasks = (threads * 8).max(num_entities.div_ceil(MAX_TASK_ENTITIES));
+    let runs: Vec<TaskRun> =
         er_core::map_ranges_parallel(num_entities, threads, num_tasks, |range| {
-            let mut case_scratch = String::new();
-            let mut key_ids: Vec<u64> = Vec::new();
-            let mut scratch = KeyScratch::default();
-            let mut postings: Vec<(u64, u32)> = Vec::new();
-            for e in range {
-                key_ids.clear();
-                for attribute in &profiles[e].attributes {
-                    // Zero-alloc scratch tokenisation: no fresh `Vec<String>`
-                    // per profile, no fresh `String` per token — lowercase
-                    // tokens are borrowed slices, case folding reuses one
-                    // buffer.
-                    er_core::tokenize::for_each_token(
-                        &attribute.value,
-                        &mut case_scratch,
-                        |token| {
-                            generator.for_each_key(token, &mut scratch, &mut |key| {
-                                key_ids.push(interner.intern(key));
-                            });
-                        },
-                    );
-                }
-                // Per-entity key dedup on interned ids — an entity joins each
-                // block at most once, so block entity lists never need dedup.
-                key_ids.sort_unstable();
-                key_ids.dedup();
-                let entity = e as u32;
-                postings.extend(key_ids.iter().map(|&key| (key, entity)));
-            }
-            postings
+            emit_task(&dataset.profiles, range, generator)
         });
+    timer.observe();
 
-    // Phase 2: deterministic id assignment.  Sort the interned keys
-    // lexicographically (parallel chunk sort + k-way merge); `rank` maps
-    // dense provisional ids to final ids.
-    let (all_keys, bases) = interner.into_key_table();
-    let key_count = all_keys.len();
-    let order = sorted_key_order(&all_keys, threads);
-    let mut rank = vec![0u32; key_count];
-    for (final_id, &dense) in order.iter().enumerate() {
-        rank[dense as usize] = final_id as u32;
-    }
-    let dense_of = |packed: u64| -> usize {
-        (bases[(packed >> 32) as usize] + (packed & 0xffff_ffff) as u32) as usize
-    };
-
-    let scatter_timer = crate::obs::obs().scatter_ns.start_timer();
-    // Phase 3: counting-sort scatter into the entity arena.  Iterating runs
-    // in range order emits entities in ascending order per key, so every
-    // block's slice is sorted by construction.  The scatter itself stays
-    // sequential by design: it is a pure memory-bandwidth pass (two
-    // streaming reads and one random write per posting, no comparisons),
-    // and the obvious parallelisation — partitioning by key range — has to
-    // re-read every posting run once per partition, multiplying the read
-    // traffic by the worker count.  Revisit only if multi-core profiles of
-    // `micro_blocking` show this pass dominating after the parallel sort.
-    let mut offsets = vec![0u32; key_count + 1];
-    for run in &runs {
-        for &(packed, _) in run {
-            offsets[rank[dense_of(packed)] as usize + 1] += 1;
-        }
-    }
-    for i in 0..key_count {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursors: Vec<u32> = offsets[..key_count].to_vec();
-    let mut arena = vec![EntityId(0); offsets[key_count] as usize];
-    for run in &runs {
-        for &(packed, entity) in run {
-            let block = rank[dense_of(packed)] as usize;
-            arena[cursors[block] as usize] = EntityId(entity);
-            cursors[block] += 1;
-        }
-    }
-    scatter_timer.observe();
-
-    // Phase 4: filter + compact.  Keep only blocks that fit the generator's
-    // size cap and produce at least one comparison; surviving keys move into
-    // the arena-backed store in final (lexicographic) order.
-    let split = dataset.split;
-    let kind = dataset.kind;
+    // Phase 2: group.  One scratch and one output per run of partitions
+    // (~4 runs per worker), so worker threads make a few large allocations
+    // instead of thousands of small ones their malloc arenas would retain.
+    let timer = o.group_ns.start_timer();
     let cap = generator.max_block_size().unwrap_or(usize::MAX);
-    let mut keys = KeyStore::with_capacity(key_count / 2, 0);
-    let mut key_ids = Vec::new();
-    let mut entity_offsets = vec![0u32];
-    let mut entities = Vec::with_capacity(arena.len());
-    let mut first_counts = Vec::new();
-    for j in 0..key_count {
-        let slice = &arena[offsets[j] as usize..offsets[j + 1] as usize];
-        debug_assert!(slice.windows(2).all(|w| w[0] < w[1]));
-        if slice.len() > cap {
-            continue;
-        }
-        let (first, comparisons) = crate::csr::slice_cardinalities(slice, kind, split);
-        if comparisons == 0 {
-            continue;
-        }
-        key_ids.push(keys.push(&all_keys[order[j] as usize]));
-        entities.extend_from_slice(slice);
-        entity_offsets.push(entities.len() as u32);
-        first_counts.push(first);
+    let (kind, split) = (dataset.kind, dataset.split);
+    let groups: Vec<Survivors> =
+        er_core::map_ranges_parallel(PARTITIONS, threads, threads * 4, |partitions| {
+            let mut scratch = PartitionScratch::new();
+            let mut out = Survivors::new();
+            for p in partitions {
+                scratch.group_partition(p, &runs, cap, kind, split, &mut out);
+            }
+            out
+        });
+    // The emitted records are the build's only O(emitted keys) state.
+    drop(runs);
+    timer.observe();
+
+    // Phase 3: order the survivors.  Survivor `s` is entry `s - bases[g]` of
+    // the last group `g` with `bases[g] <= s`.
+    let timer = o.order_ns.start_timer();
+    let mut bases = Vec::with_capacity(groups.len());
+    let mut num_blocks = 0usize;
+    for group in &groups {
+        bases.push(num_blocks);
+        num_blocks += group.len();
     }
+    let survivor = |s: u32| {
+        let g = bases.partition_point(|&base| base <= s as usize) - 1;
+        (&groups[g], s as usize - bases[g])
+    };
+    let keys: Vec<&[u8]> = groups
+        .iter()
+        .flat_map(|group| (0..group.len()).map(|i| group.keys.get(i)))
+        .collect();
+    let order = order_by_key(num_blocks, |s| keys[s as usize], threads);
+    drop(keys);
+    timer.observe();
+
+    // Phase 4: assemble.  The offset tables are a sequential scan; the
+    // copies are chunked over the workers, each chunk of consecutive block
+    // ids writing the contiguous output ranges it owns.
+    let timer = o.assemble_ns.start_timer();
+    let mut key_offsets = Vec::with_capacity(num_blocks + 1);
+    let mut entity_offsets = Vec::with_capacity(num_blocks + 1);
+    let mut first_counts = Vec::with_capacity(num_blocks);
+    key_offsets.push(0u32);
+    entity_offsets.push(0u32);
+    let (mut key_end, mut entity_end) = (0u32, 0u32);
+    for &s in &order {
+        let (group, i) = survivor(s);
+        key_end += group.keys.get(i).len() as u32;
+        key_offsets.push(key_end);
+        entity_end += group.entities(i).len() as u32;
+        entity_offsets.push(entity_end);
+        first_counts.push(group.first_counts[i]);
+    }
+    let mut text = vec![0u8; key_end as usize];
+    let mut entities = vec![EntityId(0); entity_end as usize];
+    let chunk = num_blocks.div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let (mut text_rest, mut entities_rest) = (&mut text[..], &mut entities[..]);
+        for (c, ids) in order.chunks(chunk).enumerate() {
+            let (lo, hi) = (c * chunk, c * chunk + ids.len());
+            let (text_chunk, rest) = std::mem::take(&mut text_rest)
+                .split_at_mut((key_offsets[hi] - key_offsets[lo]) as usize);
+            text_rest = rest;
+            let (entities_chunk, rest) = std::mem::take(&mut entities_rest)
+                .split_at_mut((entity_offsets[hi] - entity_offsets[lo]) as usize);
+            entities_rest = rest;
+            if threads == 1 {
+                gather(ids, survivor, text_chunk, entities_chunk);
+            } else {
+                scope.spawn(move || gather(ids, survivor, text_chunk, entities_chunk));
+            }
+        }
+    });
+    let keys = KeyStore {
+        text: String::from_utf8(text).expect("concatenated `&str` keys are valid UTF-8"),
+        offsets: key_offsets,
+    };
+    timer.observe();
 
     // Once-per-build accounting (the per-posting loops above never touch
     // the registry).
-    let o = crate::obs::obs();
     o.builds.inc();
-    o.keys_interned.add(key_count as u64);
-    o.blocks_emitted.add(key_ids.len() as u64);
-    o.postings_scattered.add(arena.len() as u64);
+    o.keys_interned
+        .add(groups.iter().map(|g| g.distinct_keys).sum());
+    o.blocks_emitted.add(num_blocks as u64);
+    o.postings_scattered
+        .add(groups.iter().map(|g| g.postings).sum());
 
     CsrBlockCollection::from_raw(
         dataset.name.clone(),
@@ -428,7 +737,7 @@ pub fn build_blocks<G: KeyGenerator + ?Sized>(
         split,
         num_entities,
         Arc::new(keys),
-        key_ids,
+        (0..num_blocks as u32).collect(),
         entity_offsets,
         entities,
         first_counts,
@@ -516,25 +825,24 @@ mod tests {
     }
 
     #[test]
-    fn interner_assigns_one_slot_per_distinct_key() {
-        let interner = ShardedInterner::new();
-        let a = interner.intern("apple");
-        let b = interner.intern("samsung");
-        assert_eq!(a, interner.intern("apple"));
-        assert_ne!(a, b);
-        let (keys, bases) = interner.into_key_table();
-        assert_eq!(keys.len(), 2);
-        assert_eq!(bases.len(), SHARD_COUNT);
-        assert!(keys.iter().any(|k| &**k == "apple"));
-    }
-
-    #[test]
     fn sorted_key_order_matches_sequential_sort_for_any_thread_count() {
         // Enough keys to cross the parallel threshold, with a shuffled,
-        // collision-ish distribution (shared prefixes, varied lengths).
-        let keys: Vec<String> = (0..70_000u32)
+        // collision-ish distribution (shared prefixes, varied lengths), plus
+        // the cases the cached 8-byte prefix cannot decide alone: keys that
+        // agree on their first 8+ bytes, keys that are strict prefixes of one
+        // another on either side of the 8-byte boundary, and keys containing
+        // the NUL byte the prefix is padded with.
+        let mut keys: Vec<String> = (0..70_000u32)
             .map(|i| format!("k{:x}-{}", i.wrapping_mul(2654435761) % 4096, i))
             .collect();
+        for i in 0..300u32 {
+            keys.push(format!("sharedprefix{}", i.wrapping_mul(7919) % 300));
+            keys.push("prefixed".repeat(3)[..(i as usize % 24) + 1].to_string() + &format!("-{i}"));
+        }
+        for len in 1..=20 {
+            keys.push("abcdefghijklmnopqrst"[..len].to_string());
+        }
+        keys.extend(["ab\0", "ab\0\0c", "abcdefgh\0", "", "é", "éa"].map(String::from));
         let expected = {
             let mut order: Vec<u32> = (0..keys.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
@@ -545,6 +853,32 @@ mod tests {
         }
         let empty: Vec<String> = Vec::new();
         assert!(sorted_key_order(&empty, 4).is_empty());
+    }
+
+    #[test]
+    fn large_corpus_grows_key_tables_and_merges_sorted_runs() {
+        // 70k distinct tokens, each shared by two neighbouring entities: every
+        // partition's table outgrows its initial 1024 slots, and the 70k
+        // survivors cross the parallel-sort threshold.
+        let n = 70_000usize;
+        let profiles = (0..n)
+            .map(|i| {
+                EntityProfile::new(format!("e{i}"))
+                    .with_attribute("v", format!("t{:x} t{:x}", i, (i + 1) % n))
+            })
+            .collect();
+        let ds = Dataset::dirty(
+            "chain",
+            EntityCollection::new("d", profiles),
+            GroundTruth::default(),
+        )
+        .unwrap();
+        let expected = crate::reference::token_blocking(&ds);
+        assert_eq!(expected.blocks.len(), n);
+        for threads in [1, 4] {
+            let built = build_blocks(&ds, &TokenKeys, threads).to_block_collection();
+            assert_eq!(built.blocks, expected.blocks, "threads {threads}");
+        }
     }
 
     #[test]

@@ -111,15 +111,14 @@ pub fn block_filtering_csr(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockC
     // Per entity, the (block size, block index) assignments, laid out as one
     // flat CSR scratch (no per-entity Vec or hash set allocations).
     let num_entities = blocks.num_entities;
-    let mut degree = vec![0u32; num_entities];
+    let mut offsets = vec![0u32; num_entities + 1];
     for b in 0..blocks.num_blocks() {
         for entity in blocks.entities(b) {
-            degree[entity.index()] += 1;
+            offsets[entity.index() + 1] += 1;
         }
     }
-    let mut offsets = vec![0u32; num_entities + 1];
     for i in 0..num_entities {
-        offsets[i + 1] = offsets[i] + degree[i];
+        offsets[i + 1] += offsets[i];
     }
     let mut assignments = vec![(0u32, 0u32); offsets[num_entities] as usize];
     let mut cursors = offsets[..num_entities].to_vec();
@@ -132,33 +131,22 @@ pub fn block_filtering_csr(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockC
         }
     }
 
-    // Keep each entity only in its `ceil(ratio · |B_i|)` smallest blocks
-    // (size ties broken by block index, exactly like the nested path); the
-    // kept block indices are re-sorted so membership is a binary search.
-    let mut kept_offsets = vec![0u32; num_entities + 1];
-    for i in 0..num_entities {
-        let keep = filtering_keep_count(degree[i] as usize, ratio) as u32;
-        kept_offsets[i + 1] = kept_offsets[i] + keep;
-    }
-    let mut kept = vec![0u32; kept_offsets[num_entities] as usize];
-    for i in 0..num_entities {
+    // Each entity stays in its `ceil(ratio · |B_i|)` smallest blocks (size
+    // ties broken by block index, exactly like the nested path).  The
+    // assignments of one entity are distinct pairs, so "among the `keep`
+    // smallest" is "not above the `keep`-th smallest": one selection per
+    // entity yields a threshold and membership is a comparison.
+    let mut thresholds = vec![(0u32, 0u32); num_entities];
+    for (i, threshold) in thresholds.iter_mut().enumerate() {
         let slice = &mut assignments[offsets[i] as usize..offsets[i + 1] as usize];
-        if slice.is_empty() {
-            continue;
+        if !slice.is_empty() {
+            let keep = filtering_keep_count(slice.len(), ratio);
+            *threshold = *slice.select_nth_unstable(keep - 1).1;
         }
-        slice.sort_unstable();
-        let out = &mut kept[kept_offsets[i] as usize..kept_offsets[i + 1] as usize];
-        for (slot, &(_, idx)) in slice[..out.len()].iter().enumerate() {
-            out[slot] = idx;
-        }
-        out.sort_unstable();
     }
 
     blocks.retain_assignments(|entity, b| {
-        let e = entity.index();
-        kept[kept_offsets[e] as usize..kept_offsets[e + 1] as usize]
-            .binary_search(&(b as u32))
-            .is_ok()
+        (blocks.block_size(b) as u32, b as u32) <= thresholds[entity.index()]
     })
 }
 

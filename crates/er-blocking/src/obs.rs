@@ -2,7 +2,7 @@
 //! candidate engine, resolved once per process.
 //!
 //! Updates are batched: the parallel builder records once per build
-//! (counts plus one scatter-phase timer), the candidate stream once per
+//! (counts plus one timer per phase), the candidate stream once per
 //! extracted chunk — never per posting or per pair — so the hot loops
 //! stay inside the bench overhead gate.
 
@@ -19,8 +19,11 @@ pub(crate) struct BlockingObs {
     pub(crate) blocks_emitted: &'static Counter,
     /// Postings scattered into block entity lists.
     pub(crate) postings_scattered: &'static Counter,
-    /// Counting-sort scatter phase duration (ns).
-    pub(crate) scatter_ns: &'static Histogram,
+    /// Per-build duration of the four builder phases (ns).
+    pub(crate) emit_ns: &'static Histogram,
+    pub(crate) group_ns: &'static Histogram,
+    pub(crate) order_ns: &'static Histogram,
+    pub(crate) assemble_ns: &'static Histogram,
     /// Chunks extracted from candidate streams.
     pub(crate) stream_chunks: &'static Counter,
     /// Candidate pairs emitted through stream chunks.
@@ -50,9 +53,21 @@ pub(crate) fn obs() -> &'static BlockingObs {
             "blocking_postings_scattered_total",
             "(key, entity) postings scattered into block entity lists",
         ),
-        scatter_ns: er_obs::histogram(
-            "blocking_scatter_ns",
-            "Counting-sort scatter phase duration per build, nanoseconds",
+        emit_ns: er_obs::histogram(
+            "blocking_emit_ns",
+            "Emit phase (tokenise, hash, partition) duration per build, nanoseconds",
+        ),
+        group_ns: er_obs::histogram(
+            "blocking_group_ns",
+            "Group phase (per-partition intern, dedup, counting sort) duration per build, nanoseconds",
+        ),
+        order_ns: er_obs::histogram(
+            "blocking_order_ns",
+            "Order phase (survivor key sort) duration per build, nanoseconds",
+        ),
+        assemble_ns: er_obs::histogram(
+            "blocking_assemble_ns",
+            "Assemble phase (gather into the final CSR) duration per build, nanoseconds",
         ),
         stream_chunks: er_obs::counter(
             "blocking_stream_chunks_total",

@@ -69,6 +69,32 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Fx hash of a byte string (one [`Hasher::write`] of the whole slice).
+#[inline]
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// The `bits`-bit field of `hash` that starts `skip` bits below the top bit.
+///
+/// Fx's last step is a multiply, so bit `k` of the result depends only on
+/// bits `0..=k` of the last word written: the *low* bits of a short token's
+/// hash are a function of its first one or two characters, and a table
+/// indexed with `hash & mask` piles every token sharing them onto a few
+/// slots.  Index tables with the top bits instead: a partition from
+/// `high_bits(hash, 0, p)` and a slot inside it from
+/// `high_bits(hash, p, s)` — disjoint fields that each depend on the
+/// whole key.
+///
+/// `bits` must be at least 1 and `skip + bits` at most 64.
+#[inline]
+pub fn high_bits(hash: u64, skip: u32, bits: u32) -> usize {
+    debug_assert!(bits >= 1 && skip + bits <= 64);
+    ((hash << skip) >> (64 - bits)) as usize
+}
+
 /// `HashMap` keyed with the Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with the Fx hasher.
@@ -111,6 +137,61 @@ mod tests {
         }
         assert_eq!(set.len(), 1000);
         assert!(set.contains(&999));
+    }
+
+    /// Mean linear-probing steps per insert when `tokens` are spread over
+    /// 128 partitions of `slots`-slot tables (`0` = empty home slot).
+    fn mean_probe_length(
+        tokens: &[String],
+        slots: usize,
+        locate: impl Fn(u64) -> (usize, usize),
+    ) -> f64 {
+        let mut tables = vec![vec![false; slots]; 128];
+        let mut probes = 0usize;
+        for token in tokens {
+            let (partition, mut slot) = locate(hash_bytes(token.as_bytes()));
+            while tables[partition][slot] {
+                slot = (slot + 1) & (slots - 1);
+                probes += 1;
+            }
+            tables[partition][slot] = true;
+        }
+        probes as f64 / tokens.len() as f64
+    }
+
+    #[test]
+    fn high_bits_keep_probe_chains_short_on_short_ascii_tokens() {
+        // Every 3-character token plus three 4-character extensions of each:
+        // 4 · 36³ ≈ 187k distinct short tokens.
+        let alphabet: Vec<char> = ('a'..='z').chain('0'..='9').collect();
+        let mut tokens = Vec::new();
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for &c in &alphabet {
+                    tokens.push(String::from_iter([a, b, c]));
+                    for &d in alphabet.iter().step_by(16) {
+                        tokens.push(String::from_iter([a, b, c, d]));
+                    }
+                }
+            }
+        }
+        assert!(tokens.len() >= 100_000);
+        // ~1 460 keys per partition in 4096 slots: load ≈ 0.36.
+        let high = mean_probe_length(&tokens, 4096, |h| (high_bits(h, 0, 7), high_bits(h, 7, 12)));
+        assert!(high < 0.5, "mean probe length {high}");
+        // The trap the doc note warns about: the low 12 bits see only the
+        // first two characters, so the same tables degenerate.
+        let low = mean_probe_length(&tokens, 4096, |h| (high_bits(h, 0, 7), h as usize & 4095));
+        assert!(low > 5.0 * high, "low-bit probe length {low}");
+    }
+
+    #[test]
+    fn high_bits_extracts_disjoint_fields() {
+        let h = 0xfedc_ba98_7654_3210u64;
+        assert_eq!(high_bits(h, 0, 7), 0x7f);
+        assert_eq!(high_bits(h, 0, 8), 0xfe);
+        assert_eq!(high_bits(h, 8, 8), 0xdc);
+        assert_eq!(high_bits(h, 32, 32), 0x7654_3210);
     }
 
     #[test]

@@ -955,17 +955,21 @@ impl StreamingIndex {
     /// `threads` parallelises the key sort; the output is identical for any
     /// thread count.
     pub fn view(&self, threads: usize) -> CsrBlockCollection {
-        let order = sorted_key_order(&self.keys, threads);
-        let mut store = KeyStore::with_capacity(self.keys.len() / 2, 0);
-        let mut key_ids = Vec::new();
+        // Only the blocks the batch engine would emit take part in the sort.
+        let emitted: Vec<u32> = (0..self.keys.len() as u32)
+            .filter(|&k| {
+                self.sizes[k as usize] as usize <= self.cap && self.comparisons[k as usize] > 0
+            })
+            .collect();
+        let emitted_keys: Vec<&str> = emitted.iter().map(|&k| &*self.keys[k as usize]).collect();
+        let mut store = KeyStore::with_capacity(emitted.len(), 0);
+        let mut key_ids = Vec::with_capacity(emitted.len());
         let mut entity_offsets = vec![0u32];
         let mut entities: Vec<EntityId> = Vec::new();
-        let mut first_counts = Vec::new();
-        for &k in &order {
+        let mut first_counts = Vec::with_capacity(emitted.len());
+        for i in sorted_key_order(&emitted_keys, threads) {
+            let k = emitted[i as usize];
             let ki = k as usize;
-            if self.sizes[ki] as usize > self.cap || self.comparisons[ki] == 0 {
-                continue;
-            }
             key_ids.push(store.push(&self.keys[ki]));
             entities.extend(self.members(k));
             entity_offsets.push(entities.len() as u32);

@@ -682,18 +682,24 @@ impl DeltaIndex for ShardedIndex {
     }
 
     fn view(&self, threads: usize) -> CsrBlockCollection {
-        let order = sorted_key_order(&self.keys, threads);
-        let mut store = KeyStore::with_capacity(self.keys.len() / 2, 0);
-        let mut key_ids = Vec::new();
+        // Only the blocks the batch engine would emit take part in the sort.
+        let emitted: Vec<u32> = (0..self.keys.len() as u32)
+            .filter(|&g| {
+                let (s, local) = self.locate(g);
+                let shard = &self.shards[s];
+                shard.block_size(local) <= self.cap && shard.key_comparisons(local) > 0
+            })
+            .collect();
+        let emitted_keys: Vec<&str> = emitted.iter().map(|&g| &*self.keys[g as usize]).collect();
+        let mut store = KeyStore::with_capacity(emitted.len(), 0);
+        let mut key_ids = Vec::with_capacity(emitted.len());
         let mut entity_offsets = vec![0u32];
         let mut entities: Vec<EntityId> = Vec::new();
-        let mut first_counts = Vec::new();
-        for &g in &order {
+        let mut first_counts = Vec::with_capacity(emitted.len());
+        for i in sorted_key_order(&emitted_keys, threads) {
+            let g = emitted[i as usize];
             let (s, local) = self.locate(g);
             let shard = &self.shards[s];
-            if shard.block_size(local) > self.cap || shard.key_comparisons(local) == 0 {
-                continue;
-            }
             key_ids.push(store.push(&self.keys[g as usize]));
             entities.extend(shard.members(local));
             entity_offsets.push(entities.len() as u32);

@@ -133,3 +133,44 @@ fn durable_sharded_run_populates_the_registry_and_emits_recovery_events() {
     assert!(json.contains("\"persist_wal_appends_total\""));
     assert!(json.contains("\"shard_epochs_published_total\""));
 }
+
+/// One batch build leaves one sample in each of the four builder-phase
+/// histograms (which replaced the single `blocking_scatter_ns`) and moves the
+/// build counters by what the returned collection shows.
+#[test]
+fn block_build_records_its_counts_and_one_sample_per_phase() {
+    const PHASES: [&str; 4] = [
+        "blocking_emit_ns",
+        "blocking_group_ns",
+        "blocking_order_ns",
+        "blocking_assemble_ns",
+    ];
+    let ds = dataset();
+    // Resolve the handles with a first build, then measure a second one;
+    // the other test in this binary may build concurrently, hence `>=`.
+    let _ = gsmb::blocking::build_blocks(&ds, &TokenKeys, 2);
+    let before = gsmb::obs::snapshot();
+    let blocks = gsmb::blocking::build_blocks(&ds, &TokenKeys, 2);
+    let after = gsmb::obs::snapshot();
+
+    let grew = |name: &str| {
+        let read = |s: &gsmb::obs::MetricsSnapshot| {
+            s.value(name)
+                .unwrap_or_else(|| panic!("{name} not registered"))
+        };
+        read(&after) - read(&before)
+    };
+    assert!(grew("blocking_builds_total") >= 1);
+    assert!(grew("blocking_blocks_emitted_total") >= blocks.num_blocks() as u64);
+    assert!(grew("blocking_postings_scattered_total") >= blocks.sum_block_sizes());
+    assert!(grew("blocking_keys_interned_total") >= blocks.num_blocks() as u64);
+    for phase in PHASES {
+        let count = |s: &gsmb::obs::MetricsSnapshot| {
+            s.histogram(phase)
+                .unwrap_or_else(|| panic!("{phase} not registered"))
+                .count
+        };
+        assert!(count(&after) > count(&before), "{phase} recorded nothing");
+    }
+    assert!(after.histogram("blocking_scatter_ns").is_none());
+}

@@ -7,9 +7,10 @@
 
 use gsmb::blocking::reference::{self, naive_candidate_pairs, NaiveBlockStats};
 use gsmb::blocking::{
-    block_filtering, block_purging, qgrams_blocking_csr, standard_blocking_workflow_csr,
-    suffix_array_blocking_csr, token_blocking_csr, Block, BlockCollection, BlockStats,
-    CandidatePairs, SuffixArrayConfig,
+    block_filtering, block_purging, build_blocks, qgrams_blocking_csr,
+    standard_blocking_workflow_csr, suffix_array_blocking_csr, token_blocking_csr, Block,
+    BlockCollection, BlockStats, CandidatePairs, CsrBlockCollection, KeyGenerator, QGramKeys,
+    SuffixArrayConfig, SuffixKeys, TokenKeys,
 };
 use gsmb::core::{
     seeded_rng, Dataset, DatasetKind, EntityCollection, EntityId, EntityProfile, GroundTruth,
@@ -195,6 +196,212 @@ fn parallel_blocking_matches_sequential_reference() {
             );
         }
     });
+}
+
+/// Tokens chosen to stress the builder's hashing, interning and prefix-cached
+/// key sort rather than to look like data: keys longer than 255 bytes that
+/// agree on their first 280, keys sharing 8+ byte prefixes, keys that are
+/// strict prefixes of one another on both sides of the 8-byte boundary, and
+/// non-ASCII or mixed-case spellings that fold onto the same key.
+fn adversarial_vocab() -> Vec<String> {
+    let long = "longkey".repeat(40);
+    let mut vocab = vec![format!("{long}a"), format!("{long}b"), long];
+    vocab.extend(
+        [
+            "sharedprefix1",
+            "sharedprefix2",
+            "sharedprefixes",
+            "abcd",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "CAFÉ",
+            "café",
+            "Straße",
+            "STRASSE",
+            "ΣΟΦΟΣ",
+            "σοφος",
+            "naïveté",
+            "İstanbul",
+            "apple",
+            "Apple",
+            "APPLE",
+            "x",
+            "42",
+        ]
+        .map(String::from),
+    );
+    vocab
+}
+
+/// A dataset assembled without `Dataset::dirty`/`clean_clean`, which reject
+/// the empty corpus the builder must also survive.
+fn raw_dataset(kind: DatasetKind, profiles: Vec<EntityProfile>, split: usize) -> Dataset {
+    Dataset {
+        name: "adversarial".into(),
+        kind,
+        split: match kind {
+            DatasetKind::CleanClean => split,
+            DatasetKind::Dirty => profiles.len(),
+        },
+        profiles,
+        ground_truth: GroundTruth::default(),
+    }
+}
+
+/// 0–3 attributes of 0–5 adversarial tokens; now and then a token is
+/// repeated inside its attribute and again in a further attribute.  Some
+/// profiles come out empty or punctuation-only.
+fn adversarial_profile(rng: &mut StdRng, vocab: &[String], id: usize) -> EntityProfile {
+    let mut profile = EntityProfile::new(format!("p{id}"));
+    for a in 0..rng.gen_range(0usize..=3) {
+        let mut value = String::from(["", "--", " "][rng.gen_range(0usize..3)]);
+        for _ in 0..rng.gen_range(0usize..=5) {
+            let token = &vocab[rng.gen_range(0..vocab.len())];
+            value.push_str(token);
+            value.push_str([" ", "-", ", ", " / "][rng.gen_range(0usize..4)]);
+            if rng.gen_range(0u32..4) == 0 {
+                value.push_str(token);
+                value.push(' ');
+                profile.push_attribute(format!("again{a}"), token.clone());
+            }
+        }
+        profile.push_attribute(format!("a{a}"), value);
+    }
+    profile
+}
+
+/// Hand-placed boundary cases over eight entities, E1 = 0..3: `capfour`
+/// fills a block exactly to a size cap of 4 and `capfive` overshoots it by
+/// one; `boundary` joins the last E1 entity with the first E2 one; `alpha`
+/// lives in E1 only, `beta` in E2 only, `edge` in a single entity.
+fn boundary_profiles() -> Vec<EntityProfile> {
+    [
+        "alpha edge",
+        "alpha",
+        "boundary capfour capfive",
+        "boundary capfour capfive",
+        "beta capfour capfive",
+        "beta capfour capfive",
+        "capfive",
+        "beta",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, value)| EntityProfile::new(format!("b{i}")).with_attribute("v", *value))
+    .collect()
+}
+
+/// Asserts `build_blocks` equals `expected` at 1, 2, 3 and 8 threads — and
+/// hence across thread counts — including the CSR-only fields.
+fn assert_builds_match(
+    dataset: &Dataset,
+    generator: &dyn KeyGenerator,
+    expected: &BlockCollection,
+    context: &str,
+) -> CsrBlockCollection {
+    let mut last = None;
+    for threads in [1, 2, 3, 8] {
+        let csr = build_blocks(dataset, generator, threads);
+        assert_eq!(
+            csr.to_block_collection().blocks,
+            expected.blocks,
+            "{context} threads {threads}"
+        );
+        assert_eq!(csr.num_entities, dataset.num_entities(), "{context}");
+        for b in 0..csr.num_blocks() {
+            let first = csr
+                .entities(b)
+                .iter()
+                .filter(|e| e.index() < dataset.split)
+                .count();
+            assert_eq!(csr.first_source_count(b), first, "{context} block {b}");
+            assert_eq!(csr.key_id(b) as usize, b, "{context} block {b}");
+        }
+        last = Some(csr);
+    }
+    last.expect("at least one thread count")
+}
+
+/// `build_blocks` is bit-identical to the sequential reference builders for
+/// all three schemes, both ER kinds and every thread count on adversarial
+/// corpora: empty and single-entity datasets, empty profiles, repeated
+/// tokens, very long keys, shared prefixes, case folding, and blocks sitting
+/// exactly on the size cap and on the Clean-Clean split.
+#[test]
+fn block_building_matches_reference_on_adversarial_keys() {
+    let vocab = adversarial_vocab();
+    let suffix_config = SuffixArrayConfig {
+        min_length: 3,
+        max_block_size: 4,
+    };
+    let suffix_keys = SuffixKeys::new(suffix_config.min_length, suffix_config.max_block_size);
+    let check = |dataset: &Dataset, context: &str| {
+        let token = assert_builds_match(
+            dataset,
+            &TokenKeys,
+            &reference::token_blocking(dataset),
+            &format!("{context} token"),
+        );
+        assert_builds_match(
+            dataset,
+            &QGramKeys::new(3),
+            &reference::qgrams_blocking(dataset, 3),
+            &format!("{context} qgrams"),
+        );
+        let suffix = assert_builds_match(
+            dataset,
+            &suffix_keys,
+            &reference::suffix_array_blocking(dataset, suffix_config),
+            &format!("{context} suffix"),
+        );
+        (token, suffix)
+    };
+    let keys = |csr: &CsrBlockCollection| -> Vec<String> {
+        (0..csr.num_blocks())
+            .map(|b| csr.key(b).to_string())
+            .collect()
+    };
+
+    for case in 0..CASES {
+        let seed = gsmb::core::rng::derive_seed(0x5022, case);
+        let mut rng = seeded_rng(seed);
+        let kind = if case % 2 == 0 {
+            DatasetKind::CleanClean
+        } else {
+            DatasetKind::Dirty
+        };
+        // The first cases pin the 0- and 1-entity corpora.
+        let n = match case {
+            0 | 1 => 0,
+            2 | 3 => 1,
+            _ => rng.gen_range(2usize..=40),
+        };
+        let profiles = (0..n)
+            .map(|i| adversarial_profile(&mut rng, &vocab, i))
+            .collect();
+        let split = rng.gen_range(0..=n);
+        check(&raw_dataset(kind, profiles, split), &format!("seed {seed}"));
+    }
+
+    let (token, suffix) = check(
+        &raw_dataset(DatasetKind::CleanClean, boundary_profiles(), 3),
+        "boundary cc",
+    );
+    assert_eq!(keys(&token), ["boundary", "capfive", "capfour"]);
+    assert!(keys(&suffix).contains(&"capfour".to_string()));
+    assert!(!keys(&suffix).contains(&"capfive".to_string()));
+
+    let (token, suffix) = check(
+        &raw_dataset(DatasetKind::Dirty, boundary_profiles(), 0),
+        "boundary dirty",
+    );
+    assert_eq!(
+        keys(&token),
+        ["alpha", "beta", "boundary", "capfive", "capfour"]
+    );
+    assert!(keys(&suffix).contains(&"capfour".to_string()));
+    assert!(!keys(&suffix).contains(&"capfive".to_string()));
 }
 
 /// The CSR-native standard workflow (parallel Token Blocking + CSR Purging +
