@@ -28,11 +28,13 @@
 //! at every size — exact allocation accounting, so the gate is
 //! deterministic; peak-RSS checkpoints after each phase are recorded in the
 //! artifact alongside it.  Asserted throughput gate: the *end-to-end*
-//! streamed phase (stream build + fused extract/score) keeps within 10% of
-//! the end-to-end materialised phase (index build + score) in pairs/s —
-//! both modes pay one extraction, the streamed one just never keeps its
-//! output (`GSMB_SCALA_GATE=0` disables the timing gate on noisy hosts;
-//! the memory gate always holds).
+//! streamed phase (counting pass + fused extract/score) takes at most 10%
+//! longer than the end-to-end materialised phase (index build + score) plus
+//! one counting pass — the materialised index derives each partner run
+//! once and keeps it, the stream derives it twice (count, then extract) and
+//! keeps nothing, and that second derivation is all the stream may cost
+//! (`GSMB_SCALA_GATE=0` disables the timing gate on noisy hosts; the memory
+//! gate always holds).
 //!
 //! Environment: `GSMB_SCALA_SIZES` (comma-separated entity counts, default
 //! `100000,1000000`), `GSMB_SCALA_TILE` (tile width override, default
@@ -149,14 +151,17 @@ fn main() {
         drop(stream_context);
         drop(stream);
 
-        // Timed end-to-end streamed phase: stats → probabilities, the unit
-        // of work the pipeline actually performs (the fused pass re-derives
-        // pairs every rep; the materialised twin below pays the same
-        // extraction inside `CandidatePairs::from_stats`).  Best-of-N.
+        // Timed end-to-end streamed phase: stats → probabilities with no
+        // index (the counting pass derives every run, the fused pass
+        // derives it again per chunk; the materialised twin below derives
+        // each run once inside `CandidatePairs::from_stats`).  Best-of-N,
+        // the counting pass also on its own for the throughput gate.
         let mut streamed_total_s = f64::INFINITY;
+        let mut count_pass_s = f64::INFINITY;
         for _ in 0..repetitions {
             let start = Instant::now();
             let stream = CandidateStream::from_stats(&stats, threads);
+            count_pass_s = count_pass_s.min(start.elapsed().as_secs_f64());
             let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
             criterion::black_box(FeatureMatrix::score_stream_with(
                 &stream_context,
@@ -293,16 +298,18 @@ fn main() {
         }
         let rss_materialised = peak_rss_json();
 
-        // Throughput gate: the end-to-end streamed phase keeps within 10%
-        // of the end-to-end materialised phase — both modes pay one pair
-        // extraction; the streamed one just never keeps its output.
+        // Throughput gate: the stream's second derivation of every run (the
+        // counting pass) is the only thing it may cost over the
+        // materialised phase, within 10%.
         let streamed_pps = pairs as f64 / streamed_total_s.max(1e-9);
         let materialised_pps = pairs as f64 / materialised_total_s.max(1e-9);
         if timing_gate {
+            let allowed_s = 1.1 * (materialised_total_s + count_pass_s);
             assert!(
-                streamed_pps >= 0.9 * materialised_pps,
-                "scal-{n}: streamed {streamed_pps:.0} pairs/s regresses more than 10% below \
-                 materialised {materialised_pps:.0} pairs/s (set GSMB_SCALA_GATE=0 on noisy hosts)"
+                streamed_total_s <= allowed_s,
+                "scal-{n}: streamed phase {streamed_total_s:.3} s exceeds materialised \
+                 {materialised_total_s:.3} s + counting pass {count_pass_s:.3} s by more than 10% \
+                 (set GSMB_SCALA_GATE=0 on noisy hosts)"
             );
         }
 

@@ -22,6 +22,14 @@
 //! row straight into the classifier.  The `features` timing therefore covers
 //! index construction (block statistics, candidate CSR, per-entity tables)
 //! and `scoring` covers the fused feature + probability pass.
+//!
+//! Each entity's partner run is derived **once** per run: the candidate
+//! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
+//! and because pruning and the outcome need that index anyway, the chunked
+//! scoring mode (`candidate_chunk_pairs`) streams over it
+//! ([`CandidateStream::from_candidates`]) instead of counting and
+//! re-extracting the runs.  The scoreboard's block walk is the only other
+//! pass over the blocks.
 
 use std::time::{Duration, Instant};
 
@@ -266,8 +274,7 @@ impl MetaBlockingPipeline {
         let threads = self.config.effective_threads();
         let feature_start = Instant::now();
         let stats = BlockStats::new(&blocks);
-        let candidates =
-            CandidateStream::from_blocks_with_stats(&blocks, &stats, threads).collect(threads)?;
+        let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
         self.finish(
             dataset,
             CsrBlockCollection::from_block_collection(&blocks),
@@ -324,14 +331,16 @@ impl MetaBlockingPipeline {
         let training_time = training_start.elapsed();
 
         // Scoring: fused feature + probability pass, no materialised matrix.
-        // With `candidate_chunk_pairs` set, the pass walks the streamed
-        // engine in bounded chunks instead of the materialised pair index —
-        // same probabilities, bit for bit.
+        // With `candidate_chunk_pairs` set, the pass runs the streamed
+        // engine (chunk tasks, per-worker arenas) over the index this
+        // function already holds for pruning: chunks are copied out of it,
+        // no partner run is derived a second time — same probabilities, bit
+        // for bit.
         let scoring_start = Instant::now();
         let probability = |features: &[f64]| model.probability(features).clamp(0.0, 1.0);
         let probabilities = match self.config.candidate_chunk_pairs {
             Some(chunk_pairs) => {
-                let stream = CandidateStream::from_stats(&stats, threads);
+                let stream = CandidateStream::from_candidates(&stats, &candidates);
                 let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
                 FeatureMatrix::score_stream_with(
                     &stream_context,

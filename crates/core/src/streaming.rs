@@ -127,8 +127,9 @@ impl StreamingPipeline {
         // Seed the schedule through the streamed chunk walk: chunks arrive
         // in ascending pair order, so the absorbed stamps are identical to
         // one global absorb of the batch-scored vector, while only
-        // O(threads × chunk) scored pairs are ever in flight.
-        let stream = CandidateStream::from_stats(&stats, threads);
+        // O(threads × chunk) scored pairs are ever in flight.  The walk
+        // reads the index built for training; no run is derived again.
+        let stream = CandidateStream::from_candidates(&stats, &candidates);
         let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
         let chunk_pairs = config
             .candidate_chunk_pairs

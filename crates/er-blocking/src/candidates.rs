@@ -18,17 +18,31 @@
 //! hash-based implementation produced.  See [`crate::reference`] for that
 //! retained implementation.
 //!
-//! Since the streamed engine landed, every constructor here is a *collector*
-//! of [`CandidateStream`](crate::CandidateStream): the stream counts and
-//! re-extracts the pairs, this type materialises them.  There is exactly one
-//! extraction engine in the crate.
+//! # One gather per entity
+//!
+//! The materialising constructors ([`CandidatePairs::from_blocks`],
+//! [`CandidatePairs::from_blocks_with_stats`],
+//! [`CandidatePairs::try_from_stats`]) derive every emitting entity's run
+//! exactly once: each entity-range task appends its runs (partner ids only,
+//! 4 bytes per pair) to a task buffer, records the run lengths and scatters
+//! the partner-side LCP counts; the lengths are prefix-summed, the index is
+//! allocated once and the task buffers are placed into it in parallel, each
+//! released as soon as it is placed.  Transient memory is therefore at most
+//! half the index.  The pair total is bounded by the block collection's
+//! comparison count before anything is buffered; only when that (free) upper
+//! bound is above the `u32` ceiling do the constructors fall back to counting
+//! first through [`CandidateStream`], whose collector
+//! ([`CandidatePairs::try_from_stream`]) stays for callers that already hold
+//! a stream and re-extracts every run a second time.
+
+use std::sync::atomic::AtomicU32;
 
 use er_core::{EntityId, GroundTruth, PairId};
 use serde::{Deserialize, Serialize};
 
 use crate::collection::BlockCollection;
 use crate::stats::BlockStats;
-use crate::stream::CandidateStream;
+use crate::stream::{CandidateStream, Extraction};
 
 /// The distinct comparisons of a block collection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,6 +72,33 @@ fn ensure_materialisable(total: u64) -> er_core::Result<()> {
     Ok(())
 }
 
+type Pair = (EntityId, EntityId);
+
+/// One entity-range task's gathered runs: the partner ids of entities
+/// `first..first + lens.len()` back to back, with each run's length.
+struct GatheredRuns {
+    first: usize,
+    lens: Vec<u32>,
+    partners: Vec<u32>,
+}
+
+impl GatheredRuns {
+    /// Writes the runs as `(entity, partner)` pairs into the task's slice of
+    /// the pair list (`partners.len()` long).
+    fn place(&self, out: &mut [Pair]) {
+        debug_assert_eq!(out.len(), self.partners.len());
+        let mut start = 0usize;
+        for (i, &len) in self.lens.iter().enumerate() {
+            let a = EntityId((self.first + i) as u32);
+            let end = start + len as usize;
+            for (slot, &p) in out[start..end].iter_mut().zip(&self.partners[start..end]) {
+                *slot = (a, EntityId(p));
+            }
+            start = end;
+        }
+    }
+}
+
 impl CandidatePairs {
     /// Extracts the distinct candidate pairs from a block collection on the
     /// calling thread.
@@ -67,8 +108,12 @@ impl CandidatePairs {
     /// If the collection produces more than `u32::MAX` pairs — use the
     /// streamed engine ([`CandidateStream`]) at that scale.
     pub fn from_blocks(blocks: &BlockCollection) -> Self {
-        let stream = CandidateStream::from_blocks(blocks);
-        Self::try_from_stream(&stream, 1).expect("candidate set above the u32 pair-index limit")
+        Self::materialise(
+            Extraction::from_blocks(blocks),
+            blocks.total_comparisons(),
+            1,
+        )
+        .expect("candidate set above the u32 pair-index limit")
     }
 
     /// Extracts the candidate pairs reusing an already-computed
@@ -85,9 +130,12 @@ impl CandidatePairs {
         stats: &BlockStats,
         threads: usize,
     ) -> Self {
-        let stream = CandidateStream::from_blocks_with_stats(blocks, stats, threads);
-        Self::try_from_stream(&stream, threads)
-            .expect("candidate set above the u32 pair-index limit")
+        Self::materialise(
+            Extraction::from_blocks_with_stats(blocks, stats),
+            stats.total_comparisons(),
+            threads,
+        )
+        .expect("candidate set above the u32 pair-index limit")
     }
 
     /// Extracts the candidate pairs from the block statistics alone, with up
@@ -108,8 +156,98 @@ impl CandidatePairs {
     /// [`er_core::Error::CapacityExceeded`] instead of panicking when the
     /// pair total exceeds the materialised index's `u32` ceiling.
     pub fn try_from_stats(stats: &BlockStats, threads: usize) -> er_core::Result<Self> {
-        let stream = CandidateStream::from_stats(stats, threads);
-        Self::try_from_stream(&stream, threads)
+        Self::materialise(
+            Extraction::from_stats(stats),
+            stats.total_comparisons(),
+            threads,
+        )
+    }
+
+    /// The shared body of the materialising constructors.
+    /// `comparisons_bound` is the block collection's comparison count — every
+    /// distinct pair is one of those comparisons, so the single-gather path
+    /// below never buffers more than `u32::MAX` pairs; past the ceiling the
+    /// exact total decides, counted first as the stream does.
+    fn materialise(
+        extraction: Extraction<'_>,
+        comparisons_bound: u64,
+        threads: usize,
+    ) -> er_core::Result<Self> {
+        let threads = threads.max(1);
+        if ensure_materialisable(comparisons_bound).is_err() {
+            let stream = CandidateStream::build(extraction, threads);
+            return Self::try_from_stream(&stream, threads);
+        }
+        Self::gather_once(&extraction, threads)
+    }
+
+    /// Derives every emitting entity's run once and assembles the index from
+    /// the per-task buffers (see the module docs).
+    fn gather_once(extraction: &Extraction<'_>, threads: usize) -> er_core::Result<Self> {
+        let num_entities = extraction.num_entities;
+        let emitting = extraction.emitting_entities();
+
+        let partner_counts: Vec<AtomicU32> = (0..num_entities).map(|_| AtomicU32::new(0)).collect();
+        let num_tasks = Extraction::derivation_tasks(threads);
+        let gathered = er_core::map_ranges_parallel(emitting, threads, num_tasks, |range| {
+            let mut runs = GatheredRuns {
+                first: range.start,
+                lens: Vec::with_capacity(range.len()),
+                partners: Vec::new(),
+            };
+            extraction.derive_range(range, &partner_counts, |run| {
+                runs.lens.push(run.len() as u32);
+                runs.partners.extend_from_slice(run);
+            });
+            runs
+        });
+
+        let total: u64 = gathered.iter().map(|g| g.partners.len() as u64).sum();
+        ensure_materialisable(total)?;
+        let mut offsets: Vec<u32> = Vec::with_capacity(num_entities + 1);
+        offsets.push(0);
+        let mut entity_candidates: Vec<u32> = partner_counts
+            .into_iter()
+            .map(AtomicU32::into_inner)
+            .collect();
+        for (a, &len) in gathered.iter().flat_map(|g| &g.lens).enumerate() {
+            offsets.push(offsets[a] + len);
+            entity_candidates[a] += len;
+        }
+        offsets.resize(num_entities + 1, total as u32);
+
+        // Placement: one disjoint slice of the pair list per task, filled in
+        // parallel; a task's buffers are dropped as soon as they are placed.
+        let mut pairs: Vec<Pair> = vec![(EntityId(0), EntityId(0)); total as usize];
+        {
+            let mut slots: Vec<Option<(&mut [Pair], GatheredRuns)>> =
+                Vec::with_capacity(gathered.len());
+            let mut rest: &mut [Pair] = &mut pairs;
+            for runs in gathered {
+                let (head, tail) = rest.split_at_mut(runs.partners.len());
+                slots.push(Some((head, runs)));
+                rest = tail;
+            }
+            let num_slots = slots.len();
+            let slots = std::sync::Mutex::new(slots);
+            er_core::for_each_task_with_state(
+                num_slots,
+                threads,
+                || (),
+                |task, ()| {
+                    let (slice, runs) = slots.lock().expect("placement slots poisoned")[task]
+                        .take()
+                        .expect("task placed twice");
+                    runs.place(slice);
+                },
+            );
+        }
+
+        Ok(CandidatePairs {
+            pairs,
+            offsets,
+            entity_candidates,
+        })
     }
 
     /// Materialises a [`CandidateStream`]: the stream's exact `u64` pair
@@ -245,6 +383,11 @@ impl CandidatePairs {
     /// Number of distinct candidates of one entity — the paper's LCP feature.
     pub fn candidates_of(&self, entity: EntityId) -> u32 {
         self.entity_candidates[entity.index()]
+    }
+
+    /// The CSR offsets of the pair index (`num_entities + 1` entries).
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
     }
 
     /// The per-entity candidate counts.
@@ -459,12 +602,39 @@ mod tests {
         }
     }
 
+    /// A comparison count above the ceiling cannot prove the pair total
+    /// fits, so the constructors count first (the stream's path) and let
+    /// the exact total decide; below it they gather once.  Same index
+    /// either way.
+    #[test]
+    fn constructors_count_first_when_the_comparison_bound_is_above_the_ceiling() {
+        let bc = clean_clean_collection();
+        let stats = BlockStats::new(&bc);
+        let gathered = CandidatePairs::try_from_stats(&stats, 2).unwrap();
+        for bound in [
+            stats.total_comparisons(),
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+            u64::MAX,
+        ] {
+            let built = CandidatePairs::materialise(Extraction::from_stats(&stats), bound, 2)
+                .expect("4 pairs fit whatever the bound says");
+            assert_eq!(built.pairs(), gathered.pairs(), "bound {bound}");
+            assert_eq!(built.offsets, gathered.offsets, "bound {bound}");
+            assert_eq!(
+                built.entity_candidate_counts(),
+                gathered.entity_candidate_counts(),
+                "bound {bound}"
+            );
+        }
+    }
+
     #[test]
     fn try_from_stats_collects_the_stream() {
         let bc = clean_clean_collection();
         let stats = BlockStats::new(&bc);
-        let direct = CandidatePairs::from_blocks(&bc);
-        let collected = CandidatePairs::try_from_stats(&stats, 2).unwrap();
+        let direct = CandidatePairs::try_from_stats(&stats, 2).unwrap();
+        let collected = CandidateStream::from_stats(&stats, 2).collect(2).unwrap();
         assert_eq!(collected.pairs(), direct.pairs());
         assert_eq!(
             collected.entity_candidate_counts(),

@@ -2,9 +2,9 @@
 //! candidate engine, resolved once per process.
 //!
 //! Updates are batched: the parallel builder records once per build
-//! (counts plus one timer per phase), the candidate stream once per
-//! extracted chunk — never per posting or per pair — so the hot loops
-//! stay inside the bench overhead gate.
+//! (counts plus one timer per phase), the candidate engines once per
+//! entity-range task or extracted chunk — never per posting, per run or per
+//! pair — so the hot loops stay inside the bench overhead gate.
 
 use std::sync::OnceLock;
 
@@ -24,6 +24,8 @@ pub(crate) struct BlockingObs {
     pub(crate) group_ns: &'static Histogram,
     pub(crate) order_ns: &'static Histogram,
     pub(crate) assemble_ns: &'static Histogram,
+    /// Entity partner runs derived (gather + sort + dedup), by any engine.
+    pub(crate) runs_derived: &'static Counter,
     /// Chunks extracted from candidate streams.
     pub(crate) stream_chunks: &'static Counter,
     /// Candidate pairs emitted through stream chunks.
@@ -68,6 +70,10 @@ pub(crate) fn obs() -> &'static BlockingObs {
         assemble_ns: er_obs::histogram(
             "blocking_assemble_ns",
             "Assemble phase (gather into the final CSR) duration per build, nanoseconds",
+        ),
+        runs_derived: er_obs::counter(
+            "blocking_candidate_runs_derived_total",
+            "Entity partner runs derived (gather, sort, dedup) by the candidate collector and streams",
         ),
         stream_chunks: er_obs::counter(
             "blocking_stream_chunks_total",

@@ -30,10 +30,26 @@
 //!    they are the parallel work units of every streamed consumer.
 //!
 //! Peak memory of a streamed consumer is `O(chunk_pairs × workers +
-//! aggregates)` instead of `O(total_pairs)`.  The materialised path is kept
-//! as *the collector of the stream*
-//! ([`CandidatePairs::try_from_stream`](crate::CandidatePairs::try_from_stream)),
-//! so there is exactly one extraction engine in the crate.
+//! aggregates)` instead of `O(total_pairs)`, at the price of deriving every
+//! run twice (count, then re-extract).
+//!
+//! # When the index exists anyway
+//!
+//! A consumer that already holds the materialised [`crate::CandidatePairs`]
+//! of the same statistics (the batch pipeline keeps it for pruning) builds
+//! the stream with [`CandidateStream::from_candidates`]: offsets and LCP
+//! table are read off the index, and a chunk is a copy of its slice of the
+//! pair list with its per-entity segments rebuilt from the offsets — no run
+//! is derived at all.  Chunks, arenas and consumers cannot tell the two
+//! kinds of stream apart.
+//!
+//! There is one derivation primitive in the crate
+//! (`Extraction::neighbors_above`) with two drivers: this stream, which
+//! never buffers a run, and the materialised collector's single gather
+//! (`CandidatePairs::try_from_stats`), which buffers each run once and never
+//! re-derives it.
+//! [`CandidatePairs::try_from_stream`](crate::CandidatePairs::try_from_stream)
+//! remains for callers that start from a stream.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -47,31 +63,17 @@ use crate::stats::BlockStats;
 /// ~1 MiB cache-friendly scratch.
 pub const DEFAULT_CHUNK_PAIRS: usize = 1 << 16;
 
-/// Borrowed entity → block CSR adjacency used during extraction.
-#[derive(Clone, Copy)]
-pub(crate) struct AdjView<'a> {
-    pub(crate) offsets: &'a [u32],
-    pub(crate) block_ids: &'a [er_core::BlockId],
-}
-
-impl<'a> AdjView<'a> {
-    #[inline]
-    pub(crate) fn blocks_of(self, entity: usize) -> &'a [er_core::BlockId] {
-        &self.block_ids[self.offsets[entity] as usize..self.offsets[entity + 1] as usize]
-    }
-}
-
 /// Borrowed per-block entity storage: either the nested `Vec<Block>` view or
 /// the flat reverse CSR inside [`BlockStats`].
 #[derive(Clone, Copy)]
-pub(crate) enum BlockSource<'a> {
+enum BlockSource<'a> {
     Nested(&'a BlockCollection),
     Stats(&'a BlockStats),
 }
 
 impl<'a> BlockSource<'a> {
     #[inline]
-    pub(crate) fn entities_of(self, block: er_core::BlockId) -> &'a [EntityId] {
+    fn entities_of(self, block: er_core::BlockId) -> &'a [EntityId] {
         match self {
             BlockSource::Nested(blocks) => &blocks.blocks[block.index()].entities,
             BlockSource::Stats(stats) => stats.entities_of(block),
@@ -79,7 +81,7 @@ impl<'a> BlockSource<'a> {
     }
 
     #[inline]
-    pub(crate) fn first_source_count(self, block: er_core::BlockId, split: usize) -> usize {
+    fn first_source_count(self, block: er_core::BlockId, split: usize) -> usize {
         match self {
             BlockSource::Nested(blocks) => blocks.blocks[block.index()].first_source_count(split),
             BlockSource::Stats(stats) => stats.first_source_count(block) as usize,
@@ -87,43 +89,7 @@ impl<'a> BlockSource<'a> {
     }
 }
 
-/// Collects into `scratch` the sorted, deduplicated comparable partners of
-/// entity `a` with a larger id than `a` — the one extraction primitive both
-/// the stream and the materialised collector run on.
-#[inline]
-pub(crate) fn neighbors_above(
-    kind: er_core::DatasetKind,
-    split: usize,
-    source: BlockSource<'_>,
-    adjacency: AdjView<'_>,
-    a: usize,
-    scratch: &mut Vec<u32>,
-) {
-    scratch.clear();
-    match kind {
-        er_core::DatasetKind::CleanClean => {
-            debug_assert!(a < split);
-            for &bid in adjacency.blocks_of(a) {
-                let entities = source.entities_of(bid);
-                let split_point = source.first_source_count(bid, split);
-                // E2 ids all exceed every E1 id, so the whole outer slice
-                // qualifies as "larger comparable partner".
-                scratch.extend(entities[split_point..].iter().map(|e| e.0));
-            }
-        }
-        er_core::DatasetKind::Dirty => {
-            for &bid in adjacency.blocks_of(a) {
-                let entities = source.entities_of(bid);
-                let start = entities.partition_point(|e| e.index() <= a);
-                scratch.extend(entities[start..].iter().map(|e| e.0));
-            }
-        }
-    }
-    scratch.sort_unstable();
-    scratch.dedup();
-}
-
-/// The entity → block adjacency a stream walks: borrowed from a
+/// The entity → block adjacency an extraction walks: borrowed from a
 /// [`BlockStats`], or owned when built directly from a [`BlockCollection`].
 enum Adjacency<'a> {
     Borrowed {
@@ -138,10 +104,137 @@ enum Adjacency<'a> {
 
 impl Adjacency<'_> {
     #[inline]
-    fn view(&self) -> AdjView<'_> {
-        match self {
-            Adjacency::Borrowed { offsets, block_ids } => AdjView { offsets, block_ids },
-            Adjacency::Owned { offsets, block_ids } => AdjView { offsets, block_ids },
+    fn blocks_of(&self, entity: usize) -> &[er_core::BlockId] {
+        let (offsets, block_ids): (&[u32], &[er_core::BlockId]) = match self {
+            Adjacency::Borrowed { offsets, block_ids } => (offsets, block_ids),
+            Adjacency::Owned { offsets, block_ids } => (offsets, block_ids),
+        };
+        &block_ids[offsets[entity] as usize..offsets[entity + 1] as usize]
+    }
+}
+
+/// Everything run derivation reads: the corpus shape, the per-block entity
+/// lists and the entity → block adjacency.  Shared by the stream's counting
+/// pass and the materialised collector's single gather.
+pub(crate) struct Extraction<'a> {
+    kind: er_core::DatasetKind,
+    split: usize,
+    pub(crate) num_entities: usize,
+    source: BlockSource<'a>,
+    adjacency: Adjacency<'a>,
+}
+
+impl<'a> Extraction<'a> {
+    /// Extraction over a nested block collection, building the adjacency.
+    pub(crate) fn from_blocks(blocks: &'a BlockCollection) -> Self {
+        let (offsets, block_ids) = crate::stats::build_entity_block_adjacency(blocks);
+        Extraction {
+            kind: blocks.kind,
+            split: blocks.split,
+            num_entities: blocks.num_entities,
+            source: BlockSource::Nested(blocks),
+            adjacency: Adjacency::Owned { offsets, block_ids },
+        }
+    }
+
+    /// Extraction over a nested block collection, reusing the adjacency of
+    /// its already-computed statistics.
+    pub(crate) fn from_blocks_with_stats(
+        blocks: &'a BlockCollection,
+        stats: &'a BlockStats,
+    ) -> Self {
+        let (offsets, block_ids) = stats.entity_block_csr();
+        Extraction {
+            kind: blocks.kind,
+            split: blocks.split,
+            num_entities: blocks.num_entities,
+            source: BlockSource::Nested(blocks),
+            adjacency: Adjacency::Borrowed { offsets, block_ids },
+        }
+    }
+
+    /// The CSR-native extraction: both directions come from the statistics.
+    pub(crate) fn from_stats(stats: &'a BlockStats) -> Self {
+        let (offsets, block_ids) = stats.entity_block_csr();
+        Extraction {
+            kind: stats.kind(),
+            split: stats.split(),
+            num_entities: stats.num_entities(),
+            source: BlockSource::Stats(stats),
+            adjacency: Adjacency::Borrowed { offsets, block_ids },
+        }
+    }
+
+    /// Number of entities that emit runs of their own.  For Clean-Clean ER
+    /// the smaller endpoint of every comparable pair is an E1 entity, so
+    /// entities >= split produce none.
+    pub(crate) fn emitting_entities(&self) -> usize {
+        match self.kind {
+            er_core::DatasetKind::CleanClean => self.split.min(self.num_entities),
+            er_core::DatasetKind::Dirty => self.num_entities,
+        }
+    }
+
+    /// Collects into `scratch` the sorted, deduplicated comparable partners
+    /// of entity `a` with a larger id than `a` — the one extraction
+    /// primitive both the stream and the materialised collector run on.
+    #[inline]
+    fn neighbors_above(&self, a: usize, scratch: &mut Vec<u32>) {
+        scratch.clear();
+        match self.kind {
+            er_core::DatasetKind::CleanClean => {
+                debug_assert!(a < self.split);
+                for &bid in self.adjacency.blocks_of(a) {
+                    let entities = self.source.entities_of(bid);
+                    let split_point = self.source.first_source_count(bid, self.split);
+                    // E2 ids all exceed every E1 id, so the whole outer slice
+                    // qualifies as "larger comparable partner".
+                    scratch.extend(entities[split_point..].iter().map(|e| e.0));
+                }
+            }
+            er_core::DatasetKind::Dirty => {
+                for &bid in self.adjacency.blocks_of(a) {
+                    let entities = self.source.entities_of(bid);
+                    let start = entities.partition_point(|e| e.index() <= a);
+                    scratch.extend(entities[start..].iter().map(|e| e.0));
+                }
+            }
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+    }
+
+    /// Derives the runs of the entities in `range`, in order, handing each
+    /// to `visit` and scattering its partner-side candidate counts into
+    /// `partner_counts` (one slot per entity).  The scatter uses relaxed
+    /// atomic adds: u32 addition is commutative and associative, so the
+    /// table is exact and identical at any thread count.  One registry
+    /// update per call.
+    pub(crate) fn derive_range(
+        &self,
+        range: std::ops::Range<usize>,
+        partner_counts: &[AtomicU32],
+        mut visit: impl FnMut(&[u32]),
+    ) {
+        let derived = range.len() as u64;
+        let mut scratch: Vec<u32> = Vec::new();
+        for a in range {
+            self.neighbors_above(a, &mut scratch);
+            visit(&scratch);
+            for &p in &scratch {
+                partner_counts[p as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        crate::obs::obs().runs_derived.add(derived);
+    }
+
+    /// Entity-range tasks per derivation pass: ~8 per worker keep the queue
+    /// balanced when candidate counts are skewed across entities.
+    pub(crate) fn derivation_tasks(threads: usize) -> usize {
+        if threads <= 1 {
+            1
+        } else {
+            threads * 8
         }
     }
 }
@@ -228,32 +321,24 @@ impl ChunkArena {
 
 /// The streamed candidate engine: counts pairs exactly (in `u64`), then
 /// re-extracts any chunk of the pair-id space on demand.  See the module
-/// docs for the two-pass design.
+/// docs for the two-pass design and the index-backed variant.
 pub struct CandidateStream<'a> {
-    kind: er_core::DatasetKind,
-    split: usize,
-    num_entities: usize,
-    source: BlockSource<'a>,
-    adjacency: Adjacency<'a>,
+    extraction: Extraction<'a>,
     /// Global pair offsets per emitting entity (`emitting + 1` entries,
     /// `u64` — the stream has no 2^32 pair ceiling).
     offsets: Vec<u64>,
     /// Per-entity distinct-candidate counts — the LCP feature table.
     lcp: Vec<u32>,
+    /// The materialised pair list of an index-backed stream
+    /// ([`CandidateStream::from_candidates`]): chunks are copied out of it
+    /// instead of being re-derived.
+    index: Option<&'a [(EntityId, EntityId)]>,
 }
 
 impl<'a> CandidateStream<'a> {
     /// Builds the stream over a block collection on the calling thread.
     pub fn from_blocks(blocks: &'a BlockCollection) -> Self {
-        let (offsets, block_ids) = crate::stats::build_entity_block_adjacency(blocks);
-        Self::build(
-            blocks.kind,
-            blocks.split,
-            blocks.num_entities,
-            BlockSource::Nested(blocks),
-            Adjacency::Owned { offsets, block_ids },
-            1,
-        )
+        Self::build(Extraction::from_blocks(blocks), 1)
     }
 
     /// Builds the stream over a block collection, reusing an
@@ -264,13 +349,8 @@ impl<'a> CandidateStream<'a> {
         stats: &'a BlockStats,
         threads: usize,
     ) -> Self {
-        let (offsets, block_ids) = stats.entity_block_csr();
         Self::build(
-            blocks.kind,
-            blocks.split,
-            blocks.num_entities,
-            BlockSource::Nested(blocks),
-            Adjacency::Borrowed { offsets, block_ids },
+            Extraction::from_blocks_with_stats(blocks, stats),
             threads.max(1),
         )
     }
@@ -278,50 +358,56 @@ impl<'a> CandidateStream<'a> {
     /// Builds the stream from the block statistics alone (the CSR-native
     /// entry point) with up to `threads` counting workers.
     pub fn from_stats(stats: &'a BlockStats, threads: usize) -> Self {
-        let (offsets, block_ids) = stats.entity_block_csr();
-        Self::build(
-            stats.kind(),
-            stats.split(),
-            stats.num_entities(),
-            BlockSource::Stats(stats),
-            Adjacency::Borrowed { offsets, block_ids },
-            threads.max(1),
-        )
+        Self::build(Extraction::from_stats(stats), threads.max(1))
+    }
+
+    /// Builds the stream over an already-materialised candidate index of
+    /// the same statistics: offsets and LCP table are read off the index (no
+    /// counting pass) and every chunk is a copy of its slice of the pair
+    /// list (no run is derived again).  Chunks, arenas and every consumer
+    /// behave exactly as over [`CandidateStream::from_stats`].
+    ///
+    /// # Panics
+    ///
+    /// If `candidates` was not extracted from `stats` (different entity
+    /// count, or pairs emitted by entities the statistics give no run).
+    pub fn from_candidates(stats: &'a BlockStats, candidates: &'a crate::CandidatePairs) -> Self {
+        let extraction = Extraction::from_stats(stats);
+        assert_eq!(
+            candidates.num_entities(),
+            extraction.num_entities,
+            "candidate index and block statistics cover different corpora"
+        );
+        let emitting = extraction.emitting_entities();
+        let offsets: Vec<u64> = candidates.offsets()[..=emitting]
+            .iter()
+            .map(|&o| u64::from(o))
+            .collect();
+        assert_eq!(
+            offsets[emitting],
+            candidates.len() as u64,
+            "candidate index holds pairs of non-emitting entities"
+        );
+        CandidateStream {
+            extraction,
+            offsets,
+            lcp: candidates.entity_candidate_counts().to_vec(),
+            index: Some(candidates.pairs()),
+        }
     }
 
     /// The counting pass: derives every emitting entity's run length and the
     /// per-entity LCP table, keeping only `O(num_entities)` aggregates.
-    fn build(
-        kind: er_core::DatasetKind,
-        split: usize,
-        num_entities: usize,
-        source: BlockSource<'a>,
-        adjacency: Adjacency<'a>,
-        threads: usize,
-    ) -> Self {
-        // For Clean-Clean ER the smaller endpoint of every comparable pair
-        // is an E1 entity, so entities >= split produce no runs of their own.
-        let emitting = match kind {
-            er_core::DatasetKind::CleanClean => split.min(num_entities),
-            er_core::DatasetKind::Dirty => num_entities,
-        };
+    pub(crate) fn build(extraction: Extraction<'a>, threads: usize) -> Self {
+        let emitting = extraction.emitting_entities();
 
-        // Partner-side candidate counts are scattered with relaxed atomic
-        // adds: u32 addition is commutative and associative, so the final
-        // table is exact and identical at any thread count.
-        let partner_counts: Vec<AtomicU32> = (0..num_entities).map(|_| AtomicU32::new(0)).collect();
-        let view = adjacency.view();
-        let num_tasks = if threads <= 1 { 1 } else { threads * 8 };
+        let partner_counts: Vec<AtomicU32> = (0..extraction.num_entities)
+            .map(|_| AtomicU32::new(0))
+            .collect();
+        let num_tasks = Extraction::derivation_tasks(threads);
         let runs = er_core::map_ranges_parallel(emitting, threads, num_tasks, |range| {
             let mut counts: Vec<u32> = Vec::with_capacity(range.len());
-            let mut scratch: Vec<u32> = Vec::new();
-            for a in range {
-                neighbors_above(kind, split, source, view, a, &mut scratch);
-                counts.push(scratch.len() as u32);
-                for &p in &scratch {
-                    partner_counts[p as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            extraction.derive_range(range, &partner_counts, |run| counts.push(run.len() as u32));
             counts
         });
 
@@ -341,13 +427,10 @@ impl<'a> CandidateStream<'a> {
         }
 
         CandidateStream {
-            kind,
-            split,
-            num_entities,
-            source,
-            adjacency,
+            extraction,
             offsets,
             lcp,
+            index: None,
         }
     }
 
@@ -359,7 +442,7 @@ impl<'a> CandidateStream<'a> {
 
     /// Number of entities of the corpus (the flattened id space).
     pub fn num_entities(&self) -> usize {
-        self.num_entities
+        self.extraction.num_entities
     }
 
     /// Number of entities that emit runs of their own (the E1 side for
@@ -422,28 +505,42 @@ impl<'a> CandidateStream<'a> {
         out
     }
 
-    /// Walks one chunk's per-entity segments: for every entity whose run
-    /// intersects the chunk, re-derives the full sorted partner run in
-    /// `scratch` and hands `f` the in-chunk slice of it.
-    fn for_each_chunk_run(
+    /// One chunk's per-entity segments: every entity whose (non-empty) run
+    /// intersects the chunk, with the in-chunk range of positions inside
+    /// that run.
+    fn chunk_segments(
+        &self,
+        chunk: ChunkSpec,
+    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        (chunk.entity_lo as usize..chunk.entity_hi as usize).filter_map(move |e| {
+            let run_lo = self.offsets[e];
+            let run_hi = self.offsets[e + 1];
+            if run_lo >= chunk.pair_hi || run_hi <= chunk.pair_lo {
+                return None;
+            }
+            let local_lo = (chunk.pair_lo.max(run_lo) - run_lo) as usize;
+            let local_hi = (chunk.pair_hi.min(run_hi) - run_lo) as usize;
+            Some((e, local_lo..local_hi))
+        })
+    }
+
+    /// Walks one chunk's segments by derivation: re-derives each
+    /// intersecting entity's full sorted partner run in `scratch` and hands
+    /// `f` the in-chunk slice of it.
+    fn for_each_derived_run(
         &self,
         chunk: ChunkSpec,
         scratch: &mut Vec<u32>,
         mut f: impl FnMut(EntityId, &[u32]),
     ) {
-        let view = self.adjacency.view();
-        for e in chunk.entity_lo as usize..chunk.entity_hi as usize {
-            let run_lo = self.offsets[e];
-            let run_hi = self.offsets[e + 1];
-            if run_lo >= chunk.pair_hi || run_hi <= chunk.pair_lo {
-                continue;
-            }
-            neighbors_above(self.kind, self.split, self.source, view, e, scratch);
-            debug_assert_eq!(scratch.len() as u64, run_hi - run_lo);
-            let local_lo = (chunk.pair_lo.max(run_lo) - run_lo) as usize;
-            let local_hi = (chunk.pair_hi.min(run_hi) - run_lo) as usize;
-            f(EntityId(e as u32), &scratch[local_lo..local_hi]);
+        let mut derived = 0u64;
+        for (e, local) in self.chunk_segments(chunk) {
+            self.extraction.neighbors_above(e, scratch);
+            debug_assert_eq!(scratch.len() as u64, self.offsets[e + 1] - self.offsets[e]);
+            derived += 1;
+            f(EntityId(e as u32), &scratch[local]);
         }
+        crate::obs::obs().runs_derived.add(derived);
     }
 
     /// Extracts one chunk into a reusable arena: the chunk's pairs in global
@@ -457,15 +554,30 @@ impl<'a> CandidateStream<'a> {
         } = arena;
         pairs.clear();
         runs.clear();
-        self.for_each_chunk_run(chunk, scratch, |a, partners| {
-            let start = pairs.len() as u32;
-            pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
-            runs.push(ChunkRun {
-                entity: a.0,
-                start,
-                end: pairs.len() as u32,
-            });
-        });
+        match self.index {
+            Some(index) => {
+                pairs.extend_from_slice(&index[chunk.pair_lo as usize..chunk.pair_hi as usize]);
+                let mut start = 0u32;
+                for (e, local) in self.chunk_segments(chunk) {
+                    let end = start + local.len() as u32;
+                    runs.push(ChunkRun {
+                        entity: e as u32,
+                        start,
+                        end,
+                    });
+                    start = end;
+                }
+            }
+            None => self.for_each_derived_run(chunk, scratch, |a, partners| {
+                let start = pairs.len() as u32;
+                pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
+                runs.push(ChunkRun {
+                    entity: a.0,
+                    start,
+                    end: pairs.len() as u32,
+                });
+            }),
+        }
         debug_assert_eq!(pairs.len(), chunk.len());
         // One batched registry update per chunk (thousands of pairs), never
         // per pair.
@@ -480,8 +592,8 @@ impl<'a> CandidateStream<'a> {
     }
 
     /// Extracts one chunk straight into a caller-provided slice of exactly
-    /// [`ChunkSpec::len`] pairs (the zero-copy path of the materialised
-    /// collector).
+    /// [`ChunkSpec::len`] pairs (the zero-copy path of the stream's
+    /// materialising collector).
     pub fn extract_chunk_into(
         &self,
         chunk: ChunkSpec,
@@ -489,8 +601,12 @@ impl<'a> CandidateStream<'a> {
         out: &mut [(EntityId, EntityId)],
     ) {
         debug_assert_eq!(out.len(), chunk.len());
+        if let Some(index) = self.index {
+            out.copy_from_slice(&index[chunk.pair_lo as usize..chunk.pair_hi as usize]);
+            return;
+        }
         let mut cursor = 0usize;
-        self.for_each_chunk_run(chunk, scratch, |a, partners| {
+        self.for_each_derived_run(chunk, scratch, |a, partners| {
             for (slot, &p) in out[cursor..cursor + partners.len()]
                 .iter_mut()
                 .zip(partners)
@@ -636,6 +752,90 @@ mod tests {
             stream.extract_chunk_into(chunk, &mut scratch, &mut direct);
             assert_eq!(direct.as_slice(), arena.pairs());
         }
+    }
+
+    /// Collects an arena's per-entity segments into owned values.
+    fn owned_runs(arena: &ChunkArena) -> Vec<(EntityId, Vec<(EntityId, EntityId)>)> {
+        arena
+            .runs()
+            .map(|(entity, pairs)| (entity, pairs.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn index_backed_stream_equals_the_derived_stream_chunk_for_chunk() {
+        let mut collections = fixtures();
+        // E1 entities 1 and 3 sit in no block: empty runs between emitting
+        // neighbours, landing on chunk boundaries at small chunk sizes.
+        collections.push(BlockCollection {
+            dataset_name: "cc-gaps".into(),
+            kind: DatasetKind::CleanClean,
+            split: 5,
+            num_entities: 9,
+            blocks: vec![
+                Block::new("a", ids(&[0, 5, 6, 7])),
+                Block::new("b", ids(&[2, 6, 8])),
+                Block::new("c", ids(&[0, 2, 4, 5])),
+            ],
+        });
+        for bc in collections {
+            let stats = crate::BlockStats::new(&bc);
+            let candidates = CandidatePairs::from_stats(&stats, 2);
+            let derived = CandidateStream::from_stats(&stats, 2);
+            let backed = CandidateStream::from_candidates(&stats, &candidates);
+            assert_eq!(backed.total_pairs(), derived.total_pairs());
+            assert_eq!(backed.num_entities(), derived.num_entities());
+            assert_eq!(backed.emitting_entities(), derived.emitting_entities());
+            assert_eq!(backed.entity_offsets(), derived.entity_offsets());
+            assert_eq!(backed.lcp_table(), derived.lcp_table());
+            // The dirty fixture has empty runs (entities 3 and 5), the last
+            // one on the final boundary.
+            assert!(
+                bc.kind != DatasetKind::Dirty
+                    || derived.entity_offsets().windows(2).any(|w| w[0] == w[1])
+            );
+
+            let mut derived_arena = ChunkArena::new();
+            let mut backed_arena = ChunkArena::new();
+            let mut scratch = Vec::new();
+            for chunk_pairs in [1usize, 2, 3, 5, 64, usize::MAX / 2] {
+                let chunks = derived.chunks(chunk_pairs);
+                assert_eq!(backed.chunks(chunk_pairs), chunks);
+                let mut concatenated = Vec::new();
+                for chunk in chunks {
+                    derived.extract_chunk(chunk, &mut derived_arena);
+                    backed.extract_chunk(chunk, &mut backed_arena);
+                    let context =
+                        format!("{} chunk_pairs={chunk_pairs} {chunk:?}", bc.dataset_name);
+                    assert_eq!(backed_arena.pairs(), derived_arena.pairs(), "{context}");
+                    assert_eq!(
+                        owned_runs(&backed_arena),
+                        owned_runs(&derived_arena),
+                        "{context}"
+                    );
+                    let mut direct = vec![(EntityId(0), EntityId(0)); chunk.len()];
+                    backed.extract_chunk_into(chunk, &mut scratch, &mut direct);
+                    assert_eq!(direct.as_slice(), derived_arena.pairs(), "{context}");
+                    concatenated.extend_from_slice(backed_arena.pairs());
+                }
+                assert_eq!(concatenated.as_slice(), candidates.pairs());
+            }
+            let collected = backed.collect(2).unwrap();
+            assert_eq!(collected.pairs(), candidates.pairs());
+            assert_eq!(
+                collected.entity_candidate_counts(),
+                candidates.entity_candidate_counts()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cover different corpora")]
+    fn index_backed_stream_rejects_a_foreign_index() {
+        let all = fixtures();
+        let stats = crate::BlockStats::new(&all[0]);
+        let foreign = CandidatePairs::from_pairs(2, vec![(EntityId(0), EntityId(1))]);
+        let _ = CandidateStream::from_candidates(&stats, &foreign);
     }
 
     #[test]

@@ -92,7 +92,13 @@ impl FeatureSet {
 
     /// Length of the feature vectors this set produces (LCP counts twice).
     pub fn vector_len(self) -> usize {
-        self.schemes().iter().map(|s| s.arity()).sum()
+        // Allocation-free: the fused pass's debug assertions call this once
+        // per scored pair.
+        Scheme::ALL
+            .into_iter()
+            .filter(|s| self.contains(*s))
+            .map(|s| s.arity())
+            .sum()
     }
 
     /// Enumerates all 255 non-empty feature sets in increasing id order.

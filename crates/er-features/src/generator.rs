@@ -172,6 +172,9 @@ impl FeatureMatrix {
     /// workers + aggregates)`; the output vector is indexed by the stream's
     /// global pair id and bit-identical to the materialised path at any
     /// thread count and chunk size (chunks are the parallel work units).
+    /// Over an index-backed stream
+    /// ([`CandidateStream::from_candidates`]) the same chunk engine runs
+    /// with chunks copied from the index instead of re-derived.
     pub fn score_stream_with(
         context: &StreamFeatureContext<'_>,
         stream: &CandidateStream<'_>,
@@ -731,7 +734,8 @@ fn fused_stream_pass<E>(
 /// order: chunks are scored in parallel waves of `2 × threads`, then each
 /// wave is handed to `consume` in order as `(pairs, probabilities)` slices.
 /// Peak memory is `O(threads × chunk_pairs)` — the full pair and probability
-/// vectors never exist at once.  Concatenating the consumed chunks
+/// vectors never exist at once — and worker scratch (scoreboard, arena,
+/// feature row) is built once per worker, not per chunk.  Concatenating the consumed chunks
 /// reproduces the materialised `(pairs, score_rows)` output bit-for-bit;
 /// this is the progressive-bootstrap seam (`StreamingSchedule::absorb` per
 /// chunk equals one global absorb because stamps are assigned in the same
@@ -760,10 +764,20 @@ pub fn for_each_scored_chunk(
     let inv_comp_table = stats.inv_comparisons_table();
     let inv_size_table = stats.inv_sizes_table();
 
+    // Worker scratch (scoreboard, chunk arena, feature row) is pooled across
+    // chunks and waves: at most `threads` chunk tasks run at once, so at
+    // most that many are ever built for the whole walk.
+    let scratch_pool: std::sync::Mutex<Vec<(WorkerBoard, ChunkArena, Vec<f64>)>> =
+        std::sync::Mutex::new(Vec::new());
     let score_chunk = |chunk: er_blocking::ChunkSpec| {
-        let mut worker = make_worker_board(num_entities, scoreboard);
-        let mut arena = ChunkArena::new();
-        let mut row = vec![0.0f64; num_features];
+        let pooled = scratch_pool.lock().expect("scratch pool poisoned").pop();
+        let (mut worker, mut arena, mut row) = pooled.unwrap_or_else(|| {
+            (
+                make_worker_board(num_entities, scoreboard),
+                ChunkArena::new(),
+                vec![0.0f64; num_features],
+            )
+        });
         stream.extract_chunk(chunk, &mut arena);
         let mut probs = vec![0.0f64; chunk.len()];
         let mut cursor = 0usize;
@@ -785,7 +799,12 @@ pub fn for_each_scored_chunk(
             cursor += cands.len();
         }
         flush_worker_metrics(&mut worker);
-        (arena.pairs().to_vec(), probs)
+        let pairs = arena.pairs().to_vec();
+        scratch_pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .push((worker, arena, row));
+        (pairs, probs)
     };
 
     let wave = threads * 2;
@@ -1015,24 +1034,36 @@ mod tests {
             let ctx = FeatureContext::new(&stats, &cands);
             let reference = FeatureMatrix::score_rows(&ctx, set, 1, score);
 
-            let stream = er_blocking::CandidateStream::from_stats(&stats, 2);
-            let sctx = StreamFeatureContext::new(&stats, stream.lcp_table());
-            for threads in [1, 2, 4] {
-                for chunk_pairs in [1usize, 3, 64, usize::MAX / 2] {
-                    let streamed = FeatureMatrix::score_stream_with(
-                        &sctx,
-                        &stream,
-                        set,
-                        threads,
-                        &ScoreboardConfig::default(),
-                        chunk_pairs,
-                        score,
-                    );
-                    assert_eq!(
-                        streamed, reference,
-                        "{:?} threads={threads} chunk_pairs={chunk_pairs}",
-                        bc.kind
-                    );
+            // The derived stream re-extracts every chunk; the index-backed
+            // one copies it out of `cands`.  Same engine, same bits.
+            for (backing, stream) in [
+                (
+                    "derived",
+                    er_blocking::CandidateStream::from_stats(&stats, 2),
+                ),
+                (
+                    "index-backed",
+                    er_blocking::CandidateStream::from_candidates(&stats, &cands),
+                ),
+            ] {
+                let sctx = StreamFeatureContext::new(&stats, stream.lcp_table());
+                for threads in [1, 2, 4] {
+                    for chunk_pairs in [1usize, 3, 64, usize::MAX / 2] {
+                        let streamed = FeatureMatrix::score_stream_with(
+                            &sctx,
+                            &stream,
+                            set,
+                            threads,
+                            &ScoreboardConfig::default(),
+                            chunk_pairs,
+                            score,
+                        );
+                        assert_eq!(
+                            streamed, reference,
+                            "{:?} {backing} threads={threads} chunk_pairs={chunk_pairs}",
+                            bc.kind
+                        );
+                    }
                 }
             }
         }
@@ -1048,27 +1079,31 @@ mod tests {
         let score = |row: &[f64]| row.iter().sum::<f64>();
         let reference = FeatureMatrix::score_rows(&ctx, set, 1, score);
 
-        let stream = er_blocking::CandidateStream::from_stats(&stats, 2);
-        let sctx = StreamFeatureContext::new(&stats, stream.lcp_table());
-        for threads in [1, 3] {
-            for chunk_pairs in [1usize, 2, 5, 1024] {
-                let mut pairs = Vec::new();
-                let mut probs = Vec::new();
-                crate::generator::for_each_scored_chunk(
-                    &sctx,
-                    &stream,
-                    set,
-                    threads,
-                    &ScoreboardConfig::default(),
-                    chunk_pairs,
-                    score,
-                    |chunk_pairs_slice, chunk_probs| {
-                        pairs.extend_from_slice(chunk_pairs_slice);
-                        probs.extend_from_slice(chunk_probs);
-                    },
-                );
-                assert_eq!(pairs.as_slice(), cands.pairs());
-                assert_eq!(probs, reference, "threads={threads} chunk={chunk_pairs}");
+        for stream in [
+            er_blocking::CandidateStream::from_stats(&stats, 2),
+            er_blocking::CandidateStream::from_candidates(&stats, &cands),
+        ] {
+            let sctx = StreamFeatureContext::new(&stats, stream.lcp_table());
+            for threads in [1, 3] {
+                for chunk_pairs in [1usize, 2, 5, 1024] {
+                    let mut pairs = Vec::new();
+                    let mut probs = Vec::new();
+                    crate::generator::for_each_scored_chunk(
+                        &sctx,
+                        &stream,
+                        set,
+                        threads,
+                        &ScoreboardConfig::default(),
+                        chunk_pairs,
+                        score,
+                        |chunk_pairs_slice, chunk_probs| {
+                            pairs.extend_from_slice(chunk_pairs_slice);
+                            probs.extend_from_slice(chunk_probs);
+                        },
+                    );
+                    assert_eq!(pairs.as_slice(), cands.pairs());
+                    assert_eq!(probs, reference, "threads={threads} chunk={chunk_pairs}");
+                }
             }
         }
     }

@@ -65,13 +65,7 @@ impl LogisticRegression {
 
     /// The decision value (log-odds) for a raw feature vector.
     pub fn decision_value(&self, features: &[f64]) -> f64 {
-        let scaled = self.scaler.transform(features);
-        self.intercept
-            + scaled
-                .iter()
-                .zip(&self.weights)
-                .map(|(x, w)| x * w)
-                .sum::<f64>()
+        self.intercept + self.scaler.standardised_dot(features, &self.weights)
     }
 }
 

@@ -79,6 +79,22 @@ impl Standardizer {
             .map(|((v, m), s)| (v - m) / s)
             .collect()
     }
+
+    /// The dot product of the standardised row with `weights`, folded
+    /// lazily: the same per-term expression, term order and `sum::<f64>()`
+    /// as `transform(row)` zipped with `weights`, so the value is
+    /// bit-identical — without the intermediate `Vec`.  This is the
+    /// prediction-time kernel (one call per candidate pair).
+    #[inline]
+    pub(crate) fn standardised_dot(&self, row: &[f64], weights: &[f64]) -> f64 {
+        row.iter()
+            .zip(&self.means)
+            .zip(&self.stds)
+            .map(|((v, m), s)| (v - m) / s)
+            .zip(weights)
+            .map(|(x, w)| x * w)
+            .sum::<f64>()
+    }
 }
 
 #[cfg(test)]

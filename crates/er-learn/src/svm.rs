@@ -57,13 +57,7 @@ impl LinearSvm {
 
     /// The raw (uncalibrated) decision value of a feature vector.
     pub fn decision_value(&self, features: &[f64]) -> f64 {
-        let scaled = self.scaler.transform(features);
-        self.bias
-            + scaled
-                .iter()
-                .zip(&self.weights)
-                .map(|(x, w)| x * w)
-                .sum::<f64>()
+        self.bias + self.scaler.standardised_dot(features, &self.weights)
     }
 }
 
@@ -208,6 +202,94 @@ mod tests {
             .filter(|(f, _)| svm.classify(f) == logistic.classify(f))
             .count();
         assert!(agree as f64 / training.len() as f64 > 0.95);
+    }
+
+    /// The prediction kernel folds the standardisation into the dot product
+    /// (no intermediate row): both classifiers must still produce the exact
+    /// bits of the expression it replaced, `transform(row)` zipped with the
+    /// weights — on ordinary rows, a zero-variance column, non-finite
+    /// features, and rows shorter or longer than the model.
+    #[test]
+    fn probability_equals_transform_then_dot_bit_for_bit() {
+        use crate::logistic::{LogisticRegression, LogisticRegressionConfig};
+        let mut rng = er_core::seeded_rng(16);
+        let mut training = TrainingSet::new();
+        for _ in 0..80 {
+            let label = rng.gen_bool(0.5);
+            let base = if label { 1.0 } else { -1.0 };
+            training.push(
+                vec![
+                    base + rng.gen_range(-0.7..0.7),
+                    4.25, // zero variance: std falls back to 1
+                    rng.gen_range(0.0..300.0),
+                    base * rng.gen_range(0.0..1e-3),
+                    rng.gen_range(-1.0..1.0),
+                ],
+                label,
+            );
+        }
+        let svm = LinearSvm::fit(&LinearSvmConfig::default(), &training).unwrap();
+        let logistic =
+            LogisticRegression::fit(&LogisticRegressionConfig::default(), &training).unwrap();
+        let old_dot = |scaler: &Standardizer, weights: &[f64], row: &[f64]| {
+            let scaled = scaler.transform(row);
+            scaled.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>()
+        };
+
+        // Rows like the training data (probabilities away from 0 and 1, so
+        // a last-bit difference in the dot product survives the sigmoid),
+        // rows far outside it, then the special values column by column.
+        let mut rows: Vec<Vec<f64>> = (0..500)
+            .map(|_| {
+                vec![
+                    rng.gen_range(-1.7..1.7),
+                    4.25 + rng.gen_range(-0.5..0.5),
+                    rng.gen_range(0.0..300.0),
+                    rng.gen_range(-1e-3..1e-3),
+                    rng.gen_range(-1.0..1.0),
+                ]
+            })
+            .collect();
+        rows.extend((0..100).map(|_| (0..5).map(|_| rng.gen_range(-1e3..1e3)).collect()));
+        for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0] {
+            for column in 0..5 {
+                let mut row = rows[column].clone();
+                row[column] = special;
+                rows.push(row);
+            }
+        }
+        rows.push(vec![0.5, 4.25]);
+        rows.push(vec![0.5, 4.25, 10.0, 0.0, 0.1, 99.0, -7.0]);
+        rows.push(Vec::new());
+        for row in &rows {
+            let z = svm.bias + old_dot(&svm.scaler, &svm.weights, row);
+            assert_eq!(
+                svm.decision_value(row).to_bits(),
+                z.to_bits(),
+                "svm {row:?}"
+            );
+            assert_eq!(
+                svm.probability(row).to_bits(),
+                svm.platt.probability(z).to_bits(),
+                "svm {row:?}"
+            );
+            let z = logistic.intercept + old_dot(&logistic.scaler, &logistic.weights, row);
+            assert_eq!(
+                logistic.decision_value(row).to_bits(),
+                z.to_bits(),
+                "logistic {row:?}"
+            );
+            let expected = if z >= 0.0 {
+                1.0 / (1.0 + (-z).exp())
+            } else {
+                z.exp() / (1.0 + z.exp())
+            };
+            assert_eq!(
+                logistic.probability(row).to_bits(),
+                expected.to_bits(),
+                "logistic {row:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,187 @@
+//! Regression guards for the candidate → score path doing each unit of work
+//! once: the probability kernel allocates nothing, a streamed scoring pass
+//! allocates per chunk and never per pair, and a chunked pipeline run derives
+//! each emitting entity's partner run exactly once.
+//!
+//! The allocation counter is process-wide and the run counter lives in the
+//! process-wide er-obs registry, so the tests of this binary take turns.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use gsmb::blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream};
+use gsmb::core::Dataset;
+use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
+use gsmb::features::{
+    FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
+};
+use gsmb::learn::{ProbabilisticClassifier, SavedModel, TrainingSet};
+use gsmb::meta::pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingPipeline};
+use gsmb::meta::pruning::AlgorithmKind;
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a relaxed counter increment, which touches no memory the
+// allocator hands out.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Allocator calls (alloc, alloc_zeroed, realloc) made while `f` runs.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn dataset() -> Dataset {
+    generate_catalog_dataset(DatasetName::Movies, &CatalogOptions::tiny()).unwrap()
+}
+
+/// Both classifier kinds, fitted on the given rows with alternating labels
+/// (the guards below care about where the models allocate, not what they
+/// learned).
+fn trained_models(rows: &[Vec<f64>]) -> Vec<SavedModel> {
+    let mut training = TrainingSet::new();
+    for (i, row) in rows.iter().enumerate() {
+        training.push(row.clone(), i % 2 == 0);
+    }
+    [
+        ClassifierKind::Logistic(Default::default()),
+        ClassifierKind::Svm(Default::default()),
+    ]
+    .iter()
+    .map(|kind| kind.fit_saved(&training).unwrap())
+    .collect()
+}
+
+#[test]
+fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dataset = dataset();
+    let blocks = standard_blocking_workflow_csr(&dataset, 2);
+    let stats = BlockStats::from_csr(&blocks);
+    let candidates = CandidatePairs::try_from_stats(&stats, 2).unwrap();
+    let set = FeatureSet::all_schemes();
+    let context = FeatureContext::new(&stats, &candidates);
+    let rows: Vec<Vec<f64>> = candidates
+        .pairs()
+        .iter()
+        .take(100)
+        .map(|&(a, b)| {
+            let mut row = vec![0.0f64; set.vector_len()];
+            context.write_pair_features(a, b, set, &mut row);
+            row
+        })
+        .collect();
+    let models = trained_models(&rows);
+    for model in &models {
+        let (sum, allocations) = allocations_during(|| {
+            let mut sum = 0.0f64;
+            for _ in 0..100 {
+                for row in &rows {
+                    sum += model.probability(row);
+                }
+            }
+            sum
+        });
+        assert!(sum.is_finite());
+        assert_eq!(
+            allocations, 0,
+            "10 000 probability() calls must not touch the allocator"
+        );
+    }
+
+    // One streamed scoring pass over the index-backed stream, small chunks:
+    // the budget is one allocation per chunk plus a constant (output vector,
+    // slice table, worker threads and their scratch — 26 when written), and
+    // the pair count is far above it — one allocation per pair cannot pass.
+    let chunk_pairs = 64usize;
+    let stream = CandidateStream::from_candidates(&stats, &candidates);
+    let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
+    let chunks = stream.chunks(chunk_pairs).len() as u64;
+    let pairs = candidates.len() as u64;
+    let budget = 64 + chunks;
+    assert!(
+        pairs >= 8 * budget,
+        "fixture too small: {pairs} pairs against a budget of {budget}"
+    );
+    let model = &models[0];
+    let (scores, allocations) = allocations_during(|| {
+        FeatureMatrix::score_stream_with(
+            &stream_context,
+            &stream,
+            set,
+            2,
+            &ScoreboardConfig::default(),
+            chunk_pairs,
+            |row| model.probability(row).clamp(0.0, 1.0),
+        )
+    });
+    assert_eq!(scores.len(), candidates.len());
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {pairs} pairs in {chunks} chunks (budget {budget})"
+    );
+}
+
+/// `blocking_candidate_runs_derived_total` counts every gather + sort +
+/// dedup of one entity's partner run.  A pipeline run — chunked scoring
+/// included — derives each emitting entity's run once: the index is built by
+/// a single gather and the scoring stream reads that index.
+#[test]
+fn chunked_pipeline_run_derives_each_emitting_run_once() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dataset = dataset();
+    let config = MetaBlockingConfig {
+        candidate_chunk_pairs: Some(64),
+        threads: Some(2),
+        ..Default::default()
+    };
+    let derived = || {
+        gsmb::obs::snapshot()
+            .value("blocking_candidate_runs_derived_total")
+            .expect("counter registered by the first extraction")
+    };
+    // The first run registers the handle; measure the second.
+    let pipeline = MetaBlockingPipeline::new(config);
+    pipeline.run(&dataset, AlgorithmKind::Blast).unwrap();
+    let before = derived();
+    let outcome = pipeline.run(&dataset, AlgorithmKind::Blast).unwrap();
+    let runs = derived() - before;
+
+    let stats = BlockStats::from_csr(&outcome.blocks);
+    let emitting =
+        CandidateStream::from_candidates(&stats, &outcome.candidates).emitting_entities();
+    assert!(emitting > 0);
+    assert_eq!(
+        runs, emitting as u64,
+        "one pipeline run must derive each of the {emitting} emitting runs exactly once"
+    );
+}

@@ -9,8 +9,8 @@ use gsmb::blocking::reference::{self, naive_candidate_pairs, NaiveBlockStats};
 use gsmb::blocking::{
     block_filtering, block_purging, build_blocks, qgrams_blocking_csr,
     standard_blocking_workflow_csr, suffix_array_blocking_csr, token_blocking_csr, Block,
-    BlockCollection, BlockStats, CandidatePairs, CsrBlockCollection, KeyGenerator, QGramKeys,
-    SuffixArrayConfig, SuffixKeys, TokenKeys,
+    BlockCollection, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection, KeyGenerator,
+    QGramKeys, SuffixArrayConfig, SuffixKeys, TokenKeys,
 };
 use gsmb::core::{
     seeded_rng, Dataset, DatasetKind, EntityCollection, EntityId, EntityProfile, GroundTruth,
@@ -575,6 +575,99 @@ fn candidate_extraction_matches_naive_reference() {
             );
         }
     });
+}
+
+/// The materialising constructors derive each run once and assemble the
+/// index from per-task buffers; the stream counts first and re-extracts.
+/// Both must equal the naive hash-based reference — pair list, the CSR row
+/// of every entity (emitting or not) and the LCP table — for token, q-gram
+/// and suffix blocks, Clean-Clean and Dirty, at every thread count.  The
+/// corpora include the empty one, single entities, profiles without tokens
+/// (entities with no partner) and, at 8 threads, one-entity tasks.
+#[test]
+fn single_gather_index_equals_collected_stream_and_naive_reference() {
+    let vocab = adversarial_vocab();
+    let suffix_keys = SuffixKeys::new(3, 6);
+    let generators: [(&str, &dyn KeyGenerator); 3] = [
+        ("token", &TokenKeys),
+        ("qgrams", &QGramKeys::new(3)),
+        ("suffix", &suffix_keys),
+    ];
+    let mut non_empty = 0usize;
+    for case in 0..CASES {
+        let seed = gsmb::core::rng::derive_seed(0x5023, case);
+        let mut rng = seeded_rng(seed);
+        let kind = if case % 2 == 0 {
+            DatasetKind::CleanClean
+        } else {
+            DatasetKind::Dirty
+        };
+        let n = match case {
+            0 | 1 => 0,
+            2 | 3 => 1,
+            _ => rng.gen_range(2usize..=40),
+        };
+        let profiles = (0..n)
+            .map(|i| adversarial_profile(&mut rng, &vocab, i))
+            .collect();
+        let split = rng.gen_range(0..=n);
+        let dataset = raw_dataset(kind, profiles, split);
+        for (name, generator) in generators {
+            let context = format!("seed {seed} {name}");
+            let csr = build_blocks(&dataset, generator, 2);
+            let nested = csr.to_block_collection();
+            let stats = BlockStats::from_csr(&csr);
+            let (naive_pairs, naive_counts) = naive_candidate_pairs(&nested);
+            non_empty += usize::from(!naive_pairs.is_empty());
+            let assert_is_naive = |candidates: &CandidatePairs, what: &str| {
+                assert_eq!(
+                    candidates.pairs(),
+                    naive_pairs.as_slice(),
+                    "{context} {what}"
+                );
+                assert_eq!(
+                    candidates.entity_candidate_counts(),
+                    naive_counts.as_slice(),
+                    "{context} {what}"
+                );
+                assert_eq!(candidates.num_entities(), n, "{context} {what}");
+                let mut cursor = 0usize;
+                for e in 0..n {
+                    let entity = EntityId(e as u32);
+                    let run = naive_pairs[cursor..]
+                        .iter()
+                        .take_while(|pair| pair.0 == entity)
+                        .count();
+                    assert_eq!(
+                        candidates.pair_range(entity),
+                        cursor..cursor + run,
+                        "{context} {what} entity {e}"
+                    );
+                    cursor += run;
+                }
+                assert_eq!(cursor, naive_pairs.len(), "{context} {what}");
+            };
+            assert_is_naive(&CandidatePairs::from_blocks(&nested), "from_blocks");
+            for threads in [1, 2, 3, 8] {
+                let what = format!("threads {threads}");
+                assert_is_naive(
+                    &CandidatePairs::try_from_stats(&stats, threads).unwrap(),
+                    &format!("try_from_stats {what}"),
+                );
+                assert_is_naive(
+                    &CandidatePairs::from_blocks_with_stats(&nested, &stats, threads),
+                    &format!("from_blocks_with_stats {what}"),
+                );
+                assert_is_naive(
+                    &CandidateStream::from_stats(&stats, threads)
+                        .collect(threads)
+                        .unwrap(),
+                    &format!("collected stream {what}"),
+                );
+            }
+        }
+    }
+    assert!(non_empty > CASES as usize, "fixtures produced no pairs");
 }
 
 /// The fused single-pass feature matrix equals the retained pre-refactor
