@@ -134,12 +134,19 @@ fn main() {
             durable.checkpoint().unwrap();
         }
         let snapshot_time = start.elapsed().as_secs_f64() / repetitions as f64;
-        let snapshot_bytes = std::fs::metadata(er_stream::persist::snapshot_path(
-            durable.dir(),
-            durable.generation(),
-        ))
-        .unwrap()
-        .len();
+        // Both snapshot files of the committed generation: the index
+        // (member 0) and the small head next to it.
+        let generation = format!(".{:06}.gsmb", durable.generation());
+        let snapshot_bytes: u64 = std::fs::read_dir(durable.dir())
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| {
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                name.ends_with(&generation) && !name.starts_with("wal.")
+            })
+            .map(|entry| entry.metadata().unwrap().len())
+            .sum();
         println!(
             "snapshot: {:.2}ms per checkpoint, {:.1} KiB on disk",
             snapshot_time * 1e3,

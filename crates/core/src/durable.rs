@@ -1,12 +1,12 @@
-//! Durability for the whole streaming pipeline: one snapshot covering the
-//! blocking index, the trained model and the progressive schedule, plus the
-//! shared mutation WAL.
+//! Durability for the whole streaming pipeline: the blocking index, the
+//! trained model and the progressive schedule survive a crash.
 //!
-//! [`DurableStreamingPipeline`] extends the blocker-level durability of
-//! `er_stream::persist` one layer up: the WAL still logs raw mutation
-//! batches (the pipeline's inputs), but replay drives them through
-//! [`StreamingPipeline::ingest`]/[`remove`](StreamingPipeline::remove)/
-//! [`update`](StreamingPipeline::update), so the classifier re-scores every
+//! [`DurableStreamingPipeline`] is a face over
+//! [`er_stream::persist::MutationLog`] (which owns the crash protocol —
+//! see its module docs): the index is the root's one member, the **head**
+//! carries the feature-set id, the model, the schedule (queued + emitted)
+//! and the cleaned pool, and replay drives the logged batches through the
+//! *scored* [`StreamingPipeline`] paths, so the classifier re-scores every
 //! replayed delta and the schedule (and cleaned live view, when enabled)
 //! re-derives exactly the state of the never-crashed run.
 //!
@@ -23,22 +23,23 @@
 //! recovered index (a full [`LiveView`] refresh) rather than persisted,
 //! which is exact because the view is a pure function of the index.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
 use er_blocking::{CsrBlockCollection, TokenKeys};
-use er_core::{EntityId, EntityProfile, FxHashMap, PersistError, PersistResult};
+use er_core::{EntityId, EntityProfile, FxHashMap, PersistResult};
 use er_features::FeatureSet;
 use er_learn::SavedModel;
 use er_persist::{
-    decode_snapshot_payload, Decode, Encode, GenerationStore, Reader, RecoveryReport, RetryPolicy,
-    StdVfs, Vfs, WalWriter, Writer,
+    decode_snapshot_payload, Decode, Encode, Reader, RecoveryReport, RetryPolicy, StdVfs, Vfs,
+    Writer,
 };
 use er_stream::persist::{
-    encode_ingest_record, encode_remove_record, encode_update_record, replay_wal_records,
-    stream_fingerprint, MutationRecord,
+    decode_feature_set, encode_ingest_record, encode_remove_record, encode_update_record,
+    stream_fingerprint, MutationLog, MutationRecord,
 };
-use er_stream::{DeltaBatch, StreamingIndex, StreamingMetaBlocker};
+use er_stream::{DeltaBatch, StreamingMetaBlocker};
 
 use crate::live_view::LiveView;
 use crate::progressive::StreamingSchedule;
@@ -48,27 +49,24 @@ use crate::streaming::{CleanedState, StreamingPipeline};
 /// blocker-level tag, so the two kinds of root never mix).
 pub const PIPELINE_SNAPSHOT_TAG: u32 = 0x5050_4c31; // "PPL1"
 
-/// The snapshot payload: everything a pipeline needs beyond the WAL.
-struct PipelineSnapshot<'a> {
-    applied_seq: u64,
+/// The head snapshot: everything a pipeline needs beyond its index and the
+/// WAL.
+struct PipelineHead<'a> {
     feature_set: FeatureSet,
-    index: &'a StreamingIndex,
-    model: &'a SavedModel,
+    model: Cow<'a, SavedModel>,
     queued: Vec<((EntityId, EntityId), f64)>,
     emitted: Vec<(EntityId, EntityId)>,
     /// `Some(pool)` iff the pipeline runs in cleaned mode.
     pool: Option<Vec<((EntityId, EntityId), f64)>>,
 }
 
-impl<'a> PipelineSnapshot<'a> {
-    /// Captures the pipeline's persistent state as of `applied_seq`
-    /// (shared by the initial `persist_to` snapshot and every checkpoint).
-    fn capture(pipeline: &'a StreamingPipeline, applied_seq: u64) -> Self {
-        PipelineSnapshot {
-            applied_seq,
+impl<'a> PipelineHead<'a> {
+    /// Captures the pipeline's persistent state outside the index (shared
+    /// by the initial `persist_to` snapshot and every checkpoint).
+    fn capture(pipeline: &'a StreamingPipeline) -> Self {
+        PipelineHead {
             feature_set: pipeline.blocker().feature_set(),
-            index: pipeline.blocker().index(),
-            model: &pipeline.model,
+            model: Cow::Borrowed(&pipeline.model),
             queued: pipeline.schedule.queued_entries(),
             emitted: pipeline.schedule.emitted_pairs(),
             pool: pipeline.cleaned.as_ref().map(|state| {
@@ -81,11 +79,9 @@ impl<'a> PipelineSnapshot<'a> {
     }
 }
 
-impl Encode for PipelineSnapshot<'_> {
+impl Encode for PipelineHead<'_> {
     fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.applied_seq);
         w.write_u8(self.feature_set.id());
-        self.index.encode(w);
         self.model.encode(w);
         self.queued.encode(w);
         self.emitted.encode(w);
@@ -93,26 +89,11 @@ impl Encode for PipelineSnapshot<'_> {
     }
 }
 
-struct PipelineSnapshotOwned {
-    applied_seq: u64,
-    feature_set: FeatureSet,
-    index: StreamingIndex,
-    model: SavedModel,
-    queued: Vec<((EntityId, EntityId), f64)>,
-    emitted: Vec<(EntityId, EntityId)>,
-    pool: Option<Vec<((EntityId, EntityId), f64)>>,
-}
-
-impl Decode for PipelineSnapshotOwned {
+impl Decode for PipelineHead<'static> {
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        let applied_seq = r.read_u64()?;
-        let feature_set = FeatureSet::from_id(r.read_u8()?)
-            .ok_or_else(|| PersistError::Corrupt("feature-set id 0 is not valid".into()))?;
-        Ok(PipelineSnapshotOwned {
-            applied_seq,
-            feature_set,
-            index: StreamingIndex::decode(r)?,
-            model: SavedModel::decode(r)?,
+        Ok(PipelineHead {
+            feature_set: decode_feature_set(r)?,
+            model: Cow::Owned(SavedModel::decode(r)?),
             queued: Vec::<((EntityId, EntityId), f64)>::decode(r)?,
             emitted: Vec::<(EntityId, EntityId)>::decode(r)?,
             pool: Option::<Vec<((EntityId, EntityId), f64)>>::decode(r)?,
@@ -126,20 +107,16 @@ impl Decode for PipelineSnapshotOwned {
 /// [`DurableStreamingPipeline::recover_from`] after a restart.
 pub struct DurableStreamingPipeline {
     inner: StreamingPipeline,
-    store: GenerationStore,
-    wal: WalWriter,
-    next_seq: u64,
-    /// The report of the recovery that produced this pipeline, if any.
-    recovery: Option<RecoveryReport>,
+    log: MutationLog,
 }
 
 impl std::fmt::Debug for DurableStreamingPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStreamingPipeline")
-            .field("dir", &self.store.dir())
-            .field("fingerprint", &self.store.fingerprint())
-            .field("generation", &self.store.committed())
-            .field("next_seq", &self.next_seq)
+            .field("dir", &self.log.dir())
+            .field("fingerprint", &self.log.fingerprint())
+            .field("generation", &self.log.generation())
+            .field("next_seq", &self.log.next_seq())
             .field("num_entities", &self.inner.num_entities())
             .finish_non_exhaustive()
     }
@@ -147,7 +124,7 @@ impl std::fmt::Debug for DurableStreamingPipeline {
 
 impl StreamingPipeline {
     /// Makes the pipeline durable, rooted at `dir`: commits generation 0
-    /// (snapshot of index, model, schedule and cleaned pool + fresh
+    /// (snapshots of index, model, schedule and cleaned pool + fresh
     /// write-ahead log + manifest) on the production filesystem.
     pub fn persist_to(self, dir: impl AsRef<Path>) -> PersistResult<DurableStreamingPipeline> {
         self.persist_to_with(dir, StdVfs::arc(), RetryPolicy::default_write())
@@ -161,22 +138,17 @@ impl StreamingPipeline {
         vfs: Arc<dyn Vfs>,
         policy: RetryPolicy,
     ) -> PersistResult<DurableStreamingPipeline> {
-        let fingerprint = stream_fingerprint(self.blocker().index());
-        let (store, wal) = GenerationStore::create(
+        let index = self.blocker().index();
+        let log = MutationLog::create(
+            dir.as_ref(),
             vfs,
             policy,
-            dir.as_ref(),
             PIPELINE_SNAPSHOT_TAG,
-            fingerprint,
-            &PipelineSnapshot::capture(&self, 0),
+            stream_fingerprint(index),
+            &PipelineHead::capture(&self),
+            &[index],
         )?;
-        Ok(DurableStreamingPipeline {
-            inner: self,
-            store,
-            wal,
-            next_seq: 0,
-            recovery: None,
-        })
+        Ok(DurableStreamingPipeline { inner: self, log })
     }
 }
 
@@ -204,26 +176,18 @@ impl DurableStreamingPipeline {
         policy: RetryPolicy,
         threads: usize,
     ) -> PersistResult<Self> {
-        let (mut store, recovered) =
-            GenerationStore::recover(vfs, policy, dir.as_ref(), PIPELINE_SNAPSHOT_TAG, None)?;
-        let snapshot: PipelineSnapshotOwned = decode_snapshot_payload(&recovered.payload)?;
-        let fingerprint = stream_fingerprint(&snapshot.index);
-        if fingerprint != recovered.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: fingerprint,
-                found: recovered.fingerprint,
-            });
-        }
+        let (pending, mut replay) =
+            MutationLog::recover(dir.as_ref(), vfs, policy, PIPELINE_SNAPSHOT_TAG)?;
+        let head: PipelineHead = decode_snapshot_payload(&replay.head)?;
+        let index = replay.take_only_member()?;
+        replay.verify_fingerprint(stream_fingerprint(&index))?;
 
-        let blocker = StreamingMetaBlocker::from_recovered(
-            snapshot.index,
-            TokenKeys,
-            snapshot.feature_set,
-            threads,
-        )?
-        .with_model(Box::new(snapshot.model.clone()));
-        let schedule = StreamingSchedule::restore(&snapshot.queued, &snapshot.emitted);
-        let cleaned = snapshot.pool.map(|pool| CleanedState {
+        let model = head.model.into_owned();
+        let blocker =
+            StreamingMetaBlocker::from_recovered(index, TokenKeys, head.feature_set, threads)?
+                .with_model(Box::new(model.clone()));
+        let schedule = StreamingSchedule::restore(&head.queued, &head.emitted);
+        let cleaned = head.pool.map(|pool| CleanedState {
             view: LiveView::with_default_ratio(blocker.index()),
             pool: pool.into_iter().collect::<FxHashMap<_, _>>(),
         });
@@ -231,71 +195,42 @@ impl DurableStreamingPipeline {
             blocker,
             schedule,
             cleaned,
-            model: snapshot.model,
+            model,
         };
 
         // Replay through the *scored* pipeline paths: the re-attached
         // model reproduces every probability, so the schedule and view
         // move exactly as in the original run.
-        let next_seq =
-            replay_wal_records(
-                &recovered.records,
-                snapshot.applied_seq,
-                |record| match record {
-                    MutationRecord::Ingest(profiles) => {
-                        inner.ingest(&profiles);
-                    }
-                    MutationRecord::Remove(ids) => {
-                        inner.remove(&ids);
-                    }
-                    MutationRecord::Update(updates) => {
-                        inner.update(&updates);
-                    }
-                },
-            )?;
-        let mut report = recovered.report;
-        report.records_replayed = (next_seq - snapshot.applied_seq) as usize;
-        // A degraded recovery immediately commits a repair checkpoint,
-        // restoring full snapshot redundancy.
-        let wal = match recovered.wal_valid_len {
-            Some(valid_len) if !recovered.degraded => store.open_committed_wal(valid_len)?,
-            _ => {
-                report.repair_checkpoint = true;
-                store.commit(
-                    PIPELINE_SNAPSHOT_TAG,
-                    &PipelineSnapshot::capture(&inner, next_seq),
-                )?
-            }
-        };
-        report.observe();
-        Ok(DurableStreamingPipeline {
-            inner,
-            store,
-            wal,
-            next_seq,
-            recovery: Some(report),
-        })
+        for record in &replay.records {
+            match record {
+                MutationRecord::Ingest(profiles) => inner.ingest(profiles),
+                MutationRecord::Remove(ids) => inner.remove(ids),
+                MutationRecord::Update(updates) => inner.update(updates),
+            };
+        }
+        let log = pending.finish(&PipelineHead::capture(&inner), &[inner.blocker().index()])?;
+        Ok(DurableStreamingPipeline { inner, log })
     }
 
     /// The durability root directory.
     pub fn dir(&self) -> &Path {
-        self.store.dir()
+        self.log.dir()
     }
 
     /// The committed snapshot generation.
     pub fn generation(&self) -> u64 {
-        self.store.committed()
+        self.log.generation()
     }
 
     /// What the recovery that produced this pipeline had to do — `None`
     /// for a pipeline created fresh by `persist_to`.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+        self.log.recovery_report()
     }
 
     /// Sequence number the next mutation batch will be logged under.
     pub fn wal_sequence(&self) -> u64 {
-        self.next_seq
+        self.log.next_seq()
     }
 
     /// The wrapped pipeline (read-only; mutations must go through the
@@ -309,15 +244,9 @@ impl DurableStreamingPipeline {
         self.inner
     }
 
-    fn append(&mut self, payload: Vec<u8>) -> PersistResult<()> {
-        self.wal.append(&payload)?;
-        self.next_seq += 1;
-        Ok(())
-    }
-
     /// Logs one ingest batch, then applies it through the pipeline.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.append(encode_ingest_record(self.next_seq, profiles))?;
+        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
         Ok(self.inner.ingest(profiles))
     }
 
@@ -329,7 +258,7 @@ impl DurableStreamingPipeline {
     /// batch never poisons the log.
     pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
         self.inner.blocker().assert_remove_batch(ids);
-        self.append(encode_remove_record(self.next_seq, ids))?;
+        self.log.append(|seq| encode_remove_record(seq, ids))?;
         Ok(self.inner.remove(ids))
     }
 
@@ -340,7 +269,7 @@ impl DurableStreamingPipeline {
     /// the WAL append, so an invalid batch never poisons the log.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
         self.inner.blocker().assert_update_batch(updates);
-        self.append(encode_update_record(self.next_seq, updates))?;
+        self.log.append(|seq| encode_update_record(seq, updates))?;
         Ok(self.inner.update(updates))
     }
 
@@ -351,18 +280,16 @@ impl DurableStreamingPipeline {
         self.inner.next_batch(budget)
     }
 
-    /// Commits a new generation: a fresh snapshot (index, model, schedule,
+    /// Commits a new generation: fresh snapshots (index, model, schedule,
     /// pool), an empty WAL for it, and the manifest flip.
     pub fn checkpoint(&mut self) -> PersistResult<()> {
+        let index = self.inner.blocker().index();
         assert!(
-            !self.inner.blocker().index().has_open_batch(),
+            !index.has_open_batch(),
             "checkpoint during an unfinished mutation batch"
         );
-        self.wal = self.store.commit(
-            PIPELINE_SNAPSHOT_TAG,
-            &PipelineSnapshot::capture(&self.inner, self.next_seq),
-        )?;
-        Ok(())
+        self.log
+            .checkpoint(&PipelineHead::capture(&self.inner), &[index])
     }
 
     /// Folds the accumulated deltas into a fresh baseline CSR and makes the

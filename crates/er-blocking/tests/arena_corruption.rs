@@ -1,8 +1,9 @@
 //! Corruption coverage for arena-encoded block snapshots: every flipped or
 //! truncated region of a [`CsrBlockCollection`]/[`BlockStats`] arena frame
 //! must surface as a clean typed error, and a corrupted generation inside an
-//! [`er_persist::GenerationStore`] must fall back to the previous generation
-//! and recover a **bit-identical** collection.
+//! [`er_persist::ShardStore`] (the arena is member 0, the head a marker) must
+//! fall back to the previous generation and recover a **bit-identical**
+//! collection.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,12 +12,14 @@ use std::sync::Arc;
 use er_blocking::{Block, BlockCollection, BlockStats, CsrBlockCollection};
 use er_core::{DatasetKind, EntityId, PersistError};
 use er_persist::{
-    decode_from_slice, decode_snapshot_payload, encode_to_vec, read_snapshot, snapshot_path,
-    write_snapshot, GenerationStore, RetryPolicy, StdVfs,
+    decode_from_slice, decode_snapshot_payload, encode_to_vec, read_snapshot, shard_snapshot_path,
+    write_snapshot, RetryPolicy, ShardStore, StdVfs,
 };
 
 const TAG: u32 = 0x4152_4e41; // "ARNA"
 const FINGERPRINT: u64 = 0xb10c_a4e4_a000_0001;
+/// The head snapshot: these stores keep everything in member 0.
+const HEAD: u8 = 0;
 
 fn scratch(test: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("arena-{test}"));
@@ -131,23 +134,26 @@ fn generation_fallback_recovers_the_previous_arena_bit_identically() {
     let vfs = Arc::new(StdVfs);
     let gen0 = sample("generation-zero");
 
-    let (mut store, _wal) = GenerationStore::create(
+    let (mut store, _wals) = ShardStore::create(
         vfs.clone(),
         RetryPolicy::default(),
         &dir,
         TAG,
         FINGERPRINT,
-        &gen0,
+        &HEAD,
+        std::slice::from_ref(&gen0),
     )
     .unwrap();
 
     // Commit generation 1 with a different collection (a filtered subset).
     let gen1 = gen0.retain(|b| b != 2);
-    let _wal = store.commit(TAG, &gen1).unwrap();
+    let _wals = store
+        .commit(TAG, &HEAD, std::slice::from_ref(&gen1))
+        .unwrap();
     drop(store);
 
     // Clean recovery sees generation 1.
-    let (_store, recovered) = GenerationStore::recover(
+    let (_store, recovered) = ShardStore::recover(
         vfs.clone(),
         RetryPolicy::default(),
         &dir,
@@ -157,11 +163,11 @@ fn generation_fallback_recovers_the_previous_arena_bit_identically() {
     .unwrap();
     assert_eq!(recovered.generation, 1);
     assert!(!recovered.degraded);
-    let back: CsrBlockCollection = decode_snapshot_payload(&recovered.payload).unwrap();
+    let back: CsrBlockCollection = decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
     assert_bit_identical(&back, &gen1);
 
     // Corrupt generation 1's snapshot payload on disk.
-    let path = snapshot_path(&dir, 1);
+    let path = shard_snapshot_path(&dir, 0, 1);
     let mut bytes = fs::read(&path).unwrap();
     let at = bytes.len() - 9; // inside the arena body
     bytes[at] ^= 0x80;
@@ -169,8 +175,7 @@ fn generation_fallback_recovers_the_previous_arena_bit_identically() {
 
     // Recovery falls back to generation 0 and adopts it bit-identically.
     let (_store, recovered) =
-        GenerationStore::recover(vfs, RetryPolicy::default(), &dir, TAG, Some(FINGERPRINT))
-            .unwrap();
+        ShardStore::recover(vfs, RetryPolicy::default(), &dir, TAG, Some(FINGERPRINT)).unwrap();
     assert_eq!(recovered.generation, 0);
     assert!(recovered.degraded);
     assert_eq!(recovered.report.generations_tried, 2);
@@ -178,7 +183,7 @@ fn generation_fallback_recovers_the_previous_arena_bit_identically() {
         !recovered.report.quarantined.is_empty(),
         "the corrupt snapshot must be quarantined"
     );
-    let back: CsrBlockCollection = decode_snapshot_payload(&recovered.payload).unwrap();
+    let back: CsrBlockCollection = decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
     assert_bit_identical(&back, &gen0);
 }
 
@@ -191,19 +196,19 @@ fn recovered_stats_arena_is_operationally_identical() {
     let csr = sample("stats");
     let stats = BlockStats::from_csr(&csr);
 
-    let (_store, _wal) = GenerationStore::create(
+    let (_store, _wals) = ShardStore::create(
         vfs.clone(),
         RetryPolicy::default(),
         &dir,
         TAG,
         FINGERPRINT,
-        &stats,
+        &HEAD,
+        std::slice::from_ref(&stats),
     )
     .unwrap();
     let (_store, recovered) =
-        GenerationStore::recover(vfs, RetryPolicy::default(), &dir, TAG, Some(FINGERPRINT))
-            .unwrap();
-    let back: BlockStats = decode_snapshot_payload(&recovered.payload).unwrap();
+        ShardStore::recover(vfs, RetryPolicy::default(), &dir, TAG, Some(FINGERPRINT)).unwrap();
+    let back: BlockStats = decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
     assert_eq!(encode_to_vec(&back), encode_to_vec(&stats));
 
     let a = er_blocking::CandidatePairs::from_stats(&stats, 2);

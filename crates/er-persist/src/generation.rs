@@ -1,58 +1,17 @@
-//! Generational snapshot stores: graceful degradation for the durability
-//! layer.
+//! What every generation directory is made of, whatever it stores: the
+//! fixed file names, the exclusive [`LOCK`](LOCK_NAME) a commit runs under,
+//! the `quarantine/` corrupt files are moved into, and the
+//! [`RecoveryReport`] accounting for everything a recovery had to do.
 //!
-//! PR 5's single `snapshot.gsmb` had one failure mode: corrupt the file and
-//! the state is gone.  A [`GenerationStore`] instead keeps *generations*:
-//!
-//! ```text
-//! dir/
-//!   MANIFEST               magic │ version │ fingerprint │ committed gen │ crc
-//!   snapshot.000041.gsmb   the committed snapshot
-//!   snapshot.000040.gsmb   the previous generation (retained as fallback)
-//!   wal.000040.gsmb        mutations appended after snapshot 40
-//!   wal.000041.gsmb        mutations appended after snapshot 41 (active)
-//!   quarantine/            corrupt files moved aside by recovery
-//! ```
-//!
-//! Every checkpoint *commits a new generation*: write `snapshot.<g+1>`,
-//! create `wal.<g+1>`, then atomically rewrite `MANIFEST` to point at
-//! `g+1` — the manifest write is the commit point, so a crash anywhere in
-//! the sequence leaves the previous generation committed and the
-//! half-built one swept away as uncommitted on the next open.  After the
-//! commit, retention keeps the two newest snapshot generations (and every
-//! WAL a fallback from them could need) and deletes the rest.
-//!
-//! Recovery walks a **fallback chain**: start at the committed generation;
-//! if its snapshot is corrupt, move the bad file to `quarantine/` and fall
-//! back to the previous generation, replaying a *longer* WAL chain
-//! (`wal.<g>` then `wal.<g+1>` ... up to the committed one) to reach the
-//! same logical state.  What happened is recorded in a [`RecoveryReport`]:
-//! generations tried, bytes quarantined, records replayed, whether a torn
-//! WAL tail was truncated, how many leaked `*.tmp` files were swept.
-//!
-//! Two failure classes are deliberately **not** degraded around:
-//!
-//! * a corrupt record in the *middle* of a needed WAL is a fatal
-//!   [`PersistError::ChecksumMismatch`] — those records were acknowledged
-//!   as durable, and skipping them would be silent data loss;
-//! * when every retained snapshot generation is unreadable, the last
-//!   error surfaces instead of an empty store.
+//! The store that uses them — the layout, the commit sequence and the
+//! fallback chain — is [`crate::multi::ShardStore`], the only one.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use er_core::{crc64, PersistError, PersistResult};
+use er_core::{PersistError, PersistResult};
 
-use crate::codec::{Encode, Reader, Writer};
-use crate::snapshot::{
-    read_snapshot_bytes_with, sweep_tmp_files, write_file_atomic, write_snapshot_with,
-    FORMAT_VERSION,
-};
-use crate::vfs::{RetryPolicy, StdVfs, Vfs};
-use crate::wal::{read_wal_with, WalWriter, WAL_HEADER_LEN};
-
-/// Magic bytes opening the manifest file.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"GSMBMAN1";
+use crate::vfs::{RetryPolicy, Vfs};
 
 /// The manifest file name.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -68,23 +27,9 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// its half-commit is uncommitted debris handled by the usual sweep).
 pub const LOCK_NAME: &str = "LOCK";
 
-/// Byte length of the manifest (`magic | version | fingerprint | committed
-/// generation | crc64 over everything before it`).
-pub const MANIFEST_LEN: usize = 8 + 4 + 8 + 8 + 8;
-
 /// How many snapshot generations a commit retains (the committed one plus
 /// its fallback).
 pub const RETAINED_GENERATIONS: u64 = 2;
-
-/// The snapshot file of generation `generation` inside `dir`.
-pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("snapshot.{generation:06}.gsmb"))
-}
-
-/// The write-ahead log of generation `generation` inside `dir`.
-pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("wal.{generation:06}.gsmb"))
-}
 
 /// The manifest path inside `dir`.
 pub fn manifest_path(dir: &Path) -> PathBuf {
@@ -145,29 +90,6 @@ impl Drop for StoreLock {
         if self.vfs.remove(&self.path).is_err() {
             let _ = self.vfs.remove(&self.path);
         }
-    }
-}
-
-/// Which half of a generation a file holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GenFileKind {
-    Snapshot,
-    Wal,
-}
-
-/// Parses `snapshot.NNNNNN.gsmb` / `wal.NNNNNN.gsmb` file names.
-fn parse_generation_file(path: &Path) -> Option<(GenFileKind, u64)> {
-    let name = path.file_name()?.to_str()?;
-    let mut parts = name.split('.');
-    let kind = match parts.next()? {
-        "snapshot" => GenFileKind::Snapshot,
-        "wal" => GenFileKind::Wal,
-        _ => return None,
-    };
-    let generation = parts.next()?.parse::<u64>().ok()?;
-    match (parts.next()?, parts.next()) {
-        ("gsmb", None) => Some((kind, generation)),
-        _ => None,
     }
 }
 
@@ -276,444 +198,6 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// Everything a fallback-chain recovery produced: the snapshot payload
-/// bytes, the WAL records to replay on top, and the report.
-#[derive(Debug)]
-pub struct RecoveredGeneration {
-    /// The generation whose snapshot loaded.
-    pub generation: u64,
-    /// The validated snapshot payload (decode with
-    /// [`decode_snapshot_payload`](crate::snapshot::decode_snapshot_payload)).
-    pub payload: Vec<u8>,
-    /// The WAL records of the whole chain (`wal.<generation>` through
-    /// `wal.<committed>`), in append order.
-    pub records: Vec<Vec<u8>>,
-    /// Valid length of the *committed* generation's WAL, if it was
-    /// readable — the offset to reopen it at for appending.  `None` means
-    /// the recovery was degraded and the caller must commit a repair
-    /// checkpoint instead of reopening the old WAL.
-    pub wal_valid_len: Option<u64>,
-    /// The stream fingerprint the store carries.
-    pub fingerprint: u64,
-    /// True if anything abnormal happened (fallback, rebuild, missing
-    /// WAL): the caller should commit a fresh generation immediately after
-    /// replay to restore redundancy.
-    pub degraded: bool,
-    /// The full account of what recovery did.
-    pub report: RecoveryReport,
-}
-
-/// A directory of generational snapshots + WALs with an atomic manifest
-/// commit pointer.  See the module docs for the layout and protocol.
-#[derive(Debug)]
-pub struct GenerationStore {
-    vfs: Arc<dyn Vfs>,
-    policy: RetryPolicy,
-    dir: PathBuf,
-    fingerprint: u64,
-    committed: u64,
-}
-
-impl GenerationStore {
-    /// Initialises a fresh store in `dir` with generation 0: snapshot,
-    /// empty WAL, manifest.  Returns the store and the open generation-0
-    /// WAL writer.
-    pub fn create(
-        vfs: Arc<dyn Vfs>,
-        policy: RetryPolicy,
-        dir: &Path,
-        payload_tag: u32,
-        fingerprint: u64,
-        payload: &impl Encode,
-    ) -> PersistResult<(Self, WalWriter)> {
-        crate::vfs::retrying(policy, || {
-            vfs.create_dir_all(dir)
-                .map_err(|e| PersistError::io(format!("create store directory {dir:?}"), &e))
-        })?;
-        let _lock = StoreLock::acquire(vfs.clone(), policy, dir, "create generation store")?;
-        write_snapshot_with(
-            vfs.as_ref(),
-            policy,
-            &snapshot_path(dir, 0),
-            payload_tag,
-            fingerprint,
-            payload,
-        )?;
-        let wal = WalWriter::create_with(vfs.clone(), policy, &wal_path(dir, 0), fingerprint)?;
-        let store = GenerationStore {
-            vfs,
-            policy,
-            dir: dir.to_path_buf(),
-            fingerprint,
-            committed: 0,
-        };
-        store.write_manifest(0)?;
-        Ok((store, wal))
-    }
-
-    /// Recovers a store from `dir`, walking the generation fallback chain.
-    ///
-    /// On success the caller decodes `recovered.payload`, replays
-    /// `recovered.records`, then either reopens the committed WAL at
-    /// `recovered.wal_valid_len` (clean case) or commits a repair
-    /// checkpoint (`recovered.degraded`).
-    pub fn recover(
-        vfs: Arc<dyn Vfs>,
-        policy: RetryPolicy,
-        dir: &Path,
-        payload_tag: u32,
-        expected_fingerprint: Option<u64>,
-    ) -> PersistResult<(Self, RecoveredGeneration)> {
-        let obs = crate::obs::obs();
-        obs.recoveries.inc();
-        let recovery_timer = obs.recovery_ns.start_timer();
-        // Satellite: crash mid-write leaks `*.tmp` files — sweep them
-        // before anything else looks at the directory.
-        let mut report = RecoveryReport {
-            tmp_files_removed: sweep_tmp_files(vfs.as_ref(), dir)?,
-            ..RecoveryReport::default()
-        };
-
-        // A checkpointer that crashed mid-commit leaves its lock behind;
-        // the holder is gone, so the lock is stale and recovery reclaims
-        // it (its half-commit is removed by the uncommitted-generation
-        // sweep below).
-        report.stale_lock_removed = match vfs.remove(&lock_path(dir)) {
-            Ok(()) => true,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => false,
-            Err(err) => {
-                return Err(PersistError::io(
-                    format!("sweep stale store lock in {dir:?}"),
-                    &err,
-                ))
-            }
-        };
-
-        // The manifest is the commit pointer.  If it is unreadable but
-        // snapshots exist, infer the newest generation and treat the
-        // recovery as degraded (the pointer itself was lost).
-        let (fingerprint_hint, committed) = match read_manifest(vfs.as_ref(), dir) {
-            Ok((fingerprint, committed)) => (Some(fingerprint), committed),
-            Err(manifest_err) => {
-                let newest = newest_snapshot_generation(vfs.as_ref(), dir)?;
-                match newest {
-                    Some(generation) => {
-                        report.manifest_rebuilt = true;
-                        (None, generation)
-                    }
-                    // No manifest and no snapshots: nothing to recover.
-                    None => return Err(manifest_err),
-                }
-            }
-        };
-        if let (Some(expected), Some(found)) = (expected_fingerprint, fingerprint_hint) {
-            if expected != found {
-                return Err(PersistError::FingerprintMismatch { expected, found });
-            }
-        }
-        report.committed_generation = committed;
-
-        // Files from generations beyond the committed one are the debris
-        // of a crash mid-commit: the manifest never pointed at them, so
-        // they hold no acknowledged data and are removed.
-        report.stale_generations_removed =
-            remove_uncommitted_generations(vfs.as_ref(), dir, committed)?;
-
-        // The fallback chain: newest committed generation first, walking
-        // backwards past corrupt snapshots (quarantining each) until one
-        // loads or the chain is exhausted.  The manifest's fingerprint
-        // backstops the caller's expectation: a flipped byte in a
-        // snapshot's *fingerprint* header field is outside that file's
-        // payload checksum, and only the cross-check against the manifest
-        // turns it into a fallback instead of a wrong-stream recovery.
-        let expected_fingerprint = expected_fingerprint.or(fingerprint_hint);
-        let mut generation = committed;
-        let (payload, fingerprint, generation) = loop {
-            report.generations_tried += 1;
-            let path = snapshot_path(dir, generation);
-            match read_snapshot_bytes_with(vfs.as_ref(), &path, payload_tag, expected_fingerprint) {
-                Ok((payload, fingerprint)) => break (payload, fingerprint, generation),
-                Err(err) => {
-                    let missing = matches!(
-                        &err,
-                        PersistError::Io { kind, .. } if *kind == std::io::ErrorKind::NotFound
-                    );
-                    if !missing {
-                        quarantine(vfs.as_ref(), dir, &path, &mut report)?;
-                    }
-                    if generation == 0 {
-                        return Err(err);
-                    }
-                    generation -= 1;
-                }
-            }
-        };
-
-        // Replay the WAL chain: the loaded generation's log, then every
-        // newer one up to the committed generation.  A torn tail is only
-        // legal on the last log that was ever appended to; a *corrupt*
-        // record anywhere is fatal (acknowledged data must not be
-        // skipped).  A missing log for the loaded generation invalidates
-        // it (its mutations are unaccounted for) — but the snapshot
-        // itself is complete state up to its applied sequence, so the
-        // recovery proceeds degraded rather than failing: the caller's
-        // sequence-contiguity check on replay is the safety net against
-        // an actual gap.
-        let mut records = Vec::new();
-        let mut wal_valid_len = None;
-        let mut torn = false;
-        let mut chain_complete = true;
-        for wal_generation in generation..=committed {
-            let path = wal_path(dir, wal_generation);
-            match read_wal_with(
-                vfs.as_ref(),
-                &path,
-                Some(fingerprint),
-                crate::WalReadMode::Recovery,
-            ) {
-                Ok(contents) => {
-                    torn |= contents.torn_tail;
-                    records.extend(contents.records);
-                    if wal_generation == committed {
-                        wal_valid_len = Some(contents.valid_len);
-                    }
-                }
-                Err(PersistError::Io {
-                    kind: std::io::ErrorKind::NotFound,
-                    ..
-                }) => {
-                    chain_complete = false;
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        report.used_generation = generation;
-        report.torn_tail_truncated = torn;
-
-        let degraded = generation != committed
-            || report.manifest_rebuilt
-            || !chain_complete
-            || wal_valid_len.is_none()
-            || !report.quarantined.is_empty();
-        if degraded {
-            obs.recoveries_degraded.inc();
-        }
-        obs.quarantined_bytes.add(report.quarantined_bytes());
-        recovery_timer.observe();
-
-        let store = GenerationStore {
-            vfs,
-            policy,
-            dir: dir.to_path_buf(),
-            fingerprint,
-            committed,
-        };
-        Ok((
-            store,
-            RecoveredGeneration {
-                generation,
-                payload,
-                records,
-                wal_valid_len: if degraded { None } else { wal_valid_len },
-                fingerprint,
-                degraded,
-                report,
-            },
-        ))
-    }
-
-    /// Commits a new generation: snapshot `committed + 1`, a fresh WAL for
-    /// it, then the manifest flip (the commit point).  Returns the new
-    /// generation's open WAL writer.  Old generations beyond the retention
-    /// window are cleaned up best-effort afterwards.
-    pub fn commit(&mut self, payload_tag: u32, payload: &impl Encode) -> PersistResult<WalWriter> {
-        let generation = self.committed + 1;
-        let _lock = StoreLock::acquire(
-            self.vfs.clone(),
-            self.policy,
-            &self.dir,
-            &format!("commit generation {generation}"),
-        )?;
-        write_snapshot_with(
-            self.vfs.as_ref(),
-            self.policy,
-            &snapshot_path(&self.dir, generation),
-            payload_tag,
-            self.fingerprint,
-            payload,
-        )?;
-        let wal = WalWriter::create_with(
-            self.vfs.clone(),
-            self.policy,
-            &wal_path(&self.dir, generation),
-            self.fingerprint,
-        )?;
-        self.write_manifest(generation)?;
-        self.committed = generation;
-        // Retention is advisory: a failure here never loses committed
-        // state, it only leaves extra fallback generations behind.
-        let _ = self.apply_retention();
-        Ok(wal)
-    }
-
-    /// Reopens the committed generation's WAL for appending, truncating a
-    /// torn tail at `valid_len` first.
-    pub fn open_committed_wal(&self, valid_len: u64) -> PersistResult<WalWriter> {
-        WalWriter::open_with(
-            self.vfs.clone(),
-            self.policy,
-            &wal_path(&self.dir, self.committed),
-            valid_len,
-        )
-    }
-
-    /// The committed generation number.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The stream fingerprint every file in the store carries.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The VFS the store performs its IO through.
-    pub fn vfs(&self) -> Arc<dyn Vfs> {
-        self.vfs.clone()
-    }
-
-    /// The store's write-path retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    fn write_manifest(&self, committed: u64) -> PersistResult<()> {
-        let mut w = Writer::with_capacity(MANIFEST_LEN);
-        w.write_raw(&MANIFEST_MAGIC);
-        w.write_u32(FORMAT_VERSION);
-        w.write_u64(self.fingerprint);
-        w.write_u64(committed);
-        let crc = crc64(w.as_bytes());
-        w.write_u64(crc);
-        write_file_atomic(
-            self.vfs.as_ref(),
-            self.policy,
-            &manifest_path(&self.dir),
-            w.as_bytes(),
-        )
-    }
-
-    /// Deletes snapshots older than the retention window and WALs no
-    /// fallback from a retained snapshot could need.
-    fn apply_retention(&self) -> PersistResult<()> {
-        let oldest_kept = self.committed.saturating_sub(RETAINED_GENERATIONS - 1);
-        let entries = self
-            .vfs
-            .list(&self.dir)
-            .map_err(|e| PersistError::io(format!("list store directory {:?}", self.dir), &e))?;
-        for path in entries {
-            if let Some((_, generation)) = parse_generation_file(&path) {
-                if generation < oldest_kept {
-                    self.vfs.remove(&path).map_err(|e| {
-                        PersistError::io(format!("remove retired generation file {path:?}"), &e)
-                    })?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Reads and validates the manifest, returning `(fingerprint, committed)`.
-pub fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> PersistResult<(u64, u64)> {
-    let path = manifest_path(dir);
-    let data = vfs
-        .read(&path)
-        .map_err(|e| PersistError::io(format!("read manifest {path:?}"), &e))?;
-    if data.len() < MANIFEST_LEN {
-        return Err(PersistError::BadMagic {
-            context: format!("manifest {path:?}"),
-        });
-    }
-    let mut r = Reader::new(&data);
-    let magic = r.read_raw(8)?;
-    if magic != MANIFEST_MAGIC {
-        return Err(PersistError::BadMagic {
-            context: format!("manifest {path:?}"),
-        });
-    }
-    let version = r.read_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let fingerprint = r.read_u64()?;
-    let committed = r.read_u64()?;
-    let recorded_crc = r.read_u64()?;
-    r.expect_end()
-        .map_err(|_| PersistError::Corrupt(format!("manifest {path:?} carries trailing bytes")))?;
-    let actual_crc = crc64(&data[..MANIFEST_LEN - 8]);
-    if actual_crc != recorded_crc {
-        return Err(PersistError::ChecksumMismatch {
-            context: format!("manifest {path:?}"),
-            expected: recorded_crc,
-            found: actual_crc,
-        });
-    }
-    Ok((fingerprint, committed))
-}
-
-/// The newest snapshot generation present in `dir`, if any.
-fn newest_snapshot_generation(vfs: &dyn Vfs, dir: &Path) -> PersistResult<Option<u64>> {
-    let entries = match vfs.list(dir) {
-        Ok(entries) => entries,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(err) => {
-            return Err(PersistError::io(
-                format!("list store directory {dir:?}"),
-                &err,
-            ))
-        }
-    };
-    Ok(entries
-        .iter()
-        .filter_map(|p| parse_generation_file(p))
-        .filter(|(kind, _)| *kind == GenFileKind::Snapshot)
-        .map(|(_, generation)| generation)
-        .max())
-}
-
-/// Removes generation files newer than the committed generation (debris of
-/// a crash mid-commit), returning how many files were removed.
-fn remove_uncommitted_generations(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    committed: u64,
-) -> PersistResult<usize> {
-    let entries = vfs
-        .list(dir)
-        .map_err(|e| PersistError::io(format!("list store directory {dir:?}"), &e))?;
-    let mut removed = 0;
-    for path in entries {
-        if let Some((_, generation)) = parse_generation_file(&path) {
-            if generation > committed {
-                vfs.remove(&path).map_err(|e| {
-                    PersistError::io(format!("remove uncommitted generation file {path:?}"), &e)
-                })?;
-                removed += 1;
-            }
-        }
-    }
-    Ok(removed)
-}
-
 /// Moves a corrupt file into `dir/quarantine/`, recording it (and its
 /// size) in the report.
 pub(crate) fn quarantine(
@@ -737,12 +221,3 @@ pub(crate) fn quarantine(
     report.quarantined.push((target, bytes));
     Ok(())
 }
-
-/// Reads the committed generation number of the store in `dir` on the
-/// production filesystem — a convenience for tests and benchmarks.
-pub fn committed_generation(dir: &Path) -> PersistResult<u64> {
-    read_manifest(&StdVfs, dir).map(|(_, committed)| committed)
-}
-
-/// An empty WAL is exactly its header.
-pub const EMPTY_WAL_LEN: u64 = WAL_HEADER_LEN as u64;

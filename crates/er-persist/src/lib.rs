@@ -15,25 +15,20 @@
 //!   corpus fingerprint, and a CRC-64/XZ digest over the payload);
 //! * [`wal`] — an append-only write-ahead log of checksummed records with
 //!   torn-tail-tolerant replay;
-//! * [`generation`] — generational snapshot stores: an atomic
-//!   [`MANIFEST`](generation::MANIFEST_NAME) commit pointer over
-//!   `snapshot.<gen>.gsmb` files, a recovery fallback chain that
-//!   quarantines corrupt generations and replays longer WAL tails, and a
-//!   [`RecoveryReport`] accounting for every degradation;
-//! * [`multi`] — cross-shard generation sets: one [`ShardStore`] manifest
-//!   committing a router snapshot plus N shard snapshots and N WALs
-//!   atomically, so no shard ever recovers to a different batch boundary
-//!   than its siblings.
+//! * [`multi`] — **the** store: a [`ShardStore`] keeps generation sets (a
+//!   head snapshot plus N ≥ 1 member snapshots and WALs) behind one atomic
+//!   checksummed manifest, with a recovery fallback chain that quarantines
+//!   corrupt generations and replays longer WAL tails.  Its module docs are
+//!   the one description of the on-disk layout and the commit / recovery
+//!   sequence; [`generation`] holds the pieces any such directory shares
+//!   (lock, quarantine, [`RecoveryReport`]).
 //!
 //! The crates that own persistable state implement the codec traits for
-//! their types and wire the pieces together: `er-stream` persists the
-//! `StreamingIndex` and logs mutation batches
-//! (`er_stream::persist::DurableMetaBlocker`), `er-learn` persists trained
+//! their types and wire the pieces together: `er-learn` persists trained
 //! models (`er_learn::SavedModel`), `er-eval` persists `PreparedDataset`s,
-//! and `meta-blocking` persists whole streaming pipelines.  Recovery is
-//! always *load the newest readable snapshot generation, replay the WAL
-//! chain*; a checkpoint commits a new generation and garbage-collects old
-//! ones.
+//! and `er_stream::persist::MutationLog` runs the write-ahead protocol
+//! (log a mutation, checkpoint, recover + replay) over a [`ShardStore`]
+//! for the three durable wrappers.
 //!
 //! All error paths are typed ([`er_core::PersistError`]): corrupt bytes,
 //! version skews, truncated records and mismatched fingerprints are
@@ -51,10 +46,7 @@ pub mod wal;
 
 pub use codec::{decode_from_slice, encode_to_vec, Decode, Encode, Reader, Writer};
 pub use er_core::{PersistError, PersistErrorClass, PersistResult};
-pub use generation::{
-    committed_generation, lock_path, manifest_path, quarantine_path, read_manifest, snapshot_path,
-    wal_path, GenerationStore, RecoveredGeneration, RecoveryReport, LOCK_NAME,
-};
+pub use generation::{lock_path, manifest_path, quarantine_path, RecoveryReport, LOCK_NAME};
 pub use multi::{
     committed_shard_generation, read_shard_manifest, router_path, shard_snapshot_path,
     shard_wal_path, RecoveredShards, ShardStore, SHARD_MANIFEST_MAGIC,

@@ -1,40 +1,51 @@
-//! Cross-shard generational stores: atomic checkpoints over N shards.
+//! The generation-set store: atomic checkpoints over N ≥ 1 members.
 //!
-//! A sharded service keeps one [`WalWriter`] per shard so ingestion
-//! workers never serialise on a single log, but its checkpoints must be
-//! **atomic across shards**: no shard may recover to a different batch
-//! boundary than its siblings, or replay would reconstruct a state that
-//! never existed.  A [`ShardStore`] extends the [`GenerationStore`]
-//! protocol to a *generation set*:
+//! A durable root holds *generations*.  Each one is a **head** snapshot
+//! (`router.*`: the state no single member owns), one snapshot and one
+//! [`WalWriter`] per **member** (`shard.*`, `wal.*`), all committed by a
+//! single checksummed manifest.  A sharded service has one member per
+//! posting shard; an unsharded root is simply N = 1:
 //!
 //! ```text
 //! dir/
-//!   MANIFEST                  magic │ version │ fingerprint │ num shards │ committed gen │ crc
-//!   router.000041.gsmb        the cross-shard routing state of generation 41
-//!   shard.000.000041.gsmb     shard 0's snapshot of generation 41
-//!   shard.001.000041.gsmb     shard 1's snapshot
-//!   wal.000.000041.gsmb       shard 0's mutations appended after generation 41
-//!   wal.001.000041.gsmb       shard 1's WAL
+//!   MANIFEST                  magic │ version │ fingerprint │ num members │ committed gen │ crc
+//!   router.000041.gsmb        the head snapshot of generation 41
+//!   shard.000.000041.gsmb     member 0's snapshot of generation 41
+//!   shard.001.000041.gsmb     member 1's snapshot
+//!   wal.000.000041.gsmb       member 0's mutations appended after generation 41
+//!   wal.001.000041.gsmb       member 1's WAL
 //!   router.000040.gsmb        the previous generation (retained as fallback)
 //!   ...
+//!   LOCK                      held for the duration of a commit
 //!   quarantine/               corrupt files moved aside by recovery
 //! ```
 //!
-//! A commit writes the router snapshot and **every** shard snapshot of
-//! generation `g+1`, creates the `g+1` WALs, then atomically rewrites the
-//! single `MANIFEST` — the one cross-shard commit point.  A crash anywhere
-//! before the manifest rename leaves generation `g` committed for *all*
-//! shards; the half-written `g+1` files are uncommitted debris swept on
-//! the next open.  The whole sequence runs under the same exclusive
-//! `LOCK` file as [`GenerationStore`], so two concurrent checkpointers
-//! cannot interleave their generation sets.
+//! **Commit** (under the exclusive `LOCK`): write every member snapshot of
+//! generation `g+1`, create the `g+1` WALs, write the head snapshot
+//! **last**, then atomically rewrite `MANIFEST` — the one commit point for
+//! all members.  A crash anywhere before the manifest rename leaves
+//! generation `g` committed for *all* of them; the half-written `g+1` files
+//! are uncommitted debris swept on the next open.  Afterwards retention
+//! keeps the two newest generations and deletes the rest.
 //!
-//! Recovery walks the fallback chain **as a unit**: a generation loads
-//! only if its router *and every shard snapshot* validate; a corrupt file
-//! quarantines the generation back to its predecessor for *all* shards,
-//! and each shard then replays a longer WAL chain to the same committed
-//! boundary.  Per-shard WAL records carry the global mutation sequence
-//! number, so the caller re-interleaves them exactly.
+//! **Recovery** sweeps `*.tmp` files, a stale lock and uncommitted
+//! generations, then walks the fallback chain **as a unit**: a generation
+//! loads only if its head *and every member snapshot* validate; a corrupt
+//! file is moved to `quarantine/` and sends *all* members back one
+//! generation, where each replays a longer WAL chain (`wal.<g>` through
+//! `wal.<committed>`) to the same committed boundary.  A lost or corrupt
+//! manifest is rebuilt from the newest complete set on disk.  Everything
+//! that happened is accounted for in the [`RecoveryReport`].
+//!
+//! Two failure classes are deliberately **not** degraded around: a corrupt
+//! record in the *middle* of a needed WAL is a fatal
+//! [`PersistError::ChecksumMismatch`] (those records were acknowledged, and
+//! skipping them would be silent data loss), and when every retained
+//! generation is unreadable the last error surfaces instead of an empty
+//! store.
+//!
+//! What the WAL records mean, how they stripe over the members and how they
+//! are replayed is the caller's protocol: `er_stream::persist::MutationLog`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -51,10 +62,10 @@ use crate::vfs::{RetryPolicy, StdVfs, Vfs};
 use crate::wal::{read_wal_with, WalWriter};
 use crate::{lock_path, manifest_path, RecoveryReport, WalReadMode};
 
-/// Magic bytes opening the sharded manifest file.
+/// Magic bytes opening the manifest file.
 pub const SHARD_MANIFEST_MAGIC: [u8; 8] = *b"GSMBSHM1";
 
-/// Byte length of the sharded manifest (`magic | version | fingerprint |
+/// Byte length of the manifest (`magic | version | fingerprint |
 /// num shards | committed generation | crc64 over everything before it`).
 pub const SHARD_MANIFEST_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 
@@ -666,7 +677,7 @@ mod tests {
             parse_shard_file(Path::new("/x/shard.abc.000001.gsmb")),
             None
         );
-        // Single-store names do not parse as sharded ones and vice versa.
+        // Names of the retired single-file layout are not generation files.
         assert_eq!(parse_shard_file(Path::new("/x/snapshot.000041.gsmb")), None);
     }
 }

@@ -301,7 +301,7 @@ pub fn read_snapshot<T: Decode>(
 }
 
 /// Decodes an already-validated payload image (as returned inside a
-/// [`RecoveredGeneration`](crate::generation::RecoveredGeneration)).
+/// [`RecoveredShards`](crate::multi::RecoveredShards)).
 pub fn decode_snapshot_payload<T: Decode>(payload: &[u8]) -> PersistResult<T> {
     let mut r = Reader::new(payload);
     let value = T::decode(&mut r)?;

@@ -1,6 +1,8 @@
 //! Store-level fault-injection and graceful-degradation tests for
-//! [`GenerationStore`]: fallback chains, quarantine, manifest rebuild,
-//! retention, tmp-file sweeping, and injected write-path faults.
+//! [`ShardStore`]: fallback chains, quarantine, manifest rebuild,
+//! retention, tmp-file sweeping, and injected write-path faults — first on
+//! a single-member root (the payload is member 0, the head a marker), then
+//! on a three-member one.
 
 use std::fs;
 use std::io;
@@ -9,12 +11,39 @@ use std::sync::Arc;
 
 use er_core::{PersistError, PersistErrorClass};
 use er_persist::{
-    manifest_path, quarantine_path, read_manifest, snapshot_path, sweep_tmp_files, wal_path,
-    FaultKind, FaultVfs, GenerationStore, InjectedFault, RetryPolicy, StdVfs, Vfs, WalReadMode,
+    manifest_path, quarantine_path, read_shard_manifest, shard_snapshot_path, shard_wal_path,
+    sweep_tmp_files, FaultKind, FaultVfs, InjectedFault, RecoveredShards, RetryPolicy, ShardStore,
+    StdVfs, Vfs, WalReadMode, WalWriter,
 };
 
 const TAG: u32 = 0x7e57_0002;
 const FINGERPRINT: u64 = 0xabad_1dea_0ddb_a115;
+/// The head snapshot of the single-member stores.
+const HEAD: u8 = 0;
+
+fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
+    shard_snapshot_path(dir, 0, generation)
+}
+
+fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+    shard_wal_path(dir, 0, generation)
+}
+
+/// `ShardStore::create` for one member, handing back its only WAL.
+fn create(
+    vfs: Arc<dyn Vfs>,
+    policy: RetryPolicy,
+    dir: &Path,
+) -> er_core::PersistResult<(ShardStore, WalWriter)> {
+    let (store, mut wals) =
+        ShardStore::create(vfs, policy, dir, TAG, FINGERPRINT, &HEAD, &[payload(0)])?;
+    Ok((store, wals.remove(0)))
+}
+
+/// Commits `payload(generation)` as the next generation's only member.
+fn commit(store: &mut ShardStore, generation: u64) -> er_core::PersistResult<WalWriter> {
+    Ok(store.commit(TAG, &HEAD, &[payload(generation)])?.remove(0))
+}
 
 fn scratch(test: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("faults-{test}"));
@@ -29,32 +58,22 @@ fn payload(generation: u64) -> Vec<u64> {
 
 /// Creates a store with `commits` committed generations beyond 0, each WAL
 /// carrying two records tagged with its generation.
-fn build_store(dir: &Path, commits: u64) -> GenerationStore {
-    let (mut store, mut wal) = GenerationStore::create(
-        StdVfs::arc(),
-        RetryPolicy::default_write(),
-        dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap();
+fn build_store(dir: &Path, commits: u64) -> ShardStore {
+    let (mut store, mut wal) = create(StdVfs::arc(), RetryPolicy::default_write(), dir).unwrap();
     for generation in 1..=commits {
         wal.append(format!("rec-{}-a", generation - 1).as_bytes())
             .unwrap();
         wal.append(format!("rec-{}-b", generation - 1).as_bytes())
             .unwrap();
-        wal = store.commit(TAG, &payload(generation)).unwrap();
+        wal = commit(&mut store, generation).unwrap();
     }
     wal.append(format!("rec-{commits}-a").as_bytes()).unwrap();
     wal.append(format!("rec-{commits}-b").as_bytes()).unwrap();
     store
 }
 
-fn recover(
-    dir: &Path,
-) -> er_core::PersistResult<(GenerationStore, er_persist::RecoveredGeneration)> {
-    GenerationStore::recover(
+fn recover(dir: &Path) -> er_core::PersistResult<(ShardStore, RecoveredShards)> {
+    ShardStore::recover(
         StdVfs::arc(),
         RetryPolicy::default_write(),
         dir,
@@ -74,24 +93,24 @@ fn clean_recovery_reopens_the_committed_generation() {
     assert_eq!(store.committed(), 2);
     assert_eq!(recovered.generation, 2);
     assert!(!recovered.degraded);
-    assert!(recovered.wal_valid_len.is_some());
+    assert!(recovered.wal_valid_lens.is_some());
     assert_eq!(
-        er_persist::decode_snapshot_payload::<Vec<u64>>(&recovered.payload).unwrap(),
+        er_persist::decode_snapshot_payload::<Vec<u64>>(&recovered.shard_payloads[0]).unwrap(),
         payload(2)
     );
     // Only the committed generation's WAL records ride along.
     assert_eq!(
-        recovered.records,
+        recovered.shard_records[0],
         vec![b"rec-2-a".to_vec(), b"rec-2-b".to_vec()]
     );
     assert!(recovered.report.is_clean());
     assert_eq!(recovered.report.generations_tried, 1);
 
     // The reopened WAL appends where the old one left off.
-    let mut wal = store
-        .open_committed_wal(recovered.wal_valid_len.unwrap())
+    let mut wals = store
+        .open_committed_wals(&recovered.wal_valid_lens.unwrap())
         .unwrap();
-    wal.append(b"rec-2-c").unwrap();
+    wals[0].append(b"rec-2-c").unwrap();
     let contents =
         er_persist::read_wal(&wal_path(&dir, 2), Some(FINGERPRINT), WalReadMode::Strict).unwrap();
     assert_eq!(contents.records.len(), 3);
@@ -114,16 +133,16 @@ fn corrupt_newest_snapshot_falls_back_and_replays_the_longer_chain() {
     assert_eq!(recovered.generation, 1);
     assert!(recovered.degraded);
     assert!(
-        recovered.wal_valid_len.is_none(),
+        recovered.wal_valid_lens.is_none(),
         "degraded recovery must not reopen the WAL"
     );
     assert_eq!(
-        er_persist::decode_snapshot_payload::<Vec<u64>>(&recovered.payload).unwrap(),
+        er_persist::decode_snapshot_payload::<Vec<u64>>(&recovered.shard_payloads[0]).unwrap(),
         payload(1)
     );
     // The chain replays generation 1's WAL *and* the committed one's.
     assert_eq!(
-        recovered.records,
+        recovered.shard_records[0],
         vec![
             b"rec-1-a".to_vec(),
             b"rec-1-b".to_vec(),
@@ -137,7 +156,7 @@ fn corrupt_newest_snapshot_falls_back_and_replays_the_longer_chain() {
     assert_eq!(report.used_generation, 1);
     assert_eq!(report.generations_tried, 2);
     assert_eq!(report.quarantined.len(), 1);
-    assert!(quarantine_path(&dir).join("snapshot.000002.gsmb").exists());
+    assert!(quarantine_path(&dir).join("shard.000.000002.gsmb").exists());
     assert!(!newest.exists());
 }
 
@@ -158,8 +177,8 @@ fn exhausting_the_fallback_chain_surfaces_the_error() {
         "{err:?}"
     );
     // Both corpses were still moved aside for post-mortem.
-    assert!(quarantine_path(&dir).join("snapshot.000001.gsmb").exists());
-    assert!(quarantine_path(&dir).join("snapshot.000000.gsmb").exists());
+    assert!(quarantine_path(&dir).join("shard.000.000001.gsmb").exists());
+    assert!(quarantine_path(&dir).join("shard.000.000000.gsmb").exists());
 }
 
 #[test]
@@ -189,7 +208,7 @@ fn a_corrupt_manifest_is_rebuilt_from_the_newest_snapshot() {
     bytes[len - 1] ^= 0xFF; // the manifest CRC
     fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        read_manifest(&StdVfs, &dir).unwrap_err(),
+        read_shard_manifest(&StdVfs, &dir).unwrap_err(),
         PersistError::ChecksumMismatch { .. }
     ));
 
@@ -213,7 +232,7 @@ fn stale_tmp_files_and_uncommitted_generations_are_swept_on_recovery() {
     // never flipped to them) and possibly a temp file.
     fs::write(snapshot_path(&dir, 2), b"half-written debris").unwrap();
     fs::write(wal_path(&dir, 2), b"more debris").unwrap();
-    fs::write(dir.join("snapshot.000002.gsmb.tmp"), b"temp debris").unwrap();
+    fs::write(dir.join("shard.000.000002.gsmb.tmp"), b"temp debris").unwrap();
 
     let (store, recovered) = recover(&dir).unwrap();
     assert_eq!(store.committed(), 1);
@@ -222,7 +241,7 @@ fn stale_tmp_files_and_uncommitted_generations_are_swept_on_recovery() {
     assert_eq!(recovered.report.stale_generations_removed, 2);
     assert!(!snapshot_path(&dir, 2).exists());
     assert!(!wal_path(&dir, 2).exists());
-    assert!(!dir.join("snapshot.000002.gsmb.tmp").exists());
+    assert!(!dir.join("shard.000.000002.gsmb.tmp").exists());
 }
 
 #[test]
@@ -251,28 +270,20 @@ fn concurrent_checkpointers_get_a_typed_lock_error() {
     StdVfs
         .create_new(&er_persist::lock_path(&dir), b"")
         .unwrap();
-    let err = store.commit(TAG, &payload(9)).unwrap_err();
+    let err = commit(&mut store, 9).unwrap_err();
     assert!(matches!(err, PersistError::Locked { .. }), "{err:?}");
     assert!(err.to_string().contains("exclusive lock"));
     assert_eq!(err.class(), PersistErrorClass::Fatal);
     assert_eq!(store.committed(), 1, "a refused commit must not advance");
 
     // `create` on a locked directory is refused the same way.
-    let err = GenerationStore::create(
-        StdVfs::arc(),
-        RetryPolicy::default_write(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap_err();
+    let err = create(StdVfs::arc(), RetryPolicy::default_write(), &dir).unwrap_err();
     assert!(matches!(err, PersistError::Locked { .. }), "{err:?}");
 
     // Once the holder releases, the loser can commit — and the lock never
     // outlives the commit.
     StdVfs.remove(&er_persist::lock_path(&dir)).unwrap();
-    store.commit(TAG, &payload(2)).unwrap();
+    commit(&mut store, 2).unwrap();
     assert_eq!(store.committed(), 2);
     assert!(!er_persist::lock_path(&dir).exists());
 }
@@ -298,7 +309,7 @@ fn recovery_sweeps_a_stale_lock() {
 
     // The swept lock is free for the next commit.
     let mut store = store;
-    store.commit(TAG, &payload(2)).unwrap();
+    commit(&mut store, 2).unwrap();
     assert_eq!(store.committed(), 2);
 }
 
@@ -365,17 +376,9 @@ fn unsupported_directory_fsync_is_tolerated_but_real_failures_propagate() {
     let vfs: Arc<dyn Vfs> = Arc::new(NoDirSync {
         kind: io::ErrorKind::Unsupported,
     });
-    let (mut store, mut wal) = GenerationStore::create(
-        vfs,
-        RetryPolicy::none(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap();
+    let (mut store, mut wal) = create(vfs, RetryPolicy::none(), &dir).unwrap();
     wal.append(b"record").unwrap();
-    store.commit(TAG, &payload(1)).unwrap();
+    commit(&mut store, 1).unwrap();
 
     // Any other directory-fsync failure is a real error — the fsyncgate
     // bug was swallowing these.
@@ -383,15 +386,7 @@ fn unsupported_directory_fsync_is_tolerated_but_real_failures_propagate() {
     let vfs: Arc<dyn Vfs> = Arc::new(NoDirSync {
         kind: io::ErrorKind::PermissionDenied,
     });
-    let err = GenerationStore::create(
-        vfs,
-        RetryPolicy::none(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap_err();
+    let err = create(vfs, RetryPolicy::none(), &dir).unwrap_err();
     assert!(matches!(err, PersistError::Io { .. }), "{err:?}");
 }
 
@@ -400,18 +395,10 @@ fn injected_write_faults_surface_as_typed_errors_and_leave_the_store_recoverable
     // Count the ops of a clean create+append+commit sequence.
     let dir = scratch("inject-count");
     let counting = FaultVfs::counting(7);
-    let (mut store, mut wal) = GenerationStore::create(
-        counting.clone(),
-        RetryPolicy::none(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap();
+    let (mut store, mut wal) = create(counting.clone(), RetryPolicy::none(), &dir).unwrap();
     wal.append(b"one").unwrap();
     wal.append(b"two").unwrap();
-    store.commit(TAG, &payload(1)).unwrap();
+    commit(&mut store, 1).unwrap();
     let total_ops = counting.op_count();
     // Lock release is best effort (a failure leaves a stale lock for the
     // next recovery sweep, not an error) — every *other* write op must
@@ -438,17 +425,10 @@ fn injected_write_faults_surface_as_typed_errors_and_leave_the_store_recoverable
             let dir = scratch(&format!("inject-{kind:?}-{at_op}"));
             let vfs = FaultVfs::with_faults(7, vec![InjectedFault { at_op, kind }]);
             let outcome = (|| -> er_core::PersistResult<()> {
-                let (mut store, mut wal) = GenerationStore::create(
-                    vfs.clone(),
-                    RetryPolicy::none(),
-                    &dir,
-                    TAG,
-                    FINGERPRINT,
-                    &payload(0),
-                )?;
+                let (mut store, mut wal) = create(vfs.clone(), RetryPolicy::none(), &dir)?;
                 wal.append(b"one")?;
                 wal.append(b"two")?;
-                store.commit(TAG, &payload(1))?;
+                commit(&mut store, 1)?;
                 Ok(())
             })();
             let err = outcome.expect_err("the injected fault must surface");
@@ -467,7 +447,7 @@ fn injected_write_faults_surface_as_typed_errors_and_leave_the_store_recoverable
             match recover(&dir) {
                 Ok((store, recovered)) => {
                     let state: Vec<u64> =
-                        er_persist::decode_snapshot_payload(&recovered.payload).unwrap();
+                        er_persist::decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
                     assert!(
                         state == payload(0) || state == payload(1),
                         "{kind:?} at op {at_op}: impossible recovered state"
@@ -503,17 +483,9 @@ fn transient_faults_are_retried_under_the_default_policy() {
         })
         .collect();
     let vfs = FaultVfs::with_faults(11, faults);
-    let (mut store, mut wal) = GenerationStore::create(
-        vfs.clone(),
-        RetryPolicy::default_write(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap();
+    let (mut store, mut wal) = create(vfs.clone(), RetryPolicy::default_write(), &dir).unwrap();
     wal.append(b"one").unwrap();
-    store.commit(TAG, &payload(1)).unwrap();
+    commit(&mut store, 1).unwrap();
     drop(store);
 
     let (_, recovered) = recover(&dir).unwrap();
@@ -529,40 +501,25 @@ fn crash_points_during_commit_never_lose_the_previous_generation() {
     // a panic.
     let dir = scratch("crash-count");
     let counting = FaultVfs::counting(13);
-    let (mut store, mut wal) = GenerationStore::create(
-        counting.clone(),
-        RetryPolicy::none(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &payload(0),
-    )
-    .unwrap();
+    let (mut store, mut wal) = create(counting.clone(), RetryPolicy::none(), &dir).unwrap();
     wal.append(b"one").unwrap();
-    store.commit(TAG, &payload(1)).unwrap();
+    commit(&mut store, 1).unwrap();
     let total_ops = counting.op_count();
 
     for crash_at in 0..total_ops {
         let dir = scratch(&format!("crash-{crash_at}"));
         let vfs = FaultVfs::crash_at(13, crash_at);
         let _ = (|| -> er_core::PersistResult<()> {
-            let (mut store, mut wal) = GenerationStore::create(
-                vfs.clone(),
-                RetryPolicy::none(),
-                &dir,
-                TAG,
-                FINGERPRINT,
-                &payload(0),
-            )?;
+            let (mut store, mut wal) = create(vfs.clone(), RetryPolicy::none(), &dir)?;
             wal.append(b"one")?;
-            store.commit(TAG, &payload(1))?;
+            commit(&mut store, 1)?;
             Ok(())
         })();
 
         match recover(&dir) {
             Ok((store, recovered)) => {
                 let state: Vec<u64> =
-                    er_persist::decode_snapshot_payload(&recovered.payload).unwrap();
+                    er_persist::decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
                 if store.committed() == 0 || recovered.generation == 0 {
                     assert_eq!(state, payload(0), "crash at op {crash_at}");
                 } else {
@@ -580,7 +537,7 @@ fn crash_points_during_commit_never_lose_the_previous_generation() {
     }
 }
 
-// ---- cross-shard stores -------------------------------------------------
+// ---- three members ------------------------------------------------------
 
 const SHARDS: u32 = 3;
 
@@ -598,8 +555,8 @@ fn shard_states(generation: u64) -> Vec<Vec<u64>> {
 
 /// Creates a 3-shard store with `commits` committed generations beyond 0;
 /// each shard's WAL carries one record per generation tagged with both.
-fn build_shard_store(dir: &Path, commits: u64) -> er_persist::ShardStore {
-    let (mut store, mut wals) = er_persist::ShardStore::create(
+fn build_shard_store(dir: &Path, commits: u64) -> ShardStore {
+    let (mut store, mut wals) = ShardStore::create(
         StdVfs::arc(),
         RetryPolicy::default_write(),
         dir,
@@ -625,10 +582,8 @@ fn build_shard_store(dir: &Path, commits: u64) -> er_persist::ShardStore {
     store
 }
 
-fn recover_shards(
-    dir: &Path,
-) -> er_core::PersistResult<(er_persist::ShardStore, er_persist::RecoveredShards)> {
-    er_persist::ShardStore::recover(
+fn recover_shards(dir: &Path) -> er_core::PersistResult<(ShardStore, RecoveredShards)> {
+    ShardStore::recover(
         StdVfs::arc(),
         RetryPolicy::default_write(),
         dir,
@@ -675,7 +630,7 @@ fn shard_store_round_trips_and_recovers_cleanly() {
     }
     for shard in 0..SHARDS {
         let contents = er_persist::read_wal(
-            &er_persist::shard_wal_path(&dir, shard, 2),
+            &shard_wal_path(&dir, shard, 2),
             Some(FINGERPRINT),
             WalReadMode::Strict,
         )
@@ -692,7 +647,7 @@ fn a_corrupt_shard_snapshot_falls_back_the_whole_generation_set() {
     // Flip a payload byte in ONE shard's committed snapshot: the whole
     // generation set must fall back so no shard recovers ahead of its
     // siblings.
-    let bad = er_persist::shard_snapshot_path(&dir, 1, 2);
+    let bad = shard_snapshot_path(&dir, 1, 2);
     let mut bytes = fs::read(&bad).unwrap();
     let at = bytes.len() - 3;
     bytes[at] ^= 0x04;
@@ -769,10 +724,10 @@ fn shard_retention_keeps_two_generations() {
     let dir = scratch("shard-retention");
     build_shard_store(&dir, 3);
     for shard in 0..SHARDS {
-        assert!(er_persist::shard_snapshot_path(&dir, shard, 3).exists());
-        assert!(er_persist::shard_snapshot_path(&dir, shard, 2).exists());
-        assert!(!er_persist::shard_snapshot_path(&dir, shard, 1).exists());
-        assert!(!er_persist::shard_wal_path(&dir, shard, 1).exists());
+        assert!(shard_snapshot_path(&dir, shard, 3).exists());
+        assert!(shard_snapshot_path(&dir, shard, 2).exists());
+        assert!(!shard_snapshot_path(&dir, shard, 1).exists());
+        assert!(!shard_wal_path(&dir, shard, 1).exists());
     }
     assert!(er_persist::router_path(&dir, 2).exists());
     assert!(!er_persist::router_path(&dir, 1).exists());

@@ -1,51 +1,40 @@
 //! Durability for the sharded service: one WAL per shard, group commit,
 //! and a cross-shard manifest so every checkpoint is atomic across shards.
 //!
-//! [`DurableShardedService`] composes [`ShardedStreamingService`] with
-//! `er-persist`'s [`ShardStore`]: a checkpoint writes one router snapshot
-//! plus one snapshot per posting shard, creates a fresh WAL per shard, and
-//! flips a single manifest — the only commit point, so no shard can ever
-//! recover to a different batch boundary than its siblings (the ALICE-style
-//! `shard_crash_points` suite kills the process at every VFS operation of a
-//! sharded checkpoint and asserts exactly that).
+//! [`DurableShardedService`] is a face over
+//! [`er_stream::persist::MutationLog`], which owns the crash protocol
+//! (striping, group commit and poisoning, the checkpoint envelope, merge
+//! and gap-tolerant replay, the repair checkpoint — see its module docs).
+//! Every posting shard is one member of the root, the **head** is the
+//! feature-set id plus the cross-shard router state, and replay is
+//! unscored.  A checkpoint flips a single manifest — the only commit
+//! point, so no shard can ever recover to a different batch boundary than
+//! its siblings (the ALICE-style `shard_crash_points` suite kills the
+//! process at every VFS operation of a sharded checkpoint and asserts
+//! exactly that).
 //!
-//! # WAL striping and group commit
-//!
-//! Mutation records carry a global sequence number and are striped
-//! round-robin over the per-shard WALs (`seq % num_shards`); recovery
-//! merges the per-shard chains back into sequence order.  Striping is what
-//! makes **group commit** effective:
-//! [`apply_group`](DurableShardedService::apply_group) logs a queue of
-//! batches with one `append_group` — one write, one fsync — per *touched
-//! WAL*, so a group of `k ≥ num_shards` batches costs `num_shards` fsyncs
-//! instead of `k`, i.e. strictly fewer than one fsync per batch (measured
-//! by the `micro_shard` bench).
-//!
-//! A group append can fail part-way: WAL 0's fsync succeeds, WAL 1's
-//! fails.  The merged sequence now has a durable *suffix gap* — records
-//! `{0, 3}` on WAL 0 with `{1, 4}` lost.  None of those batches were
-//! acknowledged (the group errors as a unit), but the debris is on disk, so
-//! the service **poisons itself**: every later mutation or checkpoint fails
-//! with a typed error rather than logging records that interleave with the
-//! debris.  Recovery is gap-tolerant in exactly one way: replay stops at
-//! the first missing sequence number — everything after it is
-//! unacknowledged torn-group debris — and immediately commits a repair
-//! checkpoint so the debris is quarantined with the old generation.
+//! Striping records round-robin over the per-shard WALs is what makes
+//! **group commit** effective:
+//! [`apply_group`](DurableShardedService::apply_group) costs one write and
+//! one fsync per *touched WAL*, so a group of `k ≥ num_shards` batches
+//! costs `num_shards` fsyncs instead of `k`, i.e. strictly fewer than one
+//! fsync per batch (measured by the `micro_shard` bench).
 
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
 use er_blocking::{CsrBlockCollection, KeyGenerator};
-use er_core::{crc64, EntityId, EntityProfile, PersistError, PersistResult};
+use er_core::{crc64, EntityId, EntityProfile, PersistResult};
 use er_features::FeatureSet;
 use er_learn::ProbabilisticClassifier;
 use er_persist::{
-    decode_snapshot_payload, Decode, Encode, Reader, RecoveryReport, RetryPolicy, ShardStore,
-    StdVfs, Vfs, WalWriter, Writer,
+    decode_snapshot_payload, Decode, Encode, Reader, RecoveryReport, RetryPolicy, StdVfs, Vfs,
+    Writer,
 };
 use er_stream::persist::{
-    decode_record, encode_ingest_record, encode_remove_record, encode_update_record,
+    decode_feature_set, encode_ingest_record, encode_remove_record, encode_update_record,
+    MutationLog,
 };
 use er_stream::{
     DeltaBatch, DeltaIndex, MutationRecord, ShardRouterState, ShardedIndex, StreamingIndex,
@@ -72,93 +61,41 @@ pub fn sharded_fingerprint(index: &ShardedIndex) -> u64 {
     crc64(w.as_bytes())
 }
 
-/// The router snapshot payload: the cross-shard state that is not owned by
-/// any single shard, stamped with the commit's batch boundary.
-struct RouterSnapshot {
-    applied_seq: u64,
+/// The head snapshot: the cross-shard state that is not owned by any
+/// single shard.
+struct RouterHead {
     feature_set: FeatureSet,
     state: ShardRouterState,
 }
 
-impl Encode for RouterSnapshot {
+impl Encode for RouterHead {
     fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.applied_seq);
         w.write_u8(self.feature_set.id());
         self.state.encode(w);
     }
 }
 
-impl Decode for RouterSnapshot {
+impl Decode for RouterHead {
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        let applied_seq = r.read_u64()?;
-        let feature_set = FeatureSet::from_id(r.read_u8()?)
-            .ok_or_else(|| PersistError::Corrupt("feature-set id 0 is not valid".into()))?;
-        let state = ShardRouterState::decode(r)?;
-        Ok(RouterSnapshot {
-            applied_seq,
-            feature_set,
-            state,
+        Ok(RouterHead {
+            feature_set: decode_feature_set(r)?,
+            state: ShardRouterState::decode(r)?,
         })
     }
 }
 
-/// One shard's snapshot payload.  Every member of a generation set carries
-/// the shard ordinal and the same `applied_seq` as the router; recovery
-/// cross-checks both so a mixed set (two half-finished commits spliced by a
-/// filesystem restore) is rejected as corrupt rather than replayed.
-struct ShardSnapshot<'a> {
-    shard: u32,
-    applied_seq: u64,
-    index: &'a StreamingIndex,
-}
-
-impl Encode for ShardSnapshot<'_> {
-    fn encode(&self, w: &mut Writer) {
-        w.write_u32(self.shard);
-        w.write_u64(self.applied_seq);
-        self.index.encode(w);
-    }
-}
-
-struct ShardSnapshotOwned {
-    shard: u32,
-    applied_seq: u64,
-    index: StreamingIndex,
-}
-
-impl Decode for ShardSnapshotOwned {
-    fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        let shard = r.read_u32()?;
-        let applied_seq = r.read_u64()?;
-        let index = StreamingIndex::decode(r)?;
-        Ok(ShardSnapshotOwned {
-            shard,
-            applied_seq,
-            index,
-        })
-    }
-}
-
-/// The router + shard snapshot set of the current state, stamped with one
-/// batch boundary — what a checkpoint commits.
+/// The head and the member indexes (one per posting shard) of the current
+/// state — what `persist_to` and every checkpoint commit.
 fn snapshot_parts<G: KeyGenerator>(
     service: &ShardedStreamingService<G>,
-    applied_seq: u64,
-) -> (RouterSnapshot, Vec<ShardSnapshot<'_>>) {
+) -> (RouterHead, Vec<&StreamingIndex>) {
     let index = service.index();
-    let router = RouterSnapshot {
-        applied_seq,
+    let head = RouterHead {
         feature_set: service.feature_set(),
         state: index.router_state(),
     };
-    let shards = (0..index.num_shards())
-        .map(|i| ShardSnapshot {
-            shard: i as u32,
-            applied_seq,
-            index: index.shard(i),
-        })
-        .collect();
-    (router, shards)
+    let members = (0..index.num_shards()).map(|i| index.shard(i)).collect();
+    (head, members)
 }
 
 /// A [`ShardedStreamingService`] whose mutations are write-ahead logged
@@ -170,30 +107,15 @@ fn snapshot_parts<G: KeyGenerator>(
 /// crash.
 pub struct DurableShardedService<G: KeyGenerator> {
     service: ShardedStreamingService<G>,
-    store: ShardStore,
-    wals: Vec<WalWriter>,
-    next_seq: u64,
-    /// Append / fsync counts of WALs already retired by checkpoints, so
-    /// [`wal_appends`](Self::wal_appends) / [`wal_syncs`](Self::wal_syncs)
-    /// stay cumulative across generations.
-    retired_appends: u64,
-    retired_syncs: u64,
-    /// Set when a group append failed after some WAL in the group had
-    /// already synced: the durable sequence has a gap, and appending more
-    /// records would interleave acknowledged writes with debris.
-    poisoned: bool,
-    recovery: Option<RecoveryReport>,
+    log: MutationLog,
 }
 
 impl<G: KeyGenerator> fmt::Debug for DurableShardedService<G> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurableShardedService")
             .field("service", &self.service)
-            .field("dir", &self.store.dir())
-            .field("generation", &self.store.committed())
-            .field("next_seq", &self.next_seq)
-            .field("poisoned", &self.poisoned)
-            .finish_non_exhaustive()
+            .field("log", &self.log)
+            .finish()
     }
 }
 
@@ -213,28 +135,17 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
         vfs: Arc<dyn Vfs>,
         policy: RetryPolicy,
     ) -> PersistResult<DurableShardedService<G>> {
-        let fingerprint = sharded_fingerprint(self.index());
-        let (router, shards) = snapshot_parts(&self, 0);
-        let (store, wals) = ShardStore::create(
+        let (head, members) = snapshot_parts(&self);
+        let log = MutationLog::create(
+            dir.as_ref(),
             vfs,
             policy,
-            dir.as_ref(),
             SHARDED_SNAPSHOT_TAG,
-            fingerprint,
-            &router,
-            &shards,
+            sharded_fingerprint(self.index()),
+            &head,
+            &members,
         )?;
-        drop(shards);
-        Ok(DurableShardedService {
-            service: self,
-            store,
-            wals,
-            next_seq: 0,
-            retired_appends: 0,
-            retired_syncs: 0,
-            poisoned: false,
-            recovery: None,
-        })
+        Ok(DurableShardedService { service: self, log })
     }
 }
 
@@ -266,151 +177,33 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         generator: G,
         threads: usize,
     ) -> PersistResult<Self> {
-        let (mut store, recovered) =
-            ShardStore::recover(vfs, policy, dir.as_ref(), SHARDED_SNAPSHOT_TAG, None)?;
-        let router: RouterSnapshot = decode_snapshot_payload(&recovered.router_payload)?;
-        let num_shards = recovered.num_shards as usize;
-
-        let mut shards = Vec::with_capacity(num_shards);
-        for (i, payload) in recovered.shard_payloads.iter().enumerate() {
-            let snapshot: ShardSnapshotOwned = decode_snapshot_payload(payload)?;
-            if snapshot.shard != i as u32 {
-                return Err(PersistError::Corrupt(format!(
-                    "shard snapshot {i} carries ordinal {}",
-                    snapshot.shard
-                )));
-            }
-            if snapshot.applied_seq != router.applied_seq {
-                return Err(PersistError::Corrupt(format!(
-                    "generation set is not a single commit boundary: shard {i} snapshot at seq {} \
-                     but router at seq {}",
-                    snapshot.applied_seq, router.applied_seq
-                )));
-            }
-            shards.push(snapshot.index);
-        }
-        let index = ShardedIndex::from_parts(shards, router.state)?;
-        let fingerprint = sharded_fingerprint(&index);
-        if fingerprint != recovered.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: recovered.fingerprint,
-                found: fingerprint,
-            });
-        }
+        let (pending, mut replay) =
+            MutationLog::recover(dir.as_ref(), vfs, policy, SHARDED_SNAPSHOT_TAG)?;
+        let head: RouterHead = decode_snapshot_payload(&replay.head)?;
+        let index = ShardedIndex::from_parts(std::mem::take(&mut replay.members), head.state)?;
+        replay.verify_fingerprint(sharded_fingerprint(&index))?;
         let blocker =
-            StreamingMetaBlocker::from_recovered(index, generator, router.feature_set, threads)?;
+            StreamingMetaBlocker::from_recovered(index, generator, head.feature_set, threads)?;
         let mut service = ShardedStreamingService::from_blocker(blocker);
-
-        // Merge the per-shard chains back into one sequence.  Each record
-        // must live on the WAL its sequence number stripes to; anything
-        // else is cross-wired debris from outside interference.
-        let mut merged: Vec<(u64, &[u8])> = Vec::new();
-        for (shard, records) in recovered.shard_records.iter().enumerate() {
-            for payload in records {
-                if payload.len() < 8 {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal record of {} bytes on shard {shard} is too short for a sequence \
-                         number",
-                        payload.len()
-                    )));
-                }
-                let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                if seq % num_shards as u64 != shard as u64 {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal record seq {seq} found on shard {shard}, expected shard {}",
-                        seq % num_shards as u64
-                    )));
-                }
-                merged.push((seq, payload));
-            }
+        for record in &replay.records {
+            service.apply(record, false);
         }
-        merged.sort_by_key(|&(seq, _)| seq);
-
-        // Replay the contiguous acknowledged prefix.  A *gap* means a
-        // group commit died between WAL fsyncs: everything at and past the
-        // gap was never acknowledged, so it is dropped (and the repair
-        // checkpoint below quarantines it with the old generation).
-        let mut next_seq = router.applied_seq;
-        let mut debris = false;
-        for &(seq, payload) in &merged {
-            if seq < router.applied_seq {
-                continue;
-            }
-            if seq != next_seq {
-                debris = true;
-                break;
-            }
-            let (_, record) = decode_record(payload)?;
-            service.apply(&record, false);
-            next_seq += 1;
-        }
-
-        let mut report = recovered.report;
-        report.records_replayed = (next_seq - router.applied_seq) as usize;
-
-        // Torn-group debris or a degraded recovery (fallback generation,
-        // unreadable WAL) both mean the committed WALs cannot simply be
-        // appended to: re-commit the replayed state as a fresh generation.
-        let wals = match (&recovered.wal_valid_lens, debris) {
-            (Some(valid_lens), false) => store.open_committed_wals(valid_lens)?,
-            _ => {
-                report.repair_checkpoint = true;
-                let (router, shards) = snapshot_parts(&service, next_seq);
-                store.commit(SHARDED_SNAPSHOT_TAG, &router, &shards)?
-            }
-        };
-        report.observe();
-        Ok(DurableShardedService {
-            service,
-            store,
-            wals,
-            next_seq,
-            retired_appends: 0,
-            retired_syncs: 0,
-            poisoned: false,
-            recovery: Some(report),
-        })
-    }
-
-    /// Errors out (typed, fatal) once the durable sequence is known to
-    /// have a gap; every mutating entry point funnels through this.
-    fn check_usable(&self) -> PersistResult<()> {
-        if self.poisoned {
-            return Err(PersistError::Corrupt(
-                "sharded WAL group commit failed part-way: the durable sequence has a gap; \
-                 recover the service from its directory"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The WAL a sequence number stripes to.
-    fn wal_of(&self, seq: u64) -> usize {
-        (seq % self.wals.len() as u64) as usize
-    }
-
-    /// Logs one record payload to its striped WAL and advances the
-    /// sequence.
-    fn append_one(&mut self, payload: Vec<u8>) -> PersistResult<()> {
-        self.check_usable()?;
-        let shard = self.wal_of(self.next_seq);
-        self.wals[shard].append(&payload)?;
-        self.next_seq += 1;
-        Ok(())
+        let (head, members) = snapshot_parts(&service);
+        let log = pending.finish(&head, &members)?;
+        Ok(DurableShardedService { service, log })
     }
 
     /// Logs an ingest batch, then applies it and publishes the post-batch
     /// view.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.append_one(encode_ingest_record(self.next_seq, profiles))?;
+        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
         Ok(self.service.ingest(profiles))
     }
 
     /// [`ingest`](DurableShardedService::ingest) without the feature /
     /// probability phase.
     pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.append_one(encode_ingest_record(self.next_seq, profiles))?;
+        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
         Ok(self.service.ingest_unscored(profiles))
     }
 
@@ -422,7 +215,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// invalid batch never poisons the log.
     pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
         self.service.assert_remove_batch(ids);
-        self.append_one(encode_remove_record(self.next_seq, ids))?;
+        self.log.append(|seq| encode_remove_record(seq, ids))?;
         Ok(self.service.remove(ids))
     }
 
@@ -430,7 +223,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// probability phase.
     pub fn remove_unscored(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
         self.service.assert_remove_batch(ids);
-        self.append_one(encode_remove_record(self.next_seq, ids))?;
+        self.log.append(|seq| encode_remove_record(seq, ids))?;
         Ok(self.service.remove_unscored(ids))
     }
 
@@ -441,7 +234,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// the WAL append.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
         self.service.assert_update_batch(updates);
-        self.append_one(encode_update_record(self.next_seq, updates))?;
+        self.log.append(|seq| encode_update_record(seq, updates))?;
         Ok(self.service.update(updates))
     }
 
@@ -452,7 +245,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         updates: &[(EntityId, EntityProfile)],
     ) -> PersistResult<DeltaBatch> {
         self.service.assert_update_batch(updates);
-        self.append_one(encode_update_record(self.next_seq, updates))?;
+        self.log.append(|seq| encode_update_record(seq, updates))?;
         Ok(self.service.update_unscored(updates))
     }
 
@@ -463,7 +256,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// The group is acknowledged as a unit: on `Ok`, every batch is
     /// durable and applied.  On `Err` nothing was applied; if some WAL in
     /// the group had already synced, the service poisons itself (see the
-    /// module docs) and must be recovered from its directory.
+    /// `MutationLog` docs) and must be recovered from its directory.
     ///
     /// # Panics
     /// Each batch is validated against the state the *preceding* batches
@@ -487,52 +280,26 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         ops: &[MutationRecord],
         score: bool,
     ) -> PersistResult<Vec<DeltaBatch>> {
-        self.check_usable()?;
+        self.log.check_usable()?;
         if ops.is_empty() {
             return Ok(Vec::new());
         }
         self.assert_group(ops);
+        let striped = self.log.append_group(ops)?;
 
-        // Stripe the encoded records over the WALs, then append each
-        // WAL's slice as one group (one write + one fsync).
-        let num_wals = self.wals.len();
-        let mut striped: Vec<Vec<Vec<u8>>> = vec![Vec::new(); num_wals];
-        for (i, op) in ops.iter().enumerate() {
-            let seq = self.next_seq + i as u64;
-            let payload = match op {
-                MutationRecord::Ingest(profiles) => encode_ingest_record(seq, profiles),
-                MutationRecord::Remove(ids) => encode_remove_record(seq, ids),
-                MutationRecord::Update(updates) => encode_update_record(seq, updates),
-            };
-            striped[(seq % num_wals as u64) as usize].push(payload);
-        }
-        let mut wrote_any = false;
-        let mut fsyncs = 0u64;
         let o = crate::obs::obs();
-        for (shard, group) in striped.iter().enumerate() {
+        for (shard, &records) in striped.iter().enumerate() {
             o.queue_depth
                 .with_label(&shard.to_string())
-                .set(group.len() as u64);
-            if group.is_empty() {
-                continue;
+                .set(records as u64);
+            if records > 0 {
+                o.wal_records.record(records as u64);
             }
-            let slices: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-            if let Err(e) = self.wals[shard].append_group(&slices) {
-                // A WAL earlier in the loop already fsynced its slice of
-                // the group: the durable sequence now has a gap.
-                if wrote_any {
-                    self.poisoned = true;
-                }
-                return Err(e);
-            }
-            wrote_any = true;
-            fsyncs += 1;
-            o.wal_records.record(group.len() as u64);
         }
         o.groups_applied.inc();
         o.group_batches.record(ops.len() as u64);
-        o.group_fsyncs.record(fsyncs);
-        self.next_seq += ops.len() as u64;
+        o.group_fsyncs
+            .record(striped.iter().filter(|&&records| records > 0).count() as u64);
         Ok(ops.iter().map(|op| self.service.apply(op, score)).collect())
     }
 
@@ -582,26 +349,16 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         }
     }
 
-    /// Folds the current WALs' counters into the retired totals before a
-    /// checkpoint replaces them.
-    fn retire_wal_counters(&mut self) {
-        for wal in &self.wals {
-            self.retired_appends += wal.appends();
-            self.retired_syncs += wal.syncs();
-        }
-    }
-
-    /// Commits a new generation: a router + per-shard snapshot set of the
+    /// Commits a new generation: a head + per-shard snapshot set of the
     /// current state, a fresh empty WAL per shard, and the single manifest
     /// flip that makes all of it the committed boundary atomically.
     pub fn checkpoint(&mut self) -> PersistResult<()> {
-        self.check_usable()?;
-        self.retire_wal_counters();
+        self.log.check_usable()?;
         let o = crate::obs::obs();
         o.checkpoints.inc();
         let timer = o.checkpoint_ns.start_timer();
-        let (router, shards) = snapshot_parts(&self.service, self.next_seq);
-        self.wals = self.store.commit(SHARDED_SNAPSHOT_TAG, &router, &shards)?;
+        let (head, members) = snapshot_parts(&self.service);
+        self.log.checkpoint(&head, &members)?;
         timer.observe();
         Ok(())
     }
@@ -610,7 +367,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// publishes it, and checkpoints so recovery starts from the compacted
     /// state.
     pub fn compact(&mut self) -> PersistResult<Arc<CsrBlockCollection>> {
-        self.check_usable()?;
+        self.log.check_usable()?;
         let baseline = self.service.compact();
         self.checkpoint()?;
         Ok(baseline)
@@ -624,45 +381,45 @@ impl<G: KeyGenerator> DurableShardedService<G> {
 
     /// Cumulative WAL record appends across all generations.
     pub fn wal_appends(&self) -> u64 {
-        self.retired_appends + self.wals.iter().map(WalWriter::appends).sum::<u64>()
+        self.log.wal_appends()
     }
 
     /// Cumulative WAL fsyncs across all generations — with group commit
     /// this grows by at most `num_shards` per applied group, not by the
     /// group's batch count.
     pub fn wal_syncs(&self) -> u64 {
-        self.retired_syncs + self.wals.iter().map(WalWriter::syncs).sum::<u64>()
+        self.log.wal_syncs()
     }
 
     /// Sequence number the next mutation batch will be logged under.
     pub fn wal_sequence(&self) -> u64 {
-        self.next_seq
+        self.log.next_seq()
     }
 
     /// What the recovery that produced this service had to do — `None`
     /// for a service created fresh by `persist_to`.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+        self.log.recovery_report()
     }
 
     /// The store's directory.
     pub fn dir(&self) -> &Path {
-        self.store.dir()
+        self.log.dir()
     }
 
     /// The stream fingerprint stamped on every snapshot and WAL.
     pub fn fingerprint(&self) -> u64 {
-        self.store.fingerprint()
+        self.log.fingerprint()
     }
 
     /// The committed snapshot generation.
     pub fn generation(&self) -> u64 {
-        self.store.committed()
+        self.log.generation()
     }
 
     /// Number of posting shards (and WALs).
     pub fn num_shards(&self) -> usize {
-        self.wals.len()
+        self.log.num_wals()
     }
 
     /// The wrapped service (read-only; mutations must go through the

@@ -221,8 +221,16 @@ fn run_trace<G: KeyGenerator + Clone>(
 }
 
 /// The exploration: enumerate the trace's ops, crash at every single one,
-/// recover, audit.
-fn explore<G: KeyGenerator + Clone>(dataset: &Dataset, generator: G, num_shards: usize, tag: &str) {
+/// recover, audit.  `expected_ops` pins the trace's VFS op count: the
+/// sharded write path must keep issuing exactly the syscalls it did before
+/// the unsharded wrappers moved onto the same store.
+fn explore<G: KeyGenerator + Clone>(
+    dataset: &Dataset,
+    generator: G,
+    num_shards: usize,
+    tag: &str,
+    expected_ops: u64,
+) {
     let threads = 2;
     let trace = build_trace(dataset);
     let all_mutations = mutations(&trace);
@@ -251,9 +259,9 @@ fn explore<G: KeyGenerator + Clone>(dataset: &Dataset, generator: G, num_shards:
     assert!(err.is_none(), "counting run failed: {err:?}");
     assert_eq!(acknowledged, all_mutations.len());
     let total_ops = counting.op_count();
-    assert!(
-        total_ops > 20 * num_shards as u64,
-        "{tag}: suspiciously few ops ({total_ops}) — is the VFS seam wired through?"
+    assert_eq!(
+        total_ops, expected_ops,
+        "{tag}: the trace's VFS op count moved"
     );
 
     for crash_at in 0..total_ops {
@@ -329,7 +337,7 @@ fn dirty_dataset() -> Dataset {
 
 #[test]
 fn every_crash_point_recovers_clean_clean_token_keys_three_shards() {
-    explore(&clean_clean_dataset(), TokenKeys, 3, "cc-token-3");
+    explore(&clean_clean_dataset(), TokenKeys, 3, "cc-token-3", 128);
 }
 
 #[test]
@@ -339,10 +347,11 @@ fn every_crash_point_recovers_dirty_suffix_keys_two_shards() {
         SuffixKeys::new(3, 12),
         2,
         "dirty-suffix-2",
+        102,
     );
 }
 
 #[test]
 fn every_crash_point_recovers_dirty_qgram_keys_four_shards() {
-    explore(&dirty_dataset(), QGramKeys::new(3), 4, "dirty-qgram-4");
+    explore(&dirty_dataset(), QGramKeys::new(3), 4, "dirty-qgram-4", 154);
 }

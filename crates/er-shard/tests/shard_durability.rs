@@ -8,6 +8,7 @@ use er_blocking::TokenKeys;
 use er_core::{Dataset, EntityId};
 use er_datasets::{dirty_catalog, generate_dirty, CatalogOptions};
 use er_features::FeatureSet;
+use er_persist::{FaultKind, FaultVfs, InjectedFault, OpKind, RetryPolicy};
 use er_shard::{DurableShardedService, ShardedStreamingService};
 use er_stream::{BlockIndex, MutationRecord, StreamingConfig};
 
@@ -290,4 +291,93 @@ fn epoch_readers_track_durable_mutations() {
     assert!(after.last_delta.is_some());
     durable.compact().unwrap();
     assert!(reader.load().last_delta.is_none());
+}
+
+#[test]
+fn a_failed_checkpoint_leaves_the_wal_counters_where_they_were() {
+    let ds = dataset();
+    let run = |vfs: std::sync::Arc<FaultVfs>, name: &str| {
+        let mut durable = ShardedStreamingService::new(config(&ds, 1), TokenKeys, 2)
+            .unwrap()
+            .persist_to_with(scratch(name), vfs, RetryPolicy::none())
+            .unwrap();
+        durable.ingest_unscored(&ds.profiles[..4]).unwrap();
+        durable.ingest_unscored(&ds.profiles[4..7]).unwrap();
+        durable
+    };
+
+    // The first fsync of the checkpoint (a shard snapshot) fails: the
+    // commit is refused, the service stays usable on its old WALs.
+    let counting = FaultVfs::counting(53);
+    let mut clean = run(counting.clone(), "counter_drift_count");
+    let ops_before = counting.op_count() as usize;
+    clean.checkpoint().unwrap();
+    let failing_sync = counting.op_log()[ops_before..]
+        .iter()
+        .position(|(kind, _)| *kind == OpKind::SyncFile)
+        .unwrap();
+    let vfs = FaultVfs::with_faults(
+        53,
+        vec![InjectedFault {
+            at_op: (ops_before + failing_sync) as u64,
+            kind: FaultKind::SyncFailure,
+        }],
+    );
+    let mut durable = run(vfs, "counter_drift");
+    let counters = (durable.wal_appends(), durable.wal_syncs());
+    assert_eq!(counters, (2, 2));
+    durable
+        .checkpoint()
+        .expect_err("the injected fsync failure");
+    assert_eq!((durable.wal_appends(), durable.wal_syncs()), counters);
+    assert_eq!(durable.generation(), 0);
+
+    // The next checkpoint succeeds and retires the old WALs exactly once.
+    durable.checkpoint().unwrap();
+    assert_eq!((durable.wal_appends(), durable.wal_syncs()), counters);
+    durable.ingest_unscored(&ds.profiles[7..9]).unwrap();
+    assert_eq!((durable.wal_appends(), durable.wal_syncs()), (3, 3));
+    assert_eq!(durable.generation(), 1);
+}
+
+#[test]
+fn a_root_whose_files_carry_another_fingerprint_is_refused_expected_first() {
+    // A filesystem restore mixes two streams: every file of root B is
+    // consistent with itself and its manifest, but the state inside is
+    // stream A's (same shard count, another dataset name).
+    let ds = dataset();
+    let (a, b) = (scratch("fingerprint_a"), scratch("fingerprint_b"));
+    let persist = |name: &str, dir: &std::path::Path| {
+        let config = StreamingConfig {
+            dataset_name: name.into(),
+            ..config(&ds, 1)
+        };
+        ShardedStreamingService::new(config, TokenKeys, 2)
+            .unwrap()
+            .persist_to(dir)
+            .unwrap()
+            .fingerprint()
+    };
+    let (of_a, of_b) = (persist("stream-a", &a), persist("stream-b", &b));
+    assert_ne!(of_a, of_b);
+
+    // Graft A's snapshot *bodies* under B's headers: the fingerprint field
+    // (bytes 16..24 of a snapshot header) is outside the payload checksum.
+    for file in [
+        "router.000000.gsmb",
+        "shard.000.000000.gsmb",
+        "shard.001.000000.gsmb",
+    ] {
+        let mut bytes = std::fs::read(a.join(file)).unwrap();
+        bytes[16..24].copy_from_slice(&of_b.to_le_bytes());
+        std::fs::write(b.join(file), bytes).unwrap();
+    }
+    match DurableShardedService::recover_from(&b, TokenKeys, 1) {
+        Err(er_core::PersistError::FingerprintMismatch { expected, found }) => {
+            // `expected` is what the recovered state implies, `found` what
+            // the root's files carry — as in the other wrappers.
+            assert_eq!((expected, found), (of_a, of_b));
+        }
+        other => panic!("expected a fingerprint mismatch, got {other:?}"),
+    }
 }

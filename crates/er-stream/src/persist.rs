@@ -1,46 +1,48 @@
-//! Durability for the streaming meta-blocker: generational snapshots + a
-//! write-ahead log, on top of a fault-injectable VFS seam.
+//! Durability for streaming state: the one **mutation-log protocol** every
+//! durable wrapper runs, and the first of its three faces.
 //!
-//! A durability root is one [`GenerationStore`] directory:
+//! A durability root is one [`ShardStore`] directory (layout, commit
+//! sequence and fallback chain: see `er_persist::multi`): a *head* snapshot,
+//! N ≥ 1 *member* snapshots — each a complete [`StreamingIndex`] — and one
+//! write-ahead log per member.  [`MutationLog`] is the only code that
+//! speaks the protocol on top of it:
 //!
-//! * `snapshot.<gen>.gsmb` — atomic point-in-time images of the complete
-//!   [`StreamingIndex`] (written by [`er_persist::snapshot`]), stamped with
-//!   the stream fingerprint and the WAL sequence number each one covers;
-//!   the two newest generations are retained so a corrupt newest snapshot
-//!   still recovers from the previous one;
-//! * `wal.<gen>.gsmb` — the write-ahead log of mutation batches for each
-//!   generation.  Every
-//!   [`DurableMetaBlocker::ingest`]/[`remove`](DurableMetaBlocker::remove)/
-//!   [`update`](DurableMetaBlocker::update) appends its **input** (the
-//!   profiles, ids or re-keyed profiles) *before* touching the in-memory
-//!   index;
-//! * `MANIFEST` — the checksummed, atomically rewritten commit pointer.
+//! * **log, then apply.**  Every mutation batch is appended as its
+//!   **input** (profiles, ids or re-keyed profiles) under a global sequence
+//!   number *before* the in-memory state is touched; record `seq` lives on
+//!   WAL `seq % N`.  A group of batches costs one write + one fsync per
+//!   touched WAL; a group that fails after some WAL already synced leaves a
+//!   durable sequence *gap*, so the log **poisons** itself and refuses
+//!   every later append or checkpoint.
+//! * **checkpoint.**  Head and members are written under one envelope —
+//!   the sequence number the image covers (`applied_seq`), plus each
+//!   member's ordinal — and committed as a new generation with fresh WALs.
+//!   A crash anywhere inside the commit leaves the old generation intact.
+//! * **recover.**  Load the newest readable generation, check that every
+//!   member sits on the head's boundary, merge the per-WAL chains back into
+//!   sequence order, skip records the image already covers and hand the
+//!   contiguous rest to the wrapper to replay.  Because the streaming
+//!   engine is deterministic, replaying the inputs reproduces the state
+//!   bit-identically, for any thread count.  A crash leaves one of three
+//!   shapes, all handled: between batches (exact history); between the
+//!   append and the apply (the record is on disk, so replay applies it);
+//!   mid-append (the torn tail fails its frame and is truncated away).  A
+//!   gap on a multi-WAL root is the debris of a torn group — nothing at or
+//!   past it was acknowledged — so replay stops there; on a single WAL it
+//!   cannot be debris and is `Corrupt`.  After a degraded recovery
+//!   (fallback generation, rebuilt manifest, missing WAL) or debris the
+//!   log commits a **repair checkpoint** instead of reopening the old
+//!   WALs; the episode is accounted for in the [`RecoveryReport`].
 //!
-//! Because the streaming engine is deterministic — the same mutation
-//! sequence always produces bit-identical state, for any thread count —
-//! recovery is *load the newest readable snapshot generation, replay the
-//! WAL chain through the same code paths*.  A crash at any point leaves
-//! one of three shapes, all handled:
+//! The wrappers own only what is theirs — the head's contents, how to
+//! rebuild their state from `(head, members)`, validating a batch *before*
+//! it is logged, and whether replay scores:
 //!
-//! * between batches: snapshot + WAL chain replay the exact history;
-//! * between the WAL append and the in-memory apply (the classic
-//!   write-ahead window): the record is on disk, so replay applies it —
-//!   recovery lands on the state the batch *would* have produced;
-//! * mid-append: the torn tail fails its length/checksum frame, recovery
-//!   stops at the previous boundary and truncates the tail away.
-//!
-//! If the newest snapshot generation is corrupt, recovery quarantines it,
-//! falls back to the previous generation, replays the longer WAL chain,
-//! and immediately commits a repair checkpoint; the whole episode is
-//! accounted for in the [`RecoveryReport`] available from
-//! [`DurableMetaBlocker::recovery_report`].
-//!
-//! [`DurableMetaBlocker::compact`] is the log's GC point: it folds the
-//! deltas and commits a new generation (snapshot carrying the current
-//! sequence number + fresh empty WAL + manifest flip).  A crash anywhere
-//! inside the commit is benign — the manifest still points at the old
-//! generation, whose snapshot and WAL are intact; replayed records with a
-//! sequence below a snapshot's are skipped.
+//! | wrapper | head | members | replay |
+//! |---|---|---|---|
+//! | [`DurableMetaBlocker`] | feature-set id | the index | unscored |
+//! | `meta_blocking::DurableStreamingPipeline` | + model, schedule, cleaned pool | the index | scored |
+//! | `er_shard::DurableShardedService` | feature-set id, router state | one per posting shard | unscored |
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -50,8 +52,8 @@ use er_core::{crc64, EntityId, EntityProfile, PersistError, PersistResult};
 use er_features::FeatureSet;
 use er_learn::ProbabilisticClassifier;
 use er_persist::{
-    decode_snapshot_payload, generation, Decode, Encode, GenerationStore, Reader, RecoveryReport,
-    RetryPolicy, StdVfs, Vfs, WalWriter, Writer,
+    committed_shard_generation, shard_snapshot_path, shard_wal_path, Decode, Encode, Reader,
+    RecoveryReport, RetryPolicy, ShardStore, StdVfs, Vfs, WalWriter, Writer,
 };
 
 use crate::blocker::{DeltaBatch, StreamingMetaBlocker};
@@ -60,19 +62,19 @@ use crate::index::StreamingIndex;
 /// Snapshot payload tag for streaming-blocker snapshots.
 pub const BLOCKER_SNAPSHOT_TAG: u32 = 0x5349_4458; // "SIDX"
 
-/// The snapshot file of one generation inside a durability root.
+/// The index snapshot (member 0) of one generation of an unsharded root.
 pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
-    generation::snapshot_path(dir, generation)
+    shard_snapshot_path(dir, 0, generation)
 }
 
-/// The write-ahead log of one generation inside a durability root.
+/// The write-ahead log of one generation of an unsharded root.
 pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
-    generation::wal_path(dir, generation)
+    shard_wal_path(dir, 0, generation)
 }
 
 /// The committed generation recorded in a durability root's manifest.
 pub fn committed_generation(dir: &Path) -> PersistResult<u64> {
-    generation::committed_generation(dir)
+    committed_shard_generation(dir)
 }
 
 /// The fingerprint tying a snapshot and WAL to one logical stream: a
@@ -163,6 +165,15 @@ pub fn encode_update_record(seq: u64, updates: &[(EntityId, EntityProfile)]) -> 
     w.into_bytes()
 }
 
+/// Encodes any record payload (`seq` + tagged batch).
+pub fn encode_record(seq: u64, record: &MutationRecord) -> Vec<u8> {
+    match record {
+        MutationRecord::Ingest(profiles) => encode_ingest_record(seq, profiles),
+        MutationRecord::Remove(ids) => encode_remove_record(seq, ids),
+        MutationRecord::Update(updates) => encode_update_record(seq, updates),
+    }
+}
+
 /// Decodes one WAL record payload into its sequence number and mutation.
 pub fn decode_record(bytes: &[u8]) -> PersistResult<(u64, MutationRecord)> {
     let mut r = Reader::new(bytes);
@@ -172,77 +183,413 @@ pub fn decode_record(bytes: &[u8]) -> PersistResult<(u64, MutationRecord)> {
     Ok((seq, record))
 }
 
-/// Replays validated WAL record payloads through `apply`: records below
-/// `applied_seq` (already folded into the snapshot by a compaction whose
-/// WAL truncation was interrupted) are skipped, the rest must be
-/// contiguous.  Returns the next sequence number — the one the recovered
-/// writer appends under.  Shared by the blocker- and pipeline-level
-/// recoveries so replay semantics cannot diverge.
-pub fn replay_wal_records(
-    records: &[Vec<u8>],
-    applied_seq: u64,
-    mut apply: impl FnMut(MutationRecord),
-) -> PersistResult<u64> {
-    let mut next_seq = applied_seq;
-    for payload in records {
-        let (seq, record) = decode_record(payload)?;
-        if seq < applied_seq {
-            continue;
-        }
-        if seq != next_seq {
-            return Err(PersistError::Corrupt(format!(
-                "wal sequence gap: expected record {next_seq}, found {seq}"
-            )));
-        }
-        apply(record);
-        next_seq += 1;
-    }
-    Ok(next_seq)
+/// Decodes the feature-set id every wrapper's head starts with.
+pub fn decode_feature_set(r: &mut Reader<'_>) -> PersistResult<FeatureSet> {
+    FeatureSet::from_id(r.read_u8()?)
+        .ok_or_else(|| PersistError::Corrupt("feature-set id 0 is not valid".into()))
 }
 
-/// The snapshot payload of a durable blocker: the WAL sequence number the
-/// image covers (records below it are already folded in), the feature-set
-/// id, and the complete index state.
-struct BlockerSnapshot<'a> {
+/// The head snapshot on disk: the commit's batch boundary, then whatever
+/// the wrapper keeps outside the members.
+struct HeadEnvelope<'a, H> {
     applied_seq: u64,
-    feature_set: FeatureSet,
+    head: &'a H,
+}
+
+impl<H: Encode> Encode for HeadEnvelope<'_, H> {
+    fn encode(&self, w: &mut Writer) {
+        w.write_u64(self.applied_seq);
+        self.head.encode(w);
+    }
+}
+
+/// One member snapshot on disk.  Every member of a generation set carries
+/// its ordinal and the same `applied_seq` as the head; recovery
+/// cross-checks both so a mixed set (two half-finished commits spliced by a
+/// filesystem restore) is rejected as corrupt rather than replayed.
+struct MemberEnvelope<'a> {
+    ordinal: u32,
+    applied_seq: u64,
     index: &'a StreamingIndex,
 }
 
-impl Encode for BlockerSnapshot<'_> {
+impl Encode for MemberEnvelope<'_> {
     fn encode(&self, w: &mut Writer) {
+        w.write_u32(self.ordinal);
         w.write_u64(self.applied_seq);
-        w.write_u8(self.feature_set.id());
         self.index.encode(w);
     }
 }
 
-/// Owned decode target of [`BlockerSnapshot`].
-struct BlockerSnapshotOwned {
+/// The snapshot set of the current state, stamped with one batch boundary
+/// — what `create` and every checkpoint commit.
+fn envelopes<'a, H>(
     applied_seq: u64,
-    feature_set: FeatureSet,
-    index: StreamingIndex,
+    head: &'a H,
+    members: &[&'a StreamingIndex],
+) -> (HeadEnvelope<'a, H>, Vec<MemberEnvelope<'a>>) {
+    let members = members
+        .iter()
+        .enumerate()
+        .map(|(i, &index)| MemberEnvelope {
+            ordinal: i as u32,
+            applied_seq,
+            index,
+        });
+    (HeadEnvelope { applied_seq, head }, members.collect())
 }
 
-impl Decode for BlockerSnapshotOwned {
-    fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        let applied_seq = r.read_u64()?;
-        let feature_set = FeatureSet::from_id(r.read_u8()?)
-            .ok_or_else(|| PersistError::Corrupt("feature-set id 0 is not valid".into()))?;
-        let index = StreamingIndex::decode(r)?;
-        Ok(BlockerSnapshotOwned {
-            applied_seq,
-            feature_set,
-            index,
-        })
+/// What [`MutationLog::recover`] hands the wrapper to rebuild its state
+/// from: the head bytes (without the envelope), the members in ordinal
+/// order, and the acknowledged records the image does not cover yet, in
+/// sequence order.
+#[derive(Debug)]
+pub struct Replay {
+    /// The wrapper's head, exactly as it encoded it.
+    pub head: Vec<u8>,
+    /// The recovered member indexes, in ordinal order.
+    pub members: Vec<StreamingIndex>,
+    /// The mutations to re-apply, oldest first.
+    pub records: Vec<MutationRecord>,
+    /// The stream fingerprint the root carries.
+    pub fingerprint: u64,
+}
+
+impl Replay {
+    /// Refuses the root unless the fingerprint recomputed from the
+    /// recovered state (`expected`) is the one stamped on its files.
+    pub fn verify_fingerprint(&self, expected: u64) -> PersistResult<()> {
+        if expected != self.fingerprint {
+            return Err(PersistError::FingerprintMismatch {
+                expected,
+                found: self.fingerprint,
+            });
+        }
+        Ok(())
+    }
+
+    /// The single member of an unsharded root.
+    pub fn take_only_member(&mut self) -> PersistResult<StreamingIndex> {
+        match self.members.pop() {
+            Some(index) if self.members.is_empty() => Ok(index),
+            _ => Err(PersistError::Corrupt(
+                "an unsharded root holds exactly one member".into(),
+            )),
+        }
+    }
+}
+
+/// A recovered root between [`MutationLog::recover`] and the wrapper having
+/// replayed the records: [`finish`](PendingLog::finish) opens it for
+/// appending.
+#[derive(Debug)]
+pub struct PendingLog {
+    log: MutationLog,
+    /// Valid lengths to reopen the committed WALs at; `None` when the old
+    /// WALs cannot simply be appended to (degraded recovery or torn-group
+    /// debris) and the replayed state is re-committed instead.
+    reopen: Option<Vec<u64>>,
+    report: RecoveryReport,
+}
+
+impl PendingLog {
+    /// Reopens the committed WALs — or commits the repair checkpoint of the
+    /// replayed state, restoring full snapshot redundancy and leaving any
+    /// debris behind with the old generation — and publishes the report.
+    pub fn finish(
+        mut self,
+        head: &impl Encode,
+        members: &[&StreamingIndex],
+    ) -> PersistResult<MutationLog> {
+        match &self.reopen {
+            Some(valid_lens) => self.log.wals = self.log.store.open_committed_wals(valid_lens)?,
+            None => {
+                self.report.repair_checkpoint = true;
+                self.log.checkpoint(head, members)?;
+            }
+        }
+        self.report.observe();
+        self.log.recovery = Some(self.report);
+        Ok(self.log)
+    }
+}
+
+/// The write-ahead protocol over one [`ShardStore`] root (see the module
+/// docs): the store, its open WALs, the sequence counter and the poison
+/// flag.  Knows nothing about the state it protects beyond "a head and N
+/// [`StreamingIndex`] members".
+#[derive(Debug)]
+pub struct MutationLog {
+    store: ShardStore,
+    payload_tag: u32,
+    wals: Vec<WalWriter>,
+    /// Sequence number of the next WAL record to append.
+    next_seq: u64,
+    /// Append / fsync counts of WALs already retired by checkpoints, so
+    /// the totals stay cumulative across generations.
+    retired_appends: u64,
+    retired_syncs: u64,
+    /// Set when a group append failed after some WAL in the group had
+    /// already synced: the durable sequence has a gap, and appending more
+    /// records would interleave acknowledged writes with debris.
+    poisoned: bool,
+    recovery: Option<RecoveryReport>,
+}
+
+impl MutationLog {
+    /// Commits generation 0 of a fresh root in `dir`: head, one snapshot
+    /// and one empty WAL per member, manifest.
+    pub fn create(
+        dir: &Path,
+        vfs: Arc<dyn Vfs>,
+        policy: RetryPolicy,
+        payload_tag: u32,
+        fingerprint: u64,
+        head: &impl Encode,
+        members: &[&StreamingIndex],
+    ) -> PersistResult<Self> {
+        let (head, members) = envelopes(0, head, members);
+        let (store, wals) =
+            ShardStore::create(vfs, policy, dir, payload_tag, fingerprint, &head, &members)?;
+        Ok(MutationLog::over(store, payload_tag, wals, 0))
+    }
+
+    fn over(store: ShardStore, payload_tag: u32, wals: Vec<WalWriter>, next_seq: u64) -> Self {
+        MutationLog {
+            store,
+            payload_tag,
+            wals,
+            next_seq,
+            retired_appends: 0,
+            retired_syncs: 0,
+            poisoned: false,
+            recovery: None,
+        }
+    }
+
+    /// Recovers the root in `dir`: loads the newest readable generation
+    /// set, validates its envelopes and returns the state to rebuild from
+    /// plus the acknowledged records to replay.  The wrapper rebuilds,
+    /// [verifies the fingerprint](Replay::verify_fingerprint), replays and
+    /// then calls [`PendingLog::finish`].
+    pub fn recover(
+        dir: &Path,
+        vfs: Arc<dyn Vfs>,
+        policy: RetryPolicy,
+        payload_tag: u32,
+    ) -> PersistResult<(PendingLog, Replay)> {
+        let (store, mut recovered) = ShardStore::recover(vfs, policy, dir, payload_tag, None)?;
+        let applied_seq = Reader::new(&recovered.router_payload).read_u64()?;
+        let head = recovered.router_payload.split_off(8);
+
+        let mut members = Vec::with_capacity(recovered.shard_payloads.len());
+        for (i, payload) in recovered.shard_payloads.iter().enumerate() {
+            let mut r = Reader::new(payload);
+            let (ordinal, member_seq) = (r.read_u32()?, r.read_u64()?);
+            if ordinal != i as u32 {
+                return Err(PersistError::Corrupt(format!(
+                    "member snapshot {i} carries ordinal {ordinal}"
+                )));
+            }
+            if member_seq != applied_seq {
+                return Err(PersistError::Corrupt(format!(
+                    "generation set is not a single commit boundary: member {i} snapshot at seq \
+                     {member_seq} but head at seq {applied_seq}"
+                )));
+            }
+            members.push(StreamingIndex::decode(&mut r)?);
+            r.expect_end()?;
+        }
+
+        // Merge the per-WAL chains back into one sequence.  Each record
+        // must live on the WAL its sequence number stripes to; anything
+        // else is cross-wired debris from outside interference.
+        let num_wals = recovered.shard_records.len() as u64;
+        let mut merged: Vec<(u64, &[u8])> = Vec::new();
+        for (wal, payloads) in recovered.shard_records.iter().enumerate() {
+            for payload in payloads {
+                let Some(seq) = payload.first_chunk::<8>() else {
+                    return Err(PersistError::Corrupt(format!(
+                        "wal record of {} bytes on wal {wal} is too short for a sequence number",
+                        payload.len()
+                    )));
+                };
+                let seq = u64::from_le_bytes(*seq);
+                if seq % num_wals != wal as u64 {
+                    return Err(PersistError::Corrupt(format!(
+                        "wal record seq {seq} found on wal {wal}, expected wal {}",
+                        seq % num_wals
+                    )));
+                }
+                merged.push((seq, payload));
+            }
+        }
+        merged.sort_by_key(|&(seq, _)| seq);
+
+        // The contiguous acknowledged prefix, past what the image covers
+        // (a checkpoint whose WAL truncation was interrupted leaves such
+        // records behind).  A *gap* on a multi-WAL root means a group
+        // commit died between WAL fsyncs: everything at and past it was
+        // never acknowledged and is dropped.
+        let mut records = Vec::new();
+        let mut next_seq = applied_seq;
+        let mut debris = false;
+        for &(seq, payload) in &merged {
+            if seq < applied_seq {
+                continue;
+            }
+            if seq != next_seq {
+                if num_wals == 1 {
+                    return Err(PersistError::Corrupt(format!(
+                        "wal sequence gap: expected record {next_seq}, found {seq}"
+                    )));
+                }
+                debris = true;
+                break;
+            }
+            records.push(decode_record(payload)?.1);
+            next_seq += 1;
+        }
+
+        let mut report = recovered.report;
+        report.records_replayed = records.len();
+        let replay = Replay {
+            head,
+            members,
+            records,
+            fingerprint: recovered.fingerprint,
+        };
+        let pending = PendingLog {
+            log: MutationLog::over(store, payload_tag, Vec::new(), next_seq),
+            reopen: recovered.wal_valid_lens.filter(|_| !debris),
+            report,
+        };
+        Ok((pending, replay))
+    }
+
+    /// Errors out (typed, fatal) once the durable sequence is known to
+    /// have a gap; every mutating entry point funnels through this.
+    pub fn check_usable(&self) -> PersistResult<()> {
+        if self.poisoned {
+            return Err(PersistError::Corrupt(
+                "WAL group commit failed part-way: the durable sequence has a gap; recover from \
+                 the root directory"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Logs one record — `encode` builds its payload for the sequence
+    /// number it is given — to the WAL it stripes to, and returns that
+    /// number.  On `Err` nothing was logged and the sequence did not move.
+    pub fn append(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> PersistResult<u64> {
+        self.check_usable()?;
+        let seq = self.next_seq;
+        let wal = (seq % self.wals.len() as u64) as usize;
+        self.wals[wal].append(&encode(seq))?;
+        self.next_seq += 1;
+        Ok(seq)
+    }
+
+    /// Group commit: logs a queue of records with **one write and one fsync
+    /// per touched WAL**, acknowledged as a unit.  Returns how many records
+    /// each WAL received.  On `Err` none is acknowledged; if some WAL had
+    /// already synced its slice the log poisons itself.
+    pub fn append_group(&mut self, ops: &[MutationRecord]) -> PersistResult<Vec<usize>> {
+        self.check_usable()?;
+        let num_wals = self.wals.len();
+        let mut striped: Vec<Vec<Vec<u8>>> = vec![Vec::new(); num_wals];
+        for (seq, op) in (self.next_seq..).zip(ops) {
+            striped[(seq % num_wals as u64) as usize].push(encode_record(seq, op));
+        }
+        let mut wrote_any = false;
+        for (wal, group) in self.wals.iter_mut().zip(&striped) {
+            if group.is_empty() {
+                continue;
+            }
+            let slices: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+            if let Err(e) = wal.append_group(&slices) {
+                // If a WAL earlier in the loop already fsynced its slice,
+                // the durable sequence now has a gap.
+                self.poisoned = wrote_any;
+                return Err(e);
+            }
+            wrote_any = true;
+        }
+        self.next_seq += ops.len() as u64;
+        Ok(striped.iter().map(Vec::len).collect())
+    }
+
+    /// Commits a new generation: head + member snapshots of the current
+    /// state stamped with the current sequence number, a fresh empty WAL
+    /// per member, and the single manifest flip.  Until the manifest flips
+    /// recovery uses the previous generation, whose files are untouched;
+    /// afterwards stale records are skipped by their sequence numbers.  A
+    /// failed commit leaves the log (and its counters) as it was.
+    pub fn checkpoint(
+        &mut self,
+        head: &impl Encode,
+        members: &[&StreamingIndex],
+    ) -> PersistResult<()> {
+        self.check_usable()?;
+        let (head, members) = envelopes(self.next_seq, head, members);
+        let wals = self.store.commit(self.payload_tag, &head, &members)?;
+        for retired in std::mem::replace(&mut self.wals, wals) {
+            self.retired_appends += retired.appends();
+            self.retired_syncs += retired.syncs();
+        }
+        Ok(())
+    }
+
+    /// The durability root directory.
+    pub fn dir(&self) -> &Path {
+        self.store.dir()
+    }
+
+    /// The stream fingerprint stamped on every snapshot and WAL.
+    pub fn fingerprint(&self) -> u64 {
+        self.store.fingerprint()
+    }
+
+    /// The committed snapshot generation.
+    pub fn generation(&self) -> u64 {
+        self.store.committed()
+    }
+
+    /// Sequence number the next mutation batch will be logged under.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Number of members (and WALs).
+    pub fn num_wals(&self) -> usize {
+        self.wals.len()
+    }
+
+    /// Cumulative WAL record appends across all generations.
+    pub fn wal_appends(&self) -> u64 {
+        self.retired_appends + self.wals.iter().map(WalWriter::appends).sum::<u64>()
+    }
+
+    /// Cumulative WAL fsyncs across all generations.
+    pub fn wal_syncs(&self) -> u64 {
+        self.retired_syncs + self.wals.iter().map(WalWriter::syncs).sum::<u64>()
+    }
+
+    /// What the recovery that produced this log had to do — `None` for a
+    /// root created fresh.
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
 }
 
 /// A [`StreamingMetaBlocker`] with crash durability: every mutation batch
-/// is appended to the write-ahead log before it is applied, and
+/// is appended to the [`MutationLog`] before it is applied, and
 /// [`compact`](DurableMetaBlocker::compact) /
-/// [`checkpoint`](DurableMetaBlocker::checkpoint) write atomic snapshots
-/// that truncate the log.
+/// [`checkpoint`](DurableMetaBlocker::checkpoint) commit snapshots that
+/// truncate the log.  Its head is the feature-set id, its one member the
+/// index; replay runs the unscored paths.
 ///
 /// Created by [`StreamingMetaBlocker::persist_to`] (fresh root) or
 /// [`DurableMetaBlocker::recover_from`] (snapshot + WAL-tail replay).  The
@@ -251,21 +598,16 @@ impl Decode for BlockerSnapshotOwned {
 /// traces, schemes, ER kinds, thread counts and kill points.
 pub struct DurableMetaBlocker<G: KeyGenerator> {
     blocker: StreamingMetaBlocker<G>,
-    store: GenerationStore,
-    wal: WalWriter,
-    /// Sequence number of the next WAL record to append.
-    next_seq: u64,
-    /// The report of the recovery that produced this blocker, if any.
-    recovery: Option<RecoveryReport>,
+    log: MutationLog,
 }
 
 impl<G: KeyGenerator> std::fmt::Debug for DurableMetaBlocker<G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableMetaBlocker")
-            .field("dir", &self.store.dir())
-            .field("fingerprint", &self.store.fingerprint())
-            .field("generation", &self.store.committed())
-            .field("next_seq", &self.next_seq)
+            .field("dir", &self.log.dir())
+            .field("fingerprint", &self.log.fingerprint())
+            .field("generation", &self.log.generation())
+            .field("next_seq", &self.log.next_seq())
             .field("num_entities", &self.blocker.num_entities())
             .finish_non_exhaustive()
     }
@@ -273,7 +615,7 @@ impl<G: KeyGenerator> std::fmt::Debug for DurableMetaBlocker<G> {
 
 impl<G: KeyGenerator> StreamingMetaBlocker<G> {
     /// Makes this blocker durable, rooted at `dir`: writes generation 0
-    /// (initial snapshot + fresh write-ahead log + manifest) on the
+    /// (initial snapshots + fresh write-ahead log + manifest) on the
     /// production filesystem.
     pub fn persist_to(self, dir: impl AsRef<Path>) -> PersistResult<DurableMetaBlocker<G>> {
         self.persist_to_with(dir, StdVfs::arc(), RetryPolicy::default_write())
@@ -288,37 +630,26 @@ impl<G: KeyGenerator> StreamingMetaBlocker<G> {
         vfs: Arc<dyn Vfs>,
         policy: RetryPolicy,
     ) -> PersistResult<DurableMetaBlocker<G>> {
-        let fingerprint = stream_fingerprint(self.index());
-        let (store, wal) = GenerationStore::create(
+        let log = MutationLog::create(
+            dir.as_ref(),
             vfs,
             policy,
-            dir.as_ref(),
             BLOCKER_SNAPSHOT_TAG,
-            fingerprint,
-            &BlockerSnapshot {
-                applied_seq: 0,
-                feature_set: self.feature_set(),
-                index: self.index(),
-            },
+            stream_fingerprint(self.index()),
+            &self.feature_set().id(),
+            &[self.index()],
         )?;
-        Ok(DurableMetaBlocker {
-            blocker: self,
-            store,
-            wal,
-            next_seq: 0,
-            recovery: None,
-        })
+        Ok(DurableMetaBlocker { blocker: self, log })
     }
 }
 
 impl<G: KeyGenerator> DurableMetaBlocker<G> {
     /// Recovers a durable blocker from its root on the production
     /// filesystem: loads the newest readable snapshot generation and
-    /// replays the WAL chain (records at or beyond the snapshot's sequence
-    /// number) through the deterministic mutation engine.  A torn final
-    /// record — the artefact of a crash mid-append — is truncated away; a
-    /// corrupt newest generation is quarantined and the previous one used
-    /// instead; any other damage is a typed error.
+    /// replays the WAL chain through the deterministic mutation engine.  A
+    /// torn final record — the artefact of a crash mid-append — is
+    /// truncated away; a corrupt newest generation is quarantined and the
+    /// previous one used instead; any other damage is a typed error.
     pub fn recover_from(
         dir: impl AsRef<Path>,
         generator: G,
@@ -343,68 +674,27 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
         generator: G,
         threads: usize,
     ) -> PersistResult<Self> {
-        let (mut store, recovered) =
-            GenerationStore::recover(vfs, policy, dir.as_ref(), BLOCKER_SNAPSHOT_TAG, None)?;
-        let snapshot: BlockerSnapshotOwned = decode_snapshot_payload(&recovered.payload)?;
-        let fingerprint = stream_fingerprint(&snapshot.index);
-        if fingerprint != recovered.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: fingerprint,
-                found: recovered.fingerprint,
-            });
-        }
-        let mut blocker = StreamingMetaBlocker::from_recovered(
-            snapshot.index,
-            generator,
-            snapshot.feature_set,
-            threads,
-        )?;
+        let (pending, mut replay) =
+            MutationLog::recover(dir.as_ref(), vfs, policy, BLOCKER_SNAPSHOT_TAG)?;
+        let mut head = Reader::new(&replay.head);
+        let feature_set = decode_feature_set(&mut head)?;
+        head.expect_end()?;
+        let index = replay.take_only_member()?;
+        replay.verify_fingerprint(stream_fingerprint(&index))?;
+        let mut blocker =
+            StreamingMetaBlocker::from_recovered(index, generator, feature_set, threads)?;
         // Replay through the unscored paths: index state, statistics and
         // LCP counters move exactly as in the original (scored) run; only
         // the already-delivered emissions are skipped.
-        let next_seq =
-            replay_wal_records(
-                &recovered.records,
-                snapshot.applied_seq,
-                |record| match record {
-                    MutationRecord::Ingest(profiles) => {
-                        blocker.ingest_impl(&profiles, false);
-                    }
-                    MutationRecord::Remove(ids) => {
-                        blocker.remove_impl(&ids, false);
-                    }
-                    MutationRecord::Update(updates) => {
-                        blocker.update_impl(&updates, false);
-                    }
-                },
-            )?;
-        let mut report = recovered.report;
-        report.records_replayed = (next_seq - snapshot.applied_seq) as usize;
-        // A degraded recovery (fallback generation, rebuilt manifest,
-        // missing WAL) immediately commits a repair checkpoint of the
-        // replayed state, restoring full snapshot redundancy.
-        let wal = match recovered.wal_valid_len {
-            Some(valid_len) if !recovered.degraded => store.open_committed_wal(valid_len)?,
-            _ => {
-                report.repair_checkpoint = true;
-                store.commit(
-                    BLOCKER_SNAPSHOT_TAG,
-                    &BlockerSnapshot {
-                        applied_seq: next_seq,
-                        feature_set: blocker.feature_set(),
-                        index: blocker.index(),
-                    },
-                )?
-            }
-        };
-        report.observe();
-        Ok(DurableMetaBlocker {
-            blocker,
-            store,
-            wal,
-            next_seq,
-            recovery: Some(report),
-        })
+        for record in &replay.records {
+            match record {
+                MutationRecord::Ingest(profiles) => blocker.ingest_impl(profiles, false),
+                MutationRecord::Remove(ids) => blocker.remove_impl(ids, false),
+                MutationRecord::Update(updates) => blocker.update_impl(updates, false),
+            };
+        }
+        let log = pending.finish(&feature_set.id(), &[blocker.index()])?;
+        Ok(DurableMetaBlocker { blocker, log })
     }
 
     /// Attaches the classifier scoring future delta pairs.
@@ -415,28 +705,28 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
 
     /// The durability root directory.
     pub fn dir(&self) -> &Path {
-        self.store.dir()
+        self.log.dir()
     }
 
     /// The stream fingerprint stamped on the snapshots and WALs.
     pub fn fingerprint(&self) -> u64 {
-        self.store.fingerprint()
+        self.log.fingerprint()
     }
 
     /// The committed snapshot generation.
     pub fn generation(&self) -> u64 {
-        self.store.committed()
+        self.log.generation()
     }
 
     /// What the recovery that produced this blocker had to do — `None`
     /// for a blocker created fresh by `persist_to`.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+        self.log.recovery_report()
     }
 
     /// Sequence number the next mutation batch will be logged under.
     pub fn wal_sequence(&self) -> u64 {
-        self.next_seq
+        self.log.next_seq()
     }
 
     /// The wrapped blocker (read-only; mutations must go through the
@@ -472,23 +762,16 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
         self.blocker
     }
 
-    fn append(&mut self, payload: Vec<u8>) -> PersistResult<u64> {
-        let seq = self.next_seq;
-        self.wal.append(&payload)?;
-        self.next_seq += 1;
-        Ok(seq)
-    }
-
     /// Logs an ingest batch, then applies it.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.append(encode_ingest_record(self.next_seq, profiles))?;
+        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
         Ok(self.blocker.ingest(profiles))
     }
 
     /// Logs an ingest batch, then applies it without the feature /
     /// probability phase (see `StreamingMetaBlocker::ingest_unscored`).
     pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.append(encode_ingest_record(self.next_seq, profiles))?;
+        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
         Ok(self.blocker.ingest_unscored(profiles))
     }
 
@@ -500,7 +783,7 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
     /// invalid batch never poisons the log.
     pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
         self.blocker.assert_remove_batch(ids);
-        self.append(encode_remove_record(self.next_seq, ids))?;
+        self.log.append(|seq| encode_remove_record(seq, ids))?;
         Ok(self.blocker.remove(ids))
     }
 
@@ -512,7 +795,7 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
     /// log.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
         self.blocker.assert_update_batch(updates);
-        self.append(encode_update_record(self.next_seq, updates))?;
+        self.log.append(|seq| encode_update_record(seq, updates))?;
         Ok(self.blocker.update(updates))
     }
 
@@ -522,30 +805,15 @@ impl<G: KeyGenerator> DurableMetaBlocker<G> {
     /// the crash-recovery property tests; real callers want
     /// [`DurableMetaBlocker::ingest`] and friends.
     pub fn wal_append_only(&mut self, record: &MutationRecord) -> PersistResult<u64> {
-        let payload = match record {
-            MutationRecord::Ingest(profiles) => encode_ingest_record(self.next_seq, profiles),
-            MutationRecord::Remove(ids) => encode_remove_record(self.next_seq, ids),
-            MutationRecord::Update(updates) => encode_update_record(self.next_seq, updates),
-        };
-        self.append(payload)
+        self.log.append(|seq| encode_record(seq, record))
     }
 
-    /// Commits a new generation: a fresh snapshot of the current state, an
-    /// empty WAL for it, and the manifest flip — the durable equivalent of
-    /// "everything so far is safe in one file".  Crash-safe at every step:
-    /// until the manifest flips, recovery uses the previous generation,
-    /// whose snapshot and WAL are untouched; afterwards, stale records are
-    /// skipped by their sequence numbers.
+    /// Commits a new generation of the current state (see
+    /// [`MutationLog::checkpoint`]) — the durable equivalent of
+    /// "everything so far is safe in one place".
     pub fn checkpoint(&mut self) -> PersistResult<()> {
-        self.wal = self.store.commit(
-            BLOCKER_SNAPSHOT_TAG,
-            &BlockerSnapshot {
-                applied_seq: self.next_seq,
-                feature_set: self.blocker.feature_set(),
-                index: self.blocker.index(),
-            },
-        )?;
-        Ok(())
+        let head = self.blocker.feature_set().id();
+        self.log.checkpoint(&head, &[self.blocker.index()])
     }
 
     /// Ends the epoch: folds the accumulated deltas into a fresh baseline

@@ -566,7 +566,7 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
         assert!(report.repair_checkpoint, "flip at byte {at}");
         assert!(
             er_persist::quarantine_path(&dir)
-                .join("snapshot.000001.gsmb")
+                .join("shard.000.000001.gsmb")
                 .exists(),
             "flip at byte {at}: corrupt snapshot not quarantined"
         );
@@ -624,8 +624,8 @@ fn corrupted_files_surface_as_typed_errors() {
         "{err:?}"
     );
     let quarantine = er_persist::quarantine_path(&dir);
-    assert!(quarantine.join("snapshot.000001.gsmb").exists());
-    assert!(quarantine.join("snapshot.000000.gsmb").exists());
+    assert!(quarantine.join("shard.000.000001.gsmb").exists());
+    assert!(quarantine.join("shard.000.000000.gsmb").exists());
     // Put the clean files back (the corrupt ones were moved aside).
     fs::write(&snapshot1, &clean_snapshot1).unwrap();
     fs::write(&snapshot0, &clean_snapshot0).unwrap();

@@ -117,3 +117,27 @@ fn pipeline_state_survives_a_crash_through_the_facade() {
         assert!((0.0..=1.0).contains(probability));
     }
 }
+
+#[test]
+fn a_root_in_the_retired_single_file_layout_is_a_typed_error() {
+    // What a pre-unification unsharded root holds: a 36-byte `GSMBMAN1`
+    // manifest and `snapshot.000000.gsmb`.  Every wrapper must stop at the
+    // manifest — typed, never a panic, never a silently empty store.
+    let dir = scratch("retired-layout");
+    let mut manifest = b"GSMBMAN1".to_vec();
+    manifest.extend_from_slice(&[0u8; 28]);
+    fs::write(dir.join("MANIFEST"), manifest).unwrap();
+    fs::write(dir.join("snapshot.000000.gsmb"), b"GSMBSNP1 retired").unwrap();
+
+    let keys = gsmb::blocking::TokenKeys;
+    for err in [
+        DurableMetaBlocker::recover_from(&dir, keys, 1).unwrap_err(),
+        DurableStreamingPipeline::recover_from(&dir, 1).unwrap_err(),
+        gsmb::shard::DurableShardedService::recover_from(&dir, keys, 1).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, gsmb::persist::PersistError::BadMagic { .. }),
+            "{err:?}"
+        );
+    }
+}
