@@ -1,6 +1,5 @@
-//! Micro-bench: corpus-size scalability of the cache-blocked radix
-//! scoreboard and the streamed candidate engine (the 10^5 → 10^7-entity
-//! sweep).
+//! Micro-bench: corpus-size scalability of the candidate-aligned scoreboard
+//! and the streamed candidate engine (the 10^5 → 10^7-entity sweep).
 //!
 //! For each corpus size the bench generates a bounded-memory synthetic
 //! Dirty corpus (`er_datasets::generate_scalability`), runs the standard
@@ -12,15 +11,15 @@
 //!   [`ChunkArena`] of `chunk_pairs` pairs (run *first*, before the
 //!   materialised index is ever allocated, so its peak-RSS checkpoint
 //!   cannot inherit the index);
-//! * **tiled** — the materialised index through the cache-blocked radix
-//!   scoreboard (the default engine), with a metrics sink recording the
-//!   per-worker scratch high-water mark;
+//! * **tiled** — the materialised index through the candidate-aligned
+//!   scoreboard (the default engine), the scoreboard's registry metrics
+//!   recording the per-worker scratch high-water mark;
 //! * **flat** — the retained `O(num_entities)`-scratch reference board.
 //!
 //! Correctness gates before any timing: all three modes must produce
 //! bit-identical probabilities at every size, the streamed chunk walk must
-//! emit exactly the counted number of pairs, and the tiled engine's scratch
-//! must stay `O(tile + contributions)`.
+//! emit exactly the counted number of pairs, and the default engine's
+//! scratch must stay `O(longest candidate run)`.
 //!
 //! Asserted memory gate: the streamed candidate-phase footprint
 //! (`CandidateStream::aggregate_bytes` + per-worker arena capacity) must be
@@ -37,9 +36,8 @@
 //! gate always holds).
 //!
 //! Environment: `GSMB_SCALA_SIZES` (comma-separated entity counts, default
-//! `100000,1000000`), `GSMB_SCALA_TILE` (tile width override, default
-//! auto), `GSMB_SCALA_CHUNK` (streamed chunk size in pairs, default
-//! [`DEFAULT_CHUNK_PAIRS`]), `GSMB_SCALA_GATE` (`0` disables the
+//! `100000,1000000`), `GSMB_SCALA_CHUNK` (streamed chunk size in pairs,
+//! default [`DEFAULT_CHUNK_PAIRS`]), `GSMB_SCALA_GATE` (`0` disables the
 //! throughput gate), `GSMB_REPS`.  Emits `BENCH_scalability.json` when
 //! `GSMB_BENCH_JSON` is set.
 
@@ -76,7 +74,6 @@ fn main() {
     let repetitions = bench_repetitions();
     let threads = er_core::available_threads();
     let set = FeatureSet::blast_optimal();
-    let tile_override = env_usize("GSMB_SCALA_TILE", 0);
     let chunk_pairs = env_usize("GSMB_SCALA_CHUNK", DEFAULT_CHUNK_PAIRS).max(1);
     let timing_gate = std::env::var("GSMB_SCALA_GATE").map_or(true, |v| v != "0");
     let score = |row: &[f64]| row.iter().sum::<f64>();
@@ -133,10 +130,7 @@ fn main() {
         drop(arena);
 
         let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
-        let mut streamed_config = ScoreboardConfig::default();
-        if tile_override > 0 {
-            streamed_config.tile_entities = Some(tile_override);
-        }
+        let streamed_config = ScoreboardConfig::default();
         let start = Instant::now();
         let streamed_scores = FeatureMatrix::score_stream_with(
             &stream_context,
@@ -185,10 +179,7 @@ fn main() {
         let materialised_bytes = candidates.index_bytes();
         let context = FeatureContext::new(&stats, &candidates);
 
-        let mut tiled_config = ScoreboardConfig::default();
-        if tile_override > 0 {
-            tiled_config.tile_entities = Some(tile_override);
-        }
+        let tiled_config = ScoreboardConfig::default();
         let flat_config = ScoreboardConfig::flat();
 
         // Correctness gate 1: bit-identical probabilities across all three
@@ -222,24 +213,18 @@ fn main() {
             }
         }
 
-        // Correctness gate 2: per-worker scratch is O(tile + contributions),
-        // not O(num_entities).  The bound mirrors the board's layout — tile
-        // accumulators (20 B/slot), the two counting-sort arrays (24 B per
-        // contribution each, doubled for Vec growth slack), and the 4-byte
-        // per-tile counters — plus fixed slack; a corpus-scaled board blows
-        // straight through it.
-        let tile = tiled_config.effective_tile(candidates.num_entities());
-        let slots = tile.max(tiled_config.dense_remap_limit);
-        let num_tiles = candidates.num_entities().div_ceil(tile);
+        // Correctness gate 2: per-worker scratch is O(longest run), not
+        // O(num_entities).  The bound mirrors the candidate-aligned board's
+        // layout per candidate of the longest run (`partners_hwm`) — 16 B of
+        // table (two 8-byte entries), rounded up to the table's power of
+        // two, and 20 B of accumulators — doubled for Vec growth slack, plus
+        // fixed slack; a corpus-scaled board blows straight through it.
         let scratch_tiled = tiled_metrics.scratch_bytes_hwm;
         let scratch_flat = flat_metrics.scratch_bytes_hwm;
-        let bound = 64 * slots as u64
-            + 96 * tiled_metrics.contributions_hwm
-            + 16 * num_tiles as u64
-            + 64 * 1024;
+        let bound = 2 * (32 + 20) * tiled_metrics.partners_hwm + 64 * 1024;
         assert!(
             scratch_tiled <= bound,
-            "scal-{n}: tiled scratch {scratch_tiled} B exceeds O(tile) bound {bound} B"
+            "scal-{n}: aligned scratch {scratch_tiled} B exceeds O(longest run) bound {bound} B"
         );
         assert!(
             scratch_tiled < scratch_flat,
@@ -327,12 +312,11 @@ fn main() {
             materialised_bytes / 1024,
         );
         println!(
-            "{:>10} chunk {} ({:.2}s build), tile {} ({} tiles), scratch {}/{} KiB, e2e {:.1} vs {:.1} Mpairs/s streamed/materialised",
+            "{:>10} chunk {} ({:.2}s build), longest run {}, scratch {}/{} KiB, e2e {:.1} vs {:.1} Mpairs/s streamed/materialised",
             "",
             chunk_pairs,
             stream_build_s,
-            tile,
-            num_tiles,
+            tiled_metrics.partners_hwm,
             scratch_tiled / 1024,
             scratch_flat / 1024,
             streamed_pps / 1e6,
@@ -359,8 +343,6 @@ fn main() {
                 "    \"pairs_per_s_tiled\": {:.0},\n",
                 "    \"pairs_per_s_flat\": {:.0},\n",
                 "    \"candidates_peak_bytes\": {{\"streamed\": {}, \"materialised\": {}}},\n",
-                "    \"tile_entities\": {},\n",
-                "    \"num_tiles\": {},\n",
                 "    \"scratch_tiled_bytes\": {},\n",
                 "    \"scratch_flat_bytes\": {},\n",
                 "    \"partners_hwm\": {},\n",
@@ -390,8 +372,6 @@ fn main() {
             pairs as f64 / flat_s.max(1e-9),
             streamed_bytes,
             materialised_bytes,
-            tile,
-            num_tiles,
             scratch_tiled,
             scratch_flat,
             tiled_metrics.partners_hwm,

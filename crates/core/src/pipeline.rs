@@ -111,10 +111,10 @@ pub struct MetaBlockingConfig {
     /// Every stage is deterministic, so the thread count never changes the
     /// output.
     pub threads: Option<usize>,
-    /// Scoreboard engine configuration for the fused feature/scoring pass
-    /// (tile width, dense-remap limit, optional metrics sink).  Output is
-    /// bit-identical for every configuration; this only tunes per-worker
-    /// scratch locality.
+    /// Scoreboard engine configuration for the fused feature/scoring pass:
+    /// the candidate-aligned board by default, the flat reference board on
+    /// request.  Output is bit-identical for every configuration; this only
+    /// changes per-worker scratch.
     pub scoreboard: ScoreboardConfig,
     /// When set, the probability pass runs through the streamed candidate
     /// engine ([`er_blocking::CandidateStream`]) in chunks of this many

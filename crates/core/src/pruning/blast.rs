@@ -54,8 +54,12 @@ impl PruningAlgorithm for Blast {
     }
 
     fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        // First pass: maximum valid probability per entity.
+        // First pass: maximum valid probability per entity, keeping the
+        // valid pairs — typically a fraction of a percent of the candidates
+        // — so the second pass re-reads neither the candidate list nor the
+        // probabilities.
         let mut max = vec![0.0f64; candidates.num_entities()];
+        let mut valid = Vec::new();
         for (id, a, b) in candidates.iter() {
             let p = scores.probability(id);
             if p >= VALIDITY_THRESHOLD {
@@ -65,18 +69,16 @@ impl PruningAlgorithm for Blast {
                 if max[b.index()] < p {
                     max[b.index()] = p;
                 }
+                valid.push((id, a, b, p));
             }
         }
 
-        // Second pass: retain valid pairs above the scaled sum of endpoint
-        // maxima.
-        candidates
-            .iter()
-            .filter(|&(id, a, b)| {
-                let p = scores.probability(id);
-                p >= VALIDITY_THRESHOLD && self.ratio * (max[a.index()] + max[b.index()]) <= p
-            })
-            .map(|(id, _, _)| id)
+        // Second pass, in candidate order: retain the valid pairs above the
+        // scaled sum of their endpoint maxima.
+        valid
+            .into_iter()
+            .filter(|&(_, a, b, p)| self.ratio * (max[a.index()] + max[b.index()]) <= p)
+            .map(|(id, _, _, _)| id)
             .collect()
     }
 }

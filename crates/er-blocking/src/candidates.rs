@@ -24,25 +24,25 @@
 //! [`CandidatePairs::from_blocks_with_stats`],
 //! [`CandidatePairs::try_from_stats`]) derive every emitting entity's run
 //! exactly once: each entity-range task appends its runs (partner ids only,
-//! 4 bytes per pair) to a task buffer, records the run lengths and scatters
-//! the partner-side LCP counts; the lengths are prefix-summed, the index is
-//! allocated once and the task buffers are placed into it in parallel, each
-//! released as soon as it is placed.  Transient memory is therefore at most
-//! half the index.  The pair total is bounded by the block collection's
+//! 4 bytes per pair) to a task buffer and records the run lengths; the
+//! partner-side LCP counts are then read back off those buffers (each worker
+//! owns a contiguous range of partner ids and histograms the buffers into
+//! its own slice — plain adds, no atomics, no per-worker corpus-sized
+//! table); the lengths are prefix-summed, the index is allocated once and
+//! the task buffers are placed into it in parallel, each released as soon as
+//! it is placed.  Transient memory is therefore at most half the index.  The pair total is bounded by the block collection's
 //! comparison count before anything is buffered; only when that (free) upper
 //! bound is above the `u32` ceiling do the constructors fall back to counting
 //! first through [`CandidateStream`], whose collector
 //! ([`CandidatePairs::try_from_stream`]) stays for callers that already hold
 //! a stream and re-extracts every run a second time.
 
-use std::sync::atomic::AtomicU32;
-
 use er_core::{EntityId, GroundTruth, PairId};
 use serde::{Deserialize, Serialize};
 
 use crate::collection::BlockCollection;
 use crate::stats::BlockStats;
-use crate::stream::{CandidateStream, Extraction};
+use crate::stream::{CandidateStream, Extraction, RunScratch};
 
 /// The distinct comparisons of a block collection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -187,7 +187,6 @@ impl CandidatePairs {
         let num_entities = extraction.num_entities;
         let emitting = extraction.emitting_entities();
 
-        let partner_counts: Vec<AtomicU32> = (0..num_entities).map(|_| AtomicU32::new(0)).collect();
         let num_tasks = Extraction::derivation_tasks(threads);
         let gathered = er_core::map_ranges_parallel(emitting, threads, num_tasks, |range| {
             let mut runs = GatheredRuns {
@@ -195,7 +194,7 @@ impl CandidatePairs {
                 lens: Vec::with_capacity(range.len()),
                 partners: Vec::new(),
             };
-            extraction.derive_range(range, &partner_counts, |run| {
+            extraction.derive_range(range, |run| {
                 runs.lens.push(run.len() as u32);
                 runs.partners.extend_from_slice(run);
             });
@@ -204,12 +203,28 @@ impl CandidatePairs {
 
         let total: u64 = gathered.iter().map(|g| g.partners.len() as u64).sum();
         ensure_materialisable(total)?;
+
+        // Partner-side LCP counts: one contiguous range of partner ids per
+        // worker, each histogramming every task buffer into its own slice.
+        // A worker reads all the buffers but writes only counters it owns,
+        // so the table is exact at any thread count without a shared write.
+        let partner_counts =
+            er_core::map_ranges_parallel(num_entities, threads, threads, |range| {
+                let lo = range.start as u32;
+                let mut counts = vec![0u32; range.len()];
+                for &p in gathered.iter().flat_map(|g| &g.partners) {
+                    // Ids below `lo` wrap past the end of the slice.
+                    if let Some(count) = counts.get_mut(p.wrapping_sub(lo) as usize) {
+                        *count += 1;
+                    }
+                }
+                counts
+            });
+        let mut entity_candidates: Vec<u32> = partner_counts.into_iter().flatten().collect();
+        debug_assert_eq!(entity_candidates.len(), num_entities);
+
         let mut offsets: Vec<u32> = Vec::with_capacity(num_entities + 1);
         offsets.push(0);
-        let mut entity_candidates: Vec<u32> = partner_counts
-            .into_iter()
-            .map(AtomicU32::into_inner)
-            .collect();
         for (a, &len) in gathered.iter().flat_map(|g| &g.lens).enumerate() {
             offsets.push(offsets[a] + len);
             entity_candidates[a] += len;
@@ -287,7 +302,7 @@ impl CandidatePairs {
             er_core::for_each_task_with_state(
                 chunks.len(),
                 threads,
-                Vec::<u32>::new,
+                RunScratch::default,
                 |task, scratch| {
                     let slice = slots.lock().unwrap()[task].take().unwrap();
                     stream.extract_chunk_into(chunks[task], scratch, slice);

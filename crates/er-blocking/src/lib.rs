@@ -50,7 +50,7 @@ pub use graph::NeighborIndex;
 pub use purging::{block_purging, block_purging_csr, purging_limit};
 pub use qgrams::{qgrams_blocking, qgrams_blocking_csr};
 pub use stats::BlockStats;
-pub use stream::{CandidateStream, ChunkArena, ChunkSpec, DEFAULT_CHUNK_PAIRS};
+pub use stream::{CandidateStream, ChunkArena, ChunkSpec, RunScratch, DEFAULT_CHUNK_PAIRS};
 pub use suffix_arrays::{suffix_array_blocking, suffix_array_blocking_csr, SuffixArrayConfig};
 pub use token_blocking::{token_blocking, token_blocking_csr};
 

@@ -16,8 +16,10 @@
 //!    stream has no 2^32 ceiling) and the per-entity distinct-candidate
 //!    counts (the LCP feature table, accumulated with relaxed atomic adds —
 //!    integer addition commutes, so the counts are exact and deterministic
-//!    at any thread count).  The runs themselves are *discarded*; only the
-//!    `O(num_entities)` aggregate tables are kept.
+//!    at any thread count; the stream keeps no run to count from afterwards,
+//!    unlike the materialised collector, which histograms its task buffers
+//!    and issues no atomic at all).  The runs themselves are *discarded*;
+//!    only the `O(num_entities)` aggregate tables are kept.
 //! 2. **Chunked emission** ([`CandidateStream::chunks`] +
 //!    [`CandidateStream::extract_chunk`]): the global pair-id space is cut
 //!    into fixed-size chunks and each chunk's pairs are re-extracted on
@@ -47,7 +49,11 @@
 //! (`Extraction::neighbors_above`) with two drivers: this stream, which
 //! never buffers a run, and the materialised collector's single gather
 //! (`CandidatePairs::try_from_stats`), which buffers each run once and never
-//! re-derives it.
+//! re-derives it.  A run is a concatenation of ascending block slices from a
+//! narrow id band, so the primitive sorts it with [`er_core::radix::sort_u32`]
+//! — a comparison sort on short runs, byte-radix passes over the differing
+//! bytes on long ones — with the sort's second buffer living in the caller's
+//! [`RunScratch`] beside the run itself.
 //! [`CandidatePairs::try_from_stream`](crate::CandidatePairs::try_from_stream)
 //! remains for callers that start from a stream.
 
@@ -110,6 +116,21 @@ impl Adjacency<'_> {
             Adjacency::Owned { offsets, block_ids } => (offsets, block_ids),
         };
         &block_ids[offsets[entity] as usize..offsets[entity + 1] as usize]
+    }
+}
+
+/// Reusable scratch of run derivation: the run being gathered and the
+/// second buffer its sort ping-pongs through.  Both keep their capacity
+/// across runs, so a worker allocates only when a longer run shows up.
+#[derive(Debug, Default)]
+pub struct RunScratch {
+    run: Vec<u32>,
+    spare: Vec<u32>,
+}
+
+impl RunScratch {
+    fn capacity_bytes(&self) -> usize {
+        (self.run.capacity() + self.spare.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -177,10 +198,12 @@ impl<'a> Extraction<'a> {
 
     /// Collects into `scratch` the sorted, deduplicated comparable partners
     /// of entity `a` with a larger id than `a` — the one extraction
-    /// primitive both the stream and the materialised collector run on.
+    /// primitive both the stream and the materialised collector run on —
+    /// and returns them.
     #[inline]
-    fn neighbors_above(&self, a: usize, scratch: &mut Vec<u32>) {
-        scratch.clear();
+    fn neighbors_above<'s>(&self, a: usize, scratch: &'s mut RunScratch) -> &'s [u32] {
+        let RunScratch { run, spare } = scratch;
+        run.clear();
         match self.kind {
             er_core::DatasetKind::CleanClean => {
                 debug_assert!(a < self.split);
@@ -189,41 +212,33 @@ impl<'a> Extraction<'a> {
                     let split_point = self.source.first_source_count(bid, self.split);
                     // E2 ids all exceed every E1 id, so the whole outer slice
                     // qualifies as "larger comparable partner".
-                    scratch.extend(entities[split_point..].iter().map(|e| e.0));
+                    run.extend(entities[split_point..].iter().map(|e| e.0));
                 }
             }
             er_core::DatasetKind::Dirty => {
                 for &bid in self.adjacency.blocks_of(a) {
                     let entities = self.source.entities_of(bid);
                     let start = entities.partition_point(|e| e.index() <= a);
-                    scratch.extend(entities[start..].iter().map(|e| e.0));
+                    run.extend(entities[start..].iter().map(|e| e.0));
                 }
             }
         }
-        scratch.sort_unstable();
-        scratch.dedup();
+        er_core::radix::sort_u32(run, spare);
+        run.dedup();
+        run
     }
 
     /// Derives the runs of the entities in `range`, in order, handing each
-    /// to `visit` and scattering its partner-side candidate counts into
-    /// `partner_counts` (one slot per entity).  The scatter uses relaxed
-    /// atomic adds: u32 addition is commutative and associative, so the
-    /// table is exact and identical at any thread count.  One registry
-    /// update per call.
+    /// to `visit`.  One registry update per call.
     pub(crate) fn derive_range(
         &self,
         range: std::ops::Range<usize>,
-        partner_counts: &[AtomicU32],
         mut visit: impl FnMut(&[u32]),
     ) {
         let derived = range.len() as u64;
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut scratch = RunScratch::default();
         for a in range {
-            self.neighbors_above(a, &mut scratch);
-            visit(&scratch);
-            for &p in &scratch {
-                partner_counts[p as usize].fetch_add(1, Ordering::Relaxed);
-            }
+            visit(self.neighbors_above(a, &mut scratch));
         }
         crate::obs::obs().runs_derived.add(derived);
     }
@@ -282,7 +297,7 @@ struct ChunkRun {
 pub struct ChunkArena {
     pairs: Vec<(EntityId, EntityId)>,
     runs: Vec<ChunkRun>,
-    scratch: Vec<u32>,
+    scratch: RunScratch,
 }
 
 impl ChunkArena {
@@ -315,7 +330,7 @@ impl ChunkArena {
         use std::mem::size_of;
         self.pairs.capacity() * size_of::<(EntityId, EntityId)>()
             + self.runs.capacity() * size_of::<ChunkRun>()
-            + self.scratch.capacity() * size_of::<u32>()
+            + self.scratch.capacity_bytes()
     }
 }
 
@@ -407,7 +422,14 @@ impl<'a> CandidateStream<'a> {
         let num_tasks = Extraction::derivation_tasks(threads);
         let runs = er_core::map_ranges_parallel(emitting, threads, num_tasks, |range| {
             let mut counts: Vec<u32> = Vec::with_capacity(range.len());
-            extraction.derive_range(range, &partner_counts, |run| counts.push(run.len() as u32));
+            extraction.derive_range(range, |run| {
+                counts.push(run.len() as u32);
+                // u32 addition commutes, so the relaxed scatter is exact and
+                // identical at any thread count.
+                for &p in run {
+                    partner_counts[p as usize].fetch_add(1, Ordering::Relaxed);
+                }
+            });
             counts
         });
 
@@ -530,15 +552,15 @@ impl<'a> CandidateStream<'a> {
     fn for_each_derived_run(
         &self,
         chunk: ChunkSpec,
-        scratch: &mut Vec<u32>,
+        scratch: &mut RunScratch,
         mut f: impl FnMut(EntityId, &[u32]),
     ) {
         let mut derived = 0u64;
         for (e, local) in self.chunk_segments(chunk) {
-            self.extraction.neighbors_above(e, scratch);
-            debug_assert_eq!(scratch.len() as u64, self.offsets[e + 1] - self.offsets[e]);
+            let run = self.extraction.neighbors_above(e, scratch);
+            debug_assert_eq!(run.len() as u64, self.offsets[e + 1] - self.offsets[e]);
             derived += 1;
-            f(EntityId(e as u32), &scratch[local]);
+            f(EntityId(e as u32), &run[local]);
         }
         crate::obs::obs().runs_derived.add(derived);
     }
@@ -597,7 +619,7 @@ impl<'a> CandidateStream<'a> {
     pub fn extract_chunk_into(
         &self,
         chunk: ChunkSpec,
-        scratch: &mut Vec<u32>,
+        scratch: &mut RunScratch,
         out: &mut [(EntityId, EntityId)],
     ) {
         debug_assert_eq!(out.len(), chunk.len());
@@ -745,7 +767,7 @@ mod tests {
         let stats = crate::BlockStats::new(bc);
         let stream = CandidateStream::from_stats(&stats, 1);
         let mut arena = ChunkArena::new();
-        let mut scratch = Vec::new();
+        let mut scratch = RunScratch::default();
         for chunk in stream.chunks(3) {
             stream.extract_chunk(chunk, &mut arena);
             let mut direct = vec![(EntityId(0), EntityId(0)); chunk.len()];
@@ -797,7 +819,7 @@ mod tests {
 
             let mut derived_arena = ChunkArena::new();
             let mut backed_arena = ChunkArena::new();
-            let mut scratch = Vec::new();
+            let mut scratch = RunScratch::default();
             for chunk_pairs in [1usize, 2, 3, 5, 64, usize::MAX / 2] {
                 let chunks = derived.chunks(chunk_pairs);
                 assert_eq!(backed.chunks(chunk_pairs), chunks);

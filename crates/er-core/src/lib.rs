@@ -6,7 +6,8 @@
 //! either Clean-Clean (two duplicate-free collections, find cross matches) or
 //! Dirty (one collection, find internal matches).  This crate provides those
 //! types plus the small utilities shared by every other crate: deterministic
-//! hashing, tokenisation, seeded randomness and a common error type.
+//! hashing, tokenisation, an id-run sort, seeded randomness and a common
+//! error type.
 
 pub mod checksum;
 pub mod collection;
@@ -15,6 +16,7 @@ pub mod error;
 pub mod fxhash;
 pub mod ids;
 pub mod parallel;
+pub mod radix;
 pub mod rng;
 pub mod tokenize;
 

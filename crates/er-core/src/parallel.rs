@@ -103,6 +103,11 @@ where
 /// Splits `0..num_items` into `num_tasks` contiguous ranges, maps each range
 /// with `f` on one of `threads` workers, and returns the results in range
 /// order (deterministic regardless of which worker ran which range).
+///
+/// Ranges are `num_items.div_ceil(num_tasks)` long, so the last tasks of an
+/// uneven split can come up empty (`11` items over `8` tasks fill six
+/// ranges); those receive `num_items..num_items` — never an inverted range —
+/// and the result still holds one entry per task, in task order.
 pub fn map_ranges_parallel<T, F>(num_items: usize, threads: usize, num_tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -113,7 +118,8 @@ where
     }
     let num_tasks = num_tasks.clamp(1, num_items);
     let task_size = num_items.div_ceil(num_tasks);
-    let range_of = |task: usize| task * task_size..((task + 1) * task_size).min(num_items);
+    let range_of =
+        |task: usize| (task * task_size).min(num_items)..((task + 1) * task_size).min(num_items);
 
     if threads <= 1 || num_tasks == 1 {
         return (0..num_tasks).map(|t| f(range_of(t))).collect();
@@ -202,6 +208,30 @@ mod tests {
     fn map_ranges_empty_input() {
         let out: Vec<usize> = map_ranges_parallel(0, 4, 8, |r| r.len());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn map_ranges_are_ascending_disjoint_and_never_inverted() {
+        for num_items in [0usize, 1, 11] {
+            for num_tasks in [1usize, 8, 64] {
+                for threads in [1, 4] {
+                    let ranges = map_ranges_parallel(num_items, threads, num_tasks, |range| range);
+                    let context =
+                        format!("{num_items} items, {num_tasks} tasks, {threads} threads");
+                    assert_eq!(ranges.len(), num_tasks.min(num_items), "{context}");
+                    let mut next = 0usize;
+                    for range in &ranges {
+                        assert_eq!(range.start, next, "{context}: gap or overlap at {range:?}");
+                        assert!(range.start <= range.end, "{context}: inverted {range:?}");
+                        assert!(range.end <= num_items, "{context}: {range:?} past the end");
+                        // Slicing with the range is what callers do.
+                        let _ = &vec![0u8; num_items][range.clone()];
+                        next = range.end;
+                    }
+                    assert_eq!(next, num_items, "{context}: items left uncovered");
+                }
+            }
+        }
     }
 
     #[test]

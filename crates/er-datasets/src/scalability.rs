@@ -63,8 +63,8 @@ pub struct ScalabilityConfig {
     /// they land in mid-size blocks that survive cleaning and carry
     /// candidate lists of several hundred partners.  Hubs keep the
     /// high-degree tail of real dirty corpora present at every scale — the
-    /// regime where the radix scoreboard path (rather than the dense remap
-    /// fast path) engages.
+    /// runs that size the scoreboard's scratch and take the radix passes of
+    /// the run sort.
     pub hub_fraction: f64,
     /// Noise applied to duplicate copies.
     pub noise: NoiseConfig,

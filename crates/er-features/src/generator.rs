@@ -10,10 +10,12 @@
 //!    contiguous run of output rows.
 //! 2. For each entity the pass walks its blocks once through the flat
 //!    [`er_blocking::BlockStats`] index and *accumulates* every partner's
-//!    co-occurrence aggregates on a scoreboard — no per-pair merge of block
-//!    lists, no hashing, no divisions (the reciprocal tables are precomputed).
-//!    Contributions arrive in ascending block-id order, which makes the
-//!    floating-point sums bit-identical to the per-pair merge.
+//!    co-occurrence aggregates on a scoreboard aligned to the entity's
+//!    candidate run ([`crate::scoreboard::CandidateBoard`]: one table probe
+//!    per contribution, straight into the slot of the run) — no per-pair
+//!    merge of block lists, no sort, no divisions (the reciprocal tables are
+//!    precomputed).  Contributions arrive in ascending block-id order, which
+//!    makes the floating-point sums bit-identical to the per-pair merge.
 //! 3. Every selected scheme column is then written straight into the
 //!    destination slice ([`FeatureContext::write_pair_features_with`]), and
 //!    [`FeatureMatrix::score_rows`] fuses the same pass with a per-row scoring
@@ -32,7 +34,7 @@ use crate::context::{
     StreamFeatureContext,
 };
 use crate::feature_set::FeatureSet;
-use crate::scoreboard::{FlatScoreboard, RadixScoreboard, ScoreboardConfig, ScoreboardEngine};
+use crate::scoreboard::{CandidateBoard, FlatScoreboard, ScoreboardConfig, ScoreboardEngine};
 
 /// Rows per work-queue chunk: large enough to amortise queue locking, small
 /// enough that stealing keeps skewed tails balanced.
@@ -331,25 +333,18 @@ fn effective_threads(threads: usize, num_pairs: usize) -> usize {
     }
 }
 
-/// Per-worker accumulation state of the entity-major pass: either the
-/// retained flat board (one slot per entity) or the cache-blocked radix
-/// board with its reusable drained-partner buffer.
+/// Per-worker accumulation state of the entity-major pass: the retained
+/// flat board (one slot per entity) or the candidate-aligned board.
 enum WorkerBoard {
     Flat(FlatScoreboard),
-    Tiled {
-        board: RadixScoreboard,
-        partners: Vec<(u32, PairCooccurrence)>,
-    },
+    Tiled(CandidateBoard),
 }
 
 /// Builds one worker's scoreboard for the configured engine.
 fn make_worker_board(num_entities: usize, scoreboard: &ScoreboardConfig) -> WorkerBoard {
     match scoreboard.engine {
         ScoreboardEngine::Flat => WorkerBoard::Flat(FlatScoreboard::new(num_entities)),
-        ScoreboardEngine::Tiled => WorkerBoard::Tiled {
-            board: RadixScoreboard::new(num_entities, scoreboard),
-            partners: Vec::new(),
-        },
+        ScoreboardEngine::Tiled => WorkerBoard::Tiled(CandidateBoard::new()),
     }
 }
 
@@ -360,8 +355,46 @@ fn flush_worker_metrics(worker: &mut WorkerBoard) {
         WorkerBoard::Flat(board) => crate::scoreboard::obs()
             .scratch_bytes_hwm
             .record_max(board.scratch_bytes() as u64),
-        WorkerBoard::Tiled { board, .. } => board.flush_metrics(),
+        WorkerBoard::Tiled(board) => board.flush_metrics(),
     }
+}
+
+/// Walks `a`'s blocks once, in ascending block-id order, handing `sink`
+/// every `(partner, 1/||b||, 1/|b|)` contribution of a comparable partner
+/// with a larger id, and returns how many there were.  Generic over the
+/// sink so that each board's accumulation is inlined into the walk.
+///
+/// The walk only yields `a`'s second-source partners for Clean-Clean ER, so
+/// a candidate set built with `CandidatePairs::from_pairs` may contain pairs
+/// no board has data for (both endpoints in E1); [`process_entity_run`]
+/// falls back to the per-pair merge for those.
+#[inline]
+fn walk_partners<F: FnMut(EntityId, f64, f64)>(
+    stats: &BlockStats,
+    inv_comp_table: &[f64],
+    inv_size_table: &[f64],
+    a: EntityId,
+    mut sink: F,
+) -> usize {
+    let kind = stats.kind();
+    let mut contributions = 0usize;
+    for &bid in stats.blocks_of(a) {
+        let block_inv_comp = inv_comp_table[bid.index()];
+        let block_inv_size = inv_size_table[bid.index()];
+        let members = stats.entities_of(bid);
+        let partners = match kind {
+            er_core::DatasetKind::CleanClean => &members[stats.first_source_count(bid) as usize..],
+            er_core::DatasetKind::Dirty => {
+                let start = members.partition_point(|p| p.index() <= a.index());
+                &members[start..]
+            }
+        };
+        contributions += partners.len();
+        for &p in partners {
+            sink(p, block_inv_comp, block_inv_size);
+        }
+    }
+    contributions
 }
 
 /// Accumulates and emits one entity's candidate run — the shared inner block
@@ -372,13 +405,15 @@ fn flush_worker_metrics(worker: &mut WorkerBoard) {
 /// accumulating every partner's `(common blocks, Σ1/||b||, Σ1/|b|)` on the
 /// worker's scoreboard, then emits one `row_width`-wide output row per
 /// candidate in `cands` into `out` (which must be exactly `cands.len() ×
-/// row_width` long).  `cands` may be any prefix/suffix slice of `a`'s full
-/// partner run: the board accumulates from the block walk alone, and each
-/// emitted candidate only reads its own slot, so a chunk boundary splitting
-/// the run changes nothing about the emitted values.  Contributions arrive in
-/// ascending block-id order on every strategy, which keeps the
-/// floating-point sums bit-identical to a per-pair merge of the sorted block
-/// lists.
+/// row_width` long).  `cands` may be any sorted subset of `a`'s full partner
+/// run — a prefix/suffix slice cut by a chunk boundary, or a pruned
+/// `from_pairs` subset: the board accumulates from the block walk alone,
+/// contributions to partners outside `cands` are dropped (candidate board)
+/// or reset unread (flat board), and each emitted candidate only reads its
+/// own slot, so what else the run holds changes nothing about the emitted
+/// values.  Contributions arrive in ascending block-id order on both boards,
+/// which keeps the floating-point sums bit-identical to a per-pair merge of
+/// the sorted block lists.
 #[allow(clippy::too_many_arguments)]
 fn process_entity_run<S, E>(
     stats: &BlockStats,
@@ -400,32 +435,6 @@ fn process_entity_run<S, E>(
     debug_assert_eq!(out.len(), cands.len() * row_width);
     let kind = stats.kind();
     let split = stats.split();
-    let e = a.0;
-    // Enumerate a's block partners once (closure re-invoked per accumulation
-    // strategy).  The walk only yields a's second-source partners for
-    // Clean-Clean ER, so a candidate set built with
-    // `CandidatePairs::from_pairs` may contain pairs the board has no data
-    // for (both endpoints in E1); those fall back to the per-pair merge
-    // below so every candidate set yields exactly the reference values.
-    let walk_partners = |sink: &mut dyn FnMut(EntityId, f64, f64)| {
-        for &bid in stats.blocks_of(a) {
-            let block_inv_comp = inv_comp_table[bid.index()];
-            let block_inv_size = inv_size_table[bid.index()];
-            let members = stats.entities_of(bid);
-            let partners = match kind {
-                er_core::DatasetKind::CleanClean => {
-                    &members[stats.first_source_count(bid) as usize..]
-                }
-                er_core::DatasetKind::Dirty => {
-                    let start = members.partition_point(|p| p.index() <= e as usize);
-                    &members[start..]
-                }
-            };
-            for &p in partners {
-                sink(p, block_inv_comp, block_inv_size);
-            }
-        }
-    };
     let board_covers_pair = |b: EntityId| match kind {
         er_core::DatasetKind::CleanClean => b.index() >= split,
         er_core::DatasetKind::Dirty => true,
@@ -441,10 +450,9 @@ fn process_entity_run<S, E>(
             &mut out[cursor * row_width..(cursor + 1) * row_width],
         );
     };
-    let mut cursor = 0usize;
     match worker {
         WorkerBoard::Flat(board) => {
-            walk_partners(&mut |p, ic, is| {
+            walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
                 let pi = p.index();
                 if board.common[pi] == 0 {
                     board.touched.push(pi as u32);
@@ -453,7 +461,7 @@ fn process_entity_run<S, E>(
                 board.inv_comp[pi] += ic;
                 board.inv_size[pi] += is;
             });
-            for &(_, b) in cands {
+            for (cursor, &(_, b)) in cands.iter().enumerate() {
                 let bi = b.index();
                 let agg = if board_covers_pair(b) {
                     PairCooccurrence {
@@ -465,7 +473,6 @@ fn process_entity_run<S, E>(
                     source.source_cooccurrence(a, b)
                 };
                 emit_row(b, &agg, cursor);
-                cursor += 1;
             }
             // Reset every touched slot — the touched set can be a strict
             // superset of a's candidates (e.g. a pruned `from_pairs` subset
@@ -478,47 +485,22 @@ fn process_entity_run<S, E>(
             }
             board.touched.clear();
         }
-        WorkerBoard::Tiled { board, partners: _ } if cands.len() <= board.dense_limit() => {
-            // Dense partner remap: accumulate straight into the slot of the
-            // (sorted) candidate list, skipping partners that were pruned
-            // out of it — their aggregates would never be read.
-            walk_partners(&mut |p, ic, is| {
-                if let Ok(slot) = cands.binary_search_by(|probe| probe.1.cmp(&p)) {
-                    board.add_dense(slot, ic, is);
-                }
-            });
+        WorkerBoard::Tiled(board) => {
+            board.align(cands.iter().map(|&(_, b)| b.0));
+            let contributions =
+                walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
+                    board.add(p.0, ic, is)
+                });
+            board.note_contributions(contributions);
             for (slot, &(_, b)) in cands.iter().enumerate() {
+                // Taken even when unused, so the slot is zero for the next run.
+                let accumulated = board.take(slot);
                 let agg = if board_covers_pair(b) {
-                    board.dense_agg(slot)
+                    accumulated
                 } else {
                     source.source_cooccurrence(a, b)
                 };
-                emit_row(b, &agg, cursor);
-                cursor += 1;
-            }
-            board.finish_dense(cands.len());
-        }
-        WorkerBoard::Tiled { board, partners } => {
-            // Radix scatter + tile-local accumulate, then merge the drained
-            // (ascending) partner list with the (ascending) candidate list.
-            // Candidates absent from the drain keep zero aggregates —
-            // exactly the flat board's never-written slots.
-            walk_partners(&mut |p, ic, is| board.add(p.0, ic, is));
-            board.drain_sorted_into(partners);
-            let mut j = 0usize;
-            for &(_, b) in cands {
-                while j < partners.len() && partners[j].0 < b.0 {
-                    j += 1;
-                }
-                let agg = if !board_covers_pair(b) {
-                    source.source_cooccurrence(a, b)
-                } else if j < partners.len() && partners[j].0 == b.0 {
-                    partners[j].1
-                } else {
-                    PairCooccurrence::default()
-                };
-                emit_row(b, &agg, cursor);
-                cursor += 1;
+                emit_row(b, &agg, slot);
             }
         }
     }
@@ -532,10 +514,9 @@ fn process_entity_run<S, E>(
 /// index, accumulating every partner's `(common blocks, Σ1/||b||, Σ1/|b|)`
 /// on the worker's scoreboard, then emits one `row_width`-wide output row
 /// per candidate of `a`.  Because blocks are visited in ascending id order
-/// — and the tiled board folds each partner's contributions in exactly that
-/// append order — the accumulated sums are bit-identical to a per-pair
-/// merge of the sorted block lists on every engine, tile width and thread
-/// count.
+/// — and both boards add each partner's contributions in exactly that order
+/// — the accumulated sums are bit-identical to a per-pair merge of the
+/// sorted block lists on every engine and thread count.
 ///
 /// `emit` receives `((a, b), feature_row, output_slot)`.
 #[allow(clippy::too_many_arguments)]

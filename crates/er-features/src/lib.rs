@@ -14,9 +14,10 @@
 
 //!
 //! The partner-aggregation engine behind [`FeatureMatrix`] is the
-//! cache-blocked radix scoreboard in [`scoreboard`]: per-worker scratch is
-//! `O(tile)`, not `O(num_entities)`, with output bit-identical to the
-//! retained flat reference board.
+//! candidate-aligned board in [`scoreboard`]: per-worker scratch is
+//! `O(longest candidate run)`, not `O(num_entities)`, with output
+//! bit-identical to the retained flat reference board.  The same module
+//! holds the tiled radix board the streaming index discovers partners on.
 
 pub mod context;
 pub mod feature_set;
@@ -32,6 +33,6 @@ pub use feature_set::FeatureSet;
 pub use generator::{for_each_scored_chunk, FeatureMatrix};
 pub use schemes::Scheme;
 pub use scoreboard::{
-    reset_scoreboard_metrics, scoreboard_metrics, FlatScoreboard, RadixScoreboard,
-    ScoreboardConfig, ScoreboardEngine, ScoreboardMetricsSnapshot,
+    candidate_home_slot, reset_scoreboard_metrics, scoreboard_metrics, CandidateBoard,
+    FlatScoreboard, RadixScoreboard, ScoreboardConfig, ScoreboardEngine, ScoreboardMetricsSnapshot,
 };

@@ -1,40 +1,44 @@
-//! Cache-blocked radix scoreboard: the partner-aggregation engine behind the
-//! fused entity-major feature pass.
+//! Partner-aggregation boards behind the fused entity-major feature pass and
+//! the streaming index.
 //!
 //! The original scoreboard (PR 1) kept three dense `O(num_entities)` arrays
 //! per worker — `common` / `inv_comp` / `inv_size`, ~20 bytes per entity.
 //! At 10^7 entities and 16 workers that is ~3.2 GB of cold scratch whose
-//! random partner-indexed writes miss every cache level.  This module
-//! replaces it with a tiled engine whose scratch is
-//! `O(tile + contributions_of_one_entity)`:
+//! random partner-indexed writes miss every cache level.  Two boards replace
+//! it, one per kind of caller:
 //!
-//! 1. **Radix scatter.**  The partner id space is split into power-of-two
-//!    *tiles* ([`ScoreboardConfig::tile_entities`], auto-sized to
-//!    [`DEFAULT_TILE_ENTITIES`]).  Each `(partner, 1/||b||, 1/|b|)`
-//!    contribution of the current entity is appended to one entries array
-//!    while a 4-byte-per-tile counter tracks its tile — a sequential push,
-//!    never a corpus-sized random write.  At drain time a *stable* counting
-//!    sort (prefix sums over the active tiles' counters, then an in-order
-//!    scatter) groups the entries by tile; stability keeps each tile's run
-//!    in append order.  Per-tile `Vec` buckets would do the same job but
-//!    retain their historical max capacity forever, which sums to
-//!    `O(num_tiles)`-sized scratch across a long pass — the two flat arrays
-//!    keep retained capacity at `O(contributions_of_one_entity)`.
-//! 2. **Tile-local accumulate.**  The grouped runs are visited in ascending
-//!    tile order; each run is folded into tile-width accumulator arrays
-//!    (cache-resident by construction) and emitted in ascending partner
-//!    order.
-//! 3. **Dense partner remap.**  When an entity's candidate list is short
-//!    (≤ [`ScoreboardConfig::dense_remap_limit`]) the engine skips the radix
-//!    pass entirely: every contribution is binary-searched into the sorted
-//!    candidate list and accumulated at that slot, so the scratch touched is
-//!    `O(candidates_of_a)`.
+//! * **[`CandidateBoard`] — the batch board.**  The batch and streamed
+//!   scoring passes are handed each entity's sorted candidate run, so the
+//!   board is *aligned to that run*: a run-sized open-addressing table maps
+//!   partner id → slot in the run, every contribution of the block walk is
+//!   added straight into the accumulators at that slot, and the rows are
+//!   emitted in run order, zeroing as they go.  Nothing is appended, sorted,
+//!   drained or merged, and scratch is `O(longest run the worker was
+//!   handed)` — 36 bytes per candidate.  It is the only engine the batch
+//!   passes run on ([`ScoreboardEngine::Tiled`], the default); there is no
+//!   run-length limit and no second path.
+//! * **[`RadixScoreboard`] — the discovery board.**  `er_stream`'s
+//!   `PartnerBoard` has no candidate list: it *discovers* an entity's
+//!   partners from the block walk.  It keeps the cache-blocked radix engine:
+//!   the partner id space is split into power-of-two *tiles*
+//!   ([`ScoreboardConfig::tile_entities`], auto-sized to
+//!   [`DEFAULT_TILE_ENTITIES`] — the streaming index is the only thing that
+//!   field configures); each `(partner, 1/||b||, 1/|b|)` contribution is
+//!   appended to one entries array while a 4-byte-per-tile counter tracks
+//!   its tile, a *stable* counting sort groups the entries by tile at drain
+//!   time (stability keeps each tile's run in append order), and each run is
+//!   folded into tile-width accumulators (cache-resident by construction)
+//!   and emitted in ascending partner order.  Per-tile `Vec` buckets would
+//!   do the same job but retain their historical max capacity forever, which
+//!   sums to `O(num_tiles)`-sized scratch — the two flat arrays keep
+//!   retained capacity at `O(contributions_of_one_entity)`.
 //!
-//! **Bit-identity.**  A partner's floating-point sums are accumulated in
-//! bucket-append order, which is exactly the block-walk order the flat
-//! scoreboard used; per-partner addition sequences are therefore identical
-//! and the drained aggregates are bit-for-bit the flat scoreboard's values.
-//! The flat engine is retained ([`FlatScoreboard`],
+//! **Bit-identity.**  On both boards a partner's floating-point sums are
+//! accumulated in block-walk order — directly on the candidate board, in
+//! bucket-append order on the radix board — which is exactly the order the
+//! flat scoreboard used; per-partner addition sequences are therefore
+//! identical and the aggregates are bit-for-bit the flat scoreboard's
+//! values.  The flat engine is retained ([`FlatScoreboard`],
 //! [`ScoreboardEngine::Flat`]) as the reference for equivalence tests and
 //! scratch-size comparisons.
 
@@ -45,20 +49,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::PairCooccurrence;
 
-/// Default tile width (entities per tile) when auto-sizing: 4096 slots keep
+/// Default tile width (entities per tile) of the discovery board when
+/// auto-sizing: 4096 slots keep
 /// the three accumulator arrays (20 bytes per slot) at 80 KiB — L2-resident
 /// on current hardware — while keeping the per-tile counter array shallow
 /// (`num_entities / 4096` four-byte counters).
 pub const DEFAULT_TILE_ENTITIES: usize = 4096;
 
-/// Default upper bound on candidate-list length for the dense partner-remap
-/// fast path.
-pub const DEFAULT_DENSE_REMAP_LIMIT: usize = 64;
-
 /// Which partner-aggregation engine the fused pass runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ScoreboardEngine {
-    /// The cache-blocked radix scoreboard (default).
+    /// The scratch-bounded engines (default): the candidate-aligned board
+    /// on the batch passes, the tiled radix board in the streaming index.
     #[default]
     Tiled,
     /// The original flat `O(num_entities)`-scratch scoreboard, retained as
@@ -73,15 +75,13 @@ pub struct ScoreboardConfig {
     /// Engine selection; [`ScoreboardEngine::Tiled`] unless a caller opts
     /// back into the flat reference.
     pub engine: ScoreboardEngine,
-    /// Requested tile width in entities; `None` auto-sizes to
+    /// Requested tile width, in entities, of the discovery board the
+    /// streaming index runs on ([`RadixScoreboard`]); the batch passes'
+    /// [`CandidateBoard`] has no tiles and ignores it.  `None` auto-sizes to
     /// [`DEFAULT_TILE_ENTITIES`].  Rounded up to a power of two and capped
     /// at `max(num_entities.next_power_of_two(), DEFAULT_TILE_ENTITIES)` —
     /// any request larger than the corpus degenerates to a single tile.
     pub tile_entities: Option<usize>,
-    /// Entities whose candidate list is at most this long take the dense
-    /// partner-remap fast path instead of the radix scatter.  `0` disables
-    /// the fast path.
-    pub dense_remap_limit: usize,
 }
 
 impl Default for ScoreboardConfig {
@@ -89,7 +89,6 @@ impl Default for ScoreboardConfig {
         ScoreboardConfig {
             engine: ScoreboardEngine::Tiled,
             tile_entities: None,
-            dense_remap_limit: DEFAULT_DENSE_REMAP_LIMIT,
         }
     }
 }
@@ -128,8 +127,8 @@ impl ScoreboardConfig {
 
 /// Scoreboard metric handles on the global [`er_obs`] registry, resolved
 /// once.  High-water marks are `fetch_max` gauges, path counts are
-/// counters; workers batch their updates
-/// ([`RadixScoreboard::flush_metrics`], once per task) so the hot loop
+/// counters; workers batch their updates ([`CandidateBoard::flush_metrics`]
+/// / [`RadixScoreboard::flush_metrics`], once per task) so the hot loop
 /// never touches a shared cache line.
 pub(crate) struct ScoreboardObs {
     pub(crate) scratch_bytes_hwm: &'static Gauge,
@@ -138,6 +137,18 @@ pub(crate) struct ScoreboardObs {
     pub(crate) radix_entities: &'static Counter,
     pub(crate) dense_entities: &'static Counter,
     pub(crate) tile_partners: &'static Histogram,
+}
+
+impl ScoreboardObs {
+    /// Publishes one task's high-water marks: the worker's scratch
+    /// footprint, its longest run or partner list and its largest block
+    /// walk.
+    fn record_task(&self, scratch_bytes: usize, partners_hwm: usize, contributions_hwm: usize) {
+        self.scratch_bytes_hwm.record_max(scratch_bytes as u64);
+        self.partners_hwm.record_max(partners_hwm as u64);
+        self.contributions_hwm.record_max(contributions_hwm as u64);
+        self.tile_partners.record(partners_hwm as u64);
+    }
 }
 
 pub(crate) fn obs() -> &'static ScoreboardObs {
@@ -149,19 +160,19 @@ pub(crate) fn obs() -> &'static ScoreboardObs {
         ),
         partners_hwm: er_obs::gauge(
             "scoreboard_partners_hwm",
-            "Most distinct partners any single entity produced",
+            "Longest candidate run aligned, or most distinct partners drained, for any single entity",
         ),
         contributions_hwm: er_obs::gauge(
             "scoreboard_contributions_hwm",
-            "Most (block, partner) contributions any single entity scattered",
+            "Most (block, partner) contributions any single entity's block walk produced",
         ),
         radix_entities: er_obs::counter(
             "scoreboard_radix_entities_total",
-            "Entities aggregated through the radix scatter path",
+            "Entities drained through the radix discovery board (er-stream's PartnerBoard)",
         ),
         dense_entities: er_obs::counter(
             "scoreboard_dense_entities_total",
-            "Entities aggregated through the dense partner-remap fast path",
+            "Entity runs aggregated on the candidate-aligned board (every batch run)",
         ),
         tile_partners: er_obs::histogram(
             "scoreboard_tile_partners",
@@ -177,13 +188,17 @@ pub(crate) fn obs() -> &'static ScoreboardObs {
 pub struct ScoreboardMetricsSnapshot {
     /// Largest per-worker scratch footprint observed, in bytes.
     pub scratch_bytes_hwm: u64,
-    /// Most distinct partners any single entity produced.
+    /// Longest candidate run aligned (batch board) or most distinct partners
+    /// drained (discovery board) for any single entity.
     pub partners_hwm: u64,
-    /// Most `(block, partner)` contributions any single entity scattered.
+    /// Most `(block, partner)` contributions any single entity's block walk
+    /// produced.
     pub contributions_hwm: u64,
-    /// Entities processed through the radix scatter path.
+    /// Entities drained through the radix discovery board
+    /// (`er_stream::PartnerBoard`).
     pub radix_entities: u64,
-    /// Entities processed through the dense partner-remap fast path.
+    /// Entity runs aggregated on the candidate-aligned board — every run of
+    /// every batch pass.
     pub dense_entities: u64,
 }
 
@@ -220,19 +235,17 @@ struct Contribution {
     inv_size: f64,
 }
 
-/// The cache-blocked radix scoreboard.
+/// The cache-blocked radix scoreboard: the discovery board of the streaming
+/// index, which has no candidate list to align to.
 ///
 /// `add` appends contributions to an entries array and counts them per
 /// tile; `drain_sorted_into` groups them by tile with a stable counting
 /// sort, folds each tile's run into cache-resident accumulators, and emits
-/// `(partner, aggregates)` in ascending partner order.  The dense fast path
-/// (`add_dense` / `dense_agg` / `finish_dense`) reuses the same accumulator
-/// arrays, indexed by candidate-list slot instead of partner id.
+/// `(partner, aggregates)` in ascending partner order.
 #[derive(Debug)]
 pub struct RadixScoreboard {
     tile_shift: u32,
     tile_mask: u32,
-    dense_limit: usize,
     /// The current entity's contributions in append (block-walk) order.
     entries: Vec<Contribution>,
     /// Counting-sort scratch: `entries` regrouped by tile, stable.
@@ -248,7 +261,6 @@ pub struct RadixScoreboard {
     local_partners_hwm: usize,
     local_contributions_hwm: usize,
     local_radix: usize,
-    local_dense: usize,
 }
 
 impl RadixScoreboard {
@@ -257,34 +269,26 @@ impl RadixScoreboard {
     /// that).
     pub fn new(num_entities: usize, config: &ScoreboardConfig) -> Self {
         let tile = config.effective_tile(num_entities);
-        let slots = tile.max(config.dense_remap_limit);
         RadixScoreboard {
             tile_shift: tile.trailing_zeros(),
             tile_mask: (tile - 1) as u32,
-            dense_limit: config.dense_remap_limit,
             entries: Vec::new(),
             sorted: Vec::new(),
             tile_counts: vec![0; num_entities.div_ceil(tile)],
             active_tiles: Vec::new(),
-            common: vec![0; slots],
-            inv_comp: vec![0.0; slots],
-            inv_size: vec![0.0; slots],
+            common: vec![0; tile],
+            inv_comp: vec![0.0; tile],
+            inv_size: vec![0.0; tile],
             touched: Vec::new(),
             local_partners_hwm: 0,
             local_contributions_hwm: 0,
             local_radix: 0,
-            local_dense: 0,
         }
     }
 
     /// The effective tile width in entities.
     pub fn tile_entities(&self) -> usize {
         (self.tile_mask as usize) + 1
-    }
-
-    /// Candidate-list length at or below which the dense fast path applies.
-    pub fn dense_limit(&self) -> usize {
-        self.dense_limit
     }
 
     /// Scatters one contribution of the current entity.
@@ -381,37 +385,6 @@ impl RadixScoreboard {
         self.local_contributions_hwm = self.local_contributions_hwm.max(contributions);
     }
 
-    /// Dense fast path: accumulates one contribution at candidate-list slot
-    /// `slot` (< `dense_limit`, already remapped by the caller).
-    #[inline]
-    pub fn add_dense(&mut self, slot: usize, inv_comp: f64, inv_size: f64) {
-        self.common[slot] += 1;
-        self.inv_comp[slot] += inv_comp;
-        self.inv_size[slot] += inv_size;
-    }
-
-    /// The aggregates accumulated at a dense slot (zeros if untouched —
-    /// identical to the flat scoreboard's never-written slot).
-    #[inline]
-    pub fn dense_agg(&self, slot: usize) -> PairCooccurrence {
-        PairCooccurrence {
-            common_blocks: self.common[slot] as usize,
-            inv_comparisons_sum: self.inv_comp[slot],
-            inv_sizes_sum: self.inv_size[slot],
-        }
-    }
-
-    /// Resets dense slots `0..len` after emission.
-    pub fn finish_dense(&mut self, len: usize) {
-        for slot in 0..len {
-            self.common[slot] = 0;
-            self.inv_comp[slot] = 0.0;
-            self.inv_size[slot] = 0.0;
-        }
-        self.local_dense += 1;
-        self.local_partners_hwm = self.local_partners_hwm.max(len);
-    }
-
     /// This worker's current scratch footprint in bytes (accumulators,
     /// entry/sort arrays, per-tile counters, bookkeeping lists).  O(1).
     pub fn scratch_bytes(&self) -> usize {
@@ -430,20 +403,180 @@ impl RadixScoreboard {
     /// [`er_obs`] registry.  Call once per task, not per entity — the whole
     /// task costs a handful of relaxed atomic ops.
     pub fn flush_metrics(&mut self) {
-        if self.local_radix + self.local_dense > 0 {
+        if self.local_radix > 0 {
             let o = obs();
-            o.scratch_bytes_hwm.record_max(self.scratch_bytes() as u64);
-            o.partners_hwm.record_max(self.local_partners_hwm as u64);
-            o.contributions_hwm
-                .record_max(self.local_contributions_hwm as u64);
+            o.record_task(
+                self.scratch_bytes(),
+                self.local_partners_hwm,
+                self.local_contributions_hwm,
+            );
             o.radix_entities.add(self.local_radix as u64);
-            o.dense_entities.add(self.local_dense as u64);
-            o.tile_partners.record(self.local_partners_hwm as u64);
         }
         self.local_partners_hwm = 0;
         self.local_contributions_hwm = 0;
         self.local_radix = 0;
-        self.local_dense = 0;
+    }
+}
+
+/// Multiplier of the candidate table's slot hash: the 64-bit golden-ratio
+/// constant (odd, so the multiply is a bijection on `u64`).
+const SLOT_HASH_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// An unoccupied entry of the candidate table.  An occupied entry is
+/// `partner << 32 | slot` with `slot` below the run length, which never
+/// reaches `u32::MAX`.
+const EMPTY_ENTRY: u64 = u64::MAX;
+
+/// The home position of `partner` in a candidate table of `2^table_bits`
+/// entries (`table_bits >= 1`): the *top* bits of `partner × odd constant`.
+///
+/// A multiply only carries upwards, so the low bits of the product depend on
+/// the low bits of the id alone — `product & mask` would pile every id that
+/// is a multiple of the table size onto position 0.  The top bits depend on
+/// the whole id (see [`er_core::fxhash::high_bits`]).  Public so that tests
+/// can build runs of ids that share a home position.
+#[inline]
+pub fn candidate_home_slot(partner: u32, table_bits: u32) -> usize {
+    er_core::fxhash::high_bits(
+        u64::from(partner).wrapping_mul(SLOT_HASH_MULTIPLIER),
+        0,
+        table_bits,
+    )
+}
+
+/// The candidate-aligned scoreboard of the batch passes.
+///
+/// [`CandidateBoard::align`] fills a run-sized open-addressing table
+/// (power-of-two capacity ≥ 2·|run|, linear probing) that maps each partner
+/// id of the entity's sorted candidate run to its position in the run;
+/// [`CandidateBoard::add`] accumulates a contribution at that position, in
+/// call (= block-walk) order, dropping partners that are not in the run;
+/// [`CandidateBoard::take`] reads a position's aggregates and zeroes it.
+/// Table and accumulators grow to the longest run seen and are reused — 16 +
+/// 20 bytes per candidate of that run, nothing corpus-sized.
+#[derive(Debug, Default)]
+pub struct CandidateBoard {
+    /// `partner << 32 | slot` entries; only the first `2^table_bits` are in
+    /// use for the current run.
+    table: Vec<u64>,
+    table_bits: u32,
+    common: Vec<u32>,
+    inv_comp: Vec<f64>,
+    inv_size: Vec<f64>,
+    local_partners_hwm: usize,
+    local_contributions_hwm: usize,
+    local_runs: usize,
+}
+
+impl CandidateBoard {
+    /// An empty board; scratch grows with the runs it is aligned to.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Aligns the board to one entity's candidate run: `partners` yields the
+    /// run's distinct partner ids, and the `i`-th one is given slot `i`.
+    /// Every slot's accumulators are zero on return (slots are zeroed as
+    /// they are [taken](CandidateBoard::take)).
+    pub fn align(&mut self, partners: impl ExactSizeIterator<Item = u32>) {
+        let len = partners.len();
+        self.table_bits = (2 * len).next_power_of_two().trailing_zeros().max(1);
+        let capacity = 1usize << self.table_bits;
+        let mask = capacity - 1;
+        if self.table.len() < capacity {
+            self.table.resize(capacity, EMPTY_ENTRY);
+        }
+        if self.common.len() < len {
+            self.common.resize(len, 0);
+            self.inv_comp.resize(len, 0.0);
+            self.inv_size.resize(len, 0.0);
+        }
+        let table = &mut self.table[..capacity];
+        table.fill(EMPTY_ENTRY);
+        for (slot, partner) in partners.enumerate() {
+            let mut at = candidate_home_slot(partner, self.table_bits);
+            while table[at] != EMPTY_ENTRY {
+                debug_assert_ne!((table[at] >> 32) as u32, partner, "duplicate candidate");
+                at = (at + 1) & mask;
+            }
+            table[at] = u64::from(partner) << 32 | slot as u64;
+        }
+        self.local_runs += 1;
+        self.local_partners_hwm = self.local_partners_hwm.max(len);
+    }
+
+    /// Accumulates one contribution for `partner` at its slot of the
+    /// aligned run; a partner outside the run is dropped (its aggregates
+    /// would never be read).
+    #[inline]
+    pub fn add(&mut self, partner: u32, inv_comp: f64, inv_size: f64) {
+        let mask = (1usize << self.table_bits) - 1;
+        let table = &self.table[..=mask];
+        let mut at = candidate_home_slot(partner, self.table_bits);
+        loop {
+            let entry = table[at];
+            if entry == EMPTY_ENTRY {
+                return;
+            }
+            if (entry >> 32) as u32 == partner {
+                let slot = entry as u32 as usize;
+                self.common[slot] += 1;
+                self.inv_comp[slot] += inv_comp;
+                self.inv_size[slot] += inv_size;
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The aggregates accumulated at `slot` (zeros if no contribution
+    /// reached it — identical to the flat scoreboard's never-written slot),
+    /// leaving the slot zeroed for the next run.
+    #[inline]
+    pub fn take(&mut self, slot: usize) -> PairCooccurrence {
+        let agg = PairCooccurrence {
+            common_blocks: self.common[slot] as usize,
+            inv_comparisons_sum: self.inv_comp[slot],
+            inv_sizes_sum: self.inv_size[slot],
+        };
+        self.common[slot] = 0;
+        self.inv_comp[slot] = 0.0;
+        self.inv_size[slot] = 0.0;
+        agg
+    }
+
+    /// Records how many contributions the current run's block walk produced
+    /// (kept or dropped) for the contributions high-water mark.
+    #[inline]
+    pub fn note_contributions(&mut self, contributions: usize) {
+        self.local_contributions_hwm = self.local_contributions_hwm.max(contributions);
+    }
+
+    /// This worker's current scratch footprint in bytes (table and
+    /// accumulators).  O(1).
+    pub fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.table.capacity() * size_of::<u64>()
+            + self.common.capacity() * size_of::<u32>()
+            + self.inv_comp.capacity() * size_of::<f64>()
+            + self.inv_size.capacity() * size_of::<f64>()
+    }
+
+    /// Publishes this worker's locally batched metrics to the global
+    /// [`er_obs`] registry.  Call once per task, not per entity.
+    pub fn flush_metrics(&mut self) {
+        if self.local_runs > 0 {
+            let o = obs();
+            o.record_task(
+                self.scratch_bytes(),
+                self.local_partners_hwm,
+                self.local_contributions_hwm,
+            );
+            o.dense_entities.add(self.local_runs as u64);
+        }
+        self.local_partners_hwm = 0;
+        self.local_contributions_hwm = 0;
+        self.local_runs = 0;
     }
 }
 
@@ -550,16 +683,81 @@ mod tests {
 
     #[test]
     fn dense_path_accumulates_and_resets() {
-        let cfg = ScoreboardConfig::default();
-        let mut board = RadixScoreboard::new(10, &cfg);
-        board.add_dense(0, 0.5, 0.25);
-        board.add_dense(2, 1.0, 1.0);
-        board.add_dense(0, 0.5, 0.25);
-        assert_eq!(board.dense_agg(0).common_blocks, 2);
-        assert_eq!(board.dense_agg(0).inv_comparisons_sum, 1.0);
-        assert_eq!(board.dense_agg(1).common_blocks, 0);
-        board.finish_dense(3);
-        assert_eq!(board.dense_agg(2).common_blocks, 0);
+        let mut board = CandidateBoard::new();
+        board.align([10u32, 20, 30].into_iter());
+        board.add(10, 0.5, 0.25);
+        board.add(30, 1.0, 1.0);
+        board.add(10, 0.5, 0.25);
+        // Not in the run: dropped.
+        board.add(40, 8.0, 8.0);
+        let first = board.take(0);
+        assert_eq!(first.common_blocks, 2);
+        assert_eq!(first.inv_comparisons_sum, 1.0);
+        assert_eq!(first.inv_sizes_sum, 0.5);
+        assert_eq!(board.take(1), PairCooccurrence::default());
+        assert_eq!(board.take(2).common_blocks, 1);
+        // Taken slots are zero for the next run, whose ids may reuse them.
+        board.align([30u32, 40].into_iter());
+        board.add(40, 2.0, 1.0);
+        assert_eq!(board.take(0), PairCooccurrence::default());
+        assert_eq!(board.take(1).inv_comparisons_sum, 2.0);
+    }
+
+    #[test]
+    fn candidate_table_resolves_ids_sharing_a_home_slot() {
+        // 8 candidates -> a 16-entry table.  Collect ids whose home slot is
+        // the table's last position (the probe chain wraps to 0), plus
+        // multiples of the table size (the low-bit trap).
+        let bits = 4u32;
+        let mut ids: Vec<u32> = (0u32..)
+            .filter(|&id| candidate_home_slot(id, bits) == 15)
+            .take(5)
+            .collect();
+        ids.extend([16u32, 32, 48].iter().map(|m| m * 1024));
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 8);
+        let absent: u32 = (0u32..)
+            .filter(|id| candidate_home_slot(*id, bits) == 15 && !ids.contains(id))
+            .nth(2)
+            .unwrap();
+
+        let mut board = CandidateBoard::new();
+        board.align(ids.iter().copied());
+        for (i, &id) in ids.iter().enumerate() {
+            for _ in 0..=i {
+                board.add(id, 1.0, 0.5);
+            }
+        }
+        board.add(absent, 100.0, 100.0);
+        for i in 0..ids.len() {
+            let agg = board.take(i);
+            assert_eq!(agg.common_blocks, i + 1, "slot {i}");
+            assert_eq!(agg.inv_comparisons_sum, (i + 1) as f64);
+        }
+    }
+
+    #[test]
+    fn candidate_board_grows_to_the_longest_run_and_stays_there() {
+        let mut board = CandidateBoard::new();
+        board.align(0u32..4);
+        let small = board.scratch_bytes();
+        let long = 3 * DEFAULT_TILE_ENTITIES;
+        board.align((0..long as u32).map(|i| i * 7));
+        board.add(7 * (long as u32 - 1), 1.0, 1.0);
+        assert_eq!(board.take(long - 1).common_blocks, 1);
+        let grown = board.scratch_bytes();
+        assert!(grown > small);
+        // 16 B of table + 20 B of accumulators per candidate, rounded up to
+        // the table's power of two (and Vec growth slack).
+        assert!(grown >= 36 * long);
+        assert!(grown <= 2 * 36 * long.next_power_of_two());
+        // A short run afterwards neither shrinks nor grows the board.
+        board.align([5u32, 9].into_iter());
+        board.add(9, 1.0, 1.0);
+        assert_eq!(board.take(0).common_blocks, 0);
+        assert_eq!(board.take(1).common_blocks, 1);
+        assert_eq!(board.scratch_bytes(), grown);
     }
 
     #[test]
@@ -575,16 +773,21 @@ mod tests {
         board.add(9, 1.0, 1.0);
         let mut out = Vec::new();
         board.drain_sorted_into(&mut out);
-        board.add_dense(0, 1.0, 1.0);
-        board.finish_dense(1);
         let scratch = board.scratch_bytes();
         board.flush_metrics();
+        let mut aligned = CandidateBoard::new();
+        aligned.align([3u32].into_iter());
+        aligned.add(3, 1.0, 1.0);
+        aligned.note_contributions(1);
+        aligned.take(0);
+        let aligned_scratch = aligned.scratch_bytes();
+        aligned.flush_metrics();
         let after = scoreboard_metrics();
         assert!(after.partners_hwm >= 2);
         assert!(after.contributions_hwm >= 3);
         assert!(after.radix_entities > before.radix_entities);
         assert!(after.dense_entities > before.dense_entities);
-        assert!(after.scratch_bytes_hwm >= scratch as u64);
+        assert!(after.scratch_bytes_hwm >= scratch.max(aligned_scratch) as u64);
     }
 
     #[test]

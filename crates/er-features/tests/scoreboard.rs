@@ -1,21 +1,24 @@
-//! Cross-engine equivalence and tile edge cases for the cache-blocked radix
-//! scoreboard.
+//! Cross-engine equivalence for the batch passes' candidate-aligned board
+//! and tile edge cases for the radix discovery board.
 //!
-//! The contract under test: [`FeatureMatrix::build_with`] and
+//! Two contracts under test.  [`FeatureMatrix::build_with`] and
 //! [`FeatureMatrix::score_rows_with`] produce **bit-identical** output for
-//! every scoreboard engine, tile width, dense-remap limit and worker-thread
-//! count — on Clean-Clean and Dirty collections, across block structures
-//! mimicking all three redundancy-positive blocking schemes.  The flat
-//! `O(num_entities)`-scratch board is the retained reference; the tiled
-//! engine must match it bit for bit, including at degenerate tile widths
-//! (1, wider than the corpus) and with the dense fast path forced on or
-//! off.
+//! every scoreboard engine and worker-thread count — on Clean-Clean and
+//! Dirty collections, across block structures mimicking all three
+//! redundancy-positive blocking schemes, with runs long enough to grow the
+//! board followed by short ones.  The flat `O(num_entities)`-scratch board
+//! is the retained reference.  And [`RadixScoreboard`] — the board
+//! `er_stream::PartnerBoard` discovers partners on — drains exactly a naive
+//! per-partner fold of the same contributions at every tile width,
+//! including the degenerate ones (1, wider than the corpus).
+
+use std::collections::BTreeMap;
 
 use er_blocking::{Block, BlockCollection, BlockStats, CandidatePairs};
 use er_core::{DatasetKind, EntityId};
 use er_features::{
-    scoreboard_metrics, FeatureContext, FeatureMatrix, FeatureSet, FlatScoreboard, RadixScoreboard,
-    ScoreboardConfig, ScoreboardEngine,
+    scoreboard_metrics, FeatureContext, FeatureMatrix, FeatureSet, FlatScoreboard,
+    PairCooccurrence, RadixScoreboard, ScoreboardConfig, ScoreboardEngine,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -196,31 +199,124 @@ fn tiled_matches_flat_across_schemes_kinds_and_threads() {
     }
 }
 
+/// The `(partner, 1/||b||, 1/|b|)` contributions of entity `a`'s block walk,
+/// in walk (ascending block id) order — what a discovery board is fed.
+fn contributions_of(stats: &BlockStats, a: EntityId) -> Vec<(u32, f64, f64)> {
+    let mut contributions = Vec::new();
+    for &bid in stats.blocks_of(a) {
+        let members = stats.entities_of(bid);
+        let partners = match stats.kind() {
+            DatasetKind::CleanClean => &members[stats.first_source_count(bid) as usize..],
+            DatasetKind::Dirty => &members[members.partition_point(|p| *p <= a)..],
+        };
+        for &p in partners {
+            contributions.push((
+                p.0,
+                stats.inv_comparisons_table()[bid.index()],
+                stats.inv_sizes_table()[bid.index()],
+            ));
+        }
+    }
+    contributions
+}
+
+/// Asserts that, for every entity of the collection, a [`RadixScoreboard`]
+/// of the given tile width drains exactly the naive per-partner fold of the
+/// entity's contributions: same partners, ascending, sums folded in
+/// contribution order bit for bit.  One board serves every entity, so a
+/// drain that leaves state behind shows up on the next one.
+fn assert_radix_board_matches_naive_fold(blocks: &BlockCollection, tile: usize) {
+    let stats = BlockStats::new(blocks);
+    let mut board = RadixScoreboard::new(blocks.num_entities, &ScoreboardConfig::with_tile(tile));
+    let mut drained = Vec::new();
+    let mut partners_seen = 0usize;
+    for e in 0..blocks.num_entities {
+        let contributions = contributions_of(&stats, EntityId(e as u32));
+        let mut naive: BTreeMap<u32, PairCooccurrence> = BTreeMap::new();
+        for &(partner, inv_comp, inv_size) in &contributions {
+            board.add(partner, inv_comp, inv_size);
+            let agg = naive.entry(partner).or_default();
+            agg.common_blocks += 1;
+            agg.inv_comparisons_sum += inv_comp;
+            agg.inv_sizes_sum += inv_size;
+        }
+        board.drain_sorted_into(&mut drained);
+        let expected: Vec<(u32, PairCooccurrence)> = naive.into_iter().collect();
+        assert_eq!(
+            drained, expected,
+            "{} tile={tile} entity {e}",
+            blocks.dataset_name
+        );
+        partners_seen += drained.len();
+    }
+    assert!(partners_seen > 0, "fixture produced no partner at all");
+}
+
 #[test]
 fn tile_widths_do_not_change_output() {
-    let blocks = synthetic_blocks(DatasetKind::CleanClean, SchemeShape::Token, 250, 42);
     // 1 = one partner per tile, 64 = many boundary crossings, 4096 = the
     // default, 1 << 20 = a single tile wider than the corpus.
-    for tile in [1usize, 64, 4096, 1 << 20] {
-        assert_engines_agree(
-            &blocks,
-            &ScoreboardConfig::with_tile(tile),
-            &format!("tile={tile}"),
-        );
+    for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
+        let blocks = synthetic_blocks(kind, SchemeShape::Token, 250, 42);
+        for tile in [1usize, 64, 4096, 1 << 20] {
+            assert_radix_board_matches_naive_fold(&blocks, tile);
+        }
+    }
+}
+
+/// A collection in which entity 0 has `hub_partners` partners — each through
+/// its own two-entity block, every seventh through a second, larger block as
+/// well, so sums fold more than one contribution — followed by entities with
+/// short runs.  For Clean-Clean the first source is entities `0..8`.
+fn hub_collection(kind: DatasetKind, hub_partners: usize) -> BlockCollection {
+    let first = 8u32;
+    let num_entities = first as usize + hub_partners;
+    let mut blocks = Vec::new();
+    for i in 0..hub_partners as u32 {
+        blocks.push(Block::new(
+            format!("hub{i}"),
+            vec![EntityId(0), EntityId(first + i)],
+        ));
+        if i % 7 == 0 {
+            // Entities 1..4 share partners with the hub: short runs right
+            // after the long one, on slots the long run used.
+            blocks.push(Block::new(
+                format!("shared{i}"),
+                vec![EntityId(0), EntityId(1 + i % 3), EntityId(first + i)],
+            ));
+        }
+    }
+    BlockCollection {
+        dataset_name: format!("hub-{kind:?}"),
+        kind,
+        split: match kind {
+            DatasetKind::CleanClean => first as usize,
+            DatasetKind::Dirty => num_entities,
+        },
+        num_entities,
+        blocks,
     }
 }
 
 #[test]
-fn dense_fast_path_on_and_off_is_bit_identical() {
-    let blocks = synthetic_blocks(DatasetKind::Dirty, SchemeShape::Qgrams, 250, 7);
-    // dense_remap_limit = 0 forces the radix path for every entity; 1024
-    // (above any candidate-list length here) forces the dense remap path.
-    for limit in [0usize, 1024] {
-        let config = ScoreboardConfig {
-            dense_remap_limit: limit,
-            ..ScoreboardConfig::default()
-        };
-        assert_engines_agree(&blocks, &config, &format!("dense_limit={limit}"));
+fn long_run_then_short_runs_on_one_worker_are_bit_identical() {
+    // The hub's run is longer than one tile of the discovery board (the old
+    // dense limit was 64, the old accumulator size one tile), so aligning to
+    // it grows both the table and the accumulators; the short runs that
+    // follow reuse the grown board.
+    for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
+        let blocks = hub_collection(kind, 4096 + 300);
+        let candidates = CandidatePairs::from_blocks(&blocks);
+        assert!(candidates.pairs_of(EntityId(0)).len() > 4096);
+        assert!((1..4).all(|e| {
+            let run = candidates.pairs_of(EntityId(e)).len();
+            run > 0 && run < 4096
+        }));
+        assert_engines_agree(
+            &blocks,
+            &ScoreboardConfig::default(),
+            &format!("hub/{kind:?}"),
+        );
     }
 }
 
@@ -245,12 +341,10 @@ fn partners_straddling_tile_boundaries_and_empty_tiles() {
         ],
     };
     for tile in [1usize, 4, 64] {
-        assert_engines_agree(
-            &blocks,
-            &ScoreboardConfig::with_tile(tile),
-            &format!("straddle tile={tile}"),
-        );
+        assert_radix_board_matches_naive_fold(&blocks, tile);
     }
+    // The batch board has no tiles; it must still agree with the flat one.
+    assert_engines_agree(&blocks, &ScoreboardConfig::default(), "straddle");
 }
 
 #[test]
@@ -285,8 +379,8 @@ fn metrics_report_tile_scaled_scratch() {
     // Both builds publish into the shared er-obs registry; other tests in
     // this process may flush concurrently, so assert monotone deltas and
     // high-water lower bounds.  The flat pass records its corpus-sized
-    // scratch (20 B per entity in the three arrays); the tiled pass routes
-    // every entity through one of the two paths.
+    // scratch (20 B per entity in the three arrays); the default pass
+    // counts every run as a dense-path entity.
     let after = scoreboard_metrics();
     assert!(after.scratch_bytes_hwm >= 20 * blocks.num_entities as u64);
     assert!(after.partners_hwm > 0);
@@ -294,6 +388,7 @@ fn metrics_report_tile_scaled_scratch() {
     assert!(
         after.radix_entities + after.dense_entities > before.radix_entities + before.dense_entities
     );
+    assert!(after.dense_entities > before.dense_entities);
     // The scratch separation itself is a board property: a tiled board for
     // this corpus allocates far less than the flat reference.
     let tiled_board = RadixScoreboard::new(blocks.num_entities, &tiled);

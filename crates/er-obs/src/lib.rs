@@ -1,7 +1,7 @@
 //! Zero-overhead observability: a dependency-free, lock-free metrics
 //! registry plus a lightweight structured-event layer.
 //!
-//! Every subsystem of the pipeline (blocking build, radix scoreboard,
+//! Every subsystem of the pipeline (blocking build, scoreboards,
 //! candidate streaming, streaming CRUD, WAL/generational durability,
 //! sharded group commit, epoch-published reads) records into one global
 //! registry of named metrics:

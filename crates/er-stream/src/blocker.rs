@@ -29,8 +29,8 @@ pub struct StreamingConfig {
     /// the thread count never changes any output.
     pub threads: usize,
     /// Scoreboard configuration for the per-batch delta partner pass (the
-    /// same cache-blocked radix engine the batch feature pass runs on).
-    /// Output is bit-identical for every configuration.
+    /// cache-blocked radix discovery board; `tile_entities` sizes its
+    /// tiles).  Output is bit-identical for every configuration.
     pub scoreboard: ScoreboardConfig,
 }
 

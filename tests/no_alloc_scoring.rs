@@ -1,20 +1,24 @@
 //! Regression guards for the candidate → score path doing each unit of work
 //! once: the probability kernel allocates nothing, a streamed scoring pass
-//! allocates per chunk and never per pair, and a chunked pipeline run derives
-//! each emitting entity's partner run exactly once.
+//! allocates per chunk and never per pair or per run, the candidate-aligned
+//! board allocates nothing once it has seen its longest run, and a chunked
+//! pipeline run derives each emitting entity's partner run exactly once.
 //!
 //! The allocation counter is process-wide and the run counter lives in the
-//! process-wide er-obs registry, so the tests of this binary take turns.
+//! process-wide er-obs registry, so the tests of this binary take turns;
+//! guards over single-threaded code read the calling thread's own count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gsmb::blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream};
-use gsmb::core::Dataset;
+use gsmb::core::{Dataset, EntityId};
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::features::{
-    FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
+    CandidateBoard, FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig,
+    StreamFeatureContext,
 };
 use gsmb::learn::{ProbabilisticClassifier, SavedModel, TrainingSet};
 use gsmb::meta::pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingPipeline};
@@ -24,12 +28,25 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`ALLOCATIONS`]: a single-threaded
+    /// guard reads this one, so the test harness reporting another test's
+    /// result at the same moment cannot show up in it.  Const-initialised
+    /// and without a destructor, so touching it never allocates.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter increment, which touches no memory the
-// allocator hands out.
+// only addition is a relaxed counter increment and a thread-local one,
+// neither of which touches memory the allocator hands out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -38,12 +55,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,6 +75,13 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let value = f();
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// Allocator calls made by the calling thread while `f` runs.
+fn thread_allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let value = f();
+    (value, THREAD_ALLOCATIONS.with(Cell::get) - before)
 }
 
 fn dataset() -> Dataset {
@@ -102,7 +126,7 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
         .collect();
     let models = trained_models(&rows);
     for model in &models {
-        let (sum, allocations) = allocations_during(|| {
+        let (sum, allocations) = thread_allocations_during(|| {
             let mut sum = 0.0f64;
             for _ in 0..100 {
                 for row in &rows {
@@ -120,8 +144,10 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
 
     // One streamed scoring pass over the index-backed stream, small chunks:
     // the budget is one allocation per chunk plus a constant (output vector,
-    // slice table, worker threads and their scratch — 26 when written), and
-    // the pair count is far above it — one allocation per pair cannot pass.
+    // slice table, worker threads and their scratch, the candidate-aligned
+    // board's table and accumulators growing to the longest slice — 28 when
+    // written), and the pair count is far above it — one allocation per
+    // pair cannot pass.
     let chunk_pairs = 64usize;
     let stream = CandidateStream::from_candidates(&stats, &candidates);
     let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
@@ -149,6 +175,79 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
         allocations <= budget,
         "{allocations} allocations for {pairs} pairs in {chunks} chunks (budget {budget})"
     );
+
+    // The same pass with chunks of many runs each: the same budget now sits
+    // far below the number of runs the board is aligned to, so one
+    // allocation per run cannot pass either.
+    let chunk_pairs = 1024usize;
+    let chunks = stream.chunks(chunk_pairs).len() as u64;
+    let budget = 64 + chunks;
+    let runs = (0..candidates.num_entities())
+        .filter(|&e| !candidates.pairs_of(EntityId(e as u32)).is_empty())
+        .count() as u64;
+    assert!(
+        runs >= 8 * budget,
+        "fixture too small: {runs} runs against a budget of {budget}"
+    );
+    let (scores, allocations) = allocations_during(|| {
+        FeatureMatrix::score_stream_with(
+            &stream_context,
+            &stream,
+            set,
+            2,
+            &ScoreboardConfig::default(),
+            chunk_pairs,
+            |row| model.probability(row).clamp(0.0, 1.0),
+        )
+    });
+    assert_eq!(scores.len(), candidates.len());
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {runs} runs in {chunks} chunks (budget {budget})"
+    );
+}
+
+/// The candidate-aligned board's table and accumulators grow to the longest
+/// run the worker is handed and are reused from then on: aligning to,
+/// accumulating on and reading back any number of runs no longer than that
+/// touches the allocator not once.
+#[test]
+fn candidate_board_allocates_nothing_once_its_longest_run_has_been_seen() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let longest = 5000usize;
+    let mut board = CandidateBoard::new();
+    let (_, growth) = thread_allocations_during(|| board.align(0..longest as u32));
+    assert!(growth > 0, "the first long run has to allocate");
+    for slot in 0..longest {
+        board.take(slot);
+    }
+    let scratch = board.scratch_bytes();
+
+    let (checksum, allocations) = thread_allocations_during(|| {
+        let mut checksum = 0usize;
+        for round in 0..200usize {
+            // Lengths sweep 1..=longest, ids move with the round.
+            let len = 1 + (round * 997) % longest;
+            let base = (round * 31) as u32;
+            board.align((0..len as u32).map(|i| base + 3 * i));
+            for i in (0..len as u32).step_by(2) {
+                board.add(base + 3 * i, 0.5, 0.25);
+                board.add(base + 3 * i + 1, 9.0, 9.0); // not in the run
+            }
+            board.note_contributions(len);
+            for slot in 0..len {
+                checksum += board.take(slot).common_blocks;
+            }
+        }
+        board.align(0..longest as u32);
+        checksum
+    });
+    assert!(checksum > 0);
+    assert_eq!(
+        allocations, 0,
+        "runs no longer than the longest one seen must reuse the board"
+    );
+    assert_eq!(board.scratch_bytes(), scratch);
 }
 
 /// `blocking_candidate_runs_derived_total` counts every gather + sort +

@@ -17,7 +17,10 @@ use gsmb::core::{
 };
 use gsmb::eval::Effectiveness;
 use gsmb::features::reference::NaiveFeatureContext;
-use gsmb::features::{FeatureContext, FeatureMatrix, FeatureSet, Scheme};
+use gsmb::features::{
+    candidate_home_slot, FeatureContext, FeatureMatrix, FeatureSet, Scheme, ScoreboardConfig,
+    StreamFeatureContext,
+};
 use gsmb::learn::{
     Classifier, LogisticRegression, LogisticRegressionConfig, PlattScaler, ProbabilisticClassifier,
     Standardizer, TrainingSet,
@@ -580,8 +583,10 @@ fn candidate_extraction_matches_naive_reference() {
 /// The materialising constructors derive each run once and assemble the
 /// index from per-task buffers; the stream counts first and re-extracts.
 /// Both must equal the naive hash-based reference — pair list, the CSR row
-/// of every entity (emitting or not) and the LCP table — for token, q-gram
-/// and suffix blocks, Clean-Clean and Dirty, at every thread count.  The
+/// and the LCP count of every entity (emitting or not; the single gather
+/// histograms the partner side of the counts out of its task buffers, one id
+/// range per worker) — for token, q-gram and suffix blocks, Clean-Clean and
+/// Dirty, at every thread count.  The
 /// corpora include the empty one, single entities, profiles without tokens
 /// (entities with no partner) and, at 8 threads, one-entity tasks.
 #[test]
@@ -632,8 +637,14 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
                 );
                 assert_eq!(candidates.num_entities(), n, "{context} {what}");
                 let mut cursor = 0usize;
-                for e in 0..n {
+                assert_eq!(naive_counts.len(), n, "{context} {what}");
+                for (e, &naive_count) in naive_counts.iter().enumerate() {
                     let entity = EntityId(e as u32);
+                    assert_eq!(
+                        candidates.candidates_of(entity),
+                        naive_count,
+                        "{context} {what} LCP of entity {e}"
+                    );
                     let run = naive_pairs[cursor..]
                         .iter()
                         .take_while(|pair| pair.0 == entity)
@@ -668,6 +679,238 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
         }
     }
     assert!(non_empty > CASES as usize, "fixtures produced no pairs");
+}
+
+/// Asserts that the default engine of the batch passes — the
+/// candidate-aligned board — reproduces the flat oracle
+/// (`ScoreboardEngine::Flat`, one thread) bit for bit on one candidate set:
+/// the full matrix and the fused scores at every thread count, and, when the
+/// candidates are the statistics' own (`streamed`), the chunked scoring pass
+/// over the derived and the index-backed stream at every chunk size, whose
+/// boundaries split runs into slices the board is aligned to one at a time.
+fn assert_aligned_board_is_flat(
+    stats: &BlockStats,
+    candidates: &CandidatePairs,
+    thread_counts: &[usize],
+    streamed: &[usize],
+    context: &str,
+) {
+    let set = FeatureSet::all_schemes();
+    let flat = ScoreboardConfig::flat();
+    let aligned = ScoreboardConfig::default();
+    let score = |row: &[f64]| {
+        row.iter()
+            .enumerate()
+            .map(|(i, v)| v * (i + 1) as f64)
+            .sum::<f64>()
+    };
+    let ctx = FeatureContext::new(stats, candidates);
+    let oracle = FeatureMatrix::build_with(&ctx, set, 1, &flat);
+    let oracle_scores = FeatureMatrix::score_rows_with(&ctx, set, 1, &flat, score);
+    for &threads in thread_counts {
+        let matrix = FeatureMatrix::build_with(&ctx, set, threads, &aligned);
+        assert_eq!(matrix.num_pairs(), oracle.num_pairs(), "{context}");
+        for (id, row) in oracle.rows() {
+            assert_eq!(
+                matrix.row(id),
+                row,
+                "{context} threads {threads} pair {:?}",
+                candidates.pair(id)
+            );
+        }
+        let scores = FeatureMatrix::score_rows_with(&ctx, set, threads, &aligned, score);
+        assert_eq!(scores, oracle_scores, "{context} threads {threads} scores");
+
+        for &chunk_pairs in streamed {
+            let derived = CandidateStream::from_stats(stats, threads);
+            let backed = CandidateStream::from_candidates(stats, candidates);
+            for (backing, stream) in [("derived", &derived), ("index-backed", &backed)] {
+                let sctx = StreamFeatureContext::new(stats, stream.lcp_table());
+                let streamed_scores = FeatureMatrix::score_stream_with(
+                    &sctx,
+                    stream,
+                    set,
+                    threads,
+                    &aligned,
+                    chunk_pairs,
+                    score,
+                );
+                assert_eq!(
+                    streamed_scores, oracle_scores,
+                    "{context} threads {threads} {backing} chunk_pairs {chunk_pairs}"
+                );
+            }
+        }
+    }
+}
+
+/// A collection whose entity 0 co-occurs with every id of `partners` (all
+/// above `first_source`) — each through its own two-entity block, every
+/// third through a second block shared with one of entities 1–3 as well, so
+/// sums fold several contributions and short runs follow the long one onto
+/// the slots it used.
+fn hub_collection(
+    kind: DatasetKind,
+    first_source: u32,
+    num_entities: usize,
+    partners: &[u32],
+) -> BlockCollection {
+    let mut blocks = Vec::new();
+    for (i, &p) in partners.iter().enumerate() {
+        assert!(p >= first_source && (p as usize) < num_entities);
+        blocks.push(Block::new(
+            format!("hub{i}"),
+            vec![EntityId(0), EntityId(p)],
+        ));
+        if i % 3 == 0 {
+            blocks.push(Block::new(
+                format!("shared{i}"),
+                vec![EntityId(0), EntityId(1 + (i as u32 / 3) % 3), EntityId(p)],
+            ));
+        }
+    }
+    BlockCollection {
+        dataset_name: "hub".into(),
+        kind,
+        split: match kind {
+            DatasetKind::CleanClean => first_source as usize,
+            DatasetKind::Dirty => num_entities,
+        },
+        num_entities,
+        blocks,
+    }
+}
+
+/// The candidate-aligned board against the flat oracle, bit for bit, on
+/// token, q-gram and suffix blocks of adversarial corpora (empty and
+/// one-entity ones included), Clean-Clean and Dirty, at 1/2/3/8 threads and
+/// with chunk sizes 1/3/64 splitting runs.
+#[test]
+fn aligned_board_matches_flat_engine_on_generated_blocks() {
+    let vocab = adversarial_vocab();
+    let suffix_keys = SuffixKeys::new(3, 6);
+    let generators: [(&str, &dyn KeyGenerator); 3] = [
+        ("token", &TokenKeys),
+        ("qgrams", &QGramKeys::new(3)),
+        ("suffix", &suffix_keys),
+    ];
+    let mut parallel_cases = 0usize;
+    for case in 0..16u64 {
+        let seed = gsmb::core::rng::derive_seed(0x5031, case);
+        let mut rng = seeded_rng(seed);
+        let kind = if case % 2 == 0 {
+            DatasetKind::CleanClean
+        } else {
+            DatasetKind::Dirty
+        };
+        let n = match case {
+            0 | 1 => 0,
+            2 | 3 => 1,
+            // Enough pairs for the engine to really run its workers.
+            4..=7 => rng.gen_range(90usize..=130),
+            _ => rng.gen_range(2usize..=40),
+        };
+        let profiles = (0..n)
+            .map(|i| adversarial_profile(&mut rng, &vocab, i))
+            .collect();
+        let split = if n >= 90 { n / 2 } else { rng.gen_range(0..=n) };
+        let dataset = raw_dataset(kind, profiles, split);
+        for (name, generator) in generators {
+            let csr = build_blocks(&dataset, generator, 2);
+            let stats = BlockStats::from_csr(&csr);
+            let candidates = CandidatePairs::try_from_stats(&stats, 2).unwrap();
+            parallel_cases += usize::from(candidates.len() >= 1024);
+            assert_aligned_board_is_flat(
+                &stats,
+                &candidates,
+                &[1, 2, 3, 8],
+                &[1, 3, 64],
+                &format!("seed {seed} {name} {kind:?} n {n}"),
+            );
+        }
+    }
+    assert!(
+        parallel_cases >= 4,
+        "only {parallel_cases} fixtures crossed the engine's parallel threshold"
+    );
+}
+
+/// The same comparison on hand-built runs: a hub entity with more than
+/// 4 096 partners (table and accumulators grow, short runs then reuse the
+/// grown board on the same worker), runs whose ids share a home position in
+/// the board's table or are multiples of its size, and `from_pairs` subsets
+/// — one holding a same-source Clean-Clean pair the block walk never
+/// covers.
+#[test]
+fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
+    for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
+        // Hub: 4 500 partners, ids 8..4508.
+        let partners: Vec<u32> = (8..8 + 4500).collect();
+        let hub = hub_collection(kind, 8, 8 + 4500, &partners);
+        let stats = BlockStats::new(&hub);
+        let candidates = CandidatePairs::from_blocks(&hub);
+        assert!(candidates.pairs_of(EntityId(0)).len() > 4096, "{kind:?}");
+        for e in 1..4 {
+            let run = candidates.pairs_of(EntityId(e)).len();
+            assert!(run > 0 && run < 1024, "{kind:?} entity {e}: run of {run}");
+        }
+        assert_aligned_board_is_flat(
+            &stats,
+            &candidates,
+            &[1, 2, 3, 8],
+            &[64, 1000],
+            &format!("hub {kind:?}"),
+        );
+        // Three-pair chunks cut the hub's run into 1 500 slices, each a
+        // block walk of its own: once is enough.
+        assert_aligned_board_is_flat(&stats, &candidates, &[3], &[3], &format!("hub {kind:?}"));
+
+        // A pruned subset: every other pair, the board dropping what the
+        // walk yields for the rest.  For Clean-Clean also a pair of two
+        // first-source entities, which no walk ever yields.
+        let mut kept: Vec<(EntityId, EntityId)> =
+            candidates.pairs().iter().copied().step_by(2).collect();
+        if kind == DatasetKind::CleanClean {
+            kept.push((EntityId(1), EntityId(2)));
+            kept.push((EntityId(0), EntityId(3)));
+        }
+        let subset = CandidatePairs::from_pairs(hub.num_entities, kept);
+        assert_aligned_board_is_flat(
+            &stats,
+            &subset,
+            &[1, 2, 3, 8],
+            &[],
+            &format!("hub subset {kind:?}"),
+        );
+
+        // Collisions: a 12-partner run is aligned in a 32-entry table.  Six
+        // ids share its last position (their probe chain wraps around), six
+        // are multiples of 32 · 1024 — all on position 0 under a low-bit
+        // mask.
+        let num_entities = 200_000usize;
+        let mut colliding: Vec<u32> = (8u32..)
+            .filter(|&id| candidate_home_slot(id, 5) == 31)
+            .take(6)
+            .collect();
+        colliding.extend((1..=6u32).map(|k| k * 32 * 1024));
+        colliding.sort_unstable();
+        colliding.dedup();
+        assert_eq!(colliding.len(), 12);
+        let collisions = hub_collection(kind, 8, num_entities, &colliding);
+        let stats = BlockStats::new(&collisions);
+        let candidates = CandidatePairs::from_blocks(&collisions);
+        assert_eq!(
+            candidates.pairs_of(EntityId(0)).len(),
+            12 + usize::from(kind == DatasetKind::Dirty) * 3
+        );
+        assert_aligned_board_is_flat(
+            &stats,
+            &candidates,
+            &[1, 2],
+            &[1, 3, 64],
+            &format!("collisions {kind:?}"),
+        );
+    }
 }
 
 /// The fused single-pass feature matrix equals the retained pre-refactor
