@@ -23,7 +23,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use bench::{
-    banner, bench_catalog_options, bench_repetitions, report::Report, write_bench_prometheus,
+    banner, bench_catalog_options, bench_repetitions, histogram_p50_between, report::Report,
+    write_bench_prometheus,
 };
 use er_blocking::{build_blocks, TokenKeys};
 use er_core::{Dataset, EntityId};
@@ -129,11 +130,17 @@ fn main() {
         // 2. Snapshot (checkpoint) cost at the full corpus.
         let dir = scratch(&format!("{name}-snapshot"));
         let mut durable = ingest_all(&dataset, threads).persist_to(&dir).unwrap();
+        let before = er_obs::snapshot();
         let start = Instant::now();
         for _ in 0..repetitions {
             durable.checkpoint().unwrap();
         }
         let snapshot_time = start.elapsed().as_secs_f64() / repetitions as f64;
+        // The compute / IO split of those checkpoints, one sample per
+        // member image each (log2 buckets: within 2× of the median).
+        let after = er_obs::snapshot();
+        let encode_p50 = histogram_p50_between(&before, &after, "persist_snapshot_encode_ns");
+        let write_p50 = histogram_p50_between(&before, &after, "persist_snapshot_write_ns");
         // Both snapshot files of the committed generation: the index
         // (member 0) and the small head next to it.
         let generation = format!(".{:06}.gsmb", durable.generation());
@@ -148,8 +155,11 @@ fn main() {
             .map(|entry| entry.metadata().unwrap().len())
             .sum();
         println!(
-            "snapshot: {:.2}ms per checkpoint, {:.1} KiB on disk",
+            "snapshot: {:.2}ms per checkpoint (member image: encode+checksum p50 <= {:.2}ms, \
+             write+fsync p50 <= {:.2}ms), {:.1} KiB on disk",
             snapshot_time * 1e3,
+            encode_p50 as f64 / 1e6,
+            write_p50 as f64 / 1e6,
             snapshot_bytes as f64 / 1024.0
         );
 
@@ -218,6 +228,8 @@ fn main() {
                 "    \"durable_ingest_ms\": {:.3},\n",
                 "    \"wal_overhead_us_per_batch\": {:.3},\n",
                 "    \"checkpoint_ms\": {:.3},\n",
+                "    \"snapshot_encode_p50_ms\": {:.3},\n",
+                "    \"snapshot_write_p50_ms\": {:.3},\n",
                 "    \"snapshot_bytes\": {},\n",
                 "    \"recovery\": [{}]\n",
                 "  }}"
@@ -229,6 +241,8 @@ fn main() {
             durable_time * 1e3,
             (durable_time - plain) / batches as f64 * 1e6,
             snapshot_time * 1e3,
+            encode_p50 as f64 / 1e6,
+            write_p50 as f64 / 1e6,
             snapshot_bytes,
             recovery_rows.join(", "),
         ));

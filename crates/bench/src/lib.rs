@@ -116,6 +116,33 @@ pub fn write_bench_prometheus(file_name: &str) -> Option<std::path::PathBuf> {
     write_bench_artifact(file_name, &er_obs::snapshot().render_prometheus())
 }
 
+/// The median of what histogram `name` observed between two registry
+/// snapshots, as the upper bound of the log2 bucket holding it (so within
+/// 2× of the true median); 0 if it observed nothing in between.
+pub fn histogram_p50_between(
+    before: &er_obs::MetricsSnapshot,
+    after: &er_obs::MetricsSnapshot,
+    name: &str,
+) -> u64 {
+    let Some(now) = after.histogram(name) else {
+        return 0;
+    };
+    let earlier = before.histogram(name);
+    // Bucket lists are cumulative and stop at the last populated bucket.
+    let earlier_up_to = |bound: u64| {
+        earlier
+            .and_then(|h| h.buckets.iter().take_while(|&&(b, _)| b <= bound).last())
+            .map_or(0, |&(_, cumulative)| cumulative)
+    };
+    let observed = now.count - earlier.map_or(0, |h| h.count);
+    now.buckets
+        .iter()
+        .find(|&&(bound, cumulative)| {
+            observed > 0 && (cumulative - earlier_up_to(bound)) * 2 >= observed
+        })
+        .map_or(0, |&(bound, _)| bound)
+}
+
 /// The process-wide peak-RSS gauge every bench routes `VmHWM` samples
 /// through, so memory tracking is one more registry consumer rather than a
 /// bespoke side channel.
@@ -324,6 +351,30 @@ mod tests {
         assert!(options.scale > 0.0);
         assert!(options.dirty_scale > 0.0);
         assert!(bench_repetitions() >= 1);
+    }
+
+    #[test]
+    fn histogram_p50_between_reads_only_the_window() {
+        let h = er_obs::histogram("bench_test_p50_window", "test-only");
+        let empty = er_obs::snapshot();
+        for _ in 0..9 {
+            h.record(1_000_000); // before the window: must not count
+        }
+        let before = er_obs::snapshot();
+        for v in [10, 12, 900, 1_000, 1_100] {
+            h.record(v);
+        }
+        let after = er_obs::snapshot();
+        let name = "bench_test_p50_window";
+        assert_eq!(histogram_p50_between(&before, &before, name), 0);
+        let p50 = histogram_p50_between(&before, &after, name);
+        assert!((900..2 * 900).contains(&p50), "{p50}");
+        // From an empty registry the nine large samples dominate.
+        assert!(histogram_p50_between(&empty, &after, name) >= 1_000_000);
+        assert_eq!(
+            histogram_p50_between(&before, &after, "no_such_histogram"),
+            0
+        );
     }
 
     #[test]

@@ -11,7 +11,13 @@
 //!   decoded value is **bit-identical** to the encoded one — NaN payloads,
 //!   signed zeros and all;
 //! * variable-length data (strings, byte slices, sequences) is
-//!   length-prefixed with a `u64`.
+//!   length-prefixed with a `u64`; a sequence of fixed-width primitives
+//!   (`u32`, `u64`, `f64`, `bool`, [`EntityId`]) moves through
+//!   [`Encode::encode_all`] / [`Decode::decode_all`] as one block — the
+//!   same bytes as the per-item loop, without a bounds check and a capacity
+//!   check per element — and a declared length the remaining bytes cannot
+//!   hold ([`Decode::MIN_ENCODED_LEN`]) is refused **before** anything is
+//!   allocated for it.
 //!
 //! [`Reader`] methods never panic on malformed input: running off the end
 //! of the buffer yields [`PersistError::Truncated`] and invalid content
@@ -43,6 +49,34 @@ impl Writer {
     pub fn with_capacity(bytes: usize) -> Self {
         Writer {
             buf: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Creates an empty writer over `buf`'s allocation: whatever `buf`
+    /// held is dropped, its capacity — and the pages already touched under
+    /// it — is kept.  A checkpoint encodes every image into a buffer it
+    /// got back this way.
+    pub(crate) fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
+    /// Overwrites the eight bytes at `at` with a little-endian `u64` — for
+    /// a header field (a length, a checksum) known only once what follows
+    /// it has been written.
+    ///
+    /// # Panics
+    /// If `at + 8` lies beyond the bytes written so far.
+    pub(crate) fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends `N`-byte little-endian images of `items`, back to back.
+    fn write_fixed<T: Copy, const N: usize>(&mut self, items: &[T], to_le: impl Fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * N, 0);
+        for (slot, &item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
+            slot.copy_from_slice(&to_le(item));
         }
     }
 
@@ -155,6 +189,22 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// Reads `len` values of `N` little-endian bytes each.  The byte count
+    /// is checked against what remains before anything is allocated.
+    fn read_fixed<T, const N: usize>(
+        &mut self,
+        len: usize,
+        what: &'static str,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> PersistResult<Vec<T>> {
+        // A product that overflows cannot fit either.
+        let bytes = self.take(len.saturating_mul(N), what)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|chunk| from_le(chunk.try_into().expect("chunks of N bytes")))
+            .collect())
+    }
+
     /// Reads raw bytes of a known length (fixed-layout sections).
     pub fn read_raw(&mut self, n: usize) -> PersistResult<&'a [u8]> {
         self.take(n, "raw bytes")
@@ -217,13 +267,58 @@ impl<'a> Reader<'a> {
 pub trait Encode {
     /// Appends the value's encoding to the writer.
     fn encode(&self, w: &mut Writer);
+
+    /// Appends the encodings of `items` back to back (no length prefix) —
+    /// the body of every encoded sequence.  The provided method encodes
+    /// item by item; fixed-width primitives override it with one block
+    /// write of the same bytes.
+    fn encode_all(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
 }
 
 /// A type decodable from its [`Encode`] output.
 pub trait Decode: Sized {
+    /// The fewest bytes one encoded value can occupy (0 = unknown).  A
+    /// sequence declaring more items than `remaining / MIN_ENCODED_LEN` is
+    /// truncated whatever its items hold, so [`Decode::decode_all`] refuses
+    /// it before pre-allocating `len × size_of::<Self>()` for a corrupt
+    /// length — in-memory values are up to 8× wider than their encodings,
+    /// and capping the *element* count by the remaining *bytes*, as the
+    /// decoder used to, let a bad length on a 37 MB image reserve 890 MB.
+    const MIN_ENCODED_LEN: usize = 0;
+
     /// Reads one value, consuming exactly the bytes [`Encode::encode`]
     /// produced for it.
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self>;
+
+    /// Reads `len` values laid out back to back — the body of an encoded
+    /// sequence whose length prefix the caller has read.  The provided
+    /// method decodes item by item; fixed-width primitives override it with
+    /// one bounds check and one block read.
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        let reserve = match Self::MIN_ENCODED_LEN {
+            // Unknown width: at least never reserve more bytes than the
+            // buffer still holds.
+            0 => len.min(r.remaining() / std::mem::size_of::<Self>().max(1)),
+            width if len > r.remaining() / width => {
+                return Err(PersistError::Truncated {
+                    context: format!("sequence of {len} items"),
+                })
+            }
+            _ => len,
+        };
+        let mut items = Vec::with_capacity(reserve);
+        for _ in 0..len {
+            items.push(Self::decode(r)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Encodes a value into a standalone byte buffer.
@@ -248,6 +343,8 @@ impl Encode for u8 {
 }
 
 impl Decode for u8 {
+    const MIN_ENCODED_LEN: usize = 1;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_u8()
     }
@@ -257,11 +354,21 @@ impl Encode for u32 {
     fn encode(&self, w: &mut Writer) {
         w.write_u32(*self);
     }
+
+    fn encode_all(items: &[Self], w: &mut Writer) {
+        w.write_fixed(items, u32::to_le_bytes);
+    }
 }
 
 impl Decode for u32 {
+    const MIN_ENCODED_LEN: usize = 4;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_u32()
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        r.read_fixed(len, "u32 sequence", u32::from_le_bytes)
     }
 }
 
@@ -269,11 +376,21 @@ impl Encode for u64 {
     fn encode(&self, w: &mut Writer) {
         w.write_u64(*self);
     }
+
+    fn encode_all(items: &[Self], w: &mut Writer) {
+        w.write_fixed(items, u64::to_le_bytes);
+    }
 }
 
 impl Decode for u64 {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_u64()
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        r.read_fixed(len, "u64 sequence", u64::from_le_bytes)
     }
 }
 
@@ -284,6 +401,8 @@ impl Encode for usize {
 }
 
 impl Decode for usize {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_usize()
     }
@@ -293,11 +412,23 @@ impl Encode for f64 {
     fn encode(&self, w: &mut Writer) {
         w.write_f64(*self);
     }
+
+    fn encode_all(items: &[Self], w: &mut Writer) {
+        w.write_fixed(items, |v| v.to_bits().to_le_bytes());
+    }
 }
 
 impl Decode for f64 {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_f64()
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        r.read_fixed(len, "f64 sequence", |b| {
+            f64::from_bits(u64::from_le_bytes(b))
+        })
     }
 }
 
@@ -305,11 +436,29 @@ impl Encode for bool {
     fn encode(&self, w: &mut Writer) {
         w.write_bool(*self);
     }
+
+    fn encode_all(items: &[Self], w: &mut Writer) {
+        w.write_fixed(items, |v| [u8::from(v)]);
+    }
 }
 
 impl Decode for bool {
+    const MIN_ENCODED_LEN: usize = 1;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_bool()
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        let bytes = r.take(len, "bool sequence")?;
+        // Strict like `read_bool`: the first byte that is neither 0 nor 1
+        // fails the whole sequence.
+        match bytes.iter().find(|&&b| b > 1) {
+            Some(other) => Err(PersistError::Corrupt(format!(
+                "bool byte must be 0 or 1, found {other}"
+            ))),
+            None => Ok(bytes.iter().map(|&b| b == 1).collect()),
+        }
     }
 }
 
@@ -320,6 +469,8 @@ impl Encode for String {
 }
 
 impl Decode for String {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         r.read_str()
     }
@@ -332,6 +483,8 @@ impl Encode for Box<str> {
 }
 
 impl Decode for Box<str> {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok(r.read_str()?.into_boxed_str())
     }
@@ -340,9 +493,16 @@ impl Decode for Box<str> {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.write_usize(self.len());
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_all(self, w);
+    }
+}
+
+/// A reference encodes as what it points to, so a sequence can be written
+/// from borrowed parts (`Vec<(u32, &[u32])>` has the layout of
+/// `Vec<(u32, Vec<u32>)>`) without cloning them into an owned twin first.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
     }
 }
 
@@ -353,15 +513,11 @@ impl<T: Encode> Encode for Vec<T> {
 }
 
 impl<T: Decode> Decode for Vec<T> {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         let len = r.read_usize()?;
-        // Cap the pre-allocation by the bytes actually present so a corrupt
-        // length cannot balloon memory before the bounds checks fire.
-        let mut items = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            items.push(T::decode(r)?);
-        }
-        Ok(items)
+        T::decode_all(r, len)
     }
 }
 
@@ -378,6 +534,8 @@ impl<T: Encode> Encode for Option<T> {
 }
 
 impl<T: Decode> Decode for Option<T> {
+    const MIN_ENCODED_LEN: usize = 1;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         match r.read_u8()? {
             0 => Ok(None),
@@ -397,6 +555,8 @@ impl<A: Encode, B: Encode> Encode for (A, B) {
 }
 
 impl<A: Decode, B: Decode> Decode for (A, B) {
+    const MIN_ENCODED_LEN: usize = A::MIN_ENCODED_LEN + B::MIN_ENCODED_LEN;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
@@ -410,6 +570,8 @@ impl Encode for Duration {
 }
 
 impl Decode for Duration {
+    const MIN_ENCODED_LEN: usize = 12;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         let secs = r.read_u64()?;
         let nanos = r.read_u32()?;
@@ -426,11 +588,23 @@ impl Encode for EntityId {
     fn encode(&self, w: &mut Writer) {
         w.write_u32(self.0);
     }
+
+    fn encode_all(items: &[Self], w: &mut Writer) {
+        w.write_fixed(items, |e| e.0.to_le_bytes());
+    }
 }
 
 impl Decode for EntityId {
+    const MIN_ENCODED_LEN: usize = 4;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok(EntityId(r.read_u32()?))
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        r.read_fixed(len, "entity-id sequence", |b| {
+            EntityId(u32::from_le_bytes(b))
+        })
     }
 }
 
@@ -444,6 +618,8 @@ impl Encode for DatasetKind {
 }
 
 impl Decode for DatasetKind {
+    const MIN_ENCODED_LEN: usize = 1;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         match r.read_u8()? {
             0 => Ok(DatasetKind::CleanClean),
@@ -463,6 +639,8 @@ impl Encode for Attribute {
 }
 
 impl Decode for Attribute {
+    const MIN_ENCODED_LEN: usize = 16;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok(Attribute {
             name: r.read_str()?,
@@ -479,6 +657,8 @@ impl Encode for EntityProfile {
 }
 
 impl Decode for EntityProfile {
+    const MIN_ENCODED_LEN: usize = 16;
+
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok(EntityProfile {
             external_id: r.read_str()?,
@@ -657,5 +837,173 @@ mod tests {
         w.write_u64(u64::MAX); // absurd element count
         let err = decode_from_slice::<Vec<u64>>(w.as_bytes()).unwrap_err();
         assert!(matches!(err, PersistError::Truncated { .. }));
+    }
+
+    /// The sequence body as the provided trait methods write it: one
+    /// `encode` per item.
+    fn per_item_bytes<T: Encode>(items: &[T]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.write_usize(items.len());
+        for item in items {
+            item.encode(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    /// ... and as they read it: one `decode` per item.
+    fn per_item_values<T: Decode>(bytes: &[u8]) -> PersistResult<Vec<T>> {
+        let mut r = Reader::new(bytes);
+        let len = r.read_usize()?;
+        let items = (0..len)
+            .map(|_| T::decode(&mut r))
+            .collect::<PersistResult<_>>()?;
+        r.expect_end()?;
+        Ok(items)
+    }
+
+    /// Block and per-item paths write the same bytes and read the same
+    /// values (compared through their encodings, so NaN payloads count).
+    fn assert_bulk_equals_per_item<T: Encode + Decode + Clone + std::fmt::Debug>(items: &[T]) {
+        let bulk = encode_to_vec(&items.to_vec());
+        assert_eq!(bulk, per_item_bytes(items));
+        let back: Vec<T> = decode_from_slice(&bulk).unwrap();
+        assert_eq!(encode_to_vec(&back), bulk);
+        let slow: Vec<T> = per_item_values(&bulk).unwrap();
+        assert_eq!(per_item_bytes(&slow), bulk);
+        // One byte short of what the prefix declares: truncated, both ways.
+        if !items.is_empty() {
+            let cut = &bulk[..bulk.len() - 1];
+            assert!(matches!(
+                decode_from_slice::<Vec<T>>(cut).unwrap_err(),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                per_item_values::<T>(cut).unwrap_err(),
+                PersistError::Truncated { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn bulk_sequences_are_byte_identical_to_the_per_item_loop() {
+        assert_bulk_equals_per_item::<u32>(&[]);
+        assert_bulk_equals_per_item(&[0u32, 1, 0xDEAD_BEEF, u32::MAX]);
+        assert_bulk_equals_per_item::<u64>(&[]);
+        assert_bulk_equals_per_item(&[0u64, 1 << 40, u64::MAX]);
+        assert_bulk_equals_per_item::<f64>(&[]);
+        assert_bulk_equals_per_item(&[
+            0.0f64,
+            -0.0,
+            1.5,
+            f64::MIN_POSITIVE,
+            f64::NEG_INFINITY,
+            f64::from_bits(f64::NAN.to_bits() | 0xDEAD),
+            f64::from_bits(0xFFF0_0000_0000_0001), // a signalling NaN
+        ]);
+        assert_bulk_equals_per_item::<bool>(&[]);
+        assert_bulk_equals_per_item(&[true, false, false, true, true]);
+        assert_bulk_equals_per_item::<EntityId>(&[]);
+        assert_bulk_equals_per_item(&[EntityId(0), EntityId(7), EntityId(u32::MAX)]);
+        // 1 000 items: past any small-size special case of the block copy.
+        let many: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        assert_bulk_equals_per_item(&many);
+    }
+
+    #[test]
+    fn bulk_bool_decoding_keeps_the_strict_zero_or_one_rule() {
+        let mut bytes = encode_to_vec(&vec![true, false, true, true]);
+        *bytes.last_mut().unwrap() = 2;
+        let err = decode_from_slice::<Vec<bool>>(&bytes).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
+        assert!(matches!(
+            per_item_values::<bool>(&bytes).unwrap_err(),
+            PersistError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn a_declared_length_the_buffer_cannot_hold_is_truncated_before_any_item() {
+        // 100 bytes follow the prefix: room for 25 u32s, 12 u64s, 12 empty
+        // strings, 12 empty nested vectors — one more is refused up front,
+        // and so is a length whose byte count overflows.
+        fn declared<T: Decode + std::fmt::Debug>(len: u64) -> PersistError {
+            let mut w = Writer::new();
+            w.write_u64(len);
+            w.write_raw(&[0u8; 100]);
+            decode_from_slice::<Vec<T>>(w.as_bytes()).unwrap_err()
+        }
+        for len in [26, 1 << 40, u64::MAX / 4 + 1, u64::MAX] {
+            assert!(matches!(
+                declared::<u32>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<EntityId>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<u64>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<f64>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<String>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<Vec<EntityId>>(len),
+                PersistError::Truncated { .. }
+            ));
+            assert!(matches!(
+                declared::<(u32, Vec<u32>)>(len),
+                PersistError::Truncated { .. }
+            ));
+        }
+        assert!(matches!(
+            declared::<bool>(101),
+            PersistError::Truncated { .. }
+        ));
+    }
+
+    #[test]
+    fn min_encoded_len_never_exceeds_a_real_encoding() {
+        fn check<T: Encode + Decode>(smallest: T) {
+            assert!(T::MIN_ENCODED_LEN <= encode_to_vec(&smallest).len());
+        }
+        check(0u8);
+        check(0u32);
+        check(0u64);
+        check(0usize);
+        check(0.0f64);
+        check(false);
+        check(String::new());
+        check(String::new().into_boxed_str());
+        check(Vec::<u32>::new());
+        check(Option::<u64>::None);
+        check((0u32, Vec::<u32>::new()));
+        check(Duration::ZERO);
+        check(EntityId(0));
+        check(DatasetKind::Dirty);
+        check(Attribute::new("", ""));
+        check(EntityProfile::new(""));
+    }
+
+    #[test]
+    fn a_reused_writer_keeps_the_allocation_and_patches_in_place() {
+        let mut w = Writer::with_capacity(256);
+        w.write_raw(&[0xAA; 200]);
+        let buf = w.into_bytes();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let mut w = Writer::reusing(buf);
+        assert!(w.is_empty());
+        w.write_u64(0);
+        w.write_u32(7);
+        w.patch_u64(0, 0x0102_0304_0506_0708);
+        let buf = w.into_bytes();
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        assert_eq!(buf, [8, 7, 6, 5, 4, 3, 2, 1, 7, 0, 0, 0]);
     }
 }

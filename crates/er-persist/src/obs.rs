@@ -21,6 +21,12 @@ pub(crate) struct PersistObs {
     pub(crate) snapshot_writes: &'static Counter,
     /// Bytes written by atomic snapshot-image writes.
     pub(crate) snapshot_bytes: &'static Counter,
+    /// Building one member's snapshot image (encode + checksum),
+    /// nanoseconds: the compute half of a checkpoint, once per member.
+    pub(crate) snapshot_encode_ns: &'static Histogram,
+    /// Writing one member's snapshot image atomically (create, fsync,
+    /// rename, directory fsync), nanoseconds: the IO half.
+    pub(crate) snapshot_write_ns: &'static Histogram,
     /// Write-path retries after a transient failure.
     pub(crate) retries: &'static Counter,
     /// Errors surfaced by retried write paths, by
@@ -59,6 +65,14 @@ pub(crate) fn obs() -> &'static PersistObs {
         snapshot_bytes: er_obs::counter(
             "persist_snapshot_bytes_total",
             "Bytes written by atomic snapshot-image writes",
+        ),
+        snapshot_encode_ns: er_obs::histogram(
+            "persist_snapshot_encode_ns",
+            "Building one member snapshot image of a checkpoint (encode + checksum), nanoseconds",
+        ),
+        snapshot_write_ns: er_obs::histogram(
+            "persist_snapshot_write_ns",
+            "Writing one member snapshot image of a checkpoint (create to directory fsync), nanoseconds",
         ),
         retries: er_obs::counter(
             "persist_retries_total",

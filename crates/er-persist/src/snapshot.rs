@@ -24,6 +24,13 @@
 //! half-written file.  (A crash can leak the temp file itself;
 //! [`sweep_tmp_files`] removes leaked temps when a store is opened.)
 //!
+//! An image is built in **one buffer**: the header goes first with its
+//! length and checksum fields blank, the payload is encoded straight behind
+//! it, and the two fields are patched once the payload is there to measure
+//! and digest — no separate body that is then copied behind a header.  A
+//! load validates the file where it was read and moves the payload down over
+//! the header instead of copying it into a second buffer.
+//!
 //! All IO goes through a [`Vfs`]: production uses [`StdVfs`](crate::StdVfs),
 //! the fault-injection suites substitute a `FaultVfs`.  The `*_with`
 //! functions take the seam explicitly; the plain names are std-VFS
@@ -45,6 +52,10 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Byte length of the fixed snapshot header.
 pub const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
+
+/// Offset of the header's payload-length field; the checksum follows it.
+const PAYLOAD_LEN_OFFSET: usize = 8 + 4 + 4 + 8;
+const PAYLOAD_CRC_OFFSET: usize = PAYLOAD_LEN_OFFSET + 8;
 
 /// True for the errors a directory fsync is allowed to return on
 /// filesystems that simply do not support syncing directories (the only
@@ -99,25 +110,31 @@ pub fn sweep_tmp_files(vfs: &dyn Vfs, dir: &Path) -> PersistResult<usize> {
     Ok(swept)
 }
 
-/// Assembles the full snapshot file image for `payload`.
+/// Assembles the full snapshot file image for `payload` in `image`,
+/// replacing what it held but keeping its allocation (an empty `Vec` for a
+/// one-off write; a checkpoint passes the buffer of an earlier image, whose
+/// pages are already mapped).
 pub(crate) fn snapshot_file_bytes(
     payload_tag: u32,
     fingerprint: u64,
     payload: &impl Encode,
-) -> Vec<u8> {
-    let mut body = Writer::new();
-    payload.encode(&mut body);
-    let body = body.into_bytes();
-
-    let mut file_bytes = Writer::with_capacity(SNAPSHOT_HEADER_LEN + body.len());
-    file_bytes.write_raw(&SNAPSHOT_MAGIC);
-    file_bytes.write_u32(FORMAT_VERSION);
-    file_bytes.write_u32(payload_tag);
-    file_bytes.write_u64(fingerprint);
-    file_bytes.write_u64(body.len() as u64);
-    file_bytes.write_u64(crc64(&body));
-    file_bytes.write_raw(&body);
-    file_bytes.into_bytes()
+    image: &mut Vec<u8>,
+) {
+    let mut w = Writer::reusing(std::mem::take(image));
+    w.write_raw(&SNAPSHOT_MAGIC);
+    w.write_u32(FORMAT_VERSION);
+    w.write_u32(payload_tag);
+    w.write_u64(fingerprint);
+    // Length and checksum: patched below, once the payload is behind them.
+    w.write_u64(0);
+    w.write_u64(0);
+    debug_assert_eq!(w.len(), SNAPSHOT_HEADER_LEN);
+    payload.encode(&mut w);
+    let payload_len = w.len() - SNAPSHOT_HEADER_LEN;
+    let payload_crc = crc64(&w.as_bytes()[SNAPSHOT_HEADER_LEN..]);
+    w.patch_u64(PAYLOAD_LEN_OFFSET, payload_len as u64);
+    w.patch_u64(PAYLOAD_CRC_OFFSET, payload_crc);
+    *image = w.into_bytes();
 }
 
 /// Writes a pre-assembled file image atomically: temp file in the same
@@ -143,6 +160,20 @@ pub(crate) fn write_file_atomic(
     })
 }
 
+/// Writes one assembled snapshot image atomically (see
+/// [`write_file_atomic`]) and accounts for it on the registry.
+pub(crate) fn write_snapshot_image(
+    vfs: &dyn Vfs,
+    policy: RetryPolicy,
+    path: &Path,
+    image: &[u8],
+) -> PersistResult<()> {
+    let o = crate::obs::obs();
+    o.snapshot_writes.inc();
+    o.snapshot_bytes.add(image.len() as u64);
+    write_file_atomic(vfs, policy, path, image)
+}
+
 /// Encodes `payload` and writes it atomically to `path` through the given
 /// VFS and retry policy.
 pub fn write_snapshot_with(
@@ -153,11 +184,9 @@ pub fn write_snapshot_with(
     fingerprint: u64,
     payload: &impl Encode,
 ) -> PersistResult<()> {
-    let bytes = snapshot_file_bytes(payload_tag, fingerprint, payload);
-    let o = crate::obs::obs();
-    o.snapshot_writes.inc();
-    o.snapshot_bytes.add(bytes.len() as u64);
-    write_file_atomic(vfs, policy, path, &bytes)
+    let mut image = Vec::new();
+    snapshot_file_bytes(payload_tag, fingerprint, payload, &mut image);
+    write_snapshot_image(vfs, policy, path, &image)
 }
 
 /// Encodes `payload` and writes it atomically (temp file + rename) to
@@ -256,9 +285,12 @@ pub fn read_snapshot_bytes_with(
     payload_tag: u32,
     expected_fingerprint: Option<u64>,
 ) -> PersistResult<(Vec<u8>, u64)> {
-    let data = read_file(vfs, path)?;
-    let (payload, fingerprint) = validated_payload(&data, path, payload_tag, expected_fingerprint)?;
-    Ok((payload.to_vec(), fingerprint))
+    let mut data = read_file(vfs, path)?;
+    let (_, fingerprint) = validated_payload(&data, path, payload_tag, expected_fingerprint)?;
+    // The payload is everything behind the header: move it down over the
+    // header inside the buffer it was read into instead of copying it out.
+    data.drain(..SNAPSHOT_HEADER_LEN);
+    Ok((data, fingerprint))
 }
 
 /// Reads and validates a snapshot file, returning the raw payload bytes and

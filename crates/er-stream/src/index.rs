@@ -1080,12 +1080,10 @@ impl er_persist::Encode for StreamingIndex {
         self.entity_offsets.encode(w);
         self.entity_keys.encode(w);
         // The overlay map travels sorted by entity id so the encoding is
-        // deterministic for identical state.
-        let mut overlay: Vec<(u32, Vec<u32>)> = self
-            .overlay
-            .iter()
-            .map(|(&e, row)| (e, row.to_vec()))
-            .collect();
+        // deterministic for identical state; the rows are written from
+        // where they lie (the layout is that of `Vec<(u32, Vec<u32>)>`).
+        let mut overlay: Vec<(u32, &[u32])> =
+            self.overlay.iter().map(|(&e, row)| (e, &**row)).collect();
         overlay.sort_unstable_by_key(|&(e, _)| e);
         overlay.encode(w);
         self.alive.encode(w);

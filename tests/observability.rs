@@ -116,6 +116,8 @@ fn durable_sharded_run_populates_the_registry_and_emits_recovery_events() {
     };
     nonzero_histogram("persist_fsync_ns");
     nonzero_histogram("persist_recovery_ns");
+    nonzero_histogram("persist_snapshot_encode_ns");
+    nonzero_histogram("persist_snapshot_write_ns");
     nonzero_histogram("shard_group_fsyncs");
     nonzero_histogram("shard_group_batches");
     nonzero_histogram("shard_epoch_publish_ns");
