@@ -36,6 +36,7 @@
 pub mod durable;
 pub mod live_view;
 pub mod materialize;
+mod obs;
 pub mod pipeline;
 pub mod progressive;
 pub mod pruning;

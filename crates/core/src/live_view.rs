@@ -6,43 +6,66 @@
 //! every entity from its largest 20% of blocks.  [`LiveView`] maintains the
 //! **cleaned** candidate set incrementally so that a streaming consumer
 //! ranks exactly the pairs the batch `standard_blocking_workflow` would
-//! produce for the current surviving corpus:
+//! produce for the current surviving corpus.
+//!
+//! # Representation
+//!
+//! Everything is a flat array indexed by stream key id or entity id — no
+//! hash sets:
 //!
 //! * per key, a *cleaned-survivor* flag (`live ∧ |b| ≤ purging_limit`),
-//!   with the handful of oversized (purged) blocks tracked separately so a
-//!   growing corpus can release them without a full scan;
-//! * per entity, its **kept** block set: the `ceil(0.8 · |B_i|)` smallest
-//!   cleaned blocks, ties broken in lexicographic key order — exactly the
-//!   `block_filtering_csr` rule via the shared
-//!   [`er_blocking::filtering_keep_count`] quota;
-//! * the cleaned candidate adjacency: `(a, b)` is a cleaned candidate iff
-//!   the pair is comparable and some block keeps *both* endpoints (any such
-//!   block yields a comparison, so it survives the batch workflow's
-//!   post-filtering drop).
+//!   plus the sorted list of the handful of oversized (purged) live keys,
+//!   so a growing corpus can release them without a full scan;
+//! * per entity, its **kept** block set as a sorted list of key ids: the
+//!   `ceil(0.8 · |B_i|)` smallest cleaned blocks, ties broken in
+//!   lexicographic key order — exactly the `block_filtering_csr` rule via
+//!   the shared [`er_blocking::filtering_keep_count`] quota — and the
+//!   entity's *rank window* (below);
+//! * per entity, its cleaned candidate partners as a sorted list of entity
+//!   ids: `(a, b)` is a cleaned candidate iff the pair is comparable and
+//!   some block keeps *both* endpoints (any such block yields a comparison,
+//!   so it survives the batch workflow's post-filtering drop).
 //!
-//! Each [`LiveView::refresh`] re-derives decisions only for the *dirty*
-//! region of a mutation batch: the mutated entities plus the members of
-//! every touched block whose change can actually move their kept/cut
-//! boundary.  A key that *flips* cleaned status changes every member's
-//! quota, so all members are dirtied; but a key that merely changes size
-//! while staying cleaned re-ranks a member only if the new size crosses
-//! the member's **rank window** — the gap between its largest kept block
-//! size `b` and its smallest cut block size `c`.  A kept block staying
-//! strictly below `b` (or an entity with no cut blocks at all) and a cut
-//! block staying strictly above `c` cannot change the member's kept set:
-//! safe size changes preserve `kept ≤ b ≤ c ≤ cut` with the boundary ties
-//! still resolved by the unchanged lexicographic order, so the bounds
-//! stay conservative between re-ranks.  Everything else is provably
-//! unaffected — an entity's kept set depends only on its own blocks'
-//! sizes and survivor flags, and a pair's candidacy only on its
-//! endpoints' kept sets.
+//! # Refresh
 //!
-//! Exactness is property-tested against the batch
-//! `standard_blocking_workflow_csr` on the fig7/9 catalog workload, through
-//! arbitrary insert/remove/update interleavings.
+//! [`LiveView::refresh`] first finds the *dirty* entities of a mutation
+//! batch: the mutated entities plus the members of every touched block
+//! whose change can move their kept set.  A key that *flips* cleaned status
+//! changes every member's quota, so all its members are dirty.  A key that
+//! only changes size while staying cleaned dirties a member only if the
+//! new size leaves the member's **rank window**: every kept block of the
+//! member has at most `b` members and every cut block at least `c ≥ b`.  A
+//! kept block that stays strictly below `c`, or a cut block that stays
+//! strictly above `b`, keeps its side of the cut — it stays strictly
+//! smaller, or larger, than every block on the other side — so the kept
+//! set cannot change, and the window just widens to take the new size in
+//! (`b` grows or `c` shrinks).  An entity with no cut block keeps every
+//! cleaned block whatever the sizes.  An entity's kept set depends only on
+//! its own blocks' sizes and survivor flags, so no other entity can move.
+//!
+//! Pass 1 recomputes each dirty entity's kept set (which also resets its
+//! window to the exact `b` and `c`) and compares it with the old one.
+//! Pass 2 re-derives partners only for the entities whose kept set
+//! **moved**, and merge-diffs them against the old lists.  This is exact
+//! because candidacy of `(a, b)` depends only on comparability (fixed by
+//! the ids) and on the two kept sets: the pair is a candidate iff some key
+//! is in both.  A pair neither of whose kept sets moved keeps its
+//! candidacy, and every pair that changes has a moved endpoint, whose pass
+//! 2 reports it.  A pair with two moved endpoints is reported once, from
+//! the smaller id; the partner list of an endpoint that did not move is
+//! patched in place.  Pass 2 asks whether a member of a kept block keeps it
+//! too; the member's window answers that without its kept list unless the
+//! block's size equals `b`.
+//!
+//! Exactness is property-tested against a full rebuild after every refresh
+//! (every partner list, and the reported delta against the set difference
+//! of the candidate sets) under remove-heavy churn with purging-limit
+//! crossings, on the Dirty scalability generator and a Clean-Clean catalog
+//! dataset, and against the batch `standard_blocking_workflow_csr` on the
+//! fig7/9 catalog workload.
 
 use er_blocking::{filtering_keep_count, purging_limit, DEFAULT_FILTERING_RATIO};
-use er_core::{EntityId, FxHashMap, FxHashSet};
+use er_core::EntityId;
 use er_stream::StreamingIndex;
 
 /// How the cleaned candidate set moved across one [`LiveView::refresh`].
@@ -56,6 +79,33 @@ pub struct ViewDelta {
     pub removed: Vec<(EntityId, EntityId)>,
 }
 
+/// Per-entity refresh state; every entity is [`Mark::Clean`] between
+/// refreshes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Clean,
+    /// Kept set recomputed by this refresh.
+    Dirty,
+    /// Kept set recomputed and changed: partners re-derived.
+    Moved,
+}
+
+/// An entity's rank window: no kept block has more than `kept` members
+/// and no cut block fewer than `cut` (`u32::MAX` when every cleaned block
+/// is kept).  A re-rank sets both to the exact sizes; safe size changes
+/// only widen it.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    kept: u32,
+    cut: u32,
+}
+
+/// The window of an entity with no cut block.
+const OPEN: Window = Window {
+    kept: 0,
+    cut: u32::MAX,
+};
+
 /// An incrementally maintained cleaned (purged + filtered) candidate view
 /// of a [`StreamingIndex`].
 #[derive(Debug)]
@@ -65,23 +115,21 @@ pub struct LiveView {
     limit: usize,
     /// Per key: survives cleaning right now (`live ∧ size ≤ limit`).
     unpurged: Vec<bool>,
-    /// Live keys currently suppressed only by the purging limit; the only
-    /// keys a limit increase can release.
-    oversized: FxHashSet<u32>,
+    /// Live keys currently suppressed only by the purging limit, sorted
+    /// ascending; the only keys a limit increase can release.
+    oversized: Vec<u32>,
     /// Per entity: kept key ids (its smallest cleaned blocks), sorted
-    /// ascending for membership tests.
+    /// ascending.
     kept: Vec<Vec<u32>>,
-    /// Per entity: size of its largest kept block at the last re-rank (0
-    /// with no kept blocks) — the lower edge of the rank window.
-    bound_kept: Vec<u32>,
-    /// Per entity: size of its smallest cut block at the last re-rank
-    /// (`u32::MAX` when every cleaned block is kept) — the upper edge of
-    /// the rank window.
-    bound_cut: Vec<u32>,
-    /// Cleaned candidate adjacency (symmetric partner sets).
-    partners: Vec<FxHashSet<u32>>,
+    /// Per entity: its rank window.
+    windows: Vec<Window>,
+    /// Per entity: cleaned candidate partners, sorted ascending (each pair
+    /// appears in both endpoints' lists).
+    partners: Vec<Vec<u32>>,
     /// Current number of cleaned candidate pairs.
     num_pairs: usize,
+    /// Per entity: refresh scratch, all [`Mark::Clean`] between refreshes.
+    marks: Vec<Mark>,
 }
 
 impl LiveView {
@@ -96,16 +144,18 @@ impl LiveView {
             ratio,
             limit: 0,
             unpurged: Vec::new(),
-            oversized: FxHashSet::default(),
+            oversized: Vec::new(),
             kept: Vec::new(),
-            bound_kept: Vec::new(),
-            bound_cut: Vec::new(),
+            windows: Vec::new(),
             partners: Vec::new(),
             num_pairs: 0,
+            marks: Vec::new(),
         };
         let all_keys: Vec<u32> = (0..index.num_keys() as u32).collect();
         let all_entities = (0..index.num_entities()).map(|e| EntityId(e as u32));
-        view.refresh(index, &all_keys, all_entities);
+        // Every pair is new: count it, but do not list the whole candidate
+        // set a second time as a delta nobody reads.
+        view.apply(index, &all_keys, all_entities, false);
         view
     }
 
@@ -133,27 +183,25 @@ impl LiveView {
     pub fn contains(&self, pair: (EntityId, EntityId)) -> bool {
         self.partners
             .get(pair.0.index())
-            .is_some_and(|set| set.contains(&pair.1 .0))
+            .is_some_and(|list| list.binary_search(&pair.1 .0).is_ok())
     }
 
-    /// The cleaned candidate partners of one entity, sorted ascending.
+    /// The cleaned candidate partners of one entity, sorted ascending
+    /// (empty for an id the view has not seen).
     pub fn partners_of(&self, entity: EntityId) -> Vec<EntityId> {
-        let mut partners: Vec<EntityId> = self.partners[entity.index()]
-            .iter()
-            .map(|&p| EntityId(p))
-            .collect();
-        partners.sort_unstable();
-        partners
+        self.partners
+            .get(entity.index())
+            .map_or_else(Vec::new, |list| list.iter().map(|&p| EntityId(p)).collect())
     }
 
     /// The full cleaned candidate set, sorted, smaller entity first.
     pub fn candidate_pairs(&self) -> Vec<(EntityId, EntityId)> {
         let mut pairs = Vec::with_capacity(self.num_pairs);
-        for (e, set) in self.partners.iter().enumerate() {
-            let a = EntityId(e as u32);
-            pairs.extend(set.iter().filter(|&&p| p > a.0).map(|&p| (a, EntityId(p))));
+        for (a, list) in self.partners.iter().enumerate() {
+            let a = a as u32;
+            let larger = &list[list.partition_point(|&p| p < a)..];
+            pairs.extend(larger.iter().map(|&p| (EntityId(a), EntityId(p))));
         }
-        pairs.sort_unstable();
         pairs
     }
 
@@ -169,16 +217,52 @@ impl LiveView {
         touched_keys: &[u32],
         batch: impl IntoIterator<Item = EntityId>,
     ) -> ViewDelta {
+        self.apply(index, touched_keys, batch, true)
+    }
+
+    /// The body of [`LiveView::refresh`]; with `report` false the moved
+    /// pairs are counted but not listed.
+    fn apply(
+        &mut self,
+        index: &StreamingIndex,
+        touched_keys: &[u32],
+        batch: impl IntoIterator<Item = EntityId>,
+        report: bool,
+    ) -> ViewDelta {
+        let obs = crate::obs::live_view();
+        let _timer = obs.refresh_ns.start_timer();
         self.unpurged.resize(index.num_keys(), false);
         let n = index.num_entities();
         self.kept.resize(n, Vec::new());
-        self.bound_kept.resize(n, 0);
-        self.bound_cut.resize(n, u32::MAX);
-        self.partners.resize(n, FxHashSet::default());
+        self.windows.resize(n, OPEN);
+        self.partners.resize(n, Vec::new());
+        self.marks.resize(n, Mark::Clean);
 
-        // Keys needing a survivor-flag recheck: the batch's journal plus
-        // the oversized blocks a limit increase releases.
-        let limit = purging_limit(n);
+        let dirty = self.mark_dirty(index, touched_keys, batch);
+        let moved = self.rerank(index, &dirty);
+        let delta = self.rederive(index, &moved, report);
+        for &e in &dirty {
+            self.marks[e as usize] = Mark::Clean;
+        }
+        obs.dirty_entities.add(dirty.len() as u64);
+        obs.rederived_entities.add(moved.len() as u64);
+        delta
+    }
+
+    /// Rechecks the survivor flag of every touched key (and of the
+    /// oversized keys a limit increase releases) and returns the dirty
+    /// entities, sorted, each marked [`Mark::Dirty`]: the batch plus every
+    /// member of a touched block whose change can move the member's
+    /// kept/cut boundary (see the module docs).  Blocks that stay
+    /// purged-away are skipped — their sizes never enter anyone's
+    /// assignment list.
+    fn mark_dirty(
+        &mut self,
+        index: &StreamingIndex,
+        touched_keys: &[u32],
+        batch: impl IntoIterator<Item = EntityId>,
+    ) -> Vec<u32> {
+        let limit = purging_limit(index.num_entities());
         let mut dirty_keys: Vec<u32> = touched_keys.to_vec();
         if limit != self.limit {
             self.limit = limit;
@@ -192,62 +276,79 @@ impl LiveView {
             dirty_keys.dedup();
         }
 
-        // Dirty entities: the batch plus every member of a touched block
-        // whose change can move the member's kept/cut boundary.  A key
-        // flipping cleaned status changes every member's filtering quota,
-        // so all members re-rank; a key that stays cleaned re-ranks only
-        // the members whose rank window its new size enters (see the
-        // module docs — safe changes provably preserve each member's kept
-        // set and keep the stored bounds conservative).  Blocks that stay
-        // purged-away are skipped — their sizes never enter anyone's
-        // assignment list.
-        let mut dirty: FxHashSet<u32> = batch.into_iter().map(|e| e.0).collect();
+        let mut dirty: Vec<u32> = Vec::new();
+        let mut mark = |marks: &mut [Mark], e: u32| {
+            if marks[e as usize] == Mark::Clean {
+                marks[e as usize] = Mark::Dirty;
+                dirty.push(e);
+            }
+        };
+        for e in batch {
+            mark(&mut self.marks, e.0);
+        }
         for &k in &dirty_keys {
             let was = self.unpurged[k as usize];
             let live = index.is_block_live(k);
             let size = index.block_size(k);
             let now = live && size <= limit;
             self.unpurged[k as usize] = now;
-            if live && size > limit {
-                self.oversized.insert(k);
-            } else {
-                self.oversized.remove(&k);
+            match (self.oversized.binary_search(&k), live && !now) {
+                (Err(at), true) => self.oversized.insert(at, k),
+                (Ok(at), false) => {
+                    self.oversized.remove(at);
+                }
+                _ => {}
             }
             if was != now {
-                dirty.extend(index.members(k).map(|m| m.0));
-            } else if was && now {
+                for m in index.members(k) {
+                    mark(&mut self.marks, m.0);
+                }
+            } else if now {
                 let size = size as u32;
                 for m in index.members(k) {
-                    if dirty.contains(&m.0) {
+                    let e = m.index();
+                    if self.marks[e] != Mark::Clean {
                         continue;
                     }
-                    let e = m.index();
-                    let safe = if self.kept[e].binary_search(&k).is_ok() {
-                        // Kept and either nothing is cut (quota keeps every
-                        // cleaned block) or still strictly inside the kept
-                        // range.
-                        self.bound_cut[e] == u32::MAX || size < self.bound_kept[e]
-                    } else {
-                        // Cut and still strictly above the smallest cut
-                        // block.
-                        size > self.bound_cut[e]
-                    };
-                    if !safe {
-                        dirty.insert(m.0);
+                    // Safe: nothing is cut (the quota keeps every cleaned
+                    // block), or the block was kept and stays strictly
+                    // below every cut block, or was cut and stays strictly
+                    // above every kept block.  The window widens to take
+                    // the new size in.
+                    let window = &mut self.windows[e];
+                    if window.cut == u32::MAX {
+                        continue;
                     }
+                    if self.kept[e].binary_search(&k).is_ok() {
+                        if size < window.cut {
+                            window.kept = window.kept.max(size);
+                            continue;
+                        }
+                    } else if size > window.kept {
+                        window.cut = window.cut.min(size);
+                        continue;
+                    }
+                    mark(&mut self.marks, m.0);
                 }
             }
         }
-        let mut dirty_list: Vec<u32> = dirty.iter().copied().collect();
-        dirty_list.sort_unstable();
+        dirty.sort_unstable();
+        dirty
+    }
 
-        // Pass 1: recompute every dirty entity's kept set (its
-        // `ceil(ratio · |B_i|)` smallest cleaned blocks; assignment lists
-        // are built in lexicographic key order, so the stable sort by size
-        // reproduces the batch tie-break exactly).
+    /// Pass 1: recomputes every dirty entity's kept set (its
+    /// `ceil(ratio · |B_i|)` smallest cleaned blocks; assignment lists are
+    /// built in lexicographic key order, so the stable sort by size
+    /// reproduces the batch tie-break exactly) and rank window.  Returns
+    /// the entities whose kept set changed, ascending, marked
+    /// [`Mark::Moved`].
+    fn rerank(&mut self, index: &StreamingIndex, dirty: &[u32]) -> Vec<u32> {
         let mut assignments: Vec<(u32, u32)> = Vec::new();
-        for &e in &dirty_list {
+        let mut kept: Vec<u32> = Vec::new();
+        let mut moved = Vec::new();
+        for &e in dirty {
             let entity = EntityId(e);
+            let e = e as usize;
             assignments.clear();
             if index.is_alive(entity) {
                 for &k in index.keys_of(entity) {
@@ -256,91 +357,133 @@ impl LiveView {
                     }
                 }
             }
-            let kept = &mut self.kept[e as usize];
             kept.clear();
-            self.bound_kept[e as usize] = 0;
-            self.bound_cut[e as usize] = u32::MAX;
-            if assignments.is_empty() {
+            self.windows[e] = OPEN;
+            if !assignments.is_empty() {
+                assignments.sort_by_key(|&(size, _)| size);
+                let keep = filtering_keep_count(assignments.len(), self.ratio);
+                kept.extend(assignments[..keep].iter().map(|&(_, k)| k));
+                kept.sort_unstable();
+                // The exact rank window: later refreshes skip re-ranking
+                // this entity for size changes that keep each block on its
+                // side of the cut.
+                self.windows[e] = Window {
+                    kept: assignments[keep - 1].0,
+                    cut: assignments.get(keep).map_or(u32::MAX, |&(size, _)| size),
+                };
+            }
+            if self.kept[e] != kept {
+                // A fresh exact-size list: a removed entity's lists are
+                // released, not kept at their old capacity.
+                self.kept[e] = kept.clone();
+                self.marks[e] = Mark::Moved;
+                moved.push(e as u32);
+            }
+        }
+        moved
+    }
+
+    /// Whether `entity` keeps `k`, one of its cleaned blocks, now of
+    /// `size` members.  The rank window answers without touching the kept
+    /// list unless the size sits on the window's lower edge: a block below
+    /// it cannot be cut (every cut block has at least `window.cut ≥
+    /// window.kept` members), one above it cannot be kept.
+    #[inline]
+    fn keeps(&self, entity: usize, k: u32, size: u32) -> bool {
+        let window = self.windows[entity];
+        if window.cut == u32::MAX || size < window.kept {
+            true
+        } else if size > window.kept {
+            false
+        } else {
+            self.kept[entity].binary_search(&k).is_ok()
+        }
+    }
+
+    /// Pass 2: re-derives the partners of every moved entity against the
+    /// refreshed kept sets (a pair is a candidate iff some block keeps both
+    /// endpoints and the pair is comparable), diffs them against the old
+    /// list, patches the lists of partners that did not move, and returns
+    /// the changed pairs (listed only when `report` is set).
+    fn rederive(&mut self, index: &StreamingIndex, moved: &[u32], report: bool) -> ViewDelta {
+        let mut delta = ViewDelta::default();
+        let (mut added, mut removed) = (0usize, 0usize);
+        let mut fresh: Vec<u32> = Vec::new();
+        for &e in moved {
+            let entity = EntityId(e);
+            fresh.clear();
+            for &k in &self.kept[e as usize] {
+                let size = index.block_size(k) as u32;
+                for p in index.members(k) {
+                    if p.0 != e && index.is_comparable(p, entity) && self.keeps(p.index(), k, size)
+                    {
+                        fresh.push(p.0);
+                    }
+                }
+            }
+            fresh.sort_unstable();
+            fresh.dedup();
+            if self.partners[e as usize] == fresh {
                 continue;
             }
-            assignments.sort_by_key(|&(size, _)| size);
-            let keep = filtering_keep_count(assignments.len(), self.ratio);
-            kept.extend(assignments[..keep].iter().map(|&(_, k)| k));
-            kept.sort_unstable();
-            // The fresh rank window: later refreshes skip re-ranking this
-            // entity for size changes that stay strictly inside one side.
-            self.bound_kept[e as usize] = assignments[keep - 1].0;
-            self.bound_cut[e as usize] = assignments.get(keep).map_or(u32::MAX, |&(size, _)| size);
-        }
 
-        // Pass 2: recompute the dirty entities' partner sets against the
-        // refreshed kept sets (a pair is a candidate iff some block keeps
-        // both endpoints and the pair is comparable).
-        let mut fresh_sets: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-        for &e in &dirty_list {
-            let entity = EntityId(e);
-            let mut fresh: FxHashSet<u32> = FxHashSet::default();
-            for &k in &self.kept[e as usize] {
-                for p in index.members(k) {
-                    if p.0 == e || !index.is_comparable(p, entity) {
+            // Merge-diff the two sorted lists.  A changed pair is reported
+            // once: from its smaller endpoint when both moved (the
+            // predicate is symmetric, so both sides agree), else from the
+            // moved one, which also patches the other endpoint's list.
+            let old = std::mem::replace(&mut self.partners[e as usize], fresh.clone());
+            let (mut i, mut j) = (0, 0);
+            while i < old.len() || j < fresh.len() {
+                let (p, entered) = match (old.get(i), fresh.get(j)) {
+                    (Some(&o), Some(&f)) if o == f => {
+                        i += 1;
+                        j += 1;
                         continue;
                     }
-                    if self.kept[p.index()].binary_search(&k).is_ok() {
-                        fresh.insert(p.0);
+                    (Some(&o), Some(&f)) if f < o => {
+                        j += 1;
+                        (f, true)
+                    }
+                    (Some(&o), _) => {
+                        i += 1;
+                        (o, false)
+                    }
+                    (None, Some(&f)) => {
+                        j += 1;
+                        (f, true)
+                    }
+                    (None, None) => unreachable!(),
+                };
+                let other_moved = self.marks[p as usize] == Mark::Moved;
+                if other_moved && p < e {
+                    continue;
+                }
+                if !other_moved {
+                    let list = &mut self.partners[p as usize];
+                    match (list.binary_search(&e), entered) {
+                        (Err(at), true) => list.insert(at, e),
+                        (Ok(at), false) => {
+                            list.remove(at);
+                        }
+                        _ => unreachable!("partner lists of {e} and {p} disagree"),
+                    }
+                }
+                let pair = (EntityId(e.min(p)), EntityId(e.max(p)));
+                if entered {
+                    added += 1;
+                    if report {
+                        delta.added.push(pair);
+                    }
+                } else {
+                    removed += 1;
+                    if report {
+                        delta.removed.push(pair);
                     }
                 }
             }
-            fresh_sets.insert(e, fresh);
         }
-
-        // Diff: each changed pair is reported once — from its smaller
-        // endpoint when both endpoints are dirty (the predicate is
-        // symmetric, so both sides agree).
-        let canonical = |a: u32, b: u32| {
-            if a < b {
-                (EntityId(a), EntityId(b))
-            } else {
-                (EntityId(b), EntityId(a))
-            }
-        };
-        let mut delta = ViewDelta::default();
-        for &e in &dirty_list {
-            let fresh = &fresh_sets[&e];
-            let old = &self.partners[e as usize];
-            for &p in old {
-                if !fresh.contains(&p) && (!dirty.contains(&p) || e < p) {
-                    delta.removed.push(canonical(e, p));
-                }
-            }
-            for &p in fresh {
-                if !old.contains(&p) && (!dirty.contains(&p) || e < p) {
-                    delta.added.push(canonical(e, p));
-                }
-            }
-        }
-        // Apply: dirty entities take their fresh sets wholesale; the clean
-        // endpoint of a changed pair is patched in place.
-        for &(a, b) in &delta.removed {
-            if !dirty.contains(&a.0) {
-                self.partners[a.index()].remove(&b.0);
-            }
-            if !dirty.contains(&b.0) {
-                self.partners[b.index()].remove(&a.0);
-            }
-        }
-        for &(a, b) in &delta.added {
-            if !dirty.contains(&a.0) {
-                self.partners[a.index()].insert(b.0);
-            }
-            if !dirty.contains(&b.0) {
-                self.partners[b.index()].insert(a.0);
-            }
-        }
-        for &e in &dirty_list {
-            self.partners[e as usize] = fresh_sets.remove(&e).unwrap();
-        }
-        self.num_pairs += delta.added.len();
-        self.num_pairs -= delta.removed.len();
+        self.num_pairs += added;
+        self.num_pairs -= removed;
         delta.added.sort_unstable();
         delta.removed.sort_unstable();
         delta
@@ -458,5 +601,181 @@ mod tests {
             let dataset = generate_catalog_dataset(name, &CatalogOptions::tiny()).unwrap();
             assert_view_tracks_batch_cleaning(&dataset);
         }
+    }
+
+    /// Elements of sorted `a` missing from sorted `b`.
+    fn sorted_difference(
+        a: &[(EntityId, EntityId)],
+        b: &[(EntityId, EntityId)],
+    ) -> Vec<(EntityId, EntityId)> {
+        a.iter()
+            .copied()
+            .filter(|pair| b.binary_search(pair).is_err())
+            .collect()
+    }
+
+    /// Refreshes the view for one mutation batch and checks the refresh
+    /// against a full rebuild: the same partner list for every entity (both
+    /// halves of each pair, not only the half `candidate_pairs` reads) and
+    /// a delta equal to the set difference of the candidate sets before
+    /// and after.  Returns how many live keys crossed the purging limit.
+    fn refresh_exactly(
+        view: &mut LiveView,
+        index: &er_stream::StreamingIndex,
+        batch: &er_stream::DeltaBatch,
+    ) -> usize {
+        let before = view.candidate_pairs();
+        let oversized = view.oversized.clone();
+        let delta = view.refresh(index, &batch.touched_keys, batch.batch_entities());
+        let after = view.candidate_pairs();
+
+        let full = LiveView::new(index, view.ratio());
+        assert_eq!(
+            after,
+            full.candidate_pairs(),
+            "refresh diverged from a rebuild"
+        );
+        assert_eq!(view.len(), full.len());
+        for e in 0..index.num_entities() {
+            let e = EntityId(e as u32);
+            assert_eq!(view.partners_of(e), full.partners_of(e), "partners of {e}");
+        }
+        assert_eq!(view.oversized, full.oversized);
+        assert_eq!(delta.added, sorted_difference(&after, &before), "added");
+        assert_eq!(delta.removed, sorted_difference(&before, &after), "removed");
+
+        let crossed = |from: &[u32], to: &[u32]| {
+            from.iter()
+                .filter(|&&k| to.binary_search(&k).is_err() && index.is_block_live(k))
+                .count()
+        };
+        crossed(&oversized, &view.oversized) + crossed(&view.oversized, &oversized)
+    }
+
+    /// splitmix64: picks churn victims and donors without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Moves `count` random alive entities to the back of `alive` and
+    /// returns them.
+    fn pick(alive: &mut [u32], count: usize, rng: &mut u64) -> Vec<EntityId> {
+        let count = count.min(alive.len());
+        for k in 0..count {
+            let last = alive.len() - 1 - k;
+            let j = (next(rng) % (last as u64 + 1)) as usize;
+            alive.swap(j, last);
+        }
+        alive[alive.len() - count..]
+            .iter()
+            .map(|&e| EntityId(e))
+            .collect()
+    }
+
+    /// Streams `dataset` from a `seed_count` prefix in rounds of one
+    /// ingest of `ingest` entities, two removal batches that together
+    /// remove more than the round ingested, and a small update batch,
+    /// checking every refresh with [`refresh_exactly`].  Returns how many
+    /// purging-limit crossings the run saw.
+    fn churn_exactly(dataset: &Dataset, seed_count: usize, ingest: usize) -> usize {
+        let config = StreamingConfig {
+            feature_set: FeatureSet::blast_optimal(),
+            threads: 2,
+            ..StreamingConfig::for_dataset(dataset)
+        };
+        let mut blocker = StreamingMetaBlocker::new(config, TokenKeys);
+        blocker.ingest(&dataset.profiles[..seed_count]);
+        let mut view = LiveView::with_default_ratio(blocker.index());
+        let mut alive: Vec<u32> = (0..seed_count as u32).collect();
+        let mut rng = 0x11fe_u64;
+        let mut crossings = 0;
+        let mut cursor = seed_count;
+        while cursor < dataset.num_entities() {
+            let take = ingest.min(dataset.num_entities() - cursor);
+            let batch = blocker.ingest(&dataset.profiles[cursor..cursor + take]);
+            alive.extend(cursor as u32..(cursor + take) as u32);
+            cursor += take;
+            crossings += refresh_exactly(&mut view, blocker.index(), &batch);
+
+            // Remove-heavy: the corpus shrinks by half a round per round,
+            // never below a handful of entities.
+            for _ in 0..2 {
+                let count = (take * 3 / 4).min(alive.len().saturating_sub(4));
+                let victims = pick(&mut alive, count, &mut rng);
+                alive.truncate(alive.len() - victims.len());
+                let batch = blocker.remove(&victims);
+                crossings += refresh_exactly(&mut view, blocker.index(), &batch);
+            }
+
+            let picked = pick(&mut alive, (take / 4).max(1), &mut rng);
+            let updates: Vec<(EntityId, er_core::EntityProfile)> = picked
+                .into_iter()
+                .map(|e| {
+                    let donor = (next(&mut rng) % dataset.num_entities() as u64) as usize;
+                    (e, dataset.profiles[donor].clone())
+                })
+                .collect();
+            let batch = blocker.update(&updates);
+            crossings += refresh_exactly(&mut view, blocker.index(), &batch);
+        }
+        crossings
+    }
+
+    /// `dataset` with one shared stop word added to the profiles `with`
+    /// picks.  Given to the whole seed, its block starts above the purging
+    /// limit (half the ids ever assigned); the limit rises with every
+    /// ingest and the block shrinks with every removal, so it crosses back
+    /// and forth.
+    fn with_stop_word(mut dataset: Dataset, with: impl Fn(usize) -> bool) -> Dataset {
+        for (e, profile) in dataset.profiles.iter_mut().enumerate() {
+            if with(e) {
+                profile.push_attribute("stop", "zzstopword");
+            }
+        }
+        dataset
+    }
+
+    #[test]
+    fn refresh_is_exact_under_remove_heavy_churn_on_dirty_data() {
+        // Many 2-member blocks that die when either member goes.
+        let dataset =
+            er_datasets::generate_scalability(&er_datasets::ScalabilityConfig::at_scale(480, 7))
+                .unwrap();
+        let dataset = with_stop_word(dataset, |e| e < 12 || e % 3 == 0);
+        let crossings = churn_exactly(&dataset, 12, 24);
+        assert!(crossings > 0, "no block crossed the purging limit");
+    }
+
+    #[test]
+    fn refresh_is_exact_under_remove_heavy_churn_on_clean_clean_data() {
+        let dataset =
+            generate_catalog_dataset(DatasetName::DblpAcm, &CatalogOptions::tiny()).unwrap();
+        // All of E1 plus a few E2 entities: later ingests extend E2.
+        let seed = dataset.split + 4;
+        let dataset = with_stop_word(dataset, |e| e < seed || e % 4 == 0);
+        let crossings = churn_exactly(&dataset, seed, 17);
+        assert!(crossings > 0, "no block crossed the purging limit");
+    }
+
+    #[test]
+    fn unknown_entities_have_no_partners() {
+        let dataset =
+            generate_catalog_dataset(DatasetName::DblpAcm, &CatalogOptions::tiny()).unwrap();
+        let config = StreamingConfig {
+            feature_set: FeatureSet::blast_optimal(),
+            threads: 1,
+            ..StreamingConfig::for_dataset(&dataset)
+        };
+        let mut blocker = StreamingMetaBlocker::new(config, TokenKeys);
+        blocker.ingest(&dataset.profiles);
+        let view = LiveView::with_default_ratio(blocker.index());
+        assert!(!view.is_empty());
+        let beyond = EntityId(dataset.num_entities() as u32 + 5);
+        assert!(view.partners_of(beyond).is_empty());
+        assert!(!view.contains((beyond, EntityId(0))));
     }
 }

@@ -172,6 +172,7 @@ mod tests {
 
     #[test]
     fn noop_by_default_never_builds() {
+        let _guard = crate::global_state_lock();
         clear_sink();
         let built = AtomicUsize::new(0);
         emit("test_event", |_| {
@@ -182,6 +183,7 @@ mod tests {
 
     #[test]
     fn capturing_sink_round_trips() {
+        let _guard = crate::global_state_lock();
         let sink = CapturingSink::shared();
         set_sink(sink.clone());
         emit("test_round_trip", |e| {

@@ -295,6 +295,7 @@ mod tests {
 
     #[test]
     fn snapshot_renders_both_formats() {
+        let _guard = crate::global_state_lock();
         let c = crate::counter("er_obs_export_test_total", "a test counter");
         let g = crate::gauge("er_obs_export_test_hwm", "a test gauge");
         let h = crate::histogram("er_obs_export_test_ns", "a test histogram");

@@ -445,6 +445,19 @@ pub fn snapshot() -> MetricsSnapshot {
     export::snapshot_from(registry_entries())
 }
 
+/// Serialises the unit tests that touch process-wide state: the `ENABLED`
+/// switch, the event sink slot, or a value recorded while another test
+/// could switch the layer off.  The harness runs tests on parallel
+/// threads, so each such test holds this guard for its whole body.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the state it guards carries no
+    // invariant a later test could trip over.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +484,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_and_sums() {
+        let _guard = global_state_lock();
         let h = Histogram::default();
         for v in [0u64, 1, 1, 3, 1000] {
             h.record(v);
@@ -488,6 +502,7 @@ mod tests {
 
     #[test]
     fn disabled_layer_records_nothing() {
+        let _guard = global_state_lock();
         let c = Counter::default();
         let g = Gauge::default();
         let h = Histogram::default();
@@ -507,6 +522,7 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_by_name() {
+        let _guard = global_state_lock();
         let a = counter("er_obs_test_idempotent_total", "test");
         let b = counter("er_obs_test_idempotent_total", "test");
         assert!(std::ptr::eq(a, b));
@@ -516,6 +532,7 @@ mod tests {
 
     #[test]
     fn timer_feeds_histogram() {
+        let _guard = global_state_lock();
         let h = Histogram::default();
         {
             let _t = h.start_timer();

@@ -1,6 +1,11 @@
 //! Registry hammering: exact totals under 8-thread contention,
 //! snapshot-during-write consistency, and label-family cardinality
 //! bounds.
+//!
+//! The exact totals hold only while the layer stays on.  No test in this
+//! binary calls `set_enabled` or touches the event sink, and each test
+//! owns its metric names, so the tests cannot race one another; a test
+//! added here that switches the layer off must serialise with all of them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -58,21 +58,28 @@
 //! entity replaced by an *empty* profile (no attributes → no blocking keys)
 //! — exactly what the equivalence property tests build.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use er_blocking::{comparisons_from_first, sorted_key_order, CsrBlockCollection, KeyStore};
-use er_core::{DatasetKind, EntityId, FxHashMap};
+use er_blocking::{comparisons_from_first, CsrBlockCollection, KeyStore};
+use er_core::{map_ranges_parallel, DatasetKind, EntityId, FxHashMap};
 use er_features::{EntityAggregates, PairCooccurrence, RadixScoreboard, ScoreboardConfig};
 
+use crate::delta::DeltaIndex;
+use crate::key_order::KeyOrder;
+
 /// Reusable per-worker scoreboard for delta-pair aggregation, backed by the
-/// same cache-blocked [`RadixScoreboard`] the batch feature pass runs on
-/// (it replaced the former `FxHashMap` board).
+/// cache-blocked [`RadixScoreboard`] (it replaced the former `FxHashMap`
+/// board).  The batch feature pass runs on the candidate-aligned
+/// [`er_features::CandidateBoard`] instead: it knows each entity's partner
+/// run before it aggregates, while a streaming batch discovers its
+/// partners here.
 ///
 /// Scratch scales with one tile plus the current entity's contributions,
 /// never with the number of entities ever ingested; the board's per-tile
-/// counters grow on demand as the id space extends.  Per-partner sums fold in contribution order —
-/// the same order the hash board accumulated in — so the drained aggregates
-/// are bit-identical.
+/// counters grow on demand as the id space extends.  Per-partner sums fold
+/// in contribution order — the same order the hash board accumulated in —
+/// so the drained aggregates are bit-identical.
 #[derive(Debug)]
 pub struct PartnerBoard {
     board: RadixScoreboard,
@@ -245,6 +252,9 @@ pub struct StreamingIndex {
     touched: FxHashMap<u32, bool>,
     /// Number of completed compactions.
     epoch: u64,
+    /// Lexicographic order of the keys live at some compaction (derived
+    /// state, never persisted).
+    key_order: KeyOrder,
 }
 
 impl StreamingIndex {
@@ -289,6 +299,7 @@ impl StreamingIndex {
             entity_candidates: Vec::new(),
             touched: FxHashMap::default(),
             epoch: 0,
+            key_order: KeyOrder::default(),
         }
     }
 
@@ -952,55 +963,29 @@ impl StreamingIndex {
     /// and zero-comparison blocks dropped, sorted tombstone-free entity
     /// lists).
     ///
-    /// `threads` parallelises the key sort; the output is identical for any
-    /// thread count.
+    /// Blocks follow the cached key order; only the live keys it does not
+    /// hold yet are sorted.  `threads` parallelises that sort and the
+    /// assembly; the output is identical for any thread count.
     pub fn view(&self, threads: usize) -> CsrBlockCollection {
-        // Only the blocks the batch engine would emit take part in the sort.
-        let emitted: Vec<u32> = (0..self.keys.len() as u32)
-            .filter(|&k| {
-                self.sizes[k as usize] as usize <= self.cap && self.comparisons[k as usize] > 0
-            })
-            .collect();
-        let emitted_keys: Vec<&str> = emitted.iter().map(|&k| &*self.keys[k as usize]).collect();
-        let mut store = KeyStore::with_capacity(emitted.len(), 0);
-        let mut key_ids = Vec::with_capacity(emitted.len());
-        let mut entity_offsets = vec![0u32];
-        let mut entities: Vec<EntityId> = Vec::new();
-        let mut first_counts = Vec::with_capacity(emitted.len());
-        for i in sorted_key_order(&emitted_keys, threads) {
-            let k = emitted[i as usize];
-            let ki = k as usize;
-            key_ids.push(store.push(&self.keys[ki]));
-            entities.extend(self.members(k));
-            entity_offsets.push(entities.len() as u32);
-            first_counts.push(self.first_counts[ki]);
-        }
-        let split = match self.kind {
-            DatasetKind::CleanClean => self.split.min(self.num_entities),
-            DatasetKind::Dirty => self.num_entities,
-        };
-        CsrBlockCollection::from_raw(
-            self.dataset_name.clone(),
-            self.kind,
-            split,
-            self.num_entities,
-            Arc::new(store),
-            key_ids,
-            entity_offsets,
-            entities,
-            first_counts,
-        )
+        let order = self
+            .key_order
+            .live_order(&self.keys, threads, |k| self.live[k as usize]);
+        assemble_view(self, &order, threads, |k| self.key_first_count(k))
     }
 
     /// Ends the epoch: folds every delta posting into a fresh baseline CSR,
     /// **physically dropping tombstoned postings**, folds the adjacency
-    /// overlay back into the entity CSR (stream key ids stay stable), and
-    /// returns the batch view of the compacted state via
-    /// [`StreamingIndex::view`].
+    /// overlay back into the entity CSR (stream key ids stay stable),
+    /// merges the live keys it does not hold yet into the cached key order,
+    /// and returns the batch view of the compacted state (what
+    /// [`StreamingIndex::view`] returns).
     pub fn compact(&mut self, threads: usize) -> CsrBlockCollection {
-        self.fold_deltas();
+        self.fold_deltas(threads);
+        let order = self
+            .key_order
+            .absorb(&self.keys, threads, |k| self.live[k as usize]);
         self.epoch += 1;
-        self.view(threads)
+        assemble_view(self, &order, threads, |k| self.key_first_count(k))
     }
 
     /// The physical half of [`StreamingIndex::compact`]: folds deltas and
@@ -1008,24 +993,68 @@ impl StreamingIndex {
     /// back, without bumping the epoch or building a view.  A sharded
     /// wrapper compacts every shard with this and manages a single global
     /// epoch and view itself.
-    pub(crate) fn fold_deltas(&mut self) {
+    ///
+    /// The new offsets are the running sum of the block sizes; the keys
+    /// are then cut into one range per worker (`threads`), balanced by
+    /// postings, and each worker fills its own part of the new arena.
+    pub(crate) fn fold_deltas(&mut self, threads: usize) {
         debug_assert!(
             self.touched.is_empty(),
             "compact() during an unfinished mutation batch"
         );
-        let key_count = self.keys.len();
-        let grown: usize = self.delta.iter().map(Vec::len).sum();
-        let shrunk: usize = self.removed.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(key_count + 1);
+        let mut offsets = Vec::with_capacity(self.sizes.len() + 1);
         offsets.push(0u32);
-        let mut entities =
-            Vec::with_capacity((self.base_entities.len() + grown).saturating_sub(shrunk));
-        for k in 0..key_count {
-            entities.extend(self.members(k as u32));
-            self.delta[k].clear();
-            self.removed[k].clear();
-            offsets.push(entities.len() as u32);
-        }
+        let mut total = 0u32;
+        offsets.extend(self.sizes.iter().map(|&size| {
+            total += size;
+            total
+        }));
+        let mut entities = vec![EntityId(0); total as usize];
+
+        // Worker `i` folds keys `cuts[i]..cuts[i + 1]`, cut where the
+        // running postings reach `i / workers` of the total.
+        let key_count = self.sizes.len();
+        let workers = threads.clamp(1, key_count.max(1));
+        let cuts: Vec<usize> = (0..=workers)
+            .map(|i| {
+                if i == workers {
+                    return key_count;
+                }
+                let target = u64::from(total) * i as u64;
+                offsets[..key_count].partition_point(|&o| u64::from(o) * (workers as u64) < target)
+            })
+            .collect();
+        let (base_offsets, base_entities) = (&self.base_offsets, &self.base_entities);
+        let (mut out, mut delta, mut removed) = (
+            entities.as_mut_slice(),
+            self.delta.as_mut_slice(),
+            self.removed.as_mut_slice(),
+        );
+        std::thread::scope(|scope| {
+            for (i, cut) in cuts.windows(2).enumerate() {
+                let keys = cut[0]..cut[1];
+                let postings = (offsets[cut[1]] - offsets[cut[0]]) as usize;
+                let piece;
+                (piece, out) = std::mem::take(&mut out).split_at_mut(postings);
+                let (piece_delta, piece_removed);
+                (piece_delta, delta) = std::mem::take(&mut delta).split_at_mut(keys.len());
+                (piece_removed, removed) = std::mem::take(&mut removed).split_at_mut(keys.len());
+                let fold = move || {
+                    fold_range(
+                        keys,
+                        (base_offsets, base_entities),
+                        (piece_delta, piece_removed),
+                        piece,
+                    )
+                };
+                // The last range runs on the calling thread.
+                if i + 1 == workers {
+                    fold();
+                } else {
+                    scope.spawn(fold);
+                }
+            }
+        });
         self.base_offsets = offsets;
         self.base_entities = entities;
         if !self.overlay.is_empty() {
@@ -1043,15 +1072,169 @@ impl StreamingIndex {
     }
 }
 
+/// One worker's part of [`StreamingIndex::fold_deltas`]: writes the
+/// postings of `keys` into `out` — each run of keys untouched since the
+/// last compaction as one copy of its baseline slices, each changed key as
+/// its merged members — and empties the change lists.  `delta` and
+/// `removed` hold the change lists of `keys`, from the first one.
+fn fold_range(
+    keys: Range<usize>,
+    (base_offsets, base_entities): (&[u32], &[EntityId]),
+    (delta, removed): (&mut [Vec<EntityId>], &mut [Vec<EntityId>]),
+    out: &mut [EntityId],
+) {
+    // Keys interned since the last compaction have no baseline slice.
+    let based = base_offsets.len() - 1;
+    let base = |keys: Range<usize>| {
+        &base_entities[base_offsets[keys.start.min(based)] as usize
+            ..base_offsets[keys.end.min(based)] as usize]
+    };
+    let mut at = 0;
+    let mut untouched = keys.start;
+    for (i, (delta, removed)) in delta.iter_mut().zip(removed.iter_mut()).enumerate() {
+        if delta.is_empty() && removed.is_empty() {
+            continue;
+        }
+        let k = keys.start + i;
+        let run = base(untouched..k);
+        out[at..at + run.len()].copy_from_slice(run);
+        at += run.len();
+        let members = Members {
+            base: base(k..k + 1),
+            removed,
+            delta,
+            bi: 0,
+            ri: 0,
+            di: 0,
+        };
+        for m in members {
+            out[at] = m;
+            at += 1;
+        }
+        delta.clear();
+        removed.clear();
+        untouched = k + 1;
+    }
+    let run = base(untouched..keys.end);
+    out[at..at + run.len()].copy_from_slice(run);
+    debug_assert_eq!(
+        at + run.len(),
+        out.len(),
+        "block sizes disagree with the postings"
+    );
+}
+
+/// Assembles the batch view of a delta index from its live keys in
+/// lexicographic order (`order`): one block per key with the key's current
+/// members, and `first_count` giving each block's first-source member
+/// count.  Shared by [`StreamingIndex::view`] and
+/// [`crate::ShardedIndex`]'s view.
+///
+/// The order visits the index's per-key arrays at random, so the work is
+/// spread over `threads` workers, one contiguous piece of the order each:
+/// a first pass copies the piece's key text and reads its block sizes and
+/// first-source counts, a second fills the piece's part of the member
+/// arena.  The output is identical for any thread count.
+pub(crate) fn assemble_view<I: DeltaIndex>(
+    index: &I,
+    order: &[u32],
+    threads: usize,
+    first_count: impl Fn(u32) -> u32 + Sync,
+) -> CsrBlockCollection {
+    let pieces: Vec<&[u32]> = order
+        .chunks(order.len().div_ceil(threads.max(1)).max(1))
+        .collect();
+    let heads = map_ranges_parallel(pieces.len(), threads, pieces.len(), |task| {
+        let piece = pieces[task.start];
+        let mut text = String::new();
+        let key_ends: Vec<usize> = piece
+            .iter()
+            .map(|&k| {
+                text.push_str(index.key_str(k));
+                text.len()
+            })
+            .collect();
+        let sizes: Vec<u32> = piece.iter().map(|&k| index.block_size(k) as u32).collect();
+        let first_counts: Vec<u32> = piece.iter().map(|&k| first_count(k)).collect();
+        (text, key_ends, sizes, first_counts)
+    });
+
+    let text_len = heads.iter().map(|head| head.0.len()).sum();
+    let mut store = KeyStore::with_capacity(order.len(), text_len);
+    let mut key_ids = Vec::with_capacity(order.len());
+    let mut entity_offsets = Vec::with_capacity(order.len() + 1);
+    entity_offsets.push(0u32);
+    let mut first_counts = Vec::with_capacity(order.len());
+    let mut total = 0u32;
+    for (text, key_ends, sizes, firsts) in &heads {
+        let mut start = 0;
+        for &end in key_ends {
+            key_ids.push(store.push(&text[start..end]));
+            start = end;
+        }
+        entity_offsets.extend(sizes.iter().map(|&size| {
+            total += size;
+            total
+        }));
+        first_counts.extend_from_slice(firsts);
+    }
+
+    let mut entities = vec![EntityId(0); total as usize];
+    let mut rest = entities.as_mut_slice();
+    std::thread::scope(|scope| {
+        for (i, (&piece, head)) in pieces.iter().zip(&heads).enumerate() {
+            let part;
+            (part, rest) =
+                std::mem::take(&mut rest).split_at_mut(head.2.iter().sum::<u32>() as usize);
+            // The last piece runs on the calling thread.
+            if i + 1 == pieces.len() {
+                fill_members(index, piece, part);
+            } else {
+                scope.spawn(move || fill_members(index, piece, part));
+            }
+        }
+    });
+
+    let num_entities = index.num_entities();
+    let split = match index.kind() {
+        DatasetKind::CleanClean => index.split().min(num_entities),
+        DatasetKind::Dirty => num_entities,
+    };
+    CsrBlockCollection::from_raw(
+        index.dataset_name().to_string(),
+        index.kind(),
+        split,
+        num_entities,
+        Arc::new(store),
+        key_ids,
+        entity_offsets,
+        entities,
+        first_counts,
+    )
+}
+
+/// Writes the members of the blocks of `keys`, in order, into `out`.
+fn fill_members<I: DeltaIndex>(index: &I, keys: &[u32], out: &mut [EntityId]) {
+    let mut slots = out.iter_mut();
+    for m in keys.iter().flat_map(|&k| index.members(k)) {
+        *slots.next().expect("block sizes disagree with the members") = m;
+    }
+    debug_assert!(
+        slots.next().is_none(),
+        "block sizes disagree with the members"
+    );
+}
+
 /// The complete on-disk image of a [`StreamingIndex`]: every field is
 /// persisted verbatim (floats as IEEE-754 bit patterns), so a decoded index
 /// is **bit-identical** to the encoded one — same posting layout, same
 /// statistics, same accumulated rounding in the reciprocal tables.
 ///
-/// Only two members are reconstructed rather than stored: the key-lookup
-/// map (rebuilt from the interned key list) and the per-batch touch journal
+/// Three members are reconstructed rather than stored: the key-lookup map
+/// (rebuilt from the interned key list), the per-batch touch journal
 /// (snapshots are taken at batch boundaries, where it is empty — encoding
-/// asserts this).
+/// asserts this) and the cached key order (empty after a decode, so the
+/// first compaction sorts every live key).
 impl er_persist::Encode for StreamingIndex {
     fn encode(&self, w: &mut er_persist::Writer) {
         assert!(
@@ -1226,6 +1409,7 @@ impl er_persist::Decode for StreamingIndex {
             entity_candidates,
             touched: FxHashMap::default(),
             epoch,
+            key_order: KeyOrder::default(),
         })
     }
 }

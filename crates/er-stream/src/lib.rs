@@ -43,6 +43,7 @@
 pub mod blocker;
 pub mod delta;
 pub mod index;
+mod key_order;
 mod obs;
 pub mod persist;
 pub mod shard;

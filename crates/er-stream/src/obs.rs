@@ -1,7 +1,7 @@
 //! er-obs metric handles for the streaming CRUD path, resolved once per
 //! process.  Everything is recorded once per mutation batch (in
 //! [`StreamingMetaBlocker::emit`](crate::StreamingMetaBlocker) and
-//! `compact`), never per pair.
+//! `compact`, and the cached key order's merge), never per pair.
 
 use std::sync::OnceLock;
 
@@ -34,6 +34,8 @@ pub(crate) struct StreamObs {
     pub(crate) compactions: &'static Counter,
     /// Compaction duration, nanoseconds.
     pub(crate) compaction_ns: &'static Histogram,
+    /// Keys sorted into the cached key order by compactions.
+    pub(crate) compaction_keys_sorted: &'static Counter,
 }
 
 pub(crate) fn obs() -> &'static StreamObs {
@@ -90,6 +92,11 @@ pub(crate) fn obs() -> &'static StreamObs {
         compaction_ns: er_obs::histogram(
             "streaming_compaction_ns",
             "Compaction duration, nanoseconds",
+        ),
+        compaction_keys_sorted: er_obs::counter(
+            "stream_compaction_keys_sorted_total",
+            "Keys a compaction sorted into the cached lexicographic key order \
+             (live keys the cache did not hold yet)",
         ),
     })
 }

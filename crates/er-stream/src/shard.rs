@@ -33,12 +33,13 @@
 //! er-shard service layers epoch-published immutable views and per-shard
 //! WALs with a cross-shard manifest on top.
 
-use er_blocking::{sorted_key_order, CsrBlockCollection, KeyStore};
+use er_blocking::CsrBlockCollection;
 use er_core::{crc64, DatasetKind, EntityId, FxHashMap, PersistError, PersistResult};
 use er_features::{EntityAggregates, PairCooccurrence};
 
 use crate::delta::{BlockIndex, DeltaIndex};
-use crate::index::{BatchEffects, Members, PartnerBoard, StreamingIndex};
+use crate::index::{assemble_view, BatchEffects, Members, PartnerBoard, StreamingIndex};
+use crate::key_order::KeyOrder;
 
 /// The shard owning a key's posting list: `crc64(key) % num_shards`.
 ///
@@ -113,6 +114,10 @@ pub struct ShardedIndex {
     /// Global LCP counters (the shards' own counters stay zero).
     entity_candidates: Vec<u32>,
     epoch: u64,
+    /// Lexicographic order of the global keys live at some compaction
+    /// (derived state, never persisted; the shards' own caches stay
+    /// empty).
+    key_order: KeyOrder,
     /// Reusable per-shard local-key buffers for mutation fan-out.
     scratch: Vec<Vec<u32>>,
 }
@@ -145,6 +150,7 @@ impl ShardedIndex {
             entity_rows: Vec::new(),
             entity_candidates: Vec::new(),
             epoch: 0,
+            key_order: KeyOrder::default(),
             scratch: vec![Vec::new(); num_shards],
         }
     }
@@ -263,6 +269,7 @@ impl ShardedIndex {
             entity_rows,
             entity_candidates: state.entity_candidates,
             epoch: state.epoch,
+            key_order: KeyOrder::default(),
             scratch: vec![Vec::new(); num_shards],
         })
     }
@@ -272,6 +279,12 @@ impl ShardedIndex {
     fn locate(&self, key: u32) -> (usize, u32) {
         let (s, local) = self.route[key as usize];
         (s as usize, local)
+    }
+
+    /// First-source member count of a global key's block.
+    fn first_count(&self, key: u32) -> u32 {
+        let (s, local) = self.locate(key);
+        self.shards[s].key_first_count(local)
     }
 
     /// Whether a global key's block is currently live on its shard.
@@ -682,45 +695,10 @@ impl DeltaIndex for ShardedIndex {
     }
 
     fn view(&self, threads: usize) -> CsrBlockCollection {
-        // Only the blocks the batch engine would emit take part in the sort.
-        let emitted: Vec<u32> = (0..self.keys.len() as u32)
-            .filter(|&g| {
-                let (s, local) = self.locate(g);
-                let shard = &self.shards[s];
-                shard.block_size(local) <= self.cap && shard.key_comparisons(local) > 0
-            })
-            .collect();
-        let emitted_keys: Vec<&str> = emitted.iter().map(|&g| &*self.keys[g as usize]).collect();
-        let mut store = KeyStore::with_capacity(emitted.len(), 0);
-        let mut key_ids = Vec::with_capacity(emitted.len());
-        let mut entity_offsets = vec![0u32];
-        let mut entities: Vec<EntityId> = Vec::new();
-        let mut first_counts = Vec::with_capacity(emitted.len());
-        for i in sorted_key_order(&emitted_keys, threads) {
-            let g = emitted[i as usize];
-            let (s, local) = self.locate(g);
-            let shard = &self.shards[s];
-            key_ids.push(store.push(&self.keys[g as usize]));
-            entities.extend(shard.members(local));
-            entity_offsets.push(entities.len() as u32);
-            first_counts.push(shard.key_first_count(local));
-        }
-        let num_entities = self.entity_rows.len();
-        let split = match self.kind {
-            DatasetKind::CleanClean => self.split.min(num_entities),
-            DatasetKind::Dirty => num_entities,
-        };
-        CsrBlockCollection::from_raw(
-            self.dataset_name.clone(),
-            self.kind,
-            split,
-            num_entities,
-            std::sync::Arc::new(store),
-            key_ids,
-            entity_offsets,
-            entities,
-            first_counts,
-        )
+        let order = self
+            .key_order
+            .live_order(&self.keys, threads, |g| self.is_key_live(g));
+        assemble_view(self, &order, threads, |g| self.first_count(g))
     }
 
     fn compact(&mut self, threads: usize) -> CsrBlockCollection {
@@ -729,10 +707,15 @@ impl DeltaIndex for ShardedIndex {
             "compact() during an unfinished mutation batch"
         );
         for shard in &mut self.shards {
-            shard.fold_deltas();
+            shard.fold_deltas(threads);
         }
+        let (route, shards) = (&self.route, &self.shards);
+        let order = self.key_order.absorb(&self.keys, threads, |g| {
+            let (s, local) = route[g as usize];
+            shards[s as usize].is_block_live(local)
+        });
         self.epoch += 1;
-        self.view(threads)
+        assemble_view(self, &order, threads, |g| self.first_count(g))
     }
 }
 

@@ -4,13 +4,19 @@
 //!
 //! This is the acceptance gate of the er-obs layer: every subsystem the
 //! pipeline touches (streaming deltas, per-shard WAL group commit, fsync
-//! latency, checkpoints, epoch publication, recovery) shows up in one
-//! `render_prometheus` pass with no bespoke side channels.
+//! latency, checkpoints, epoch publication, recovery, the cleaned live
+//! view, compaction's key order) shows up in one `render_prometheus` pass
+//! with no bespoke side channels.
+//!
+//! The tests of this binary run on parallel threads against one registry.
+//! None of them switches the layer off, and only the first installs an
+//! event sink, so none can race another's readings; metrics that two tests
+//! both move are asserted with `>=`.
 
 use std::path::PathBuf;
 
 use gsmb::blocking::TokenKeys;
-use gsmb::core::{Dataset, EntityId};
+use gsmb::core::{Dataset, EntityId, EntityProfile};
 use gsmb::datasets::{dirty_catalog, generate_dirty, CatalogOptions};
 use gsmb::features::FeatureSet;
 use gsmb::obs::event::CapturingSink;
@@ -175,4 +181,72 @@ fn block_build_records_its_counts_and_one_sample_per_phase() {
         assert!(count(&after) > count(&before), "{phase} recorded nothing");
     }
     assert!(after.histogram("blocking_scatter_ns").is_none());
+}
+
+/// A cleaned live view records one refresh-duration sample and its dirty
+/// and re-derived entity counts per refresh; a compaction counts the keys
+/// it sorts into the cached key order — every live key the first time,
+/// then only the keys that came alive since.
+#[test]
+fn live_view_refreshes_and_compactions_record_their_counts() {
+    use gsmb::meta::LiveView;
+    use gsmb::stream::StreamingMetaBlocker;
+
+    let ds = dataset();
+    let n = ds.profiles.len();
+    let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
+    blocker.ingest_unscored(&ds.profiles[..n / 2]);
+    let mut view = LiveView::with_default_ratio(blocker.index());
+
+    let read = |name: &str| {
+        gsmb::obs::snapshot()
+            .value(name)
+            .unwrap_or_else(|| panic!("{name} not registered"))
+    };
+    let samples = || {
+        gsmb::obs::snapshot()
+            .histogram("live_view_refresh_ns")
+            .expect("live_view_refresh_ns not registered")
+            .count
+    };
+    let (refreshes, dirty, rederived) = (
+        samples(),
+        read("live_view_dirty_entities_total"),
+        read("live_view_rederived_entities_total"),
+    );
+    let batch = blocker.ingest_unscored(&ds.profiles[n / 2..]);
+    view.refresh(blocker.index(), &batch.touched_keys, batch.batch_entities());
+    let dirty = read("live_view_dirty_entities_total") - dirty;
+    let rederived = read("live_view_rederived_entities_total") - rederived;
+    assert_eq!(samples() - refreshes, 1, "one sample per refresh");
+    // Every ingested entity is dirty, and one with a kept block moved.
+    assert!(dirty >= (n - n / 2) as u64, "dirty {dirty}");
+    assert!(
+        rederived > 0 && rederived <= dirty,
+        "re-derived {rederived} of {dirty}"
+    );
+
+    // This binary's only compactions: exact counts.
+    let sorted = read("stream_compaction_keys_sorted_total");
+    let first = blocker.compact();
+    assert_eq!(
+        read("stream_compaction_keys_sorted_total") - sorted,
+        first.num_blocks() as u64,
+        "the first compaction sorts every live key"
+    );
+    let sorted = read("stream_compaction_keys_sorted_total");
+    // Two entities take a token nobody had: its block comes alive.
+    let fresh = |id: &str| EntityProfile::new(id).with_attribute("title", "zzfreshtoken");
+    blocker.update_unscored(&[(EntityId(0), fresh("a")), (EntityId(3), fresh("b"))]);
+    let second = blocker.compact();
+    let known: Vec<&str> = (0..first.num_blocks()).map(|b| first.key(b)).collect();
+    let came_alive = (0..second.num_blocks())
+        .filter(|&b| known.binary_search(&second.key(b)).is_err())
+        .count();
+    assert!(came_alive > 0);
+    assert_eq!(
+        read("stream_compaction_keys_sorted_total") - sorted,
+        came_alive as u64,
+        "a later compaction sorts only keys that came alive since"
+    );
 }
