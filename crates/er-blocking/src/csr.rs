@@ -46,8 +46,28 @@ pub fn slice_cardinalities(slice: &[EntityId], kind: DatasetKind, split: usize) 
     (first, comparisons_from_first(kind, first, slice.len()))
 }
 
+/// `value` as a `u32`, panicking with a message that names `limit` when it
+/// does not fit — the arenas address keys and text with `u32`s, and a
+/// silently wrapped offset would hand out the wrong key.
+#[inline]
+pub(crate) fn checked_u32(value: usize, limit: &'static str) -> u32 {
+    match u32::try_from(value) {
+        Ok(v) => v,
+        Err(_) => limit_exceeded(value, limit),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn limit_exceeded(value: usize, limit: &'static str) -> ! {
+    panic!("{limit} exceeded: {value} does not fit a u32")
+}
+
 /// An append-only arena of interned block keys: all key bytes concatenated in
 /// one `String` plus an offset table.
+///
+/// Offsets and ids are `u32`s: the arena holds at most 4 GiB of key text
+/// and 2^32 keys, and [`KeyStore::push`] panics past either limit.
 #[derive(Debug, Clone, Default)]
 pub struct KeyStore {
     pub(crate) text: String,
@@ -66,13 +86,26 @@ impl KeyStore {
     }
 
     /// Appends a key and returns its id.
+    ///
+    /// # Panics
+    /// Panics if the key text would pass 4 GiB or the id 2^32 - 1.
     pub fn push(&mut self, key: &str) -> u32 {
         if self.offsets.is_empty() {
             self.offsets.push(0);
         }
+        let id = checked_u32(self.offsets.len() - 1, "key arena id limit (2^32 keys)");
+        let end = checked_u32(
+            self.text.len() + key.len(),
+            "key arena text limit (4 GiB of key text)",
+        );
         self.text.push_str(key);
-        self.offsets.push(self.text.len() as u32);
-        (self.offsets.len() - 2) as u32
+        self.offsets.push(end);
+        id
+    }
+
+    /// Heap bytes held by the text and the offset table.
+    pub fn heap_bytes(&self) -> usize {
+        self.text.capacity() + self.offsets.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Number of keys stored.
@@ -427,6 +460,18 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(a), "alpha");
         assert_eq!(store.get(b), "β");
+    }
+
+    #[test]
+    fn checked_u32_accepts_the_largest_u32() {
+        assert_eq!(checked_u32(u32::MAX as usize, "test limit"), u32::MAX);
+        assert_eq!(checked_u32(0, "test limit"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "test limit exceeded: 4294967296 does not fit a u32")]
+    fn checked_u32_panics_one_past_the_largest_u32() {
+        checked_u32(u32::MAX as usize + 1, "test limit");
     }
 
     #[test]

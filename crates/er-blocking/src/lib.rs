@@ -25,6 +25,7 @@ pub mod collection;
 pub mod csr;
 pub mod filtering;
 pub mod graph;
+pub mod key_table;
 mod obs;
 pub mod persist;
 pub mod purging;
@@ -47,6 +48,7 @@ pub use filtering::{
     block_filtering, block_filtering_csr, filtering_keep_count, DEFAULT_FILTERING_RATIO,
 };
 pub use graph::NeighborIndex;
+pub use key_table::KeyTable;
 pub use purging::{block_purging, block_purging_csr, purging_limit};
 pub use qgrams::{qgrams_blocking, qgrams_blocking_csr};
 pub use stats::BlockStats;

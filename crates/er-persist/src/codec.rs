@@ -72,12 +72,29 @@ impl Writer {
     }
 
     /// Appends `N`-byte little-endian images of `items`, back to back.
-    fn write_fixed<T: Copy, const N: usize>(&mut self, items: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    fn write_fixed<T, const N: usize>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
         let start = self.buf.len();
         self.buf.resize(start + items.len() * N, 0);
-        for (slot, &item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
+        for (slot, item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
             slot.copy_from_slice(&to_le(item));
         }
+    }
+
+    /// Appends a length-prefixed sequence of `N`-byte items drawn from an
+    /// iterator — the bytes `Vec<T>::encode` writes for the collected
+    /// items, so a column read out of wider records is encoded without
+    /// being collected first.
+    pub fn write_fixed_seq<T, const N: usize>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
+        self.write_usize(items.len());
+        self.write_fixed(items, to_le);
     }
 
     /// The bytes written so far.
@@ -356,7 +373,7 @@ impl Encode for u32 {
     }
 
     fn encode_all(items: &[Self], w: &mut Writer) {
-        w.write_fixed(items, u32::to_le_bytes);
+        w.write_fixed(items.iter().copied(), u32::to_le_bytes);
     }
 }
 
@@ -378,7 +395,7 @@ impl Encode for u64 {
     }
 
     fn encode_all(items: &[Self], w: &mut Writer) {
-        w.write_fixed(items, u64::to_le_bytes);
+        w.write_fixed(items.iter().copied(), u64::to_le_bytes);
     }
 }
 
@@ -414,7 +431,7 @@ impl Encode for f64 {
     }
 
     fn encode_all(items: &[Self], w: &mut Writer) {
-        w.write_fixed(items, |v| v.to_bits().to_le_bytes());
+        w.write_fixed(items.iter().copied(), |v| v.to_bits().to_le_bytes());
     }
 }
 
@@ -438,7 +455,7 @@ impl Encode for bool {
     }
 
     fn encode_all(items: &[Self], w: &mut Writer) {
-        w.write_fixed(items, |v| [u8::from(v)]);
+        w.write_fixed(items.iter().copied(), |v| [u8::from(v)]);
     }
 }
 
@@ -590,7 +607,7 @@ impl Encode for EntityId {
     }
 
     fn encode_all(items: &[Self], w: &mut Writer) {
-        w.write_fixed(items, |e| e.0.to_le_bytes());
+        w.write_fixed(items.iter().copied(), |e| e.0.to_le_bytes());
     }
 }
 

@@ -4,8 +4,10 @@
 //! corpus — inserts, deletes *and* updates — in a delta-over-baseline
 //! layout:
 //!
-//! * an interned key dictionary (`key → u32`, every key string allocated
-//!   once plus one lookup copy),
+//! * an interned key dictionary (`key → u32`): one [`KeyTable`], a text
+//!   arena holding every key's bytes once plus an open-addressing table of
+//!   `(hash tag, id)` slots, so a known key costs one slot read and one
+//!   arena read and a new key allocates nothing of its own,
 //! * per-key posting lists split into a **compacted baseline CSR** (the
 //!   state at the last [`StreamingIndex::compact`] epoch), a per-key
 //!   sorted **delta vector** of entities that joined the block since, and a
@@ -13,10 +15,11 @@
 //!   (deletions and re-keying updates cannot edit the shared baseline
 //!   arena, so departures are recorded as tombstones and physically
 //!   dropped at the next compaction),
-//! * per-key statistics (`|b|`, first-source counts, `||b||` and the
-//!   reciprocal tables) updated **exactly** — incrementally on insertion,
-//!   decrementally on removal — together with the global live-block
-//!   aggregates (`|B|`, `||B||`),
+//! * one packed 32-byte statistics record per key (`|b|`, first-source
+//!   count, `||b||`, `1/||b||`, `1/|b|`; liveness is derived from them)
+//!   updated **exactly** — incrementally on insertion, decrementally on
+//!   removal — together with the global live-block aggregates (`|B|`,
+//!   `||B||`),
 //! * the entity → key adjacency as a baseline CSR plus an overlay map for
 //!   mutated entities (an update replaces the row, a deletion empties it;
 //!   the overlay folds back into the CSR at compaction), and
@@ -30,16 +33,22 @@
 //! index cannot discard those postings — a Clean-Clean block whose members
 //! are all from E1 produces zero comparisons today but becomes useful the
 //! moment an E2 entity joins it — so every key keeps its full posting list
-//! and carries a *live* flag instead: live blocks are exactly the blocks the
-//! batch engine would emit for the current corpus.  Under pure insertions a
-//! block leaves the live set only by crossing the size cap; with deletions
-//! and updates every transition is possible, including a capped block
-//! shrinking back under the cap and **re-entering** the live set.  Each
-//! mutation batch therefore records the pre-batch liveness of every touched
-//! key, and [`StreamingIndex::finish_batch`] turns the net flips into exact
+//! and is *live* instead when it has a comparison and fits the size cap:
+//! live blocks are exactly the blocks the batch engine would emit for the
+//! current corpus.  Under pure insertions a block leaves the live set only
+//! by crossing the size cap; with deletions and updates every transition is
+//! possible, including a capped block shrinking back under the cap and
+//! **re-entering** the live set.  Each mutation batch therefore records the
+//! pre-batch liveness of every touched key — the batch journal is a flat
+//! list of touched keys plus a per-key batch stamp carrying the pre-batch
+//! liveness bit, so a touch is one array read — and
+//! [`StreamingIndex::finish_batch`] turns the net flips into exact
 //! candidate *retractions* (blocks that left the live set) and *revivals*
 //! (blocks that re-entered it) — the generalisation of the old
-//! insert-only size-cap retraction scan.
+//! insert-only size-cap retraction scan.  The same stamps tell which keys
+//! no batch touched since the last compaction: their delta and tombstone
+//! vectors are empty, and member walks and posting updates skip reading
+//! them.
 //!
 //! # Determinism
 //!
@@ -61,7 +70,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use er_blocking::{comparisons_from_first, CsrBlockCollection, KeyStore};
+use er_blocking::{comparisons_from_first, CsrBlockCollection, KeyStore, KeyTable};
 use er_core::{map_ranges_parallel, DatasetKind, EntityId, FxHashMap};
 use er_features::{EntityAggregates, PairCooccurrence, RadixScoreboard, ScoreboardConfig};
 
@@ -187,6 +196,54 @@ pub struct BatchEffects {
     pub revived: Vec<(EntityId, EntityId)>,
 }
 
+/// One key's block statistics, packed so that everything a partner scan or
+/// an aggregate reads about a key is one 32-byte read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct KeyStats {
+    /// `|b|`.
+    pub(crate) size: u32,
+    /// First-source member count (equals `|b|` for Dirty ER).
+    pub(crate) first: u32,
+    /// `||b||`.
+    pub(crate) comparisons: u64,
+    /// `1/||b||` (0 when the block has no comparisons).
+    pub(crate) inv_comparisons: f64,
+    /// `1/|b|` (0 when the block is empty).
+    pub(crate) inv_sizes: f64,
+}
+
+impl KeyStats {
+    /// The statistics of a block of `size` members, `first` of them from
+    /// the first source — the one formula every update and every decoded
+    /// record goes through.
+    #[inline]
+    fn new(kind: DatasetKind, size: u32, first: u32) -> Self {
+        let comparisons = comparisons_from_first(kind, first, size as usize);
+        KeyStats {
+            size,
+            first,
+            comparisons,
+            inv_comparisons: if comparisons > 0 {
+                1.0 / comparisons as f64
+            } else {
+                0.0
+            },
+            inv_sizes: if size > 0 { 1.0 / f64::from(size) } else { 0.0 },
+        }
+    }
+
+    /// Whether the batch engine would emit this block: it has a comparison
+    /// and fits the scheme's size cap.
+    #[inline]
+    pub(crate) fn is_live(&self, cap: usize) -> bool {
+        self.comparisons > 0 && self.size as usize <= cap
+    }
+}
+
+/// The largest batch stamp: stamps are stored shifted left by one, beside
+/// the pre-batch liveness bit.
+const MAX_BATCH: u32 = u32::MAX >> 1;
+
 /// The mutable blocking index: interned keys, tombstone-aware
 /// delta-over-baseline postings, exact decremental block statistics and
 /// incremental candidate counts.
@@ -201,10 +258,8 @@ pub struct StreamingIndex {
     num_entities: usize,
     /// Entities currently alive (ingested and not removed).
     num_alive: usize,
-    /// Interned key strings, indexed by stream key id.
-    keys: Vec<Box<str>>,
-    /// Key → stream id lookup (holds the one extra copy of each key).
-    lookup: FxHashMap<Box<str>, u32>,
+    /// Interned key strings and their lookup table, by stream key id.
+    keys: KeyTable,
     /// Baseline CSR offsets (state at the last compaction); keys interned
     /// after the last compaction lie beyond `base_offsets.len() - 1` and
     /// have an empty baseline slice.
@@ -218,18 +273,8 @@ pub struct StreamingIndex {
     /// (sorted subset of the baseline slice).  Physically dropped by
     /// [`StreamingIndex::compact`].
     removed: Vec<Vec<EntityId>>,
-    /// `|b|` per key.
-    sizes: Vec<u32>,
-    /// First-source member count per key (equals `|b|` for Dirty ER).
-    first_counts: Vec<u32>,
-    /// `||b||` per key.
-    comparisons: Vec<u64>,
-    /// `1/||b||` per key (0 when the block has no comparisons).
-    inv_comparisons: Vec<f64>,
-    /// `1/|b|` per key (0 when the block is empty).
-    inv_sizes: Vec<f64>,
-    /// Whether the batch engine would emit this block for the current corpus.
-    live: Vec<bool>,
+    /// Block statistics per key.
+    stats: Vec<KeyStats>,
     /// `|B|` over live blocks.
     num_live: usize,
     /// `||B||` over live blocks.
@@ -247,9 +292,20 @@ pub struct StreamingIndex {
     /// Distinct-candidate count per entity (the LCP feature), kept exact
     /// under additions, retractions and revivals.
     entity_candidates: Vec<u32>,
-    /// Keys touched by the current mutation batch, mapped to their liveness
-    /// when first touched; drained by [`StreamingIndex::finish_batch`].
-    touched: FxHashMap<u32, bool>,
+    /// Keys touched by the current mutation batch, in first-touch order;
+    /// drained by [`StreamingIndex::finish_batch`].
+    touched: Vec<u32>,
+    /// Per key, `stamp << 1 | liveness` as of the first touch by the batch
+    /// stamped `stamp` (0: never touched).
+    marks: Vec<u32>,
+    /// Stamp of the current batch, `1..=MAX_BATCH`.
+    batch: u32,
+    /// The batch stamp current at the last compaction: a key whose mark is
+    /// older has empty delta and tombstone lists (0 when unknown — before
+    /// the first compaction, after a decode or a stamp wrap-around).
+    compacted_at: u32,
+    /// Keys interned when the last batch was recorded on the registry.
+    keys_recorded: usize,
     /// Number of completed compactions.
     epoch: u64,
     /// Lexicographic order of the keys live at some compaction (derived
@@ -278,18 +334,12 @@ impl StreamingIndex {
             cap,
             num_entities: 0,
             num_alive: 0,
-            keys: Vec::new(),
-            lookup: FxHashMap::default(),
+            keys: KeyTable::default(),
             base_offsets: vec![0],
             base_entities: Vec::new(),
             delta: Vec::new(),
             removed: Vec::new(),
-            sizes: Vec::new(),
-            first_counts: Vec::new(),
-            comparisons: Vec::new(),
-            inv_comparisons: Vec::new(),
-            inv_sizes: Vec::new(),
-            live: Vec::new(),
+            stats: Vec::new(),
             num_live: 0,
             total_live_comparisons: 0,
             entity_offsets: vec![0],
@@ -297,7 +347,11 @@ impl StreamingIndex {
             overlay: FxHashMap::default(),
             alive: Vec::new(),
             entity_candidates: Vec::new(),
-            touched: FxHashMap::default(),
+            touched: Vec::new(),
+            marks: Vec::new(),
+            batch: 1,
+            compacted_at: 0,
+            keys_recorded: 0,
             epoch: 0,
             key_order: KeyOrder::default(),
         }
@@ -371,60 +425,47 @@ impl StreamingIndex {
     }
 
     /// The interned key string of a stream key id.
+    #[inline]
     pub fn key_str(&self, key: u32) -> &str {
-        &self.keys[key as usize]
+        self.keys.get(key)
     }
 
     /// `|b|` of a key's block (tombstoned members excluded).
+    #[inline]
     pub fn block_size(&self, key: u32) -> usize {
-        self.sizes[key as usize] as usize
+        self.stats[key as usize].size as usize
     }
 
     /// Whether the batch engine would emit this key's block right now.
+    #[inline]
     pub fn is_block_live(&self, key: u32) -> bool {
-        self.live[key as usize]
+        self.stats[key as usize].is_live(self.cap)
     }
 
-    /// `1/||b||` of a key's block (0 when the block has no comparisons).
+    /// The statistics record of a key's block.
     #[inline]
-    pub(crate) fn key_inv_comparisons(&self, key: u32) -> f64 {
-        self.inv_comparisons[key as usize]
+    pub(crate) fn key_stats(&self, key: u32) -> &KeyStats {
+        &self.stats[key as usize]
     }
 
-    /// `1/|b|` of a key's block (0 when the block is empty).
-    #[inline]
-    pub(crate) fn key_inv_sizes(&self, key: u32) -> f64 {
-        self.inv_sizes[key as usize]
-    }
-
-    /// `||b||` of a key's block.
-    #[inline]
-    pub(crate) fn key_comparisons(&self, key: u32) -> u64 {
-        self.comparisons[key as usize]
-    }
-
-    /// First-source member count of a key's block.
-    #[inline]
-    pub(crate) fn key_first_count(&self, key: u32) -> u32 {
-        self.first_counts[key as usize]
+    /// Heap bytes of the key dictionary (arena plus lookup slots).
+    pub fn key_table_bytes(&self) -> usize {
+        self.keys.heap_bytes()
     }
 
     /// Interns a key, returning its stream id (stable across compactions).
+    ///
+    /// # Panics
+    /// Panics past the key table's limits (see [`KeyTable::intern`]).
+    #[inline]
     pub fn intern(&mut self, key: &str) -> u32 {
-        if let Some(&id) = self.lookup.get(key) {
-            return id;
+        let id = self.keys.intern(key);
+        if id as usize == self.stats.len() {
+            self.delta.push(Vec::new());
+            self.removed.push(Vec::new());
+            self.stats.push(KeyStats::default());
+            self.marks.push(0);
         }
-        let id = self.keys.len() as u32;
-        self.keys.push(key.into());
-        self.lookup.insert(key.into(), id);
-        self.delta.push(Vec::new());
-        self.removed.push(Vec::new());
-        self.sizes.push(0);
-        self.first_counts.push(0);
-        self.comparisons.push(0);
-        self.inv_comparisons.push(0.0);
-        self.inv_sizes.push(0.0);
-        self.live.push(false);
         id
     }
 
@@ -444,10 +485,16 @@ impl StreamingIndex {
     /// merged with the delta) in ascending entity-id order.
     #[inline]
     pub fn members(&self, key: u32) -> Members<'_> {
+        let k = key as usize;
+        let (removed, delta): (&[EntityId], &[EntityId]) = if self.may_have_changes(k) {
+            (&self.removed[k], &self.delta[k])
+        } else {
+            (&[], &[])
+        };
         Members {
             base: self.base_slice(key),
-            removed: &self.removed[key as usize],
-            delta: &self.delta[key as usize],
+            removed,
+            delta,
             bi: 0,
             ri: 0,
             di: 0,
@@ -476,55 +523,79 @@ impl StreamingIndex {
     /// batch touches it.
     #[inline]
     fn note_touch(&mut self, key: u32) {
-        let live = self.live[key as usize];
-        self.touched.entry(key).or_insert(live);
+        let ki = key as usize;
+        if self.marks[ki] >> 1 != self.batch {
+            let live = self.stats[ki].is_live(self.cap);
+            self.marks[ki] = self.batch << 1 | u32::from(live);
+            self.touched.push(key);
+        }
+    }
+
+    /// Whether a key may hold delta or tombstone entries.  Only a key some
+    /// batch touched since the last compaction can, and its dense mark says
+    /// so without a read of the two change lists.
+    #[inline]
+    fn may_have_changes(&self, ki: usize) -> bool {
+        self.marks[ki] >> 1 >= self.compacted_at
+    }
+
+    /// A key's liveness at the start of the current batch.
+    #[inline]
+    fn was_live(&self, key: u32) -> bool {
+        let mark = self.marks[key as usize];
+        if mark >> 1 == self.batch {
+            mark & 1 == 1
+        } else {
+            self.is_block_live(key)
+        }
+    }
+
+    /// Moves to the next batch stamp once the journal is drained, so every
+    /// mark of the closed batch goes stale at once.
+    fn next_batch(&mut self) {
+        debug_assert!(self.touched.is_empty());
+        if self.batch == MAX_BATCH {
+            self.marks.fill(0);
+            self.batch = 1;
+            self.compacted_at = 0;
+        } else {
+            self.batch += 1;
+        }
     }
 
     /// Recomputes one key's statistics after a single posting change,
     /// keeping every counter (and the global live aggregates) exact.
     fn update_stats(&mut self, key: u32, entity: EntityId, inserted: bool) {
         let ki = key as usize;
-        let was_live = self.live[ki];
-        let old_comparisons = self.comparisons[ki];
-        if inserted {
-            self.sizes[ki] += 1;
+        let old = self.stats[ki];
+        let first_side = u32::from(self.kind == DatasetKind::Dirty || entity.index() < self.split);
+        let new = if inserted {
+            KeyStats::new(self.kind, old.size + 1, old.first + first_side)
         } else {
-            self.sizes[ki] -= 1;
-        }
-        if self.kind == DatasetKind::Dirty || entity.index() < self.split {
-            if inserted {
-                self.first_counts[ki] += 1;
-            } else {
-                self.first_counts[ki] -= 1;
-            }
-        }
-        let size = self.sizes[ki];
-        let comparisons = comparisons_from_first(self.kind, self.first_counts[ki], size as usize);
-        self.comparisons[ki] = comparisons;
-        self.inv_comparisons[ki] = if comparisons > 0 {
-            1.0 / comparisons as f64
-        } else {
-            0.0
+            KeyStats::new(self.kind, old.size - 1, old.first - first_side)
         };
-        self.inv_sizes[ki] = if size > 0 { 1.0 / f64::from(size) } else { 0.0 };
-        let now_live = comparisons > 0 && size as usize <= self.cap;
-        if was_live {
+        if old.is_live(self.cap) {
             self.num_live -= 1;
-            self.total_live_comparisons -= old_comparisons;
+            self.total_live_comparisons -= old.comparisons;
         }
-        if now_live {
+        if new.is_live(self.cap) {
             self.num_live += 1;
-            self.total_live_comparisons += comparisons;
+            self.total_live_comparisons += new.comparisons;
         }
-        self.live[ki] = now_live;
+        self.stats[ki] = new;
     }
 
     /// Adds an entity to a key's posting list (un-tombstoning a baseline
     /// member if the entity left and rejoined within one epoch).
     fn add_posting(&mut self, key: u32, entity: EntityId) {
-        self.note_touch(key);
         let ki = key as usize;
-        if let Ok(at) = self.removed[ki].binary_search(&entity) {
+        let tombstone = if self.may_have_changes(ki) {
+            self.removed[ki].binary_search(&entity).ok()
+        } else {
+            None
+        };
+        self.note_touch(key);
+        if let Some(at) = tombstone {
             self.removed[ki].remove(at);
         } else {
             let delta = &mut self.delta[ki];
@@ -541,9 +612,14 @@ impl StreamingIndex {
     /// Removes an entity from a key's posting list (tombstoning it when it
     /// lives in the shared baseline arena).
     fn drop_posting(&mut self, key: u32, entity: EntityId) {
-        self.note_touch(key);
         let ki = key as usize;
-        if let Ok(at) = self.delta[ki].binary_search(&entity) {
+        let joined = if self.may_have_changes(ki) {
+            self.delta[ki].binary_search(&entity).ok()
+        } else {
+            None
+        };
+        self.note_touch(key);
+        if let Some(at) = joined {
             self.delta[ki].remove(at);
         } else {
             debug_assert!(self.base_slice(key).binary_search(&entity).is_ok());
@@ -562,7 +638,7 @@ impl StreamingIndex {
     fn canonicalize_keys(&self, raw_keys: &mut Vec<u32>) {
         raw_keys.sort_unstable();
         raw_keys.dedup();
-        raw_keys.sort_unstable_by(|&a, &b| self.keys[a as usize].cmp(&self.keys[b as usize]));
+        raw_keys.sort_unstable_by(|&a, &b| self.keys.get(a).cmp(self.keys.get(b)));
     }
 
     /// Inserts the next entity (id `num_entities`) given the raw key ids
@@ -641,7 +717,7 @@ impl StreamingIndex {
             } else if old[i] == raw_keys[j] {
                 i += 1;
                 j += 1;
-            } else if self.keys[old[i] as usize] < self.keys[raw_keys[j] as usize] {
+            } else if self.keys.get(old[i]) < self.keys.get(raw_keys[j]) {
                 self.drop_posting(old[i], entity);
                 i += 1;
             } else {
@@ -660,20 +736,21 @@ impl StreamingIndex {
     /// or updated during the batch — pairs with a mutated endpoint are
     /// handled by the caller's before/after partner-set diff instead.
     pub fn finish_batch(&mut self, in_batch: impl Fn(EntityId) -> bool) -> BatchEffects {
-        let mut snapshot: Vec<(u32, bool)> = self.touched.drain().collect();
-        snapshot.sort_unstable_by_key(|&(k, _)| k);
-        let pre_live: FxHashMap<u32, bool> = snapshot.iter().copied().collect();
-
+        // The touched keys in ascending id order; their marks still carry
+        // the pre-batch liveness until the journal is closed below.
+        self.touched.sort_unstable();
         let mut retracted: Vec<(EntityId, EntityId)> = Vec::new();
         let mut revived: Vec<(EntityId, EntityId)> = Vec::new();
-        for &(k, was_live) in &snapshot {
-            let now_live = self.live[k as usize];
+        for &k in &self.touched {
+            let (was_live, now_live) = (self.was_live(k), self.is_block_live(k));
             if was_live && !now_live {
-                self.scan_flip(k, &in_batch, None, &mut retracted);
+                self.scan_flip(k, &in_batch, false, &mut retracted);
             } else if !was_live && now_live {
-                self.scan_flip(k, &in_batch, Some(&pre_live), &mut revived);
+                self.scan_flip(k, &in_batch, true, &mut revived);
             }
         }
+        let touched_keys = std::mem::take(&mut self.touched);
+        self.next_batch();
         // One batch can flip several blocks a pair belongs to, so the scans
         // may report the same pair twice; deduplicate before touching the
         // LCP counters.
@@ -689,8 +766,10 @@ impl StreamingIndex {
             self.entity_candidates[a.index()] += 1;
             self.entity_candidates[b.index()] += 1;
         }
+        crate::obs::record_key_table(self.keys.len() - self.keys_recorded, self.keys.heap_bytes());
+        self.keys_recorded = self.keys.len();
         BatchEffects {
-            touched_keys: snapshot.into_iter().map(|(k, _)| k).collect(),
+            touched_keys,
             retracted,
             revived,
         }
@@ -703,25 +782,31 @@ impl StreamingIndex {
     /// globally ordered set — reproducing [`StreamingIndex::finish_batch`]
     /// exactly.
     pub(crate) fn drain_touched(&mut self) -> Vec<(u32, bool)> {
-        let mut snapshot: Vec<(u32, bool)> = self.touched.drain().collect();
-        snapshot.sort_unstable_by_key(|&(k, _)| k);
-        snapshot
+        self.touched.sort_unstable();
+        let drained = self
+            .touched
+            .iter()
+            .map(|&k| (k, self.was_live(k)))
+            .collect();
+        self.touched.clear();
+        self.next_batch();
+        drained
     }
 
     /// A block's liveness flipped during the batch: scans its comparable
-    /// pairs of unmutated members for candidacy changes.  With
-    /// `pre_live == None` the block died — a pair is retracted when it
-    /// shares no live key any more; with a snapshot the block came alive — a
-    /// pair is revived when it shared no live key *before* the batch (its
-    /// key lists are unchanged, so pre-batch candidacy is decidable from the
-    /// snapshot).  The scan is bounded: a dying block crossed the size cap
-    /// (≤ cap + batch members) or lost all comparable pairs (guarded away),
-    /// and a rising block fits under the cap.
+    /// pairs of unmutated members for candidacy changes.  When the block
+    /// died (`rose == false`) a pair is retracted when it shares no live key
+    /// any more; when it came alive a pair is revived when it shared no
+    /// live key *before* the batch (its key lists are unchanged, so
+    /// pre-batch candidacy is decidable from the journal's liveness bits).
+    /// The scan is bounded: a dying block crossed the size cap (≤ cap +
+    /// batch members) or lost all comparable pairs (guarded away), and a
+    /// rising block fits under the cap.
     fn scan_flip(
         &self,
         key: u32,
         in_batch: &impl Fn(EntityId) -> bool,
-        pre_live: Option<&FxHashMap<u32, bool>>,
+        rose: bool,
         out: &mut Vec<(EntityId, EntityId)>,
     ) {
         let members: Vec<EntityId> = self.members(key).filter(|&m| !in_batch(m)).collect();
@@ -747,29 +832,16 @@ impl StreamingIndex {
                 if !self.is_comparable(a, b) {
                     continue;
                 }
-                let shares = match pre_live {
-                    None => self.shares_live_key(a, b),
-                    Some(snapshot) => self.shares_live_key_at(a, b, snapshot),
+                let shares = if rose {
+                    self.find_shared_key(a, b, |k| self.was_live(k))
+                } else {
+                    self.find_shared_key(a, b, |k| self.is_block_live(k))
                 };
                 if !shares {
                     out.push((a, b));
                 }
             }
         }
-    }
-
-    /// True if the two entities currently share a live key (merge over the
-    /// two lexicographically sorted key lists).
-    fn shares_live_key(&self, a: EntityId, b: EntityId) -> bool {
-        self.find_shared_key(a, b, |k| self.live[k as usize])
-    }
-
-    /// True if the two entities shared a key that was live at the start of
-    /// the current batch (liveness overridden by the touched-key snapshot).
-    fn shares_live_key_at(&self, a: EntityId, b: EntityId, pre: &FxHashMap<u32, bool>) -> bool {
-        self.find_shared_key(a, b, |k| {
-            pre.get(&k).copied().unwrap_or(self.live[k as usize])
-        })
     }
 
     /// Merges the two entities' lexicographically sorted key lists and
@@ -787,7 +859,7 @@ impl StreamingIndex {
                 }
                 i += 1;
                 j += 1;
-            } else if self.keys[x as usize] < self.keys[y as usize] {
+            } else if self.keys.get(x) < self.keys.get(y) {
                 i += 1;
             } else {
                 j += 1;
@@ -808,15 +880,15 @@ impl StreamingIndex {
         while i < la.len() && j < lb.len() {
             let (x, y) = (la[i], lb[j]);
             if x == y {
-                let ki = x as usize;
-                if self.live[ki] {
+                let stats = &self.stats[x as usize];
+                if stats.is_live(self.cap) {
                     agg.common_blocks += 1;
-                    agg.inv_comparisons_sum += self.inv_comparisons[ki];
-                    agg.inv_sizes_sum += self.inv_sizes[ki];
+                    agg.inv_comparisons_sum += stats.inv_comparisons;
+                    agg.inv_sizes_sum += stats.inv_sizes;
                 }
                 i += 1;
                 j += 1;
-            } else if self.keys[x as usize] < self.keys[y as usize] {
+            } else if self.keys.get(x) < self.keys.get(y) {
                 i += 1;
             } else {
                 j += 1;
@@ -861,12 +933,11 @@ impl StreamingIndex {
         smaller_only: bool,
     ) -> Vec<(EntityId, PairCooccurrence)> {
         for &k in self.keys_of(e) {
-            let ki = k as usize;
-            if !self.live[ki] {
+            let stats = &self.stats[k as usize];
+            if !stats.is_live(self.cap) {
                 continue;
             }
-            let inv_comparisons = self.inv_comparisons[ki];
-            let inv_sizes = self.inv_sizes[ki];
+            let (inv_comparisons, inv_sizes) = (stats.inv_comparisons, stats.inv_sizes);
             for p in self.members(k) {
                 if smaller_only && p >= e {
                     // Postings are ascending: no smaller partner follows.
@@ -888,7 +959,7 @@ impl StreamingIndex {
     pub fn collect_partner_ids(&self, e: EntityId) -> Vec<EntityId> {
         let mut partners: Vec<EntityId> = Vec::new();
         for &k in self.keys_of(e) {
-            if !self.live[k as usize] {
+            if !self.is_block_live(k) {
                 continue;
             }
             partners.extend(
@@ -924,14 +995,14 @@ impl StreamingIndex {
         let mut inv_sizes = 0.0f64;
         let mut entity_comparisons = 0u64;
         for &k in self.keys_of(entity) {
-            let ki = k as usize;
-            if !self.live[ki] {
+            let stats = &self.stats[k as usize];
+            if !stats.is_live(self.cap) {
                 continue;
             }
             live_blocks += 1;
-            inv_comparisons += self.inv_comparisons[ki];
-            inv_sizes += self.inv_sizes[ki];
-            entity_comparisons += self.comparisons[ki];
+            inv_comparisons += stats.inv_comparisons;
+            inv_sizes += stats.inv_sizes;
+            entity_comparisons += stats.comparisons;
         }
         let blocks_of = live_blocks as f64;
         let num_blocks = self.num_live as f64;
@@ -967,10 +1038,18 @@ impl StreamingIndex {
     /// hold yet are sorted.  `threads` parallelises that sort and the
     /// assembly; the output is identical for any thread count.
     pub fn view(&self, threads: usize) -> CsrBlockCollection {
+        let live = self.live_flags();
         let order = self
             .key_order
-            .live_order(&self.keys, threads, |k| self.live[k as usize]);
-        assemble_view(self, &order, threads, |k| self.key_first_count(k))
+            .live_order(&self.keys, threads, |k| live[k as usize]);
+        assemble_view(self, &order, threads, |k| self.stats[k as usize].first)
+    }
+
+    /// Every key's liveness, by key id: one sequential pass over the
+    /// statistics records, so that the key-order walks behind a view read
+    /// a dense flag per key instead of a record each, at random.
+    pub(crate) fn live_flags(&self) -> Vec<bool> {
+        self.stats.iter().map(|s| s.is_live(self.cap)).collect()
     }
 
     /// Ends the epoch: folds every delta posting into a fresh baseline CSR,
@@ -980,12 +1059,12 @@ impl StreamingIndex {
     /// and returns the batch view of the compacted state (what
     /// [`StreamingIndex::view`] returns).
     pub fn compact(&mut self, threads: usize) -> CsrBlockCollection {
-        self.fold_deltas(threads);
+        let live = self.fold_deltas(threads);
         let order = self
             .key_order
-            .absorb(&self.keys, threads, |k| self.live[k as usize]);
+            .absorb(&self.keys, threads, |k| live[k as usize]);
         self.epoch += 1;
-        assemble_view(self, &order, threads, |k| self.key_first_count(k))
+        assemble_view(self, &order, threads, |k| self.stats[k as usize].first)
     }
 
     /// The physical half of [`StreamingIndex::compact`]: folds deltas and
@@ -996,24 +1075,28 @@ impl StreamingIndex {
     ///
     /// The new offsets are the running sum of the block sizes; the keys
     /// are then cut into one range per worker (`threads`), balanced by
-    /// postings, and each worker fills its own part of the new arena.
-    pub(crate) fn fold_deltas(&mut self, threads: usize) {
+    /// postings, and each worker fills its own part of the new arena.  The
+    /// pass that sums the sizes also collects every key's liveness, which
+    /// is returned (see [`StreamingIndex::live_flags`]).
+    pub(crate) fn fold_deltas(&mut self, threads: usize) -> Vec<bool> {
         debug_assert!(
             self.touched.is_empty(),
             "compact() during an unfinished mutation batch"
         );
-        let mut offsets = Vec::with_capacity(self.sizes.len() + 1);
+        let mut offsets = Vec::with_capacity(self.stats.len() + 1);
         offsets.push(0u32);
+        let mut live = Vec::with_capacity(self.stats.len());
         let mut total = 0u32;
-        offsets.extend(self.sizes.iter().map(|&size| {
-            total += size;
+        offsets.extend(self.stats.iter().map(|stats| {
+            live.push(stats.is_live(self.cap));
+            total += stats.size;
             total
         }));
         let mut entities = vec![EntityId(0); total as usize];
 
         // Worker `i` folds keys `cuts[i]..cuts[i + 1]`, cut where the
         // running postings reach `i / workers` of the total.
-        let key_count = self.sizes.len();
+        let key_count = self.stats.len();
         let workers = threads.clamp(1, key_count.max(1));
         let cuts: Vec<usize> = (0..=workers)
             .map(|i| {
@@ -1069,6 +1152,8 @@ impl StreamingIndex {
             self.entity_keys = keys;
             self.overlay.clear();
         }
+        self.compacted_at = self.batch;
+        live
     }
 }
 
@@ -1226,15 +1311,19 @@ fn fill_members<I: DeltaIndex>(index: &I, keys: &[u32], out: &mut [EntityId]) {
 }
 
 /// The complete on-disk image of a [`StreamingIndex`]: every field is
-/// persisted verbatim (floats as IEEE-754 bit patterns), so a decoded index
-/// is **bit-identical** to the encoded one — same posting layout, same
-/// statistics, same accumulated rounding in the reciprocal tables.
+/// persisted (floats as IEEE-754 bit patterns), so a decoded index is
+/// **bit-identical** to the encoded one — same posting layout, same
+/// statistics.  The key dictionary travels as its key list and the
+/// statistics records as one column per field, with the liveness flags
+/// beside them.
 ///
-/// Three members are reconstructed rather than stored: the key-lookup map
-/// (rebuilt from the interned key list), the per-batch touch journal
-/// (snapshots are taken at batch boundaries, where it is empty — encoding
-/// asserts this) and the cached key order (empty after a decode, so the
-/// first compaction sorts every live key).
+/// Four members are reconstructed rather than stored: the key table's
+/// lookup slots (rebuilt from the key list), the statistics records
+/// (rebuilt from the sizes and first-source counts, and checked against
+/// every stored derived column), the per-batch touch journal (snapshots are
+/// taken at batch boundaries, where it is empty — encoding asserts this)
+/// and the cached key order (empty after a decode, so the first compaction
+/// sorts every live key).
 impl er_persist::Encode for StreamingIndex {
     fn encode(&self, w: &mut er_persist::Writer) {
         assert!(
@@ -1247,17 +1336,28 @@ impl er_persist::Encode for StreamingIndex {
         w.write_u64(self.cap as u64);
         w.write_usize(self.num_entities);
         w.write_usize(self.num_alive);
-        self.keys.encode(w);
+        // The layout of `Vec<Box<str>>`.
+        w.write_usize(self.keys.len());
+        for id in 0..self.keys.len() as u32 {
+            w.write_str(self.keys.get(id));
+        }
         self.base_offsets.encode(w);
         self.base_entities.encode(w);
         self.delta.encode(w);
         self.removed.encode(w);
-        self.sizes.encode(w);
-        self.first_counts.encode(w);
-        self.comparisons.encode(w);
-        self.inv_comparisons.encode(w);
-        self.inv_sizes.encode(w);
-        self.live.encode(w);
+        let stats = &self.stats;
+        w.write_fixed_seq(stats.iter().map(|s| s.size), u32::to_le_bytes);
+        w.write_fixed_seq(stats.iter().map(|s| s.first), u32::to_le_bytes);
+        w.write_fixed_seq(stats.iter().map(|s| s.comparisons), u64::to_le_bytes);
+        w.write_fixed_seq(
+            stats.iter().map(|s| s.inv_comparisons.to_bits()),
+            u64::to_le_bytes,
+        );
+        w.write_fixed_seq(
+            stats.iter().map(|s| s.inv_sizes.to_bits()),
+            u64::to_le_bytes,
+        );
+        w.write_fixed_seq(stats.iter().map(|s| [u8::from(s.is_live(self.cap))]), |b| b);
         w.write_usize(self.num_live);
         w.write_u64(self.total_live_comparisons);
         self.entity_offsets.encode(w);
@@ -1275,6 +1375,31 @@ impl er_persist::Encode for StreamingIndex {
     }
 }
 
+/// Reads the key list straight into a [`KeyTable`] (no per-key
+/// allocation), refusing invalid UTF-8 and duplicate keys.
+fn decode_keys(r: &mut er_persist::Reader<'_>) -> er_core::PersistResult<KeyTable> {
+    use er_core::PersistError;
+
+    let len = r.read_usize()?;
+    // Each key carries at least its 8-byte length prefix.
+    if len > r.remaining() / 8 {
+        return Err(PersistError::Truncated {
+            context: format!("key list of {len} keys"),
+        });
+    }
+    let mut keys = KeyTable::with_capacity(len);
+    for id in 0..len {
+        let key = std::str::from_utf8(r.read_bytes()?)
+            .map_err(|_| PersistError::Corrupt("interned key is not valid UTF-8".into()))?;
+        if keys.intern(key) as usize != id {
+            return Err(PersistError::Corrupt(format!(
+                "duplicate interned key {key:?}"
+            )));
+        }
+    }
+    Ok(keys)
+}
+
 impl er_persist::Decode for StreamingIndex {
     fn decode(r: &mut er_persist::Reader<'_>) -> er_core::PersistResult<Self> {
         use er_core::PersistError;
@@ -1287,7 +1412,7 @@ impl er_persist::Decode for StreamingIndex {
             .map_err(|_| corrupt("block-size cap exceeds the platform usize".into()))?;
         let num_entities = r.read_usize()?;
         let num_alive = r.read_usize()?;
-        let keys = Vec::<Box<str>>::decode(r)?;
+        let keys = decode_keys(r)?;
         let base_offsets = Vec::<u32>::decode(r)?;
         let base_entities = Vec::<EntityId>::decode(r)?;
         let delta = Vec::<Vec<EntityId>>::decode(r)?;
@@ -1370,12 +1495,58 @@ impl er_persist::Decode for StreamingIndex {
             return Err(corrupt("overlay references an unknown entity id".into()));
         }
 
-        let mut lookup: FxHashMap<Box<str>, u32> = FxHashMap::default();
-        for (id, key) in keys.iter().enumerate() {
-            if lookup.insert(key.clone(), id as u32).is_some() {
-                return Err(corrupt(format!("duplicate interned key {key:?}")));
+        // Rebuild every statistics record from its block's size and
+        // first-source count with the formula `update_stats` applies, and
+        // require each stored derived value — and the live aggregates — to
+        // agree bit for bit.
+        let based = base_offsets.len() - 1;
+        let mut stats = Vec::with_capacity(key_count);
+        let (mut live_count, mut live_total) = (0usize, 0u64);
+        for k in 0..key_count {
+            let (size, first) = (sizes[k], first_counts[k]);
+            let base = if k < based {
+                &base_entities[base_offsets[k] as usize..base_offsets[k + 1] as usize]
+            } else {
+                &[]
+            };
+            let members = (base.len() + delta[k].len()).checked_sub(removed[k].len());
+            let below = |list: &[EntityId]| list.partition_point(|e| e.index() < split);
+            let first_members = match kind {
+                DatasetKind::Dirty => members,
+                DatasetKind::CleanClean => {
+                    (below(base) + below(&delta[k])).checked_sub(below(&removed[k]))
+                }
+            };
+            if members != Some(size as usize) || first_members != Some(first as usize) {
+                return Err(corrupt(format!(
+                    "key {k}: size {size} and first-source count {first} disagree with its postings"
+                )));
             }
+            let record = KeyStats::new(kind, size, first);
+            if record.comparisons != comparisons[k]
+                || record.inv_comparisons.to_bits() != inv_comparisons[k].to_bits()
+                || record.inv_sizes.to_bits() != inv_sizes[k].to_bits()
+                || record.is_live(cap) != live[k]
+            {
+                return Err(corrupt(format!(
+                    "key {k}: stored block statistics disagree with its size and first-source count"
+                )));
+            }
+            if live[k] {
+                live_count += 1;
+                live_total = live_total
+                    .checked_add(record.comparisons)
+                    .ok_or_else(|| corrupt("live comparisons overflow a u64".into()))?;
+            }
+            stats.push(record);
         }
+        if live_count != num_live || live_total != total_live_comparisons {
+            return Err(corrupt(format!(
+                "live aggregates |B| = {num_live}, ||B|| = {total_live_comparisons} disagree \
+                 with the blocks ({live_count}, {live_total})"
+            )));
+        }
+
         let overlay: FxHashMap<u32, Box<[u32]>> = overlay_pairs
             .into_iter()
             .map(|(e, row)| (e, row.into_boxed_slice()))
@@ -1389,17 +1560,11 @@ impl er_persist::Decode for StreamingIndex {
             num_entities,
             num_alive,
             keys,
-            lookup,
             base_offsets,
             base_entities,
             delta,
             removed,
-            sizes,
-            first_counts,
-            comparisons,
-            inv_comparisons,
-            inv_sizes,
-            live,
+            stats,
             num_live,
             total_live_comparisons,
             entity_offsets,
@@ -1407,7 +1572,11 @@ impl er_persist::Decode for StreamingIndex {
             overlay,
             alive,
             entity_candidates,
-            touched: FxHashMap::default(),
+            touched: Vec::new(),
+            marks: vec![0; key_count],
+            batch: 1,
+            compacted_at: 0,
+            keys_recorded: key_count,
             epoch,
             key_order: KeyOrder::default(),
         })
@@ -1448,6 +1617,142 @@ mod tests {
         assert_eq!(idx.intern("apple"), a);
         assert_ne!(a, b);
         assert_eq!(idx.num_keys(), 2);
+    }
+
+    #[test]
+    fn batch_stamps_wrap_without_losing_the_journal() {
+        // Cap 2: "x" dies at three members and revives at two.  Run the
+        // cycle across the stamp wrap-around; every batch must still see
+        // its own pre-batch liveness and nothing from the batch before.
+        let mut idx = index(DatasetKind::Dirty, 0, 2);
+        let a0 = insert(&mut idx, &["x"]);
+        let a1 = insert(&mut idx, &["x"]);
+        finish(&mut idx, &[a0, a1]);
+        idx.record_candidate(a0, a1);
+        idx.compact(1);
+        idx.batch = MAX_BATCH - 2;
+        for _ in 0..3 {
+            let extra = insert(&mut idx, &["x"]);
+            let effects = finish(&mut idx, &[extra]);
+            assert_eq!(effects.retracted, vec![(a0, a1)]);
+            assert_eq!(effects.touched_keys, vec![0]);
+            idx.remove_entity(extra);
+            let effects = finish(&mut idx, &[extra]);
+            assert_eq!(effects.revived, vec![(a0, a1)]);
+            assert_eq!(effects.touched_keys, vec![0]);
+            assert!(!idx.has_open_batch());
+            // The member lists must survive the wrap whether or not a
+            // compaction folded them in between.
+            let extra = insert(&mut idx, &["x"]);
+            finish(&mut idx, &[extra]);
+            assert_eq!(idx.members(0).collect::<Vec<_>>(), vec![a0, a1, extra]);
+            idx.compact(1);
+            assert_eq!(idx.members(0).collect::<Vec<_>>(), vec![a0, a1, extra]);
+            idx.remove_entity(extra);
+            finish(&mut idx, &[extra]);
+            assert_eq!(idx.members(0).collect::<Vec<_>>(), vec![a0, a1]);
+        }
+        assert!(idx.batch < MAX_BATCH - 2, "the stamp wrapped");
+    }
+
+    /// An encoded index split around the columns the decode tests edit:
+    /// the bytes before the liveness flags, the flags, `|B|`, and the rest.
+    struct Image {
+        head: Vec<u8>,
+        live: Vec<bool>,
+        num_live: usize,
+        tail: Vec<u8>,
+    }
+
+    impl Image {
+        fn of(idx: &StreamingIndex) -> Self {
+            use er_persist::Decode;
+            let bytes = er_persist::encode_to_vec(idx);
+            let mut r = er_persist::Reader::new(&bytes);
+            let at = |r: &er_persist::Reader<'_>| bytes.len() - r.remaining();
+            r.read_str().unwrap();
+            DatasetKind::decode(&mut r).unwrap();
+            for _ in 0..4 {
+                // split, cap, num_entities, num_alive
+                r.read_u64().unwrap();
+            }
+            Vec::<Box<str>>::decode(&mut r).unwrap();
+            Vec::<u32>::decode(&mut r).unwrap();
+            Vec::<EntityId>::decode(&mut r).unwrap();
+            Vec::<Vec<EntityId>>::decode(&mut r).unwrap();
+            Vec::<Vec<EntityId>>::decode(&mut r).unwrap();
+            Vec::<u32>::decode(&mut r).unwrap();
+            Vec::<u32>::decode(&mut r).unwrap();
+            Vec::<u64>::decode(&mut r).unwrap();
+            Vec::<f64>::decode(&mut r).unwrap();
+            Vec::<f64>::decode(&mut r).unwrap();
+            let head = bytes[..at(&r)].to_vec();
+            let live = Vec::<bool>::decode(&mut r).unwrap();
+            let num_live = r.read_usize().unwrap();
+            let tail = bytes[at(&r)..].to_vec();
+            Image {
+                head,
+                live,
+                num_live,
+                tail,
+            }
+        }
+
+        /// Frames the image as a snapshot (checksummed over the edited
+        /// bytes), reads it back and decodes it.
+        fn read_back(&self, name: &str) -> er_core::PersistResult<StreamingIndex> {
+            struct Raw(Vec<u8>);
+            impl er_persist::Encode for Raw {
+                fn encode(&self, w: &mut er_persist::Writer) {
+                    w.write_raw(&self.0);
+                }
+            }
+            let mut w = er_persist::Writer::new();
+            w.write_raw(&self.head);
+            er_persist::Encode::encode(&self.live, &mut w);
+            w.write_usize(self.num_live);
+            w.write_raw(&self.tail);
+            let path = std::env::temp_dir().join(format!(
+                "er-stream-index-{}-{name}.snap",
+                std::process::id()
+            ));
+            er_persist::write_snapshot(&path, 7, 0, &Raw(w.into_bytes())).unwrap();
+            let read = er_persist::read_snapshot::<StreamingIndex>(&path, 7, None);
+            let _ = std::fs::remove_file(&path);
+            read.map(|(index, _)| index)
+        }
+    }
+
+    #[test]
+    fn decode_recomputes_liveness_and_live_aggregates() {
+        let mut idx = index(DatasetKind::CleanClean, 3, 3);
+        for keys in [&["a", "b"][..], &["a", "c"], &["b"], &["a", "b"], &["c"]] {
+            insert(&mut idx, keys);
+        }
+        finish(&mut idx, &(0..5).map(EntityId).collect::<Vec<_>>());
+        idx.compact(1);
+        idx.remove_entity(EntityId(3));
+        finish(&mut idx, &[EntityId(3)]);
+        let image = Image::of(&idx);
+        assert!(image.live.iter().any(|&l| l) && image.live.iter().any(|&l| !l));
+
+        let back = image
+            .read_back("clean")
+            .expect("the untouched image decodes");
+        assert_eq!(back.stats, idx.stats);
+        assert_eq!(back.num_live_blocks(), idx.num_live_blocks());
+        assert_eq!(back.total_comparisons(), idx.total_comparisons());
+
+        for k in 0..image.live.len() {
+            let mut flipped = Image::of(&idx);
+            flipped.live[k] = !flipped.live[k];
+            let err = flipped.read_back("live").unwrap_err();
+            assert!(matches!(err, er_core::PersistError::Corrupt(_)), "{err:?}");
+        }
+        let mut off_by_one = Image::of(&idx);
+        off_by_one.num_live += 1;
+        let err = off_by_one.read_back("num-live").unwrap_err();
+        assert!(matches!(err, er_core::PersistError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

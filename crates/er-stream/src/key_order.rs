@@ -17,7 +17,7 @@
 //! and is never persisted, so the first compaction after a decode sorts
 //! every live key once.
 
-use er_blocking::sorted_key_order;
+use er_blocking::{sorted_key_order, KeyTable};
 
 /// Cached key ids in lexicographic key order.
 #[derive(Debug, Default)]
@@ -43,7 +43,7 @@ impl KeyOrder {
     /// returns every key `live` accepts, in order.
     pub(crate) fn absorb(
         &mut self,
-        keys: &[Box<str>],
+        keys: &KeyTable,
         threads: usize,
         live: impl Fn(u32) -> bool,
     ) -> Vec<u32> {
@@ -79,7 +79,7 @@ impl KeyOrder {
     /// order filtered, with the uncached ones sorted and merged in.
     pub(crate) fn live_order(
         &self,
-        keys: &[Box<str>],
+        keys: &KeyTable,
         threads: usize,
         live: impl Fn(u32) -> bool,
     ) -> Vec<u32> {
@@ -98,14 +98,14 @@ impl KeyOrder {
     /// The uncached keys `live` accepts, sorted, with their prefixes.
     fn sort_fresh(
         &self,
-        keys: &[Box<str>],
+        keys: &KeyTable,
         threads: usize,
         live: impl Fn(u32) -> bool,
     ) -> Vec<(u32, u128)> {
         let fresh: Vec<u32> = (0..keys.len() as u32)
             .filter(|&k| !self.cached.get(k as usize).copied().unwrap_or(false) && live(k))
             .collect();
-        let fresh_keys: Vec<&str> = fresh.iter().map(|&k| &*keys[k as usize]).collect();
+        let fresh_keys: Vec<&str> = fresh.iter().map(|&k| keys.get(k)).collect();
         sorted_key_order(&fresh_keys, threads)
             .into_iter()
             .map(|i| (fresh[i as usize], prefix(fresh_keys[i as usize])))
@@ -115,8 +115,8 @@ impl KeyOrder {
     /// For each of the sorted keys `fresh`, the number of cached entries
     /// ordered before it: a forward walk over the prefix array, with key
     /// bytes read only to binary-search a run of tied prefixes.
-    fn positions(&self, keys: &[Box<str>], fresh: &[(u32, u128)]) -> Vec<usize> {
-        let key = |k: u32| &*keys[k as usize];
+    fn positions(&self, keys: &KeyTable, fresh: &[(u32, u128)]) -> Vec<usize> {
+        let key = |k: u32| keys.get(k);
         let mut at = 0;
         fresh
             .iter()

@@ -9,8 +9,9 @@
 //! probabilities, retractions of pairs that lost their support, and
 //! re-scored survivors of profile updates:
 //!
-//! * [`StreamingIndex`] — interned key dictionary (reusing the `er_core`
-//!   hashing), per-key posting deltas **and tombstones** layered over a
+//! * [`StreamingIndex`] — interned key dictionary (an
+//!   [`er_blocking::KeyTable`] text arena and tag-probed slot table),
+//!   per-key posting deltas **and tombstones** layered over a
 //!   compacted [`er_blocking::CsrBlockCollection`] baseline, exact
 //!   decremental block statistics, a liveness journal that generalises the
 //!   insert-only size-cap retraction scan to every flip direction, and

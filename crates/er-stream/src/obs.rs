@@ -1,11 +1,12 @@
 //! er-obs metric handles for the streaming CRUD path, resolved once per
 //! process.  Everything is recorded once per mutation batch (in
-//! [`StreamingMetaBlocker::emit`](crate::StreamingMetaBlocker) and
-//! `compact`, and the cached key order's merge), never per pair.
+//! [`StreamingMetaBlocker::emit`](crate::StreamingMetaBlocker), the
+//! indexes' `finish_batch` and `compact`, and the cached key order's
+//! merge), never per pair or per key.
 
 use std::sync::OnceLock;
 
-use er_obs::{Counter, Histogram};
+use er_obs::{Counter, Gauge, Histogram};
 
 pub(crate) struct StreamObs {
     /// Ingest batches applied.
@@ -36,6 +37,18 @@ pub(crate) struct StreamObs {
     pub(crate) compaction_ns: &'static Histogram,
     /// Keys sorted into the cached key order by compactions.
     pub(crate) compaction_keys_sorted: &'static Counter,
+    /// Distinct keys added to a streaming key dictionary.
+    pub(crate) keys_interned: &'static Counter,
+    /// Heap bytes of the key dictionary (arena plus lookup slots).
+    pub(crate) key_table_bytes: &'static Gauge,
+}
+
+/// Records one finished batch's key dictionary: `interned` keys added since
+/// the previous batch, `bytes` held now.
+pub(crate) fn record_key_table(interned: usize, bytes: usize) {
+    let o = obs();
+    o.keys_interned.add(interned as u64);
+    o.key_table_bytes.set(bytes as u64);
 }
 
 pub(crate) fn obs() -> &'static StreamObs {
@@ -97,6 +110,14 @@ pub(crate) fn obs() -> &'static StreamObs {
             "stream_compaction_keys_sorted_total",
             "Keys a compaction sorted into the cached lexicographic key order \
              (live keys the cache did not hold yet)",
+        ),
+        keys_interned: er_obs::counter(
+            "streaming_keys_interned_total",
+            "Distinct keys added to the streaming key dictionary (live or not)",
+        ),
+        key_table_bytes: er_obs::gauge(
+            "streaming_key_table_bytes",
+            "Heap bytes of the streaming key dictionary: key text arena plus lookup slots",
         ),
     })
 }

@@ -1,6 +1,10 @@
 //! A hash-partitioned [`DeltaIndex`]: N [`StreamingIndex`] posting shards
 //! behind one global key dictionary, bit-identical to a single shard.
 //!
+//! The global dictionary is a [`KeyTable`] like each shard's own: a key's
+//! text is stored once globally and once on its owning shard, and a known
+//! key is resolved with one probe of the global table.
+//!
 //! # Partitioning
 //!
 //! The *posting space* is sharded: every interned key is routed to the
@@ -33,12 +37,12 @@
 //! er-shard service layers epoch-published immutable views and per-shard
 //! WALs with a cross-shard manifest on top.
 
-use er_blocking::CsrBlockCollection;
-use er_core::{crc64, DatasetKind, EntityId, FxHashMap, PersistError, PersistResult};
+use er_blocking::{CsrBlockCollection, KeyTable};
+use er_core::{crc64, DatasetKind, EntityId, PersistError, PersistResult};
 use er_features::{EntityAggregates, PairCooccurrence};
 
 use crate::delta::{BlockIndex, DeltaIndex};
-use crate::index::{assemble_view, BatchEffects, Members, PartnerBoard, StreamingIndex};
+use crate::index::{assemble_view, BatchEffects, KeyStats, Members, PartnerBoard, StreamingIndex};
 use crate::key_order::KeyOrder;
 
 /// The shard owning a key's posting list: `crc64(key) % num_shards`.
@@ -102,8 +106,9 @@ pub struct ShardedIndex {
     cap: usize,
     shards: Vec<StreamingIndex>,
     /// Global interned key strings, first-encounter order (= oracle ids).
-    keys: Vec<Box<str>>,
-    lookup: FxHashMap<Box<str>, u32>,
+    keys: KeyTable,
+    /// Keys interned when the last batch was recorded on the registry.
+    keys_recorded: usize,
     /// Global key id → (owning shard, local key id there).
     route: Vec<(u32, u32)>,
     /// Inverse of `route` per shard: local key id → global key id.
@@ -143,8 +148,8 @@ impl ShardedIndex {
             split,
             cap,
             shards,
-            keys: Vec::new(),
-            lookup: FxHashMap::default(),
+            keys: KeyTable::default(),
+            keys_recorded: 0,
             route: Vec::new(),
             shard_globals: vec![Vec::new(); num_shards],
             entity_rows: Vec::new(),
@@ -163,6 +168,17 @@ impl ShardedIndex {
     /// One posting shard (snapshot encoding walks these).
     pub fn shard(&self, i: usize) -> &StreamingIndex {
         &self.shards[i]
+    }
+
+    /// Heap bytes of the key dictionaries: the global table plus every
+    /// shard's own.
+    fn key_table_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+            + self
+                .shards
+                .iter()
+                .map(StreamingIndex::key_table_bytes)
+                .sum::<usize>()
     }
 
     /// The global routing state to persist next to the shard images.
@@ -219,8 +235,7 @@ impl ShardedIndex {
         }
         // Rebuild the global key table; each shard's locals must appear in
         // their own intern order (0, 1, 2, ... per shard).
-        let mut keys: Vec<Box<str>> = Vec::with_capacity(total_keys);
-        let mut lookup = FxHashMap::default();
+        let mut keys = KeyTable::with_capacity(total_keys);
         let mut shard_globals: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
         for (g, &(s, local)) in state.route.iter().enumerate() {
             let (s, local) = (s as usize, local as usize);
@@ -231,12 +246,10 @@ impl ShardedIndex {
             if shard_of_key(key, shards.len()) != s {
                 return corrupt(format!("key {g:?} routed to the wrong shard"));
             }
-            keys.push(key.into());
-            lookup.insert(keys[g].clone(), g as u32);
+            if keys.intern(key) as usize != g {
+                return corrupt("duplicate key across shards".to_string());
+            }
             shard_globals[s].push(g as u32);
-        }
-        if lookup.len() != total_keys {
-            return corrupt("duplicate key across shards".to_string());
         }
         // Rebuild the global entity adjacency: merge each entity's
         // per-shard key lists and restore lexicographic key-string order.
@@ -252,7 +265,7 @@ impl ShardedIndex {
                         .map(|&l| shard_globals[s][l as usize]),
                 );
             }
-            row.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+            row.sort_unstable_by(|&a, &b| keys.get(a).cmp(keys.get(b)));
             entity_rows.push(row);
         }
         let num_shards = shards.len();
@@ -263,7 +276,7 @@ impl ShardedIndex {
             cap: first.size_cap(),
             shards,
             keys,
-            lookup,
+            keys_recorded: total_keys,
             route: state.route,
             shard_globals,
             entity_rows,
@@ -281,17 +294,17 @@ impl ShardedIndex {
         (s as usize, local)
     }
 
-    /// First-source member count of a global key's block.
-    fn first_count(&self, key: u32) -> u32 {
+    /// The statistics record of a global key's block, from its shard.
+    #[inline]
+    fn key_stats(&self, key: u32) -> &KeyStats {
         let (s, local) = self.locate(key);
-        self.shards[s].key_first_count(local)
+        self.shards[s].key_stats(local)
     }
 
     /// Whether a global key's block is currently live on its shard.
     #[inline]
     fn is_key_live(&self, key: u32) -> bool {
-        let (s, local) = self.locate(key);
-        self.shards[s].is_block_live(local)
+        self.key_stats(key).is_live(self.cap)
     }
 
     /// Canonicalizes a raw global key list exactly like
@@ -300,7 +313,7 @@ impl ShardedIndex {
     fn canonicalize(&self, raw_keys: &mut Vec<u32>) {
         raw_keys.sort_unstable();
         raw_keys.dedup();
-        raw_keys.sort_unstable_by(|&a, &b| self.keys[a as usize].cmp(&self.keys[b as usize]));
+        raw_keys.sort_unstable_by(|&a, &b| self.keys.get(a).cmp(self.keys.get(b)));
     }
 
     /// Fans a canonical global key list out into per-shard local lists in
@@ -318,12 +331,13 @@ impl ShardedIndex {
     /// Mirror of `StreamingIndex::scan_flip` over the global key space: a
     /// block's liveness flipped, scan its comparable pairs of unmutated
     /// members for candidacy changes (retractions when it died, revivals —
-    /// judged against pre-batch liveness — when it came alive).
+    /// judged against pre-batch liveness, the `(global key, liveness)`
+    /// journal sorted by key — when it came alive).
     fn scan_flip(
         &self,
         key: u32,
         in_batch: &dyn Fn(EntityId) -> bool,
-        pre_live: Option<&FxHashMap<u32, bool>>,
+        pre_live: Option<&[(u32, bool)]>,
         out: &mut Vec<(EntityId, EntityId)>,
     ) {
         let (s, local) = self.locate(key);
@@ -353,10 +367,10 @@ impl ShardedIndex {
                 let shares = match pre_live {
                     None => self.find_shared_key(a, b, |k| self.is_key_live(k)),
                     Some(snapshot) => self.find_shared_key(a, b, |k| {
-                        snapshot
-                            .get(&k)
-                            .copied()
-                            .unwrap_or_else(|| self.is_key_live(k))
+                        match snapshot.binary_search_by_key(&k, |&(key, _)| key) {
+                            Ok(at) => snapshot[at].1,
+                            Err(_) => self.is_key_live(k),
+                        }
                     }),
                 };
                 if !shares {
@@ -380,7 +394,7 @@ impl ShardedIndex {
                 }
                 i += 1;
                 j += 1;
-            } else if self.keys[x as usize] < self.keys[y as usize] {
+            } else if self.keys.get(x) < self.keys.get(y) {
                 i += 1;
             } else {
                 j += 1;
@@ -402,11 +416,11 @@ impl ShardedIndex {
         for &g in &self.entity_rows[e.index()] {
             let (s, local) = self.locate(g);
             let shard = &self.shards[s];
-            if !shard.is_block_live(local) {
+            let stats = shard.key_stats(local);
+            if !stats.is_live(self.cap) {
                 continue;
             }
-            let inv_comparisons = shard.key_inv_comparisons(local);
-            let inv_sizes = shard.key_inv_sizes(local);
+            let (inv_comparisons, inv_sizes) = (stats.inv_comparisons, stats.inv_sizes);
             for p in shard.members(local) {
                 if smaller_only && p >= e {
                     break;
@@ -435,7 +449,7 @@ impl BlockIndex for ShardedIndex {
         self.shards[0].is_alive(entity)
     }
     fn key_str(&self, key: u32) -> &str {
-        &self.keys[key as usize]
+        self.keys.get(key)
     }
     fn block_size(&self, key: u32) -> usize {
         let (s, local) = self.locate(key);
@@ -480,18 +494,14 @@ impl DeltaIndex for ShardedIndex {
     }
 
     fn intern(&mut self, key: &str) -> u32 {
-        if let Some(&id) = self.lookup.get(key) {
-            return id;
+        let g = self.keys.intern(key);
+        if g as usize == self.route.len() {
+            let s = shard_of_key(key, self.shards.len());
+            let local = self.shards[s].intern(key);
+            debug_assert_eq!(local as usize, self.shard_globals[s].len());
+            self.shard_globals[s].push(g);
+            self.route.push((s as u32, local));
         }
-        let g = self.keys.len() as u32;
-        let s = shard_of_key(key, self.shards.len());
-        let local = self.shards[s].intern(key);
-        debug_assert_eq!(local as usize, self.shard_globals[s].len());
-        self.shard_globals[s].push(g);
-        self.route.push((s as u32, local));
-        let owned: Box<str> = key.into();
-        self.keys.push(owned.clone());
-        self.lookup.insert(owned, g);
         g
     }
 
@@ -544,7 +554,6 @@ impl DeltaIndex for ShardedIndex {
             );
         }
         snapshot.sort_unstable_by_key(|&(k, _)| k);
-        let pre_live: FxHashMap<u32, bool> = snapshot.iter().copied().collect();
 
         let mut retracted: Vec<(EntityId, EntityId)> = Vec::new();
         let mut revived: Vec<(EntityId, EntityId)> = Vec::new();
@@ -553,7 +562,7 @@ impl DeltaIndex for ShardedIndex {
             if was_live && !now_live {
                 self.scan_flip(k, in_batch, None, &mut retracted);
             } else if !was_live && now_live {
-                self.scan_flip(k, in_batch, Some(&pre_live), &mut revived);
+                self.scan_flip(k, in_batch, Some(&snapshot), &mut revived);
             }
         }
         retracted.sort_unstable();
@@ -568,6 +577,8 @@ impl DeltaIndex for ShardedIndex {
             self.entity_candidates[a.index()] += 1;
             self.entity_candidates[b.index()] += 1;
         }
+        crate::obs::record_key_table(self.keys.len() - self.keys_recorded, self.key_table_bytes());
+        self.keys_recorded = self.keys.len();
         BatchEffects {
             touched_keys: snapshot.into_iter().map(|(k, _)| k).collect(),
             retracted,
@@ -594,11 +605,11 @@ impl DeltaIndex for ShardedIndex {
     fn collect_partner_ids(&self, e: EntityId) -> Vec<EntityId> {
         let mut partners: Vec<EntityId> = Vec::new();
         for &g in &self.entity_rows[e.index()] {
-            let (s, local) = self.locate(g);
-            let shard = &self.shards[s];
-            if !shard.is_block_live(local) {
+            if !self.is_key_live(g) {
                 continue;
             }
+            let (s, local) = self.locate(g);
+            let shard = &self.shards[s];
             partners.extend(
                 shard
                     .members(local)
@@ -618,16 +629,15 @@ impl DeltaIndex for ShardedIndex {
         while i < la.len() && j < lb.len() {
             let (x, y) = (la[i], lb[j]);
             if x == y {
-                let (s, local) = self.locate(x);
-                let shard = &self.shards[s];
-                if shard.is_block_live(local) {
+                let stats = self.key_stats(x);
+                if stats.is_live(self.cap) {
                     agg.common_blocks += 1;
-                    agg.inv_comparisons_sum += shard.key_inv_comparisons(local);
-                    agg.inv_sizes_sum += shard.key_inv_sizes(local);
+                    agg.inv_comparisons_sum += stats.inv_comparisons;
+                    agg.inv_sizes_sum += stats.inv_sizes;
                 }
                 i += 1;
                 j += 1;
-            } else if self.keys[x as usize] < self.keys[y as usize] {
+            } else if self.keys.get(x) < self.keys.get(y) {
                 i += 1;
             } else {
                 j += 1;
@@ -642,15 +652,14 @@ impl DeltaIndex for ShardedIndex {
         let mut inv_sizes = 0.0f64;
         let mut entity_comparisons = 0u64;
         for &g in &self.entity_rows[entity.index()] {
-            let (s, local) = self.locate(g);
-            let shard = &self.shards[s];
-            if !shard.is_block_live(local) {
+            let stats = self.key_stats(g);
+            if !stats.is_live(self.cap) {
                 continue;
             }
             live_blocks += 1;
-            inv_comparisons += shard.key_inv_comparisons(local);
-            inv_sizes += shard.key_inv_sizes(local);
-            entity_comparisons += shard.key_comparisons(local);
+            inv_comparisons += stats.inv_comparisons;
+            inv_sizes += stats.inv_sizes;
+            entity_comparisons += stats.comparisons;
         }
         let blocks_of = live_blocks as f64;
         let num_blocks = self
@@ -695,10 +704,12 @@ impl DeltaIndex for ShardedIndex {
     }
 
     fn view(&self, threads: usize) -> CsrBlockCollection {
-        let order = self
-            .key_order
-            .live_order(&self.keys, threads, |g| self.is_key_live(g));
-        assemble_view(self, &order, threads, |g| self.first_count(g))
+        let live: Vec<Vec<bool>> = self.shards.iter().map(StreamingIndex::live_flags).collect();
+        let order = self.key_order.live_order(&self.keys, threads, |g| {
+            let (s, local) = self.locate(g);
+            live[s][local as usize]
+        });
+        assemble_view(self, &order, threads, |g| self.key_stats(g).first)
     }
 
     fn compact(&mut self, threads: usize) -> CsrBlockCollection {
@@ -706,16 +717,18 @@ impl DeltaIndex for ShardedIndex {
             !self.has_open_batch(),
             "compact() during an unfinished mutation batch"
         );
-        for shard in &mut self.shards {
-            shard.fold_deltas(threads);
-        }
-        let (route, shards) = (&self.route, &self.shards);
+        let live: Vec<Vec<bool>> = self
+            .shards
+            .iter_mut()
+            .map(|shard| shard.fold_deltas(threads))
+            .collect();
+        let route = &self.route;
         let order = self.key_order.absorb(&self.keys, threads, |g| {
             let (s, local) = route[g as usize];
-            shards[s as usize].is_block_live(local)
+            live[s as usize][local as usize]
         });
         self.epoch += 1;
-        assemble_view(self, &order, threads, |g| self.first_count(g))
+        assemble_view(self, &order, threads, |g| self.key_stats(g).first)
     }
 }
 

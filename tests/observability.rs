@@ -5,8 +5,8 @@
 //! This is the acceptance gate of the er-obs layer: every subsystem the
 //! pipeline touches (streaming deltas, per-shard WAL group commit, fsync
 //! latency, checkpoints, epoch publication, recovery, the cleaned live
-//! view, compaction's key order) shows up in one `render_prometheus` pass
-//! with no bespoke side channels.
+//! view, compaction's key order, the key dictionary) shows up in one
+//! `render_prometheus` pass with no bespoke side channels.
 //!
 //! The tests of this binary run on parallel threads against one registry.
 //! None of them switches the layer off, and only the first installs an
@@ -113,6 +113,8 @@ fn durable_sharded_run_populates_the_registry_and_emits_recovery_events() {
     nonzero("persist_wal_records_replayed_total");
     nonzero("shard_groups_applied_total");
     nonzero("shard_epochs_published_total");
+    nonzero("streaming_keys_interned_total");
+    nonzero("streaming_key_table_bytes");
 
     let nonzero_histogram = |name: &str| {
         let h = snapshot
@@ -249,4 +251,32 @@ fn live_view_refreshes_and_compactions_record_their_counts() {
         came_alive as u64,
         "a later compaction sorts only keys that came alive since"
     );
+}
+
+/// Every finished batch records the key dictionary once: the interned-keys
+/// counter moves by the keys the batch added (at least — the other tests of
+/// this binary intern concurrently) and the size gauge holds a table size.
+#[test]
+fn streaming_batches_record_the_key_dictionary() {
+    use gsmb::stream::StreamingMetaBlocker;
+
+    let ds = dataset();
+    let read = |name: &str| {
+        gsmb::obs::snapshot()
+            .value(name)
+            .unwrap_or_else(|| panic!("{name} not registered"))
+    };
+    let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
+    blocker.ingest_unscored(&ds.profiles[..1]);
+    let interned = read("streaming_keys_interned_total");
+    let first_keys = blocker.index().num_keys();
+    blocker.ingest_unscored(&ds.profiles[1..]);
+    let added = blocker.index().num_keys() - first_keys;
+    assert!(added > 0);
+    assert!(
+        read("streaming_keys_interned_total") - interned >= added as u64,
+        "the counter missed keys a batch interned"
+    );
+    assert!(read("streaming_key_table_bytes") > 0);
+    assert!(blocker.index().key_table_bytes() > 0);
 }
