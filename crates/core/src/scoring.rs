@@ -28,6 +28,10 @@ use serde::{Deserialize, Serialize};
 /// a matching probability below 0.5 are discarded before pruning.
 pub const VALIDITY_THRESHOLD: f64 = 0.5;
 
+/// Pairs per worker below which [`ModelScorer::cache_with_threads`] does not
+/// start another one (see [`er_core::workers_for`]).
+const MIN_PAIRS_PER_WORKER: usize = 1024;
+
 /// Provides the matching probability of each candidate pair.
 pub trait ProbabilitySource {
     /// Number of candidate pairs covered.
@@ -69,7 +73,7 @@ impl<'a> ModelScorer<'a> {
     pub fn cache_with_threads(&self, threads: usize) -> CachedScores {
         let num_pairs = self.features.num_pairs();
         let mut probabilities = vec![0.0f64; num_pairs];
-        let threads = if num_pairs < 1024 { 1 } else { threads.max(1) };
+        let threads = er_core::workers_for(num_pairs, threads, MIN_PAIRS_PER_WORKER);
         er_core::fill_rows_parallel(&mut probabilities, 1, threads, 4096, |first, chunk| {
             for (offset, slot) in chunk.iter_mut().enumerate() {
                 *slot = self.probability(PairId::from(first + offset));

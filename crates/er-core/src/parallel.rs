@@ -1,8 +1,9 @@
 //! The workspace's shared data-parallel driver.
 //!
 //! Every parallel hot path — candidate enumeration, feature-matrix
-//! construction, fused probability scoring — uses the same two primitives
-//! built on `std::thread::scope`:
+//! construction, fused probability scoring, the streaming blocker's
+//! per-entity phases — uses the same primitives built on
+//! `std::thread::scope`:
 //!
 //! * [`fill_rows_parallel`]: workers pull row-aligned chunks of one output
 //!   slice from a shared queue and fill them in place (work stealing, so a
@@ -10,7 +11,17 @@
 //!   partitions can);
 //! * [`map_ranges_parallel`]: workers pull contiguous index ranges from an
 //!   atomic cursor and return one value per range, re-assembled in range
-//!   order so results are deterministic regardless of scheduling.
+//!   order so results are deterministic regardless of scheduling;
+//! * [`for_each_task_with_state`]: workers pull task indices from an atomic
+//!   cursor, each carrying its own scratch state.  The other two run on it.
+//!
+//! **Worker count.**  `threads` is an upper bound, never a quota: a pass
+//! starts at most one worker per task (per chunk, per range), and one
+//! worker means the pass runs on the calling thread with no thread started
+//! at all.  Starting a scoped thread costs tens of microseconds before it
+//! does any work, and more once its core's caches are cold, so a caller
+//! whose pass may be small picks its worker count from the amount of work
+//! with [`workers_for`] — one rule, here, for every such caller.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,13 +36,26 @@ pub fn available_threads() -> usize {
         .min(8)
 }
 
+/// The number of workers worth starting for a pass over `items` items:
+/// one per `min_items_per_worker` items, at least one and at most
+/// `threads` — `min(threads, items / min_items_per_worker).max(1)`.
+///
+/// A pass with fewer than `2 · min_items_per_worker` items gets one worker,
+/// which the drivers below run on the calling thread.  The caller's grain
+/// is the batch size below which a second worker cannot earn back its
+/// start-up cost; a grain of 0 is treated as 1.
+pub fn workers_for(items: usize, threads: usize, min_items_per_worker: usize) -> usize {
+    threads.min(items / min_items_per_worker.max(1)).max(1)
+}
+
 /// Fills `out` — a row-major buffer of `row_width`-wide rows — by handing
-/// row-aligned chunks of about `chunk_rows` rows to `threads` workers.
+/// row-aligned chunks of about `chunk_rows` rows to up to `threads` workers.
 ///
 /// `fill` receives `(first_row_index, chunk)` and must write every element of
 /// `chunk`.  Chunks are pulled from a shared queue, so fast workers steal the
-/// remaining work from slow ones.  With `threads <= 1` the whole buffer is
-/// filled on the calling thread.
+/// remaining work from slow ones.  No more workers start than there are
+/// chunks; with `threads <= 1`, or a single chunk, the whole buffer is filled
+/// on the calling thread.
 pub fn fill_rows_parallel<F>(
     out: &mut [f64],
     row_width: usize,
@@ -45,29 +69,35 @@ pub fn fill_rows_parallel<F>(
         return;
     }
     debug_assert_eq!(out.len() % row_width, 0);
-    if threads <= 1 {
+    let chunk_rows = chunk_rows.max(1);
+    let chunk_len = chunk_rows * row_width;
+    let num_chunks = out.len().div_ceil(chunk_len);
+    if threads <= 1 || num_chunks == 1 {
         fill(0, out);
         return;
     }
-    let chunk_rows = chunk_rows.max(1);
-    let queue = Mutex::new(out.chunks_mut(chunk_rows * row_width).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("chunk queue poisoned").next();
-                let Some((index, chunk)) = next else { break };
-                fill(index * chunk_rows, chunk);
-            });
-        }
-    });
+    let queue = Mutex::new(out.chunks_mut(chunk_len).enumerate());
+    // One task per chunk: each task takes the next chunk off the queue.
+    for_each_task_with_state(
+        num_chunks,
+        threads,
+        || (),
+        |_, _| {
+            let next = queue.lock().expect("chunk queue poisoned").next();
+            let (index, chunk) = next.expect("one chunk per task");
+            fill(index * chunk_rows, chunk);
+        },
+    );
 }
 
 /// Runs `num_tasks` tasks on up to `threads` workers, each worker carrying
 /// its own scratch state (built once per worker by `init`).
 ///
 /// Tasks are pulled from an atomic cursor, so fast workers steal remaining
-/// work; `run` receives `(task_index, &mut state)`.  With `threads <= 1`
-/// everything runs on the calling thread with a single state.
+/// work; `run` receives `(task_index, &mut state)`.  At most
+/// `min(threads, num_tasks)` workers start — this is where every driver of
+/// the module caps its worker count.  With `threads <= 1`, or a single
+/// task, everything runs on the calling thread with a single state.
 pub fn for_each_task_with_state<S, I, F>(num_tasks: usize, threads: usize, init: I, run: F)
 where
     I: Fn() -> S + Sync,
@@ -107,7 +137,9 @@ where
 /// Ranges are `num_items.div_ceil(num_tasks)` long, so the last tasks of an
 /// uneven split can come up empty (`11` items over `8` tasks fill six
 /// ranges); those receive `num_items..num_items` — never an inverted range —
-/// and the result still holds one entry per task, in task order.
+/// and the result still holds one entry per task, in task order.  No more
+/// workers start than there are tasks; with `threads <= 1`, or a single
+/// task, every range is mapped on the calling thread.
 pub fn map_ranges_parallel<T, F>(num_items: usize, threads: usize, num_tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -125,22 +157,18 @@ where
         return (0..num_tasks).map(|t| f(range_of(t))).collect();
     }
 
-    let cursor = AtomicUsize::new(0);
     let mut buckets: Vec<Option<T>> = Vec::new();
     buckets.resize_with(num_tasks, || None);
     let slots = Mutex::new(&mut buckets);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = cursor.fetch_add(1, Ordering::Relaxed);
-                if task >= num_tasks {
-                    break;
-                }
-                let value = f(range_of(task));
-                slots.lock().expect("result slots poisoned")[task] = Some(value);
-            });
-        }
-    });
+    for_each_task_with_state(
+        num_tasks,
+        threads,
+        || (),
+        |task, _| {
+            let value = f(range_of(task));
+            slots.lock().expect("result slots poisoned")[task] = Some(value);
+        },
+    );
     buckets
         .into_iter()
         .map(|slot| slot.expect("worker skipped a task"))
@@ -250,6 +278,74 @@ mod tests {
                 },
             );
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn workers_for_grows_one_worker_per_grain_up_to_threads() {
+        assert_eq!(workers_for(0, 4, 256), 1);
+        assert_eq!(workers_for(255, 4, 256), 1);
+        assert_eq!(workers_for(511, 4, 256), 1);
+        assert_eq!(workers_for(512, 4, 256), 2);
+        assert_eq!(workers_for(50_000, 4, 256), 4);
+        assert_eq!(workers_for(50_000, 1, 256), 1);
+        assert_eq!(workers_for(50_000, 0, 256), 1);
+        assert_eq!(workers_for(3, 8, 0), 3, "a zero grain counts as one");
+    }
+
+    /// The distinct threads that call the recorder `drive` is handed.  Both
+    /// drivers below start their workers through `for_each_task_with_state`,
+    /// whose start count the last test checks exactly.
+    fn threads_used(drive: impl FnOnce(&(dyn Fn() + Sync))) -> usize {
+        let seen = Mutex::new(std::collections::HashSet::new());
+        drive(&|| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        seen.into_inner().unwrap().len()
+    }
+
+    #[test]
+    fn map_ranges_starts_no_more_workers_than_tasks() {
+        for (tasks, threads) in [(3usize, 8usize), (1, 4), (2, 2)] {
+            let used = threads_used(|record| {
+                map_ranges_parallel(100, threads, tasks, |_| record());
+            });
+            assert!(used <= tasks, "{tasks} tasks ran on {used} threads");
+        }
+    }
+
+    #[test]
+    fn fill_rows_starts_no_more_workers_than_chunks() {
+        // 10 rows of width 2 in chunks of 4 rows: 3 chunks.
+        let mut out = vec![0.0f64; 20];
+        let used = threads_used(|record| {
+            fill_rows_parallel(&mut out, 2, 8, 4, |_, chunk| {
+                record();
+                chunk.fill(1.0);
+            });
+        });
+        assert!(used <= 3, "3 chunks ran on {used} threads");
+        assert!(out.iter().all(|&v| v == 1.0));
+    }
+
+    /// `init` runs once per started worker, so this counts the threads the
+    /// shared driver starts — including any that would find no task left.
+    #[test]
+    fn stateful_tasks_start_no_more_workers_than_tasks() {
+        for (tasks, threads) in [(3usize, 8usize), (1, 4), (5, 2)] {
+            let started = AtomicUsize::new(0);
+            for_each_task_with_state(
+                tasks,
+                threads,
+                || started.fetch_add(1, Ordering::Relaxed),
+                |_, _| {},
+            );
+            let started = started.into_inner();
+            assert_eq!(
+                started,
+                tasks.min(threads),
+                "{tasks} tasks, {threads} threads"
+            );
         }
     }
 }

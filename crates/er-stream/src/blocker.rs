@@ -12,6 +12,20 @@ use er_learn::ProbabilisticClassifier;
 use crate::delta::DeltaIndex;
 use crate::index::{PartnerBoard, StreamingIndex};
 
+/// The grain of the blocker's per-entity phases: one worker per this many
+/// entities of a batch, so a batch of fewer than `2 ·` this many runs every
+/// phase on the calling thread (see [`er_core::workers_for`]).
+///
+/// Chosen from batch-size sweeps of the bare blocker on a 50 000-entity
+/// `scal-300000` corpus on 2 vCPUs (README, "Streaming architecture"):
+/// splitting a batch across 2 workers instead of running it on 1 made the
+/// per-op p50 1.1–2.5× slower at 16–512 entities and 0.9–1.2× at 1 024;
+/// from 2 048 entities on it broke even (0.92–1.07×), and at 4 096–8 192 it
+/// won up to 16 %.  Mutations of tens or hundreds of entities therefore
+/// start no thread, while bootstrap ingests and trims of thousands of
+/// entities still split across up to `threads` workers.
+pub const MIN_ENTITIES_PER_WORKER: usize = 1024;
+
 /// Configuration of a [`StreamingMetaBlocker`].
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
@@ -25,8 +39,11 @@ pub struct StreamingConfig {
     pub split: usize,
     /// The weighting schemes forming each delta pair's feature vector.
     pub feature_set: FeatureSet,
-    /// Worker threads for partner gathering and compaction.  Deterministic:
-    /// the thread count never changes any output.
+    /// Upper bound on the worker threads of partner gathering and
+    /// compaction.  A batch's per-entity phases start one worker per
+    /// [`MIN_ENTITIES_PER_WORKER`] entities, at most this many, and run on
+    /// the calling thread below two grains.  Deterministic: neither the
+    /// thread count nor the split ever changes any output.
     pub threads: usize,
     /// Scoreboard configuration for the per-batch delta partner pass (the
     /// cache-blocked radix discovery board; `tile_entities` sizes its
@@ -389,18 +406,17 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         // but the generic scan handles them).
         let effects = self.index.finish_batch(&|e| e.index() >= batch_start);
 
-        // Phase B (parallel): per new entity, gather the smaller comparable
-        // partners sharing a live block, with their co-occurrence aggregates
-        // (the scoped scoreboard pass).  Ranges are reassembled in order, so
-        // the output is deterministic for any thread count.
+        // Phase B (parallel above the grain): per new entity, gather the
+        // smaller comparable partners sharing a live block, with their
+        // co-occurrence aggregates (the scoped scoreboard pass).  Ranges are
+        // reassembled in order, so the output is deterministic for any
+        // thread count.
         let index = &self.index;
-        let threads = self.threads;
         let scoreboard = &self.scoreboard;
-        let num_tasks = if threads <= 1 { 1 } else { threads * 4 };
         /// One new entity with its scored partners, as produced by phase B.
         type EntityPartners = (EntityId, Vec<(EntityId, PairCooccurrence)>);
         let groups: Vec<Vec<EntityPartners>> =
-            er_core::map_ranges_parallel(profiles.len(), threads, num_tasks, |range| {
+            map_entity_ranges(profiles.len(), self.threads, |range| {
                 let mut board = PartnerBoard::with_config(scoreboard);
                 range
                     .map(|i| {
@@ -505,14 +521,12 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         let batch: FxHashSet<u32> = ids.iter().map(|e| e.0).collect();
         assert_eq!(batch.len(), ids.len(), "duplicate ids in remove batch");
 
-        // Before-image (parallel, read-only): each removed entity's current
-        // candidate partners.  Ranges are reassembled in order, so the
-        // emission is deterministic for any thread count.
+        // Before-image (parallel above the grain, read-only): each removed
+        // entity's current candidate partners.  Ranges are reassembled in
+        // order, so the emission is deterministic for any thread count.
         let index = &self.index;
-        let threads = self.threads;
-        let num_tasks = if threads <= 1 { 1 } else { threads * 4 };
         let before: Vec<Vec<(EntityId, Vec<EntityId>)>> =
-            er_core::map_ranges_parallel(ids.len(), threads, num_tasks, |range| {
+            map_entity_ranges(ids.len(), self.threads, |range| {
                 range
                     .map(|i| (ids[i], index.collect_partner_ids(ids[i])))
                     .collect()
@@ -598,21 +612,18 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         let first_id = EntityId(self.index.num_entities() as u32);
         let batch: FxHashSet<u32> = updates.iter().map(|(e, _)| e.0).collect();
         assert_eq!(batch.len(), updates.len(), "duplicate ids in update batch");
-        let threads = self.threads;
-        let num_tasks = if threads <= 1 { 1 } else { threads * 4 };
 
-        // Before-image (parallel, read-only): candidate partners of every
-        // updated entity, in update order.
+        // Before-image (parallel above the grain, read-only): candidate
+        // partners of every updated entity, in update order.
         let index = &self.index;
-        let before: Vec<Vec<EntityId>> =
-            er_core::map_ranges_parallel(updates.len(), threads, num_tasks, |range| {
-                range
-                    .map(|i| index.collect_partner_ids(updates[i].0))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let before: Vec<Vec<EntityId>> = map_entity_ranges(updates.len(), self.threads, |range| {
+            range
+                .map(|i| index.collect_partner_ids(updates[i].0))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         // Mutate (sequential): tokenize the new profiles and re-key each
         // entity in place (departures tombstoned, arrivals added).
@@ -636,12 +647,12 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         }
         let effects = self.index.finish_batch(&|e| batch.contains(&e.0));
 
-        // After-image (parallel): all partners with their co-occurrence
-        // aggregates against the end-of-batch state.
+        // After-image (parallel above the grain): all partners with their
+        // co-occurrence aggregates against the end-of-batch state.
         let index = &self.index;
         let scoreboard = &self.scoreboard;
         let after: Vec<Vec<(EntityId, PairCooccurrence)>> =
-            er_core::map_ranges_parallel(updates.len(), threads, num_tasks, |range| {
+            map_entity_ranges(updates.len(), self.threads, |range| {
                 let mut board = PartnerBoard::with_config(scoreboard);
                 range
                     .map(|i| index.collect_partners(updates[i].0, &mut board))
@@ -835,6 +846,29 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         let _timer = o.compaction_ns.start_timer();
         self.index.compact(self.threads)
     }
+}
+
+/// Maps the entities `0..items` of one batch phase range by range with `f`,
+/// returning the per-range results in range order.
+///
+/// The worker count comes from the batch size ([`MIN_ENTITIES_PER_WORKER`],
+/// capped at `threads`).  One worker maps the whole batch as a single range
+/// on the calling thread; more split it into four ranges per worker for
+/// balance and count one `streaming_parallel_phases_total`.  Callers flatten
+/// the ranges in order, so no output depends on the split.
+fn map_entity_ranges<T, F>(items: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>) -> T + Sync,
+{
+    let workers = er_core::workers_for(items, threads, MIN_ENTITIES_PER_WORKER);
+    let num_tasks = if workers == 1 {
+        1
+    } else {
+        crate::obs::obs().parallel_phases.inc();
+        workers * 4
+    };
+    er_core::map_ranges_parallel(items, workers, num_tasks, f)
 }
 
 /// The first `n` entities of a dataset as a standalone dataset: the corpus a

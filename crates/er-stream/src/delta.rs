@@ -30,7 +30,10 @@ use crate::index::{BatchEffects, Members, PartnerBoard, StreamingIndex};
 /// wait-free reader needs, nothing a writer does.
 ///
 /// `Sync` is part of the contract — consumers fan reads out across worker
-/// threads ([`er_core::map_ranges_parallel`]).
+/// threads ([`er_core::map_ranges_parallel`]).  The blocker's per-entity
+/// phases do so only for batches of at least two
+/// [`MIN_ENTITIES_PER_WORKER`](crate::MIN_ENTITIES_PER_WORKER) grains; smaller
+/// batches read the index on the calling thread.
 pub trait BlockIndex: Sync {
     /// Number of interned keys (dead or alive).
     fn num_keys(&self) -> usize;

@@ -19,7 +19,8 @@
 //! * [`StreamingMetaBlocker`] — the pipeline: `ingest` new profiles,
 //!   `remove` entities (ids retired, postings tombstoned) or `update` them
 //!   in place (re-keyed via a posting diff), gather delta pairs via scoped
-//!   scoreboard passes, score them through the shared
+//!   scoreboard passes (split across workers only for batches of at least
+//!   two [`MIN_ENTITIES_PER_WORKER`] grains), score them through the shared
 //!   [`er_features::write_features_from`] writer and an attached
 //!   [`er_learn::ProbabilisticClassifier`];
 //! * [`DeltaBatch`] — the per-batch emission (additions, retractions,
@@ -51,6 +52,7 @@ pub mod shard;
 
 pub use blocker::{
     dataset_prefix, surviving_dataset, DeltaBatch, StreamingConfig, StreamingMetaBlocker,
+    MIN_ENTITIES_PER_WORKER,
 };
 pub use delta::{BlockIndex, DeltaIndex};
 pub use index::{BatchEffects, Members, PartnerBoard, StreamingIndex};

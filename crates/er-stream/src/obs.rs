@@ -2,7 +2,7 @@
 //! process.  Everything is recorded once per mutation batch (in
 //! [`StreamingMetaBlocker::emit`](crate::StreamingMetaBlocker), the
 //! indexes' `finish_batch` and `compact`, and the cached key order's
-//! merge), never per pair or per key.
+//! merge) or once per batch phase, never per pair, per entity or per key.
 
 use std::sync::OnceLock;
 
@@ -41,6 +41,8 @@ pub(crate) struct StreamObs {
     pub(crate) keys_interned: &'static Counter,
     /// Heap bytes of the key dictionary (arena plus lookup slots).
     pub(crate) key_table_bytes: &'static Gauge,
+    /// Per-entity batch phases split across more than one worker.
+    pub(crate) parallel_phases: &'static Counter,
 }
 
 /// Records one finished batch's key dictionary: `interned` keys added since
@@ -118,6 +120,11 @@ pub(crate) fn obs() -> &'static StreamObs {
         key_table_bytes: er_obs::gauge(
             "streaming_key_table_bytes",
             "Heap bytes of the streaming key dictionary: key text arena plus lookup slots",
+        ),
+        parallel_phases: er_obs::counter(
+            "streaming_parallel_phases_total",
+            "Per-entity batch phases (ingest partner gathering, remove and update \
+             before-images, update after-images) split across more than one worker",
         ),
     })
 }

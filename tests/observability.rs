@@ -5,8 +5,9 @@
 //! This is the acceptance gate of the er-obs layer: every subsystem the
 //! pipeline touches (streaming deltas, per-shard WAL group commit, fsync
 //! latency, checkpoints, epoch publication, recovery, the cleaned live
-//! view, compaction's key order, the key dictionary) shows up in one
-//! `render_prometheus` pass with no bespoke side channels.
+//! view, compaction's key order, the key dictionary, the streaming
+//! blocker's parallel phases) shows up in one `render_prometheus` pass
+//! with no bespoke side channels.
 //!
 //! The tests of this binary run on parallel threads against one registry.
 //! None of them switches the layer off, and only the first installs an
@@ -17,7 +18,9 @@ use std::path::PathBuf;
 
 use gsmb::blocking::TokenKeys;
 use gsmb::core::{Dataset, EntityId, EntityProfile};
-use gsmb::datasets::{dirty_catalog, generate_dirty, CatalogOptions};
+use gsmb::datasets::{
+    dirty_catalog, generate_dirty, generate_scalability, CatalogOptions, ScalabilityConfig,
+};
 use gsmb::features::FeatureSet;
 use gsmb::obs::event::CapturingSink;
 use gsmb::shard::{DurableShardedService, ShardedStreamingService};
@@ -279,4 +282,32 @@ fn streaming_batches_record_the_key_dictionary() {
     );
     assert!(read("streaming_key_table_bytes") > 0);
     assert!(blocker.index().key_table_bytes() > 0);
+}
+
+/// The streaming blocker splits a batch phase across workers only from two
+/// grains on, and counts it once per phase, never per entity.  Only this
+/// test moves the counter: the others' corpora are far below the grain.
+#[test]
+fn streaming_phases_split_across_workers_only_from_two_grains_on() {
+    use gsmb::stream::{StreamingMetaBlocker, MIN_ENTITIES_PER_WORKER};
+
+    let grain = MIN_ENTITIES_PER_WORKER;
+    let ds = generate_scalability(&ScalabilityConfig::at_scale(4 * grain, 5)).unwrap();
+    let read = || {
+        gsmb::obs::snapshot()
+            .value("streaming_parallel_phases_total")
+            .unwrap_or(0)
+    };
+    let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
+    let before = read();
+    blocker.ingest_unscored(&ds.profiles[..2 * grain - 1]);
+    assert_eq!(read(), before, "a batch below two grains ran on the caller");
+    blocker.ingest_unscored(&ds.profiles[2 * grain - 1..]);
+    assert_eq!(
+        read() - before,
+        1,
+        "a two-grain ingest at 2 threads splits its one partner-gathering phase"
+    );
+    let rendered = gsmb::obs::snapshot().render_prometheus();
+    assert!(rendered.contains("# TYPE streaming_parallel_phases_total counter"));
 }
