@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use bench::{banner, bench_catalog_options};
-use er_blocking::token_blocking;
+use er_blocking::token_blocking_csr;
 use er_core::EntityId;
 use er_datasets::{generate_catalog_dataset, DatasetName};
 
@@ -22,7 +22,7 @@ fn main() {
         generate_catalog_dataset(DatasetName::Movies, &options).expect("generation failed");
 
     let start = Instant::now();
-    let fx_blocks = token_blocking(&dataset);
+    let fx_blocks = token_blocking_csr(&dataset, er_core::available_threads());
     let fx_time = start.elapsed();
 
     let start = Instant::now();

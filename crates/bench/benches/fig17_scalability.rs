@@ -32,8 +32,8 @@ fn blocking_thread_sweep(options: &er_datasets::CatalogOptions, repetitions: usi
             start.elapsed().as_secs_f64() / repetitions.max(1) as f64
         };
         let base = time(&mut || {
-            criterion::black_box(er_blocking::block_filtering(
-                &er_blocking::block_purging(&reference::token_blocking(&dataset)),
+            criterion::black_box(reference::block_filtering(
+                &reference::block_purging(&reference::token_blocking(&dataset)),
                 er_blocking::DEFAULT_FILTERING_RATIO,
             ));
         });

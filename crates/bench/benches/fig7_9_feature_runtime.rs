@@ -101,10 +101,9 @@ fn engine_comparison(datasets: &[(&str, &PreparedDataset)], repetitions: usize) 
     let set = er_features::FeatureSet::all_schemes();
     for &(name, prepared) in datasets {
         let context = prepared.context();
-        // The retained pre-refactor engine consumes the nested view; the
-        // conversion happens here, outside the timed region.
-        let nested = prepared.blocks.to_block_collection();
-        let naive_context = NaiveFeatureContext::new(&nested, &prepared.candidates);
+        // The retained pre-refactor engine builds its own statistics here,
+        // outside the timed region.
+        let naive_context = NaiveFeatureContext::new(&prepared.blocks, &prepared.candidates);
         let time = |f: &mut dyn FnMut()| {
             let start = std::time::Instant::now();
             for _ in 0..repetitions {

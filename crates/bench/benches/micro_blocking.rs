@@ -16,7 +16,7 @@ use bench::{
 use er_blocking::reference;
 use er_blocking::{
     qgrams_blocking_csr, standard_blocking_workflow_csr, suffix_array_blocking_csr,
-    token_blocking_csr, BlockCollection, SuffixArrayConfig,
+    token_blocking_csr, CsrBlockCollection, SuffixArrayConfig,
 };
 use er_core::Dataset;
 use er_datasets::{generate_catalog_dataset, DatasetName};
@@ -59,14 +59,14 @@ fn sweep(
     dataset_name: &str,
     dataset: &Dataset,
     repetitions: usize,
-    reference: &dyn Fn(&Dataset) -> BlockCollection,
-    engine: &dyn Fn(&Dataset, usize) -> BlockCollection,
+    reference: &dyn Fn(&Dataset) -> CsrBlockCollection,
+    engine: &dyn Fn(&Dataset, usize) -> CsrBlockCollection,
 ) -> String {
     let expected = reference(dataset);
     for threads in THREAD_COUNTS {
         let produced = engine(dataset, threads);
-        assert_eq!(
-            produced.blocks, expected.blocks,
+        assert!(
+            produced.same_blocks(&expected),
             "{scheme}: engine output diverged at {threads} threads"
         );
     }
@@ -110,7 +110,7 @@ fn main() {
             &dataset,
             repetitions,
             &reference::token_blocking,
-            &|ds, t| token_blocking_csr(ds, t).to_block_collection(),
+            &|ds, t| token_blocking_csr(ds, t),
         ));
         json_entries.push(sweep(
             "qgrams(3)",
@@ -118,7 +118,7 @@ fn main() {
             &dataset,
             repetitions,
             &|ds| reference::qgrams_blocking(ds, 3),
-            &|ds, t| qgrams_blocking_csr(ds, 3, t).to_block_collection(),
+            &|ds, t| qgrams_blocking_csr(ds, 3, t),
         ));
         json_entries.push(sweep(
             "suffix(4,50)",
@@ -126,14 +126,13 @@ fn main() {
             &dataset,
             repetitions,
             &|ds| reference::suffix_array_blocking(ds, suffix_config),
-            &|ds, t| suffix_array_blocking_csr(ds, suffix_config, t).to_block_collection(),
+            &|ds, t| suffix_array_blocking_csr(ds, suffix_config, t),
         ));
 
-        // The full standard workflow (blocking + purging + filtering), CSR
-        // end-to-end, without materialising the nested view.
+        // The full standard workflow (blocking + purging + filtering).
         let base = time(repetitions, || {
-            criterion::black_box(er_blocking::block_filtering(
-                &er_blocking::block_purging(&reference::token_blocking(&dataset)),
+            criterion::black_box(reference::block_filtering(
+                &reference::block_purging(&reference::token_blocking(&dataset)),
                 er_blocking::DEFAULT_FILTERING_RATIO,
             ));
         });

@@ -172,8 +172,7 @@ fn bench_engine_comparison(c: &mut Criterion) {
 
     let prepared = prepared();
     let context = prepared.context();
-    let nested = prepared.blocks.to_block_collection();
-    let naive_context = NaiveFeatureContext::new(&nested, &prepared.candidates);
+    let naive_context = NaiveFeatureContext::new(&prepared.blocks, &prepared.candidates);
     let set = FeatureSet::all_schemes();
 
     let mut group = c.benchmark_group("features/engine_comparison");
@@ -204,19 +203,17 @@ fn bench_candidate_extraction(c: &mut Criterion) {
     use er_blocking::CandidatePairs;
 
     let prepared = prepared();
-    let nested = prepared.blocks.to_block_collection();
     let mut group = c.benchmark_group("candidates/extraction");
     group.sample_size(10);
     group.bench_function("naive_hash_set", |b| {
-        b.iter(|| black_box(naive_candidate_pairs(&nested)))
+        b.iter(|| black_box(naive_candidate_pairs(&prepared.blocks)))
     });
     group.bench_function("csr_sequential", |b| {
-        b.iter(|| black_box(CandidatePairs::from_blocks(&nested)))
+        b.iter(|| black_box(CandidatePairs::from_stats(&prepared.stats, 1)))
     });
     group.bench_function("csr_parallel", |b| {
         b.iter(|| {
-            black_box(CandidatePairs::from_blocks_with_stats(
-                &nested,
+            black_box(CandidatePairs::from_stats(
                 &prepared.stats,
                 er_core::available_threads(),
             ))

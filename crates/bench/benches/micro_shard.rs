@@ -92,7 +92,7 @@ fn main() {
             .chunks(BATCH)
             .map(|chunk| oracle.ingest(chunk))
             .collect();
-        let baseline = oracle.compact().to_block_collection();
+        let baseline = oracle.compact();
         for shards in SHARD_COUNTS {
             let mut service =
                 ShardedStreamingService::new(config(&dataset, threads), TokenKeys, shards).unwrap();
@@ -101,9 +101,8 @@ fn main() {
                 assert_eq!(delta.pairs, expected.pairs, "{shards} shards diverged");
                 assert_eq!(delta.probabilities, expected.probabilities);
             }
-            assert_eq!(
-                service.compact().to_block_collection().blocks,
-                baseline.blocks,
+            assert!(
+                service.compact().same_blocks(&baseline),
                 "{shards} shards compacted differently"
             );
         }

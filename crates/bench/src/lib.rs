@@ -103,9 +103,8 @@ pub fn write_bench_artifact(file_name: &str, contents: &str) -> Option<std::path
     Some(path)
 }
 
-/// Writes one `BENCH_*.json` artifact (hand-rolled JSON — the workspace's
-/// serde shims are no-ops by design) if `GSMB_BENCH_JSON` is set.  Returns
-/// the path written to.
+/// Writes one `BENCH_*.json` artifact (hand-rolled JSON) if
+/// `GSMB_BENCH_JSON` is set.  Returns the path written to.
 pub fn write_bench_json(file_name: &str, json: &str) -> Option<std::path::PathBuf> {
     write_bench_artifact(file_name, json)
 }

@@ -46,7 +46,7 @@ pub mod unsupervised;
 
 pub use durable::DurableStreamingPipeline;
 pub use live_view::{LiveView, ViewDelta};
-pub use materialize::{materialize_blocks, materialize_blocks_csr, PruningSummary};
+pub use materialize::{materialize_blocks_csr, PruningSummary};
 pub use pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingOutcome, MetaBlockingPipeline};
 pub use progressive::{ProgressiveSchedule, StreamingSchedule};
 pub use pruning::{AlgorithmKind, CardinalityThresholds, PruningAlgorithm};

@@ -5,7 +5,7 @@
 //! stop-word blocks (more than half the corpus) and Block Filtering removes
 //! every entity from its largest 20% of blocks.  [`LiveView`] maintains the
 //! **cleaned** candidate set incrementally so that a streaming consumer
-//! ranks exactly the pairs the batch `standard_blocking_workflow` would
+//! ranks exactly the pairs the batch `standard_blocking_workflow_csr` would
 //! produce for the current surviving corpus.
 //!
 //! # Representation

@@ -6,72 +6,33 @@
 //! consumes.  This module builds `B'` and computes the block-collection-level
 //! statistics the paper reports (|P_B|, |N_B| and the reduction ratio).
 
-use er_blocking::{Block, BlockCollection, CandidatePairs, CsrBlockCollection};
-use er_core::{DatasetKind, GroundTruth, PairId};
-use serde::{Deserialize, Serialize};
+use er_blocking::{CandidatePairs, CsrBlockCollection};
+use er_core::{GroundTruth, PairId};
 
 /// Builds the output block collection `B'`: one two-entity block per retained
-/// pair, keyed by the pair's position in the retained list.
-pub fn materialize_blocks(
-    source: &BlockCollection,
-    candidates: &CandidatePairs,
-    retained: &[PairId],
-) -> BlockCollection {
-    materialize_from_shape(
-        &source.dataset_name,
-        source.kind,
-        source.split,
-        source.num_entities,
-        candidates,
-        retained,
-    )
-}
-
-/// [`materialize_blocks`] for a CSR source collection (the representation
-/// the pipeline and the prepared experiment datasets carry end-to-end).
+/// pair, keyed by the pair's position in the retained list, over the same
+/// corpus as `source`.
 pub fn materialize_blocks_csr(
     source: &CsrBlockCollection,
     candidates: &CandidatePairs,
     retained: &[PairId],
-) -> BlockCollection {
-    materialize_from_shape(
-        &source.dataset_name,
+) -> CsrBlockCollection {
+    let blocks = retained.iter().enumerate().map(|(i, &id)| {
+        let (a, b) = candidates.pair(id);
+        (format!("pair{i}"), vec![a, b])
+    });
+    CsrBlockCollection::from_blocks(
+        source.dataset_name.clone(),
         source.kind,
         source.split,
         source.num_entities,
-        candidates,
-        retained,
-    )
-}
-
-fn materialize_from_shape(
-    dataset_name: &str,
-    kind: DatasetKind,
-    split: usize,
-    num_entities: usize,
-    candidates: &CandidatePairs,
-    retained: &[PairId],
-) -> BlockCollection {
-    let blocks = retained
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| {
-            let (a, b) = candidates.pair(id);
-            Block::new(format!("pair{i}"), vec![a, b])
-        })
-        .collect();
-    BlockCollection {
-        dataset_name: dataset_name.to_string(),
-        kind,
-        split,
-        num_entities,
         blocks,
-    }
+    )
 }
 
 /// The positive/negative pair balance of a candidate set before and after
 /// pruning, matching the paper's |P_B| / |N_B| notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruningSummary {
     /// Positive (matching) pairs in the input candidate set, |P_B|.
     pub input_positives: usize,
@@ -126,20 +87,21 @@ impl PruningSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_blocking::BlockStats;
     use er_core::{DatasetKind, EntityId};
 
-    fn fixture() -> (BlockCollection, CandidatePairs, GroundTruth) {
-        let source = BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![Block::new(
+    fn fixture() -> (CsrBlockCollection, CandidatePairs, GroundTruth) {
+        let source = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [(
                 "b",
                 vec![EntityId(0), EntityId(1), EntityId(2), EntityId(3)],
             )],
-        };
-        let candidates = CandidatePairs::from_blocks(&source);
+        );
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&source), 1);
         let truth = GroundTruth::from_pairs(vec![(EntityId(0), EntityId(2))]);
         (source, candidates, truth)
     }
@@ -148,11 +110,14 @@ mod tests {
     fn materialized_collection_has_one_block_per_retained_pair() {
         let (source, candidates, _) = fixture();
         let retained = vec![PairId(0), PairId(2)];
-        let output = materialize_blocks(&source, &candidates, &retained);
+        let output = materialize_blocks_csr(&source, &candidates, &retained);
         assert_eq!(output.num_blocks(), 2);
-        assert!(output.blocks.iter().all(|b| b.size() == 2));
+        assert!((0..output.num_blocks()).all(|b| output.block_size(b) == 2));
         assert_eq!(output.total_comparisons(), 2);
         assert_eq!(output.kind, source.kind);
+        assert_eq!(output.key(1), "pair1");
+        let (a, b) = candidates.pair(PairId(2));
+        assert_eq!(output.entities(1), &[a, b]);
     }
 
     #[test]

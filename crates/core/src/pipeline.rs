@@ -34,8 +34,7 @@
 use std::time::{Duration, Instant};
 
 use er_blocking::{
-    standard_blocking_workflow_csr, BlockCollection, BlockStats, CandidatePairs, CandidateStream,
-    CsrBlockCollection,
+    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
 };
 use er_core::{Dataset, PairId, Result};
 use er_features::{
@@ -45,13 +44,12 @@ use er_learn::{
     balanced_undersample, Classifier, LinearSvm, LinearSvmConfig, LogisticRegression,
     LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::pruning::{AlgorithmKind, Blast};
 use crate::scoring::CachedScores;
 
 /// Which probabilistic classifier the pipeline trains.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ClassifierKind {
     /// Logistic regression (the Weka baseline of the scalability analysis).
     Logistic(LogisticRegressionConfig),
@@ -93,7 +91,7 @@ impl ClassifierKind {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetaBlockingConfig {
     /// The weighting schemes forming each pair's feature vector.
     pub feature_set: FeatureSet,
@@ -151,7 +149,7 @@ impl MetaBlockingConfig {
 }
 
 /// Wall-clock breakdown of one pipeline run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
     /// Blocking workflow (not part of the paper's `RT`, reported separately).
     pub blocking: Duration,
@@ -179,9 +177,7 @@ pub struct MetaBlockingOutcome {
     pub dataset_name: String,
     /// The algorithm that produced the outcome.
     pub algorithm: AlgorithmKind,
-    /// The blocking output the pipeline operated on, in the CSR
-    /// representation the whole pipeline now runs end-to-end (use
-    /// [`CsrBlockCollection::to_block_collection`] for the nested view).
+    /// The blocking output the pipeline operated on.
     pub blocks: CsrBlockCollection,
     /// The distinct candidate pairs of the block collection.
     pub candidates: CandidatePairs,
@@ -226,9 +222,7 @@ impl MetaBlockingPipeline {
     ///
     /// Blocking runs through the parallel CSR engine
     /// ([`standard_blocking_workflow_csr`]); block statistics, candidate
-    /// pairs and pruning thresholds are all derived straight from the CSR
-    /// representation — the nested [`BlockCollection`] view is never
-    /// materialised.
+    /// pairs and pruning thresholds are all derived from its output.
     pub fn run(&self, dataset: &Dataset, algorithm: AlgorithmKind) -> Result<MetaBlockingOutcome> {
         let threads = self.config.effective_threads();
         let start = Instant::now();
@@ -244,61 +238,6 @@ impl MetaBlockingPipeline {
         let feature_start = Instant::now();
         let stats = BlockStats::from_csr(&csr);
         let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
-        self.finish(
-            dataset,
-            csr,
-            stats,
-            candidates,
-            algorithm,
-            blocking_time,
-            feature_start,
-        )
-    }
-
-    /// Runs the workflow on a pre-computed block collection (used when several
-    /// experiments share the same blocking output).
-    pub fn run_on_blocks(
-        &self,
-        dataset: &Dataset,
-        blocks: BlockCollection,
-        algorithm: AlgorithmKind,
-        blocking_time: Duration,
-    ) -> Result<MetaBlockingOutcome> {
-        if blocks.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "dataset {} produced no blocks",
-                dataset.name
-            )));
-        }
-
-        let threads = self.config.effective_threads();
-        let feature_start = Instant::now();
-        let stats = BlockStats::new(&blocks);
-        let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
-        self.finish(
-            dataset,
-            CsrBlockCollection::from_block_collection(&blocks),
-            stats,
-            candidates,
-            algorithm,
-            blocking_time,
-            feature_start,
-        )
-    }
-
-    /// The shared tail of both entry points: feature context, training,
-    /// fused scoring and pruning.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        dataset: &Dataset,
-        blocks: CsrBlockCollection,
-        stats: BlockStats,
-        candidates: CandidatePairs,
-        algorithm: AlgorithmKind,
-        blocking_time: Duration,
-        feature_start: Instant,
-    ) -> Result<MetaBlockingOutcome> {
         if candidates.is_empty() {
             return Err(er_core::Error::EmptyInput(format!(
                 "dataset {} produced no candidate pairs",
@@ -306,7 +245,6 @@ impl MetaBlockingPipeline {
             )));
         }
 
-        let threads = self.config.effective_threads();
         let set = self.config.feature_set;
         let context = FeatureContext::new(&stats, &candidates);
         let feature_time = feature_start.elapsed();
@@ -365,14 +303,14 @@ impl MetaBlockingPipeline {
 
         // Pruning.
         let pruning_start = Instant::now();
-        let pruner = algorithm.build_with_csr(&blocks, self.config.blast_ratio);
+        let pruner = algorithm.build_with_csr(&csr, self.config.blast_ratio);
         let retained = pruner.prune(&candidates, &scores);
         let pruning_time = pruning_start.elapsed();
 
         Ok(MetaBlockingOutcome {
             dataset_name: dataset.name.clone(),
             algorithm,
-            blocks,
+            blocks: csr,
             num_candidates: candidates.len(),
             candidates,
             probabilities: scores,
@@ -474,10 +412,7 @@ mod tests {
             })
             .run(&dataset, AlgorithmKind::Blast)
             .unwrap();
-            assert_eq!(
-                outcome.blocks.to_block_collection().blocks,
-                baseline.blocks.to_block_collection().blocks
-            );
+            assert!(outcome.blocks.same_blocks(&baseline.blocks));
             assert_eq!(outcome.retained, baseline.retained, "{threads} threads");
             assert_eq!(
                 outcome.probabilities.as_slice(),

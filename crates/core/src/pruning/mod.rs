@@ -29,9 +29,8 @@ pub use rwnp::Rwnp;
 pub use wep::Wep;
 pub use wnp::Wnp;
 
-use er_blocking::{BlockCollection, CandidatePairs, CsrBlockCollection};
+use er_blocking::{CandidatePairs, CsrBlockCollection};
 use er_core::PairId;
-use serde::{Deserialize, Serialize};
 
 use crate::scoring::ProbabilitySource;
 
@@ -48,7 +47,7 @@ pub trait PruningAlgorithm {
 /// block collection exactly as in the paper:
 /// `K = Σ_b |b| / 2` for CEP and `k = max(1, Σ_b |b| / (|E1| + |E2|))` for
 /// CNP/RCNP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CardinalityThresholds {
     /// Global number of retained pairs (CEP's `K`).
     pub global_k: usize,
@@ -58,18 +57,9 @@ pub struct CardinalityThresholds {
 
 impl CardinalityThresholds {
     /// Derives both thresholds from a block collection.
-    pub fn from_blocks(blocks: &BlockCollection) -> Self {
-        Self::from_parts(blocks.sum_block_sizes(), blocks.num_entities)
-    }
-
-    /// Derives both thresholds straight from a CSR collection — identical
-    /// values to [`CardinalityThresholds::from_blocks`] on the nested view,
-    /// without materialising it.
     pub fn from_csr(blocks: &CsrBlockCollection) -> Self {
-        Self::from_parts(blocks.sum_block_sizes(), blocks.num_entities)
-    }
-
-    fn from_parts(sum_sizes: u64, num_entities: usize) -> Self {
+        let sum_sizes = blocks.sum_block_sizes();
+        let num_entities = blocks.num_entities;
         let global_k = (sum_sizes / 2).max(1) as usize;
         let per_entity_k =
             ((sum_sizes as f64 / num_entities.max(1) as f64).floor() as usize).max(1);
@@ -82,7 +72,7 @@ impl CardinalityThresholds {
 
 /// Identifies one of the supervised pruning algorithms; used by the
 /// experiment harness to construct algorithms uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// The original Supervised Meta-blocking binary classifier (retain every
     /// pair with probability ≥ 0.5).
@@ -158,40 +148,17 @@ impl AlgorithmKind {
 
     /// Builds the algorithm, deriving cardinality thresholds from the block
     /// collection and using the paper's default BLAST ratio of 0.35.
-    pub fn build(self, blocks: &BlockCollection) -> Box<dyn PruningAlgorithm> {
-        self.build_with(blocks, Blast::DEFAULT_RATIO)
-    }
-
-    /// Builds the algorithm with an explicit BLAST pruning ratio.
-    pub fn build_with(
-        self,
-        blocks: &BlockCollection,
-        blast_ratio: f64,
-    ) -> Box<dyn PruningAlgorithm> {
-        self.build_from_thresholds(CardinalityThresholds::from_blocks(blocks), blast_ratio)
-    }
-
-    /// Builds the algorithm from a CSR collection with the default BLAST
-    /// ratio (no nested view required).
     pub fn build_csr(self, blocks: &CsrBlockCollection) -> Box<dyn PruningAlgorithm> {
         self.build_with_csr(blocks, Blast::DEFAULT_RATIO)
     }
 
-    /// Builds the algorithm from a CSR collection with an explicit BLAST
-    /// pruning ratio.
+    /// Builds the algorithm with an explicit BLAST pruning ratio.
     pub fn build_with_csr(
         self,
         blocks: &CsrBlockCollection,
         blast_ratio: f64,
     ) -> Box<dyn PruningAlgorithm> {
-        self.build_from_thresholds(CardinalityThresholds::from_csr(blocks), blast_ratio)
-    }
-
-    fn build_from_thresholds(
-        self,
-        thresholds: CardinalityThresholds,
-        blast_ratio: f64,
-    ) -> Box<dyn PruningAlgorithm> {
+        let thresholds = CardinalityThresholds::from_csr(blocks);
         match self {
             AlgorithmKind::Bcl => Box::new(Bcl),
             AlgorithmKind::Wep => Box::new(Wep),
@@ -296,24 +263,23 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::Block;
     use er_core::{DatasetKind, EntityId};
 
     #[test]
     fn thresholds_follow_the_paper_formulas() {
         let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-        let blocks = BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 3,
-            num_entities: 6,
-            blocks: vec![
-                Block::new("a", ids(&[0, 3])),
-                Block::new("b", ids(&[0, 1, 3, 4])),
-                Block::new("c", ids(&[2, 5])),
+        let blocks = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            3,
+            6,
+            [
+                ("a", ids(&[0, 3])),
+                ("b", ids(&[0, 1, 3, 4])),
+                ("c", ids(&[2, 5])),
             ],
-        };
-        let thresholds = CardinalityThresholds::from_blocks(&blocks);
+        );
+        let thresholds = CardinalityThresholds::from_csr(&blocks);
         // Σ|b| = 2 + 4 + 2 = 8 → K = 4, k = max(1, 8/6) = 1.
         assert_eq!(thresholds.global_k, 4);
         assert_eq!(thresholds.per_entity_k, 1);

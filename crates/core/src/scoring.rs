@@ -22,7 +22,6 @@
 use er_core::PairId;
 use er_features::FeatureMatrix;
 use er_learn::ProbabilisticClassifier;
-use serde::{Deserialize, Serialize};
 
 /// The validity threshold of Generalized Supervised Meta-blocking: pairs with
 /// a matching probability below 0.5 are discarded before pruning.
@@ -94,7 +93,7 @@ impl ProbabilitySource for ModelScorer<'_> {
 }
 
 /// Pre-computed probabilities for every candidate pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CachedScores {
     probabilities: Vec<f64>,
 }
@@ -133,7 +132,7 @@ impl ProbabilitySource for CachedScores {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{Block, BlockCollection, BlockStats, CandidatePairs};
+    use er_blocking::{BlockStats, CandidatePairs, CsrBlockCollection};
     use er_core::{DatasetKind, EntityId};
     use er_features::{FeatureContext, FeatureSet};
 
@@ -145,26 +144,23 @@ mod tests {
         }
     }
 
-    fn fixture() -> (BlockCollection, CandidatePairs) {
+    fn fixture() -> (CsrBlockCollection, CandidatePairs) {
         let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-        let bc = BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![
-                Block::new("a", ids(&[0, 2])),
-                Block::new("b", ids(&[0, 1, 2, 3])),
-            ],
-        };
-        let cands = CandidatePairs::from_blocks(&bc);
+        let bc = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [("a", ids(&[0, 2])), ("b", ids(&[0, 1, 2, 3]))],
+        );
+        let cands = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         (bc, cands)
     }
 
     #[test]
     fn model_scorer_and_cache_agree() {
         let (bc, cands) = fixture();
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
         let ctx = FeatureContext::new(&stats, &cands);
         let matrix =
             FeatureMatrix::build(&ctx, FeatureSet::from_schemes([er_features::Scheme::Js]));
@@ -181,7 +177,7 @@ mod tests {
     #[test]
     fn parallel_cache_matches_sequential_cache() {
         let (bc, cands) = fixture();
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
         let ctx = FeatureContext::new(&stats, &cands);
         let matrix = FeatureMatrix::build(&ctx, FeatureSet::all_schemes());
         let model = FirstFeature;

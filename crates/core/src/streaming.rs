@@ -344,10 +344,7 @@ mod tests {
         // The compacted state equals a one-shot batch build.
         let compacted = pipeline.compact();
         let batch = build_blocks(&ds, &TokenKeys, 2);
-        assert_eq!(
-            compacted.to_block_collection().blocks,
-            batch.to_block_collection().blocks
-        );
+        assert!(compacted.same_blocks(&batch));
     }
 
     #[test]
@@ -394,10 +391,7 @@ mod tests {
         let survivors = er_stream::surviving_dataset(&ds, &removed, &updated);
         let compacted = pipeline.compact();
         let batch = build_blocks(&survivors, &TokenKeys, 2);
-        assert_eq!(
-            compacted.to_block_collection().blocks,
-            batch.to_block_collection().blocks
-        );
+        assert!(compacted.same_blocks(&batch));
     }
 
     #[test]

@@ -150,31 +150,31 @@ pub fn prune_unsupervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{Block, BlockCollection, BlockStats};
+    use er_blocking::{BlockStats, CsrBlockCollection};
     use er_core::{DatasetKind, EntityId};
 
-    fn fixture() -> BlockCollection {
+    fn fixture() -> CsrBlockCollection {
         let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 3,
-            num_entities: 6,
-            blocks: vec![
-                Block::new("a", ids(&[0, 3])),
-                Block::new("b", ids(&[0, 1, 3, 4])),
-                Block::new("c", ids(&[1, 4])),
-                Block::new("d", ids(&[2, 5])),
-                Block::new("e", ids(&[0, 1, 2, 3, 4, 5])),
+        CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            3,
+            6,
+            [
+                ("a", ids(&[0, 3])),
+                ("b", ids(&[0, 1, 3, 4])),
+                ("c", ids(&[1, 4])),
+                ("d", ids(&[2, 5])),
+                ("e", ids(&[0, 1, 2, 3, 4, 5])),
             ],
-        }
+        )
     }
 
     #[test]
     fn edge_weights_cover_all_pairs() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &candidates);
         let weights = edge_weights(&ctx, Scheme::Js);
         assert_eq!(weights.len(), candidates.len());
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn wep_keeps_above_average_edges() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let weights: Vec<f64> = (0..candidates.len()).map(|i| i as f64).collect();
         let kept = prune_unsupervised(&candidates, &weights, UnsupervisedAlgorithm::Wep);
         assert!(kept.len() < candidates.len());
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn cep_bounds_the_output() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let weights: Vec<f64> = (0..candidates.len()).map(|i| i as f64 * 0.1).collect();
         let kept = prune_unsupervised(&candidates, &weights, UnsupervisedAlgorithm::Cep { k: 3 });
         assert_eq!(kept.len(), 3);
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn cnp_respects_per_entity_budget() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let weights: Vec<f64> = (0..candidates.len()).map(|i| 1.0 + i as f64).collect();
         let kept = prune_unsupervised(&candidates, &weights, UnsupervisedAlgorithm::Cnp { k: 1 });
         // Each retained pair must be the top pair of at least one endpoint.
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn wnp_is_less_aggressive_than_wep_on_skewed_graphs() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let weights: Vec<f64> = (0..candidates.len())
             .map(|i| if i % 4 == 0 { 10.0 } else { 1.0 })
             .collect();
@@ -227,7 +227,7 @@ mod tests {
     #[should_panic(expected = "one weight per candidate pair")]
     fn mismatched_weights_panic() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let _ = prune_unsupervised(&candidates, &[1.0], UnsupervisedAlgorithm::Wep);
     }
 }

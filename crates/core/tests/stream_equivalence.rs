@@ -5,8 +5,8 @@
 //! counts, same feature values, same probabilities.
 
 use er_blocking::{
-    standard_blocking_workflow_csr, Block, BlockCollection, BlockStats, CandidatePairs,
-    CandidateStream, ChunkArena, DEFAULT_CHUNK_PAIRS,
+    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, ChunkArena,
+    CsrBlockCollection, DEFAULT_CHUNK_PAIRS,
 };
 use er_core::{DatasetKind, EntityId, PairId};
 use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
@@ -38,20 +38,20 @@ fn clean_clean_stats() -> BlockStats {
 /// entity, so chunk boundaries are guaranteed to split partner runs.
 fn dirty_stats() -> BlockStats {
     let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-    let bc = BlockCollection {
-        dataset_name: "dirty-fixture".into(),
-        kind: DatasetKind::Dirty,
-        split: 8,
-        num_entities: 8,
-        blocks: vec![
-            Block::new("a", ids(&[0, 1, 2, 5])),
-            Block::new("b", ids(&[0, 2, 3, 4, 6])),
-            Block::new("c", ids(&[1, 3, 5, 7])),
-            Block::new("d", ids(&[0, 1, 2, 3, 4, 5, 6, 7])),
-            Block::new("e", ids(&[4, 6])),
+    let bc = CsrBlockCollection::from_blocks(
+        "dirty-fixture",
+        DatasetKind::Dirty,
+        8,
+        8,
+        [
+            ("a", ids(&[0, 1, 2, 5])),
+            ("b", ids(&[0, 2, 3, 4, 6])),
+            ("c", ids(&[1, 3, 5, 7])),
+            ("d", ids(&[0, 1, 2, 3, 4, 5, 6, 7])),
+            ("e", ids(&[4, 6])),
         ],
-    };
-    BlockStats::new(&bc)
+    );
+    BlockStats::from_csr(&bc)
 }
 
 fn fixtures() -> [BlockStats; 2] {

@@ -518,7 +518,7 @@ pub(crate) fn decode_stats(r: &mut Reader<'_>) -> PersistResult<BlockStats> {
         ));
     }
 
-    // Derived reciprocal tables: the exact expression of `BlockStats::new`,
+    // Derived reciprocal tables: the exact expression of `BlockStats::from_csr`,
     // so the adopted value is bit-identical to the snapshotted one.
     let inv_comparisons = block_comparisons
         .iter()
@@ -550,8 +550,6 @@ pub(crate) fn decode_stats(r: &mut Reader<'_>) -> PersistResult<BlockStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
-    use crate::collection::BlockCollection;
     use er_persist::{decode_from_slice, encode_to_vec};
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
@@ -559,17 +557,17 @@ mod tests {
     }
 
     fn sample() -> CsrBlockCollection {
-        CsrBlockCollection::from_block_collection(&BlockCollection {
-            dataset_name: "toy".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 5,
-            blocks: vec![
-                Block::new("apple", ids(&[0, 2])),
-                Block::new("phone", ids(&[0, 1, 2, 3])),
-                Block::new("samsung", ids(&[1, 3, 4])),
+        CsrBlockCollection::from_blocks(
+            "toy",
+            DatasetKind::CleanClean,
+            2,
+            5,
+            [
+                ("apple", ids(&[0, 2])),
+                ("phone", ids(&[0, 1, 2, 3])),
+                ("samsung", ids(&[1, 3, 4])),
             ],
-        })
+        )
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!
 //! # One gather per entity
 //!
-//! The materialising constructors ([`CandidatePairs::from_blocks`],
-//! [`CandidatePairs::from_blocks_with_stats`],
+//! The materialising constructors ([`CandidatePairs::from_stats`],
 //! [`CandidatePairs::try_from_stats`]) derive every emitting entity's run
 //! exactly once: each entity-range task appends its runs (partner ids only,
 //! 4 bytes per pair) to a task buffer and records the run lengths; the
@@ -38,14 +37,12 @@
 //! a stream and re-extracts every run a second time.
 
 use er_core::{EntityId, GroundTruth, PairId};
-use serde::{Deserialize, Serialize};
 
-use crate::collection::BlockCollection;
 use crate::stats::BlockStats;
 use crate::stream::{CandidateStream, Extraction, RunScratch};
 
 /// The distinct comparisons of a block collection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CandidatePairs {
     /// Distinct pairs, each stored with the smaller entity id first and the
     /// list sorted, so pair ids are deterministic.
@@ -100,49 +97,11 @@ impl GatheredRuns {
 }
 
 impl CandidatePairs {
-    /// Extracts the distinct candidate pairs from a block collection on the
-    /// calling thread.
-    ///
-    /// # Panics
-    ///
-    /// If the collection produces more than `u32::MAX` pairs — use the
-    /// streamed engine ([`CandidateStream`]) at that scale.
-    pub fn from_blocks(blocks: &BlockCollection) -> Self {
-        Self::materialise(
-            Extraction::from_blocks(blocks),
-            blocks.total_comparisons(),
-            1,
-        )
-        .expect("candidate set above the u32 pair-index limit")
-    }
-
-    /// Extracts the candidate pairs reusing an already-computed
-    /// [`BlockStats`] CSR adjacency, with up to `threads` workers.
-    ///
-    /// Produces exactly the same pairs, order and counts as
-    /// [`CandidatePairs::from_blocks`] for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// If the collection produces more than `u32::MAX` pairs.
-    pub fn from_blocks_with_stats(
-        blocks: &BlockCollection,
-        stats: &BlockStats,
-        threads: usize,
-    ) -> Self {
-        Self::materialise(
-            Extraction::from_blocks_with_stats(blocks, stats),
-            stats.total_comparisons(),
-            threads,
-        )
-        .expect("candidate set above the u32 pair-index limit")
-    }
-
-    /// Extracts the candidate pairs from the block statistics alone, with up
-    /// to `threads` workers.  [`BlockStats`] carries both CSR directions plus
-    /// the per-block first-source counts, so no [`BlockCollection`] (and no
-    /// key string) is ever touched — this is the entry point of the
-    /// CSR-native pipeline.
+    /// Extracts the distinct candidate pairs from the block statistics, with
+    /// up to `threads` workers.  [`BlockStats`] carries both CSR directions
+    /// plus the per-block first-source counts, so no key string is ever
+    /// touched.  The pairs, their order and the per-entity counts are the
+    /// same for any thread count.
     ///
     /// # Panics
     ///
@@ -432,33 +391,48 @@ impl CandidatePairs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use crate::reference::naive_candidate_pairs;
+    use crate::CsrBlockCollection;
     use er_core::DatasetKind;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn clean_clean_collection() -> BlockCollection {
+    fn clean_clean_collection() -> CsrBlockCollection {
         // split = 2: entities 0,1 from E1; 2,3 from E2.
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![
-                Block::new("a", ids(&[0, 2])),
-                Block::new("b", ids(&[0, 1, 2, 3])),
-                Block::new("c", ids(&[1, 3])),
+        CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [
+                ("a", ids(&[0, 2])),
+                ("b", ids(&[0, 1, 2, 3])),
+                ("c", ids(&[1, 3])),
             ],
-        }
+        )
+    }
+
+    fn dirty_collection(num_entities: usize, blocks: &[&[u32]]) -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks(
+            "d",
+            DatasetKind::Dirty,
+            num_entities,
+            num_entities,
+            blocks.iter().map(|b| ("k", ids(b))),
+        )
+    }
+
+    /// The candidate pairs of a collection, extracted on one thread.
+    fn extract(blocks: &CsrBlockCollection) -> CandidatePairs {
+        CandidatePairs::from_stats(&BlockStats::from_csr(blocks), 1)
     }
 
     #[test]
     fn distinct_pairs_deduplicate_across_blocks() {
         let bc = clean_clean_collection();
-        let cands = CandidatePairs::from_blocks(&bc);
+        let cands = extract(&bc);
         // Block b yields 0-2, 0-3, 1-2, 1-3; blocks a and c repeat 0-2 and 1-3.
         assert_eq!(cands.len(), 4);
         assert!(cands.pairs().contains(&(EntityId(0), EntityId(3))));
@@ -467,7 +441,7 @@ mod tests {
     #[test]
     fn clean_clean_never_pairs_same_source() {
         let bc = clean_clean_collection();
-        let cands = CandidatePairs::from_blocks(&bc);
+        let cands = extract(&bc);
         for &(a, b) in cands.pairs() {
             assert!(bc.is_comparable(a, b), "pair ({a}, {b}) is same-source");
         }
@@ -476,7 +450,7 @@ mod tests {
     #[test]
     fn entity_candidate_counts_match_adjacency() {
         let bc = clean_clean_collection();
-        let cands = CandidatePairs::from_blocks(&bc);
+        let cands = extract(&bc);
         // Every E1 entity is a candidate of both E2 entities and vice versa.
         for e in 0..4u32 {
             assert_eq!(cands.candidates_of(EntityId(e)), 2, "entity {e}");
@@ -485,21 +459,15 @@ mod tests {
 
     #[test]
     fn dirty_pairs_are_triangular() {
-        let bc = BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::Dirty,
-            split: 3,
-            num_entities: 3,
-            blocks: vec![Block::new("a", ids(&[0, 1, 2]))],
-        };
-        let cands = CandidatePairs::from_blocks(&bc);
+        let bc = dirty_collection(3, &[&[0, 1, 2]]);
+        let cands = extract(&bc);
         assert_eq!(cands.len(), 3);
     }
 
     #[test]
     fn count_positives_uses_ground_truth() {
         let bc = clean_clean_collection();
-        let cands = CandidatePairs::from_blocks(&bc);
+        let cands = extract(&bc);
         let gt =
             GroundTruth::from_pairs(vec![(EntityId(0), EntityId(2)), (EntityId(1), EntityId(3))]);
         assert_eq!(cands.count_positives(&gt), 2);
@@ -526,8 +494,8 @@ mod tests {
     #[test]
     fn pair_ids_are_stable_and_sorted() {
         let bc = clean_clean_collection();
-        let a = CandidatePairs::from_blocks(&bc);
-        let b = CandidatePairs::from_blocks(&bc);
+        let a = extract(&bc);
+        let b = extract(&bc);
         assert_eq!(a.pairs(), b.pairs());
         let mut sorted = a.pairs().to_vec();
         sorted.sort_unstable();
@@ -539,20 +507,10 @@ mod tests {
     fn matches_naive_reference_bit_for_bit() {
         for bc in [
             clean_clean_collection(),
-            BlockCollection {
-                dataset_name: "d".into(),
-                kind: DatasetKind::Dirty,
-                split: 6,
-                num_entities: 6,
-                blocks: vec![
-                    Block::new("a", ids(&[0, 1, 2, 5])),
-                    Block::new("b", ids(&[1, 2, 3])),
-                    Block::new("c", ids(&[0, 4, 5])),
-                ],
-            },
+            dirty_collection(6, &[&[0, 1, 2, 5], &[1, 2, 3], &[0, 4, 5]]),
         ] {
             let (naive_pairs, naive_counts) = naive_candidate_pairs(&bc);
-            let cands = CandidatePairs::from_blocks(&bc);
+            let cands = extract(&bc);
             assert_eq!(cands.pairs(), naive_pairs.as_slice());
             assert_eq!(cands.entity_candidate_counts(), naive_counts.as_slice());
         }
@@ -560,11 +518,10 @@ mod tests {
 
     #[test]
     fn parallel_extraction_is_deterministic() {
-        let bc = clean_clean_collection();
-        let stats = BlockStats::new(&bc);
-        let sequential = CandidatePairs::from_blocks(&bc);
-        for threads in [1, 2, 4, 7] {
-            let parallel = CandidatePairs::from_blocks_with_stats(&bc, &stats, threads);
+        let stats = BlockStats::from_csr(&clean_clean_collection());
+        let sequential = CandidatePairs::from_stats(&stats, 1);
+        for threads in [2, 4, 7] {
+            let parallel = CandidatePairs::from_stats(&stats, threads);
             assert_eq!(parallel.pairs(), sequential.pairs(), "{threads} threads");
             assert_eq!(
                 parallel.entity_candidate_counts(),
@@ -577,25 +534,16 @@ mod tests {
     fn stats_only_extraction_matches_block_backed_extraction() {
         for bc in [
             clean_clean_collection(),
-            BlockCollection {
-                dataset_name: "d".into(),
-                kind: DatasetKind::Dirty,
-                split: 5,
-                num_entities: 5,
-                blocks: vec![
-                    Block::new("a", ids(&[0, 1, 4])),
-                    Block::new("b", ids(&[1, 2, 3])),
-                ],
-            },
+            dirty_collection(5, &[&[0, 1, 4], &[1, 2, 3]]),
         ] {
-            let stats = BlockStats::new(&bc);
-            let from_blocks = CandidatePairs::from_blocks(&bc);
+            let stats = BlockStats::from_csr(&bc);
+            let (block_pairs, block_counts) = naive_candidate_pairs(&bc);
             for threads in [1, 3] {
                 let from_stats = CandidatePairs::from_stats(&stats, threads);
-                assert_eq!(from_stats.pairs(), from_blocks.pairs());
+                assert_eq!(from_stats.pairs(), block_pairs.as_slice());
                 assert_eq!(
                     from_stats.entity_candidate_counts(),
-                    from_blocks.entity_candidate_counts()
+                    block_counts.as_slice()
                 );
             }
         }
@@ -624,7 +572,7 @@ mod tests {
     #[test]
     fn constructors_count_first_when_the_comparison_bound_is_above_the_ceiling() {
         let bc = clean_clean_collection();
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
         let gathered = CandidatePairs::try_from_stats(&stats, 2).unwrap();
         for bound in [
             stats.total_comparisons(),
@@ -647,7 +595,7 @@ mod tests {
     #[test]
     fn try_from_stats_collects_the_stream() {
         let bc = clean_clean_collection();
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
         let direct = CandidatePairs::try_from_stats(&stats, 2).unwrap();
         let collected = CandidateStream::from_stats(&stats, 2).collect(2).unwrap();
         assert_eq!(collected.pairs(), direct.pairs());
@@ -664,7 +612,7 @@ mod tests {
     #[test]
     fn csr_offsets_partition_the_pair_list() {
         let bc = clean_clean_collection();
-        let cands = CandidatePairs::from_blocks(&bc);
+        let cands = extract(&bc);
         let mut walked = Vec::new();
         for e in 0..bc.num_entities {
             for &(a, b) in cands.pairs_of(EntityId(e as u32)) {

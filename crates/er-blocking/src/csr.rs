@@ -1,28 +1,23 @@
-//! CSR-backed block collections: the allocation-lean representation produced
-//! by the parallel [`crate::builder`] engine.
+//! The block collection: one flat CSR layout with arena-backed keys,
+//! produced by the parallel [`crate::builder`] engine and consumed by every
+//! later step of the workflow.
 //!
 //! A [`CsrBlockCollection`] stores the whole collection in four flat arrays:
 //! one shared key arena (all block keys concatenated, behind an `Arc` so
 //! derived collections never re-clone strings), one `key_ids` array mapping
 //! each block to its key, and an entity CSR (`entity_offsets` + `entities`
-//! arena) holding each block's sorted entity list.  Compared with
-//! `Vec<Block>` — one heap `String` plus one heap `Vec<EntityId>` per block —
-//! this removes two allocations and one pointer indirection per block, keeps
-//! consecutive blocks adjacent in memory, and makes Block Purging and Block
-//! Filtering pure index operations.
+//! arena) holding each block's sorted entity list.  Consecutive blocks sit
+//! next to each other in memory, no block owns a heap allocation, and Block
+//! Purging and Block Filtering are pure index operations.
 //!
-//! [`BlockCollection`] remains the compatibility view: `to_block_collection`
-//! materialises the nested representation for APIs that still consume it, and
-//! `from_block_collection` lifts legacy collections into the CSR world.  Both
-//! directions preserve block order, so `BlockId`s mean the same thing in
-//! either representation.
+//! [`CsrBlockCollection::from_blocks`] builds a collection from literal
+//! `(key, entities)` blocks (test fixtures and the sequential
+//! [`crate::reference`] builders), and [`CsrBlockCollection::same_blocks`]
+//! compares two collections block for block.
 
 use std::sync::Arc;
 
 use er_core::{DatasetKind, EntityId};
-
-use crate::block::Block;
-use crate::collection::BlockCollection;
 
 /// `||b||` from a block's first-source count and size — the single home of
 /// the CleanClean/Dirty comparison formula.  Public so that incremental
@@ -129,9 +124,9 @@ impl KeyStore {
 
 /// A block collection laid out as flat CSR arrays with arena-backed keys.
 ///
-/// Blocks are kept in deterministic (key-sorted) order exactly like
-/// [`BlockCollection`]; derived collections (after purging/filtering) keep the
-/// relative order of the surviving blocks.
+/// Blocks are kept in deterministic (key-sorted) order; derived collections
+/// (after purging/filtering) keep the relative order of the surviving blocks,
+/// so a block's index is its `BlockId`.
 #[derive(Debug, Clone)]
 pub struct CsrBlockCollection {
     /// Name of the dataset the blocks were extracted from.
@@ -161,7 +156,7 @@ impl CsrBlockCollection {
     /// block's entity slice must be sorted and duplicate-free, and
     /// `first_counts[b]` must equal the number of entities of block `b` with
     /// an index below `split` — callers that cannot guarantee this should go
-    /// through [`CsrBlockCollection::from_block_collection`] instead.
+    /// through [`CsrBlockCollection::from_blocks`] instead.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw(
         dataset_name: String,
@@ -336,50 +331,57 @@ impl CsrBlockCollection {
         }
     }
 
-    /// Materialises the nested `Vec<Block>` compatibility view (clones each
-    /// key once; use the CSR consumers to avoid that).
-    pub fn to_block_collection(&self) -> BlockCollection {
-        let blocks = (0..self.num_blocks())
-            .map(|b| Block {
-                key: self.key(b).to_string(),
-                entities: self.entities(b).to_vec(),
-            })
-            .collect();
-        BlockCollection {
-            dataset_name: self.dataset_name.clone(),
-            kind: self.kind,
-            split: self.split,
-            num_entities: self.num_entities,
-            blocks,
-        }
-    }
-
-    /// Lifts a legacy nested collection into the CSR representation.
-    pub fn from_block_collection(blocks: &BlockCollection) -> Self {
-        let total_bytes = blocks.blocks.iter().map(|b| b.key.len()).sum();
-        let mut keys = KeyStore::with_capacity(blocks.num_blocks(), total_bytes);
-        let mut key_ids = Vec::with_capacity(blocks.num_blocks());
-        let mut entity_offsets = Vec::with_capacity(blocks.num_blocks() + 1);
-        entity_offsets.push(0u32);
+    /// Builds a collection from literal `(key, entities)` blocks, kept in
+    /// the given order.  Each entity list is sorted and deduplicated, and
+    /// the first-source counts are computed from `split`.
+    ///
+    /// # Panics
+    /// Panics if an entity id is not below `num_entities`.
+    pub fn from_blocks<K: AsRef<str>>(
+        dataset_name: impl Into<String>,
+        kind: DatasetKind,
+        split: usize,
+        num_entities: usize,
+        blocks: impl IntoIterator<Item = (K, Vec<EntityId>)>,
+    ) -> Self {
+        let mut keys = KeyStore::with_capacity(0, 0);
+        let mut key_ids = Vec::new();
+        let mut entity_offsets = vec![0u32];
         let mut entities = Vec::new();
-        let mut first_counts = Vec::with_capacity(blocks.num_blocks());
-        for block in &blocks.blocks {
-            key_ids.push(keys.push(&block.key));
-            entities.extend_from_slice(&block.entities);
-            entity_offsets.push(entities.len() as u32);
-            first_counts.push(block.first_source_count(blocks.split) as u32);
+        let mut first_counts = Vec::new();
+        for (key, mut list) in blocks {
+            list.sort_unstable();
+            list.dedup();
+            if let Some(last) = list.last() {
+                assert!(
+                    last.index() < num_entities,
+                    "entity {last} is out of range for {num_entities} entities"
+                );
+            }
+            key_ids.push(keys.push(key.as_ref()));
+            first_counts.push(slice_cardinalities(&list, kind, split).0);
+            entities.extend_from_slice(&list);
+            entity_offsets.push(checked_u32(entities.len(), "block entity arena limit"));
         }
         CsrBlockCollection::from_raw(
-            blocks.dataset_name.clone(),
-            blocks.kind,
-            blocks.split,
-            blocks.num_entities,
+            dataset_name.into(),
+            kind,
+            split,
+            num_entities,
             Arc::new(keys),
             key_ids,
             entity_offsets,
             entities,
             first_counts,
         )
+    }
+
+    /// True if both collections hold the same blocks in the same order: per
+    /// block, the same key string and the same entity list.
+    pub fn same_blocks(&self, other: &CsrBlockCollection) -> bool {
+        self.num_blocks() == other.num_blocks()
+            && (0..self.num_blocks())
+                .all(|b| self.key(b) == other.key(b) && self.entities(b) == other.entities(b))
     }
 }
 
@@ -391,39 +393,82 @@ mod tests {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn sample() -> BlockCollection {
-        BlockCollection {
-            dataset_name: "toy".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 5,
-            blocks: vec![
-                Block::new("apple", ids(&[0, 2])),
-                Block::new("phone", ids(&[0, 1, 2, 3])),
-                Block::new("samsung", ids(&[1, 3, 4])),
-            ],
-        }
+    fn literal() -> Vec<(&'static str, Vec<EntityId>)> {
+        vec![
+            ("apple", ids(&[0, 2])),
+            ("phone", ids(&[0, 1, 2, 3])),
+            ("samsung", ids(&[1, 3, 4])),
+        ]
+    }
+
+    fn sample() -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks("toy", DatasetKind::CleanClean, 2, 5, literal())
+    }
+
+    fn single(
+        kind: DatasetKind,
+        split: usize,
+        num_entities: usize,
+        v: &[u32],
+    ) -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks("k", kind, split, num_entities, [("k", ids(v))])
     }
 
     #[test]
     fn round_trip_preserves_everything() {
-        let bc = sample();
-        let csr = CsrBlockCollection::from_block_collection(&bc);
+        let csr = sample();
+        assert_eq!(csr.dataset_name, "toy");
+        assert_eq!(
+            (csr.kind, csr.split, csr.num_entities),
+            (DatasetKind::CleanClean, 2, 5)
+        );
         assert_eq!(csr.num_blocks(), 3);
-        assert_eq!(csr.key(0), "apple");
-        assert_eq!(csr.entities(1), ids(&[0, 1, 2, 3]).as_slice());
         assert_eq!(csr.block_size(2), 3);
-        assert_eq!(csr.total_comparisons(), bc.total_comparisons());
-        assert_eq!(csr.sum_block_sizes(), bc.sum_block_sizes());
-        let back = csr.to_block_collection();
-        assert_eq!(back.blocks, bc.blocks);
-        assert_eq!(back.split, bc.split);
-        assert_eq!(back.num_entities, bc.num_entities);
+        let back: Vec<(&str, Vec<EntityId>)> = (0..csr.num_blocks())
+            .map(|b| (csr.key(b), csr.entities(b).to_vec()))
+            .collect();
+        assert_eq!(back, literal());
+    }
+
+    #[test]
+    fn block_lookup_by_id() {
+        let csr = sample();
+        assert_eq!(csr.key(2), "samsung");
+        assert_eq!(csr.key_store().get(csr.key_id(2)), "samsung");
+        assert_eq!(csr.entities(2), ids(&[1, 3, 4]).as_slice());
+        assert_eq!(csr.block_comparisons(2), 2);
+    }
+
+    #[test]
+    fn from_blocks_sorts_and_dedups() {
+        let csr = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::Dirty,
+            4,
+            4,
+            [("apple", ids(&[3, 1, 3, 2]))],
+        );
+        assert_eq!(csr.entities(0), ids(&[1, 2, 3]).as_slice());
+        assert_eq!(csr.block_size(0), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 3 entities")]
+    fn from_blocks_rejects_out_of_range_entities() {
+        single(DatasetKind::Dirty, 3, 3, &[0, 3]);
+    }
+
+    #[test]
+    fn aggregate_cardinalities() {
+        let csr = sample();
+        // apple: 1*1, phone: 2*2, samsung: 1*2
+        assert_eq!(csr.total_comparisons(), 1 + 4 + 2);
+        assert_eq!(csr.sum_block_sizes(), 2 + 4 + 3);
     }
 
     #[test]
     fn first_source_counts_and_comparisons() {
-        let csr = CsrBlockCollection::from_block_collection(&sample());
+        let csr = sample();
         // "phone": entities 0,1 from E1; 2,3 from E2.
         assert_eq!(csr.first_source_count(1), 2);
         assert_eq!(csr.block_comparisons(1), 4);
@@ -433,8 +478,87 @@ mod tests {
     }
 
     #[test]
+    fn clean_clean_comparisons_are_cross_products() {
+        // split = 2: entities 0,1 in E1; 2,3,4 in E2.
+        let csr = single(DatasetKind::CleanClean, 2, 5, &[0, 1, 2, 3, 4]);
+        assert_eq!(csr.first_source_count(0), 2);
+        assert_eq!(csr.block_comparisons(0), 2 * 3);
+    }
+
+    #[test]
+    fn dirty_comparisons_are_triangular() {
+        let csr = single(DatasetKind::Dirty, 4, 4, &[0, 1, 2, 3]);
+        assert_eq!(csr.block_comparisons(0), 6);
+    }
+
+    #[test]
+    fn dirty_comparisons_are_triangular_per_block() {
+        let csr = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::Dirty,
+            5,
+            5,
+            [
+                ("a", ids(&[0, 1])),
+                ("b", ids(&[2, 3, 4])),
+                ("c", ids(&[0, 1, 2, 3, 4])),
+            ],
+        );
+        let per_block: Vec<u64> = (0..csr.num_blocks())
+            .map(|b| csr.block_comparisons(b))
+            .collect();
+        assert_eq!(per_block, vec![1, 3, 10]);
+        assert_eq!(csr.total_comparisons(), 1 + 3 + 10);
+    }
+
+    #[test]
+    fn single_source_block_is_useless_for_clean_clean() {
+        assert!(!single(DatasetKind::CleanClean, 2, 4, &[0, 1]).is_useful(0));
+        assert!(single(DatasetKind::Dirty, 2, 4, &[0, 1]).is_useful(0));
+    }
+
+    #[test]
+    fn singleton_block_is_always_useless() {
+        assert!(!single(DatasetKind::CleanClean, 2, 6, &[5]).is_useful(0));
+        assert!(!single(DatasetKind::Dirty, 10, 10, &[5]).is_useful(0));
+    }
+
+    #[test]
+    fn comparability_follows_kind() {
+        let csr = sample();
+        assert!(csr.is_comparable(EntityId(0), EntityId(3)));
+        assert!(!csr.is_comparable(EntityId(0), EntityId(1)));
+        let mut dirty = sample();
+        dirty.kind = DatasetKind::Dirty;
+        assert!(dirty.is_comparable(EntityId(0), EntityId(1)));
+        assert!(!dirty.is_comparable(EntityId(1), EntityId(1)));
+    }
+
+    #[test]
+    fn same_blocks_compares_keys_and_entities_in_order() {
+        let csr = sample();
+        assert!(csr.same_blocks(&sample()));
+        assert!(csr.same_blocks(&csr.retain(|_| true)));
+        assert!(!csr.same_blocks(&csr.retain(|b| b != 1)));
+        let mut reordered = literal();
+        reordered.swap(0, 2);
+        let reordered =
+            CsrBlockCollection::from_blocks("toy", DatasetKind::CleanClean, 2, 5, reordered);
+        assert!(!csr.same_blocks(&reordered));
+        let mut renamed = literal();
+        renamed[0].0 = "pear";
+        let renamed =
+            CsrBlockCollection::from_blocks("toy", DatasetKind::CleanClean, 2, 5, renamed);
+        assert!(!csr.same_blocks(&renamed));
+        let mut moved = literal();
+        moved[2].1 = ids(&[1, 3]);
+        let moved = CsrBlockCollection::from_blocks("toy", DatasetKind::CleanClean, 2, 5, moved);
+        assert!(!csr.same_blocks(&moved));
+    }
+
+    #[test]
     fn retain_shares_the_key_arena() {
-        let csr = CsrBlockCollection::from_block_collection(&sample());
+        let csr = sample();
         let kept = csr.retain(|b| csr.block_size(b) < 4);
         assert_eq!(kept.num_blocks(), 2);
         assert_eq!(kept.key(0), "apple");
@@ -444,7 +568,7 @@ mod tests {
 
     #[test]
     fn retain_assignments_drops_useless_blocks() {
-        let csr = CsrBlockCollection::from_block_collection(&sample());
+        let csr = sample();
         // Remove every E2 entity from "phone": it stops producing comparisons.
         let rebuilt = csr.retain_assignments(|e, b| !(b == 1 && e.index() >= 2));
         let keys: Vec<&str> = (0..rebuilt.num_blocks()).map(|b| rebuilt.key(b)).collect();
@@ -472,18 +596,5 @@ mod tests {
     #[should_panic(expected = "test limit exceeded: 4294967296 does not fit a u32")]
     fn checked_u32_panics_one_past_the_largest_u32() {
         checked_u32(u32::MAX as usize + 1, "test limit");
-    }
-
-    #[test]
-    fn dirty_comparisons_are_triangular() {
-        let bc = BlockCollection {
-            dataset_name: "d".into(),
-            kind: DatasetKind::Dirty,
-            split: 4,
-            num_entities: 4,
-            blocks: vec![Block::new("k", ids(&[0, 1, 2, 3]))],
-        };
-        let csr = CsrBlockCollection::from_block_collection(&bc);
-        assert_eq!(csr.block_comparisons(0), 6);
     }
 }

@@ -7,12 +7,11 @@
 //! that an `O(degree)` slice walk.
 
 use er_core::{EntityId, PairId};
-use serde::{Deserialize, Serialize};
 
 use crate::candidates::CandidatePairs;
 
 /// Compressed adjacency lists of the blocking graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NeighborIndex {
     /// Concatenated (neighbour, pair id) entries.
     entries: Vec<(EntityId, PairId)>,

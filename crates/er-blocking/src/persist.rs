@@ -67,8 +67,6 @@ impl Decode for BlockStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
-    use crate::collection::BlockCollection;
     use er_core::{DatasetKind, EntityId, PersistError};
     use er_persist::{decode_from_slice, encode_to_vec};
 
@@ -77,17 +75,17 @@ mod tests {
     }
 
     fn sample() -> CsrBlockCollection {
-        CsrBlockCollection::from_block_collection(&BlockCollection {
-            dataset_name: "toy".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 5,
-            blocks: vec![
-                Block::new("apple", ids(&[0, 2])),
-                Block::new("phone", ids(&[0, 1, 2, 3])),
-                Block::new("samsung", ids(&[1, 3, 4])),
+        CsrBlockCollection::from_blocks(
+            "toy",
+            DatasetKind::CleanClean,
+            2,
+            5,
+            [
+                ("apple", ids(&[0, 2])),
+                ("phone", ids(&[0, 1, 2, 3])),
+                ("samsung", ids(&[1, 3, 4])),
             ],
-        })
+        )
     }
 
     #[test]
@@ -105,10 +103,7 @@ mod tests {
             assert_eq!(back.entities(b), csr.entities(b));
             assert_eq!(back.first_source_count(b), csr.first_source_count(b));
         }
-        assert_eq!(
-            back.to_block_collection().blocks,
-            csr.to_block_collection().blocks
-        );
+        assert!(back.same_blocks(&csr));
     }
 
     #[test]

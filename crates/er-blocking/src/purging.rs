@@ -5,29 +5,23 @@
 //! all entity profiles in the dataset — such blocks correspond to stop-word
 //! tokens.  The procedure is parameter-free.
 
-use crate::collection::BlockCollection;
 use crate::csr::CsrBlockCollection;
 
 /// The largest block size that survives Block Purging for a corpus of
 /// `num_entities` profiles: blocks with more entities than this are dropped.
 ///
 /// This is the single home of the purging threshold arithmetic — the batch
-/// implementations below and incremental consumers (the purging-aware
-/// streaming live view) must agree bit-for-bit on which blocks survive.
+/// implementation below, its [`crate::reference`] oracle and incremental
+/// consumers (the purging-aware streaming live view) must agree bit-for-bit
+/// on which blocks survive.
 #[inline]
 pub fn purging_limit(num_entities: usize) -> usize {
     num_entities / 2
 }
 
-/// Discards every block containing more than half of the entity profiles.
-pub fn block_purging(blocks: &BlockCollection) -> BlockCollection {
-    let limit = purging_limit(blocks.num_entities);
-    blocks.retain_blocks(|b| b.size() <= limit)
-}
-
-/// CSR-native Block Purging: the same rule as [`block_purging`], but as a
-/// pure index operation — the surviving blocks share the input's key arena,
-/// so no key string is cloned.
+/// Discards every block containing more than half of the entity profiles,
+/// as a pure index operation — the surviving blocks share the input's key
+/// arena, so no key string is cloned.
 pub fn block_purging_csr(blocks: &CsrBlockCollection) -> CsrBlockCollection {
     let limit = purging_limit(blocks.num_entities);
     blocks.retain(|b| blocks.block_size(b) <= limit)
@@ -36,47 +30,36 @@ pub fn block_purging_csr(blocks: &CsrBlockCollection) -> CsrBlockCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use er_core::{DatasetKind, EntityId};
 
     fn ids(n: u32) -> Vec<EntityId> {
         (0..n).map(EntityId).collect()
     }
 
-    fn collection(num_entities: usize, blocks: Vec<Block>) -> BlockCollection {
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::Dirty,
-            split: num_entities,
-            num_entities,
-            blocks,
-        }
+    fn collection(num_entities: usize, blocks: Vec<(&str, Vec<EntityId>)>) -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks("t", DatasetKind::Dirty, num_entities, num_entities, blocks)
     }
 
     #[test]
     fn purges_oversized_blocks() {
         let bc = collection(
             10,
-            vec![
-                Block::new("stopword", ids(8)),
-                Block::new("rare", ids(3)),
-                Block::new("half", ids(5)),
-            ],
+            vec![("stopword", ids(8)), ("rare", ids(3)), ("half", ids(5))],
         );
-        let purged = block_purging(&bc);
-        let keys: Vec<_> = purged.blocks.iter().map(|b| b.key.as_str()).collect();
+        let purged = block_purging_csr(&bc);
+        let keys: Vec<_> = (0..purged.num_blocks()).map(|b| purged.key(b)).collect();
         assert_eq!(keys, vec!["rare", "half"]);
     }
 
     #[test]
     fn keeps_everything_when_no_block_is_too_large() {
-        let bc = collection(100, vec![Block::new("a", ids(10)), Block::new("b", ids(2))]);
-        assert_eq!(block_purging(&bc).num_blocks(), 2);
+        let bc = collection(100, vec![("a", ids(10)), ("b", ids(2))]);
+        assert_eq!(block_purging_csr(&bc).num_blocks(), 2);
     }
 
     #[test]
     fn empty_collection_stays_empty() {
         let bc = collection(10, vec![]);
-        assert!(block_purging(&bc).is_empty());
+        assert!(block_purging_csr(&bc).is_empty());
     }
 }

@@ -11,7 +11,6 @@
 use er_core::Dataset;
 
 use crate::builder::{build_blocks, QGramKeys};
-use crate::collection::BlockCollection;
 use crate::csr::CsrBlockCollection;
 
 /// Decomposes a token into its padded character q-grams.
@@ -27,7 +26,7 @@ pub fn qgrams(token: &str, q: usize) -> Vec<String> {
 }
 
 /// Builds a Q-Grams Blocking collection for a dataset through the parallel
-/// [`crate::builder`] engine, returning the nested compatibility view.
+/// [`crate::builder`] engine with up to `threads` workers.
 ///
 /// Like Token Blocking, blocks that cannot produce a comparison are dropped
 /// and the result is ordered by key for determinism (bit-identical to the
@@ -35,15 +34,6 @@ pub fn qgrams(token: &str, q: usize) -> Vec<String> {
 ///
 /// # Panics
 /// Panics if `q < 2` (as [`qgrams`] always has).
-pub fn qgrams_blocking(dataset: &Dataset, q: usize) -> BlockCollection {
-    qgrams_blocking_csr(dataset, q, er_core::available_threads()).to_block_collection()
-}
-
-/// Builds a Q-Grams Blocking collection as a CSR collection with up to
-/// `threads` workers.
-///
-/// # Panics
-/// Panics if `q < 2`.
 pub fn qgrams_blocking_csr(dataset: &Dataset, q: usize, threads: usize) -> CsrBlockCollection {
     build_blocks(dataset, &QGramKeys::new(q), threads)
 }
@@ -88,39 +78,39 @@ mod tests {
         let _ = qgrams("abc", 1);
     }
 
+    /// True if some block holds both entities.
+    fn share_a_block(blocks: &CsrBlockCollection, a: EntityId, b: EntityId) -> bool {
+        (0..blocks.num_blocks()).any(|blk| {
+            let entities = blocks.entities(blk);
+            entities.contains(&a) && entities.contains(&b)
+        })
+    }
+
     #[test]
     fn typo_tolerant_co_occurrence() {
         let ds = dataset();
-        let token_blocks = crate::token_blocking(&ds);
-        let qgram_blocks = qgrams_blocking(&ds, 3);
+        let token_blocks = crate::token_blocking_csr(&ds, 2);
+        let qgram_blocks = qgrams_blocking_csr(&ds, 3, 2);
         // Token Blocking cannot match "iphone" with "iphnoe"…
-        let token_shares = token_blocks
-            .blocks
-            .iter()
-            .any(|b| b.contains(EntityId(0)) && b.contains(EntityId(2)));
-        assert!(!token_shares);
+        assert!(!share_a_block(&token_blocks, EntityId(0), EntityId(2)));
         // …but Q-Grams Blocking puts them in at least one common block ("iph").
-        let qgram_shares = qgram_blocks
-            .blocks
-            .iter()
-            .any(|b| b.contains(EntityId(0)) && b.contains(EntityId(2)));
-        assert!(qgram_shares);
+        assert!(share_a_block(&qgram_blocks, EntityId(0), EntityId(2)));
     }
 
     #[test]
     fn blocks_are_deterministic_and_useful() {
         let ds = dataset();
-        let a = qgrams_blocking(&ds, 3);
-        let b = qgrams_blocking(&ds, 3);
-        assert_eq!(a.blocks, b.blocks);
-        assert!(a.blocks.iter().all(|blk| blk.is_useful(ds.kind, ds.split)));
+        let a = qgrams_blocking_csr(&ds, 3, 1);
+        let b = qgrams_blocking_csr(&ds, 3, 4);
+        assert!(a.same_blocks(&b));
+        assert!((0..a.num_blocks()).all(|blk| a.is_useful(blk)));
     }
 
     #[test]
     fn qgram_collections_are_more_redundant_than_token_blocking() {
         let ds = dataset();
-        let token_blocks = crate::token_blocking(&ds);
-        let qgram_blocks = qgrams_blocking(&ds, 3);
+        let token_blocks = crate::token_blocking_csr(&ds, 2);
+        let qgram_blocks = qgrams_blocking_csr(&ds, 3, 2);
         assert!(qgram_blocks.sum_block_sizes() >= token_blocks.sum_block_sizes());
     }
 }

@@ -2,24 +2,29 @@
 //! benchmarking.
 //!
 //! The production [`crate::BlockStats`] and [`crate::CandidatePairs`] use a
-//! flat CSR layout and hash-free per-entity enumeration, and the blocking
-//! schemes run through the parallel [`crate::builder`] engine.  This module
-//! keeps faithful copies of the pre-refactor implementations — sequential
-//! single-hash-map block builders, nested `Vec<Vec<_>>` adjacency and a
-//! global `FxHashSet` pair deduplicator — so property tests can assert the
-//! optimised paths produce identical results and benchmarks can quantify the
-//! speedup.  Nothing here should be used on a hot path.
+//! flat CSR layout and hash-free per-entity enumeration, the blocking
+//! schemes run through the parallel [`crate::builder`] engine, and Block
+//! Purging and Block Filtering are index operations over the CSR arrays.
+//! This module keeps faithful copies of the pre-refactor implementations —
+//! sequential single-hash-map block builders, per-entity `FxHashSet`
+//! filtering, nested `Vec<Vec<_>>` adjacency and a global `FxHashSet` pair
+//! deduplicator — so property tests can assert the optimised paths produce
+//! identical results and benchmarks can quantify the speedup.  They read
+//! and emit [`CsrBlockCollection`] only through its public accessors and
+//! [`CsrBlockCollection::from_blocks`].  Nothing here should be used on a
+//! hot path.
 
-use er_core::{BlockId, Dataset, EntityId, FxHashMap, FxHashSet};
+use er_core::{BlockId, Dataset, DatasetKind, EntityId, FxHashMap, FxHashSet};
 
-use crate::block::Block;
-use crate::collection::BlockCollection;
+use crate::csr::{slice_cardinalities, CsrBlockCollection};
+use crate::filtering::filtering_keep_count;
+use crate::purging::purging_limit;
 use crate::suffix_arrays::SuffixArrayConfig;
 
 /// The sequential pre-engine Token Blocking builder: one global
 /// `FxHashMap<String, Vec<EntityId>>` filled entity by entity, then filtered
 /// and sorted.
-pub fn token_blocking(dataset: &Dataset) -> BlockCollection {
+pub fn token_blocking(dataset: &Dataset) -> CsrBlockCollection {
     let mut index: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
     for (i, profile) in dataset.profiles.iter().enumerate() {
         let id = EntityId::from(i);
@@ -31,7 +36,7 @@ pub fn token_blocking(dataset: &Dataset) -> BlockCollection {
 }
 
 /// The sequential pre-engine Q-Grams Blocking builder.
-pub fn qgrams_blocking(dataset: &Dataset, q: usize) -> BlockCollection {
+pub fn qgrams_blocking(dataset: &Dataset, q: usize) -> CsrBlockCollection {
     let mut index: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
     for (i, profile) in dataset.profiles.iter().enumerate() {
         let id = EntityId::from(i);
@@ -49,7 +54,7 @@ pub fn qgrams_blocking(dataset: &Dataset, q: usize) -> BlockCollection {
 }
 
 /// The sequential pre-engine Suffix Arrays builder.
-pub fn suffix_array_blocking(dataset: &Dataset, config: SuffixArrayConfig) -> BlockCollection {
+pub fn suffix_array_blocking(dataset: &Dataset, config: SuffixArrayConfig) -> CsrBlockCollection {
     assert!(config.min_length >= 2, "min_length must be at least 2");
     assert!(
         config.max_block_size >= 2,
@@ -71,28 +76,112 @@ pub fn suffix_array_blocking(dataset: &Dataset, config: SuffixArrayConfig) -> Bl
     finish_blocks(dataset, index, config.max_block_size)
 }
 
+/// True if a sorted, duplicate-free entity list yields at least one
+/// comparison.
+fn is_useful(kind: DatasetKind, split: usize, entities: &[EntityId]) -> bool {
+    slice_cardinalities(entities, kind, split).1 > 0
+}
+
 /// The shared tail of the sequential builders: drop oversized and useless
 /// blocks, sort by key.
 fn finish_blocks(
     dataset: &Dataset,
     index: FxHashMap<String, Vec<EntityId>>,
     max_block_size: usize,
-) -> BlockCollection {
-    let mut blocks: Vec<Block> = index
+) -> CsrBlockCollection {
+    let mut blocks: Vec<(String, Vec<EntityId>)> = index
         .into_iter()
         .filter(|(_, entities)| entities.len() <= max_block_size)
-        .map(|(key, entities)| Block::new(key, entities))
-        .filter(|b| b.is_useful(dataset.kind, dataset.split))
+        .map(|(key, mut entities)| {
+            entities.sort_unstable();
+            entities.dedup();
+            (key, entities)
+        })
+        .filter(|(_, entities)| is_useful(dataset.kind, dataset.split, entities))
         .collect();
-    blocks.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-
-    BlockCollection {
-        dataset_name: dataset.name.clone(),
-        kind: dataset.kind,
-        split: dataset.split,
-        num_entities: dataset.num_entities(),
+    blocks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    CsrBlockCollection::from_blocks(
+        dataset.name.clone(),
+        dataset.kind,
+        dataset.split,
+        dataset.num_entities(),
         blocks,
+    )
+}
+
+/// A collection with the same corpus shape as `like` holding `blocks`.
+fn rebuilt(like: &CsrBlockCollection, blocks: Vec<(&str, Vec<EntityId>)>) -> CsrBlockCollection {
+    CsrBlockCollection::from_blocks(
+        like.dataset_name.clone(),
+        like.kind,
+        like.split,
+        like.num_entities,
+        blocks,
+    )
+}
+
+/// The pre-CSR Block Purging: copies every block containing at most half of
+/// the entity profiles into a new collection.
+pub fn block_purging(blocks: &CsrBlockCollection) -> CsrBlockCollection {
+    let limit = purging_limit(blocks.num_entities);
+    let kept = (0..blocks.num_blocks())
+        .filter(|&b| blocks.entities(b).len() <= limit)
+        .map(|b| (blocks.key(b), blocks.entities(b).to_vec()))
+        .collect();
+    rebuilt(blocks, kept)
+}
+
+/// The pre-CSR Block Filtering with the given retention ratio in `(0, 1]`:
+/// per entity, a `(block size, block index)` list sorted in full and an
+/// `FxHashSet` of the retained blocks, then every block rebuilt from its
+/// retained assignments and dropped if it stops producing comparisons.
+///
+/// # Panics
+/// Panics if `ratio` is not within `(0, 1]`.
+pub fn block_filtering(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockCollection {
+    assert!(
+        ratio > 0.0 && ratio <= 1.0,
+        "filtering ratio must be in (0, 1], got {ratio}"
+    );
+
+    // Collect, per entity, the list of (block size, block index) it belongs to.
+    let mut entity_blocks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); blocks.num_entities];
+    for idx in 0..blocks.num_blocks() {
+        let entities = blocks.entities(idx);
+        for entity in entities {
+            entity_blocks[entity.index()].push((entities.len() as u32, idx as u32));
+        }
     }
+
+    // Decide, per entity, which blocks it stays in.
+    let mut retained: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); blocks.num_entities];
+    for (entity, assignments) in entity_blocks.iter_mut().enumerate() {
+        if assignments.is_empty() {
+            continue;
+        }
+        // Sort by block size ascending, breaking ties by block index so the
+        // outcome does not depend on iteration order.
+        assignments.sort_unstable();
+        let keep = filtering_keep_count(assignments.len(), ratio);
+        for &(_, block_idx) in assignments.iter().take(keep) {
+            retained[entity].insert(block_idx);
+        }
+    }
+
+    // Rebuild blocks with only the retained assignments.
+    let mut new_blocks = Vec::with_capacity(blocks.num_blocks());
+    for idx in 0..blocks.num_blocks() {
+        let entities: Vec<EntityId> = blocks
+            .entities(idx)
+            .iter()
+            .copied()
+            .filter(|e| retained[e.index()].contains(&(idx as u32)))
+            .collect();
+        if is_useful(blocks.kind, blocks.split, &entities) {
+            new_blocks.push((blocks.key(idx), entities));
+        }
+    }
+    rebuilt(blocks, new_blocks)
 }
 
 /// The pre-CSR block statistics: one heap-allocated block list per entity,
@@ -108,18 +197,20 @@ pub struct NaiveBlockStats {
 }
 
 impl NaiveBlockStats {
-    /// Builds the statistics exactly as the original implementation did.
-    pub fn new(blocks: &BlockCollection) -> Self {
+    /// Builds the statistics exactly as the original implementation did,
+    /// recomputing every block's cardinalities from its entity list.
+    pub fn from_csr(blocks: &CsrBlockCollection) -> Self {
         let num_blocks = blocks.num_blocks();
         let mut entity_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); blocks.num_entities];
         let mut block_sizes = Vec::with_capacity(num_blocks);
         let mut block_comparisons = Vec::with_capacity(num_blocks);
 
-        for (id, block) in blocks.iter_with_ids() {
-            block_sizes.push(block.size() as u32);
-            block_comparisons.push(block.num_comparisons(blocks.kind, blocks.split));
-            for entity in &block.entities {
-                entity_blocks[entity.index()].push(id);
+        for b in 0..num_blocks {
+            let entities = blocks.entities(b);
+            block_sizes.push(entities.len() as u32);
+            block_comparisons.push(slice_cardinalities(entities, blocks.kind, blocks.split).1);
+            for entity in entities {
+                entity_blocks[entity.index()].push(BlockId::from(b));
             }
         }
         let total_comparisons = block_comparisons.iter().sum();
@@ -211,7 +302,7 @@ impl NaiveBlockStats {
 ///
 /// Returns the sorted distinct pairs plus the per-entity candidate counts, in
 /// exactly the representation [`crate::CandidatePairs`] exposes.
-pub fn naive_candidate_pairs(blocks: &BlockCollection) -> (Vec<(EntityId, EntityId)>, Vec<u32>) {
+pub fn naive_candidate_pairs(blocks: &CsrBlockCollection) -> (Vec<(EntityId, EntityId)>, Vec<u32>) {
     let mut seen: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
     let mut entity_candidates = vec![0u32; blocks.num_entities];
 
@@ -223,11 +314,11 @@ pub fn naive_candidate_pairs(blocks: &BlockCollection) -> (Vec<(EntityId, Entity
         }
     };
 
-    for block in &blocks.blocks {
-        let entities = &block.entities;
-        let split_point = block.first_source_count(blocks.split);
+    for b in 0..blocks.num_blocks() {
+        let entities = blocks.entities(b);
+        let split_point = entities.partition_point(|e| e.index() < blocks.split);
         match blocks.kind {
-            er_core::DatasetKind::CleanClean => {
+            DatasetKind::CleanClean => {
                 let (inner, outer) = entities.split_at(split_point);
                 for &a in inner {
                     for &b in outer {
@@ -235,7 +326,7 @@ pub fn naive_candidate_pairs(blocks: &BlockCollection) -> (Vec<(EntityId, Entity
                     }
                 }
             }
-            er_core::DatasetKind::Dirty => {
+            DatasetKind::Dirty => {
                 for (i, &a) in entities.iter().enumerate() {
                     for &b in &entities[i + 1..] {
                         record(a, b, &mut entity_candidates);
@@ -253,25 +344,23 @@ pub fn naive_candidate_pairs(blocks: &BlockCollection) -> (Vec<(EntityId, Entity
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
-    use er_core::DatasetKind;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn sample() -> BlockCollection {
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![
-                Block::new("a", ids(&[0, 2])),
-                Block::new("b", ids(&[0, 1, 2, 3])),
-                Block::new("c", ids(&[1, 3])),
+    fn sample() -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [
+                ("a", ids(&[0, 2])),
+                ("b", ids(&[0, 1, 2, 3])),
+                ("c", ids(&[1, 3])),
             ],
-        }
+        )
     }
 
     #[test]
@@ -284,7 +373,7 @@ mod tests {
 
     #[test]
     fn naive_stats_mirror_old_api() {
-        let stats = NaiveBlockStats::new(&sample());
+        let stats = NaiveBlockStats::from_csr(&sample());
         assert_eq!(stats.num_blocks(), 3);
         assert_eq!(stats.num_entities(), 4);
         assert_eq!(stats.blocks_of(EntityId(0)), &[BlockId(0), BlockId(1)]);
@@ -292,5 +381,25 @@ mod tests {
         assert_eq!(stats.total_comparisons(), 6);
         assert_eq!(stats.entity_comparisons(EntityId(0)), 5);
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(2)), 2);
+    }
+
+    #[test]
+    fn naive_purging_keeps_blocks_up_to_half_the_corpus() {
+        // 4 entities: "b" (4 entities) is purged, "a" and "c" (2) survive.
+        let purged = block_purging(&sample());
+        let keys: Vec<_> = (0..purged.num_blocks()).map(|b| purged.key(b)).collect();
+        assert_eq!(keys, vec!["a", "c"]);
+    }
+
+    #[test]
+    fn naive_filtering_keeps_each_entity_in_its_smallest_blocks() {
+        // Every entity sits in one block of size 2 and in "b" (size 4); at
+        // ratio 0.5 it keeps only the small one, so "b" empties and is dropped.
+        let filtered = block_filtering(&sample(), 0.5);
+        let keys: Vec<_> = (0..filtered.num_blocks())
+            .map(|b| filtered.key(b))
+            .collect();
+        assert_eq!(keys, vec!["a", "c"]);
+        assert!(block_filtering(&sample(), 1.0).same_blocks(&sample()));
     }
 }

@@ -26,13 +26,11 @@
 //! hot merge loop performs zero divisions.
 
 use er_core::{BlockId, DatasetKind, EntityId};
-use serde::{Deserialize, Serialize};
 
-use crate::collection::BlockCollection;
 use crate::csr::CsrBlockCollection;
 
 /// Pre-computed co-occurrence statistics of a block collection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockStats {
     /// CSR offsets into `block_ids`; `num_entities + 1` entries.
     pub(crate) offsets: Vec<u32>,
@@ -66,70 +64,8 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
-    /// Computes the statistics of a block collection.
-    pub fn new(blocks: &BlockCollection) -> Self {
-        let num_blocks = blocks.num_blocks();
-        let num_entities = blocks.num_entities;
-
-        let mut block_sizes = Vec::with_capacity(num_blocks);
-        let mut block_comparisons = Vec::with_capacity(num_blocks);
-        let mut inv_comparisons = Vec::with_capacity(num_blocks);
-        let mut inv_sizes = Vec::with_capacity(num_blocks);
-        let mut block_offsets = Vec::with_capacity(num_blocks + 1);
-        let mut first_source_counts = Vec::with_capacity(num_blocks);
-        let mut block_entities = Vec::new();
-
-        block_offsets.push(0u32);
-        for block in &blocks.blocks {
-            let size = block.size() as u32;
-            let comparisons = block.num_comparisons(blocks.kind, blocks.split);
-            block_sizes.push(size);
-            block_comparisons.push(comparisons);
-            inv_comparisons.push(if comparisons > 0 {
-                1.0 / comparisons as f64
-            } else {
-                0.0
-            });
-            inv_sizes.push(if size > 0 { 1.0 / f64::from(size) } else { 0.0 });
-            first_source_counts.push(block.first_source_count(blocks.split) as u32);
-            block_entities.extend_from_slice(&block.entities);
-            block_offsets.push(block_entities.len() as u32);
-        }
-
-        let (offsets, block_ids) = build_entity_block_adjacency(blocks);
-
-        let total_comparisons = block_comparisons.iter().sum();
-        let entity_comparisons = (0..num_entities)
-            .map(|e| {
-                block_ids[offsets[e] as usize..offsets[e + 1] as usize]
-                    .iter()
-                    .map(|b| block_comparisons[b.index()])
-                    .sum()
-            })
-            .collect();
-
-        BlockStats {
-            offsets,
-            block_ids,
-            block_offsets,
-            block_entities,
-            first_source_counts,
-            block_sizes,
-            block_comparisons,
-            inv_comparisons,
-            inv_sizes,
-            total_comparisons,
-            entity_comparisons,
-            num_blocks,
-            kind: blocks.kind,
-            split: blocks.split,
-        }
-    }
-
-    /// Computes the statistics straight from a CSR collection — the same
-    /// quantities as [`BlockStats::new`] on the nested view (blocks keep
-    /// their ids), but without materialising `Vec<Block>` or touching any
-    /// key string.
+    /// Computes the statistics of a block collection (blocks keep their
+    /// ids) without touching any key string.
     pub fn from_csr(blocks: &CsrBlockCollection) -> Self {
         let num_blocks = blocks.num_blocks();
         let num_entities = blocks.num_entities;
@@ -159,8 +95,8 @@ impl BlockStats {
             block_offsets.push(block_entities.len() as u32);
         }
 
-        // Entity → block adjacency: identical layout to the nested path
-        // (blocks visited in id order, so every entity's slice is sorted).
+        // Entity → block adjacency: blocks are visited in id order, so every
+        // entity's slice comes out sorted.
         let mut degrees = vec![0u32; num_entities];
         for &entity in &block_entities {
             degrees[entity.index()] += 1;
@@ -343,73 +279,36 @@ impl BlockStats {
     }
 }
 
-/// Builds the entity → block CSR adjacency of a collection: `(offsets,
-/// block_ids)` with entity `i`'s sorted block list at
-/// `block_ids[offsets[i]..offsets[i + 1]]`.
-///
-/// Shared by [`BlockStats::new`] and the standalone candidate extraction in
-/// [`crate::candidates`] so the adjacency layout is defined exactly once.
-pub(crate) fn build_entity_block_adjacency(blocks: &BlockCollection) -> (Vec<u32>, Vec<BlockId>) {
-    let num_entities = blocks.num_entities;
-    let mut degrees = vec![0u32; num_entities];
-    for block in &blocks.blocks {
-        for entity in &block.entities {
-            degrees[entity.index()] += 1;
-        }
-    }
-    let mut offsets = Vec::with_capacity(num_entities + 1);
-    let mut acc = 0u32;
-    offsets.push(0);
-    for &d in &degrees {
-        acc += d;
-        offsets.push(acc);
-    }
-    // Fill the arena; blocks are visited in id order, so each entity's slice
-    // comes out sorted.
-    let mut cursors: Vec<u32> = offsets[..num_entities].to_vec();
-    let mut block_ids = vec![BlockId(0); acc as usize];
-    for (id, block) in blocks.iter_with_ids() {
-        for entity in &block.entities {
-            let cursor = &mut cursors[entity.index()];
-            block_ids[*cursor as usize] = id;
-            *cursor += 1;
-        }
-    }
-    debug_assert!((0..num_entities).all(|e| {
-        let list = &block_ids[offsets[e] as usize..offsets[e + 1] as usize];
-        list.windows(2).all(|w| w[0] < w[1])
-    }));
-    (offsets, block_ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use crate::reference::NaiveBlockStats;
-    use er_core::DatasetKind;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn sample() -> BlockCollection {
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![
-                Block::new("a", ids(&[0, 2])),
-                Block::new("b", ids(&[0, 1, 2, 3])),
-                Block::new("c", ids(&[1, 3])),
+    fn collection(num_entities: usize) -> CsrBlockCollection {
+        CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            num_entities,
+            [
+                ("a", ids(&[0, 2])),
+                ("b", ids(&[0, 1, 2, 3])),
+                ("c", ids(&[1, 3])),
             ],
-        }
+        )
+    }
+
+    fn sample() -> CsrBlockCollection {
+        collection(4)
     }
 
     #[test]
     fn per_block_quantities() {
-        let stats = BlockStats::new(&sample());
+        let stats = BlockStats::from_csr(&sample());
         assert_eq!(stats.num_blocks(), 3);
         assert_eq!(stats.block_size(BlockId(1)), 4);
         assert_eq!(stats.block_comparisons(BlockId(0)), 1);
@@ -418,7 +317,7 @@ mod tests {
 
     #[test]
     fn per_entity_quantities() {
-        let stats = BlockStats::new(&sample());
+        let stats = BlockStats::from_csr(&sample());
         assert_eq!(stats.blocks_of(EntityId(0)), &[BlockId(0), BlockId(1)]);
         assert_eq!(stats.num_blocks_of(EntityId(3)), 2);
         assert_eq!(stats.entity_comparisons(EntityId(0)), 1 + 4);
@@ -427,7 +326,7 @@ mod tests {
 
     #[test]
     fn common_blocks_by_merge() {
-        let stats = BlockStats::new(&sample());
+        let stats = BlockStats::from_csr(&sample());
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(2)), 2);
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(3)), 1);
         assert_eq!(
@@ -439,9 +338,7 @@ mod tests {
 
     #[test]
     fn entity_with_no_blocks() {
-        let mut bc = sample();
-        bc.num_entities = 5;
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&collection(5));
         assert_eq!(stats.num_blocks_of(EntityId(4)), 0);
         assert_eq!(stats.entity_comparisons(EntityId(4)), 0);
         assert_eq!(stats.common_blocks(EntityId(4), EntityId(0)), 0);
@@ -450,7 +347,7 @@ mod tests {
     #[test]
     fn reverse_csr_exposes_block_membership() {
         let bc = sample();
-        let stats = BlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
         assert_eq!(stats.kind(), DatasetKind::CleanClean);
         assert_eq!(stats.split(), 2);
         assert_eq!(stats.entities_of(BlockId(0)), &[EntityId(0), EntityId(2)]);
@@ -469,7 +366,7 @@ mod tests {
 
     #[test]
     fn reciprocal_tables_match_cardinalities() {
-        let stats = BlockStats::new(&sample());
+        let stats = BlockStats::from_csr(&sample());
         for b in 0..stats.num_blocks() {
             let id = BlockId(b as u32);
             let comparisons = stats.block_comparisons(id);
@@ -486,46 +383,36 @@ mod tests {
         }
     }
 
+    /// `from_csr` against the nested `Vec<Vec<BlockId>>` reference
+    /// statistics, which recompute every block's cardinalities from its
+    /// entity list.
     #[test]
     fn from_csr_matches_nested_constructor() {
         let bc = sample();
-        let from_nested = BlockStats::new(&bc);
-        let from_csr = BlockStats::from_csr(&bc.to_csr());
-        assert_eq!(from_csr.num_blocks(), from_nested.num_blocks());
-        assert_eq!(from_csr.kind(), from_nested.kind());
-        assert_eq!(from_csr.split(), from_nested.split());
-        assert_eq!(
-            from_csr.total_comparisons(),
-            from_nested.total_comparisons()
-        );
-        for e in 0..bc.num_entities {
-            let entity = EntityId(e as u32);
-            assert_eq!(from_csr.blocks_of(entity), from_nested.blocks_of(entity));
-            assert_eq!(
-                from_csr.entity_comparisons(entity),
-                from_nested.entity_comparisons(entity)
-            );
-        }
+        let from_csr = BlockStats::from_csr(&bc);
+        let nested = NaiveBlockStats::from_csr(&bc);
+        assert_eq!(from_csr.num_blocks(), nested.num_blocks());
+        assert_eq!(from_csr.num_entities(), nested.num_entities());
+        assert_eq!(from_csr.total_comparisons(), nested.total_comparisons());
         for b in 0..bc.num_blocks() {
             let id = BlockId(b as u32);
-            assert_eq!(from_csr.entities_of(id), from_nested.entities_of(id));
-            assert_eq!(from_csr.block_size(id), from_nested.block_size(id));
-            assert_eq!(
-                from_csr.first_source_count(id),
-                from_nested.first_source_count(id)
-            );
-            assert_eq!(
-                from_csr.inv_comparisons_table()[b],
-                from_nested.inv_comparisons_table()[b]
-            );
+            assert_eq!(from_csr.block_size(id), nested.block_size(id));
+            assert_eq!(from_csr.block_comparisons(id), nested.block_comparisons(id));
+            assert_eq!(from_csr.entities_of(id), bc.entities(b));
+            let first = bc
+                .entities(b)
+                .iter()
+                .filter(|e| e.index() < bc.split)
+                .count();
+            assert_eq!(from_csr.first_source_count(id) as usize, first);
         }
     }
 
     #[test]
     fn csr_matches_naive_adjacency() {
         let bc = sample();
-        let stats = BlockStats::new(&bc);
-        let naive = NaiveBlockStats::new(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let naive = NaiveBlockStats::from_csr(&bc);
         for e in 0..bc.num_entities {
             let entity = EntityId(e as u32);
             assert_eq!(stats.blocks_of(entity), naive.blocks_of(entity));

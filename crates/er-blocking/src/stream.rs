@@ -61,63 +61,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use er_core::EntityId;
 
-use crate::collection::BlockCollection;
 use crate::stats::BlockStats;
 
 /// Default pairs per chunk: large enough that per-chunk overheads (board
 /// setup, task dispatch) vanish, small enough that a worker's arena stays a
 /// ~1 MiB cache-friendly scratch.
 pub const DEFAULT_CHUNK_PAIRS: usize = 1 << 16;
-
-/// Borrowed per-block entity storage: either the nested `Vec<Block>` view or
-/// the flat reverse CSR inside [`BlockStats`].
-#[derive(Clone, Copy)]
-enum BlockSource<'a> {
-    Nested(&'a BlockCollection),
-    Stats(&'a BlockStats),
-}
-
-impl<'a> BlockSource<'a> {
-    #[inline]
-    fn entities_of(self, block: er_core::BlockId) -> &'a [EntityId] {
-        match self {
-            BlockSource::Nested(blocks) => &blocks.blocks[block.index()].entities,
-            BlockSource::Stats(stats) => stats.entities_of(block),
-        }
-    }
-
-    #[inline]
-    fn first_source_count(self, block: er_core::BlockId, split: usize) -> usize {
-        match self {
-            BlockSource::Nested(blocks) => blocks.blocks[block.index()].first_source_count(split),
-            BlockSource::Stats(stats) => stats.first_source_count(block) as usize,
-        }
-    }
-}
-
-/// The entity → block adjacency an extraction walks: borrowed from a
-/// [`BlockStats`], or owned when built directly from a [`BlockCollection`].
-enum Adjacency<'a> {
-    Borrowed {
-        offsets: &'a [u32],
-        block_ids: &'a [er_core::BlockId],
-    },
-    Owned {
-        offsets: Vec<u32>,
-        block_ids: Vec<er_core::BlockId>,
-    },
-}
-
-impl Adjacency<'_> {
-    #[inline]
-    fn blocks_of(&self, entity: usize) -> &[er_core::BlockId] {
-        let (offsets, block_ids): (&[u32], &[er_core::BlockId]) = match self {
-            Adjacency::Borrowed { offsets, block_ids } => (offsets, block_ids),
-            Adjacency::Owned { offsets, block_ids } => (offsets, block_ids),
-        };
-        &block_ids[offsets[entity] as usize..offsets[entity + 1] as usize]
-    }
-}
 
 /// Reusable scratch of run derivation: the run being gathered and the
 /// second buffer its sort ping-pongs through.  Both keep their capacity
@@ -134,55 +83,24 @@ impl RunScratch {
     }
 }
 
-/// Everything run derivation reads: the corpus shape, the per-block entity
-/// lists and the entity → block adjacency.  Shared by the stream's counting
+/// Everything run derivation reads: the corpus shape and the block
+/// statistics, whose two CSR directions (entity → blocks, block → entities)
+/// and first-source counts give every run.  Shared by the stream's counting
 /// pass and the materialised collector's single gather.
 pub(crate) struct Extraction<'a> {
     kind: er_core::DatasetKind,
     split: usize,
     pub(crate) num_entities: usize,
-    source: BlockSource<'a>,
-    adjacency: Adjacency<'a>,
+    stats: &'a BlockStats,
 }
 
 impl<'a> Extraction<'a> {
-    /// Extraction over a nested block collection, building the adjacency.
-    pub(crate) fn from_blocks(blocks: &'a BlockCollection) -> Self {
-        let (offsets, block_ids) = crate::stats::build_entity_block_adjacency(blocks);
-        Extraction {
-            kind: blocks.kind,
-            split: blocks.split,
-            num_entities: blocks.num_entities,
-            source: BlockSource::Nested(blocks),
-            adjacency: Adjacency::Owned { offsets, block_ids },
-        }
-    }
-
-    /// Extraction over a nested block collection, reusing the adjacency of
-    /// its already-computed statistics.
-    pub(crate) fn from_blocks_with_stats(
-        blocks: &'a BlockCollection,
-        stats: &'a BlockStats,
-    ) -> Self {
-        let (offsets, block_ids) = stats.entity_block_csr();
-        Extraction {
-            kind: blocks.kind,
-            split: blocks.split,
-            num_entities: blocks.num_entities,
-            source: BlockSource::Nested(blocks),
-            adjacency: Adjacency::Borrowed { offsets, block_ids },
-        }
-    }
-
-    /// The CSR-native extraction: both directions come from the statistics.
     pub(crate) fn from_stats(stats: &'a BlockStats) -> Self {
-        let (offsets, block_ids) = stats.entity_block_csr();
         Extraction {
             kind: stats.kind(),
             split: stats.split(),
             num_entities: stats.num_entities(),
-            source: BlockSource::Stats(stats),
-            adjacency: Adjacency::Borrowed { offsets, block_ids },
+            stats,
         }
     }
 
@@ -204,20 +122,21 @@ impl<'a> Extraction<'a> {
     fn neighbors_above<'s>(&self, a: usize, scratch: &'s mut RunScratch) -> &'s [u32] {
         let RunScratch { run, spare } = scratch;
         run.clear();
+        let blocks = self.stats.blocks_of(EntityId(a as u32));
         match self.kind {
             er_core::DatasetKind::CleanClean => {
                 debug_assert!(a < self.split);
-                for &bid in self.adjacency.blocks_of(a) {
-                    let entities = self.source.entities_of(bid);
-                    let split_point = self.source.first_source_count(bid, self.split);
+                for &bid in blocks {
+                    let entities = self.stats.entities_of(bid);
+                    let split_point = self.stats.first_source_count(bid) as usize;
                     // E2 ids all exceed every E1 id, so the whole outer slice
                     // qualifies as "larger comparable partner".
                     run.extend(entities[split_point..].iter().map(|e| e.0));
                 }
             }
             er_core::DatasetKind::Dirty => {
-                for &bid in self.adjacency.blocks_of(a) {
-                    let entities = self.source.entities_of(bid);
+                for &bid in blocks {
+                    let entities = self.stats.entities_of(bid);
                     let start = entities.partition_point(|e| e.index() <= a);
                     run.extend(entities[start..].iter().map(|e| e.0));
                 }
@@ -351,27 +270,8 @@ pub struct CandidateStream<'a> {
 }
 
 impl<'a> CandidateStream<'a> {
-    /// Builds the stream over a block collection on the calling thread.
-    pub fn from_blocks(blocks: &'a BlockCollection) -> Self {
-        Self::build(Extraction::from_blocks(blocks), 1)
-    }
-
-    /// Builds the stream over a block collection, reusing an
-    /// already-computed [`BlockStats`] CSR adjacency, with up to `threads`
+    /// Builds the stream from the block statistics with up to `threads`
     /// counting workers.
-    pub fn from_blocks_with_stats(
-        blocks: &'a BlockCollection,
-        stats: &'a BlockStats,
-        threads: usize,
-    ) -> Self {
-        Self::build(
-            Extraction::from_blocks_with_stats(blocks, stats),
-            threads.max(1),
-        )
-    }
-
-    /// Builds the stream from the block statistics alone (the CSR-native
-    /// entry point) with up to `threads` counting workers.
     pub fn from_stats(stats: &'a BlockStats, threads: usize) -> Self {
         Self::build(Extraction::from_stats(stats), threads.max(1))
     }
@@ -652,48 +552,57 @@ impl<'a> CandidateStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
-    use crate::CandidatePairs;
+    use crate::{CandidatePairs, CsrBlockCollection};
     use er_core::DatasetKind;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn fixtures() -> Vec<BlockCollection> {
+    fn collection(
+        name: &str,
+        kind: DatasetKind,
+        split: usize,
+        num_entities: usize,
+        blocks: &[&[u32]],
+    ) -> CsrBlockCollection {
+        let literal = blocks
+            .iter()
+            .zip('a'..)
+            .map(|(b, key)| (key.to_string(), ids(b)));
+        CsrBlockCollection::from_blocks(name, kind, split, num_entities, literal)
+    }
+
+    fn fixtures() -> Vec<CsrBlockCollection> {
         vec![
-            BlockCollection {
-                dataset_name: "cc".into(),
-                kind: DatasetKind::CleanClean,
-                split: 3,
-                num_entities: 6,
-                blocks: vec![
-                    Block::new("a", ids(&[0, 3])),
-                    Block::new("b", ids(&[0, 1, 3, 4])),
-                    Block::new("c", ids(&[1, 4])),
-                    Block::new("d", ids(&[0, 1, 2, 3, 4, 5])),
-                ],
-            },
-            BlockCollection {
-                dataset_name: "dirty".into(),
-                kind: DatasetKind::Dirty,
-                split: 6,
-                num_entities: 6,
-                blocks: vec![
-                    Block::new("a", ids(&[0, 1, 2, 5])),
-                    Block::new("b", ids(&[1, 2, 3])),
-                    Block::new("c", ids(&[0, 4, 5])),
-                ],
-            },
+            collection(
+                "cc",
+                DatasetKind::CleanClean,
+                3,
+                6,
+                &[&[0, 3], &[0, 1, 3, 4], &[1, 4], &[0, 1, 2, 3, 4, 5]],
+            ),
+            collection(
+                "dirty",
+                DatasetKind::Dirty,
+                6,
+                6,
+                &[&[0, 1, 2, 5], &[1, 2, 3], &[0, 4, 5]],
+            ),
         ]
+    }
+
+    /// The materialised candidate pairs of a collection (one thread).
+    fn materialised(bc: &CsrBlockCollection) -> CandidatePairs {
+        CandidatePairs::from_stats(&crate::BlockStats::from_csr(bc), 1)
     }
 
     #[test]
     fn counting_pass_matches_materialised_totals() {
         for bc in fixtures() {
-            let reference = CandidatePairs::from_blocks(&bc);
+            let reference = materialised(&bc);
             for threads in [1, 2, 4] {
-                let stats = crate::BlockStats::new(&bc);
+                let stats = crate::BlockStats::from_csr(&bc);
                 let stream = CandidateStream::from_stats(&stats, threads);
                 assert_eq!(stream.total_pairs(), reference.len() as u64);
                 assert_eq!(stream.lcp_table(), reference.entity_candidate_counts());
@@ -716,8 +625,8 @@ mod tests {
     #[test]
     fn chunk_concatenation_reproduces_the_pair_list_at_any_chunk_size() {
         for bc in fixtures() {
-            let reference = CandidatePairs::from_blocks(&bc);
-            let stats = crate::BlockStats::new(&bc);
+            let reference = materialised(&bc);
+            let stats = crate::BlockStats::from_csr(&bc);
             let stream = CandidateStream::from_stats(&stats, 2);
             for chunk_pairs in [1usize, 2, 3, 5, 64, usize::MAX / 2] {
                 let chunks = stream.chunks(chunk_pairs);
@@ -743,7 +652,7 @@ mod tests {
     #[test]
     fn chunk_runs_expose_per_entity_segments() {
         let bc = &fixtures()[1];
-        let stats = crate::BlockStats::new(bc);
+        let stats = crate::BlockStats::from_csr(bc);
         let stream = CandidateStream::from_stats(&stats, 1);
         let mut arena = ChunkArena::new();
         // A chunk size of 2 forces boundaries inside entity runs.
@@ -764,7 +673,7 @@ mod tests {
     #[test]
     fn extract_chunk_into_matches_arena_extraction() {
         let bc = &fixtures()[0];
-        let stats = crate::BlockStats::new(bc);
+        let stats = crate::BlockStats::from_csr(bc);
         let stream = CandidateStream::from_stats(&stats, 1);
         let mut arena = ChunkArena::new();
         let mut scratch = RunScratch::default();
@@ -789,19 +698,15 @@ mod tests {
         let mut collections = fixtures();
         // E1 entities 1 and 3 sit in no block: empty runs between emitting
         // neighbours, landing on chunk boundaries at small chunk sizes.
-        collections.push(BlockCollection {
-            dataset_name: "cc-gaps".into(),
-            kind: DatasetKind::CleanClean,
-            split: 5,
-            num_entities: 9,
-            blocks: vec![
-                Block::new("a", ids(&[0, 5, 6, 7])),
-                Block::new("b", ids(&[2, 6, 8])),
-                Block::new("c", ids(&[0, 2, 4, 5])),
-            ],
-        });
+        collections.push(collection(
+            "cc-gaps",
+            DatasetKind::CleanClean,
+            5,
+            9,
+            &[&[0, 5, 6, 7], &[2, 6, 8], &[0, 2, 4, 5]],
+        ));
         for bc in collections {
-            let stats = crate::BlockStats::new(&bc);
+            let stats = crate::BlockStats::from_csr(&bc);
             let candidates = CandidatePairs::from_stats(&stats, 2);
             let derived = CandidateStream::from_stats(&stats, 2);
             let backed = CandidateStream::from_candidates(&stats, &candidates);
@@ -855,7 +760,7 @@ mod tests {
     #[should_panic(expected = "cover different corpora")]
     fn index_backed_stream_rejects_a_foreign_index() {
         let all = fixtures();
-        let stats = crate::BlockStats::new(&all[0]);
+        let stats = crate::BlockStats::from_csr(&all[0]);
         let foreign = CandidatePairs::from_pairs(2, vec![(EntityId(0), EntityId(1))]);
         let _ = CandidateStream::from_candidates(&stats, &foreign);
     }
@@ -863,7 +768,7 @@ mod tests {
     #[test]
     fn arena_capacity_is_retained_and_reported() {
         let bc = &fixtures()[0];
-        let stats = crate::BlockStats::new(bc);
+        let stats = crate::BlockStats::from_csr(bc);
         let stream = CandidateStream::from_stats(&stats, 1);
         let mut arena = ChunkArena::new();
         assert_eq!(arena.capacity_bytes(), 0);

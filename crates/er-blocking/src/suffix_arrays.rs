@@ -10,7 +10,6 @@
 use er_core::Dataset;
 
 use crate::builder::{build_blocks, SuffixKeys};
-use crate::collection::BlockCollection;
 use crate::csr::CsrBlockCollection;
 
 /// Configuration of Suffix Arrays Blocking.
@@ -45,18 +44,8 @@ pub fn suffixes(token: &str, min_length: usize) -> Vec<String> {
 }
 
 /// Builds a Suffix Arrays block collection for a dataset through the parallel
-/// [`crate::builder`] engine, returning the nested compatibility view
-/// (bit-identical to the sequential
-/// [`crate::reference::suffix_array_blocking`] builder).
-///
-/// # Panics
-/// Panics if `config.min_length < 2` or `config.max_block_size < 2`.
-pub fn suffix_array_blocking(dataset: &Dataset, config: SuffixArrayConfig) -> BlockCollection {
-    suffix_array_blocking_csr(dataset, config, er_core::available_threads()).to_block_collection()
-}
-
-/// Builds a Suffix Arrays block collection as a CSR collection with up to
-/// `threads` workers.
+/// [`crate::builder`] engine with up to `threads` workers (bit-identical to
+/// the sequential [`crate::reference::suffix_array_blocking`] builder).
 ///
 /// # Panics
 /// Panics if `config.min_length < 2` or `config.max_block_size < 2`.
@@ -76,6 +65,10 @@ pub fn suffix_array_blocking_csr(
 mod tests {
     use super::*;
     use er_core::{EntityCollection, EntityId, EntityProfile, GroundTruth};
+
+    fn suffix_array_blocking(ds: &Dataset, config: SuffixArrayConfig) -> CsrBlockCollection {
+        suffix_array_blocking_csr(ds, config, 2)
+    }
 
     fn dataset() -> Dataset {
         let e1 = EntityCollection::new(
@@ -109,10 +102,10 @@ mod tests {
     fn prefix_truncation_is_tolerated() {
         let ds = dataset();
         let blocks = suffix_array_blocking(&ds, SuffixArrayConfig::default());
-        let shares = blocks
-            .blocks
-            .iter()
-            .any(|b| b.contains(EntityId(0)) && b.contains(EntityId(2)));
+        let shares = (0..blocks.num_blocks()).any(|b| {
+            let entities = blocks.entities(b);
+            entities.contains(&EntityId(0)) && entities.contains(&EntityId(2))
+        });
         assert!(shares, "truncated code should share a suffix block");
     }
 
@@ -135,9 +128,10 @@ mod tests {
     #[test]
     fn deterministic_output() {
         let ds = dataset();
-        let a = suffix_array_blocking(&ds, SuffixArrayConfig::default());
-        let b = suffix_array_blocking(&ds, SuffixArrayConfig::default());
-        assert_eq!(a.blocks, b.blocks);
+        let a = suffix_array_blocking_csr(&ds, SuffixArrayConfig::default(), 1);
+        let b = suffix_array_blocking_csr(&ds, SuffixArrayConfig::default(), 4);
+        assert!(!a.is_empty());
+        assert!(a.same_blocks(&b));
     }
 
     #[test]

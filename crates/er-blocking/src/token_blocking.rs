@@ -8,22 +8,14 @@
 use er_core::Dataset;
 
 use crate::builder::{build_blocks, TokenKeys};
-use crate::collection::BlockCollection;
 use crate::csr::CsrBlockCollection;
 
 /// Builds the Token Blocking collection for a dataset through the parallel
-/// [`crate::builder`] engine, returning the nested compatibility view.
+/// [`crate::builder`] engine with up to `threads` workers.
 ///
 /// Blocks are emitted in lexicographic key order so the result is fully
 /// deterministic (and bit-identical to the sequential
 /// [`crate::reference::token_blocking`] builder, regardless of thread count).
-pub fn token_blocking(dataset: &Dataset) -> BlockCollection {
-    token_blocking_csr(dataset, er_core::available_threads()).to_block_collection()
-}
-
-/// Builds the Token Blocking collection as a CSR collection with up to
-/// `threads` workers — the allocation-lean entry point used by the standard
-/// workflow.
 pub fn token_blocking_csr(dataset: &Dataset, threads: usize) -> CsrBlockCollection {
     build_blocks(dataset, &TokenKeys, threads)
 }
@@ -31,7 +23,6 @@ pub fn token_blocking_csr(dataset: &Dataset, threads: usize) -> CsrBlockCollecti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use er_core::{EntityCollection, EntityId, EntityProfile, GroundTruth};
 
     /// Builds the running example of Figure 1 in the paper: seven smartphone
@@ -77,8 +68,14 @@ mod tests {
         Dataset::clean_clean("figure1", e1, e2, gt).unwrap()
     }
 
-    fn block_keyed<'a>(bc: &'a BlockCollection, key: &str) -> Option<&'a Block> {
-        bc.blocks.iter().find(|b| b.key == key)
+    fn token_blocking(ds: &Dataset) -> CsrBlockCollection {
+        token_blocking_csr(ds, 2)
+    }
+
+    fn block_keyed<'a>(bc: &'a CsrBlockCollection, key: &str) -> Option<&'a [EntityId]> {
+        (0..bc.num_blocks())
+            .find(|&b| bc.key(b) == key)
+            .map(|b| bc.entities(b))
     }
 
     #[test]
@@ -96,9 +93,11 @@ mod tests {
     fn figure1_apple_block_holds_the_duplicate_pair() {
         let ds = figure1_dataset();
         let bc = token_blocking(&ds);
-        let apple = block_keyed(&bc, "apple").unwrap();
-        assert_eq!(apple.entities, vec![EntityId(0), EntityId(4)]);
-        assert_eq!(apple.num_comparisons(ds.kind, ds.split), 1);
+        let b = (0..bc.num_blocks())
+            .find(|&b| bc.key(b) == "apple")
+            .unwrap();
+        assert_eq!(bc.entities(b), &[EntityId(0), EntityId(4)]);
+        assert_eq!(bc.block_comparisons(b), 1);
     }
 
     #[test]
@@ -106,10 +105,10 @@ mod tests {
         let ds = figure1_dataset();
         let bc = token_blocking(&ds);
         for &(a, b) in ds.ground_truth.pairs() {
-            let shared = bc
-                .blocks
-                .iter()
-                .any(|blk| blk.contains(a) && blk.contains(b));
+            let shared = (0..bc.num_blocks()).any(|blk| {
+                let entities = bc.entities(blk);
+                entities.contains(&a) && entities.contains(&b)
+            });
             assert!(shared, "duplicate pair ({a}, {b}) shares no block");
         }
     }
@@ -117,17 +116,19 @@ mod tests {
     #[test]
     fn deterministic_block_order() {
         let ds = figure1_dataset();
-        let a = token_blocking(&ds);
-        let b = token_blocking(&ds);
-        assert_eq!(a.blocks, b.blocks);
-        let mut keys: Vec<_> = a.blocks.iter().map(|b| b.key.clone()).collect();
-        let sorted = {
-            let mut s = keys.clone();
-            s.sort();
-            s
-        };
-        keys.sort();
-        assert_eq!(keys, sorted);
+        let a = token_blocking_csr(&ds, 1);
+        assert!(a.num_blocks() > 1);
+        for threads in [2, 4] {
+            assert!(a.same_blocks(&token_blocking_csr(&ds, threads)));
+        }
+        for b in 1..a.num_blocks() {
+            assert!(
+                a.key(b - 1) < a.key(b),
+                "block {b}: {:?} does not follow {:?}",
+                a.key(b),
+                a.key(b - 1)
+            );
+        }
     }
 
     #[test]
@@ -142,7 +143,7 @@ mod tests {
         );
         let ds = Dataset::dirty("dirty", coll, GroundTruth::default()).unwrap();
         let bc = token_blocking(&ds);
-        let keys: Vec<_> = bc.blocks.iter().map(|b| b.key.as_str()).collect();
+        let keys: Vec<_> = (0..bc.num_blocks()).map(|b| bc.key(b)).collect();
         assert_eq!(keys, vec!["beta"]);
     }
 }

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use er_blocking::{Block, BlockCollection, BlockStats, CsrBlockCollection};
+use er_blocking::{BlockStats, CsrBlockCollection};
 use er_core::{DatasetKind, EntityId, PersistError};
 use er_persist::{
     decode_from_slice, decode_snapshot_payload, encode_to_vec, read_snapshot, shard_snapshot_path,
@@ -33,18 +33,18 @@ fn ids(v: &[u32]) -> Vec<EntityId> {
 }
 
 fn sample(name: &str) -> CsrBlockCollection {
-    CsrBlockCollection::from_block_collection(&BlockCollection {
-        dataset_name: name.into(),
-        kind: DatasetKind::CleanClean,
-        split: 3,
-        num_entities: 7,
-        blocks: vec![
-            Block::new("alpha", ids(&[0, 3, 4])),
-            Block::new("beta", ids(&[0, 1, 3, 5])),
-            Block::new("gamma", ids(&[1, 2, 4, 5, 6])),
-            Block::new("delta", ids(&[2, 6])),
+    CsrBlockCollection::from_blocks(
+        name,
+        DatasetKind::CleanClean,
+        3,
+        7,
+        [
+            ("alpha", ids(&[0, 3, 4])),
+            ("beta", ids(&[0, 1, 3, 5])),
+            ("gamma", ids(&[1, 2, 4, 5, 6])),
+            ("delta", ids(&[2, 6])),
         ],
-    })
+    )
 }
 
 fn assert_bit_identical(a: &CsrBlockCollection, b: &CsrBlockCollection) {

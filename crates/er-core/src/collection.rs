@@ -1,14 +1,12 @@
 //! Entity collections, datasets and ground truth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::entity::EntityProfile;
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashSet;
 use crate::ids::EntityId;
 
 /// A named set of entity profiles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EntityCollection {
     /// Human-readable collection name (e.g. "abt", "buy").
     pub name: String,
@@ -38,7 +36,7 @@ impl EntityCollection {
 
 /// Whether a dataset describes Clean-Clean ER (record linkage between two
 /// duplicate-free sources) or Dirty ER (deduplication inside one source).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// Two clean collections; only cross-source pairs can match.
     CleanClean,
@@ -52,8 +50,8 @@ impl DatasetKind {
     /// flattened id space), merely distinct for Dirty.
     ///
     /// The single home of the comparability rule — datasets, block
-    /// collections (nested and CSR) and the streaming index all delegate
-    /// here, so the batch and streaming engines can never disagree on it.
+    /// collections and the streaming index all delegate here, so the batch
+    /// and streaming engines can never disagree on it.
     #[inline]
     pub fn comparable(self, split: usize, a: EntityId, b: EntityId) -> bool {
         a != b
@@ -68,10 +66,9 @@ impl DatasetKind {
 ///
 /// Pairs are stored with the smaller [`EntityId`] first so lookups are
 /// order-insensitive.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     pairs: Vec<(EntityId, EntityId)>,
-    #[serde(skip)]
     index: FxHashSet<(EntityId, EntityId)>,
 }
 
@@ -121,7 +118,7 @@ impl GroundTruth {
 
 /// A complete ER dataset: all entity profiles (flattened into one id space),
 /// the Clean-Clean split point if any, and the ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Dataset name (e.g. "AbtBuy", "D10K").
     pub name: String,

@@ -1,14 +1,12 @@
 //! Entity profiles: schema-agnostic sets of name/value pairs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenize::tokenize_into;
 
 /// A single attribute of an entity profile.
 ///
 /// Both the attribute name and its value are free text; this accommodates
 /// relational records, RDF descriptions and semi-structured data alike.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (may be empty for schema-less values).
     pub name: String,
@@ -27,7 +25,7 @@ impl Attribute {
 }
 
 /// An entity profile: an external identifier plus a set of attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityProfile {
     /// External (source) identifier, e.g. the record key in the origin dataset.
     pub external_id: String,

@@ -5,15 +5,13 @@
 //! staying `Copy` and cheap to hash (see the performance notes on smaller
 //! integer types).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of an entity profile inside a [`crate::Dataset`].
 ///
 /// For Clean-Clean ER the two source collections share one id space: ids
 /// `0..|E1|` belong to the first collection and `|E1|..|E1|+|E2|` to the
 /// second.  This mirrors how meta-blocking implementations flatten the input
 /// and lets blocks hold a single homogeneous entity list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u32);
 
 impl EntityId {
@@ -45,7 +43,7 @@ impl std::fmt::Display for EntityId {
 }
 
 /// Index of a block inside a block collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -70,7 +68,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Index of a candidate pair inside a candidate-pair set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PairId(pub u32);
 
 impl PairId {

@@ -14,14 +14,13 @@
 //! original sizes.
 
 use er_core::{Dataset, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::clean_clean::generate_clean_clean;
 use crate::config::{CleanCleanConfig, DirtyConfig, NoiseConfig};
 use crate::dirty::generate_dirty;
 
 /// The nine Clean-Clean ER benchmarks of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetName {
     /// Products from Abt.com and Buy.com (noisy, recall-limited).
     AbtBuy,
@@ -83,7 +82,7 @@ impl std::fmt::Display for DatasetName {
 }
 
 /// Options controlling the size of the generated analogues.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CatalogOptions {
     /// Multiplier on the (already laptop-scaled) entity counts of each recipe.
     pub scale: f64,

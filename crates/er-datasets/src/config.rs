@@ -1,14 +1,12 @@
 //! Generator configuration types.
 
-use serde::{Deserialize, Serialize};
-
 /// How a duplicate copy of a base record is perturbed.
 ///
 /// The noise level controls how many blocks a duplicate pair ends up sharing
 /// after Token Blocking, which is the quantity the paper identifies as the
 /// driver of meta-blocking recall (Figures 15/16): heavily noised datasets
 /// have many duplicates sharing a single block and therefore lower recall.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NoiseConfig {
     /// Probability that each token of the base record is dropped in the copy.
     pub drop_probability: f64,
@@ -66,7 +64,7 @@ impl NoiseConfig {
 }
 
 /// Configuration of a synthetic Clean-Clean ER dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CleanCleanConfig {
     /// Dataset name.
     pub name: String,
@@ -133,7 +131,7 @@ impl CleanCleanConfig {
 
 /// Configuration of a synthetic Dirty ER dataset (used by the scalability
 /// analysis, Figures 17/18).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DirtyConfig {
     /// Dataset name (e.g. "D10K").
     pub name: String,

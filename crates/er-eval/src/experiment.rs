@@ -20,7 +20,6 @@ use er_learn::{balanced_undersample, TrainingSet};
 use meta_blocking::pipeline::ClassifierKind;
 use meta_blocking::pruning::{AlgorithmKind, Blast};
 use meta_blocking::scoring::CachedScores;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::Effectiveness;
 
@@ -28,9 +27,7 @@ use crate::metrics::Effectiveness;
 pub struct PreparedDataset {
     /// The generated dataset.
     pub dataset: Dataset,
-    /// The block collection after Token Blocking, Purging and Filtering, in
-    /// the CSR representation every experiment consumes directly (use
-    /// [`CsrBlockCollection::to_block_collection`] for the nested view).
+    /// The block collection after Token Blocking, Purging and Filtering.
     pub blocks: CsrBlockCollection,
     /// Pre-computed block statistics.
     pub stats: BlockStats,
@@ -42,9 +39,8 @@ pub struct PreparedDataset {
 
 impl PreparedDataset {
     /// Runs the standard blocking workflow on a dataset through the parallel
-    /// CSR engine; statistics, candidates and the retained block collection
-    /// all stay in the CSR representation — no nested `Vec<Block>` view is
-    /// materialised.
+    /// engine and derives the block statistics and candidate pairs from its
+    /// output.
     pub fn prepare(dataset: Dataset) -> Result<Self> {
         let threads = er_core::available_threads();
         let start = Instant::now();
@@ -176,7 +172,7 @@ impl PreparedDataset {
 }
 
 /// Configuration of a single experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The weighting schemes used as features.
     pub feature_set: FeatureSet,
@@ -214,7 +210,7 @@ impl RunConfig {
 }
 
 /// The result of a single run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Effectiveness of the retained pairs.
     pub effectiveness: Effectiveness,
@@ -238,7 +234,7 @@ impl RunResult {
 }
 
 /// An averaged experiment result over several sampling seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AveragedResult {
     /// The algorithm evaluated.
     pub algorithm: AlgorithmKind,
@@ -596,10 +592,7 @@ mod tests {
             loaded.dataset.ground_truth.pairs(),
             original.dataset.ground_truth.pairs()
         );
-        assert_eq!(
-            loaded.blocks.to_block_collection().blocks,
-            original.blocks.to_block_collection().blocks
-        );
+        assert!(loaded.blocks.same_blocks(&original.blocks));
         // Derived state recomputes identically from the stored CSR.
         assert_eq!(loaded.candidates.pairs(), original.candidates.pairs());
         assert_eq!(loaded.num_candidates(), original.num_candidates());

@@ -5,10 +5,9 @@
 //! of retained pairs that are duplicates, and F1 is their harmonic mean.
 
 use er_core::{EntityId, GroundTruth};
-use serde::{Deserialize, Serialize};
 
 /// Recall, precision and F-measure of a set of retained candidate pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Effectiveness {
     /// |TP| / |D|.
     pub recall: f64,

@@ -2,12 +2,11 @@
 
 use er_core::GroundTruth;
 use meta_blocking::scoring::CachedScores;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::PreparedDataset;
 
 /// Histogram of matching probabilities, split by pair class (Figure 12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProbabilityHistogram {
     /// Number of equal-width bins over [0, 1].
     pub num_bins: usize,
@@ -70,7 +69,7 @@ impl ProbabilityHistogram {
 /// (Figures 15 and 16).  Index 0 counts the duplicates sharing *no* block
 /// (missed by blocking); index 1 counts those sharing exactly one block
 /// (missed by meta-blocking's co-occurrence evidence); and so on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommonBlockDistribution {
     /// `counts[k]` = number of duplicate pairs sharing exactly `k` blocks.
     pub counts: Vec<usize>,
@@ -96,7 +95,7 @@ impl CommonBlockDistribution {
         }
     }
 
-    /// The portion (in [0,1]) of duplicates sharing exactly `k` blocks.
+    /// The portion (in `[0, 1]`) of duplicates sharing exactly `k` blocks.
     pub fn portion(&self, k: usize) -> f64 {
         if self.total_duplicates == 0 {
             return 0.0;

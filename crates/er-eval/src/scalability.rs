@@ -7,14 +7,13 @@ use er_features::FeatureSet;
 use er_learn::LogisticRegressionConfig;
 use meta_blocking::pipeline::ClassifierKind;
 use meta_blocking::pruning::AlgorithmKind;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{run_averaged, PreparedDataset, RunConfig};
 use crate::metrics::Effectiveness;
 
 /// One point of the scalability analysis: one algorithm on one Dirty ER
 /// dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalabilityPoint {
     /// Dataset name (D10K … D300K).
     pub dataset: String,

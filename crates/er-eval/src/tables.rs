@@ -4,12 +4,10 @@
 //! tables (one row per dataset with recall, precision, F1 and run-time), so
 //! `EXPERIMENTS.md` can be filled by copy-pasting the bench output.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::Effectiveness;
 
 /// One row of a results table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableRow {
     /// Row label (usually a dataset name).
     pub label: String,

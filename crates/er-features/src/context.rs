@@ -527,7 +527,7 @@ impl<'a> FeatureContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{Block, BlockCollection};
+    use er_blocking::CsrBlockCollection;
     use er_core::DatasetKind;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
@@ -537,21 +537,21 @@ mod tests {
     /// A small Clean-Clean collection with entities 0,1 in E1 and 2,3 in E2.
     ///
     /// Blocks: a = {0,2}, b = {0,1,2,3}, c = {1,3}, d = {0,2}.
-    fn fixture() -> (BlockCollection, BlockStats, CandidatePairs) {
-        let bc = BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 2,
-            num_entities: 4,
-            blocks: vec![
-                Block::new("a", ids(&[0, 2])),
-                Block::new("b", ids(&[0, 1, 2, 3])),
-                Block::new("c", ids(&[1, 3])),
-                Block::new("d", ids(&[0, 2])),
+    fn fixture() -> (CsrBlockCollection, BlockStats, CandidatePairs) {
+        let bc = CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [
+                ("a", ids(&[0, 2])),
+                ("b", ids(&[0, 1, 2, 3])),
+                ("c", ids(&[1, 3])),
+                ("d", ids(&[0, 2])),
             ],
-        };
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        );
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         (bc, stats, cands)
     }
 

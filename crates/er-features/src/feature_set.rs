@@ -5,12 +5,10 @@
 //! set is represented as a bit mask over [`Scheme::ALL`]; the mask value is
 //! the set's identifier in experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::schemes::Scheme;
 
 /// A non-empty subset of weighting schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureSet {
     bits: u8,
 }

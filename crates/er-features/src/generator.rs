@@ -27,7 +27,6 @@
 
 use er_blocking::{BlockStats, CandidateStream, ChunkArena};
 use er_core::{EntityId, PairId};
-use serde::{Deserialize, Serialize};
 
 use crate::context::{
     write_features_from, FeatureContext, PairAggregateSource, PairCooccurrence,
@@ -44,7 +43,7 @@ const CHUNK_ROWS: usize = 4096;
 const PARALLEL_THRESHOLD: usize = 1024;
 
 /// A dense, row-major matrix holding one feature vector per candidate pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureMatrix {
     feature_set: FeatureSet,
     num_features: usize,
@@ -803,31 +802,41 @@ pub fn for_each_scored_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{Block, BlockCollection, BlockStats, CandidatePairs};
+    use er_blocking::{BlockStats, CandidatePairs, CsrBlockCollection};
     use er_core::{DatasetKind, EntityId};
 
-    fn fixture() -> BlockCollection {
+    fn fixture() -> CsrBlockCollection {
+        fixture_of(DatasetKind::CleanClean)
+    }
+
+    /// Six entities in five blocks; for Clean-Clean, entities 0..3 are the
+    /// first source.
+    fn fixture_of(kind: DatasetKind) -> CsrBlockCollection {
         let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 3,
-            num_entities: 6,
-            blocks: vec![
-                Block::new("a", ids(&[0, 3])),
-                Block::new("b", ids(&[0, 1, 3, 4])),
-                Block::new("c", ids(&[1, 4])),
-                Block::new("d", ids(&[2, 5])),
-                Block::new("e", ids(&[0, 1, 2, 3, 4, 5])),
+        let split = match kind {
+            DatasetKind::CleanClean => 3,
+            DatasetKind::Dirty => 6,
+        };
+        CsrBlockCollection::from_blocks(
+            "t",
+            kind,
+            split,
+            6,
+            [
+                ("a", ids(&[0, 3])),
+                ("b", ids(&[0, 1, 3, 4])),
+                ("c", ids(&[1, 4])),
+                ("d", ids(&[2, 5])),
+                ("e", ids(&[0, 1, 2, 3, 4, 5])),
             ],
-        }
+        )
     }
 
     #[test]
     fn matrix_shape_matches_candidates_and_feature_set() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let matrix = FeatureMatrix::build(&ctx, FeatureSet::original());
         assert_eq!(matrix.num_pairs(), cands.len());
@@ -838,8 +847,8 @@ mod tests {
     #[test]
     fn rows_match_direct_computation() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::all_schemes();
         let matrix = FeatureMatrix::build(&ctx, set);
@@ -852,8 +861,8 @@ mod tests {
     #[test]
     fn fused_build_matches_reference_build() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         for set in [
             FeatureSet::original(),
@@ -872,8 +881,8 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::blast_optimal();
         let sequential = FeatureMatrix::build_with_threads(&ctx, set, 1);
@@ -886,8 +895,8 @@ mod tests {
     #[test]
     fn score_rows_matches_materialised_scoring() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::all_schemes();
         let matrix = FeatureMatrix::build(&ctx, set);
@@ -909,8 +918,8 @@ mod tests {
         // one entity into the next.  Also exercises the merge fallback for
         // pairs the board never accumulates (same-source Clean-Clean pairs).
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let full = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let full = CandidatePairs::from_stats(&stats, 1);
         let mut kept: Vec<(EntityId, EntityId)> = full.pairs().iter().copied().step_by(2).collect();
         kept.push((EntityId(0), EntityId(1))); // both E1: board has no data
         let subset = CandidatePairs::from_pairs(bc.num_entities, kept);
@@ -930,11 +939,9 @@ mod tests {
         }
 
         // Same exercise on a Dirty collection.
-        let mut dirty = fixture();
-        dirty.kind = DatasetKind::Dirty;
-        dirty.split = dirty.num_entities;
-        let dirty_stats = BlockStats::new(&dirty);
-        let dirty_full = CandidatePairs::from_blocks(&dirty);
+        let dirty = fixture_of(DatasetKind::Dirty);
+        let dirty_stats = BlockStats::from_csr(&dirty);
+        let dirty_full = CandidatePairs::from_stats(&dirty_stats, 1);
         let dirty_subset = CandidatePairs::from_pairs(
             dirty.num_entities,
             dirty_full.pairs().iter().copied().step_by(2),
@@ -970,8 +977,8 @@ mod tests {
     #[test]
     fn projection_matches_direct_build() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let full = FeatureMatrix::build(&ctx, FeatureSet::all_schemes());
         for target in [
@@ -992,8 +999,8 @@ mod tests {
     #[should_panic(expected = "cannot project")]
     fn projection_onto_missing_scheme_panics() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let small = FeatureMatrix::build(&ctx, FeatureSet::blast_optimal());
         let _ = small.project(FeatureSet::original());
@@ -1001,17 +1008,13 @@ mod tests {
 
     #[test]
     fn streamed_scoring_is_bit_identical_to_materialised_scoring() {
-        let mut collections = vec![fixture()];
-        let mut dirty = fixture();
-        dirty.kind = DatasetKind::Dirty;
-        dirty.split = dirty.num_entities;
-        collections.push(dirty);
+        let collections = [fixture(), fixture_of(DatasetKind::Dirty)];
 
         let set = FeatureSet::all_schemes();
         let score = |row: &[f64]| row.iter().sum::<f64>();
         for bc in collections {
-            let stats = BlockStats::new(&bc);
-            let cands = CandidatePairs::from_blocks(&bc);
+            let stats = BlockStats::from_csr(&bc);
+            let cands = CandidatePairs::from_stats(&stats, 1);
             let ctx = FeatureContext::new(&stats, &cands);
             let reference = FeatureMatrix::score_rows(&ctx, set, 1, score);
 
@@ -1053,8 +1056,8 @@ mod tests {
     #[test]
     fn scored_chunk_walk_concatenates_to_the_materialised_output() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::blast_optimal();
         let score = |row: &[f64]| row.iter().sum::<f64>();
@@ -1092,8 +1095,8 @@ mod tests {
     #[test]
     fn column_means_average_rows() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let cands = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let cands = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &cands);
         let matrix = FeatureMatrix::build(&ctx, FeatureSet::blast_optimal());
         let means = matrix.column_means();

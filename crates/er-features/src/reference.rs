@@ -18,7 +18,7 @@
 //! speedup.  Nothing here should be used on a hot path.
 
 use er_blocking::reference::NaiveBlockStats;
-use er_blocking::{BlockCollection, CandidatePairs};
+use er_blocking::{CandidatePairs, CsrBlockCollection};
 use er_core::EntityId;
 
 use crate::feature_set::FeatureSet;
@@ -53,8 +53,8 @@ pub struct NaiveCooccurrence {
 
 impl<'a> NaiveFeatureContext<'a> {
     /// Builds the naive context (computing its own nested-vec statistics).
-    pub fn new(blocks: &BlockCollection, candidates: &'a CandidatePairs) -> Self {
-        let stats = NaiveBlockStats::new(blocks);
+    pub fn new(blocks: &CsrBlockCollection, candidates: &'a CandidatePairs) -> Self {
+        let stats = NaiveBlockStats::from_csr(blocks);
         let n = stats.num_entities();
         let mut entity_inv_comparisons = vec![0.0; n];
         let mut entity_inv_sizes = vec![0.0; n];
@@ -239,31 +239,31 @@ impl<'a> NaiveFeatureContext<'a> {
 mod tests {
     use super::*;
     use crate::context::FeatureContext;
-    use er_blocking::{Block, BlockStats};
+    use er_blocking::BlockStats;
     use er_core::DatasetKind;
 
-    fn fixture() -> BlockCollection {
+    fn fixture() -> CsrBlockCollection {
         let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-        BlockCollection {
-            dataset_name: "t".into(),
-            kind: DatasetKind::CleanClean,
-            split: 3,
-            num_entities: 6,
-            blocks: vec![
-                Block::new("a", ids(&[0, 3])),
-                Block::new("b", ids(&[0, 1, 3, 4])),
-                Block::new("c", ids(&[1, 4])),
-                Block::new("d", ids(&[2, 5])),
-                Block::new("e", ids(&[0, 1, 2, 3, 4, 5])),
+        CsrBlockCollection::from_blocks(
+            "t",
+            DatasetKind::CleanClean,
+            3,
+            6,
+            [
+                ("a", ids(&[0, 3])),
+                ("b", ids(&[0, 1, 3, 4])),
+                ("c", ids(&[1, 4])),
+                ("d", ids(&[2, 5])),
+                ("e", ids(&[0, 1, 2, 3, 4, 5])),
             ],
-        }
+        )
     }
 
     #[test]
     fn naive_engine_matches_production_engine() {
         let bc = fixture();
-        let stats = BlockStats::new(&bc);
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let stats = BlockStats::from_csr(&bc);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         let naive_ctx = NaiveFeatureContext::new(&bc, &candidates);
         let ctx = FeatureContext::new(&stats, &candidates);
         for set in [FeatureSet::all_schemes(), FeatureSet::rcnp_optimal()] {
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn naive_parallel_build_matches_sequential() {
         let bc = fixture();
-        let candidates = CandidatePairs::from_blocks(&bc);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&bc), 1);
         let naive_ctx = NaiveFeatureContext::new(&bc, &candidates);
         let set = FeatureSet::all_schemes();
         let sequential = naive_ctx.build_matrix(set, 1);

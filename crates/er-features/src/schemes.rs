@@ -1,13 +1,11 @@
 //! The eight weighting schemes.
 
-use serde::{Deserialize, Serialize};
-
 /// A schema-agnostic weighting scheme.
 ///
 /// The first four are the optimal feature set of the original Supervised
 /// Meta-blocking paper; the last four are the new schemes introduced by the
 /// Generalized Supervised Meta-blocking paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Co-occurrence Frequency – Inverse Block Frequency:
     /// `|B_i ∩ B_j| · log(|B|/|B_i|) · log(|B|/|B_j|)`.

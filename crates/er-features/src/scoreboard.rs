@@ -45,7 +45,6 @@
 use std::sync::OnceLock;
 
 use er_obs::{Counter, Gauge, Histogram};
-use serde::{Deserialize, Serialize};
 
 use crate::context::PairCooccurrence;
 
@@ -57,7 +56,7 @@ use crate::context::PairCooccurrence;
 pub const DEFAULT_TILE_ENTITIES: usize = 4096;
 
 /// Which partner-aggregation engine the fused pass runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoreboardEngine {
     /// The scratch-bounded engines (default): the candidate-aligned board
     /// on the batch passes, the tiled radix board in the streaming index.
@@ -70,7 +69,7 @@ pub enum ScoreboardEngine {
 
 /// Configuration of the scoreboard engine, carried by
 /// `MetaBlockingConfig` / `StreamingConfig`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoreboardConfig {
     /// Engine selection; [`ScoreboardEngine::Tiled`] unless a caller opts
     /// back into the flat reference.

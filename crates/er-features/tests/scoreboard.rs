@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use er_blocking::{Block, BlockCollection, BlockStats, CandidatePairs};
+use er_blocking::{BlockStats, CandidatePairs, CsrBlockCollection};
 use er_core::{DatasetKind, EntityId};
 use er_features::{
     scoreboard_metrics, FeatureContext, FeatureMatrix, FeatureSet, FlatScoreboard,
@@ -75,7 +75,7 @@ fn synthetic_blocks(
     shape: SchemeShape,
     num_entities: usize,
     seed: u64,
-) -> BlockCollection {
+) -> CsrBlockCollection {
     let split = match kind {
         DatasetKind::CleanClean => num_entities / 2,
         DatasetKind::Dirty => num_entities,
@@ -108,22 +108,22 @@ fn synthetic_blocks(
         if members.len() < 2 {
             continue;
         }
-        blocks.push(Block::new(format!("b{b}"), members));
+        blocks.push((format!("b{b}"), members));
     }
-    BlockCollection {
-        dataset_name: format!("{shape:?}-{kind:?}"),
+    CsrBlockCollection::from_blocks(
+        format!("{shape:?}-{kind:?}"),
         kind,
         split,
         num_entities,
         blocks,
-    }
+    )
 }
 
 /// Asserts that the tiled engine matches the flat reference bit for bit on
 /// one collection, for every thread count, with the given configuration.
-fn assert_engines_agree(blocks: &BlockCollection, tiled: &ScoreboardConfig, label: &str) {
-    let stats = BlockStats::new(blocks);
-    let candidates = CandidatePairs::from_blocks(blocks);
+fn assert_engines_agree(blocks: &CsrBlockCollection, tiled: &ScoreboardConfig, label: &str) {
+    let stats = BlockStats::from_csr(blocks);
+    let candidates = CandidatePairs::from_stats(&stats, 1);
     let context = FeatureContext::new(&stats, &candidates);
     let set = FeatureSet::all_schemes();
     let flat = ScoreboardConfig::flat();
@@ -225,8 +225,8 @@ fn contributions_of(stats: &BlockStats, a: EntityId) -> Vec<(u32, f64, f64)> {
 /// entity's contributions: same partners, ascending, sums folded in
 /// contribution order bit for bit.  One board serves every entity, so a
 /// drain that leaves state behind shows up on the next one.
-fn assert_radix_board_matches_naive_fold(blocks: &BlockCollection, tile: usize) {
-    let stats = BlockStats::new(blocks);
+fn assert_radix_board_matches_naive_fold(blocks: &CsrBlockCollection, tile: usize) {
+    let stats = BlockStats::from_csr(blocks);
     let mut board = RadixScoreboard::new(blocks.num_entities, &ScoreboardConfig::with_tile(tile));
     let mut drained = Vec::new();
     let mut partners_seen = 0usize;
@@ -268,34 +268,31 @@ fn tile_widths_do_not_change_output() {
 /// its own two-entity block, every seventh through a second, larger block as
 /// well, so sums fold more than one contribution — followed by entities with
 /// short runs.  For Clean-Clean the first source is entities `0..8`.
-fn hub_collection(kind: DatasetKind, hub_partners: usize) -> BlockCollection {
+fn hub_collection(kind: DatasetKind, hub_partners: usize) -> CsrBlockCollection {
     let first = 8u32;
     let num_entities = first as usize + hub_partners;
     let mut blocks = Vec::new();
     for i in 0..hub_partners as u32 {
-        blocks.push(Block::new(
-            format!("hub{i}"),
-            vec![EntityId(0), EntityId(first + i)],
-        ));
+        blocks.push((format!("hub{i}"), vec![EntityId(0), EntityId(first + i)]));
         if i % 7 == 0 {
             // Entities 1..4 share partners with the hub: short runs right
             // after the long one, on slots the long run used.
-            blocks.push(Block::new(
+            blocks.push((
                 format!("shared{i}"),
                 vec![EntityId(0), EntityId(1 + i % 3), EntityId(first + i)],
             ));
         }
     }
-    BlockCollection {
-        dataset_name: format!("hub-{kind:?}"),
+    CsrBlockCollection::from_blocks(
+        format!("hub-{kind:?}"),
         kind,
-        split: match kind {
+        match kind {
             DatasetKind::CleanClean => first as usize,
             DatasetKind::Dirty => num_entities,
         },
         num_entities,
         blocks,
-    }
+    )
 }
 
 #[test]
@@ -306,7 +303,7 @@ fn long_run_then_short_runs_on_one_worker_are_bit_identical() {
     // follow reuse the grown board.
     for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
         let blocks = hub_collection(kind, 4096 + 300);
-        let candidates = CandidatePairs::from_blocks(&blocks);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&blocks), 1);
         assert!(candidates.pairs_of(EntityId(0)).len() > 4096);
         assert!((1..4).all(|e| {
             let run = candidates.pairs_of(EntityId(e)).len();
@@ -328,18 +325,18 @@ fn partners_straddling_tile_boundaries_and_empty_tiles() {
     // the last, partially-filled tile (id 12).  Tiles 1 and 3 stay empty in
     // some blocks, and id 13 never co-occurs with 0 at all.
     let ids = |v: &[u32]| v.iter().copied().map(EntityId).collect::<Vec<_>>();
-    let blocks = BlockCollection {
-        dataset_name: "straddle".into(),
-        kind: DatasetKind::Dirty,
-        split: 14,
-        num_entities: 14,
-        blocks: vec![
-            Block::new("edge", ids(&[0, 3, 4])),
-            Block::new("mid", ids(&[0, 4, 10])),
-            Block::new("tail", ids(&[0, 10, 12])),
-            Block::new("other", ids(&[3, 12, 13])),
+    let blocks = CsrBlockCollection::from_blocks(
+        "straddle",
+        DatasetKind::Dirty,
+        14,
+        14,
+        [
+            ("edge", ids(&[0, 3, 4])),
+            ("mid", ids(&[0, 4, 10])),
+            ("tail", ids(&[0, 10, 12])),
+            ("other", ids(&[3, 12, 13])),
         ],
-    };
+    );
     for tile in [1usize, 4, 64] {
         assert_radix_board_matches_naive_fold(&blocks, tile);
     }
@@ -362,8 +359,8 @@ fn effective_tile_handles_degenerate_widths() {
 #[test]
 fn metrics_report_tile_scaled_scratch() {
     let blocks = synthetic_blocks(DatasetKind::Dirty, SchemeShape::Token, 400, 3);
-    let stats = BlockStats::new(&blocks);
-    let candidates = CandidatePairs::from_blocks(&blocks);
+    let stats = BlockStats::from_csr(&blocks);
+    let candidates = CandidatePairs::from_stats(&stats, 1);
     let context = FeatureContext::new(&stats, &candidates);
     let set = FeatureSet::all_schemes();
 

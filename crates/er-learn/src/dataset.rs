@@ -1,11 +1,10 @@
 //! Labelled training sets.
 
 use er_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A labelled training set: one feature vector and boolean label per instance
 /// (`true` = the pair is a match).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainingSet {
     features: Vec<Vec<f64>>,
     labels: Vec<bool>,

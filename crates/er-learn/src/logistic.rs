@@ -7,14 +7,13 @@
 //! *standardised* space (used to reproduce Table 6's model-variance analysis).
 
 use er_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::TrainingSet;
 use crate::model::{Classifier, ProbabilisticClassifier};
 use crate::scale::Standardizer;
 
 /// Training hyper-parameters for [`LogisticRegression`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegressionConfig {
     /// Gradient-descent learning rate.
     pub learning_rate: f64,
@@ -35,7 +34,7 @@ impl Default for LogisticRegressionConfig {
 }
 
 /// A trained logistic-regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     pub(crate) scaler: Standardizer,
     pub(crate) weights: Vec<f64>,

@@ -10,10 +10,9 @@
 //! the usual target smoothing for numerical robustness.
 
 use er_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A fitted Platt sigmoid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlattScaler {
     pub(crate) a: f64,
     pub(crate) b: f64,

@@ -8,11 +8,10 @@
 use er_core::{EntityId, Error, FxHashMap, GroundTruth, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A balanced sample of labelled candidate pairs, expressed as indices into
 /// the candidate-pair list it was drawn from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BalancedSample {
     /// Indices of the sampled pairs in the original candidate list.
     pub pair_indices: Vec<usize>,

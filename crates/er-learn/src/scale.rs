@@ -6,10 +6,8 @@
 //! then applied to every candidate pair at prediction time, exactly like
 //! scikit-learn's `StandardScaler` inside a pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-feature mean/standard-deviation scaler.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Standardizer {
     pub(crate) means: Vec<f64>,
     pub(crate) stds: Vec<f64>,

@@ -7,7 +7,6 @@
 
 use er_core::{Error, Result};
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::TrainingSet;
 use crate::model::{Classifier, ProbabilisticClassifier};
@@ -15,7 +14,7 @@ use crate::platt::PlattScaler;
 use crate::scale::Standardizer;
 
 /// Training hyper-parameters for [`LinearSvm`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvmConfig {
     /// Regularisation strength λ of the Pegasos objective.
     pub lambda: f64,
@@ -36,7 +35,7 @@ impl Default for LinearSvmConfig {
 }
 
 /// A trained linear SVM with probability calibration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvm {
     pub(crate) scaler: Standardizer,
     pub(crate) weights: Vec<f64>,

@@ -1,7 +1,7 @@
 //! Structured events: the low-rate, high-information side-channel.
 //!
 //! Metrics answer "how many / how fast"; events carry the rest — a
-//! degraded recovery's full [`RecoveryReport`]-shaped story, a fault
+//! degraded recovery's full `RecoveryReport`-shaped story, a fault
 //! injector's op log.  An [`Event`] is a name plus ordered key/value
 //! fields, pushed to the installed [`EventSink`].  The default sink is
 //! [`NoopSink`] and emission first checks one relaxed atomic, so

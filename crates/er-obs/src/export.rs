@@ -253,8 +253,7 @@ impl MetricsSnapshot {
         out
     }
 
-    /// The repository's hand-rolled JSON shape (the workspace's serde
-    /// shims are no-ops by design): a flat object of metric name →
+    /// The repository's hand-rolled JSON shape: a flat object of metric name →
     /// value, `{"count": n, "sum": s}` for histograms, and an object of
     /// label value → value for families.
     pub fn render_json(&self) -> String {

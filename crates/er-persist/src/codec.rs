@@ -1,9 +1,8 @@
 //! The hand-rolled little-endian binary codec behind every snapshot and
 //! WAL record.
 //!
-//! There is deliberately no `serde` here: the workspace's serde shims make
-//! derive-based serialisation a silent no-op, and a durability format wants
-//! explicit, versioned layouts anyway.  Every persisted type implements
+//! The workspace has no serialisation framework: a durability format wants
+//! explicit, versioned layouts.  Every persisted type implements
 //! [`Encode`]/[`Decode`] by hand against a [`Writer`]/[`Reader`] pair:
 //!
 //! * all integers are little-endian; `usize` travels as `u64`;

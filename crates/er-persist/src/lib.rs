@@ -3,8 +3,7 @@
 //! crash-recoverable, fault-tolerant store.
 //!
 //! * [`codec`] — explicit [`Encode`]/[`Decode`] implementations over a
-//!   [`Writer`]/[`Reader`] pair (no serde; the workspace's serde shims are
-//!   no-ops by design, and this format does not want them back — see the
+//!   [`Writer`]/[`Reader`] pair (no serialisation framework — see the
 //!   README's persistence section);
 //! * [`vfs`] — the filesystem seam everything above does its IO through:
 //!   [`StdVfs`] in production, the deterministic fault-injecting

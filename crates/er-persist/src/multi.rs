@@ -36,7 +36,7 @@
 //! the order above — what a `FaultVfs` logs, and so every crash point, is
 //! the same with or without the overlap.  The store owns exactly two image
 //! buffers, which the stages hand back and forth and every later checkpoint
-//! reuses (see [`ImageBuffers`]).
+//! reuses (see `ImageBuffers`).
 //!
 //! **Recovery** sweeps `*.tmp` files, a stale lock and uncommitted
 //! generations, then walks the fallback chain **as a unit**: a generation

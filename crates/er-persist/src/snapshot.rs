@@ -31,7 +31,7 @@
 //! load validates the file where it was read and moves the payload down over
 //! the header instead of copying it into a second buffer.
 //!
-//! All IO goes through a [`Vfs`]: production uses [`StdVfs`](crate::StdVfs),
+//! All IO goes through a [`Vfs`]: production uses [`StdVfs`],
 //! the fault-injection suites substitute a `FaultVfs`.  The `*_with`
 //! functions take the seam explicitly; the plain names are std-VFS
 //! conveniences with the default write-path [`RetryPolicy`].

@@ -322,16 +322,10 @@ mod tests {
         // A compaction publishes the folded baseline; the delta of the old
         // view stays reachable through the reader's earlier snapshot.
         let compacted = service.compact();
-        assert_eq!(
-            compacted.to_block_collection().blocks,
-            oracle.compact().to_block_collection().blocks
-        );
+        assert!(compacted.same_blocks(&oracle.compact()));
         let after = reader.load();
         assert!(after.last_delta.is_none());
-        assert_eq!(
-            after.baseline.to_block_collection().blocks,
-            compacted.to_block_collection().blocks
-        );
+        assert!(after.baseline.same_blocks(&compacted));
         assert_eq!(view.batches_applied, ds.num_entities() as u64);
     }
 
@@ -356,9 +350,6 @@ mod tests {
             assert_eq!(expected.retracted, got.retracted);
             assert_eq!(expected.rescored_pairs, got.rescored_pairs);
         }
-        assert_eq!(
-            a.compact().to_block_collection().blocks,
-            b.compact().to_block_collection().blocks
-        );
+        assert!(a.compact().same_blocks(&b.compact()));
     }
 }

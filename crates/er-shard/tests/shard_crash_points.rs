@@ -125,7 +125,9 @@ fn state_digest(
     num_entities: usize,
     num_alive: usize,
 ) -> u64 {
-    let blocks = view.to_block_collection().blocks;
+    let blocks: Vec<_> = (0..view.num_blocks())
+        .map(|b| (view.key(b), view.entities(b)))
+        .collect();
     er_core::crc64(format!("{blocks:?}|{num_entities}|{num_alive}").as_bytes())
 }
 

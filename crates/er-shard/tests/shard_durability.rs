@@ -58,7 +58,10 @@ fn script(dataset: &Dataset) -> Vec<MutationRecord> {
 
 /// Digest of the corpus-visible state: blocks plus liveness counters.
 fn digest<G: er_blocking::KeyGenerator>(service: &ShardedStreamingService<G>) -> u64 {
-    let blocks = service.view().to_block_collection().blocks;
+    let view = service.view();
+    let blocks: Vec<_> = (0..view.num_blocks())
+        .map(|b| (view.key(b), view.entities(b)))
+        .collect();
     er_core::crc64(
         format!(
             "{blocks:?}|{}|{}",

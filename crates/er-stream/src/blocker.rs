@@ -1000,10 +1000,7 @@ mod tests {
         blocker.ingest(&ds.profiles[2..]);
         let streamed = blocker.compact();
         let batch = build_blocks(&ds, &TokenKeys, 1);
-        assert_eq!(
-            streamed.to_block_collection().blocks,
-            batch.to_block_collection().blocks
-        );
+        assert!(streamed.same_blocks(&batch));
         assert_eq!(streamed.num_entities, batch.num_entities);
         assert_eq!(streamed.split, batch.split);
     }
@@ -1053,10 +1050,7 @@ mod tests {
         let survivors = surviving_dataset(&ds, &[victim], &[]);
         let streamed = blocker.compact();
         let batch = build_blocks(&survivors, &TokenKeys, 1);
-        assert_eq!(
-            streamed.to_block_collection().blocks,
-            batch.to_block_collection().blocks
-        );
+        assert!(streamed.same_blocks(&batch));
     }
 
     #[test]
@@ -1122,10 +1116,7 @@ mod tests {
         }
 
         let streamed = blocker.compact();
-        assert_eq!(
-            streamed.to_block_collection().blocks,
-            csr.to_block_collection().blocks
-        );
+        assert!(streamed.same_blocks(&csr));
     }
 
     #[test]
@@ -1158,10 +1149,7 @@ mod tests {
         let survivors = surviving_dataset(&ds, &[EntityId(2)], &[]);
         let streamed = blocker.compact();
         let batch = build_blocks(&survivors, &generator, 1);
-        assert_eq!(
-            streamed.to_block_collection().blocks,
-            batch.to_block_collection().blocks
-        );
+        assert!(streamed.same_blocks(&batch));
         let stats = er_blocking::BlockStats::from_csr(&batch);
         let candidates = er_blocking::CandidatePairs::from_stats(&stats, 1);
         let context = er_features::FeatureContext::new(&stats, &candidates);
@@ -1191,10 +1179,7 @@ mod tests {
                 unscored.index().candidates_of(entity)
             );
         }
-        assert_eq!(
-            scored.compact().to_block_collection().blocks,
-            unscored.compact().to_block_collection().blocks
-        );
+        assert!(scored.compact().same_blocks(&unscored.compact()));
     }
 
     #[test]

@@ -1925,10 +1925,7 @@ mod tests {
         let before = idx.view(1);
         let compacted = idx.compact(1);
         assert_eq!(idx.epoch(), 1);
-        assert_eq!(
-            before.to_block_collection().blocks,
-            compacted.to_block_collection().blocks
-        );
+        assert!(before.same_blocks(&compacted));
         // Ingest more after compaction; the view still merges base + delta.
         insert(&mut idx, &["a", "b"]);
         finish(&mut idx, &[EntityId(2)]);

@@ -780,10 +780,7 @@ mod tests {
             }
             let va = a.compact(1);
             let vb = DeltaIndex::compact(&mut b, 1);
-            assert_eq!(
-                va.to_block_collection().blocks,
-                vb.to_block_collection().blocks
-            );
+            assert!(va.same_blocks(&vb));
         }
     }
 
@@ -810,10 +807,7 @@ mod tests {
         assert_eq!(rebuilt.num_keys(), b.num_keys());
         assert_eq!(rebuilt.entity_rows, b.entity_rows);
         assert_eq!(rebuilt.entity_candidates, b.entity_candidates);
-        assert_eq!(
-            DeltaIndex::view(&rebuilt, 1).to_block_collection().blocks,
-            DeltaIndex::view(&b, 1).to_block_collection().blocks
-        );
+        assert!(DeltaIndex::view(&rebuilt, 1).same_blocks(&DeltaIndex::view(&b, 1)));
     }
 
     #[test]

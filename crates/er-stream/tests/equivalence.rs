@@ -98,12 +98,11 @@ fn assert_equivalence<G: KeyGenerator + Clone>(
     let batch = build_blocks(dataset, &generator, threads);
 
     // Blocks: bit-identical collection.
-    assert_eq!(
-        streamed.to_block_collection().blocks,
-        batch.to_block_collection().blocks,
+    assert!(
+        streamed.same_blocks(&batch),
         "{}: blocks diverged (split of {} batches, {threads} threads)",
         dataset.name,
-        split.len(),
+        split.len()
     );
     assert_eq!(streamed.num_entities, batch.num_entities);
     assert_eq!(streamed.split, batch.split);

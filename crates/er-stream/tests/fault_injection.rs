@@ -97,7 +97,10 @@ fn apply_step<G: er_blocking::KeyGenerator>(
 
 /// Digest of the logical streaming state.
 fn state_digest<G: er_blocking::KeyGenerator>(durable: &DurableMetaBlocker<G>) -> u64 {
-    let blocks = durable.view().to_block_collection().blocks;
+    let view = durable.view();
+    let blocks: Vec<_> = (0..view.num_blocks())
+        .map(|b| (view.key(b), view.entities(b)))
+        .collect();
     er_core::crc64(
         format!(
             "{blocks:?}|{}|{}",

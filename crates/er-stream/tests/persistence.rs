@@ -222,9 +222,8 @@ fn assert_end_state<G: KeyGenerator>(
         ground_truth: GroundTruth::from_pairs(Vec::new()),
     };
     let batch = build_blocks(&reference, generator, threads);
-    assert_eq!(
-        csr.to_block_collection().blocks,
-        batch.to_block_collection().blocks,
+    assert!(
+        csr.same_blocks(&batch),
         "recovered blocks diverged from the batch build"
     );
     let set = FeatureSet::all_schemes();
@@ -449,10 +448,7 @@ fn kill_point_between_wal_append_and_apply_replays_the_record() {
 
     let streamed = durable.compact().unwrap();
     let via_reference = reference.compact();
-    assert_eq!(
-        streamed.to_block_collection().blocks,
-        via_reference.to_block_collection().blocks
-    );
+    assert!(streamed.same_blocks(&via_reference));
     assert_end_state(
         &dataset,
         &generator,
@@ -474,7 +470,7 @@ fn torn_wal_tail_rolls_back_to_the_previous_batch_boundary() {
         .unwrap();
     let half = dataset.num_entities() / 2;
     durable.ingest_unscored(&dataset.profiles[..half]).unwrap();
-    let boundary_state = durable.view().to_block_collection().blocks;
+    let boundary_state = durable.view();
     durable.ingest_unscored(&dataset.profiles[half..]).unwrap();
     drop(durable);
 
@@ -486,7 +482,7 @@ fn torn_wal_tail_rolls_back_to_the_previous_batch_boundary() {
 
     let durable = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap();
     assert_eq!(durable.num_entities(), half);
-    assert_eq!(durable.view().to_block_collection().blocks, boundary_state);
+    assert!(durable.view().same_blocks(&boundary_state));
     // The torn tail is a normal crash artefact: reported, not degraded.
     let report = durable.recovery_report().unwrap();
     assert!(report.torn_tail_truncated);
@@ -525,7 +521,7 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
     durable.ingest_unscored(&dataset.profiles[..20]).unwrap();
     durable.checkpoint().unwrap(); // commits generation 1; generation 0 retained
     durable.ingest_unscored(&dataset.profiles[20..40]).unwrap();
-    let expected_blocks = durable.view().to_block_collection().blocks;
+    let expected_blocks = durable.view();
     let expected_seq = durable.wal_sequence();
     drop(durable);
 
@@ -550,9 +546,8 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
             .unwrap_or_else(|e| panic!("flip at byte {at}: fallback recovery failed: {e:?}"));
         assert_eq!(durable.num_entities(), 40, "flip at byte {at}");
         assert_eq!(durable.wal_sequence(), expected_seq, "flip at byte {at}");
-        assert_eq!(
-            durable.view().to_block_collection().blocks,
-            expected_blocks,
+        assert!(
+            durable.view().same_blocks(&expected_blocks),
             "flip at byte {at}: recovered state diverged"
         );
 

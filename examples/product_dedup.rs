@@ -10,7 +10,7 @@
 //! cargo run --release --example product_dedup
 //! ```
 
-use gsmb::blocking::{standard_blocking_workflow, BlockStats, CandidatePairs};
+use gsmb::blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs};
 use gsmb::core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth, PairId};
 use gsmb::eval::Effectiveness;
 use gsmb::features::{FeatureContext, FeatureMatrix, FeatureSet};
@@ -72,20 +72,21 @@ fn main() {
     .expect("dataset construction failed");
 
     // 1. Blocking.
-    let blocks = standard_blocking_workflow(&dataset);
+    let threads = gsmb::core::available_threads();
+    let blocks = standard_blocking_workflow_csr(&dataset, threads);
     println!("blocking produced {} blocks:", blocks.num_blocks());
-    for block in &blocks.blocks {
-        let members: Vec<String> = block
-            .entities
+    for b in 0..blocks.num_blocks() {
+        let members: Vec<String> = blocks
+            .entities(b)
             .iter()
             .map(|e| dataset.profile(*e).external_id.clone())
             .collect();
-        println!("  {:<12} {}", block.key, members.join(", "));
+        println!("  {:<12} {}", blocks.key(b), members.join(", "));
     }
 
     // 2. Candidate pairs and features.
-    let stats = BlockStats::new(&blocks);
-    let candidates = CandidatePairs::from_blocks(&blocks);
+    let stats = BlockStats::from_csr(&blocks);
+    let candidates = CandidatePairs::from_stats(&stats, threads);
     let context = FeatureContext::new(&stats, &candidates);
     let feature_set = FeatureSet::blast_optimal();
     let matrix = FeatureMatrix::build(&context, feature_set);
@@ -115,7 +116,7 @@ fn main() {
         })
         .collect();
     let scores = CachedScores::new(probabilities);
-    let pruner = AlgorithmKind::Blast.build(&blocks);
+    let pruner = AlgorithmKind::Blast.build_csr(&blocks);
     let retained = pruner.prune(&candidates, &scores);
 
     println!("\nretained pairs (probability, shop A record, shop B record, match?):");

@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use gsmb::blocking::{
-    block_filtering, block_purging, qgrams_blocking, suffix_array_blocking, BlockStats,
-    CandidatePairs, SuffixArrayConfig,
+    block_filtering_csr, block_purging_csr, qgrams_blocking_csr, suffix_array_blocking_csr,
+    BlockStats, CandidatePairs, CsrBlockCollection, SuffixArrayConfig,
 };
 use gsmb::core::PairId;
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
@@ -28,10 +28,10 @@ fn tiny_dataset() -> gsmb::core::Dataset {
 /// Runs the supervised meta-blocking core on an arbitrary block collection.
 fn run_on_blocks(
     dataset: &gsmb::core::Dataset,
-    blocks: gsmb::blocking::BlockCollection,
+    blocks: CsrBlockCollection,
 ) -> (Effectiveness, usize) {
-    let stats = BlockStats::new(&blocks);
-    let candidates = CandidatePairs::from_blocks(&blocks);
+    let stats = BlockStats::from_csr(&blocks);
+    let candidates = CandidatePairs::from_stats(&stats, 2);
     assert!(!candidates.is_empty());
     let context = FeatureContext::new(&stats, &candidates);
     let matrix = FeatureMatrix::build(&context, FeatureSet::blast_optimal());
@@ -60,7 +60,7 @@ fn run_on_blocks(
         })
         .collect();
     let scores = gsmb::meta::scoring::CachedScores::new(probabilities);
-    let pruner = AlgorithmKind::Blast.build(&blocks);
+    let pruner = AlgorithmKind::Blast.build_csr(&blocks);
     let retained = pruner.prune(&candidates, &scores);
     let retained_pairs: Vec<_> = retained.iter().map(|&id| candidates.pair(id)).collect();
     (
@@ -76,7 +76,8 @@ fn run_on_blocks(
 #[test]
 fn qgrams_blocking_supports_the_full_workflow() {
     let dataset = tiny_dataset();
-    let blocks = block_filtering(&block_purging(&qgrams_blocking(&dataset, 4)), 0.8);
+    let raw = qgrams_blocking_csr(&dataset, 4, 2);
+    let blocks = block_filtering_csr(&block_purging_csr(&raw), 0.8);
     let (quality, num_candidates) = run_on_blocks(&dataset, blocks);
     assert!(num_candidates > 0);
     assert!(quality.recall > 0.5, "q-grams recall too low: {quality}");
@@ -86,14 +87,15 @@ fn qgrams_blocking_supports_the_full_workflow() {
 #[test]
 fn suffix_array_blocking_supports_the_full_workflow() {
     let dataset = tiny_dataset();
-    let raw = suffix_array_blocking(
+    let raw = suffix_array_blocking_csr(
         &dataset,
         SuffixArrayConfig {
             min_length: 4,
             max_block_size: 60,
         },
+        2,
     );
-    let blocks = block_filtering(&block_purging(&raw), 0.8);
+    let blocks = block_filtering_csr(&block_purging_csr(&raw), 0.8);
     let (quality, num_candidates) = run_on_blocks(&dataset, blocks);
     assert!(num_candidates > 0);
     assert!(

@@ -79,10 +79,7 @@ fn streaming_state_survives_a_crash_through_the_facade() {
     assert_eq!(recovered.num_entities(), dataset.num_entities());
     let streamed = recovered.compact().unwrap();
     let batch = gsmb::blocking::build_blocks(&dataset, &gsmb::blocking::TokenKeys, 2);
-    assert_eq!(
-        streamed.to_block_collection().blocks,
-        batch.to_block_collection().blocks
-    );
+    assert!(streamed.same_blocks(&batch));
 }
 
 #[test]

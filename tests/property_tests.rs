@@ -7,10 +7,10 @@
 
 use gsmb::blocking::reference::{self, naive_candidate_pairs, NaiveBlockStats};
 use gsmb::blocking::{
-    block_filtering, block_purging, build_blocks, qgrams_blocking_csr,
-    standard_blocking_workflow_csr, suffix_array_blocking_csr, token_blocking_csr, Block,
-    BlockCollection, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection, KeyGenerator,
-    QGramKeys, SuffixArrayConfig, SuffixKeys, TokenKeys,
+    block_filtering_csr, block_purging_csr, build_blocks, filtering_keep_count,
+    qgrams_blocking_csr, standard_blocking_workflow_csr, suffix_array_blocking_csr,
+    token_blocking_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
+    KeyGenerator, QGramKeys, SuffixArrayConfig, SuffixKeys, TokenKeys,
 };
 use gsmb::core::{
     seeded_rng, Dataset, DatasetKind, EntityCollection, EntityId, EntityProfile, GroundTruth,
@@ -34,7 +34,17 @@ use rand::Rng;
 const CASES: u64 = 64;
 
 /// A random redundancy-positive block collection over a small entity space.
-fn random_collection(rng: &mut StdRng, kind: DatasetKind) -> BlockCollection {
+fn random_collection(rng: &mut StdRng, kind: DatasetKind) -> CsrBlockCollection {
+    random_collection_sized(rng, kind, 2..=6)
+}
+
+/// [`random_collection`] with each block drawing `sizes` members (fewer
+/// after deduplication).
+fn random_collection_sized(
+    rng: &mut StdRng,
+    kind: DatasetKind,
+    sizes: std::ops::RangeInclusive<usize>,
+) -> CsrBlockCollection {
     let (split, total) = match kind {
         DatasetKind::CleanClean => {
             let n1 = rng.gen_range(3usize..=12);
@@ -47,27 +57,21 @@ fn random_collection(rng: &mut StdRng, kind: DatasetKind) -> BlockCollection {
         }
     };
     let num_blocks = rng.gen_range(3usize..=20);
-    let blocks: Vec<Block> = (0..num_blocks)
+    let blocks: Vec<(String, Vec<EntityId>)> = (0..num_blocks)
         .map(|i| {
-            let size = rng.gen_range(2usize..=6);
+            let size = rng.gen_range(sizes.clone());
             let members: Vec<EntityId> = (0..size)
                 .map(|_| EntityId(rng.gen_range(0..total as u32)))
                 .collect();
-            Block::new(format!("k{i}"), members)
+            (format!("k{i}"), members)
         })
-        .filter(|b| b.is_useful(kind, split))
         .collect();
-    BlockCollection {
-        dataset_name: "prop".into(),
-        kind,
-        split,
-        num_entities: total,
-        blocks,
-    }
+    let all = CsrBlockCollection::from_blocks("prop", kind, split, total, blocks);
+    all.retain(|b| all.is_useful(b))
 }
 
 /// Runs `check` over `CASES` seeded Clean-Clean collections.
-fn for_random_clean_collections(test_seed: u64, mut check: impl FnMut(&BlockCollection, u64)) {
+fn for_random_clean_collections(test_seed: u64, mut check: impl FnMut(&CsrBlockCollection, u64)) {
     for case in 0..CASES {
         let seed = gsmb::core::rng::derive_seed(test_seed, case);
         let mut rng = seeded_rng(seed);
@@ -78,7 +82,10 @@ fn for_random_clean_collections(test_seed: u64, mut check: impl FnMut(&BlockColl
 
 /// Runs `check` over `CASES` seeded collections alternating Clean-Clean and
 /// Dirty ER.
-fn for_random_collections_both_kinds(test_seed: u64, mut check: impl FnMut(&BlockCollection, u64)) {
+fn for_random_collections_both_kinds(
+    test_seed: u64,
+    mut check: impl FnMut(&CsrBlockCollection, u64),
+) {
     for case in 0..CASES {
         let seed = gsmb::core::rng::derive_seed(test_seed, case);
         let mut rng = seeded_rng(seed);
@@ -181,20 +188,19 @@ fn parallel_blocking_matches_sequential_reference() {
         let qgram_ref = reference::qgrams_blocking(dataset, 3);
         let suffix_ref = reference::suffix_array_blocking(dataset, suffix_config);
         for threads in [1, 2, 4, 8] {
-            let token = token_blocking_csr(dataset, threads).to_block_collection();
-            assert_eq!(
-                token.blocks, token_ref.blocks,
+            let token = token_blocking_csr(dataset, threads);
+            assert!(
+                token.same_blocks(&token_ref),
                 "seed {seed} threads {threads}"
             );
-            let qgram = qgrams_blocking_csr(dataset, 3, threads).to_block_collection();
-            assert_eq!(
-                qgram.blocks, qgram_ref.blocks,
+            let qgram = qgrams_blocking_csr(dataset, 3, threads);
+            assert!(
+                qgram.same_blocks(&qgram_ref),
                 "seed {seed} threads {threads}"
             );
-            let suffix =
-                suffix_array_blocking_csr(dataset, suffix_config, threads).to_block_collection();
-            assert_eq!(
-                suffix.blocks, suffix_ref.blocks,
+            let suffix = suffix_array_blocking_csr(dataset, suffix_config, threads);
+            assert!(
+                suffix.same_blocks(&suffix_ref),
                 "seed {seed} threads {threads}"
             );
         }
@@ -300,17 +306,13 @@ fn boundary_profiles() -> Vec<EntityProfile> {
 fn assert_builds_match(
     dataset: &Dataset,
     generator: &dyn KeyGenerator,
-    expected: &BlockCollection,
+    expected: &CsrBlockCollection,
     context: &str,
 ) -> CsrBlockCollection {
     let mut last = None;
     for threads in [1, 2, 3, 8] {
         let csr = build_blocks(dataset, generator, threads);
-        assert_eq!(
-            csr.to_block_collection().blocks,
-            expected.blocks,
-            "{context} threads {threads}"
-        );
+        assert!(csr.same_blocks(expected), "{context} threads {threads}");
         assert_eq!(csr.num_entities, dataset.num_entities(), "{context}");
         for b in 0..csr.num_blocks() {
             let first = csr
@@ -407,54 +409,51 @@ fn block_building_matches_reference_on_adversarial_keys() {
     assert!(!keys(&suffix).contains(&"capfive".to_string()));
 }
 
-/// The CSR-native standard workflow (parallel Token Blocking + CSR Purging +
-/// CSR Filtering) equals the nested Vec<Block> workflow, and the statistics
-/// and candidates derived from the CSR representation equal the ones derived
-/// from the nested view.
+/// The standard workflow (parallel Token Blocking + CSR Purging + CSR
+/// Filtering) equals the sequential reference workflow, and the statistics
+/// and candidates derived from it equal the naive reference statistics and
+/// the hash-based reference extraction over the reference blocks.
 #[test]
 fn csr_workflow_matches_nested_workflow() {
     for_random_datasets(0x5021, |dataset, seed| {
-        let nested = block_filtering(
-            &block_purging(&reference::token_blocking(dataset)),
+        let expected = reference::block_filtering(
+            &reference::block_purging(&reference::token_blocking(dataset)),
             gsmb::blocking::DEFAULT_FILTERING_RATIO,
         );
+        let naive = NaiveBlockStats::from_csr(&expected);
+        let (naive_pairs, naive_counts) = naive_candidate_pairs(&expected);
         for threads in [1, 4] {
             let csr = standard_blocking_workflow_csr(dataset, threads);
-            let view = csr.to_block_collection();
-            assert_eq!(view.blocks, nested.blocks, "seed {seed} threads {threads}");
-            assert_eq!(view.num_entities, nested.num_entities, "seed {seed}");
+            assert!(csr.same_blocks(&expected), "seed {seed} threads {threads}");
+            assert_eq!(csr.num_entities, expected.num_entities, "seed {seed}");
 
-            let stats_csr = BlockStats::from_csr(&csr);
-            let stats_nested = BlockStats::new(&nested);
+            let stats = BlockStats::from_csr(&csr);
             assert_eq!(
-                stats_csr.total_comparisons(),
-                stats_nested.total_comparisons(),
+                stats.total_comparisons(),
+                naive.total_comparisons(),
                 "seed {seed}"
             );
-            for e in 0..nested.num_entities {
+            for e in 0..expected.num_entities {
                 let entity = EntityId(e as u32);
                 assert_eq!(
-                    stats_csr.blocks_of(entity),
-                    stats_nested.blocks_of(entity),
+                    stats.blocks_of(entity),
+                    naive.blocks_of(entity),
                     "seed {seed} entity {e}"
                 );
                 assert_eq!(
-                    stats_csr.entity_comparisons(entity),
-                    stats_nested.entity_comparisons(entity),
+                    stats.entity_comparisons(entity),
+                    naive.entity_comparisons(entity),
                     "seed {seed} entity {e}"
                 );
             }
 
-            if !nested.is_empty() {
-                let from_stats = CandidatePairs::from_stats(&stats_csr, threads);
-                let from_blocks = CandidatePairs::from_blocks(&nested);
-                assert_eq!(from_stats.pairs(), from_blocks.pairs(), "seed {seed}");
-                assert_eq!(
-                    from_stats.entity_candidate_counts(),
-                    from_blocks.entity_candidate_counts(),
-                    "seed {seed}"
-                );
-            }
+            let candidates = CandidatePairs::from_stats(&stats, threads);
+            assert_eq!(candidates.pairs(), naive_pairs.as_slice(), "seed {seed}");
+            assert_eq!(
+                candidates.entity_candidate_counts(),
+                naive_counts.as_slice(),
+                "seed {seed}"
+            );
         }
     });
 }
@@ -464,7 +463,7 @@ fn csr_workflow_matches_nested_workflow() {
 #[test]
 fn purging_and_filtering_only_shrink() {
     for_random_clean_collections(0x5011, |collection, seed| {
-        let purged = block_purging(collection);
+        let purged = block_purging_csr(collection);
         assert!(
             purged.total_comparisons() <= collection.total_comparisons(),
             "seed {seed}"
@@ -473,21 +472,64 @@ fn purging_and_filtering_only_shrink() {
             purged.num_blocks() <= collection.num_blocks(),
             "seed {seed}"
         );
-        let filtered = block_filtering(&purged, 0.8);
+        let filtered = block_filtering_csr(&purged, 0.8);
         assert!(
             filtered.total_comparisons() <= purged.total_comparisons(),
             "seed {seed}"
         );
-        for block in &filtered.blocks {
-            assert!(
-                block.is_useful(filtered.kind, filtered.split),
-                "seed {seed}"
-            );
-            for e in &block.entities {
+        for b in 0..filtered.num_blocks() {
+            assert!(filtered.is_useful(b), "seed {seed}");
+            for e in filtered.entities(b) {
                 assert!(e.index() < filtered.num_entities, "seed {seed}");
             }
         }
     });
+}
+
+/// Production Purging + Filtering equal the retained per-entity hash-set
+/// reference at every ratio, on Clean-Clean and Dirty collections — once
+/// with mixed block sizes and once with equal ones, where an entity's
+/// quota boundary falls between two blocks of the same size and only the
+/// block-index tie-break decides.
+#[test]
+fn filtering_matches_reference_at_every_ratio() {
+    let mut ties = 0usize;
+    for sizes in [2..=6, 3..=3] {
+        for case in 0..CASES {
+            let seed = gsmb::core::rng::derive_seed(0x5024, case);
+            let mut rng = seeded_rng(seed);
+            let kind = if case % 2 == 0 {
+                DatasetKind::CleanClean
+            } else {
+                DatasetKind::Dirty
+            };
+            let collection = random_collection_sized(&mut rng, kind, sizes.clone());
+            let purged = block_purging_csr(&collection);
+            let reference_purged = reference::block_purging(&collection);
+            assert!(purged.same_blocks(&reference_purged), "seed {seed}");
+            let stats = BlockStats::from_csr(&purged);
+            for ratio in [0.01, 0.35, 0.5, 0.8, 1.0] {
+                let filtered = block_filtering_csr(&purged, ratio);
+                let expected = reference::block_filtering(&reference_purged, ratio);
+                assert!(
+                    filtered.same_blocks(&expected),
+                    "seed {seed} sizes {sizes:?} ratio {ratio}"
+                );
+                for e in 0..stats.num_entities() {
+                    let mut sizes_of: Vec<u32> = stats
+                        .blocks_of(EntityId(e as u32))
+                        .iter()
+                        .map(|&b| stats.block_size(b))
+                        .collect();
+                    sizes_of.sort_unstable();
+                    let keep = filtering_keep_count(sizes_of.len(), ratio);
+                    ties +=
+                        usize::from(keep < sizes_of.len() && sizes_of[keep - 1] == sizes_of[keep]);
+                }
+            }
+        }
+    }
+    assert!(ties > 0, "no entity's quota boundary fell on a size tie");
 }
 
 /// The candidate-pair set contains each comparable pair at most once and its
@@ -495,7 +537,7 @@ fn purging_and_filtering_only_shrink() {
 #[test]
 fn candidate_pairs_are_distinct_and_consistent() {
     for_random_collections_both_kinds(0x5012, |collection, seed| {
-        let candidates = CandidatePairs::from_blocks(collection);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(collection), 1);
         let mut seen = std::collections::HashSet::new();
         let mut degree = vec![0u32; collection.num_entities];
         for &(a, b) in candidates.pairs() {
@@ -520,8 +562,8 @@ fn candidate_pairs_are_distinct_and_consistent() {
 #[test]
 fn csr_block_stats_match_naive_reference() {
     for_random_collections_both_kinds(0x5013, |collection, seed| {
-        let stats = BlockStats::new(collection);
-        let naive = NaiveBlockStats::new(collection);
+        let stats = BlockStats::from_csr(collection);
+        let naive = NaiveBlockStats::from_csr(collection);
         for e in 0..collection.num_entities {
             let entity = EntityId(e as u32);
             assert_eq!(
@@ -555,17 +597,9 @@ fn csr_block_stats_match_naive_reference() {
 fn candidate_extraction_matches_naive_reference() {
     for_random_collections_both_kinds(0x5014, |collection, seed| {
         let (naive_pairs, naive_counts) = naive_candidate_pairs(collection);
-        let candidates = CandidatePairs::from_blocks(collection);
-        assert_eq!(candidates.pairs(), naive_pairs.as_slice(), "seed {seed}");
-        assert_eq!(
-            candidates.entity_candidate_counts(),
-            naive_counts.as_slice(),
-            "seed {seed}"
-        );
-
-        let stats = BlockStats::new(collection);
+        let stats = BlockStats::from_csr(collection);
         for threads in [1, 2, 4] {
-            let parallel = CandidatePairs::from_blocks_with_stats(collection, &stats, threads);
+            let parallel = CandidatePairs::from_stats(&stats, threads);
             assert_eq!(
                 parallel.pairs(),
                 naive_pairs.as_slice(),
@@ -620,9 +654,8 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
         for (name, generator) in generators {
             let context = format!("seed {seed} {name}");
             let csr = build_blocks(&dataset, generator, 2);
-            let nested = csr.to_block_collection();
             let stats = BlockStats::from_csr(&csr);
-            let (naive_pairs, naive_counts) = naive_candidate_pairs(&nested);
+            let (naive_pairs, naive_counts) = naive_candidate_pairs(&csr);
             non_empty += usize::from(!naive_pairs.is_empty());
             let assert_is_naive = |candidates: &CandidatePairs, what: &str| {
                 assert_eq!(
@@ -658,16 +691,11 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
                 }
                 assert_eq!(cursor, naive_pairs.len(), "{context} {what}");
             };
-            assert_is_naive(&CandidatePairs::from_blocks(&nested), "from_blocks");
             for threads in [1, 2, 3, 8] {
                 let what = format!("threads {threads}");
                 assert_is_naive(
                     &CandidatePairs::try_from_stats(&stats, threads).unwrap(),
                     &format!("try_from_stats {what}"),
-                );
-                assert_is_naive(
-                    &CandidatePairs::from_blocks_with_stats(&nested, &stats, threads),
-                    &format!("from_blocks_with_stats {what}"),
                 );
                 assert_is_naive(
                     &CandidateStream::from_stats(&stats, threads)
@@ -754,31 +782,23 @@ fn hub_collection(
     first_source: u32,
     num_entities: usize,
     partners: &[u32],
-) -> BlockCollection {
+) -> CsrBlockCollection {
     let mut blocks = Vec::new();
     for (i, &p) in partners.iter().enumerate() {
         assert!(p >= first_source && (p as usize) < num_entities);
-        blocks.push(Block::new(
-            format!("hub{i}"),
-            vec![EntityId(0), EntityId(p)],
-        ));
+        blocks.push((format!("hub{i}"), vec![EntityId(0), EntityId(p)]));
         if i % 3 == 0 {
-            blocks.push(Block::new(
+            blocks.push((
                 format!("shared{i}"),
                 vec![EntityId(0), EntityId(1 + (i as u32 / 3) % 3), EntityId(p)],
             ));
         }
     }
-    BlockCollection {
-        dataset_name: "hub".into(),
-        kind,
-        split: match kind {
-            DatasetKind::CleanClean => first_source as usize,
-            DatasetKind::Dirty => num_entities,
-        },
-        num_entities,
-        blocks,
-    }
+    let split = match kind {
+        DatasetKind::CleanClean => first_source as usize,
+        DatasetKind::Dirty => num_entities,
+    };
+    CsrBlockCollection::from_blocks("hub", kind, split, num_entities, blocks)
 }
 
 /// The candidate-aligned board against the flat oracle, bit for bit, on
@@ -847,8 +867,8 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
         // Hub: 4 500 partners, ids 8..4508.
         let partners: Vec<u32> = (8..8 + 4500).collect();
         let hub = hub_collection(kind, 8, 8 + 4500, &partners);
-        let stats = BlockStats::new(&hub);
-        let candidates = CandidatePairs::from_blocks(&hub);
+        let stats = BlockStats::from_csr(&hub);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         assert!(candidates.pairs_of(EntityId(0)).len() > 4096, "{kind:?}");
         for e in 1..4 {
             let run = candidates.pairs_of(EntityId(e)).len();
@@ -897,8 +917,8 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
         colliding.dedup();
         assert_eq!(colliding.len(), 12);
         let collisions = hub_collection(kind, 8, num_entities, &colliding);
-        let stats = BlockStats::new(&collisions);
-        let candidates = CandidatePairs::from_blocks(&collisions);
+        let stats = BlockStats::from_csr(&collisions);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         assert_eq!(
             candidates.pairs_of(EntityId(0)).len(),
             12 + usize::from(kind == DatasetKind::Dirty) * 3
@@ -919,8 +939,8 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
 #[test]
 fn feature_matrix_matches_naive_reference() {
     for_random_collections_both_kinds(0x5015, |collection, seed| {
-        let stats = BlockStats::new(collection);
-        let candidates = CandidatePairs::from_blocks(collection);
+        let stats = BlockStats::from_csr(collection);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         if candidates.is_empty() {
             return;
         }
@@ -954,8 +974,8 @@ fn feature_matrix_matches_naive_reference() {
 #[test]
 fn weighting_schemes_bounds_and_symmetry() {
     for_random_clean_collections(0x5016, |collection, seed| {
-        let stats = BlockStats::new(collection);
-        let candidates = CandidatePairs::from_blocks(collection);
+        let stats = BlockStats::from_csr(collection);
+        let candidates = CandidatePairs::from_stats(&stats, 1);
         let ctx = FeatureContext::new(&stats, &candidates);
         for &(a, b) in candidates.pairs().iter().take(50) {
             for scheme in Scheme::ALL {
@@ -983,7 +1003,7 @@ fn weighting_schemes_bounds_and_symmetry() {
 #[test]
 fn pruning_invariants() {
     for_random_clean_collections(0x5017, |collection, seed| {
-        let candidates = CandidatePairs::from_blocks(collection);
+        let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(collection), 1);
         if candidates.is_empty() {
             return;
         }
@@ -992,10 +1012,10 @@ fn pruning_invariants() {
             .map(|_| rng.gen_range(0.0..=1.0))
             .collect();
         let scores = CachedScores::new(probabilities.clone());
-        let thresholds = CardinalityThresholds::from_blocks(collection);
+        let thresholds = CardinalityThresholds::from_csr(collection);
 
         let run = |kind: AlgorithmKind| -> std::collections::HashSet<_> {
-            kind.build(collection)
+            kind.build_csr(collection)
                 .prune(&candidates, &scores)
                 .into_iter()
                 .collect()
