@@ -1,5 +1,6 @@
 //! Micro-bench: durability cost and crash-recovery speed on the fig7/9
-//! workload (the two largest Clean-Clean catalog datasets).
+//! workload (the two largest Clean-Clean catalog datasets), measured on the
+//! unsharded durable blocker: a `DurableShardedService` with one shard.
 //!
 //! Three questions, answered per dataset:
 //!
@@ -30,7 +31,8 @@ use er_blocking::{build_blocks, TokenKeys};
 use er_core::{Dataset, EntityId};
 use er_datasets::{generate_catalog_dataset, DatasetName};
 use er_features::FeatureSet;
-use er_stream::{surviving_dataset, DurableMetaBlocker, StreamingConfig, StreamingMetaBlocker};
+use er_shard::{DurableShardedService, ShardedStreamingService};
+use er_stream::{surviving_dataset, StreamingConfig};
 
 const BATCH: usize = 64;
 
@@ -51,13 +53,18 @@ fn config(dataset: &Dataset, threads: usize) -> StreamingConfig {
     }
 }
 
+/// An empty unsharded (one-shard) service.
+fn service(dataset: &Dataset, threads: usize) -> ShardedStreamingService<TokenKeys> {
+    ShardedStreamingService::new(config(dataset, threads), TokenKeys, 1).unwrap()
+}
+
 /// Ingests the whole corpus in fixed-size batches (plain, in-memory).
-fn ingest_all(dataset: &Dataset, threads: usize) -> StreamingMetaBlocker<TokenKeys> {
-    let mut blocker = StreamingMetaBlocker::new(config(dataset, threads), TokenKeys);
+fn ingest_all(dataset: &Dataset, threads: usize) -> ShardedStreamingService<TokenKeys> {
+    let mut service = service(dataset, threads);
     for chunk in dataset.profiles.chunks(BATCH) {
-        criterion::black_box(blocker.ingest(chunk));
+        criterion::black_box(service.ingest(chunk));
     }
-    blocker
+    service
 }
 
 fn main() {
@@ -77,9 +84,7 @@ fn main() {
         // batch build of the surviving corpus.
         {
             let dir = scratch(&format!("{name}-gate"));
-            let mut durable = StreamingMetaBlocker::new(config(&dataset, threads), TokenKeys)
-                .persist_to(&dir)
-                .unwrap();
+            let mut durable = service(&dataset, threads).persist_to(&dir).unwrap();
             for chunk in dataset.profiles.chunks(BATCH) {
                 durable.ingest(chunk).unwrap();
             }
@@ -90,7 +95,8 @@ fn main() {
                 .collect();
             durable.remove(&removed).unwrap();
             drop(durable); // crash with the whole history in the WAL tail
-            let mut recovered = DurableMetaBlocker::recover_from(&dir, TokenKeys, threads).unwrap();
+            let mut recovered =
+                DurableShardedService::recover_from(&dir, TokenKeys, threads).unwrap();
             let survivors = surviving_dataset(&dataset, &removed, &[]);
             let streamed = recovered.compact().unwrap();
             let batch = build_blocks(&survivors, &TokenKeys, threads);
@@ -107,9 +113,7 @@ fn main() {
             plain_total += start.elapsed().as_secs_f64();
 
             let dir = scratch(&format!("{name}-wal"));
-            let mut durable = StreamingMetaBlocker::new(config(&dataset, threads), TokenKeys)
-                .persist_to(&dir)
-                .unwrap();
+            let mut durable = service(&dataset, threads).persist_to(&dir).unwrap();
             let start = Instant::now();
             for chunk in dataset.profiles.chunks(BATCH) {
                 criterion::black_box(durable.ingest(chunk).unwrap());
@@ -179,9 +183,7 @@ fn main() {
         for checkpoint_fraction in [1.0f64, 0.9, 0.75, 0.5] {
             let checkpoint_at = ((n as f64 * checkpoint_fraction) as usize).min(n);
             let dir = scratch(&format!("{name}-recover-{checkpoint_at}"));
-            let mut durable = StreamingMetaBlocker::new(config(&dataset, threads), TokenKeys)
-                .persist_to(&dir)
-                .unwrap();
+            let mut durable = service(&dataset, threads).persist_to(&dir).unwrap();
             for chunk in dataset.profiles[..checkpoint_at].chunks(BATCH) {
                 durable.ingest(chunk).unwrap();
             }
@@ -194,7 +196,7 @@ fn main() {
             let start = Instant::now();
             for _ in 0..repetitions {
                 criterion::black_box(
-                    DurableMetaBlocker::recover_from(&dir, TokenKeys, threads).unwrap(),
+                    DurableShardedService::recover_from(&dir, TokenKeys, threads).unwrap(),
                 );
             }
             let recovery = start.elapsed().as_secs_f64() / repetitions as f64;

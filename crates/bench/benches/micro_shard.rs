@@ -166,7 +166,7 @@ fn main() {
         .persist_to(&dir)
         .unwrap();
     let before = grouped.wal_syncs();
-    grouped.apply_group_unscored(&queue).unwrap();
+    grouped.apply_group(&queue).unwrap();
     let grouped_syncs = grouped.wal_syncs() - before;
 
     let dir = scratch("single");
@@ -175,11 +175,8 @@ fn main() {
         .persist_to(&dir)
         .unwrap();
     let before = single.wal_syncs();
-    for record in &queue {
-        match record {
-            MutationRecord::Ingest(p) => single.ingest_unscored(p).unwrap(),
-            _ => unreachable!(),
-        };
+    for profile in &dataset.profiles[..group_len] {
+        single.ingest(std::slice::from_ref(profile)).unwrap();
     }
     let single_syncs = single.wal_syncs() - before;
 

@@ -35,18 +35,15 @@ use er_persist::{
     decode_snapshot_payload, Decode, Encode, Reader, RecoveryReport, RetryPolicy, StdVfs, Vfs,
     Writer,
 };
-use er_stream::persist::{
-    decode_feature_set, encode_ingest_record, encode_remove_record, encode_update_record,
-    stream_fingerprint, MutationLog, MutationRecord,
-};
-use er_stream::{DeltaBatch, StreamingMetaBlocker};
+use er_stream::persist::{decode_feature_set, encode_record, stream_fingerprint, MutationLog};
+use er_stream::{DeltaBatch, MutationRef, StreamingMetaBlocker};
 
 use crate::live_view::LiveView;
 use crate::progressive::StreamingSchedule;
 use crate::streaming::{CleanedState, StreamingPipeline};
 
-/// Snapshot payload tag for pipeline snapshots (distinct from the
-/// blocker-level tag, so the two kinds of root never mix).
+/// Snapshot payload tag for pipeline snapshots (distinct from the sharded
+/// service's tag, so the two kinds of root never mix).
 pub const PIPELINE_SNAPSHOT_TAG: u32 = 0x5050_4c31; // "PPL1"
 
 /// The head snapshot: everything a pipeline needs beyond its index and the
@@ -202,11 +199,7 @@ impl DurableStreamingPipeline {
         // model reproduces every probability, so the schedule and view
         // move exactly as in the original run.
         for record in &replay.records {
-            match record {
-                MutationRecord::Ingest(profiles) => inner.ingest(profiles),
-                MutationRecord::Remove(ids) => inner.remove(ids),
-                MutationRecord::Update(updates) => inner.update(updates),
-            };
+            inner.apply(record.into());
         }
         let log = pending.finish(&PipelineHead::capture(&inner), &[inner.blocker().index()])?;
         Ok(DurableStreamingPipeline { inner, log })
@@ -246,8 +239,7 @@ impl DurableStreamingPipeline {
 
     /// Logs one ingest batch, then applies it through the pipeline.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
-        Ok(self.inner.ingest(profiles))
+        self.log_and_apply(MutationRef::Ingest(profiles))
     }
 
     /// Logs one removal batch, then applies it through the pipeline.
@@ -258,8 +250,7 @@ impl DurableStreamingPipeline {
     /// batch never poisons the log.
     pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
         self.inner.blocker().assert_remove_batch(ids);
-        self.log.append(|seq| encode_remove_record(seq, ids))?;
-        Ok(self.inner.remove(ids))
+        self.log_and_apply(MutationRef::Remove(ids))
     }
 
     /// Logs one update batch, then applies it through the pipeline.
@@ -269,8 +260,12 @@ impl DurableStreamingPipeline {
     /// the WAL append, so an invalid batch never poisons the log.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
         self.inner.blocker().assert_update_batch(updates);
-        self.log.append(|seq| encode_update_record(seq, updates))?;
-        Ok(self.inner.update(updates))
+        self.log_and_apply(MutationRef::Update(updates))
+    }
+
+    fn log_and_apply(&mut self, mutation: MutationRef<'_>) -> PersistResult<DeltaBatch> {
+        self.log.append(|seq| encode_record(seq, mutation))?;
+        Ok(self.inner.apply(mutation))
     }
 
     /// Emits the next up-to-`budget` comparisons (see

@@ -20,7 +20,7 @@ use er_blocking::{
 use er_core::{Dataset, EntityId, EntityProfile, FxHashMap, PairId, Result};
 use er_features::{for_each_scored_chunk, FeatureContext, StreamFeatureContext};
 use er_learn::{balanced_undersample, ProbabilisticClassifier, TrainingSet};
-use er_stream::{DeltaBatch, StreamingConfig, StreamingMetaBlocker};
+use er_stream::{DeltaBatch, MutationRef, StreamingConfig, StreamingMetaBlocker};
 
 use crate::live_view::LiveView;
 use crate::pipeline::MetaBlockingConfig;
@@ -120,9 +120,10 @@ impl StreamingPipeline {
         };
         let mut blocker =
             StreamingMetaBlocker::new(stream_config, TokenKeys).with_model(Box::new(model.clone()));
-        // Seed the index through the unscored ingestion path (same postings,
-        // statistics and LCP counters; no duplicate feature pass).
-        blocker.ingest_unscored(&seed_corpus.profiles);
+        // Seed the index unscored and straight from the borrowed corpus
+        // (same postings, statistics and LCP counters; no duplicate feature
+        // pass, no copy of the profiles).
+        blocker.apply(MutationRef::Ingest(&seed_corpus.profiles), false);
 
         // Seed the schedule through the streamed chunk walk: chunks arrive
         // in ascending pair order, so the absorbed stamps are identical to
@@ -249,25 +250,27 @@ impl StreamingPipeline {
     /// model, and the progressive schedule re-ranks (absorbing the new
     /// pairs, dropping any retractions).  Returns the raw delta.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        let delta = self.blocker.ingest(profiles);
-        self.apply_delta(&delta);
-        delta
+        self.apply(MutationRef::Ingest(profiles))
     }
 
     /// Removes a batch of entities: their pairs leave the schedule, pairs
     /// revived by shrinking capped blocks enter it, and in cleaned mode the
     /// live view re-derives the affected cleaning decisions.
     pub fn remove(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        let delta = self.blocker.remove(ids);
-        self.apply_delta(&delta);
-        delta
+        self.apply(MutationRef::Remove(ids))
     }
 
     /// Applies in-place profile updates: lost pairs leave the schedule, new
     /// pairs enter it, and surviving pairs of the updated entities are
     /// re-ranked to their fresh probabilities.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        let delta = self.blocker.update(updates);
+        self.apply(MutationRef::Update(updates))
+    }
+
+    /// Applies one scored mutation batch and feeds its delta to the
+    /// schedule — the path of the three methods above and of WAL replay.
+    pub(crate) fn apply(&mut self, mutation: MutationRef<'_>) -> DeltaBatch {
+        let delta = self.blocker.apply(mutation, true);
         self.apply_delta(&delta);
         delta
     }

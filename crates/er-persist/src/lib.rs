@@ -27,7 +27,7 @@
 //! models (`er_learn::SavedModel`), `er-eval` persists `PreparedDataset`s,
 //! and `er_stream::persist::MutationLog` runs the write-ahead protocol
 //! (log a mutation, checkpoint, recover + replay) over a [`ShardStore`]
-//! for the three durable wrappers.
+//! for both durable wrappers.
 //!
 //! All error paths are typed ([`er_core::PersistError`]): corrupt bytes,
 //! version skews, truncated records and mismatched fingerprints are

@@ -45,7 +45,11 @@
 //! generation, where each replays a longer WAL chain (`wal.<g>` through
 //! `wal.<committed>`) to the same committed boundary.  A lost or corrupt
 //! manifest is rebuilt from the newest complete set on disk.  Everything
-//! that happened is accounted for in the [`RecoveryReport`].
+//! that happened is accounted for in the [`RecoveryReport`].  A committed
+//! set whose head and members all carry another payload tag is no
+//! corruption but a root some other wrapper wrote: recovery refuses it with
+//! [`PersistError::BadMagic`] before it sweeps, removes or quarantines
+//! anything.
 //!
 //! Two failure classes are deliberately **not** degraded around: a corrupt
 //! record in the *middle* of a needed WAL is a fatal
@@ -65,8 +69,8 @@ use er_core::{crc64, PersistError, PersistResult};
 use crate::codec::{Encode, Reader, Writer};
 use crate::generation::{quarantine, StoreLock, RETAINED_GENERATIONS};
 use crate::snapshot::{
-    read_snapshot_bytes_with, snapshot_file_bytes, sweep_tmp_files, write_file_atomic,
-    write_snapshot_image, FORMAT_VERSION,
+    read_snapshot_bytes_with, snapshot_file_bytes, snapshot_payload_tag, sweep_tmp_files,
+    write_file_atomic, write_snapshot_image, FORMAT_VERSION,
 };
 use crate::vfs::{RetryPolicy, StdVfs, Vfs};
 use crate::wal::{read_wal_with, WalWriter};
@@ -253,6 +257,30 @@ impl ShardStore {
         let obs = crate::obs::obs();
         obs.recoveries.inc();
         let recovery_timer = obs.recovery_ns.start_timer();
+
+        // Read-only first: the manifest and the committed generation set.
+        // A root some other wrapper wrote is refused here, before anything
+        // in it is swept, removed or quarantined.
+        let manifest = read_shard_manifest(vfs.as_ref(), dir);
+        let mut committed_set = None;
+        if let Ok((found, num_shards, committed)) = manifest {
+            if let Some(expected) = expected_fingerprint.filter(|&expected| expected != found) {
+                return Err(PersistError::FingerprintMismatch { expected, found });
+            }
+            let set = load_generation_set(
+                vfs.as_ref(),
+                dir,
+                committed,
+                num_shards,
+                payload_tag,
+                Some(found),
+            );
+            if set.is_err() {
+                refuse_foreign_root(vfs.as_ref(), dir, committed, num_shards, payload_tag)?;
+            }
+            committed_set = Some(set);
+        }
+
         let mut report = RecoveryReport {
             tmp_files_removed: sweep_tmp_files(vfs.as_ref(), dir)?,
             ..RecoveryReport::default()
@@ -271,12 +299,8 @@ impl ShardStore {
         // The manifest is the one cross-shard commit pointer.  If it is
         // unreadable but complete generation sets exist, infer the newest
         // one and treat the recovery as degraded.
-        let (fingerprint_hint, num_shards, committed) = match read_shard_manifest(vfs.as_ref(), dir)
-        {
-            Ok(manifest) => {
-                let (fingerprint, num_shards, committed) = manifest;
-                (Some(fingerprint), num_shards, committed)
-            }
+        let (fingerprint_hint, num_shards, committed) = match manifest {
+            Ok((fingerprint, num_shards, committed)) => (Some(fingerprint), num_shards, committed),
             Err(manifest_err) => {
                 match newest_complete_generation(vfs.as_ref(), dir, payload_tag)? {
                     Some((generation, num_shards)) => {
@@ -287,11 +311,6 @@ impl ShardStore {
                 }
             }
         };
-        if let (Some(expected), Some(found)) = (expected_fingerprint, fingerprint_hint) {
-            if expected != found {
-                return Err(PersistError::FingerprintMismatch { expected, found });
-            }
-        }
         report.committed_generation = committed;
         report.stale_generations_removed =
             remove_uncommitted_generations(vfs.as_ref(), dir, committed)?;
@@ -301,20 +320,22 @@ impl ShardStore {
         // corrupt member quarantines and sends *all* shards back one
         // generation, so no shard can recover ahead of its siblings.
         let expected_fingerprint = expected_fingerprint.or(fingerprint_hint);
-        let mut generation = committed;
-        let (router_payload, shard_payloads, fingerprint, generation) = loop {
-            report.generations_tried += 1;
-            match load_generation_set(
+        let load = |generation| {
+            load_generation_set(
                 vfs.as_ref(),
                 dir,
                 generation,
                 num_shards,
                 payload_tag,
                 expected_fingerprint,
-            ) {
-                Ok((router_payload, shard_payloads, fingerprint)) => {
-                    break (router_payload, shard_payloads, fingerprint, generation)
-                }
+            )
+        };
+        let mut generation = committed;
+        let mut attempt = committed_set.unwrap_or_else(|| load(committed));
+        let (router_payload, shard_payloads, fingerprint) = loop {
+            report.generations_tried += 1;
+            match attempt {
+                Ok(set) => break set,
                 Err((bad_file, err)) => {
                     if let Some(path) = bad_file {
                         quarantine(vfs.as_ref(), dir, &path, &mut report)?;
@@ -323,6 +344,7 @@ impl ShardStore {
                         return Err(err);
                     }
                     generation -= 1;
+                    attempt = load(generation);
                 }
             }
         };
@@ -685,6 +707,43 @@ fn load_generation_set(
         shard_payloads.push(payload);
     }
     Ok((router_payload, shard_payloads, fingerprint))
+}
+
+/// Refuses a root another wrapper wrote.  When generation `generation`'s
+/// head and every member carry one payload tag other than `payload_tag`,
+/// the set is intact, just not this caller's: recovering it would
+/// quarantine every generation as corrupt.  A tag that disagrees *within*
+/// the set is corruption, left to the fallback chain.  Reads the set again,
+/// so it runs only after loading it failed.
+fn refuse_foreign_root(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    generation: u64,
+    num_shards: u32,
+    payload_tag: u32,
+) -> PersistResult<()> {
+    let tag_of = |path: PathBuf| snapshot_payload_tag(&vfs.read(&path).ok()?);
+    let members_agree = |tag: &u32| {
+        (0..num_shards)
+            .all(|shard| tag_of(shard_snapshot_path(dir, shard, generation)) == Some(*tag))
+    };
+    let found = tag_of(router_path(dir, generation)).filter(|&tag| tag != payload_tag);
+    let Some(found) = found.filter(members_agree) else {
+        return Ok(());
+    };
+    let name = |tag: u32| {
+        format!(
+            "{tag:#010x} ({})",
+            String::from_utf8_lossy(&tag.to_be_bytes())
+        )
+    };
+    Err(PersistError::BadMagic {
+        context: format!(
+            "root {dir:?} holds snapshots tagged {}, not the expected {}",
+            name(found),
+            name(payload_tag)
+        ),
+    })
 }
 
 /// The newest generation with a complete snapshot set in `dir`, with its

@@ -272,6 +272,14 @@ fn validated_payload<'a>(
     Ok((payload, fingerprint))
 }
 
+/// The payload tag in a snapshot image's header, when the image opens with
+/// this format's magic and version.
+pub(crate) fn snapshot_payload_tag(data: &[u8]) -> Option<u32> {
+    let mut r = Reader::new(data);
+    let header_ok = r.read_raw(8).ok()? == SNAPSHOT_MAGIC && r.read_u32().ok()? == FORMAT_VERSION;
+    header_ok.then(|| r.read_u32().ok()).flatten()
+}
+
 fn read_file(vfs: &dyn Vfs, path: &Path) -> PersistResult<Vec<u8>> {
     vfs.read(path)
         .map_err(|e| PersistError::io(format!("read snapshot {path:?}"), &e))

@@ -23,7 +23,7 @@
 //! ([`FaultVfs::op_count`], [`FaultVfs::op_log`]), so a test can first run
 //! a trace against a counting instance, then re-run it once per operation
 //! index with a crash or fault planted there — the ALICE-style exploration
-//! in `er-stream/tests/crash_points.rs`.
+//! in `er-shard/tests/crash_points.rs`.
 //!
 //! The trait is path-based (no open-handle state): appends and syncs name
 //! the file each time.  The write paths are fsync-bound, so the extra

@@ -9,9 +9,12 @@
 //! feature-set id plus the cross-shard router state, and replay is
 //! unscored.  A checkpoint flips a single manifest — the only commit
 //! point, so no shard can ever recover to a different batch boundary than
-//! its siblings (the ALICE-style `shard_crash_points` suite kills the
+//! its siblings (the ALICE-style `crash_points` suite kills the
 //! process at every VFS operation of a sharded checkpoint and asserts
 //! exactly that).
+//!
+//! With `num_shards = 1` this is also the durable *unsharded* blocker: one
+//! member, one WAL, and replay through the same dispatch.
 //!
 //! Striping records round-robin over the per-shard WALs is what makes
 //! **group commit** effective:
@@ -32,13 +35,10 @@ use er_persist::{
     decode_snapshot_payload, Decode, Encode, Reader, RecoveryReport, RetryPolicy, StdVfs, Vfs,
     Writer,
 };
-use er_stream::persist::{
-    decode_feature_set, encode_ingest_record, encode_remove_record, encode_update_record,
-    MutationLog,
-};
+use er_stream::persist::{decode_feature_set, encode_record, MutationLog};
 use er_stream::{
-    DeltaBatch, DeltaIndex, MutationRecord, ShardRouterState, ShardedIndex, StreamingIndex,
-    StreamingMetaBlocker,
+    DeltaBatch, DeltaIndex, MutationRecord, MutationRef, ShardRouterState, ShardedIndex,
+    StreamingIndex, StreamingMetaBlocker,
 };
 
 use crate::epoch::{EpochReader, EpochView};
@@ -196,15 +196,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// Logs an ingest batch, then applies it and publishes the post-batch
     /// view.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
-        Ok(self.service.ingest(profiles))
-    }
-
-    /// [`ingest`](DurableShardedService::ingest) without the feature /
-    /// probability phase.
-    pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
-        Ok(self.service.ingest_unscored(profiles))
+        self.log_and_apply(MutationRef::Ingest(profiles))
     }
 
     /// Logs a removal batch, then applies it.
@@ -214,17 +206,8 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// or duplicate ids) — asserted **before** the WAL append, so an
     /// invalid batch never poisons the log.
     pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
-        self.service.assert_remove_batch(ids);
-        self.log.append(|seq| encode_remove_record(seq, ids))?;
-        Ok(self.service.remove(ids))
-    }
-
-    /// [`remove`](DurableShardedService::remove) without the feature /
-    /// probability phase.
-    pub fn remove_unscored(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
-        self.service.assert_remove_batch(ids);
-        self.log.append(|seq| encode_remove_record(seq, ids))?;
-        Ok(self.service.remove_unscored(ids))
+        self.service.blocker().assert_remove_batch(ids);
+        self.log_and_apply(MutationRef::Remove(ids))
     }
 
     /// Logs an update batch, then applies it.
@@ -233,20 +216,13 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// Same contract as `StreamingMetaBlocker::update` — asserted before
     /// the WAL append.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
-        self.service.assert_update_batch(updates);
-        self.log.append(|seq| encode_update_record(seq, updates))?;
-        Ok(self.service.update(updates))
+        self.service.blocker().assert_update_batch(updates);
+        self.log_and_apply(MutationRef::Update(updates))
     }
 
-    /// [`update`](DurableShardedService::update) without the feature /
-    /// probability phase.
-    pub fn update_unscored(
-        &mut self,
-        updates: &[(EntityId, EntityProfile)],
-    ) -> PersistResult<DeltaBatch> {
-        self.service.assert_update_batch(updates);
-        self.log.append(|seq| encode_update_record(seq, updates))?;
-        Ok(self.service.update_unscored(updates))
+    fn log_and_apply(&mut self, mutation: MutationRef<'_>) -> PersistResult<DeltaBatch> {
+        self.log.append(|seq| encode_record(seq, mutation))?;
+        Ok(self.service.apply_ref(mutation, true))
     }
 
     /// Group commit: logs a queue of mutation batches with **one write and
@@ -263,23 +239,6 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// in the group will produce, with the same contracts as the
     /// individual methods — asserted before any WAL append.
     pub fn apply_group(&mut self, ops: &[MutationRecord]) -> PersistResult<Vec<DeltaBatch>> {
-        self.apply_group_impl(ops, true)
-    }
-
-    /// [`apply_group`](DurableShardedService::apply_group) without the
-    /// feature / probability phase.
-    pub fn apply_group_unscored(
-        &mut self,
-        ops: &[MutationRecord],
-    ) -> PersistResult<Vec<DeltaBatch>> {
-        self.apply_group_impl(ops, false)
-    }
-
-    fn apply_group_impl(
-        &mut self,
-        ops: &[MutationRecord],
-        score: bool,
-    ) -> PersistResult<Vec<DeltaBatch>> {
         self.log.check_usable()?;
         if ops.is_empty() {
             return Ok(Vec::new());
@@ -300,7 +259,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         o.group_batches.record(ops.len() as u64);
         o.group_fsyncs
             .record(striped.iter().filter(|&&records| records > 0).count() as u64);
-        Ok(ops.iter().map(|op| self.service.apply(op, score)).collect())
+        Ok(ops.iter().map(|op| self.service.apply(op, true)).collect())
     }
 
     /// Validates a whole group against the states the group itself will

@@ -22,7 +22,7 @@
 //! The property suites live in this crate's `tests/`: `equivalence`
 //! (random mutation traces × schemes × shard counts × thread counts vs
 //! the single-shard oracle), `shard_durability` (recovery equivalence and
-//! group-commit fsync accounting) and `shard_crash_points` (a crash at
+//! group-commit fsync accounting) and `crash_points` (a crash at
 //! every VFS operation, ALICE-style).
 
 pub mod durable;

@@ -24,7 +24,8 @@ use er_core::{EntityId, EntityProfile, PersistResult};
 use er_features::FeatureSet;
 use er_learn::ProbabilisticClassifier;
 use er_stream::{
-    DeltaBatch, DeltaIndex, MutationRecord, ShardedIndex, StreamingConfig, StreamingMetaBlocker,
+    DeltaBatch, DeltaIndex, MutationRecord, MutationRef, ShardedIndex, StreamingConfig,
+    StreamingMetaBlocker,
 };
 
 use crate::epoch::{EpochCell, EpochReader, EpochView};
@@ -142,29 +143,9 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
         self.batches_applied
     }
 
-    /// See [`StreamingMetaBlocker::assert_remove_batch`].
-    pub fn assert_remove_batch(&self, ids: &[EntityId]) {
-        self.blocker.assert_remove_batch(ids);
-    }
-
-    /// See [`StreamingMetaBlocker::assert_update_batch`].
-    pub fn assert_update_batch(&self, updates: &[(EntityId, EntityProfile)]) {
-        self.blocker.assert_update_batch(updates);
-    }
-
     /// Ingests a batch of new profiles and publishes the post-batch view.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        let delta = self.blocker.ingest(profiles);
-        self.publish_batch(&delta);
-        delta
-    }
-
-    /// [`ingest`](ShardedStreamingService::ingest) without the feature /
-    /// probability phase.
-    pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        let delta = self.blocker.ingest_unscored(profiles);
-        self.publish_batch(&delta);
-        delta
+        self.apply_ref(MutationRef::Ingest(profiles), true)
     }
 
     /// Removes a batch of entities and publishes the post-batch view.
@@ -172,17 +153,7 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
     /// # Panics
     /// Same contract as [`StreamingMetaBlocker::remove`].
     pub fn remove(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        let delta = self.blocker.remove(ids);
-        self.publish_batch(&delta);
-        delta
-    }
-
-    /// [`remove`](ShardedStreamingService::remove) without the feature /
-    /// probability phase.
-    pub fn remove_unscored(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        let delta = self.blocker.remove_unscored(ids);
-        self.publish_batch(&delta);
-        delta
+        self.apply_ref(MutationRef::Remove(ids), true)
     }
 
     /// Applies in-place profile updates and publishes the post-batch view.
@@ -190,31 +161,22 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
     /// # Panics
     /// Same contract as [`StreamingMetaBlocker::update`].
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        let delta = self.blocker.update(updates);
-        self.publish_batch(&delta);
-        delta
-    }
-
-    /// [`update`](ShardedStreamingService::update) without the feature /
-    /// probability phase.
-    pub fn update_unscored(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        let delta = self.blocker.update_unscored(updates);
-        self.publish_batch(&delta);
-        delta
+        self.apply_ref(MutationRef::Update(updates), true)
     }
 
     /// Applies one [`MutationRecord`] — the dispatch the durable layer and
     /// WAL replay share, so logged batches cannot take a different code
-    /// path than live ones.
+    /// path than live ones.  `score: false` skips the feature /
+    /// probability phase (see [`StreamingMetaBlocker::apply`]).
     pub fn apply(&mut self, record: &MutationRecord, score: bool) -> DeltaBatch {
-        match (record, score) {
-            (MutationRecord::Ingest(profiles), true) => self.ingest(profiles),
-            (MutationRecord::Ingest(profiles), false) => self.ingest_unscored(profiles),
-            (MutationRecord::Remove(ids), true) => self.remove(ids),
-            (MutationRecord::Remove(ids), false) => self.remove_unscored(ids),
-            (MutationRecord::Update(updates), true) => self.update(updates),
-            (MutationRecord::Update(updates), false) => self.update_unscored(updates),
-        }
+        self.apply_ref(record.into(), score)
+    }
+
+    /// [`apply`](ShardedStreamingService::apply) on a borrowed batch.
+    pub(crate) fn apply_ref(&mut self, mutation: MutationRef<'_>, score: bool) -> DeltaBatch {
+        let delta = self.blocker.apply(mutation, score);
+        self.publish_batch(&delta);
+        delta
     }
 
     /// The batch view of the current corpus (no state change, nothing

@@ -1,21 +1,28 @@
-//! ALICE-style crash-point exploration for the **sharded** durable
-//! service: the trace is run once through a counting VFS to enumerate
-//! every filesystem operation — WAL appends and group commits across all
-//! per-shard logs, router + shard snapshot writes, WAL creations, the
-//! manifest flip, retention removals — then re-run once per operation
-//! index with a `FaultVfs` that crashes at that op.
+//! ALICE-style crash-point exploration of the durable service, sharded and
+//! unsharded (`num_shards = 1`): the trace is run once through a counting
+//! VFS to enumerate every filesystem operation — WAL appends and group
+//! commits across all per-shard logs, router + shard snapshot writes, WAL
+//! creations, the manifest flip, retention removals — then re-run once per
+//! operation index with a `FaultVfs` that *crashes* at that op: the op
+//! applies partially (seeded prefix for writes, seeded coin for renames)
+//! and every later op fails, exactly like power loss mid-syscall.
 //!
 //! For every crash point, recovery must land **all shards on the same
 //! committed batch boundary**: a sequence `j` with
 //! `j_min <= j <= j_min + G` (where `j_min` counts acknowledged mutations
-//! and `G` is the largest group size — records of an unacknowledged group
-//! may be durable on some WALs and lost on others), whose state is
-//! bit-identical to the reference prefix after exactly `j` mutations.  A
-//! mixed generation set (one shard recovering to a different boundary
-//! than its siblings) surfaces as a `Corrupt` error, which the
+//! and `G` is the largest group size — the write-ahead window: records of
+//! an unacknowledged call may be durable on some WALs and lost on others),
+//! whose state is bit-identical to the reference prefix after exactly `j`
+//! mutations.  A mixed generation set (one shard recovering to a different
+//! boundary than its siblings) surfaces as a `Corrupt` error, which the
 //! exploration treats as an outright failure.  Re-applying the remaining
 //! mutations must converge on the reference final state; recovery may
-//! fail only if the crash predates the very first commit.
+//! fail only if the crash predates the very first commit (no manifest on
+//! disk) — acknowledged data is never lost and nothing ever panics.
+//!
+//! The oracle hashes *logical* state (the block collection view plus
+//! liveness counters), not physical bytes: compaction may re-lay-out the
+//! index without changing what it represents.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -27,7 +34,7 @@ use er_datasets::{
     dirty_catalog, generate_catalog_dataset, generate_dirty, CatalogOptions, DatasetName,
 };
 use er_features::FeatureSet;
-use er_persist::{manifest_path, FaultVfs, RetryPolicy, Vfs};
+use er_persist::{manifest_path, FaultVfs, RetryPolicy, StdVfs, Vfs};
 use er_shard::{DurableShardedService, ShardedStreamingService};
 use er_stream::{MutationRecord, StreamingConfig};
 
@@ -35,7 +42,7 @@ use er_stream::{MutationRecord, StreamingConfig};
 const MAX_GROUP: usize = 2;
 
 fn scratch(test: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("shard-crash-{test}"));
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("crash-points-{test}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -164,9 +171,9 @@ fn apply_durable<G: KeyGenerator>(
     mutation: &Mutation,
 ) -> PersistResult<()> {
     match mutation {
-        Mutation::Ingest(range) => durable.ingest_unscored(&dataset.profiles[range.clone()])?,
-        Mutation::Remove(ids) => durable.remove_unscored(ids)?,
-        Mutation::Update(updates) => durable.update_unscored(updates)?,
+        Mutation::Ingest(range) => durable.ingest(&dataset.profiles[range.clone()])?,
+        Mutation::Remove(ids) => durable.remove(ids)?,
+        Mutation::Update(updates) => durable.update(updates)?,
     };
     Ok(())
 }
@@ -205,7 +212,7 @@ fn run_trace<G: KeyGenerator + Clone>(
             Step::Group(group) => {
                 let records: Vec<MutationRecord> =
                     group.iter().map(|m| m.record(dataset)).collect();
-                match durable.apply_group_unscored(&records) {
+                match durable.apply_group(&records) {
                     Ok(_) => {
                         acknowledged += group.len();
                         Ok(())
@@ -224,8 +231,7 @@ fn run_trace<G: KeyGenerator + Clone>(
 
 /// The exploration: enumerate the trace's ops, crash at every single one,
 /// recover, audit.  `expected_ops` pins the trace's VFS op count: the
-/// sharded write path must keep issuing exactly the syscalls it did before
-/// the unsharded wrappers moved onto the same store.
+/// write path must keep issuing exactly the syscalls it does today.
 fn explore<G: KeyGenerator + Clone>(
     dataset: &Dataset,
     generator: G,
@@ -356,4 +362,65 @@ fn every_crash_point_recovers_dirty_suffix_keys_two_shards() {
 #[test]
 fn every_crash_point_recovers_dirty_qgram_keys_four_shards() {
     explore(&dirty_dataset(), QGramKeys::new(3), 4, "dirty-qgram-4", 154);
+}
+
+#[test]
+fn every_crash_point_recovers_clean_clean_token_keys() {
+    explore(&clean_clean_dataset(), TokenKeys, 1, "cc-token", 70);
+}
+
+#[test]
+fn every_crash_point_recovers_clean_clean_qgram_keys() {
+    explore(&clean_clean_dataset(), QGramKeys::new(3), 1, "cc-qgram", 70);
+}
+
+#[test]
+fn every_crash_point_recovers_clean_clean_suffix_keys() {
+    explore(
+        &clean_clean_dataset(),
+        SuffixKeys::new(3, 12),
+        1,
+        "cc-suffix",
+        70,
+    );
+}
+
+#[test]
+fn every_crash_point_recovers_dirty_token_keys() {
+    explore(&dirty_dataset(), TokenKeys, 1, "dirty-token", 70);
+}
+
+#[test]
+fn every_crash_point_recovers_dirty_qgram_keys() {
+    explore(&dirty_dataset(), QGramKeys::new(3), 1, "dirty-qgram", 70);
+}
+
+#[test]
+fn every_crash_point_recovers_dirty_suffix_keys() {
+    explore(
+        &dirty_dataset(),
+        SuffixKeys::new(3, 12),
+        1,
+        "dirty-suffix",
+        70,
+    );
+}
+
+/// The recovery itself must go through `StdVfs` — sanity-check the seam is
+/// not accidentally shared with the crashed handle.
+#[test]
+fn a_crashed_vfs_handle_stays_dead() {
+    let dataset = clean_clean_dataset();
+    let dir = scratch("dead-handle");
+    let vfs = FaultVfs::crash_at(1, 5);
+    let service = ShardedStreamingService::new(config(&dataset, 1), TokenKeys, 1).unwrap();
+    let err = service
+        .persist_to_with(&dir, vfs.clone(), RetryPolicy::default_write())
+        .err();
+    assert!(err.is_some());
+    assert!(vfs.has_crashed());
+    // Every subsequent op on the crashed handle keeps failing...
+    assert!(vfs.read(&manifest_path(&dir)).is_err());
+    // ...while a fresh production VFS sees whatever survived on disk.
+    let _ = StdVfs.list(&dir).unwrap();
 }

@@ -1,6 +1,7 @@
-//! Fault-injection tests at the streaming-blocker level: ENOSPC, fsync
-//! failure, short writes and torn renames planted (one-shot, deterministic)
-//! at every write-path VFS op of a mutation trace.
+//! Fault-injection tests of the unsharded durable blocker (a
+//! `DurableShardedService` with one shard): ENOSPC, fsync failure, short
+//! writes and torn renames planted (one-shot, deterministic) at every
+//! write-path VFS op of a mutation trace.
 //!
 //! The contract under injected faults:
 //!
@@ -25,7 +26,8 @@ use er_core::{Dataset, EntityId, EntityProfile, PersistError, PersistResult};
 use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use er_features::FeatureSet;
 use er_persist::{FaultKind, FaultVfs, InjectedFault, RetryPolicy, Vfs};
-use er_stream::{DurableMetaBlocker, StreamingConfig, StreamingMetaBlocker};
+use er_shard::{DurableShardedService, ShardedStreamingService};
+use er_stream::StreamingConfig;
 
 fn scratch(test: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fault-injection-{test}"));
@@ -75,14 +77,19 @@ fn build_trace(dataset: &Dataset) -> Vec<Step> {
     ]
 }
 
+/// The unsharded service a run persists.
+fn service(dataset: &Dataset) -> ShardedStreamingService<TokenKeys> {
+    ShardedStreamingService::new(config(dataset), TokenKeys, 1).unwrap()
+}
+
 fn apply_step<G: er_blocking::KeyGenerator>(
-    durable: &mut DurableMetaBlocker<G>,
+    durable: &mut DurableShardedService<G>,
     dataset: &Dataset,
     step: &Step,
 ) -> PersistResult<()> {
     match step {
         Step::Mutate(Mutation::Ingest(range)) => {
-            durable.ingest_unscored(&dataset.profiles[range.clone()])?;
+            durable.ingest(&dataset.profiles[range.clone()])?;
         }
         Step::Mutate(Mutation::Remove(ids)) => {
             durable.remove(ids)?;
@@ -96,7 +103,7 @@ fn apply_step<G: er_blocking::KeyGenerator>(
 }
 
 /// Digest of the logical streaming state.
-fn state_digest<G: er_blocking::KeyGenerator>(durable: &DurableMetaBlocker<G>) -> u64 {
+fn state_digest<G: er_blocking::KeyGenerator>(durable: &DurableShardedService<G>) -> u64 {
     let view = durable.view();
     let blocks: Vec<_> = (0..view.num_blocks())
         .map(|b| (view.key(b), view.entities(b)))
@@ -121,14 +128,13 @@ fn run_with_single_retry(
     policy: RetryPolicy,
     dir: &Path,
 ) -> (u64, usize, Vec<PersistError>) {
-    let blocker = StreamingMetaBlocker::new(config(dataset), TokenKeys);
-    let (mut durable, mut errors) = match blocker.persist_to_with(dir, vfs.clone(), policy) {
+    let (mut durable, mut errors) = match service(dataset).persist_to_with(dir, vfs.clone(), policy)
+    {
         Ok(durable) => (durable, Vec::new()),
         Err(err) => {
             // The root never materialised: re-issue the whole persist_to —
             // the one-shot fault has been consumed.
-            let blocker = StreamingMetaBlocker::new(config(dataset), TokenKeys);
-            let durable = blocker
+            let durable = service(dataset)
                 .persist_to_with(dir, vfs, policy)
                 .expect("persist_to retry after a one-shot fault must succeed");
             (durable, vec![err])
@@ -207,7 +213,7 @@ fn every_write_op_fault_is_typed_retryable_and_recoverable() {
             );
 
             // And the on-disk root recovers to exactly the same state.
-            let recovered = DurableMetaBlocker::recover_from(&dir, TokenKeys, 1)
+            let recovered = DurableShardedService::recover_from(&dir, TokenKeys, 1)
                 .unwrap_or_else(|e| panic!("{kind:?} at op {at_op}: recovery failed: {e:?}"));
             assert_eq!(
                 state_digest(&recovered),
@@ -232,8 +238,7 @@ fn enospc_without_retry_policy_is_fatal_not_retried() {
     // Plant ENOSPC at the first WAL append (the op count of persist_to is
     // discovered by the counting run).
     let counting = FaultVfs::counting(29);
-    let blocker = StreamingMetaBlocker::new(config(&dataset), TokenKeys);
-    let _durable = blocker
+    let _durable = service(&dataset)
         .persist_to_with(&dir, counting.clone(), RetryPolicy::none())
         .unwrap();
     let create_ops = counting.op_count();
@@ -246,12 +251,11 @@ fn enospc_without_retry_policy_is_fatal_not_retried() {
             kind: FaultKind::Enospc,
         }],
     );
-    let blocker = StreamingMetaBlocker::new(config(&dataset), TokenKeys);
-    let mut durable = blocker
+    let mut durable = service(&dataset)
         .persist_to_with(&dir, vfs.clone(), RetryPolicy::default_write())
         .unwrap();
     let err = durable
-        .ingest_unscored(&dataset.profiles[..8])
+        .ingest(&dataset.profiles[..8])
         .expect_err("ENOSPC must surface");
     assert!(matches!(&err, PersistError::Io { .. }), "{err:?}");
     assert!(!err.is_retryable(), "ENOSPC must be classified fatal");
@@ -269,9 +273,9 @@ fn enospc_without_retry_policy_is_fatal_not_retried() {
     );
 
     // The failed append rolled the WAL back: the blocker keeps working.
-    durable.ingest_unscored(&dataset.profiles[..8]).unwrap();
+    durable.ingest(&dataset.profiles[..8]).unwrap();
     drop(durable);
-    let recovered = DurableMetaBlocker::recover_from(&dir, TokenKeys, 1).unwrap();
+    let recovered = DurableShardedService::recover_from(&dir, TokenKeys, 1).unwrap();
     assert_eq!(recovered.num_entities(), 8);
     assert_eq!(recovered.wal_sequence(), 1);
 }
@@ -324,7 +328,7 @@ fn transient_faults_are_invisible_under_the_default_policy() {
         vfs.op_count()
     );
 
-    let recovered = DurableMetaBlocker::recover_from(&dir, TokenKeys, 1).unwrap();
+    let recovered = DurableShardedService::recover_from(&dir, TokenKeys, 1).unwrap();
     assert_eq!(state_digest(&recovered), expected_digest);
     assert!(recovered.recovery_report().unwrap().is_clean());
 }

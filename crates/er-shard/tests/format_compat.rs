@@ -63,9 +63,9 @@ fn write_root(ds: &Dataset, dir: &Path) {
     for step in trace(ds) {
         match step.as_deref() {
             None => durable.checkpoint().unwrap(),
-            Some([MutationRecord::Ingest(p)]) => drop(durable.ingest_unscored(p).unwrap()),
-            Some([MutationRecord::Remove(ids)]) => drop(durable.remove_unscored(ids).unwrap()),
-            Some(group) => drop(durable.apply_group_unscored(group).unwrap()),
+            Some([MutationRecord::Ingest(p)]) => drop(durable.ingest(p).unwrap()),
+            Some([MutationRecord::Remove(ids)]) => drop(durable.remove(ids).unwrap()),
+            Some(group) => drop(durable.apply_group(group).unwrap()),
         }
     }
 }

@@ -1,19 +1,20 @@
-//! Crash-recovery property tests: snapshot + WAL-tail replay must be
-//! invisible.
+//! Crash-recovery property tests of the unsharded durable blocker — a
+//! [`DurableShardedService`] with one shard: snapshot + WAL-tail replay
+//! must be invisible.
 //!
 //! The contract of `er_stream::persist`: for **any** mutation trace
 //! (insert/remove/update batches, compactions interleaved), a restart
-//! injected at **any** batch boundary — and at the kill point *between the
-//! WAL append and the in-memory apply* — leaves a recovered
-//! [`DurableMetaBlocker`] whose blocks, candidates, feature rows and
-//! classifier probabilities are **bit-identical** to a never-restarted run
-//! of the same trace, for all three blocking schemes, both ER kinds and
-//! any thread count (including recovering under a *different* thread count
-//! than the original run).  Torn WAL tails roll back to the previous batch
-//! boundary; corrupted files surface as typed errors, never as state.
+//! injected at **any** batch boundary — and a crash right after a record's
+//! WAL sync, before the call's caller saw anything — leaves a recovered
+//! service whose blocks, candidates, feature rows and classifier
+//! probabilities are **bit-identical** to a never-restarted run of the same
+//! trace, for all three blocking schemes, both ER kinds and any thread
+//! count (including recovering under a *different* thread count than the
+//! original run).  Torn WAL tails roll back to the previous batch boundary;
+//! corrupted files surface as typed errors, never as state.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use er_blocking::{
     build_blocks, BlockStats, CandidatePairs, KeyGenerator, QGramKeys, SuffixKeys, TokenKeys,
@@ -24,7 +25,9 @@ use er_datasets::{
 };
 use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
 use er_learn::ProbabilisticClassifier;
-use er_stream::{DurableMetaBlocker, MutationRecord, StreamingConfig, StreamingMetaBlocker};
+use er_persist::{shard_snapshot_path, shard_wal_path, FaultVfs, RetryPolicy};
+use er_shard::{DurableShardedService, ShardedStreamingService};
+use er_stream::{BlockIndex, StreamingConfig, StreamingMetaBlocker};
 use rand::Rng;
 
 /// A fixed linear model: deterministic probabilities without training.
@@ -162,6 +165,19 @@ fn config(dataset: &Dataset, threads: usize) -> StreamingConfig {
     }
 }
 
+/// A fresh unsharded durable root in `dir`, on the production filesystem.
+fn persist<G: KeyGenerator>(
+    dataset: &Dataset,
+    generator: G,
+    threads: usize,
+    dir: &Path,
+) -> DurableShardedService<G> {
+    ShardedStreamingService::new(config(dataset, threads), generator, 1)
+        .unwrap()
+        .persist_to(dir)
+        .unwrap()
+}
+
 /// Applies the trace to a plain (never-restarted) blocker, returning its
 /// emissions and the batch-equivalent corpus profiles at the end.
 fn run_reference<G: KeyGenerator + Clone>(
@@ -210,7 +226,7 @@ fn assert_end_state<G: KeyGenerator>(
     dataset: &Dataset,
     generator: &G,
     csr: &er_blocking::CsrBlockCollection,
-    index: &er_stream::StreamingIndex,
+    index: &impl BlockIndex,
     current: &[EntityProfile],
     threads: usize,
 ) {
@@ -250,6 +266,30 @@ fn assert_end_state<G: KeyGenerator>(
     }
 }
 
+/// Applies one trace step to a durable service, returning its emission
+/// (`None` for a compaction).
+fn apply_durable<G: KeyGenerator>(
+    durable: &mut DurableShardedService<G>,
+    dataset: &Dataset,
+    next: &mut usize,
+    op: &Op,
+) -> er_core::PersistResult<Option<Emission>> {
+    let delta = match op {
+        Op::Ingest(take) => {
+            let batch = &dataset.profiles[*next..*next + take];
+            *next += take;
+            durable.ingest(batch)?
+        }
+        Op::Remove(ids) => durable.remove(ids)?,
+        Op::Update(updates) => durable.update(updates)?,
+        Op::Compact => {
+            durable.compact()?;
+            return Ok(None);
+        }
+    };
+    Ok(Some(Emission::of(&delta)))
+}
+
 /// Runs the trace through a durable blocker, crashing (dropping the
 /// blocker) and recovering at pseudo-random batch boundaries; recovery may
 /// use a different thread count than the original run.  Every emission and
@@ -266,40 +306,20 @@ fn run_with_restarts<G: KeyGenerator + Clone>(
     let mut rng = er_core::seeded_rng(restart_seed);
     let recovery_threads = [1usize, 2, 4];
 
-    let mut durable = StreamingMetaBlocker::new(config(dataset, threads), generator.clone())
-        .persist_to(dir)
-        .unwrap()
-        .with_model(Box::new(FixedModel));
+    let mut durable =
+        persist(dataset, generator.clone(), threads, dir).with_model(Box::new(FixedModel));
     let mut next = 0usize;
     let mut emitted = 0usize;
     for op in ops {
-        match op {
-            Op::Ingest(take) => {
-                let batch = &dataset.profiles[next..next + take];
-                next += take;
-                let delta = durable.ingest(batch).unwrap();
-                assert_eq!(Emission::of(&delta), expected[emitted], "batch {emitted}");
-                emitted += 1;
-            }
-            Op::Remove(ids) => {
-                let delta = durable.remove(ids).unwrap();
-                assert_eq!(Emission::of(&delta), expected[emitted], "batch {emitted}");
-                emitted += 1;
-            }
-            Op::Update(updates) => {
-                let delta = durable.update(updates).unwrap();
-                assert_eq!(Emission::of(&delta), expected[emitted], "batch {emitted}");
-                emitted += 1;
-            }
-            Op::Compact => {
-                durable.compact().unwrap();
-            }
+        if let Some(emission) = apply_durable(&mut durable, dataset, &mut next, op).unwrap() {
+            assert_eq!(emission, expected[emitted], "batch {emitted}");
+            emitted += 1;
         }
         // Crash at roughly every third batch boundary.
         if rng.gen_range(0..3) == 0 {
             drop(durable);
             let t = recovery_threads[rng.gen_range(0..recovery_threads.len())];
-            durable = DurableMetaBlocker::recover_from(dir, generator.clone(), t)
+            durable = DurableShardedService::recover_from(dir, generator.clone(), t)
                 .unwrap()
                 .with_model(Box::new(FixedModel));
         }
@@ -308,7 +328,7 @@ fn run_with_restarts<G: KeyGenerator + Clone>(
 
     // One last crash, then the full end-state audit.
     drop(durable);
-    let mut durable = DurableMetaBlocker::recover_from(dir, generator.clone(), threads).unwrap();
+    let mut durable = DurableShardedService::recover_from(dir, generator.clone(), threads).unwrap();
     let csr = durable.compact().unwrap();
     assert_end_state(
         dataset,
@@ -358,105 +378,102 @@ fn dirty_restart_traces_recover_bit_identically_with_caps() {
     }
 }
 
+/// The crash point right after a record's WAL sync: the record is on
+/// disk, the in-memory apply that followed is lost with the process, and
+/// the next filesystem operation dies part-way.  Recovery must replay the
+/// record — land at or past the sequence just after it (one further record
+/// when the dying op was the next append, written before the crash), in
+/// the state after those records — and the resumed run must emit exactly
+/// what the never-crashed run does.
 #[test]
 fn kill_point_between_wal_append_and_apply_replays_the_record() {
     let dataset = clean_clean_dataset();
     let ops = generate_trace(&dataset, 0x0bad_c0de);
     let generator = TokenKeys;
     let threads = 2;
-    let dir = scratch("kill-point");
+    let (expected, current) = run_reference(&dataset, generator, &ops, threads);
 
-    // Reference: the never-crashed run applying every batch normally.
-    let mut reference = StreamingMetaBlocker::new(config(&dataset, threads), generator)
-        .with_model(Box::new(FixedModel));
-
-    let mut durable = StreamingMetaBlocker::new(config(&dataset, threads), generator)
-        .persist_to(&dir)
-        .unwrap()
-        .with_model(Box::new(FixedModel));
-    let mut rng = er_core::seeded_rng(0x5eed);
-    let mut current: Vec<EntityProfile> = Vec::new();
+    // One fault-free pass through a counting VFS: per step, the op count at
+    // its end (the index of the first op after it), the number of logged
+    // records so far, and the view the state then has.
+    let counting = FaultVfs::counting(0x5eed);
+    let dir = scratch("kill-point-count");
+    let service = ShardedStreamingService::new(config(&dataset, threads), generator, 1).unwrap();
+    let mut durable = service
+        .persist_to_with(&dir, counting.clone(), RetryPolicy::default_write())
+        .unwrap();
     let mut next = 0usize;
-    let mut kill_points = 0usize;
+    let mut step_ends = Vec::new();
     for op in &ops {
-        // Mirror the op into the batch-equivalent corpus and the reference.
-        let record = match op {
-            Op::Ingest(take) => {
-                let batch = dataset.profiles[next..next + take].to_vec();
-                current.extend_from_slice(&batch);
-                next += take;
-                reference.ingest(&batch);
-                Some(MutationRecord::Ingest(batch))
-            }
-            Op::Remove(ids) => {
-                for &e in ids {
-                    current[e.index()] = EntityProfile::new(current[e.index()].external_id.clone());
-                }
-                reference.remove(ids);
-                Some(MutationRecord::Remove(ids.clone()))
-            }
-            Op::Update(updates) => {
-                for (e, profile) in updates {
-                    current[e.index()] = profile.clone();
-                }
-                reference.update(updates);
-                Some(MutationRecord::Update(updates.clone()))
-            }
-            Op::Compact => {
-                reference.compact();
-                durable.compact().unwrap();
-                None
-            }
+        apply_durable(&mut durable, &dataset, &mut next, op).unwrap();
+        let records = durable.wal_sequence() as usize;
+        step_ends.push((counting.op_count(), records, durable.view()));
+    }
+    drop(durable);
+
+    let mut rng = er_core::seeded_rng(0x5eed);
+    let mut kill_points = 0usize;
+    for (step, &(crash_at, sequence, _)) in step_ends[..ops.len() - 2].iter().enumerate() {
+        if matches!(ops[step], Op::Compact) || rng.gen_range(0..3) != 0 {
+            continue;
+        }
+        kill_points += 1;
+        let dir = scratch(&format!("kill-point-{step}"));
+        let vfs = FaultVfs::crash_at(0x5eed, crash_at);
+        let service =
+            ShardedStreamingService::new(config(&dataset, threads), generator, 1).unwrap();
+        let mut durable = service
+            .persist_to_with(&dir, vfs.clone(), RetryPolicy::default_write())
+            .unwrap()
+            .with_model(Box::new(FixedModel));
+        let mut next = 0usize;
+        for op in &ops[..=step] {
+            apply_durable(&mut durable, &dataset, &mut next, op).unwrap();
+        }
+        assert!(
+            apply_durable(&mut durable, &dataset, &mut next, &ops[step + 1]).is_err(),
+            "step {step}: the crash after the WAL sync did not fire"
+        );
+        assert!(vfs.has_crashed());
+        drop(durable);
+
+        let mut durable = DurableShardedService::recover_from(&dir, generator, threads)
+            .unwrap()
+            .with_model(Box::new(FixedModel));
+        let landed = durable.wal_sequence() as usize;
+        let resume = match landed - sequence {
+            0 => step + 1,
+            1 if !matches!(ops[step + 1], Op::Compact) => step + 2,
+            _ => panic!("step {step}: {sequence} records logged, recovery landed on {landed}"),
         };
-        let Some(record) = record else { continue };
-        if rng.gen_range(0..3) == 0 {
-            // The crash window: the record reaches the log, the in-memory
-            // apply never happens.  Recovery must replay it.
-            durable.wal_append_only(&record).unwrap();
-            kill_points += 1;
-            drop(durable);
-            durable = DurableMetaBlocker::recover_from(&dir, generator, threads)
-                .unwrap()
-                .with_model(Box::new(FixedModel));
-        } else {
-            match &record {
-                MutationRecord::Ingest(profiles) => {
-                    durable.ingest(profiles).unwrap();
-                }
-                MutationRecord::Remove(ids) => {
-                    durable.remove(ids).unwrap();
-                }
-                MutationRecord::Update(updates) => {
-                    durable.update(updates).unwrap();
-                }
+        let report = durable.recovery_report().unwrap();
+        assert!(report.records_replayed >= 1, "step {step}: {report}");
+        assert!(
+            durable.view().same_blocks(&step_ends[resume - 1].2),
+            "step {step}: recovered state is not the state after record {landed}"
+        );
+
+        // The resumed run emits exactly what the never-crashed run does.
+        let mut next = ops[..resume]
+            .iter()
+            .map(|op| if let Op::Ingest(take) = op { *take } else { 0 })
+            .sum::<usize>();
+        for op in &ops[resume..] {
+            if let Some(emission) = apply_durable(&mut durable, &dataset, &mut next, op).unwrap() {
+                assert_eq!(emission, expected[durable.wal_sequence() as usize - 1]);
             }
         }
-        // Cheap state probes after every batch; the full audit runs at the
-        // end.
-        assert_eq!(durable.num_entities(), reference.num_entities());
-        assert_eq!(durable.num_alive(), reference.num_alive());
-        assert_eq!(
-            durable.index().num_live_blocks(),
-            reference.index().num_live_blocks()
-        );
-        assert_eq!(
-            durable.index().total_comparisons(),
-            reference.index().total_comparisons()
+        let streamed = durable.compact().unwrap();
+        assert_end_state(
+            &dataset,
+            &generator,
+            &streamed,
+            durable.index(),
+            &current,
+            threads,
         );
     }
     assert!(kill_points >= 3, "trace exercised too few kill points");
-
-    let streamed = durable.compact().unwrap();
-    let via_reference = reference.compact();
-    assert!(streamed.same_blocks(&via_reference));
-    assert_end_state(
-        &dataset,
-        &generator,
-        &streamed,
-        durable.index(),
-        &current,
-        threads,
-    );
 }
 
 #[test]
@@ -465,22 +482,20 @@ fn torn_wal_tail_rolls_back_to_the_previous_batch_boundary() {
     let generator = TokenKeys;
     let dir = scratch("torn-tail");
 
-    let mut durable = StreamingMetaBlocker::new(config(&dataset, 1), generator)
-        .persist_to(&dir)
-        .unwrap();
+    let mut durable = persist(&dataset, generator, 1, &dir);
     let half = dataset.num_entities() / 2;
-    durable.ingest_unscored(&dataset.profiles[..half]).unwrap();
+    durable.ingest(&dataset.profiles[..half]).unwrap();
     let boundary_state = durable.view();
-    durable.ingest_unscored(&dataset.profiles[half..]).unwrap();
+    durable.ingest(&dataset.profiles[half..]).unwrap();
     drop(durable);
 
     // Tear the last record: cut a few bytes off the WAL (generation 0 —
     // no checkpoint has committed a newer one).
-    let wal = er_stream::persist::wal_path(&dir, 0);
+    let wal = shard_wal_path(&dir, 0, 0);
     let bytes = fs::read(&wal).unwrap();
     fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
 
-    let durable = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap();
+    let durable = DurableShardedService::recover_from(&dir, generator, 1).unwrap();
     assert_eq!(durable.num_entities(), half);
     assert!(durable.view().same_blocks(&boundary_state));
     // The torn tail is a normal crash artefact: reported, not degraded.
@@ -491,9 +506,9 @@ fn torn_wal_tail_rolls_back_to_the_previous_batch_boundary() {
 
     // The torn tail was truncated: appending and recovering again works.
     let mut durable = durable;
-    durable.ingest_unscored(&dataset.profiles[half..]).unwrap();
+    durable.ingest(&dataset.profiles[half..]).unwrap();
     drop(durable);
-    let durable = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap();
+    let durable = DurableShardedService::recover_from(&dir, generator, 1).unwrap();
     assert_eq!(durable.num_entities(), dataset.num_entities());
 }
 
@@ -515,12 +530,10 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
     let generator = TokenKeys;
     let base = scratch("fallback-base");
 
-    let mut durable = StreamingMetaBlocker::new(config(&dataset, 1), generator)
-        .persist_to(&base)
-        .unwrap();
-    durable.ingest_unscored(&dataset.profiles[..20]).unwrap();
+    let mut durable = persist(&dataset, generator, 1, &base);
+    durable.ingest(&dataset.profiles[..20]).unwrap();
     durable.checkpoint().unwrap(); // commits generation 1; generation 0 retained
-    durable.ingest_unscored(&dataset.profiles[20..40]).unwrap();
+    durable.ingest(&dataset.profiles[20..40]).unwrap();
     let expected_blocks = durable.view();
     let expected_seq = durable.wal_sequence();
     drop(durable);
@@ -529,7 +542,7 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
     // snapshot — magic, version, tag, fingerprint, length, CRC and payload
     // regions all get hit.  Every flip must recover bit-identically from
     // generation 0 plus the longer WAL chain.
-    let clean = fs::read(er_stream::persist::snapshot_path(&base, 1)).unwrap();
+    let clean = fs::read(shard_snapshot_path(&base, 0, 1)).unwrap();
     let stride = (clean.len() / 24).max(1);
     let mut flips: Vec<usize> = (0..clean.len()).step_by(stride).collect();
     flips.push(clean.len() - 1);
@@ -540,9 +553,9 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
         copy_root(&base, &dir);
         let mut bad = clean.clone();
         bad[at] ^= 0x40;
-        fs::write(er_stream::persist::snapshot_path(&dir, 1), &bad).unwrap();
+        fs::write(shard_snapshot_path(&dir, 0, 1), &bad).unwrap();
 
-        let mut durable = DurableMetaBlocker::recover_from(&dir, generator, 2)
+        let mut durable = DurableShardedService::recover_from(&dir, generator, 2)
             .unwrap_or_else(|e| panic!("flip at byte {at}: fallback recovery failed: {e:?}"));
         assert_eq!(durable.num_entities(), 40, "flip at byte {at}");
         assert_eq!(durable.wal_sequence(), expected_seq, "flip at byte {at}");
@@ -568,9 +581,9 @@ fn corrupt_newest_generation_falls_back_bit_identically() {
 
         // The repair checkpoint restored redundancy: the store still
         // appends, and the next recovery is clean.
-        durable.ingest_unscored(&dataset.profiles[40..45]).unwrap();
+        durable.ingest(&dataset.profiles[40..45]).unwrap();
         drop(durable);
-        let durable = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap();
+        let durable = DurableShardedService::recover_from(&dir, generator, 1).unwrap();
         assert_eq!(durable.num_entities(), 45, "flip at byte {at}");
         assert!(
             durable.recovery_report().unwrap().is_clean(),
@@ -585,20 +598,18 @@ fn corrupted_files_surface_as_typed_errors() {
     let generator = TokenKeys;
     let dir = scratch("corrupt");
 
-    let mut durable = StreamingMetaBlocker::new(config(&dataset, 1), generator)
-        .persist_to(&dir)
-        .unwrap();
-    durable.ingest_unscored(&dataset.profiles[..20]).unwrap();
+    let mut durable = persist(&dataset, generator, 1, &dir);
+    durable.ingest(&dataset.profiles[..20]).unwrap();
     durable.checkpoint().unwrap();
-    durable.ingest_unscored(&dataset.profiles[20..40]).unwrap();
+    durable.ingest(&dataset.profiles[20..40]).unwrap();
     drop(durable);
 
     // The checkpoint committed generation 1; generation 0 is retained as
     // the fallback.  Corrupting *every* retained snapshot generation
     // exhausts the fallback chain: recovery is refused with a typed error
     // and both corpses end up in quarantine.
-    let snapshot1 = er_stream::persist::snapshot_path(&dir, 1);
-    let snapshot0 = er_stream::persist::snapshot_path(&dir, 0);
+    let snapshot1 = shard_snapshot_path(&dir, 0, 1);
+    let snapshot0 = shard_snapshot_path(&dir, 0, 0);
     let clean_snapshot1 = fs::read(&snapshot1).unwrap();
     let clean_snapshot0 = fs::read(&snapshot0).unwrap();
     for (path, clean) in [
@@ -610,7 +621,7 @@ fn corrupted_files_surface_as_typed_errors() {
         bad[at] ^= 0x10;
         fs::write(path, &bad).unwrap();
     }
-    let err = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap_err();
+    let err = DurableShardedService::recover_from(&dir, generator, 1).unwrap_err();
     assert!(
         matches!(
             err,
@@ -628,13 +639,13 @@ fn corrupted_files_surface_as_typed_errors() {
     // Flip a byte inside the active WAL's record payload: corruption of
     // acknowledged records is fatal in every mode — degrading around it
     // would be silent data loss.
-    let wal = er_stream::persist::wal_path(&dir, 1);
+    let wal = shard_wal_path(&dir, 0, 1);
     let clean_wal = fs::read(&wal).unwrap();
     let mut bad = clean_wal.clone();
     let at = er_persist::wal::WAL_HEADER_LEN + 4 + 4 + 8 + 10;
     bad[at] ^= 0x20;
     fs::write(&wal, &bad).unwrap();
-    let err = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap_err();
+    let err = DurableShardedService::recover_from(&dir, generator, 1).unwrap_err();
     assert!(
         matches!(err, PersistError::ChecksumMismatch { .. }),
         "{err:?}"
@@ -642,14 +653,14 @@ fn corrupted_files_surface_as_typed_errors() {
     fs::write(&wal, &clean_wal).unwrap();
 
     // A generator whose cap disagrees with the snapshot is refused.
-    let err = DurableMetaBlocker::recover_from(&dir, SuffixKeys::new(3, 12), 1).unwrap_err();
+    let err = DurableShardedService::recover_from(&dir, SuffixKeys::new(3, 12), 1).unwrap_err();
     assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
 
     // A missing root is an I/O error, not a panic.
-    let err = DurableMetaBlocker::recover_from(dir.join("missing"), generator, 1).unwrap_err();
+    let err = DurableShardedService::recover_from(dir.join("missing"), generator, 1).unwrap_err();
     assert!(matches!(err, PersistError::Io { .. }));
 
     // And the pristine files still recover.
-    let recovered = DurableMetaBlocker::recover_from(&dir, generator, 1).unwrap();
+    let recovered = DurableShardedService::recover_from(&dir, generator, 1).unwrap();
     assert_eq!(recovered.num_entities(), 40);
 }

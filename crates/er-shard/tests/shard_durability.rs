@@ -1,6 +1,6 @@
 //! Durable sharded service: recovery equivalence and group-commit
 //! accounting (crash-free paths; the every-VFS-op crash matrix lives in
-//! `shard_crash_points.rs`).
+//! `crash_points.rs`).
 
 use std::path::PathBuf;
 
@@ -102,9 +102,9 @@ fn recovery_lands_on_the_acknowledged_state_with_and_without_checkpoints() {
         .unwrap();
     for (i, op) in ops.iter().enumerate() {
         match op {
-            MutationRecord::Ingest(p) => durable.ingest_unscored(p).unwrap(),
-            MutationRecord::Remove(ids) => durable.remove_unscored(ids).unwrap(),
-            MutationRecord::Update(u) => durable.update_unscored(u).unwrap(),
+            MutationRecord::Ingest(p) => durable.ingest(p).unwrap(),
+            MutationRecord::Remove(ids) => durable.remove(ids).unwrap(),
+            MutationRecord::Update(u) => durable.update(u).unwrap(),
         };
         if i == ops.len() / 2 {
             durable.compact().unwrap();
@@ -151,9 +151,9 @@ fn recovered_service_keeps_accepting_and_checkpointing() {
         .unwrap();
     for op in &ops[..half] {
         match op {
-            MutationRecord::Ingest(p) => durable.ingest_unscored(p).unwrap(),
-            MutationRecord::Remove(ids) => durable.remove_unscored(ids).unwrap(),
-            MutationRecord::Update(u) => durable.update_unscored(u).unwrap(),
+            MutationRecord::Ingest(p) => durable.ingest(p).unwrap(),
+            MutationRecord::Remove(ids) => durable.remove(ids).unwrap(),
+            MutationRecord::Update(u) => durable.update(u).unwrap(),
         };
     }
     drop(durable);
@@ -164,9 +164,9 @@ fn recovered_service_keeps_accepting_and_checkpointing() {
     assert_eq!(recovered.wal_sequence(), half as u64);
     for (i, op) in ops[half..].iter().enumerate() {
         match op {
-            MutationRecord::Ingest(p) => recovered.ingest_unscored(p).unwrap(),
-            MutationRecord::Remove(ids) => recovered.remove_unscored(ids).unwrap(),
-            MutationRecord::Update(u) => recovered.update_unscored(u).unwrap(),
+            MutationRecord::Ingest(p) => recovered.ingest(p).unwrap(),
+            MutationRecord::Remove(ids) => recovered.remove(ids).unwrap(),
+            MutationRecord::Update(u) => recovered.update(u).unwrap(),
         };
         if i == 2 {
             recovered.checkpoint().unwrap();
@@ -200,7 +200,7 @@ fn group_commit_coalesces_fsyncs_below_one_per_batch() {
         .persist_to(&dir_grouped)
         .unwrap();
     let syncs_before = grouped.wal_syncs();
-    let deltas = grouped.apply_group_unscored(&ops).unwrap();
+    let deltas = grouped.apply_group(&ops).unwrap();
     assert_eq!(deltas.len(), ops.len());
     let group_syncs = grouped.wal_syncs() - syncs_before;
 
@@ -212,7 +212,7 @@ fn group_commit_coalesces_fsyncs_below_one_per_batch() {
     let mut single_deltas = Vec::new();
     for op in &ops {
         match op {
-            MutationRecord::Ingest(p) => single_deltas.push(single.ingest_unscored(p).unwrap()),
+            MutationRecord::Ingest(p) => single_deltas.push(single.ingest(p).unwrap()),
             _ => unreachable!(),
         }
     }
@@ -251,13 +251,13 @@ fn group_validation_rejects_cross_batch_conflicts() {
         .unwrap()
         .persist_to(&dir)
         .unwrap();
-    durable.ingest_unscored(&ds.profiles[..4]).unwrap();
+    durable.ingest(&ds.profiles[..4]).unwrap();
 
     // Removing an entity twice across two batches of one group must panic
     // before anything reaches a WAL.
     let seq_before = durable.wal_sequence();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = durable.apply_group_unscored(&[
+        let _ = durable.apply_group(&[
             MutationRecord::Remove(vec![EntityId(1)]),
             MutationRecord::Remove(vec![EntityId(1)]),
         ]);
@@ -268,7 +268,7 @@ fn group_validation_rejects_cross_batch_conflicts() {
     // A group whose later batch depends on an earlier one is legal:
     // ingest then remove the just-ingested entity.
     let deltas = durable
-        .apply_group_unscored(&[
+        .apply_group(&[
             MutationRecord::Ingest(vec![ds.profiles[4].clone()]),
             MutationRecord::Remove(vec![EntityId(4)]),
         ])
@@ -287,7 +287,7 @@ fn epoch_readers_track_durable_mutations() {
         .unwrap();
     let reader = durable.reader();
     let before = reader.load();
-    durable.ingest_unscored(&ds.profiles[..6]).unwrap();
+    durable.ingest(&ds.profiles[..6]).unwrap();
     let after = reader.load();
     assert_eq!(before.num_entities, 0);
     assert_eq!(after.num_entities, 6);
@@ -304,8 +304,8 @@ fn a_failed_checkpoint_leaves_the_wal_counters_where_they_were() {
             .unwrap()
             .persist_to_with(scratch(name), vfs, RetryPolicy::none())
             .unwrap();
-        durable.ingest_unscored(&ds.profiles[..4]).unwrap();
-        durable.ingest_unscored(&ds.profiles[4..7]).unwrap();
+        durable.ingest(&ds.profiles[..4]).unwrap();
+        durable.ingest(&ds.profiles[4..7]).unwrap();
         durable
     };
 
@@ -338,7 +338,7 @@ fn a_failed_checkpoint_leaves_the_wal_counters_where_they_were() {
     // The next checkpoint succeeds and retires the old WALs exactly once.
     durable.checkpoint().unwrap();
     assert_eq!((durable.wal_appends(), durable.wal_syncs()), counters);
-    durable.ingest_unscored(&ds.profiles[7..9]).unwrap();
+    durable.ingest(&ds.profiles[7..9]).unwrap();
     assert_eq!((durable.wal_appends(), durable.wal_syncs()), (3, 3));
     assert_eq!(durable.generation(), 1);
 }

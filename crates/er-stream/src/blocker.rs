@@ -11,6 +11,7 @@ use er_learn::ProbabilisticClassifier;
 
 use crate::delta::DeltaIndex;
 use crate::index::{PartnerBoard, StreamingIndex};
+use crate::persist::MutationRef;
 
 /// The grain of the blocker's per-entity phases: one worker per this many
 /// entities of a batch, so a batch of fewer than `2 ·` this many runs every
@@ -340,20 +341,30 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
     /// new entities; feature tables are recomputed only for entities that
     /// appear in a delta pair.  Nothing re-reads the rest of the corpus.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        self.ingest_impl(profiles, true)
+        self.apply(MutationRef::Ingest(profiles), true)
     }
 
-    /// [`StreamingMetaBlocker::ingest`] without the feature/probability
-    /// phase: the index, block statistics and candidate (LCP) counters
-    /// update exactly as usual, but the returned batch carries empty
-    /// `features`/`probabilities`.
+    /// Applies one mutation batch — the dispatch behind
+    /// [`ingest`](StreamingMetaBlocker::ingest),
+    /// [`remove`](StreamingMetaBlocker::remove) and
+    /// [`update`](StreamingMetaBlocker::update), and the one WAL replay
+    /// drives.
     ///
-    /// Use this to seed the index from a corpus whose candidate pairs were
-    /// already scored by a batch pass (see
-    /// `meta_blocking::StreamingPipeline::bootstrap`) — re-deriving them
-    /// here would only repeat that work.
-    pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        self.ingest_impl(profiles, false)
+    /// With `score: false` the feature / probability phase is skipped: the
+    /// index, block statistics and candidate (LCP) counters move exactly as
+    /// in a scored run, but the returned batch carries no `features` or
+    /// probabilities.  Replay uses it for batches whose emissions were
+    /// already delivered, and `meta_blocking::StreamingPipeline::bootstrap`
+    /// to seed the index from a corpus a batch pass has already scored.
+    ///
+    /// # Panics
+    /// Same contracts as the three methods above.
+    pub fn apply(&mut self, mutation: MutationRef<'_>, score: bool) -> DeltaBatch {
+        match mutation {
+            MutationRef::Ingest(profiles) => self.apply_ingest(profiles, score),
+            MutationRef::Remove(ids) => self.apply_remove(ids, score),
+            MutationRef::Update(updates) => self.apply_update(updates, score),
+        }
     }
 
     /// Tokenizes one profile through the scheme and interns its raw keys
@@ -376,7 +387,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         }
     }
 
-    pub(crate) fn ingest_impl(&mut self, profiles: &[EntityProfile], score: bool) -> DeltaBatch {
+    fn apply_ingest(&mut self, profiles: &[EntityProfile], score: bool) -> DeltaBatch {
         let batch_start = self.index.num_entities();
         let first_id = EntityId(batch_start as u32);
 
@@ -503,20 +514,10 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
     /// # Panics
     /// Panics if an id is unknown, already removed, or listed twice.
     pub fn remove(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        self.remove_impl(ids, true)
+        self.apply(MutationRef::Remove(ids), true)
     }
 
-    /// [`StreamingMetaBlocker::remove`] without the feature/probability
-    /// phase — WAL replay applies logged removals with this (the index,
-    /// statistics and LCP counters move exactly as in a scored run).
-    pub fn remove_unscored(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        self.remove_impl(ids, false)
-    }
-
-    /// [`StreamingMetaBlocker::remove`] with the feature/probability phase
-    /// optional — WAL replay drives this with `score: false` (the index,
-    /// statistics and LCP counters move exactly as in a scored run).
-    pub(crate) fn remove_impl(&mut self, ids: &[EntityId], score: bool) -> DeltaBatch {
+    fn apply_remove(&mut self, ids: &[EntityId], score: bool) -> DeltaBatch {
         let first_id = EntityId(self.index.num_entities() as u32);
         let batch: FxHashSet<u32> = ids.iter().map(|e| e.0).collect();
         assert_eq!(batch.len(), ids.len(), "duplicate ids in remove batch");
@@ -593,22 +594,10 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
     /// # Panics
     /// Panics if an id is unknown, removed, or listed twice.
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        self.update_impl(updates, true)
+        self.apply(MutationRef::Update(updates), true)
     }
 
-    /// [`StreamingMetaBlocker::update`] without the feature/probability
-    /// phase — WAL replay applies logged updates with this.
-    pub fn update_unscored(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        self.update_impl(updates, false)
-    }
-
-    /// [`StreamingMetaBlocker::update`] with the feature/probability phase
-    /// optional — WAL replay drives this with `score: false`.
-    pub(crate) fn update_impl(
-        &mut self,
-        updates: &[(EntityId, EntityProfile)],
-        score: bool,
-    ) -> DeltaBatch {
+    fn apply_update(&mut self, updates: &[(EntityId, EntityProfile)], score: bool) -> DeltaBatch {
         let first_id = EntityId(self.index.num_entities() as u32);
         let batch: FxHashSet<u32> = updates.iter().map(|(e, _)| e.0).collect();
         assert_eq!(batch.len(), updates.len(), "duplicate ids in update batch");
@@ -764,7 +753,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
             mutated_entities: Vec::new(),
         };
         // One registry touch per batch (never per pair), before the unscored
-        // early-return so `*_unscored` batches are counted too.
+        // early-return so unscored batches are counted too.
         {
             let o = crate::obs::obs();
             if num_ingested > 0 {
@@ -1167,7 +1156,7 @@ mod tests {
         let mut scored = StreamingMetaBlocker::new(config(&ds), TokenKeys);
         let mut unscored = StreamingMetaBlocker::new(config(&ds), TokenKeys);
         let a = scored.ingest(&ds.profiles);
-        let b = unscored.ingest_unscored(&ds.profiles);
+        let b = unscored.apply(MutationRef::Ingest(&ds.profiles), false);
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.retracted, b.retracted);
         assert!(b.features.is_empty());

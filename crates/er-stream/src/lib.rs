@@ -22,9 +22,16 @@
 //!   scoreboard passes (split across workers only for batches of at least
 //!   two [`MIN_ENTITIES_PER_WORKER`] grains), score them through the shared
 //!   [`er_features::write_features_from`] writer and an attached
-//!   [`er_learn::ProbabilisticClassifier`];
+//!   [`er_learn::ProbabilisticClassifier`]; every batch enters through one
+//!   dispatch, [`StreamingMetaBlocker::apply`], whose `score` flag skips
+//!   the feature phase for batches that need no emission (WAL replay, a
+//!   seed corpus already scored in batch);
 //! * [`DeltaBatch`] — the per-batch emission (additions, retractions,
 //!   re-scored survivors, touched keys);
+//! * [`persist`] — the write-ahead [`persist::MutationLog`] protocol the
+//!   durable wrappers (`er_shard::DurableShardedService`,
+//!   `meta_blocking::DurableStreamingPipeline`) share, with the logged
+//!   [`MutationRecord`] and its borrowed view [`MutationRef`];
 //! * [`StreamingMetaBlocker::compact`] — ends the epoch by folding the
 //!   deltas into a fresh baseline CSR — physically dropping tombstoned
 //!   postings — that is **bit-identical** to a one-shot
@@ -56,5 +63,5 @@ pub use blocker::{
 };
 pub use delta::{BlockIndex, DeltaIndex};
 pub use index::{BatchEffects, Members, PartnerBoard, StreamingIndex};
-pub use persist::{DurableMetaBlocker, MutationRecord};
+pub use persist::{MutationRecord, MutationRef};
 pub use shard::{shard_of_key, ShardRouterState, ShardedIndex};

@@ -1,5 +1,5 @@
 //! Durability for streaming state: the one **mutation-log protocol** every
-//! durable wrapper runs, and the first of its three faces.
+//! durable wrapper runs.
 //!
 //! A durability root is one [`ShardStore`] directory (layout, commit
 //! sequence and fallback chain: see `er_persist::multi`): a *head* snapshot,
@@ -40,42 +40,19 @@
 //!
 //! | wrapper | head | members | replay |
 //! |---|---|---|---|
-//! | [`DurableMetaBlocker`] | feature-set id | the index | unscored |
-//! | `meta_blocking::DurableStreamingPipeline` | + model, schedule, cleaned pool | the index | scored |
-//! | `er_shard::DurableShardedService` | feature-set id, router state | one per posting shard | unscored |
+//! | `meta_blocking::DurableStreamingPipeline` | feature-set id, model, schedule, cleaned pool | the index | scored |
+//! | `er_shard::DurableShardedService` | feature-set id, router state | one per posting shard (N = 1 is the unsharded blocker) | unscored |
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-use er_blocking::{CsrBlockCollection, KeyGenerator};
 use er_core::{crc64, EntityId, EntityProfile, PersistError, PersistResult};
 use er_features::FeatureSet;
-use er_learn::ProbabilisticClassifier;
 use er_persist::{
-    committed_shard_generation, shard_snapshot_path, shard_wal_path, Decode, Encode, Reader,
-    RecoveryReport, RetryPolicy, ShardStore, StdVfs, Vfs, WalWriter, Writer,
+    Decode, Encode, Reader, RecoveryReport, RetryPolicy, ShardStore, Vfs, WalWriter, Writer,
 };
 
-use crate::blocker::{DeltaBatch, StreamingMetaBlocker};
 use crate::index::StreamingIndex;
-
-/// Snapshot payload tag for streaming-blocker snapshots.
-pub const BLOCKER_SNAPSHOT_TAG: u32 = 0x5349_4458; // "SIDX"
-
-/// The index snapshot (member 0) of one generation of an unsharded root.
-pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
-    shard_snapshot_path(dir, 0, generation)
-}
-
-/// The write-ahead log of one generation of an unsharded root.
-pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
-    shard_wal_path(dir, 0, generation)
-}
-
-/// The committed generation recorded in a durability root's manifest.
-pub fn committed_generation(dir: &Path) -> PersistResult<u64> {
-    committed_shard_generation(dir)
-}
 
 /// The fingerprint tying a snapshot and WAL to one logical stream: a
 /// digest of the dataset name, ER kind, Clean-Clean split and scheme cap.
@@ -90,8 +67,9 @@ pub fn stream_fingerprint(index: &StreamingIndex) -> u64 {
 }
 
 /// One logged mutation batch: exactly the input of the corresponding
-/// [`StreamingMetaBlocker`] call.  Replaying the inputs through the same
-/// (deterministic) engine reproduces the state bit-identically.
+/// [`StreamingMetaBlocker`](crate::StreamingMetaBlocker) call.  Replaying
+/// the inputs through the same (deterministic) engine reproduces the state
+/// bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutationRecord {
     /// A batch of new entity profiles.
@@ -102,21 +80,26 @@ pub enum MutationRecord {
     Update(Vec<(EntityId, EntityProfile)>),
 }
 
-impl Encode for MutationRecord {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            MutationRecord::Ingest(profiles) => {
-                w.write_u8(0);
-                profiles.encode(w);
-            }
-            MutationRecord::Remove(ids) => {
-                w.write_u8(1);
-                ids.encode(w);
-            }
-            MutationRecord::Update(updates) => {
-                w.write_u8(2);
-                updates.encode(w);
-            }
+/// A borrowed view of one mutation batch: what
+/// [`StreamingMetaBlocker::apply`](crate::StreamingMetaBlocker::apply)
+/// consumes and [`encode_record`] logs, without owning (or copying) the
+/// batch.
+#[derive(Debug, Clone, Copy)]
+pub enum MutationRef<'a> {
+    /// A batch of new entity profiles.
+    Ingest(&'a [EntityProfile]),
+    /// A batch of removed entity ids.
+    Remove(&'a [EntityId]),
+    /// A batch of in-place profile updates.
+    Update(&'a [(EntityId, EntityProfile)]),
+}
+
+impl<'a> From<&'a MutationRecord> for MutationRef<'a> {
+    fn from(record: &'a MutationRecord) -> Self {
+        match record {
+            MutationRecord::Ingest(profiles) => MutationRef::Ingest(profiles),
+            MutationRecord::Remove(ids) => MutationRef::Remove(ids),
+            MutationRecord::Update(updates) => MutationRef::Update(updates),
         }
     }
 }
@@ -136,42 +119,26 @@ impl Decode for MutationRecord {
     }
 }
 
-/// Encodes an ingest record payload (`seq` + tagged batch) without cloning
-/// the profile slice; the byte layout equals
-/// `(seq, MutationRecord::Ingest(profiles.to_vec()))`.
-pub fn encode_ingest_record(seq: u64, profiles: &[EntityProfile]) -> Vec<u8> {
+/// Encodes one WAL record payload (`seq` + tagged batch) straight from the
+/// borrowed batch, as [`decode_record`] reads it back.
+pub fn encode_record(seq: u64, mutation: MutationRef<'_>) -> Vec<u8> {
     let mut w = Writer::new();
     w.write_u64(seq);
-    w.write_u8(0);
-    profiles.encode(&mut w);
-    w.into_bytes()
-}
-
-/// Encodes a remove record payload (see [`encode_ingest_record`]).
-pub fn encode_remove_record(seq: u64, ids: &[EntityId]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.write_u64(seq);
-    w.write_u8(1);
-    ids.encode(&mut w);
-    w.into_bytes()
-}
-
-/// Encodes an update record payload (see [`encode_ingest_record`]).
-pub fn encode_update_record(seq: u64, updates: &[(EntityId, EntityProfile)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.write_u64(seq);
-    w.write_u8(2);
-    updates.encode(&mut w);
-    w.into_bytes()
-}
-
-/// Encodes any record payload (`seq` + tagged batch).
-pub fn encode_record(seq: u64, record: &MutationRecord) -> Vec<u8> {
-    match record {
-        MutationRecord::Ingest(profiles) => encode_ingest_record(seq, profiles),
-        MutationRecord::Remove(ids) => encode_remove_record(seq, ids),
-        MutationRecord::Update(updates) => encode_update_record(seq, updates),
+    match mutation {
+        MutationRef::Ingest(profiles) => {
+            w.write_u8(0);
+            profiles.encode(&mut w);
+        }
+        MutationRef::Remove(ids) => {
+            w.write_u8(1);
+            ids.encode(&mut w);
+        }
+        MutationRef::Update(updates) => {
+            w.write_u8(2);
+            updates.encode(&mut w);
+        }
     }
+    w.into_bytes()
 }
 
 /// Decodes one WAL record payload into its sequence number and mutation.
@@ -501,7 +468,7 @@ impl MutationLog {
         let num_wals = self.wals.len();
         let mut striped: Vec<Vec<Vec<u8>>> = vec![Vec::new(); num_wals];
         for (seq, op) in (self.next_seq..).zip(ops) {
-            striped[(seq % num_wals as u64) as usize].push(encode_record(seq, op));
+            striped[(seq % num_wals as u64) as usize].push(encode_record(seq, op.into()));
         }
         let mut wrote_any = false;
         for (wal, group) in self.wals.iter_mut().zip(&striped) {
@@ -581,247 +548,5 @@ impl MutationLog {
     /// root created fresh.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
-    }
-}
-
-/// A [`StreamingMetaBlocker`] with crash durability: every mutation batch
-/// is appended to the [`MutationLog`] before it is applied, and
-/// [`compact`](DurableMetaBlocker::compact) /
-/// [`checkpoint`](DurableMetaBlocker::checkpoint) commit snapshots that
-/// truncate the log.  Its head is the feature-set id, its one member the
-/// index; replay runs the unscored paths.
-///
-/// Created by [`StreamingMetaBlocker::persist_to`] (fresh root) or
-/// [`DurableMetaBlocker::recover_from`] (snapshot + WAL-tail replay).  The
-/// recovered state is bit-identical to the never-crashed run — property
-/// tested in `er-stream/tests/persistence.rs` across random mutation
-/// traces, schemes, ER kinds, thread counts and kill points.
-pub struct DurableMetaBlocker<G: KeyGenerator> {
-    blocker: StreamingMetaBlocker<G>,
-    log: MutationLog,
-}
-
-impl<G: KeyGenerator> std::fmt::Debug for DurableMetaBlocker<G> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableMetaBlocker")
-            .field("dir", &self.log.dir())
-            .field("fingerprint", &self.log.fingerprint())
-            .field("generation", &self.log.generation())
-            .field("next_seq", &self.log.next_seq())
-            .field("num_entities", &self.blocker.num_entities())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<G: KeyGenerator> StreamingMetaBlocker<G> {
-    /// Makes this blocker durable, rooted at `dir`: writes generation 0
-    /// (initial snapshots + fresh write-ahead log + manifest) on the
-    /// production filesystem.
-    pub fn persist_to(self, dir: impl AsRef<Path>) -> PersistResult<DurableMetaBlocker<G>> {
-        self.persist_to_with(dir, StdVfs::arc(), RetryPolicy::default_write())
-    }
-
-    /// [`persist_to`](StreamingMetaBlocker::persist_to) through an
-    /// explicit VFS and write-path retry policy (the fault-injection
-    /// seam).
-    pub fn persist_to_with(
-        self,
-        dir: impl AsRef<Path>,
-        vfs: Arc<dyn Vfs>,
-        policy: RetryPolicy,
-    ) -> PersistResult<DurableMetaBlocker<G>> {
-        let log = MutationLog::create(
-            dir.as_ref(),
-            vfs,
-            policy,
-            BLOCKER_SNAPSHOT_TAG,
-            stream_fingerprint(self.index()),
-            &self.feature_set().id(),
-            &[self.index()],
-        )?;
-        Ok(DurableMetaBlocker { blocker: self, log })
-    }
-}
-
-impl<G: KeyGenerator> DurableMetaBlocker<G> {
-    /// Recovers a durable blocker from its root on the production
-    /// filesystem: loads the newest readable snapshot generation and
-    /// replays the WAL chain through the deterministic mutation engine.  A
-    /// torn final record — the artefact of a crash mid-append — is
-    /// truncated away; a corrupt newest generation is quarantined and the
-    /// previous one used instead; any other damage is a typed error.
-    pub fn recover_from(
-        dir: impl AsRef<Path>,
-        generator: G,
-        threads: usize,
-    ) -> PersistResult<Self> {
-        DurableMetaBlocker::recover_from_with(
-            dir,
-            StdVfs::arc(),
-            RetryPolicy::default_write(),
-            generator,
-            threads,
-        )
-    }
-
-    /// [`recover_from`](DurableMetaBlocker::recover_from) through an
-    /// explicit VFS and write-path retry policy (the fault-injection
-    /// seam).
-    pub fn recover_from_with(
-        dir: impl AsRef<Path>,
-        vfs: Arc<dyn Vfs>,
-        policy: RetryPolicy,
-        generator: G,
-        threads: usize,
-    ) -> PersistResult<Self> {
-        let (pending, mut replay) =
-            MutationLog::recover(dir.as_ref(), vfs, policy, BLOCKER_SNAPSHOT_TAG)?;
-        let mut head = Reader::new(&replay.head);
-        let feature_set = decode_feature_set(&mut head)?;
-        head.expect_end()?;
-        let index = replay.take_only_member()?;
-        replay.verify_fingerprint(stream_fingerprint(&index))?;
-        let mut blocker =
-            StreamingMetaBlocker::from_recovered(index, generator, feature_set, threads)?;
-        // Replay through the unscored paths: index state, statistics and
-        // LCP counters move exactly as in the original (scored) run; only
-        // the already-delivered emissions are skipped.
-        for record in &replay.records {
-            match record {
-                MutationRecord::Ingest(profiles) => blocker.ingest_impl(profiles, false),
-                MutationRecord::Remove(ids) => blocker.remove_impl(ids, false),
-                MutationRecord::Update(updates) => blocker.update_impl(updates, false),
-            };
-        }
-        let log = pending.finish(&feature_set.id(), &[blocker.index()])?;
-        Ok(DurableMetaBlocker { blocker, log })
-    }
-
-    /// Attaches the classifier scoring future delta pairs.
-    pub fn with_model(mut self, model: Box<dyn ProbabilisticClassifier>) -> Self {
-        self.blocker = self.blocker.with_model(model);
-        self
-    }
-
-    /// The durability root directory.
-    pub fn dir(&self) -> &Path {
-        self.log.dir()
-    }
-
-    /// The stream fingerprint stamped on the snapshots and WALs.
-    pub fn fingerprint(&self) -> u64 {
-        self.log.fingerprint()
-    }
-
-    /// The committed snapshot generation.
-    pub fn generation(&self) -> u64 {
-        self.log.generation()
-    }
-
-    /// What the recovery that produced this blocker had to do — `None`
-    /// for a blocker created fresh by `persist_to`.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.log.recovery_report()
-    }
-
-    /// Sequence number the next mutation batch will be logged under.
-    pub fn wal_sequence(&self) -> u64 {
-        self.log.next_seq()
-    }
-
-    /// The wrapped blocker (read-only; mutations must go through the
-    /// durable methods so they hit the log).
-    pub fn blocker(&self) -> &StreamingMetaBlocker<G> {
-        &self.blocker
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &StreamingIndex {
-        self.blocker.index()
-    }
-
-    /// Number of entity ids ever assigned.
-    pub fn num_entities(&self) -> usize {
-        self.blocker.num_entities()
-    }
-
-    /// Number of entities currently alive.
-    pub fn num_alive(&self) -> usize {
-        self.blocker.num_alive()
-    }
-
-    /// The batch view of the current corpus (no state change).
-    pub fn view(&self) -> CsrBlockCollection {
-        self.blocker.view()
-    }
-
-    /// Detaches the in-memory blocker, abandoning durability (the files in
-    /// the root stay behind and remain recoverable up to the last logged
-    /// batch).
-    pub fn into_inner(self) -> StreamingMetaBlocker<G> {
-        self.blocker
-    }
-
-    /// Logs an ingest batch, then applies it.
-    pub fn ingest(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
-        Ok(self.blocker.ingest(profiles))
-    }
-
-    /// Logs an ingest batch, then applies it without the feature /
-    /// probability phase (see `StreamingMetaBlocker::ingest_unscored`).
-    pub fn ingest_unscored(&mut self, profiles: &[EntityProfile]) -> PersistResult<DeltaBatch> {
-        self.log.append(|seq| encode_ingest_record(seq, profiles))?;
-        Ok(self.blocker.ingest_unscored(profiles))
-    }
-
-    /// Logs a removal batch, then applies it.
-    ///
-    /// # Panics
-    /// Same contract as `StreamingMetaBlocker::remove` (unknown, removed
-    /// or duplicate ids) — asserted **before** the WAL append, so an
-    /// invalid batch never poisons the log.
-    pub fn remove(&mut self, ids: &[EntityId]) -> PersistResult<DeltaBatch> {
-        self.blocker.assert_remove_batch(ids);
-        self.log.append(|seq| encode_remove_record(seq, ids))?;
-        Ok(self.blocker.remove(ids))
-    }
-
-    /// Logs an update batch, then applies it.
-    ///
-    /// # Panics
-    /// Same contract as `StreamingMetaBlocker::update` — asserted
-    /// **before** the WAL append, so an invalid batch never poisons the
-    /// log.
-    pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> PersistResult<DeltaBatch> {
-        self.blocker.assert_update_batch(updates);
-        self.log.append(|seq| encode_update_record(seq, updates))?;
-        Ok(self.blocker.update(updates))
-    }
-
-    /// Appends a mutation record to the WAL **without applying it** — the
-    /// state a crash leaves in the write-ahead window between the log
-    /// append and the in-memory apply.  Recovery must replay it.  Used by
-    /// the crash-recovery property tests; real callers want
-    /// [`DurableMetaBlocker::ingest`] and friends.
-    pub fn wal_append_only(&mut self, record: &MutationRecord) -> PersistResult<u64> {
-        self.log.append(|seq| encode_record(seq, record))
-    }
-
-    /// Commits a new generation of the current state (see
-    /// [`MutationLog::checkpoint`]) — the durable equivalent of
-    /// "everything so far is safe in one place".
-    pub fn checkpoint(&mut self) -> PersistResult<()> {
-        let head = self.blocker.feature_set().id();
-        self.log.checkpoint(&head, &[self.blocker.index()])
-    }
-
-    /// Ends the epoch: folds the accumulated deltas into a fresh baseline
-    /// CSR (see `StreamingMetaBlocker::compact`) and makes the compaction
-    /// the snapshot/truncation point of the log.
-    pub fn compact(&mut self) -> PersistResult<CsrBlockCollection> {
-        let csr = self.blocker.compact();
-        self.checkpoint()?;
-        Ok(csr)
     }
 }

@@ -16,8 +16,8 @@ use er_core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth};
 use er_features::FeatureSet;
 use er_persist::{Decode, Encode, Reader, Writer};
 use er_stream::{
-    dataset_prefix, surviving_dataset, DeltaIndex, ShardedIndex, StreamingConfig, StreamingIndex,
-    StreamingMetaBlocker,
+    dataset_prefix, surviving_dataset, DeltaIndex, MutationRef, ShardedIndex, StreamingConfig,
+    StreamingIndex, StreamingMetaBlocker,
 };
 
 /// Keys every entity may draw from.
@@ -163,7 +163,10 @@ fn churn<I: DeltaIndex>(
     for cycle in 0..cycles {
         let take = 11.min(dataset.num_entities() - state.ingested);
         let from = state.ingested;
-        blocker.ingest_unscored(&dataset.profiles[from..from + take]);
+        blocker.apply(
+            MutationRef::Ingest(&dataset.profiles[from..from + take]),
+            false,
+        );
         state.ingested += take;
         state.alive.extend(from as u32..(from + take) as u32);
 
@@ -173,7 +176,7 @@ fn churn<I: DeltaIndex>(
                 let at = (next(rng) % state.alive.len() as u64) as usize;
                 victims.push(EntityId(state.alive.swap_remove(at)));
             }
-            blocker.remove_unscored(&victims);
+            blocker.apply(MutationRef::Remove(&victims), false);
             state.removed.extend(victims);
         }
         if cycle % 3 == 1 {
@@ -185,7 +188,7 @@ fn churn<I: DeltaIndex>(
                     updates.push((EntityId(e), dataset.profiles[donor].clone()));
                 }
             }
-            blocker.update_unscored(&updates);
+            blocker.apply(MutationRef::Update(&updates), false);
             state.updated.extend(updates);
         }
 

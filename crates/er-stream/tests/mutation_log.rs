@@ -10,8 +10,8 @@ use er_core::{DatasetKind, EntityProfile, PersistError, PersistResult};
 use er_persist::{
     shard_snapshot_path, FaultKind, FaultVfs, InjectedFault, OpKind, RetryPolicy, StdVfs, Vfs,
 };
-use er_stream::persist::{encode_ingest_record, MutationLog, PendingLog, Replay};
-use er_stream::{MutationRecord, StreamingIndex};
+use er_stream::persist::{encode_record, MutationLog, PendingLog, Replay};
+use er_stream::{MutationRecord, MutationRef, StreamingIndex};
 
 const TAG: u32 = 0x7e57_106a;
 const FINGERPRINT: u64 = 0x0106_0106_0106_0106;
@@ -70,11 +70,11 @@ fn corrupt(result: PersistResult<(PendingLog, Replay)>, needle: &str) {
 fn a_gap_on_a_single_wal_is_corrupt() {
     let dir = scratch("gap-1");
     let mut log = create(&dir, StdVfs::arc(), 1);
-    log.append(|seq| encode_ingest_record(seq, &batch(0)))
+    log.append(|seq| encode_record(seq, MutationRef::Ingest(&batch(0))))
         .unwrap();
     // Sequence 1 never reaches the log; with one WAL that cannot be the
     // debris of a torn group.
-    log.append(|seq| encode_ingest_record(seq + 1, &batch(1)))
+    log.append(|seq| encode_record(seq + 1, MutationRef::Ingest(&batch(1))))
         .unwrap();
     drop(log);
     corrupt(
@@ -88,7 +88,7 @@ fn a_record_on_the_wrong_stripe_or_without_a_sequence_is_corrupt() {
     let dir = scratch("stripe");
     let mut log = create(&dir, StdVfs::arc(), 2);
     // Sequence 0 stripes to WAL 0; claim to be record 1 there.
-    log.append(|seq| encode_ingest_record(seq + 1, &batch(0)))
+    log.append(|seq| encode_record(seq + 1, MutationRef::Ingest(&batch(0))))
         .unwrap();
     drop(log);
     corrupt(recover(&dir), "seq 1 found on wal 0, expected wal 1");
@@ -108,7 +108,7 @@ fn a_member_off_the_heads_boundary_or_out_of_place_is_corrupt() {
     for (dir, records) in [(&a, 0usize), (&b, 1)] {
         let mut log = create(dir, StdVfs::arc(), 2);
         for i in 0..records {
-            log.append(|seq| encode_ingest_record(seq, &batch(i)))
+            log.append(|seq| encode_record(seq, MutationRef::Ingest(&batch(i))))
                 .unwrap();
         }
         let members = members(2);
@@ -133,7 +133,7 @@ fn a_member_off_the_heads_boundary_or_out_of_place_is_corrupt() {
 /// Runs `create(3 WALs) → append → append_group(4)` on `vfs`.
 fn group_trace(dir: &Path, vfs: Arc<dyn Vfs>) -> (MutationLog, PersistResult<Vec<usize>>) {
     let mut log = create(dir, vfs, 3);
-    log.append(|seq| encode_ingest_record(seq, &batch(0)))
+    log.append(|seq| encode_record(seq, MutationRef::Ingest(&batch(0))))
         .unwrap();
     let group: Vec<MutationRecord> = (1..=4).map(|i| MutationRecord::Ingest(batch(i))).collect();
     let outcome = log.append_group(&group);
@@ -178,7 +178,7 @@ fn a_partial_group_poisons_the_log_and_recovery_repairs_past_the_gap() {
     };
     refused(log.check_usable());
     refused(
-        log.append(|seq| encode_ingest_record(seq, &batch(9)))
+        log.append(|seq| encode_record(seq, MutationRef::Ingest(&batch(9))))
             .map(drop),
     );
     refused(
@@ -209,7 +209,7 @@ fn a_partial_group_poisons_the_log_and_recovery_repairs_past_the_gap() {
     let report = log.recovery_report().unwrap();
     assert!(report.is_clean() && !report.repair_checkpoint, "{report}");
     assert_eq!(
-        log.append(|seq| encode_ingest_record(seq, &batch(1)))
+        log.append(|seq| encode_record(seq, MutationRef::Ingest(&batch(1))))
             .unwrap(),
         1
     );

@@ -22,7 +22,8 @@
 //!   batches, emit delta candidates, compact back to the batch state;
 //! * [`persist`] (`er-persist`) — durability: the versioned, checksummed
 //!   binary codec, atomic snapshots and the mutation write-ahead log behind
-//!   `stream::DurableMetaBlocker` and `meta::DurableStreamingPipeline`;
+//!   `shard::DurableShardedService` (one shard for an unsharded blocker)
+//!   and `meta::DurableStreamingPipeline`;
 //! * [`shard`] (`er-shard`) — the sharded streaming service: hash-partitioned
 //!   posting shards, per-shard WALs with group commit, atomic cross-shard
 //!   checkpoints and epoch-published wait-free reads;

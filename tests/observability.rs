@@ -24,7 +24,7 @@ use gsmb::datasets::{
 use gsmb::features::FeatureSet;
 use gsmb::obs::event::CapturingSink;
 use gsmb::shard::{DurableShardedService, ShardedStreamingService};
-use gsmb::stream::{MutationRecord, StreamingConfig};
+use gsmb::stream::{MutationRecord, MutationRef, StreamingConfig};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -200,7 +200,7 @@ fn live_view_refreshes_and_compactions_record_their_counts() {
     let ds = dataset();
     let n = ds.profiles.len();
     let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
-    blocker.ingest_unscored(&ds.profiles[..n / 2]);
+    blocker.apply(MutationRef::Ingest(&ds.profiles[..n / 2]), false);
     let mut view = LiveView::with_default_ratio(blocker.index());
 
     let read = |name: &str| {
@@ -219,7 +219,7 @@ fn live_view_refreshes_and_compactions_record_their_counts() {
         read("live_view_dirty_entities_total"),
         read("live_view_rederived_entities_total"),
     );
-    let batch = blocker.ingest_unscored(&ds.profiles[n / 2..]);
+    let batch = blocker.apply(MutationRef::Ingest(&ds.profiles[n / 2..]), false);
     view.refresh(blocker.index(), &batch.touched_keys, batch.batch_entities());
     let dirty = read("live_view_dirty_entities_total") - dirty;
     let rederived = read("live_view_rederived_entities_total") - rederived;
@@ -242,7 +242,10 @@ fn live_view_refreshes_and_compactions_record_their_counts() {
     let sorted = read("stream_compaction_keys_sorted_total");
     // Two entities take a token nobody had: its block comes alive.
     let fresh = |id: &str| EntityProfile::new(id).with_attribute("title", "zzfreshtoken");
-    blocker.update_unscored(&[(EntityId(0), fresh("a")), (EntityId(3), fresh("b"))]);
+    blocker.apply(
+        MutationRef::Update(&[(EntityId(0), fresh("a")), (EntityId(3), fresh("b"))]),
+        false,
+    );
     let second = blocker.compact();
     let known: Vec<&str> = (0..first.num_blocks()).map(|b| first.key(b)).collect();
     let came_alive = (0..second.num_blocks())
@@ -270,10 +273,10 @@ fn streaming_batches_record_the_key_dictionary() {
             .unwrap_or_else(|| panic!("{name} not registered"))
     };
     let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
-    blocker.ingest_unscored(&ds.profiles[..1]);
+    blocker.apply(MutationRef::Ingest(&ds.profiles[..1]), false);
     let interned = read("streaming_keys_interned_total");
     let first_keys = blocker.index().num_keys();
-    blocker.ingest_unscored(&ds.profiles[1..]);
+    blocker.apply(MutationRef::Ingest(&ds.profiles[1..]), false);
     let added = blocker.index().num_keys() - first_keys;
     assert!(added > 0);
     assert!(
@@ -300,9 +303,9 @@ fn streaming_phases_split_across_workers_only_from_two_grains_on() {
     };
     let mut blocker = StreamingMetaBlocker::new(config(&ds), TokenKeys);
     let before = read();
-    blocker.ingest_unscored(&ds.profiles[..2 * grain - 1]);
+    blocker.apply(MutationRef::Ingest(&ds.profiles[..2 * grain - 1]), false);
     assert_eq!(read(), before, "a batch below two grains ran on the caller");
-    blocker.ingest_unscored(&ds.profiles[2 * grain - 1..]);
+    blocker.apply(MutationRef::Ingest(&ds.profiles[2 * grain - 1..]), false);
     assert_eq!(
         read() - before,
         1,
