@@ -36,7 +36,7 @@ use er_persist::{
     Writer,
 };
 use er_stream::persist::{decode_feature_set, encode_record, stream_fingerprint, MutationLog};
-use er_stream::{DeltaBatch, MutationRef, StreamingMetaBlocker};
+use er_stream::{DeltaBatch, DeltaIndex, MutationRef, StreamingMetaBlocker};
 
 use crate::live_view::LiveView;
 use crate::progressive::StreamingSchedule;

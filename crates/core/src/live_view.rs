@@ -66,7 +66,7 @@
 
 use er_blocking::{filtering_keep_count, purging_limit, DEFAULT_FILTERING_RATIO};
 use er_core::EntityId;
-use er_stream::StreamingIndex;
+use er_stream::{DeltaIndex, StreamingIndex};
 
 /// How the cleaned candidate set moved across one [`LiveView::refresh`].
 #[derive(Debug, Default, Clone)]

@@ -222,7 +222,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
 
     fn log_and_apply(&mut self, mutation: MutationRef<'_>) -> PersistResult<DeltaBatch> {
         self.log.append(|seq| encode_record(seq, mutation))?;
-        Ok(self.service.apply_ref(mutation, true))
+        Ok(self.service.apply(mutation, true))
     }
 
     /// Group commit: logs a queue of mutation batches with **one write and
@@ -274,7 +274,7 @@ impl<G: KeyGenerator> DurableShardedService<G> {
         let alive = |e: EntityId, projected: usize, killed: &std::collections::HashSet<u32>| {
             e.index() < projected
                 && !killed.contains(&e.0)
-                && (e.index() >= base || er_stream::BlockIndex::is_alive(index, e))
+                && (e.index() >= base || er_stream::DeltaIndex::is_alive(index, e))
         };
         for op in ops {
             match op {

@@ -24,8 +24,7 @@ use er_core::{EntityId, EntityProfile, PersistResult};
 use er_features::FeatureSet;
 use er_learn::ProbabilisticClassifier;
 use er_stream::{
-    DeltaBatch, DeltaIndex, MutationRecord, MutationRef, ShardedIndex, StreamingConfig,
-    StreamingMetaBlocker,
+    DeltaBatch, DeltaIndex, MutationRef, ShardedIndex, StreamingConfig, StreamingMetaBlocker,
 };
 
 use crate::epoch::{EpochCell, EpochReader, EpochView};
@@ -145,7 +144,7 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
 
     /// Ingests a batch of new profiles and publishes the post-batch view.
     pub fn ingest(&mut self, profiles: &[EntityProfile]) -> DeltaBatch {
-        self.apply_ref(MutationRef::Ingest(profiles), true)
+        self.apply(MutationRef::Ingest(profiles), true)
     }
 
     /// Removes a batch of entities and publishes the post-batch view.
@@ -153,7 +152,7 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
     /// # Panics
     /// Same contract as [`StreamingMetaBlocker::remove`].
     pub fn remove(&mut self, ids: &[EntityId]) -> DeltaBatch {
-        self.apply_ref(MutationRef::Remove(ids), true)
+        self.apply(MutationRef::Remove(ids), true)
     }
 
     /// Applies in-place profile updates and publishes the post-batch view.
@@ -161,20 +160,16 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
     /// # Panics
     /// Same contract as [`StreamingMetaBlocker::update`].
     pub fn update(&mut self, updates: &[(EntityId, EntityProfile)]) -> DeltaBatch {
-        self.apply_ref(MutationRef::Update(updates), true)
+        self.apply(MutationRef::Update(updates), true)
     }
 
-    /// Applies one [`MutationRecord`] — the dispatch the durable layer and
-    /// WAL replay share, so logged batches cannot take a different code
-    /// path than live ones.  `score: false` skips the feature /
-    /// probability phase (see [`StreamingMetaBlocker::apply`]).
-    pub fn apply(&mut self, record: &MutationRecord, score: bool) -> DeltaBatch {
-        self.apply_ref(record.into(), score)
-    }
-
-    /// [`apply`](ShardedStreamingService::apply) on a borrowed batch.
-    pub(crate) fn apply_ref(&mut self, mutation: MutationRef<'_>, score: bool) -> DeltaBatch {
-        let delta = self.blocker.apply(mutation, score);
+    /// Applies one batch — a [`MutationRef`] or a logged
+    /// [`MutationRecord`](er_stream::MutationRecord) — and publishes the
+    /// post-batch view: the dispatch the durable layer and WAL replay share,
+    /// so logged batches cannot take a different code path than live ones.  `score: false` skips the
+    /// feature / probability phase (see [`StreamingMetaBlocker::apply`]).
+    pub fn apply<'a>(&mut self, mutation: impl Into<MutationRef<'a>>, score: bool) -> DeltaBatch {
+        let delta = self.blocker.apply(mutation.into(), score);
         self.publish_batch(&delta);
         delta
     }
@@ -236,6 +231,7 @@ mod tests {
     use super::*;
     use er_blocking::TokenKeys;
     use er_core::{Dataset, EntityCollection, GroundTruth};
+    use er_stream::MutationRecord;
 
     fn profile(id: &str, value: &str) -> EntityProfile {
         EntityProfile::new(id).with_attribute("name", value)

@@ -20,7 +20,7 @@ use er_datasets::{
 use er_features::FeatureSet;
 use er_learn::ProbabilisticClassifier;
 use er_shard::ShardedStreamingService;
-use er_stream::{BlockIndex, DeltaBatch, StreamingConfig, StreamingMetaBlocker};
+use er_stream::{DeltaBatch, DeltaIndex, StreamingConfig, StreamingMetaBlocker};
 use rand::Rng;
 
 /// A fixed linear model: deterministic probabilities without training.

@@ -4,9 +4,9 @@
 //!
 //! The contract of `er_stream::persist`: for **any** mutation trace
 //! (insert/remove/update batches, compactions interleaved), a restart
-//! injected at **any** batch boundary — and a crash right after a record's
-//! WAL sync, before the call's caller saw anything — leaves a recovered
-//! service whose blocks, candidates, feature rows and classifier
+//! injected at **any** batch boundary — and a crash on a record's own WAL
+//! sync, before its caller saw the record acknowledged — leaves a
+//! recovered service whose blocks, candidates, feature rows and classifier
 //! probabilities are **bit-identical** to a never-restarted run of the same
 //! trace, for all three blocking schemes, both ER kinds and any thread
 //! count (including recovering under a *different* thread count than the
@@ -25,9 +25,9 @@ use er_datasets::{
 };
 use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
 use er_learn::ProbabilisticClassifier;
-use er_persist::{shard_snapshot_path, shard_wal_path, FaultVfs, RetryPolicy};
+use er_persist::{shard_snapshot_path, shard_wal_path, FaultVfs, OpKind, RetryPolicy};
 use er_shard::{DurableShardedService, ShardedStreamingService};
-use er_stream::{BlockIndex, StreamingConfig, StreamingMetaBlocker};
+use er_stream::{DeltaIndex, StreamingConfig, StreamingMetaBlocker};
 use rand::Rng;
 
 /// A fixed linear model: deterministic probabilities without training.
@@ -226,7 +226,7 @@ fn assert_end_state<G: KeyGenerator>(
     dataset: &Dataset,
     generator: &G,
     csr: &er_blocking::CsrBlockCollection,
-    index: &impl BlockIndex,
+    index: &impl DeltaIndex,
     current: &[EntityProfile],
     threads: usize,
 ) {
@@ -378,13 +378,13 @@ fn dirty_restart_traces_recover_bit_identically_with_caps() {
     }
 }
 
-/// The crash point right after a record's WAL sync: the record is on
-/// disk, the in-memory apply that followed is lost with the process, and
-/// the next filesystem operation dies part-way.  Recovery must replay the
-/// record — land at or past the sequence just after it (one further record
-/// when the dying op was the next append, written before the crash), in
-/// the state after those records — and the resumed run must emit exactly
-/// what the never-crashed run does.
+/// The crash point between a record's WAL append and its in-memory apply:
+/// the process dies on the record's own WAL `sync_file`, so the call that
+/// logged it fails and its caller never sees the record acknowledged.  The
+/// appended bytes already landed and the dead filesystem refuses the
+/// rollback truncate, so the record is on disk.  Recovery must replay it —
+/// land on exactly the sequence after the record, in the state after it —
+/// and the resumed run must emit exactly what the never-crashed run does.
 #[test]
 fn kill_point_between_wal_append_and_apply_replays_the_record() {
     let dataset = clean_clean_dataset();
@@ -393,28 +393,56 @@ fn kill_point_between_wal_append_and_apply_replays_the_record() {
     let threads = 2;
     let (expected, current) = run_reference(&dataset, generator, &ops, threads);
 
-    // One fault-free pass through a counting VFS: per step, the op count at
-    // its end (the index of the first op after it), the number of logged
-    // records so far, and the view the state then has.
+    // One fault-free pass through a counting VFS: per step, the index of
+    // the step's own WAL sync (the `sync_file` right after the record's
+    // append to a WAL file), the number of logged records so far, and the
+    // view the state then has.
     let counting = FaultVfs::counting(0x5eed);
     let dir = scratch("kill-point-count");
     let service = ShardedStreamingService::new(config(&dataset, threads), generator, 1).unwrap();
     let mut durable = service
         .persist_to_with(&dir, counting.clone(), RetryPolicy::default_write())
         .unwrap();
+    let is_wal = |path: &Path| {
+        path.file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(|name| name.starts_with("wal."))
+    };
     let mut next = 0usize;
     let mut step_ends = Vec::new();
     for op in &ops {
+        let begin = counting.op_count() as usize;
         apply_durable(&mut durable, &dataset, &mut next, op).unwrap();
+        let log = counting.op_log();
+        let wal_syncs: Vec<u64> = (begin.max(1)..log.len())
+            .filter(|&i| {
+                let ((before, from), (kind, path)) = (&log[i - 1], &log[i]);
+                *before == OpKind::Append
+                    && *kind == OpKind::SyncFile
+                    && from == path
+                    && is_wal(path)
+            })
+            .map(|i| i as u64)
+            .collect();
+        let wal_sync = match op {
+            Op::Compact => None,
+            _ => {
+                assert_eq!(wal_syncs.len(), 1, "a logged step syncs its one record");
+                Some(wal_syncs[0])
+            }
+        };
         let records = durable.wal_sequence() as usize;
-        step_ends.push((counting.op_count(), records, durable.view()));
+        step_ends.push((wal_sync, records, durable.view()));
     }
     drop(durable);
 
     let mut rng = er_core::seeded_rng(0x5eed);
     let mut kill_points = 0usize;
-    for (step, &(crash_at, sequence, _)) in step_ends[..ops.len() - 2].iter().enumerate() {
-        if matches!(ops[step], Op::Compact) || rng.gen_range(0..3) != 0 {
+    for (step, (wal_sync, sequence, state)) in step_ends.iter().enumerate() {
+        let Some(crash_at) = *wal_sync else {
+            continue;
+        };
+        if rng.gen_range(0..3) != 0 {
             continue;
         }
         kill_points += 1;
@@ -427,38 +455,36 @@ fn kill_point_between_wal_append_and_apply_replays_the_record() {
             .unwrap()
             .with_model(Box::new(FixedModel));
         let mut next = 0usize;
-        for op in &ops[..=step] {
+        for op in &ops[..step] {
             apply_durable(&mut durable, &dataset, &mut next, op).unwrap();
         }
         assert!(
-            apply_durable(&mut durable, &dataset, &mut next, &ops[step + 1]).is_err(),
-            "step {step}: the crash after the WAL sync did not fire"
+            apply_durable(&mut durable, &dataset, &mut next, &ops[step]).is_err(),
+            "step {step}: the crash on the WAL sync did not fail the call"
         );
-        assert!(vfs.has_crashed());
+        assert!(
+            vfs.has_crashed(),
+            "step {step}: the crash point never fired"
+        );
         drop(durable);
 
         let mut durable = DurableShardedService::recover_from(&dir, generator, threads)
             .unwrap()
             .with_model(Box::new(FixedModel));
-        let landed = durable.wal_sequence() as usize;
-        let resume = match landed - sequence {
-            0 => step + 1,
-            1 if !matches!(ops[step + 1], Op::Compact) => step + 2,
-            _ => panic!("step {step}: {sequence} records logged, recovery landed on {landed}"),
-        };
+        assert_eq!(
+            durable.wal_sequence() as usize,
+            *sequence,
+            "step {step}: the unacknowledged record was not replayed"
+        );
         let report = durable.recovery_report().unwrap();
         assert!(report.records_replayed >= 1, "step {step}: {report}");
         assert!(
-            durable.view().same_blocks(&step_ends[resume - 1].2),
-            "step {step}: recovered state is not the state after record {landed}"
+            durable.view().same_blocks(state),
+            "step {step}: recovered state is not the state after the record"
         );
 
         // The resumed run emits exactly what the never-crashed run does.
-        let mut next = ops[..resume]
-            .iter()
-            .map(|op| if let Op::Ingest(take) = op { *take } else { 0 })
-            .sum::<usize>();
-        for op in &ops[resume..] {
+        for op in &ops[step + 1..] {
             if let Some(emission) = apply_durable(&mut durable, &dataset, &mut next, op).unwrap() {
                 assert_eq!(emission, expected[durable.wal_sequence() as usize - 1]);
             }

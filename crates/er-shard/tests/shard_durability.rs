@@ -10,7 +10,7 @@ use er_datasets::{dirty_catalog, generate_dirty, CatalogOptions};
 use er_features::FeatureSet;
 use er_persist::{FaultKind, FaultVfs, InjectedFault, OpKind, RetryPolicy};
 use er_shard::{DurableShardedService, ShardedStreamingService};
-use er_stream::{BlockIndex, MutationRecord, StreamingConfig};
+use er_stream::{DeltaIndex, MutationRecord, StreamingConfig};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);

@@ -211,11 +211,12 @@ impl DeltaBatch {
 /// [`DeltaBatch`], and the post-compact state is always exact.
 ///
 /// The blocker is generic over its [`DeltaIndex`] implementation — the
-/// canonical single-shard [`StreamingIndex`] by default, or `er-shard`'s
-/// hash-partitioned `ShardedIndex`.  *All* batch orchestration (phase
-/// ordering, partner diffing, scoring, emission) lives here and is shared,
-/// so output equivalence between index implementations reduces to the
-/// primitive contract documented on [`crate::delta`].
+/// single-shard [`StreamingIndex`] by default, or the hash-partitioned
+/// [`crate::ShardedIndex`].  *All* batch orchestration (phase ordering,
+/// partner diffing, scoring, emission) lives here and every delta
+/// algorithm is a provided method of [`DeltaIndex`], so output
+/// equivalence between index implementations reduces to their key
+/// addressing (see [`crate::delta`]).
 pub struct StreamingMetaBlocker<G: KeyGenerator, I: DeltaIndex = StreamingIndex> {
     generator: G,
     index: I,
@@ -415,7 +416,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         // Close the batch journal: cap crossings among pre-batch pairs
         // become retractions (revivals are impossible under pure insertion
         // but the generic scan handles them).
-        let effects = self.index.finish_batch(&|e| e.index() >= batch_start);
+        let effects = self.index.finish_batch(|e| e.index() >= batch_start);
 
         // Phase B (parallel above the grain): per new entity, gather the
         // smaller comparable partners sharing a live block, with their
@@ -537,7 +538,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
         for &e in ids {
             self.index.remove_entity(e);
         }
-        let effects = self.index.finish_batch(&|e| batch.contains(&e.0));
+        let effects = self.index.finish_batch(|e| batch.contains(&e.0));
 
         // Batch-side retractions: every pre-batch candidate pair with a
         // removed endpoint, each exactly once — a pair of two removed
@@ -634,7 +635,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
                 index.replace_entity_keys(*e, &mut raw_keys);
             }
         }
-        let effects = self.index.finish_batch(&|e| batch.contains(&e.0));
+        let effects = self.index.finish_batch(|e| batch.contains(&e.0));
 
         // After-image (parallel above the grain): all partners with their
         // co-occurrence aggregates against the end-of-batch state.

@@ -9,7 +9,7 @@
 //!   `(hash tag, id)` slots, so a known key costs one slot read and one
 //!   arena read and a new key allocates nothing of its own,
 //! * per-key posting lists split into a **compacted baseline CSR** (the
-//!   state at the last [`StreamingIndex::compact`] epoch), a per-key
+//!   state at the last [`DeltaIndex::compact`] epoch), a per-key
 //!   sorted **delta vector** of entities that joined the block since, and a
 //!   per-key sorted **tombstone vector** of baseline entities that left it
 //!   (deletions and re-keying updates cannot edit the shared baseline
@@ -42,7 +42,7 @@
 //! pre-batch liveness of every touched key — the batch journal is a flat
 //! list of touched keys plus a per-key batch stamp carrying the pre-batch
 //! liveness bit, so a touch is one array read — and
-//! [`StreamingIndex::finish_batch`] turns the net flips into exact
+//! [`DeltaIndex::finish_batch`] turns the net flips into exact
 //! candidate *retractions* (blocks that left the live set) and *revivals*
 //! (blocks that re-entered it) — the generalisation of the old
 //! insert-only size-cap retraction scan.  The same stamps tell which keys
@@ -72,7 +72,7 @@ use std::sync::Arc;
 
 use er_blocking::{comparisons_from_first, CsrBlockCollection, KeyStore, KeyTable};
 use er_core::{map_ranges_parallel, DatasetKind, EntityId, FxHashMap};
-use er_features::{EntityAggregates, PairCooccurrence, RadixScoreboard, ScoreboardConfig};
+use er_features::{PairCooccurrence, RadixScoreboard, ScoreboardConfig};
 
 use crate::delta::DeltaIndex;
 use crate::key_order::KeyOrder;
@@ -143,6 +143,20 @@ pub struct Members<'a> {
     di: usize,
 }
 
+impl<'a> Members<'a> {
+    #[inline]
+    fn new(base: &'a [EntityId], removed: &'a [EntityId], delta: &'a [EntityId]) -> Self {
+        Members {
+            base,
+            removed,
+            delta,
+            bi: 0,
+            ri: 0,
+            di: 0,
+        }
+    }
+}
+
 impl Iterator for Members<'_> {
     type Item = EntityId;
 
@@ -175,7 +189,7 @@ impl Iterator for Members<'_> {
 }
 
 /// The exact candidate-set consequences of one mutation batch, as computed
-/// by [`StreamingIndex::finish_batch`] from the recorded liveness flips.
+/// by [`DeltaIndex::finish_batch`] from the recorded liveness flips.
 ///
 /// Both pair lists cover only pairs **between pre-existing, unmutated
 /// entities** — pairs with a mutated endpoint are diffed directly by the
@@ -197,9 +211,10 @@ pub struct BatchEffects {
 }
 
 /// One key's block statistics, packed so that everything a partner scan or
-/// an aggregate reads about a key is one 32-byte read.
+/// an aggregate reads about a key is one 32-byte read.  Read through
+/// [`DeltaIndex::block_size`] and [`DeltaIndex::is_block_live`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct KeyStats {
+pub struct KeyStats {
     /// `|b|`.
     pub(crate) size: u32,
     /// First-source member count (equals `|b|` for Dirty ER).
@@ -271,7 +286,7 @@ pub struct StreamingIndex {
     delta: Vec<Vec<EntityId>>,
     /// Per key, the baseline entities that left since the last compaction
     /// (sorted subset of the baseline slice).  Physically dropped by
-    /// [`StreamingIndex::compact`].
+    /// [`DeltaIndex::compact`].
     removed: Vec<Vec<EntityId>>,
     /// Block statistics per key.
     stats: Vec<KeyStats>,
@@ -293,7 +308,7 @@ pub struct StreamingIndex {
     /// under additions, retractions and revivals.
     entity_candidates: Vec<u32>,
     /// Keys touched by the current mutation batch, in first-touch order;
-    /// drained by [`StreamingIndex::finish_batch`].
+    /// drained by [`DeltaIndex::finish_batch`].
     touched: Vec<u32>,
     /// Per key, `stamp << 1 | liveness` as of the first touch by the batch
     /// stamped `stamp` (0: never touched).
@@ -357,118 +372,6 @@ impl StreamingIndex {
         }
     }
 
-    /// Number of entity ids ever assigned (deleted ids are never reused).
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    /// The dataset name recorded on every emitted block collection.
-    pub fn dataset_name(&self) -> &str {
-        &self.dataset_name
-    }
-
-    /// The fixed E1/E2 boundary of the id space (Clean-Clean only).
-    pub fn split(&self) -> usize {
-        self.split
-    }
-
-    /// The scheme's block-size cap (`usize::MAX` when the scheme has none).
-    pub fn size_cap(&self) -> usize {
-        self.cap
-    }
-
-    /// True if a mutation batch is open (postings touched since the last
-    /// [`StreamingIndex::finish_batch`]).  Snapshots are only taken at batch
-    /// boundaries, where this is false.
-    pub fn has_open_batch(&self) -> bool {
-        !self.touched.is_empty()
-    }
-
-    /// Number of entities currently alive (ingested and not removed).
-    pub fn num_alive(&self) -> usize {
-        self.num_alive
-    }
-
-    /// True if the entity has been ingested and not removed since.
-    pub fn is_alive(&self, entity: EntityId) -> bool {
-        self.alive[entity.index()]
-    }
-
-    /// Number of distinct keys ever interned (live or not).
-    pub fn num_keys(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `|B|`: the number of blocks the batch engine would emit right now.
-    pub fn num_live_blocks(&self) -> usize {
-        self.num_live
-    }
-
-    /// `||B||`: total comparisons over the live blocks.
-    pub fn total_comparisons(&self) -> u64 {
-        self.total_live_comparisons
-    }
-
-    /// Number of completed compactions.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The ER kind of the stream.
-    pub fn kind(&self) -> DatasetKind {
-        self.kind
-    }
-
-    /// The current number of distinct candidates of an entity (LCP).
-    pub fn candidates_of(&self, entity: EntityId) -> u32 {
-        self.entity_candidates[entity.index()]
-    }
-
-    /// The interned key string of a stream key id.
-    #[inline]
-    pub fn key_str(&self, key: u32) -> &str {
-        self.keys.get(key)
-    }
-
-    /// `|b|` of a key's block (tombstoned members excluded).
-    #[inline]
-    pub fn block_size(&self, key: u32) -> usize {
-        self.stats[key as usize].size as usize
-    }
-
-    /// Whether the batch engine would emit this key's block right now.
-    #[inline]
-    pub fn is_block_live(&self, key: u32) -> bool {
-        self.stats[key as usize].is_live(self.cap)
-    }
-
-    /// The statistics record of a key's block.
-    #[inline]
-    pub(crate) fn key_stats(&self, key: u32) -> &KeyStats {
-        &self.stats[key as usize]
-    }
-
-    /// Heap bytes of the key dictionary (arena plus lookup slots).
-    pub fn key_table_bytes(&self) -> usize {
-        self.keys.heap_bytes()
-    }
-
-    /// Interns a key, returning its stream id (stable across compactions).
-    ///
-    /// # Panics
-    /// Panics past the key table's limits (see [`KeyTable::intern`]).
-    #[inline]
-    pub fn intern(&mut self, key: &str) -> u32 {
-        let id = self.keys.intern(key);
-        if id as usize == self.stats.len() {
-            self.delta.push(Vec::new());
-            self.removed.push(Vec::new());
-            self.stats.push(KeyStats::default());
-            self.marks.push(0);
-        }
-        id
-    }
-
     /// The baseline posting slice of a key (empty for keys interned after
     /// the last compaction).
     #[inline]
@@ -479,44 +382,6 @@ impl StreamingIndex {
         } else {
             &[]
         }
-    }
-
-    /// Iterates a key's visible posting list (baseline minus tombstones,
-    /// merged with the delta) in ascending entity-id order.
-    #[inline]
-    pub fn members(&self, key: u32) -> Members<'_> {
-        let k = key as usize;
-        let (removed, delta): (&[EntityId], &[EntityId]) = if self.may_have_changes(k) {
-            (&self.removed[k], &self.delta[k])
-        } else {
-            (&[], &[])
-        };
-        Members {
-            base: self.base_slice(key),
-            removed,
-            delta,
-            bi: 0,
-            ri: 0,
-            di: 0,
-        }
-    }
-
-    /// An entity's current key ids in lexicographic key order (empty for
-    /// removed entities).
-    #[inline]
-    pub fn keys_of(&self, entity: EntityId) -> &[u32] {
-        if let Some(row) = self.overlay.get(&entity.0) {
-            return row;
-        }
-        let e = entity.index();
-        &self.entity_keys[self.entity_offsets[e] as usize..self.entity_offsets[e + 1] as usize]
-    }
-
-    /// True if two entities may be compared (delegates to the workspace's
-    /// single comparability rule, [`DatasetKind::comparable`]).
-    #[inline]
-    pub fn is_comparable(&self, a: EntityId, b: EntityId) -> bool {
-        self.kind.comparable(self.split, a, b)
     }
 
     /// Records the pre-batch liveness of a key the first time the current
@@ -641,410 +506,6 @@ impl StreamingIndex {
         raw_keys.sort_unstable_by(|&a, &b| self.keys.get(a).cmp(self.keys.get(b)));
     }
 
-    /// Inserts the next entity (id `num_entities`) given the raw key ids
-    /// emitted for its profile (duplicates allowed).  Updates postings and
-    /// per-key statistics in place and records liveness flips for
-    /// [`StreamingIndex::finish_batch`].  Returns the id assigned.
-    pub fn insert_entity(&mut self, raw_keys: &mut Vec<u32>) -> EntityId {
-        self.canonicalize_keys(raw_keys);
-        let e = EntityId(self.num_entities as u32);
-        self.num_entities += 1;
-        self.num_alive += 1;
-        self.alive.push(true);
-        self.entity_candidates.push(0);
-        for &k in raw_keys.iter() {
-            self.add_posting(k, e);
-        }
-        self.entity_keys.extend_from_slice(raw_keys);
-        self.entity_offsets.push(self.entity_keys.len() as u32);
-        e
-    }
-
-    /// Removes an entity from the corpus: every posting it holds is
-    /// tombstoned, its key row is emptied, and its id is retired (never
-    /// reused).  Liveness flips are recorded for
-    /// [`StreamingIndex::finish_batch`]; candidate retractions for the
-    /// entity's own pairs are the caller's responsibility (the blocker diffs
-    /// its partner sets).
-    ///
-    /// # Panics
-    /// Panics if the entity is out of range or already removed.
-    pub fn remove_entity(&mut self, entity: EntityId) {
-        assert!(
-            entity.index() < self.num_entities,
-            "cannot remove unknown entity {entity}"
-        );
-        assert!(
-            self.alive[entity.index()],
-            "cannot remove entity {entity} twice"
-        );
-        let keys: Vec<u32> = self.keys_of(entity).to_vec();
-        for &k in &keys {
-            self.drop_posting(k, entity);
-        }
-        self.overlay.insert(entity.0, Box::default());
-        self.alive[entity.index()] = false;
-        self.num_alive -= 1;
-    }
-
-    /// Replaces an entity's key set (an in-place profile update): postings
-    /// are diffed against the current row, departures tombstoned, arrivals
-    /// added, and the adjacency row swapped via the overlay.  Liveness flips
-    /// are recorded for [`StreamingIndex::finish_batch`].
-    ///
-    /// # Panics
-    /// Panics if the entity is out of range or removed.
-    pub fn replace_entity_keys(&mut self, entity: EntityId, raw_keys: &mut Vec<u32>) {
-        assert!(
-            entity.index() < self.num_entities,
-            "cannot update unknown entity {entity}"
-        );
-        assert!(
-            self.alive[entity.index()],
-            "cannot update removed entity {entity}"
-        );
-        self.canonicalize_keys(raw_keys);
-        let old: Vec<u32> = self.keys_of(entity).to_vec();
-        // Both lists are in lexicographic key order; merge-diff them.
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < raw_keys.len() {
-            if j == raw_keys.len() {
-                self.drop_posting(old[i], entity);
-                i += 1;
-            } else if i == old.len() {
-                self.add_posting(raw_keys[j], entity);
-                j += 1;
-            } else if old[i] == raw_keys[j] {
-                i += 1;
-                j += 1;
-            } else if self.keys.get(old[i]) < self.keys.get(raw_keys[j]) {
-                self.drop_posting(old[i], entity);
-                i += 1;
-            } else {
-                self.add_posting(raw_keys[j], entity);
-                j += 1;
-            }
-        }
-        self.overlay.insert(entity.0, raw_keys.as_slice().into());
-    }
-
-    /// Ends a mutation batch: drains the touched-key journal, turns the net
-    /// liveness flips into exact candidate retractions (blocks that left the
-    /// live set) and revivals (blocks that re-entered it) among pairs of
-    /// **unmutated** entities, applies their LCP adjustments, and returns
-    /// the effects.  `in_batch` must identify every entity inserted, removed
-    /// or updated during the batch — pairs with a mutated endpoint are
-    /// handled by the caller's before/after partner-set diff instead.
-    pub fn finish_batch(&mut self, in_batch: impl Fn(EntityId) -> bool) -> BatchEffects {
-        // The touched keys in ascending id order; their marks still carry
-        // the pre-batch liveness until the journal is closed below.
-        self.touched.sort_unstable();
-        let mut retracted: Vec<(EntityId, EntityId)> = Vec::new();
-        let mut revived: Vec<(EntityId, EntityId)> = Vec::new();
-        for &k in &self.touched {
-            let (was_live, now_live) = (self.was_live(k), self.is_block_live(k));
-            if was_live && !now_live {
-                self.scan_flip(k, &in_batch, false, &mut retracted);
-            } else if !was_live && now_live {
-                self.scan_flip(k, &in_batch, true, &mut revived);
-            }
-        }
-        let touched_keys = std::mem::take(&mut self.touched);
-        self.next_batch();
-        // One batch can flip several blocks a pair belongs to, so the scans
-        // may report the same pair twice; deduplicate before touching the
-        // LCP counters.
-        retracted.sort_unstable();
-        retracted.dedup();
-        revived.sort_unstable();
-        revived.dedup();
-        for &(a, b) in &retracted {
-            self.entity_candidates[a.index()] -= 1;
-            self.entity_candidates[b.index()] -= 1;
-        }
-        for &(a, b) in &revived {
-            self.entity_candidates[a.index()] += 1;
-            self.entity_candidates[b.index()] += 1;
-        }
-        crate::obs::record_key_table(self.keys.len() - self.keys_recorded, self.keys.heap_bytes());
-        self.keys_recorded = self.keys.len();
-        BatchEffects {
-            touched_keys,
-            retracted,
-            revived,
-        }
-    }
-
-    /// Drains the touched-key journal without running the liveness-flip
-    /// scans: returns `(key, pre_batch_liveness)` sorted by key id.  A
-    /// sharded wrapper uses this to collect every shard's journal, map the
-    /// local ids to global ones and run the flip scans over the merged,
-    /// globally ordered set — reproducing [`StreamingIndex::finish_batch`]
-    /// exactly.
-    pub(crate) fn drain_touched(&mut self) -> Vec<(u32, bool)> {
-        self.touched.sort_unstable();
-        let drained = self
-            .touched
-            .iter()
-            .map(|&k| (k, self.was_live(k)))
-            .collect();
-        self.touched.clear();
-        self.next_batch();
-        drained
-    }
-
-    /// A block's liveness flipped during the batch: scans its comparable
-    /// pairs of unmutated members for candidacy changes.  When the block
-    /// died (`rose == false`) a pair is retracted when it shares no live key
-    /// any more; when it came alive a pair is revived when it shared no
-    /// live key *before* the batch (its key lists are unchanged, so
-    /// pre-batch candidacy is decidable from the journal's liveness bits).
-    /// The scan is bounded: a dying block crossed the size cap (≤ cap +
-    /// batch members) or lost all comparable pairs (guarded away), and a
-    /// rising block fits under the cap.
-    fn scan_flip(
-        &self,
-        key: u32,
-        in_batch: &impl Fn(EntityId) -> bool,
-        rose: bool,
-        out: &mut Vec<(EntityId, EntityId)>,
-    ) {
-        let members: Vec<EntityId> = self.members(key).filter(|&m| !in_batch(m)).collect();
-        // Skip the quadratic scan when no comparable pair of unmutated
-        // members can exist (e.g. a single-source Clean-Clean block dying
-        // because its only cross member was removed).
-        match self.kind {
-            DatasetKind::Dirty => {
-                if members.len() < 2 {
-                    return;
-                }
-            }
-            DatasetKind::CleanClean => {
-                let first = members.partition_point(|m| m.index() < self.split);
-                if first == 0 || first == members.len() {
-                    return;
-                }
-            }
-        }
-        for i in 0..members.len() {
-            for j in i + 1..members.len() {
-                let (a, b) = (members[i], members[j]);
-                if !self.is_comparable(a, b) {
-                    continue;
-                }
-                let shares = if rose {
-                    self.find_shared_key(a, b, |k| self.was_live(k))
-                } else {
-                    self.find_shared_key(a, b, |k| self.is_block_live(k))
-                };
-                if !shares {
-                    out.push((a, b));
-                }
-            }
-        }
-    }
-
-    /// Merges the two entities' lexicographically sorted key lists and
-    /// returns whether any shared key satisfies `is_live`.
-    #[inline]
-    fn find_shared_key(&self, a: EntityId, b: EntityId, is_live: impl Fn(u32) -> bool) -> bool {
-        let la = self.keys_of(a);
-        let lb = self.keys_of(b);
-        let (mut i, mut j) = (0, 0);
-        while i < la.len() && j < lb.len() {
-            let (x, y) = (la[i], lb[j]);
-            if x == y {
-                if is_live(x) {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            } else if self.keys.get(x) < self.keys.get(y) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        false
-    }
-
-    /// The co-occurrence aggregates of one pair over the live blocks: a
-    /// merge of the two lexicographically sorted key lists, accumulating in
-    /// block-id order so the sums are bit-identical to the batch
-    /// [`er_features::FeatureContext::cooccurrence`].
-    pub fn pair_cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        let la = self.keys_of(a);
-        let lb = self.keys_of(b);
-        let mut agg = PairCooccurrence::default();
-        let (mut i, mut j) = (0, 0);
-        while i < la.len() && j < lb.len() {
-            let (x, y) = (la[i], lb[j]);
-            if x == y {
-                let stats = &self.stats[x as usize];
-                if stats.is_live(self.cap) {
-                    agg.common_blocks += 1;
-                    agg.inv_comparisons_sum += stats.inv_comparisons;
-                    agg.inv_sizes_sum += stats.inv_sizes;
-                }
-                i += 1;
-                j += 1;
-            } else if self.keys.get(x) < self.keys.get(y) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        agg
-    }
-
-    /// Gathers the delta pairs of one newly ingested entity: every strictly
-    /// smaller comparable entity sharing at least one live block, together
-    /// with the pair's co-occurrence aggregates — the scoreboard pass of the
-    /// batch feature engine, scoped to a single entity.
-    ///
-    /// Requires every entity of the batch to be inserted first (partners are
-    /// judged against end-of-batch block state); restricting partners to
-    /// smaller ids makes each in-batch pair come out of exactly one call.
-    /// Contributions accumulate in lexicographic key order, so the sums are
-    /// bit-identical to a batch [`er_features::FeatureContext`] merge.
-    pub fn collect_delta_pairs(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        self.collect_partners_impl(e, board, true)
-    }
-
-    /// Gathers **all** current candidate partners of an entity (smaller and
-    /// larger ids) with their co-occurrence aggregates — the after-image an
-    /// update diffs against its before-image.
-    pub fn collect_partners(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        self.collect_partners_impl(e, board, false)
-    }
-
-    fn collect_partners_impl(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-        smaller_only: bool,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        for &k in self.keys_of(e) {
-            let stats = &self.stats[k as usize];
-            if !stats.is_live(self.cap) {
-                continue;
-            }
-            let (inv_comparisons, inv_sizes) = (stats.inv_comparisons, stats.inv_sizes);
-            for p in self.members(k) {
-                if smaller_only && p >= e {
-                    // Postings are ascending: no smaller partner follows.
-                    break;
-                }
-                if p == e || !self.is_comparable(p, e) {
-                    continue;
-                }
-                board.add(p.0, inv_comparisons, inv_sizes);
-            }
-        }
-        board.drain_sorted()
-    }
-
-    /// The current candidate partner ids of an entity (sorted, distinct):
-    /// the before-image a mutation diffs against.  Cheaper than
-    /// [`StreamingIndex::collect_partners`] because no aggregates are
-    /// accumulated.
-    pub fn collect_partner_ids(&self, e: EntityId) -> Vec<EntityId> {
-        let mut partners: Vec<EntityId> = Vec::new();
-        for &k in self.keys_of(e) {
-            if !self.is_block_live(k) {
-                continue;
-            }
-            partners.extend(
-                self.members(k)
-                    .filter(|&p| p != e && self.is_comparable(p, e)),
-            );
-        }
-        partners.sort_unstable();
-        partners.dedup();
-        partners
-    }
-
-    /// Records one freshly emitted candidate pair (both LCP counters).
-    pub fn record_candidate(&mut self, a: EntityId, b: EntityId) {
-        self.entity_candidates[a.index()] += 1;
-        self.entity_candidates[b.index()] += 1;
-    }
-
-    /// Records one retracted candidate pair (both LCP counters).
-    pub fn retract_candidate(&mut self, a: EntityId, b: EntityId) {
-        self.entity_candidates[a.index()] -= 1;
-        self.entity_candidates[b.index()] -= 1;
-    }
-
-    /// The per-entity aggregates of one entity over the *live* blocks — the
-    /// quantities [`er_features::FeatureContext`] precomputes corpus-wide,
-    /// recomputed here in `O(|B_i|)` for exactly the entities a batch
-    /// touches.  Terms are added in lexicographic key order, so the values
-    /// are bit-identical to the batch tables for the same corpus.
-    pub fn entity_aggregates(&self, entity: EntityId) -> EntityAggregates {
-        let mut live_blocks = 0usize;
-        let mut inv_comparisons = 0.0f64;
-        let mut inv_sizes = 0.0f64;
-        let mut entity_comparisons = 0u64;
-        for &k in self.keys_of(entity) {
-            let stats = &self.stats[k as usize];
-            if !stats.is_live(self.cap) {
-                continue;
-            }
-            live_blocks += 1;
-            inv_comparisons += stats.inv_comparisons;
-            inv_sizes += stats.inv_sizes;
-            entity_comparisons += stats.comparisons;
-        }
-        let blocks_of = live_blocks as f64;
-        let num_blocks = self.num_live as f64;
-        let ibf = if blocks_of > 0.0 && num_blocks > 0.0 {
-            (num_blocks / blocks_of).ln()
-        } else {
-            0.0
-        };
-        let own = entity_comparisons as f64;
-        let total = self.total_live_comparisons as f64;
-        let icf = if own > 0.0 && total > 0.0 {
-            (total / own).ln()
-        } else {
-            0.0
-        };
-        EntityAggregates {
-            num_blocks: blocks_of,
-            inv_comparisons,
-            inv_sizes,
-            ibf,
-            icf,
-            lcp: f64::from(self.entity_candidates[entity.index()]),
-        }
-    }
-
-    /// The batch view of the current corpus: exactly the
-    /// [`CsrBlockCollection`] that [`er_blocking::build_blocks`] would
-    /// produce for the surviving entities (lexicographic block order, cap
-    /// and zero-comparison blocks dropped, sorted tombstone-free entity
-    /// lists).
-    ///
-    /// Blocks follow the cached key order; only the live keys it does not
-    /// hold yet are sorted.  `threads` parallelises that sort and the
-    /// assembly; the output is identical for any thread count.
-    pub fn view(&self, threads: usize) -> CsrBlockCollection {
-        let live = self.live_flags();
-        let order = self
-            .key_order
-            .live_order(&self.keys, threads, |k| live[k as usize]);
-        assemble_view(self, &order, threads, |k| self.stats[k as usize].first)
-    }
-
     /// Every key's liveness, by key id: one sequential pass over the
     /// statistics records, so that the key-order walks behind a view read
     /// a dense flag per key instead of a record each, at random.
@@ -1052,22 +513,7 @@ impl StreamingIndex {
         self.stats.iter().map(|s| s.is_live(self.cap)).collect()
     }
 
-    /// Ends the epoch: folds every delta posting into a fresh baseline CSR,
-    /// **physically dropping tombstoned postings**, folds the adjacency
-    /// overlay back into the entity CSR (stream key ids stay stable),
-    /// merges the live keys it does not hold yet into the cached key order,
-    /// and returns the batch view of the compacted state (what
-    /// [`StreamingIndex::view`] returns).
-    pub fn compact(&mut self, threads: usize) -> CsrBlockCollection {
-        let live = self.fold_deltas(threads);
-        let order = self
-            .key_order
-            .absorb(&self.keys, threads, |k| live[k as usize]);
-        self.epoch += 1;
-        assemble_view(self, &order, threads, |k| self.stats[k as usize].first)
-    }
-
-    /// The physical half of [`StreamingIndex::compact`]: folds deltas and
+    /// The physical half of [`DeltaIndex::compact`]: folds deltas and
     /// tombstones into a fresh baseline CSR and folds the adjacency overlay
     /// back, without bumping the epoch or building a view.  A sharded
     /// wrapper compacts every shard with this and manages a single global
@@ -1157,6 +603,246 @@ impl StreamingIndex {
     }
 }
 
+impl DeltaIndex for StreamingIndex {
+    fn kind(&self) -> DatasetKind {
+        self.kind
+    }
+
+    fn split(&self) -> usize {
+        self.split
+    }
+
+    fn size_cap(&self) -> usize {
+        self.cap
+    }
+
+    fn dataset_name(&self) -> &str {
+        &self.dataset_name
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn num_entities(&self) -> usize {
+        self.num_entities
+    }
+
+    fn num_alive(&self) -> usize {
+        self.num_alive
+    }
+
+    fn num_keys(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn is_alive(&self, entity: EntityId) -> bool {
+        self.alive[entity.index()]
+    }
+
+    fn has_open_batch(&self) -> bool {
+        !self.touched.is_empty()
+    }
+
+    #[inline]
+    fn key_str(&self, key: u32) -> &str {
+        self.keys.get(key)
+    }
+
+    #[inline]
+    fn key_stats(&self, key: u32) -> &KeyStats {
+        &self.stats[key as usize]
+    }
+
+    /// The statistics record and the visible posting list (baseline minus
+    /// tombstones, merged with the delta) of a key.
+    #[inline]
+    fn block(&self, key: u32) -> (&KeyStats, Members<'_>) {
+        let k = key as usize;
+        let (removed, delta): (&[EntityId], &[EntityId]) = if self.may_have_changes(k) {
+            (&self.removed[k], &self.delta[k])
+        } else {
+            (&[], &[])
+        };
+        (
+            &self.stats[k],
+            Members::new(self.base_slice(key), removed, delta),
+        )
+    }
+
+    #[inline]
+    fn keys_of(&self, entity: EntityId) -> &[u32] {
+        if let Some(row) = self.overlay.get(&entity.0) {
+            return row;
+        }
+        let e = entity.index();
+        &self.entity_keys[self.entity_offsets[e] as usize..self.entity_offsets[e + 1] as usize]
+    }
+
+    fn num_live_blocks(&self) -> usize {
+        self.num_live
+    }
+
+    fn total_comparisons(&self) -> u64 {
+        self.total_live_comparisons
+    }
+
+    fn lcp_counters(&self) -> &[u32] {
+        &self.entity_candidates
+    }
+
+    fn lcp_counters_mut(&mut self) -> &mut [u32] {
+        &mut self.entity_candidates
+    }
+
+    /// Heap bytes of the key dictionary (arena plus lookup slots).
+    fn key_table_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+    }
+
+    /// Interns a key, returning its stream id (stable across compactions).
+    ///
+    /// # Panics
+    /// Panics past the key table's limits (see [`KeyTable::intern`]).
+    #[inline]
+    fn intern(&mut self, key: &str) -> u32 {
+        let id = self.keys.intern(key);
+        if id as usize == self.stats.len() {
+            self.delta.push(Vec::new());
+            self.removed.push(Vec::new());
+            self.stats.push(KeyStats::default());
+            self.marks.push(0);
+        }
+        id
+    }
+
+    /// Inserts the next entity (id `num_entities`): updates postings and
+    /// per-key statistics in place and records liveness flips in the batch
+    /// journal.
+    fn insert_entity(&mut self, raw_keys: &mut Vec<u32>) -> EntityId {
+        self.canonicalize_keys(raw_keys);
+        let e = EntityId(self.num_entities as u32);
+        self.num_entities += 1;
+        self.num_alive += 1;
+        self.alive.push(true);
+        self.entity_candidates.push(0);
+        for &k in raw_keys.iter() {
+            self.add_posting(k, e);
+        }
+        self.entity_keys.extend_from_slice(raw_keys);
+        self.entity_offsets.push(self.entity_keys.len() as u32);
+        e
+    }
+
+    /// Tombstones every posting the entity holds and empties its key row
+    /// through the overlay.
+    ///
+    /// # Panics
+    /// Panics if the entity is out of range or already removed.
+    fn remove_entity(&mut self, entity: EntityId) {
+        assert!(
+            entity.index() < self.num_entities,
+            "cannot remove unknown entity {entity}"
+        );
+        assert!(
+            self.alive[entity.index()],
+            "cannot remove entity {entity} twice"
+        );
+        let keys: Vec<u32> = self.keys_of(entity).to_vec();
+        for &k in &keys {
+            self.drop_posting(k, entity);
+        }
+        self.overlay.insert(entity.0, Box::default());
+        self.alive[entity.index()] = false;
+        self.num_alive -= 1;
+    }
+
+    /// Diffs the postings against the current row — departures
+    /// tombstoned, arrivals added — and swaps the row via the overlay.
+    ///
+    /// # Panics
+    /// Panics if the entity is out of range or removed.
+    fn replace_entity_keys(&mut self, entity: EntityId, raw_keys: &mut Vec<u32>) {
+        assert!(
+            entity.index() < self.num_entities,
+            "cannot update unknown entity {entity}"
+        );
+        assert!(
+            self.alive[entity.index()],
+            "cannot update removed entity {entity}"
+        );
+        self.canonicalize_keys(raw_keys);
+        let old: Vec<u32> = self.keys_of(entity).to_vec();
+        // Both lists are in lexicographic key order; merge-diff them.
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < raw_keys.len() {
+            if j == raw_keys.len() {
+                self.drop_posting(old[i], entity);
+                i += 1;
+            } else if i == old.len() {
+                self.add_posting(raw_keys[j], entity);
+                j += 1;
+            } else if old[i] == raw_keys[j] {
+                i += 1;
+                j += 1;
+            } else if self.keys.get(old[i]) < self.keys.get(raw_keys[j]) {
+                self.drop_posting(old[i], entity);
+                i += 1;
+            } else {
+                self.add_posting(raw_keys[j], entity);
+                j += 1;
+            }
+        }
+        self.overlay.insert(entity.0, raw_keys.as_slice().into());
+    }
+
+    fn drain_journal(&mut self) -> (Vec<(u32, bool)>, usize) {
+        self.touched.sort_unstable();
+        let journal = self
+            .touched
+            .iter()
+            .map(|&k| (k, self.was_live(k)))
+            .collect();
+        self.touched.clear();
+        self.next_batch();
+        let interned = self.keys.len() - self.keys_recorded;
+        self.keys_recorded = self.keys.len();
+        (journal, interned)
+    }
+
+    /// The batch view of the current corpus: exactly the
+    /// [`CsrBlockCollection`] that [`er_blocking::build_blocks`] would
+    /// produce for the surviving entities (lexicographic block order, cap
+    /// and zero-comparison blocks dropped, sorted tombstone-free entity
+    /// lists).
+    ///
+    /// Blocks follow the cached key order; only the live keys it does not
+    /// hold yet are sorted.  `threads` parallelises that sort and the
+    /// assembly; the output is identical for any thread count.
+    fn view(&self, threads: usize) -> CsrBlockCollection {
+        let live = self.live_flags();
+        let order = self
+            .key_order
+            .live_order(&self.keys, threads, |k| live[k as usize]);
+        assemble_view(self, &order, threads)
+    }
+
+    /// Ends the epoch: folds every delta posting into a fresh baseline CSR,
+    /// **physically dropping tombstoned postings**, folds the adjacency
+    /// overlay back into the entity CSR (stream key ids stay stable),
+    /// merges the live keys it does not hold yet into the cached key order,
+    /// and returns the batch view of the compacted state (what
+    /// [`DeltaIndex::view`] returns).
+    fn compact(&mut self, threads: usize) -> CsrBlockCollection {
+        let live = self.fold_deltas(threads);
+        let order = self
+            .key_order
+            .absorb(&self.keys, threads, |k| live[k as usize]);
+        self.epoch += 1;
+        assemble_view(self, &order, threads)
+    }
+}
+
 /// One worker's part of [`StreamingIndex::fold_deltas`]: writes the
 /// postings of `keys` into `out` — each run of keys untouched since the
 /// last compaction as one copy of its baseline slices, each changed key as
@@ -1184,15 +870,7 @@ fn fold_range(
         let run = base(untouched..k);
         out[at..at + run.len()].copy_from_slice(run);
         at += run.len();
-        let members = Members {
-            base: base(k..k + 1),
-            removed,
-            delta,
-            bi: 0,
-            ri: 0,
-            di: 0,
-        };
-        for m in members {
+        for m in Members::new(base(k..k + 1), removed, delta) {
             out[at] = m;
             at += 1;
         }
@@ -1211,9 +889,8 @@ fn fold_range(
 
 /// Assembles the batch view of a delta index from its live keys in
 /// lexicographic order (`order`): one block per key with the key's current
-/// members, and `first_count` giving each block's first-source member
-/// count.  Shared by [`StreamingIndex::view`] and
-/// [`crate::ShardedIndex`]'s view.
+/// members and first-source count.  Shared by both indexes' `view` and
+/// `compact`.
 ///
 /// The order visits the index's per-key arrays at random, so the work is
 /// spread over `threads` workers, one contiguous piece of the order each:
@@ -1224,7 +901,6 @@ pub(crate) fn assemble_view<I: DeltaIndex>(
     index: &I,
     order: &[u32],
     threads: usize,
-    first_count: impl Fn(u32) -> u32 + Sync,
 ) -> CsrBlockCollection {
     let pieces: Vec<&[u32]> = order
         .chunks(order.len().div_ceil(threads.max(1)).max(1))
@@ -1240,7 +916,7 @@ pub(crate) fn assemble_view<I: DeltaIndex>(
             })
             .collect();
         let sizes: Vec<u32> = piece.iter().map(|&k| index.block_size(k) as u32).collect();
-        let first_counts: Vec<u32> = piece.iter().map(|&k| first_count(k)).collect();
+        let first_counts: Vec<u32> = piece.iter().map(|&k| index.key_stats(k).first).collect();
         (text, key_ends, sizes, first_counts)
     });
 

@@ -16,6 +16,13 @@
 //!   decremental block statistics, a liveness journal that generalises the
 //!   insert-only size-cap retraction scan to every flip direction, and
 //!   incremental LCP counts;
+//! * [`ShardedIndex`] — N [`StreamingIndex`] posting shards behind one
+//!   global key dictionary, routed by [`shard_of_key`];
+//! * [`DeltaIndex`] — the one trait both indexes implement: each supplies
+//!   only its shape, key addressing and mutation fan-out, and the delta
+//!   algorithms (the batch close and its liveness-flip scans, partner
+//!   gathering, pair co-occurrence, entity aggregates, LCP bookkeeping) are
+//!   its provided methods, written once;
 //! * [`StreamingMetaBlocker`] — the pipeline: `ingest` new profiles,
 //!   `remove` entities (ids retired, postings tombstoned) or `update` them
 //!   in place (re-keyed via a posting diff), gather delta pairs via scoped
@@ -61,7 +68,7 @@ pub use blocker::{
     dataset_prefix, surviving_dataset, DeltaBatch, StreamingConfig, StreamingMetaBlocker,
     MIN_ENTITIES_PER_WORKER,
 };
-pub use delta::{BlockIndex, DeltaIndex};
+pub use delta::DeltaIndex;
 pub use index::{BatchEffects, Members, PartnerBoard, StreamingIndex};
 pub use persist::{MutationRecord, MutationRef};
 pub use shard::{shard_of_key, ShardRouterState, ShardedIndex};

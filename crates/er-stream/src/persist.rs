@@ -52,6 +52,7 @@ use er_persist::{
     Decode, Encode, Reader, RecoveryReport, RetryPolicy, ShardStore, Vfs, WalWriter, Writer,
 };
 
+use crate::delta::DeltaIndex;
 use crate::index::StreamingIndex;
 
 /// The fingerprint tying a snapshot and WAL to one logical stream: a

@@ -17,15 +17,18 @@
 //!
 //! # Bit-identity to the single-shard oracle
 //!
-//! Global key ids are assigned in first-encounter intern order — exactly
-//! the ids a single [`StreamingIndex`] driven by the same mutation
-//! sequence would assign — and every per-entity key list is kept in
-//! lexicographic key-string order.  Each consumer-facing operation
-//! (partner collection, co-occurrence merges, aggregates, batch liveness
-//! effects, views) walks keys in that global order and reads per-key
-//! statistics from the owning shard, reproducing the oracle's float
-//! accumulation order term by term.  The er-shard property suite drives
-//! random mutation traces through both and asserts every
+//! Every algorithm over the index — partner collection, co-occurrence
+//! merges, aggregates, the batch close and its liveness-flip scans — is a
+//! provided method of [`DeltaIndex`], so a [`ShardedIndex`] runs the very
+//! code a single [`StreamingIndex`] runs.  What this type supplies is only
+//! the addressing: global key ids assigned in first-encounter intern order
+//! (exactly the ids a single index driven by the same mutation sequence
+//! would assign), every per-entity key row in lexicographic key-string
+//! order, each key's statistics and members read from its owning shard,
+//! and the touched-key journal merged across shards into global key order.
+//! With the same addressing, the same code folds floats in the same order
+//! term by term.  The er-shard property suite checks that addressing by
+//! driving random mutation traces through both and asserting every
 //! [`crate::DeltaBatch`] field and the compacted views are bit-identical
 //! at shards × threads ∈ {1,2,4}².
 //!
@@ -33,16 +36,15 @@
 //!
 //! Shards are independent `StreamingIndex` values: mutation fan-out and
 //! compaction touch disjoint shards and read-side consumers see `&self`
-//! ([`ShardedIndex`] is `Sync` like any [`crate::BlockIndex`]).  The
+//! ([`ShardedIndex`] is `Sync` like any [`DeltaIndex`]).  The
 //! er-shard service layers epoch-published immutable views and per-shard
 //! WALs with a cross-shard manifest on top.
 
 use er_blocking::{CsrBlockCollection, KeyTable};
 use er_core::{crc64, DatasetKind, EntityId, PersistError, PersistResult};
-use er_features::{EntityAggregates, PairCooccurrence};
 
-use crate::delta::{BlockIndex, DeltaIndex};
-use crate::index::{assemble_view, BatchEffects, KeyStats, Members, PartnerBoard, StreamingIndex};
+use crate::delta::DeltaIndex;
+use crate::index::{assemble_view, KeyStats, Members, StreamingIndex};
 use crate::key_order::KeyOrder;
 
 /// The shard owning a key's posting list: `crc64(key) % num_shards`.
@@ -170,17 +172,6 @@ impl ShardedIndex {
         &self.shards[i]
     }
 
-    /// Heap bytes of the key dictionaries: the global table plus every
-    /// shard's own.
-    fn key_table_bytes(&self) -> usize {
-        self.keys.heap_bytes()
-            + self
-                .shards
-                .iter()
-                .map(StreamingIndex::key_table_bytes)
-                .sum::<usize>()
-    }
-
     /// The global routing state to persist next to the shard images.
     pub fn router_state(&self) -> ShardRouterState {
         ShardRouterState {
@@ -287,24 +278,11 @@ impl ShardedIndex {
         })
     }
 
-    /// `(owning shard, local key id)` of a global key.
+    /// The owning shard and local key id of a global key.
     #[inline]
-    fn locate(&self, key: u32) -> (usize, u32) {
+    fn locate(&self, key: u32) -> (&StreamingIndex, u32) {
         let (s, local) = self.route[key as usize];
-        (s as usize, local)
-    }
-
-    /// The statistics record of a global key's block, from its shard.
-    #[inline]
-    fn key_stats(&self, key: u32) -> &KeyStats {
-        let (s, local) = self.locate(key);
-        self.shards[s].key_stats(local)
-    }
-
-    /// Whether a global key's block is currently live on its shard.
-    #[inline]
-    fn is_key_live(&self, key: u32) -> bool {
-        self.key_stats(key).is_live(self.cap)
+        (&self.shards[s as usize], local)
     }
 
     /// Canonicalizes a raw global key list exactly like
@@ -327,170 +305,102 @@ impl ShardedIndex {
             self.scratch[s as usize].push(local);
         }
     }
-
-    /// Mirror of `StreamingIndex::scan_flip` over the global key space: a
-    /// block's liveness flipped, scan its comparable pairs of unmutated
-    /// members for candidacy changes (retractions when it died, revivals —
-    /// judged against pre-batch liveness, the `(global key, liveness)`
-    /// journal sorted by key — when it came alive).
-    fn scan_flip(
-        &self,
-        key: u32,
-        in_batch: &dyn Fn(EntityId) -> bool,
-        pre_live: Option<&[(u32, bool)]>,
-        out: &mut Vec<(EntityId, EntityId)>,
-    ) {
-        let (s, local) = self.locate(key);
-        let members: Vec<EntityId> = self.shards[s]
-            .members(local)
-            .filter(|&m| !in_batch(m))
-            .collect();
-        match self.kind {
-            DatasetKind::Dirty => {
-                if members.len() < 2 {
-                    return;
-                }
-            }
-            DatasetKind::CleanClean => {
-                let first = members.partition_point(|m| m.index() < self.split);
-                if first == 0 || first == members.len() {
-                    return;
-                }
-            }
-        }
-        for i in 0..members.len() {
-            for j in i + 1..members.len() {
-                let (a, b) = (members[i], members[j]);
-                if !self.is_comparable(a, b) {
-                    continue;
-                }
-                let shares = match pre_live {
-                    None => self.find_shared_key(a, b, |k| self.is_key_live(k)),
-                    Some(snapshot) => self.find_shared_key(a, b, |k| {
-                        match snapshot.binary_search_by_key(&k, |&(key, _)| key) {
-                            Ok(at) => snapshot[at].1,
-                            Err(_) => self.is_key_live(k),
-                        }
-                    }),
-                };
-                if !shares {
-                    out.push((a, b));
-                }
-            }
-        }
-    }
-
-    /// Merges two entities' global key lists (lexicographic order) and
-    /// returns whether any shared key satisfies `is_live`.
-    fn find_shared_key(&self, a: EntityId, b: EntityId, is_live: impl Fn(u32) -> bool) -> bool {
-        let la = &self.entity_rows[a.index()];
-        let lb = &self.entity_rows[b.index()];
-        let (mut i, mut j) = (0, 0);
-        while i < la.len() && j < lb.len() {
-            let (x, y) = (la[i], lb[j]);
-            if x == y {
-                if is_live(x) {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            } else if self.keys.get(x) < self.keys.get(y) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        false
-    }
-
-    /// Shared body of the partner-collection pair: walk the entity's
-    /// global key list in lexicographic order, read each live key's
-    /// statistics and members from the owning shard, accumulate on the
-    /// board — term order identical to the oracle's.
-    fn collect_partners_impl(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-        smaller_only: bool,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        for &g in &self.entity_rows[e.index()] {
-            let (s, local) = self.locate(g);
-            let shard = &self.shards[s];
-            let stats = shard.key_stats(local);
-            if !stats.is_live(self.cap) {
-                continue;
-            }
-            let (inv_comparisons, inv_sizes) = (stats.inv_comparisons, stats.inv_sizes);
-            for p in shard.members(local) {
-                if smaller_only && p >= e {
-                    break;
-                }
-                if p == e || !self.is_comparable(p, e) {
-                    continue;
-                }
-                board.add(p.0, inv_comparisons, inv_sizes);
-            }
-        }
-        board.drain_sorted()
-    }
-}
-
-impl BlockIndex for ShardedIndex {
-    fn num_keys(&self) -> usize {
-        self.keys.len()
-    }
-    fn num_entities(&self) -> usize {
-        self.entity_rows.len()
-    }
-    fn num_alive(&self) -> usize {
-        self.shards[0].num_alive()
-    }
-    fn is_alive(&self, entity: EntityId) -> bool {
-        self.shards[0].is_alive(entity)
-    }
-    fn key_str(&self, key: u32) -> &str {
-        self.keys.get(key)
-    }
-    fn block_size(&self, key: u32) -> usize {
-        let (s, local) = self.locate(key);
-        self.shards[s].block_size(local)
-    }
-    fn is_block_live(&self, key: u32) -> bool {
-        self.is_key_live(key)
-    }
-    fn members(&self, key: u32) -> Members<'_> {
-        let (s, local) = self.locate(key);
-        self.shards[s].members(local)
-    }
-    fn keys_of(&self, entity: EntityId) -> &[u32] {
-        &self.entity_rows[entity.index()]
-    }
-    fn is_comparable(&self, a: EntityId, b: EntityId) -> bool {
-        self.kind.comparable(self.split, a, b)
-    }
-    fn candidates_of(&self, entity: EntityId) -> u32 {
-        self.entity_candidates[entity.index()]
-    }
 }
 
 impl DeltaIndex for ShardedIndex {
     fn kind(&self) -> DatasetKind {
         self.kind
     }
+
     fn split(&self) -> usize {
         self.split
     }
+
     fn size_cap(&self) -> usize {
         self.cap
     }
+
     fn dataset_name(&self) -> &str {
         &self.dataset_name
     }
+
     fn epoch(&self) -> u64 {
         self.epoch
     }
+
+    fn num_entities(&self) -> usize {
+        self.entity_rows.len()
+    }
+
+    fn num_alive(&self) -> usize {
+        self.shards[0].num_alive()
+    }
+
+    fn num_keys(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn is_alive(&self, entity: EntityId) -> bool {
+        self.shards[0].is_alive(entity)
+    }
+
     fn has_open_batch(&self) -> bool {
         self.shards.iter().any(StreamingIndex::has_open_batch)
+    }
+
+    #[inline]
+    fn key_str(&self, key: u32) -> &str {
+        self.keys.get(key)
+    }
+
+    #[inline]
+    fn key_stats(&self, key: u32) -> &KeyStats {
+        let (shard, local) = self.locate(key);
+        shard.key_stats(local)
+    }
+
+    #[inline]
+    fn block(&self, key: u32) -> (&KeyStats, Members<'_>) {
+        let (shard, local) = self.locate(key);
+        shard.block(local)
+    }
+
+    #[inline]
+    fn keys_of(&self, entity: EntityId) -> &[u32] {
+        &self.entity_rows[entity.index()]
+    }
+
+    fn num_live_blocks(&self) -> usize {
+        self.shards
+            .iter()
+            .map(StreamingIndex::num_live_blocks)
+            .sum()
+    }
+
+    fn total_comparisons(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(StreamingIndex::total_comparisons)
+            .sum()
+    }
+
+    fn lcp_counters(&self) -> &[u32] {
+        &self.entity_candidates
+    }
+
+    fn lcp_counters_mut(&mut self) -> &mut [u32] {
+        &mut self.entity_candidates
+    }
+
+    /// Heap bytes of the key dictionaries: the global table plus every
+    /// shard's own.
+    fn key_table_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+            + self
+                .shards
+                .iter()
+                .map(StreamingIndex::key_table_bytes)
+                .sum::<usize>()
     }
 
     fn intern(&mut self, key: &str) -> u32 {
@@ -539,177 +449,31 @@ impl DeltaIndex for ShardedIndex {
         self.entity_rows[entity.index()] = raw_keys.clone();
     }
 
-    fn finish_batch(&mut self, in_batch: &dyn Fn(EntityId) -> bool) -> BatchEffects {
-        // Collect every shard's journal, translate to global ids, and
-        // process flips in ascending *global* key order — the order the
-        // oracle's own journal drain produces (global ids are intern
-        // order, identical to the oracle's key ids).
-        let mut snapshot: Vec<(u32, bool)> = Vec::new();
-        for s in 0..self.shards.len() {
-            let drained = self.shards[s].drain_touched();
-            snapshot.extend(
+    /// Drains every shard's journal and translates it to global ids, in
+    /// ascending global key order.
+    fn drain_journal(&mut self) -> (Vec<(u32, bool)>, usize) {
+        let mut journal: Vec<(u32, bool)> = Vec::new();
+        for (shard, globals) in self.shards.iter_mut().zip(&self.shard_globals) {
+            let (drained, _) = shard.drain_journal();
+            journal.extend(
                 drained
                     .into_iter()
-                    .map(|(local, was)| (self.shard_globals[s][local as usize], was)),
+                    .map(|(local, was_live)| (globals[local as usize], was_live)),
             );
         }
-        snapshot.sort_unstable_by_key(|&(k, _)| k);
-
-        let mut retracted: Vec<(EntityId, EntityId)> = Vec::new();
-        let mut revived: Vec<(EntityId, EntityId)> = Vec::new();
-        for &(k, was_live) in &snapshot {
-            let now_live = self.is_key_live(k);
-            if was_live && !now_live {
-                self.scan_flip(k, in_batch, None, &mut retracted);
-            } else if !was_live && now_live {
-                self.scan_flip(k, in_batch, Some(&snapshot), &mut revived);
-            }
-        }
-        retracted.sort_unstable();
-        retracted.dedup();
-        revived.sort_unstable();
-        revived.dedup();
-        for &(a, b) in &retracted {
-            self.entity_candidates[a.index()] -= 1;
-            self.entity_candidates[b.index()] -= 1;
-        }
-        for &(a, b) in &revived {
-            self.entity_candidates[a.index()] += 1;
-            self.entity_candidates[b.index()] += 1;
-        }
-        crate::obs::record_key_table(self.keys.len() - self.keys_recorded, self.key_table_bytes());
+        journal.sort_unstable_by_key(|&(k, _)| k);
+        let interned = self.keys.len() - self.keys_recorded;
         self.keys_recorded = self.keys.len();
-        BatchEffects {
-            touched_keys: snapshot.into_iter().map(|(k, _)| k).collect(),
-            retracted,
-            revived,
-        }
-    }
-
-    fn collect_delta_pairs(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        self.collect_partners_impl(e, board, true)
-    }
-
-    fn collect_partners(
-        &self,
-        e: EntityId,
-        board: &mut PartnerBoard,
-    ) -> Vec<(EntityId, PairCooccurrence)> {
-        self.collect_partners_impl(e, board, false)
-    }
-
-    fn collect_partner_ids(&self, e: EntityId) -> Vec<EntityId> {
-        let mut partners: Vec<EntityId> = Vec::new();
-        for &g in &self.entity_rows[e.index()] {
-            if !self.is_key_live(g) {
-                continue;
-            }
-            let (s, local) = self.locate(g);
-            let shard = &self.shards[s];
-            partners.extend(
-                shard
-                    .members(local)
-                    .filter(|&p| p != e && self.is_comparable(p, e)),
-            );
-        }
-        partners.sort_unstable();
-        partners.dedup();
-        partners
-    }
-
-    fn pair_cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        let la = &self.entity_rows[a.index()];
-        let lb = &self.entity_rows[b.index()];
-        let mut agg = PairCooccurrence::default();
-        let (mut i, mut j) = (0, 0);
-        while i < la.len() && j < lb.len() {
-            let (x, y) = (la[i], lb[j]);
-            if x == y {
-                let stats = self.key_stats(x);
-                if stats.is_live(self.cap) {
-                    agg.common_blocks += 1;
-                    agg.inv_comparisons_sum += stats.inv_comparisons;
-                    agg.inv_sizes_sum += stats.inv_sizes;
-                }
-                i += 1;
-                j += 1;
-            } else if self.keys.get(x) < self.keys.get(y) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        agg
-    }
-
-    fn entity_aggregates(&self, entity: EntityId) -> EntityAggregates {
-        let mut live_blocks = 0usize;
-        let mut inv_comparisons = 0.0f64;
-        let mut inv_sizes = 0.0f64;
-        let mut entity_comparisons = 0u64;
-        for &g in &self.entity_rows[entity.index()] {
-            let stats = self.key_stats(g);
-            if !stats.is_live(self.cap) {
-                continue;
-            }
-            live_blocks += 1;
-            inv_comparisons += stats.inv_comparisons;
-            inv_sizes += stats.inv_sizes;
-            entity_comparisons += stats.comparisons;
-        }
-        let blocks_of = live_blocks as f64;
-        let num_blocks = self
-            .shards
-            .iter()
-            .map(StreamingIndex::num_live_blocks)
-            .sum::<usize>() as f64;
-        let ibf = if blocks_of > 0.0 && num_blocks > 0.0 {
-            (num_blocks / blocks_of).ln()
-        } else {
-            0.0
-        };
-        let own = entity_comparisons as f64;
-        let total = self
-            .shards
-            .iter()
-            .map(StreamingIndex::total_comparisons)
-            .sum::<u64>() as f64;
-        let icf = if own > 0.0 && total > 0.0 {
-            (total / own).ln()
-        } else {
-            0.0
-        };
-        EntityAggregates {
-            num_blocks: blocks_of,
-            inv_comparisons,
-            inv_sizes,
-            ibf,
-            icf,
-            lcp: f64::from(self.entity_candidates[entity.index()]),
-        }
-    }
-
-    fn record_candidate(&mut self, a: EntityId, b: EntityId) {
-        self.entity_candidates[a.index()] += 1;
-        self.entity_candidates[b.index()] += 1;
-    }
-
-    fn retract_candidate(&mut self, a: EntityId, b: EntityId) {
-        self.entity_candidates[a.index()] -= 1;
-        self.entity_candidates[b.index()] -= 1;
+        (journal, interned)
     }
 
     fn view(&self, threads: usize) -> CsrBlockCollection {
         let live: Vec<Vec<bool>> = self.shards.iter().map(StreamingIndex::live_flags).collect();
         let order = self.key_order.live_order(&self.keys, threads, |g| {
-            let (s, local) = self.locate(g);
-            live[s][local as usize]
+            let (s, local) = self.route[g as usize];
+            live[s as usize][local as usize]
         });
-        assemble_view(self, &order, threads, |g| self.key_stats(g).first)
+        assemble_view(self, &order, threads)
     }
 
     fn compact(&mut self, threads: usize) -> CsrBlockCollection {
@@ -728,7 +492,7 @@ impl DeltaIndex for ShardedIndex {
             live[s as usize][local as usize]
         });
         self.epoch += 1;
-        assemble_view(self, &order, threads, |g| self.key_stats(g).first)
+        assemble_view(self, &order, threads)
     }
 }
 
@@ -759,27 +523,24 @@ mod tests {
             ];
             for keys in corpus {
                 let mut ra: Vec<u32> = keys.iter().map(|k| a.intern(k)).collect();
-                let mut rb: Vec<u32> = keys.iter().map(|k| DeltaIndex::intern(&mut b, k)).collect();
+                let mut rb: Vec<u32> = keys.iter().map(|k| b.intern(k)).collect();
                 assert_eq!(ra, rb, "intern order must match at {n} shards");
                 let ea = a.insert_entity(&mut ra);
                 let eb = b.insert_entity(&mut rb);
                 assert_eq!(ea, eb);
             }
             let ea = a.finish_batch(|_| true);
-            let eb = DeltaIndex::finish_batch(&mut b, &|_| true);
+            let eb = b.finish_batch(|_| true);
             assert_eq!(ea.touched_keys, eb.touched_keys);
             assert_eq!(ea.retracted, eb.retracted);
             assert_eq!(ea.revived, eb.revived);
             for e in 0..a.num_entities() {
                 let e = EntityId(e as u32);
-                assert_eq!(a.keys_of(e), BlockIndex::keys_of(&b, e));
-                assert_eq!(
-                    a.collect_partner_ids(e),
-                    DeltaIndex::collect_partner_ids(&b, e)
-                );
+                assert_eq!(a.keys_of(e), b.keys_of(e));
+                assert_eq!(a.collect_partner_ids(e), b.collect_partner_ids(e));
             }
             let va = a.compact(1);
-            let vb = DeltaIndex::compact(&mut b, 1);
+            let vb = b.compact(1);
             assert!(va.same_blocks(&vb));
         }
     }
@@ -788,10 +549,10 @@ mod tests {
     fn router_state_roundtrips_through_from_parts() {
         let mut b = sharded(3);
         for keys in [["alpha", "beta"], ["beta", "gamma"], ["gamma", "delta"]] {
-            let mut raw: Vec<u32> = keys.iter().map(|k| DeltaIndex::intern(&mut b, k)).collect();
+            let mut raw: Vec<u32> = keys.iter().map(|k| b.intern(k)).collect();
             b.insert_entity(&mut raw);
         }
-        DeltaIndex::finish_batch(&mut b, &|_| true);
+        b.finish_batch(|_| true);
         b.record_candidate(EntityId(0), EntityId(1));
         let state = b.router_state();
         let shards: Vec<StreamingIndex> = (0..b.num_shards())
@@ -807,15 +568,15 @@ mod tests {
         assert_eq!(rebuilt.num_keys(), b.num_keys());
         assert_eq!(rebuilt.entity_rows, b.entity_rows);
         assert_eq!(rebuilt.entity_candidates, b.entity_candidates);
-        assert!(DeltaIndex::view(&rebuilt, 1).same_blocks(&DeltaIndex::view(&b, 1)));
+        assert!(rebuilt.view(1).same_blocks(&b.view(1)));
     }
 
     #[test]
     fn from_parts_rejects_mismatched_router() {
         let mut b = sharded(2);
-        let mut raw = vec![DeltaIndex::intern(&mut b, "only")];
+        let mut raw = vec![b.intern("only")];
         b.insert_entity(&mut raw);
-        DeltaIndex::finish_batch(&mut b, &|_| true);
+        b.finish_batch(|_| true);
         let mut state = b.router_state();
         state.entity_candidates.push(7);
         let shards = vec![roundtrip(b.shard(0)), roundtrip(b.shard(1))];

@@ -15,7 +15,7 @@ use er_datasets::{
 };
 use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
 use er_learn::ProbabilisticClassifier;
-use er_stream::{DeltaBatch, StreamingConfig, StreamingMetaBlocker};
+use er_stream::{DeltaBatch, DeltaIndex, StreamingConfig, StreamingMetaBlocker};
 use rand::Rng;
 
 /// A fixed linear model: deterministic probabilities without training.

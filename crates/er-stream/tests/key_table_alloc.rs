@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use er_blocking::{KeyGenerator, KeyScratch, KeyTable, TokenKeys};
 use er_core::{DatasetKind, EntityProfile};
 use er_datasets::{dirty_catalog, generate_dirty, CatalogOptions};
-use er_stream::{BlockIndex, DeltaIndex, ShardedIndex, StreamingIndex};
+use er_stream::{DeltaIndex, ShardedIndex, StreamingIndex};
 
 struct CountingAllocator;
 
@@ -157,5 +157,5 @@ fn interning_a_batch_of_known_keys_allocates_nothing() {
         allocations, 0,
         "a sharded 64-entity batch of known keys allocated"
     );
-    assert_eq!(BlockIndex::num_keys(&sharded), known);
+    assert_eq!(DeltaIndex::num_keys(&sharded), known);
 }

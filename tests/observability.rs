@@ -24,7 +24,7 @@ use gsmb::datasets::{
 use gsmb::features::FeatureSet;
 use gsmb::obs::event::CapturingSink;
 use gsmb::shard::{DurableShardedService, ShardedStreamingService};
-use gsmb::stream::{MutationRecord, MutationRef, StreamingConfig};
+use gsmb::stream::{DeltaIndex, MutationRecord, MutationRef, StreamingConfig};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
