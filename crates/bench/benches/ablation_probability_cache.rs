@@ -11,10 +11,11 @@ use std::time::Instant;
 use bench::{banner, prepare};
 use er_core::PairId;
 use er_datasets::DatasetName;
-use er_eval::experiment::{train_and_score, RunConfig};
+use er_eval::experiment::{default_config, train_and_score};
 use er_features::FeatureSet;
 use er_learn::balanced_undersample;
 use er_learn::{Classifier, LogisticRegression, LogisticRegressionConfig, TrainingSet};
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 use meta_blocking::scoring::ModelScorer;
 
@@ -23,10 +24,10 @@ fn main() {
     let prepared = prepare(DatasetName::Movies);
     let feature_set = FeatureSet::blast_optimal();
     let (matrix, _) = prepared.build_features(feature_set);
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         feature_set,
         per_class: 25,
-        ..Default::default()
+        ..default_config()
     };
 
     // Train a model directly so the same model backs both strategies.

@@ -7,9 +7,10 @@
 //! labelled instances.
 
 use bench::{banner, bench_repetitions, prepare_all};
-use er_eval::experiment::{run_averaged, RunConfig};
+use er_eval::experiment::{default_config, run_averaged};
 use er_eval::metrics::Effectiveness;
 use er_features::FeatureSet;
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
 fn main() {
@@ -28,10 +29,10 @@ fn main() {
             "size", "recall", "precision", "F1"
         );
         for &size in &sizes {
-            let config = RunConfig {
+            let config = MetaBlockingConfig {
                 feature_set,
                 per_class: (size / 2).max(1),
-                ..Default::default()
+                ..default_config()
             };
             let mut per_dataset = Vec::new();
             for dataset in &prepared {

@@ -9,9 +9,10 @@
 
 use bench::{banner, bench_repetitions, prepare};
 use er_datasets::DatasetName;
-use er_eval::experiment::{run_averaged, train_and_score, RunConfig};
+use er_eval::experiment::{default_config, run_averaged, train_and_score};
 use er_eval::report::ProbabilityHistogram;
 use er_features::FeatureSet;
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
 fn main() {
@@ -21,10 +22,10 @@ fn main() {
     let (matrix, _) = prepared.build_features(FeatureSet::blast_optimal());
 
     for &size in &sizes {
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             feature_set: FeatureSet::blast_optimal(),
             per_class: (size / 2).max(1),
-            ..Default::default()
+            ..default_config()
         };
         let Ok((scores, _, _)) = train_and_score(&prepared, &matrix, &config, 0x000f_1612) else {
             println!("training size {size}: not enough labelled pairs, skipped");
@@ -49,10 +50,10 @@ fn main() {
         "size", "BCl recall", "BCl prec", "BLAST recall", "BLAST prec"
     );
     for &size in &[20usize, 50, 100, 200, 300, 400, 500] {
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             feature_set: FeatureSet::blast_optimal(),
             per_class: (size / 2).max(1),
-            ..Default::default()
+            ..default_config()
         };
         let bcl = run_averaged(&prepared, AlgorithmKind::Bcl, &config, repetitions);
         let blast = run_averaged(&prepared, AlgorithmKind::Blast, &config, repetitions);

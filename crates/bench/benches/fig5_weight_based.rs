@@ -7,19 +7,20 @@
 //! beats the BCl baseline on every measure.
 
 use bench::{banner, bench_repetitions, prepare_all};
-use er_eval::experiment::{run_averaged, RunConfig};
+use er_eval::experiment::{default_config, run_averaged};
 use er_eval::metrics::Effectiveness;
 use er_features::FeatureSet;
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
 fn main() {
     banner("Figure 5: weight-based pruning algorithms (avg over all datasets)");
     let prepared = prepare_all();
     let repetitions = bench_repetitions();
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         feature_set: FeatureSet::original(),
         per_class: 250,
-        ..Default::default()
+        ..default_config()
     };
 
     println!(

@@ -8,8 +8,9 @@
 
 use bench::{banner, bench_repetitions, prepare};
 use er_datasets::DatasetName;
-use er_eval::experiment::{run_once, PreparedDataset, RunConfig};
+use er_eval::experiment::{default_config, run_once, PreparedDataset};
 use er_features::{FeatureSet, Scheme};
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
 /// The top-10 BLAST feature sets of Table 3 in the paper.
@@ -61,19 +62,19 @@ fn measure(
     for &set in sets {
         let mut cells = Vec::new();
         for &(_, prepared) in datasets {
-            let config = RunConfig {
+            let config = MetaBlockingConfig {
                 feature_set: set,
                 per_class: 250,
-                ..Default::default()
+                ..default_config()
             };
             let mut total = 0.0;
             for rep in 0..repetitions {
-                let config = RunConfig {
+                let config = MetaBlockingConfig {
                     seed: er_core::rng::derive_seed(config.seed, rep as u64),
                     ..config.clone()
                 };
                 let result = run_once(prepared, algorithm, &config).expect("run failed");
-                total += result.total_rt().as_secs_f64();
+                total += result.timings.total_rt().as_secs_f64();
             }
             cells.push(total / repetitions as f64);
         }

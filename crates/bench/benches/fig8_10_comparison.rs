@@ -10,21 +10,22 @@
 
 use bench::{banner, bench_repetitions, prepare_all};
 use er_datasets::DatasetName;
-use er_eval::experiment::{run_averaged, RunConfig};
+use er_eval::experiment::{default_config, run_averaged};
 use er_eval::metrics::Effectiveness;
 use er_features::FeatureSet;
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
-fn config_for(algorithm: AlgorithmKind) -> RunConfig {
+fn config_for(algorithm: AlgorithmKind) -> MetaBlockingConfig {
     let feature_set = match algorithm {
         AlgorithmKind::Blast => FeatureSet::blast_optimal(),
         AlgorithmKind::Rcnp => FeatureSet::rcnp_optimal(),
         _ => FeatureSet::original(),
     };
-    RunConfig {
+    MetaBlockingConfig {
         feature_set,
         per_class: 250,
-        ..Default::default()
+        ..default_config()
     }
 }
 

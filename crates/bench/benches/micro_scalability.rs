@@ -4,7 +4,7 @@
 //! For each corpus size the bench generates a bounded-memory synthetic
 //! Dirty corpus (`er_datasets::generate_scalability`), runs the standard
 //! blocking workflow (Token Blocking + purging + filtering), and drives the
-//! fused feature + scoring pass in three modes:
+//! fused feature + scoring pass in two modes:
 //!
 //! * **streamed** — the chunked [`CandidateStream`] path: the pair index
 //!   never exists in memory; per-worker scratch is one reusable
@@ -12,14 +12,16 @@
 //!   materialised index is ever allocated, so its peak-RSS checkpoint
 //!   cannot inherit the index);
 //! * **tiled** — the materialised index through the candidate-aligned
-//!   scoreboard (the default engine), the scoreboard's registry metrics
-//!   recording the per-worker scratch high-water mark;
-//! * **flat** — the retained `O(num_entities)`-scratch reference board.
+//!   scoreboard, the scoreboard's registry metrics recording the per-worker
+//!   scratch high-water mark.
 //!
-//! Correctness gates before any timing: all three modes must produce
-//! bit-identical probabilities at every size, the streamed chunk walk must
-//! emit exactly the counted number of pairs, and the default engine's
-//! scratch must stay `O(longest candidate run)`.
+//! Correctness gates before any timing: both modes must produce
+//! bit-identical probabilities at every size (and, up to
+//! `MATRIX_GATE_LIMIT` entities, the materialised matrix must equal the
+//! per-pair reference rows), the streamed chunk walk must emit exactly the
+//! counted number of pairs, and the board's scratch must stay
+//! `O(longest candidate run)` — below what one `O(num_entities)` board of
+//! three arrays (20 B per entity) would hold.
 //!
 //! Asserted memory gate, in the two parts the streamed footprint has: what
 //! grows with the corpus (`CandidateStream::aggregate_bytes`, 12 B per
@@ -61,7 +63,7 @@ use er_features::{
     ScoreboardConfig, StreamFeatureContext,
 };
 
-/// Corpus sizes above this skip the full-matrix equality gate (the score
+/// Corpus sizes above this skip the full-matrix reference gate (the score
 /// vectors are still compared bit-for-bit at every size).
 const MATRIX_GATE_LIMIT: usize = 200_000;
 
@@ -87,17 +89,8 @@ fn main() {
     let mut json_entries: Vec<String> = Vec::new();
 
     println!(
-        "{:>10} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>9} {:>12} {:>12}",
-        "entities",
-        "gen",
-        "block",
-        "cands",
-        "pairs",
-        "streamed",
-        "tiled",
-        "flat",
-        "mem(s)",
-        "mem(m)"
+        "{:>10} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>12} {:>12}",
+        "entities", "gen", "block", "cands", "pairs", "streamed", "tiled", "mem(s)", "mem(m)"
     );
 
     for n in sizes() {
@@ -188,35 +181,25 @@ fn main() {
         let context = FeatureContext::new(&stats, &candidates);
 
         let tiled_config = ScoreboardConfig::default();
-        let flat_config = ScoreboardConfig::flat();
 
-        // Correctness gate 1: bit-identical probabilities across all three
-        // modes.  The scoreboard metrics live on the global er-obs registry
-        // now, so each engine's run is bracketed by a reset + snapshot to
-        // read exact per-phase values (the bench is sequential).
+        // Correctness gate 1: bit-identical probabilities across both
+        // modes.  The scoreboard metrics live on the global er-obs registry,
+        // so the run is bracketed by a reset + snapshot to read exact
+        // per-phase values (the bench is sequential).
         reset_scoreboard_metrics();
         let tiled_scores =
             FeatureMatrix::score_rows_with(&context, set, threads, &tiled_config, score);
         let tiled_metrics = scoreboard_metrics();
-        reset_scoreboard_metrics();
-        let flat_scores =
-            FeatureMatrix::score_rows_with(&context, set, threads, &flat_config, score);
-        let flat_metrics = scoreboard_metrics();
-        assert_eq!(
-            tiled_scores, flat_scores,
-            "scal-{n}: tiled and flat scores diverged"
-        );
         assert_eq!(
             streamed_scores, tiled_scores,
             "scal-{n}: streamed and materialised scores diverged"
         );
         drop(streamed_scores);
-        drop(flat_scores);
         drop(tiled_scores);
         if n <= MATRIX_GATE_LIMIT {
-            let tiled = FeatureMatrix::build_with(&context, set, threads, &tiled_config);
-            let flat = FeatureMatrix::build_with(&context, set, threads, &flat_config);
-            for (id, row) in flat.rows() {
+            let tiled = FeatureMatrix::build_with_threads(&context, set, threads);
+            let reference = FeatureMatrix::build_reference(&context, set);
+            for (id, row) in reference.rows() {
                 assert_eq!(tiled.row(id), row, "scal-{n}: matrix row {id:?} diverged");
             }
         }
@@ -227,16 +210,19 @@ fn main() {
         // table (two 8-byte entries), rounded up to the table's power of
         // two, and 20 B of accumulators — doubled for Vec growth slack, plus
         // fixed slack; a corpus-scaled board blows straight through it.
+        // And it must stay below the three arrays (4 + 8 + 8 B per entity)
+        // of one corpus-sized board, computed rather than allocated.
         let scratch_tiled = tiled_metrics.scratch_bytes_hwm;
-        let scratch_flat = flat_metrics.scratch_bytes_hwm;
+        let scratch_corpus = 20 * n as u64;
         let bound = 2 * (32 + 20) * tiled_metrics.partners_hwm + 64 * 1024;
         assert!(
             scratch_tiled <= bound,
             "scal-{n}: aligned scratch {scratch_tiled} B exceeds O(longest run) bound {bound} B"
         );
         assert!(
-            scratch_tiled < scratch_flat,
-            "scal-{n}: tiled scratch {scratch_tiled} B not below flat {scratch_flat} B"
+            scratch_tiled < scratch_corpus,
+            "scal-{n}: tiled scratch {scratch_tiled} B not below a corpus-sized board's \
+             {scratch_corpus} B"
         );
 
         // Memory gate: exact allocation accounting.  The stream's
@@ -256,11 +242,10 @@ fn main() {
             "scal-{n}: chunk arena {arena_bytes} B exceeds its O(chunk) bound {arena_bound} B"
         );
 
-        // Timed sweep: the fused feature + probability pass per
-        // materialised engine, plus the end-to-end materialised twin of
-        // the streamed phase (index build + scoring, best-of-N).
+        // Timed sweep: the fused feature + probability pass over the
+        // materialised index, plus the end-to-end materialised twin of the
+        // streamed phase (index build + scoring, best-of-N).
         let mut tiled_s = 0.0f64;
-        let mut flat_s = 0.0f64;
         for _ in 0..repetitions {
             let start = Instant::now();
             criterion::black_box(FeatureMatrix::score_rows_with(
@@ -271,18 +256,8 @@ fn main() {
                 score,
             ));
             tiled_s += start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            criterion::black_box(FeatureMatrix::score_rows_with(
-                &context,
-                set,
-                threads,
-                &flat_config,
-                score,
-            ));
-            flat_s += start.elapsed().as_secs_f64();
         }
         tiled_s /= repetitions as f64;
-        flat_s /= repetitions as f64;
         let mut materialised_total_s = f64::INFINITY;
         for _ in 0..repetitions {
             let start = Instant::now();
@@ -315,7 +290,7 @@ fn main() {
         }
 
         println!(
-            "{:>10} {:>7.2}s {:>7.2}s {:>7.2}s {:>11} {:>8.2}s {:>8.2}s {:>8.2}s {:>9} KiB {:>9} KiB",
+            "{:>10} {:>7.2}s {:>7.2}s {:>7.2}s {:>11} {:>8.2}s {:>8.2}s {:>9} KiB {:>9} KiB",
             n,
             gen_s,
             blocking_s,
@@ -323,18 +298,16 @@ fn main() {
             pairs,
             streamed_s,
             tiled_s,
-            flat_s,
             streamed_bytes / 1024,
             materialised_bytes / 1024,
         );
         println!(
-            "{:>10} chunk {} ({:.2}s build), longest run {}, scratch {}/{} KiB, e2e {:.1} vs {:.1} Mpairs/s streamed/materialised",
+            "{:>10} chunk {} ({:.2}s build), longest run {}, scratch {} KiB, e2e {:.1} vs {:.1} Mpairs/s streamed/materialised",
             "",
             chunk_pairs,
             stream_build_s,
             tiled_metrics.partners_hwm,
             scratch_tiled / 1024,
-            scratch_flat / 1024,
             streamed_pps / 1e6,
             materialised_pps / 1e6,
         );
@@ -351,16 +324,13 @@ fn main() {
                 "    \"chunk_pairs\": {},\n",
                 "    \"score_streamed_s\": {:.3},\n",
                 "    \"score_tiled_s\": {:.3},\n",
-                "    \"score_flat_s\": {:.3},\n",
                 "    \"total_streamed_s\": {:.3},\n",
                 "    \"total_materialised_s\": {:.3},\n",
                 "    \"pairs_per_s_streamed\": {:.0},\n",
                 "    \"pairs_per_s_materialised\": {:.0},\n",
                 "    \"pairs_per_s_tiled\": {:.0},\n",
-                "    \"pairs_per_s_flat\": {:.0},\n",
                 "    \"candidates_peak_bytes\": {{\"streamed\": {}, \"materialised\": {}}},\n",
                 "    \"scratch_tiled_bytes\": {},\n",
-                "    \"scratch_flat_bytes\": {},\n",
                 "    \"partners_hwm\": {},\n",
                 "    \"contributions_hwm\": {},\n",
                 "    \"dense_entities\": {},\n",
@@ -379,17 +349,14 @@ fn main() {
             chunk_pairs,
             streamed_s,
             tiled_s,
-            flat_s,
             streamed_total_s,
             materialised_total_s,
             streamed_pps,
             materialised_pps,
             pairs as f64 / tiled_s.max(1e-9),
-            pairs as f64 / flat_s.max(1e-9),
             streamed_bytes,
             materialised_bytes,
             scratch_tiled,
-            scratch_flat,
             tiled_metrics.partners_hwm,
             tiled_metrics.contributions_hwm,
             tiled_metrics.dense_entities,

@@ -11,10 +11,11 @@
 //! times faster than BCl2 (no LCP, tiny training set).
 
 use bench::{banner, bench_repetitions, prepare_all};
-use er_eval::experiment::{run_averaged, PreparedDataset, RunConfig};
+use er_eval::experiment::{default_config, run_averaged, PreparedDataset};
 use er_eval::tables::{render_table, TableRow};
 use er_features::FeatureSet;
 use er_learn::paper_baseline_per_class;
+use meta_blocking::pipeline::MetaBlockingConfig;
 use meta_blocking::pruning::AlgorithmKind;
 
 fn run_table(
@@ -27,10 +28,10 @@ fn run_table(
 ) {
     let mut rows = Vec::new();
     for dataset in prepared {
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             feature_set,
             per_class: per_class(dataset),
-            ..Default::default()
+            ..default_config()
         };
         match run_averaged(dataset, algorithm, &config, repetitions) {
             Ok(result) => rows.push(

@@ -285,9 +285,10 @@ pub fn feature_sweep(
     prepared: &[PreparedDataset],
     repetitions: usize,
 ) -> Vec<(er_features::FeatureSet, er_eval::Effectiveness)> {
-    use er_eval::experiment::{run_with_matrix, RunConfig};
+    use er_eval::experiment::{default_config, run_with_matrix};
     use er_eval::Effectiveness;
     use er_features::{FeatureMatrix, FeatureSet};
+    use meta_blocking::pipeline::MetaBlockingConfig;
     use std::time::Duration;
 
     let full_sweep = env_flag("GSMB_FULL_SWEEP");
@@ -306,10 +307,10 @@ pub fn feature_sweep(
         let mut per_dataset = Vec::new();
         for (dataset, matrix) in prepared.iter().zip(&matrices) {
             let projected = matrix.project(set);
-            let config = RunConfig {
+            let config = MetaBlockingConfig {
                 feature_set: set,
                 per_class: 250,
-                ..Default::default()
+                ..default_config()
             };
             let mut per_run = Vec::new();
             for rep in 0..repetitions.max(1) {

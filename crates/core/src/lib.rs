@@ -10,7 +10,8 @@
 //!   CEP, CNP, RCNP and the BCl baseline of the original Supervised
 //!   Meta-blocking paper;
 //! * [`pipeline`] — the end-to-end `blocking → features → training → scoring →
-//!   pruning` workflow with run-time accounting;
+//!   pruning` workflow with run-time accounting; its `prepare` and `train`
+//!   stages are the ones the streaming bootstrap and `er-eval` run too;
 //! * [`streaming`] — the incremental counterpart: bootstrap a classifier on a
 //!   seed corpus, ingest live batches through `er_stream`, and progressively
 //!   re-rank candidates;

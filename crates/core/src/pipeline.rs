@@ -4,11 +4,17 @@
 //! evaluation:
 //!
 //! 1. blocking: Token Blocking → Block Purging → Block Filtering;
-//! 2. candidate extraction and block statistics;
+//! 2. candidate extraction and block statistics ([`prepare`]);
 //! 3. feature generation for the chosen [`FeatureSet`];
-//! 4. balanced undersampling of labelled pairs and classifier training;
+//! 4. balanced undersampling of labelled pairs and classifier training
+//!    ([`train`]);
 //! 5. probability scoring of every candidate pair;
 //! 6. pruning with the chosen [`AlgorithmKind`].
+//!
+//! [`prepare`] and [`train`] are public because every batch consumer runs
+//! them: [`MetaBlockingPipeline::run`], the streaming bootstrap
+//! ([`crate::StreamingPipeline::bootstrap`]) and the experiment harness in
+//! `er-eval`.  A step of the paper's workflow therefore has one copy.
 //!
 //! The outcome records the retained pairs, the probabilities and a run-time
 //! breakdown matching the paper's definition of `RT` (feature generation +
@@ -36,7 +42,7 @@ use std::time::{Duration, Instant};
 use er_blocking::{
     standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
 };
-use er_core::{Dataset, PairId, Result};
+use er_core::{Dataset, GroundTruth, PairId, Result};
 use er_features::{
     FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
 };
@@ -109,10 +115,10 @@ pub struct MetaBlockingConfig {
     /// Every stage is deterministic, so the thread count never changes the
     /// output.
     pub threads: Option<usize>,
-    /// Scoreboard engine configuration for the fused feature/scoring pass:
-    /// the candidate-aligned board by default, the flat reference board on
-    /// request.  Output is bit-identical for every configuration; this only
-    /// changes per-worker scratch.
+    /// Scoreboard configuration, handed to the fused feature/scoring pass and
+    /// to the streaming index.  Only the streaming index's discovery board
+    /// reads it (its tile width); output is bit-identical for every
+    /// configuration.
     pub scoreboard: ScoreboardConfig,
     /// When set, the probability pass runs through the streamed candidate
     /// engine ([`er_blocking::CandidateStream`]) in chunks of this many
@@ -221,51 +227,23 @@ impl MetaBlockingPipeline {
     /// Runs the full workflow on a dataset.
     ///
     /// Blocking runs through the parallel CSR engine
-    /// ([`standard_blocking_workflow_csr`]); block statistics, candidate
-    /// pairs and pruning thresholds are all derived from its output.
+    /// ([`standard_blocking_workflow_csr`]); the [`prepare`] and [`train`]
+    /// stages, the scoring pass and the pruning thresholds are all derived
+    /// from its output.
     pub fn run(&self, dataset: &Dataset, algorithm: AlgorithmKind) -> Result<MetaBlockingOutcome> {
         let threads = self.config.effective_threads();
         let start = Instant::now();
         let csr = standard_blocking_workflow_csr(dataset, threads);
-        if csr.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "dataset {} produced no blocks",
-                dataset.name
-            )));
-        }
         let blocking_time = start.elapsed();
 
         let feature_start = Instant::now();
-        let stats = BlockStats::from_csr(&csr);
-        let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
-        if candidates.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "dataset {} produced no candidate pairs",
-                dataset.name
-            )));
-        }
-
+        let (stats, candidates) = prepare(&csr, threads)?;
         let set = self.config.feature_set;
         let context = FeatureContext::new(&stats, &candidates);
         let feature_time = feature_start.elapsed();
 
-        // Training: feature vectors are needed for the sampled pairs only.
         let training_start = Instant::now();
-        let mut rng = er_core::seeded_rng(self.config.seed);
-        let sample = balanced_undersample(
-            candidates.pairs(),
-            &dataset.ground_truth,
-            self.config.per_class,
-            &mut rng,
-        )?;
-        let mut training = TrainingSet::new();
-        let mut row = vec![0.0f64; set.vector_len()];
-        for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
-            let (a, b) = candidates.pair(PairId::from(pair_index));
-            context.write_pair_features(a, b, set, &mut row);
-            training.push(row.clone(), label);
-        }
-        let model = self.config.classifier.fit(&training)?;
+        let model = train(&self.config, &context, &dataset.ground_truth)?;
         let training_time = training_start.elapsed();
 
         // Scoring: fused feature + probability pass, no materialised matrix.
@@ -324,6 +302,57 @@ impl MetaBlockingPipeline {
             },
         })
     }
+}
+
+/// The **prepare** stage of the batch workflow: a (raw or cleaned) block
+/// collection → its [`BlockStats`] and distinct [`CandidatePairs`].
+///
+/// The batch pipeline, the streaming bootstrap and the experiment harness
+/// all enter the workflow here, so this is the one place an input that
+/// cannot be trained on is refused: a collection with no blocks, or one
+/// whose blocks yield no comparable pair, is [`er_core::Error::EmptyInput`].
+pub fn prepare(
+    blocks: &CsrBlockCollection,
+    threads: usize,
+) -> Result<(BlockStats, CandidatePairs)> {
+    if blocks.is_empty() {
+        return Err(er_core::Error::EmptyInput(format!(
+            "dataset {} produced no blocks",
+            blocks.dataset_name
+        )));
+    }
+    let stats = BlockStats::from_csr(blocks);
+    let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
+    if candidates.is_empty() {
+        return Err(er_core::Error::EmptyInput(format!(
+            "dataset {} produced no candidate pairs",
+            blocks.dataset_name
+        )));
+    }
+    Ok((stats, candidates))
+}
+
+/// The **train** stage of the batch workflow: draws `config.per_class`
+/// labelled pairs per class from the context's candidates (balanced
+/// undersampling seeded with `config.seed`), computes the feature vectors of
+/// the sampled pairs only, and fits `config.classifier` on them.
+pub fn train(
+    config: &MetaBlockingConfig,
+    context: &FeatureContext<'_>,
+    truth: &GroundTruth,
+) -> Result<SavedModel> {
+    let candidates = context.candidates();
+    let set = config.feature_set;
+    let mut rng = er_core::seeded_rng(config.seed);
+    let sample = balanced_undersample(candidates.pairs(), truth, config.per_class, &mut rng)?;
+    let mut training = TrainingSet::new();
+    let mut row = vec![0.0f64; set.vector_len()];
+    for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
+        let (a, b) = candidates.pair(PairId::from(pair_index));
+        context.write_pair_features(a, b, set, &mut row);
+        training.push(row.clone(), label);
+    }
+    config.classifier.fit_saved(&training)
 }
 
 #[cfg(test)]
@@ -453,6 +482,38 @@ mod tests {
             .run(&dataset, AlgorithmKind::Wnp)
             .unwrap();
         assert!(outcome.timings.total_rt() > Duration::ZERO);
+    }
+
+    #[test]
+    fn prepare_refuses_collections_that_cannot_be_trained_on() {
+        use er_core::{DatasetKind, EntityId};
+        let empty = CsrBlockCollection::from_blocks(
+            "empty",
+            DatasetKind::Dirty,
+            4,
+            4,
+            std::iter::empty::<(&str, Vec<EntityId>)>(),
+        );
+        let err = prepare(&empty, 2).unwrap_err();
+        assert!(
+            err.to_string().contains("empty produced no blocks"),
+            "{err}"
+        );
+        // One Clean-Clean block holding first-source entities only: a block,
+        // but no comparable pair.
+        let one_sided = CsrBlockCollection::from_blocks(
+            "one-sided",
+            DatasetKind::CleanClean,
+            2,
+            4,
+            [("k", vec![EntityId(0), EntityId(1)])],
+        );
+        let err = prepare(&one_sided, 2).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("one-sided produced no candidate pairs"),
+            "{err}"
+        );
     }
 
     #[test]

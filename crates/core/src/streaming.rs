@@ -14,16 +14,14 @@
 //! space is append-only, so later arrivals belong to E2); any prefix works
 //! for Dirty ER.
 
-use er_blocking::{
-    build_blocks, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection, TokenKeys,
-};
-use er_core::{Dataset, EntityId, EntityProfile, FxHashMap, PairId, Result};
+use er_blocking::{build_blocks, CandidateStream, CsrBlockCollection, TokenKeys};
+use er_core::{Dataset, EntityId, EntityProfile, FxHashMap, Result};
 use er_features::{for_each_scored_chunk, FeatureContext, StreamFeatureContext};
-use er_learn::{balanced_undersample, ProbabilisticClassifier, TrainingSet};
+use er_learn::ProbabilisticClassifier;
 use er_stream::{DeltaBatch, MutationRef, StreamingConfig, StreamingMetaBlocker};
 
 use crate::live_view::LiveView;
-use crate::pipeline::MetaBlockingConfig;
+use crate::pipeline::{prepare, train, MetaBlockingConfig};
 use crate::progressive::StreamingSchedule;
 
 /// The cleaned-view machinery of a [`StreamingPipeline`] running in
@@ -78,37 +76,12 @@ impl StreamingPipeline {
         let threads = config.effective_threads();
         let set = config.feature_set;
 
+        // Raw Token Blocking: the streaming index keeps every block, so the
+        // model is trained on the raw candidates it will score.
         let csr = build_blocks(seed_corpus, &TokenKeys, threads);
-        if csr.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "seed corpus {} produced no blocks",
-                seed_corpus.name
-            )));
-        }
-        let stats = BlockStats::from_csr(&csr);
-        let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
-        if candidates.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "seed corpus {} produced no candidate pairs",
-                seed_corpus.name
-            )));
-        }
+        let (stats, candidates) = prepare(&csr, threads)?;
         let context = FeatureContext::new(&stats, &candidates);
-        let mut rng = er_core::seeded_rng(config.seed);
-        let sample = balanced_undersample(
-            candidates.pairs(),
-            &seed_corpus.ground_truth,
-            config.per_class,
-            &mut rng,
-        )?;
-        let mut training = TrainingSet::new();
-        let mut row = vec![0.0f64; set.vector_len()];
-        for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
-            let (a, b) = candidates.pair(PairId::from(pair_index));
-            context.write_pair_features(a, b, set, &mut row);
-            training.push(row.clone(), label);
-        }
-        let model = config.classifier.fit_saved(&training)?;
+        let model = train(config, &context, &seed_corpus.ground_truth)?;
 
         let stream_config = StreamingConfig {
             dataset_name: seed_corpus.name.clone(),
@@ -149,7 +122,6 @@ impl StreamingPipeline {
                 &stream,
                 set,
                 threads,
-                &config.scoreboard,
                 chunk_pairs,
                 probability,
                 |pairs, probabilities| {
@@ -168,7 +140,6 @@ impl StreamingPipeline {
                 &stream,
                 set,
                 threads,
-                &config.scoreboard,
                 chunk_pairs,
                 probability,
                 |pairs, probabilities| schedule.absorb(pairs, probabilities),
@@ -309,6 +280,7 @@ impl StreamingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_blocking::{BlockStats, CandidatePairs};
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
     use er_stream::dataset_prefix;
 

@@ -1,4 +1,4 @@
-//! Arena snapshot layout for the CSR block structures.
+//! Arena snapshot layout for the CSR block collection.
 //!
 //! The classic codec in [`crate::persist`] walked a [`CsrBlockCollection`]
 //! block by block, emitting one length-prefixed entity list per block and
@@ -14,8 +14,8 @@
 //! ```text
 //! ┌─────────────┬──────────┬───────────────────────────────┬──────────┐
 //! │ magic (8 B) │ body len │ body (8-byte-aligned sections)│ CRC-64   │
-//! │ "GSMBCSRA"/ │ u64      │ version, scalars, sections    │ u64 over │
-//! │ "GSMBSTAA"  │          │                               │ the body │
+//! │ "GSMBCSRA"  │ u64      │ version, scalars, sections    │ u64 over │
+//! │             │          │                               │ the body │
 //! └─────────────┴──────────┴───────────────────────────────┴──────────┘
 //! ```
 //!
@@ -40,17 +40,13 @@
 
 use std::sync::Arc;
 
-use er_core::{crc64, BlockId, DatasetKind, EntityId, PersistError, PersistResult};
+use er_core::{crc64, DatasetKind, EntityId, PersistError, PersistResult};
 use er_persist::{Reader, Writer};
 
 use crate::csr::{CsrBlockCollection, KeyStore};
-use crate::stats::BlockStats;
 
 /// Magic bytes of a [`CsrBlockCollection`] arena frame.
 pub const CSR_ARENA_MAGIC: [u8; 8] = *b"GSMBCSRA";
-
-/// Magic bytes of a [`BlockStats`] arena frame.
-pub const STATS_ARENA_MAGIC: [u8; 8] = *b"GSMBSTAA";
 
 /// Arena layout version written and accepted by this build.
 pub const ARENA_VERSION: u32 = 1;
@@ -77,15 +73,6 @@ fn write_u32_section(body: &mut Writer, data: &[u32]) {
         body.write_u32(v);
     }
     pad8(body);
-}
-
-/// Writes a `u64` section: element count, raw little-endian elements.
-/// (Already 8-aligned; no pad needed.)
-fn write_u64_section(body: &mut Writer, data: &[u64]) {
-    body.write_u64(data.len() as u64);
-    for &v in data {
-        body.write_u64(v);
-    }
 }
 
 /// A bounds-checked cursor over one arena body that knows its absolute
@@ -149,23 +136,6 @@ impl<'a> BodyReader<'a> {
         let out = bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        self.skip_pad()?;
-        Ok(out)
-    }
-
-    /// Reads a `u64` section with one bulk conversion.
-    fn read_u64_section(&mut self, what: &str) -> PersistResult<Vec<u64>> {
-        let len = self.read_section_len(what)?;
-        let Some(byte_len) = len.checked_mul(8) else {
-            return Err(PersistError::Corrupt(format!(
-                "arena section {what} length overflows"
-            )));
-        };
-        let bytes = self.r.read_raw(byte_len)?;
-        let out = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
         self.skip_pad()?;
         Ok(out)
@@ -394,159 +364,6 @@ pub(crate) fn decode_csr(r: &mut Reader<'_>) -> PersistResult<CsrBlockCollection
     ))
 }
 
-/// Encodes a [`BlockStats`] as one arena frame.  The reciprocal tables
-/// (`1/||b||`, `1/|b|`) are derived state and are recomputed on adoption —
-/// the same deterministic expression produces bit-identical values.
-pub(crate) fn encode_stats(stats: &BlockStats, w: &mut Writer) {
-    let mut body = Writer::with_capacity(
-        64 + 4 * (stats.offsets.len() + stats.block_ids.len() + stats.block_entities.len())
-            + 8 * (stats.block_comparisons.len() + stats.entity_comparisons.len()),
-    );
-    body.write_u32(ARENA_VERSION);
-    body.write_u32(0);
-    body.write_u64(kind_to_u64(stats.kind));
-    body.write_u64(stats.split as u64);
-    body.write_u64(stats.num_blocks as u64);
-    body.write_u64(stats.total_comparisons);
-    write_u32_section(&mut body, &stats.offsets);
-    body.write_u64(stats.block_ids.len() as u64);
-    for &b in &stats.block_ids {
-        body.write_u32(b.0);
-    }
-    pad8(&mut body);
-    write_u32_section(&mut body, &stats.block_offsets);
-    body.write_u64(stats.block_entities.len() as u64);
-    for &e in &stats.block_entities {
-        body.write_u32(e.0);
-    }
-    pad8(&mut body);
-    write_u32_section(&mut body, &stats.first_source_counts);
-    write_u32_section(&mut body, &stats.block_sizes);
-    write_u64_section(&mut body, &stats.block_comparisons);
-    write_u64_section(&mut body, &stats.entity_comparisons);
-    write_frame(w, &STATS_ARENA_MAGIC, body);
-}
-
-/// Decodes, validates and adopts a [`BlockStats`] arena frame.
-pub(crate) fn decode_stats(r: &mut Reader<'_>) -> PersistResult<BlockStats> {
-    let body = read_frame(r, &STATS_ARENA_MAGIC, "block statistics")?;
-    let mut body = BodyReader::new(body);
-    check_version(&mut body)?;
-    let kind = kind_from_u64(body.r.read_u64()?)?;
-    let split = usize::try_from(body.r.read_u64()?)
-        .map_err(|_| PersistError::Corrupt("arena split exceeds usize".into()))?;
-    let num_blocks = usize::try_from(body.r.read_u64()?)
-        .map_err(|_| PersistError::Corrupt("arena block count exceeds usize".into()))?;
-    let total_comparisons = body.r.read_u64()?;
-    let offsets = body.read_u32_section("entity-block offsets")?;
-    let block_ids: Vec<BlockId> = body
-        .read_u32_section("block ids")?
-        .into_iter()
-        .map(BlockId)
-        .collect();
-    let block_offsets = body.read_u32_section("block-entity offsets")?;
-    let block_entities: Vec<EntityId> = body
-        .read_u32_section("block entities")?
-        .into_iter()
-        .map(EntityId)
-        .collect();
-    let first_source_counts = body.read_u32_section("first-source counts")?;
-    let block_sizes = body.read_u32_section("block sizes")?;
-    let block_comparisons = body.read_u64_section("block comparisons")?;
-    let entity_comparisons = body.read_u64_section("entity comparisons")?;
-    body.expect_end()?;
-
-    if offsets.is_empty() {
-        return Err(PersistError::Corrupt(
-            "entity-block offsets section is empty".into(),
-        ));
-    }
-    let num_entities = offsets.len() - 1;
-    check_offsets(&offsets, block_ids.len(), "entity-block CSR")?;
-    if block_ids.iter().any(|b| b.index() >= num_blocks) {
-        return Err(PersistError::Corrupt(format!(
-            "entity adjacency references a block beyond the {num_blocks} stored blocks"
-        )));
-    }
-    if block_offsets.len() != num_blocks + 1 {
-        return Err(PersistError::Corrupt(format!(
-            "block-entity offsets carry {} entries for {num_blocks} blocks",
-            block_offsets.len()
-        )));
-    }
-    check_offsets(&block_offsets, block_entities.len(), "block-entity CSR")?;
-    if block_entities.iter().any(|e| e.index() >= num_entities) {
-        return Err(PersistError::Corrupt(format!(
-            "block membership references an entity beyond the corpus of {num_entities}"
-        )));
-    }
-    if first_source_counts.len() != num_blocks
-        || block_sizes.len() != num_blocks
-        || block_comparisons.len() != num_blocks
-    {
-        return Err(PersistError::Corrupt(format!(
-            "per-block sections disagree on the block count: {} / {} / {} vs {num_blocks}",
-            first_source_counts.len(),
-            block_sizes.len(),
-            block_comparisons.len()
-        )));
-    }
-    if entity_comparisons.len() != num_entities {
-        return Err(PersistError::Corrupt(format!(
-            "entity comparison section carries {} entries for {num_entities} entities",
-            entity_comparisons.len()
-        )));
-    }
-    for b in 0..num_blocks {
-        let size = block_offsets[b + 1] - block_offsets[b];
-        if block_sizes[b] != size {
-            return Err(PersistError::Corrupt(format!(
-                "block {b} claims size {} but holds {size} entities",
-                block_sizes[b]
-            )));
-        }
-        if first_source_counts[b] > size {
-            return Err(PersistError::Corrupt(format!(
-                "block {b} claims {} first-source members out of {size}",
-                first_source_counts[b]
-            )));
-        }
-    }
-    if block_comparisons.iter().sum::<u64>() != total_comparisons {
-        return Err(PersistError::Corrupt(
-            "block comparison counts do not sum to the recorded total".into(),
-        ));
-    }
-
-    // Derived reciprocal tables: the exact expression of `BlockStats::from_csr`,
-    // so the adopted value is bit-identical to the snapshotted one.
-    let inv_comparisons = block_comparisons
-        .iter()
-        .map(|&c| if c > 0 { 1.0 / c as f64 } else { 0.0 })
-        .collect();
-    let inv_sizes = block_sizes
-        .iter()
-        .map(|&s| if s > 0 { 1.0 / f64::from(s) } else { 0.0 })
-        .collect();
-
-    Ok(BlockStats {
-        offsets,
-        block_ids,
-        block_offsets,
-        block_entities,
-        first_source_counts,
-        block_sizes,
-        block_comparisons,
-        inv_comparisons,
-        inv_sizes,
-        total_comparisons,
-        entity_comparisons,
-        num_blocks,
-        kind,
-        split,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,29 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_arena_round_trips_bit_identically() {
-        let stats = BlockStats::from_csr(&sample());
-        let bytes = encode_to_vec(&stats);
-        let back: BlockStats = decode_from_slice(&bytes).unwrap();
-        assert_eq!(back.offsets, stats.offsets);
-        assert_eq!(back.block_ids, stats.block_ids);
-        assert_eq!(back.block_offsets, stats.block_offsets);
-        assert_eq!(back.block_entities, stats.block_entities);
-        assert_eq!(back.first_source_counts, stats.first_source_counts);
-        assert_eq!(back.block_sizes, stats.block_sizes);
-        assert_eq!(back.block_comparisons, stats.block_comparisons);
-        assert_eq!(back.total_comparisons, stats.total_comparisons);
-        assert_eq!(back.entity_comparisons, stats.entity_comparisons);
-        assert_eq!(back.num_blocks, stats.num_blocks);
-        assert_eq!(back.kind, stats.kind);
-        assert_eq!(back.split, stats.split);
-        // The derived reciprocal tables adopt bit-identically.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.inv_comparisons), bits(&stats.inv_comparisons));
-        assert_eq!(bits(&back.inv_sizes), bits(&stats.inv_sizes));
-    }
-
-    #[test]
     fn every_section_starts_eight_byte_aligned() {
         // The padding discipline is what makes the format mmap-ready: walk
         // the encoded body and check each section's data begins at an
@@ -619,11 +413,6 @@ mod tests {
         let bytes = encode_to_vec(&csr);
         let body_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
         assert_eq!(body_len % 8, 0, "body must end 8-aligned");
-        assert_eq!(bytes.len(), 16 + body_len + 8);
-        let stats = BlockStats::from_csr(&csr);
-        let bytes = encode_to_vec(&stats);
-        let body_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        assert_eq!(body_len % 8, 0);
         assert_eq!(bytes.len(), 16 + body_len + 8);
     }
 
@@ -644,10 +433,9 @@ mod tests {
 
     #[test]
     fn truncation_of_every_length_is_a_typed_error() {
-        let stats = BlockStats::from_csr(&sample());
-        let clean = encode_to_vec(&stats);
+        let clean = encode_to_vec(&sample());
         for cut in 0..clean.len() {
-            let err = decode_from_slice::<BlockStats>(&clean[..cut]).unwrap_err();
+            let err = decode_from_slice::<CsrBlockCollection>(&clean[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -665,7 +453,7 @@ mod tests {
     fn wrong_magic_is_rejected_before_anything_else() {
         let csr = sample();
         let mut bytes = encode_to_vec(&csr);
-        bytes[0..8].copy_from_slice(b"GSMBSTAA");
+        bytes[0..8].copy_from_slice(b"GSMBXXXX");
         let err = decode_from_slice::<CsrBlockCollection>(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::BadMagic { .. }), "{err:?}");
     }
@@ -700,18 +488,6 @@ mod tests {
         bad.first_counts[0] = 10;
         let err = decode_from_slice::<CsrBlockCollection>(&encode_to_vec(&bad)).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
-
-        // Stats whose comparison counts stop summing to the total.
-        let mut bad = BlockStats::from_csr(&base);
-        bad.total_comparisons += 1;
-        let err = decode_from_slice::<BlockStats>(&encode_to_vec(&bad)).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
-
-        // Stats with a block size that disagrees with its entity slice.
-        let mut bad = BlockStats::from_csr(&base);
-        bad.block_sizes[0] += 1;
-        let err = decode_from_slice::<BlockStats>(&encode_to_vec(&bad)).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
@@ -737,11 +513,8 @@ mod tests {
     fn recovered_collection_is_operationally_identical() {
         let csr = sample();
         let back: CsrBlockCollection = decode_from_slice(&encode_to_vec(&csr)).unwrap();
-        let stats = BlockStats::from_csr(&csr);
-        let recovered_stats: BlockStats =
-            decode_from_slice(&encode_to_vec(&BlockStats::from_csr(&back))).unwrap();
-        let a = crate::CandidatePairs::from_stats(&stats, 2);
-        let b = crate::CandidatePairs::from_stats(&recovered_stats, 2);
+        let a = crate::CandidatePairs::from_stats(&crate::BlockStats::from_csr(&csr), 2);
+        let b = crate::CandidatePairs::from_stats(&crate::BlockStats::from_csr(&back), 2);
         assert_eq!(a.pairs(), b.pairs());
     }
 }

@@ -38,7 +38,7 @@ pub mod stream;
 pub mod suffix_arrays;
 pub mod token_blocking;
 
-pub use arena::{ARENA_VERSION, CSR_ARENA_MAGIC, STATS_ARENA_MAGIC};
+pub use arena::{ARENA_VERSION, CSR_ARENA_MAGIC};
 pub use builder::{
     build_blocks, sorted_key_order, KeyGenerator, KeyScratch, QGramKeys, SuffixKeys, TokenKeys,
 };

@@ -2,8 +2,8 @@
 //! CSR block representation, so prepared datasets and recovered streaming
 //! state can carry their block collections through snapshots.
 //!
-//! Both [`CsrBlockCollection`] and [`BlockStats`] encode through the arena
-//! layout in [`crate::arena`]: the snapshot bytes of every flat array are
+//! [`CsrBlockCollection`] encodes through the arena layout in
+//! [`crate::arena`]: the snapshot bytes of every flat array are
 //! its little-endian in-memory bytes, 8-byte aligned, behind one CRC-64
 //! trailer — recovery validates the frame and *adopts* the arrays with one
 //! bulk conversion each instead of a per-element decode loop.  Decoding
@@ -11,13 +11,16 @@
 //! lengths, in-range ids) and reports violations as
 //! [`er_core::PersistError::Corrupt`] — a snapshot that passed its checksum
 //! but encodes an impossible collection never becomes observable state.
+//!
+//! [`crate::BlockStats`] has no codec: it is a deterministic function of the
+//! collection, so a reader re-derives it (`BlockStats::from_csr`) instead of
+//! trusting a second copy on disk.
 
 use er_core::PersistResult;
 use er_persist::{Decode, Encode, Reader, Writer};
 
 use crate::arena;
 use crate::csr::{CsrBlockCollection, KeyStore};
-use crate::stats::BlockStats;
 
 impl Encode for KeyStore {
     fn encode(&self, w: &mut Writer) {
@@ -49,18 +52,6 @@ impl Encode for CsrBlockCollection {
 impl Decode for CsrBlockCollection {
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         arena::decode_csr(r)
-    }
-}
-
-impl Encode for BlockStats {
-    fn encode(&self, w: &mut Writer) {
-        arena::encode_stats(self, w);
-    }
-}
-
-impl Decode for BlockStats {
-    fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        arena::decode_stats(r)
     }
 }
 
@@ -104,24 +95,6 @@ mod tests {
             assert_eq!(back.first_source_count(b), csr.first_source_count(b));
         }
         assert!(back.same_blocks(&csr));
-    }
-
-    #[test]
-    fn block_stats_round_trip_exactly() {
-        let stats = BlockStats::from_csr(&sample());
-        let bytes = encode_to_vec(&stats);
-        let back: BlockStats = decode_from_slice(&bytes).unwrap();
-        assert_eq!(back.num_blocks(), stats.num_blocks());
-        assert_eq!(back.num_entities(), stats.num_entities());
-        assert_eq!(back.total_comparisons(), stats.total_comparisons());
-        for e in 0..stats.num_entities() {
-            let entity = EntityId(e as u32);
-            assert_eq!(back.blocks_of(entity), stats.blocks_of(entity));
-            assert_eq!(
-                back.entity_comparisons(entity),
-                stats.entity_comparisons(entity)
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Corruption coverage for arena-encoded block snapshots: every flipped or
-//! truncated region of a [`CsrBlockCollection`]/[`BlockStats`] arena frame
+//! truncated region of a [`CsrBlockCollection`] arena frame
 //! must surface as a clean typed error, and a corrupted generation inside an
 //! [`er_persist::ShardStore`] (the arena is member 0, the head a marker) must
 //! fall back to the previous generation and recover a **bit-identical**
@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use er_blocking::{BlockStats, CsrBlockCollection};
+use er_blocking::CsrBlockCollection;
 use er_core::{DatasetKind, EntityId, PersistError};
 use er_persist::{
     decode_from_slice, decode_snapshot_payload, encode_to_vec, read_snapshot, shard_snapshot_path,
@@ -103,25 +103,22 @@ fn every_flipped_byte_of_an_arena_snapshot_is_typed() {
 /// exercises the arena's own length and checksum checks.
 #[test]
 fn every_truncation_of_a_bare_arena_frame_is_typed() {
-    let csr = sample("truncate");
-    let stats = BlockStats::from_csr(&csr);
-    for clean in [encode_to_vec(&csr), encode_to_vec(&stats)] {
-        for cut in 0..clean.len() {
-            let err = match decode_from_slice::<CsrBlockCollection>(&clean[..cut]) {
-                Err(err) => err,
-                Ok(_) => panic!("cut at {cut} decoded successfully"),
-            };
-            assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated { .. }
-                        | PersistError::ChecksumMismatch { .. }
-                        | PersistError::BadMagic { .. }
-                        | PersistError::Corrupt(_)
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
+    let clean = encode_to_vec(&sample("truncate"));
+    for cut in 0..clean.len() {
+        let err = match decode_from_slice::<CsrBlockCollection>(&clean[..cut]) {
+            Err(err) => err,
+            Ok(_) => panic!("cut at {cut} decoded successfully"),
+        };
+        assert!(
+            matches!(
+                err,
+                PersistError::Truncated { .. }
+                    | PersistError::ChecksumMismatch { .. }
+                    | PersistError::BadMagic { .. }
+                    | PersistError::Corrupt(_)
+            ),
+            "cut at {cut}: {err:?}"
+        );
     }
 }
 
@@ -185,34 +182,4 @@ fn generation_fallback_recovers_the_previous_arena_bit_identically() {
     );
     let back: CsrBlockCollection = decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
     assert_bit_identical(&back, &gen0);
-}
-
-/// Stats snapshots ride the same generational machinery: a recovered
-/// `BlockStats` arena drives candidate generation identically.
-#[test]
-fn recovered_stats_arena_is_operationally_identical() {
-    let dir = scratch("stats");
-    let vfs = Arc::new(StdVfs);
-    let csr = sample("stats");
-    let stats = BlockStats::from_csr(&csr);
-
-    let (_store, _wals) = ShardStore::create(
-        vfs.clone(),
-        RetryPolicy::default(),
-        &dir,
-        TAG,
-        FINGERPRINT,
-        &HEAD,
-        std::slice::from_ref(&stats),
-    )
-    .unwrap();
-    let (_store, recovered) =
-        ShardStore::recover(vfs, RetryPolicy::default(), &dir, TAG, Some(FINGERPRINT)).unwrap();
-    let back: BlockStats = decode_snapshot_payload(&recovered.shard_payloads[0]).unwrap();
-    assert_eq!(encode_to_vec(&back), encode_to_vec(&stats));
-
-    let a = er_blocking::CandidatePairs::from_stats(&stats, 2);
-    let b = er_blocking::CandidatePairs::from_stats(&back, 2);
-    assert_eq!(a.pairs(), b.pairs());
-    assert_eq!(a.entity_candidate_counts(), b.entity_candidate_counts());
 }

@@ -1,24 +1,23 @@
 //! Experiment runners.
 //!
-//! A [`PreparedDataset`] performs the blocking workflow once; every experiment
-//! (algorithm comparison, feature selection, training-size sweep, …) then runs
-//! on top of it.  [`run_once`] mirrors the paper's run-time definition
-//! (features + training + scoring + pruning); [`run_averaged`] repeats the
-//! training/scoring/pruning part with different sampling seeds and averages
-//! the effectiveness, exactly like the paper's 10-run averages.
+//! A [`PreparedDataset`] runs the blocking workflow and the pipeline's
+//! [`prepare`] stage once; every experiment (algorithm comparison, feature
+//! selection, training-size sweep, …) then runs on top of it, training
+//! through the pipeline's [`train`] stage.  [`run_once`] mirrors the paper's
+//! run-time definition (features + training + scoring + pruning);
+//! [`run_averaged`] repeats the training/scoring/pruning part with different
+//! sampling seeds and averages the effectiveness, exactly like the paper's
+//! 10-run averages.  Every runner takes the pipeline's
+//! [`MetaBlockingConfig`]; [`default_config`] holds the harness's defaults.
 
 use std::time::{Duration, Instant};
 
-use er_blocking::{
-    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
-};
+use er_blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, CsrBlockCollection};
 use er_core::{Dataset, PairId, Result};
-use er_features::{
-    FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
-};
-use er_learn::{balanced_undersample, TrainingSet};
-use meta_blocking::pipeline::ClassifierKind;
-use meta_blocking::pruning::{AlgorithmKind, Blast};
+use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
+use er_learn::ProbabilisticClassifier;
+use meta_blocking::pipeline::{prepare, train, MetaBlockingConfig, Timings};
+use meta_blocking::pruning::AlgorithmKind;
 use meta_blocking::scoring::CachedScores;
 
 use crate::metrics::Effectiveness;
@@ -39,30 +38,16 @@ pub struct PreparedDataset {
 
 impl PreparedDataset {
     /// Runs the standard blocking workflow on a dataset through the parallel
-    /// engine and derives the block statistics and candidate pairs from its
-    /// output.
+    /// engine and the pipeline's [`prepare`] stage on its output.
     pub fn prepare(dataset: Dataset) -> Result<Self> {
         let threads = er_core::available_threads();
         let start = Instant::now();
-        let csr = standard_blocking_workflow_csr(&dataset, threads);
+        let blocks = standard_blocking_workflow_csr(&dataset, threads);
         let blocking_time = start.elapsed();
-        if csr.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "dataset {} produced no blocks",
-                dataset.name
-            )));
-        }
-        let stats = BlockStats::from_csr(&csr);
-        let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
-        if candidates.is_empty() {
-            return Err(er_core::Error::EmptyInput(format!(
-                "dataset {} produced no candidate pairs",
-                dataset.name
-            )));
-        }
+        let (stats, candidates) = prepare(&blocks, threads)?;
         Ok(PreparedDataset {
             dataset,
-            blocks: csr,
+            blocks,
             stats,
             candidates,
             blocking_time,
@@ -134,9 +119,12 @@ impl PreparedDataset {
     }
 
     /// Loads a snapshot written by [`PreparedDataset::save`], recomputing
-    /// block statistics and candidate pairs from the stored CSR (both are
-    /// deterministic functions of it, so the loaded value is equivalent to
-    /// the saved one in every observable way).
+    /// block statistics and candidate pairs from the stored CSR through the
+    /// pipeline's [`prepare`] stage (both are deterministic functions of it,
+    /// so the loaded value is equivalent to the saved one in every
+    /// observable way).  A snapshot whose collection [`prepare`] refuses —
+    /// no blocks, or no candidate pair — is [`er_core::PersistError::Corrupt`]:
+    /// [`PreparedDataset::prepare`] never produces one.
     pub fn load(path: &std::path::Path) -> er_core::PersistResult<Self> {
         struct Payload(Dataset, CsrBlockCollection, Duration);
         impl er_persist::Decode for Payload {
@@ -157,9 +145,7 @@ impl PreparedDataset {
                 found: fingerprint,
             });
         }
-        let threads = er_core::available_threads();
-        let stats = BlockStats::from_csr(&blocks);
-        let candidates = CandidatePairs::try_from_stats(&stats, threads)
+        let (stats, candidates) = prepare(&blocks, er_core::available_threads())
             .map_err(|err| er_core::PersistError::Corrupt(err.to_string()))?;
         Ok(PreparedDataset {
             dataset,
@@ -171,41 +157,17 @@ impl PreparedDataset {
     }
 }
 
-/// Configuration of a single experiment run.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// The weighting schemes used as features.
-    pub feature_set: FeatureSet,
-    /// Labelled instances per class.
-    pub per_class: usize,
-    /// The classifier to train.
-    pub classifier: ClassifierKind,
-    /// BLAST's pruning ratio.
-    pub blast_ratio: f64,
-    /// Base seed for training-pair sampling.
-    pub seed: u64,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            feature_set: FeatureSet::original(),
-            per_class: 250,
-            classifier: ClassifierKind::default(),
-            blast_ratio: Blast::DEFAULT_RATIO,
-            seed: 0xe7a1_0001,
-        }
-    }
-}
-
-impl RunConfig {
-    /// The paper's final configuration: 50 labelled instances (25 per class).
-    pub fn final_configuration(feature_set: FeatureSet) -> Self {
-        RunConfig {
-            feature_set,
-            per_class: 25,
-            ..Default::default()
-        }
+/// The configuration experiments start from: the pipeline's defaults with
+/// the harness's own — the original feature set, 250 labelled pairs per
+/// class and sampling seed `0xe7a1_0001`.  Experiments override fields with
+/// struct-update syntax (`MetaBlockingConfig { per_class: 25,
+/// ..default_config() }`).
+pub fn default_config() -> MetaBlockingConfig {
+    MetaBlockingConfig {
+        feature_set: FeatureSet::original(),
+        per_class: 250,
+        seed: 0xe7a1_0001,
+        ..MetaBlockingConfig::default()
     }
 }
 
@@ -216,21 +178,14 @@ pub struct RunResult {
     pub effectiveness: Effectiveness,
     /// Number of retained pairs.
     pub retained: usize,
-    /// Feature-generation time (zero when a cached matrix was supplied).
-    pub feature_time: Duration,
-    /// Training time (sampling + fitting).
-    pub training_time: Duration,
-    /// Scoring time (probability of every candidate pair).
-    pub scoring_time: Duration,
-    /// Pruning time.
-    pub pruning_time: Duration,
-}
-
-impl RunResult {
-    /// The paper's `RT` for this run.
-    pub fn total_rt(&self) -> Duration {
-        self.feature_time + self.training_time + self.scoring_time + self.pruning_time
-    }
+    /// The ids of the retained pairs in the prepared dataset's candidate
+    /// index, as the pruning algorithm emitted them — what
+    /// `MetaBlockingOutcome::retained` holds for the same configuration.
+    pub retained_ids: Vec<PairId>,
+    /// Run-time breakdown; [`Timings::total_rt`] is the paper's `RT`.
+    /// `features` is the matrix construction time the caller reported
+    /// (zero for a cached matrix), `blocking` the prepared dataset's.
+    pub timings: Timings,
 }
 
 /// An averaged experiment result over several sampling seeds.
@@ -266,27 +221,25 @@ pub fn effective_per_class(prepared: &PreparedDataset, requested: usize) -> usiz
 /// Scores every candidate pair with a model trained on a balanced sample and
 /// returns the cached probabilities plus the training/scoring times.
 ///
-/// The requested `per_class` is capped via [`effective_per_class`] so that
-/// experiments keep running on small dataset analogues.
+/// Training is the pipeline's [`train`] stage, run over the matrix's feature
+/// set with sampling seed `seed` and the requested `per_class` capped via
+/// [`effective_per_class`], so that experiments keep running on small
+/// dataset analogues.  Scoring reads the matrix's rows, so a feature sweep
+/// can project one all-schemes matrix per dataset.
 pub fn train_and_score(
     prepared: &PreparedDataset,
     matrix: &FeatureMatrix,
-    config: &RunConfig,
+    config: &MetaBlockingConfig,
     seed: u64,
 ) -> Result<(CachedScores, Duration, Duration)> {
     let training_start = Instant::now();
-    let mut rng = er_core::seeded_rng(seed);
-    let sample = balanced_undersample(
-        prepared.candidates.pairs(),
-        &prepared.dataset.ground_truth,
-        effective_per_class(prepared, config.per_class),
-        &mut rng,
-    )?;
-    let mut training = TrainingSet::new();
-    for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
-        training.push(matrix.row(PairId::from(pair_index)).to_vec(), label);
-    }
-    let model = config.classifier.fit(&training)?;
+    let config = MetaBlockingConfig {
+        feature_set: matrix.feature_set(),
+        per_class: effective_per_class(prepared, config.per_class),
+        seed,
+        ..config.clone()
+    };
+    let model = train(&config, &prepared.context(), &prepared.dataset.ground_truth)?;
     let training_time = training_start.elapsed();
 
     let scoring_start = Instant::now();
@@ -303,13 +256,13 @@ pub fn train_and_score(
 }
 
 /// Runs one algorithm once on a prepared dataset with a pre-built feature
-/// matrix.
+/// matrix: train and score ([`train_and_score`]), prune, evaluate.
 pub fn run_with_matrix(
     prepared: &PreparedDataset,
     matrix: &FeatureMatrix,
     feature_time: Duration,
     algorithm: AlgorithmKind,
-    config: &RunConfig,
+    config: &MetaBlockingConfig,
     seed: u64,
 ) -> Result<RunResult> {
     let (scores, training_time, scoring_time) = train_and_score(prepared, matrix, config, seed)?;
@@ -332,87 +285,14 @@ pub fn run_with_matrix(
     Ok(RunResult {
         effectiveness,
         retained: retained.len(),
-        feature_time,
-        training_time,
-        scoring_time,
-        pruning_time,
-    })
-}
-
-/// Runs one algorithm once without ever materialising the feature matrix:
-/// the sampled training rows are derived pair-by-pair and every candidate is
-/// scored through the chunked [`CandidateStream`] walk, so peak feature state
-/// is `O(threads × chunk_pairs)` rows instead of `O(|C|)` rows.
-///
-/// With the same seed the retained set is identical to
-/// [`run_once`]'s — the streamed pass is bit-identical to the batch pass —
-/// only the time breakdown differs (`feature_time` is folded into
-/// `scoring_time` because features are never stored).
-pub fn run_streamed(
-    prepared: &PreparedDataset,
-    algorithm: AlgorithmKind,
-    config: &RunConfig,
-    chunk_pairs: usize,
-) -> Result<RunResult> {
-    let threads = er_core::available_threads();
-    let set = config.feature_set;
-
-    let training_start = Instant::now();
-    let mut rng = er_core::seeded_rng(config.seed);
-    let sample = balanced_undersample(
-        prepared.candidates.pairs(),
-        &prepared.dataset.ground_truth,
-        effective_per_class(prepared, config.per_class),
-        &mut rng,
-    )?;
-    let context = prepared.context();
-    let mut training = TrainingSet::new();
-    let mut row = vec![0.0f64; set.vector_len()];
-    for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
-        let (a, b) = prepared.candidates.pair(PairId::from(pair_index));
-        context.write_pair_features(a, b, set, &mut row);
-        training.push(row.clone(), label);
-    }
-    let model = config.classifier.fit(&training)?;
-    let training_time = training_start.elapsed();
-
-    let scoring_start = Instant::now();
-    let stream = CandidateStream::from_stats(&prepared.stats, threads);
-    let stream_context = StreamFeatureContext::new(&prepared.stats, stream.lcp_table());
-    let probabilities = FeatureMatrix::score_stream_with(
-        &stream_context,
-        &stream,
-        set,
-        threads,
-        &ScoreboardConfig::default(),
-        chunk_pairs.max(1),
-        |row| model.probability(row).clamp(0.0, 1.0),
-    );
-    let scores = CachedScores::new(probabilities);
-    let scoring_time = scoring_start.elapsed();
-
-    let pruning_start = Instant::now();
-    let pruner = algorithm.build_with_csr(&prepared.blocks, config.blast_ratio);
-    let retained = pruner.prune(&prepared.candidates, &scores);
-    let pruning_time = pruning_start.elapsed();
-
-    let retained_pairs: Vec<_> = retained
-        .iter()
-        .map(|&id| prepared.candidates.pair(id))
-        .collect();
-    let effectiveness = Effectiveness::evaluate(
-        &retained_pairs,
-        &prepared.dataset.ground_truth,
-        prepared.dataset.num_duplicates(),
-    );
-
-    Ok(RunResult {
-        effectiveness,
-        retained: retained.len(),
-        feature_time: Duration::ZERO,
-        training_time,
-        scoring_time,
-        pruning_time,
+        retained_ids: retained,
+        timings: Timings {
+            blocking: prepared.blocking_time,
+            features: feature_time,
+            training: training_time,
+            scoring: scoring_time,
+            pruning: pruning_time,
+        },
     })
 }
 
@@ -421,7 +301,7 @@ pub fn run_streamed(
 pub fn run_once(
     prepared: &PreparedDataset,
     algorithm: AlgorithmKind,
-    config: &RunConfig,
+    config: &MetaBlockingConfig,
 ) -> Result<RunResult> {
     let (matrix, feature_time) = prepared.build_features(config.feature_set);
     run_with_matrix(
@@ -440,7 +320,7 @@ pub fn run_once(
 pub fn run_averaged(
     prepared: &PreparedDataset,
     algorithm: AlgorithmKind,
-    config: &RunConfig,
+    config: &MetaBlockingConfig,
     repetitions: usize,
 ) -> Result<AveragedResult> {
     let repetitions = repetitions.max(1);
@@ -451,7 +331,7 @@ pub fn run_averaged(
     for rep in 0..repetitions {
         let seed = er_core::rng::derive_seed(config.seed, rep as u64);
         let result = run_with_matrix(prepared, &matrix, feature_time, algorithm, config, seed)?;
-        rt_sum += result.total_rt().as_secs_f64();
+        rt_sum += result.timings.total_rt().as_secs_f64();
         retained_sum += result.retained as f64;
         per_run.push(result.effectiveness);
     }
@@ -492,22 +372,22 @@ mod tests {
     #[test]
     fn run_once_produces_sane_results() {
         let prepared = prepared();
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 20,
-            ..Default::default()
+            ..default_config()
         };
         let result = run_once(&prepared, AlgorithmKind::Blast, &config).unwrap();
         assert!(result.retained > 0);
         assert!(result.effectiveness.recall > 0.0);
-        assert!(result.total_rt() > Duration::ZERO);
+        assert!(result.timings.total_rt() > Duration::ZERO);
     }
 
     #[test]
     fn averaged_runs_are_deterministic_given_seed() {
         let prepared = prepared();
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 15,
-            ..Default::default()
+            ..default_config()
         };
         let a = run_averaged(&prepared, AlgorithmKind::Rcnp, &config, 3).unwrap();
         let b = run_averaged(&prepared, AlgorithmKind::Rcnp, &config, 3).unwrap();
@@ -516,28 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_matches_the_materialised_run() {
-        let prepared = prepared();
-        let config = RunConfig {
-            per_class: 20,
-            ..Default::default()
-        };
-        for algorithm in [AlgorithmKind::Blast, AlgorithmKind::Rcnp] {
-            let batch = run_once(&prepared, algorithm, &config).unwrap();
-            for chunk_pairs in [7usize, er_blocking::DEFAULT_CHUNK_PAIRS] {
-                let streamed = run_streamed(&prepared, algorithm, &config, chunk_pairs).unwrap();
-                assert_eq!(streamed.retained, batch.retained, "{algorithm}");
-                assert_eq!(streamed.effectiveness, batch.effectiveness, "{algorithm}");
-            }
-        }
-    }
-
-    #[test]
     fn pruning_improves_precision_over_input_blocks() {
         let prepared = prepared();
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 20,
-            ..Default::default()
+            ..default_config()
         };
         let result = run_once(&prepared, AlgorithmKind::Bcl, &config).unwrap();
         let input_quality = prepared.block_quality();
@@ -559,19 +422,25 @@ mod tests {
         assert!(capped <= (positives / 2).max(1));
         assert!(capped >= 1);
         // And the capped run actually succeeds.
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 1_000_000,
-            ..Default::default()
+            ..default_config()
         };
         let result = run_once(&prepared, AlgorithmKind::Bcl, &config).unwrap();
         assert!(result.retained > 0);
     }
 
     #[test]
-    fn final_configuration_uses_25_per_class() {
-        let config = RunConfig::final_configuration(FeatureSet::blast_optimal());
-        assert_eq!(config.per_class, 25);
-        assert_eq!(config.feature_set, FeatureSet::blast_optimal());
+    fn default_config_keeps_the_harness_defaults() {
+        let config = default_config();
+        assert_eq!(config.feature_set, FeatureSet::original());
+        assert_eq!(config.per_class, 250);
+        assert_eq!(config.seed, 0xe7a1_0001);
+        assert_eq!(config.classifier.name(), "LogisticRegression");
+        assert_eq!(
+            config.blast_ratio,
+            meta_blocking::pruning::Blast::DEFAULT_RATIO
+        );
     }
 
     #[test]
@@ -599,7 +468,7 @@ mod tests {
         assert_eq!(loaded.blocking_time, original.blocking_time);
         // A loaded dataset drives the experiment harness exactly like the
         // freshly prepared one (same seed → same retained set).
-        let config = RunConfig::default();
+        let config = default_config();
         let a = run_once(&original, AlgorithmKind::Blast, &config).unwrap();
         let b = run_once(&loaded, AlgorithmKind::Blast, &config).unwrap();
         assert_eq!(a.retained, b.retained);
@@ -620,6 +489,52 @@ mod tests {
                 er_core::PersistError::ChecksumMismatch { .. }
                     | er_core::PersistError::Truncated { .. }
             ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_snapshot_that_prepare_would_refuse() {
+        // A checksummed, correctly fingerprinted PREP snapshot holding a real
+        // dataset and an empty block collection: `prepare` refuses such a
+        // collection, so `load` must too instead of handing it to sampling.
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp/prepared-empty-blocks");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("prepared.gsmb");
+
+        let dataset = prepared().dataset;
+        let empty = CsrBlockCollection::from_blocks(
+            dataset.name.clone(),
+            dataset.kind,
+            dataset.split,
+            dataset.num_entities(),
+            std::iter::empty::<(String, Vec<er_core::EntityId>)>(),
+        );
+        assert!(empty.is_empty());
+        struct Payload<'a>(&'a Dataset, &'a CsrBlockCollection);
+        impl er_persist::Encode for Payload<'_> {
+            fn encode(&self, w: &mut er_persist::Writer) {
+                self.0.encode(w);
+                self.1.encode(w);
+                Duration::ZERO.encode(w);
+            }
+        }
+        er_persist::write_snapshot(
+            &path,
+            PreparedDataset::SNAPSHOT_TAG,
+            PreparedDataset::fingerprint(&dataset),
+            &Payload(&dataset, &empty),
+        )
+        .unwrap();
+
+        let err = match PreparedDataset::load(&path) {
+            Err(err) => err,
+            Ok(_) => panic!("a snapshot with no blocks loaded successfully"),
+        };
+        assert!(
+            matches!(err, er_core::PersistError::Corrupt(ref msg) if msg.contains("no blocks")),
             "{err:?}"
         );
     }

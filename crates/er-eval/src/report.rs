@@ -114,9 +114,10 @@ impl CommonBlockDistribution {
 mod tests {
     use super::*;
     use crate::experiment::train_and_score;
-    use crate::experiment::{run_once, RunConfig};
+    use crate::experiment::{default_config, run_once};
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
     use er_features::FeatureSet;
+    use meta_blocking::pipeline::MetaBlockingConfig;
     use meta_blocking::pruning::AlgorithmKind;
 
     fn prepared() -> PreparedDataset {
@@ -128,10 +129,10 @@ mod tests {
     #[test]
     fn probability_histogram_separates_classes() {
         let prepared = prepared();
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 20,
             feature_set: FeatureSet::blast_optimal(),
-            ..Default::default()
+            ..default_config()
         };
         let (matrix, _) = prepared.build_features(config.feature_set);
         let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 7).unwrap();
@@ -163,9 +164,9 @@ mod tests {
     fn run_once_smoke_for_report_module() {
         // Ensures the report module composes with the experiment runner.
         let prepared = prepared();
-        let config = RunConfig {
+        let config = MetaBlockingConfig {
             per_class: 20,
-            ..Default::default()
+            ..default_config()
         };
         let result = run_once(&prepared, AlgorithmKind::Wnp, &config).unwrap();
         assert!(result.retained > 0);

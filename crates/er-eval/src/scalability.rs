@@ -5,10 +5,10 @@ use er_core::Result;
 use er_datasets::{dirty_catalog, generate_dirty, CatalogOptions};
 use er_features::FeatureSet;
 use er_learn::LogisticRegressionConfig;
-use meta_blocking::pipeline::ClassifierKind;
+use meta_blocking::pipeline::{ClassifierKind, MetaBlockingConfig};
 use meta_blocking::pruning::AlgorithmKind;
 
-use crate::experiment::{run_averaged, PreparedDataset, RunConfig};
+use crate::experiment::{default_config, run_averaged, PreparedDataset};
 use crate::metrics::Effectiveness;
 
 /// One point of the scalability analysis: one algorithm on one Dirty ER
@@ -47,18 +47,18 @@ pub fn speedup(
 /// The configuration used by the paper's scalability analysis: logistic
 /// regression, 25 labelled instances per class, and the optimal feature set of
 /// the evaluated algorithm.
-pub fn scalability_run_config(algorithm: AlgorithmKind, seed: u64) -> RunConfig {
+pub fn scalability_run_config(algorithm: AlgorithmKind, seed: u64) -> MetaBlockingConfig {
     let feature_set = match algorithm {
         AlgorithmKind::Rcnp | AlgorithmKind::Cnp => FeatureSet::rcnp_optimal(),
         AlgorithmKind::Bcl | AlgorithmKind::Cep => FeatureSet::original(),
         _ => FeatureSet::blast_optimal(),
     };
-    RunConfig {
+    MetaBlockingConfig {
         feature_set,
         per_class: 25,
         classifier: ClassifierKind::Logistic(LogisticRegressionConfig::default()),
-        blast_ratio: meta_blocking::pruning::Blast::DEFAULT_RATIO,
         seed,
+        ..default_config()
     }
 }
 

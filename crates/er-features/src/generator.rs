@@ -33,7 +33,7 @@ use crate::context::{
     StreamFeatureContext,
 };
 use crate::feature_set::FeatureSet;
-use crate::scoreboard::{CandidateBoard, FlatScoreboard, ScoreboardConfig, ScoreboardEngine};
+use crate::scoreboard::{CandidateBoard, ScoreboardConfig};
 
 /// Rows per work-queue chunk: large enough to amortise queue locking, small
 /// enough that stealing keeps skewed tails balanced.
@@ -64,23 +64,12 @@ impl FeatureMatrix {
     }
 
     /// Builds the matrix with an explicit thread count via the fused
-    /// entity-major single-pass engine (default scoreboard configuration).
+    /// entity-major single-pass engine.  Output is bit-identical at every
+    /// thread count.
     pub fn build_with_threads(
         context: &FeatureContext<'_>,
         set: FeatureSet,
         threads: usize,
-    ) -> Self {
-        Self::build_with(context, set, threads, &ScoreboardConfig::default())
-    }
-
-    /// Builds the matrix with an explicit thread count and scoreboard
-    /// configuration.  Output is bit-identical across engines, tile widths
-    /// and thread counts; the configuration only changes scratch locality.
-    pub fn build_with(
-        context: &FeatureContext<'_>,
-        set: FeatureSet,
-        threads: usize,
-        scoreboard: &ScoreboardConfig,
     ) -> Self {
         let num_features = set.vector_len();
         let num_pairs = context.candidates().len();
@@ -92,7 +81,6 @@ impl FeatureMatrix {
             threads,
             num_features,
             &mut values,
-            scoreboard,
             |_pair, row, slot| slot.copy_from_slice(row),
         );
 
@@ -142,26 +130,23 @@ impl FeatureMatrix {
         Self::score_rows_with(context, set, threads, &ScoreboardConfig::default(), score)
     }
 
-    /// [`FeatureMatrix::score_rows`] with an explicit scoreboard
-    /// configuration.
+    /// [`FeatureMatrix::score_rows`] taking the pipeline's scoreboard
+    /// configuration, so batch and streaming callers pass one config.  The
+    /// batch passes run on the candidate-aligned board
+    /// ([`crate::scoreboard::CandidateBoard`]), which has no tiles, so the
+    /// configuration never changes the output or the scratch.
     pub fn score_rows_with(
         context: &FeatureContext<'_>,
         set: FeatureSet,
         threads: usize,
-        scoreboard: &ScoreboardConfig,
+        _scoreboard: &ScoreboardConfig,
         score: impl Fn(&[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
         let num_pairs = context.candidates().len();
         let mut out = vec![0.0f64; num_pairs];
-        fused_entity_major_pass(
-            context,
-            set,
-            threads,
-            1,
-            &mut out,
-            scoreboard,
-            |_pair, row, slot| slot[0] = score(row),
-        );
+        fused_entity_major_pass(context, set, threads, 1, &mut out, |_pair, row, slot| {
+            slot[0] = score(row)
+        });
         out
     }
 
@@ -175,13 +160,15 @@ impl FeatureMatrix {
     /// thread count and chunk size (chunks are the parallel work units).
     /// Over an index-backed stream
     /// ([`CandidateStream::from_candidates`]) the same chunk engine runs
-    /// with chunks copied from the index instead of re-derived.
+    /// with chunks copied from the index instead of re-derived.  As in
+    /// [`FeatureMatrix::score_rows_with`], the scoreboard configuration
+    /// changes nothing on this path.
     pub fn score_stream_with(
         context: &StreamFeatureContext<'_>,
         stream: &CandidateStream<'_>,
         set: FeatureSet,
         threads: usize,
-        scoreboard: &ScoreboardConfig,
+        _scoreboard: &ScoreboardConfig,
         chunk_pairs: usize,
         score: impl Fn(&[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
@@ -196,7 +183,6 @@ impl FeatureMatrix {
             1,
             chunk_pairs,
             &mut out,
-            scoreboard,
             |_pair, row, slot| slot[0] = score(row),
         );
         out
@@ -332,32 +318,6 @@ fn effective_threads(threads: usize, num_pairs: usize) -> usize {
     }
 }
 
-/// Per-worker accumulation state of the entity-major pass: the retained
-/// flat board (one slot per entity) or the candidate-aligned board.
-enum WorkerBoard {
-    Flat(FlatScoreboard),
-    Tiled(CandidateBoard),
-}
-
-/// Builds one worker's scoreboard for the configured engine.
-fn make_worker_board(num_entities: usize, scoreboard: &ScoreboardConfig) -> WorkerBoard {
-    match scoreboard.engine {
-        ScoreboardEngine::Flat => WorkerBoard::Flat(FlatScoreboard::new(num_entities)),
-        ScoreboardEngine::Tiled => WorkerBoard::Tiled(CandidateBoard::new()),
-    }
-}
-
-/// Publishes a worker board's batched metrics to the er-obs registry at
-/// task end.
-fn flush_worker_metrics(worker: &mut WorkerBoard) {
-    match worker {
-        WorkerBoard::Flat(board) => crate::scoreboard::obs()
-            .scratch_bytes_hwm
-            .record_max(board.scratch_bytes() as u64),
-        WorkerBoard::Tiled(board) => board.flush_metrics(),
-    }
-}
-
 /// Walks `a`'s blocks once, in ascending block-id order, handing `sink`
 /// every `(partner, 1/||b||, 1/|b|)` contribution of a comparable partner
 /// with a larger id, and returns how many there were.  Generic over the
@@ -407,12 +367,11 @@ fn walk_partners<F: FnMut(EntityId, f64, f64)>(
 /// row_width` long).  `cands` may be any sorted subset of `a`'s full partner
 /// run — a prefix/suffix slice cut by a chunk boundary, or a pruned
 /// `from_pairs` subset: the board accumulates from the block walk alone,
-/// contributions to partners outside `cands` are dropped (candidate board)
-/// or reset unread (flat board), and each emitted candidate only reads its
-/// own slot, so what else the run holds changes nothing about the emitted
-/// values.  Contributions arrive in ascending block-id order on both boards,
-/// which keeps the floating-point sums bit-identical to a per-pair merge of
-/// the sorted block lists.
+/// contributions to partners outside `cands` are dropped, and each emitted
+/// candidate only reads its own slot, so what else the run holds changes
+/// nothing about the emitted values.  Contributions arrive in ascending
+/// block-id order, which keeps the floating-point sums bit-identical to a
+/// per-pair merge of the sorted block lists.
 #[allow(clippy::too_many_arguments)]
 fn process_entity_run<S, E>(
     stats: &BlockStats,
@@ -422,7 +381,7 @@ fn process_entity_run<S, E>(
     set: FeatureSet,
     a: EntityId,
     cands: &[(EntityId, EntityId)],
-    worker: &mut WorkerBoard,
+    worker: &mut CandidateBoard,
     row: &mut [f64],
     out: &mut [f64],
     row_width: usize,
@@ -449,83 +408,43 @@ fn process_entity_run<S, E>(
             &mut out[cursor * row_width..(cursor + 1) * row_width],
         );
     };
-    match worker {
-        WorkerBoard::Flat(board) => {
-            walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
-                let pi = p.index();
-                if board.common[pi] == 0 {
-                    board.touched.push(pi as u32);
-                }
-                board.common[pi] += 1;
-                board.inv_comp[pi] += ic;
-                board.inv_size[pi] += is;
-            });
-            for (cursor, &(_, b)) in cands.iter().enumerate() {
-                let bi = b.index();
-                let agg = if board_covers_pair(b) {
-                    PairCooccurrence {
-                        common_blocks: board.common[bi] as usize,
-                        inv_comparisons_sum: board.inv_comp[bi],
-                        inv_sizes_sum: board.inv_size[bi],
-                    }
-                } else {
-                    source.source_cooccurrence(a, b)
-                };
-                emit_row(b, &agg, cursor);
-            }
-            // Reset every touched slot — the touched set can be a strict
-            // superset of a's candidates (e.g. a pruned `from_pairs` subset
-            // or a sub-run chunk), so resetting along the candidate list
-            // would leak state into later entities.
-            for &pi in &board.touched {
-                board.common[pi as usize] = 0;
-                board.inv_comp[pi as usize] = 0.0;
-                board.inv_size[pi as usize] = 0.0;
-            }
-            board.touched.clear();
-        }
-        WorkerBoard::Tiled(board) => {
-            board.align(cands.iter().map(|&(_, b)| b.0));
-            let contributions =
-                walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
-                    board.add(p.0, ic, is)
-                });
-            board.note_contributions(contributions);
-            for (slot, &(_, b)) in cands.iter().enumerate() {
-                // Taken even when unused, so the slot is zero for the next run.
-                let accumulated = board.take(slot);
-                let agg = if board_covers_pair(b) {
-                    accumulated
-                } else {
-                    source.source_cooccurrence(a, b)
-                };
-                emit_row(b, &agg, slot);
-            }
-        }
+    worker.align(cands.iter().map(|&(_, b)| b.0));
+    let contributions = walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
+        worker.add(p.0, ic, is)
+    });
+    worker.note_contributions(contributions);
+    for (slot, &(_, b)) in cands.iter().enumerate() {
+        // Taken even when unused, so the slot is zero for the next run.
+        let accumulated = worker.take(slot);
+        let agg = if board_covers_pair(b) {
+            accumulated
+        } else {
+            source.source_cooccurrence(a, b)
+        };
+        emit_row(b, &agg, slot);
     }
 }
 
-/// The fused entity-major engine shared by [`FeatureMatrix::build_with`]
-/// and [`FeatureMatrix::score_rows_with`].
+/// The fused entity-major engine shared by
+/// [`FeatureMatrix::build_with_threads`] and
+/// [`FeatureMatrix::score_rows_with`].
 ///
 /// Processes candidate pairs grouped by their smaller endpoint `a`: walks
 /// `a`'s blocks once through the flat [`er_blocking::BlockStats`] reverse
 /// index, accumulating every partner's `(common blocks, Σ1/||b||, Σ1/|b|)`
 /// on the worker's scoreboard, then emits one `row_width`-wide output row
 /// per candidate of `a`.  Because blocks are visited in ascending id order
-/// — and both boards add each partner's contributions in exactly that order
+/// — and the board adds each partner's contributions in exactly that order
 /// — the accumulated sums are bit-identical to a per-pair merge of the
-/// sorted block lists on every engine and thread count.
+/// sorted block lists at every thread count.
 ///
 /// `emit` receives `((a, b), feature_row, output_slot)`.
-#[allow(clippy::too_many_arguments)]
 fn fused_entity_major_pass<E>(
     context: &FeatureContext<'_>,
     set: FeatureSet,
     threads: usize,
     row_width: usize,
     out: &mut [f64],
-    scoreboard: &ScoreboardConfig,
     emit: E,
 ) where
     E: Fn((EntityId, EntityId), &[f64], &mut [f64]) + Sync,
@@ -581,12 +500,7 @@ fn fused_entity_major_pass<E>(
     er_core::for_each_task_with_state(
         tasks.len(),
         threads,
-        || {
-            (
-                make_worker_board(num_entities, scoreboard),
-                vec![0.0f64; num_features],
-            )
-        },
+        || (CandidateBoard::new(), vec![0.0f64; num_features]),
         |task, (worker, row)| {
             let chunk = slices.lock().expect("task slices poisoned")[task]
                 .take()
@@ -615,7 +529,7 @@ fn fused_entity_major_pass<E>(
                 );
                 cursor += cands.len();
             }
-            flush_worker_metrics(worker);
+            worker.flush_metrics();
             debug_assert_eq!(cursor * row_width, chunk.len());
         },
     );
@@ -638,7 +552,6 @@ fn fused_stream_pass<E>(
     row_width: usize,
     chunk_pairs: usize,
     out: &mut [f64],
-    scoreboard: &ScoreboardConfig,
     emit: E,
 ) where
     E: Fn((EntityId, EntityId), &[f64], &mut [f64]) + Sync,
@@ -650,7 +563,6 @@ fn fused_stream_pass<E>(
         return;
     }
     debug_assert_eq!(out.len(), num_pairs * row_width);
-    let num_entities = stream.num_entities();
     let num_features = set.vector_len();
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
@@ -676,7 +588,7 @@ fn fused_stream_pass<E>(
         threads,
         || {
             (
-                make_worker_board(num_entities, scoreboard),
+                CandidateBoard::new(),
                 ChunkArena::new(),
                 vec![0.0f64; num_features],
             )
@@ -704,7 +616,7 @@ fn fused_stream_pass<E>(
                 );
                 cursor += cands.len();
             }
-            flush_worker_metrics(worker);
+            worker.flush_metrics();
             debug_assert_eq!(cursor * row_width, chunk_out.len());
         },
     );
@@ -720,13 +632,11 @@ fn fused_stream_pass<E>(
 /// this is the progressive-bootstrap seam (`StreamingSchedule::absorb` per
 /// chunk equals one global absorb because stamps are assigned in the same
 /// sequence).
-#[allow(clippy::too_many_arguments)]
 pub fn for_each_scored_chunk(
     context: &StreamFeatureContext<'_>,
     stream: &CandidateStream<'_>,
     set: FeatureSet,
     threads: usize,
-    scoreboard: &ScoreboardConfig,
     chunk_pairs: usize,
     score: impl Fn(&[f64]) -> f64 + Sync,
     mut consume: impl FnMut(&[(EntityId, EntityId)], &[f64]),
@@ -737,7 +647,6 @@ pub fn for_each_scored_chunk(
     if num_pairs == 0 {
         return;
     }
-    let num_entities = stream.num_entities();
     let num_features = set.vector_len();
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
@@ -747,13 +656,13 @@ pub fn for_each_scored_chunk(
     // Worker scratch (scoreboard, chunk arena, feature row) is pooled across
     // chunks and waves: at most `threads` chunk tasks run at once, so at
     // most that many are ever built for the whole walk.
-    let scratch_pool: std::sync::Mutex<Vec<(WorkerBoard, ChunkArena, Vec<f64>)>> =
+    let scratch_pool: std::sync::Mutex<Vec<(CandidateBoard, ChunkArena, Vec<f64>)>> =
         std::sync::Mutex::new(Vec::new());
     let score_chunk = |chunk: er_blocking::ChunkSpec| {
         let pooled = scratch_pool.lock().expect("scratch pool poisoned").pop();
         let (mut worker, mut arena, mut row) = pooled.unwrap_or_else(|| {
             (
-                make_worker_board(num_entities, scoreboard),
+                CandidateBoard::new(),
                 ChunkArena::new(),
                 vec![0.0f64; num_features],
             )
@@ -778,7 +687,7 @@ pub fn for_each_scored_chunk(
             );
             cursor += cands.len();
         }
-        flush_worker_metrics(&mut worker);
+        worker.flush_metrics();
         let pairs = arena.pairs().to_vec();
         scratch_pool
             .lock()
@@ -1077,7 +986,6 @@ mod tests {
                         &stream,
                         set,
                         threads,
-                        &ScoreboardConfig::default(),
                         chunk_pairs,
                         score,
                         |chunk_pairs_slice, chunk_probs| {

@@ -16,7 +16,8 @@
 //! The partner-aggregation engine behind [`FeatureMatrix`] is the
 //! candidate-aligned board in [`scoreboard`]: per-worker scratch is
 //! `O(longest candidate run)`, not `O(num_entities)`, with output
-//! bit-identical to the retained flat reference board.  The same module
+//! bit-identical to the per-pair reference path
+//! ([`FeatureMatrix::build_reference`]).  The same module
 //! holds the tiled radix board the streaming index discovers partners on.
 
 pub mod context;
@@ -34,5 +35,5 @@ pub use generator::{for_each_scored_chunk, FeatureMatrix};
 pub use schemes::Scheme;
 pub use scoreboard::{
     candidate_home_slot, reset_scoreboard_metrics, scoreboard_metrics, CandidateBoard,
-    FlatScoreboard, RadixScoreboard, ScoreboardConfig, ScoreboardEngine, ScoreboardMetricsSnapshot,
+    RadixScoreboard, ScoreboardConfig, ScoreboardMetricsSnapshot,
 };

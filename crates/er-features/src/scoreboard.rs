@@ -1,7 +1,7 @@
 //! Partner-aggregation boards behind the fused entity-major feature pass and
 //! the streaming index.
 //!
-//! The original scoreboard (PR 1) kept three dense `O(num_entities)` arrays
+//! The first scoreboard kept three dense `O(num_entities)` arrays
 //! per worker — `common` / `inv_comp` / `inv_size`, ~20 bytes per entity.
 //! At 10^7 entities and 16 workers that is ~3.2 GB of cold scratch whose
 //! random partner-indexed writes miss every cache level.  Two boards replace
@@ -15,8 +15,7 @@
 //!   emitted in run order, zeroing as they go.  Nothing is appended, sorted,
 //!   drained or merged, and scratch is `O(longest run the worker was
 //!   handed)` — 36 bytes per candidate.  It is the only engine the batch
-//!   passes run on ([`ScoreboardEngine::Tiled`], the default); there is no
-//!   run-length limit and no second path.
+//!   passes run on; there is no run-length limit and no second path.
 //! * **[`RadixScoreboard`] — the discovery board.**  `er_stream`'s
 //!   `PartnerBoard` has no candidate list: it *discovers* an entity's
 //!   partners from the block walk.  It keeps the cache-blocked radix engine:
@@ -34,13 +33,12 @@
 //!   retained capacity at `O(contributions_of_one_entity)`.
 //!
 //! **Bit-identity.**  On both boards a partner's floating-point sums are
-//! accumulated in block-walk order — directly on the candidate board, in
-//! bucket-append order on the radix board — which is exactly the order the
-//! flat scoreboard used; per-partner addition sequences are therefore
-//! identical and the aggregates are bit-for-bit the flat scoreboard's
-//! values.  The flat engine is retained ([`FlatScoreboard`],
-//! [`ScoreboardEngine::Flat`]) as the reference for equivalence tests and
-//! scratch-size comparisons.
+//! accumulated in block-walk (ascending block id) order — directly on the
+//! candidate board, in bucket-append order on the radix board — which is
+//! exactly the order a per-pair merge of the two sorted block lists adds
+//! them in; the aggregates are therefore bit-for-bit those of
+//! `FeatureContext::cooccurrence`, the oracle the equivalence tests compare
+//! against.
 
 use std::sync::OnceLock;
 
@@ -55,25 +53,10 @@ use crate::context::PairCooccurrence;
 /// (`num_entities / 4096` four-byte counters).
 pub const DEFAULT_TILE_ENTITIES: usize = 4096;
 
-/// Which partner-aggregation engine the fused pass runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreboardEngine {
-    /// The scratch-bounded engines (default): the candidate-aligned board
-    /// on the batch passes, the tiled radix board in the streaming index.
-    #[default]
-    Tiled,
-    /// The original flat `O(num_entities)`-scratch scoreboard, retained as
-    /// the equivalence reference.
-    Flat,
-}
-
-/// Configuration of the scoreboard engine, carried by
-/// `MetaBlockingConfig` / `StreamingConfig`.
-#[derive(Debug, Clone)]
+/// Configuration of the scoreboard, carried by `MetaBlockingConfig` /
+/// `StreamingConfig`.
+#[derive(Debug, Clone, Default)]
 pub struct ScoreboardConfig {
-    /// Engine selection; [`ScoreboardEngine::Tiled`] unless a caller opts
-    /// back into the flat reference.
-    pub engine: ScoreboardEngine,
     /// Requested tile width, in entities, of the discovery board the
     /// streaming index runs on ([`RadixScoreboard`]); the batch passes'
     /// [`CandidateBoard`] has no tiles and ignores it.  `None` auto-sizes to
@@ -83,29 +66,11 @@ pub struct ScoreboardConfig {
     pub tile_entities: Option<usize>,
 }
 
-impl Default for ScoreboardConfig {
-    fn default() -> Self {
-        ScoreboardConfig {
-            engine: ScoreboardEngine::Tiled,
-            tile_entities: None,
-        }
-    }
-}
-
 impl ScoreboardConfig {
-    /// The flat reference engine.
-    pub fn flat() -> Self {
-        ScoreboardConfig {
-            engine: ScoreboardEngine::Flat,
-            ..Self::default()
-        }
-    }
-
-    /// A tiled configuration with an explicit tile width.
+    /// A configuration with an explicit tile width.
     pub fn with_tile(tile_entities: usize) -> Self {
         ScoreboardConfig {
             tile_entities: Some(tile_entities),
-            ..Self::default()
         }
     }
 
@@ -313,8 +278,8 @@ impl RadixScoreboard {
     ///
     /// The counting sort is stable — within each tile the scattered run
     /// keeps append (= block-walk) order — so every partner's sums are
-    /// folded in exactly the flat scoreboard's order and the drained
-    /// aggregates are bit-identical to its values.
+    /// folded in block-walk order and the drained aggregates are
+    /// bit-identical to a per-pair merge of the sorted block lists.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<(u32, PairCooccurrence)>) {
         out.clear();
         self.active_tiles.sort_unstable();
@@ -529,8 +494,7 @@ impl CandidateBoard {
     }
 
     /// The aggregates accumulated at `slot` (zeros if no contribution
-    /// reached it — identical to the flat scoreboard's never-written slot),
-    /// leaving the slot zeroed for the next run.
+    /// reached it), leaving the slot zeroed for the next run.
     #[inline]
     pub fn take(&mut self, slot: usize) -> PairCooccurrence {
         let agg = PairCooccurrence {
@@ -576,39 +540,6 @@ impl CandidateBoard {
         self.local_partners_hwm = 0;
         self.local_contributions_hwm = 0;
         self.local_runs = 0;
-    }
-}
-
-/// The original flat scoreboard: one slot per entity, `O(num_entities)`
-/// scratch per worker.  Retained as the reference engine
-/// ([`ScoreboardEngine::Flat`]) for equivalence tests and the
-/// scratch-footprint comparison in the scalability bench.
-#[derive(Debug)]
-pub struct FlatScoreboard {
-    pub(crate) common: Vec<u32>,
-    pub(crate) inv_comp: Vec<f64>,
-    pub(crate) inv_size: Vec<f64>,
-    pub(crate) touched: Vec<u32>,
-}
-
-impl FlatScoreboard {
-    /// A flat board with one slot per entity.
-    pub fn new(num_entities: usize) -> Self {
-        FlatScoreboard {
-            common: vec![0; num_entities],
-            inv_comp: vec![0.0; num_entities],
-            inv_size: vec![0.0; num_entities],
-            touched: Vec::new(),
-        }
-    }
-
-    /// This board's scratch footprint in bytes.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.common.capacity() * size_of::<u32>()
-            + self.inv_comp.capacity() * size_of::<f64>()
-            + self.inv_size.capacity() * size_of::<f64>()
-            + self.touched.capacity() * size_of::<u32>()
     }
 }
 
@@ -794,9 +725,10 @@ mod tests {
         let cfg = ScoreboardConfig::default();
         let small = RadixScoreboard::new(10_000, &cfg);
         let large = RadixScoreboard::new(1_000_000, &cfg);
-        let flat = FlatScoreboard::new(1_000_000);
         // The tiled board's 100x corpus costs only 4-byte tile counters more.
         assert!(large.scratch_bytes() < small.scratch_bytes() + 1_000_000 / 64);
-        assert!(large.scratch_bytes() * 10 < flat.scratch_bytes());
+        // A corpus-sized board would hold three arrays of 4 + 8 + 8 bytes
+        // per entity.
+        assert!(large.scratch_bytes() * 10 < 20 * 1_000_000);
     }
 }

@@ -1,13 +1,13 @@
-//! Cross-engine equivalence for the batch passes' candidate-aligned board
-//! and tile edge cases for the radix discovery board.
+//! Reference equivalence for the batch passes' candidate-aligned board and
+//! tile edge cases for the radix discovery board.
 //!
-//! Two contracts under test.  [`FeatureMatrix::build_with`] and
-//! [`FeatureMatrix::score_rows_with`] produce **bit-identical** output for
-//! every scoreboard engine and worker-thread count — on Clean-Clean and
-//! Dirty collections, across block structures mimicking all three
-//! redundancy-positive blocking schemes, with runs long enough to grow the
-//! board followed by short ones.  The flat `O(num_entities)`-scratch board
-//! is the retained reference.  And [`RadixScoreboard`] — the board
+//! Two contracts under test.  [`FeatureMatrix::build_with_threads`] and
+//! [`FeatureMatrix::score_rows_with`] produce **bit-identical** output to
+//! the per-pair reference path ([`FeatureMatrix::build_reference`]) at
+//! every worker-thread count — on Clean-Clean and Dirty collections, across
+//! block structures mimicking all three redundancy-positive blocking
+//! schemes, with runs long enough to grow the board followed by short ones.
+//! And [`RadixScoreboard`] — the board
 //! `er_stream::PartnerBoard` discovers partners on — drains exactly a naive
 //! per-partner fold of the same contributions at every tile width,
 //! including the degenerate ones (1, wider than the corpus).
@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 use er_blocking::{BlockStats, CandidatePairs, CsrBlockCollection};
 use er_core::{DatasetKind, EntityId};
 use er_features::{
-    scoreboard_metrics, FeatureContext, FeatureMatrix, FeatureSet, FlatScoreboard,
-    PairCooccurrence, RadixScoreboard, ScoreboardConfig, ScoreboardEngine,
+    scoreboard_metrics, FeatureContext, FeatureMatrix, FeatureSet, PairCooccurrence,
+    RadixScoreboard, ScoreboardConfig,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -119,14 +119,15 @@ fn synthetic_blocks(
     )
 }
 
-/// Asserts that the tiled engine matches the flat reference bit for bit on
-/// one collection, for every thread count, with the given configuration.
-fn assert_engines_agree(blocks: &CsrBlockCollection, tiled: &ScoreboardConfig, label: &str) {
+/// Asserts that the candidate-aligned board matches the per-pair reference
+/// rows ([`FeatureMatrix::build_reference`]) bit for bit on one collection,
+/// for every thread count: the matrix, and the fused scores against the
+/// same score computed from the reference rows.
+fn assert_engines_agree(blocks: &CsrBlockCollection, config: &ScoreboardConfig, label: &str) {
     let stats = BlockStats::from_csr(blocks);
     let candidates = CandidatePairs::from_stats(&stats, 1);
     let context = FeatureContext::new(&stats, &candidates);
     let set = FeatureSet::all_schemes();
-    let flat = ScoreboardConfig::flat();
     let score = |row: &[f64]| {
         row.iter()
             .enumerate()
@@ -134,10 +135,10 @@ fn assert_engines_agree(blocks: &CsrBlockCollection, tiled: &ScoreboardConfig, l
             .sum()
     };
 
-    let reference = FeatureMatrix::build_with(&context, set, 1, &flat);
-    let reference_scores = FeatureMatrix::score_rows_with(&context, set, 1, &flat, score);
+    let reference = FeatureMatrix::build_reference(&context, set);
+    let reference_scores: Vec<f64> = reference.rows().map(|(_, row)| score(row)).collect();
     for threads in THREAD_COUNTS {
-        let produced = FeatureMatrix::build_with(&context, set, threads, tiled);
+        let produced = FeatureMatrix::build_with_threads(&context, set, threads);
         for (id, row) in reference.rows() {
             assert_eq!(
                 produced.row(id),
@@ -145,21 +146,11 @@ fn assert_engines_agree(blocks: &CsrBlockCollection, tiled: &ScoreboardConfig, l
                 "{label}: row {id:?} at {threads} threads"
             );
         }
-        let scores = FeatureMatrix::score_rows_with(&context, set, threads, tiled, score);
+        let scores = FeatureMatrix::score_rows_with(&context, set, threads, config, score);
         assert_eq!(
             scores, reference_scores,
             "{label}: scores at {threads} threads"
         );
-
-        // Flat must also be thread-invariant against its own sequential run.
-        let flat_parallel = FeatureMatrix::build_with(&context, set, threads, &flat);
-        for (id, row) in reference.rows() {
-            assert_eq!(
-                flat_parallel.row(id),
-                row,
-                "{label}: flat row {id:?} at {threads} threads"
-            );
-        }
     }
 
     // Candidate subsets exercise the untouched-candidate (zero-aggregate)
@@ -172,9 +163,9 @@ fn assert_engines_agree(blocks: &CsrBlockCollection, tiled: &ScoreboardConfig, l
             .map(|(_, a, b)| (a, b)),
     );
     let context = FeatureContext::new(&stats, &subset);
-    let expected = FeatureMatrix::build_with(&context, set, 1, &flat);
+    let expected = FeatureMatrix::build_reference(&context, set);
     for threads in THREAD_COUNTS {
-        let produced = FeatureMatrix::build_with(&context, set, threads, tiled);
+        let produced = FeatureMatrix::build_with_threads(&context, set, threads);
         for (id, row) in expected.rows() {
             assert_eq!(
                 produced.row(id),
@@ -340,7 +331,7 @@ fn partners_straddling_tile_boundaries_and_empty_tiles() {
     for tile in [1usize, 4, 64] {
         assert_radix_board_matches_naive_fold(&blocks, tile);
     }
-    // The batch board has no tiles; it must still agree with the flat one.
+    // The batch board has no tiles; it must still agree with the reference.
     assert_engines_agree(&blocks, &ScoreboardConfig::default(), "straddle");
 }
 
@@ -364,37 +355,25 @@ fn metrics_report_tile_scaled_scratch() {
     let context = FeatureContext::new(&stats, &candidates);
     let set = FeatureSet::all_schemes();
 
-    let tiled = ScoreboardConfig::with_tile(64);
-    let flat = ScoreboardConfig::flat();
     let before = scoreboard_metrics();
-    let a = FeatureMatrix::build_with(&context, set, 1, &tiled);
-    let b = FeatureMatrix::build_with(&context, set, 1, &flat);
-    for (id, row) in b.rows() {
-        assert_eq!(a.row(id), row);
+    let built = FeatureMatrix::build_with_threads(&context, set, 1);
+    let reference = FeatureMatrix::build_reference(&context, set);
+    for (id, row) in reference.rows() {
+        assert_eq!(built.row(id), row);
     }
 
-    // Both builds publish into the shared er-obs registry; other tests in
+    // The build publishes into the shared er-obs registry; other tests in
     // this process may flush concurrently, so assert monotone deltas and
-    // high-water lower bounds.  The flat pass records its corpus-sized
-    // scratch (20 B per entity in the three arrays); the default pass
-    // counts every run as a dense-path entity.
+    // high-water lower bounds.  The batch pass counts every run as a
+    // dense-path entity.
     let after = scoreboard_metrics();
-    assert!(after.scratch_bytes_hwm >= 20 * blocks.num_entities as u64);
+    assert!(after.scratch_bytes_hwm > 0);
     assert!(after.partners_hwm > 0);
     assert!(after.contributions_hwm >= after.partners_hwm);
-    assert!(
-        after.radix_entities + after.dense_entities > before.radix_entities + before.dense_entities
-    );
     assert!(after.dense_entities > before.dense_entities);
     // The scratch separation itself is a board property: a tiled board for
-    // this corpus allocates far less than the flat reference.
-    let tiled_board = RadixScoreboard::new(blocks.num_entities, &tiled);
-    let flat_board = FlatScoreboard::new(blocks.num_entities);
-    assert!(tiled_board.scratch_bytes() < flat_board.scratch_bytes());
-}
-
-#[test]
-fn engine_selection_is_respected() {
-    assert_eq!(ScoreboardConfig::default().engine, ScoreboardEngine::Tiled);
-    assert_eq!(ScoreboardConfig::flat().engine, ScoreboardEngine::Flat);
+    // this corpus allocates far less than a corpus-sized board's three
+    // arrays (4 + 8 + 8 bytes per entity) would.
+    let tiled_board = RadixScoreboard::new(blocks.num_entities, &ScoreboardConfig::with_tile(64));
+    assert!(tiled_board.scratch_bytes() < 20 * blocks.num_entities);
 }

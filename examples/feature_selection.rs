@@ -10,8 +10,9 @@
 //! ```
 
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{run_averaged, PreparedDataset, RunConfig};
+use gsmb::eval::experiment::{default_config, run_averaged, PreparedDataset};
 use gsmb::features::FeatureSet;
+use gsmb::meta::pipeline::MetaBlockingConfig;
 use gsmb::meta::pruning::AlgorithmKind;
 
 fn main() {
@@ -45,10 +46,10 @@ fn main() {
             "feature set", "recall", "precision", "F1", "RT(s)"
         );
         for (label, set) in candidates {
-            let config = RunConfig {
+            let config = MetaBlockingConfig {
                 feature_set: set,
                 per_class: 25,
-                ..Default::default()
+                ..default_config()
             };
             let result = run_averaged(&prepared, algorithm, &config, 3).expect("experiment failed");
             println!(

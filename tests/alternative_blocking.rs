@@ -11,12 +11,13 @@ use gsmb::blocking::{
 };
 use gsmb::core::PairId;
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{run_with_matrix, train_and_score, PreparedDataset, RunConfig};
+use gsmb::eval::experiment::{default_config, run_with_matrix, train_and_score, PreparedDataset};
 use gsmb::eval::Effectiveness;
 use gsmb::features::{FeatureContext, FeatureMatrix, FeatureSet};
 use gsmb::learn::balanced_undersample;
 use gsmb::learn::TrainingSet;
 use gsmb::meta::materialize::{materialize_blocks_csr, PruningSummary};
+use gsmb::meta::pipeline::MetaBlockingConfig;
 use gsmb::meta::progressive::ProgressiveSchedule;
 use gsmb::meta::pruning::AlgorithmKind;
 use gsmb::meta::scoring::ProbabilitySource;
@@ -108,10 +109,10 @@ fn suffix_array_blocking_supports_the_full_workflow() {
 fn materialized_output_matches_pruning_summary() {
     let dataset = tiny_dataset();
     let prepared = PreparedDataset::prepare(dataset).unwrap();
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         per_class: 20,
         feature_set: FeatureSet::blast_optimal(),
-        ..Default::default()
+        ..default_config()
     };
     let (matrix, _) = prepared.build_features(config.feature_set);
     let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 3).unwrap();
@@ -153,10 +154,10 @@ fn materialized_output_matches_pruning_summary() {
 fn progressive_schedule_front_loads_the_duplicates() {
     let dataset = tiny_dataset();
     let prepared = PreparedDataset::prepare(dataset).unwrap();
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         per_class: 20,
         feature_set: FeatureSet::blast_optimal(),
-        ..Default::default()
+        ..default_config()
     };
     let (matrix, _) = prepared.build_features(config.feature_set);
     let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 5).unwrap();

@@ -3,9 +3,10 @@
 //! claim is checked — who wins, and in which direction).
 
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{run_averaged, PreparedDataset, RunConfig};
+use gsmb::eval::experiment::{default_config, run_averaged, PreparedDataset};
 use gsmb::eval::Effectiveness;
 use gsmb::features::FeatureSet;
+use gsmb::meta::pipeline::MetaBlockingConfig;
 use gsmb::meta::pruning::AlgorithmKind;
 
 fn catalog_options() -> CatalogOptions {
@@ -26,10 +27,10 @@ fn averaged(
     feature_set: FeatureSet,
     per_class: usize,
 ) -> Effectiveness {
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         feature_set,
         per_class,
-        ..Default::default()
+        ..default_config()
     };
     let results: Vec<Effectiveness> = prepared
         .iter()

@@ -2,7 +2,7 @@
 //! blocking, feature generation, training, scoring and pruning.
 
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{run_once, PreparedDataset, RunConfig};
+use gsmb::eval::experiment::{default_config, run_once, PreparedDataset};
 use gsmb::eval::Effectiveness;
 use gsmb::features::FeatureSet;
 use gsmb::meta::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
@@ -40,9 +40,9 @@ fn blocking_keeps_high_recall_and_low_precision_on_every_dataset() {
 fn every_pruning_algorithm_improves_precision_over_the_input_blocks() {
     let prepared = prepared(DatasetName::DblpAcm);
     let input_precision = prepared.block_quality().precision;
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         per_class: 20,
-        ..Default::default()
+        ..default_config()
     };
     for algorithm in AlgorithmKind::all() {
         let result = run_once(&prepared, algorithm, &config).unwrap();
@@ -77,10 +77,10 @@ fn retained_pairs_are_a_subset_of_the_candidates_and_unique() {
 fn weight_based_algorithms_nest_as_expected() {
     // BCl ⊇ WNP ⊇ RWNP and BCl ⊇ WEP for the same probabilities.
     let prepared = prepared(DatasetName::ImdbTmdb);
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         per_class: 20,
         feature_set: FeatureSet::original(),
-        ..Default::default()
+        ..default_config()
     };
     let (matrix, _) = prepared.build_features(config.feature_set);
     let seed = 42;
@@ -108,9 +108,9 @@ fn weight_based_algorithms_nest_as_expected() {
 fn cardinality_algorithms_respect_their_budgets() {
     let prepared = prepared(DatasetName::TmdbTvdb);
     let thresholds = gsmb::meta::pruning::CardinalityThresholds::from_csr(&prepared.blocks);
-    let config = RunConfig {
+    let config = MetaBlockingConfig {
         per_class: 15,
-        ..Default::default()
+        ..default_config()
     };
     let cep = run_once(&prepared, AlgorithmKind::Cep, &config).unwrap();
     assert!(

@@ -709,13 +709,14 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
     assert!(non_empty > CASES as usize, "fixtures produced no pairs");
 }
 
-/// Asserts that the default engine of the batch passes — the
-/// candidate-aligned board — reproduces the flat oracle
-/// (`ScoreboardEngine::Flat`, one thread) bit for bit on one candidate set:
-/// the full matrix and the fused scores at every thread count, and, when the
-/// candidates are the statistics' own (`streamed`), the chunked scoring pass
-/// over the derived and the index-backed stream at every chunk size, whose
-/// boundaries split runs into slices the board is aligned to one at a time.
+/// Asserts that the engine of the batch passes — the candidate-aligned
+/// board — reproduces the per-pair reference rows
+/// ([`FeatureMatrix::build_reference`]) bit for bit on one candidate set: the
+/// full matrix and the fused scores (against the same score of the
+/// reference rows) at every thread count, and, when the candidates are the
+/// statistics' own (`streamed`), the chunked scoring pass over the derived
+/// and the index-backed stream at every chunk size, whose boundaries split
+/// runs into slices the board is aligned to one at a time.
 fn assert_aligned_board_is_flat(
     stats: &BlockStats,
     candidates: &CandidatePairs,
@@ -724,8 +725,7 @@ fn assert_aligned_board_is_flat(
     context: &str,
 ) {
     let set = FeatureSet::all_schemes();
-    let flat = ScoreboardConfig::flat();
-    let aligned = ScoreboardConfig::default();
+    let config = ScoreboardConfig::default();
     let score = |row: &[f64]| {
         row.iter()
             .enumerate()
@@ -733,10 +733,10 @@ fn assert_aligned_board_is_flat(
             .sum::<f64>()
     };
     let ctx = FeatureContext::new(stats, candidates);
-    let oracle = FeatureMatrix::build_with(&ctx, set, 1, &flat);
-    let oracle_scores = FeatureMatrix::score_rows_with(&ctx, set, 1, &flat, score);
+    let oracle = FeatureMatrix::build_reference(&ctx, set);
+    let oracle_scores: Vec<f64> = oracle.rows().map(|(_, row)| score(row)).collect();
     for &threads in thread_counts {
-        let matrix = FeatureMatrix::build_with(&ctx, set, threads, &aligned);
+        let matrix = FeatureMatrix::build_with_threads(&ctx, set, threads);
         assert_eq!(matrix.num_pairs(), oracle.num_pairs(), "{context}");
         for (id, row) in oracle.rows() {
             assert_eq!(
@@ -746,7 +746,7 @@ fn assert_aligned_board_is_flat(
                 candidates.pair(id)
             );
         }
-        let scores = FeatureMatrix::score_rows_with(&ctx, set, threads, &aligned, score);
+        let scores = FeatureMatrix::score_rows_with(&ctx, set, threads, &config, score);
         assert_eq!(scores, oracle_scores, "{context} threads {threads} scores");
 
         for &chunk_pairs in streamed {
@@ -759,7 +759,7 @@ fn assert_aligned_board_is_flat(
                     stream,
                     set,
                     threads,
-                    &aligned,
+                    &config,
                     chunk_pairs,
                     score,
                 );
@@ -801,7 +801,9 @@ fn hub_collection(
     CsrBlockCollection::from_blocks("hub", kind, split, num_entities, blocks)
 }
 
-/// The candidate-aligned board against the flat oracle, bit for bit, on
+/// The candidate-aligned board against the flat per-pair oracle
+/// ([`FeatureMatrix::build_reference`]: one block-list merge per pair, no
+/// board at all), bit for bit, on
 /// token, q-gram and suffix blocks of adversarial corpora (empty and
 /// one-entity ones included), Clean-Clean and Dirty, at 1/2/3/8 threads and
 /// with chunk sizes 1/3/64 splitting runs.
