@@ -24,18 +24,20 @@
 //! materialises the full feature matrix.  Training needs feature vectors for
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
-//! [`FeatureMatrix::score_rows`], which streams each pair's fused feature
-//! row straight into the classifier.  The `features` timing therefore covers
-//! index construction (block statistics, candidate CSR, per-entity tables)
-//! and `scoring` covers the fused feature + probability pass.
+//! [`FeatureMatrix::score_rows_with`], which streams each pair's fused
+//! feature row straight into the classifier.  The `features` timing
+//! therefore covers index construction (block statistics, candidate CSR,
+//! per-entity tables) and `scoring` covers the fused feature + probability
+//! pass.
 //!
 //! Each entity's partner run is derived **once** per run: the candidate
 //! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
-//! and because pruning and the outcome need that index anyway, the chunked
-//! scoring mode (`candidate_chunk_pairs`) streams over it
+//! and both scoring modes read it through an index-backed stream
 //! ([`CandidateStream::from_candidates`]) instead of counting and
-//! re-extracting the runs.  The scoreboard's block walk is the only other
-//! pass over the blocks.
+//! re-extracting the runs — [`FeatureMatrix::score_rows_with`] with default
+//! chunks, the chunked mode (`candidate_chunk_pairs`) with chunks of the
+//! configured size.  The scoreboard's block walk is the only other pass
+//! over the blocks.
 
 use std::time::{Duration, Instant};
 

@@ -14,10 +14,10 @@
 //! difference).
 //!
 //! The pipeline's cached path is filled by
-//! [`er_features::FeatureMatrix::score_rows_with`] — the fused feature +
-//! probability pass running on the scoreboard engine selected by
-//! `MetaBlockingConfig::scoreboard` — so the probabilities here are
-//! bit-identical for every engine, tile width and thread count.
+//! [`er_features::FeatureMatrix::score_rows_with`] (or, in chunked mode,
+//! [`er_features::FeatureMatrix::score_stream_with`]) — the one fused
+//! feature + probability pass — so the probabilities here are bit-identical
+//! for every thread count and chunk size.
 
 use er_core::PairId;
 use er_features::FeatureMatrix;

@@ -26,7 +26,6 @@ pub mod builder;
 pub mod candidates;
 pub mod csr;
 pub mod filtering;
-pub mod graph;
 pub mod key_table;
 mod obs;
 pub mod persist;
@@ -45,7 +44,6 @@ pub use builder::{
 pub use candidates::CandidatePairs;
 pub use csr::{comparisons_from_first, slice_cardinalities, CsrBlockCollection, KeyStore};
 pub use filtering::{block_filtering_csr, filtering_keep_count, DEFAULT_FILTERING_RATIO};
-pub use graph::NeighborIndex;
 pub use key_table::KeyTable;
 pub use purging::{block_purging_csr, purging_limit};
 pub use qgrams::qgrams_blocking_csr;

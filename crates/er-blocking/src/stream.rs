@@ -35,18 +35,19 @@
 //! aggregates)` instead of `O(total_pairs)`, at the price of deriving every
 //! run twice (count, then re-extract).
 //!
-//! # When the index exists anyway
+//! # The materialised index as one backing of the stream
 //!
-//! A consumer that already holds the materialised [`crate::CandidatePairs`]
-//! of the same statistics (the batch pipeline keeps it for pruning) builds
-//! the stream with [`CandidateStream::from_candidates`]: offsets and LCP
-//! table are read off the index, and a chunk is a copy of its slice of the
-//! pair list with its per-entity segments rebuilt from the offsets — no run
-//! is derived at all.  Chunks, arenas and consumers cannot tell the two
-//! kinds of stream apart.
+//! A materialised [`crate::CandidatePairs`] is read through a stream too:
+//! [`CandidateStream::from_candidates`] takes offsets and LCP table off the
+//! index, and a chunk is a copy of its slice of the pair list with its
+//! per-entity segments rebuilt from the offsets — no run is derived at all.
+//! Chunks, arenas and consumers cannot tell the two kinds of stream apart,
+//! so the fused scoring pass of `er-features` has one chunk driver whether
+//! the pairs are derived or materialised, and it accepts any index of the
+//! corpus, pruned `from_pairs` subsets included.
 //!
 //! There is one derivation primitive in the crate
-//! (`Extraction::neighbors_above`) with two drivers: this stream, which
+//! (`Extraction::neighbors_above`) with two callers: this stream, which
 //! never buffers a run, and the materialised collector's single gather
 //! (`CandidatePairs::try_from_stats`), which buffers each run once and never
 //! re-derives it.  A run is a concatenation of ascending block slices from a
@@ -277,15 +278,19 @@ impl<'a> CandidateStream<'a> {
     }
 
     /// Builds the stream over an already-materialised candidate index of
-    /// the same statistics: offsets and LCP table are read off the index (no
+    /// the same corpus: offsets and LCP table are read off the index (no
     /// counting pass) and every chunk is a copy of its slice of the pair
-    /// list (no run is derived again).  Chunks, arenas and every consumer
-    /// behave exactly as over [`CandidateStream::from_stats`].
+    /// list (no run is derived again).  Over the index of `stats` itself,
+    /// chunks, arenas and every consumer behave exactly as over
+    /// [`CandidateStream::from_stats`].  Any other index of the corpus works
+    /// too — a pruned `CandidatePairs::from_pairs` subset may hold runs of
+    /// entities the statistics give none (second-source pairs of Clean-Clean
+    /// ER), and the stream then covers every entity up to the last run the
+    /// index holds.
     ///
     /// # Panics
     ///
-    /// If `candidates` was not extracted from `stats` (different entity
-    /// count, or pairs emitted by entities the statistics give no run).
+    /// If `candidates` and `stats` cover different entity counts.
     pub fn from_candidates(stats: &'a BlockStats, candidates: &'a crate::CandidatePairs) -> Self {
         let extraction = Extraction::from_stats(stats);
         assert_eq!(
@@ -293,16 +298,13 @@ impl<'a> CandidateStream<'a> {
             extraction.num_entities,
             "candidate index and block statistics cover different corpora"
         );
-        let emitting = extraction.emitting_entities();
-        let offsets: Vec<u64> = candidates.offsets()[..=emitting]
+        let index_offsets = candidates.offsets();
+        let last_run = index_offsets.partition_point(|&o| (o as usize) < candidates.len());
+        let emitting = extraction.emitting_entities().max(last_run);
+        let offsets: Vec<u64> = index_offsets[..=emitting]
             .iter()
             .map(|&o| u64::from(o))
             .collect();
-        assert_eq!(
-            offsets[emitting],
-            candidates.len() as u64,
-            "candidate index holds pairs of non-emitting entities"
-        );
         CandidateStream {
             extraction,
             offsets,
@@ -368,7 +370,8 @@ impl<'a> CandidateStream<'a> {
     }
 
     /// Number of entities that emit runs of their own (the E1 side for
-    /// Clean-Clean ER, every entity for Dirty ER).
+    /// Clean-Clean ER, every entity for Dirty ER; for an index-backed stream,
+    /// at least every entity up to the last run the index holds).
     pub fn emitting_entities(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -437,7 +440,7 @@ impl<'a> CandidateStream<'a> {
         (chunk.entity_lo as usize..chunk.entity_hi as usize).filter_map(move |e| {
             let run_lo = self.offsets[e];
             let run_hi = self.offsets[e + 1];
-            if run_lo >= chunk.pair_hi || run_hi <= chunk.pair_lo {
+            if run_lo == run_hi || run_lo >= chunk.pair_hi || run_hi <= chunk.pair_lo {
                 return None;
             }
             let local_lo = (chunk.pair_lo.max(run_lo) - run_lo) as usize;
@@ -753,6 +756,29 @@ mod tests {
                 collected.entity_candidate_counts(),
                 candidates.entity_candidate_counts()
             );
+        }
+    }
+
+    #[test]
+    fn index_backed_stream_covers_runs_of_non_emitting_entities() {
+        // A pruned Clean-Clean subset holding a pair of two E2 entities (3
+        // and 4): entity 3's run lies past the statistics' emitting side.
+        let bc = &fixtures()[0];
+        let stats = crate::BlockStats::from_csr(bc);
+        let pairs = [(0, 3), (1, 4), (3, 4)].map(|(a, b)| (EntityId(a), EntityId(b)));
+        let subset = CandidatePairs::from_pairs(bc.num_entities, pairs);
+        let stream = CandidateStream::from_candidates(&stats, &subset);
+        assert_eq!(stream.total_pairs(), 3);
+        assert_eq!(stream.emitting_entities(), 4);
+        let mut arena = ChunkArena::new();
+        for chunk_pairs in [1usize, 2, 64] {
+            let mut runs = Vec::new();
+            for chunk in stream.chunks(chunk_pairs) {
+                stream.extract_chunk(chunk, &mut arena);
+                runs.extend(owned_runs(&arena));
+            }
+            let expected: Vec<_> = pairs.iter().map(|&(a, b)| (a, vec![(a, b)])).collect();
+            assert_eq!(runs, expected, "chunk_pairs={chunk_pairs}");
         }
     }
 

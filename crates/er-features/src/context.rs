@@ -8,24 +8,17 @@ use crate::schemes::Scheme;
 
 /// Everything needed to score a candidate pair with any weighting scheme.
 ///
-/// The context borrows the block statistics and candidate pairs and
-/// pre-computes every per-entity quantity any scheme needs — the WJS/NRS
-/// normalisation sums, the CF-IBF `log(|B|/|B_i|)` factors, the EJS
-/// `log(||B||/||e_i||)` factors and the LCP counts — so that each per-pair
-/// evaluation costs a single merge over the two sorted CSR block lists with
-/// no divisions and no logarithms.
+/// The context borrows the block statistics and candidate pairs.  Its
+/// per-entity quantities — the WJS/NRS normalisation sums, the CF-IBF
+/// `log(|B|/|B_i|)` factors, the EJS `log(||B||/||e_i||)` factors and the
+/// LCP counts — are those of the [`StreamFeatureContext`] it wraps, built
+/// over the candidate set's own LCP table, so that each per-pair evaluation
+/// costs a single merge over the two sorted CSR block lists with no
+/// divisions and no logarithms.
 #[derive(Debug)]
 pub struct FeatureContext<'a> {
-    stats: &'a BlockStats,
+    entities: StreamFeatureContext<'a>,
     candidates: &'a CandidatePairs,
-    /// Σ_{b ∈ B_i} 1/||b|| per entity (denominator of WJS).
-    entity_inv_comparisons: Vec<f64>,
-    /// Σ_{b ∈ B_i} 1/|b| per entity (denominator of NRS).
-    entity_inv_sizes: Vec<f64>,
-    /// `log(|B| / |B_i|)` per entity (the CF-IBF factor).
-    entity_ibf: Vec<f64>,
-    /// `log(||B|| / ||e_i||)` per entity (the EJS factor).
-    entity_icf: Vec<f64>,
 }
 
 /// The raw per-pair co-occurrence aggregates from which every scheme is
@@ -42,9 +35,9 @@ pub struct PairCooccurrence {
 
 /// The per-entity aggregates every weighting scheme reads.
 ///
-/// [`FeatureContext`] precomputes these for the whole corpus; incremental
-/// consumers (the `er-stream` delta scorer) compute them only for the
-/// entities touched by a batch and feed the same fused writer,
+/// [`StreamFeatureContext`] precomputes these for the whole corpus;
+/// incremental consumers (the `er-stream` delta scorer) compute them only
+/// for the entities touched by a batch and feed the same fused writer,
 /// [`write_features_from`] — so the scheme formulas live in exactly one
 /// place no matter which engine evaluates them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -69,9 +62,10 @@ pub struct EntityAggregates {
 /// `set.vector_len()` long; columns follow the canonical scheme order with
 /// LCP expanding into `LCP(e_i), LCP(e_j)`.
 ///
-/// This is the single home of the per-pair scheme formulas: the corpus-wide
+/// This is the single home of the per-pair scheme formulas: the fused
+/// scoring pass of [`crate::FeatureMatrix`], the per-pair
 /// [`FeatureContext::write_pair_features_with`] and the incremental
-/// `er-stream` scorer both delegate here, so their outputs are bit-identical
+/// `er-stream` scorer all delegate here, so their outputs are bit-identical
 /// whenever their aggregates are.
 #[inline]
 pub fn write_features_from(
@@ -148,20 +142,40 @@ pub fn write_features_from(
     debug_assert_eq!(cursor, out.len());
 }
 
-/// The four per-entity tables every scheme reads, derived from the block
-/// statistics alone (no candidate set needed): the WJS/NRS normalisation
-/// sums, the CF-IBF factor and the EJS factor.  [`FeatureContext`] (batch)
-/// and [`StreamFeatureContext`] (streamed) both build exactly these, so
-/// their per-pair outputs are bit-identical whenever their LCP tables are.
-struct EntityTables {
+/// The per-entity aggregates every scheme reads, for any source of the
+/// LCP counts.  The four tables — the WJS/NRS normalisation sums, the CF-IBF
+/// factor and the EJS factor — are derived from the block statistics alone;
+/// the LCP table is the *only* candidate-dependent per-entity aggregate and
+/// is borrowed, from a
+/// [`CandidateStream`](er_blocking::CandidateStream)'s counting pass or from
+/// a materialised [`CandidatePairs`] (which is how [`FeatureContext`] builds
+/// its own).  Every fused scoring pass reads this context, so streamed and
+/// materialised scoring are bit-identical whenever their LCP tables are.
+#[derive(Debug)]
+pub struct StreamFeatureContext<'a> {
+    stats: &'a BlockStats,
+    /// Per-entity distinct-candidate counts (the LCP feature values).
+    lcp: &'a [u32],
+    /// Σ_{b ∈ B_i} 1/||b|| per entity (denominator of WJS).
     inv_comparisons: Vec<f64>,
+    /// Σ_{b ∈ B_i} 1/|b| per entity (denominator of NRS).
     inv_sizes: Vec<f64>,
+    /// `log(|B| / |B_i|)` per entity (the CF-IBF factor).
     ibf: Vec<f64>,
+    /// `log(||B|| / ||e_i||)` per entity (the EJS factor).
     icf: Vec<f64>,
 }
 
-impl EntityTables {
-    fn new(stats: &BlockStats) -> Self {
+impl<'a> StreamFeatureContext<'a> {
+    /// Builds the context from block statistics and a per-entity
+    /// distinct-candidate table (one entry per entity — typically
+    /// [`CandidateStream::lcp_table`](er_blocking::CandidateStream::lcp_table)).
+    pub fn new(stats: &'a BlockStats, lcp: &'a [u32]) -> Self {
+        assert_eq!(
+            lcp.len(),
+            stats.num_entities(),
+            "LCP table must have one entry per entity"
+        );
         let n = stats.num_entities();
         let num_blocks = stats.num_blocks() as f64;
         let total_comparisons = stats.total_comparisons() as f64;
@@ -197,103 +211,13 @@ impl EntityTables {
                 0.0
             };
         }
-        EntityTables {
+        StreamFeatureContext {
+            stats,
+            lcp,
             inv_comparisons,
             inv_sizes,
             ibf,
             icf,
-        }
-    }
-}
-
-/// Computes the per-pair co-occurrence aggregates with a single merge of the
-/// two sorted CSR block lists, reading the precomputed reciprocal tables.
-/// Shared by both context flavours.
-#[inline]
-fn cooccurrence_from(stats: &BlockStats, a: EntityId, b: EntityId) -> PairCooccurrence {
-    let inv_comp = stats.inv_comparisons_table();
-    let inv_size = stats.inv_sizes_table();
-    let mut agg = PairCooccurrence::default();
-    stats.for_each_common_block(a, b, |block| {
-        agg.common_blocks += 1;
-        agg.inv_comparisons_sum += inv_comp[block.index()];
-        agg.inv_sizes_sum += inv_size[block.index()];
-    });
-    agg
-}
-
-/// The per-entity aggregate provider the fused entity-major engine reads —
-/// implemented by [`FeatureContext`] (LCP from a materialised
-/// [`CandidatePairs`]) and [`StreamFeatureContext`] (LCP from a
-/// [`CandidateStream`](er_blocking::CandidateStream) counting pass).
-pub(crate) trait PairAggregateSource: Sync {
-    /// The precomputed per-entity aggregates of one entity.
-    fn source_aggregates(&self, entity: EntityId) -> EntityAggregates;
-    /// The per-pair merge fallback for pairs the scoreboard never
-    /// accumulates (same-source Clean-Clean candidates).
-    fn source_cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence;
-}
-
-impl PairAggregateSource for FeatureContext<'_> {
-    #[inline]
-    fn source_aggregates(&self, entity: EntityId) -> EntityAggregates {
-        self.entity_aggregates(entity)
-    }
-
-    #[inline]
-    fn source_cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        self.cooccurrence(a, b)
-    }
-}
-
-impl PairAggregateSource for StreamFeatureContext<'_> {
-    #[inline]
-    fn source_aggregates(&self, entity: EntityId) -> EntityAggregates {
-        self.entity_aggregates(entity)
-    }
-
-    #[inline]
-    fn source_cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        self.cooccurrence(a, b)
-    }
-}
-
-/// The streamed counterpart of [`FeatureContext`]: the same per-entity
-/// tables, but the LCP counts come from a
-/// [`CandidateStream`](er_blocking::CandidateStream)'s counting pass instead
-/// of a materialised [`CandidatePairs`].  The LCP table is the *only*
-/// candidate-dependent per-entity aggregate, so a streamed scorer built on
-/// this context is bit-identical to the batch scorer without the pair index
-/// ever existing in memory.
-#[derive(Debug)]
-pub struct StreamFeatureContext<'a> {
-    stats: &'a BlockStats,
-    /// Per-entity distinct-candidate counts (the LCP feature values).
-    lcp: &'a [u32],
-    entity_inv_comparisons: Vec<f64>,
-    entity_inv_sizes: Vec<f64>,
-    entity_ibf: Vec<f64>,
-    entity_icf: Vec<f64>,
-}
-
-impl<'a> StreamFeatureContext<'a> {
-    /// Builds the context from block statistics and a per-entity
-    /// distinct-candidate table (one entry per entity — typically
-    /// [`CandidateStream::lcp_table`](er_blocking::CandidateStream::lcp_table)).
-    pub fn new(stats: &'a BlockStats, lcp: &'a [u32]) -> Self {
-        assert_eq!(
-            lcp.len(),
-            stats.num_entities(),
-            "LCP table must have one entry per entity"
-        );
-        let tables = EntityTables::new(stats);
-        StreamFeatureContext {
-            stats,
-            lcp,
-            entity_inv_comparisons: tables.inv_comparisons,
-            entity_inv_sizes: tables.inv_sizes,
-            entity_ibf: tables.ibf,
-            entity_icf: tables.icf,
         }
     }
 
@@ -302,22 +226,34 @@ impl<'a> StreamFeatureContext<'a> {
         self.stats
     }
 
-    /// The per-pair co-occurrence aggregates (single sorted-list merge).
+    /// Computes the per-pair co-occurrence aggregates with a single merge of
+    /// the two sorted CSR block lists
+    /// ([`BlockStats::for_each_common_block`]), reading the precomputed
+    /// reciprocal tables (no division in the loop).
     #[inline]
     pub fn cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        cooccurrence_from(self.stats, a, b)
+        let inv_comp = self.stats.inv_comparisons_table();
+        let inv_size = self.stats.inv_sizes_table();
+        let mut agg = PairCooccurrence::default();
+        self.stats.for_each_common_block(a, b, |block| {
+            agg.common_blocks += 1;
+            agg.inv_comparisons_sum += inv_comp[block.index()];
+            agg.inv_sizes_sum += inv_size[block.index()];
+        });
+        agg
     }
 
-    /// The precomputed per-entity aggregates of one entity.
+    /// The precomputed per-entity aggregates of one entity, in the shape the
+    /// shared fused writer ([`write_features_from`]) consumes.
     #[inline]
     pub fn entity_aggregates(&self, entity: EntityId) -> EntityAggregates {
         let i = entity.index();
         EntityAggregates {
             num_blocks: self.stats.num_blocks_of(entity) as f64,
-            inv_comparisons: self.entity_inv_comparisons[i],
-            inv_sizes: self.entity_inv_sizes[i],
-            ibf: self.entity_ibf[i],
-            icf: self.entity_icf[i],
+            inv_comparisons: self.inv_comparisons[i],
+            inv_sizes: self.inv_sizes[i],
+            ibf: self.ibf[i],
+            icf: self.icf[i],
             lcp: f64::from(self.lcp[i]),
         }
     }
@@ -327,20 +263,20 @@ impl<'a> FeatureContext<'a> {
     /// Builds the context for a block collection's statistics and candidate
     /// pairs.
     pub fn new(stats: &'a BlockStats, candidates: &'a CandidatePairs) -> Self {
-        let tables = EntityTables::new(stats);
         FeatureContext {
-            stats,
+            entities: StreamFeatureContext::new(stats, candidates.entity_candidate_counts()),
             candidates,
-            entity_inv_comparisons: tables.inv_comparisons,
-            entity_inv_sizes: tables.inv_sizes,
-            entity_ibf: tables.ibf,
-            entity_icf: tables.icf,
         }
+    }
+
+    /// The per-entity aggregates the fused scoring passes read.
+    pub(crate) fn entities(&self) -> &StreamFeatureContext<'a> {
+        &self.entities
     }
 
     /// The underlying block statistics.
     pub fn stats(&self) -> &BlockStats {
-        self.stats
+        self.entities.stats
     }
 
     /// The candidate pairs the context was built over.
@@ -354,7 +290,7 @@ impl<'a> FeatureContext<'a> {
     /// reciprocal tables (no division in the loop).
     #[inline]
     pub fn cooccurrence(&self, a: EntityId, b: EntityId) -> PairCooccurrence {
-        cooccurrence_from(self.stats, a, b)
+        self.entities.cooccurrence(a, b)
     }
 
     /// Evaluates a single weighting scheme for a pair.
@@ -379,16 +315,19 @@ impl<'a> FeatureContext<'a> {
         b: EntityId,
         agg: &PairCooccurrence,
     ) -> f64 {
+        let entities = &self.entities;
+        let (i, j) = (a.index(), b.index());
         match scheme {
             Scheme::CfIbf => {
                 let cb = agg.common_blocks as f64;
-                cb * self.ibf(a) * self.ibf(b)
+                cb * entities.ibf[i] * entities.ibf[j]
             }
             Scheme::Raccb => agg.inv_comparisons_sum,
             Scheme::Js => {
                 let cb = agg.common_blocks as f64;
-                let union =
-                    self.stats.num_blocks_of(a) as f64 + self.stats.num_blocks_of(b) as f64 - cb;
+                let union = entities.stats.num_blocks_of(a) as f64
+                    + entities.stats.num_blocks_of(b) as f64
+                    - cb;
                 if union > 0.0 {
                     cb / union
                 } else {
@@ -398,13 +337,12 @@ impl<'a> FeatureContext<'a> {
             Scheme::Lcp => self.lcp(a),
             Scheme::Ejs => {
                 let js = self.score_with(Scheme::Js, a, b, agg);
-                js * self.inverse_candidate_frequency(a) * self.inverse_candidate_frequency(b)
+                js * entities.icf[i] * entities.icf[j]
             }
             Scheme::Wjs => {
                 let numerator = agg.inv_comparisons_sum;
-                let denominator = self.entity_inv_comparisons[a.index()]
-                    + self.entity_inv_comparisons[b.index()]
-                    - numerator;
+                let denominator =
+                    entities.inv_comparisons[i] + entities.inv_comparisons[j] - numerator;
                 if denominator > 0.0 {
                     numerator / denominator
                 } else {
@@ -414,8 +352,7 @@ impl<'a> FeatureContext<'a> {
             Scheme::Rs => agg.inv_sizes_sum,
             Scheme::Nrs => {
                 let numerator = agg.inv_sizes_sum;
-                let denominator =
-                    self.entity_inv_sizes[a.index()] + self.entity_inv_sizes[b.index()] - numerator;
+                let denominator = entities.inv_sizes[i] + entities.inv_sizes[j] - numerator;
                 if denominator > 0.0 {
                     numerator / denominator
                 } else {
@@ -423,20 +360,6 @@ impl<'a> FeatureContext<'a> {
                 }
             }
         }
-    }
-
-    /// `log(|B| / |B_i|)`, the inverse-block-frequency factor of CF-IBF
-    /// (precomputed per entity).
-    #[inline]
-    fn ibf(&self, entity: EntityId) -> f64 {
-        self.entity_ibf[entity.index()]
-    }
-
-    /// `log(||B|| / ||e_i||)`, the inverse-candidate-frequency factor of EJS
-    /// (precomputed per entity).
-    #[inline]
-    fn inverse_candidate_frequency(&self, entity: EntityId) -> f64 {
-        self.entity_icf[entity.index()]
     }
 
     /// The LCP value of an entity: its number of distinct candidates.
@@ -462,20 +385,12 @@ impl<'a> FeatureContext<'a> {
     /// shared fused writer ([`write_features_from`]) consumes.
     #[inline]
     pub fn entity_aggregates(&self, entity: EntityId) -> EntityAggregates {
-        let i = entity.index();
-        EntityAggregates {
-            num_blocks: self.stats.num_blocks_of(entity) as f64,
-            inv_comparisons: self.entity_inv_comparisons[i],
-            inv_sizes: self.entity_inv_sizes[i],
-            ibf: self.entity_ibf[i],
-            icf: self.entity_icf[i],
-            lcp: self.lcp(entity),
-        }
+        self.entities.entity_aggregates(entity)
     }
 
     /// Writes the feature vector of a pair from already-computed
-    /// co-occurrence aggregates (the entity-major scoreboard pass in
-    /// [`crate::FeatureMatrix`] accumulates them without any merge).
+    /// co-occurrence aggregates through the shared fused writer
+    /// ([`write_features_from`]).
     #[inline]
     pub fn write_pair_features_with(
         &self,

@@ -103,12 +103,6 @@ impl FeatureSet {
     pub fn all_combinations() -> impl Iterator<Item = FeatureSet> {
         (1u8..=255).map(|bits| FeatureSet { bits })
     }
-
-    /// True if the set includes the expensive LCP feature (the paper's
-    /// explanation for the run-time gap between the BLAST and RCNP sets).
-    pub fn uses_lcp(self) -> bool {
-        self.contains(Scheme::Lcp)
-    }
 }
 
 impl std::fmt::Display for FeatureSet {
@@ -177,11 +171,5 @@ mod tests {
     #[should_panic(expected = "at least one scheme")]
     fn empty_set_is_rejected() {
         let _ = FeatureSet::from_schemes(std::iter::empty());
-    }
-
-    #[test]
-    fn uses_lcp_flag() {
-        assert!(FeatureSet::original().uses_lcp());
-        assert!(!FeatureSet::blast_optimal().uses_lcp());
     }
 }

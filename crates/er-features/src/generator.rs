@@ -3,41 +3,38 @@
 //!
 //! Feature generation dominates the run-time of (Generalized) Supervised
 //! Meta-blocking on the larger datasets (Figures 7, 9 and 10 of the paper), so
-//! this module is built around one fused, entity-major single pass:
+//! this module is built around one fused single pass with one chunk driver:
 //!
-//! 1. Candidate pairs are grouped by their smaller endpoint (the
-//!    [`er_blocking::CandidatePairs`] CSR index), so each task processes a
-//!    contiguous run of output rows.
-//! 2. For each entity the pass walks its blocks once through the flat
-//!    [`er_blocking::BlockStats`] index and *accumulates* every partner's
-//!    co-occurrence aggregates on a scoreboard aligned to the entity's
-//!    candidate run ([`crate::scoreboard::CandidateBoard`]: one table probe
-//!    per contribution, straight into the slot of the run) — no per-pair
-//!    merge of block lists, no sort, no divisions (the reciprocal tables are
+//! 1. Every pass reads its candidates through a [`CandidateStream`]: chunks
+//!    of the pair-id space are the parallel work units, each extracted into
+//!    a worker's [`ChunkArena`] — re-derived from the blocks, or copied out
+//!    of a materialised [`er_blocking::CandidatePairs`] (the index-backed
+//!    stream [`FeatureMatrix::build_with_threads`] and
+//!    [`FeatureMatrix::score_rows_with`] run on).
+//! 2. For each entity run of a chunk the pass walks the entity's blocks once
+//!    through the flat [`er_blocking::BlockStats`] index and *accumulates*
+//!    every partner's co-occurrence aggregates on a scoreboard aligned to the
+//!    run ([`crate::scoreboard::CandidateBoard`]: one table probe per
+//!    contribution, straight into the slot of the run) — no per-pair merge
+//!    of block lists, no sort, no divisions (the reciprocal tables are
 //!    precomputed).  Contributions arrive in ascending block-id order, which
 //!    makes the floating-point sums bit-identical to the per-pair merge.
-//! 3. Every selected scheme column is then written straight into the
-//!    destination slice ([`FeatureContext::write_pair_features_with`]), and
-//!    [`FeatureMatrix::score_rows`] fuses the same pass with a per-row scoring
-//!    function so probability-only callers never materialise the matrix.
+//! 3. Every selected scheme column is then written by the shared fused
+//!    writer ([`crate::context::write_features_from`]) and handed to the
+//!    pass's consumer: copied into the matrix, reduced to one probability
+//!    ([`FeatureMatrix::score_rows`], [`FeatureMatrix::score_stream_with`]),
+//!    or passed on chunk by chunk ([`for_each_scored_chunk`]).
 //!
-//! Tasks are pulled from a shared cursor by worker threads carrying their own
-//! scoreboard ([`er_core::for_each_task_with_state`]) — work stealing instead
-//! of fixed per-thread partitions.
+//! Chunks are pulled from a shared cursor by worker threads carrying their
+//! own scratch ([`er_core::for_each_task_with_state`]) — work stealing
+//! instead of fixed per-thread partitions.
 
-use er_blocking::{BlockStats, CandidateStream, ChunkArena};
+use er_blocking::{CandidateStream, ChunkArena, ChunkSpec, DEFAULT_CHUNK_PAIRS};
 use er_core::{EntityId, PairId};
 
-use crate::context::{
-    write_features_from, FeatureContext, PairAggregateSource, PairCooccurrence,
-    StreamFeatureContext,
-};
+use crate::context::{write_features_from, FeatureContext, StreamFeatureContext};
 use crate::feature_set::FeatureSet;
 use crate::scoreboard::{CandidateBoard, ScoreboardConfig};
-
-/// Rows per work-queue chunk: large enough to amortise queue locking, small
-/// enough that stealing keeps skewed tails balanced.
-const CHUNK_ROWS: usize = 4096;
 
 /// Below this many pairs the parallel drivers fall back to one thread.
 const PARALLEL_THRESHOLD: usize = 1024;
@@ -64,8 +61,8 @@ impl FeatureMatrix {
     }
 
     /// Builds the matrix with an explicit thread count via the fused
-    /// entity-major single-pass engine.  Output is bit-identical at every
-    /// thread count.
+    /// single-pass chunk driver over the context's own candidate index.
+    /// Output is bit-identical at every thread count.
     pub fn build_with_threads(
         context: &FeatureContext<'_>,
         set: FeatureSet,
@@ -74,14 +71,13 @@ impl FeatureMatrix {
         let num_features = set.vector_len();
         let num_pairs = context.candidates().len();
         let mut values = vec![0.0f64; num_features * num_pairs];
-
-        fused_entity_major_pass(
+        fused_index_pass(
             context,
             set,
             threads,
             num_features,
             &mut values,
-            |_pair, row, slot| slot.copy_from_slice(row),
+            |row, slot| slot.copy_from_slice(row),
         );
 
         FeatureMatrix {
@@ -116,7 +112,7 @@ impl FeatureMatrix {
 
     /// Computes `score` over every candidate pair's feature vector without
     /// materialising the matrix: each worker fills its scratch row via the
-    /// fused entity-major pass and immediately reduces it to one `f64`.
+    /// fused chunk pass and immediately reduces it to one `f64`.
     ///
     /// This is the fused feature → probability path the pipeline uses when
     /// only probabilities are needed; the output is deterministic and
@@ -142,9 +138,8 @@ impl FeatureMatrix {
         _scoreboard: &ScoreboardConfig,
         score: impl Fn(&[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
-        let num_pairs = context.candidates().len();
-        let mut out = vec![0.0f64; num_pairs];
-        fused_entity_major_pass(context, set, threads, 1, &mut out, |_pair, row, slot| {
+        let mut out = vec![0.0f64; context.candidates().len()];
+        fused_index_pass(context, set, threads, 1, &mut out, |row, slot| {
             slot[0] = score(row)
         });
         out
@@ -153,14 +148,15 @@ impl FeatureMatrix {
     /// Scores every candidate pair of a [`CandidateStream`] without the pair
     /// index ever existing in memory: chunks of `chunk_pairs` pairs are
     /// extracted into per-worker [`ChunkArena`] scratch, pushed through the
-    /// same fused entity-major pass as [`FeatureMatrix::score_rows_with`],
-    /// and reduced to one `f64` each.  Peak memory is `O(chunk_pairs ×
+    /// same fused chunk pass as [`FeatureMatrix::score_rows_with`], and
+    /// reduced to one `f64` each.  Peak memory is `O(chunk_pairs ×
     /// workers + aggregates)`; the output vector is indexed by the stream's
     /// global pair id and bit-identical to the materialised path at any
     /// thread count and chunk size (chunks are the parallel work units).
     /// Over an index-backed stream
-    /// ([`CandidateStream::from_candidates`]) the same chunk engine runs
-    /// with chunks copied from the index instead of re-derived.  As in
+    /// ([`CandidateStream::from_candidates`]) chunks are copied from the
+    /// index instead of re-derived — which is what
+    /// [`FeatureMatrix::score_rows_with`] runs.  As in
     /// [`FeatureMatrix::score_rows_with`], the scoreboard configuration
     /// changes nothing on this path.
     pub fn score_stream_with(
@@ -183,7 +179,7 @@ impl FeatureMatrix {
             1,
             chunk_pairs,
             &mut out,
-            |_pair, row, slot| slot[0] = score(row),
+            |row, slot| slot[0] = score(row),
         );
         out
     }
@@ -290,23 +286,6 @@ impl FeatureMatrix {
             values,
         }
     }
-
-    /// Per-column means (used by the feature standardiser).
-    pub fn column_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.num_features];
-        if self.num_pairs == 0 {
-            return means;
-        }
-        for (_, row) in self.rows() {
-            for (m, v) in means.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        for m in &mut means {
-            *m /= self.num_pairs as f64;
-        }
-        means
-    }
 }
 
 /// Clamps a requested thread count to something useful for `num_pairs` rows.
@@ -329,12 +308,13 @@ fn effective_threads(threads: usize, num_pairs: usize) -> usize {
 /// falls back to the per-pair merge for those.
 #[inline]
 fn walk_partners<F: FnMut(EntityId, f64, f64)>(
-    stats: &BlockStats,
-    inv_comp_table: &[f64],
-    inv_size_table: &[f64],
+    context: &StreamFeatureContext<'_>,
     a: EntityId,
     mut sink: F,
 ) -> usize {
+    let stats = context.stats();
+    let inv_comp_table = stats.inv_comparisons_table();
+    let inv_size_table = stats.inv_sizes_table();
     let kind = stats.kind();
     let mut contributions = 0usize;
     for &bid in stats.blocks_of(a) {
@@ -356,41 +336,35 @@ fn walk_partners<F: FnMut(EntityId, f64, f64)>(
     contributions
 }
 
-/// Accumulates and emits one entity's candidate run — the shared inner block
-/// of the batch ([`fused_entity_major_pass`]) and streamed
-/// ([`fused_stream_pass`]) engines.
+/// Accumulates and emits one entity's candidate run — the inner block of
+/// [`score_chunk`].
 ///
-/// Walks `a`'s blocks once through the flat [`BlockStats`] reverse index,
-/// accumulating every partner's `(common blocks, Σ1/||b||, Σ1/|b|)` on the
-/// worker's scoreboard, then emits one `row_width`-wide output row per
-/// candidate in `cands` into `out` (which must be exactly `cands.len() ×
-/// row_width` long).  `cands` may be any sorted subset of `a`'s full partner
-/// run — a prefix/suffix slice cut by a chunk boundary, or a pruned
-/// `from_pairs` subset: the board accumulates from the block walk alone,
-/// contributions to partners outside `cands` are dropped, and each emitted
-/// candidate only reads its own slot, so what else the run holds changes
-/// nothing about the emitted values.  Contributions arrive in ascending
-/// block-id order, which keeps the floating-point sums bit-identical to a
-/// per-pair merge of the sorted block lists.
+/// Walks `a`'s blocks once through the flat [`er_blocking::BlockStats`]
+/// reverse index, accumulating every partner's `(common blocks, Σ1/||b||,
+/// Σ1/|b|)` on the worker's scoreboard, then emits one `row_width`-wide
+/// output row per candidate in `cands` into `out` (which must be exactly
+/// `cands.len() × row_width` long).  `cands` may be any sorted subset of
+/// `a`'s full partner run — a prefix/suffix slice cut by a chunk boundary,
+/// or a pruned `from_pairs` subset: the board accumulates from the block
+/// walk alone, contributions to partners outside `cands` are dropped, and
+/// each emitted candidate only reads its own slot, so what else the run
+/// holds changes nothing about the emitted values.  Contributions arrive in
+/// ascending block-id order, which keeps the floating-point sums
+/// bit-identical to a per-pair merge of the sorted block lists.
 #[allow(clippy::too_many_arguments)]
-fn process_entity_run<S, E>(
-    stats: &BlockStats,
-    inv_comp_table: &[f64],
-    inv_size_table: &[f64],
-    source: &S,
+fn process_entity_run<E: Fn(&[f64], &mut [f64])>(
+    context: &StreamFeatureContext<'_>,
     set: FeatureSet,
     a: EntityId,
     cands: &[(EntityId, EntityId)],
-    worker: &mut CandidateBoard,
+    board: &mut CandidateBoard,
     row: &mut [f64],
     out: &mut [f64],
     row_width: usize,
     emit: &E,
-) where
-    S: PairAggregateSource,
-    E: Fn((EntityId, EntityId), &[f64], &mut [f64]),
-{
+) {
     debug_assert_eq!(out.len(), cands.len() * row_width);
+    let stats = context.stats();
     let kind = stats.kind();
     let split = stats.split();
     let board_covers_pair = |b: EntityId| match kind {
@@ -399,150 +373,91 @@ fn process_entity_run<S, E>(
     };
     // a's per-entity aggregates are fixed across its whole partner run —
     // gather them once, not per pair.
-    let a_aggregates = source.source_aggregates(a);
-    let mut emit_row = |b: EntityId, agg: &PairCooccurrence, cursor: usize| {
-        write_features_from(&a_aggregates, &source.source_aggregates(b), agg, set, row);
-        emit(
-            (a, b),
-            row,
-            &mut out[cursor * row_width..(cursor + 1) * row_width],
-        );
-    };
-    worker.align(cands.iter().map(|&(_, b)| b.0));
-    let contributions = walk_partners(stats, inv_comp_table, inv_size_table, a, |p, ic, is| {
-        worker.add(p.0, ic, is)
-    });
-    worker.note_contributions(contributions);
-    for (slot, &(_, b)) in cands.iter().enumerate() {
+    let a_aggregates = context.entity_aggregates(a);
+    board.align(cands.iter().map(|&(_, b)| b.0));
+    let contributions = walk_partners(context, a, |p, ic, is| board.add(p.0, ic, is));
+    board.note_contributions(contributions);
+    for (slot, (&(_, b), out_row)) in cands
+        .iter()
+        .zip(out.chunks_exact_mut(row_width))
+        .enumerate()
+    {
         // Taken even when unused, so the slot is zero for the next run.
-        let accumulated = worker.take(slot);
+        let accumulated = board.take(slot);
         let agg = if board_covers_pair(b) {
             accumulated
         } else {
-            source.source_cooccurrence(a, b)
+            context.cooccurrence(a, b)
         };
-        emit_row(b, &agg, slot);
+        write_features_from(&a_aggregates, &context.entity_aggregates(b), &agg, set, row);
+        emit(row, out_row);
     }
 }
 
-/// The fused entity-major engine shared by
-/// [`FeatureMatrix::build_with_threads`] and
-/// [`FeatureMatrix::score_rows_with`].
-///
-/// Processes candidate pairs grouped by their smaller endpoint `a`: walks
-/// `a`'s blocks once through the flat [`er_blocking::BlockStats`] reverse
-/// index, accumulating every partner's `(common blocks, Σ1/||b||, Σ1/|b|)`
-/// on the worker's scoreboard, then emits one `row_width`-wide output row
-/// per candidate of `a`.  Because blocks are visited in ascending id order
-/// — and the board adds each partner's contributions in exactly that order
-/// — the accumulated sums are bit-identical to a per-pair merge of the
-/// sorted block lists at every thread count.
-///
-/// `emit` receives `((a, b), feature_row, output_slot)`.
-fn fused_entity_major_pass<E>(
-    context: &FeatureContext<'_>,
+/// One worker's scratch of the chunk driver, built once per worker and
+/// reused across chunks: the candidate-aligned board, the arena a chunk is
+/// extracted into and one feature row.
+struct ChunkScratch {
+    board: CandidateBoard,
+    arena: ChunkArena,
+    row: Vec<f64>,
+}
+
+impl ChunkScratch {
+    fn new(set: FeatureSet) -> Self {
+        ChunkScratch {
+            board: CandidateBoard::new(),
+            arena: ChunkArena::new(),
+            row: vec![0.0f64; set.vector_len()],
+        }
+    }
+}
+
+/// The chunk body every scoring pass shares: extracts `chunk` of `stream`
+/// into the worker's arena, then runs [`process_entity_run`] over each of
+/// its (possibly partial) entity runs, writing one `row_width`-wide row per
+/// pair into `out` (exactly `chunk.len() × row_width` long).  `emit`
+/// receives `(feature_row, output_slot)`.
+#[allow(clippy::too_many_arguments)]
+fn score_chunk<E: Fn(&[f64], &mut [f64])>(
+    context: &StreamFeatureContext<'_>,
+    stream: &CandidateStream<'_>,
+    chunk: ChunkSpec,
     set: FeatureSet,
-    threads: usize,
-    row_width: usize,
+    scratch: &mut ChunkScratch,
     out: &mut [f64],
-    emit: E,
-) where
-    E: Fn((EntityId, EntityId), &[f64], &mut [f64]) + Sync,
-{
-    let candidates = context.candidates();
-    let stats = context.stats();
-    let num_pairs = candidates.len();
-    if num_pairs == 0 || row_width == 0 {
-        return;
+    row_width: usize,
+    emit: &E,
+) {
+    debug_assert_eq!(out.len(), chunk.len() * row_width);
+    let ChunkScratch { board, arena, row } = scratch;
+    stream.extract_chunk(chunk, arena);
+    let mut cursor = 0usize;
+    for (a, cands) in arena.runs() {
+        let end = cursor + cands.len() * row_width;
+        process_entity_run(
+            context,
+            set,
+            a,
+            cands,
+            board,
+            row,
+            &mut out[cursor..end],
+            row_width,
+            emit,
+        );
+        cursor = end;
     }
-    debug_assert_eq!(out.len(), num_pairs * row_width);
-    let num_entities = candidates.num_entities();
-    let num_features = set.vector_len();
-    let threads = effective_threads(threads, num_pairs);
-
-    // Entity-aligned tasks of roughly CHUNK_ROWS output rows each: the pair
-    // CSR groups rows by smaller endpoint, so task boundaries on entity
-    // boundaries give every task a contiguous output range.
-    let mut tasks: Vec<(u32, u32, usize)> = Vec::new();
-    {
-        let (mut lo, mut row_lo, mut rows) = (0usize, 0usize, 0usize);
-        for e in 0..num_entities {
-            rows += candidates.pair_range(EntityId(e as u32)).len();
-            if rows >= CHUNK_ROWS {
-                tasks.push((lo as u32, (e + 1) as u32, row_lo));
-                row_lo += rows;
-                rows = 0;
-                lo = e + 1;
-            }
-        }
-        if rows > 0 {
-            tasks.push((lo as u32, num_entities as u32, row_lo));
-        }
-    }
-
-    // Pre-split the output into one disjoint slice per task; workers take
-    // their slice by task index.
-    let mut slices: Vec<Option<&mut [f64]>> = Vec::with_capacity(tasks.len());
-    {
-        let mut rest = out;
-        for (i, &(_, _, row_lo)) in tasks.iter().enumerate() {
-            let row_hi = tasks.get(i + 1).map(|t| t.2).unwrap_or(num_pairs);
-            let (chunk, tail) = rest.split_at_mut((row_hi - row_lo) * row_width);
-            slices.push(Some(chunk));
-            rest = tail;
-        }
-    }
-    let slices = std::sync::Mutex::new(slices);
-
-    let inv_comp_table = stats.inv_comparisons_table();
-    let inv_size_table = stats.inv_sizes_table();
-
-    er_core::for_each_task_with_state(
-        tasks.len(),
-        threads,
-        || (CandidateBoard::new(), vec![0.0f64; num_features]),
-        |task, (worker, row)| {
-            let chunk = slices.lock().expect("task slices poisoned")[task]
-                .take()
-                .expect("task dispatched twice");
-            let (lo, hi, _) = tasks[task];
-            let mut cursor = 0usize;
-            for e in lo..hi {
-                let a = EntityId(e);
-                let cands = candidates.pairs_of(a);
-                if cands.is_empty() {
-                    continue;
-                }
-                process_entity_run(
-                    stats,
-                    inv_comp_table,
-                    inv_size_table,
-                    context,
-                    set,
-                    a,
-                    cands,
-                    worker,
-                    row,
-                    &mut chunk[cursor * row_width..(cursor + cands.len()) * row_width],
-                    row_width,
-                    &emit,
-                );
-                cursor += cands.len();
-            }
-            worker.flush_metrics();
-            debug_assert_eq!(cursor * row_width, chunk.len());
-        },
-    );
+    board.flush_metrics();
+    debug_assert_eq!(cursor, out.len());
 }
 
-/// The streamed counterpart of [`fused_entity_major_pass`]: chunks of the
-/// [`CandidateStream`]'s pair-id space are the parallel work units.  Each
-/// worker re-extracts its chunk into a reusable [`ChunkArena`], runs the
-/// shared per-entity accumulate/emit block over the chunk's (possibly
-/// partial) entity runs, and writes into the chunk's pre-split slice of
-/// `out` — so the output is positionally identical to the batch pass at any
-/// thread count and chunk size, while no worker ever holds more than one
-/// chunk of pairs.
+/// The chunk driver over a [`CandidateStream`]: chunks of the stream's
+/// pair-id space are the parallel work units.  Each worker extracts its
+/// chunk and runs it through [`score_chunk`] into the chunk's pre-split
+/// slice of `out` — so the output is positionally identical at any thread
+/// count and chunk size, while no worker ever holds more than one chunk of
+/// pairs.
 #[allow(clippy::too_many_arguments)]
 fn fused_stream_pass<E>(
     context: &StreamFeatureContext<'_>,
@@ -554,16 +469,14 @@ fn fused_stream_pass<E>(
     out: &mut [f64],
     emit: E,
 ) where
-    E: Fn((EntityId, EntityId), &[f64], &mut [f64]) + Sync,
+    E: Fn(&[f64], &mut [f64]) + Sync,
 {
-    let stats = context.stats();
     let num_pairs = usize::try_from(stream.total_pairs())
         .expect("streamed output buffer exceeds addressable memory");
     if num_pairs == 0 || row_width == 0 {
         return;
     }
     debug_assert_eq!(out.len(), num_pairs * row_width);
-    let num_features = set.vector_len();
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
 
@@ -580,45 +493,52 @@ fn fused_stream_pass<E>(
     }
     let slices = std::sync::Mutex::new(slices);
 
-    let inv_comp_table = stats.inv_comparisons_table();
-    let inv_size_table = stats.inv_sizes_table();
-
     er_core::for_each_task_with_state(
         chunks.len(),
         threads,
-        || {
-            (
-                CandidateBoard::new(),
-                ChunkArena::new(),
-                vec![0.0f64; num_features],
-            )
-        },
-        |task, (worker, arena, row)| {
+        || ChunkScratch::new(set),
+        |task, scratch| {
             let chunk_out = slices.lock().expect("chunk slices poisoned")[task]
                 .take()
                 .expect("chunk dispatched twice");
-            stream.extract_chunk(chunks[task], arena);
-            let mut cursor = 0usize;
-            for (a, cands) in arena.runs() {
-                process_entity_run(
-                    stats,
-                    inv_comp_table,
-                    inv_size_table,
-                    context,
-                    set,
-                    a,
-                    cands,
-                    worker,
-                    row,
-                    &mut chunk_out[cursor * row_width..(cursor + cands.len()) * row_width],
-                    row_width,
-                    &emit,
-                );
-                cursor += cands.len();
-            }
-            worker.flush_metrics();
-            debug_assert_eq!(cursor * row_width, chunk_out.len());
+            score_chunk(
+                context,
+                stream,
+                chunks[task],
+                set,
+                scratch,
+                chunk_out,
+                row_width,
+                &emit,
+            );
         },
+    );
+}
+
+/// [`fused_stream_pass`] over the context's own materialised candidate
+/// index, read through an index-backed stream
+/// ([`CandidateStream::from_candidates`]): chunks are copied out of the
+/// index, never re-derived.
+fn fused_index_pass<E>(
+    context: &FeatureContext<'_>,
+    set: FeatureSet,
+    threads: usize,
+    row_width: usize,
+    out: &mut [f64],
+    emit: E,
+) where
+    E: Fn(&[f64], &mut [f64]) + Sync,
+{
+    let stream = CandidateStream::from_candidates(context.stats(), context.candidates());
+    fused_stream_pass(
+        context.entities(),
+        &stream,
+        set,
+        threads,
+        row_width,
+        DEFAULT_CHUNK_PAIRS,
+        out,
+        emit,
     );
 }
 
@@ -627,11 +547,11 @@ fn fused_stream_pass<E>(
 /// wave is handed to `consume` in order as `(pairs, probabilities)` slices.
 /// Peak memory is `O(threads × chunk_pairs)` — the full pair and probability
 /// vectors never exist at once — and worker scratch (scoreboard, arena,
-/// feature row) is built once per worker, not per chunk.  Concatenating the consumed chunks
-/// reproduces the materialised `(pairs, score_rows)` output bit-for-bit;
-/// this is the progressive-bootstrap seam (`StreamingSchedule::absorb` per
-/// chunk equals one global absorb because stamps are assigned in the same
-/// sequence).
+/// feature row) is built once per worker, not per chunk.  Concatenating the
+/// consumed chunks reproduces the materialised `(pairs, score_rows)` output
+/// bit-for-bit; this is the progressive-bootstrap seam
+/// (`StreamingSchedule::absorb` per chunk equals one global absorb because
+/// stamps are assigned in the same sequence).
 pub fn for_each_scored_chunk(
     context: &StreamFeatureContext<'_>,
     stream: &CandidateStream<'_>,
@@ -641,58 +561,38 @@ pub fn for_each_scored_chunk(
     score: impl Fn(&[f64]) -> f64 + Sync,
     mut consume: impl FnMut(&[(EntityId, EntityId)], &[f64]),
 ) {
-    let stats = context.stats();
     let num_pairs = usize::try_from(stream.total_pairs())
         .expect("streamed chunk walk exceeds addressable memory");
     if num_pairs == 0 {
         return;
     }
-    let num_features = set.vector_len();
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
-    let inv_comp_table = stats.inv_comparisons_table();
-    let inv_size_table = stats.inv_sizes_table();
+    let emit = |row: &[f64], slot: &mut [f64]| slot[0] = score(row);
 
-    // Worker scratch (scoreboard, chunk arena, feature row) is pooled across
-    // chunks and waves: at most `threads` chunk tasks run at once, so at
-    // most that many are ever built for the whole walk.
-    let scratch_pool: std::sync::Mutex<Vec<(CandidateBoard, ChunkArena, Vec<f64>)>> =
-        std::sync::Mutex::new(Vec::new());
-    let score_chunk = |chunk: er_blocking::ChunkSpec| {
+    // Worker scratch is pooled across chunks and waves: at most `threads`
+    // chunk tasks run at once, so at most that many are ever built for the
+    // whole walk.
+    let scratch_pool: std::sync::Mutex<Vec<ChunkScratch>> = std::sync::Mutex::new(Vec::new());
+    let scored_chunk = |chunk: ChunkSpec| {
         let pooled = scratch_pool.lock().expect("scratch pool poisoned").pop();
-        let (mut worker, mut arena, mut row) = pooled.unwrap_or_else(|| {
-            (
-                CandidateBoard::new(),
-                ChunkArena::new(),
-                vec![0.0f64; num_features],
-            )
-        });
-        stream.extract_chunk(chunk, &mut arena);
+        let mut scratch = pooled.unwrap_or_else(|| ChunkScratch::new(set));
         let mut probs = vec![0.0f64; chunk.len()];
-        let mut cursor = 0usize;
-        for (a, cands) in arena.runs() {
-            process_entity_run(
-                stats,
-                inv_comp_table,
-                inv_size_table,
-                context,
-                set,
-                a,
-                cands,
-                &mut worker,
-                &mut row,
-                &mut probs[cursor..cursor + cands.len()],
-                1,
-                &|_pair, row, slot| slot[0] = score(row),
-            );
-            cursor += cands.len();
-        }
-        worker.flush_metrics();
-        let pairs = arena.pairs().to_vec();
+        score_chunk(
+            context,
+            stream,
+            chunk,
+            set,
+            &mut scratch,
+            &mut probs,
+            1,
+            &emit,
+        );
+        let pairs = scratch.arena.pairs().to_vec();
         scratch_pool
             .lock()
             .expect("scratch pool poisoned")
-            .push((worker, arena, row));
+            .push(scratch);
         (pairs, probs)
     };
 
@@ -700,7 +600,7 @@ pub fn for_each_scored_chunk(
     for base in (0..chunks.len()).step_by(wave) {
         let hi = (base + wave).min(chunks.len());
         let wave_results = er_core::map_ranges_parallel(hi - base, threads, hi - base, |range| {
-            score_chunk(chunks[base + range.start])
+            scored_chunk(chunks[base + range.start])
         });
         for (pairs, probs) in &wave_results {
             consume(pairs, probs);
@@ -831,6 +731,7 @@ mod tests {
         let full = CandidatePairs::from_stats(&stats, 1);
         let mut kept: Vec<(EntityId, EntityId)> = full.pairs().iter().copied().step_by(2).collect();
         kept.push((EntityId(0), EntityId(1))); // both E1: board has no data
+        kept.push((EntityId(3), EntityId(4))); // both E2: a non-emitting run
         let subset = CandidatePairs::from_pairs(bc.num_entities, kept);
         let ctx = FeatureContext::new(&stats, &subset);
         let set = FeatureSet::all_schemes();
@@ -998,19 +899,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn column_means_average_rows() {
-        let bc = fixture();
-        let stats = BlockStats::from_csr(&bc);
-        let cands = CandidatePairs::from_stats(&stats, 1);
-        let ctx = FeatureContext::new(&stats, &cands);
-        let matrix = FeatureMatrix::build(&ctx, FeatureSet::blast_optimal());
-        let means = matrix.column_means();
-        assert_eq!(means.len(), 4);
-        let manual: f64 =
-            matrix.rows().map(|(_, row)| row[0]).sum::<f64>() / matrix.num_pairs() as f64;
-        assert!((means[0] - manual).abs() < 1e-12);
     }
 }

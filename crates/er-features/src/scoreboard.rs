@@ -1,5 +1,5 @@
-//! Partner-aggregation boards behind the fused entity-major feature pass and
-//! the streaming index.
+//! Partner-aggregation boards behind the fused chunk-driven scoring pass
+//! and the streaming index.
 //!
 //! The first scoreboard kept three dense `O(num_entities)` arrays
 //! per worker — `common` / `inv_comp` / `inv_size`, ~20 bytes per entity.
@@ -7,15 +7,15 @@
 //! random partner-indexed writes miss every cache level.  Two boards replace
 //! it, one per kind of caller:
 //!
-//! * **[`CandidateBoard`] — the batch board.**  The batch and streamed
-//!   scoring passes are handed each entity's sorted candidate run, so the
-//!   board is *aligned to that run*: a run-sized open-addressing table maps
+//! * **[`CandidateBoard`] — the batch board.**  The fused scoring pass is
+//!   handed each entity's sorted candidate run (or the slice of it a chunk
+//!   holds), so the board is *aligned to that run*: a run-sized open-addressing table maps
 //!   partner id → slot in the run, every contribution of the block walk is
 //!   added straight into the accumulators at that slot, and the rows are
 //!   emitted in run order, zeroing as they go.  Nothing is appended, sorted,
 //!   drained or merged, and scratch is `O(longest run the worker was
-//!   handed)` — 36 bytes per candidate.  It is the only engine the batch
-//!   passes run on; there is no run-length limit and no second path.
+//!   handed)` — 36 bytes per candidate.  It is the only engine the scoring
+//!   pass runs on; there is no run-length limit and no second path.
 //! * **[`RadixScoreboard`] — the discovery board.**  `er_stream`'s
 //!   `PartnerBoard` has no candidate list: it *discovers* an entity's
 //!   partners from the block walk.  It keeps the cache-blocked radix engine:

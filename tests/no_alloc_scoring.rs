@@ -1,8 +1,9 @@
 //! Regression guards for the candidate → score path doing each unit of work
-//! once: the probability kernel allocates nothing, a streamed scoring pass
-//! allocates per chunk and never per pair or per run, the candidate-aligned
-//! board allocates nothing once it has seen its longest run, and a chunked
-//! pipeline run derives each emitting entity's partner run exactly once.
+//! once: the probability kernel allocates nothing, a scoring pass — streamed
+//! or over the materialised index — allocates per chunk and never per pair
+//! or per run, the candidate-aligned board allocates nothing once it has
+//! seen its longest run, and a chunked pipeline run derives each emitting
+//! entity's partner run exactly once.
 //!
 //! The allocation counter is process-wide and the run counter lives in the
 //! process-wide er-obs registry, so the tests of this binary take turns;
@@ -13,7 +14,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gsmb::blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream};
+use gsmb::blocking::{
+    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream,
+    DEFAULT_CHUNK_PAIRS,
+};
 use gsmb::core::{Dataset, EntityId};
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::features::{
@@ -201,6 +205,37 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
         )
     });
     assert_eq!(scores.len(), candidates.len());
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {runs} runs in {chunks} chunks (budget {budget})"
+    );
+
+    // The probability pass over the materialised index runs the same chunk
+    // driver, over an index-backed stream of default-sized chunks: the same
+    // kind of budget, one allocation per chunk plus a constant (the stream's
+    // offset and LCP tables on top of the pass's own), again far below the
+    // number of runs.
+    let chunks = stream.chunks(DEFAULT_CHUNK_PAIRS).len() as u64;
+    let budget = 64 + chunks;
+    assert!(
+        runs >= 8 * budget,
+        "fixture too small: {runs} runs against a budget of {budget}"
+    );
+    let (scores, allocations) = allocations_during(|| {
+        FeatureMatrix::score_rows_with(&context, set, 2, &ScoreboardConfig::default(), |row| {
+            model.probability(row).clamp(0.0, 1.0)
+        })
+    });
+    let streamed = FeatureMatrix::score_stream_with(
+        &stream_context,
+        &stream,
+        set,
+        2,
+        &ScoreboardConfig::default(),
+        DEFAULT_CHUNK_PAIRS,
+        |row| model.probability(row).clamp(0.0, 1.0),
+    );
+    assert_eq!(scores, streamed);
     assert!(
         allocations <= budget,
         "{allocations} allocations for {runs} runs in {chunks} chunks (budget {budget})"
