@@ -54,7 +54,7 @@ use std::time::Instant;
 
 use bench::{banner, bench_repetitions, env_usize, peak_rss_json, report::Report};
 use er_blocking::{
-    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, ChunkArena,
+    standard_blocking_workflow_csr, CandidatePairs, CandidateStream, ChunkArena,
     DEFAULT_CHUNK_PAIRS,
 };
 use er_datasets::{generate_scalability, ScalabilityConfig};
@@ -100,9 +100,8 @@ fn main() {
         let gen_s = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let blocks = standard_blocking_workflow_csr(&dataset, threads);
+        let (_, stats) = standard_blocking_workflow_csr(&dataset, threads);
         let blocking_s = start.elapsed().as_secs_f64();
-        let stats = BlockStats::from_csr(&blocks);
         let rss_baseline = peak_rss_json();
 
         // --- Streamed phase (first, so the materialised index never

@@ -415,8 +415,7 @@ mod tests {
         // The recovered live view equals the incrementally maintained one,
         // and both equal the batch cleaned workflow of the survivors.
         let survivors = er_stream::surviving_dataset(&ds, &removed, &[]);
-        let cleaned_batch = er_blocking::standard_blocking_workflow_csr(&survivors, 2);
-        let stats = er_blocking::BlockStats::from_csr(&cleaned_batch);
+        let (_, stats) = er_blocking::standard_blocking_workflow_csr(&survivors, 2);
         let batch_pairs = er_blocking::CandidatePairs::from_stats(&stats, 2);
         let mut recovered = durable.into_inner();
         assert_eq!(

@@ -493,7 +493,7 @@ impl LiveView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, TokenKeys};
+    use er_blocking::{standard_blocking_workflow_csr, CandidatePairs, TokenKeys};
     use er_core::{Dataset, FxHashSet};
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
     use er_features::FeatureSet;
@@ -501,11 +501,10 @@ mod tests {
 
     /// The batch pipeline's post-cleaning candidate set for a dataset.
     fn cleaned_batch_candidates(dataset: &Dataset) -> Vec<(EntityId, EntityId)> {
-        let cleaned = standard_blocking_workflow_csr(dataset, 2);
+        let (cleaned, stats) = standard_blocking_workflow_csr(dataset, 2);
         if cleaned.is_empty() {
             return Vec::new();
         }
-        let stats = BlockStats::from_csr(&cleaned);
         CandidatePairs::from_stats(&stats, 2).pairs().to_vec()
     }
 

@@ -3,8 +3,12 @@
 //! Given a dataset, the pipeline performs the exact workflow of the paper's
 //! evaluation:
 //!
-//! 1. blocking: Token Blocking → Block Purging → Block Filtering;
-//! 2. candidate extraction and block statistics ([`prepare`]);
+//! 1. blocking: Token Blocking → Block Purging → Block Filtering, with the
+//!    block statistics ([`standard_blocking_workflow_csr`]).  Purging,
+//!    filtering and the statistics run over one entity → block adjacency,
+//!    built once, so the collection and its [`BlockStats`] come out
+//!    together;
+//! 2. candidate extraction ([`prepare`], which takes the statistics);
 //! 3. feature generation for the chosen [`FeatureSet`];
 //! 4. balanced undersampling of labelled pairs and classifier training
 //!    ([`train`]);
@@ -25,10 +29,10 @@
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
 //! [`FeatureMatrix::score_rows_with`], which streams each pair's fused
-//! feature row straight into the classifier.  The `features` timing
-//! therefore covers index construction (block statistics, candidate CSR,
-//! per-entity tables) and `scoring` covers the fused feature + probability
-//! pass.
+//! feature row straight into the classifier.  The `blocking` timing
+//! therefore covers the block statistics too, `features` covers index
+//! construction (candidate CSR, per-entity tables) and `scoring` covers the
+//! fused feature + probability pass.
 //!
 //! Each entity's partner run is derived **once** per run: the candidate
 //! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
@@ -159,10 +163,12 @@ impl MetaBlockingConfig {
 /// Wall-clock breakdown of one pipeline run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Blocking workflow (not part of the paper's `RT`, reported separately).
+    /// Blocking workflow, up to and including the block statistics, which
+    /// its entity-side tail builds (not part of the paper's `RT`, reported
+    /// separately).
     pub blocking: Duration,
-    /// Feature-index construction: block statistics, candidate extraction
-    /// and the per-entity aggregate tables.
+    /// Feature-index construction: candidate extraction and the per-entity
+    /// aggregate tables.
     pub features: Duration,
     /// Training-set assembly and classifier training.
     pub training: Duration,
@@ -229,17 +235,18 @@ impl MetaBlockingPipeline {
     /// Runs the full workflow on a dataset.
     ///
     /// Blocking runs through the parallel CSR engine
-    /// ([`standard_blocking_workflow_csr`]); the [`prepare`] and [`train`]
+    /// ([`standard_blocking_workflow_csr`]), which returns the cleaned
+    /// collection with its statistics; the [`prepare`] and [`train`]
     /// stages, the scoring pass and the pruning thresholds are all derived
     /// from its output.
     pub fn run(&self, dataset: &Dataset, algorithm: AlgorithmKind) -> Result<MetaBlockingOutcome> {
         let threads = self.config.effective_threads();
         let start = Instant::now();
-        let csr = standard_blocking_workflow_csr(dataset, threads);
+        let (csr, stats) = standard_blocking_workflow_csr(dataset, threads);
         let blocking_time = start.elapsed();
 
         let feature_start = Instant::now();
-        let (stats, candidates) = prepare(&csr, threads)?;
+        let (stats, candidates) = prepare(&csr, stats, threads)?;
         let set = self.config.feature_set;
         let context = FeatureContext::new(&stats, &candidates);
         let feature_time = feature_start.elapsed();
@@ -307,7 +314,11 @@ impl MetaBlockingPipeline {
 }
 
 /// The **prepare** stage of the batch workflow: a (raw or cleaned) block
-/// collection → its [`BlockStats`] and distinct [`CandidatePairs`].
+/// collection and its [`BlockStats`] → the statistics and the distinct
+/// [`CandidatePairs`].  The statistics come with the collection —
+/// [`standard_blocking_workflow_csr`] returns both, and a collection from
+/// elsewhere goes through [`BlockStats::from_csr`] — so no caller builds
+/// them twice.
 ///
 /// The batch pipeline, the streaming bootstrap and the experiment harness
 /// all enter the workflow here, so this is the one place an input that
@@ -315,6 +326,7 @@ impl MetaBlockingPipeline {
 /// whose blocks yield no comparable pair, is [`er_core::Error::EmptyInput`].
 pub fn prepare(
     blocks: &CsrBlockCollection,
+    stats: BlockStats,
     threads: usize,
 ) -> Result<(BlockStats, CandidatePairs)> {
     if blocks.is_empty() {
@@ -323,7 +335,6 @@ pub fn prepare(
             blocks.dataset_name
         )));
     }
-    let stats = BlockStats::from_csr(blocks);
     let candidates = CandidatePairs::try_from_stats(&stats, threads)?;
     if candidates.is_empty() {
         return Err(er_core::Error::EmptyInput(format!(
@@ -496,7 +507,7 @@ mod tests {
             4,
             std::iter::empty::<(&str, Vec<EntityId>)>(),
         );
-        let err = prepare(&empty, 2).unwrap_err();
+        let err = prepare(&empty, BlockStats::from_csr(&empty), 2).unwrap_err();
         assert!(
             err.to_string().contains("empty produced no blocks"),
             "{err}"
@@ -510,12 +521,49 @@ mod tests {
             4,
             [("k", vec![EntityId(0), EntityId(1)])],
         );
-        let err = prepare(&one_sided, 2).unwrap_err();
+        let err = prepare(&one_sided, BlockStats::from_csr(&one_sided), 2).unwrap_err();
         assert!(
             err.to_string()
                 .contains("one-sided produced no candidate pairs"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn all_purged_corpus_is_empty_input_not_a_panic() {
+        use er_core::{EntityCollection, EntityProfile, GroundTruth};
+        // Every profile carries the shared token: its block holds every
+        // entity and is purged; the unique tokens make singleton blocks,
+        // which yield no comparison.  Nothing survives the tail.
+        let profiles = (0..64)
+            .map(|i| {
+                EntityProfile::new(format!("e{i}")).with_attribute("v", format!("shared u{i}"))
+            })
+            .collect();
+        let dataset = Dataset::dirty(
+            "all-purged",
+            EntityCollection::new("d", profiles),
+            GroundTruth::default(),
+        )
+        .unwrap();
+        for threads in [1, 2] {
+            let (blocks, stats) = standard_blocking_workflow_csr(&dataset, threads);
+            assert!(blocks.is_empty());
+            assert_eq!(stats.num_blocks(), 0);
+            assert_eq!(stats.num_entities(), 64);
+            let config = MetaBlockingConfig {
+                threads: Some(threads),
+                ..config(25)
+            };
+            let Err(err) = MetaBlockingPipeline::new(config).run(&dataset, AlgorithmKind::Blast)
+            else {
+                panic!("an all-purged corpus must be refused");
+            };
+            assert!(
+                matches!(err, er_core::Error::EmptyInput(ref m) if m.contains("all-purged produced no blocks")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! space is append-only, so later arrivals belong to E2); any prefix works
 //! for Dirty ER.
 
-use er_blocking::{build_blocks, CandidateStream, CsrBlockCollection, TokenKeys};
+use er_blocking::{build_blocks, BlockStats, CandidateStream, CsrBlockCollection, TokenKeys};
 use er_core::{Dataset, EntityId, EntityProfile, FxHashMap, Result};
 use er_features::{for_each_scored_chunk, FeatureContext, StreamFeatureContext};
 use er_learn::ProbabilisticClassifier;
@@ -79,7 +79,8 @@ impl StreamingPipeline {
         // Raw Token Blocking: the streaming index keeps every block, so the
         // model is trained on the raw candidates it will score.
         let csr = build_blocks(seed_corpus, &TokenKeys, threads);
-        let (stats, candidates) = prepare(&csr, threads)?;
+        let stats = BlockStats::from_csr(&csr);
+        let (stats, candidates) = prepare(&csr, stats, threads)?;
         let context = FeatureContext::new(&stats, &candidates);
         let model = train(config, &context, &seed_corpus.ground_truth)?;
 
@@ -280,7 +281,7 @@ impl StreamingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::{BlockStats, CandidatePairs};
+    use er_blocking::CandidatePairs;
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
     use er_stream::dataset_prefix;
 
@@ -399,8 +400,7 @@ mod tests {
         assert_eq!(drained, expected);
 
         let survivors = er_stream::surviving_dataset(&ds, &removed, &[]);
-        let cleaned_batch = er_blocking::standard_blocking_workflow_csr(&survivors, 2);
-        let stats = BlockStats::from_csr(&cleaned_batch);
+        let (_, stats) = er_blocking::standard_blocking_workflow_csr(&survivors, 2);
         let batch_pairs = CandidatePairs::from_stats(&stats, 2);
         assert_eq!(expected.as_slice(), batch_pairs.pairs());
     }

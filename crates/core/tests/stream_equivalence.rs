@@ -30,8 +30,7 @@ fn feature_sets() -> [FeatureSet; 3] {
 /// generated catalog corpus — realistic block-size skew.
 fn clean_clean_stats() -> BlockStats {
     let dataset = generate_catalog_dataset(DatasetName::DblpAcm, &CatalogOptions::tiny()).unwrap();
-    let csr = standard_blocking_workflow_csr(&dataset, 2);
-    BlockStats::from_csr(&csr)
+    standard_blocking_workflow_csr(&dataset, 2).1
 }
 
 /// A hand-built Dirty fixture with overlapping blocks and one high-degree

@@ -28,11 +28,16 @@
 //!    over the generator's size cap or without a comparison are dropped
 //!    right there.
 //! 3. **Order.** Only the surviving keys are sorted lexicographically, on a
-//!    cached big-endian 8-byte prefix that falls back to the key bytes on
-//!    ties — the kernel behind [`sorted_key_order`].
+//!    cached 16-byte prefix held as two big-endian words (24-byte sort
+//!    entries) that falls back to the key bytes only when both words tie —
+//!    the kernel behind [`sorted_key_order`].  Distinct keys of at most 16
+//!    bytes without a NUL never tie, so token keys such as `tok` plus six
+//!    digits, which mostly tie on an 8-byte prefix, never load key bytes.
 //! 4. **Assemble.** Survivor keys and entity lists are gathered into the
 //!    final CSR arrays in sorted order; contiguous block-id ranges own
-//!    contiguous output ranges, so the gather is chunked over the workers.
+//!    contiguous output ranges, so both the offset tables and the gather
+//!    are chunked over the workers (each measures its chunk, the calling
+//!    thread only adds up one total per chunk).
 //!
 //! Transient memory is proportional to the emitted keys (one 16-byte record
 //! plus the key bytes each) and is released before the survivor sort.
@@ -53,7 +58,12 @@ use std::sync::Arc;
 use er_core::fxhash::{hash_bytes, high_bits};
 use er_core::{Dataset, DatasetKind, EntityId, EntityProfile};
 
-use crate::csr::{slice_cardinalities, CsrBlockCollection, KeyStore};
+use crate::csr::{
+    checked_u32, slice_cardinalities, CsrBlockCollection, KeyStore, ENTITY_ARENA_LIMIT,
+};
+
+/// The key text limit every block key offset table is checked against.
+const KEY_TEXT_LIMIT: &str = "block key text limit (4 GiB of key text)";
 
 /// Keys are partitioned by the top `PARTITION_BITS` bits of their hash.  128
 /// partitions keep one partition's table and key arena cache-resident at
@@ -522,45 +532,57 @@ impl PartitionScratch {
     }
 }
 
-/// The first eight bytes of a key as a big-endian integer, zero-padded:
-/// comparing two prefixes agrees with comparing the keys whenever the
-/// prefixes differ.
+/// The first sixteen bytes of a key as two big-endian words, zero-padded:
+/// comparing two prefixes (first word, then second) agrees with comparing
+/// the keys whenever the prefixes differ.  Two `u64`s rather than one
+/// `u128` keep a sort entry at 24 bytes (a `u128` is 16-byte aligned and
+/// would pad it to 32).
 #[inline]
-fn key_prefix(key: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = key.len().min(8);
+fn key_prefix(key: &[u8]) -> (u64, u64) {
+    let mut buf = [0u8; 16];
+    let n = key.len().min(16);
     buf[..n].copy_from_slice(&key[..n]);
-    u64::from_be_bytes(buf)
+    let (high, low) = buf.split_at(8);
+    (
+        u64::from_be_bytes(high.try_into().expect("8 bytes")),
+        u64::from_be_bytes(low.try_into().expect("8 bytes")),
+    )
 }
 
+/// One sort entry: the key's cached 16-byte prefix and its index.
+type SortEntry = ((u64, u64), u32);
+
 /// Returns `0..n` ordered by `key(i)` ascending (bytewise, i.e. `str` order
-/// for UTF-8).  Sort entries carry the key's 8-byte prefix, so comparisons
-/// touch the key bytes only on prefix ties.
+/// for UTF-8).  Sort entries carry the key's 16-byte prefix, so comparisons
+/// touch the key bytes only when both prefix words tie.
 ///
 /// With more than one worker the index range is split into contiguous
-/// chunks, each chunk is sorted on its own worker, and the sorted runs are
-/// folded by a k-way merge on the calling thread.
+/// chunks of one entry buffer, allocated here (so no worker's malloc arena
+/// retains it); each chunk is filled and sorted in place on its own worker,
+/// and the sorted runs are folded by a k-way merge on the calling thread.
 fn order_by_key<'k>(n: usize, key: impl Fn(u32) -> &'k [u8] + Sync, threads: usize) -> Vec<u32> {
-    let compare =
-        |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1)));
-    let sorted_run = |range: Range<usize>| {
-        let mut run: Vec<(u64, u32)> = (range.start as u32..range.end as u32)
-            .map(|i| (key_prefix(key(i)), i))
-            .collect();
-        run.sort_unstable_by(compare);
-        run
-    };
+    let compare = |a: &SortEntry, b: &SortEntry| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1)));
     // Below ~64k keys the chunk sorts finish faster than the threads spawn.
-    if threads <= 1 || n < 65_536 {
-        return sorted_run(0..n).into_iter().map(|(_, i)| i).collect();
+    let workers = if n < 65_536 { 1 } else { threads.max(1) };
+    let chunk = n.div_ceil(workers).max(1);
+    let mut entries: Vec<SortEntry> = vec![((0, 0), 0); n];
+    let tasks = entries.chunks_mut(chunk).enumerate().collect();
+    er_core::map_tasks_parallel(tasks, workers, |(c, run): (usize, &mut [SortEntry])| {
+        for (i, entry) in (c * chunk..).zip(run.iter_mut()) {
+            *entry = (key_prefix(key(i as u32)), i as u32);
+        }
+        run.sort_unstable_by(compare);
+    });
+    let runs: Vec<&[SortEntry]> = entries.chunks(chunk).collect();
+    if runs.len() <= 1 {
+        return entries.iter().map(|&(_, i)| i).collect();
     }
-    let runs: Vec<Vec<(u64, u32)>> = er_core::map_ranges_parallel(n, threads, threads, sorted_run);
     // K-way merge of the sorted runs; k is the worker count (≤ 8), so a
     // linear scan over the run heads beats a heap.
     let mut cursors = vec![0usize; runs.len()];
     let mut order = Vec::with_capacity(n);
     loop {
-        let mut best: Option<(usize, &(u64, u32))> = None;
+        let mut best: Option<(usize, &SortEntry)> = None;
         for (r, run) in runs.iter().enumerate() {
             if let Some(head) = run.get(cursors[r]) {
                 if best.is_none_or(|(_, b)| compare(head, b).is_lt()) {
@@ -579,7 +601,8 @@ fn order_by_key<'k>(n: usize, key: impl Fn(u32) -> &'k [u8] + Sync, threads: usi
 /// deterministic block-id assignment shared by the batch builder (phase 3
 /// below) and the `er-stream` per-epoch compaction.
 ///
-/// Keys are compared on a cached 8-byte prefix first; with more than one
+/// Keys are compared on a cached 16-byte prefix (two big-endian words)
+/// first and on their bytes only when both words tie; with more than one
 /// worker, chunks are sorted in parallel and merged.  Interned keys are
 /// distinct, so comparisons never tie and the resulting order — hence every
 /// block id downstream — is identical for any thread count.
@@ -591,9 +614,31 @@ pub fn sorted_key_order<K: AsRef<str> + Sync>(keys: &[K], threads: usize) -> Vec
     )
 }
 
-/// Phase 4 for one contiguous range of final block ids: copies the keys and
-/// entity lists of `order`'s survivors, in order, into the output ranges
-/// those ids own.
+/// Phase 4, first half, for one contiguous range of final block ids: writes
+/// the range-relative key and entity end offsets and the first-source counts
+/// of `order`'s survivors, and returns the range's key bytes and postings.
+fn measure<'s>(
+    order: &[u32],
+    survivor: impl Fn(u32) -> (&'s Survivors, usize),
+    key_ends: &mut [u32],
+    entity_ends: &mut [u32],
+    first_counts: &mut [u32],
+) -> (usize, usize) {
+    let (mut key_end, mut entity_end) = (0usize, 0usize);
+    for (j, &s) in order.iter().enumerate() {
+        let (group, i) = survivor(s);
+        key_end += group.keys.get(i).len();
+        entity_end += group.entities(i).len();
+        key_ends[j] = checked_u32(key_end, KEY_TEXT_LIMIT);
+        entity_ends[j] = checked_u32(entity_end, ENTITY_ARENA_LIMIT);
+        first_counts[j] = group.first_counts[i];
+    }
+    (key_end, entity_end)
+}
+
+/// Phase 4, second half, for one contiguous range of final block ids:
+/// copies the keys and entity lists of `order`'s survivors, in order, into
+/// the output ranges those ids own.
 fn gather<'s>(
     order: &[u32],
     survivor: impl Fn(u32) -> (&'s Survivors, usize),
@@ -678,44 +723,62 @@ pub fn build_blocks<G: KeyGenerator + ?Sized>(
     drop(keys);
     timer.observe();
 
-    // Phase 4: assemble.  The offset tables are a sequential scan; the
-    // copies are chunked over the workers, each chunk of consecutive block
-    // ids writing the contiguous output ranges it owns.
+    // Phase 4: assemble.  One chunk of consecutive block ids per worker,
+    // owning contiguous output ranges.  The workers measure their chunks
+    // (relative offsets, first-source counts) in place; the calling thread
+    // adds up one total per chunk and allocates the arrays; the workers
+    // rebase their offsets and copy keys and entity lists.  Every buffer
+    // is allocated on the calling thread, so no worker's malloc arena
+    // retains it.
     let timer = o.assemble_ns.start_timer();
-    let mut key_offsets = Vec::with_capacity(num_blocks + 1);
-    let mut entity_offsets = Vec::with_capacity(num_blocks + 1);
-    let mut first_counts = Vec::with_capacity(num_blocks);
-    key_offsets.push(0u32);
-    entity_offsets.push(0u32);
-    let (mut key_end, mut entity_end) = (0u32, 0u32);
-    for &s in &order {
-        let (group, i) = survivor(s);
-        key_end += group.keys.get(i).len() as u32;
-        key_offsets.push(key_end);
-        entity_end += group.entities(i).len() as u32;
-        entity_offsets.push(entity_end);
-        first_counts.push(group.first_counts[i]);
-    }
-    let mut text = vec![0u8; key_end as usize];
-    let mut entities = vec![EntityId(0); entity_end as usize];
     let chunk = num_blocks.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let (mut text_rest, mut entities_rest) = (&mut text[..], &mut entities[..]);
-        for (c, ids) in order.chunks(chunk).enumerate() {
-            let (lo, hi) = (c * chunk, c * chunk + ids.len());
-            let (text_chunk, rest) = std::mem::take(&mut text_rest)
-                .split_at_mut((key_offsets[hi] - key_offsets[lo]) as usize);
-            text_rest = rest;
-            let (entities_chunk, rest) = std::mem::take(&mut entities_rest)
-                .split_at_mut((entity_offsets[hi] - entity_offsets[lo]) as usize);
-            entities_rest = rest;
-            if threads == 1 {
-                gather(ids, survivor, text_chunk, entities_chunk);
-            } else {
-                scope.spawn(move || gather(ids, survivor, text_chunk, entities_chunk));
-            }
-        }
-    });
+    let mut key_offsets = vec![0u32; num_blocks + 1];
+    let mut entity_offsets = vec![0u32; num_blocks + 1];
+    let mut first_counts = vec![0u32; num_blocks];
+    let tasks: Vec<_> = order
+        .chunks(chunk)
+        .zip(key_offsets[1..].chunks_mut(chunk))
+        .zip(entity_offsets[1..].chunks_mut(chunk))
+        .zip(first_counts.chunks_mut(chunk))
+        .collect();
+    let totals = er_core::map_tasks_parallel(
+        tasks,
+        threads,
+        |(((ids, key_ends), entity_ends), firsts)| {
+            measure(ids, survivor, key_ends, entity_ends, firsts)
+        },
+    );
+    let key_total = totals.iter().map(|&(k, _)| k).sum();
+    let entity_total = totals.iter().map(|&(_, e)| e).sum();
+    checked_u32(key_total, KEY_TEXT_LIMIT);
+    checked_u32(entity_total, ENTITY_ARENA_LIMIT);
+    let mut text = vec![0u8; key_total];
+    let mut entities = vec![EntityId(0); entity_total];
+    let text_chunks = er_core::split_lengths_mut(&mut text, totals.iter().map(|&(k, _)| k));
+    let entity_chunks = er_core::split_lengths_mut(&mut entities, totals.iter().map(|&(_, e)| e));
+    let bases = totals
+        .iter()
+        .scan((0u32, 0u32), |(key_base, entity_base), &(k, e)| {
+            let bases = (*key_base, *entity_base);
+            (*key_base, *entity_base) = (*key_base + k as u32, *entity_base + e as u32);
+            Some(bases)
+        });
+    let tasks: Vec<_> = order
+        .chunks(chunk)
+        .zip(key_offsets[1..].chunks_mut(chunk))
+        .zip(entity_offsets[1..].chunks_mut(chunk))
+        .zip(bases)
+        .zip(text_chunks.into_iter().zip(entity_chunks))
+        .collect();
+    er_core::map_tasks_parallel(
+        tasks,
+        threads,
+        |((((ids, key_ends), entity_ends), (key_base, entity_base)), (text, entities))| {
+            key_ends.iter_mut().for_each(|end| *end += key_base);
+            entity_ends.iter_mut().for_each(|end| *end += entity_base);
+            gather(ids, survivor, text, entities);
+        },
+    );
     let keys = KeyStore {
         text: String::from_utf8(text).expect("concatenated `&str` keys are valid UTF-8"),
         offsets: key_offsets,
@@ -821,10 +884,10 @@ mod tests {
     fn sorted_key_order_matches_sequential_sort_for_any_thread_count() {
         // Enough keys to cross the parallel threshold, with a shuffled,
         // collision-ish distribution (shared prefixes, varied lengths), plus
-        // the cases the cached 8-byte prefix cannot decide alone: keys that
-        // agree on their first 8+ bytes, keys that are strict prefixes of one
-        // another on either side of the 8-byte boundary, and keys containing
-        // the NUL byte the prefix is padded with.
+        // the cases a cached prefix cannot decide alone: keys that agree on
+        // their first 8+ or 16+ bytes, keys that are strict prefixes of one
+        // another on either side of the 8- and 16-byte boundaries, and keys
+        // containing the NUL byte the prefix is padded with.
         let mut keys: Vec<String> = (0..70_000u32)
             .map(|i| format!("k{:x}-{}", i.wrapping_mul(2654435761) % 4096, i))
             .collect();
@@ -836,6 +899,41 @@ mod tests {
             keys.push("abcdefghijklmnopqrst"[..len].to_string());
         }
         keys.extend(["ab\0", "ab\0\0c", "abcdefgh\0", "", "é", "éa"].map(String::from));
+        // Agreeing on 16+ bytes: both prefix words tie, the key bytes decide.
+        let sixteen = "0123456789abcdef";
+        for i in 0..200u32 {
+            keys.push(format!("{sixteen}{}", i.wrapping_mul(7919) % 200));
+            keys.push(format!(
+                "{sixteen}-shared-tail-{}",
+                i.wrapping_mul(31) % 200
+            ));
+        }
+        // Strict prefixes at 15, 16 and 17 bytes, and NULs at bytes 15 and
+        // 16 (a NUL pads exactly like the end of a shorter key).
+        for len in [15, 16, 17] {
+            keys.push(format!("{sixteen}g")[..len].to_string());
+            keys.push(format!("{}!", &format!("{sixteen}g")[..len]));
+        }
+        keys.extend(
+            [
+                "0123456789abcde\0",
+                "0123456789abcde\0x",
+                "0123456789abcde\0\0",
+                "0123456789abcdef\0",
+                "0123456789abcdef\0x",
+                "0123456789abcdef\0\0",
+            ]
+            .map(String::from),
+        );
+        // The token-key shape: `tok` plus six digits, in shuffled order —
+        // most pairs tie on 8 bytes, none on 16.
+        for i in 0..5_000u32 {
+            keys.push(format!("tok{:06}", i.wrapping_mul(2654435761) % 1_000_000));
+        }
+        // Interned keys are distinct; shuffle them deterministically.
+        keys.sort_unstable();
+        keys.dedup();
+        keys.sort_by_key(|k| hash_bytes(k.as_bytes()));
         let expected = {
             let mut order: Vec<u32> = (0..keys.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));

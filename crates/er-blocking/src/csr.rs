@@ -58,6 +58,134 @@ fn limit_exceeded(value: usize, limit: &'static str) -> ! {
     panic!("{limit} exceeded: {value} does not fit a u32")
 }
 
+/// The offset table of consecutive runs of the given lengths: `0`, then
+/// every running sum, so run `i` spans `offsets[i]..offsets[i + 1]`.
+///
+/// Every `u32` offset table of the blocking layer is summed here, so a
+/// total past `u32::MAX` panics with a message naming `limit` instead of
+/// wrapping into offsets that hand out the wrong entries.
+pub(crate) fn prefix_offsets(
+    lengths: impl IntoIterator<Item = usize>,
+    limit: &'static str,
+) -> Vec<u32> {
+    let lengths = lengths.into_iter();
+    let mut offsets = Vec::with_capacity(lengths.size_hint().0 + 1);
+    offsets.push(0);
+    let mut end = 0usize;
+    for len in lengths {
+        end += len;
+        offsets.push(checked_u32(end, limit));
+    }
+    offsets
+}
+
+/// The entity arena limit every block → entity offset table is checked
+/// against.
+pub(crate) const ENTITY_ARENA_LIMIT: &str = "block entity arena limit (2^32 postings)";
+
+/// Transposes a CSR: `row(r)` lists the columns of row `r` (ascending rows
+/// are visited in order), and the result lists, per column, its rows —
+/// column `c`'s ascending rows are `items[offsets[c]..offsets[c + 1]]`.
+/// Rows failing `keep` are left out.  This is the block → entity
+/// transposition of [`crate::BlockStats::from_csr`] and of the filtering
+/// tail's adjacency.
+///
+/// Each of up to `workers` parts transposes a contiguous range of rows
+/// into a CSR of its own (a counting pass and a scatter); with more than
+/// one part, every column's runs are then appended in part order, over
+/// column ranges that own contiguous output slots.  All buffers are
+/// allocated on the calling thread, so no worker's malloc arena retains
+/// them.
+pub(crate) fn transpose<'a, I: Sync + 'a, O: From<usize> + Copy + Send + Sync>(
+    rows: usize,
+    row: impl Fn(usize) -> &'a [I] + Sync,
+    keep: impl Fn(usize) -> bool + Sync,
+    columns: usize,
+    column: impl Fn(&I) -> usize + Sync,
+    workers: usize,
+) -> (Vec<u32>, Vec<O>) {
+    let parts = workers.clamp(1, rows.max(1));
+    let chunk = rows.div_ceil(parts).max(1);
+    let kept = |p: usize| ((p * chunk).min(rows)..((p + 1) * chunk).min(rows)).filter(|&r| keep(r));
+    let width = columns.max(1);
+
+    // Part `p`'s degrees, then cursors, then run ends, are
+    // `cursors[p * columns..][..columns]`.
+    let mut cursors = vec![0u32; parts * columns];
+    let tasks = cursors.chunks_mut(width).enumerate().collect();
+    er_core::map_tasks_parallel(tasks, workers, |(p, degrees)| {
+        for r in kept(p) {
+            for item in row(r) {
+                degrees[column(item)] += 1;
+            }
+        }
+    });
+    let degree =
+        |c: usize| -> usize { (0..parts).map(|p| cursors[p * columns + c] as usize).sum() };
+    let offsets = prefix_offsets((0..columns).map(degree), ENTITY_ARENA_LIMIT);
+    let mut part_lens = Vec::with_capacity(parts);
+    for degrees in cursors.chunks_mut(width) {
+        let mut end = 0;
+        for slot in degrees {
+            (*slot, end) = (end, end + *slot);
+        }
+        part_lens.push(end as usize);
+    }
+
+    let mut part_items = vec![O::from(0); offsets[columns] as usize];
+    let slots = er_core::split_lengths_mut(&mut part_items, part_lens.iter().copied());
+    let tasks = cursors.chunks_mut(width).zip(slots).enumerate().collect();
+    er_core::map_tasks_parallel(tasks, workers, |(p, (cursors, slots))| {
+        for r in kept(p) {
+            let id = O::from(r);
+            for item in row(r) {
+                let cursor = &mut cursors[column(item)];
+                slots[*cursor as usize] = id;
+                *cursor += 1;
+            }
+        }
+    });
+    if parts == 1 {
+        return (offsets, part_items);
+    }
+
+    // Each part's cursors now sit at the ends of its column runs.
+    let mut part_slices = Vec::with_capacity(parts);
+    let mut rest = &part_items[..];
+    for &len in &part_lens {
+        let (slots, tail) = rest.split_at(len);
+        part_slices.push(slots);
+        rest = tail;
+    }
+    let run = |p: usize, c: usize| {
+        let ends = &cursors[p * columns..];
+        let start = if c == 0 { 0 } else { ends[c - 1] as usize };
+        &part_slices[p][start..ends[c] as usize]
+    };
+    let mut items = vec![O::from(0); part_items.len()];
+    let column_chunk = columns.div_ceil(workers).max(1);
+    let ranges: Vec<_> = (0..columns)
+        .step_by(column_chunk)
+        .map(|start| start..(start + column_chunk).min(columns))
+        .collect();
+    let lens = ranges
+        .iter()
+        .map(|r| (offsets[r.end] - offsets[r.start]) as usize);
+    let slots = er_core::split_lengths_mut(&mut items, lens);
+    let tasks = ranges.into_iter().zip(slots).collect();
+    er_core::map_tasks_parallel(tasks, workers, |(range, slots)| {
+        let mut end = 0;
+        for c in range {
+            for p in 0..parts {
+                let run = run(p, c);
+                slots[end..end + run.len()].copy_from_slice(run);
+                end += run.len();
+            }
+        }
+    });
+    (offsets, items)
+}
+
 /// An append-only arena of interned block keys: all key bytes concatenated in
 /// one `String` plus an offset table.
 ///
@@ -264,17 +392,12 @@ impl CsrBlockCollection {
     /// preserving order.  The key arena is shared, so no key string is cloned
     /// no matter how many blocks survive.
     pub fn retain(&self, mut keep: impl FnMut(usize) -> bool) -> CsrBlockCollection {
-        let mut key_ids = Vec::new();
-        let mut entity_offsets = vec![0u32];
-        let mut entities = Vec::new();
-        let mut first_counts = Vec::new();
-        for b in 0..self.num_blocks() {
-            if keep(b) {
-                key_ids.push(self.key_ids[b]);
-                entities.extend_from_slice(self.entities(b));
-                entity_offsets.push(entities.len() as u32);
-                first_counts.push(self.first_counts[b]);
-            }
+        let kept: Vec<usize> = (0..self.num_blocks()).filter(|&b| keep(b)).collect();
+        let entity_offsets =
+            prefix_offsets(kept.iter().map(|&b| self.block_size(b)), ENTITY_ARENA_LIMIT);
+        let mut entities = Vec::with_capacity(entity_offsets[kept.len()] as usize);
+        for &b in &kept {
+            entities.extend_from_slice(self.entities(b));
         }
         CsrBlockCollection {
             dataset_name: self.dataset_name.clone(),
@@ -282,52 +405,10 @@ impl CsrBlockCollection {
             split: self.split,
             num_entities: self.num_entities,
             keys: Arc::clone(&self.keys),
-            key_ids,
+            key_ids: kept.iter().map(|&b| self.key_ids[b]).collect(),
             entity_offsets,
             entities,
-            first_counts,
-        }
-    }
-
-    /// Rebuilds the collection keeping, per block, only the entities
-    /// satisfying `keep_assignment(entity, block)`; blocks that stop producing
-    /// comparisons are dropped.  Shares the key arena (no string clones).
-    pub fn retain_assignments(
-        &self,
-        mut keep_assignment: impl FnMut(EntityId, usize) -> bool,
-    ) -> CsrBlockCollection {
-        let mut key_ids = Vec::new();
-        let mut entity_offsets = vec![0u32];
-        let mut entities: Vec<EntityId> = Vec::new();
-        let mut first_counts = Vec::new();
-        for b in 0..self.num_blocks() {
-            let start = entities.len();
-            entities.extend(
-                self.entities(b)
-                    .iter()
-                    .copied()
-                    .filter(|&e| keep_assignment(e, b)),
-            );
-            let (first, comparisons) =
-                slice_cardinalities(&entities[start..], self.kind, self.split);
-            if comparisons > 0 {
-                key_ids.push(self.key_ids[b]);
-                entity_offsets.push(entities.len() as u32);
-                first_counts.push(first);
-            } else {
-                entities.truncate(start);
-            }
-        }
-        CsrBlockCollection {
-            dataset_name: self.dataset_name.clone(),
-            kind: self.kind,
-            split: self.split,
-            num_entities: self.num_entities,
-            keys: Arc::clone(&self.keys),
-            key_ids,
-            entity_offsets,
-            entities,
-            first_counts,
+            first_counts: kept.iter().map(|&b| self.first_counts[b]).collect(),
         }
     }
 
@@ -361,7 +442,7 @@ impl CsrBlockCollection {
             key_ids.push(keys.push(key.as_ref()));
             first_counts.push(slice_cardinalities(&list, kind, split).0);
             entities.extend_from_slice(&list);
-            entity_offsets.push(checked_u32(entities.len(), "block entity arena limit"));
+            entity_offsets.push(checked_u32(entities.len(), ENTITY_ARENA_LIMIT));
         }
         CsrBlockCollection::from_raw(
             dataset_name.into(),
@@ -388,6 +469,7 @@ impl CsrBlockCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::BlockId;
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
@@ -567,16 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_assignments_drops_useless_blocks() {
-        let csr = sample();
-        // Remove every E2 entity from "phone": it stops producing comparisons.
-        let rebuilt = csr.retain_assignments(|e, b| !(b == 1 && e.index() >= 2));
-        let keys: Vec<&str> = (0..rebuilt.num_blocks()).map(|b| rebuilt.key(b)).collect();
-        assert_eq!(keys, vec!["apple", "samsung"]);
-        assert!(Arc::ptr_eq(csr.key_store(), rebuilt.key_store()));
-    }
-
-    #[test]
     fn key_store_push_and_get() {
         let mut store = KeyStore::default();
         let a = store.push("alpha");
@@ -590,6 +662,36 @@ mod tests {
     fn checked_u32_accepts_the_largest_u32() {
         assert_eq!(checked_u32(u32::MAX as usize, "test limit"), u32::MAX);
         assert_eq!(checked_u32(0, "test limit"), 0);
+    }
+
+    #[test]
+    fn prefix_offsets_sums_lengths_up_to_the_largest_u32() {
+        assert_eq!(prefix_offsets([], "test limit"), vec![0]);
+        assert_eq!(prefix_offsets([2, 0, 3], "test limit"), vec![0, 2, 2, 5]);
+        assert_eq!(
+            prefix_offsets([u32::MAX as usize - 1, 1], "test limit"),
+            vec![0, u32::MAX - 1, u32::MAX]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "test limit exceeded: 4294967296 does not fit a u32")]
+    fn prefix_offsets_panics_instead_of_wrapping() {
+        prefix_offsets([u32::MAX as usize, 1], "test limit");
+    }
+
+    #[test]
+    fn transpose_lists_the_kept_rows_of_every_column() {
+        let csr = sample();
+        let adjacency = |workers| {
+            let row = |b| csr.entities(b);
+            transpose::<_, BlockId>(3, row, |b| b != 1, 5, |e| e.index(), workers)
+        };
+        let (offsets, block_ids) = adjacency(1);
+        assert_eq!(adjacency(3), (offsets.clone(), block_ids.clone()));
+        assert_eq!(offsets, vec![0, 1, 2, 3, 4, 5]);
+        let ids: Vec<u32> = block_ids.iter().map(|b| b.0).collect();
+        assert_eq!(ids, vec![0, 2, 0, 2, 2]);
     }
 
     #[test]

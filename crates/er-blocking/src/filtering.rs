@@ -5,12 +5,51 @@
 //! most of the superfluous comparisons while the smallest blocks carry the
 //! most distinctive co-occurrence evidence, so trimming the top 20% per entity
 //! removes a large share of the candidate pairs at a negligible recall cost.
+//!
+//! # One entity-side pass
+//!
+//! Filtering is a per-entity decision, so it runs on the entity side, and
+//! the batch workflow's whole tail after Token Blocking — purge, filter,
+//! statistics — runs over one entity → block adjacency, built once.
+//! `filter_entity_side` is that core:
+//!
+//! 1. the adjacency of the raw collection is built by one transposition,
+//!    and Block Purging is its block-size predicate;
+//! 2. each entity's slice is filtered in place, in parallel over entity
+//!    ranges: it drops its `d − keep` largest `(size, block)` entries —
+//!    for most entities one entry or none, which needs no copy and no
+//!    selection;
+//! 3. the blocks that still yield a comparison are counted and renumbered,
+//!    and each entity's slice is compacted to them, again per range;
+//! 4. the block side is built by one transposition of the entity side.
+//!
+//! The workflow hands both sides to [`crate::BlockStats`] as they are
+//! (`standard_blocking_workflow_csr`); [`block_filtering_csr`] runs the same
+//! core without the purge and keeps the block side only.
 
-use crate::csr::CsrBlockCollection;
+use std::ops::Range;
+use std::sync::Arc;
+
+use er_core::{BlockId, EntityId};
+
+use crate::csr::{
+    comparisons_from_first, prefix_offsets, transpose, CsrBlockCollection, ENTITY_ARENA_LIMIT,
+};
 
 /// The ratio of blocks retained per entity in the paper's setup (each entity
 /// is removed from the largest 20% of its blocks).
 pub const DEFAULT_FILTERING_RATIO: f64 = 0.8;
+
+/// Entities per worker below which the tail's passes stay on the calling
+/// thread (see `er_core::workers_for`).
+pub(crate) const TAIL_GRAIN: usize = 16_384;
+
+/// Entities that drop at most this many blocks find them by repeated
+/// maximum scans; more drops select a threshold instead.
+const FEW_DROPS: usize = 3;
+
+/// Marks a block that did not survive filtering in the renumbering table.
+const DROPPED: u32 = u32::MAX;
 
 /// How many of an entity's `degree` blocks Block Filtering keeps (the
 /// `ceil(ratio · |B_i|)` rule, never dropping below one block).
@@ -34,57 +73,277 @@ pub fn filtering_keep_count(degree: usize, ratio: f64) -> usize {
 /// block index) and the entity is kept only in the first
 /// `ceil(ratio · |B_i|)` of them.  Blocks that stop producing comparisons
 /// afterwards are dropped.  The result shares the input's key arena — no key
-/// string is cloned and no per-entity hash set is allocated.  It equals
-/// [`crate::reference::block_filtering`] block for block (asserted by the
-/// workspace property tests).
+/// string is cloned.  It equals [`crate::reference::block_filtering`] block
+/// for block (asserted by the workspace property tests).  The entity-side
+/// core is `filter_entity_side`, run here with no size limit on one
+/// thread.
 ///
 /// # Panics
 /// Panics if `ratio` is not within `(0, 1]`.
 pub fn block_filtering_csr(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockCollection {
+    filter_entity_side(blocks, usize::MAX, ratio, 1).0
+}
+
+/// Purges and filters `raw` on its entity side (see the module docs) and
+/// returns the cleaned collection together with its entity side: entity
+/// `i`'s ascending blocks, in the cleaned collection's ids, are
+/// `block_ids[offsets[i]..offsets[i + 1]]`.
+///
+/// Blocks larger than `size_limit` are purged; each entity then stays in its
+/// `ceil(ratio · |B_i|)` smallest surviving blocks (size, then block
+/// index); blocks that no longer yield a comparison are dropped.  Block
+/// ids follow `raw`'s order, entity lists stay ascending, and the output
+/// is the same for any thread count.
+///
+/// # Panics
+/// Panics if `ratio` is not within `(0, 1]`.
+pub(crate) fn filter_entity_side(
+    raw: &CsrBlockCollection,
+    size_limit: usize,
+    ratio: f64,
+    threads: usize,
+) -> (CsrBlockCollection, Vec<u32>, Vec<BlockId>) {
     assert!(
         ratio > 0.0 && ratio <= 1.0,
         "filtering ratio must be in (0, 1], got {ratio}"
     );
+    let num_entities = raw.num_entities;
+    let num_blocks = raw.num_blocks();
+    let workers = er_core::workers_for(num_entities, threads, TAIL_GRAIN);
 
-    // Per entity, the (block size, block index) assignments, laid out as one
-    // flat CSR scratch (no per-entity Vec or hash set allocations).
-    let num_entities = blocks.num_entities;
-    let mut offsets = vec![0u32; num_entities + 1];
-    for b in 0..blocks.num_blocks() {
-        for entity in blocks.entities(b) {
-            offsets[entity.index() + 1] += 1;
+    // 1. The adjacency of the blocks that survive purging, in raw ids.
+    let (offsets, mut adjacency) = transpose(
+        num_blocks,
+        |b| raw.entities(b),
+        |b| raw.block_size(b) <= size_limit,
+        num_entities,
+        |e| e.index(),
+        workers,
+    );
+    let ranges = balanced_ranges(&offsets, workers);
+
+    // 2. Filter each entity's slice in place (`lens[e]` is what it keeps),
+    // and count, per range, each block's kept and first-source entities.
+    let size = |b: BlockId| raw.block_size(b.index()) as u32;
+    let mut lens = vec![0u32; num_entities];
+    let mut counts = vec![(0u32, 0u32); ranges.len() * num_blocks];
+    let per_range = er_core::split_lengths_mut(&mut counts, ranges.iter().map(|_| num_blocks));
+    for_each_range(
+        &ranges,
+        &offsets,
+        &mut adjacency,
+        &mut lens,
+        per_range,
+        |range, slice, lens, counts| {
+            let mut scratch = Vec::new();
+            let base = offsets[range.start];
+            for (j, e) in range.enumerate() {
+                let start = (offsets[e] - base) as usize;
+                let list = &mut slice[start..(offsets[e + 1] - base) as usize];
+                let kept = filter_entity(list, ratio, size, &mut scratch);
+                lens[j] = kept as u32;
+                let first = u32::from(e < raw.split);
+                for b in &list[..kept] {
+                    let (members, firsts) = &mut counts[b.index()];
+                    *members += 1;
+                    *firsts += first;
+                }
+            }
+        },
+    );
+
+    // 3. Renumber the blocks that still yield a comparison, in raw order.
+    let mut renumbered = vec![DROPPED; num_blocks];
+    let mut key_ids = Vec::with_capacity(num_blocks);
+    let mut first_counts = Vec::with_capacity(num_blocks);
+    let mut kept_sizes = Vec::with_capacity(num_blocks);
+    for (b, slot) in renumbered.iter_mut().enumerate() {
+        let (size, first) = (b..counts.len())
+            .step_by(num_blocks)
+            .fold((0, 0), |(size, first), i| {
+                (size + counts[i].0, first + counts[i].1)
+            });
+        if comparisons_from_first(raw.kind, first, size as usize) > 0 {
+            *slot = key_ids.len() as u32;
+            key_ids.push(raw.key_id(b));
+            first_counts.push(first);
+            kept_sizes.push(size as usize);
         }
     }
-    for i in 0..num_entities {
-        offsets[i + 1] += offsets[i];
+    drop(counts);
+    key_ids.shrink_to_fit();
+    first_counts.shrink_to_fit();
+
+    // Each entity keeps its surviving blocks, renumbered, compacted to the
+    // front of its range's slice; `lens[e]` becomes its final degree.
+    let per_range = vec![(); ranges.len()];
+    let range_lens = for_each_range(
+        &ranges,
+        &offsets,
+        &mut adjacency,
+        &mut lens,
+        per_range,
+        |range, slice, lens, ()| {
+            let base = offsets[range.start];
+            let mut end = 0;
+            for (j, e) in range.enumerate() {
+                let start = (offsets[e] - base) as usize;
+                let degree = end;
+                for i in start..start + lens[j] as usize {
+                    let id = renumbered[slice[i].index()];
+                    if id != DROPPED {
+                        slice[end] = BlockId(id);
+                        end += 1;
+                    }
+                }
+                lens[j] = (end - degree) as u32;
+            }
+            end
+        },
+    );
+    // Close the gaps between the ranges (each moves towards the front).
+    let mut end = 0;
+    for (range, len) in ranges.iter().zip(range_lens) {
+        let start = offsets[range.start] as usize;
+        adjacency.copy_within(start..start + len, end);
+        end += len;
     }
-    let mut assignments = vec![(0u32, 0u32); offsets[num_entities] as usize];
-    let mut cursors = offsets[..num_entities].to_vec();
-    for b in 0..blocks.num_blocks() {
-        let size = blocks.block_size(b) as u32;
-        for entity in blocks.entities(b) {
-            let cursor = &mut cursors[entity.index()];
-            assignments[*cursor as usize] = (size, b as u32);
-            *cursor += 1;
+    // The entity side lives as long as the statistics: release what
+    // purging and filtering freed.
+    adjacency.truncate(end);
+    adjacency.shrink_to_fit();
+    let offsets = prefix_offsets(lens.iter().map(|&len| len as usize), ENTITY_ARENA_LIMIT);
+
+    // 4. The block side, by one transposition.  Each worker owns a range of
+    // blocks and the contiguous slots they fill, and scans the whole entity
+    // side in ascending order, so every block's list comes out sorted.
+    // (Blocks hold about five entities each: a per-part transposition and
+    // a merge, as in step 1, would copy runs too short to pay off.)
+    let entity_offsets = prefix_offsets(kept_sizes, ENTITY_ARENA_LIMIT);
+    let mut entities = vec![EntityId(0); end];
+    let block_ranges = balanced_ranges(&entity_offsets, workers);
+    let lens = block_ranges
+        .iter()
+        .map(|r| (entity_offsets[r.end] - entity_offsets[r.start]) as usize);
+    let slots = er_core::split_lengths_mut(&mut entities, lens);
+    let mut cursors = entity_offsets[..key_ids.len()].to_vec();
+    let cursors = er_core::split_lengths_mut(&mut cursors, block_ranges.iter().map(|r| r.len()));
+    let tasks = block_ranges.into_iter().zip(cursors).zip(slots).collect();
+    er_core::map_tasks_parallel(tasks, workers, |((blocks, cursors), slots)| {
+        let base = entity_offsets[blocks.start];
+        let (first, last) = (blocks.start as u32, blocks.end as u32);
+        for (e, w) in offsets.windows(2).enumerate() {
+            for b in &adjacency[w[0] as usize..w[1] as usize] {
+                if (first..last).contains(&b.0) {
+                    let cursor = &mut cursors[(b.0 - first) as usize];
+                    slots[(*cursor - base) as usize] = EntityId(e as u32);
+                    *cursor += 1;
+                }
+            }
+        }
+    });
+
+    let cleaned = CsrBlockCollection::from_raw(
+        raw.dataset_name.clone(),
+        raw.kind,
+        raw.split,
+        num_entities,
+        Arc::clone(raw.key_store()),
+        key_ids,
+        entity_offsets,
+        entities,
+        first_counts,
+    );
+    (cleaned, offsets, adjacency)
+}
+
+/// Keeps, in place, the `ceil(ratio · d)` smallest `(size, block)` entries
+/// of one entity's ascending block list and returns how many that is; the
+/// kept entries stay in block order at the front of the list.
+///
+/// Entries are distinct (distinct blocks), so dropping the `d − keep`
+/// largest keeps exactly the `keep` smallest.  A few drops (one or none for
+/// most entities) are found by maximum scans over the list itself; more
+/// select the `keep`-th smallest entry in `scratch` and keep every entry
+/// not above it.
+fn filter_entity(
+    list: &mut [BlockId],
+    ratio: f64,
+    size: impl Fn(BlockId) -> u32,
+    scratch: &mut Vec<(u32, u32)>,
+) -> usize {
+    let degree = list.len();
+    let keep = filtering_keep_count(degree, ratio);
+    let entry = |b: BlockId| (size(b), b.0);
+    if degree - keep <= FEW_DROPS {
+        for len in (keep + 1..=degree).rev() {
+            let (mut largest, mut max) = (0, entry(list[0]));
+            for (i, &b) in list[..len].iter().enumerate().skip(1) {
+                let e = entry(b);
+                if e > max {
+                    (largest, max) = (i, e);
+                }
+            }
+            list.copy_within(largest + 1..len, largest);
+        }
+        return keep;
+    }
+    scratch.clear();
+    scratch.extend(list.iter().map(|&b| entry(b)));
+    let threshold = *scratch.select_nth_unstable(keep - 1).1;
+    let mut kept = 0;
+    for i in 0..degree {
+        if entry(list[i]) <= threshold {
+            list[kept] = list[i];
+            kept += 1;
         }
     }
+    debug_assert_eq!(kept, keep);
+    keep
+}
 
-    // Each entity stays in its `ceil(ratio · |B_i|)` smallest blocks (size
-    // ties broken by block index).  The assignments of one entity are
-    // distinct pairs, so "among the `keep` smallest" is "not above the
-    // `keep`-th smallest": one selection per entity yields a threshold and
-    // membership is a comparison.
-    let mut thresholds = vec![(0u32, 0u32); num_entities];
-    for (i, threshold) in thresholds.iter_mut().enumerate() {
-        let slice = &mut assignments[offsets[i] as usize..offsets[i + 1] as usize];
-        if !slice.is_empty() {
-            let keep = filtering_keep_count(slice.len(), ratio);
-            *threshold = *slice.select_nth_unstable(keep - 1).1;
-        }
+/// `workers` contiguous row ranges of a CSR with the given offsets, each
+/// covering about an equal share of its entries (the entries, not the
+/// rows, are the work).
+fn balanced_ranges(offsets: &[u32], workers: usize) -> Vec<Range<usize>> {
+    let rows = offsets.len() - 1;
+    let total = offsets[rows] as usize;
+    let mut bounds = vec![0];
+    for w in 1..workers {
+        let target = total * w / workers;
+        let bound = offsets.partition_point(|&o| (o as usize) < target);
+        bounds.push(bound.clamp(bounds[w - 1], rows));
     }
+    bounds.push(rows);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
 
-    blocks.retain_assignments(|entity, b| {
-        (blocks.block_size(b) as u32, b as u32) <= thresholds[entity.index()]
+/// Runs `f` once per entity range — on its own worker when there is more
+/// than one — with the range's slices of the adjacency and of `per_entity`
+/// and the range's entry of `per_range`, and returns the results in range
+/// order.
+fn for_each_range<E: Send, R: Send>(
+    ranges: &[Range<usize>],
+    offsets: &[u32],
+    adjacency: &mut [BlockId],
+    per_entity: &mut [u32],
+    per_range: Vec<E>,
+    f: impl Fn(Range<usize>, &mut [BlockId], &mut [u32], E) -> R + Sync,
+) -> Vec<R> {
+    let postings = ranges
+        .iter()
+        .map(|r| (offsets[r.end] - offsets[r.start]) as usize);
+    let slices = er_core::split_lengths_mut(adjacency, postings);
+    let values = er_core::split_lengths_mut(per_entity, ranges.iter().map(|r| r.len()));
+    let tasks = ranges
+        .iter()
+        .cloned()
+        .zip(slices)
+        .zip(values)
+        .zip(per_range)
+        .collect();
+    er_core::map_tasks_parallel(tasks, ranges.len(), |(((range, slice), values), extra)| {
+        f(range, slice, values, extra)
     })
 }
 

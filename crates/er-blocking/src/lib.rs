@@ -18,6 +18,15 @@
 //!    comparisons `C` and the per-entity candidate counts used by the LCP
 //!    feature.
 //!
+//! [`standard_blocking_workflow_csr`] runs steps 1–4 as the paper's
+//! workflow.  After Token Blocking it does each step once, over one entity →
+//! block adjacency: purging is a block-size test applied while the
+//! adjacency is built, filtering drops each entity's largest blocks in
+//! place, and one transposition yields the block side.  It returns the
+//! cleaned collection with its statistics.  The stand-alone
+//! [`block_purging_csr`], [`block_filtering_csr`] and
+//! [`BlockStats::from_csr`] give the same output step by step.
+//!
 //! [`reference`](mod@reference) keeps sequential, independently written
 //! versions of these steps as test oracles.
 
@@ -54,13 +63,28 @@ pub use token_blocking::token_blocking_csr;
 
 use er_core::Dataset;
 
-/// Runs the full blocking workflow used throughout the paper's evaluation:
+/// Runs the full blocking workflow used throughout the paper's evaluation
+/// and returns the cleaned collection together with its [`BlockStats`]:
 /// parallel Token Blocking through the [`builder`] engine, then Block
-/// Purging, then Block Filtering with the default ratio of 0.8 (each entity
-/// is removed from its largest 20% of blocks).  Purging and filtering are
-/// pure index operations sharing one key arena.
-pub fn standard_blocking_workflow_csr(dataset: &Dataset, threads: usize) -> CsrBlockCollection {
-    let blocks = token_blocking_csr(dataset, threads);
-    let purged = block_purging_csr(&blocks);
-    block_filtering_csr(&purged, DEFAULT_FILTERING_RATIO)
+/// Purging and Block Filtering with the default ratio of 0.8 (each entity
+/// is removed from its largest 20% of blocks).
+///
+/// Purging, filtering and the statistics run over one entity → block
+/// adjacency, built once (see [`filtering`](mod@filtering)): purging is a
+/// block-size test applied while it is built, filtering runs per entity in
+/// place, and the block side is one transposition.  Both sides go to the
+/// statistics as they are, so callers need no [`BlockStats::from_csr`].
+/// The output equals `block_filtering_csr(&block_purging_csr(&raw), 0.8)`
+/// and its `BlockStats::from_csr` for any thread count.
+pub fn standard_blocking_workflow_csr(
+    dataset: &Dataset,
+    threads: usize,
+) -> (CsrBlockCollection, BlockStats) {
+    let raw = token_blocking_csr(dataset, threads);
+    let limit = purging_limit(raw.num_entities);
+    let (blocks, offsets, block_ids) =
+        filtering::filter_entity_side(&raw, limit, DEFAULT_FILTERING_RATIO, threads);
+    drop(raw);
+    let stats = BlockStats::from_sides(&blocks, offsets, block_ids, threads);
+    (blocks, stats)
 }

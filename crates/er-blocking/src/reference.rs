@@ -190,6 +190,7 @@ pub fn block_filtering(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockColle
 pub struct NaiveBlockStats {
     entity_blocks: Vec<Vec<BlockId>>,
     block_sizes: Vec<u32>,
+    first_source_counts: Vec<u32>,
     block_comparisons: Vec<u64>,
     total_comparisons: u64,
     entity_comparisons: Vec<u64>,
@@ -203,11 +204,14 @@ impl NaiveBlockStats {
         let num_blocks = blocks.num_blocks();
         let mut entity_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); blocks.num_entities];
         let mut block_sizes = Vec::with_capacity(num_blocks);
+        let mut first_source_counts = Vec::with_capacity(num_blocks);
         let mut block_comparisons = Vec::with_capacity(num_blocks);
 
         for b in 0..num_blocks {
             let entities = blocks.entities(b);
             block_sizes.push(entities.len() as u32);
+            first_source_counts
+                .push(entities.iter().filter(|e| e.index() < blocks.split).count() as u32);
             block_comparisons.push(slice_cardinalities(entities, blocks.kind, blocks.split).1);
             for entity in entities {
                 entity_blocks[entity.index()].push(BlockId::from(b));
@@ -222,6 +226,7 @@ impl NaiveBlockStats {
         NaiveBlockStats {
             entity_blocks,
             block_sizes,
+            first_source_counts,
             block_comparisons,
             total_comparisons,
             entity_comparisons,
@@ -252,6 +257,12 @@ impl NaiveBlockStats {
     /// `|b|`: number of entities in a block.
     pub fn block_size(&self, block: BlockId) -> u32 {
         self.block_sizes[block.index()]
+    }
+
+    /// How many of the block's entities belong to the first source, counted
+    /// one by one.
+    pub fn first_source_count(&self, block: BlockId) -> u32 {
+        self.first_source_counts[block.index()]
     }
 
     /// `||b||`: number of comparisons in a block.

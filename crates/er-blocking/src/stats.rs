@@ -24,10 +24,21 @@
 //!
 //! The per-block reciprocals `1/||b||` and `1/|b|` are precomputed once so the
 //! hot merge loop performs zero divisions.
+//!
+//! # Construction
+//!
+//! The block → entity side is a cleaned collection's own CSR, and the
+//! entity → block side is one transposition of it.  [`BlockStats::from_csr`]
+//! does that transposition for any collection.  The standard workflow
+//! (`standard_blocking_workflow_csr`) does not need it: its filtering tail
+//! already holds the entity side, renumbered to the surviving blocks, and
+//! hands both sides over as they are.  Both routes compute the per-block
+//! tables and `||e_i||` in one place, so they agree bit for bit.
 
 use er_core::{BlockId, DatasetKind, EntityId};
 
-use crate::csr::CsrBlockCollection;
+use crate::csr::{transpose, CsrBlockCollection};
+use crate::filtering::TAIL_GRAIN;
 
 /// Pre-computed co-occurrence statistics of a block collection.
 #[derive(Debug, Clone)]
@@ -65,76 +76,73 @@ pub struct BlockStats {
 
 impl BlockStats {
     /// Computes the statistics of a block collection (blocks keep their
-    /// ids) without touching any key string.
+    /// ids) without touching any key string: one transposition builds the
+    /// entity side, and the block side is the collection's own arrays.
     pub fn from_csr(blocks: &CsrBlockCollection) -> Self {
+        let (offsets, block_ids) = transpose(
+            blocks.num_blocks(),
+            |b| blocks.entities(b),
+            |_| true,
+            blocks.num_entities,
+            |e| e.index(),
+            1,
+        );
+        Self::from_sides(blocks, offsets, block_ids, 1)
+    }
+
+    /// The statistics of `blocks` given its entity side, already built:
+    /// entity `i`'s ascending block list is
+    /// `block_ids[offsets[i]..offsets[i + 1]]`, in `blocks`' ids.  The
+    /// per-block tables and `||e_i||` are computed here, so every
+    /// constructor shares one copy of their arithmetic; `||e_i||` is summed
+    /// over entity ranges on up to `threads` workers.
+    pub(crate) fn from_sides(
+        blocks: &CsrBlockCollection,
+        offsets: Vec<u32>,
+        block_ids: Vec<BlockId>,
+        threads: usize,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), blocks.num_entities + 1);
         let num_blocks = blocks.num_blocks();
-        let num_entities = blocks.num_entities;
-
-        let mut block_sizes = Vec::with_capacity(num_blocks);
-        let mut block_comparisons = Vec::with_capacity(num_blocks);
-        let mut inv_comparisons = Vec::with_capacity(num_blocks);
-        let mut inv_sizes = Vec::with_capacity(num_blocks);
-        let mut block_offsets = Vec::with_capacity(num_blocks + 1);
-        let mut first_source_counts = Vec::with_capacity(num_blocks);
-        let mut block_entities = Vec::new();
-
-        block_offsets.push(0u32);
-        for b in 0..num_blocks {
-            let size = blocks.block_size(b) as u32;
-            let comparisons = blocks.block_comparisons(b);
-            block_sizes.push(size);
-            block_comparisons.push(comparisons);
-            inv_comparisons.push(if comparisons > 0 {
-                1.0 / comparisons as f64
-            } else {
-                0.0
-            });
-            inv_sizes.push(if size > 0 { 1.0 / f64::from(size) } else { 0.0 });
-            first_source_counts.push(blocks.first_source_count(b) as u32);
-            block_entities.extend_from_slice(blocks.entities(b));
-            block_offsets.push(block_entities.len() as u32);
-        }
-
-        // Entity → block adjacency: blocks are visited in id order, so every
-        // entity's slice comes out sorted.
-        let mut degrees = vec![0u32; num_entities];
-        for &entity in &block_entities {
-            degrees[entity.index()] += 1;
-        }
-        let mut offsets = Vec::with_capacity(num_entities + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursors: Vec<u32> = offsets[..num_entities].to_vec();
-        let mut block_ids = vec![BlockId(0); acc as usize];
-        for b in 0..num_blocks {
-            let id = BlockId::from(b);
-            for entity in blocks.entities(b) {
-                let cursor = &mut cursors[entity.index()];
-                block_ids[*cursor as usize] = id;
-                *cursor += 1;
-            }
-        }
-
-        let total_comparisons = block_comparisons.iter().sum();
-        let entity_comparisons = (0..num_entities)
-            .map(|e| {
-                block_ids[offsets[e] as usize..offsets[e + 1] as usize]
-                    .iter()
-                    .map(|b| block_comparisons[b.index()])
-                    .sum()
-            })
+        let block_sizes: Vec<u32> = blocks
+            .entity_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
             .collect();
+        let block_comparisons: Vec<u64> = (0..num_blocks)
+            .map(|b| blocks.block_comparisons(b))
+            .collect();
+        let inv_comparisons = block_comparisons
+            .iter()
+            .map(|&c| if c > 0 { 1.0 / c as f64 } else { 0.0 })
+            .collect();
+        let inv_sizes = block_sizes
+            .iter()
+            .map(|&size| if size > 0 { 1.0 / f64::from(size) } else { 0.0 })
+            .collect();
+        let total_comparisons = block_comparisons.iter().sum();
+        let num_entities = blocks.num_entities;
+        let workers = er_core::workers_for(num_entities, threads, TAIL_GRAIN);
+        let mut entity_comparisons = vec![0u64; num_entities];
+        let chunk = num_entities.div_ceil(workers).max(1);
+        let tasks = entity_comparisons
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(c, sums)| (c * chunk, sums))
+            .collect();
+        er_core::map_tasks_parallel(tasks, workers, |(first, sums)| {
+            for (e, sum) in (first..).zip(sums) {
+                let list = &block_ids[offsets[e] as usize..offsets[e + 1] as usize];
+                *sum = list.iter().map(|b| block_comparisons[b.index()]).sum();
+            }
+        });
 
         BlockStats {
             offsets,
             block_ids,
-            block_offsets,
-            block_entities,
-            first_source_counts,
+            block_offsets: blocks.entity_offsets.clone(),
+            block_entities: blocks.entities.clone(),
+            first_source_counts: blocks.first_counts.clone(),
             block_sizes,
             block_comparisons,
             inv_comparisons,

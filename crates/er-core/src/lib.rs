@@ -28,7 +28,7 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BlockId, EntityId, PairId};
 pub use parallel::{
     available_threads, fill_rows_parallel, for_each_task_with_state, map_ranges_parallel,
-    workers_for,
+    map_tasks_parallel, split_lengths_mut, workers_for,
 };
 pub use rng::{derive_seed, seeded_rng};
 pub use tokenize::{tokenize, tokenize_into};

@@ -12,8 +12,12 @@
 //! * [`map_ranges_parallel`]: workers pull contiguous index ranges from an
 //!   atomic cursor and return one value per range, re-assembled in range
 //!   order so results are deterministic regardless of scheduling;
+//! * [`map_tasks_parallel`]: workers take prepared task values — disjoint
+//!   `&mut` sub-slices of one output, cut by [`split_lengths_mut`] — and
+//!   return one value per task, in task order;
 //! * [`for_each_task_with_state`]: workers pull task indices from an atomic
-//!   cursor, each carrying its own scratch state.  The other two run on it.
+//!   cursor, each carrying its own scratch state.  The other three run on
+//!   it.
 //!
 //! **Worker count.**  `threads` is an upper bound, never a quota: a pass
 //! starts at most one worker per task (per chunk, per range), and one
@@ -175,6 +179,69 @@ where
         .collect()
 }
 
+/// Splits `slice` into consecutive sub-slices of the given lengths — the
+/// disjoint outputs of a [`map_tasks_parallel`] pass.  Elements past the
+/// last length are left out.
+///
+/// # Panics
+/// Panics if the lengths add up to more than `slice.len()`.
+pub fn split_lengths_mut<T>(
+    slice: &mut [T],
+    lengths: impl IntoIterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    let mut rest = slice;
+    lengths
+        .into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            head
+        })
+        .collect()
+}
+
+/// Maps every task of `tasks` with `f` on up to `threads` workers and returns
+/// the results in task order.
+///
+/// The tasks are values the caller built up front — typically disjoint
+/// `&mut` sub-slices of one output, each paired with the input it covers —
+/// so a pass can write its output in place without locks.  Workers pull
+/// tasks from an atomic cursor like every driver of the module; with
+/// `threads <= 1`, or a single task, every task runs on the calling thread.
+pub fn map_tasks_parallel<T, R, F>(tasks: Vec<T>, threads: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if threads <= 1 || tasks.len() <= 1 {
+        return tasks.into_iter().map(f).collect();
+    }
+    let num_tasks = tasks.len();
+    let inputs: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let mut outputs: Vec<Option<R>> = Vec::new();
+    outputs.resize_with(num_tasks, || None);
+    let slots = Mutex::new(&mut outputs);
+    for_each_task_with_state(
+        num_tasks,
+        threads,
+        || (),
+        |task, _| {
+            let input = inputs[task]
+                .lock()
+                .expect("task inputs poisoned")
+                .take()
+                .expect("every task runs once");
+            let value = f(input);
+            slots.lock().expect("result slots poisoned")[task] = Some(value);
+        },
+    );
+    outputs
+        .into_iter()
+        .map(|slot| slot.expect("worker skipped a task"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +289,26 @@ mod tests {
         for window in ranges.windows(2) {
             assert_eq!(window[0].end, window[1].start);
         }
+    }
+
+    #[test]
+    fn map_tasks_writes_disjoint_slices_and_keeps_task_order() {
+        for threads in [1, 2, 4] {
+            let mut out = vec![0usize; 103];
+            let tasks: Vec<(usize, &mut [usize])> = out.chunks_mut(10).enumerate().collect();
+            let sums = map_tasks_parallel(tasks, threads, |(c, chunk)| {
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    *slot = c * 10 + j;
+                }
+                chunk.len()
+            });
+            assert_eq!(out, (0..103).collect::<Vec<_>>(), "threads {threads}");
+            assert_eq!(sums, [10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 3]);
+        }
+        let mut items = [1, 2, 3, 4, 5, 6];
+        let parts = split_lengths_mut(&mut items, [2, 0, 3]);
+        assert_eq!(parts, [&mut [1, 2][..], &mut [][..], &mut [3, 4, 5][..]]);
+        assert!(map_tasks_parallel(Vec::<u8>::new(), 4, |_| 0).is_empty());
     }
 
     #[test]

@@ -42,9 +42,9 @@ impl PreparedDataset {
     pub fn prepare(dataset: Dataset) -> Result<Self> {
         let threads = er_core::available_threads();
         let start = Instant::now();
-        let blocks = standard_blocking_workflow_csr(&dataset, threads);
+        let (blocks, stats) = standard_blocking_workflow_csr(&dataset, threads);
         let blocking_time = start.elapsed();
-        let (stats, candidates) = prepare(&blocks, threads)?;
+        let (stats, candidates) = prepare(&blocks, stats, threads)?;
         Ok(PreparedDataset {
             dataset,
             blocks,
@@ -145,7 +145,8 @@ impl PreparedDataset {
                 found: fingerprint,
             });
         }
-        let (stats, candidates) = prepare(&blocks, er_core::available_threads())
+        let stats = BlockStats::from_csr(&blocks);
+        let (stats, candidates) = prepare(&blocks, stats, er_core::available_threads())
             .map_err(|err| er_core::PersistError::Corrupt(err.to_string()))?;
         Ok(PreparedDataset {
             dataset,

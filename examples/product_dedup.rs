@@ -10,7 +10,7 @@
 //! cargo run --release --example product_dedup
 //! ```
 
-use gsmb::blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs};
+use gsmb::blocking::{standard_blocking_workflow_csr, CandidatePairs};
 use gsmb::core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth, PairId};
 use gsmb::eval::Effectiveness;
 use gsmb::features::{FeatureContext, FeatureMatrix, FeatureSet};
@@ -73,7 +73,7 @@ fn main() {
 
     // 1. Blocking.
     let threads = gsmb::core::available_threads();
-    let blocks = standard_blocking_workflow_csr(&dataset, threads);
+    let (blocks, stats) = standard_blocking_workflow_csr(&dataset, threads);
     println!("blocking produced {} blocks:", blocks.num_blocks());
     for b in 0..blocks.num_blocks() {
         let members: Vec<String> = blocks
@@ -85,7 +85,6 @@ fn main() {
     }
 
     // 2. Candidate pairs and features.
-    let stats = BlockStats::from_csr(&blocks);
     let candidates = CandidatePairs::from_stats(&stats, threads);
     let context = FeatureContext::new(&stats, &candidates);
     let feature_set = FeatureSet::blast_optimal();

@@ -113,8 +113,7 @@ fn trained_models(rows: &[Vec<f64>]) -> Vec<SavedModel> {
 fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dataset = dataset();
-    let blocks = standard_blocking_workflow_csr(&dataset, 2);
-    let stats = BlockStats::from_csr(&blocks);
+    let (_, stats) = standard_blocking_workflow_csr(&dataset, 2);
     let candidates = CandidatePairs::try_from_stats(&stats, 2).unwrap();
     let set = FeatureSet::all_schemes();
     let context = FeatureContext::new(&stats, &candidates);

@@ -13,7 +13,8 @@ use gsmb::blocking::{
     KeyGenerator, QGramKeys, SuffixArrayConfig, SuffixKeys, TokenKeys,
 };
 use gsmb::core::{
-    seeded_rng, Dataset, DatasetKind, EntityCollection, EntityId, EntityProfile, GroundTruth,
+    seeded_rng, BlockId, Dataset, DatasetKind, EntityCollection, EntityId, EntityProfile,
+    GroundTruth,
 };
 use gsmb::eval::Effectiveness;
 use gsmb::features::reference::NaiveFeatureContext;
@@ -409,43 +410,109 @@ fn block_building_matches_reference_on_adversarial_keys() {
     assert!(!keys(&suffix).contains(&"capfive".to_string()));
 }
 
-/// The standard workflow (parallel Token Blocking + CSR Purging + CSR
-/// Filtering) equals the sequential reference workflow, and the statistics
-/// and candidates derived from it equal the naive reference statistics and
-/// the hash-based reference extraction over the reference blocks.
+/// Asserts that the statistics the workflow returned equal the naive
+/// statistics of the reference blocks: per-entity block lists, `||e_i||`,
+/// per-block `|b|`, `||b||`, first-source count, block membership and the
+/// totals, with the reciprocal tables compared bit for bit.
+fn assert_stats_match_naive(
+    stats: &BlockStats,
+    naive: &NaiveBlockStats,
+    blocks: &CsrBlockCollection,
+    what: &str,
+) {
+    assert_eq!(stats.num_blocks(), naive.num_blocks(), "{what}");
+    assert_eq!(stats.num_entities(), naive.num_entities(), "{what}");
+    assert_eq!(
+        stats.total_comparisons(),
+        naive.total_comparisons(),
+        "{what}"
+    );
+    for e in 0..naive.num_entities() {
+        let entity = EntityId(e as u32);
+        assert_eq!(
+            stats.blocks_of(entity),
+            naive.blocks_of(entity),
+            "{what} entity {e}"
+        );
+        assert_eq!(
+            stats.entity_comparisons(entity),
+            naive.entity_comparisons(entity),
+            "{what} entity {e}"
+        );
+    }
+    let bits = |table: &[f64]| table.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (mut inv_comparisons, mut inv_sizes) = (Vec::new(), Vec::new());
+    for b in 0..naive.num_blocks() {
+        let block = BlockId(b as u32);
+        assert_eq!(
+            stats.block_size(block),
+            naive.block_size(block),
+            "{what} block {b}"
+        );
+        assert_eq!(
+            stats.block_comparisons(block),
+            naive.block_comparisons(block),
+            "{what} block {b}"
+        );
+        assert_eq!(
+            stats.first_source_count(block),
+            naive.first_source_count(block),
+            "{what} block {b}"
+        );
+        assert_eq!(
+            stats.entities_of(block),
+            blocks.entities(b),
+            "{what} block {b}"
+        );
+        let comparisons = naive.block_comparisons(block);
+        inv_comparisons.push(if comparisons > 0 {
+            1.0 / comparisons as f64
+        } else {
+            0.0
+        });
+        inv_sizes.push(1.0 / f64::from(naive.block_size(block)));
+    }
+    assert_eq!(
+        bits(stats.inv_comparisons_table()),
+        bits(&inv_comparisons),
+        "{what}"
+    );
+    assert_eq!(bits(stats.inv_sizes_table()), bits(&inv_sizes), "{what}");
+}
+
+/// The reference workflow: sequential Token Blocking, Purging, Filtering.
+fn reference_workflow(dataset: &Dataset) -> CsrBlockCollection {
+    reference::block_filtering(
+        &reference::block_purging(&reference::token_blocking(dataset)),
+        gsmb::blocking::DEFAULT_FILTERING_RATIO,
+    )
+}
+
+/// The standard workflow (parallel Token Blocking, then Purging, Filtering
+/// and the statistics over one entity-side adjacency) equals the sequential
+/// reference workflow at every thread count: the blocks, the statistics it
+/// returns (against the naive reference statistics) and the candidates
+/// derived from them (against the hash-based reference extraction).
+///
+/// The random corpora are far below the tail's grain of 16 384 entities
+/// per worker, so one more corpus of 70 000 entities makes its passes run
+/// on several workers: `common` is purged, every entity then drops its
+/// largest block (an `m` block, which filtering empties) and the entities
+/// with many `k` tokens drop several.  Its candidates are not compared
+/// (the `k` blocks alone hold tens of millions of comparisons).
 #[test]
 fn csr_workflow_matches_nested_workflow() {
+    let threads_to_check = [1, 2, 3, 8];
     for_random_datasets(0x5021, |dataset, seed| {
-        let expected = reference::block_filtering(
-            &reference::block_purging(&reference::token_blocking(dataset)),
-            gsmb::blocking::DEFAULT_FILTERING_RATIO,
-        );
+        let expected = reference_workflow(dataset);
         let naive = NaiveBlockStats::from_csr(&expected);
         let (naive_pairs, naive_counts) = naive_candidate_pairs(&expected);
-        for threads in [1, 4] {
-            let csr = standard_blocking_workflow_csr(dataset, threads);
+        for threads in threads_to_check {
+            let (csr, stats) = standard_blocking_workflow_csr(dataset, threads);
             assert!(csr.same_blocks(&expected), "seed {seed} threads {threads}");
             assert_eq!(csr.num_entities, expected.num_entities, "seed {seed}");
-
-            let stats = BlockStats::from_csr(&csr);
-            assert_eq!(
-                stats.total_comparisons(),
-                naive.total_comparisons(),
-                "seed {seed}"
-            );
-            for e in 0..expected.num_entities {
-                let entity = EntityId(e as u32);
-                assert_eq!(
-                    stats.blocks_of(entity),
-                    naive.blocks_of(entity),
-                    "seed {seed} entity {e}"
-                );
-                assert_eq!(
-                    stats.entity_comparisons(entity),
-                    naive.entity_comparisons(entity),
-                    "seed {seed} entity {e}"
-                );
-            }
+            let what = format!("seed {seed} threads {threads}");
+            assert_stats_match_naive(&stats, &naive, &expected, &what);
 
             let candidates = CandidatePairs::from_stats(&stats, threads);
             assert_eq!(candidates.pairs(), naive_pairs.as_slice(), "seed {seed}");
@@ -456,6 +523,40 @@ fn csr_workflow_matches_nested_workflow() {
             );
         }
     });
+
+    let n = 70_000usize;
+    let profiles = (0..n)
+        .map(|i| {
+            let mut value = format!(
+                "t{:x} t{:x} g{} h{} m{} common",
+                i,
+                (i + 1) % n,
+                i / 8,
+                i % 1_000,
+                i % 3
+            );
+            if i % 13 == 0 {
+                for j in 0..i % 29 {
+                    value.push_str(&format!(" k{j}"));
+                }
+            }
+            EntityProfile::new(format!("e{i}")).with_attribute("v", value)
+        })
+        .collect();
+    let dataset = Dataset::dirty(
+        "workers",
+        EntityCollection::new("d", profiles),
+        GroundTruth::default(),
+    )
+    .unwrap();
+    let expected = reference_workflow(&dataset);
+    let naive = NaiveBlockStats::from_csr(&expected);
+    for threads in threads_to_check {
+        let (csr, stats) = standard_blocking_workflow_csr(&dataset, threads);
+        assert!(csr.same_blocks(&expected), "70k threads {threads}");
+        let what = format!("70k threads {threads}");
+        assert_stats_match_naive(&stats, &naive, &expected, &what);
+    }
 }
 
 /// Block Purging and Filtering never add comparisons and never invent
