@@ -3,17 +3,23 @@
 //! Given a dataset, the pipeline performs the exact workflow of the paper's
 //! evaluation:
 //!
-//! 1. blocking: Token Blocking → Block Purging → Block Filtering, with the
-//!    block statistics ([`standard_blocking_workflow_csr`]).  Purging,
-//!    filtering and the statistics run over one entity → block adjacency,
-//!    built once, so the collection and its [`BlockStats`] come out
-//!    together;
-//! 2. candidate extraction ([`prepare`], which takes the statistics);
+//! 1. blocking: Token Blocking → Block Purging → Block Filtering
+//!    ([`clean_blocks_csr`]).  Purging and filtering run over one entity →
+//!    block adjacency, built once, which is also the entity side of the
+//!    block statistics;
+//! 2. the block statistics ([`BlockStats::from_entity_side`], no second
+//!    transposition) and candidate extraction ([`prepare`], which takes the
+//!    statistics);
 //! 3. feature generation for the chosen [`FeatureSet`];
 //! 4. balanced undersampling of labelled pairs and classifier training
 //!    ([`train`]);
 //! 5. probability scoring of every candidate pair;
 //! 6. pruning with the chosen [`AlgorithmKind`].
+//!
+//! Steps 1 and 2 together are
+//! [`standard_blocking_workflow_csr`](er_blocking::standard_blocking_workflow_csr)
+//! followed by [`prepare`]; the pipeline runs the workflow's two halves
+//! itself only to time the statistics as feature generation.
 //!
 //! [`prepare`] and [`train`] are public because every batch consumer runs
 //! them: [`MetaBlockingPipeline::run`], the streaming bootstrap
@@ -29,10 +35,10 @@
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
 //! [`FeatureMatrix::score_rows_with`], which streams each pair's fused
-//! feature row straight into the classifier.  The `blocking` timing
-//! therefore covers the block statistics too, `features` covers index
-//! construction (candidate CSR, per-entity tables) and `scoring` covers the
-//! fused feature + probability pass.
+//! feature row straight into the classifier.  The `features` timing
+//! therefore covers index construction (block statistics, candidate CSR,
+//! per-entity tables) and `scoring` covers the fused feature + probability
+//! pass.
 //!
 //! Each entity's partner run is derived **once** per run: the candidate
 //! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
@@ -46,7 +52,7 @@
 use std::time::{Duration, Instant};
 
 use er_blocking::{
-    standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
+    clean_blocks_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
 };
 use er_core::{Dataset, GroundTruth, PairId, Result};
 use er_features::{
@@ -163,12 +169,14 @@ impl MetaBlockingConfig {
 /// Wall-clock breakdown of one pipeline run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Blocking workflow, up to and including the block statistics, which
-    /// its entity-side tail builds (not part of the paper's `RT`, reported
-    /// separately).
+    /// Blocking workflow: Token Blocking, Block Purging and Block
+    /// Filtering (not part of the paper's `RT`, reported separately).
+    /// Filtering runs on the entity → block adjacency, so the transposition
+    /// that builds it counts here, although it is also the statistics'
+    /// entity side.
     pub blocking: Duration,
-    /// Feature-index construction: candidate extraction and the per-entity
-    /// aggregate tables.
+    /// Feature-index construction: the block statistics' tables, candidate
+    /// extraction and the per-entity aggregate tables.
     pub features: Duration,
     /// Training-set assembly and classifier training.
     pub training: Duration,
@@ -234,18 +242,21 @@ impl MetaBlockingPipeline {
 
     /// Runs the full workflow on a dataset.
     ///
-    /// Blocking runs through the parallel CSR engine
-    /// ([`standard_blocking_workflow_csr`]), which returns the cleaned
-    /// collection with its statistics; the [`prepare`] and [`train`]
+    /// Blocking runs through the parallel CSR engine ([`clean_blocks_csr`]),
+    /// which returns the cleaned collection with its entity side; the
+    /// statistics are built from the two, and the [`prepare`] and [`train`]
     /// stages, the scoring pass and the pruning thresholds are all derived
     /// from its output.
     pub fn run(&self, dataset: &Dataset, algorithm: AlgorithmKind) -> Result<MetaBlockingOutcome> {
         let threads = self.config.effective_threads();
         let start = Instant::now();
-        let (csr, stats) = standard_blocking_workflow_csr(dataset, threads);
+        let (csr, entity_side) = clean_blocks_csr(dataset, threads);
         let blocking_time = start.elapsed();
 
+        // The block statistics count as feature generation, so the pipeline
+        // runs the workflow's two steps itself and times them apart.
         let feature_start = Instant::now();
+        let stats = BlockStats::from_entity_side(&csr, entity_side, threads);
         let (stats, candidates) = prepare(&csr, stats, threads)?;
         let set = self.config.feature_set;
         let context = FeatureContext::new(&stats, &candidates);
@@ -316,9 +327,9 @@ impl MetaBlockingPipeline {
 /// The **prepare** stage of the batch workflow: a (raw or cleaned) block
 /// collection and its [`BlockStats`] → the statistics and the distinct
 /// [`CandidatePairs`].  The statistics come with the collection —
-/// [`standard_blocking_workflow_csr`] returns both, and a collection from
-/// elsewhere goes through [`BlockStats::from_csr`] — so no caller builds
-/// them twice.
+/// [`standard_blocking_workflow_csr`](er_blocking::standard_blocking_workflow_csr)
+/// returns both, and a collection from elsewhere goes through
+/// [`BlockStats::from_csr`] — so no caller builds them twice.
 ///
 /// The batch pipeline, the streaming bootstrap and the experiment harness
 /// all enter the workflow here, so this is the one place an input that
@@ -371,6 +382,7 @@ pub fn train(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_blocking::standard_blocking_workflow_csr;
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 
     fn tiny_dataset() -> Dataset {

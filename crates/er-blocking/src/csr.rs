@@ -136,14 +136,7 @@ pub(crate) fn transpose<'a, I: Sync + 'a, O: From<usize> + Copy + Send + Sync>(
     let slots = er_core::split_lengths_mut(&mut part_items, part_lens.iter().copied());
     let tasks = cursors.chunks_mut(width).zip(slots).enumerate().collect();
     er_core::map_tasks_parallel(tasks, workers, |(p, (cursors, slots))| {
-        for r in kept(p) {
-            let id = O::from(r);
-            for item in row(r) {
-                let cursor = &mut cursors[column(item)];
-                slots[*cursor as usize] = id;
-                *cursor += 1;
-            }
-        }
+        scatter(kept(p), &row, &column, cursors, slots);
     });
     if parts == 1 {
         return (offsets, part_items);
@@ -184,6 +177,26 @@ pub(crate) fn transpose<'a, I: Sync + 'a, O: From<usize> + Copy + Send + Sync>(
         }
     });
     (offsets, items)
+}
+
+/// The second half of a transposition: writes each of `rows`' ids into
+/// the slot its items' columns' cursors point at, advancing the cursors.
+/// With every cursor at the start of its column's run, and `rows`
+/// ascending, each column's rows come out ascending.
+pub(crate) fn scatter<'a, I: 'a, O: From<usize>>(
+    rows: impl Iterator<Item = usize>,
+    row: impl Fn(usize) -> &'a [I],
+    column: impl Fn(&I) -> usize,
+    cursors: &mut [u32],
+    slots: &mut [O],
+) {
+    for r in rows {
+        for item in row(r) {
+            let cursor = &mut cursors[column(item)];
+            slots[*cursor as usize] = O::from(r);
+            *cursor += 1;
+        }
+    }
 }
 
 /// An append-only arena of interned block keys: all key bytes concatenated in

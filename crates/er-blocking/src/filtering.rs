@@ -9,32 +9,44 @@
 //! # One entity-side pass
 //!
 //! Filtering is a per-entity decision, so it runs on the entity side, and
-//! the batch workflow's whole tail after Token Blocking — purge, filter,
-//! statistics — runs over one entity → block adjacency, built once.
-//! `filter_entity_side` is that core:
+//! the batch workflow's tail after Token Blocking — purge, filter — runs
+//! over one entity → block adjacency, built once, which then serves as the
+//! statistics' entity side.  `filter_entity_side` is that core:
 //!
 //! 1. the adjacency of the raw collection is built by one transposition,
 //!    and Block Purging is its block-size predicate;
 //! 2. each entity's slice is filtered in place, in parallel over entity
-//!    ranges: it drops its `d − keep` largest `(size, block)` entries —
-//!    for most entities one entry or none, which needs no copy and no
-//!    selection;
-//! 3. the blocks that still yield a comparison are counted and renumbered,
-//!    and each entity's slice is compacted to them, again per range;
-//! 4. the block side is built by one transposition of the entity side.
+//!    ranges: a small heap finds its `d − keep` largest `(size, block)`
+//!    entries — for most entities one or two — and they move behind the
+//!    kept ones; one shared table counts, per block, the entities that
+//!    dropped it;
+//! 3. a block's kept size is its raw size minus those drops, so the blocks
+//!    that still yield a comparison are renumbered without another pass
+//!    over the postings, and each entity's slice is compacted to them,
+//!    again per range;
+//! 4. the block side is the scatter half of one transposition: the kept
+//!    sizes already give every block's offset.
 //!
-//! The workflow hands both sides to [`crate::BlockStats`] as they are
-//! (`standard_blocking_workflow_csr`); [`block_filtering_csr`] runs the same
-//! core without the purge and keeps the block side only.
+//! Only step 1 keeps per-worker tables (its degree counts, one `u32` per
+//! entity and worker); every other table of the tail is sized by the
+//! collection alone.  [`crate::clean_blocks_csr`] returns both sides, and
+//! [`crate::BlockStats::from_entity_side`] takes them as they are;
+//! [`block_filtering_csr`] runs the same core without the purge and keeps
+//! the block side only.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use er_core::{BlockId, EntityId};
 
 use crate::csr::{
-    comparisons_from_first, prefix_offsets, transpose, CsrBlockCollection, ENTITY_ARENA_LIMIT,
+    comparisons_from_first, prefix_offsets, scatter, transpose, CsrBlockCollection,
+    ENTITY_ARENA_LIMIT,
 };
+use crate::stats::EntitySide;
 
 /// The ratio of blocks retained per entity in the paper's setup (each entity
 /// is removed from the largest 20% of its blocks).
@@ -43,10 +55,6 @@ pub const DEFAULT_FILTERING_RATIO: f64 = 0.8;
 /// Entities per worker below which the tail's passes stay on the calling
 /// thread (see `er_core::workers_for`).
 pub(crate) const TAIL_GRAIN: usize = 16_384;
-
-/// Entities that drop at most this many blocks find them by repeated
-/// maximum scans; more drops select a threshold instead.
-const FEW_DROPS: usize = 3;
 
 /// Marks a block that did not survive filtering in the renumbering table.
 const DROPPED: u32 = u32::MAX;
@@ -85,9 +93,7 @@ pub fn block_filtering_csr(blocks: &CsrBlockCollection, ratio: f64) -> CsrBlockC
 }
 
 /// Purges and filters `raw` on its entity side (see the module docs) and
-/// returns the cleaned collection together with its entity side: entity
-/// `i`'s ascending blocks, in the cleaned collection's ids, are
-/// `block_ids[offsets[i]..offsets[i + 1]]`.
+/// returns the cleaned collection together with its entity side.
 ///
 /// Blocks larger than `size_limit` are purged; each entity then stays in its
 /// `ceil(ratio · |B_i|)` smallest surviving blocks (size, then block
@@ -102,7 +108,7 @@ pub(crate) fn filter_entity_side(
     size_limit: usize,
     ratio: f64,
     threads: usize,
-) -> (CsrBlockCollection, Vec<u32>, Vec<BlockId>) {
+) -> (CsrBlockCollection, EntitySide) {
     assert!(
         ratio > 0.0 && ratio <= 1.0,
         "filtering ratio must be in (0, 1], got {ratio}"
@@ -110,43 +116,42 @@ pub(crate) fn filter_entity_side(
     let num_entities = raw.num_entities;
     let num_blocks = raw.num_blocks();
     let workers = er_core::workers_for(num_entities, threads, TAIL_GRAIN);
+    let purged = |b: usize| raw.block_size(b) > size_limit;
 
     // 1. The adjacency of the blocks that survive purging, in raw ids.
     let (offsets, mut adjacency) = transpose(
         num_blocks,
         |b| raw.entities(b),
-        |b| raw.block_size(b) <= size_limit,
+        |b| !purged(b),
         num_entities,
         |e| e.index(),
         workers,
     );
     let ranges = balanced_ranges(&offsets, workers);
 
-    // 2. Filter each entity's slice in place (`lens[e]` is what it keeps),
-    // and count, per range, each block's kept and first-source entities.
+    // 2. Filter each entity's slice in place (`lens[e]` is what it keeps)
+    // and count, per block, the entities that dropped it (high word) and
+    // the first-source ones among them (low word).  Most entities drop one
+    // or two blocks, so one shared table takes few updates.
     let size = |b: BlockId| raw.block_size(b.index()) as u32;
     let mut lens = vec![0u32; num_entities];
-    let mut counts = vec![(0u32, 0u32); ranges.len() * num_blocks];
-    let per_range = er_core::split_lengths_mut(&mut counts, ranges.iter().map(|_| num_blocks));
+    let drops: Vec<AtomicU64> = (0..num_blocks).map(|_| AtomicU64::new(0)).collect();
     for_each_range(
         &ranges,
         &offsets,
         &mut adjacency,
         &mut lens,
-        per_range,
-        |range, slice, lens, counts| {
-            let mut scratch = Vec::new();
+        |range, slice, lens| {
+            let mut largest = BinaryHeap::new();
             let base = offsets[range.start];
             for (j, e) in range.enumerate() {
                 let start = (offsets[e] - base) as usize;
                 let list = &mut slice[start..(offsets[e + 1] - base) as usize];
-                let kept = filter_entity(list, ratio, size, &mut scratch);
+                let kept = filter_entity(list, ratio, size, &mut largest);
                 lens[j] = kept as u32;
-                let first = u32::from(e < raw.split);
-                for b in &list[..kept] {
-                    let (members, firsts) = &mut counts[b.index()];
-                    *members += 1;
-                    *firsts += first;
+                let drop = 1 << 32 | u64::from(e < raw.split);
+                for b in &list[kept..] {
+                    drops[b.index()].fetch_add(drop, Ordering::Relaxed);
                 }
             }
         },
@@ -157,33 +162,28 @@ pub(crate) fn filter_entity_side(
     let mut key_ids = Vec::with_capacity(num_blocks);
     let mut first_counts = Vec::with_capacity(num_blocks);
     let mut kept_sizes = Vec::with_capacity(num_blocks);
-    for (b, slot) in renumbered.iter_mut().enumerate() {
-        let (size, first) = (b..counts.len())
-            .step_by(num_blocks)
-            .fold((0, 0), |(size, first), i| {
-                (size + counts[i].0, first + counts[i].1)
-            });
-        if comparisons_from_first(raw.kind, first, size as usize) > 0 {
+    for (b, (slot, drops)) in renumbered.iter_mut().zip(drops).enumerate() {
+        let drops = drops.into_inner();
+        let size = raw.block_size(b) - (drops >> 32) as usize;
+        let first = raw.first_counts[b] - drops as u32;
+        if !purged(b) && comparisons_from_first(raw.kind, first, size) > 0 {
             *slot = key_ids.len() as u32;
             key_ids.push(raw.key_id(b));
             first_counts.push(first);
-            kept_sizes.push(size as usize);
+            kept_sizes.push(size);
         }
     }
-    drop(counts);
     key_ids.shrink_to_fit();
     first_counts.shrink_to_fit();
 
     // Each entity keeps its surviving blocks, renumbered, compacted to the
     // front of its range's slice; `lens[e]` becomes its final degree.
-    let per_range = vec![(); ranges.len()];
     let range_lens = for_each_range(
         &ranges,
         &offsets,
         &mut adjacency,
         &mut lens,
-        per_range,
-        |range, slice, lens, ()| {
+        |range, slice, lens| {
             let base = offsets[range.start];
             let mut end = 0;
             for (j, e) in range.enumerate() {
@@ -214,34 +214,19 @@ pub(crate) fn filter_entity_side(
     adjacency.shrink_to_fit();
     let offsets = prefix_offsets(lens.iter().map(|&len| len as usize), ENTITY_ARENA_LIMIT);
 
-    // 4. The block side, by one transposition.  Each worker owns a range of
-    // blocks and the contiguous slots they fill, and scans the whole entity
-    // side in ascending order, so every block's list comes out sorted.
-    // (Blocks hold about five entities each: a per-part transposition and
-    // a merge, as in step 1, would copy runs too short to pay off.)
+    // 4. The block side, by the scatter half of one transposition: the
+    // kept sizes are known, so each block's cursor starts at its offset,
+    // and entities are visited in order, so every list comes out ascending.
     let entity_offsets = prefix_offsets(kept_sizes, ENTITY_ARENA_LIMIT);
     let mut entities = vec![EntityId(0); end];
-    let block_ranges = balanced_ranges(&entity_offsets, workers);
-    let lens = block_ranges
-        .iter()
-        .map(|r| (entity_offsets[r.end] - entity_offsets[r.start]) as usize);
-    let slots = er_core::split_lengths_mut(&mut entities, lens);
     let mut cursors = entity_offsets[..key_ids.len()].to_vec();
-    let cursors = er_core::split_lengths_mut(&mut cursors, block_ranges.iter().map(|r| r.len()));
-    let tasks = block_ranges.into_iter().zip(cursors).zip(slots).collect();
-    er_core::map_tasks_parallel(tasks, workers, |((blocks, cursors), slots)| {
-        let base = entity_offsets[blocks.start];
-        let (first, last) = (blocks.start as u32, blocks.end as u32);
-        for (e, w) in offsets.windows(2).enumerate() {
-            for b in &adjacency[w[0] as usize..w[1] as usize] {
-                if (first..last).contains(&b.0) {
-                    let cursor = &mut cursors[(b.0 - first) as usize];
-                    slots[(*cursor - base) as usize] = EntityId(e as u32);
-                    *cursor += 1;
-                }
-            }
-        }
-    });
+    scatter(
+        0..num_entities,
+        |e| &adjacency[offsets[e] as usize..offsets[e + 1] as usize],
+        |b| b.index(),
+        &mut cursors,
+        &mut entities,
+    );
 
     let cleaned = CsrBlockCollection::from_raw(
         raw.dataset_name.clone(),
@@ -254,47 +239,51 @@ pub(crate) fn filter_entity_side(
         entities,
         first_counts,
     );
-    (cleaned, offsets, adjacency)
+    let side = EntitySide {
+        offsets,
+        block_ids: adjacency,
+    };
+    (cleaned, side)
 }
 
 /// Keeps, in place, the `ceil(ratio · d)` smallest `(size, block)` entries
 /// of one entity's ascending block list and returns how many that is; the
-/// kept entries stay in block order at the front of the list.
+/// kept entries stay in block order at the front of the list, and the
+/// dropped ones follow them.
 ///
-/// Entries are distinct (distinct blocks), so dropping the `d − keep`
-/// largest keeps exactly the `keep` smallest.  A few drops (one or none for
-/// most entities) are found by maximum scans over the list itself; more
-/// select the `keep`-th smallest entry in `scratch` and keep every entry
-/// not above it.
+/// Entries are distinct (distinct blocks), so the smallest of the
+/// `d − keep` largest entries — collected in the min-heap `largest`, in
+/// `O(d log(d − keep))` — is a threshold that keeps exactly `keep` of them.
+/// Most entities drop one or two blocks, so the heap stays tiny.
 fn filter_entity(
     list: &mut [BlockId],
     ratio: f64,
     size: impl Fn(BlockId) -> u32,
-    scratch: &mut Vec<(u32, u32)>,
+    largest: &mut BinaryHeap<Reverse<(u32, u32)>>,
 ) -> usize {
     let degree = list.len();
     let keep = filtering_keep_count(degree, ratio);
-    let entry = |b: BlockId| (size(b), b.0);
-    if degree - keep <= FEW_DROPS {
-        for len in (keep + 1..=degree).rev() {
-            let (mut largest, mut max) = (0, entry(list[0]));
-            for (i, &b) in list[..len].iter().enumerate().skip(1) {
-                let e = entry(b);
-                if e > max {
-                    (largest, max) = (i, e);
-                }
-            }
-            list.copy_within(largest + 1..len, largest);
-        }
+    let drops = degree - keep;
+    if drops == 0 {
         return keep;
     }
-    scratch.clear();
-    scratch.extend(list.iter().map(|&b| entry(b)));
-    let threshold = *scratch.select_nth_unstable(keep - 1).1;
+    let entry = |b: BlockId| (size(b), b.0);
+    largest.clear();
+    for &b in list.iter() {
+        let candidate = Reverse(entry(b));
+        if largest.len() < drops {
+            largest.push(candidate);
+        } else if let Some(mut smallest) = largest.peek_mut() {
+            if candidate < *smallest {
+                *smallest = candidate;
+            }
+        }
+    }
+    let Reverse(threshold) = largest.peek().copied().expect("drops > 0");
     let mut kept = 0;
     for i in 0..degree {
-        if entry(list[i]) <= threshold {
-            list[kept] = list[i];
+        if entry(list[i]) < threshold {
+            list.swap(kept, i);
             kept += 1;
         }
     }
@@ -319,31 +308,23 @@ fn balanced_ranges(offsets: &[u32], workers: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs `f` once per entity range — on its own worker when there is more
-/// than one — with the range's slices of the adjacency and of `per_entity`
-/// and the range's entry of `per_range`, and returns the results in range
-/// order.
-fn for_each_range<E: Send, R: Send>(
+/// than one — with the range's slices of the adjacency and of `per_entity`,
+/// and returns the results in range order.
+fn for_each_range<R: Send>(
     ranges: &[Range<usize>],
     offsets: &[u32],
     adjacency: &mut [BlockId],
     per_entity: &mut [u32],
-    per_range: Vec<E>,
-    f: impl Fn(Range<usize>, &mut [BlockId], &mut [u32], E) -> R + Sync,
+    f: impl Fn(Range<usize>, &mut [BlockId], &mut [u32]) -> R + Sync,
 ) -> Vec<R> {
     let postings = ranges
         .iter()
         .map(|r| (offsets[r.end] - offsets[r.start]) as usize);
     let slices = er_core::split_lengths_mut(adjacency, postings);
     let values = er_core::split_lengths_mut(per_entity, ranges.iter().map(|r| r.len()));
-    let tasks = ranges
-        .iter()
-        .cloned()
-        .zip(slices)
-        .zip(values)
-        .zip(per_range)
-        .collect();
-    er_core::map_tasks_parallel(tasks, ranges.len(), |(((range, slice), values), extra)| {
-        f(range, slice, values, extra)
+    let tasks = ranges.iter().cloned().zip(slices).zip(values).collect();
+    er_core::map_tasks_parallel(tasks, ranges.len(), |((range, slice), values)| {
+        f(range, slice, values)
     })
 }
 

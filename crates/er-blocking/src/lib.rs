@@ -23,7 +23,9 @@
 //! block adjacency: purging is a block-size test applied while the
 //! adjacency is built, filtering drops each entity's largest blocks in
 //! place, and one transposition yields the block side.  It returns the
-//! cleaned collection with its statistics.  The stand-alone
+//! cleaned collection with its statistics; [`clean_blocks_csr`] stops
+//! before them and returns the adjacency ([`EntitySide`]) instead, for
+//! callers that time the statistics apart.  The stand-alone
 //! [`block_purging_csr`], [`block_filtering_csr`] and
 //! [`BlockStats::from_csr`] give the same output step by step.
 //!
@@ -56,7 +58,7 @@ pub use filtering::{block_filtering_csr, filtering_keep_count, DEFAULT_FILTERING
 pub use key_table::KeyTable;
 pub use purging::{block_purging_csr, purging_limit};
 pub use qgrams::qgrams_blocking_csr;
-pub use stats::BlockStats;
+pub use stats::{BlockStats, EntitySide};
 pub use stream::{CandidateStream, ChunkArena, ChunkSpec, RunScratch, DEFAULT_CHUNK_PAIRS};
 pub use suffix_arrays::{suffix_array_blocking_csr, SuffixArrayConfig};
 pub use token_blocking::token_blocking_csr;
@@ -65,26 +67,33 @@ use er_core::Dataset;
 
 /// Runs the full blocking workflow used throughout the paper's evaluation
 /// and returns the cleaned collection together with its [`BlockStats`]:
-/// parallel Token Blocking through the [`builder`] engine, then Block
-/// Purging and Block Filtering with the default ratio of 0.8 (each entity
-/// is removed from its largest 20% of blocks).
-///
-/// Purging, filtering and the statistics run over one entity → block
-/// adjacency, built once (see [`filtering`](mod@filtering)): purging is a
-/// block-size test applied while it is built, filtering runs per entity in
-/// place, and the block side is one transposition.  Both sides go to the
-/// statistics as they are, so callers need no [`BlockStats::from_csr`].
-/// The output equals `block_filtering_csr(&block_purging_csr(&raw), 0.8)`
-/// and its `BlockStats::from_csr` for any thread count.
+/// [`clean_blocks_csr`], then [`BlockStats::from_entity_side`].  The output
+/// equals `block_filtering_csr(&block_purging_csr(&raw), 0.8)` and its
+/// `BlockStats::from_csr` for any thread count.
 pub fn standard_blocking_workflow_csr(
     dataset: &Dataset,
     threads: usize,
 ) -> (CsrBlockCollection, BlockStats) {
+    let (blocks, side) = clean_blocks_csr(dataset, threads);
+    let stats = BlockStats::from_entity_side(&blocks, side, threads);
+    (blocks, stats)
+}
+
+/// The blocking workflow up to the statistics: parallel Token Blocking
+/// through the [`builder`] engine, then Block Purging and Block Filtering
+/// with the default ratio of 0.8 (each entity is removed from its largest
+/// 20% of blocks).  Returns the cleaned collection and its [`EntitySide`].
+///
+/// Purging and filtering run over one entity → block adjacency, built once
+/// (see [`filtering`](mod@filtering)): purging is a block-size test applied
+/// while it is built, filtering runs per entity in place, and the block
+/// side is one transposition.  The adjacency is the entity side the
+/// statistics need, so [`BlockStats::from_entity_side`] does not transpose
+/// again.  Callers that time the statistics apart from blocking (the batch
+/// pipeline counts them as feature generation) run the two steps
+/// themselves; everyone else calls [`standard_blocking_workflow_csr`].
+pub fn clean_blocks_csr(dataset: &Dataset, threads: usize) -> (CsrBlockCollection, EntitySide) {
     let raw = token_blocking_csr(dataset, threads);
     let limit = purging_limit(raw.num_entities);
-    let (blocks, offsets, block_ids) =
-        filtering::filter_entity_side(&raw, limit, DEFAULT_FILTERING_RATIO, threads);
-    drop(raw);
-    let stats = BlockStats::from_sides(&blocks, offsets, block_ids, threads);
-    (blocks, stats)
+    filtering::filter_entity_side(&raw, limit, DEFAULT_FILTERING_RATIO, threads)
 }

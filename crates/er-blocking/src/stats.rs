@@ -29,16 +29,28 @@
 //!
 //! The block → entity side is a cleaned collection's own CSR, and the
 //! entity → block side is one transposition of it.  [`BlockStats::from_csr`]
-//! does that transposition for any collection.  The standard workflow
-//! (`standard_blocking_workflow_csr`) does not need it: its filtering tail
-//! already holds the entity side, renumbered to the surviving blocks, and
-//! hands both sides over as they are.  Both routes compute the per-block
-//! tables and `||e_i||` in one place, so they agree bit for bit.
+//! does that transposition for any collection.  The standard workflow does
+//! not need it: its filtering tail already holds the entity side,
+//! renumbered to the surviving blocks ([`EntitySide`], returned by
+//! [`crate::clean_blocks_csr`]), and [`BlockStats::from_entity_side`] takes
+//! both sides as they are.  Both routes compute the per-block tables and
+//! `||e_i||` in one place, so they agree bit for bit.
 
 use er_core::{BlockId, DatasetKind, EntityId};
 
 use crate::csr::{transpose, CsrBlockCollection};
 use crate::filtering::TAIL_GRAIN;
+
+/// The entity → block side of a cleaned block collection, as the batch
+/// workflow's filtering tail leaves it: entity `i`'s ascending blocks, in
+/// the collection's ids, are `block_ids[offsets[i]..offsets[i + 1]]`.
+/// [`BlockStats::from_entity_side`] turns it, with its collection, into the
+/// statistics.
+#[derive(Debug, Clone)]
+pub struct EntitySide {
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) block_ids: Vec<BlockId>,
+}
 
 /// Pre-computed co-occurrence statistics of a block collection.
 #[derive(Debug, Clone)]
@@ -87,22 +99,24 @@ impl BlockStats {
             |e| e.index(),
             1,
         );
-        Self::from_sides(blocks, offsets, block_ids, 1)
+        Self::from_entity_side(blocks, EntitySide { offsets, block_ids }, 1)
     }
 
-    /// The statistics of `blocks` given its entity side, already built:
-    /// entity `i`'s ascending block list is
-    /// `block_ids[offsets[i]..offsets[i + 1]]`, in `blocks`' ids.  The
-    /// per-block tables and `||e_i||` are computed here, so every
-    /// constructor shares one copy of their arithmetic; `||e_i||` is summed
-    /// over entity ranges on up to `threads` workers.
-    pub(crate) fn from_sides(
-        blocks: &CsrBlockCollection,
-        offsets: Vec<u32>,
-        block_ids: Vec<BlockId>,
-        threads: usize,
-    ) -> Self {
-        debug_assert_eq!(offsets.len(), blocks.num_entities + 1);
+    /// The statistics of `blocks` given its entity side, already built —
+    /// [`crate::clean_blocks_csr`] returns the two together.  The per-block
+    /// tables and `||e_i||` are computed here, so every constructor shares
+    /// one copy of their arithmetic; `||e_i||` is summed over entity ranges
+    /// on up to `threads` workers.
+    ///
+    /// # Panics
+    /// Panics if `side` covers another number of entities than `blocks`.
+    pub fn from_entity_side(blocks: &CsrBlockCollection, side: EntitySide, threads: usize) -> Self {
+        let EntitySide { offsets, block_ids } = side;
+        assert_eq!(
+            offsets.len(),
+            blocks.num_entities + 1,
+            "the entity side must come with its block collection"
+        );
         let num_blocks = blocks.num_blocks();
         let block_sizes: Vec<u32> = blocks
             .entity_offsets
@@ -312,6 +326,16 @@ mod tests {
 
     fn sample() -> CsrBlockCollection {
         collection(4)
+    }
+
+    #[test]
+    #[should_panic(expected = "must come with its block collection")]
+    fn an_entity_side_of_another_collection_is_refused() {
+        let side = EntitySide {
+            offsets: vec![0; 4],
+            block_ids: Vec::new(),
+        };
+        let _ = BlockStats::from_entity_side(&sample(), side, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use er_blocking::{standard_blocking_workflow_csr, BlockStats, CandidatePairs, CsrBlockCollection};
+use er_blocking::{clean_blocks_csr, BlockStats, CandidatePairs, CsrBlockCollection};
 use er_core::{Dataset, PairId, Result};
 use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
 use er_learn::ProbabilisticClassifier;
@@ -32,7 +32,8 @@ pub struct PreparedDataset {
     pub stats: BlockStats,
     /// The distinct candidate pairs.
     pub candidates: CandidatePairs,
-    /// Wall-clock time of the blocking workflow.
+    /// Wall-clock time of Token Blocking, Purging and Filtering (the
+    /// statistics are not included).
     pub blocking_time: Duration,
 }
 
@@ -41,9 +42,12 @@ impl PreparedDataset {
     /// engine and the pipeline's [`prepare`] stage on its output.
     pub fn prepare(dataset: Dataset) -> Result<Self> {
         let threads = er_core::available_threads();
+        // Timed like `MetaBlockingPipeline::run`'s `blocking`: the
+        // statistics are not part of it.
         let start = Instant::now();
-        let (blocks, stats) = standard_blocking_workflow_csr(&dataset, threads);
+        let (blocks, entity_side) = clean_blocks_csr(&dataset, threads);
         let blocking_time = start.elapsed();
+        let stats = BlockStats::from_entity_side(&blocks, entity_side, threads);
         let (stats, candidates) = prepare(&blocks, stats, threads)?;
         Ok(PreparedDataset {
             dataset,
