@@ -44,7 +44,7 @@ use crate::streaming::{CleanedState, StreamingPipeline};
 
 /// Snapshot payload tag for pipeline snapshots (distinct from the sharded
 /// service's tag, so the two kinds of root never mix).
-pub const PIPELINE_SNAPSHOT_TAG: u32 = 0x5050_4c31; // "PPL1"
+pub(crate) const PIPELINE_SNAPSHOT_TAG: u32 = 0x5050_4c31; // "PPL1"
 
 /// The head snapshot: everything a pipeline needs beyond its index and the
 /// WAL.

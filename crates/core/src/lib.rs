@@ -17,9 +17,7 @@
 //!   re-rank candidates;
 //! * [`durable`] — crash durability for the streaming pipeline: snapshots of
 //!   the index + model + schedule plus a mutation write-ahead log
-//!   (`persist_to`/`recover_from`);
-//! * [`unsupervised`] — classic (single-weight) meta-blocking baselines for
-//!   reference.
+//!   (`persist_to`/`recover_from`).
 //!
 //! ```
 //! use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
@@ -43,13 +41,12 @@ pub mod progressive;
 pub mod pruning;
 pub mod scoring;
 pub mod streaming;
-pub mod unsupervised;
 
 pub use durable::DurableStreamingPipeline;
-pub use live_view::{LiveView, ViewDelta};
+pub use live_view::LiveView;
 pub use materialize::{materialize_blocks_csr, PruningSummary};
 pub use pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingOutcome, MetaBlockingPipeline};
 pub use progressive::{ProgressiveSchedule, StreamingSchedule};
-pub use pruning::{AlgorithmKind, CardinalityThresholds, PruningAlgorithm};
-pub use scoring::{CachedScores, ModelScorer, ProbabilitySource, VALIDITY_THRESHOLD};
+pub use pruning::{AlgorithmKind, CardinalityThresholds};
+pub use scoring::{CachedScores, ModelScorer, ProbabilitySource};
 pub use streaming::StreamingPipeline;

@@ -186,14 +186,6 @@ impl LiveView {
             .is_some_and(|list| list.binary_search(&pair.1 .0).is_ok())
     }
 
-    /// The cleaned candidate partners of one entity, sorted ascending
-    /// (empty for an id the view has not seen).
-    pub fn partners_of(&self, entity: EntityId) -> Vec<EntityId> {
-        self.partners
-            .get(entity.index())
-            .map_or_else(Vec::new, |list| list.iter().map(|&p| EntityId(p)).collect())
-    }
-
     /// The full cleaned candidate set, sorted, smaller entity first.
     pub fn candidate_pairs(&self) -> Vec<(EntityId, EntityId)> {
         let mut pairs = Vec::with_capacity(self.num_pairs);
@@ -635,9 +627,9 @@ mod tests {
             "refresh diverged from a rebuild"
         );
         assert_eq!(view.len(), full.len());
+        let partners = |v: &LiveView, e: usize| v.partners.get(e).cloned().unwrap_or_default();
         for e in 0..index.num_entities() {
-            let e = EntityId(e as u32);
-            assert_eq!(view.partners_of(e), full.partners_of(e), "partners of {e}");
+            assert_eq!(partners(view, e), partners(&full, e), "partners of e{e}");
         }
         assert_eq!(view.oversized, full.oversized);
         assert_eq!(delta.added, sorted_difference(&after, &before), "added");
@@ -774,7 +766,6 @@ mod tests {
         let view = LiveView::with_default_ratio(blocker.index());
         assert!(!view.is_empty());
         let beyond = EntityId(dataset.num_entities() as u32 + 5);
-        assert!(view.partners_of(beyond).is_empty());
         assert!(!view.contains((beyond, EntityId(0))));
     }
 }

@@ -74,14 +74,6 @@ impl PruningSummary {
         }
         1.0 - self.retained_negatives as f64 / self.input_negatives as f64
     }
-
-    /// The fraction of positive pairs that survived pruning.
-    pub fn positive_retention(&self) -> f64 {
-        if self.input_positives == 0 {
-            return 0.0;
-        }
-        self.retained_positives as f64 / self.input_positives as f64
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +131,6 @@ mod tests {
         assert_eq!(summary.input_negatives, 3);
         assert_eq!(summary.retained_positives, 1);
         assert_eq!(summary.retained_negatives, 1);
-        assert!((summary.positive_retention() - 1.0).abs() < 1e-12);
         assert!((summary.negative_reduction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -149,6 +140,5 @@ mod tests {
         let summary = PruningSummary::new(&candidates, &[], &truth);
         assert_eq!(summary.retained_positives, 0);
         assert!((summary.negative_reduction() - 1.0).abs() < 1e-12);
-        assert_eq!(summary.positive_retention(), 0.0);
     }
 }

@@ -264,7 +264,7 @@ impl StreamingSchedule {
     /// The pairs already handed to the matcher, sorted — the other half of
     /// the persistent state ([`StreamingSchedule::restore`] keeps them
     /// ineligible for re-emission).
-    pub fn emitted_pairs(&self) -> Vec<(EntityId, EntityId)> {
+    pub(crate) fn emitted_pairs(&self) -> Vec<(EntityId, EntityId)> {
         let mut pairs: Vec<(EntityId, EntityId)> = self
             .states
             .iter()
@@ -276,7 +276,7 @@ impl StreamingSchedule {
     }
 
     /// Rebuilds a schedule from [`StreamingSchedule::queued_entries`] and
-    /// [`StreamingSchedule::emitted_pairs`].  Stamps are renumbered, but
+    /// the pairs already handed to the matcher.  Stamps are renumbered, but
     /// emission order is unaffected: only one heap entry per pair is
     /// current, so draining is governed by `(probability, pair)` exactly as
     /// before.

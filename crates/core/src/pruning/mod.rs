@@ -124,14 +124,6 @@ impl AlgorithmKind {
         ]
     }
 
-    /// True for the cardinality-based family.
-    pub fn is_cardinality_based(self) -> bool {
-        matches!(
-            self,
-            AlgorithmKind::Cep | AlgorithmKind::Cnp | AlgorithmKind::Rcnp
-        )
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -216,7 +208,7 @@ pub(crate) mod test_support {
 
     /// Builds a candidate set and cached scores from explicit `(a, b, p)`
     /// triples.  Pairs are supplied pre-sorted so the ids are predictable.
-    pub fn scored_pairs(
+    pub(crate) fn scored_pairs(
         num_entities: usize,
         triples: &[(u32, u32, f64)],
     ) -> (CandidatePairs, CachedScores) {
@@ -293,8 +285,8 @@ mod tests {
             AlgorithmKind::cardinality_based().into_iter().collect();
         assert!(weight.is_disjoint(&cardinality));
         assert_eq!(weight.len() + cardinality.len(), AlgorithmKind::all().len());
-        assert!(AlgorithmKind::Rcnp.is_cardinality_based());
-        assert!(!AlgorithmKind::Blast.is_cardinality_based());
+        assert!(cardinality.contains(&AlgorithmKind::Rcnp));
+        assert!(!cardinality.contains(&AlgorithmKind::Blast));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use er_learn::ProbabilisticClassifier;
 
 /// The validity threshold of Generalized Supervised Meta-blocking: pairs with
 /// a matching probability below 0.5 are discarded before pruning.
-pub const VALIDITY_THRESHOLD: f64 = 0.5;
+pub(crate) const VALIDITY_THRESHOLD: f64 = 0.5;
 
 /// Pairs per worker below which [`ModelScorer::cache_with_threads`] does not
 /// start another one (see [`er_core::workers_for`]).
@@ -69,7 +69,7 @@ impl<'a> ModelScorer<'a> {
     ///
     /// The output is deterministic and identical to the sequential pass for
     /// any thread count (each slot is written independently).
-    pub fn cache_with_threads(&self, threads: usize) -> CachedScores {
+    pub(crate) fn cache_with_threads(&self, threads: usize) -> CachedScores {
         let num_pairs = self.features.num_pairs();
         let mut probabilities = vec![0.0f64; num_pairs];
         let threads = er_core::workers_for(num_pairs, threads, MIN_PAIRS_PER_WORKER);

@@ -154,12 +154,6 @@ impl StreamingPipeline {
         })
     }
 
-    /// True if the pipeline maintains the cleaned (purged + filtered)
-    /// candidate view.
-    pub fn is_cleaned(&self) -> bool {
-        self.cleaned.is_some()
-    }
-
     /// The cleaned live view, when running in cleaned mode.
     pub fn live_view(&self) -> Option<&LiveView> {
         self.cleaned.as_ref().map(|state| &state.view)
@@ -377,7 +371,7 @@ mod tests {
         let seed = er_stream::dataset_prefix(&ds, seed_count);
         let mut raw = StreamingPipeline::bootstrap(&config(), &seed).unwrap();
         let mut cleaned = StreamingPipeline::bootstrap_cleaned(&config(), &seed).unwrap();
-        assert!(cleaned.is_cleaned() && !raw.is_cleaned());
+        assert!(cleaned.live_view().is_some() && raw.live_view().is_none());
         assert!(cleaned.schedule().pending() <= raw.schedule().pending());
 
         for chunk in ds.profiles[seed_count..].chunks(17) {

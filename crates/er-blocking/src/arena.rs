@@ -46,10 +46,10 @@ use er_persist::{Reader, Writer};
 use crate::csr::{CsrBlockCollection, KeyStore};
 
 /// Magic bytes of a [`CsrBlockCollection`] arena frame.
-pub const CSR_ARENA_MAGIC: [u8; 8] = *b"GSMBCSRA";
+pub(crate) const CSR_ARENA_MAGIC: [u8; 8] = *b"GSMBCSRA";
 
 /// Arena layout version written and accepted by this build.
-pub const ARENA_VERSION: u32 = 1;
+pub(crate) const ARENA_VERSION: u32 = 1;
 
 /// Pads the body writer with zeros to the next 8-byte boundary relative to
 /// the body start.

@@ -56,11 +56,9 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use er_core::fxhash::{hash_bytes, high_bits};
-use er_core::{Dataset, DatasetKind, EntityId, EntityProfile};
+use er_core::{checked_u32, Dataset, DatasetKind, EntityId, EntityProfile};
 
-use crate::csr::{
-    checked_u32, slice_cardinalities, CsrBlockCollection, KeyStore, ENTITY_ARENA_LIMIT,
-};
+use crate::csr::{slice_cardinalities, CsrBlockCollection, KeyStore, ENTITY_ARENA_LIMIT};
 
 /// The key text limit every block key offset table is checked against.
 const KEY_TEXT_LIMIT: &str = "block key text limit (4 GiB of key text)";
@@ -89,7 +87,7 @@ impl KeyScratch {
     /// `token`, including the trailing `token.len()` sentinel, and returns
     /// the slice.  The char at index `i` spans bytes
     /// `positions[i]..positions[i + 1]`.
-    pub fn char_boundaries(&mut self, token: &str) -> &[u32] {
+    pub(crate) fn char_boundaries(&mut self, token: &str) -> &[u32] {
         self.positions.clear();
         for (offset, _) in token.char_indices() {
             self.positions.push(offset as u32);

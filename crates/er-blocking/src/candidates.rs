@@ -33,8 +33,8 @@
 //! comparison count before anything is buffered; only when that (free) upper
 //! bound is above the `u32` ceiling do the constructors fall back to counting
 //! first through [`CandidateStream`], whose collector
-//! ([`CandidatePairs::try_from_stream`]) stays for callers that already hold
-//! a stream and re-extracts every run a second time.
+//! ([`CandidateStream::collect`]) stays for callers that already hold a
+//! stream and re-extracts every run a second time.
 
 use er_core::{EntityId, GroundTruth, PairId};
 
@@ -230,7 +230,10 @@ impl CandidatePairs {
     /// per-worker buffers).  The per-entity offsets and LCP counts are the
     /// stream's counting-pass aggregates, so the result is bit-identical to
     /// concatenating the stream's chunks at any thread count.
-    pub fn try_from_stream(stream: &CandidateStream<'_>, threads: usize) -> er_core::Result<Self> {
+    pub(crate) fn try_from_stream(
+        stream: &CandidateStream<'_>,
+        threads: usize,
+    ) -> er_core::Result<Self> {
         ensure_materialisable(stream.total_pairs())?;
         let total = stream.total_pairs() as usize;
         let num_entities = stream.num_entities();

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use er_core::{DatasetKind, EntityId};
+use er_core::{checked_u32, DatasetKind, EntityId};
 
 /// `||b||` from a block's first-source count and size — the single home of
 /// the CleanClean/Dirty comparison formula.  Public so that incremental
@@ -36,26 +36,13 @@ pub fn comparisons_from_first(kind: DatasetKind, first: u32, size: usize) -> u64
 
 /// First-source count and `||b||` of one sorted entity slice.
 #[inline]
-pub fn slice_cardinalities(slice: &[EntityId], kind: DatasetKind, split: usize) -> (u32, u64) {
+pub(crate) fn slice_cardinalities(
+    slice: &[EntityId],
+    kind: DatasetKind,
+    split: usize,
+) -> (u32, u64) {
     let first = slice.partition_point(|e| e.index() < split) as u32;
     (first, comparisons_from_first(kind, first, slice.len()))
-}
-
-/// `value` as a `u32`, panicking with a message that names `limit` when it
-/// does not fit — the arenas address keys and text with `u32`s, and a
-/// silently wrapped offset would hand out the wrong key.
-#[inline]
-pub(crate) fn checked_u32(value: usize, limit: &'static str) -> u32 {
-    match u32::try_from(value) {
-        Ok(v) => v,
-        Err(_) => limit_exceeded(value, limit),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn limit_exceeded(value: usize, limit: &'static str) -> ! {
-    panic!("{limit} exceeded: {value} does not fit a u32")
 }
 
 /// The offset table of consecutive runs of the given lengths: `0`, then
@@ -336,7 +323,7 @@ impl CsrBlockCollection {
     }
 
     /// The shared key arena.
-    pub fn key_store(&self) -> &Arc<KeyStore> {
+    pub(crate) fn key_store(&self) -> &Arc<KeyStore> {
         &self.keys
     }
 
@@ -346,7 +333,7 @@ impl CsrBlockCollection {
         self.keys.get(self.key_ids[b])
     }
 
-    /// The arena id of block `b`'s key (an index into [`Self::key_store`]).
+    /// The arena id of block `b`'s key (an index into the shared key arena).
     #[inline]
     pub fn key_id(&self, b: usize) -> u32 {
         self.key_ids[b]
@@ -672,12 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_u32_accepts_the_largest_u32() {
-        assert_eq!(checked_u32(u32::MAX as usize, "test limit"), u32::MAX);
-        assert_eq!(checked_u32(0, "test limit"), 0);
-    }
-
-    #[test]
     fn prefix_offsets_sums_lengths_up_to_the_largest_u32() {
         assert_eq!(prefix_offsets([], "test limit"), vec![0]);
         assert_eq!(prefix_offsets([2, 0, 3], "test limit"), vec![0, 2, 2, 5]);
@@ -705,11 +686,5 @@ mod tests {
         assert_eq!(offsets, vec![0, 1, 2, 3, 4, 5]);
         let ids: Vec<u32> = block_ids.iter().map(|b| b.0).collect();
         assert_eq!(ids, vec![0, 2, 0, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "test limit exceeded: 4294967296 does not fit a u32")]
-    fn checked_u32_panics_one_past_the_largest_u32() {
-        checked_u32(u32::MAX as usize + 1, "test limit");
     }
 }

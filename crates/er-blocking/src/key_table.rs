@@ -15,9 +15,10 @@
 //! tag's top bits (see [`er_core::fxhash::high_bits`] for why not the low
 //! ones).  Ids are dense, in first-encounter order, and never change.
 
+use er_core::checked_u32;
 use er_core::fxhash::{hash_bytes, high_bits};
 
-use crate::csr::{checked_u32, KeyStore};
+use crate::csr::KeyStore;
 
 /// Marks an empty slot; no key id equals it (see [`KeyTable::intern`]).
 const EMPTY: u32 = u32::MAX;

@@ -37,7 +37,7 @@ pub mod builder;
 pub mod candidates;
 pub mod csr;
 pub mod filtering;
-pub mod key_table;
+mod key_table;
 mod obs;
 pub mod persist;
 pub mod purging;
@@ -45,21 +45,20 @@ pub mod qgrams;
 pub mod reference;
 pub mod stats;
 pub mod stream;
-pub mod suffix_arrays;
+mod suffix_arrays;
 pub mod token_blocking;
 
-pub use arena::{ARENA_VERSION, CSR_ARENA_MAGIC};
 pub use builder::{
     build_blocks, sorted_key_order, KeyGenerator, KeyScratch, QGramKeys, SuffixKeys, TokenKeys,
 };
 pub use candidates::CandidatePairs;
-pub use csr::{comparisons_from_first, slice_cardinalities, CsrBlockCollection, KeyStore};
+pub use csr::{comparisons_from_first, CsrBlockCollection, KeyStore};
 pub use filtering::{block_filtering_csr, filtering_keep_count, DEFAULT_FILTERING_RATIO};
 pub use key_table::KeyTable;
 pub use purging::{block_purging_csr, purging_limit};
 pub use qgrams::qgrams_blocking_csr;
 pub use stats::{BlockStats, EntitySide};
-pub use stream::{CandidateStream, ChunkArena, ChunkSpec, RunScratch, DEFAULT_CHUNK_PAIRS};
+pub use stream::{CandidateStream, ChunkArena, ChunkSpec, DEFAULT_CHUNK_PAIRS};
 pub use suffix_arrays::{suffix_array_blocking_csr, SuffixArrayConfig};
 pub use token_blocking::token_blocking_csr;
 

@@ -193,12 +193,6 @@ impl BlockStats {
         (self.offsets[entity.index() + 1] - self.offsets[entity.index()]) as usize
     }
 
-    /// The raw CSR index: `(offsets, block_ids)` with entity `i`'s block list
-    /// at `block_ids[offsets[i]..offsets[i + 1]]`.
-    pub fn entity_block_csr(&self) -> (&[u32], &[BlockId]) {
-        (&self.offsets, &self.block_ids)
-    }
-
     /// The ER kind of the underlying collection.
     pub fn kind(&self) -> DatasetKind {
         self.kind
@@ -292,13 +286,6 @@ impl BlockStats {
             }
         }
     }
-
-    /// Returns the shared blocks of two entities as a vector.
-    pub fn common_block_ids(&self, a: EntityId, b: EntityId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        self.for_each_common_block(a, b, |id| out.push(id));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -361,10 +348,9 @@ mod tests {
         let stats = BlockStats::from_csr(&sample());
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(2)), 2);
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(3)), 1);
-        assert_eq!(
-            stats.common_block_ids(EntityId(0), EntityId(2)),
-            vec![BlockId(0), BlockId(1)]
-        );
+        let mut shared = Vec::new();
+        stats.for_each_common_block(EntityId(0), EntityId(2), |id| shared.push(id));
+        assert_eq!(shared, vec![BlockId(0), BlockId(1)]);
         assert_eq!(stats.common_blocks(EntityId(0), EntityId(0)), 2);
     }
 
@@ -453,8 +439,10 @@ mod tests {
                 naive.entity_comparisons(entity)
             );
         }
-        let (offsets, arena) = stats.entity_block_csr();
-        assert_eq!(offsets.len(), bc.num_entities + 1);
-        assert_eq!(arena.len(), *offsets.last().unwrap() as usize);
+        assert_eq!(stats.offsets.len(), bc.num_entities + 1);
+        assert_eq!(
+            stats.block_ids.len(),
+            *stats.offsets.last().unwrap() as usize
+        );
     }
 }

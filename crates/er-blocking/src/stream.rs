@@ -54,8 +54,7 @@
 //! narrow id band, so the primitive sorts it with [`er_core::radix::sort_u32`]
 //! — a comparison sort on short runs, byte-radix passes over the differing
 //! bytes on long ones — with the sort's second buffer living in the caller's
-//! [`RunScratch`] beside the run itself.
-//! [`CandidatePairs::try_from_stream`](crate::CandidatePairs::try_from_stream)
+//! `RunScratch` beside the run itself.  [`CandidateStream::collect`]
 //! remains for callers that start from a stream.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -73,7 +72,7 @@ pub const DEFAULT_CHUNK_PAIRS: usize = 1 << 16;
 /// second buffer its sort ping-pongs through.  Both keep their capacity
 /// across runs, so a worker allocates only when a longer run shows up.
 #[derive(Debug, Default)]
-pub struct RunScratch {
+pub(crate) struct RunScratch {
     run: Vec<u32>,
     spare: Vec<u32>,
 }
@@ -519,7 +518,7 @@ impl<'a> CandidateStream<'a> {
     /// Extracts one chunk straight into a caller-provided slice of exactly
     /// [`ChunkSpec::len`] pairs (the zero-copy path of the stream's
     /// materialising collector).
-    pub fn extract_chunk_into(
+    pub(crate) fn extract_chunk_into(
         &self,
         chunk: ChunkSpec,
         scratch: &mut RunScratch,

@@ -33,7 +33,7 @@ impl Default for SuffixArrayConfig {
 
 /// Emits the suffixes of a token that are at least `min_length` characters
 /// long (the whole token included).
-pub fn suffixes(token: &str, min_length: usize) -> Vec<String> {
+pub(crate) fn suffixes(token: &str, min_length: usize) -> Vec<String> {
     let chars: Vec<char> = token.chars().collect();
     if chars.len() < min_length {
         return Vec::new();

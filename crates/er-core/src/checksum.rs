@@ -22,7 +22,7 @@
 //! byte loop (≈ 380 → 1 700 MB/s on the reference container).
 //!
 //! The implementation is streaming: feed bytes in any chunking via
-//! [`Crc64::update`] and the digest is identical to a one-shot
+//! `Crc64::update` and the digest is identical to a one-shot
 //! [`crc64`] over the concatenation.
 
 /// The reflected CRC-64/XZ (ECMA-182) polynomial.
@@ -78,7 +78,7 @@ fn update_bytewise(mut state: u64, bytes: &[u8]) -> u64 {
 
 /// Streaming CRC-64/XZ state.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc64 {
+pub(crate) struct Crc64 {
     state: u64,
 }
 

@@ -108,12 +108,6 @@ impl GroundTruth {
     pub fn pairs(&self) -> &[(EntityId, EntityId)] {
         &self.pairs
     }
-
-    /// Rebuilds the lookup index; required after deserialisation because the
-    /// index is not serialised.
-    pub fn rebuild_index(&mut self) {
-        self.index = self.pairs.iter().copied().collect();
-    }
 }
 
 /// A complete ER dataset: all entity profiles (flattened into one id space),
@@ -233,13 +227,13 @@ impl Dataset {
     }
 
     /// True if `id` belongs to the first (E1) collection.
-    pub fn in_first_source(&self, id: EntityId) -> bool {
+    pub(crate) fn in_first_source(&self, id: EntityId) -> bool {
         id.index() < self.split
     }
 
     /// True if `a` and `b` come from different sources (always true for Dirty
     /// datasets as long as the ids differ).
-    pub fn is_cross_source(&self, a: EntityId, b: EntityId) -> bool {
+    pub(crate) fn is_cross_source(&self, a: EntityId, b: EntityId) -> bool {
         match self.kind {
             DatasetKind::CleanClean => self.in_first_source(a) != self.in_first_source(b),
             DatasetKind::Dirty => a != b,
@@ -250,11 +244,6 @@ impl Dataset {
     /// (cross-source for Clean-Clean, distinct for Dirty).
     pub fn is_comparable(&self, a: EntityId, b: EntityId) -> bool {
         self.kind.comparable(self.split, a, b)
-    }
-
-    /// Iterates over all entity ids.
-    pub fn entity_ids(&self) -> impl Iterator<Item = EntityId> + '_ {
-        (0..self.profiles.len() as u32).map(EntityId)
     }
 }
 

@@ -53,14 +53,6 @@ impl EntityProfile {
         self.attributes.push(Attribute::new(name, value));
     }
 
-    /// Returns the value of the first attribute with the given name, if any.
-    pub fn value_of(&self, name: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|a| a.name == name)
-            .map(|a| a.value.as_str())
-    }
-
     /// Returns every distinct schema-agnostic token appearing in any attribute
     /// value of this profile (the Token Blocking signature set).
     ///
@@ -96,8 +88,8 @@ mod tests {
     fn builder_accumulates_attributes() {
         let p = sample();
         assert_eq!(p.attributes.len(), 2);
-        assert_eq!(p.value_of("model"), Some("Apple iPhone X"));
-        assert_eq!(p.value_of("missing"), None);
+        assert_eq!(p.attributes[0].name, "model");
+        assert_eq!(p.attributes[0].value, "Apple iPhone X");
     }
 
     #[test]

@@ -20,15 +20,15 @@ pub mod radix;
 pub mod rng;
 pub mod tokenize;
 
-pub use checksum::{crc64, Crc64};
+pub use checksum::crc64;
 pub use collection::{Dataset, DatasetKind, EntityCollection, GroundTruth};
 pub use entity::{Attribute, EntityProfile};
 pub use error::{Error, PersistError, PersistErrorClass, PersistResult, Result};
-pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use ids::{BlockId, EntityId, PairId};
+pub use fxhash::{FxHashMap, FxHashSet};
+pub use ids::{checked_u32, BlockId, EntityId, PairId};
 pub use parallel::{
     available_threads, fill_rows_parallel, for_each_task_with_state, map_ranges_parallel,
     map_tasks_parallel, split_lengths_mut, workers_for,
 };
 pub use rng::{derive_seed, seeded_rng};
-pub use tokenize::{tokenize, tokenize_into};
+pub use tokenize::tokenize;

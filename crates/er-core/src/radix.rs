@@ -11,11 +11,11 @@
 /// 256-counter histogram and prefix sum whatever the run length, which the
 /// comparison sort beats on short runs (the two cross between 48 and 64 keys
 /// on two-pass runs of concatenated ascending slices).
-pub const RADIX_SORT_MIN_LEN: usize = 64;
+pub(crate) const RADIX_SORT_MIN_LEN: usize = 64;
 
 /// Sorts `keys` ascending.
 ///
-/// Short runs (below [`RADIX_SORT_MIN_LEN`]) use `sort_unstable`.  Longer
+/// Short runs (below `RADIX_SORT_MIN_LEN`) use `sort_unstable`.  Longer
 /// ones take one counting pass per byte position, least significant first,
 /// skipping every position on which all keys of the run agree (found by
 /// OR-ing and AND-ing the keys): ids below 65 536 sort in two passes, below

@@ -16,7 +16,7 @@ pub fn tokenize(value: &str) -> Vec<String> {
 
 /// Tokenizes a value and appends the tokens into `out` without allocating a
 /// fresh vector; used on the hot blocking path.
-pub fn tokenize_into(value: &str, out: &mut Vec<String>) {
+pub(crate) fn tokenize_into(value: &str, out: &mut Vec<String>) {
     for t in value.split(|c: char| !c.is_alphanumeric()) {
         if !t.is_empty() {
             out.push(t.to_lowercase());

@@ -1,6 +1,6 @@
 //! Named dataset recipes mirroring the paper's benchmarks.
 //!
-//! Each entry of [`clean_clean_catalog`] is a structural analogue of one of
+//! Each [`DatasetName`] names a structural analogue of one of
 //! the nine real-world Clean-Clean ER datasets in Table 1 of the paper, and
 //! [`dirty_catalog`] mirrors the five synthetic Dirty ER datasets used in the
 //! scalability analysis (Figures 17/18).
@@ -17,7 +17,6 @@ use er_core::{Dataset, Result};
 
 use crate::clean_clean::generate_clean_clean;
 use crate::config::{CleanCleanConfig, DirtyConfig, NoiseConfig};
-use crate::dirty::generate_dirty;
 
 /// The nine Clean-Clean ER benchmarks of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,7 +118,7 @@ fn scaled(value: usize, scale: f64) -> usize {
 }
 
 /// Returns the configuration of one named Clean-Clean benchmark analogue.
-pub fn clean_clean_config(name: DatasetName, options: &CatalogOptions) -> CleanCleanConfig {
+pub(crate) fn clean_clean_config(name: DatasetName, options: &CatalogOptions) -> CleanCleanConfig {
     // (e1, e2, duplicates, vocab, zipf, min_tok, max_tok, distinctive,
     //  confusable, noise)
     let (e1, e2, dups, vocab, zipf, min_tok, max_tok, distinctive, confusable, noise) = match name {
@@ -251,14 +250,6 @@ pub fn clean_clean_config(name: DatasetName, options: &CatalogOptions) -> CleanC
     }
 }
 
-/// The configurations of all nine Clean-Clean benchmark analogues.
-pub fn clean_clean_catalog(options: &CatalogOptions) -> Vec<CleanCleanConfig> {
-    DatasetName::all()
-        .into_iter()
-        .map(|name| clean_clean_config(name, options))
-        .collect()
-}
-
 /// Generates one named Clean-Clean benchmark analogue.
 pub fn generate_catalog_dataset(name: DatasetName, options: &CatalogOptions) -> Result<Dataset> {
     generate_clean_clean(&clean_clean_config(name, options))
@@ -292,14 +283,16 @@ pub fn dirty_catalog(options: &CatalogOptions) -> Vec<DirtyConfig> {
         .collect()
 }
 
-/// Generates all five Dirty ER scalability datasets.
-pub fn generate_dirty_catalog(options: &CatalogOptions) -> Result<Vec<Dataset>> {
-    dirty_catalog(options).iter().map(generate_dirty).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn clean_clean_catalog(options: &CatalogOptions) -> Vec<CleanCleanConfig> {
+        DatasetName::all()
+            .into_iter()
+            .map(|name| clean_clean_config(name, options))
+            .collect()
+    }
 
     #[test]
     fn catalog_has_nine_entries_in_table1_order() {

@@ -78,7 +78,7 @@ fn render_profile(external_id: String, tokens: &[usize], vocab: &Vocabulary) -> 
 }
 
 /// Generates a Clean-Clean ER dataset according to the configuration.
-pub fn generate_clean_clean(cfg: &CleanCleanConfig) -> Result<Dataset> {
+pub(crate) fn generate_clean_clean(cfg: &CleanCleanConfig) -> Result<Dataset> {
     cfg.validate()?;
     let vocab = Vocabulary::new(cfg.vocab_size, cfg.zipf_exponent);
     let mut rng = er_core::seeded_rng(cfg.seed);

@@ -19,7 +19,7 @@ pub struct NoiseConfig {
 
 impl NoiseConfig {
     /// Light noise: duplicates keep most of their tokens.
-    pub fn light() -> Self {
+    pub(crate) fn light() -> Self {
         NoiseConfig {
             drop_probability: 0.05,
             replace_probability: 0.02,
@@ -28,7 +28,7 @@ impl NoiseConfig {
     }
 
     /// Moderate noise.
-    pub fn moderate() -> Self {
+    pub(crate) fn moderate() -> Self {
         NoiseConfig {
             drop_probability: 0.25,
             replace_probability: 0.10,
@@ -65,7 +65,7 @@ impl NoiseConfig {
 
 /// Configuration of a synthetic Clean-Clean ER dataset.
 #[derive(Debug, Clone)]
-pub struct CleanCleanConfig {
+pub(crate) struct CleanCleanConfig {
     /// Dataset name.
     pub name: String,
     /// Number of entities in the first collection, |E1|.
@@ -153,7 +153,7 @@ pub struct DirtyConfig {
     pub distinctive_fraction: f64,
     /// Fraction of non-duplicated entities generated as confusable variants
     /// of an earlier record (hard negatives); see
-    /// [`CleanCleanConfig::confusable_fraction`].
+    /// `CleanCleanConfig::confusable_fraction`.
     pub confusable_fraction: f64,
     /// Noise applied to duplicate copies.
     pub noise: NoiseConfig,

@@ -19,11 +19,7 @@ pub mod noise;
 pub mod scalability;
 pub mod vocab;
 
-pub use catalog::{
-    clean_clean_catalog, dirty_catalog, generate_catalog_dataset, CatalogOptions, DatasetName,
-};
-pub use clean_clean::generate_clean_clean;
-pub use config::{CleanCleanConfig, DirtyConfig, NoiseConfig};
+pub use catalog::{dirty_catalog, generate_catalog_dataset, CatalogOptions, DatasetName};
 pub use dirty::generate_dirty;
 pub use scalability::{generate_scalability, ScalabilityConfig};
 pub use vocab::Vocabulary;

@@ -10,7 +10,7 @@ use crate::vocab::Vocabulary;
 ///
 /// Guarantees that the result is never empty: if every token would be dropped,
 /// the first base token is kept so the copy still has a blocking signature.
-pub fn apply_noise(
+pub(crate) fn apply_noise(
     base: &[usize],
     noise: &NoiseConfig,
     vocab: &Vocabulary,

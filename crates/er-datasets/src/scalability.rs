@@ -16,7 +16,7 @@
 //!   purging, because the purging threshold itself shifts with scale;
 //! * duplicates are emitted immediately after their base (cluster locality,
 //!   as in the catalog generator);
-//! * confusables draw from the last [`ScalabilityConfig::RING`] bases only.
+//! * confusables draw from the last `ScalabilityConfig::RING` bases only.
 //!
 //! Generation is single-pass and deterministic per seed.
 
@@ -75,7 +75,7 @@ pub struct ScalabilityConfig {
 impl ScalabilityConfig {
     /// Number of recent base records kept for confusable generation; the
     /// generator's working set beyond the emitted profiles.
-    pub const RING: usize = 512;
+    pub(crate) const RING: usize = 512;
 
     /// The default corpus shape at a given entity count.
     pub fn at_scale(num_entities: usize, seed: u64) -> Self {
@@ -102,7 +102,7 @@ impl ScalabilityConfig {
     }
 
     /// The vocabulary size this configuration yields.
-    pub fn vocab_size(&self) -> usize {
+    pub(crate) fn vocab_size(&self) -> usize {
         ((self.num_entities as f64 * self.vocab_per_entity) as usize).max(1000)
     }
 

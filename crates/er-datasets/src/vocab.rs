@@ -14,8 +14,6 @@ use rand::Rng;
 pub struct Vocabulary {
     /// Cumulative sampling weights, normalised to end at 1.0.
     cumulative: Vec<f64>,
-    /// Zipf exponent used to build the distribution.
-    exponent: f64,
 }
 
 impl Vocabulary {
@@ -36,10 +34,7 @@ impl Vocabulary {
         for value in &mut cumulative {
             *value /= total;
         }
-        Vocabulary {
-            cumulative,
-            exponent,
-        }
+        Vocabulary { cumulative }
     }
 
     /// Number of tokens in the vocabulary.
@@ -50,11 +45,6 @@ impl Vocabulary {
     /// True if the vocabulary is empty (never the case after construction).
     pub fn is_empty(&self) -> bool {
         self.cumulative.is_empty()
-    }
-
-    /// The Zipf exponent this vocabulary was built with.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Samples a token index according to the Zipf distribution
@@ -68,7 +58,7 @@ impl Vocabulary {
 
     /// Samples a token index uniformly from the rarest `tail_fraction` of the
     /// vocabulary.  Used to give duplicate pairs distinctive shared tokens.
-    pub fn sample_tail(&self, rng: &mut impl Rng, tail_fraction: f64) -> usize {
+    pub(crate) fn sample_tail(&self, rng: &mut impl Rng, tail_fraction: f64) -> usize {
         let tail_fraction = tail_fraction.clamp(0.0001, 1.0);
         let start = ((1.0 - tail_fraction) * self.len() as f64) as usize;
         rng.gen_range(start..self.len())

@@ -88,7 +88,7 @@ impl PreparedDataset {
     }
 
     /// Snapshot payload tag of prepared-dataset files.
-    pub const SNAPSHOT_TAG: u32 = 0x5052_4550; // "PREP"
+    pub(crate) const SNAPSHOT_TAG: u32 = 0x5052_4550; // "PREP"
 
     /// The corpus fingerprint stamped on a prepared-dataset snapshot.
     fn fingerprint(dataset: &Dataset) -> u64 {

@@ -19,7 +19,7 @@ pub mod report;
 pub mod scalability;
 pub mod tables;
 
-pub use experiment::{default_config, AveragedResult, PreparedDataset, RunResult};
+pub use experiment::{default_config, PreparedDataset};
 pub use metrics::Effectiveness;
-pub use scalability::{speedup, ScalabilityPoint};
+pub use scalability::speedup;
 pub use tables::TableRow;

@@ -47,7 +47,7 @@ pub fn speedup(
 /// The configuration used by the paper's scalability analysis: logistic
 /// regression, 25 labelled instances per class, and the optimal feature set of
 /// the evaluated algorithm.
-pub fn scalability_run_config(algorithm: AlgorithmKind, seed: u64) -> MetaBlockingConfig {
+pub(crate) fn scalability_run_config(algorithm: AlgorithmKind, seed: u64) -> MetaBlockingConfig {
     let feature_set = match algorithm {
         AlgorithmKind::Rcnp | AlgorithmKind::Cnp => FeatureSet::rcnp_optimal(),
         AlgorithmKind::Bcl | AlgorithmKind::Cep => FeatureSet::original(),

@@ -64,7 +64,7 @@ pub struct EntityAggregates {
 ///
 /// This is the single home of the per-pair scheme formulas: the fused
 /// scoring pass of [`crate::FeatureMatrix`], the per-pair
-/// [`FeatureContext::write_pair_features_with`] and the incremental
+/// [`FeatureContext::write_pair_features`] and the incremental
 /// `er-stream` scorer all delegate here, so their outputs are bit-identical
 /// whenever their aggregates are.
 #[inline]
@@ -378,7 +378,13 @@ impl<'a> FeatureContext<'a> {
     #[inline]
     pub fn write_pair_features(&self, a: EntityId, b: EntityId, set: FeatureSet, out: &mut [f64]) {
         let agg = self.cooccurrence(a, b);
-        self.write_pair_features_with(a, b, &agg, set, out);
+        write_features_from(
+            &self.entity_aggregates(a),
+            &self.entity_aggregates(b),
+            &agg,
+            set,
+            out,
+        );
     }
 
     /// The precomputed per-entity aggregates of one entity, in the shape the
@@ -386,27 +392,6 @@ impl<'a> FeatureContext<'a> {
     #[inline]
     pub fn entity_aggregates(&self, entity: EntityId) -> EntityAggregates {
         self.entities.entity_aggregates(entity)
-    }
-
-    /// Writes the feature vector of a pair from already-computed
-    /// co-occurrence aggregates through the shared fused writer
-    /// ([`write_features_from`]).
-    #[inline]
-    pub fn write_pair_features_with(
-        &self,
-        a: EntityId,
-        b: EntityId,
-        agg: &PairCooccurrence,
-        set: FeatureSet,
-        out: &mut [f64],
-    ) {
-        write_features_from(
-            &self.entity_aggregates(a),
-            &self.entity_aggregates(b),
-            agg,
-            set,
-            out,
-        );
     }
 
     /// Writes the feature vector of a pair for the given feature set into
@@ -429,13 +414,6 @@ impl<'a> FeatureContext<'a> {
                 out.push(self.score_with(scheme, a, b, &agg));
             }
         }
-    }
-
-    /// Convenience wrapper returning a freshly allocated feature vector.
-    pub fn pair_feature_vec(&self, a: EntityId, b: EntityId, set: FeatureSet) -> Vec<f64> {
-        let mut out = Vec::with_capacity(set.vector_len());
-        self.pair_features(a, b, set, &mut out);
-        out
     }
 }
 
@@ -558,7 +536,8 @@ mod tests {
         let (_bc, stats, cands) = fixture();
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::original();
-        let v = ctx.pair_feature_vec(EntityId(0), EntityId(2), set);
+        let mut v = Vec::new();
+        ctx.pair_features(EntityId(0), EntityId(2), set, &mut v);
         assert_eq!(v.len(), 5);
         assert!((v[0] - ctx.score(Scheme::CfIbf, EntityId(0), EntityId(2))).abs() < 1e-12);
         assert!((v[1] - ctx.score(Scheme::Raccb, EntityId(0), EntityId(2))).abs() < 1e-12);
@@ -573,9 +552,10 @@ mod tests {
         let ctx = FeatureContext::new(&stats, &cands);
         for set in FeatureSet::all_combinations() {
             let mut fused = vec![0.0; set.vector_len()];
+            let mut reference = Vec::new();
             for &(a, b) in cands.pairs() {
                 ctx.write_pair_features(a, b, set, &mut fused);
-                let reference = ctx.pair_feature_vec(a, b, set);
+                ctx.pair_features(a, b, set, &mut reference);
                 assert_eq!(fused, reference, "{set} pair ({a},{b})");
             }
         }

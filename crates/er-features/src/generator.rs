@@ -661,8 +661,9 @@ mod tests {
         let ctx = FeatureContext::new(&stats, &cands);
         let set = FeatureSet::all_schemes();
         let matrix = FeatureMatrix::build(&ctx, set);
+        let mut expected = Vec::new();
         for (id, a, b) in cands.iter() {
-            let expected = ctx.pair_feature_vec(a, b, set);
+            ctx.pair_features(a, b, set, &mut expected);
             assert_eq!(matrix.row(id), expected.as_slice());
         }
     }

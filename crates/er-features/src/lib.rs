@@ -35,5 +35,5 @@ pub use generator::{for_each_scored_chunk, FeatureMatrix};
 pub use schemes::Scheme;
 pub use scoreboard::{
     candidate_home_slot, reset_scoreboard_metrics, scoreboard_metrics, CandidateBoard,
-    RadixScoreboard, ScoreboardConfig, ScoreboardMetricsSnapshot,
+    RadixScoreboard, ScoreboardConfig,
 };

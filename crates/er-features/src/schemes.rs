@@ -62,7 +62,7 @@ impl Scheme {
 
     /// Number of feature-vector entries the scheme contributes (2 for LCP,
     /// 1 for everything else).
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         if self == Scheme::Lcp {
             2
         } else {

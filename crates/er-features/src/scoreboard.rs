@@ -20,9 +20,8 @@
 //!   `PartnerBoard` has no candidate list: it *discovers* an entity's
 //!   partners from the block walk.  It keeps the cache-blocked radix engine:
 //!   the partner id space is split into power-of-two *tiles*
-//!   ([`ScoreboardConfig::tile_entities`], auto-sized to
-//!   [`DEFAULT_TILE_ENTITIES`] — the streaming index is the only thing that
-//!   field configures); each `(partner, 1/||b||, 1/|b|)` contribution is
+//!   ([`ScoreboardConfig::tile_entities`], auto-sized to 4096 entities —
+//!   the streaming index is the only thing that field configures); each `(partner, 1/||b||, 1/|b|)` contribution is
 //!   appended to one entries array while a 4-byte-per-tile counter tracks
 //!   its tile, a *stable* counting sort groups the entries by tile at drain
 //!   time (stability keeps each tile's run in append order), and each run is
@@ -51,7 +50,7 @@ use crate::context::PairCooccurrence;
 /// the three accumulator arrays (20 bytes per slot) at 80 KiB — L2-resident
 /// on current hardware — while keeping the per-tile counter array shallow
 /// (`num_entities / 4096` four-byte counters).
-pub const DEFAULT_TILE_ENTITIES: usize = 4096;
+pub(crate) const DEFAULT_TILE_ENTITIES: usize = 4096;
 
 /// Configuration of the scoreboard, carried by `MetaBlockingConfig` /
 /// `StreamingConfig`.
@@ -60,7 +59,7 @@ pub struct ScoreboardConfig {
     /// Requested tile width, in entities, of the discovery board the
     /// streaming index runs on ([`RadixScoreboard`]); the batch passes'
     /// [`CandidateBoard`] has no tiles and ignores it.  `None` auto-sizes to
-    /// [`DEFAULT_TILE_ENTITIES`].  Rounded up to a power of two and capped
+    /// `DEFAULT_TILE_ENTITIES` (4096).  Rounded up to a power of two and capped
     /// at `max(num_entities.next_power_of_two(), DEFAULT_TILE_ENTITIES)` —
     /// any request larger than the corpus degenerates to a single tile.
     pub tile_entities: Option<usize>,

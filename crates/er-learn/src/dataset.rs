@@ -52,12 +52,12 @@ impl TrainingSet {
     }
 
     /// Number of positive (matching) instances.
-    pub fn num_positives(&self) -> usize {
+    pub(crate) fn num_positives(&self) -> usize {
         self.labels.iter().filter(|&&l| l).count()
     }
 
     /// Number of negative (non-matching) instances.
-    pub fn num_negatives(&self) -> usize {
+    pub(crate) fn num_negatives(&self) -> usize {
         self.len() - self.num_positives()
     }
 

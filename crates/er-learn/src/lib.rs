@@ -8,7 +8,7 @@
 //! * [`LogisticRegression`] — full-batch gradient descent with L2
 //!   regularisation, producing calibrated probabilities directly;
 //! * [`LinearSvm`] — a Pegasos-style hinge-loss SVM whose decision values are
-//!   turned into probabilities with [Platt scaling](platt);
+//!   turned into probabilities with [Platt scaling](PlattScaler);
 //! * [`Standardizer`] — z-score feature scaling fitted on the training set;
 //! * [`sampling`] — balanced undersampling of labelled pairs (the paper's
 //!   50-to-500-instance training sets).
@@ -19,7 +19,7 @@ pub mod dataset;
 pub mod logistic;
 pub mod model;
 pub mod persist;
-pub mod platt;
+mod platt;
 pub mod sampling;
 pub mod scale;
 pub mod svm;

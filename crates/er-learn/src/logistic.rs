@@ -63,7 +63,7 @@ impl LogisticRegression {
     }
 
     /// The decision value (log-odds) for a raw feature vector.
-    pub fn decision_value(&self, features: &[f64]) -> f64 {
+    pub(crate) fn decision_value(&self, features: &[f64]) -> f64 {
         self.intercept + self.scaler.standardised_dot(features, &self.weights)
     }
 }

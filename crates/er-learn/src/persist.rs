@@ -19,7 +19,7 @@ use crate::scale::Standardizer;
 use crate::svm::LinearSvm;
 
 /// Snapshot payload tag for model files.
-pub const MODEL_SNAPSHOT_TAG: u32 = 0x4d44_4c31; // "MDL1"
+pub(crate) const MODEL_SNAPSHOT_TAG: u32 = 0x4d44_4c31; // "MDL1"
 
 impl Encode for Standardizer {
     fn encode(&self, w: &mut Writer) {

@@ -129,12 +129,6 @@ impl PlattScaler {
         }
     }
 
-    /// The fitted slope `A` (negative when larger decision values mean more
-    /// likely positive).
-    pub fn slope(&self) -> f64 {
-        self.a
-    }
-
     /// The fitted offset `B`.
     pub fn offset(&self) -> f64 {
         self.b

@@ -29,11 +29,6 @@ impl BalancedSample {
     pub fn is_empty(&self) -> bool {
         self.pair_indices.is_empty()
     }
-
-    /// Number of positive instances in the sample.
-    pub fn num_positives(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
 }
 
 /// Draws a balanced sample of `per_class` positive and `per_class` negative
@@ -237,7 +232,7 @@ mod tests {
         let mut rng = er_core::seeded_rng(1);
         let sample = balanced_undersample(&pairs, &truth, 3, &mut rng).unwrap();
         assert_eq!(sample.len(), 6);
-        assert_eq!(sample.num_positives(), 3);
+        assert_eq!(sample.labels.iter().filter(|&&l| l).count(), 3);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl Standardizer {
         self.means.len()
     }
 
-    /// Standardises a feature row in place.
-    pub fn transform_in_place(&self, row: &mut [f64]) {
-        for ((v, m), s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
-            *v = (*v - m) / s;
-        }
-    }
-
     /// Returns the standardised copy of a feature row.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
         row.iter()
@@ -126,16 +119,6 @@ mod tests {
         let rows = [vec![5.0], vec![5.0], vec![5.0]];
         let scaler = Standardizer::fit(rows.iter().map(Vec::as_slice), 1);
         assert_eq!(scaler.transform(&[5.0]), vec![0.0]);
-    }
-
-    #[test]
-    fn transform_in_place_matches_transform() {
-        let rows = [vec![1.0, -1.0], vec![3.0, 4.0]];
-        let scaler = Standardizer::fit(rows.iter().map(Vec::as_slice), 2);
-        let mut row = vec![2.0, 1.0];
-        let expected = scaler.transform(&row);
-        scaler.transform_in_place(&mut row);
-        assert_eq!(row, expected);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl LinearSvm {
     }
 
     /// The raw (uncalibrated) decision value of a feature vector.
-    pub fn decision_value(&self, features: &[f64]) -> f64 {
+    pub(crate) fn decision_value(&self, features: &[f64]) -> f64 {
         self.bias + self.scaler.standardised_dot(features, &self.weights)
     }
 }

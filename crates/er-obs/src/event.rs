@@ -4,7 +4,7 @@
 //! degraded recovery's full `RecoveryReport`-shaped story, a fault
 //! injector's op log.  An [`Event`] is a name plus ordered key/value
 //! fields, pushed to the installed [`EventSink`].  The default sink is
-//! [`NoopSink`] and emission first checks one relaxed atomic, so
+//! `NoopSink` and emission first checks one relaxed atomic, so
 //! uninstalled event call sites cost one load and never format anything.
 //!
 //! ```
@@ -79,21 +79,10 @@ pub trait EventSink: Send + Sync {
 
 /// The default sink: drops everything.
 #[derive(Debug, Default)]
-pub struct NoopSink;
+pub(crate) struct NoopSink;
 
 impl EventSink for NoopSink {
     fn emit(&self, _event: &Event) {}
-}
-
-/// Writes each event's logfmt rendering to stderr — the one-line way to
-/// make degraded recoveries visible in a service log.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl EventSink for StderrSink {
-    fn emit(&self, event: &Event) {
-        eprintln!("{event}");
-    }
 }
 
 /// Buffers events for inspection; the test-suite sink.
@@ -138,7 +127,7 @@ pub fn set_sink(sink: Arc<dyn EventSink>) {
     SINK_ACTIVE.store(true, Ordering::Relaxed);
 }
 
-/// Restores the default [`NoopSink`]; emission goes back to one relaxed
+/// Restores the default `NoopSink`; emission goes back to one relaxed
 /// load.
 pub fn clear_sink() {
     *sink_slot().write().unwrap() = Arc::new(NoopSink);
@@ -148,13 +137,13 @@ pub fn clear_sink() {
 /// True if a non-noop sink is installed and the layer is enabled — the
 /// guard emit call sites get for free.
 #[inline]
-pub fn sink_active() -> bool {
+pub(crate) fn sink_active() -> bool {
     SINK_ACTIVE.load(Ordering::Relaxed) && crate::enabled()
 }
 
 /// Emits one event, building it only if a sink is installed: `build`
 /// never runs (no allocation, no formatting) under the default
-/// [`NoopSink`].
+/// `NoopSink`.
 pub fn emit(name: &'static str, build: impl FnOnce(&mut Event)) {
     if !sink_active() {
         return;

@@ -146,9 +146,6 @@ pub(crate) fn snapshot_from(entries: Vec<Entry>) -> MetricsSnapshot {
                     (SampleKind::Counter, family_samples(f, counter_sample))
                 }
                 Registered::GaugeFamily(f) => (SampleKind::Gauge, family_samples(f, gauge_sample)),
-                Registered::HistogramFamily(f) => {
-                    (SampleKind::Histogram, family_samples(f, histogram_sample))
-                }
             };
             MetricFamilySnapshot {
                 name: entry.name,

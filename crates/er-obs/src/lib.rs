@@ -10,8 +10,8 @@
 //! * [`Gauge`] — last-value or high-water mark (`fetch_max`), relaxed;
 //! * [`Histogram`] — 64 fixed log2 buckets plus count and sum, all relaxed
 //!   atomics, recording byte sizes or nanosecond durations;
-//! * [`Family`] — labeled variants of any of the three, with a bounded
-//!   label set (past [`Family::max_cardinality`] new labels collapse into
+//! * [`Family`] — labeled counters or gauges, with a bounded label set
+//!   (past the family's `max_cardinality` new labels collapse into
 //!   the [`OVERFLOW_LABEL`] child so an unbounded label source can never
 //!   leak memory).
 //!
@@ -32,7 +32,7 @@
 //! **Events.**  [`event`] is the structured side-channel for rare,
 //! high-information occurrences (recovery reports, fault-injection op
 //! logs): named key/value records pushed to a pluggable
-//! [`event::EventSink`] ([`event::NoopSink`] by default — emission is one
+//! [`event::EventSink`] (`NoopSink` by default — emission is one
 //! relaxed load when no sink is installed).
 //!
 //! Naming scheme: `<subsystem>_<what>[_total|_bytes|_ns|_hwm]` —
@@ -167,13 +167,13 @@ impl Histogram {
     /// The bucket index of `v`: `0` for zero, else `floor(log2 v) + 1`,
     /// clamped to the last bucket.
     #[inline]
-    pub fn bucket_index(v: u64) -> usize {
+    pub(crate) fn bucket_index(v: u64) -> usize {
         ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
     }
 
     /// The inclusive upper bound of bucket `i` (`u64::MAX` for the
     /// unbounded last bucket).
-    pub fn bucket_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_bound(i: usize) -> u64 {
         if i >= HISTOGRAM_BUCKETS - 1 {
             u64::MAX
         } else {
@@ -193,7 +193,7 @@ impl Histogram {
 
     /// Records a duration in nanoseconds.
     #[inline]
-    pub fn record_duration(&self, d: Duration) {
+    pub(crate) fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
@@ -284,14 +284,8 @@ impl<M: Default + 'static> Family<M> {
     }
 
     /// The label key shared by every child (e.g. `class`, `shard`).
-    pub fn label_key(&self) -> &'static str {
+    pub(crate) fn label_key(&self) -> &'static str {
         self.label_key
-    }
-
-    /// Distinct label values this family will hold before collapsing new
-    /// ones into [`OVERFLOW_LABEL`].
-    pub fn max_cardinality(&self) -> usize {
-        self.max_cardinality
     }
 
     /// The child metric for `value`, created on first use.  Past the
@@ -329,7 +323,6 @@ pub(crate) enum Registered {
     Histogram(&'static Histogram),
     CounterFamily(&'static Family<Counter>),
     GaugeFamily(&'static Family<Gauge>),
-    HistogramFamily(&'static Family<Histogram>),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -420,21 +413,6 @@ pub fn gauge_family(
         Registered::GaugeFamily(Box::leak(Box::new(Family::new(label_key, max_cardinality))))
     }) {
         Registered::GaugeFamily(f) => f,
-        _ => panic!("metric {name} already registered with a different kind"),
-    }
-}
-
-/// The labeled histogram family registered under `name`.
-pub fn histogram_family(
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-    max_cardinality: usize,
-) -> &'static Family<Histogram> {
-    match register(name, help, || {
-        Registered::HistogramFamily(Box::leak(Box::new(Family::new(label_key, max_cardinality))))
-    }) {
-        Registered::HistogramFamily(f) => f,
         _ => panic!("metric {name} already registered with a different kind"),
     }
 }

@@ -147,12 +147,12 @@ impl Writer {
     }
 
     /// Appends a bool as one byte (0 or 1).
-    pub fn write_bool(&mut self, v: bool) {
+    pub(crate) fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));
     }
 
     /// Appends a length-prefixed byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
@@ -255,7 +255,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a bool (strictly 0 or 1).
-    pub fn read_bool(&mut self) -> PersistResult<bool> {
+    pub(crate) fn read_bool(&mut self) -> PersistResult<bool> {
         match self.read_u8()? {
             0 => Ok(false),
             1 => Ok(true),

@@ -14,10 +14,10 @@ use er_core::{PersistError, PersistResult};
 use crate::vfs::{RetryPolicy, Vfs};
 
 /// The manifest file name.
-pub const MANIFEST_NAME: &str = "MANIFEST";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 
 /// The quarantine subdirectory recovery moves corrupt files into.
-pub const QUARANTINE_DIR: &str = "quarantine";
+pub(crate) const QUARANTINE_DIR: &str = "quarantine";
 
 /// The exclusive lock file guarding commit + retention.  Two checkpointers
 /// racing the same directory would interleave snapshot writes, manifest
@@ -29,7 +29,7 @@ pub const LOCK_NAME: &str = "LOCK";
 
 /// How many snapshot generations a commit retains (the committed one plus
 /// its fallback).
-pub const RETAINED_GENERATIONS: u64 = 2;
+pub(crate) const RETAINED_GENERATIONS: u64 = 2;
 
 /// The manifest path inside `dir`.
 pub fn manifest_path(dir: &Path) -> PathBuf {
@@ -140,7 +140,7 @@ impl RecoveryReport {
     }
 
     /// Total bytes of the files recovery moved into `quarantine/`.
-    pub fn quarantined_bytes(&self) -> u64 {
+    pub(crate) fn quarantined_bytes(&self) -> u64 {
         self.quarantined.iter().map(|&(_, bytes)| bytes).sum()
     }
 

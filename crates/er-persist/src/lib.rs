@@ -48,12 +48,10 @@ pub use er_core::{PersistError, PersistErrorClass, PersistResult};
 pub use generation::{lock_path, manifest_path, quarantine_path, RecoveryReport, LOCK_NAME};
 pub use multi::{
     committed_shard_generation, read_shard_manifest, router_path, shard_snapshot_path,
-    shard_wal_path, RecoveredShards, ShardStore, SHARD_MANIFEST_MAGIC,
+    shard_wal_path, RecoveredShards, ShardStore,
 };
 pub use snapshot::{
-    decode_snapshot_payload, read_snapshot, read_snapshot_bytes, read_snapshot_bytes_with,
-    read_snapshot_with, sweep_tmp_files, sync_parent_dir, write_snapshot, write_snapshot_with,
-    FORMAT_VERSION,
+    decode_snapshot_payload, read_snapshot, sweep_tmp_files, write_snapshot, FORMAT_VERSION,
 };
 pub use vfs::{retrying, FaultKind, FaultVfs, InjectedFault, OpKind, RetryPolicy, StdVfs, Vfs};
-pub use wal::{read_wal, read_wal_with, WalContents, WalReadMode, WalWriter};
+pub use wal::{read_wal, WalReadMode, WalWriter};

@@ -77,11 +77,11 @@ use crate::wal::{read_wal_with, WalWriter};
 use crate::{lock_path, manifest_path, RecoveryReport, WalReadMode};
 
 /// Magic bytes opening the manifest file.
-pub const SHARD_MANIFEST_MAGIC: [u8; 8] = *b"GSMBSHM1";
+pub(crate) const SHARD_MANIFEST_MAGIC: [u8; 8] = *b"GSMBSHM1";
 
 /// Byte length of the manifest (`magic | version | fingerprint |
 /// num shards | committed generation | crc64 over everything before it`).
-pub const SHARD_MANIFEST_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
+pub(crate) const SHARD_MANIFEST_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 
 /// The router snapshot of generation `generation` inside `dir`.
 pub fn router_path(dir: &Path, generation: u64) -> PathBuf {

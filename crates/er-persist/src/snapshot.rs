@@ -37,7 +37,6 @@
 //! conveniences with the default write-path [`RetryPolicy`].
 
 use std::path::Path;
-use std::sync::Arc;
 
 use er_core::{crc64, PersistError, PersistResult};
 
@@ -45,13 +44,13 @@ use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::vfs::{retrying, RetryPolicy, StdVfs, Vfs};
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GSMBSNP1";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"GSMBSNP1";
 
 /// The on-disk format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Byte length of the fixed snapshot header.
-pub const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
+pub(crate) const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
 
 /// Offset of the header's payload-length field; the checksum follows it.
 const PAYLOAD_LEN_OFFSET: usize = 8 + 4 + 4 + 8;
@@ -71,7 +70,7 @@ fn dir_sync_unsupported(err: &std::io::Error) -> bool {
 /// Fsyncs a directory so renames and unlinks inside it are durable.
 /// Filesystems that refuse directory fsync (ENOTSUP/EINVAL) are tolerated;
 /// every other failure propagates.
-pub fn sync_dir_tolerant(vfs: &dyn Vfs, dir: &Path) -> PersistResult<()> {
+pub(crate) fn sync_dir_tolerant(vfs: &dyn Vfs, dir: &Path) -> PersistResult<()> {
     match vfs.sync_dir(dir) {
         Ok(()) => Ok(()),
         Err(err) if dir_sync_unsupported(&err) => Ok(()),
@@ -81,7 +80,7 @@ pub fn sync_dir_tolerant(vfs: &dyn Vfs, dir: &Path) -> PersistResult<()> {
 
 /// Fsyncs the directory containing `path` so a rename or unlink inside it
 /// is durable.  See [`sync_dir_tolerant`] for the tolerated failures.
-pub fn sync_parent_dir(vfs: &dyn Vfs, path: &Path) -> PersistResult<()> {
+pub(crate) fn sync_parent_dir(vfs: &dyn Vfs, path: &Path) -> PersistResult<()> {
     match path.parent() {
         Some(parent) => sync_dir_tolerant(vfs, parent),
         None => Ok(()),
@@ -176,7 +175,7 @@ pub(crate) fn write_snapshot_image(
 
 /// Encodes `payload` and writes it atomically to `path` through the given
 /// VFS and retry policy.
-pub fn write_snapshot_with(
+pub(crate) fn write_snapshot_with(
     vfs: &dyn Vfs,
     policy: RetryPolicy,
     path: &Path,
@@ -287,7 +286,7 @@ fn read_file(vfs: &dyn Vfs, path: &Path) -> PersistResult<Vec<u8>> {
 
 /// Reads and validates a snapshot file through the given VFS, returning
 /// the raw payload bytes and the fingerprint recorded in the header.
-pub fn read_snapshot_bytes_with(
+pub(crate) fn read_snapshot_bytes_with(
     vfs: &dyn Vfs,
     path: &Path,
     payload_tag: u32,
@@ -301,21 +300,8 @@ pub fn read_snapshot_bytes_with(
     Ok((data, fingerprint))
 }
 
-/// Reads and validates a snapshot file, returning the raw payload bytes and
-/// the fingerprint recorded in the header.
-///
-/// `expected_fingerprint` of `Some(f)` additionally enforces that the file
-/// belongs to the expected corpus/stream.
-pub fn read_snapshot_bytes(
-    path: &Path,
-    payload_tag: u32,
-    expected_fingerprint: Option<u64>,
-) -> PersistResult<(Vec<u8>, u64)> {
-    read_snapshot_bytes_with(&StdVfs, path, payload_tag, expected_fingerprint)
-}
-
 /// Reads, validates and decodes a snapshot through the given VFS.
-pub fn read_snapshot_with<T: Decode>(
+pub(crate) fn read_snapshot_with<T: Decode>(
     vfs: &dyn Vfs,
     path: &Path,
     payload_tag: u32,
@@ -348,6 +334,3 @@ pub fn decode_snapshot_payload<T: Decode>(payload: &[u8]) -> PersistResult<T> {
     r.expect_end()?;
     Ok(value)
 }
-
-/// A shared handle to a [`Vfs`] — the form the higher layers store.
-pub type VfsHandle = Arc<dyn Vfs>;

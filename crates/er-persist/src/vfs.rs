@@ -64,8 +64,8 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     fn sync_file(&self, path: &Path) -> io::Result<()>;
 
     /// Flushes a *directory*, making renames and unlinks inside it
-    /// durable.  Callers use [`sync_parent_dir`](crate::snapshot::sync_parent_dir),
-    /// which tolerates filesystems that refuse directory fsync.
+    /// durable.  The crate's callers tolerate filesystems that refuse
+    /// directory fsync.
     fn sync_dir(&self, path: &Path) -> io::Result<()>;
 
     /// Atomically renames `from` to `to`, replacing `to` if it exists.
@@ -320,12 +320,6 @@ impl FaultVfs {
         self.state.lock().unwrap().log.clone()
     }
 
-    /// The op log as a displayable trace — one `#index kind path` line per
-    /// operation, the form crash-exploration failures print.
-    pub fn op_trace(&self) -> OpTrace {
-        OpTrace(self.op_log())
-    }
-
     /// True once the planned crash point has fired.
     pub fn has_crashed(&self) -> bool {
         self.state.lock().unwrap().crashed
@@ -417,23 +411,6 @@ impl FaultVfs {
                 io::Error::new(io::ErrorKind::Interrupted, "simulated transient EINTR")
             }
         }
-    }
-}
-
-/// A displayable [`FaultVfs`] op log: one `#index kind path` line per
-/// operation, in execution order.
-#[derive(Debug, Clone)]
-pub struct OpTrace(pub Vec<(OpKind, PathBuf)>);
-
-impl std::fmt::Display for OpTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, (kind, path)) in self.0.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "#{i:04} {kind} {}", path.display())?;
-        }
-        Ok(())
     }
 }
 

@@ -50,7 +50,7 @@ use crate::snapshot::{write_file_atomic, FORMAT_VERSION};
 use crate::vfs::{retrying, RetryPolicy, StdVfs, Vfs};
 
 /// Magic bytes opening every write-ahead log.
-pub const WAL_MAGIC: [u8; 8] = *b"GSMBWAL1";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"GSMBWAL1";
 
 /// Byte length of the fixed WAL header.
 pub const WAL_HEADER_LEN: usize = 8 + 4 + 8;
@@ -104,7 +104,7 @@ impl WalWriter {
     /// Creates (or replaces) the log with a fresh header through the given
     /// VFS.  Atomic: the new log is assembled under a temp name and renamed
     /// into place, making this the WAL truncation point of a compaction.
-    pub fn create_with(
+    pub(crate) fn create_with(
         vfs: Arc<dyn Vfs>,
         policy: RetryPolicy,
         path: &Path,
@@ -139,7 +139,7 @@ impl WalWriter {
     /// Opens an existing log for appending through the given VFS,
     /// truncating it to `valid_len` first (dropping a torn tail reported by
     /// [`read_wal`]).
-    pub fn open_with(
+    pub(crate) fn open_with(
         vfs: Arc<dyn Vfs>,
         policy: RetryPolicy,
         path: &Path,
@@ -262,7 +262,7 @@ impl WalWriter {
 /// Scans a write-ahead log through the given VFS, validating the header
 /// and every record checksum.  See [`WalReadMode`] for how a torn tail is
 /// treated.
-pub fn read_wal_with(
+pub(crate) fn read_wal_with(
     vfs: &dyn Vfs,
     path: &Path,
     expected_fingerprint: Option<u64>,
@@ -357,8 +357,9 @@ pub fn read_wal_with(
     })
 }
 
-/// Scans a write-ahead log on the production filesystem.  See
-/// [`read_wal_with`].
+/// Scans a write-ahead log on the production filesystem, validating the
+/// header and every record checksum.  See [`WalReadMode`] for how a torn
+/// tail is treated.
 pub fn read_wal(
     path: &Path,
     expected_fingerprint: Option<u64>,

@@ -45,13 +45,13 @@ use crate::epoch::{EpochReader, EpochView};
 use crate::service::ShardedStreamingService;
 
 /// Payload tag of sharded-service snapshots (`b"SHRD"`).
-pub const SHARDED_SNAPSHOT_TAG: u32 = 0x5348_5244;
+pub(crate) const SHARDED_SNAPSHOT_TAG: u32 = 0x5348_5244;
 
 /// The fingerprint tying a sharded generation set to one logical stream: a
 /// digest of the dataset name, ER kind, Clean-Clean split, scheme cap and
 /// shard count.  The shard count is part of the identity — re-sharding is
 /// a rebuild, not a recovery.
-pub fn sharded_fingerprint(index: &ShardedIndex) -> u64 {
+pub(crate) fn sharded_fingerprint(index: &ShardedIndex) -> u64 {
     let mut w = Writer::new();
     w.write_str(index.dataset_name());
     index.kind().encode(&mut w);
@@ -415,10 +415,5 @@ impl<G: KeyGenerator> DurableShardedService<G> {
     /// Number of entities currently alive.
     pub fn num_alive(&self) -> usize {
         self.service.num_alive()
-    }
-
-    /// Detaches the in-memory service, abandoning durability.
-    pub fn into_service(self) -> ShardedStreamingService<G> {
-        self.service
     }
 }

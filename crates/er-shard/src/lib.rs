@@ -10,7 +10,7 @@
 //!   `er_stream::ShardedIndex`: ingest / remove / update batches fan out
 //!   to the shards owning the touched keys and emit the same `DeltaBatch`
 //!   a single-shard `StreamingMetaBlocker` would;
-//! * [`epoch`] — [`EpochReader`] / [`EpochView`], ArcSwap-style
+//! * [`epoch`] — [`EpochReader`] / [`EpochView`](epoch::EpochView), ArcSwap-style
 //!   epoch-published read snapshots so readers never block writers and
 //!   never observe a half-applied batch;
 //! * [`durable`] — [`DurableShardedService`], per-shard WALs striped by
@@ -30,6 +30,6 @@ pub mod epoch;
 mod obs;
 pub mod service;
 
-pub use durable::{sharded_fingerprint, DurableShardedService, SHARDED_SNAPSHOT_TAG};
-pub use epoch::{EpochReader, EpochView};
+pub use durable::DurableShardedService;
+pub use epoch::EpochReader;
 pub use service::ShardedStreamingService;

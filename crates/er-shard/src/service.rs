@@ -31,9 +31,9 @@ use crate::epoch::{EpochCell, EpochReader, EpochView};
 
 /// A multi-shard streaming meta-blocker with epoch-published reads.
 ///
-/// Construction: [`ShardedStreamingService::new`] for an empty corpus, or
-/// [`from_blocker`](ShardedStreamingService::from_blocker) around an
-/// existing sharded blocker (the recovery path).  Mutations take
+/// Construction: [`ShardedStreamingService::new`] for an empty corpus;
+/// [`DurableShardedService`](crate::DurableShardedService) recovery wraps
+/// a blocker rebuilt from a snapshot instead.  Mutations take
 /// `&mut self`; readers obtained from
 /// [`reader`](ShardedStreamingService::reader) are `Clone + Send + Sync`
 /// and can be polled from any thread.
@@ -74,7 +74,7 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
 
     /// Wraps an existing sharded blocker (typically one rebuilt from a
     /// snapshot) and publishes its current state as the initial view.
-    pub fn from_blocker(blocker: StreamingMetaBlocker<G, ShardedIndex>) -> Self {
+    pub(crate) fn from_blocker(blocker: StreamingMetaBlocker<G, ShardedIndex>) -> Self {
         let cell = EpochCell::new(EpochView {
             epoch: blocker.index().epoch(),
             batches_applied: 0,
@@ -199,12 +199,6 @@ impl<G: KeyGenerator> ShardedStreamingService<G> {
         o.epochs_published.inc();
         o.published_batches.set(self.batches_applied);
         baseline
-    }
-
-    /// Detaches the wrapped blocker (readers keep the last published
-    /// view).
-    pub fn into_blocker(self) -> StreamingMetaBlocker<G, ShardedIndex> {
-        self.blocker
     }
 
     fn publish_batch(&mut self, delta: &DeltaBatch) {

@@ -176,11 +176,6 @@ impl DeltaBatch {
         &self.features[i * self.feature_width..(i + 1) * self.feature_width]
     }
 
-    /// The feature vector of the `i`-th re-scored survivor.
-    pub fn rescored_feature_row(&self, i: usize) -> &[f64] {
-        &self.rescored_features[i * self.feature_width..(i + 1) * self.feature_width]
-    }
-
     /// Every entity this batch mutated: the ingested id range followed by
     /// the removed/updated ids.
     pub fn batch_entities(&self) -> impl Iterator<Item = EntityId> + '_ {
@@ -390,7 +385,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
 
     fn apply_ingest(&mut self, profiles: &[EntityProfile], score: bool) -> DeltaBatch {
         let batch_start = self.index.num_entities();
-        let first_id = EntityId(batch_start as u32);
+        let first_id = EntityId::from(batch_start);
 
         // Phase A (sequential): tokenize, intern, update postings and block
         // statistics in place (liveness flips land in the batch journal).
@@ -519,7 +514,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
     }
 
     fn apply_remove(&mut self, ids: &[EntityId], score: bool) -> DeltaBatch {
-        let first_id = EntityId(self.index.num_entities() as u32);
+        let first_id = EntityId::from(self.index.num_entities());
         let batch: FxHashSet<u32> = ids.iter().map(|e| e.0).collect();
         assert_eq!(batch.len(), ids.len(), "duplicate ids in remove batch");
 
@@ -599,7 +594,7 @@ impl<G: KeyGenerator, I: DeltaIndex> StreamingMetaBlocker<G, I> {
     }
 
     fn apply_update(&mut self, updates: &[(EntityId, EntityProfile)], score: bool) -> DeltaBatch {
-        let first_id = EntityId(self.index.num_entities() as u32);
+        let first_id = EntityId::from(self.index.num_entities());
         let batch: FxHashSet<u32> = updates.iter().map(|(e, _)| e.0).collect();
         assert_eq!(batch.len(), updates.len(), "duplicate ids in update batch");
 
@@ -1088,10 +1083,11 @@ mod tests {
         let context = er_features::FeatureContext::new(&stats, &candidates);
         let set = blocker.feature_set();
         let mut expected = vec![0.0f64; set.vector_len()];
+        let width = delta.feature_width;
         for (i, &(a, b)) in delta.rescored().iter().enumerate() {
             context.write_pair_features(a, b, set, &mut expected);
             assert_eq!(
-                delta.rescored_feature_row(i),
+                &delta.rescored_features[i * width..(i + 1) * width],
                 expected.as_slice(),
                 "rescored pair ({a},{b})"
             );

@@ -71,11 +71,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use er_blocking::{comparisons_from_first, CsrBlockCollection, KeyStore, KeyTable};
-use er_core::{map_ranges_parallel, DatasetKind, EntityId, FxHashMap};
+use er_core::{checked_u32, map_ranges_parallel, DatasetKind, EntityId, FxHashMap};
 use er_features::{PairCooccurrence, RadixScoreboard, ScoreboardConfig};
 
 use crate::delta::DeltaIndex;
 use crate::key_order::KeyOrder;
+
+/// The limit every entity → key adjacency offset is checked against.
+const ENTITY_KEYS_LIMIT: &str = "streaming entity-key arena limit (2^32 postings)";
 
 /// Reusable per-worker scoreboard for delta-pair aggregation, backed by the
 /// cache-blocked [`RadixScoreboard`] (it replaced the former `FxHashMap`
@@ -104,7 +107,7 @@ impl Default for PartnerBoard {
 impl PartnerBoard {
     /// A board running on an explicit scoreboard configuration
     /// ([`crate::StreamingConfig::scoreboard`]).
-    pub fn with_config(config: &ScoreboardConfig) -> Self {
+    pub(crate) fn with_config(config: &ScoreboardConfig) -> Self {
         PartnerBoard {
             board: RadixScoreboard::new(0, config),
             drained: Vec::new(),
@@ -592,7 +595,7 @@ impl StreamingIndex {
             let mut keys = Vec::with_capacity(self.entity_keys.len());
             for e in 0..self.num_entities {
                 keys.extend_from_slice(self.keys_of(EntityId(e as u32)));
-                offsets.push(keys.len() as u32);
+                offsets.push(checked_u32(keys.len(), ENTITY_KEYS_LIMIT));
             }
             self.entity_offsets = offsets;
             self.entity_keys = keys;
@@ -721,7 +724,7 @@ impl DeltaIndex for StreamingIndex {
     /// journal.
     fn insert_entity(&mut self, raw_keys: &mut Vec<u32>) -> EntityId {
         self.canonicalize_keys(raw_keys);
-        let e = EntityId(self.num_entities as u32);
+        let e = EntityId::from(self.num_entities);
         self.num_entities += 1;
         self.num_alive += 1;
         self.alive.push(true);
@@ -730,7 +733,8 @@ impl DeltaIndex for StreamingIndex {
             self.add_posting(k, e);
         }
         self.entity_keys.extend_from_slice(raw_keys);
-        self.entity_offsets.push(self.entity_keys.len() as u32);
+        self.entity_offsets
+            .push(checked_u32(self.entity_keys.len(), ENTITY_KEYS_LIMIT));
         e
     }
 

@@ -69,6 +69,6 @@ pub use blocker::{
     MIN_ENTITIES_PER_WORKER,
 };
 pub use delta::DeltaIndex;
-pub use index::{BatchEffects, Members, PartnerBoard, StreamingIndex};
+pub use index::{Members, PartnerBoard, StreamingIndex};
 pub use persist::{MutationRecord, MutationRef};
 pub use shard::{shard_of_key, ShardRouterState, ShardedIndex};

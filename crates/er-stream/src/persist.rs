@@ -121,7 +121,7 @@ impl Decode for MutationRecord {
 }
 
 /// Encodes one WAL record payload (`seq` + tagged batch) straight from the
-/// borrowed batch, as [`decode_record`] reads it back.
+/// borrowed batch, as `decode_record` reads it back.
 pub fn encode_record(seq: u64, mutation: MutationRef<'_>) -> Vec<u8> {
     let mut w = Writer::new();
     w.write_u64(seq);
@@ -143,7 +143,7 @@ pub fn encode_record(seq: u64, mutation: MutationRef<'_>) -> Vec<u8> {
 }
 
 /// Decodes one WAL record payload into its sequence number and mutation.
-pub fn decode_record(bytes: &[u8]) -> PersistResult<(u64, MutationRecord)> {
+pub(crate) fn decode_record(bytes: &[u8]) -> PersistResult<(u64, MutationRecord)> {
     let mut r = Reader::new(bytes);
     let seq = r.read_u64()?;
     let record = MutationRecord::decode(&mut r)?;
