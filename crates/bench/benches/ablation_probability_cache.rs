@@ -1,10 +1,12 @@
-//! Ablation: cached probabilities vs re-scoring on every pass.
+//! Ablation: cached probabilities vs scoring on demand.
 //!
 //! The paper's pseudo-code calls `M.getProbability(c_ij)` in each of the two
-//! passes of the weight-based algorithms.  This bench compares that literal
-//! strategy ([`ModelScorer`]) against caching every probability once
-//! ([`CachedScores`]) for WEP and BLAST on the largest dataset, justifying the
-//! pipeline's choice to cache.
+//! passes of the weight-based algorithms.  `prune` asks its
+//! `ProbabilitySource` once per pair — the one pass that collects the valid
+//! pairs — so on demand ([`ModelScorer`]) the classifier runs once per pair
+//! inside `prune`, against once per pair up front when every probability is
+//! cached ([`CachedScores`]).  This bench compares the two for WEP and BLAST
+//! on the largest dataset.
 
 use std::time::Instant;
 
@@ -20,7 +22,7 @@ use meta_blocking::pruning::AlgorithmKind;
 use meta_blocking::scoring::ModelScorer;
 
 fn main() {
-    banner("Ablation: probability cache vs per-pass re-scoring");
+    banner("Ablation: probability cache vs scoring inside prune");
     let prepared = prepare(DatasetName::Movies);
     let feature_set = FeatureSet::blast_optimal();
     let (matrix, _) = prepared.build_features(feature_set);
@@ -63,7 +65,7 @@ fn main() {
         let cache_prune = start.elapsed();
 
         println!(
-            "{:<6} re-score both passes: {:>8.3}s | cache build {:>8.3}s + prune {:>8.3}s (retained {} / {})",
+            "{:<6} score once per pair in prune: {:>8.3}s | cache build {:>8.3}s + prune {:>8.3}s (retained {} / {})",
             algorithm.name(),
             fly_time.as_secs_f64(),
             cache_build.as_secs_f64(),

@@ -11,10 +11,12 @@
 //!    transposition) and candidate extraction ([`prepare`], which takes the
 //!    statistics);
 //! 3. feature generation for the chosen [`FeatureSet`];
-//! 4. balanced undersampling of labelled pairs and classifier training
-//!    ([`train`]);
+//! 4. balanced undersampling of labelled pairs, with the ground truth placed
+//!    through the candidate index, and classifier training ([`train`]);
 //! 5. probability scoring of every candidate pair;
-//! 6. pruning with the chosen [`AlgorithmKind`].
+//! 6. pruning with the chosen [`AlgorithmKind`], which decides on the valid
+//!    pairs only ([`ValidPairs`], collected in parallel from the
+//!    probability slice).
 //!
 //! Steps 1 and 2 together are
 //! [`standard_blocking_workflow_csr`](er_blocking::standard_blocking_workflow_csr)
@@ -59,11 +61,11 @@ use er_features::{
     FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
 };
 use er_learn::{
-    balanced_undersample, Classifier, LinearSvm, LinearSvmConfig, LogisticRegression,
-    LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
+    balanced_undersample_from_positives, BalancedSample, Classifier, LinearSvm, LinearSvmConfig,
+    LogisticRegression, LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
 };
 
-use crate::pruning::{AlgorithmKind, Blast};
+use crate::pruning::{AlgorithmKind, Blast, ValidPairs};
 use crate::scoring::CachedScores;
 
 /// Which probabilistic classifier the pipeline trains.
@@ -299,10 +301,12 @@ impl MetaBlockingPipeline {
         let scores = CachedScores::new(probabilities);
         let scoring_time = scoring_start.elapsed();
 
-        // Pruning.
+        // Pruning: the valid pairs are collected in parallel from the
+        // probability slice, and the algorithm decides on them alone.
         let pruning_start = Instant::now();
         let pruner = algorithm.build_with_csr(&csr, self.config.blast_ratio);
-        let retained = pruner.prune(&candidates, &scores);
+        let valid = ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
+        let retained = pruner.prune_valid(&valid);
         let pruning_time = pruning_start.elapsed();
 
         Ok(MetaBlockingOutcome {
@@ -360,6 +364,12 @@ pub fn prepare(
 /// labelled pairs per class from the context's candidates (balanced
 /// undersampling seeded with `config.seed`), computes the feature vectors of
 /// the sampled pairs only, and fits `config.classifier` on them.
+///
+/// The ground truth is placed through the candidate index
+/// ([`CandidatePairs::positive_pair_indices`]), so sampling never scans the
+/// pair list; the sample is the one
+/// [`balanced_undersample`](er_learn::balanced_undersample) draws from
+/// `candidates.pairs()` with the same seed.
 pub fn train(
     config: &MetaBlockingConfig,
     context: &FeatureContext<'_>,
@@ -367,8 +377,7 @@ pub fn train(
 ) -> Result<SavedModel> {
     let candidates = context.candidates();
     let set = config.feature_set;
-    let mut rng = er_core::seeded_rng(config.seed);
-    let sample = balanced_undersample(candidates.pairs(), truth, config.per_class, &mut rng)?;
+    let sample = training_sample(config, candidates, truth)?;
     let mut training = TrainingSet::new();
     let mut row = vec![0.0f64; set.vector_len()];
     for (&pair_index, &label) in sample.pair_indices.iter().zip(&sample.labels) {
@@ -377,6 +386,17 @@ pub fn train(
         training.push(row.clone(), label);
     }
     config.classifier.fit_saved(&training)
+}
+
+/// The balanced training sample of [`train`], seeded with `config.seed`.
+fn training_sample(
+    config: &MetaBlockingConfig,
+    candidates: &CandidatePairs,
+    truth: &GroundTruth,
+) -> Result<BalancedSample> {
+    let mut rng = er_core::seeded_rng(config.seed);
+    let positives = candidates.positive_pair_indices(truth);
+    balanced_undersample_from_positives(candidates.len(), &positives, config.per_class, &mut rng)
 }
 
 #[cfg(test)]
@@ -575,6 +595,58 @@ mod tests {
                 matches!(err, er_core::Error::EmptyInput(ref m) if m.contains("all-purged produced no blocks")),
                 "{err}"
             );
+        }
+    }
+
+    /// The index path draws the sample `balanced_undersample` draws from
+    /// the pair slice, whichever way the slice path finds the positives:
+    /// binary search when the truth is small next to the candidates (a
+    /// truth over every 37th candidate), a hash scan when it is not (every
+    /// third candidate, plus the dataset's truth), and the dataset's own
+    /// truth in whichever regime its size puts it.
+    #[test]
+    fn training_sample_equals_the_slice_paths() {
+        use er_datasets::{dirty_catalog, generate_dirty};
+        let clean_clean = tiny_dataset();
+        let dirty = generate_dirty(&dirty_catalog(&CatalogOptions::tiny())[0]).unwrap();
+        for dataset in [clean_clean, dirty] {
+            let (blocks, stats) = standard_blocking_workflow_csr(&dataset, 2);
+            let (_, candidates) = prepare(&blocks, stats, 2).unwrap();
+            let every = |step: usize| candidates.pairs().iter().copied().step_by(step);
+            let sparse = GroundTruth::from_pairs(every(37));
+            let dense = GroundTruth::from_pairs(
+                every(3).chain(dataset.ground_truth.pairs().iter().copied()),
+            );
+            let truths = [
+                (&dataset.ground_truth, None),
+                (&sparse, Some(true)),
+                (&dense, Some(false)),
+            ];
+            for (truth, searched) in truths {
+                let searchable = truth.len() * 32 <= candidates.len();
+                assert!(searched.is_none_or(|s| s == searchable), "{}", dataset.name);
+                let positives = candidates.count_positives(truth);
+                for (seed, per_class) in [(1u64, 1usize), (7, 10), (0x6d62_0001, 25)] {
+                    let per_class = per_class.min(positives);
+                    let config = MetaBlockingConfig {
+                        seed,
+                        per_class,
+                        ..Default::default()
+                    };
+                    let context = format!("{} per_class {per_class} seed {seed}", dataset.name);
+                    let index = training_sample(&config, &candidates, truth).unwrap();
+                    let mut rng = er_core::seeded_rng(seed);
+                    let slice = er_learn::balanced_undersample(
+                        candidates.pairs(),
+                        truth,
+                        per_class,
+                        &mut rng,
+                    )
+                    .unwrap();
+                    assert_eq!(index.pair_indices, slice.pair_indices, "{context}");
+                    assert_eq!(index.labels, slice.labels, "{context}");
+                }
+            }
         }
     }
 

@@ -6,11 +6,9 @@
 //! global, learned threshold.  It approximates WEP and serves as the
 //! weight-based baseline in every comparison of the paper.
 
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::ProbabilitySource;
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// The binary-classifier baseline of the original Supervised Meta-blocking.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,12 +19,8 @@ impl PruningAlgorithm for Bcl {
         "BCl"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        candidates
-            .iter()
-            .filter(|&(id, _, _)| scores.is_valid(id))
-            .map(|(id, _, _)| id)
-            .collect()
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        valid.ids_where(|_| true)
     }
 }
 

@@ -8,11 +8,9 @@
 //! *also* slightly raising recall compared with the binary-classifier
 //! baseline.
 
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::{ProbabilitySource, VALIDITY_THRESHOLD};
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised BLAST.
 #[derive(Debug, Clone, Copy)]
@@ -53,33 +51,11 @@ impl PruningAlgorithm for Blast {
         "BLAST"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        // First pass: maximum valid probability per entity, keeping the
-        // valid pairs — typically a fraction of a percent of the candidates
-        // — so the second pass re-reads neither the candidate list nor the
-        // probabilities.
-        let mut max = vec![0.0f64; candidates.num_entities()];
-        let mut valid = Vec::new();
-        for (id, a, b) in candidates.iter() {
-            let p = scores.probability(id);
-            if p >= VALIDITY_THRESHOLD {
-                if max[a.index()] < p {
-                    max[a.index()] = p;
-                }
-                if max[b.index()] < p {
-                    max[b.index()] = p;
-                }
-                valid.push((id, a, b, p));
-            }
-        }
-
-        // Second pass, in candidate order: retain the valid pairs above the
-        // scaled sum of their endpoint maxima.
-        valid
-            .into_iter()
-            .filter(|&(_, a, b, p)| self.ratio * (max[a.index()] + max[b.index()]) <= p)
-            .map(|(id, _, _, _)| id)
-            .collect()
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        let max = valid.per_entity_maxima();
+        valid.ids_where(|pair| {
+            self.ratio * (max[pair.a.index()] + max[pair.b.index()]) <= pair.probability
+        })
     }
 }
 

@@ -4,43 +4,10 @@
 //! `K = Σ_b |b| / 2` derived from the input block collection.  It bounds the
 //! number of retained comparisons explicitly, favouring precision.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::{ProbabilitySource, VALIDITY_THRESHOLD};
-
-/// A candidate pair with its probability, ordered so that the *lowest*
-/// probability sits at the top of a max-heap (i.e. reverse ordering), which
-/// lets the heap act as a bounded "keep the best K" structure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub probability: f64,
-    pub pair: PairId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse by probability; ties broken by pair id (larger id = "worse")
-        // so the outcome is deterministic.
-        other
-            .probability
-            .partial_cmp(&self.probability)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.pair.cmp(&self.pair).reverse())
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use crate::pruning::valid::by_rank;
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised Cardinality Edge Pruning.
 #[derive(Debug, Clone, Copy)]
@@ -69,22 +36,13 @@ impl PruningAlgorithm for Cep {
         "CEP"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(self.k + 1);
-        for (id, _, _) in candidates.iter() {
-            let p = scores.probability(id);
-            if p < VALIDITY_THRESHOLD {
-                continue;
-            }
-            heap.push(HeapEntry {
-                probability: p,
-                pair: id,
-            });
-            if heap.len() > self.k {
-                heap.pop();
-            }
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        if valid.len() <= self.k {
+            return valid.ids_where(|_| true);
         }
-        let mut retained: Vec<PairId> = heap.into_iter().map(|e| e.pair).collect();
+        let mut ranked = valid.pairs().to_vec();
+        ranked.select_nth_unstable_by(self.k - 1, by_rank);
+        let mut retained: Vec<PairId> = ranked[..self.k].iter().map(|pair| pair.id).collect();
         retained.sort_unstable();
         retained
     }

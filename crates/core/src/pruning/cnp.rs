@@ -4,48 +4,9 @@
 //! it, with `k = max(1, Σ_b |b| / (|E1| + |E2|))`.  A pair is retained if it
 //! appears in the top-`k` list of *either* endpoint.
 
-use std::collections::BinaryHeap;
-
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::cep::HeapEntry;
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::{ProbabilitySource, VALIDITY_THRESHOLD};
-
-/// For every pair, in how many of its endpoints' top-`k` queues it appears
-/// (0, 1 or 2).  Shared by CNP and RCNP.
-pub(crate) fn per_entity_topk_membership(
-    candidates: &CandidatePairs,
-    scores: &dyn ProbabilitySource,
-    k: usize,
-) -> Vec<u8> {
-    let mut queues: Vec<BinaryHeap<HeapEntry>> =
-        vec![BinaryHeap::with_capacity(k + 1); candidates.num_entities()];
-    for (id, a, b) in candidates.iter() {
-        let p = scores.probability(id);
-        if p < VALIDITY_THRESHOLD {
-            continue;
-        }
-        for endpoint in [a, b] {
-            let queue = &mut queues[endpoint.index()];
-            queue.push(HeapEntry {
-                probability: p,
-                pair: id,
-            });
-            if queue.len() > k {
-                queue.pop();
-            }
-        }
-    }
-    let mut membership = vec![0u8; candidates.len()];
-    for queue in queues {
-        for entry in queue {
-            membership[entry.pair.index()] += 1;
-        }
-    }
-    membership
-}
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised Cardinality Node Pruning.
 #[derive(Debug, Clone, Copy)]
@@ -74,13 +35,8 @@ impl PruningAlgorithm for Cnp {
         "CNP"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        let membership = per_entity_topk_membership(candidates, scores, self.k);
-        candidates
-            .iter()
-            .filter(|&(id, _, _)| membership[id.index()] >= 1)
-            .map(|(id, _, _)| id)
-            .collect()
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        valid.ids_in_top_k(self.k, 1)
     }
 }
 

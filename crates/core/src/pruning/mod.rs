@@ -10,13 +10,31 @@
 //! * **cardinality-based** ([`Cep`], [`Cnp`], [`Rcnp`]) determine how many
 //!   top-weighted pairs to retain, globally or per entity — these favour
 //!   precision.
+//!
+//! # One validity test, one list
+//!
+//! No algorithm keeps a pair below the validity threshold, so none needs
+//! to see one.  Validity is tested in one place: [`ValidPairs`] collects
+//! the valid pairs `(id, a, b, p)` in ascending pair-id order, asking the
+//! [`ProbabilitySource`] once per candidate, and every algorithm decides on
+//! that list alone ([`PruningAlgorithm::prune_valid`]) — a NaN probability
+//! is invalid for all eight.  On the paper's data the list is a fraction
+//! of a percent of the candidates.  Per-entity aggregates (averages, maxima,
+//! top-`k` lists) are built from it in list order, so every sum adds the
+//! same terms in the same order as a scan of the candidate list would, and
+//! the top-`k` lists rank by probability descending, then pair id
+//! ascending.  The batch pipeline collects the list in parallel from its
+//! probability slice; [`PruningAlgorithm::prune`] collects it serially.
 
 mod bcl;
 mod blast;
-pub(crate) mod cep;
+mod cep;
 mod cnp;
 mod rcnp;
+#[cfg(test)]
+mod reference;
 mod rwnp;
+mod valid;
 mod wep;
 mod wnp;
 
@@ -26,6 +44,7 @@ pub use cep::Cep;
 pub use cnp::Cnp;
 pub use rcnp::Rcnp;
 pub use rwnp::Rwnp;
+pub use valid::{ValidPair, ValidPairs};
 pub use wep::Wep;
 pub use wnp::Wnp;
 
@@ -39,8 +58,15 @@ pub trait PruningAlgorithm {
     /// Short name used in experiment reports ("BLAST", "RCNP", …).
     fn name(&self) -> &'static str;
 
-    /// Returns the ids of the retained candidate pairs, in ascending order.
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId>;
+    /// Returns the ids of the retained pairs among the valid ones, in
+    /// ascending order.
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId>;
+
+    /// Returns the ids of the retained candidate pairs, in ascending order:
+    /// collects the valid pairs, then decides on them.
+    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
+        self.prune_valid(&ValidPairs::collect(candidates, scores))
+    }
 }
 
 /// The thresholds of the cardinality-based algorithms, derived from the input
@@ -170,36 +196,6 @@ impl std::fmt::Display for AlgorithmKind {
     }
 }
 
-/// Shared helper: per-entity average probability of the *valid* incident
-/// pairs (used by WNP and RWNP).
-pub(crate) fn per_entity_average_probabilities(
-    candidates: &CandidatePairs,
-    scores: &dyn ProbabilitySource,
-) -> Vec<Option<f64>> {
-    let n = candidates.num_entities();
-    let mut sums = vec![0.0f64; n];
-    let mut counts = vec![0u32; n];
-    for (id, a, b) in candidates.iter() {
-        let p = scores.probability(id);
-        if p >= crate::scoring::VALIDITY_THRESHOLD {
-            sums[a.index()] += p;
-            counts[a.index()] += 1;
-            sums[b.index()] += p;
-            counts[b.index()] += 1;
-        }
-    }
-    sums.into_iter()
-        .zip(counts)
-        .map(|(sum, count)| {
-            if count > 0 {
-                Some(sum / f64::from(count))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
@@ -287,6 +283,62 @@ mod tests {
         assert_eq!(weight.len() + cardinality.len(), AlgorithmKind::all().len());
         assert!(cardinality.contains(&AlgorithmKind::Rcnp));
         assert!(!cardinality.contains(&AlgorithmKind::Blast));
+    }
+
+    /// A probability source that may return NaN (a classifier can).
+    struct Raw(Vec<f64>);
+
+    impl ProbabilitySource for Raw {
+        fn num_pairs(&self) -> usize {
+            self.0.len()
+        }
+
+        fn probability(&self, pair: PairId) -> f64 {
+            self.0[pair.index()]
+        }
+    }
+
+    #[test]
+    fn a_nan_probability_prunes_like_an_invalid_one() {
+        // Entity 0's pairs come first: (0,1) NaN, (0,2) 0.9, (0,3) 0.8.
+        let candidates = CandidatePairs::from_pairs(
+            6,
+            [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 4)]
+                .map(|(a, b)| (EntityId(a), EntityId(b))),
+        );
+        let probabilities = [f64::NAN, 0.9, 0.8, 0.7, f64::NAN, 0.6];
+        let nan = Raw(probabilities.to_vec());
+        let zero = Raw(probabilities
+            .map(|p| if p.is_nan() { 0.0 } else { p })
+            .to_vec());
+        let algorithms: Vec<Box<dyn PruningAlgorithm>> = vec![
+            Box::new(Bcl),
+            Box::new(Wep),
+            Box::new(Wnp),
+            Box::new(Rwnp),
+            Box::new(Blast::default()),
+            Box::new(Cep::new(1)),
+            Box::new(Cep::new(2)),
+            Box::new(Cnp::new(1)),
+            Box::new(Cnp::new(2)),
+            Box::new(Rcnp::new(1)),
+            Box::new(Rcnp::new(2)),
+        ];
+        for algorithm in &algorithms {
+            let expected = algorithm.prune(&candidates, &zero);
+            assert_eq!(
+                algorithm.prune(&candidates, &nan),
+                expected,
+                "{}",
+                algorithm.name()
+            );
+            assert!(!expected.contains(&PairId(0)), "{}", algorithm.name());
+        }
+        // The cases that used to keep the NaN pair (0,1).
+        let ids = |v: &[u32]| v.iter().copied().map(PairId).collect::<Vec<_>>();
+        assert_eq!(Rcnp::new(1).prune(&candidates, &nan), ids(&[1, 3]));
+        assert_eq!(Cnp::new(1).prune(&candidates, &nan), ids(&[1, 2, 3]));
+        assert_eq!(Cep::new(2).prune(&candidates, &nan), ids(&[1, 2]));
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! cardinality-based algorithm: compared with CNP it trades a little recall
 //! for a large precision gain.
 
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::cnp::per_entity_topk_membership;
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::ProbabilitySource;
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised Reciprocal Cardinality Node Pruning.
 #[derive(Debug, Clone, Copy)]
@@ -39,13 +36,8 @@ impl PruningAlgorithm for Rcnp {
         "RCNP"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        let membership = per_entity_topk_membership(candidates, scores, self.k);
-        candidates
-            .iter()
-            .filter(|&(id, _, _)| membership[id.index()] == 2)
-            .map(|(id, _, _)| id)
-            .collect()
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        valid.ids_in_top_k(self.k, 2)
     }
 }
 

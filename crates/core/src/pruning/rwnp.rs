@@ -4,11 +4,9 @@
 //! *both* endpoints, producing a consistently deeper pruning (higher
 //! precision, lower recall).
 
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::{per_entity_average_probabilities, PruningAlgorithm};
-use crate::scoring::{ProbabilitySource, VALIDITY_THRESHOLD};
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised Reciprocal Weighted Node Pruning.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,21 +17,12 @@ impl PruningAlgorithm for Rwnp {
         "RWNP"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        let averages = per_entity_average_probabilities(candidates, scores);
-        candidates
-            .iter()
-            .filter(|&(id, a, b)| {
-                let p = scores.probability(id);
-                if p < VALIDITY_THRESHOLD {
-                    return false;
-                }
-                let above_a = averages[a.index()].is_some_and(|avg| avg <= p);
-                let above_b = averages[b.index()].is_some_and(|avg| avg <= p);
-                above_a && above_b
-            })
-            .map(|(id, _, _)| id)
-            .collect()
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        let averages = valid.per_entity_averages();
+        valid.ids_where(|pair| {
+            averages[pair.a.index()] <= pair.probability
+                && averages[pair.b.index()] <= pair.probability
+        })
     }
 }
 

@@ -1,0 +1,270 @@
+//! The valid pairs: the one list every pruning algorithm decides on.
+//!
+//! Generalized Supervised Meta-blocking discards every pair whose matching
+//! probability is below the validity threshold before any algorithm looks
+//! at it, and on real candidate sets that leaves a small fraction of a
+//! percent of the pairs.  [`ValidPairs`] is that fraction, collected in one
+//! pass with the one validity test (`is_valid_probability`), so the
+//! algorithms never rescan the candidate list, never ask a
+//! [`ProbabilitySource`] twice for one pair, and all treat a NaN probability
+//! alike: as invalid.
+
+use er_blocking::CandidatePairs;
+use er_core::{EntityId, PairId};
+
+use crate::scoring::{is_valid_probability, ProbabilitySource};
+
+/// Candidate pairs per worker below which the parallel collection does not
+/// start another one.
+const MIN_PAIRS_PER_WORKER: usize = 1 << 16;
+
+/// Valid pairs each worker's list has room for before it first grows.
+const INITIAL_CAPACITY: usize = 1 << 10;
+
+/// A valid candidate pair with its endpoints and its probability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ValidPair {
+    /// The pair's id in the candidate set.
+    pub id: PairId,
+    /// The smaller endpoint.
+    pub a: EntityId,
+    /// The larger endpoint.
+    pub b: EntityId,
+    /// The matching probability (at least the validity threshold).
+    pub probability: f64,
+}
+
+/// The valid pairs of a scored candidate set, in ascending pair-id order.
+#[derive(Debug, Clone)]
+pub struct ValidPairs {
+    num_entities: usize,
+    pairs: Vec<ValidPair>,
+}
+
+impl ValidPairs {
+    /// Collects the valid pairs, asking `scores` once per candidate pair.
+    pub fn collect(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
+        let mut pairs = Vec::new();
+        let probabilities = (0..candidates.len()).map(|i| scores.probability(PairId::from(i)));
+        push_valid(candidates, 0..candidates.len(), probabilities, &mut pairs);
+        ValidPairs {
+            num_entities: candidates.num_entities(),
+            pairs,
+        }
+    }
+
+    /// [`ValidPairs::collect`] over a probability slice (one entry per
+    /// candidate pair), on up to `threads` workers, each scanning one pair
+    /// range into its own list; the lists are joined in range order, so the
+    /// result is the same for every thread count.  Each list is allocated on
+    /// the calling thread and grows in place, so none of it is left behind
+    /// in a worker thread's malloc arena.
+    pub(crate) fn collect_parallel(
+        candidates: &CandidatePairs,
+        probabilities: &[f64],
+        threads: usize,
+    ) -> Self {
+        assert_eq!(
+            probabilities.len(),
+            candidates.len(),
+            "one probability per candidate pair"
+        );
+        let n = candidates.len();
+        let workers = er_core::workers_for(n, threads, MIN_PAIRS_PER_WORKER);
+        let per_worker = n.div_ceil(workers);
+        let tasks: Vec<_> = (0..workers)
+            .map(|w| {
+                let range = (w * per_worker).min(n)..((w + 1) * per_worker).min(n);
+                (range, Vec::with_capacity(INITIAL_CAPACITY))
+            })
+            .collect();
+        let mut parts = er_core::map_tasks_parallel(tasks, workers, |(range, mut part)| {
+            let scored = probabilities[range.clone()].iter().copied();
+            push_valid(candidates, range, scored, &mut part);
+            part
+        });
+        let pairs = if parts.len() == 1 {
+            parts.pop().unwrap_or_default()
+        } else {
+            parts.concat()
+        };
+        ValidPairs {
+            num_entities: candidates.num_entities(),
+            pairs,
+        }
+    }
+
+    /// The valid pairs, ascending by pair id.
+    pub fn pairs(&self) -> &[ValidPair] {
+        &self.pairs
+    }
+
+    /// Number of valid pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True if no pair is valid.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The ids of the valid pairs that `keep` accepts, ascending.
+    pub(crate) fn ids_where(&self, keep: impl Fn(&ValidPair) -> bool) -> Vec<PairId> {
+        self.pairs
+            .iter()
+            .filter(|pair| keep(pair))
+            .map(|pair| pair.id)
+            .collect()
+    }
+
+    /// Per entity, the average probability of its valid pairs, each sum
+    /// accumulated in ascending pair-id order (NaN for an entity without a
+    /// valid pair: no valid pair reads it).
+    pub(crate) fn per_entity_averages(&self) -> Vec<f64> {
+        let mut sums = vec![0.0f64; self.num_entities];
+        let mut counts = vec![0u32; self.num_entities];
+        for pair in &self.pairs {
+            for endpoint in [pair.a, pair.b] {
+                sums[endpoint.index()] += pair.probability;
+                counts[endpoint.index()] += 1;
+            }
+        }
+        for (sum, count) in sums.iter_mut().zip(counts) {
+            *sum /= f64::from(count);
+        }
+        sums
+    }
+
+    /// Per entity, the maximum probability of its valid pairs (0 for an
+    /// entity without one).
+    pub(crate) fn per_entity_maxima(&self) -> Vec<f64> {
+        let mut max = vec![0.0f64; self.num_entities];
+        for pair in &self.pairs {
+            for endpoint in [pair.a, pair.b] {
+                let slot = &mut max[endpoint.index()];
+                if *slot < pair.probability {
+                    *slot = pair.probability;
+                }
+            }
+        }
+        max
+    }
+
+    /// The ids of the valid pairs that are in the top-`k` lists of at least
+    /// `lists` of their two endpoints, ascending.  An entity's top `k` are
+    /// its valid pairs ranked by probability descending, then pair id
+    /// ascending.
+    ///
+    /// The pairs are grouped by endpoint (a CSR of positions into the list),
+    /// and each group longer than `k` is partitioned at its `k`-th rank — no
+    /// per-entity allocation.
+    pub(crate) fn ids_in_top_k(&self, k: usize, lists: u8) -> Vec<PairId> {
+        let mut starts = vec![0usize; self.num_entities + 1];
+        for pair in &self.pairs {
+            starts[pair.a.index() + 1] += 1;
+            starts[pair.b.index() + 1] += 1;
+        }
+        for entity in 0..self.num_entities {
+            starts[entity + 1] += starts[entity];
+        }
+        let mut next = starts.clone();
+        let mut grouped = vec![0u32; 2 * self.pairs.len()];
+        for (position, pair) in self.pairs.iter().enumerate() {
+            for endpoint in [pair.a, pair.b] {
+                let slot = &mut next[endpoint.index()];
+                grouped[*slot] = position as u32;
+                *slot += 1;
+            }
+        }
+
+        let rank = |x: &u32, y: &u32| by_rank(&self.pairs[*x as usize], &self.pairs[*y as usize]);
+        let mut membership = vec![0u8; self.pairs.len()];
+        for window in starts.windows(2) {
+            let group = &mut grouped[window[0]..window[1]];
+            let top = if group.len() > k {
+                group.select_nth_unstable_by(k - 1, rank);
+                &group[..k]
+            } else {
+                &group[..]
+            };
+            for &position in top {
+                membership[position as usize] += 1;
+            }
+        }
+        self.pairs
+            .iter()
+            .zip(membership)
+            .filter(|&(_, member_of)| member_of >= lists)
+            .map(|(pair, _)| pair.id)
+            .collect()
+    }
+}
+
+/// Appends the valid pairs of the pair-id `range` to `out`, in id order;
+/// `probabilities` yields the range's probabilities, in id order.
+fn push_valid(
+    candidates: &CandidatePairs,
+    range: std::ops::Range<usize>,
+    probabilities: impl Iterator<Item = f64>,
+    out: &mut Vec<ValidPair>,
+) {
+    let first = range.start;
+    let scored = candidates.pairs()[range].iter().zip(probabilities);
+    for (offset, (&(a, b), probability)) in scored.enumerate() {
+        if is_valid_probability(probability) {
+            out.push(ValidPair {
+                id: PairId::from(first + offset),
+                a,
+                b,
+                probability,
+            });
+        }
+    }
+}
+
+/// The pruning algorithms' ranking: probability descending, then pair id
+/// ascending.  Valid probabilities are never NaN, so `total_cmp` is their
+/// numeric order.
+pub(crate) fn by_rank(x: &ValidPair, y: &ValidPair) -> std::cmp::Ordering {
+    y.probability
+        .total_cmp(&x.probability)
+        .then(x.id.cmp(&y.id))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scoring::CachedScores;
+
+    #[test]
+    fn parallel_collection_equals_the_serial_one_for_every_thread_count() {
+        // Enough pairs for several workers; every third pair valid, with a
+        // run of invalid ones at the start and end of the list.
+        let num_entities = 760u32;
+        let pairs = (0..num_entities)
+            .flat_map(|a| (a + 1..num_entities).step_by(2).map(move |b| (a, b)))
+            .map(|(a, b)| (EntityId(a), EntityId(b)));
+        let candidates = CandidatePairs::from_pairs(num_entities as usize, pairs);
+        let n = candidates.len();
+        assert!(n >= 2 * MIN_PAIRS_PER_WORKER, "{n} pairs");
+        let probabilities: Vec<f64> = (0..n)
+            .map(|i| {
+                if i < 1000 || i + 1000 > n || i % 3 != 0 {
+                    (i % 50) as f64 / 100.0
+                } else {
+                    0.5 + (i % 7) as f64 / 14.0
+                }
+            })
+            .collect();
+        let scores = CachedScores::new(probabilities);
+        let serial = ValidPairs::collect(&candidates, &scores);
+        assert!(!serial.is_empty());
+        for threads in [1, 2, 3, 8] {
+            let parallel = ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
+            assert_eq!(parallel.pairs(), serial.pairs(), "{threads} threads");
+        }
+        let none = CachedScores::new(vec![0.25; n]);
+        assert!(ValidPairs::collect_parallel(&candidates, none.as_slice(), 2).is_empty());
+    }
+}

@@ -4,11 +4,9 @@
 //! ≥ 0.5) and retains every pair whose probability reaches that global
 //! average.
 
-use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::pruning::PruningAlgorithm;
-use crate::scoring::{ProbabilitySource, VALIDITY_THRESHOLD};
+use crate::pruning::{PruningAlgorithm, ValidPairs};
 
 /// Supervised Weighted Edge Pruning.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,28 +17,18 @@ impl PruningAlgorithm for Wep {
         "WEP"
     }
 
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        // First pass: average probability of the valid pairs.
-        let mut sum = 0.0f64;
-        let mut count = 0u64;
-        for (id, _, _) in candidates.iter() {
-            let p = scores.probability(id);
-            if p >= VALIDITY_THRESHOLD {
-                sum += p;
-                count += 1;
-            }
-        }
-        if count == 0 {
+    fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId> {
+        if valid.is_empty() {
             return Vec::new();
         }
-        let mean = sum / count as f64;
-
-        // Second pass: retain pairs at or above the global average.
-        candidates
+        // The average of valid probabilities is itself at least the
+        // validity threshold, so no invalid pair could reach it.
+        let sum = valid
+            .pairs()
             .iter()
-            .filter(|&(id, _, _)| scores.probability(id) >= mean)
-            .map(|(id, _, _)| id)
-            .collect()
+            .fold(0.0f64, |sum, pair| sum + pair.probability);
+        let mean = sum / valid.len() as f64;
+        valid.ids_where(|pair| pair.probability >= mean)
     }
 }
 

@@ -10,8 +10,14 @@
 //!   trading memory for speed.
 //!
 //! Both implement [`ProbabilitySource`], so every pruning algorithm works with
-//! either (the ablation bench `ablation_probability_cache` measures the
-//! difference).
+//! either.  [`PruningAlgorithm::prune`](crate::pruning::PruningAlgorithm::prune)
+//! asks the source once per candidate pair, in the one pass that collects
+//! the valid pairs ([`ValidPairs`](crate::pruning::ValidPairs)), and the
+//! algorithms decide on that list; so on demand the classifier runs once
+//! per pair as well, inside `prune` (the ablation bench
+//! `ablation_probability_cache` measures the difference).  Validity — a
+//! probability of at least 0.5, never NaN — is tested in one function,
+//! which [`ProbabilitySource::is_valid`] and that collection share.
 //!
 //! The pipeline's cached path is filled by
 //! [`er_features::FeatureMatrix::score_rows_with`] (or, in chunked mode,
@@ -25,7 +31,26 @@ use er_learn::ProbabilisticClassifier;
 
 /// The validity threshold of Generalized Supervised Meta-blocking: pairs with
 /// a matching probability below 0.5 are discarded before pruning.
-pub(crate) const VALIDITY_THRESHOLD: f64 = 0.5;
+const VALIDITY_THRESHOLD: f64 = 0.5;
+
+/// True if a pair with matching probability `p` is *valid*: `p` reaches
+/// [`VALIDITY_THRESHOLD`].  NaN never does.  This is the one validity test:
+/// [`ProbabilitySource::is_valid`] and the pruning algorithms' valid-pair
+/// collection both call it.
+pub(crate) fn is_valid_probability(p: f64) -> bool {
+    p >= VALIDITY_THRESHOLD
+}
+
+/// True if every value is a probability: within `[0, 1]`, which no NaN and
+/// no infinity is.  Chunks of branch-free comparisons, so the check over a
+/// corpus-sized slice vectorises and stops at the first bad chunk.
+fn all_probabilities(values: &[f64]) -> bool {
+    values.chunks(1024).all(|chunk| {
+        chunk
+            .iter()
+            .fold(true, |all, p| all & (0.0..=1.0).contains(p))
+    })
+}
 
 /// Pairs per worker below which [`ModelScorer::cache_with_threads`] does not
 /// start another one (see [`er_core::workers_for`]).
@@ -40,9 +65,9 @@ pub trait ProbabilitySource {
     fn probability(&self, pair: PairId) -> f64;
 
     /// True if the pair is *valid*, i.e. its probability reaches the 0.5
-    /// threshold.
+    /// threshold (a NaN probability never does).
     fn is_valid(&self, pair: PairId) -> bool {
-        self.probability(pair) >= VALIDITY_THRESHOLD
+        is_valid_probability(self.probability(pair))
     }
 }
 
@@ -105,9 +130,7 @@ impl CachedScores {
     /// Panics if any probability is not a finite number in `[0, 1]`.
     pub fn new(probabilities: Vec<f64>) -> Self {
         assert!(
-            probabilities
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
+            all_probabilities(&probabilities),
             "probabilities must be finite and within [0, 1]"
         );
         CachedScores { probabilities }
@@ -205,5 +228,36 @@ mod tests {
     #[should_panic(expected = "probabilities must be finite")]
     fn invalid_probabilities_rejected() {
         let _ = CachedScores::new(vec![1.5]);
+    }
+
+    #[test]
+    fn the_probability_check_takes_the_closed_unit_interval_only() {
+        let accepted = |p: f64| {
+            // One bad value deep inside a long slice, past the first chunk.
+            let mut values = vec![0.25; 3000];
+            values[2500] = p;
+            std::panic::catch_unwind(|| CachedScores::new(values)).is_ok()
+        };
+        for p in [0.0, -0.0, 1.0, 0.5, f64::MIN_POSITIVE] {
+            assert!(accepted(p), "{p} is a probability");
+        }
+        for p in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0 + f64::EPSILON,
+            -f64::MIN_POSITIVE,
+        ] {
+            assert!(!accepted(p), "{p} is not a probability");
+        }
+        assert!(all_probabilities(&[]));
+    }
+
+    #[test]
+    fn nan_is_never_valid() {
+        assert!(!is_valid_probability(f64::NAN));
+        assert!(is_valid_probability(0.5));
+        assert!(!is_valid_probability(0.5 - f64::EPSILON));
     }
 }

@@ -382,12 +382,31 @@ impl CandidatePairs {
             + self.entity_candidates.capacity() * size_of::<u32>()
     }
 
+    /// The ids of the candidate pairs that are true duplicates, ascending.
+    ///
+    /// Each ground-truth pair `(a, b)` (normalised, `a <= b`) is looked up
+    /// in `a`'s row of the pair index — a binary search for `b` in a run of
+    /// a few hundred pairs at most — instead of probing the truth once per
+    /// candidate.  The truth is sorted and so is the pair list, so the ids
+    /// come out ascending.
+    pub fn positive_pair_indices(&self, truth: &GroundTruth) -> Vec<usize> {
+        truth
+            .pairs()
+            .iter()
+            .filter(|&&(a, _)| a.index() < self.num_entities())
+            .filter_map(|&(a, b)| {
+                let range = self.pair_range(a);
+                let run = &self.pairs[range.clone()];
+                run.binary_search_by(|&(_, partner)| partner.cmp(&b))
+                    .ok()
+                    .map(|offset| range.start + offset)
+            })
+            .collect()
+    }
+
     /// Number of candidate pairs that are true duplicates (positive pairs).
     pub fn count_positives(&self, truth: &GroundTruth) -> usize {
-        self.pairs
-            .iter()
-            .filter(|&&(a, b)| truth.is_match(a, b))
-            .count()
+        self.positive_pair_indices(truth).len()
     }
 }
 
@@ -474,6 +493,41 @@ mod tests {
         let gt =
             GroundTruth::from_pairs(vec![(EntityId(0), EntityId(2)), (EntityId(1), EntityId(3))]);
         assert_eq!(cands.count_positives(&gt), 2);
+    }
+
+    #[test]
+    fn positive_pair_indices_equal_a_scan_of_the_pair_list() {
+        let bc = dirty_collection(8, &[&[0, 1, 2, 3], &[2, 3, 4, 5], &[5, 6, 7]]);
+        let cands = extract(&bc);
+        let scan = |truth: &GroundTruth| -> Vec<usize> {
+            (0..cands.len())
+                .filter(|&i| {
+                    let (a, b) = cands.pair(PairId::from(i));
+                    truth.is_match(a, b)
+                })
+                .collect()
+        };
+        let pair = |a: u32, b: u32| (EntityId(a), EntityId(b));
+        let truths = [
+            GroundTruth::default(),
+            // Reversed order, a non-candidate, a self pair and an entity
+            // beyond the candidate set's id space.
+            GroundTruth::from_pairs(vec![
+                pair(3, 0),
+                pair(2, 5),
+                pair(0, 7),
+                pair(4, 4),
+                pair(6, 7),
+                pair(7, 20),
+                pair(30, 31),
+            ]),
+            GroundTruth::from_pairs(cands.pairs().iter().copied()),
+        ];
+        for truth in &truths {
+            let positives = cands.positive_pair_indices(truth);
+            assert_eq!(positives, scan(truth));
+            assert_eq!(cands.count_positives(truth), positives.len());
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub use logistic::{LogisticRegression, LogisticRegressionConfig};
 pub use model::{Classifier, ProbabilisticClassifier};
 pub use persist::{load_model, save_model, SavedModel};
 pub use platt::PlattScaler;
-pub use sampling::{balanced_undersample, paper_baseline_per_class, BalancedSample};
+pub use sampling::{
+    balanced_undersample, balanced_undersample_from_positives, paper_baseline_per_class,
+    BalancedSample,
+};
 pub use scale::Standardizer;
 pub use svm::{LinearSvm, LinearSvmConfig};

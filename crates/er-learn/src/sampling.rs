@@ -4,6 +4,14 @@
 //! non-match.  The paper therefore builds training sets by undersampling —
 //! picking the same number of positive and negative pairs at random — and
 //! shows that as few as 25 instances per class suffice.
+//!
+//! A sample needs only the number of candidate pairs and the ascending
+//! indices of the matching ones: [`balanced_undersample_from_positives`]
+//! draws from exactly that.  The batch pipeline places the ground truth
+//! through its candidate index and calls it directly;
+//! [`balanced_undersample`] takes a plain pair slice, finds the matches in
+//! it and draws the same way, so both give the same sample for the same
+//! seed.
 
 use er_core::{EntityId, Error, FxHashMap, GroundTruth, Result};
 use rand::seq::SliceRandom;
@@ -36,11 +44,11 @@ impl BalancedSample {
 ///
 /// The sample is defined as: collect the positive and the negative pair
 /// indices in list order, Fisher–Yates-shuffle the positives, then the
-/// negatives, and keep the first `per_class` of each.  Almost every pair is
-/// a negative, so the negatives are never listed: only the shuffle's draws
-/// are recorded and the kept slots are traced back through them (see
-/// `shuffled_prefix`) — same sample, same RNG stream, without an index
-/// vector over all candidates.
+/// negatives, and keep the first `per_class` of each.  This finds the
+/// positives in the slice and draws through
+/// [`balanced_undersample_from_positives`]; a caller holding a pair index
+/// that places the ground truth itself calls that directly and gets the
+/// same sample from the same RNG stream.
 ///
 /// Returns an error if the candidate list does not contain enough pairs of
 /// either class, or holds more pairs than a `u32` pair id can address.
@@ -50,20 +58,51 @@ pub fn balanced_undersample(
     per_class: usize,
     rng: &mut impl Rng,
 ) -> Result<BalancedSample> {
+    let positives = positive_indices(pairs, truth);
+    balanced_undersample_from_positives(pairs.len(), &positives, per_class, rng)
+}
+
+/// The balanced sample of [`balanced_undersample`], drawn from a list of
+/// `num_pairs` pairs whose matches sit at the strictly ascending indices
+/// `sorted_positives` — every other index is a negative.
+///
+/// Almost every pair is a negative, so the negatives are never listed: only
+/// the shuffle's draws are recorded and the kept slots are traced back
+/// through them (see `shuffled_prefix`) — same sample, same RNG stream,
+/// without an index vector over all candidates.
+///
+/// Returns an error if either class holds fewer than `per_class` pairs, if
+/// `num_pairs` is beyond `u32` pair ids, or if `sorted_positives` is not
+/// strictly ascending below `num_pairs`.
+pub fn balanced_undersample_from_positives(
+    num_pairs: usize,
+    sorted_positives: &[usize],
+    per_class: usize,
+    rng: &mut impl Rng,
+) -> Result<BalancedSample> {
     if per_class == 0 {
         return Err(Error::InvalidParameter(
             "per_class must be at least 1".into(),
         ));
     }
-    if u32::try_from(pairs.len()).is_err() {
+    if u32::try_from(num_pairs).is_err() {
         return Err(Error::CapacityExceeded {
             what: "candidate list to sample from".into(),
-            requested: pairs.len() as u64,
+            requested: num_pairs as u64,
             limit: u64::from(u32::MAX),
         });
     }
-    let sorted_positives = positive_indices(pairs, truth);
-    let num_negatives = pairs.len() - sorted_positives.len();
+    let ascending = sorted_positives.windows(2).all(|w| w[0] < w[1]);
+    if !ascending
+        || sorted_positives
+            .last()
+            .is_some_and(|&last| last >= num_pairs)
+    {
+        return Err(Error::InvalidParameter(format!(
+            "positive indices must be strictly ascending and below {num_pairs}"
+        )));
+    }
+    let num_negatives = num_pairs - sorted_positives.len();
     for available in [sorted_positives.len(), num_negatives] {
         if available < per_class {
             return Err(Error::InsufficientTrainingData {
@@ -73,7 +112,7 @@ pub fn balanced_undersample(
         }
     }
 
-    let mut positives = sorted_positives.clone();
+    let mut positives = sorted_positives.to_vec();
     positives.shuffle(rng);
     let negative_ranks = shuffled_prefix(num_negatives, per_class, rng);
 
@@ -82,7 +121,7 @@ pub fn balanced_undersample(
     pair_indices.extend(
         negative_ranks
             .into_iter()
-            .map(|rank| nth_negative(&sorted_positives, rank as usize)),
+            .map(|rank| nth_negative(sorted_positives, rank as usize)),
     );
     let mut labels = vec![true; per_class];
     labels.resize(2 * per_class, false);

@@ -1,9 +1,10 @@
-//! Regression guards for the candidate → score path doing each unit of work
-//! once: the probability kernel allocates nothing, a scoring pass — streamed
-//! or over the materialised index — allocates per chunk and never per pair
-//! or per run, the candidate-aligned board allocates nothing once it has
-//! seen its longest run, and a chunked pipeline run derives each emitting
-//! entity's partner run exactly once.
+//! Regression guards for the candidate → score → prune path doing each unit
+//! of work once: the probability kernel allocates nothing, a scoring pass —
+//! streamed or over the materialised index — allocates per chunk and never
+//! per pair or per run, the candidate-aligned board allocates nothing once
+//! it has seen its longest run, a chunked pipeline run derives each emitting
+//! entity's partner run exactly once, and no pruning algorithm allocates
+//! per entity.
 //!
 //! The allocation counter is process-wide and the run counter lives in the
 //! process-wide er-obs registry, so the tests of this binary take turns;
@@ -18,7 +19,7 @@ use gsmb::blocking::{
     standard_blocking_workflow_csr, BlockStats, CandidatePairs, CandidateStream,
     DEFAULT_CHUNK_PAIRS,
 };
-use gsmb::core::{Dataset, EntityId};
+use gsmb::core::{Dataset, EntityId, PairId};
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::features::{
     CandidateBoard, FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig,
@@ -26,7 +27,10 @@ use gsmb::features::{
 };
 use gsmb::learn::{ProbabilisticClassifier, SavedModel, TrainingSet};
 use gsmb::meta::pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingPipeline};
-use gsmb::meta::pruning::AlgorithmKind;
+use gsmb::meta::pruning::{
+    AlgorithmKind, Bcl, Blast, Cep, Cnp, PruningAlgorithm, Rcnp, Rwnp, Wep, Wnp,
+};
+use gsmb::meta::scoring::CachedScores;
 
 struct CountingAllocator;
 
@@ -317,4 +321,57 @@ fn chunked_pipeline_run_derives_each_emitting_run_once() {
         runs, emitting as u64,
         "one pipeline run must derive each of the {emitting} emitting runs exactly once"
     );
+}
+
+/// Every pruning algorithm decides on the valid pairs with a fixed number
+/// of corpus-sized tables (per-entity aggregates, the grouped top-`k`
+/// lists, the output), never one allocation per entity: the bound holds at
+/// 50 000 entities and at twice that.  The output and the valid list grow
+/// by doubling, so a few dozen reallocations are the whole budget.
+#[test]
+fn pruning_allocates_no_table_per_entity() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const BUDGET: u64 = 64;
+    for num_entities in [50_000u32, 100_000] {
+        // Every entity is in six pairs with its ring neighbours; a third of
+        // the pairs are valid, with ties.
+        let pairs = (0..num_entities).flat_map(|a| {
+            [1u32, 2, 7].map(move |offset| (EntityId(a), EntityId((a + offset) % num_entities)))
+        });
+        let candidates = CandidatePairs::from_pairs(num_entities as usize, pairs);
+        let probabilities = (0..candidates.len())
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.5 + (i % 11) as f64 / 22.0
+                } else {
+                    0.3
+                }
+            })
+            .collect();
+        let scores = CachedScores::new(probabilities);
+        let algorithms: [Box<dyn PruningAlgorithm>; 8] = [
+            Box::new(Bcl),
+            Box::new(Wep),
+            Box::new(Wnp),
+            Box::new(Rwnp),
+            Box::new(Blast::default()),
+            Box::new(Cep::new(candidates.len() / 10)),
+            Box::new(Cnp::new(1)),
+            Box::new(Rcnp::new(1)),
+        ];
+        for algorithm in &algorithms {
+            let (retained, allocations) =
+                thread_allocations_during(|| algorithm.prune(&candidates, &scores));
+            assert!(!retained.is_empty(), "{}", algorithm.name());
+            assert!(retained.windows(2).all(|w| w[0] < w[1]));
+            assert!(retained
+                .iter()
+                .all(|&id| id < PairId::from(candidates.len())));
+            assert!(
+                allocations <= BUDGET,
+                "{}: {allocations} allocations at {num_entities} entities (budget {BUDGET})",
+                algorithm.name()
+            );
+        }
+    }
 }
