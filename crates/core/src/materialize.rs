@@ -17,10 +17,11 @@ pub fn materialize_blocks_csr(
     candidates: &CandidatePairs,
     retained: &[PairId],
 ) -> CsrBlockCollection {
-    let blocks = retained.iter().enumerate().map(|(i, &id)| {
-        let (a, b) = candidates.pair(id);
-        (format!("pair{i}"), vec![a, b])
-    });
+    let pairs = candidates.resolve(retained);
+    let blocks = pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (a, b))| (format!("pair{i}"), vec![a, b]));
     CsrBlockCollection::from_blocks(
         source.dataset_name.clone(),
         source.kind,
@@ -49,12 +50,10 @@ impl PruningSummary {
     pub fn new(candidates: &CandidatePairs, retained: &[PairId], truth: &GroundTruth) -> Self {
         let input_positives = candidates.count_positives(truth);
         let input_negatives = candidates.len() - input_positives;
-        let retained_positives = retained
-            .iter()
-            .filter(|&&id| {
-                let (a, b) = candidates.pair(id);
-                truth.is_match(a, b)
-            })
+        let retained_positives = candidates
+            .resolve(retained)
+            .into_iter()
+            .filter(|&(a, b)| truth.is_match(a, b))
             .count();
         let retained_negatives = retained.len() - retained_positives;
         PruningSummary {

@@ -36,7 +36,7 @@
 //! materialises the full feature matrix.  Training needs feature vectors for
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
-//! [`FeatureMatrix::score_rows_with`], which streams each pair's fused
+//! [`FeatureMatrix::score_stream_with`], which streams each pair's fused
 //! feature row straight into the classifier.  The `features` timing
 //! therefore covers index construction (block statistics, candidate CSR,
 //! per-entity tables) and `scoring` covers the fused feature + probability
@@ -44,22 +44,28 @@
 //!
 //! Each entity's partner run is derived **once** per run: the candidate
 //! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
-//! and both scoring modes read it through an index-backed stream
+//! and the scoring pass reads it through an index-backed stream
 //! ([`CandidateStream::from_candidates`]) instead of counting and
-//! re-extracting the runs — [`FeatureMatrix::score_rows_with`] with default
-//! chunks, the chunked mode (`candidate_chunk_pairs`) with chunks of the
-//! configured size.  The scoreboard's block walk is the only other pass
+//! re-extracting the runs, in chunks of `candidate_chunk_pairs` pairs
+//! ([`DEFAULT_CHUNK_PAIRS`] when unset), over the feature context's own
+//! per-entity tables.  The scoreboard's block walk is the only other pass
 //! over the blocks.
+//!
+//! The candidate index holds 4 bytes per pair (partner ids; the smaller
+//! endpoint comes from its offsets), and no stage of a run builds its
+//! `(a, b)` tuple view ([`CandidatePairs::pairs`]): pruning walks the index
+//! run by run, and [`MetaBlockingOutcome::retained_pairs`] resolves the
+//! retained ids in one forward walk.  The probabilities' range check is
+//! made in the valid-pair collection's pass, not in a pass of its own.
 
 use std::time::{Duration, Instant};
 
 use er_blocking::{
     clean_blocks_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
+    DEFAULT_CHUNK_PAIRS,
 };
 use er_core::{Dataset, GroundTruth, PairId, Result};
-use er_features::{
-    FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
-};
+use er_features::{FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig};
 use er_learn::{
     balanced_undersample_from_positives, BalancedSample, Classifier, LinearSvm, LinearSvmConfig,
     LogisticRegression, LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
@@ -134,13 +140,12 @@ pub struct MetaBlockingConfig {
     /// reads it (its tile width); output is bit-identical for every
     /// configuration.
     pub scoreboard: ScoreboardConfig,
-    /// When set, the probability pass runs through the streamed candidate
-    /// engine ([`er_blocking::CandidateStream`]) in chunks of this many
-    /// pairs instead of walking the materialised pair index — per-worker
-    /// scratch stays `O(chunk_pairs)` during scoring.  Probabilities are
-    /// bit-identical to the materialised pass for every chunk size and
-    /// thread count.  `None` (the default) scores through the materialised
-    /// index.
+    /// Pairs per chunk of the probability pass, which reads the candidate
+    /// index through the streamed candidate engine
+    /// ([`er_blocking::CandidateStream`]) — per-worker scratch stays
+    /// `O(chunk_pairs)` during scoring.  Probabilities are bit-identical for
+    /// every chunk size and thread count.  `None` (the default) uses
+    /// [`DEFAULT_CHUNK_PAIRS`].
     pub candidate_chunk_pairs: Option<usize>,
 }
 
@@ -184,7 +189,8 @@ pub struct Timings {
     pub training: Duration,
     /// The fused feature + probability pass over all candidate pairs.
     pub scoring: Duration,
-    /// Pruning.
+    /// Pruning, including the collection of the valid pairs — the pass that
+    /// also checks every probability lies within `[0, 1]`.
     pub pruning: Duration,
 }
 
@@ -216,12 +222,10 @@ pub struct MetaBlockingOutcome {
 }
 
 impl MetaBlockingOutcome {
-    /// The retained pairs as entity-id tuples.
+    /// The retained pairs as entity-id tuples, resolved in one forward walk
+    /// over the candidate index (the retained ids ascend).
     pub fn retained_pairs(&self) -> Vec<(er_core::EntityId, er_core::EntityId)> {
-        self.retained
-            .iter()
-            .map(|&id| self.candidates.pair(id))
-            .collect()
+        self.candidates.resolve(&self.retained)
     }
 }
 
@@ -269,40 +273,33 @@ impl MetaBlockingPipeline {
         let training_time = training_start.elapsed();
 
         // Scoring: fused feature + probability pass, no materialised matrix.
-        // With `candidate_chunk_pairs` set, the pass runs the streamed
-        // engine (chunk tasks, per-worker arenas) over the index this
-        // function already holds for pruning: chunks are copied out of it,
-        // no partner run is derived a second time — same probabilities, bit
-        // for bit.
+        // The streamed engine (chunk tasks, per-worker arenas) runs over the
+        // index this function already holds for pruning and over the
+        // context's per-entity tables: chunks are copied out of the index,
+        // no partner run is derived a second time — the same probabilities,
+        // bit for bit, at every chunk size.
         let scoring_start = Instant::now();
         let probability = |features: &[f64]| model.probability(features).clamp(0.0, 1.0);
-        let probabilities = match self.config.candidate_chunk_pairs {
-            Some(chunk_pairs) => {
-                let stream = CandidateStream::from_candidates(&stats, &candidates);
-                let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
-                FeatureMatrix::score_stream_with(
-                    &stream_context,
-                    &stream,
-                    set,
-                    threads,
-                    &self.config.scoreboard,
-                    chunk_pairs,
-                    probability,
-                )
-            }
-            None => FeatureMatrix::score_rows_with(
-                &context,
-                set,
-                threads,
-                &self.config.scoreboard,
-                probability,
-            ),
-        };
-        let scores = CachedScores::new(probabilities);
+        let chunk_pairs = self
+            .config
+            .candidate_chunk_pairs
+            .unwrap_or(DEFAULT_CHUNK_PAIRS);
+        let probabilities = FeatureMatrix::score_stream_with(
+            context.stream_context(),
+            &CandidateStream::from_candidates(&stats, &candidates),
+            set,
+            threads,
+            &self.config.scoreboard,
+            chunk_pairs,
+            probability,
+        );
+        // The range check runs in the valid-pair collection's pass below.
+        let scores = CachedScores::range_checked_by_caller(probabilities);
         let scoring_time = scoring_start.elapsed();
 
         // Pruning: the valid pairs are collected in parallel from the
-        // probability slice, and the algorithm decides on them alone.
+        // probability slice (checking every value is a probability), and
+        // the algorithm decides on them alone.
         let pruning_start = Instant::now();
         let pruner = algorithm.build_with_csr(&csr, self.config.blast_ratio);
         let valid = ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
@@ -368,8 +365,9 @@ pub fn prepare(
 /// The ground truth is placed through the candidate index
 /// ([`CandidatePairs::positive_pair_indices`]), so sampling never scans the
 /// pair list; the sample is the one
-/// [`balanced_undersample`](er_learn::balanced_undersample) draws from
-/// `candidates.pairs()` with the same seed.
+/// [`balanced_undersample`](er_learn::balanced_undersample) draws from the
+/// [`CandidatePairs::pairs`] view with the same seed, which is never built
+/// here.
 pub fn train(
     config: &MetaBlockingConfig,
     context: &FeatureContext<'_>,

@@ -7,12 +7,21 @@
 //! pass with the one validity test (`is_valid_probability`), so the
 //! algorithms never rescan the candidate list, never ask a
 //! [`ProbabilitySource`] twice for one pair, and all treat a NaN probability
-//! alike: as invalid.
+//! alike: as invalid.  The collection walks the candidate index run by run
+//! (each entity's partners, with the entity from the index's offsets), so
+//! it never needs the index's `(a, b)` tuple view.
+//!
+//! Over a probability slice ([`ValidPairs::collect_parallel`], what the
+//! pipeline and the experiment runners call) the same pass also checks that
+//! every value is a probability, so the pipeline's probabilities are
+//! scanned once, not once for the check and once for the collection.
 
 use er_blocking::CandidatePairs;
 use er_core::{EntityId, PairId};
 
-use crate::scoring::{is_valid_probability, ProbabilitySource};
+use crate::scoring::{
+    assert_probabilities, is_probability, is_valid_probability, ProbabilitySource,
+};
 
 /// Candidate pairs per worker below which the parallel collection does not
 /// start another one.
@@ -45,8 +54,8 @@ impl ValidPairs {
     /// Collects the valid pairs, asking `scores` once per candidate pair.
     pub fn collect(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
         let mut pairs = Vec::new();
-        let probabilities = (0..candidates.len()).map(|i| scores.probability(PairId::from(i)));
-        push_valid(candidates, 0..candidates.len(), probabilities, &mut pairs);
+        let probability = |id: usize| scores.probability(PairId::from(id));
+        push_valid(candidates, 0..candidates.len(), probability, &mut pairs);
         ValidPairs {
             num_entities: candidates.num_entities(),
             pairs,
@@ -54,12 +63,19 @@ impl ValidPairs {
     }
 
     /// [`ValidPairs::collect`] over a probability slice (one entry per
-    /// candidate pair), on up to `threads` workers, each scanning one pair
-    /// range into its own list; the lists are joined in range order, so the
-    /// result is the same for every thread count.  Each list is allocated on
-    /// the calling thread and grows in place, so none of it is left behind
-    /// in a worker thread's malloc arena.
-    pub(crate) fn collect_parallel(
+    /// candidate pair, indexed by pair id), on up to `threads` workers, each
+    /// scanning one pair range into its own list; the lists are joined in
+    /// range order, so the result is the same for every thread count.  Each
+    /// list is allocated on the calling thread and grows in place, so none
+    /// of it is left behind in a worker thread's malloc arena.
+    ///
+    /// # Panics
+    ///
+    /// If `probabilities` is not one entry per candidate pair, or holds a
+    /// value that is not a probability (NaN, infinite or outside `[0, 1]`)
+    /// — the check [`CachedScores::new`](crate::scoring::CachedScores::new)
+    /// makes, with the same message, done in the same pass.
+    pub fn collect_parallel(
         candidates: &CandidatePairs,
         probabilities: &[f64],
         threads: usize,
@@ -78,11 +94,12 @@ impl ValidPairs {
                 (range, Vec::with_capacity(INITIAL_CAPACITY))
             })
             .collect();
-        let mut parts = er_core::map_tasks_parallel(tasks, workers, |(range, mut part)| {
-            let scored = probabilities[range.clone()].iter().copied();
-            push_valid(candidates, range, scored, &mut part);
-            part
+        let parts = er_core::map_tasks_parallel(tasks, workers, |(range, mut part)| {
+            let in_range = push_valid(candidates, range, |id| probabilities[id], &mut part);
+            (part, in_range)
         });
+        assert_probabilities(parts.iter().all(|&(_, in_range)| in_range));
+        let mut parts: Vec<Vec<ValidPair>> = parts.into_iter().map(|(part, _)| part).collect();
         let pairs = if parts.len() == 1 {
             parts.pop().unwrap_or_default()
         } else {
@@ -201,26 +218,32 @@ impl ValidPairs {
     }
 }
 
-/// Appends the valid pairs of the pair-id `range` to `out`, in id order;
-/// `probabilities` yields the range's probabilities, in id order.
+/// Appends the valid pairs of the pair-id `range` to `out`, in id order,
+/// asking `probability` once per pair id, and returns whether every
+/// probability of the range is within `[0, 1]`.
 fn push_valid(
     candidates: &CandidatePairs,
     range: std::ops::Range<usize>,
-    probabilities: impl Iterator<Item = f64>,
+    probability: impl Fn(usize) -> f64,
     out: &mut Vec<ValidPair>,
-) {
-    let first = range.start;
-    let scored = candidates.pairs()[range].iter().zip(probabilities);
-    for (offset, (&(a, b), probability)) in scored.enumerate() {
-        if is_valid_probability(probability) {
-            out.push(ValidPair {
-                id: PairId::from(first + offset),
-                a,
-                b,
-                probability,
-            });
+) -> bool {
+    let mut in_range = true;
+    for (a, first, partners) in candidates.runs_in(range) {
+        for (offset, &b) in partners.iter().enumerate() {
+            let id = first + offset;
+            let probability = probability(id);
+            in_range &= is_probability(probability);
+            if is_valid_probability(probability) {
+                out.push(ValidPair {
+                    id: PairId::from(id),
+                    a,
+                    b: EntityId(b),
+                    probability,
+                });
+            }
         }
     }
+    in_range
 }
 
 /// The pruning algorithms' ranking: probability descending, then pair id
@@ -266,5 +289,107 @@ mod tests {
         }
         let none = CachedScores::new(vec![0.25; n]);
         assert!(ValidPairs::collect_parallel(&candidates, none.as_slice(), 2).is_empty());
+    }
+
+    /// Random candidates (with entities that have no run and runs cut by
+    /// the workers' range boundaries) and random probabilities.
+    fn random_scored(num_entities: u32, seed: u64) -> (CandidatePairs, Vec<f64>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let pairs: Vec<(EntityId, EntityId)> = (0..num_entities * 300)
+            .map(|_| {
+                let a = (next() % u64::from(num_entities)) as u32;
+                let b = (next() % u64::from(num_entities)) as u32;
+                (EntityId(a), EntityId(b))
+            })
+            .filter(|&(a, b)| a.0 % 5 != 3 && b.0 % 5 != 3)
+            .collect();
+        let candidates = CandidatePairs::from_pairs(num_entities as usize, pairs);
+        // Twentieths: 0, 0.5 and 1 included, just over half of them valid.
+        let probabilities = (0..candidates.len())
+            .map(|_| (next() % 21) as f64 / 20.0)
+            .collect();
+        (candidates, probabilities)
+    }
+
+    #[test]
+    fn collection_over_the_slice_equals_the_collection_over_cached_scores() {
+        for seed in [5u64, 41, 1234] {
+            let (candidates, probabilities) = random_scored(1200, seed);
+            assert!(candidates.len() >= 2 * MIN_PAIRS_PER_WORKER);
+            let scores = CachedScores::new(probabilities);
+            let serial = ValidPairs::collect(&candidates, &scores);
+            assert!(serial.len() > candidates.len() / 3, "seed {seed}");
+            let expected: Vec<ValidPair> = candidates
+                .pairs()
+                .iter()
+                .zip(scores.as_slice())
+                .enumerate()
+                .filter(|&(_, (_, &p))| p >= 0.5)
+                .map(|(i, (&(a, b), &probability))| ValidPair {
+                    id: PairId::from(i),
+                    a,
+                    b,
+                    probability,
+                })
+                .collect();
+            assert_eq!(serial.pairs(), expected.as_slice(), "seed {seed}");
+            for threads in [1, 2, 3, 8] {
+                let parallel =
+                    ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
+                assert_eq!(
+                    parallel.pairs(),
+                    serial.pairs(),
+                    "seed {seed}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// The range check folded into the collection rejects what
+    /// `CachedScores::new` rejects, with its message, wherever the value
+    /// sits — in the first worker's range or the last one's.
+    #[test]
+    fn collection_over_the_slice_rejects_what_is_not_a_probability() {
+        let (candidates, probabilities) = random_scored(1200, 7);
+        let n = candidates.len();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.25] {
+            for position in [0, n / 2, n - 1] {
+                for threads in [1, 3] {
+                    let mut values = probabilities.clone();
+                    values[position] = bad;
+                    let panic = std::panic::catch_unwind(|| {
+                        ValidPairs::collect_parallel(&candidates, &values, threads)
+                    })
+                    .expect_err("not a probability");
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .map(str::to_owned)
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    assert_eq!(
+                        message, "probabilities must be finite and within [0, 1]",
+                        "{bad} at {position}, {threads} threads"
+                    );
+                    let cached = std::panic::catch_unwind(|| CachedScores::new(values.clone()));
+                    assert!(cached.is_err(), "{bad}");
+                }
+            }
+        }
+        for edge in [0.0, -0.0, 1.0] {
+            let mut values = probabilities.clone();
+            values[n / 2] = edge;
+            let valid = ValidPairs::collect_parallel(&candidates, &values, 2);
+            assert_eq!(
+                valid.pairs(),
+                ValidPairs::collect(&candidates, &CachedScores::new(values)).pairs()
+            );
+        }
     }
 }

@@ -41,15 +41,29 @@ pub(crate) fn is_valid_probability(p: f64) -> bool {
     p >= VALIDITY_THRESHOLD
 }
 
-/// True if every value is a probability: within `[0, 1]`, which no NaN and
-/// no infinity is.  Chunks of branch-free comparisons, so the check over a
-/// corpus-sized slice vectorises and stops at the first bad chunk.
+/// True if `p` is a probability: within `[0, 1]`, which no NaN and no
+/// infinity is.
+pub(crate) fn is_probability(p: f64) -> bool {
+    (0.0..=1.0).contains(&p)
+}
+
+/// True if every value is a probability.  Chunks of branch-free
+/// comparisons, so the check over a corpus-sized slice vectorises and stops
+/// at the first bad chunk.
 fn all_probabilities(values: &[f64]) -> bool {
-    values.chunks(1024).all(|chunk| {
-        chunk
-            .iter()
-            .fold(true, |all, p| all & (0.0..=1.0).contains(p))
-    })
+    values
+        .chunks(1024)
+        .all(|chunk| chunk.iter().fold(true, |all, &p| all & is_probability(p)))
+}
+
+/// The probability-range check's verdict: panics unless every value was a
+/// probability.  [`CachedScores::new`] and the valid-pair collection over a
+/// probability slice share it, and with it their panic message.
+pub(crate) fn assert_probabilities(all_in_range: bool) {
+    assert!(
+        all_in_range,
+        "probabilities must be finite and within [0, 1]"
+    );
 }
 
 /// Pairs per worker below which [`ModelScorer::cache_with_threads`] does not
@@ -129,10 +143,15 @@ impl CachedScores {
     /// # Panics
     /// Panics if any probability is not a finite number in `[0, 1]`.
     pub fn new(probabilities: Vec<f64>) -> Self {
-        assert!(
-            all_probabilities(&probabilities),
-            "probabilities must be finite and within [0, 1]"
-        );
+        assert_probabilities(all_probabilities(&probabilities));
+        CachedScores { probabilities }
+    }
+
+    /// Wraps a probability vector whose range the caller checks in a pass
+    /// of its own over the values: the pipeline hands them to
+    /// [`ValidPairs::collect_parallel`](crate::pruning::ValidPairs::collect_parallel),
+    /// which makes [`CachedScores::new`]'s check while it collects.
+    pub(crate) fn range_checked_by_caller(probabilities: Vec<f64>) -> Self {
         CachedScores { probabilities }
     }
 

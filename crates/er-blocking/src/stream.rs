@@ -1,11 +1,12 @@
 //! Memory-bounded candidate streaming: chunked pair generation.
 //!
-//! [`crate::CandidatePairs`] materialises the full pair index (`pairs` +
-//! `offsets` + `entity_candidates`) before a single pair is consumed — at
-//! 10^7 entities that CSR is the dominant per-corpus allocation (~100M
-//! pairs).  Nothing in the meta-blocking algorithm requires it: every pair
-//! is scored independently given per-entity aggregates, so pair generation
-//! can be interleaved with consumption.
+//! [`crate::CandidatePairs`] materialises the full pair index (partner
+//! ids, 4 bytes per pair, plus per-entity offsets and LCP counts) before a
+//! single pair is consumed — at 10^7 entities that CSR is the dominant
+//! per-corpus allocation (~100M pairs).  Nothing in the meta-blocking
+//! algorithm requires it: every pair is scored independently given
+//! per-entity aggregates, so pair generation can be interleaved with
+//! consumption.
 //!
 //! [`CandidateStream`] is that engine.  It runs in two passes over the
 //! entity → block CSR:
@@ -39,8 +40,10 @@
 //!
 //! A materialised [`crate::CandidatePairs`] is read through a stream too:
 //! [`CandidateStream::from_candidates`] takes offsets and LCP table off the
-//! index, and a chunk is a copy of its slice of the pair list with its
-//! per-entity segments rebuilt from the offsets — no run is derived at all.
+//! index, and a chunk is built from its slice of the index's partner array:
+//! each per-entity segment's smaller endpoint comes from the offsets, its
+//! partners from the array — no run is derived at all, and the index's
+//! `pairs()` tuple view is never built.
 //! Chunks, arenas and consumers cannot tell the two kinds of stream apart,
 //! so the fused scoring pass of `er-features` has one chunk driver whether
 //! the pairs are derived or materialised, and it accepts any index of the
@@ -263,10 +266,10 @@ pub struct CandidateStream<'a> {
     offsets: Vec<u64>,
     /// Per-entity distinct-candidate counts — the LCP feature table.
     lcp: Vec<u32>,
-    /// The materialised pair list of an index-backed stream
+    /// The partner array of an index-backed stream
     /// ([`CandidateStream::from_candidates`]): chunks are copied out of it
     /// instead of being re-derived.
-    index: Option<&'a [(EntityId, EntityId)]>,
+    index: Option<&'a [u32]>,
 }
 
 impl<'a> CandidateStream<'a> {
@@ -278,10 +281,10 @@ impl<'a> CandidateStream<'a> {
 
     /// Builds the stream over an already-materialised candidate index of
     /// the same corpus: offsets and LCP table are read off the index (no
-    /// counting pass) and every chunk is a copy of its slice of the pair
-    /// list (no run is derived again).  Over the index of `stats` itself,
-    /// chunks, arenas and every consumer behave exactly as over
-    /// [`CandidateStream::from_stats`].  Any other index of the corpus works
+    /// counting pass) and every chunk is built from its slice of the
+    /// index's partner array (no run is derived again).  Over the index of
+    /// `stats` itself, chunks, arenas and every consumer behave exactly as
+    /// over [`CandidateStream::from_stats`].  Any other index of the corpus works
     /// too — a pruned `CandidatePairs::from_pairs` subset may hold runs of
     /// entities the statistics give none (second-source pairs of Clean-Clean
     /// ER), and the stream then covers every entity up to the last run the
@@ -308,7 +311,7 @@ impl<'a> CandidateStream<'a> {
             extraction,
             offsets,
             lcp: candidates.entity_candidate_counts().to_vec(),
-            index: Some(candidates.pairs()),
+            index: Some(candidates.partners()),
         }
     }
 
@@ -480,16 +483,17 @@ impl<'a> CandidateStream<'a> {
         runs.clear();
         match self.index {
             Some(index) => {
-                pairs.extend_from_slice(&index[chunk.pair_lo as usize..chunk.pair_hi as usize]);
-                let mut start = 0u32;
                 for (e, local) in self.chunk_segments(chunk) {
-                    let end = start + local.len() as u32;
+                    let run_lo = self.offsets[e] as usize;
+                    let partners = &index[run_lo + local.start..run_lo + local.end];
+                    let start = pairs.len() as u32;
+                    let a = EntityId(e as u32);
+                    pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
                     runs.push(ChunkRun {
                         entity: e as u32,
                         start,
-                        end,
+                        end: pairs.len() as u32,
                     });
-                    start = end;
                 }
             }
             None => self.for_each_derived_run(chunk, scratch, |a, partners| {
@@ -515,14 +519,15 @@ impl<'a> CandidateStream<'a> {
         }
     }
 
-    /// Extracts one chunk straight into a caller-provided slice of exactly
-    /// [`ChunkSpec::len`] pairs (the zero-copy path of the stream's
-    /// materialising collector).
+    /// Extracts one chunk's partner ids (the larger endpoints, in pair-id
+    /// order) straight into a caller-provided slice of exactly
+    /// [`ChunkSpec::len`] entries — the materialised index's own format, so
+    /// the stream's materialising collector writes no intermediate buffer.
     pub(crate) fn extract_chunk_into(
         &self,
         chunk: ChunkSpec,
         scratch: &mut RunScratch,
-        out: &mut [(EntityId, EntityId)],
+        out: &mut [u32],
     ) {
         debug_assert_eq!(out.len(), chunk.len());
         if let Some(index) = self.index {
@@ -530,13 +535,8 @@ impl<'a> CandidateStream<'a> {
             return;
         }
         let mut cursor = 0usize;
-        self.for_each_derived_run(chunk, scratch, |a, partners| {
-            for (slot, &p) in out[cursor..cursor + partners.len()]
-                .iter_mut()
-                .zip(partners)
-            {
-                *slot = (a, EntityId(p));
-            }
+        self.for_each_derived_run(chunk, scratch, |_, partners| {
+            out[cursor..cursor + partners.len()].copy_from_slice(partners);
             cursor += partners.len();
         });
         debug_assert_eq!(cursor, out.len());
@@ -614,7 +614,7 @@ mod tests {
                         let range = stream.entity_offsets()[e]..stream.entity_offsets()[e + 1];
                         assert_eq!(
                             (range.end - range.start) as usize,
-                            reference.pairs_of(entity).len(),
+                            reference.partners_of(entity).len(),
                             "{} entity {e}",
                             bc.dataset_name
                         );
@@ -681,10 +681,15 @@ mod tests {
         let mut scratch = RunScratch::default();
         for chunk in stream.chunks(3) {
             stream.extract_chunk(chunk, &mut arena);
-            let mut direct = vec![(EntityId(0), EntityId(0)); chunk.len()];
+            let mut direct = vec![0u32; chunk.len()];
             stream.extract_chunk_into(chunk, &mut scratch, &mut direct);
-            assert_eq!(direct.as_slice(), arena.pairs());
+            assert_eq!(direct, partners(arena.pairs()));
         }
+    }
+
+    /// The partner ids of a list of pairs.
+    fn partners(pairs: &[(EntityId, EntityId)]) -> Vec<u32> {
+        pairs.iter().map(|&(_, b)| b.0).collect()
     }
 
     /// Collects an arena's per-entity segments into owned values.
@@ -742,9 +747,9 @@ mod tests {
                         owned_runs(&derived_arena),
                         "{context}"
                     );
-                    let mut direct = vec![(EntityId(0), EntityId(0)); chunk.len()];
+                    let mut direct = vec![0u32; chunk.len()];
                     backed.extract_chunk_into(chunk, &mut scratch, &mut direct);
-                    assert_eq!(direct.as_slice(), derived_arena.pairs(), "{context}");
+                    assert_eq!(direct, partners(derived_arena.pairs()), "{context}");
                     concatenated.extend_from_slice(backed_arena.pairs());
                 }
                 assert_eq!(concatenated.as_slice(), candidates.pairs());

@@ -17,7 +17,7 @@ use er_core::{Dataset, PairId, Result};
 use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
 use er_learn::ProbabilisticClassifier;
 use meta_blocking::pipeline::{prepare, train, MetaBlockingConfig, Timings};
-use meta_blocking::pruning::AlgorithmKind;
+use meta_blocking::pruning::{AlgorithmKind, ValidPairs};
 use meta_blocking::scoring::CachedScores;
 
 use crate::metrics::Effectiveness;
@@ -261,7 +261,11 @@ pub fn train_and_score(
 }
 
 /// Runs one algorithm once on a prepared dataset with a pre-built feature
-/// matrix: train and score ([`train_and_score`]), prune, evaluate.
+/// matrix: train and score ([`train_and_score`]), prune, evaluate.  Pruning
+/// runs as in `MetaBlockingPipeline::run`: the valid pairs are collected in
+/// parallel from the probability slice and the algorithm decides on them
+/// ([`PruningAlgorithm::prune_valid`](meta_blocking::pruning::PruningAlgorithm::prune_valid)),
+/// and the retained ids are resolved in one forward walk over the index.
 pub fn run_with_matrix(
     prepared: &PreparedDataset,
     matrix: &FeatureMatrix,
@@ -274,13 +278,15 @@ pub fn run_with_matrix(
 
     let pruning_start = Instant::now();
     let pruner = algorithm.build_with_csr(&prepared.blocks, config.blast_ratio);
-    let retained = pruner.prune(&prepared.candidates, &scores);
+    let valid = ValidPairs::collect_parallel(
+        &prepared.candidates,
+        scores.as_slice(),
+        config.effective_threads(),
+    );
+    let retained = pruner.prune_valid(&valid);
     let pruning_time = pruning_start.elapsed();
 
-    let retained_pairs: Vec<_> = retained
-        .iter()
-        .map(|&id| prepared.candidates.pair(id))
-        .collect();
+    let retained_pairs = prepared.candidates.resolve(&retained);
     let effectiveness = Effectiveness::evaluate(
         &retained_pairs,
         &prepared.dataset.ground_truth,

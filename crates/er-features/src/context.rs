@@ -269,8 +269,12 @@ impl<'a> FeatureContext<'a> {
         }
     }
 
-    /// The per-entity aggregates the fused scoring passes read.
-    pub(crate) fn entities(&self) -> &StreamFeatureContext<'a> {
+    /// The per-entity tables the fused scoring passes read: what a streamed
+    /// pass over this context's candidates
+    /// ([`FeatureMatrix::score_stream_with`](crate::FeatureMatrix::score_stream_with)
+    /// over [`CandidateStream::from_candidates`](er_blocking::CandidateStream::from_candidates))
+    /// takes, so that pass builds no second copy of them.
+    pub fn stream_context(&self) -> &StreamFeatureContext<'a> {
         &self.entities
     }
 

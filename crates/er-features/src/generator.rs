@@ -93,12 +93,12 @@ impl FeatureMatrix {
     /// via [`FeatureContext::score_with`].  Kept for equivalence tests and
     /// the before/after benchmark comparison; never use it on a hot path.
     pub fn build_reference(context: &FeatureContext<'_>, set: FeatureSet) -> Self {
-        let pairs = context.candidates().pairs();
         let num_features = set.vector_len();
-        let num_pairs = pairs.len();
+        let num_pairs = context.candidates().len();
         let mut values = vec![0.0f64; num_features * num_pairs];
         let mut row = Vec::with_capacity(num_features);
-        for (i, &(a, b)) in pairs.iter().enumerate() {
+        for (id, a, b) in context.candidates().iter() {
+            let i = id.index();
             context.pair_features(a, b, set, &mut row);
             values[i * num_features..(i + 1) * num_features].copy_from_slice(&row);
         }
@@ -531,7 +531,7 @@ fn fused_index_pass<E>(
 {
     let stream = CandidateStream::from_candidates(context.stats(), context.candidates());
     fused_stream_pass(
-        context.entities(),
+        context.stream_context(),
         &stream,
         set,
         threads,

@@ -201,32 +201,37 @@ impl<'a> NaiveFeatureContext<'a> {
     /// vector per pair and fixed contiguous per-thread chunks (the original
     /// crossbeam layout, here on `std::thread::scope`).
     pub fn build_matrix(&self, set: FeatureSet, threads: usize) -> FeatureMatrix {
-        let pairs = self.candidates.pairs();
+        let candidates = self.candidates;
         let num_features = set.vector_len();
-        let num_pairs = pairs.len();
+        let num_pairs = candidates.len();
         let mut values = vec![0.0f64; num_features * num_pairs];
+        // Writes the rows of the pairs `start..start + rows`, one temporary
+        // row vector per pair, into `chunk`.
+        let fill = |start: usize, chunk: &mut [f64]| {
+            let end = start + chunk.len() / num_features;
+            let mut row = Vec::with_capacity(num_features);
+            let mut slots = chunk.chunks_mut(num_features);
+            for (a, _, partners) in candidates.runs_in(start..end) {
+                for &b in partners {
+                    self.pair_features(a, EntityId(b), set, &mut row);
+                    slots
+                        .next()
+                        .expect("one row per pair")
+                        .copy_from_slice(&row);
+                }
+            }
+        };
 
         let threads = threads.max(1).min(num_pairs.max(1));
         if threads <= 1 || num_pairs < 1024 {
-            let mut row = Vec::with_capacity(num_features);
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                self.pair_features(a, b, set, &mut row);
-                values[i * num_features..(i + 1) * num_features].copy_from_slice(&row);
-            }
+            fill(0, &mut values);
         } else {
             let chunk_rows = num_pairs.div_ceil(threads);
             let chunk_len = chunk_rows * num_features;
             std::thread::scope(|scope| {
                 for (chunk_index, chunk) in values.chunks_mut(chunk_len).enumerate() {
-                    let start = chunk_index * chunk_rows;
-                    scope.spawn(move || {
-                        let mut row = Vec::with_capacity(num_features);
-                        for (offset, slot) in chunk.chunks_mut(num_features).enumerate() {
-                            let (a, b) = pairs[start + offset];
-                            self.pair_features(a, b, set, &mut row);
-                            slot.copy_from_slice(&row);
-                        }
-                    });
+                    let fill = &fill;
+                    scope.spawn(move || fill(chunk_index * chunk_rows, chunk));
                 }
             });
         }

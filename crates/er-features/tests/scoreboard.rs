@@ -295,9 +295,9 @@ fn long_run_then_short_runs_on_one_worker_are_bit_identical() {
     for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
         let blocks = hub_collection(kind, 4096 + 300);
         let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&blocks), 1);
-        assert!(candidates.pairs_of(EntityId(0)).len() > 4096);
+        assert!(candidates.partners_of(EntityId(0)).len() > 4096);
         assert!((1..4).all(|e| {
-            let run = candidates.pairs_of(EntityId(e)).len();
+            let run = candidates.partners_of(EntityId(e)).len();
             run > 0 && run < 4096
         }));
         assert_engines_agree(

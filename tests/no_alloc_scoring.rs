@@ -3,16 +3,18 @@
 //! streamed or over the materialised index — allocates per chunk and never
 //! per pair or per run, the candidate-aligned board allocates nothing once
 //! it has seen its longest run, a chunked pipeline run derives each emitting
-//! entity's partner run exactly once, and no pruning algorithm allocates
-//! per entity.
+//! entity's partner run exactly once, no pruning algorithm allocates per
+//! entity, and a pipeline run's live heap never holds more than the 4-byte
+//! partner index and the 8-byte probabilities per candidate pair.
 //!
-//! The allocation counter is process-wide and the run counter lives in the
-//! process-wide er-obs registry, so the tests of this binary take turns;
-//! guards over single-threaded code read the calling thread's own count.
+//! The allocation and live-byte counters are process-wide and the run
+//! counter lives in the process-wide er-obs registry, so the tests of this
+//! binary take turns; guards over single-threaded code read the calling
+//! thread's own count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use gsmb::blocking::{
@@ -36,6 +38,12 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated and not yet freed, process-wide.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The highest [`LIVE_BYTES`] reading since the last reset.
+static PEAK_LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     /// The calling thread's share of [`ALLOCATIONS`]: a single-threaded
     /// guard reads this one, so the test harness reporting another test's
@@ -49,27 +57,52 @@ fn count_allocation() {
     let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
 }
 
+fn count_live_growth(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn count_live_release(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter increment and a thread-local one,
-// neither of which touches memory the allocator hands out.
+// only additions are relaxed counter updates and a thread-local one, none
+// of which touches memory the allocator hands out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            count_live_growth(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live_release(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_allocation();
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            count_live_growth(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            // Counted as the new block arriving before the old one leaves,
+            // which is what a moving reallocation holds at its peak.
+            count_live_growth(new_size);
+            count_live_release(layout.size());
+        }
+        moved
     }
 }
 
@@ -83,6 +116,16 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let value = f();
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// The most heap `f` held live at once, over what was live when it started
+/// (process-wide, so the tests of this binary take turns).
+fn peak_live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(before, Ordering::Relaxed);
+    let value = f();
+    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed);
+    (value, peak.saturating_sub(before))
 }
 
 /// Allocator calls made by the calling thread while `f` runs.
@@ -190,7 +233,7 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
     let chunks = stream.chunks(chunk_pairs).len() as u64;
     let budget = 64 + chunks;
     let runs = (0..candidates.num_entities())
-        .filter(|&e| !candidates.pairs_of(EntityId(e as u32)).is_empty())
+        .filter(|&e| !candidates.partners_of(EntityId(e as u32)).is_empty())
         .count() as u64;
     assert!(
         runs >= 8 * budget,
@@ -374,4 +417,55 @@ fn pruning_allocates_no_table_per_entity() {
             );
         }
     }
+}
+
+/// A pipeline run holds the candidate index (4 bytes per pair: partner ids)
+/// and the probabilities (8 bytes per pair) and nothing else per pair at
+/// once: its live-heap peak stays below `12 B × |C|` plus slack linear in
+/// the entities and the block postings (blocking, statistics, per-entity
+/// tables, the valid pairs) and in the scoring workers' chunk scratch.  An
+/// 8-byte `(a, b)` tuple per pair — a tuple index, or the index's `pairs()`
+/// view built anywhere in the run — pushes the peak past the bound.
+///
+/// The corpus is the full-scale Movies analogue (778 500 pairs over 9 200
+/// entities and 69 119 postings), where a tuple per pair (6.2 MB) is well
+/// above the slack; the run read a 11.4 MB peak against a 13.6 MB bound.
+#[test]
+fn pipeline_run_never_holds_a_tuple_index() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const SLACK_PER_ENTITY_OR_POSTING: usize = 48;
+    const CHUNK_SCRATCH_PER_PAIR: usize = 64;
+    let options = CatalogOptions {
+        scale: 1.0,
+        ..CatalogOptions::tiny()
+    };
+    let dataset = generate_catalog_dataset(DatasetName::Movies, &options).unwrap();
+    let (threads, chunk_pairs) = (2usize, 4096usize);
+    let pipeline = MetaBlockingPipeline::new(MetaBlockingConfig {
+        threads: Some(threads),
+        candidate_chunk_pairs: Some(chunk_pairs),
+        ..Default::default()
+    });
+    // The first run registers the obs handles and warms lazily built state.
+    drop(pipeline.run(&dataset, AlgorithmKind::Blast).unwrap());
+    let (outcome, peak) =
+        peak_live_bytes_during(|| pipeline.run(&dataset, AlgorithmKind::Blast).unwrap());
+
+    let pairs = outcome.num_candidates;
+    let entities = dataset.num_entities();
+    let postings = outcome.blocks.sum_block_sizes() as usize;
+    let bound = 12 * pairs
+        + SLACK_PER_ENTITY_OR_POSTING * (entities + postings)
+        + CHUNK_SCRATCH_PER_PAIR * threads * chunk_pairs;
+    assert!(
+        8 * pairs > bound - 12 * pairs,
+        "fixture too small: a tuple per pair ({} B) fits the slack ({} B)",
+        8 * pairs,
+        bound - 12 * pairs
+    );
+    assert!(
+        peak <= bound,
+        "a pipeline run peaked at {peak} live bytes for {pairs} pairs, {entities} entities and \
+         {postings} postings (bound {bound}: 12 B per pair plus slack)"
+    );
 }

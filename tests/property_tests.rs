@@ -972,9 +972,9 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
         let hub = hub_collection(kind, 8, 8 + 4500, &partners);
         let stats = BlockStats::from_csr(&hub);
         let candidates = CandidatePairs::from_stats(&stats, 1);
-        assert!(candidates.pairs_of(EntityId(0)).len() > 4096, "{kind:?}");
+        assert!(candidates.partners_of(EntityId(0)).len() > 4096, "{kind:?}");
         for e in 1..4 {
-            let run = candidates.pairs_of(EntityId(e)).len();
+            let run = candidates.partners_of(EntityId(e)).len();
             assert!(run > 0 && run < 1024, "{kind:?} entity {e}: run of {run}");
         }
         assert_aligned_board_is_flat(
@@ -1023,7 +1023,7 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
         let stats = BlockStats::from_csr(&collisions);
         let candidates = CandidatePairs::from_stats(&stats, 1);
         assert_eq!(
-            candidates.pairs_of(EntityId(0)).len(),
+            candidates.partners_of(EntityId(0)).len(),
             12 + usize::from(kind == DatasetKind::Dirty) * 3
         );
         assert_aligned_board_is_flat(
