@@ -63,20 +63,10 @@ impl DatasetName {
     }
 }
 
+/// The variant name, e.g. `AbtBuy`.
 impl std::fmt::Display for DatasetName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DatasetName::AbtBuy => "AbtBuy",
-            DatasetName::DblpAcm => "DblpAcm",
-            DatasetName::ScholarDblp => "ScholarDblp",
-            DatasetName::AmazonGP => "AmazonGP",
-            DatasetName::ImdbTmdb => "ImdbTmdb",
-            DatasetName::ImdbTvdb => "ImdbTvdb",
-            DatasetName::TmdbTvdb => "TmdbTvdb",
-            DatasetName::Movies => "Movies",
-            DatasetName::WalmartAmazon => "WalmartAmazon",
-        };
-        f.write_str(s)
+        std::fmt::Debug::fmt(self, f)
     }
 }
 
@@ -121,115 +111,21 @@ fn scaled(value: usize, scale: f64) -> usize {
 pub(crate) fn clean_clean_config(name: DatasetName, options: &CatalogOptions) -> CleanCleanConfig {
     // (e1, e2, duplicates, vocab, zipf, min_tok, max_tok, distinctive,
     //  confusable, noise)
+    let (light, moderate, heavy) = (
+        NoiseConfig::light(),
+        NoiseConfig::moderate(),
+        NoiseConfig::heavy(),
+    );
     let (e1, e2, dups, vocab, zipf, min_tok, max_tok, distinctive, confusable, noise) = match name {
-        DatasetName::AbtBuy => (
-            1100,
-            1100,
-            1050,
-            6_000,
-            0.95,
-            5,
-            11,
-            0.45,
-            0.60,
-            NoiseConfig::heavy(),
-        ),
-        DatasetName::DblpAcm => (
-            2600,
-            2300,
-            2200,
-            14_000,
-            0.90,
-            7,
-            14,
-            0.55,
-            0.35,
-            NoiseConfig::light(),
-        ),
-        DatasetName::ScholarDblp => (
-            2500,
-            6100,
-            2300,
-            28_000,
-            0.90,
-            7,
-            14,
-            0.55,
-            0.55,
-            NoiseConfig::light(),
-        ),
-        DatasetName::AmazonGP => (
-            1400,
-            3300,
-            1300,
-            9_000,
-            0.95,
-            5,
-            11,
-            0.40,
-            0.70,
-            NoiseConfig::heavy(),
-        ),
-        DatasetName::ImdbTmdb => (
-            2550,
-            3000,
-            950,
-            12_000,
-            0.95,
-            5,
-            12,
-            0.50,
-            0.45,
-            NoiseConfig::moderate(),
-        ),
-        DatasetName::ImdbTvdb => (
-            2550,
-            3900,
-            550,
-            13_000,
-            0.95,
-            5,
-            12,
-            0.45,
-            0.60,
-            NoiseConfig::heavy(),
-        ),
-        DatasetName::TmdbTvdb => (
-            3000,
-            3900,
-            550,
-            13_000,
-            0.95,
-            5,
-            12,
-            0.45,
-            0.60,
-            NoiseConfig::heavy(),
-        ),
-        DatasetName::Movies => (
-            5000,
-            4200,
-            4000,
-            10_000,
-            1.00,
-            6,
-            13,
-            0.45,
-            0.70,
-            NoiseConfig::moderate(),
-        ),
-        DatasetName::WalmartAmazon => (
-            2500,
-            8000,
-            1000,
-            9_000,
-            1.00,
-            5,
-            12,
-            0.40,
-            0.85,
-            NoiseConfig::light(),
-        ),
+        DatasetName::AbtBuy => (1100, 1100, 1050, 6_000, 0.95, 5, 11, 0.45, 0.60, heavy),
+        DatasetName::DblpAcm => (2600, 2300, 2200, 14_000, 0.90, 7, 14, 0.55, 0.35, light),
+        DatasetName::ScholarDblp => (2500, 6100, 2300, 28_000, 0.90, 7, 14, 0.55, 0.55, light),
+        DatasetName::AmazonGP => (1400, 3300, 1300, 9_000, 0.95, 5, 11, 0.40, 0.70, heavy),
+        DatasetName::ImdbTmdb => (2550, 3000, 950, 12_000, 0.95, 5, 12, 0.50, 0.45, moderate),
+        DatasetName::ImdbTvdb => (2550, 3900, 550, 13_000, 0.95, 5, 12, 0.45, 0.60, heavy),
+        DatasetName::TmdbTvdb => (3000, 3900, 550, 13_000, 0.95, 5, 12, 0.45, 0.60, heavy),
+        DatasetName::Movies => (5000, 4200, 4000, 10_000, 1.00, 6, 13, 0.45, 0.70, moderate),
+        DatasetName::WalmartAmazon => (2500, 8000, 1000, 9_000, 1.00, 5, 12, 0.40, 0.85, light),
     };
     let dups = scaled(dups, options.scale)
         .min(scaled(e1, options.scale))

@@ -8,79 +8,26 @@
 //! whose head tokens create the superfluous co-occurrences that make the raw
 //! block collections so imprecise (Table 2 of the paper).
 
-use er_core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth, Result};
+use er_core::{Dataset, EntityCollection, EntityId, GroundTruth, Result};
 use rand::Rng;
 
 use crate::config::CleanCleanConfig;
-use crate::noise::apply_noise;
-use crate::vocab::Vocabulary;
+use crate::record::RecordEngine;
 
-/// Attribute names cycled through when rendering token lists into profiles.
-/// The names themselves are irrelevant to schema-agnostic blocking.
 const ATTRIBUTE_NAMES: [&str; 3] = ["title", "description", "misc"];
-
-/// Generates a base record: a mixture of distinctive (tail) and frequent
-/// (head) tokens.
-fn base_record(cfg: &CleanCleanConfig, vocab: &Vocabulary, rng: &mut impl Rng) -> Vec<usize> {
-    let len = rng.gen_range(cfg.min_tokens..=cfg.max_tokens);
-    let distinctive = ((len as f64) * cfg.distinctive_fraction).round() as usize;
-    let mut tokens = Vec::with_capacity(len);
-    for _ in 0..distinctive {
-        tokens.push(vocab.sample_tail(rng, 0.5));
-    }
-    for _ in distinctive..len {
-        tokens.push(vocab.sample(rng));
-    }
-    tokens
-}
-
-/// Generates a *confusable* background record: a non-matching entity that
-/// shares roughly half of its tokens with an existing base record (products of
-/// the same family, papers by the same authors, …).  These hard negatives keep
-/// the classification task realistically difficult.
-fn confusable_record(
-    source: &[usize],
-    cfg: &CleanCleanConfig,
-    vocab: &Vocabulary,
-    rng: &mut impl Rng,
-) -> Vec<usize> {
-    source
-        .iter()
-        .map(|&token| {
-            if rng.gen::<f64>() < 0.7 {
-                token
-            } else if rng.gen::<f64>() < cfg.distinctive_fraction {
-                vocab.sample_tail(rng, 0.5)
-            } else {
-                vocab.sample(rng)
-            }
-        })
-        .collect()
-}
-
-/// Renders a token-index list into an entity profile, spreading the tokens
-/// over a few attributes.
-fn render_profile(external_id: String, tokens: &[usize], vocab: &Vocabulary) -> EntityProfile {
-    let mut profile = EntityProfile::new(external_id);
-    if tokens.is_empty() {
-        return profile;
-    }
-    let per_attr = tokens.len().div_ceil(ATTRIBUTE_NAMES.len()).max(1);
-    for (i, chunk) in tokens.chunks(per_attr).enumerate() {
-        let value = chunk
-            .iter()
-            .map(|&t| vocab.token(t))
-            .collect::<Vec<_>>()
-            .join(" ");
-        profile.push_attribute(ATTRIBUTE_NAMES[i % ATTRIBUTE_NAMES.len()], value);
-    }
-    profile
-}
 
 /// Generates a Clean-Clean ER dataset according to the configuration.
 pub(crate) fn generate_clean_clean(cfg: &CleanCleanConfig) -> Result<Dataset> {
     cfg.validate()?;
-    let vocab = Vocabulary::new(cfg.vocab_size, cfg.zipf_exponent);
+    let records = RecordEngine::new(
+        &cfg.name,
+        &ATTRIBUTE_NAMES,
+        cfg.vocab_size,
+        cfg.zipf_exponent,
+        (cfg.min_tokens, cfg.max_tokens),
+        cfg.distinctive_fraction,
+        cfg.noise,
+    );
     let mut rng = er_core::seeded_rng(cfg.seed);
 
     let mut e1_profiles = Vec::with_capacity(cfg.e1_size);
@@ -90,39 +37,28 @@ pub(crate) fn generate_clean_clean(cfg: &CleanCleanConfig) -> Result<Dataset> {
 
     // Matched objects: base record in E1, noised copy in E2.
     for d in 0..cfg.num_duplicates {
-        let base = base_record(cfg, &vocab, &mut rng);
-        let copy = apply_noise(&base, &cfg.noise, &vocab, &mut rng);
-        e1_profiles.push(render_profile(format!("{}-a{d}", cfg.name), &base, &vocab));
-        e2_profiles.push(render_profile(format!("{}-b{d}", cfg.name), &copy, &vocab));
+        let base = records.base(&mut rng);
+        let copy = records.noised(&base, &mut rng);
+        e1_profiles.push(records.render("a", d, &base));
+        e2_profiles.push(records.render("b", d, &copy));
         truth.push((EntityId::from(d), EntityId::from(cfg.e1_size + d)));
         bases.push(base);
     }
 
     // Background (non-matching) entities: either fresh records or confusable
     // variants of an existing one.
-    let background = |rng: &mut rand::rngs::StdRng, bases: &[Vec<usize>]| -> Vec<usize> {
+    let background = |rng: &mut rand::rngs::StdRng| -> Vec<usize> {
         if !bases.is_empty() && rng.gen::<f64>() < cfg.confusable_fraction {
-            let source = &bases[rng.gen_range(0..bases.len())];
-            confusable_record(source, cfg, &vocab, rng)
+            records.confusable(&bases[rng.gen_range(0..bases.len())], rng)
         } else {
-            base_record(cfg, &vocab, rng)
+            records.base(rng)
         }
     };
     for i in cfg.num_duplicates..cfg.e1_size {
-        let tokens = background(&mut rng, &bases);
-        e1_profiles.push(render_profile(
-            format!("{}-a{i}", cfg.name),
-            &tokens,
-            &vocab,
-        ));
+        e1_profiles.push(records.render("a", i, &background(&mut rng)));
     }
     for i in cfg.num_duplicates..cfg.e2_size {
-        let tokens = background(&mut rng, &bases);
-        e2_profiles.push(render_profile(
-            format!("{}-b{i}", cfg.name),
-            &tokens,
-            &vocab,
-        ));
+        e2_profiles.push(records.render("b", i, &background(&mut rng)));
     }
 
     Dataset::clean_clean(

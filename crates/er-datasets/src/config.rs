@@ -1,5 +1,7 @@
 //! Generator configuration types.
 
+use er_core::{Error, Result};
+
 /// How a duplicate copy of a base record is perturbed.
 ///
 /// The noise level controls how many blocks a duplicate pair ends up sharing
@@ -48,18 +50,14 @@ impl NoiseConfig {
     }
 
     /// Validates probability ranges.
-    pub fn validate(&self) -> er_core::Result<()> {
-        for (name, p) in [
-            ("drop_probability", self.drop_probability),
-            ("replace_probability", self.replace_probability),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(er_core::Error::InvalidParameter(format!(
-                    "{name} must be in [0,1], got {p}"
-                )));
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<()> {
+        validate_fractions(
+            "noise",
+            &[
+                ("drop_probability", self.drop_probability),
+                ("replace_probability", self.replace_probability),
+            ],
+        )
     }
 }
 
@@ -100,33 +98,69 @@ pub(crate) struct CleanCleanConfig {
 
 impl CleanCleanConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> er_core::Result<()> {
+    pub fn validate(&self) -> Result<()> {
         if self.num_duplicates > self.e1_size || self.num_duplicates > self.e2_size {
-            return Err(er_core::Error::InvalidDataset(format!(
+            return Err(Error::InvalidDataset(format!(
                 "{}: more duplicates ({}) than entities ({} / {})",
                 self.name, self.num_duplicates, self.e1_size, self.e2_size
             )));
         }
-        if self.min_tokens == 0 || self.min_tokens > self.max_tokens {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: invalid token range {}..{}",
-                self.name, self.min_tokens, self.max_tokens
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.distinctive_fraction) {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: distinctive_fraction must be in [0,1]",
-                self.name
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.confusable_fraction) {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: confusable_fraction must be in [0,1]",
-                self.name
-            )));
-        }
+        validate_records(
+            &self.name,
+            self.vocab_size,
+            self.zipf_exponent,
+            (self.min_tokens, self.max_tokens),
+            &[
+                ("distinctive_fraction", self.distinctive_fraction),
+                ("confusable_fraction", self.confusable_fraction),
+            ],
+        )?;
         self.noise.validate()
     }
+}
+
+/// The checks every generator's `validate` shares, so no configuration
+/// reaches a panic in the record engine: tokens `1 <= min <= max`, `1..=u32::MAX`
+/// ranks, a non-negative (not NaN) Zipf exponent, and fractions in `[0, 1]`.
+pub(crate) fn validate_records(
+    name: &str,
+    vocab_size: usize,
+    zipf_exponent: f64,
+    (min_tokens, max_tokens): (usize, usize),
+    fractions: &[(&str, f64)],
+) -> Result<()> {
+    require(
+        min_tokens > 0 && min_tokens <= max_tokens,
+        name,
+        format_args!("invalid token range {min_tokens}..{max_tokens}"),
+    )?;
+    require(
+        vocab_size > 0 && u32::try_from(vocab_size).is_ok(),
+        name,
+        format_args!("vocab_size must be in 1..=2^32-1, got {vocab_size}"),
+    )?;
+    require(
+        zipf_exponent >= 0.0,
+        name,
+        format_args!("zipf_exponent must be non-negative, got {zipf_exponent}"),
+    )?;
+    validate_fractions(name, fractions)
+}
+
+fn validate_fractions(name: &str, fractions: &[(&str, f64)]) -> Result<()> {
+    for &(field, value) in fractions {
+        let message = format_args!("{field} must be in [0,1], got {value}");
+        require((0.0..=1.0).contains(&value), name, message)?;
+    }
+    Ok(())
+}
+
+/// `Err(InvalidParameter("<name>: <message>"))` unless `ok`.
+pub(crate) fn require(ok: bool, name: &str, message: std::fmt::Arguments) -> Result<()> {
+    if ok {
+        return Ok(());
+    }
+    Err(Error::InvalidParameter(format!("{name}: {message}")))
 }
 
 /// Configuration of a synthetic Dirty ER dataset (used by the scalability
@@ -163,37 +197,28 @@ pub struct DirtyConfig {
 
 impl DirtyConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> er_core::Result<()> {
+    pub fn validate(&self) -> Result<()> {
         if self.num_entities < 2 {
-            return Err(er_core::Error::InvalidDataset(format!(
+            return Err(Error::InvalidDataset(format!(
                 "{}: need at least two entities",
                 self.name
             )));
         }
-        if !(0.0..1.0).contains(&self.duplicate_fraction) {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: duplicate_fraction must be in [0,1)",
-                self.name
-            )));
-        }
-        if self.max_cluster_size < 2 {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: max_cluster_size must be at least 2",
-                self.name
-            )));
-        }
-        if self.min_tokens == 0 || self.min_tokens > self.max_tokens {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: invalid token range {}..{}",
-                self.name, self.min_tokens, self.max_tokens
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.confusable_fraction) {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: confusable_fraction must be in [0,1]",
-                self.name
-            )));
-        }
+        let name = &self.name;
+        let message = format_args!("duplicate_fraction must be in [0,1)");
+        require((0.0..1.0).contains(&self.duplicate_fraction), name, message)?;
+        let message = format_args!("max_cluster_size must be at least 2");
+        require(self.max_cluster_size >= 2, name, message)?;
+        validate_records(
+            name,
+            self.vocab_size,
+            self.zipf_exponent,
+            (self.min_tokens, self.max_tokens),
+            &[
+                ("distinctive_fraction", self.distinctive_fraction),
+                ("confusable_fraction", self.confusable_fraction),
+            ],
+        )?;
         self.noise.validate()
     }
 }
@@ -267,9 +292,42 @@ mod tests {
         let mut bad = cfg.clone();
         bad.duplicate_fraction = 1.0;
         assert!(bad.validate().is_err());
-        let mut bad = cfg;
+        let mut bad = cfg.clone();
         bad.max_cluster_size = 1;
         assert!(bad.validate().is_err());
+        // A distinctive fraction above one used to pass and yield records
+        // longer than `max_tokens`.
+        let mut bad = cfg;
+        bad.distinctive_fraction = 2.0;
+        assert!(matches!(
+            bad.validate(),
+            Err(er_core::Error::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn invalid_vocabularies_are_rejected_not_panicked_on() {
+        let dirty = crate::dirty_catalog(&crate::CatalogOptions::tiny())[0].clone();
+        let mut bad_dirty = [dirty.clone(), dirty.clone(), dirty];
+        bad_dirty[0].vocab_size = 0;
+        bad_dirty[1].zipf_exponent = -1.0;
+        bad_dirty[2].zipf_exponent = f64::NAN;
+        for cfg in bad_dirty {
+            assert!(matches!(
+                crate::generate_dirty(&cfg),
+                Err(er_core::Error::InvalidParameter(_))
+            ));
+        }
+        let mut bad_clean = [base_clean(), base_clean(), base_clean()];
+        bad_clean[0].vocab_size = 0;
+        bad_clean[1].zipf_exponent = -1.0;
+        bad_clean[2].zipf_exponent = f64::NAN;
+        for cfg in bad_clean {
+            assert!(matches!(
+                crate::clean_clean::generate_clean_clean(&cfg),
+                Err(er_core::Error::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

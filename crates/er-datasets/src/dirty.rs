@@ -9,106 +9,111 @@ use er_core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth, R
 use rand::Rng;
 
 use crate::config::DirtyConfig;
-use crate::noise::apply_noise;
-use crate::vocab::Vocabulary;
+use crate::record::RecordEngine;
 
-const ATTRIBUTE_NAMES: [&str; 3] = ["name", "address", "details"];
+/// Attribute names of both Dirty generators' profiles.
+pub(crate) const ATTRIBUTE_NAMES: [&str; 3] = ["name", "address", "details"];
 
-fn base_record(cfg: &DirtyConfig, vocab: &Vocabulary, rng: &mut impl Rng) -> Vec<usize> {
-    let len = rng.gen_range(cfg.min_tokens..=cfg.max_tokens);
-    let distinctive = ((len as f64) * cfg.distinctive_fraction).round() as usize;
-    let mut tokens = Vec::with_capacity(len);
-    for _ in 0..distinctive {
-        tokens.push(vocab.sample_tail(rng, 0.5));
-    }
-    for _ in distinctive..len {
-        tokens.push(vocab.sample(rng));
-    }
-    tokens
+/// A Dirty corpus under construction, shared by [`generate_dirty`] and the
+/// scalability generator: profiles in id order plus the match pairs.
+pub(crate) struct DirtyCorpus<'a> {
+    pub(crate) records: RecordEngine<'a>,
+    profiles: Vec<EntityProfile>,
+    truth: Vec<(EntityId, EntityId)>,
+    num_entities: usize,
+    duplicate_fraction: f64,
+    max_cluster_size: usize,
 }
 
-fn render_profile(external_id: String, tokens: &[usize], vocab: &Vocabulary) -> EntityProfile {
-    let mut profile = EntityProfile::new(external_id);
-    if tokens.is_empty() {
-        return profile;
+impl<'a> DirtyCorpus<'a> {
+    pub(crate) fn new(
+        records: RecordEngine<'a>,
+        num_entities: usize,
+        duplicate_fraction: f64,
+        max_cluster_size: usize,
+    ) -> Self {
+        DirtyCorpus {
+            records,
+            profiles: Vec::with_capacity(num_entities),
+            truth: Vec::new(),
+            num_entities,
+            duplicate_fraction,
+            max_cluster_size,
+        }
     }
-    let per_attr = tokens.len().div_ceil(ATTRIBUTE_NAMES.len()).max(1);
-    for (i, chunk) in tokens.chunks(per_attr).enumerate() {
-        let value = chunk
-            .iter()
-            .map(|&t| vocab.token(t))
-            .collect::<Vec<_>>()
-            .join(" ");
-        profile.push_attribute(ATTRIBUTE_NAMES[i % ATTRIBUTE_NAMES.len()], value);
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.profiles.len() >= self.num_entities
     }
-    profile
+
+    /// Pushes `base` as the next profile and, with probability
+    /// `duplicate_fraction`, a cluster of up to `max_cluster_size − 1`
+    /// noised copies right behind it (never past `num_entities`).  Every
+    /// within-cluster pair is a match.
+    pub(crate) fn push_with_duplicates(&mut self, base: &[usize], rng: &mut impl Rng) {
+        let idx = self.profiles.len();
+        self.profiles.push(self.records.render("", idx, base));
+        if rng.gen::<f64>() < self.duplicate_fraction && !self.is_full() {
+            let copies = rng.gen_range(1..self.max_cluster_size);
+            let mut cluster = vec![EntityId::from(idx)];
+            for _ in 0..copies {
+                if self.is_full() {
+                    break;
+                }
+                let copy = self.records.noised(base, rng);
+                cluster.push(EntityId::from(self.profiles.len()));
+                self.profiles
+                    .push(self.records.render("", self.profiles.len(), &copy));
+            }
+            for (i, &a) in cluster.iter().enumerate() {
+                self.truth.extend(cluster[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+    }
+
+    pub(crate) fn finish(self, name: &str) -> Result<Dataset> {
+        Dataset::dirty(
+            name,
+            EntityCollection::new(name, self.profiles),
+            GroundTruth::from_pairs(self.truth),
+        )
+    }
 }
 
 /// Generates a Dirty ER dataset according to the configuration.
 pub fn generate_dirty(cfg: &DirtyConfig) -> Result<Dataset> {
     cfg.validate()?;
-    let vocab = Vocabulary::new(cfg.vocab_size, cfg.zipf_exponent);
+    let records = RecordEngine::new(
+        &cfg.name,
+        &ATTRIBUTE_NAMES,
+        cfg.vocab_size,
+        cfg.zipf_exponent,
+        (cfg.min_tokens, cfg.max_tokens),
+        cfg.distinctive_fraction,
+        cfg.noise,
+    );
+    let mut corpus = DirtyCorpus::new(
+        records,
+        cfg.num_entities,
+        cfg.duplicate_fraction,
+        cfg.max_cluster_size,
+    );
     let mut rng = er_core::seeded_rng(cfg.seed);
-
-    let mut profiles: Vec<EntityProfile> = Vec::with_capacity(cfg.num_entities);
-    let mut truth: Vec<(EntityId, EntityId)> = Vec::new();
     let mut bases: Vec<Vec<usize>> = Vec::new();
-
-    while profiles.len() < cfg.num_entities {
+    while !corpus.is_full() {
         // Hard negatives: some records are confusable variants of an earlier
         // one (they share about half of its tokens without being duplicates).
         let base = if !bases.is_empty() && rng.gen::<f64>() < cfg.confusable_fraction {
-            let source = bases[rng.gen_range(0..bases.len())].clone();
-            source
-                .iter()
-                .map(|&token| {
-                    if rng.gen::<f64>() < 0.7 {
-                        token
-                    } else if rng.gen::<f64>() < cfg.distinctive_fraction {
-                        vocab.sample_tail(&mut rng, 0.5)
-                    } else {
-                        vocab.sample(&mut rng)
-                    }
-                })
-                .collect()
+            corpus
+                .records
+                .confusable(&bases[rng.gen_range(0..bases.len())], &mut rng)
         } else {
-            base_record(cfg, &vocab, &mut rng)
+            corpus.records.base(&mut rng)
         };
-        bases.push(base.clone());
-        let idx = profiles.len();
-        profiles.push(render_profile(format!("{}-{idx}", cfg.name), &base, &vocab));
-
-        // Decide whether this record spawns a duplicate cluster.
-        if rng.gen::<f64>() < cfg.duplicate_fraction && profiles.len() < cfg.num_entities {
-            let copies = rng.gen_range(1..cfg.max_cluster_size);
-            let mut cluster = vec![EntityId::from(idx)];
-            for _ in 0..copies {
-                if profiles.len() >= cfg.num_entities {
-                    break;
-                }
-                let copy_tokens = apply_noise(&base, &cfg.noise, &vocab, &mut rng);
-                let copy_idx = profiles.len();
-                profiles.push(render_profile(
-                    format!("{}-{copy_idx}", cfg.name),
-                    &copy_tokens,
-                    &vocab,
-                ));
-                cluster.push(EntityId::from(copy_idx));
-            }
-            // All within-cluster pairs are duplicates.
-            for i in 0..cluster.len() {
-                for j in i + 1..cluster.len() {
-                    truth.push((cluster[i], cluster[j]));
-                }
-            }
-        }
+        corpus.push_with_duplicates(&base, &mut rng);
+        bases.push(base);
     }
-
-    Dataset::dirty(
-        cfg.name.clone(),
-        EntityCollection::new(cfg.name.clone(), profiles),
-        GroundTruth::from_pairs(truth),
-    )
+    corpus.finish(&cfg.name)
 }
 
 #[cfg(test)]

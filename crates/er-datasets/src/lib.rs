@@ -9,13 +9,18 @@
 //! the co-occurrence structure — so these analogues exercise exactly the same
 //! code paths and preserve the paper's qualitative results.
 //!
-//! See `DESIGN.md` §5 for the substitution rationale.
+//! All three generators (Clean-Clean catalog, Dirty catalog, scalability)
+//! draw and render records through one private record engine, and every
+//! Zipf draw goes through [`Vocabulary`]'s guide table, which returns the
+//! plain binary search's rank bit for bit, so corpora are byte-identical
+//! across the engine's speed-ups (`tests/golden_digests.rs` pins them).
 
 pub mod catalog;
 pub mod clean_clean;
 pub mod config;
 pub mod dirty;
 pub mod noise;
+mod record;
 pub mod scalability;
 pub mod vocab;
 

@@ -22,14 +22,12 @@
 
 use std::collections::VecDeque;
 
-use er_core::{Dataset, EntityCollection, EntityId, EntityProfile, GroundTruth, Result};
+use er_core::{Dataset, Result};
 use rand::Rng;
 
-use crate::config::NoiseConfig;
-use crate::noise::apply_noise;
-use crate::vocab::Vocabulary;
-
-const ATTRIBUTE_NAMES: [&str; 3] = ["name", "address", "details"];
+use crate::config::{require, validate_records, NoiseConfig};
+use crate::dirty::{DirtyCorpus, ATTRIBUTE_NAMES};
+use crate::record::RecordEngine;
 
 /// Configuration of a scalability corpus.
 #[derive(Debug, Clone)]
@@ -108,151 +106,79 @@ impl ScalabilityConfig {
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
-        if self.num_entities == 0 {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: num_entities must be positive",
-                self.name
-            )));
-        }
-        if self.min_tokens == 0 || self.min_tokens > self.max_tokens {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: invalid token range {}..{}",
-                self.name, self.min_tokens, self.max_tokens
-            )));
-        }
-        if self.max_cluster_size < 2 {
-            return Err(er_core::Error::InvalidParameter(format!(
-                "{}: max_cluster_size must be at least 2",
-                self.name
-            )));
-        }
-        for (field, value) in [
-            ("duplicate_fraction", self.duplicate_fraction),
-            ("distinctive_fraction", self.distinctive_fraction),
-            ("confusable_fraction", self.confusable_fraction),
-            ("hub_fraction", self.hub_fraction),
-        ] {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(er_core::Error::InvalidParameter(format!(
-                    "{}: {field} must be in [0,1], got {value}",
-                    self.name
-                )));
-            }
-        }
+        let name = &self.name;
+        let message = format_args!("num_entities must be positive");
+        require(self.num_entities > 0, name, message)?;
+        let message = format_args!("max_cluster_size must be at least 2");
+        require(self.max_cluster_size >= 2, name, message)?;
+        validate_records(
+            name,
+            self.vocab_size(),
+            self.zipf_exponent,
+            (self.min_tokens, self.max_tokens),
+            &[
+                ("duplicate_fraction", self.duplicate_fraction),
+                ("distinctive_fraction", self.distinctive_fraction),
+                ("confusable_fraction", self.confusable_fraction),
+                ("hub_fraction", self.hub_fraction),
+            ],
+        )?;
         self.noise.validate()
     }
-}
-
-fn base_record(cfg: &ScalabilityConfig, vocab: &Vocabulary, rng: &mut impl Rng) -> Vec<usize> {
-    let len = rng.gen_range(cfg.min_tokens..=cfg.max_tokens);
-    let distinctive = ((len as f64) * cfg.distinctive_fraction).round() as usize;
-    let mut tokens = Vec::with_capacity(len);
-    for _ in 0..distinctive {
-        tokens.push(vocab.sample_tail(rng, 0.5));
-    }
-    for _ in distinctive..len {
-        tokens.push(vocab.sample(rng));
-    }
-    tokens
-}
-
-fn render_profile(external_id: String, tokens: &[usize], vocab: &Vocabulary) -> EntityProfile {
-    let mut profile = EntityProfile::new(external_id);
-    if tokens.is_empty() {
-        return profile;
-    }
-    let per_attr = tokens.len().div_ceil(ATTRIBUTE_NAMES.len()).max(1);
-    for (i, chunk) in tokens.chunks(per_attr).enumerate() {
-        let value = chunk
-            .iter()
-            .map(|&t| vocab.token(t))
-            .collect::<Vec<_>>()
-            .join(" ");
-        profile.push_attribute(ATTRIBUTE_NAMES[i % ATTRIBUTE_NAMES.len()], value);
-    }
-    profile
 }
 
 /// Generates a Dirty ER scalability corpus.
 pub fn generate_scalability(cfg: &ScalabilityConfig) -> Result<Dataset> {
     cfg.validate()?;
-    let vocab = Vocabulary::new(cfg.vocab_size(), cfg.zipf_exponent);
+    let vocab_len = cfg.vocab_size();
+    let records = RecordEngine::new(
+        &cfg.name,
+        &ATTRIBUTE_NAMES,
+        vocab_len,
+        cfg.zipf_exponent,
+        (cfg.min_tokens, cfg.max_tokens),
+        cfg.distinctive_fraction,
+        cfg.noise,
+    );
+    let mut corpus = DirtyCorpus::new(
+        records,
+        cfg.num_entities,
+        cfg.duplicate_fraction,
+        cfg.max_cluster_size,
+    );
     let mut rng = er_core::seeded_rng(cfg.seed);
-
-    let mut profiles: Vec<EntityProfile> = Vec::with_capacity(cfg.num_entities);
-    let mut truth: Vec<(EntityId, EntityId)> = Vec::new();
     let mut recent: VecDeque<Vec<usize>> = VecDeque::with_capacity(ScalabilityConfig::RING);
     // Hub tokens are the *last* pool of the vocabulary — deep-tail ranks
     // that background entities almost never sample at this exponent, so
     // hub block sizes are set by the hub population alone and stay flat
     // relative to the corpus (pool ∝ num_entities).
-    let hub_pool = (cfg.num_entities / 1000).clamp(512, vocab.len());
+    let hub_pool = (cfg.num_entities / 1000).clamp(512, vocab_len);
 
-    while profiles.len() < cfg.num_entities {
+    while !corpus.is_full() {
         // Hubs first: every token from the shared pool.
         let base: Vec<usize> = if rng.gen::<f64>() < cfg.hub_fraction {
             let len = rng.gen_range(cfg.min_tokens..=cfg.max_tokens);
             (0..len)
-                .map(|_| vocab.len() - 1 - rng.gen_range(0..hub_pool))
+                .map(|_| vocab_len - 1 - rng.gen_range(0..hub_pool))
                 .collect()
         // Hard negatives: confusable variants of a *recent* record share
         // about half of its tokens without being duplicates.
         } else if !recent.is_empty() && rng.gen::<f64>() < cfg.confusable_fraction {
-            let source = &recent[rng.gen_range(0..recent.len())];
-            source
-                .iter()
-                .map(|&token| {
-                    if rng.gen::<f64>() < 0.7 {
-                        token
-                    } else if rng.gen::<f64>() < cfg.distinctive_fraction {
-                        vocab.sample_tail(&mut rng, 0.5)
-                    } else {
-                        vocab.sample(&mut rng)
-                    }
-                })
-                .collect()
+            corpus
+                .records
+                .confusable(&recent[rng.gen_range(0..recent.len())], &mut rng)
         } else {
-            base_record(cfg, &vocab, &mut rng)
+            corpus.records.base(&mut rng)
         };
-        let idx = profiles.len();
-        profiles.push(render_profile(format!("{}-{idx}", cfg.name), &base, &vocab));
-
         // Duplicate clusters are emitted right behind their base, so no
         // base needs to stay alive past the ring.
-        if rng.gen::<f64>() < cfg.duplicate_fraction && profiles.len() < cfg.num_entities {
-            let copies = rng.gen_range(1..cfg.max_cluster_size);
-            let mut cluster = vec![EntityId::from(idx)];
-            for _ in 0..copies {
-                if profiles.len() >= cfg.num_entities {
-                    break;
-                }
-                let copy_tokens = apply_noise(&base, &cfg.noise, &vocab, &mut rng);
-                let copy_idx = profiles.len();
-                profiles.push(render_profile(
-                    format!("{}-{copy_idx}", cfg.name),
-                    &copy_tokens,
-                    &vocab,
-                ));
-                cluster.push(EntityId::from(copy_idx));
-            }
-            for i in 0..cluster.len() {
-                for j in i + 1..cluster.len() {
-                    truth.push((cluster[i], cluster[j]));
-                }
-            }
-        }
-
+        corpus.push_with_duplicates(&base, &mut rng);
         if recent.len() == ScalabilityConfig::RING {
             recent.pop_front();
         }
         recent.push_back(base);
     }
-
-    Dataset::dirty(
-        cfg.name.clone(),
-        EntityCollection::new(cfg.name.clone(), profiles),
-        GroundTruth::from_pairs(truth),
-    )
+    corpus.finish(&cfg.name)
 }
 
 #[cfg(test)]
@@ -303,5 +229,14 @@ mod tests {
         let mut cfg = ScalabilityConfig::at_scale(100, 1);
         cfg.duplicate_fraction = 1.5;
         assert!(generate_scalability(&cfg).is_err());
+        // These used to panic inside the vocabulary instead.
+        for exponent in [-0.5, f64::NAN] {
+            let mut cfg = ScalabilityConfig::at_scale(100, 1);
+            cfg.zipf_exponent = exponent;
+            assert!(matches!(
+                generate_scalability(&cfg),
+                Err(er_core::Error::InvalidParameter(_))
+            ));
+        }
     }
 }

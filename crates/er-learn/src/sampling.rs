@@ -56,7 +56,7 @@ pub fn balanced_undersample(
     pairs: &[(EntityId, EntityId)],
     truth: &GroundTruth,
     per_class: usize,
-    rng: &mut impl Rng,
+    rng: &mut (impl Rng + Clone),
 ) -> Result<BalancedSample> {
     let positives = positive_indices(pairs, truth);
     balanced_undersample_from_positives(pairs.len(), &positives, per_class, rng)
@@ -66,10 +66,11 @@ pub fn balanced_undersample(
 /// `num_pairs` pairs whose matches sit at the strictly ascending indices
 /// `sorted_positives` — every other index is a negative.
 ///
-/// Almost every pair is a negative, so the negatives are never listed: only
-/// the shuffle's draws are recorded and the kept slots are traced back
-/// through them (see `shuffled_prefix`) — same sample, same RNG stream,
-/// without an index vector over all candidates.
+/// Almost every pair is a negative, so the negatives are never listed: the
+/// kept slots are traced back through the shuffle's draws, replayed a block
+/// at a time from generator checkpoints (see `shuffled_prefix`) — same
+/// sample, same RNG stream, with no buffer as long as the candidate list.
+/// The generator is cloned once per block, hence the `Clone` bound.
 ///
 /// Returns an error if either class holds fewer than `per_class` pairs, if
 /// `num_pairs` is beyond `u32` pair ids, or if `sorted_positives` is not
@@ -78,7 +79,7 @@ pub fn balanced_undersample_from_positives(
     num_pairs: usize,
     sorted_positives: &[usize],
     per_class: usize,
-    rng: &mut impl Rng,
+    rng: &mut (impl Rng + Clone),
 ) -> Result<BalancedSample> {
     if per_class == 0 {
         return Err(Error::InvalidParameter(
@@ -163,25 +164,43 @@ fn positive_indices(pairs: &[(EntityId, EntityId)], truth: &GroundTruth) -> Vec<
     }
 }
 
+/// Draws per replay block of [`shuffled_prefix`]: the generator is
+/// checkpointed once per block, and one block of draws is held at a time.
+const DRAW_BLOCK: usize = 1 << 16;
+
 /// The first `keep` slots of `(0..n).collect::<Vec<_>>().shuffle(rng)`,
 /// consuming exactly the same draws, without the `n`-element vector being
 /// shuffled (`keep <= n <= u32::MAX`).
 ///
 /// The shuffle swaps slot `i` with slot `j_i = gen_range(0..=i)` for
-/// `i = n − 1 … 1`.  The draws are recorded (4 bytes each), then every kept
-/// slot is traced backwards in time — through the swaps in ascending `i` —
-/// to the position its element started from, which is the element's value.
-/// For `i < keep` both swapped positions are kept slots; for `i >= keep`
-/// position `i` is never a tracked one (tracked positions are either below
-/// `keep` or an earlier, smaller `i`), so a tracked element moves only when
-/// `j_i` hits it.  That happens about `keep · ln(n / keep)` times in `n`
-/// steps, so the common step is one comparison, one load and one test.
-fn shuffled_prefix(n: usize, keep: usize, rng: &mut impl Rng) -> Vec<u32> {
+/// `i = n − 1 … 1`.  Every kept slot is traced backwards in time — through
+/// the swaps in ascending `i` — to the position its element started from,
+/// which is the element's value.  For `i < keep` both swapped positions are
+/// kept slots; for `i >= keep` position `i` is never a tracked one (tracked
+/// positions are either below `keep` or an earlier, smaller `i`), so a
+/// tracked element moves only when `j_i` hits it.  That happens about
+/// `keep · ln(n / keep)` times in `n` steps, so the common step is one
+/// comparison, one load and one test.
+///
+/// The draws come out in descending `i` but are traced in ascending `i`, so
+/// they are not recorded: one pass advances `rng` through all of them,
+/// cloning it at the start of every `DRAW_BLOCK`-long block of `i`, and the
+/// trace then replays the blocks in ascending order, one at a time, into
+/// one reused buffer.  `rng` ends where the shuffle leaves it.
+fn shuffled_prefix<R: Rng + Clone>(n: usize, keep: usize, rng: &mut R) -> Vec<u32> {
     debug_assert!(keep <= n && u32::try_from(n).is_ok());
-    let mut draws = vec![0u32; n];
-    for i in (1..n).rev() {
-        draws[i] = rng.gen_range(0..=i) as u32;
+    // Block `b` holds the draws for `i` in `b·DRAW_BLOCK .. (b+1)·DRAW_BLOCK`
+    // (`i >= 1`, `i < n`); `checkpoints[b]` is the generator as the shuffle
+    // reaches the block's largest `i`.
+    let steps = |block: usize| (block * DRAW_BLOCK).max(1)..((block + 1) * DRAW_BLOCK).min(n);
+    let mut checkpoints = Vec::with_capacity(n.div_ceil(DRAW_BLOCK));
+    for block in (0..n.div_ceil(DRAW_BLOCK)).rev() {
+        checkpoints.push(rng.clone());
+        for i in steps(block).rev() {
+            rng.gen_range(0..=i);
+        }
     }
+    checkpoints.reverse();
 
     // `slot_at[p]`: the kept slot whose element sits at position `p < keep`
     // (`MOVED` once a swap took it above); `moved`: the same for the
@@ -190,9 +209,6 @@ fn shuffled_prefix(n: usize, keep: usize, rng: &mut impl Rng) -> Vec<u32> {
     // bits are never cleared.
     const MOVED: u32 = u32::MAX;
     let mut slot_at: Vec<u32> = (0..keep as u32).collect();
-    for (i, &j) in draws.iter().enumerate().take(keep).skip(1) {
-        slot_at.swap(i, j as usize);
-    }
     let mut moved: FxHashMap<u32, u32> = FxHashMap::default();
     let filter_bits = (keep.saturating_mul(256))
         .next_power_of_two()
@@ -200,20 +216,32 @@ fn shuffled_prefix(n: usize, keep: usize, rng: &mut impl Rng) -> Vec<u32> {
     let mask = filter_bits as u32 - 1;
     let word_and_bit = |position: u32| (((position & mask) / 64) as usize, 1u64 << (position % 64));
     let mut filter = vec![0u64; filter_bits / 64];
-    for (i, &j) in draws.iter().enumerate().skip(keep) {
-        let (word, bit) = word_and_bit(j);
-        if (j as usize) >= keep && filter[word] & bit == 0 {
-            continue;
+    let mut draws = vec![0u32; n.min(DRAW_BLOCK)];
+    for (block, mut replay) in checkpoints.into_iter().enumerate() {
+        let first = block * DRAW_BLOCK;
+        for i in steps(block).rev() {
+            draws[i - first] = replay.gen_range(0..=i) as u32;
         }
-        let slot = if (j as usize) < keep {
-            std::mem::replace(&mut slot_at[j as usize], MOVED)
-        } else {
-            moved.remove(&j).unwrap_or(MOVED)
-        };
-        if slot != MOVED {
-            moved.insert(i as u32, slot);
-            let (word, bit) = word_and_bit(i as u32);
-            filter[word] |= bit;
+        for i in steps(block) {
+            let j = draws[i - first];
+            if i < keep {
+                slot_at.swap(i, j as usize);
+                continue;
+            }
+            let (word, bit) = word_and_bit(j);
+            if (j as usize) >= keep && filter[word] & bit == 0 {
+                continue;
+            }
+            let slot = if (j as usize) < keep {
+                std::mem::replace(&mut slot_at[j as usize], MOVED)
+            } else {
+                moved.remove(&j).unwrap_or(MOVED)
+            };
+            if slot != MOVED {
+                moved.insert(i as u32, slot);
+                let (word, bit) = word_and_bit(i as u32);
+                filter[word] |= bit;
+            }
         }
     }
 
@@ -462,6 +490,26 @@ mod tests {
         for seed in 0..5u64 {
             for per_class in [1, 7, 250, 300] {
                 assert_matches_naive(&long_pairs, &long_truth, per_class, seed);
+            }
+        }
+        // Negative lists longer than one replay block of `shuffled_prefix`:
+        // exactly one block, one past it, an exact multiple and a ragged
+        // multiple.
+        for negatives in [
+            DRAW_BLOCK,
+            DRAW_BLOCK + 1,
+            2 * DRAW_BLOCK,
+            2 * DRAW_BLOCK + 777,
+        ] {
+            let n = negatives + 40;
+            let (pairs, _) = sorted_list(n as u32, 0, 1);
+            let truth =
+                GroundTruth::from_pairs(pairs.iter().copied().skip(3).step_by(n / 40).take(40));
+            assert_eq!(pairs.len() - truth.len(), negatives);
+            for seed in 0..2u64 {
+                for per_class in [1, 25, 40] {
+                    assert_matches_naive(&pairs, &truth, per_class, seed);
+                }
             }
         }
         // A one-class-each list where the kept prefix is all negatives.
