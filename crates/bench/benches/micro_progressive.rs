@@ -34,14 +34,29 @@
 //! streaming schedule tracks every mutation batch exactly.
 
 use bench::{banner, bench_catalog_options};
+use er_blocking::{BlockStats, CandidatePairs};
 use er_core::EntityId;
 use er_datasets::{generate_catalog_dataset, DatasetName};
 use er_stream::{dataset_prefix, surviving_dataset};
-use meta_blocking::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
+use meta_blocking::pipeline::{MetaBlockingConfig, MetaBlockingOutcome, MetaBlockingPipeline};
 use meta_blocking::pruning::AlgorithmKind;
 use meta_blocking::{ProgressiveSchedule, StreamingPipeline};
 
 const BUDGET_FRACTIONS: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
+
+/// Every candidate pair of a pipeline run in decreasing probability order.
+/// The outcome keeps the valid pairs only, so the candidates are extracted
+/// again from its blocks — the same pairs under the same ids.
+fn ranked_pairs(outcome: &MetaBlockingOutcome) -> Vec<(EntityId, EntityId)> {
+    let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&outcome.blocks), 1);
+    let schedule = ProgressiveSchedule::new(&candidates, &outcome.probabilities);
+    let pairs = candidates.pairs();
+    schedule
+        .ranked()
+        .iter()
+        .map(|&(id, _)| pairs[id.index()])
+        .collect()
+}
 
 /// Recall after each budget prefix of an emission order.
 fn recall_curve(
@@ -80,12 +95,7 @@ fn main() {
         let outcome = pipeline
             .run(&dataset, AlgorithmKind::Blast)
             .unwrap_or_else(|e| panic!("{name}: batch pipeline failed: {e}"));
-        let schedule = ProgressiveSchedule::new(&outcome.candidates, &outcome.probabilities);
-        let batch_emissions: Vec<(EntityId, EntityId)> = schedule
-            .ranked()
-            .iter()
-            .map(|&(id, _)| outcome.candidates.pair(id))
-            .collect();
+        let batch_emissions = ranked_pairs(&outcome);
 
         // Streaming schedule: bootstrap on E1 + half of E2, stream the rest.
         let e2 = dataset.num_entities() - dataset.split;
@@ -192,14 +202,7 @@ fn churn_scenario(name: DatasetName, dataset: &er_core::Dataset, config: &MetaBl
             let outcome = MetaBlockingPipeline::new(config.clone())
                 .run(&corpus, AlgorithmKind::Blast)
                 .unwrap_or_else(|e| panic!("{name}: periodic rebuild failed: {e}"));
-            let schedule = ProgressiveSchedule::new(&outcome.candidates, &outcome.probabilities);
-            periodic = Some(
-                schedule
-                    .ranked()
-                    .iter()
-                    .map(|&(id, _)| outcome.candidates.pair(id))
-                    .collect(),
-            );
+            periodic = Some(ranked_pairs(&outcome));
             rebuilds += 1;
         }
     }

@@ -1,5 +1,5 @@
-//! Micro-bench: corpus-size scalability of the candidate-aligned scoreboard
-//! and the streamed candidate engine (the 10^5 → 10^7-entity sweep).
+//! Micro-bench: corpus-size scalability of the radix scoreboard and the
+//! streamed candidate engine (the 10^5 → 10^7-entity sweep).
 //!
 //! For each corpus size the bench generates a bounded-memory synthetic
 //! Dirty corpus (`er_datasets::generate_scalability`), runs the standard
@@ -11,17 +11,17 @@
 //!   [`ChunkArena`] of `chunk_pairs` pairs (run *first*, before the
 //!   materialised index is ever allocated, so its peak-RSS checkpoint
 //!   cannot inherit the index);
-//! * **tiled** — the materialised index through the candidate-aligned
-//!   scoreboard, the scoreboard's registry metrics recording the per-worker
-//!   scratch high-water mark.
+//! * **tiled** — the materialised index through the radix scoreboard, the
+//!   scoreboard's registry metrics recording the per-worker scratch
+//!   high-water mark.
 //!
 //! Correctness gates before any timing: both modes must produce
 //! bit-identical probabilities at every size (and, up to
 //! `MATRIX_GATE_LIMIT` entities, the materialised matrix must equal the
 //! per-pair reference rows), the streamed chunk walk must emit exactly the
 //! counted number of pairs, and the board's scratch must stay
-//! `O(longest candidate run)` — below what one `O(num_entities)` board of
-//! three arrays (20 B per entity) would hold.
+//! `O(contributions of the longest entity)` — below what one
+//! `O(num_entities)` board of three arrays (20 B per entity) would hold.
 //!
 //! Asserted memory gate, in the two parts the streamed footprint has: what
 //! grows with the corpus (`CandidateStream::aggregate_bytes`, 12 B per
@@ -203,20 +203,20 @@ fn main() {
             }
         }
 
-        // Correctness gate 2: per-worker scratch is O(longest run), not
-        // O(num_entities).  The bound mirrors the candidate-aligned board's
-        // layout per candidate of the longest run (`partners_hwm`) — 16 B of
-        // table (two 8-byte entries), rounded up to the table's power of
-        // two, and 20 B of accumulators — doubled for Vec growth slack, plus
-        // fixed slack; a corpus-scaled board blows straight through it.
+        // Correctness gate 2: per-worker scratch is O(longest entity), not
+        // O(num_entities).  The bound mirrors the radix board's layout per
+        // contribution of the longest entity (`contributions_hwm`) — a
+        // 24-byte entry plus an 8-byte sort key and its 8-byte second
+        // buffer — doubled for Vec growth slack, plus fixed slack for the
+        // histograms; a corpus-scaled board blows straight through it.
         // And it must stay below the three arrays (4 + 8 + 8 B per entity)
         // of one corpus-sized board, computed rather than allocated.
         let scratch_tiled = tiled_metrics.scratch_bytes_hwm;
         let scratch_corpus = 20 * n as u64;
-        let bound = 2 * (32 + 20) * tiled_metrics.partners_hwm + 64 * 1024;
+        let bound = 2 * (24 + 8 + 8) * tiled_metrics.contributions_hwm + 64 * 1024;
         assert!(
             scratch_tiled <= bound,
-            "scal-{n}: aligned scratch {scratch_tiled} B exceeds O(longest run) bound {bound} B"
+            "scal-{n}: board scratch {scratch_tiled} B exceeds O(longest entity) bound {bound} B"
         );
         assert!(
             scratch_tiled < scratch_corpus,

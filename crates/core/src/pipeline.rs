@@ -13,10 +13,10 @@
 //! 3. feature generation for the chosen [`FeatureSet`];
 //! 4. balanced undersampling of labelled pairs, with the ground truth placed
 //!    through the candidate index, and classifier training ([`train`]);
-//! 5. probability scoring of every candidate pair;
+//! 5. probability scoring of every candidate pair, which also keeps the
+//!    valid pairs ([`ValidPairs`]);
 //! 6. pruning with the chosen [`AlgorithmKind`], which decides on the valid
-//!    pairs only ([`ValidPairs`], collected in parallel from the
-//!    probability slice).
+//!    pairs only.
 //!
 //! Steps 1 and 2 together are
 //! [`standard_blocking_workflow_csr`](er_blocking::standard_blocking_workflow_csr)
@@ -28,35 +28,34 @@
 //! ([`crate::StreamingPipeline::bootstrap`]) and the experiment harness in
 //! `er-eval`.  A step of the paper's workflow therefore has one copy.
 //!
-//! The outcome records the retained pairs, the probabilities and a run-time
-//! breakdown matching the paper's definition of `RT` (feature generation +
-//! training + scoring + pruning).
+//! The outcome records the valid and the retained pairs, the probabilities
+//! and a run-time breakdown matching the paper's definition of `RT`
+//! (feature generation + training + scoring + pruning).
 //!
 //! Feature generation and scoring are **fused**: the pipeline never
 //! materialises the full feature matrix.  Training needs feature vectors for
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
-//! [`FeatureMatrix::score_stream_with`], which streams each pair's fused
+//! [`FeatureMatrix::score_stream_folded`], which streams each pair's fused
 //! feature row straight into the classifier.  The `features` timing
 //! therefore covers index construction (block statistics, candidate CSR,
 //! per-entity tables) and `scoring` covers the fused feature + probability
 //! pass.
 //!
-//! Each entity's partner run is derived **once** per run: the candidate
-//! index is built by a single gather ([`CandidatePairs::try_from_stats`]),
-//! and the scoring pass reads it through an index-backed stream
-//! ([`CandidateStream::from_candidates`]) instead of counting and
-//! re-extracting the runs, in chunks of `candidate_chunk_pairs` pairs
-//! ([`DEFAULT_CHUNK_PAIRS`] when unset), over the feature context's own
-//! per-entity tables.  The scoreboard's block walk is the only other pass
-//! over the blocks.
+//! # The candidate index lives until training ends
 //!
-//! The candidate index holds 4 bytes per pair (partner ids; the smaller
-//! endpoint comes from its offsets), and no stage of a run builds its
-//! `(a, b)` tuple view ([`CandidatePairs::pairs`]): pruning walks the index
-//! run by run, and [`MetaBlockingOutcome::retained_pairs`] resolves the
-//! retained ids in one forward walk.  The probabilities' range check is
-//! made in the valid-pair collection's pass, not in a pass of its own.
+//! The workflow needs the candidate list for two things: drawing the
+//! training sample and handing every pair to the classifier.  The index (4
+//! bytes per pair) is built by a single gather
+//! ([`CandidatePairs::try_from_stats`]) and serves the first.  For the
+//! second only its counts are kept — per-entity offsets and the LCP table —
+//! as a stream ([`CandidateStream::from_counts`]), and the partner array is
+//! released before the probability vector (8 bytes per pair) is allocated.
+//! The scoring pass folds each run off the blocks on the walk it makes
+//! anyway, so no run is derived twice.  It also keeps each chunk's valid
+//! pairs and checks every score is a probability; the chunks' lists,
+//! joined in order, are the [`ValidPairs`] pruning decides on and
+//! [`MetaBlockingOutcome::retained_pairs`] resolves off.
 
 use std::time::{Duration, Instant};
 
@@ -71,7 +70,7 @@ use er_learn::{
     LogisticRegression, LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
 };
 
-use crate::pruning::{AlgorithmKind, Blast, ValidPairs};
+use crate::pruning::{AlgorithmKind, Blast, ValidChunk, ValidPairs};
 use crate::scoring::CachedScores;
 
 /// Which probabilistic classifier the pipeline trains.
@@ -136,12 +135,11 @@ pub struct MetaBlockingConfig {
     /// output.
     pub threads: Option<usize>,
     /// Scoreboard configuration, handed to the fused feature/scoring pass and
-    /// to the streaming index.  Only the streaming index's discovery board
-    /// reads it (its tile width); output is bit-identical for every
-    /// configuration.
+    /// to the streaming index: the tile width of the discovery board both
+    /// fold partners on.  Output is bit-identical for every configuration.
     pub scoreboard: ScoreboardConfig,
     /// Pairs per chunk of the probability pass, which reads the candidate
-    /// index through the streamed candidate engine
+    /// counts through the streamed candidate engine
     /// ([`er_blocking::CandidateStream`]) — per-worker scratch stays
     /// `O(chunk_pairs)` during scoring.  Probabilities are bit-identical for
     /// every chunk size and thread count.  `None` (the default) uses
@@ -187,10 +185,11 @@ pub struct Timings {
     pub features: Duration,
     /// Training-set assembly and classifier training.
     pub training: Duration,
-    /// The fused feature + probability pass over all candidate pairs.
+    /// The fused feature + probability pass over all candidate pairs, which
+    /// also keeps the valid pairs and checks that every probability lies
+    /// within `[0, 1]`.
     pub scoring: Duration,
-    /// Pruning, including the collection of the valid pairs — the pass that
-    /// also checks every probability lies within `[0, 1]`.
+    /// Pruning: the algorithm's decision on the valid pairs.
     pub pruning: Duration,
 }
 
@@ -207,15 +206,19 @@ pub struct MetaBlockingOutcome {
     pub dataset_name: String,
     /// The algorithm that produced the outcome.
     pub algorithm: AlgorithmKind,
-    /// The blocking output the pipeline operated on.
+    /// The blocking output the pipeline operated on.  Its distinct
+    /// candidate pairs are `CandidatePairs::from_stats(&BlockStats::from_csr(&blocks), _)`,
+    /// in pair-id order.
     pub blocks: CsrBlockCollection,
-    /// The distinct candidate pairs of the block collection.
-    pub candidates: CandidatePairs,
     /// Number of candidate pairs (|C|).
     pub num_candidates: usize,
-    /// The probability assigned to every candidate pair.
+    /// The probability assigned to every candidate pair, by pair id.
     pub probabilities: CachedScores,
-    /// The ids of the retained pairs.
+    /// The valid pairs `(id, a, b, p)`, ascending by pair id: what pruning
+    /// decided on.
+    pub valid: ValidPairs,
+    /// The ids of the retained pairs, ascending (a subset of the valid
+    /// pairs' ids).
     pub retained: Vec<PairId>,
     /// Run-time breakdown.
     pub timings: Timings,
@@ -223,9 +226,19 @@ pub struct MetaBlockingOutcome {
 
 impl MetaBlockingOutcome {
     /// The retained pairs as entity-id tuples, resolved in one forward walk
-    /// over the candidate index (the retained ids ascend).
+    /// over the valid pairs (both lists ascend, and every retained pair is
+    /// valid).
     pub fn retained_pairs(&self) -> Vec<(er_core::EntityId, er_core::EntityId)> {
-        self.candidates.resolve(&self.retained)
+        let mut valid = self.valid.pairs().iter();
+        self.retained
+            .iter()
+            .map(|&id| {
+                let pair = valid
+                    .find(|pair| pair.id == id)
+                    .expect("every retained pair is a valid pair");
+                (pair.a, pair.b)
+            })
+            .collect()
     }
 }
 
@@ -273,36 +286,38 @@ impl MetaBlockingPipeline {
         let training_time = training_start.elapsed();
 
         // Scoring: fused feature + probability pass, no materialised matrix.
-        // The streamed engine (chunk tasks, per-worker arenas) runs over the
-        // index this function already holds for pruning and over the
-        // context's per-entity tables: chunks are copied out of the index,
-        // no partner run is derived a second time — the same probabilities,
-        // bit for bit, at every chunk size.
+        // The partner array is released first: the pass needs only the
+        // index's counts, and folds each run off the blocks on the walk it
+        // makes anyway — the same probabilities, bit for bit, at every
+        // chunk size.  Each chunk keeps its valid pairs as it is scored.
         let scoring_start = Instant::now();
+        let num_candidates = candidates.len();
+        let stream = CandidateStream::from_counts(&stats, &candidates);
+        let context = context.into_stream_context(&stream);
+        drop(candidates);
         let probability = |features: &[f64]| model.probability(features).clamp(0.0, 1.0);
         let chunk_pairs = self
             .config
             .candidate_chunk_pairs
             .unwrap_or(DEFAULT_CHUNK_PAIRS);
-        let probabilities = FeatureMatrix::score_stream_with(
-            context.stream_context(),
-            &CandidateStream::from_candidates(&stats, &candidates),
+        let (probabilities, valid) = FeatureMatrix::score_stream_folded(
+            &context,
+            &stream,
             set,
             threads,
             &self.config.scoreboard,
             chunk_pairs,
             probability,
+            ValidChunk::default,
+            |chunk, id, a, b, p| chunk.push(PairId::from(id as usize), a, b, p),
         );
-        // The range check runs in the valid-pair collection's pass below.
+        // Joining the chunks makes `CachedScores::new`'s range check.
+        let valid = ValidPairs::from_chunks(stats.num_entities(), valid);
         let scores = CachedScores::range_checked_by_caller(probabilities);
         let scoring_time = scoring_start.elapsed();
 
-        // Pruning: the valid pairs are collected in parallel from the
-        // probability slice (checking every value is a probability), and
-        // the algorithm decides on them alone.
         let pruning_start = Instant::now();
         let pruner = algorithm.build_with_csr(&csr, self.config.blast_ratio);
-        let valid = ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
         let retained = pruner.prune_valid(&valid);
         let pruning_time = pruning_start.elapsed();
 
@@ -310,9 +325,9 @@ impl MetaBlockingPipeline {
             dataset_name: dataset.name.clone(),
             algorithm,
             blocks: csr,
-            num_candidates: candidates.len(),
-            candidates,
+            num_candidates,
             probabilities: scores,
+            valid,
             retained,
             timings: Timings {
                 blocking: blocking_time,
@@ -593,6 +608,57 @@ mod tests {
                 matches!(err, er_core::Error::EmptyInput(ref m) if m.contains("all-purged produced no blocks")),
                 "{err}"
             );
+        }
+    }
+
+    /// Corpora that yield no comparison at all are refused as empty input
+    /// at every thread count, never a panic: a Clean-Clean corpus whose
+    /// second source is empty, profiles without attributes, and blank
+    /// attribute values.
+    #[test]
+    fn degenerate_corpora_are_empty_input_not_a_panic() {
+        use er_core::{EntityCollection, EntityProfile, GroundTruth};
+        let profiles = |values: &[&str]| -> Vec<EntityProfile> {
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| EntityProfile::new(format!("e{i}")).with_attribute("title", *v))
+                .collect()
+        };
+        let collection = |profiles| EntityCollection::new("c", profiles);
+        let words = ["shared apple", "shared pear", "apple pear", "shared"];
+        let bare = (0..4)
+            .map(|i| EntityProfile::new(format!("e{i}")))
+            .collect();
+        let datasets = [
+            Dataset::clean_clean(
+                "no-second-source",
+                collection(profiles(&words)),
+                collection(Vec::new()),
+                GroundTruth::default(),
+            ),
+            Dataset::dirty("no-attributes", collection(bare), GroundTruth::default()),
+            Dataset::dirty(
+                "blank-values",
+                collection(profiles(&["", " ", "\t", "  \n "])),
+                GroundTruth::default(),
+            ),
+        ];
+        for dataset in datasets {
+            let dataset = dataset.unwrap();
+            for threads in [1, 3] {
+                let config = MetaBlockingConfig {
+                    threads: Some(threads),
+                    ..config(25)
+                };
+                let outcome = MetaBlockingPipeline::new(config).run(&dataset, AlgorithmKind::Blast);
+                assert!(
+                    matches!(outcome, Err(er_core::Error::EmptyInput(_))),
+                    "{} at {threads} threads: {:?}",
+                    dataset.name,
+                    outcome.err()
+                );
+            }
         }
     }
 

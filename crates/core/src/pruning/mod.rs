@@ -23,8 +23,10 @@
 //! top-`k` lists) are built from it in list order, so every sum adds the
 //! same terms in the same order as a scan of the candidate list would, and
 //! the top-`k` lists rank by probability descending, then pair id
-//! ascending.  The batch pipeline collects the list in parallel from its
-//! probability slice; [`PruningAlgorithm::prune`] collects it serially.
+//! ascending.  The batch pipeline keeps the list while it scores, chunk by
+//! chunk; er-eval collects it in parallel from a probability slice
+//! ([`ValidPairs::collect_parallel`]); [`PruningAlgorithm::prune`] collects
+//! it serially.
 
 mod bcl;
 mod blast;
@@ -44,6 +46,7 @@ pub use cep::Cep;
 pub use cnp::Cnp;
 pub use rcnp::Rcnp;
 pub use rwnp::Rwnp;
+pub(crate) use valid::ValidChunk;
 pub use valid::{ValidPair, ValidPairs};
 pub use wep::Wep;
 pub use wnp::Wnp;

@@ -12,9 +12,10 @@
 //! it never needs the index's `(a, b)` tuple view.
 //!
 //! Over a probability slice ([`ValidPairs::collect_parallel`], what the
-//! pipeline and the experiment runners call) the same pass also checks that
-//! every value is a probability, so the pipeline's probabilities are
-//! scanned once, not once for the check and once for the collection.
+//! experiment runners call) the same pass also checks that every value is a
+//! probability.  The pipeline needs no pass of its own at all: its scoring
+//! pass keeps each chunk's valid pairs as it scores them (`ValidChunk`,
+//! the same test and the same check) and the chunks are joined in order.
 
 use er_blocking::CandidatePairs;
 use er_core::{EntityId, PairId};
@@ -53,12 +54,12 @@ pub struct ValidPairs {
 impl ValidPairs {
     /// Collects the valid pairs, asking `scores` once per candidate pair.
     pub fn collect(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
-        let mut pairs = Vec::new();
+        let mut valid = ValidChunk::default();
         let probability = |id: usize| scores.probability(PairId::from(id));
-        push_valid(candidates, 0..candidates.len(), probability, &mut pairs);
+        push_valid(candidates, 0..candidates.len(), probability, &mut valid);
         ValidPairs {
             num_entities: candidates.num_entities(),
-            pairs,
+            pairs: valid.pairs,
         }
     }
 
@@ -91,22 +92,39 @@ impl ValidPairs {
         let tasks: Vec<_> = (0..workers)
             .map(|w| {
                 let range = (w * per_worker).min(n)..((w + 1) * per_worker).min(n);
-                (range, Vec::with_capacity(INITIAL_CAPACITY))
+                let pairs = Vec::with_capacity(INITIAL_CAPACITY);
+                (
+                    range,
+                    ValidChunk {
+                        pairs,
+                        ..ValidChunk::default()
+                    },
+                )
             })
             .collect();
         let parts = er_core::map_tasks_parallel(tasks, workers, |(range, mut part)| {
-            let in_range = push_valid(candidates, range, |id| probabilities[id], &mut part);
-            (part, in_range)
+            push_valid(candidates, range, |id| probabilities[id], &mut part);
+            part
         });
-        assert_probabilities(parts.iter().all(|&(_, in_range)| in_range));
-        let mut parts: Vec<Vec<ValidPair>> = parts.into_iter().map(|(part, _)| part).collect();
-        let pairs = if parts.len() == 1 {
-            parts.pop().unwrap_or_default()
-        } else {
-            parts.concat()
-        };
+        Self::from_chunks(candidates.num_entities(), parts)
+    }
+
+    /// Joins, in order, the valid pairs a pass kept over consecutive pair
+    /// ranges (a scoring pass's chunks, a collection's worker ranges).
+    ///
+    /// # Panics
+    ///
+    /// If a range held a value that is not a probability: the check
+    /// [`CachedScores::new`](crate::scoring::CachedScores::new) makes, with
+    /// the same message.
+    pub(crate) fn from_chunks(num_entities: usize, chunks: Vec<ValidChunk>) -> Self {
+        assert_probabilities(chunks.iter().all(|chunk| !chunk.out_of_range));
+        let mut pairs = Vec::with_capacity(chunks.iter().map(|c| c.pairs.len()).sum());
+        for chunk in chunks {
+            pairs.extend_from_slice(&chunk.pairs);
+        }
         ValidPairs {
-            num_entities: candidates.num_entities(),
+            num_entities,
             pairs,
         }
     }
@@ -218,32 +236,46 @@ impl ValidPairs {
     }
 }
 
-/// Appends the valid pairs of the pair-id `range` to `out`, in id order,
-/// asking `probability` once per pair id, and returns whether every
-/// probability of the range is within `[0, 1]`.
+/// The valid pairs of one range of pair ids, kept as the range is walked in
+/// id order, and whether a value of the range was not a probability — what
+/// [`ValidPairs::from_chunks`] joins.
+#[derive(Debug, Default)]
+pub(crate) struct ValidChunk {
+    pairs: Vec<ValidPair>,
+    out_of_range: bool,
+}
+
+impl ValidChunk {
+    /// Keeps the pair if it is valid (`is_valid_probability`, the one
+    /// validity test) and notes whether its probability is one.
+    #[inline]
+    pub(crate) fn push(&mut self, id: PairId, a: EntityId, b: EntityId, probability: f64) {
+        self.out_of_range |= !is_probability(probability);
+        if is_valid_probability(probability) {
+            self.pairs.push(ValidPair {
+                id,
+                a,
+                b,
+                probability,
+            });
+        }
+    }
+}
+
+/// Walks the pair-id `range` in id order into `out`, asking `probability`
+/// once per pair id.
 fn push_valid(
     candidates: &CandidatePairs,
     range: std::ops::Range<usize>,
     probability: impl Fn(usize) -> f64,
-    out: &mut Vec<ValidPair>,
-) -> bool {
-    let mut in_range = true;
+    out: &mut ValidChunk,
+) {
     for (a, first, partners) in candidates.runs_in(range) {
         for (offset, &b) in partners.iter().enumerate() {
             let id = first + offset;
-            let probability = probability(id);
-            in_range &= is_probability(probability);
-            if is_valid_probability(probability) {
-                out.push(ValidPair {
-                    id: PairId::from(id),
-                    a,
-                    b: EntityId(b),
-                    probability,
-                });
-            }
+            out.push(PairId::from(id), a, EntityId(b), probability(id));
         }
     }
-    in_range
 }
 
 /// The pruning algorithms' ranking: probability descending, then pair id

@@ -20,10 +20,11 @@
 //! which [`ProbabilitySource::is_valid`] and that collection share.
 //!
 //! The pipeline's cached path is filled by
-//! [`er_features::FeatureMatrix::score_rows_with`] (or, in chunked mode,
-//! [`er_features::FeatureMatrix::score_stream_with`]) — the one fused
-//! feature + probability pass — so the probabilities here are bit-identical
-//! for every thread count and chunk size.
+//! [`er_features::FeatureMatrix::score_stream_folded`] — the one fused
+//! feature + probability pass, which [`er_features::FeatureMatrix::score_rows_with`]
+//! and [`er_features::FeatureMatrix::score_stream_with`] run too — so the
+//! probabilities here are bit-identical for every thread count, chunk size
+//! and tile width.
 
 use er_core::PairId;
 use er_features::FeatureMatrix;
@@ -147,10 +148,10 @@ impl CachedScores {
         CachedScores { probabilities }
     }
 
-    /// Wraps a probability vector whose range the caller checks in a pass
-    /// of its own over the values: the pipeline hands them to
-    /// [`ValidPairs::collect_parallel`](crate::pruning::ValidPairs::collect_parallel),
-    /// which makes [`CachedScores::new`]'s check while it collects.
+    /// Wraps a probability vector whose range the caller has checked while
+    /// it produced the values: the pipeline's scoring pass keeps each
+    /// chunk's valid pairs, and joining them
+    /// (`ValidPairs::from_chunks`) makes [`CachedScores::new`]'s check.
     pub(crate) fn range_checked_by_caller(probabilities: Vec<f64>) -> Self {
         CachedScores { probabilities }
     }

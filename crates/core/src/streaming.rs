@@ -123,6 +123,7 @@ impl StreamingPipeline {
                 &stream,
                 set,
                 threads,
+                &config.scoreboard,
                 chunk_pairs,
                 probability,
                 |pairs, probabilities| {
@@ -141,6 +142,7 @@ impl StreamingPipeline {
                 &stream,
                 set,
                 threads,
+                &config.scoreboard,
                 chunk_pairs,
                 probability,
                 |pairs, probabilities| schedule.absorb(pairs, probabilities),

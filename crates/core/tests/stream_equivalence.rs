@@ -179,6 +179,7 @@ fn streamed_probabilities_are_bit_identical_to_batch_scoring() {
                         &stream,
                         set,
                         threads,
+                        &scoreboard,
                         chunk_pairs,
                         pseudo_probability,
                         |pairs, probs| {

@@ -58,7 +58,7 @@ pub use key_table::KeyTable;
 pub use purging::{block_purging_csr, purging_limit};
 pub use qgrams::qgrams_blocking_csr;
 pub use stats::{BlockStats, EntitySide};
-pub use stream::{CandidateStream, ChunkArena, ChunkSpec, DEFAULT_CHUNK_PAIRS};
+pub use stream::{CandidateStream, ChunkArena, ChunkSegment, ChunkSpec, DEFAULT_CHUNK_PAIRS};
 pub use suffix_arrays::{suffix_array_blocking_csr, SuffixArrayConfig};
 pub use token_blocking::token_blocking_csr;
 

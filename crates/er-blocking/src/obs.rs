@@ -3,8 +3,8 @@
 //!
 //! Updates are batched: the parallel builder records once per build
 //! (counts plus one timer per phase), the candidate engines once per
-//! entity-range task or extracted chunk — never per posting, per run or per
-//! pair — so the hot loops stay inside the bench overhead gate.
+//! entity-range task or chunk — never per posting, per run or per pair —
+//! so the hot loops stay inside the bench overhead gate.
 
 use std::sync::OnceLock;
 
@@ -26,14 +26,6 @@ pub(crate) struct BlockingObs {
     pub(crate) assemble_ns: &'static Histogram,
     /// Entity partner runs derived (gather + sort + dedup), by any engine.
     pub(crate) runs_derived: &'static Counter,
-    /// Chunks extracted from candidate streams.
-    pub(crate) stream_chunks: &'static Counter,
-    /// Candidate pairs emitted through stream chunks.
-    pub(crate) stream_pairs: &'static Counter,
-    /// Chunk extractions served from existing arena capacity.
-    pub(crate) arena_reuses: &'static Counter,
-    /// Chunk extractions that grew the arena.
-    pub(crate) arena_grows: &'static Counter,
 }
 
 pub(crate) fn obs() -> &'static BlockingObs {
@@ -74,22 +66,6 @@ pub(crate) fn obs() -> &'static BlockingObs {
         runs_derived: er_obs::counter(
             "blocking_candidate_runs_derived_total",
             "Entity partner runs derived (gather, sort, dedup) by the candidate collector and streams",
-        ),
-        stream_chunks: er_obs::counter(
-            "blocking_stream_chunks_total",
-            "Chunks extracted from candidate streams",
-        ),
-        stream_pairs: er_obs::counter(
-            "blocking_stream_pairs_total",
-            "Candidate pairs emitted through stream chunk extraction",
-        ),
-        arena_reuses: er_obs::counter(
-            "blocking_arena_reuse_total",
-            "Chunk extractions served entirely from retained arena capacity",
-        ),
-        arena_grows: er_obs::counter(
-            "blocking_arena_grow_total",
-            "Chunk extractions that had to grow the arena",
         ),
     })
 }

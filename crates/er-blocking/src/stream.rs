@@ -43,12 +43,23 @@
 //! index, and a chunk is built from its slice of the index's partner array:
 //! each per-entity segment's smaller endpoint comes from the offsets, its
 //! partners from the array — no run is derived at all, and the index's
-//! `pairs()` tuple view is never built.
-//! Chunks, arenas and consumers cannot tell the two kinds of stream apart,
-//! so the fused scoring pass of `er-features` has one chunk driver whether
-//! the pairs are derived or materialised, and it accepts any index of the
+//! `pairs()` tuple view is never built.  It accepts any index of the
 //! corpus, pruned `from_pairs` subsets included.
+//! [`CandidateStream::from_counts`] copies only the offsets and the LCP
+//! table off the statistics' own index and borrows nothing, so the index
+//! can be released while the stream is read; its chunks are derived, as
+//! over [`CandidateStream::from_stats`], without the counting pass.
 //!
+//! A consumer walks a chunk segment by segment
+//! ([`CandidateStream::segments`]): each segment names its entity, the
+//! positions of the chunk's pairs in the entity's run and — over an
+//! index-backed stream — their partners.  The fused scoring pass of
+//! `er-features` folds every run off the blocks on its board, so over a
+//! derived stream it never derives a run at all, and over an index-backed
+//! one the index only selects the pairs; [`CandidateStream::extract_chunk`]
+//! derives or copies a chunk's pairs into a [`ChunkArena`] for consumers
+//! that want them listed.
+
 //! There is one derivation primitive in the crate
 //! (`Extraction::neighbors_above`) with two callers: this stream, which
 //! never buffers a run, and the materialised collector's single gather
@@ -203,6 +214,22 @@ impl ChunkSpec {
     }
 }
 
+/// One entity's share of a chunk ([`CandidateStream::segments`]): the pairs
+/// of the chunk whose smaller endpoint is `entity`.
+#[derive(Debug, Clone)]
+pub struct ChunkSegment<'s> {
+    /// The smaller endpoint of the segment's pairs.
+    pub entity: EntityId,
+    /// Length of the entity's whole partner run.
+    pub run_len: usize,
+    /// Positions of the segment's pairs in that run (a chunk may cut it).
+    pub positions: std::ops::Range<usize>,
+    /// The segment's partner ids when the stream is index-backed; `None`
+    /// when the partners are the `positions` of the run derived from the
+    /// blocks.
+    pub partners: Option<&'s [u32]>,
+}
+
 /// One entity's emitted segment inside a [`ChunkArena`].
 #[derive(Debug, Clone, Copy)]
 struct ChunkRun {
@@ -294,6 +321,24 @@ impl<'a> CandidateStream<'a> {
     ///
     /// If `candidates` and `stats` cover different entity counts.
     pub fn from_candidates(stats: &'a BlockStats, candidates: &'a crate::CandidatePairs) -> Self {
+        CandidateStream {
+            index: Some(candidates.partners()),
+            ..Self::from_counts(stats, candidates)
+        }
+    }
+
+    /// Builds a count-backed stream over the statistics' own materialised
+    /// index ([`CandidatePairs::from_stats`](crate::CandidatePairs::from_stats)):
+    /// offsets and LCP table are copied off the index (no counting pass),
+    /// and chunks derive their runs from the blocks, as over
+    /// [`CandidateStream::from_stats`].  The stream does not borrow the
+    /// index, which can be released while the stream is read.  Read a
+    /// pruned `from_pairs` subset through [`CandidateStream::from_candidates`].
+    ///
+    /// # Panics
+    ///
+    /// If `candidates` and `stats` cover different entity counts.
+    pub fn from_counts(stats: &'a BlockStats, candidates: &crate::CandidatePairs) -> Self {
         let extraction = Extraction::from_stats(stats);
         assert_eq!(
             candidates.num_entities(),
@@ -311,7 +356,7 @@ impl<'a> CandidateStream<'a> {
             extraction,
             offsets,
             lcp: candidates.entity_candidate_counts().to_vec(),
-            index: Some(candidates.partners()),
+            index: None,
         }
     }
 
@@ -369,6 +414,11 @@ impl<'a> CandidateStream<'a> {
     /// Number of entities of the corpus (the flattened id space).
     pub fn num_entities(&self) -> usize {
         self.extraction.num_entities
+    }
+
+    /// The block statistics the stream's runs derive from.
+    pub fn stats(&self) -> &'a BlockStats {
+        self.extraction.stats
     }
 
     /// Number of entities that emit runs of their own (the E1 side for
@@ -432,13 +482,11 @@ impl<'a> CandidateStream<'a> {
         out
     }
 
-    /// One chunk's per-entity segments: every entity whose (non-empty) run
-    /// intersects the chunk, with the in-chunk range of positions inside
-    /// that run.
-    fn chunk_segments(
-        &self,
-        chunk: ChunkSpec,
-    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+    /// One chunk's per-entity segments, in pair-id order: every entity whose
+    /// (non-empty) run meets the chunk, with the positions of the chunk's
+    /// pairs inside that run and, for an index-backed stream, their partner
+    /// ids.
+    pub fn segments(&self, chunk: ChunkSpec) -> impl Iterator<Item = ChunkSegment<'a>> + '_ {
         (chunk.entity_lo as usize..chunk.entity_hi as usize).filter_map(move |e| {
             let run_lo = self.offsets[e];
             let run_hi = self.offsets[e + 1];
@@ -447,33 +495,49 @@ impl<'a> CandidateStream<'a> {
             }
             let local_lo = (chunk.pair_lo.max(run_lo) - run_lo) as usize;
             let local_hi = (chunk.pair_hi.min(run_hi) - run_lo) as usize;
-            Some((e, local_lo..local_hi))
+            let index_lo = run_lo as usize;
+            Some(ChunkSegment {
+                entity: EntityId(e as u32),
+                run_len: (run_hi - run_lo) as usize,
+                positions: local_lo..local_hi,
+                partners: self
+                    .index
+                    .map(|index| &index[index_lo + local_lo..index_lo + local_hi]),
+            })
         })
     }
 
-    /// Walks one chunk's segments by derivation: re-derives each
-    /// intersecting entity's full sorted partner run in `scratch` and hands
-    /// `f` the in-chunk slice of it.
-    fn for_each_derived_run(
+    /// Walks one chunk's segments, handing `f` each segment's entity and
+    /// partner ids: the index's slice, or the in-chunk slice of the run
+    /// re-derived in `scratch`.
+    fn for_each_run(
         &self,
         chunk: ChunkSpec,
         scratch: &mut RunScratch,
         mut f: impl FnMut(EntityId, &[u32]),
     ) {
         let mut derived = 0u64;
-        for (e, local) in self.chunk_segments(chunk) {
-            let run = self.extraction.neighbors_above(e, scratch);
-            debug_assert_eq!(run.len() as u64, self.offsets[e + 1] - self.offsets[e]);
-            derived += 1;
-            f(EntityId(e as u32), &run[local]);
+        for segment in self.segments(chunk) {
+            match segment.partners {
+                Some(partners) => f(segment.entity, partners),
+                None => {
+                    let run = self
+                        .extraction
+                        .neighbors_above(segment.entity.index(), scratch);
+                    debug_assert_eq!(run.len(), segment.run_len);
+                    derived += 1;
+                    f(segment.entity, &run[segment.positions]);
+                }
+            }
         }
-        crate::obs::obs().runs_derived.add(derived);
+        if derived > 0 {
+            crate::obs::obs().runs_derived.add(derived);
+        }
     }
 
     /// Extracts one chunk into a reusable arena: the chunk's pairs in global
     /// emission order plus the per-entity segment boundaries.
     pub fn extract_chunk(&self, chunk: ChunkSpec, arena: &mut ChunkArena) {
-        let capacity_before = arena.capacity_bytes();
         let ChunkArena {
             pairs,
             runs,
@@ -481,42 +545,16 @@ impl<'a> CandidateStream<'a> {
         } = arena;
         pairs.clear();
         runs.clear();
-        match self.index {
-            Some(index) => {
-                for (e, local) in self.chunk_segments(chunk) {
-                    let run_lo = self.offsets[e] as usize;
-                    let partners = &index[run_lo + local.start..run_lo + local.end];
-                    let start = pairs.len() as u32;
-                    let a = EntityId(e as u32);
-                    pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
-                    runs.push(ChunkRun {
-                        entity: e as u32,
-                        start,
-                        end: pairs.len() as u32,
-                    });
-                }
-            }
-            None => self.for_each_derived_run(chunk, scratch, |a, partners| {
-                let start = pairs.len() as u32;
-                pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
-                runs.push(ChunkRun {
-                    entity: a.0,
-                    start,
-                    end: pairs.len() as u32,
-                });
-            }),
-        }
+        self.for_each_run(chunk, scratch, |a, partners| {
+            let start = pairs.len() as u32;
+            pairs.extend(partners.iter().map(|&p| (a, EntityId(p))));
+            runs.push(ChunkRun {
+                entity: a.0,
+                start,
+                end: pairs.len() as u32,
+            });
+        });
         debug_assert_eq!(pairs.len(), chunk.len());
-        // One batched registry update per chunk (thousands of pairs), never
-        // per pair.
-        let o = crate::obs::obs();
-        o.stream_chunks.inc();
-        o.stream_pairs.add(arena.pairs.len() as u64);
-        if arena.capacity_bytes() > capacity_before {
-            o.arena_grows.inc();
-        } else {
-            o.arena_reuses.inc();
-        }
     }
 
     /// Extracts one chunk's partner ids (the larger endpoints, in pair-id
@@ -535,7 +573,7 @@ impl<'a> CandidateStream<'a> {
             return;
         }
         let mut cursor = 0usize;
-        self.for_each_derived_run(chunk, scratch, |_, partners| {
+        self.for_each_run(chunk, scratch, |_, partners| {
             out[cursor..cursor + partners.len()].copy_from_slice(partners);
             cursor += partners.len();
         });

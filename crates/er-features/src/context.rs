@@ -278,6 +278,33 @@ impl<'a> FeatureContext<'a> {
         &self.entities
     }
 
+    /// Gives up the borrow of the candidate index and keeps the per-entity
+    /// tables, re-pointed at `stream`'s equal copy of the LCP table (what
+    /// [`CandidateStream::from_counts`](er_blocking::CandidateStream::from_counts)
+    /// takes off the index): the index can then be released before a pass
+    /// over the stream, which builds no second copy of the tables.
+    ///
+    /// # Panics
+    ///
+    /// If `stream` runs over other statistics or holds another LCP table.
+    pub fn into_stream_context<'b>(
+        self,
+        stream: &'b er_blocking::CandidateStream<'b>,
+    ) -> StreamFeatureContext<'b> {
+        let entities = self.entities;
+        let same =
+            std::ptr::eq(entities.stats, stream.stats()) && entities.lcp == stream.lcp_table();
+        assert!(same, "the stream runs over other statistics or LCP counts");
+        StreamFeatureContext {
+            stats: stream.stats(),
+            lcp: stream.lcp_table(),
+            inv_comparisons: entities.inv_comparisons,
+            inv_sizes: entities.inv_sizes,
+            ibf: entities.ibf,
+            icf: entities.icf,
+        }
+    }
+
     /// The underlying block statistics.
     pub fn stats(&self) -> &BlockStats {
         self.entities.stats

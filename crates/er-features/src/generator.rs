@@ -6,35 +6,37 @@
 //! this module is built around one fused single pass with one chunk driver:
 //!
 //! 1. Every pass reads its candidates through a [`CandidateStream`]: chunks
-//!    of the pair-id space are the parallel work units, each extracted into
-//!    a worker's [`ChunkArena`] — re-derived from the blocks, or copied out
-//!    of a materialised [`er_blocking::CandidatePairs`] (the index-backed
-//!    stream [`FeatureMatrix::build_with_threads`] and
-//!    [`FeatureMatrix::score_rows_with`] run on).
-//! 2. For each entity run of a chunk the pass walks the entity's blocks once
-//!    through the flat [`er_blocking::BlockStats`] index and *accumulates*
-//!    every partner's co-occurrence aggregates on a scoreboard aligned to the
-//!    run ([`crate::scoreboard::CandidateBoard`]: one table probe per
-//!    contribution, straight into the slot of the run) — no per-pair merge
-//!    of block lists, no sort, no divisions (the reciprocal tables are
-//!    precomputed).  Contributions arrive in ascending block-id order, which
-//!    makes the floating-point sums bit-identical to the per-pair merge.
+//!    of the pair-id space are the parallel work units, each walked segment
+//!    by segment ([`CandidateStream::segments`]) — one segment per entity
+//!    whose run meets the chunk.
+//! 2. For each segment the pass walks the entity's blocks once through the
+//!    flat [`er_blocking::BlockStats`] index and folds every partner's
+//!    co-occurrence aggregates on the worker's [`RadixScoreboard`], which
+//!    drains them in ascending partner order — no per-pair merge, no
+//!    divisions.  Without an index ([`CandidateStream::from_stats`],
+//!    [`CandidateStream::from_counts`]) the drained partners *are* the run;
+//!    an index-backed stream ([`CandidateStream::from_candidates`], what
+//!    [`FeatureMatrix::score_rows_with`] runs) only selects among them.
+//!    Contributions are folded in ascending block-id order, which makes the
+//!    floating-point sums bit-identical to the per-pair merge.
 //! 3. Every selected scheme column is then written by the shared fused
 //!    writer ([`crate::context::write_features_from`]) and handed to the
 //!    pass's consumer: copied into the matrix, reduced to one probability
-//!    ([`FeatureMatrix::score_rows`], [`FeatureMatrix::score_stream_with`]),
-//!    or passed on chunk by chunk ([`for_each_scored_chunk`]).
+//!    ([`FeatureMatrix::score_rows`], [`FeatureMatrix::score_stream_with`])
+//!    and optionally folded into a per-chunk state
+//!    ([`FeatureMatrix::score_stream_folded`]), or passed on chunk by chunk
+//!    ([`for_each_scored_chunk`]).
 //!
 //! Chunks are pulled from a shared cursor by worker threads carrying their
 //! own scratch ([`er_core::for_each_task_with_state`]) — work stealing
 //! instead of fixed per-thread partitions.
 
-use er_blocking::{CandidateStream, ChunkArena, ChunkSpec, DEFAULT_CHUNK_PAIRS};
+use er_blocking::{CandidateStream, ChunkSpec, DEFAULT_CHUNK_PAIRS};
 use er_core::{EntityId, PairId};
 
-use crate::context::{write_features_from, FeatureContext, StreamFeatureContext};
+use crate::context::{write_features_from, FeatureContext, PairCooccurrence, StreamFeatureContext};
 use crate::feature_set::FeatureSet;
-use crate::scoreboard::{CandidateBoard, ScoreboardConfig};
+use crate::scoreboard::{RadixScoreboard, ScoreboardConfig};
 
 /// Below this many pairs the parallel drivers fall back to one thread.
 const PARALLEL_THRESHOLD: usize = 1024;
@@ -75,6 +77,7 @@ impl FeatureMatrix {
             context,
             set,
             threads,
+            &ScoreboardConfig::default(),
             num_features,
             &mut values,
             |row, slot| slot.copy_from_slice(row),
@@ -127,61 +130,100 @@ impl FeatureMatrix {
     }
 
     /// [`FeatureMatrix::score_rows`] taking the pipeline's scoreboard
-    /// configuration, so batch and streaming callers pass one config.  The
-    /// batch passes run on the candidate-aligned board
-    /// ([`crate::scoreboard::CandidateBoard`]), which has no tiles, so the
-    /// configuration never changes the output or the scratch.
+    /// configuration, so batch and streaming callers pass one config: its
+    /// tile width sizes every worker's [`RadixScoreboard`].  It changes
+    /// scratch and speed, never an output bit.
     pub fn score_rows_with(
         context: &FeatureContext<'_>,
         set: FeatureSet,
         threads: usize,
-        _scoreboard: &ScoreboardConfig,
+        scoreboard: &ScoreboardConfig,
         score: impl Fn(&[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
         let mut out = vec![0.0f64; context.candidates().len()];
-        fused_index_pass(context, set, threads, 1, &mut out, |row, slot| {
-            slot[0] = score(row)
-        });
+        fused_index_pass(
+            context,
+            set,
+            threads,
+            scoreboard,
+            1,
+            &mut out,
+            |row, slot| slot[0] = score(row),
+        );
         out
     }
 
     /// Scores every candidate pair of a [`CandidateStream`] without the pair
     /// index ever existing in memory: chunks of `chunk_pairs` pairs are
-    /// extracted into per-worker [`ChunkArena`] scratch, pushed through the
-    /// same fused chunk pass as [`FeatureMatrix::score_rows_with`], and
-    /// reduced to one `f64` each.  Peak memory is `O(chunk_pairs ×
-    /// workers + aggregates)`; the output vector is indexed by the stream's
-    /// global pair id and bit-identical to the materialised path at any
-    /// thread count and chunk size (chunks are the parallel work units).
-    /// Over an index-backed stream
-    /// ([`CandidateStream::from_candidates`]) chunks are copied from the
-    /// index instead of re-derived — which is what
-    /// [`FeatureMatrix::score_rows_with`] runs.  As in
-    /// [`FeatureMatrix::score_rows_with`], the scoreboard configuration
-    /// changes nothing on this path.
+    /// pushed through the same fused chunk pass as
+    /// [`FeatureMatrix::score_rows_with`] and reduced to one `f64` each.
+    /// Peak memory is `O(chunk_pairs × workers + aggregates)`; the output
+    /// vector is indexed by the stream's global pair id and bit-identical to
+    /// the materialised path at any thread count, chunk size and tile width
+    /// (chunks are the parallel work units).
     pub fn score_stream_with(
         context: &StreamFeatureContext<'_>,
         stream: &CandidateStream<'_>,
         set: FeatureSet,
         threads: usize,
-        _scoreboard: &ScoreboardConfig,
+        scoreboard: &ScoreboardConfig,
         chunk_pairs: usize,
         score: impl Fn(&[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
-        let num_pairs = usize::try_from(stream.total_pairs())
-            .expect("streamed score vector exceeds addressable memory");
-        let mut out = vec![0.0f64; num_pairs];
-        fused_stream_pass(
+        let fold = |_: &mut (), _: u64, _: EntityId, _: EntityId, _: f64| {};
+        let (scores, _) = Self::score_stream_folded(
             context,
             stream,
             set,
             threads,
+            scoreboard,
+            chunk_pairs,
+            score,
+            || (),
+            fold,
+        );
+        scores
+    }
+
+    /// [`FeatureMatrix::score_stream_with`] that also folds every scored
+    /// pair into a state of its chunk: `init` builds a chunk's state, and
+    /// `fold` receives it with the pair's global id, its endpoints and its
+    /// score, in pair-id order.  The states come back in chunk order beside
+    /// the scores, so a consumer that keeps some of the pairs — the
+    /// pipeline keeps the valid ones — has them in global pair-id order by
+    /// concatenating the states, without a second pass over the scores.
+    #[allow(clippy::too_many_arguments)]
+    pub fn score_stream_folded<S: Send>(
+        context: &StreamFeatureContext<'_>,
+        stream: &CandidateStream<'_>,
+        set: FeatureSet,
+        threads: usize,
+        scoreboard: &ScoreboardConfig,
+        chunk_pairs: usize,
+        score: impl Fn(&[f64]) -> f64 + Sync,
+        init: impl Fn() -> S + Sync,
+        fold: impl Fn(&mut S, u64, EntityId, EntityId, f64) + Sync,
+    ) -> (Vec<f64>, Vec<S>) {
+        let num_pairs = usize::try_from(stream.total_pairs())
+            .expect("streamed score vector exceeds addressable memory");
+        let mut out = vec![0.0f64; num_pairs];
+        let states = fused_stream_pass(
+            context,
+            stream,
+            set,
+            threads,
+            scoreboard,
             1,
             chunk_pairs,
             &mut out,
-            |row, slot| slot[0] = score(row),
+            init,
+            |state: &mut S, id, a, b, row: &[f64], slot: &mut [f64]| {
+                let value = score(row);
+                slot[0] = value;
+                fold(state, id, a, b, value);
+            },
         );
-        out
+        (out, states)
     }
 
     /// Assembles a matrix from raw parts (used by the retained naive
@@ -297,26 +339,20 @@ fn effective_threads(threads: usize, num_pairs: usize) -> usize {
     }
 }
 
-/// Walks `a`'s blocks once, in ascending block-id order, handing `sink`
-/// every `(partner, 1/||b||, 1/|b|)` contribution of a comparable partner
-/// with a larger id, and returns how many there were.  Generic over the
-/// sink so that each board's accumulation is inlined into the walk.
+/// Walks `a`'s blocks once, in ascending block-id order, adding every
+/// `(partner, 1/||b||, 1/|b|)` contribution of a comparable partner with a
+/// larger id to `board`.
 ///
 /// The walk only yields `a`'s second-source partners for Clean-Clean ER, so
 /// a candidate set built with `CandidatePairs::from_pairs` may contain pairs
-/// no board has data for (both endpoints in E1); [`process_entity_run`]
-/// falls back to the per-pair merge for those.
+/// the board never folds (both endpoints in E1); [`score_chunk`] falls back
+/// to the per-pair merge for those.
 #[inline]
-fn walk_partners<F: FnMut(EntityId, f64, f64)>(
-    context: &StreamFeatureContext<'_>,
-    a: EntityId,
-    mut sink: F,
-) -> usize {
+fn walk_partners(context: &StreamFeatureContext<'_>, a: EntityId, board: &mut RadixScoreboard) {
     let stats = context.stats();
     let inv_comp_table = stats.inv_comparisons_table();
     let inv_size_table = stats.inv_sizes_table();
     let kind = stats.kind();
-    let mut contributions = 0usize;
     for &bid in stats.blocks_of(a) {
         let block_inv_comp = inv_comp_table[bid.index()];
         let block_inv_size = inv_size_table[bid.index()];
@@ -328,98 +364,42 @@ fn walk_partners<F: FnMut(EntityId, f64, f64)>(
                 &members[start..]
             }
         };
-        contributions += partners.len();
         for &p in partners {
-            sink(p, block_inv_comp, block_inv_size);
+            board.add(p.0, block_inv_comp, block_inv_size);
         }
-    }
-    contributions
-}
-
-/// Accumulates and emits one entity's candidate run — the inner block of
-/// [`score_chunk`].
-///
-/// Walks `a`'s blocks once through the flat [`er_blocking::BlockStats`]
-/// reverse index, accumulating every partner's `(common blocks, Σ1/||b||,
-/// Σ1/|b|)` on the worker's scoreboard, then emits one `row_width`-wide
-/// output row per candidate in `cands` into `out` (which must be exactly
-/// `cands.len() × row_width` long).  `cands` may be any sorted subset of
-/// `a`'s full partner run — a prefix/suffix slice cut by a chunk boundary,
-/// or a pruned `from_pairs` subset: the board accumulates from the block
-/// walk alone, contributions to partners outside `cands` are dropped, and
-/// each emitted candidate only reads its own slot, so what else the run
-/// holds changes nothing about the emitted values.  Contributions arrive in
-/// ascending block-id order, which keeps the floating-point sums
-/// bit-identical to a per-pair merge of the sorted block lists.
-#[allow(clippy::too_many_arguments)]
-fn process_entity_run<E: Fn(&[f64], &mut [f64])>(
-    context: &StreamFeatureContext<'_>,
-    set: FeatureSet,
-    a: EntityId,
-    cands: &[(EntityId, EntityId)],
-    board: &mut CandidateBoard,
-    row: &mut [f64],
-    out: &mut [f64],
-    row_width: usize,
-    emit: &E,
-) {
-    debug_assert_eq!(out.len(), cands.len() * row_width);
-    let stats = context.stats();
-    let kind = stats.kind();
-    let split = stats.split();
-    let board_covers_pair = |b: EntityId| match kind {
-        er_core::DatasetKind::CleanClean => b.index() >= split,
-        er_core::DatasetKind::Dirty => true,
-    };
-    // a's per-entity aggregates are fixed across its whole partner run —
-    // gather them once, not per pair.
-    let a_aggregates = context.entity_aggregates(a);
-    board.align(cands.iter().map(|&(_, b)| b.0));
-    let contributions = walk_partners(context, a, |p, ic, is| board.add(p.0, ic, is));
-    board.note_contributions(contributions);
-    for (slot, (&(_, b), out_row)) in cands
-        .iter()
-        .zip(out.chunks_exact_mut(row_width))
-        .enumerate()
-    {
-        // Taken even when unused, so the slot is zero for the next run.
-        let accumulated = board.take(slot);
-        let agg = if board_covers_pair(b) {
-            accumulated
-        } else {
-            context.cooccurrence(a, b)
-        };
-        write_features_from(&a_aggregates, &context.entity_aggregates(b), &agg, set, row);
-        emit(row, out_row);
     }
 }
 
 /// One worker's scratch of the chunk driver, built once per worker and
-/// reused across chunks: the candidate-aligned board, the arena a chunk is
-/// extracted into and one feature row.
+/// reused across chunks: the discovery board, the list it drains an
+/// entity's folded partners into and one feature row.
 struct ChunkScratch {
-    board: CandidateBoard,
-    arena: ChunkArena,
+    board: RadixScoreboard,
+    folded: Vec<(u32, PairCooccurrence)>,
     row: Vec<f64>,
 }
 
 impl ChunkScratch {
-    fn new(set: FeatureSet) -> Self {
+    fn new(num_entities: usize, set: FeatureSet, scoreboard: &ScoreboardConfig) -> Self {
         ChunkScratch {
-            board: CandidateBoard::new(),
-            arena: ChunkArena::new(),
+            board: RadixScoreboard::new(num_entities, scoreboard),
+            folded: Vec::new(),
             row: vec![0.0f64; set.vector_len()],
         }
     }
 }
 
-/// The chunk body every scoring pass shares: extracts `chunk` of `stream`
-/// into the worker's arena, then runs [`process_entity_run`] over each of
-/// its (possibly partial) entity runs, writing one `row_width`-wide row per
-/// pair into `out` (exactly `chunk.len() × row_width` long).  `emit`
-/// receives `(feature_row, output_slot)`.
+/// The chunk body every scoring pass shares.  For each segment of `chunk`
+/// it walks the entity's blocks once onto the board and drains the folded
+/// partners in ascending order; the segment's pairs are then those
+/// partners' `positions` of the run (a stream of run lengths) or the
+/// index's partners looked up among them (an index-backed stream, whose
+/// pruned `from_pairs` subsets may hold pairs the walk never yields: those
+/// take the per-pair merge).  Each pair's feature row goes to `emit` with
+/// the chunk's `state`, the pair's global id and endpoints, and its
+/// `row_width`-wide slot of `out` (exactly `chunk.len() × row_width` long).
 #[allow(clippy::too_many_arguments)]
-fn score_chunk<E: Fn(&[f64], &mut [f64])>(
+fn score_chunk<S, E>(
     context: &StreamFeatureContext<'_>,
     stream: &CandidateStream<'_>,
     chunk: ChunkSpec,
@@ -427,80 +407,109 @@ fn score_chunk<E: Fn(&[f64], &mut [f64])>(
     scratch: &mut ChunkScratch,
     out: &mut [f64],
     row_width: usize,
+    state: &mut S,
     emit: &E,
-) {
+) where
+    E: Fn(&mut S, u64, EntityId, EntityId, &[f64], &mut [f64]),
+{
     debug_assert_eq!(out.len(), chunk.len() * row_width);
-    let ChunkScratch { board, arena, row } = scratch;
-    stream.extract_chunk(chunk, arena);
-    let mut cursor = 0usize;
-    for (a, cands) in arena.runs() {
-        let end = cursor + cands.len() * row_width;
-        process_entity_run(
-            context,
-            set,
-            a,
-            cands,
-            board,
-            row,
-            &mut out[cursor..end],
-            row_width,
-            emit,
-        );
-        cursor = end;
+    let ChunkScratch { board, folded, row } = scratch;
+    let mut slots = out.chunks_exact_mut(row_width);
+    let mut id = chunk.pair_lo;
+    for segment in stream.segments(chunk) {
+        let a = segment.entity;
+        walk_partners(context, a, board);
+        // a's per-entity aggregates are fixed across its whole segment —
+        // gather them once, not per pair.
+        let a_aggregates = context.entity_aggregates(a);
+        let mut emit_pair = |b: u32, agg: &PairCooccurrence| {
+            let slot = slots.next().expect("one output slot per pair of the chunk");
+            let b = EntityId(b);
+            write_features_from(&a_aggregates, &context.entity_aggregates(b), agg, set, row);
+            emit(state, id, a, b, row, slot);
+            id += 1;
+        };
+        board.drain_sorted_into(folded);
+        match segment.partners {
+            None => {
+                assert_eq!(
+                    folded.len(),
+                    segment.run_len,
+                    "a stream of run lengths read over an index that is not its statistics' own"
+                );
+                for (b, agg) in &folded[segment.positions] {
+                    emit_pair(*b, agg);
+                }
+            }
+            Some(partners) => {
+                let mut rest = &folded[..];
+                for &b in partners {
+                    while rest.first().is_some_and(|&(p, _)| p < b) {
+                        rest = &rest[1..];
+                    }
+                    match rest.first() {
+                        Some((p, agg)) if *p == b => emit_pair(b, agg),
+                        _ => emit_pair(b, &context.cooccurrence(a, EntityId(b))),
+                    }
+                }
+            }
+        }
     }
     board.flush_metrics();
-    debug_assert_eq!(cursor, out.len());
+    debug_assert_eq!(id, chunk.pair_hi);
 }
 
 /// The chunk driver over a [`CandidateStream`]: chunks of the stream's
-/// pair-id space are the parallel work units.  Each worker extracts its
-/// chunk and runs it through [`score_chunk`] into the chunk's pre-split
-/// slice of `out` — so the output is positionally identical at any thread
-/// count and chunk size, while no worker ever holds more than one chunk of
-/// pairs.
+/// pair-id space are the parallel work units.  Each worker runs its chunk
+/// through [`score_chunk`] into the chunk's pre-split slice of `out` and a
+/// fresh `init()` state — so the output is positionally identical at any
+/// thread count and chunk size, while no worker ever holds more than one
+/// chunk of pairs.  Returns the chunks' states in chunk order.
 #[allow(clippy::too_many_arguments)]
-fn fused_stream_pass<E>(
+fn fused_stream_pass<S, E>(
     context: &StreamFeatureContext<'_>,
     stream: &CandidateStream<'_>,
     set: FeatureSet,
     threads: usize,
+    scoreboard: &ScoreboardConfig,
     row_width: usize,
     chunk_pairs: usize,
     out: &mut [f64],
+    init: impl Fn() -> S + Sync,
     emit: E,
-) where
-    E: Fn(&[f64], &mut [f64]) + Sync,
+) -> Vec<S>
+where
+    S: Send,
+    E: Fn(&mut S, u64, EntityId, EntityId, &[f64], &mut [f64]) + Sync,
 {
     let num_pairs = usize::try_from(stream.total_pairs())
         .expect("streamed output buffer exceeds addressable memory");
     if num_pairs == 0 || row_width == 0 {
-        return;
+        return Vec::new();
     }
     debug_assert_eq!(out.len(), num_pairs * row_width);
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
 
     // Pre-split the output into one disjoint slice per chunk; workers take
-    // their slice by chunk index.
-    let mut slices: Vec<Option<&mut [f64]>> = Vec::with_capacity(chunks.len());
-    {
-        let mut rest = out;
-        for chunk in &chunks {
-            let (head, tail) = rest.split_at_mut(chunk.len() * row_width);
-            slices.push(Some(head));
-            rest = tail;
-        }
-    }
-    let slices = std::sync::Mutex::new(slices);
+    // their slice by chunk index and leave the chunk's state in its place.
+    let slices = er_core::split_lengths_mut(out, chunks.iter().map(|c| c.len() * row_width));
+    let mut tasks: Vec<(Option<&mut [f64]>, Option<S>)> = slices
+        .into_iter()
+        .map(|slice| (Some(slice), None))
+        .collect();
+    let slots = std::sync::Mutex::new(&mut tasks);
 
     er_core::for_each_task_with_state(
         chunks.len(),
         threads,
-        || ChunkScratch::new(set),
+        || ChunkScratch::new(stream.num_entities(), set, scoreboard),
         |task, scratch| {
-            let chunk_out = slices.lock().expect("chunk slices poisoned")[task]
+            let chunk_out = slots.lock().expect("chunk slots poisoned")[task]
+                .0
                 .take()
                 .expect("chunk dispatched twice");
+            let mut state = init();
             score_chunk(
                 context,
                 stream,
@@ -509,20 +518,27 @@ fn fused_stream_pass<E>(
                 scratch,
                 chunk_out,
                 row_width,
+                &mut state,
                 &emit,
             );
+            slots.lock().expect("chunk slots poisoned")[task].1 = Some(state);
         },
     );
+    tasks
+        .into_iter()
+        .map(|(_, state)| state.expect("every chunk was scored"))
+        .collect()
 }
 
 /// [`fused_stream_pass`] over the context's own materialised candidate
 /// index, read through an index-backed stream
-/// ([`CandidateStream::from_candidates`]): chunks are copied out of the
-/// index, never re-derived.
+/// ([`CandidateStream::from_candidates`]): the index selects each chunk's
+/// pairs.
 fn fused_index_pass<E>(
     context: &FeatureContext<'_>,
     set: FeatureSet,
     threads: usize,
+    scoreboard: &ScoreboardConfig,
     row_width: usize,
     out: &mut [f64],
     emit: E,
@@ -535,10 +551,12 @@ fn fused_index_pass<E>(
         &stream,
         set,
         threads,
+        scoreboard,
         row_width,
         DEFAULT_CHUNK_PAIRS,
         out,
-        emit,
+        || (),
+        |_: &mut (), _, _, _, row: &[f64], slot: &mut [f64]| emit(row, slot),
     );
 }
 
@@ -546,17 +564,19 @@ fn fused_index_pass<E>(
 /// order: chunks are scored in parallel waves of `2 × threads`, then each
 /// wave is handed to `consume` in order as `(pairs, probabilities)` slices.
 /// Peak memory is `O(threads × chunk_pairs)` — the full pair and probability
-/// vectors never exist at once — and worker scratch (scoreboard, arena,
-/// feature row) is built once per worker, not per chunk.  Concatenating the
+/// vectors never exist at once — and worker scratch (scoreboard, feature
+/// row) is built once per worker, not per chunk.  Concatenating the
 /// consumed chunks reproduces the materialised `(pairs, score_rows)` output
 /// bit-for-bit; this is the progressive-bootstrap seam
 /// (`StreamingSchedule::absorb` per chunk equals one global absorb because
 /// stamps are assigned in the same sequence).
+#[allow(clippy::too_many_arguments)]
 pub fn for_each_scored_chunk(
     context: &StreamFeatureContext<'_>,
     stream: &CandidateStream<'_>,
     set: FeatureSet,
     threads: usize,
+    scoreboard: &ScoreboardConfig,
     chunk_pairs: usize,
     score: impl Fn(&[f64]) -> f64 + Sync,
     mut consume: impl FnMut(&[(EntityId, EntityId)], &[f64]),
@@ -568,7 +588,15 @@ pub fn for_each_scored_chunk(
     }
     let threads = effective_threads(threads, num_pairs);
     let chunks = stream.chunks(chunk_pairs.max(1));
-    let emit = |row: &[f64], slot: &mut [f64]| slot[0] = score(row);
+    let emit = |pairs: &mut Vec<(EntityId, EntityId)>,
+                _: u64,
+                a: EntityId,
+                b: EntityId,
+                row: &[f64],
+                slot: &mut [f64]| {
+        slot[0] = score(row);
+        pairs.push((a, b));
+    };
 
     // Worker scratch is pooled across chunks and waves: at most `threads`
     // chunk tasks run at once, so at most that many are ever built for the
@@ -576,8 +604,10 @@ pub fn for_each_scored_chunk(
     let scratch_pool: std::sync::Mutex<Vec<ChunkScratch>> = std::sync::Mutex::new(Vec::new());
     let scored_chunk = |chunk: ChunkSpec| {
         let pooled = scratch_pool.lock().expect("scratch pool poisoned").pop();
-        let mut scratch = pooled.unwrap_or_else(|| ChunkScratch::new(set));
+        let mut scratch =
+            pooled.unwrap_or_else(|| ChunkScratch::new(stream.num_entities(), set, scoreboard));
         let mut probs = vec![0.0f64; chunk.len()];
+        let mut pairs = Vec::with_capacity(chunk.len());
         score_chunk(
             context,
             stream,
@@ -586,9 +616,9 @@ pub fn for_each_scored_chunk(
             &mut scratch,
             &mut probs,
             1,
+            &mut pairs,
             &emit,
         );
-        let pairs = scratch.arena.pairs().to_vec();
         scratch_pool
             .lock()
             .expect("scratch pool poisoned")
@@ -888,6 +918,7 @@ mod tests {
                         &stream,
                         set,
                         threads,
+                        &ScoreboardConfig::default(),
                         chunk_pairs,
                         score,
                         |chunk_pairs_slice, chunk_probs| {

@@ -13,12 +13,11 @@
 //! [`FeatureMatrix`] materialises the vectors for every candidate pair.
 
 //!
-//! The partner-aggregation engine behind [`FeatureMatrix`] is the
-//! candidate-aligned board in [`scoreboard`]: per-worker scratch is
-//! `O(longest candidate run)`, not `O(num_entities)`, with output
-//! bit-identical to the per-pair reference path
-//! ([`FeatureMatrix::build_reference`]).  The same module
-//! holds the tiled radix board the streaming index discovers partners on.
+//! The partner-aggregation engine behind [`FeatureMatrix`] is the tiled
+//! radix board in [`scoreboard`], which the streaming index discovers
+//! partners on too: per-worker scratch is one tile plus the current
+//! entity's contributions, not `O(num_entities)`, with output bit-identical
+//! to the per-pair reference path ([`FeatureMatrix::build_reference`]).
 
 pub mod context;
 pub mod feature_set;
@@ -34,6 +33,5 @@ pub use feature_set::FeatureSet;
 pub use generator::{for_each_scored_chunk, FeatureMatrix};
 pub use schemes::Scheme;
 pub use scoreboard::{
-    candidate_home_slot, reset_scoreboard_metrics, scoreboard_metrics, CandidateBoard,
-    RadixScoreboard, ScoreboardConfig,
+    reset_scoreboard_metrics, scoreboard_metrics, RadixScoreboard, ScoreboardConfig,
 };

@@ -1,5 +1,5 @@
-//! Reference equivalence for the batch passes' candidate-aligned board and
-//! tile edge cases for the radix discovery board.
+//! Reference equivalence for the batch passes' radix board and tile-width
+//! edge cases for its drain.
 //!
 //! Two contracts under test.  [`FeatureMatrix::build_with_threads`] and
 //! [`FeatureMatrix::score_rows_with`] produce **bit-identical** output to
@@ -7,8 +7,8 @@
 //! every worker-thread count — on Clean-Clean and Dirty collections, across
 //! block structures mimicking all three redundancy-positive blocking
 //! schemes, with runs long enough to grow the board followed by short ones.
-//! And [`RadixScoreboard`] — the board
-//! `er_stream::PartnerBoard` discovers partners on — drains exactly a naive
+//! And [`RadixScoreboard`] — the board those passes and
+//! `er_stream::PartnerBoard` discover partners on — drains exactly a naive
 //! per-partner fold of the same contributions at every tile width,
 //! including the degenerate ones (1, wider than the corpus).
 
@@ -119,7 +119,7 @@ fn synthetic_blocks(
     )
 }
 
-/// Asserts that the candidate-aligned board matches the per-pair reference
+/// Asserts that the batch passes' board matches the per-pair reference
 /// rows ([`FeatureMatrix::build_reference`]) bit for bit on one collection,
 /// for every thread count: the matrix, and the fused scores against the
 /// same score computed from the reference rows.
@@ -288,10 +288,9 @@ fn hub_collection(kind: DatasetKind, hub_partners: usize) -> CsrBlockCollection 
 
 #[test]
 fn long_run_then_short_runs_on_one_worker_are_bit_identical() {
-    // The hub's run is longer than one tile of the discovery board (the old
-    // dense limit was 64, the old accumulator size one tile), so aligning to
-    // it grows both the table and the accumulators; the short runs that
-    // follow reuse the grown board.
+    // The hub's run spans more than one default tile and grows the board's
+    // entries and sort keys; the short runs that follow, on the same worker,
+    // reuse the grown board.
     for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
         let blocks = hub_collection(kind, 4096 + 300);
         let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&blocks), 1);
@@ -331,7 +330,7 @@ fn partners_straddling_tile_boundaries_and_empty_tiles() {
     for tile in [1usize, 4, 64] {
         assert_radix_board_matches_naive_fold(&blocks, tile);
     }
-    // The batch board has no tiles; it must still agree with the reference.
+    // The batch passes at the default tile agree with the reference too.
     assert_engines_agree(&blocks, &ScoreboardConfig::default(), "straddle");
 }
 
@@ -364,13 +363,14 @@ fn metrics_report_tile_scaled_scratch() {
 
     // The build publishes into the shared er-obs registry; other tests in
     // this process may flush concurrently, so assert monotone deltas and
-    // high-water lower bounds.  The batch pass counts every run as a
-    // dense-path entity.
+    // high-water lower bounds.  The batch pass drains every run through the
+    // radix board, and nothing counts as a dense-path entity any more.
     let after = scoreboard_metrics();
     assert!(after.scratch_bytes_hwm > 0);
     assert!(after.partners_hwm > 0);
     assert!(after.contributions_hwm >= after.partners_hwm);
-    assert!(after.dense_entities > before.dense_entities);
+    assert!(after.radix_entities > before.radix_entities);
+    assert_eq!(after.dense_entities, 0);
     // The scratch separation itself is a board property: a tiled board for
     // this corpus allocates far less than a corpus-sized board's three
     // arrays (4 + 8 + 8 bytes per entity) would.

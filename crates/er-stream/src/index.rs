@@ -81,17 +81,14 @@ use crate::key_order::KeyOrder;
 const ENTITY_KEYS_LIMIT: &str = "streaming entity-key arena limit (2^32 postings)";
 
 /// Reusable per-worker scoreboard for delta-pair aggregation, backed by the
-/// cache-blocked [`RadixScoreboard`] (it replaced the former `FxHashMap`
-/// board).  The batch feature pass runs on the candidate-aligned
-/// [`er_features::CandidateBoard`] instead: it knows each entity's partner
-/// run before it aggregates, while a streaming batch discovers its
-/// partners here.
+/// [`RadixScoreboard`] every batch scoring pass runs on too (it replaced
+/// the former `FxHashMap` board): a streaming batch discovers each
+/// entity's partners from its block walk, as the batch pass does.
 ///
-/// Scratch scales with one tile plus the current entity's contributions,
-/// never with the number of entities ever ingested; the board's per-tile
-/// counters grow on demand as the id space extends.  Per-partner sums fold
-/// in contribution order — the same order the hash board accumulated in —
-/// so the drained aggregates are bit-identical.
+/// Scratch scales with the current entity's contributions, never with the
+/// number of entities ever ingested.  Per-partner sums fold in contribution
+/// order — the same order the hash board accumulated in — so the drained
+/// aggregates are bit-identical.
 #[derive(Debug)]
 pub struct PartnerBoard {
     board: RadixScoreboard,

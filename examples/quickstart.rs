@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use gsmb::blocking::{BlockStats, CandidatePairs};
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::eval::Effectiveness;
 use gsmb::meta::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
@@ -32,8 +33,11 @@ fn main() {
         .run(&dataset, AlgorithmKind::Blast)
         .expect("pipeline failed");
 
-    // 3. Compare the input block collection with the pruned output.
-    let input_pairs: Vec<_> = outcome.candidates.pairs().to_vec();
+    // 3. Compare the input block collection with the pruned output.  The
+    //    outcome keeps only the valid pairs, so the input's candidate pairs
+    //    are extracted again from its blocks.
+    let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&outcome.blocks), 1);
+    let input_pairs: Vec<_> = candidates.iter().map(|(_, a, b)| (a, b)).collect();
     let input_quality = Effectiveness::evaluate(
         &input_pairs,
         &dataset.ground_truth,

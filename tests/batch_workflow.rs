@@ -6,7 +6,7 @@
 //! the harness scores from a materialised feature matrix, the pipeline from
 //! the fused pass, and the two must not differ by a single pair.
 
-use gsmb::blocking::DEFAULT_CHUNK_PAIRS;
+use gsmb::blocking::{BlockStats, CandidatePairs, DEFAULT_CHUNK_PAIRS};
 use gsmb::core::Dataset;
 use gsmb::datasets::{dirty_catalog, generate_catalog_dataset, generate_dirty};
 use gsmb::datasets::{CatalogOptions, DatasetName};
@@ -44,11 +44,15 @@ fn assert_harness_retains_what_the_pipeline_retains(dataset: Dataset) {
                 .run(dataset, algorithm)
                 .unwrap();
             let run = run_once(&prepared, algorithm, &config).unwrap();
+            // The outcome keeps the valid pairs, not the index: the index is
+            // extracted again from the blocks the pipeline ran on.
+            let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&outcome.blocks), 2);
             assert_eq!(
-                outcome.candidates.pairs(),
+                candidates.pairs(),
                 prepared.candidates.pairs(),
                 "{context}: candidate index"
             );
+            assert_eq!(outcome.num_candidates, candidates.len(), "{context}");
             assert!(!outcome.retained.is_empty(), "{context}: retained nothing");
             assert_eq!(
                 run.retained_ids, outcome.retained,

@@ -1,11 +1,12 @@
 //! Regression guards for the candidate → score → prune path doing each unit
 //! of work once: the probability kernel allocates nothing, a scoring pass —
 //! streamed or over the materialised index — allocates per chunk and never
-//! per pair or per run, the candidate-aligned board allocates nothing once
-//! it has seen its longest run, a chunked pipeline run derives each emitting
+//! per pair or per run, the radix board allocates nothing once it has seen
+//! its longest entity, a chunked pipeline run derives each emitting
 //! entity's partner run exactly once, no pruning algorithm allocates per
-//! entity, and a pipeline run's live heap never holds more than the 4-byte
-//! partner index and the 8-byte probabilities per candidate pair.
+//! entity, and a pipeline run's live heap never holds more than 8 bytes per
+//! candidate pair — the 4-byte partner index is gone before the 8-byte
+//! probabilities arrive.
 //!
 //! The allocation and live-byte counters are process-wide and the run
 //! counter lives in the process-wide er-obs registry, so the tests of this
@@ -24,7 +25,7 @@ use gsmb::blocking::{
 use gsmb::core::{Dataset, EntityId, PairId};
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::features::{
-    CandidateBoard, FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig,
+    FeatureContext, FeatureMatrix, FeatureSet, RadixScoreboard, ScoreboardConfig,
     StreamFeatureContext,
 };
 use gsmb::learn::{ProbabilisticClassifier, SavedModel, TrainingSet};
@@ -194,10 +195,9 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
 
     // One streamed scoring pass over the index-backed stream, small chunks:
     // the budget is one allocation per chunk plus a constant (output vector,
-    // slice table, worker threads and their scratch, the candidate-aligned
-    // board's table and accumulators growing to the longest slice — 28 when
-    // written), and the pair count is far above it — one allocation per
-    // pair cannot pass.
+    // slice table, worker threads and their scratch, the radix board's
+    // entries and the folded list growing to the longest entity), and the
+    // pair count is far above it — one allocation per pair cannot pass.
     let chunk_pairs = 64usize;
     let stream = CandidateStream::from_candidates(&stats, &candidates);
     let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
@@ -227,8 +227,8 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
     );
 
     // The same pass with chunks of many runs each: the same budget now sits
-    // far below the number of runs the board is aligned to, so one
-    // allocation per run cannot pass either.
+    // far below the number of runs the board folds, so one allocation per
+    // run cannot pass either.
     let chunk_pairs = 1024usize;
     let chunks = stream.chunks(chunk_pairs).len() as u64;
     let budget = 64 + chunks;
@@ -288,45 +288,51 @@ fn probability_allocates_nothing_and_streamed_scoring_allocates_per_chunk() {
     );
 }
 
-/// The candidate-aligned board's table and accumulators grow to the longest
-/// run the worker is handed and are reused from then on: aligning to,
-/// accumulating on and reading back any number of runs no longer than that
-/// touches the allocator not once.
+/// The radix board's entry and grouping arrays grow to the longest entity
+/// the worker is handed, and its accumulators are one tile from the start:
+/// folding and draining any number of entities no longer than that touches
+/// the allocator not once.
 #[test]
-fn candidate_board_allocates_nothing_once_its_longest_run_has_been_seen() {
+fn radix_board_allocates_nothing_once_its_longest_run_has_been_seen() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let longest = 5000usize;
-    let mut board = CandidateBoard::new();
-    let (_, growth) = thread_allocations_during(|| board.align(0..longest as u32));
-    assert!(growth > 0, "the first long run has to allocate");
-    for slot in 0..longest {
-        board.take(slot);
-    }
+    let num_entities = 1usize << 16;
+    let mut board = RadixScoreboard::new(num_entities, &ScoreboardConfig::default());
+    let mut drained = Vec::new();
+    let (_, growth) = thread_allocations_during(|| {
+        // Spread over every tile: the grouping array grows too.
+        for i in 0..longest as u32 {
+            board.add(i * 13 % num_entities as u32, 0.5, 0.25);
+        }
+        board.drain_sorted_into(&mut drained);
+    });
+    assert!(growth > 0, "the first long entity has to allocate");
+    assert_eq!(drained.len(), longest);
     let scratch = board.scratch_bytes();
 
     let (checksum, allocations) = thread_allocations_during(|| {
         let mut checksum = 0usize;
         for round in 0..200usize {
-            // Lengths sweep 1..=longest, ids move with the round.
+            // Lengths sweep 1..=longest, ids move with the round; every
+            // other entity stays inside one tile.
             let len = 1 + (round * 997) % longest;
             let base = (round * 31) as u32;
-            board.align((0..len as u32).map(|i| base + 3 * i));
-            for i in (0..len as u32).step_by(2) {
-                board.add(base + 3 * i, 0.5, 0.25);
-                board.add(base + 3 * i + 1, 9.0, 9.0); // not in the run
+            let stride = if round % 2 == 0 { 3 } else { 1 };
+            for i in 0..len as u32 {
+                board.add((base + stride * i) % num_entities as u32, 0.5, 0.25);
             }
-            board.note_contributions(len);
-            for slot in 0..len {
-                checksum += board.take(slot).common_blocks;
-            }
+            board.drain_sorted_into(&mut drained);
+            checksum += drained
+                .iter()
+                .map(|(_, agg)| agg.common_blocks)
+                .sum::<usize>();
         }
-        board.align(0..longest as u32);
         checksum
     });
     assert!(checksum > 0);
     assert_eq!(
         allocations, 0,
-        "runs no longer than the longest one seen must reuse the board"
+        "entities no longer than the longest one seen must reuse the board"
     );
     assert_eq!(board.scratch_bytes(), scratch);
 }
@@ -334,7 +340,8 @@ fn candidate_board_allocates_nothing_once_its_longest_run_has_been_seen() {
 /// `blocking_candidate_runs_derived_total` counts every gather + sort +
 /// dedup of one entity's partner run.  A pipeline run — chunked scoring
 /// included — derives each emitting entity's run once: the index is built by
-/// a single gather and the scoring stream reads that index.
+/// a single gather, and the scoring pass folds every run off the blocks on
+/// its board, which derives nothing.
 #[test]
 fn chunked_pipeline_run_derives_each_emitting_run_once() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -357,8 +364,7 @@ fn chunked_pipeline_run_derives_each_emitting_run_once() {
     let runs = derived() - before;
 
     let stats = BlockStats::from_csr(&outcome.blocks);
-    let emitting =
-        CandidateStream::from_candidates(&stats, &outcome.candidates).emitting_entities();
+    let emitting = CandidateStream::from_stats(&stats, 1).emitting_entities();
     assert!(emitting > 0);
     assert_eq!(
         runs, emitting as u64,
@@ -419,24 +425,25 @@ fn pruning_allocates_no_table_per_entity() {
     }
 }
 
-/// A pipeline run holds the candidate index (4 bytes per pair: partner ids)
-/// and the probabilities (8 bytes per pair) and nothing else per pair at
-/// once: its live-heap peak stays below `12 B × |C|` plus slack linear in
-/// the entities and the block postings (blocking, statistics, per-entity
-/// tables, the valid pairs) and in the scoring workers' chunk scratch.  An
-/// 8-byte `(a, b)` tuple per pair — a tuple index, or the index's `pairs()`
-/// view built anywhere in the run — pushes the peak past the bound.
+/// A pipeline run holds at most 8 bytes per candidate pair at once, plus 24
+/// per valid pair: the probabilities (8 bytes per pair) and the valid list
+/// while scoring, and the gather's transient index and task buffers (4 + 4)
+/// before training.  The 4-byte partner index is released before the
+/// probabilities are allocated, so the two are never live together.  On top
+/// of that the bound allows slack linear in the entities and the block
+/// postings (blocking, statistics, per-entity tables and the index's
+/// counts) and in the scoring workers' chunk scratch.  Holding the index
+/// through scoring — 12 bytes per pair — pushes the peak past the bound.
 ///
-/// The corpus is the full-scale Movies analogue (778 500 pairs over 9 200
-/// entities and 69 119 postings), where a tuple per pair (6.2 MB) is well
-/// above the slack; the run read a 11.4 MB peak against a 13.6 MB bound.
+/// The corpus is the Movies analogue at twice its full scale, where the
+/// index (4 bytes per pair) is well above the slack.
 #[test]
-fn pipeline_run_never_holds_a_tuple_index() {
+fn pipeline_run_never_holds_a_candidate_index() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const SLACK_PER_ENTITY_OR_POSTING: usize = 48;
     const CHUNK_SCRATCH_PER_PAIR: usize = 64;
     let options = CatalogOptions {
-        scale: 1.0,
+        scale: 2.0,
         ..CatalogOptions::tiny()
     };
     let dataset = generate_catalog_dataset(DatasetName::Movies, &options).unwrap();
@@ -452,20 +459,21 @@ fn pipeline_run_never_holds_a_tuple_index() {
         peak_live_bytes_during(|| pipeline.run(&dataset, AlgorithmKind::Blast).unwrap());
 
     let pairs = outcome.num_candidates;
+    let valid = outcome.valid.pairs().len();
     let entities = dataset.num_entities();
     let postings = outcome.blocks.sum_block_sizes() as usize;
-    let bound = 12 * pairs
-        + SLACK_PER_ENTITY_OR_POSTING * (entities + postings)
+    let slack = SLACK_PER_ENTITY_OR_POSTING * (entities + postings)
         + CHUNK_SCRATCH_PER_PAIR * threads * chunk_pairs;
+    let bound = 8 * pairs + 24 * valid + slack;
     assert!(
-        8 * pairs > bound - 12 * pairs,
-        "fixture too small: a tuple per pair ({} B) fits the slack ({} B)",
-        8 * pairs,
-        bound - 12 * pairs
+        4 * pairs > slack,
+        "fixture too small: the index ({} B) fits the slack ({slack} B)",
+        4 * pairs
     );
     assert!(
         peak <= bound,
-        "a pipeline run peaked at {peak} live bytes for {pairs} pairs, {entities} entities and \
-         {postings} postings (bound {bound}: 12 B per pair plus slack)"
+        "a pipeline run peaked at {peak} live bytes for {pairs} pairs ({valid} valid), \
+         {entities} entities and {postings} postings (bound {bound}: 8 B per pair, 24 B per \
+         valid pair, plus slack)"
     );
 }

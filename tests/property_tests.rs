@@ -19,8 +19,7 @@ use gsmb::core::{
 use gsmb::eval::Effectiveness;
 use gsmb::features::reference::NaiveFeatureContext;
 use gsmb::features::{
-    candidate_home_slot, FeatureContext, FeatureMatrix, FeatureSet, Scheme, ScoreboardConfig,
-    StreamFeatureContext,
+    FeatureContext, FeatureMatrix, FeatureSet, Scheme, ScoreboardConfig, StreamFeatureContext,
 };
 use gsmb::learn::{
     Classifier, LogisticRegression, LogisticRegressionConfig, PlattScaler, ProbabilisticClassifier,
@@ -810,23 +809,28 @@ fn single_gather_index_equals_collected_stream_and_naive_reference() {
     assert!(non_empty > CASES as usize, "fixtures produced no pairs");
 }
 
-/// Asserts that the engine of the batch passes — the candidate-aligned
-/// board — reproduces the per-pair reference rows
-/// ([`FeatureMatrix::build_reference`]) bit for bit on one candidate set: the
-/// full matrix and the fused scores (against the same score of the
-/// reference rows) at every thread count, and, when the candidates are the
-/// statistics' own (`streamed`), the chunked scoring pass over the derived
-/// and the index-backed stream at every chunk size, whose boundaries split
-/// runs into slices the board is aligned to one at a time.
+/// Tile widths of the radix board every scoring pass runs on: one bit per
+/// radix pass, six bits, and the default (a byte).
+const ALL_TILES: [Option<usize>; 3] = [Some(1), Some(64), None];
+
+/// Asserts that the engine of the batch passes — the radix board folding
+/// each run off the blocks — reproduces the per-pair reference rows
+/// ([`FeatureMatrix::build_reference`]) bit for bit on one candidate set:
+/// the full matrix and, at each of `tiles`, the fused scores (against the
+/// same score of the reference rows) at every thread count, and the chunked
+/// scoring pass at every chunk size, whose boundaries split runs.  The
+/// chunked pass reads the index-backed stream, and — when the candidates
+/// are the statistics' own — the count-backed stream too, and the derived
+/// one at the default tile; a pruned `from_pairs` subset is read through
+/// its index only.
 fn assert_aligned_board_is_flat(
     stats: &BlockStats,
     candidates: &CandidatePairs,
     thread_counts: &[usize],
-    streamed: &[usize],
+    (streamed, tiles): (&[usize], &[Option<usize>]),
     context: &str,
 ) {
     let set = FeatureSet::all_schemes();
-    let config = ScoreboardConfig::default();
     let score = |row: &[f64]| {
         row.iter()
             .enumerate()
@@ -836,6 +840,7 @@ fn assert_aligned_board_is_flat(
     let ctx = FeatureContext::new(stats, candidates);
     let oracle = FeatureMatrix::build_reference(&ctx, set);
     let oracle_scores: Vec<f64> = oracle.rows().map(|(_, row)| score(row)).collect();
+    let own_index = CandidatePairs::from_stats(stats, 1).pairs() == candidates.pairs();
     for &threads in thread_counts {
         let matrix = FeatureMatrix::build_with_threads(&ctx, set, threads);
         assert_eq!(matrix.num_pairs(), oracle.num_pairs(), "{context}");
@@ -847,27 +852,52 @@ fn assert_aligned_board_is_flat(
                 candidates.pair(id)
             );
         }
-        let scores = FeatureMatrix::score_rows_with(&ctx, set, threads, &config, score);
-        assert_eq!(scores, oracle_scores, "{context} threads {threads} scores");
-
-        for &chunk_pairs in streamed {
-            let derived = CandidateStream::from_stats(stats, threads);
-            let backed = CandidateStream::from_candidates(stats, candidates);
-            for (backing, stream) in [("derived", &derived), ("index-backed", &backed)] {
-                let sctx = StreamFeatureContext::new(stats, stream.lcp_table());
-                let streamed_scores = FeatureMatrix::score_stream_with(
-                    &sctx,
-                    stream,
-                    set,
-                    threads,
-                    &config,
-                    chunk_pairs,
-                    score,
-                );
-                assert_eq!(
-                    streamed_scores, oracle_scores,
-                    "{context} threads {threads} {backing} chunk_pairs {chunk_pairs}"
-                );
+        let mut streams = vec![(
+            "index-backed",
+            CandidateStream::from_candidates(stats, candidates),
+        )];
+        if own_index {
+            streams.push(("derived", CandidateStream::from_stats(stats, threads)));
+            streams.push((
+                "count-backed",
+                CandidateStream::from_counts(stats, candidates),
+            ));
+        }
+        for &tile_entities in tiles {
+            let config = ScoreboardConfig { tile_entities };
+            let tile = config.effective_tile(stats.num_entities());
+            let scores = FeatureMatrix::score_rows_with(&ctx, set, threads, &config, score);
+            assert_eq!(
+                scores, oracle_scores,
+                "{context} threads {threads} tile {tile} scores"
+            );
+            // The digit width is a property of the drain, not of the chunk
+            // boundaries: other tiles take the largest chunk size only, and
+            // the derived stream (the count-backed one's twin) the default.
+            let streamed = match tile_entities {
+                None => streamed,
+                Some(_) => &streamed[streamed.len().saturating_sub(1)..],
+            };
+            for &chunk_pairs in streamed {
+                for (backing, stream) in &streams {
+                    if *backing == "derived" && tile_entities.is_some() {
+                        continue;
+                    }
+                    let sctx = StreamFeatureContext::new(stats, stream.lcp_table());
+                    let streamed_scores = FeatureMatrix::score_stream_with(
+                        &sctx,
+                        stream,
+                        set,
+                        threads,
+                        &config,
+                        chunk_pairs,
+                        score,
+                    );
+                    assert_eq!(
+                        streamed_scores, oracle_scores,
+                        "{context} threads {threads} tile {tile} {backing} chunk_pairs {chunk_pairs}"
+                    );
+                }
             }
         }
     }
@@ -902,12 +932,13 @@ fn hub_collection(
     CsrBlockCollection::from_blocks("hub", kind, split, num_entities, blocks)
 }
 
-/// The candidate-aligned board against the flat per-pair oracle
+/// The batch passes' board against the flat per-pair oracle
 /// ([`FeatureMatrix::build_reference`]: one block-list merge per pair, no
 /// board at all), bit for bit, on
 /// token, q-gram and suffix blocks of adversarial corpora (empty and
-/// one-entity ones included), Clean-Clean and Dirty, at 1/2/3/8 threads and
-/// with chunk sizes 1/3/64 splitting runs.
+/// one-entity ones included), Clean-Clean and Dirty, at 1/2/3/8 threads,
+/// tile widths 1/64/default and with chunk sizes 1/3/64 splitting runs —
+/// count-backed, derived and index-backed streams alike.
 #[test]
 fn aligned_board_matches_flat_engine_on_generated_blocks() {
     let vocab = adversarial_vocab();
@@ -947,7 +978,7 @@ fn aligned_board_matches_flat_engine_on_generated_blocks() {
                 &stats,
                 &candidates,
                 &[1, 2, 3, 8],
-                &[1, 3, 64],
+                (&[1, 3, 64], &ALL_TILES),
                 &format!("seed {seed} {name} {kind:?} n {n}"),
             );
         }
@@ -959,11 +990,11 @@ fn aligned_board_matches_flat_engine_on_generated_blocks() {
 }
 
 /// The same comparison on hand-built runs: a hub entity with more than
-/// 4 096 partners (table and accumulators grow, short runs then reuse the
-/// grown board on the same worker), runs whose ids share a home position in
-/// the board's table or are multiples of its size, and `from_pairs` subsets
-/// — one holding a same-source Clean-Clean pair the block walk never
-/// covers.
+/// 4 096 partners (the board's entries grow past a tile, short runs then
+/// reuse the grown board on the same worker), runs whose ids sit on both
+/// sides of tile and bitmap-word boundaries across a wide id space, and
+/// `from_pairs` subsets — one holding a same-source Clean-Clean pair the
+/// block walk never covers.
 #[test]
 fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
     for kind in [DatasetKind::CleanClean, DatasetKind::Dirty] {
@@ -981,15 +1012,16 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
             &stats,
             &candidates,
             &[1, 2, 3, 8],
-            &[64, 1000],
+            (&[64, 1000], &[Some(64), None]),
             &format!("hub {kind:?}"),
         );
         // Three-pair chunks cut the hub's run into 1 500 slices, each a
         // block walk of its own: once is enough.
-        assert_aligned_board_is_flat(&stats, &candidates, &[3], &[3], &format!("hub {kind:?}"));
+        let once = (&[3usize][..], &[None][..]);
+        assert_aligned_board_is_flat(&stats, &candidates, &[3], once, &format!("hub {kind:?}"));
 
-        // A pruned subset: every other pair, the board dropping what the
-        // walk yields for the rest.  For Clean-Clean also a pair of two
+        // A pruned subset: every other pair, the index selecting which
+        // folded partners are emitted.  For Clean-Clean also a pair of two
         // first-source entities, which no walk ever yields.
         let mut kept: Vec<(EntityId, EntityId)> =
             candidates.pairs().iter().copied().step_by(2).collect();
@@ -1002,36 +1034,40 @@ fn aligned_board_matches_flat_engine_on_hubs_collisions_and_subsets() {
             &stats,
             &subset,
             &[1, 2, 3, 8],
-            &[],
+            (&[1000], &ALL_TILES),
             &format!("hub subset {kind:?}"),
         );
 
-        // Collisions: a 12-partner run is aligned in a 32-entry table.  Six
-        // ids share its last position (their probe chain wraps around), six
-        // are multiples of 32 · 1024 — all on position 0 under a low-bit
-        // mask.
+        // Edges: a 24-partner run on both sides of the default tile's
+        // boundaries (multiples of 4 096) and of its bitmap words
+        // (multiples of 64), spread over a 200 000-entity id space.
         let num_entities = 200_000usize;
-        let mut colliding: Vec<u32> = (8u32..)
-            .filter(|&id| candidate_home_slot(id, 5) == 31)
-            .take(6)
+        let mut edges: Vec<u32> = (1..=6u32)
+            .flat_map(|k| {
+                [
+                    k * 4096 - 1,
+                    k * 4096,
+                    k * 32 * 1024 + 63,
+                    k * 32 * 1024 + 64,
+                ]
+            })
             .collect();
-        colliding.extend((1..=6u32).map(|k| k * 32 * 1024));
-        colliding.sort_unstable();
-        colliding.dedup();
-        assert_eq!(colliding.len(), 12);
-        let collisions = hub_collection(kind, 8, num_entities, &colliding);
+        edges.sort_unstable();
+        edges.dedup();
+        assert_eq!(edges.len(), 24);
+        let collisions = hub_collection(kind, 8, num_entities, &edges);
         let stats = BlockStats::from_csr(&collisions);
         let candidates = CandidatePairs::from_stats(&stats, 1);
         assert_eq!(
             candidates.partners_of(EntityId(0)).len(),
-            12 + usize::from(kind == DatasetKind::Dirty) * 3
+            24 + usize::from(kind == DatasetKind::Dirty) * 3
         );
         assert_aligned_board_is_flat(
             &stats,
             &candidates,
             &[1, 2],
-            &[1, 3, 64],
-            &format!("collisions {kind:?}"),
+            (&[1, 3, 64], &ALL_TILES),
+            &format!("edges {kind:?}"),
         );
     }
 }
