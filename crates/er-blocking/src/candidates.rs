@@ -44,13 +44,18 @@
 //! its own slice — plain adds, no atomics, no per-worker corpus-sized
 //! table); the lengths are prefix-summed, the partner array is allocated
 //! zeroed (fresh pages, no fill pass) and the task buffers are copied into
-//! it in parallel, each released as soon as it is placed.  Transient memory
-//! is therefore at most the index itself.  The pair total is bounded by the
-//! block collection's comparison count before anything is buffered; only
-//! when that (free) upper bound is above the `u32` ceiling do the
-//! constructors fall back to counting first through [`CandidateStream`],
-//! whose collector ([`CandidateStream::collect`]) stays for callers that
-//! already hold a stream and re-extracts every run a second time.
+//! it in parallel, each released as soon as it is placed.  The buffers grow
+//! by doubling, so at placement the zeroed index (4 bytes per pair) sits
+//! beside buffers holding up to twice their contents: the gather is a
+//! pipeline run's live-heap peak, ≈10.9 bytes per pair on the memory
+//! guard's fixture (`tests/no_alloc_scoring.rs`), and on `cc_dense` its RSS
+//! reads 118–128 MiB against 83–86 MiB during training.  The pair total is
+//! bounded by the block collection's comparison count before anything is
+//! buffered; only when that (free) upper bound is above the `u32` ceiling
+//! do the constructors fall back to counting first through
+//! [`CandidateStream`], whose collector ([`CandidateStream::collect`])
+//! stays for callers that already hold a stream and re-extracts every run
+//! a second time.
 
 use std::sync::OnceLock;
 

@@ -1,5 +1,7 @@
 //! Entity profiles: schema-agnostic sets of name/value pairs.
 
+use std::sync::Arc;
+
 use crate::tokenize::tokenize_into;
 
 /// A single attribute of an entity profile.
@@ -9,14 +11,21 @@ use crate::tokenize::tokenize_into;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (may be empty for schema-less values).
-    pub name: String,
+    ///
+    /// Names are shared, not owned: schema-agnostic blocking never reads
+    /// them, and a dataset has a handful of distinct names across all its
+    /// profiles.  The generators hand every profile a clone of one
+    /// `Arc<str>` per name, and the persistence codec interns the names of
+    /// each decoded collection, so a name costs one allocation per dataset
+    /// rather than one per profile.
+    pub name: Arc<str>,
     /// Attribute value.
     pub value: String,
 }
 
 impl Attribute {
     /// Creates an attribute from a name and value.
-    pub fn new(name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, value: impl Into<String>) -> Self {
         Attribute {
             name: name.into(),
             value: value.into(),
@@ -43,13 +52,13 @@ impl EntityProfile {
     }
 
     /// Adds an attribute and returns `self` for builder-style construction.
-    pub fn with_attribute(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attribute(mut self, name: impl Into<Arc<str>>, value: impl Into<String>) -> Self {
         self.attributes.push(Attribute::new(name, value));
         self
     }
 
     /// Adds an attribute in place.
-    pub fn push_attribute(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn push_attribute(&mut self, name: impl Into<Arc<str>>, value: impl Into<String>) {
         self.attributes.push(Attribute::new(name, value));
     }
 
@@ -88,7 +97,7 @@ mod tests {
     fn builder_accumulates_attributes() {
         let p = sample();
         assert_eq!(p.attributes.len(), 2);
-        assert_eq!(p.attributes[0].name, "model");
+        assert_eq!(&*p.attributes[0].name, "model");
         assert_eq!(p.attributes[0].value, "Apple iPhone X");
     }
 

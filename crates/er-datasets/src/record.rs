@@ -8,6 +8,11 @@
 //! Rendering writes the digits straight into one exact-capacity `String`
 //! per value and per external id (no per-token `String`, no `join`), on the
 //! calling thread, so a corpus's allocations come from the main arena.
+//! Attribute names are shared `Arc<str>`s and each attribute list is
+//! allocated at its exact length, so a profile is five heap blocks: its
+//! external id, its attribute list and up to three values.
+
+use std::sync::Arc;
 
 use er_core::{Attribute, EntityProfile};
 use rand::Rng;
@@ -17,12 +22,12 @@ use crate::noise::apply_noise;
 use crate::vocab::{decimal_len, push_decimal, push_token, Vocabulary};
 
 /// A generator's vocabulary, record shape and naming.  Attribute names are
-/// irrelevant to schema-agnostic blocking; the dataset name prefixes every
-/// external id.
+/// irrelevant to schema-agnostic blocking, so every profile shares the
+/// engine's three; the dataset name prefixes every external id.
 pub(crate) struct RecordEngine<'a> {
     vocab: Vocabulary,
     name: &'a str,
-    attribute_names: &'static [&'static str; 3],
+    attribute_names: [Arc<str>; 3],
     min_tokens: usize,
     max_tokens: usize,
     distinctive_fraction: f64,
@@ -44,7 +49,7 @@ impl<'a> RecordEngine<'a> {
         RecordEngine {
             vocab: Vocabulary::new(vocab_size, zipf_exponent),
             name,
-            attribute_names,
+            attribute_names: attribute_names.map(Arc::from),
             min_tokens,
             max_tokens,
             distinctive_fraction,
@@ -90,7 +95,8 @@ impl<'a> RecordEngine<'a> {
     }
 
     /// Renders `tokens` as the profile `<name>-<infix><index>`, its tokens
-    /// split into up to three attributes of `⌈len / 3⌉` words each.
+    /// split into up to three attributes of `⌈len / 3⌉` words each (so
+    /// there are never more chunks than names).
     pub(crate) fn render(&self, infix: &str, index: usize, tokens: &[usize]) -> EntityProfile {
         let mut external_id =
             String::with_capacity(self.name.len() + 1 + infix.len() + decimal_len(index));
@@ -100,22 +106,20 @@ impl<'a> RecordEngine<'a> {
         push_decimal(&mut external_id, index);
 
         let per_attr = tokens.len().div_ceil(self.attribute_names.len()).max(1);
-        let attributes = tokens
-            .chunks(per_attr)
-            .zip(self.attribute_names.iter().cycle())
-            .map(|(chunk, &name)| {
-                // `tok`, the digits and one separator per word, less one.
-                let len = chunk.iter().map(|&t| 4 + decimal_len(t)).sum::<usize>() - 1;
-                let mut value = String::with_capacity(len);
-                for (i, &token) in chunk.iter().enumerate() {
-                    if i > 0 {
-                        value.push(' ');
-                    }
-                    push_token(&mut value, token);
+        let chunks = tokens.chunks(per_attr);
+        let mut attributes = Vec::with_capacity(chunks.len());
+        for (chunk, name) in chunks.zip(&self.attribute_names) {
+            // `tok`, the digits and one separator per word, less one.
+            let len = chunk.iter().map(|&t| 4 + decimal_len(t)).sum::<usize>() - 1;
+            let mut value = String::with_capacity(len);
+            for (i, &token) in chunk.iter().enumerate() {
+                if i > 0 {
+                    value.push(' ');
                 }
-                Attribute::new(name, value)
-            })
-            .collect();
+                push_token(&mut value, token);
+            }
+            attributes.push(Attribute::new(Arc::clone(name), value));
+        }
         EntityProfile {
             external_id,
             attributes,
@@ -161,8 +165,10 @@ mod tests {
                 let tokens = engine.base(&mut rng);
                 let profile = engine.render("x", index, &tokens);
                 assert_eq!(profile, naive_render("set", index, &tokens));
-                for attribute in &profile.attributes {
+                assert_eq!(profile.attributes.capacity(), profile.attributes.len());
+                for (attribute, name) in profile.attributes.iter().zip(&engine.attribute_names) {
                     assert_eq!(attribute.value.capacity(), attribute.value.len());
+                    assert!(Arc::ptr_eq(&attribute.name, name), "a name was copied");
                 }
                 assert_eq!(profile.external_id.capacity(), profile.external_id.len());
             }

@@ -25,6 +25,8 @@
 //! framing layer's job (checksums in [`crate::snapshot`] and
 //! [`crate::wal`]); the reader's checks are the second line of defence.
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use er_core::{
@@ -273,8 +275,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn read_str(&mut self) -> PersistResult<String> {
-        let bytes = self.read_bytes()?;
-        String::from_utf8(bytes.to_vec())
+        self.read_str_slice().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string without copying it.
+    fn read_str_slice(&mut self) -> PersistResult<&'a str> {
+        std::str::from_utf8(self.read_bytes()?)
             .map_err(|_| PersistError::Corrupt("string is not valid UTF-8".into()))
     }
 }
@@ -318,22 +324,26 @@ pub trait Decode: Sized {
     /// method decodes item by item; fixed-width primitives override it with
     /// one bounds check and one block read.
     fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
-        let reserve = match Self::MIN_ENCODED_LEN {
-            // Unknown width: at least never reserve more bytes than the
-            // buffer still holds.
-            0 => len.min(r.remaining() / std::mem::size_of::<Self>().max(1)),
-            width if len > r.remaining() / width => {
-                return Err(PersistError::Truncated {
-                    context: format!("sequence of {len} items"),
-                })
-            }
-            _ => len,
-        };
-        let mut items = Vec::with_capacity(reserve);
+        let mut items = Vec::with_capacity(sequence_capacity::<Self>(r, len)?);
         for _ in 0..len {
             items.push(Self::decode(r)?);
         }
         Ok(items)
+    }
+}
+
+/// The capacity to reserve for a sequence of `len` items of `T` whose body
+/// starts at `r`: refuses a length the remaining bytes cannot hold
+/// ([`Decode::MIN_ENCODED_LEN`]) before anything is allocated for it.
+fn sequence_capacity<T: Decode>(r: &Reader<'_>, len: usize) -> PersistResult<usize> {
+    match T::MIN_ENCODED_LEN {
+        // Unknown width: at least never reserve more bytes than the
+        // buffer still holds.
+        0 => Ok(len.min(r.remaining() / std::mem::size_of::<T>().max(1))),
+        width if len > r.remaining() / width => Err(PersistError::Truncated {
+            context: format!("sequence of {len} items"),
+        }),
+        _ => Ok(len),
     }
 }
 
@@ -659,10 +669,50 @@ impl Decode for Attribute {
 
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
         Ok(Attribute {
-            name: r.read_str()?,
+            name: r.read_str_slice()?.into(),
             value: r.read_str()?,
         })
     }
+}
+
+/// The distinct attribute names of one decoded collection.  Names travel
+/// as plain strings; on the way in each distinct name is allocated once
+/// and every attribute carrying it shares that `Arc<str>`, as the
+/// generated corpora do.  The names come from a file, so the set keeps the
+/// standard library's collision-resistant hasher.
+#[derive(Default)]
+struct AttributeNames(HashSet<Arc<str>>);
+
+impl AttributeNames {
+    /// Reads one length-prefixed name, returning the collection's shared
+    /// copy of it.
+    fn read(&mut self, r: &mut Reader<'_>) -> PersistResult<Arc<str>> {
+        let name = r.read_str_slice()?;
+        if let Some(shared) = self.0.get(name) {
+            return Ok(Arc::clone(shared));
+        }
+        let shared = Arc::<str>::from(name);
+        self.0.insert(Arc::clone(&shared));
+        Ok(shared)
+    }
+}
+
+/// Reads one profile, the bytes `EntityProfile::encode` wrote, with its
+/// attribute names drawn from `names`.
+fn decode_profile(r: &mut Reader<'_>, names: &mut AttributeNames) -> PersistResult<EntityProfile> {
+    let external_id = r.read_str()?;
+    let len = r.read_usize()?;
+    let mut attributes = Vec::with_capacity(sequence_capacity::<Attribute>(r, len)?);
+    for _ in 0..len {
+        attributes.push(Attribute {
+            name: names.read(r)?,
+            value: r.read_str()?,
+        });
+    }
+    Ok(EntityProfile {
+        external_id,
+        attributes,
+    })
 }
 
 impl Encode for EntityProfile {
@@ -676,10 +726,18 @@ impl Decode for EntityProfile {
     const MIN_ENCODED_LEN: usize = 16;
 
     fn decode(r: &mut Reader<'_>) -> PersistResult<Self> {
-        Ok(EntityProfile {
-            external_id: r.read_str()?,
-            attributes: Vec::<Attribute>::decode(r)?,
-        })
+        decode_profile(r, &mut AttributeNames::default())
+    }
+
+    /// One name table for the whole sequence: a decoded dataset or
+    /// ingest batch shares each attribute name across its profiles.
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> PersistResult<Vec<Self>> {
+        let mut names = AttributeNames::default();
+        let mut profiles = Vec::with_capacity(sequence_capacity::<Self>(r, len)?);
+        for _ in 0..len {
+            profiles.push(decode_profile(r, &mut names)?);
+        }
+        Ok(profiles)
     }
 }
 
@@ -810,6 +868,47 @@ mod tests {
         assert_eq!(back.split, dataset.split);
         assert_eq!(back.ground_truth.pairs(), dataset.ground_truth.pairs());
         assert!(back.ground_truth.is_match(EntityId(0), EntityId(1)));
+    }
+
+    #[test]
+    fn a_decoded_collection_shares_each_attribute_name() {
+        // Names written as separate strings (nothing shared on the way out)
+        // come back as one `Arc<str>` per distinct name.
+        let profiles: Vec<EntityProfile> = (0..4)
+            .map(|i| {
+                EntityProfile::new(format!("e{i}"))
+                    .with_attribute(String::from("title"), format!("t{i}"))
+                    .with_attribute(String::from("price"), format!("{i}"))
+                    .with_attribute(String::from("title"), "again")
+            })
+            .collect();
+        let dataset = Dataset {
+            name: "shared".into(),
+            kind: DatasetKind::Dirty,
+            profiles,
+            split: 4,
+            ground_truth: GroundTruth::from_pairs(vec![]),
+        };
+        let back: Dataset = decode_from_slice(&encode_to_vec(&dataset)).unwrap();
+        assert_eq!(back.profiles, dataset.profiles);
+        let [title, price, _] = &back.profiles[0].attributes[..] else {
+            panic!("three attributes");
+        };
+        for profile in &back.profiles {
+            let attributes = &profile.attributes;
+            assert!(Arc::ptr_eq(&attributes[0].name, &title.name));
+            assert!(Arc::ptr_eq(&attributes[1].name, &price.name));
+            assert!(Arc::ptr_eq(&attributes[2].name, &title.name));
+        }
+        assert!(!Arc::ptr_eq(&title.name, &price.name));
+
+        // A lone profile shares names within itself.
+        let profile = &dataset.profiles[1];
+        let back: EntityProfile = decode_from_slice(&encode_to_vec(profile)).unwrap();
+        assert!(Arc::ptr_eq(
+            &back.attributes[0].name,
+            &back.attributes[2].name
+        ));
     }
 
     #[test]

@@ -425,15 +425,19 @@ fn pruning_allocates_no_table_per_entity() {
     }
 }
 
-/// A pipeline run holds at most 8 bytes per candidate pair at once, plus 24
-/// per valid pair: the probabilities (8 bytes per pair) and the valid list
-/// while scoring, and the gather's transient index and task buffers (4 + 4)
-/// before training.  The 4-byte partner index is released before the
+/// A pipeline run's live heap is bounded by 8 bytes per candidate pair plus
+/// 24 per valid pair: the probabilities (8 bytes per pair) and the valid
+/// list while scoring.  The 4-byte partner index is released before the
 /// probabilities are allocated, so the two are never live together.  On top
 /// of that the bound allows slack linear in the entities and the block
 /// postings (blocking, statistics, per-entity tables and the index's
 /// counts) and in the scoring workers' chunk scratch.  Holding the index
 /// through scoring — 12 bytes per pair — pushes the peak past the bound.
+///
+/// The peak is not scoring but the gather before training: its task
+/// buffers grow by doubling and are live beside the zeroed index at
+/// placement, ≈10.9 bytes per pair on this fixture (26.2 MB against a
+/// 27.5 MB bound), which fits only through the valid-pair and slack terms.
 ///
 /// The corpus is the Movies analogue at twice its full scale, where the
 /// index (4 bytes per pair) is well above the slack.
