@@ -18,11 +18,19 @@
 //! The golden values were recorded before attribute names became shared
 //! `Arc<str>`s; a mismatch means an output changed, and the failure
 //! message prints the table the code produces now.
+//!
+//! The experiment runners are pinned the same way, on WalmartAmazon at
+//! `CatalogOptions::tiny()` with `er_eval::experiment::default_config()`:
+//! for each algorithm, `run_once`'s retained count and retained-id CRC-64,
+//! and `run_averaged`'s mean retained count and per-run PC and PQ bits over
+//! three repetitions.  These values were recorded while every algorithm
+//! still trained and scored in a run of its own.
 
 use gsmb::core::{crc64, Dataset};
 use gsmb::datasets::{
     generate_catalog_dataset, generate_scalability, CatalogOptions, DatasetName, ScalabilityConfig,
 };
+use gsmb::eval::experiment::{default_config, run_averaged, run_once, PreparedDataset};
 use gsmb::eval::Effectiveness;
 use gsmb::meta::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
 use gsmb::meta::pruning::AlgorithmKind;
@@ -178,4 +186,86 @@ fn clean_clean_catalog_outputs_match_their_golden_digests() {
     let dataset =
         generate_catalog_dataset(DatasetName::WalmartAmazon, &CatalogOptions::tiny()).unwrap();
     check(&dataset, &WALMART_AMAZON_TINY);
+}
+
+/// One algorithm's experiment-runner outputs: its name, `run_once`'s
+/// retained count and retained-id CRC-64, `run_averaged`'s mean retained
+/// count as `f64` bits, and each repetition's PC and PQ bits.
+type EvalCell = (&'static str, usize, u64, u64, [(u64, u64); 3]);
+
+/// The bytes the retained-id CRC-64 runs over.
+fn id_crc(ids: &[gsmb::core::PairId]) -> u64 {
+    let bytes: Vec<u8> = ids.iter().flat_map(|id| id.0.to_le_bytes()).collect();
+    crc64(&bytes)
+}
+
+/// The runner cells as the Rust literal the golden table holds.
+fn eval_literal(cells: &[EvalCell]) -> String {
+    let mut out = String::from("[\n");
+    for (name, count, ids, mean, runs) in cells {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|(pc, pq)| format!("({pc:#018x}, {pq:#018x})"))
+            .collect();
+        out.push_str(&format!(
+            "    (\"{name}\", {count}, {ids:#018x}, {mean:#018x},\n        [{}]),\n",
+            runs.join(", ")
+        ));
+    }
+    out.push(']');
+    out
+}
+
+/// `run_once` and `run_averaged` (3 repetitions) on WalmartAmazon tiny under
+/// `default_config()`, in `AlgorithmKind::all()` order.
+#[rustfmt::skip]
+const WALMART_AMAZON_TINY_EVAL: [EvalCell; 8] = [
+    ("BCl", 1346, 0x6e0769f4a78963e0, 0x40998aaaaaaaaaab,
+        [(0x3ff0000000000000, 0x3fbfc3047257a99c), (0x3fefd70a3d70a3d7, 0x3fbea6f84c6646db), (0x3fef5c28f5c28f5c, 0x3fbec86707397b72)]),
+    ("WEP", 868, 0x551cff9e0da8d4d0, 0x408e600000000000,
+        [(0x3fef0a3d70a3d70a, 0x3fca3fdd5c8cb804), (0x3fef0a3d70a3d70a, 0x3fc870e1c3870e1c), (0x3feeb851eb851eb8, 0x3fc9c2d14ee4a102)]),
+    ("WNP", 1218, 0x410078fbccd916ee, 0x4096295555555555,
+        [(0x3ff0000000000000, 0x3fc22e8ba2e8ba2f), (0x3fefd70a3d70a3d7, 0x3fc1c34d7a7740a0), (0x3fef5c28f5c28f5c, 0x3fc1c15042ac1db6)]),
+    ("RWNP", 655, 0x38d0e9732d1b9c61, 0x4087b2aaaaaaaaab,
+        [(0x3fee3d70a3d70a3d, 0x3fd0750750750750), (0x3fedc28f5c28f5c3, 0x3fcf0a58c842c0eb), (0x3fed70a3d70a3d71, 0x3fce77e2db3d448e)]),
+    ("BLAST", 1267, 0x1a0a0bcf1d710250, 0x4097e80000000000,
+        [(0x3fefd70a3d70a3d7, 0x3fc0c4d8651e8118), (0x3fefd70a3d70a3d7, 0x3fc05157bd16cbaf), (0x3fef333333333333, 0x3fc087a10f421e84)]),
+    ("CEP", 1346, 0x6e0769f4a78963e0, 0x40998aaaaaaaaaab,
+        [(0x3ff0000000000000, 0x3fbfc3047257a99c), (0x3fefd70a3d70a3d7, 0x3fbea6f84c6646db), (0x3fef5c28f5c28f5c, 0x3fbec86707397b72)]),
+    ("CNP", 1346, 0x6e0769f4a78963e0, 0x40998aaaaaaaaaab,
+        [(0x3ff0000000000000, 0x3fbfc3047257a99c), (0x3fefd70a3d70a3d7, 0x3fbea6f84c6646db), (0x3fef5c28f5c28f5c, 0x3fbec86707397b72)]),
+    ("RCNP", 1243, 0x3fb9f48f9d840546, 0x409756aaaaaaaaab,
+        [(0x3fefae147ae147ae, 0x3fc143a9810bdbba), (0x3fefd70a3d70a3d7, 0x3fc0d5de7f93b63b), (0x3fef5c28f5c28f5c, 0x3fc0b9af72015d86)]),
+];
+
+#[test]
+fn experiment_runner_outputs_match_their_golden_digests() {
+    let dataset =
+        generate_catalog_dataset(DatasetName::WalmartAmazon, &CatalogOptions::tiny()).unwrap();
+    let prepared = PreparedDataset::prepare(dataset).unwrap();
+    let config = default_config();
+    let cells: Vec<EvalCell> = AlgorithmKind::all()
+        .iter()
+        .map(|&algorithm| {
+            let once = run_once(&prepared, algorithm, &config).unwrap();
+            let averaged = run_averaged(&prepared, algorithm, &config, 3).unwrap();
+            let runs: Vec<(u64, u64)> = averaged
+                .per_run
+                .iter()
+                .map(|run| (run.recall.to_bits(), run.precision.to_bits()))
+                .collect();
+            (
+                algorithm.name(),
+                once.retained,
+                id_crc(&once.retained_ids),
+                averaged.mean_retained.to_bits(),
+                runs.try_into().unwrap(),
+            )
+        })
+        .collect();
+    assert!(
+        cells == WALMART_AMAZON_TINY_EVAL,
+        "runner outputs changed; the code now produces\n{}",
+        eval_literal(&cells)
+    );
 }
