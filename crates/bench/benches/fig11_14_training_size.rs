@@ -36,8 +36,8 @@ fn main() {
             };
             let mut per_dataset = Vec::new();
             for dataset in &prepared {
-                match run_averaged(dataset, algorithm, &config, repetitions) {
-                    Ok(result) => per_dataset.push(result.effectiveness),
+                match run_averaged(dataset, &[algorithm], &config, repetitions) {
+                    Ok(results) => per_dataset.push(results[0].effectiveness),
                     // Some scaled-down datasets may not contain `size/2`
                     // positive candidate pairs; skip them for that size, as
                     // the paper's averages only cover feasible runs.

@@ -55,11 +55,13 @@ fn main() {
             per_class: (size / 2).max(1),
             ..default_config()
         };
-        let bcl = run_averaged(&prepared, AlgorithmKind::Bcl, &config, repetitions);
-        let blast = run_averaged(&prepared, AlgorithmKind::Blast, &config, repetitions);
-        let (Ok(bcl), Ok(blast)) = (bcl, blast) else {
+        let algorithms = [AlgorithmKind::Bcl, AlgorithmKind::Blast];
+        let Ok(results) = run_averaged(&prepared, &algorithms, &config, repetitions) else {
             println!("{size:>6}  skipped (insufficient labelled pairs)");
             continue;
+        };
+        let [bcl, blast] = results.as_slice() else {
+            unreachable!("one result per algorithm");
         };
         println!(
             "{:>6} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",

@@ -25,14 +25,21 @@ fn main() {
         "{:<8} {:>8} {:>10} {:>8}",
         "algo", "recall", "precision", "F1"
     );
-    for algorithm in AlgorithmKind::cardinality_based() {
-        let mut per_dataset = Vec::new();
-        for dataset in &prepared {
-            let result =
-                run_averaged(dataset, algorithm, &config, repetitions).expect("experiment failed");
-            per_dataset.push(result.effectiveness);
-        }
-        let mean = Effectiveness::mean(&per_dataset);
+    // One training and scoring pass per dataset and repetition; every
+    // algorithm decides on its valid pairs.
+    let algorithms = AlgorithmKind::cardinality_based();
+    let per_dataset: Vec<_> = prepared
+        .iter()
+        .map(|dataset| {
+            run_averaged(dataset, &algorithms, &config, repetitions).expect("experiment failed")
+        })
+        .collect();
+    for (i, algorithm) in algorithms.into_iter().enumerate() {
+        let effectiveness: Vec<_> = per_dataset
+            .iter()
+            .map(|results| results[i].effectiveness)
+            .collect();
+        let mean = Effectiveness::mean(&effectiveness);
         println!(
             "{:<8} {:>8.4} {:>10.4} {:>8.4}",
             algorithm.name(),

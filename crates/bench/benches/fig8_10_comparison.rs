@@ -50,8 +50,10 @@ fn main() {
         let mut per_dataset = Vec::new();
         let mut rts = Vec::new();
         for dataset in &prepared {
-            let result =
-                run_averaged(dataset, algorithm, &config, repetitions).expect("run failed");
+            // Each algorithm has a configuration of its own.
+            let result = run_averaged(dataset, &[algorithm], &config, repetitions)
+                .expect("run failed")
+                .remove(0);
             per_dataset.push(result.effectiveness);
             if DatasetName::largest_two()
                 .iter()

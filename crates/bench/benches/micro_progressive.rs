@@ -49,7 +49,7 @@ const BUDGET_FRACTIONS: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 /// again from its blocks — the same pairs under the same ids.
 fn ranked_pairs(outcome: &MetaBlockingOutcome) -> Vec<(EntityId, EntityId)> {
     let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&outcome.blocks), 1);
-    let schedule = ProgressiveSchedule::new(&candidates, &outcome.probabilities);
+    let schedule = ProgressiveSchedule::new(&outcome.probabilities);
     let pairs = candidates.pairs();
     schedule
         .ranked()

@@ -33,11 +33,11 @@ fn run_table(
             per_class: per_class(dataset),
             ..default_config()
         };
-        match run_averaged(dataset, algorithm, &config, repetitions) {
-            Ok(result) => rows.push(
-                TableRow::new(dataset.dataset.name.clone(), result.effectiveness)
-                    .with_rt(result.mean_rt_seconds)
-                    .with_extra("retained", format!("{:.0}", result.mean_retained)),
+        match run_averaged(dataset, &[algorithm], &config, repetitions) {
+            Ok(results) => rows.push(
+                TableRow::new(dataset.dataset.name.clone(), results[0].effectiveness)
+                    .with_rt(results[0].mean_rt_seconds)
+                    .with_extra("retained", format!("{:.0}", results[0].mean_retained)),
             ),
             Err(e) => println!("{}: skipped ({e})", dataset.dataset.name),
         }

@@ -315,16 +315,16 @@ pub fn feature_sweep(
             let mut per_run = Vec::new();
             for rep in 0..repetitions.max(1) {
                 let seed = er_core::rng::derive_seed(config.seed, rep as u64);
-                let run = run_with_matrix(
+                let runs = run_with_matrix(
                     dataset,
                     &projected,
                     Duration::ZERO,
-                    algorithm,
+                    &[algorithm],
                     &config,
                     seed,
                 )
                 .expect("sweep run failed");
-                per_run.push(run.effectiveness);
+                per_run.push(runs[0].effectiveness);
             }
             per_dataset.push(Effectiveness::mean(&per_run));
         }

@@ -48,5 +48,5 @@ pub use materialize::{materialize_blocks_csr, PruningSummary};
 pub use pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingOutcome, MetaBlockingPipeline};
 pub use progressive::{ProgressiveSchedule, StreamingSchedule};
 pub use pruning::{AlgorithmKind, CardinalityThresholds};
-pub use scoring::{CachedScores, ModelScorer, ProbabilitySource};
+pub use scoring::CachedScores;
 pub use streaming::StreamingPipeline;

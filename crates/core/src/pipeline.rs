@@ -267,6 +267,7 @@ impl MetaBlockingPipeline {
     /// stages, the scoring pass and the pruning thresholds are all derived
     /// from its output.
     pub fn run(&self, dataset: &Dataset, algorithm: AlgorithmKind) -> Result<MetaBlockingOutcome> {
+        algorithm.check_parameters(self.config.blast_ratio)?;
         let threads = self.config.effective_threads();
         let start = Instant::now();
         let (csr, entity_side) = clean_blocks_csr(dataset, threads);
@@ -712,6 +713,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// BLAST's ratio is checked before any work: an invalid one is an
+    /// `InvalidParameter` error, never a panic after scoring, and it is
+    /// refused even on a corpus that blocking would refuse.  The other
+    /// algorithms ignore the field.
+    #[test]
+    fn an_invalid_blast_ratio_is_refused_before_any_work() {
+        use er_core::{EntityCollection, EntityProfile, Error, GroundTruth};
+        let dataset = tiny_dataset();
+        let no_blocks = Dataset::dirty(
+            "no-blocks",
+            EntityCollection::new("d", vec![EntityProfile::new("e0")]),
+            GroundTruth::default(),
+        )
+        .unwrap();
+        let pipeline = |blast_ratio| {
+            MetaBlockingPipeline::new(MetaBlockingConfig {
+                blast_ratio,
+                ..config(25)
+            })
+        };
+        for ratio in [f64::NAN, 0.0, 1.5] {
+            for dataset in [&dataset, &no_blocks] {
+                let result =
+                    std::panic::catch_unwind(|| pipeline(ratio).run(dataset, AlgorithmKind::Blast))
+                        .expect("refused without a panic");
+                assert!(
+                    matches!(result, Err(Error::InvalidParameter(ref m)) if m.contains("BLAST")),
+                    "ratio {ratio} on {}",
+                    dataset.name
+                );
+            }
+        }
+        assert!(pipeline(1.0).run(&dataset, AlgorithmKind::Blast).is_ok());
+        let rcnp = pipeline(1.5).run(&dataset, AlgorithmKind::Rcnp).unwrap();
+        let default = pipeline(Blast::DEFAULT_RATIO)
+            .run(&dataset, AlgorithmKind::Rcnp)
+            .unwrap();
+        assert_eq!(rcnp.retained, default.retained);
     }
 
     #[test]

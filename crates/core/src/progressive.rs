@@ -11,7 +11,9 @@
 //! Two schedules cover the two ways candidates arrive:
 //!
 //! * [`ProgressiveSchedule`] ranks a complete, batch-scored candidate set
-//!   once;
+//!   once: every pair from its probabilities ([`ProgressiveSchedule::new`]),
+//!   or only the valid ones from the list pruning decides on
+//!   ([`ProgressiveSchedule::from_valid`]);
 //! * [`StreamingSchedule`] re-ranks on every ingested batch: delta pairs
 //!   from `er_stream::DeltaBatch` are absorbed into a priority queue, so
 //!   the matcher always drains the highest-probability pair the stream has
@@ -20,10 +22,10 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use er_blocking::CandidatePairs;
 use er_core::{EntityId, FxHashMap, PairId};
 
-use crate::scoring::ProbabilitySource;
+use crate::pruning::{by_rank, ValidPairs};
+use crate::scoring::CachedScores;
 
 /// An iterator over candidate pairs in decreasing probability order.
 #[derive(Debug, Clone)]
@@ -35,25 +37,36 @@ pub struct ProgressiveSchedule {
 impl ProgressiveSchedule {
     /// Ranks every candidate pair by its probability (descending).  Ties are
     /// broken by pair id so the schedule is deterministic.
-    pub fn new(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
-        let mut ordered: Vec<(PairId, f64)> = candidates
+    pub fn new(scores: &CachedScores) -> Self {
+        let mut ordered: Vec<(PairId, f64)> = scores
+            .as_slice()
             .iter()
-            .map(|(id, _, _)| (id, scores.probability(id)))
+            .enumerate()
+            .map(|(id, &p)| (PairId::from(id), p))
             .collect();
+        // `partial_cmp`, not `total_cmp`: the scores may hold `-0.0`, which
+        // ties with `0.0` here and would rank below it under `total_cmp`.
         ordered.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then_with(|| a.0.cmp(&b.0))
         });
         ProgressiveSchedule { ordered, next: 0 }
     }
 
     /// Ranks only the *valid* pairs (probability ≥ 0.5), matching the
-    /// generalized task definition.
-    pub fn valid_only(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
-        let mut schedule = Self::new(candidates, scores);
-        schedule.ordered.retain(|&(id, _)| scores.is_valid(id));
-        schedule
+    /// generalized task definition, in the pruning algorithms' order
+    /// (probability descending, then pair id).
+    pub fn from_valid(valid: &ValidPairs) -> Self {
+        let mut pairs = valid.pairs().to_vec();
+        pairs.sort_unstable_by(by_rank);
+        ProgressiveSchedule {
+            ordered: pairs
+                .iter()
+                .map(|pair| (pair.id, pair.probability))
+                .collect(),
+            next: 0,
+        }
     }
 
     /// Number of pairs remaining in the schedule.
@@ -311,9 +324,8 @@ mod tests {
 
     #[test]
     fn pairs_are_emitted_in_decreasing_probability() {
-        let (candidates, scores) =
-            scored_pairs(8, &[(0, 4, 0.3), (1, 5, 0.9), (2, 6, 0.7), (3, 7, 0.5)]);
-        let schedule = ProgressiveSchedule::new(&candidates, &scores);
+        let (_, scores) = scored_pairs(8, &[(0, 4, 0.3), (1, 5, 0.9), (2, 6, 0.7), (3, 7, 0.5)]);
+        let schedule = ProgressiveSchedule::new(&scores);
         let probabilities: Vec<f64> = schedule.clone().map(|(_, p)| p).collect();
         assert_eq!(probabilities, vec![0.9, 0.7, 0.5, 0.3]);
     }
@@ -321,7 +333,8 @@ mod tests {
     #[test]
     fn valid_only_drops_low_probability_pairs() {
         let (candidates, scores) = scored_pairs(6, &[(0, 3, 0.2), (1, 4, 0.8), (2, 5, 0.45)]);
-        let schedule = ProgressiveSchedule::valid_only(&candidates, &scores);
+        let valid = ValidPairs::collect(&candidates, scores.as_slice(), 1);
+        let schedule = ProgressiveSchedule::from_valid(&valid);
         assert_eq!(schedule.remaining(), 1);
         assert_eq!(schedule.ranked()[0].1, 0.8);
     }
@@ -331,8 +344,8 @@ mod tests {
         let triples: Vec<(u32, u32, f64)> = (0..10u32)
             .map(|i| (i, i + 10, 0.5 + f64::from(i) * 0.03))
             .collect();
-        let (candidates, scores) = scored_pairs(20, &triples);
-        let mut schedule = ProgressiveSchedule::new(&candidates, &scores);
+        let (_, scores) = scored_pairs(20, &triples);
+        let mut schedule = ProgressiveSchedule::new(&scores);
         assert_eq!(schedule.next_batch(4).len(), 4);
         assert_eq!(schedule.remaining(), 6);
         assert_eq!(schedule.next_batch(100).len(), 6);
@@ -434,7 +447,7 @@ mod tests {
             (er_core::EntityId(0), er_core::EntityId(5)),
             (er_core::EntityId(1), er_core::EntityId(6)),
         ]);
-        let mut schedule = ProgressiveSchedule::new(&candidates, &scores);
+        let mut schedule = ProgressiveSchedule::new(&scores);
         let first = schedule.next_batch(2).to_vec();
         assert!(first.iter().all(|&(id, _)| {
             let (a, b) = candidates.pair(id);

@@ -28,10 +28,16 @@ impl Blast {
     /// Panics if the ratio is outside `(0, 1]`.
     pub fn new(ratio: f64) -> Self {
         assert!(
-            ratio > 0.0 && ratio <= 1.0,
+            Self::is_ratio(ratio),
             "BLAST pruning ratio must be in (0, 1], got {ratio}"
         );
         Blast { ratio }
+    }
+
+    /// True if `ratio` is a pruning ratio: within `(0, 1]`, which NaN is
+    /// not.
+    pub(crate) fn is_ratio(ratio: f64) -> bool {
+        ratio > 0.0 && ratio <= 1.0
     }
 
     /// The configured pruning ratio.

@@ -6,8 +6,7 @@
 
 use er_core::PairId;
 
-use crate::pruning::valid::by_rank;
-use crate::pruning::{PruningAlgorithm, ValidPairs};
+use crate::pruning::{by_rank, PruningAlgorithm, ValidPairs};
 
 /// Supervised Cardinality Edge Pruning.
 #[derive(Debug, Clone, Copy)]

@@ -1,8 +1,9 @@
 //! Supervised pruning algorithms.
 //!
-//! Every algorithm receives the candidate pairs and a [`ProbabilitySource`]
-//! and returns the subset of pair ids to retain; a new block is created per
-//! retained pair.  Algorithms are grouped into two families:
+//! Every algorithm decides on the valid pairs of a scored candidate set
+//! ([`ValidPairs`]) and returns the subset of pair ids to retain; a new
+//! block is created per retained pair.  Algorithms are grouped into two
+//! families:
 //!
 //! * **weight-based** ([`Wep`], [`Wnp`], [`Rwnp`], [`Blast`], plus the
 //!   baseline [`Bcl`]) determine the probability above which a pair is
@@ -15,18 +16,20 @@
 //!
 //! No algorithm keeps a pair below the validity threshold, so none needs
 //! to see one.  Validity is tested in one place: [`ValidPairs`] collects
-//! the valid pairs `(id, a, b, p)` in ascending pair-id order, asking the
-//! [`ProbabilitySource`] once per candidate, and every algorithm decides on
-//! that list alone ([`PruningAlgorithm::prune_valid`]) — a NaN probability
-//! is invalid for all eight.  On the paper's data the list is a fraction
-//! of a percent of the candidates.  Per-entity aggregates (averages, maxima,
-//! top-`k` lists) are built from it in list order, so every sum adds the
+//! the valid pairs `(id, a, b, p)` in ascending pair-id order, reading each
+//! candidate's probability once, and every algorithm decides on that list
+//! alone ([`PruningAlgorithm::prune_valid`]).  Every way into the list makes
+//! the probability range check, so no NaN reaches an algorithm.  On the
+//! paper's data the list is a fraction of a percent of the candidates.
+//! Per-entity aggregates (averages, maxima, top-`k` lists) are built from
+//! it in list order, so every sum adds the
 //! same terms in the same order as a scan of the candidate list would, and
 //! the top-`k` lists rank by probability descending, then pair id
 //! ascending.  The batch pipeline keeps the list while it scores, chunk by
-//! chunk; er-eval collects it in parallel from a probability slice
-//! ([`ValidPairs::collect_parallel`]); [`PruningAlgorithm::prune`] collects
-//! it serially.
+//! chunk; er-eval collects it once per scoring pass from the probability
+//! slice ([`ValidPairs::collect`]) and runs every algorithm it compares on
+//! that one list; [`PruningAlgorithm::prune`] collects it on the calling
+//! thread.
 
 mod bcl;
 mod blast;
@@ -46,15 +49,15 @@ pub use cep::Cep;
 pub use cnp::Cnp;
 pub use rcnp::Rcnp;
 pub use rwnp::Rwnp;
-pub(crate) use valid::ValidChunk;
+pub(crate) use valid::{by_rank, ValidChunk};
 pub use valid::{ValidPair, ValidPairs};
 pub use wep::Wep;
 pub use wnp::Wnp;
 
 use er_blocking::{CandidatePairs, CsrBlockCollection};
-use er_core::PairId;
+use er_core::{Error, PairId, Result};
 
-use crate::scoring::ProbabilitySource;
+use crate::scoring::CachedScores;
 
 /// A supervised pruning algorithm.
 pub trait PruningAlgorithm {
@@ -66,9 +69,9 @@ pub trait PruningAlgorithm {
     fn prune_valid(&self, valid: &ValidPairs) -> Vec<PairId>;
 
     /// Returns the ids of the retained candidate pairs, in ascending order:
-    /// collects the valid pairs, then decides on them.
-    fn prune(&self, candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Vec<PairId> {
-        self.prune_valid(&ValidPairs::collect(candidates, scores))
+    /// collects the valid pairs on the calling thread, then decides on them.
+    fn prune(&self, candidates: &CandidatePairs, scores: &CachedScores) -> Vec<PairId> {
+        self.prune_valid(&ValidPairs::collect(candidates, scores.as_slice(), 1))
     }
 }
 
@@ -167,6 +170,19 @@ impl AlgorithmKind {
         }
     }
 
+    /// Checks the parameters [`AlgorithmKind::build_with_csr`] would build
+    /// this algorithm with, so that a run can refuse them before any work:
+    /// BLAST's pruning ratio must lie in `(0, 1]`; the other algorithms
+    /// ignore it.
+    pub fn check_parameters(self, blast_ratio: f64) -> Result<()> {
+        if self == AlgorithmKind::Blast && !Blast::is_ratio(blast_ratio) {
+            return Err(Error::InvalidParameter(format!(
+                "BLAST pruning ratio must be in (0, 1], got {blast_ratio}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Builds the algorithm, deriving cardinality thresholds from the block
     /// collection and using the paper's default BLAST ratio of 0.35.
     pub fn build_csr(self, blocks: &CsrBlockCollection) -> Box<dyn PruningAlgorithm> {
@@ -202,8 +218,17 @@ impl std::fmt::Display for AlgorithmKind {
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use crate::scoring::CachedScores;
     use er_core::EntityId;
+
+    /// The message a caught panic carries.
+    pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+        panic
+            .downcast_ref::<&str>()
+            .copied()
+            .map(str::to_owned)
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
 
     /// Builds a candidate set and cached scores from explicit `(a, b, p)`
     /// triples.  Pairs are supplied pre-sorted so the ids are predictable.
@@ -253,6 +278,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
+    use super::test_support::panic_message;
     use super::*;
     use er_core::{DatasetKind, EntityId};
 
@@ -288,19 +314,9 @@ mod tests {
         assert!(!cardinality.contains(&AlgorithmKind::Blast));
     }
 
-    /// A probability source that may return NaN (a classifier can).
-    struct Raw(Vec<f64>);
-
-    impl ProbabilitySource for Raw {
-        fn num_pairs(&self) -> usize {
-            self.0.len()
-        }
-
-        fn probability(&self, pair: PairId) -> f64 {
-            self.0[pair.index()]
-        }
-    }
-
+    /// A classifier can return NaN.  No NaN reaches an algorithm: `prune`
+    /// and every collection refuse it, as `CachedScores::new` does, and a
+    /// pair scored 0 in its place is pruned like any invalid pair.
     #[test]
     fn a_nan_probability_prunes_like_an_invalid_one() {
         // Entity 0's pairs come first: (0,1) NaN, (0,2) 0.9, (0,3) 0.8.
@@ -310,10 +326,25 @@ mod tests {
                 .map(|(a, b)| (EntityId(a), EntityId(b))),
         );
         let probabilities = [f64::NAN, 0.9, 0.8, 0.7, f64::NAN, 0.6];
-        let nan = Raw(probabilities.to_vec());
-        let zero = Raw(probabilities
-            .map(|p| if p.is_nan() { 0.0 } else { p })
-            .to_vec());
+        let refused = "probabilities must be finite and within [0, 1]";
+        for threads in [1, 3] {
+            let panic = std::panic::catch_unwind(|| {
+                ValidPairs::collect(&candidates, &probabilities, threads)
+            })
+            .expect_err("NaN is not a probability");
+            assert_eq!(panic_message(panic), refused, "{threads} threads");
+        }
+        // `prune` makes the check itself, even on scores that skipped it.
+        let unchecked = CachedScores::range_checked_by_caller(probabilities.to_vec());
+        let panic = std::panic::catch_unwind(|| Bcl.prune(&candidates, &unchecked))
+            .expect_err("NaN is not a probability");
+        assert_eq!(panic_message(panic), refused);
+
+        let zero = CachedScores::new(
+            probabilities
+                .map(|p| if p.is_nan() { 0.0 } else { p })
+                .to_vec(),
+        );
         let algorithms: Vec<Box<dyn PruningAlgorithm>> = vec![
             Box::new(Bcl),
             Box::new(Wep),
@@ -328,20 +359,14 @@ mod tests {
             Box::new(Rcnp::new(2)),
         ];
         for algorithm in &algorithms {
-            let expected = algorithm.prune(&candidates, &zero);
-            assert_eq!(
-                algorithm.prune(&candidates, &nan),
-                expected,
-                "{}",
-                algorithm.name()
-            );
-            assert!(!expected.contains(&PairId(0)), "{}", algorithm.name());
+            let retained = algorithm.prune(&candidates, &zero);
+            assert!(!retained.contains(&PairId(0)), "{}", algorithm.name());
         }
         // The cases that used to keep the NaN pair (0,1).
         let ids = |v: &[u32]| v.iter().copied().map(PairId).collect::<Vec<_>>();
-        assert_eq!(Rcnp::new(1).prune(&candidates, &nan), ids(&[1, 3]));
-        assert_eq!(Cnp::new(1).prune(&candidates, &nan), ids(&[1, 2, 3]));
-        assert_eq!(Cep::new(2).prune(&candidates, &nan), ids(&[1, 2]));
+        assert_eq!(Rcnp::new(1).prune(&candidates, &zero), ids(&[1, 3]));
+        assert_eq!(Cnp::new(1).prune(&candidates, &zero), ids(&[1, 2, 3]));
+        assert_eq!(Cep::new(2).prune(&candidates, &zero), ids(&[1, 2]));
     }
 
     #[test]

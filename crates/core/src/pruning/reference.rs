@@ -1,5 +1,5 @@
 //! Test-only reference: each pruning algorithm as a scan of the whole
-//! candidate list, asking the probability source for every pair on every
+//! candidate list, reading the probability slice for every pair on every
 //! pass and keeping one heap per entity for the top-`k` lists.  These are
 //! the bodies the algorithms had before they decided on [`ValidPairs`]; the
 //! one change is that every pass skips a pair with the shared validity test,
@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use er_blocking::CandidatePairs;
 use er_core::PairId;
 
-use crate::scoring::{is_valid_probability, ProbabilitySource};
+use crate::scoring::is_valid_probability;
 
 /// The algorithms' parameters, in the form the reference takes them.
 #[derive(Debug, Clone, Copy)]
@@ -29,12 +29,9 @@ pub(crate) enum Reference {
 }
 
 impl Reference {
-    pub(crate) fn prune(
-        self,
-        candidates: &CandidatePairs,
-        scores: &dyn ProbabilitySource,
-    ) -> Vec<PairId> {
-        let valid = |id: PairId| is_valid_probability(scores.probability(id));
+    pub(crate) fn prune(self, candidates: &CandidatePairs, probabilities: &[f64]) -> Vec<PairId> {
+        let probability = |id: PairId| probabilities[id.index()];
+        let valid = |id: PairId| is_valid_probability(probability(id));
         let keep = |retain: &dyn Fn(PairId, usize, usize) -> bool| -> Vec<PairId> {
             candidates
                 .iter()
@@ -48,7 +45,7 @@ impl Reference {
                 let mut sum = 0.0f64;
                 let mut count = 0u64;
                 for (id, _, _) in candidates.iter() {
-                    let p = scores.probability(id);
+                    let p = probability(id);
                     if is_valid_probability(p) {
                         sum += p;
                         count += 1;
@@ -58,13 +55,13 @@ impl Reference {
                     return Vec::new();
                 }
                 let mean = sum / count as f64;
-                keep(&|id, _, _| scores.probability(id) >= mean)
+                keep(&|id, _, _| probability(id) >= mean)
             }
             Reference::Wnp | Reference::Rwnp => {
-                let averages = per_entity_average_probabilities(candidates, scores);
+                let averages = per_entity_average_probabilities(candidates, probabilities);
                 let reciprocal = matches!(self, Reference::Rwnp);
                 keep(&|id, a, b| {
-                    let p = scores.probability(id);
+                    let p = probability(id);
                     if !is_valid_probability(p) {
                         return false;
                     }
@@ -80,7 +77,7 @@ impl Reference {
             Reference::Blast(ratio) => {
                 let mut max = vec![0.0f64; candidates.num_entities()];
                 for (id, a, b) in candidates.iter() {
-                    let p = scores.probability(id);
+                    let p = probability(id);
                     if is_valid_probability(p) {
                         for endpoint in [a.index(), b.index()] {
                             if max[endpoint] < p {
@@ -90,14 +87,14 @@ impl Reference {
                     }
                 }
                 keep(&|id, a, b| {
-                    let p = scores.probability(id);
+                    let p = probability(id);
                     is_valid_probability(p) && ratio * (max[a] + max[b]) <= p
                 })
             }
             Reference::Cep(k) => {
                 let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
                 for (id, _, _) in candidates.iter() {
-                    let p = scores.probability(id);
+                    let p = probability(id);
                     if !is_valid_probability(p) {
                         continue;
                     }
@@ -114,11 +111,11 @@ impl Reference {
                 retained
             }
             Reference::Cnp(k) => {
-                let membership = per_entity_topk_membership(candidates, scores, k);
+                let membership = per_entity_topk_membership(candidates, probabilities, k);
                 keep(&|id, _, _| membership[id.index()] >= 1)
             }
             Reference::Rcnp(k) => {
-                let membership = per_entity_topk_membership(candidates, scores, k);
+                let membership = per_entity_topk_membership(candidates, probabilities, k);
                 keep(&|id, _, _| membership[id.index()] == 2)
             }
         }
@@ -154,13 +151,13 @@ impl PartialOrd for HeapEntry {
 
 fn per_entity_average_probabilities(
     candidates: &CandidatePairs,
-    scores: &dyn ProbabilitySource,
+    probabilities: &[f64],
 ) -> Vec<Option<f64>> {
     let n = candidates.num_entities();
     let mut sums = vec![0.0f64; n];
     let mut counts = vec![0u32; n];
     for (id, a, b) in candidates.iter() {
-        let p = scores.probability(id);
+        let p = probabilities[id.index()];
         if is_valid_probability(p) {
             sums[a.index()] += p;
             counts[a.index()] += 1;
@@ -177,13 +174,13 @@ fn per_entity_average_probabilities(
 /// For every pair, in how many of its endpoints' top-`k` heaps it ends up.
 fn per_entity_topk_membership(
     candidates: &CandidatePairs,
-    scores: &dyn ProbabilitySource,
+    probabilities: &[f64],
     k: usize,
 ) -> Vec<u8> {
     let mut queues: Vec<BinaryHeap<HeapEntry>> =
         vec![BinaryHeap::with_capacity(k + 1); candidates.num_entities()];
     for (id, a, b) in candidates.iter() {
-        let p = scores.probability(id);
+        let p = probabilities[id.index()];
         if !is_valid_probability(p) {
             continue;
         }
@@ -294,7 +291,7 @@ mod tests {
                                      scale {scale} k {k} K {global_k} r {ratio}",
                                     algorithm.name()
                                 );
-                                let expected = reference.prune(&candidates, &scores);
+                                let expected = reference.prune(&candidates, scores.as_slice());
                                 assert_eq!(
                                     algorithm.prune(&candidates, &scores),
                                     expected,

@@ -3,26 +3,25 @@
 //! Generalized Supervised Meta-blocking discards every pair whose matching
 //! probability is below the validity threshold before any algorithm looks
 //! at it, and on real candidate sets that leaves a small fraction of a
-//! percent of the pairs.  [`ValidPairs`] is that fraction, collected in one
-//! pass with the one validity test (`is_valid_probability`), so the
-//! algorithms never rescan the candidate list, never ask a
-//! [`ProbabilitySource`] twice for one pair, and all treat a NaN probability
-//! alike: as invalid.  The collection walks the candidate index run by run
-//! (each entity's partners, with the entity from the index's offsets), so
-//! it never needs the index's `(a, b)` tuple view.
+//! percent of the pairs.  [`ValidPairs`] is that fraction, kept in one pass
+//! with the one validity test (`is_valid_probability`), so the algorithms
+//! never rescan the candidate list and never read a probability twice.
 //!
-//! Over a probability slice ([`ValidPairs::collect_parallel`], what the
-//! experiment runners call) the same pass also checks that every value is a
-//! probability.  The pipeline needs no pass of its own at all: its scoring
-//! pass keeps each chunk's valid pairs as it scores them (`ValidChunk`,
-//! the same test and the same check) and the chunks are joined in order.
+//! There are two ways in, and both make the range check of
+//! [`CachedScores::new`](crate::scoring::CachedScores::new) in the same
+//! pass, so no NaN reaches an algorithm.  [`ValidPairs::collect`] walks a
+//! probability slice beside the candidate index, run by run (each entity's
+//! partners, with the entity from the index's offsets), so it never needs
+//! the index's `(a, b)` tuple view; the experiment runners and
+//! [`PruningAlgorithm::prune`](crate::pruning::PruningAlgorithm::prune)
+//! call it.  The pipeline needs no pass of its own at all: its scoring pass
+//! keeps each chunk's valid pairs as it scores them (`ValidChunk`, the same
+//! test and the same check) and the chunks are joined in order.
 
 use er_blocking::CandidatePairs;
 use er_core::{EntityId, PairId};
 
-use crate::scoring::{
-    assert_probabilities, is_probability, is_valid_probability, ProbabilitySource,
-};
+use crate::scoring::{assert_probabilities, is_probability, is_valid_probability};
 
 /// Candidate pairs per worker below which the parallel collection does not
 /// start another one.
@@ -52,18 +51,7 @@ pub struct ValidPairs {
 }
 
 impl ValidPairs {
-    /// Collects the valid pairs, asking `scores` once per candidate pair.
-    pub fn collect(candidates: &CandidatePairs, scores: &dyn ProbabilitySource) -> Self {
-        let mut valid = ValidChunk::default();
-        let probability = |id: usize| scores.probability(PairId::from(id));
-        push_valid(candidates, 0..candidates.len(), probability, &mut valid);
-        ValidPairs {
-            num_entities: candidates.num_entities(),
-            pairs: valid.pairs,
-        }
-    }
-
-    /// [`ValidPairs::collect`] over a probability slice (one entry per
+    /// Collects the valid pairs from a probability slice (one entry per
     /// candidate pair, indexed by pair id), on up to `threads` workers, each
     /// scanning one pair range into its own list; the lists are joined in
     /// range order, so the result is the same for every thread count.  Each
@@ -76,11 +64,7 @@ impl ValidPairs {
     /// value that is not a probability (NaN, infinite or outside `[0, 1]`)
     /// — the check [`CachedScores::new`](crate::scoring::CachedScores::new)
     /// makes, with the same message, done in the same pass.
-    pub fn collect_parallel(
-        candidates: &CandidatePairs,
-        probabilities: &[f64],
-        threads: usize,
-    ) -> Self {
+    pub fn collect(candidates: &CandidatePairs, probabilities: &[f64], threads: usize) -> Self {
         assert_eq!(
             probabilities.len(),
             candidates.len(),
@@ -290,7 +274,26 @@ pub(crate) fn by_rank(x: &ValidPair, y: &ValidPair) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pruning::test_support::panic_message;
     use crate::scoring::CachedScores;
+
+    /// The valid pairs by definition: the candidates whose probability is
+    /// at least 0.5, filtered one by one off the index's tuple view.
+    fn filter_oracle(candidates: &CandidatePairs, probabilities: &[f64]) -> Vec<ValidPair> {
+        candidates
+            .pairs()
+            .iter()
+            .zip(probabilities)
+            .enumerate()
+            .filter(|&(_, (_, &p))| p >= 0.5)
+            .map(|(i, (&(a, b), &probability))| ValidPair {
+                id: PairId::from(i),
+                a,
+                b,
+                probability,
+            })
+            .collect()
+    }
 
     #[test]
     fn parallel_collection_equals_the_serial_one_for_every_thread_count() {
@@ -312,15 +315,13 @@ mod tests {
                 }
             })
             .collect();
-        let scores = CachedScores::new(probabilities);
-        let serial = ValidPairs::collect(&candidates, &scores);
+        let serial = filter_oracle(&candidates, &probabilities);
         assert!(!serial.is_empty());
         for threads in [1, 2, 3, 8] {
-            let parallel = ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
-            assert_eq!(parallel.pairs(), serial.pairs(), "{threads} threads");
+            let parallel = ValidPairs::collect(&candidates, &probabilities, threads);
+            assert_eq!(parallel.pairs(), serial.as_slice(), "{threads} threads");
         }
-        let none = CachedScores::new(vec![0.25; n]);
-        assert!(ValidPairs::collect_parallel(&candidates, none.as_slice(), 2).is_empty());
+        assert!(ValidPairs::collect(&candidates, &vec![0.25; n], 2).is_empty());
     }
 
     /// Random candidates (with entities that have no run and runs cut by
@@ -350,33 +351,17 @@ mod tests {
     }
 
     #[test]
-    fn collection_over_the_slice_equals_the_collection_over_cached_scores() {
+    fn collection_equals_the_filter_oracle_on_random_candidates() {
         for seed in [5u64, 41, 1234] {
             let (candidates, probabilities) = random_scored(1200, seed);
             assert!(candidates.len() >= 2 * MIN_PAIRS_PER_WORKER);
-            let scores = CachedScores::new(probabilities);
-            let serial = ValidPairs::collect(&candidates, &scores);
-            assert!(serial.len() > candidates.len() / 3, "seed {seed}");
-            let expected: Vec<ValidPair> = candidates
-                .pairs()
-                .iter()
-                .zip(scores.as_slice())
-                .enumerate()
-                .filter(|&(_, (_, &p))| p >= 0.5)
-                .map(|(i, (&(a, b), &probability))| ValidPair {
-                    id: PairId::from(i),
-                    a,
-                    b,
-                    probability,
-                })
-                .collect();
-            assert_eq!(serial.pairs(), expected.as_slice(), "seed {seed}");
+            let expected = filter_oracle(&candidates, &probabilities);
+            assert!(expected.len() > candidates.len() / 3, "seed {seed}");
             for threads in [1, 2, 3, 8] {
-                let parallel =
-                    ValidPairs::collect_parallel(&candidates, scores.as_slice(), threads);
+                let valid = ValidPairs::collect(&candidates, &probabilities, threads);
                 assert_eq!(
-                    parallel.pairs(),
-                    serial.pairs(),
+                    valid.pairs(),
+                    expected.as_slice(),
                     "seed {seed}, {threads} threads"
                 );
             }
@@ -396,17 +381,12 @@ mod tests {
                     let mut values = probabilities.clone();
                     values[position] = bad;
                     let panic = std::panic::catch_unwind(|| {
-                        ValidPairs::collect_parallel(&candidates, &values, threads)
+                        ValidPairs::collect(&candidates, &values, threads)
                     })
                     .expect_err("not a probability");
-                    let message = panic
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .map(str::to_owned)
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
                     assert_eq!(
-                        message, "probabilities must be finite and within [0, 1]",
+                        panic_message(panic),
+                        "probabilities must be finite and within [0, 1]",
                         "{bad} at {position}, {threads} threads"
                     );
                     let cached = std::panic::catch_unwind(|| CachedScores::new(values.clone()));
@@ -417,10 +397,10 @@ mod tests {
         for edge in [0.0, -0.0, 1.0] {
             let mut values = probabilities.clone();
             values[n / 2] = edge;
-            let valid = ValidPairs::collect_parallel(&candidates, &values, 2);
+            let valid = ValidPairs::collect(&candidates, &values, 2);
             assert_eq!(
                 valid.pairs(),
-                ValidPairs::collect(&candidates, &CachedScores::new(values)).pairs()
+                filter_oracle(&candidates, &values).as_slice()
             );
         }
     }

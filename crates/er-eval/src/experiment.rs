@@ -3,12 +3,17 @@
 //! A [`PreparedDataset`] runs the blocking workflow and the pipeline's
 //! [`prepare`] stage once; every experiment (algorithm comparison, feature
 //! selection, training-size sweep, …) then runs on top of it, training
-//! through the pipeline's [`train`] stage.  [`run_once`] mirrors the paper's
-//! run-time definition (features + training + scoring + pruning);
-//! [`run_averaged`] repeats the training/scoring/pruning part with different
-//! sampling seeds and averages the effectiveness, exactly like the paper's
-//! 10-run averages.  Every runner takes the pipeline's
-//! [`MetaBlockingConfig`]; [`default_config`] holds the harness's defaults.
+//! through the pipeline's [`train`] stage.  A run trains and scores once,
+//! collects the valid pairs once, and lets every algorithm it compares
+//! decide on that one list ([`run_with_matrix`]); [`run_averaged`] repeats
+//! that with different sampling seeds and averages the effectiveness,
+//! exactly like the paper's 10-run averages.  Every runner takes the
+//! pipeline's [`MetaBlockingConfig`]; [`default_config`] holds the harness's
+//! defaults.
+//!
+//! Each algorithm's `RT` ([`Timings::total_rt`]) keeps the paper's
+//! definition, as if it ran alone: the shared feature generation, training,
+//! scoring and valid-pair collection, plus that algorithm's own decision.
 
 use std::time::{Duration, Instant};
 
@@ -189,7 +194,10 @@ pub struct RunResult {
     pub retained_ids: Vec<PairId>,
     /// Run-time breakdown; [`Timings::total_rt`] is the paper's `RT`.
     /// `features` is the matrix construction time the caller reported
-    /// (zero for a cached matrix), `blocking` the prepared dataset's.
+    /// (zero for a cached matrix), `blocking` the prepared dataset's;
+    /// `training` and `scoring` are shared by every algorithm of the run,
+    /// and `pruning` is the shared valid-pair collection plus this
+    /// algorithm's own decision.
     pub timings: Timings,
 }
 
@@ -260,51 +268,68 @@ pub fn train_and_score(
     Ok((scores, training_time, scoring_time))
 }
 
-/// Runs one algorithm once on a prepared dataset with a pre-built feature
-/// matrix: train and score ([`train_and_score`]), prune, evaluate.  Pruning
-/// runs as in `MetaBlockingPipeline::run`: the valid pairs are collected in
-/// parallel from the probability slice and the algorithm decides on them
+/// Refuses, before any work, parameters one of `algorithms` could not be
+/// built with (an invalid BLAST ratio).
+fn check_parameters(algorithms: &[AlgorithmKind], config: &MetaBlockingConfig) -> Result<()> {
+    algorithms
+        .iter()
+        .try_for_each(|algorithm| algorithm.check_parameters(config.blast_ratio))
+}
+
+/// Runs `algorithms` once on a prepared dataset with a pre-built feature
+/// matrix and returns one result per algorithm, in order.  The run trains
+/// and scores once ([`train_and_score`]) and collects the valid pairs once,
+/// in parallel from the probability slice ([`ValidPairs::collect`]); then
+/// each algorithm decides on them
 /// ([`PruningAlgorithm::prune_valid`](meta_blocking::pruning::PruningAlgorithm::prune_valid)),
-/// and the retained ids are resolved in one forward walk over the index.
+/// as in `MetaBlockingPipeline::run`, and its retained ids are resolved in
+/// one forward walk over the index.  Each result's `pruning` time is the
+/// collection plus that algorithm's own decision.
 pub fn run_with_matrix(
     prepared: &PreparedDataset,
     matrix: &FeatureMatrix,
     feature_time: Duration,
-    algorithm: AlgorithmKind,
+    algorithms: &[AlgorithmKind],
     config: &MetaBlockingConfig,
     seed: u64,
-) -> Result<RunResult> {
+) -> Result<Vec<RunResult>> {
+    check_parameters(algorithms, config)?;
     let (scores, training_time, scoring_time) = train_and_score(prepared, matrix, config, seed)?;
 
-    let pruning_start = Instant::now();
-    let pruner = algorithm.build_with_csr(&prepared.blocks, config.blast_ratio);
-    let valid = ValidPairs::collect_parallel(
+    let collection_start = Instant::now();
+    let valid = ValidPairs::collect(
         &prepared.candidates,
         scores.as_slice(),
         config.effective_threads(),
     );
-    let retained = pruner.prune_valid(&valid);
-    let pruning_time = pruning_start.elapsed();
+    let collection_time = collection_start.elapsed();
 
-    let retained_pairs = prepared.candidates.resolve(&retained);
-    let effectiveness = Effectiveness::evaluate(
-        &retained_pairs,
-        &prepared.dataset.ground_truth,
-        prepared.dataset.num_duplicates(),
-    );
+    let run = |&algorithm: &AlgorithmKind| {
+        let decision_start = Instant::now();
+        let pruner = algorithm.build_with_csr(&prepared.blocks, config.blast_ratio);
+        let retained = pruner.prune_valid(&valid);
+        let pruning_time = collection_time + decision_start.elapsed();
 
-    Ok(RunResult {
-        effectiveness,
-        retained: retained.len(),
-        retained_ids: retained,
-        timings: Timings {
-            blocking: prepared.blocking_time,
-            features: feature_time,
-            training: training_time,
-            scoring: scoring_time,
-            pruning: pruning_time,
-        },
-    })
+        let retained_pairs = prepared.candidates.resolve(&retained);
+        let effectiveness = Effectiveness::evaluate(
+            &retained_pairs,
+            &prepared.dataset.ground_truth,
+            prepared.dataset.num_duplicates(),
+        );
+        RunResult {
+            effectiveness,
+            retained: retained.len(),
+            retained_ids: retained,
+            timings: Timings {
+                blocking: prepared.blocking_time,
+                features: feature_time,
+                training: training_time,
+                scoring: scoring_time,
+                pruning: pruning_time,
+            },
+        }
+    };
+    Ok(algorithms.iter().map(run).collect())
 }
 
 /// Runs one algorithm once, building the feature matrix as part of the run
@@ -314,52 +339,67 @@ pub fn run_once(
     algorithm: AlgorithmKind,
     config: &MetaBlockingConfig,
 ) -> Result<RunResult> {
+    check_parameters(&[algorithm], config)?;
     let (matrix, feature_time) = prepared.build_features(config.feature_set);
-    run_with_matrix(
+    let mut results = run_with_matrix(
         prepared,
         &matrix,
         feature_time,
-        algorithm,
+        &[algorithm],
         config,
         config.seed,
-    )
+    )?;
+    Ok(results.remove(0))
 }
 
-/// Runs one algorithm `repetitions` times with different sampling seeds and
-/// averages the results.  The feature matrix is built once and its
-/// construction time is included in the reported mean `RT`.
+/// Runs `algorithms` `repetitions` times with different sampling seeds and
+/// returns one averaged result per algorithm, in order.  The feature matrix
+/// is built once and its construction time is included in every reported
+/// mean `RT`; each repetition trains, scores and collects the valid pairs
+/// once for all the algorithms ([`run_with_matrix`]).
 pub fn run_averaged(
     prepared: &PreparedDataset,
-    algorithm: AlgorithmKind,
+    algorithms: &[AlgorithmKind],
     config: &MetaBlockingConfig,
     repetitions: usize,
-) -> Result<AveragedResult> {
+) -> Result<Vec<AveragedResult>> {
+    check_parameters(algorithms, config)?;
     let repetitions = repetitions.max(1);
     let (matrix, feature_time) = prepared.build_features(config.feature_set);
-    let mut per_run = Vec::with_capacity(repetitions);
-    let mut rt_sum = 0.0f64;
-    let mut retained_sum = 0.0f64;
+    // The sums accumulate in the mean fields and are divided at the end.
+    let mut averaged: Vec<AveragedResult> = algorithms
+        .iter()
+        .map(|&algorithm| AveragedResult {
+            algorithm,
+            dataset: prepared.dataset.name.clone(),
+            effectiveness: Effectiveness::default(),
+            per_run: Vec::with_capacity(repetitions),
+            mean_rt_seconds: 0.0,
+            mean_retained: 0.0,
+        })
+        .collect();
     for rep in 0..repetitions {
         let seed = er_core::rng::derive_seed(config.seed, rep as u64);
-        let result = run_with_matrix(prepared, &matrix, feature_time, algorithm, config, seed)?;
-        rt_sum += result.timings.total_rt().as_secs_f64();
-        retained_sum += result.retained as f64;
-        per_run.push(result.effectiveness);
+        let results = run_with_matrix(prepared, &matrix, feature_time, algorithms, config, seed)?;
+        for (average, result) in averaged.iter_mut().zip(results) {
+            average.per_run.push(result.effectiveness);
+            average.mean_rt_seconds += result.timings.total_rt().as_secs_f64();
+            average.mean_retained += result.retained as f64;
+        }
     }
-    Ok(AveragedResult {
-        algorithm,
-        dataset: prepared.dataset.name.clone(),
-        effectiveness: Effectiveness::mean(&per_run),
-        per_run,
-        mean_rt_seconds: rt_sum / repetitions as f64,
-        mean_retained: retained_sum / repetitions as f64,
-    })
+    for average in &mut averaged {
+        average.effectiveness = Effectiveness::mean(&average.per_run);
+        average.mean_rt_seconds /= repetitions as f64;
+        average.mean_retained /= repetitions as f64;
+    }
+    Ok(averaged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use er_datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
+    use meta_blocking::pruning::Blast;
 
     fn prepared() -> PreparedDataset {
         let dataset =
@@ -400,10 +440,89 @@ mod tests {
             per_class: 15,
             ..default_config()
         };
-        let a = run_averaged(&prepared, AlgorithmKind::Rcnp, &config, 3).unwrap();
-        let b = run_averaged(&prepared, AlgorithmKind::Rcnp, &config, 3).unwrap();
-        assert_eq!(a.effectiveness, b.effectiveness);
-        assert_eq!(a.per_run.len(), 3);
+        let a = run_averaged(&prepared, &[AlgorithmKind::Rcnp], &config, 3).unwrap();
+        let b = run_averaged(&prepared, &[AlgorithmKind::Rcnp], &config, 3).unwrap();
+        assert_eq!(a[0].effectiveness, b[0].effectiveness);
+        assert_eq!(a[0].per_run.len(), 3);
+    }
+
+    /// One shared training and scoring pass per repetition decides every
+    /// algorithm exactly as a run of its own does.
+    #[test]
+    fn averaging_two_algorithms_equals_averaging_each_alone() {
+        let prepared = prepared();
+        let config = MetaBlockingConfig {
+            per_class: 15,
+            ..default_config()
+        };
+        let algorithms = [AlgorithmKind::Blast, AlgorithmKind::Rcnp];
+        let both = run_averaged(&prepared, &algorithms, &config, 3).unwrap();
+        assert_eq!(both.len(), 2);
+        for (shared, algorithm) in both.iter().zip(algorithms) {
+            let alone = run_averaged(&prepared, &[algorithm], &config, 3).unwrap();
+            let [alone] = alone.as_slice() else {
+                panic!("one result per algorithm")
+            };
+            assert_eq!(shared.algorithm, algorithm);
+            assert_eq!(shared.dataset, alone.dataset);
+            assert_eq!(shared.effectiveness, alone.effectiveness, "{algorithm}");
+            assert_eq!(shared.per_run, alone.per_run, "{algorithm}");
+            assert_eq!(shared.mean_retained, alone.mean_retained, "{algorithm}");
+            assert!(shared.mean_rt_seconds > 0.0);
+        }
+    }
+
+    /// BLAST's ratio is checked before any work, for every runner: an
+    /// invalid one is an `InvalidParameter` error, never a panic after
+    /// scoring.  The other algorithms ignore the field.
+    #[test]
+    fn an_invalid_blast_ratio_is_refused_before_any_work() {
+        let prepared = prepared();
+        let config = |blast_ratio| MetaBlockingConfig {
+            per_class: 15,
+            blast_ratio,
+            ..default_config()
+        };
+        let (matrix, _) = prepared.build_features(FeatureSet::original());
+        let blast_rcnp = [AlgorithmKind::Blast, AlgorithmKind::Rcnp];
+        for ratio in [f64::NAN, 0.0, 1.5] {
+            let config = config(ratio);
+            let refused = std::panic::catch_unwind(|| {
+                [
+                    run_with_matrix(&prepared, &matrix, Duration::ZERO, &blast_rcnp, &config, 1)
+                        .map(drop),
+                    run_once(&prepared, AlgorithmKind::Blast, &config).map(drop),
+                    run_averaged(&prepared, &blast_rcnp, &config, 2).map(drop),
+                ]
+            })
+            .expect("refused without a panic");
+            for result in refused {
+                assert!(
+                    matches!(result, Err(er_core::Error::InvalidParameter(ref m)) if m.contains("BLAST")),
+                    "ratio {ratio}: {result:?}"
+                );
+            }
+        }
+        let run = |algorithm, ratio| {
+            run_with_matrix(
+                &prepared,
+                &matrix,
+                Duration::ZERO,
+                &[algorithm],
+                &config(ratio),
+                1,
+            )
+            .map(|mut results| results.remove(0))
+        };
+        // A ratio of 1 is accepted.  It retains nothing: both endpoints'
+        // maxima are at least the pair's own probability.
+        assert_eq!(run(AlgorithmKind::Blast, 1.0).unwrap().retained, 0);
+        assert_eq!(
+            run(AlgorithmKind::Rcnp, 1.5).unwrap().retained_ids,
+            run(AlgorithmKind::Rcnp, Blast::DEFAULT_RATIO)
+                .unwrap()
+                .retained_ids
+        );
     }
 
     #[test]
@@ -448,10 +567,7 @@ mod tests {
         assert_eq!(config.per_class, 250);
         assert_eq!(config.seed, 0xe7a1_0001);
         assert_eq!(config.classifier.name(), "LogisticRegression");
-        assert_eq!(
-            config.blast_ratio,
-            meta_blocking::pruning::Blast::DEFAULT_RATIO
-        );
+        assert_eq!(config.blast_ratio, Blast::DEFAULT_RATIO);
     }
 
     #[test]

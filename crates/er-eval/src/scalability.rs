@@ -76,7 +76,8 @@ pub fn run_scalability(
         let prepared = PreparedDataset::prepare(dataset)?;
         for &algorithm in algorithms {
             let run_config = scalability_run_config(algorithm, 0xd1_47 + algorithm as u64);
-            let result = run_averaged(&prepared, algorithm, &run_config, repetitions)?;
+            // Each algorithm has a configuration of its own.
+            let result = run_averaged(&prepared, &[algorithm], &run_config, repetitions)?.remove(0);
             points.push(ScalabilityPoint {
                 dataset: config.name.clone(),
                 num_entities,

@@ -39,19 +39,31 @@ fn main() {
         ("all eight schemes", FeatureSet::all_schemes()),
     ];
 
-    for algorithm in [AlgorithmKind::Blast, AlgorithmKind::Rcnp] {
-        println!("\n=== {} ===", algorithm.name());
-        println!(
-            "{:<45} {:>8} {:>10} {:>8} {:>9}",
-            "feature set", "recall", "precision", "F1", "RT(s)"
-        );
-        for (label, set) in candidates {
+    // One training and scoring pass per feature set and repetition; both
+    // algorithms decide on its valid pairs.
+    let algorithms = [AlgorithmKind::Blast, AlgorithmKind::Rcnp];
+    let results: Vec<_> = candidates
+        .iter()
+        .map(|&(label, set)| {
             let config = MetaBlockingConfig {
                 feature_set: set,
                 per_class: 25,
                 ..default_config()
             };
-            let result = run_averaged(&prepared, algorithm, &config, 3).expect("experiment failed");
+            let results =
+                run_averaged(&prepared, &algorithms, &config, 3).expect("experiment failed");
+            (label, results)
+        })
+        .collect();
+
+    for (i, algorithm) in algorithms.into_iter().enumerate() {
+        println!("\n=== {} ===", algorithm.name());
+        println!(
+            "{:<45} {:>8} {:>10} {:>8} {:>9}",
+            "feature set", "recall", "precision", "F1", "RT(s)"
+        );
+        for (label, results) in &results {
+            let result = &results[i];
             println!(
                 "{:<45} {:>8.4} {:>10.4} {:>8.4} {:>9.3}",
                 label,

@@ -19,8 +19,7 @@ use gsmb::learn::TrainingSet;
 use gsmb::meta::materialize::{materialize_blocks_csr, PruningSummary};
 use gsmb::meta::pipeline::MetaBlockingConfig;
 use gsmb::meta::progressive::ProgressiveSchedule;
-use gsmb::meta::pruning::AlgorithmKind;
-use gsmb::meta::scoring::ProbabilitySource;
+use gsmb::meta::pruning::{AlgorithmKind, ValidPairs};
 
 fn tiny_dataset() -> gsmb::core::Dataset {
     generate_catalog_dataset(DatasetName::AbtBuy, &CatalogOptions::tiny()).unwrap()
@@ -142,11 +141,12 @@ fn materialized_output_matches_pruning_summary() {
         &prepared,
         &matrix,
         Duration::ZERO,
-        AlgorithmKind::Rcnp,
+        &[AlgorithmKind::Rcnp],
         &config,
         3,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     assert_eq!(run.retained, retained.len());
 }
 
@@ -162,7 +162,7 @@ fn progressive_schedule_front_loads_the_duplicates() {
     let (matrix, _) = prepared.build_features(config.feature_set);
     let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 5).unwrap();
 
-    let mut schedule = ProgressiveSchedule::new(&prepared.candidates, &scores);
+    let mut schedule = ProgressiveSchedule::new(&scores);
     let total = schedule.remaining();
     let budget = total / 10;
     let first_batch = schedule.next_batch(budget).to_vec();
@@ -182,9 +182,10 @@ fn progressive_schedule_front_loads_the_duplicates() {
     );
 
     // The valid-only schedule never emits probabilities below 0.5.
-    let valid = ProgressiveSchedule::valid_only(&prepared.candidates, &scores);
+    let valid = ValidPairs::collect(&prepared.candidates, scores.as_slice(), 1);
+    let valid = ProgressiveSchedule::from_valid(&valid);
     assert!(valid
         .ranked()
         .iter()
-        .all(|&(id, p)| p >= 0.5 && scores.is_valid(id)));
+        .all(|&(id, p)| p >= 0.5 && scores.as_slice()[id.index()] == p));
 }

@@ -24,7 +24,8 @@
 //! for each algorithm, `run_once`'s retained count and retained-id CRC-64,
 //! and `run_averaged`'s mean retained count and per-run PC and PQ bits over
 //! three repetitions.  These values were recorded while every algorithm
-//! still trained and scored in a run of its own.
+//! still trained and scored in a run of its own; `run_averaged` now runs
+//! all eight on one training and scoring pass per repetition.
 
 use gsmb::core::{crc64, Dataset};
 use gsmb::datasets::{
@@ -244,11 +245,14 @@ fn experiment_runner_outputs_match_their_golden_digests() {
         generate_catalog_dataset(DatasetName::WalmartAmazon, &CatalogOptions::tiny()).unwrap();
     let prepared = PreparedDataset::prepare(dataset).unwrap();
     let config = default_config();
-    let cells: Vec<EvalCell> = AlgorithmKind::all()
+    let algorithms = AlgorithmKind::all();
+    // One call for all eight: each repetition trains and scores once.
+    let averaged = run_averaged(&prepared, &algorithms, &config, 3).unwrap();
+    let cells: Vec<EvalCell> = algorithms
         .iter()
-        .map(|&algorithm| {
+        .zip(&averaged)
+        .map(|(&algorithm, averaged)| {
             let once = run_once(&prepared, algorithm, &config).unwrap();
-            let averaged = run_averaged(&prepared, algorithm, &config, 3).unwrap();
             let runs: Vec<(u64, u64)> = averaged
                 .per_run
                 .iter()

@@ -21,26 +21,31 @@ fn prepare(name: DatasetName) -> PreparedDataset {
     PreparedDataset::prepare(dataset).unwrap()
 }
 
-fn averaged(
+/// Each algorithm's effectiveness, averaged over 3 runs per dataset and
+/// then over the datasets; every run trains and scores once for all of
+/// `algorithms`.
+fn averaged<const N: usize>(
     prepared: &[PreparedDataset],
-    algorithm: AlgorithmKind,
+    algorithms: [AlgorithmKind; N],
     feature_set: FeatureSet,
     per_class: usize,
-) -> Effectiveness {
+) -> [Effectiveness; N] {
     let config = MetaBlockingConfig {
         feature_set,
         per_class,
         ..default_config()
     };
-    let results: Vec<Effectiveness> = prepared
+    let per_dataset: Vec<_> = prepared
         .iter()
-        .map(|p| {
-            run_averaged(p, algorithm, &config, 3)
-                .unwrap()
-                .effectiveness
-        })
+        .map(|p| run_averaged(p, &algorithms, &config, 3).unwrap())
         .collect();
-    Effectiveness::mean(&results)
+    std::array::from_fn(|i| {
+        let results: Vec<Effectiveness> = per_dataset
+            .iter()
+            .map(|results| results[i].effectiveness)
+            .collect();
+        Effectiveness::mean(&results)
+    })
 }
 
 fn evaluation_datasets() -> Vec<PreparedDataset> {
@@ -61,10 +66,17 @@ fn evaluation_datasets() -> Vec<PreparedDataset> {
 fn weight_based_selection_claims() {
     let prepared = evaluation_datasets();
     let set = FeatureSet::original();
-    let bcl = averaged(&prepared, AlgorithmKind::Bcl, set, 100);
-    let wep = averaged(&prepared, AlgorithmKind::Wep, set, 100);
-    let rwnp = averaged(&prepared, AlgorithmKind::Rwnp, set, 100);
-    let blast = averaged(&prepared, AlgorithmKind::Blast, set, 100);
+    let [bcl, wep, rwnp, blast] = averaged(
+        &prepared,
+        [
+            AlgorithmKind::Bcl,
+            AlgorithmKind::Wep,
+            AlgorithmKind::Rwnp,
+            AlgorithmKind::Blast,
+        ],
+        set,
+        100,
+    );
 
     assert!(wep.precision > bcl.precision, "WEP {wep} vs BCl {bcl}");
     assert!(rwnp.precision > bcl.precision, "RWNP {rwnp} vs BCl {bcl}");
@@ -85,8 +97,12 @@ fn weight_based_selection_claims() {
 fn cardinality_based_selection_claims() {
     let prepared = evaluation_datasets();
     let set = FeatureSet::original();
-    let cnp = averaged(&prepared, AlgorithmKind::Cnp, set, 100);
-    let rcnp = averaged(&prepared, AlgorithmKind::Rcnp, set, 100);
+    let [cnp, rcnp] = averaged(
+        &prepared,
+        [AlgorithmKind::Cnp, AlgorithmKind::Rcnp],
+        set,
+        100,
+    );
 
     assert!(rcnp.precision > cnp.precision, "RCNP {rcnp} vs CNP {cnp}");
     assert!(rcnp.f1 > cnp.f1, "RCNP {rcnp} vs CNP {cnp}");
@@ -105,10 +121,15 @@ fn cardinality_based_selection_claims() {
 #[test]
 fn new_feature_sets_are_competitive() {
     let prepared = evaluation_datasets();
-    let blast_original = averaged(&prepared, AlgorithmKind::Blast, FeatureSet::original(), 100);
-    let blast_new = averaged(
+    let [blast_original, rcnp_original] = averaged(
         &prepared,
-        AlgorithmKind::Blast,
+        [AlgorithmKind::Blast, AlgorithmKind::Rcnp],
+        FeatureSet::original(),
+        100,
+    );
+    let [blast_new] = averaged(
+        &prepared,
+        [AlgorithmKind::Blast],
         FeatureSet::blast_optimal(),
         100,
     );
@@ -117,10 +138,9 @@ fn new_feature_sets_are_competitive() {
         "BLAST with the new features must stay competitive: {blast_new} vs {blast_original}"
     );
 
-    let rcnp_original = averaged(&prepared, AlgorithmKind::Rcnp, FeatureSet::original(), 100);
-    let rcnp_new = averaged(
+    let [rcnp_new] = averaged(
         &prepared,
-        AlgorithmKind::Rcnp,
+        [AlgorithmKind::Rcnp],
         FeatureSet::rcnp_optimal(),
         100,
     );
@@ -135,15 +155,15 @@ fn new_feature_sets_are_competitive() {
 #[test]
 fn small_training_sets_suffice() {
     let prepared = evaluation_datasets();
-    let small = averaged(
+    let [small] = averaged(
         &prepared,
-        AlgorithmKind::Blast,
+        [AlgorithmKind::Blast],
         FeatureSet::blast_optimal(),
         25,
     );
-    let large = averaged(
+    let [large] = averaged(
         &prepared,
-        AlgorithmKind::Blast,
+        [AlgorithmKind::Blast],
         FeatureSet::blast_optimal(),
         250,
     );

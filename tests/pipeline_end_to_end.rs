@@ -84,21 +84,23 @@ fn weight_based_algorithms_nest_as_expected() {
     };
     let (matrix, _) = prepared.build_features(config.feature_set);
     let seed = 42;
-    let run = |algorithm| {
-        gsmb::eval::experiment::run_with_matrix(
-            &prepared,
-            &matrix,
-            std::time::Duration::ZERO,
-            algorithm,
-            &config,
-            seed,
-        )
-        .unwrap()
+    let runs = gsmb::eval::experiment::run_with_matrix(
+        &prepared,
+        &matrix,
+        std::time::Duration::ZERO,
+        &[
+            AlgorithmKind::Bcl,
+            AlgorithmKind::Wep,
+            AlgorithmKind::Wnp,
+            AlgorithmKind::Rwnp,
+        ],
+        &config,
+        seed,
+    )
+    .unwrap();
+    let [bcl, wep, wnp, rwnp] = runs.as_slice() else {
+        unreachable!("one result per algorithm");
     };
-    let bcl = run(AlgorithmKind::Bcl);
-    let wep = run(AlgorithmKind::Wep);
-    let wnp = run(AlgorithmKind::Wnp);
-    let rwnp = run(AlgorithmKind::Rwnp);
     assert!(wep.retained <= bcl.retained);
     assert!(wnp.retained <= bcl.retained);
     assert!(rwnp.retained <= wnp.retained);
