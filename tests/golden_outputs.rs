@@ -26,6 +26,11 @@
 //! three repetitions.  These values were recorded while every algorithm
 //! still trained and scored in a run of its own; `run_averaged` now runs
 //! all eight on one training and scoring pass per repetition.
+//!
+//! One cell pins the linear SVM with Platt scaling on WalmartAmazon tiny:
+//! the pipeline's digests and `run_once`'s retained ids.  Its values were
+//! recorded while the runner still scored the rows of a materialised
+//! feature matrix.
 
 use gsmb::core::{crc64, Dataset};
 use gsmb::datasets::{
@@ -33,7 +38,8 @@ use gsmb::datasets::{
 };
 use gsmb::eval::experiment::{default_config, run_averaged, run_once, PreparedDataset};
 use gsmb::eval::Effectiveness;
-use gsmb::meta::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
+use gsmb::learn::LinearSvmConfig;
+use gsmb::meta::pipeline::{ClassifierKind, MetaBlockingConfig, MetaBlockingPipeline};
 use gsmb::meta::pruning::AlgorithmKind;
 
 /// One algorithm's retained pairs: its name, their count, the CRC-64 of
@@ -67,12 +73,12 @@ impl Golden {
     }
 }
 
-/// Runs the default pipeline (logistic regression, the default feature
-/// set) on `dataset` at `threads` and digests its outputs.
-fn digest(dataset: &Dataset, threads: usize) -> Golden {
+/// Runs the pipeline under `config` on `dataset` at `threads` and digests
+/// its outputs.
+fn digest(dataset: &Dataset, config: &MetaBlockingConfig, threads: usize) -> Golden {
     let config = MetaBlockingConfig {
         threads: Some(threads),
-        ..MetaBlockingConfig::default()
+        ..config.clone()
     };
     let outcome = MetaBlockingPipeline::new(config.clone())
         .run(dataset, AlgorithmKind::Blast)
@@ -120,12 +126,12 @@ fn digest(dataset: &Dataset, threads: usize) -> Golden {
     }
 }
 
-/// Digests `dataset` at 1 and 3 threads, requires the two to agree and
-/// compares them with the golden value, printing the actual table on a
-/// mismatch.
-fn check(dataset: &Dataset, golden: &Golden) {
-    let one = digest(dataset, 1);
-    let three = digest(dataset, 3);
+/// Digests `dataset` under `config` at 1 and 3 threads, requires the two
+/// to agree and compares them with the golden value, printing the actual
+/// table on a mismatch.
+fn check(dataset: &Dataset, config: &MetaBlockingConfig, golden: &Golden) {
+    let one = digest(dataset, config, 1);
+    let three = digest(dataset, config, 3);
     assert_eq!(
         one, three,
         "{}: the thread count changed an output",
@@ -179,14 +185,18 @@ const WALMART_AMAZON_TINY: Golden = Golden {
 #[test]
 fn scalability_corpus_outputs_match_their_golden_digests() {
     let dataset = generate_scalability(&ScalabilityConfig::at_scale(20_000, 7)).unwrap();
-    check(&dataset, &SCAL_20K);
+    check(&dataset, &MetaBlockingConfig::default(), &SCAL_20K);
 }
 
 #[test]
 fn clean_clean_catalog_outputs_match_their_golden_digests() {
     let dataset =
         generate_catalog_dataset(DatasetName::WalmartAmazon, &CatalogOptions::tiny()).unwrap();
-    check(&dataset, &WALMART_AMAZON_TINY);
+    check(
+        &dataset,
+        &MetaBlockingConfig::default(),
+        &WALMART_AMAZON_TINY,
+    );
 }
 
 /// One algorithm's experiment-runner outputs: its name, `run_once`'s
@@ -271,5 +281,75 @@ fn experiment_runner_outputs_match_their_golden_digests() {
         cells == WALMART_AMAZON_TINY_EVAL,
         "runner outputs changed; the code now produces\n{}",
         eval_literal(&cells)
+    );
+}
+
+/// The pipeline on WalmartAmazon tiny with the linear SVM and Platt scaling
+/// in place of logistic regression (default feature set).
+#[rustfmt::skip]
+const WALMART_AMAZON_TINY_SVM: Golden = Golden {
+    candidates: 52257,
+    valid: 1659,
+    probabilities: 0x0cac3251efd132b8,
+    retained: [
+        ("BCl", 1659, 0xb657e7d6b805584b, 0x3fefd70a3d70a3d7, 0x3fbeb528e460e815),
+        ("WEP", 904, 0x1ecac77501ad1e80, 0x3fee666666666666, 0x3fcae71463ae7146),
+        ("WNP", 1435, 0x192c1a5a37ba7317, 0x3fefd70a3d70a3d7, 0x3fc1c02240946d2e),
+        ("RWNP", 701, 0x219a31372c82015e, 0x3fedc28f5c28f5c3, 0x3fd0fb40a39b34f4),
+        ("BLAST", 1565, 0x4cbf2bd46f2fadd0, 0x3fefd70a3d70a3d7, 0x3fc046aa72d4fa9a),
+        ("CEP", 1659, 0xb657e7d6b805584b, 0x3fefd70a3d70a3d7, 0x3fbeb528e460e815),
+        ("CNP", 1659, 0xb657e7d6b805584b, 0x3fefd70a3d70a3d7, 0x3fbeb528e460e815),
+        ("RCNP", 1518, 0xfddae691ce6a7b1f, 0x3fef851eb851eb85, 0x3fc09c802b2c2f38),
+    ],
+};
+
+/// `run_once` on WalmartAmazon tiny under `default_config()` with the SVM,
+/// in `AlgorithmKind::all()` order: the retained count and retained-id
+/// CRC-64.
+#[rustfmt::skip]
+const WALMART_AMAZON_TINY_SVM_EVAL: [(&str, usize, u64); 8] = [
+    ("BCl", 1527, 0xc67263878e05b8e5),
+    ("WEP", 952, 0xd0148191aede5c8f),
+    ("WNP", 1329, 0x0e81d6e5c77ba355),
+    ("RWNP", 757, 0xa45574638991388c),
+    ("BLAST", 1406, 0xbf335c189f0c677d),
+    ("CEP", 1527, 0xc67263878e05b8e5),
+    ("CNP", 1527, 0xc67263878e05b8e5),
+    ("RCNP", 1391, 0x6e69922f94829b43),
+];
+
+/// The SVM + Platt classifier, pinned on the pipeline and on the
+/// experiment runner.
+#[test]
+fn svm_outputs_match_their_golden_digests() {
+    let dataset =
+        generate_catalog_dataset(DatasetName::WalmartAmazon, &CatalogOptions::tiny()).unwrap();
+    let svm = ClassifierKind::Svm(LinearSvmConfig::default());
+    let pipeline_config = MetaBlockingConfig {
+        classifier: svm.clone(),
+        ..MetaBlockingConfig::default()
+    };
+    check(&dataset, &pipeline_config, &WALMART_AMAZON_TINY_SVM);
+
+    let prepared = PreparedDataset::prepare(dataset).unwrap();
+    let config = MetaBlockingConfig {
+        classifier: svm,
+        ..default_config()
+    };
+    let cells: Vec<(&str, usize, u64)> = AlgorithmKind::all()
+        .iter()
+        .map(|&algorithm| {
+            let once = run_once(&prepared, algorithm, &config).unwrap();
+            (algorithm.name(), once.retained, id_crc(&once.retained_ids))
+        })
+        .collect();
+    let literal: Vec<String> = cells
+        .iter()
+        .map(|(name, count, ids)| format!("    (\"{name}\", {count}, {ids:#018x}),"))
+        .collect();
+    assert!(
+        cells == WALMART_AMAZON_TINY_SVM_EVAL,
+        "SVM runner outputs changed; the code now produces\n{}",
+        literal.join("\n")
     );
 }
