@@ -19,7 +19,6 @@ fn main() {
     banner("Figure 12: matching-probability distribution on AbtBuy");
     let prepared = prepare(DatasetName::AbtBuy);
     let sizes = [20usize, 100, 300, 500];
-    let (matrix, _) = prepared.build_features(FeatureSet::blast_optimal());
 
     for &size in &sizes {
         let config = MetaBlockingConfig {
@@ -27,7 +26,7 @@ fn main() {
             per_class: (size / 2).max(1),
             ..default_config()
         };
-        let Ok((scores, _, _)) = train_and_score(&prepared, &matrix, &config, 0x000f_1612) else {
+        let Ok((scores, _, _)) = train_and_score(&prepared, &config, 0x000f_1612) else {
             println!("training size {size}: not enough labelled pairs, skipped");
             continue;
         };

@@ -101,7 +101,11 @@ fn bench_single_scheme(c: &mut Criterion) {
 
 fn bench_classifier_and_pruning(c: &mut Criterion) {
     let prepared = prepared();
-    let (matrix, _) = prepared.build_features(FeatureSet::blast_optimal());
+    let matrix = FeatureMatrix::build_with_threads(
+        &prepared.context(),
+        FeatureSet::blast_optimal(),
+        er_core::available_threads(),
+    );
     let mut rng = er_core::seeded_rng(42);
     let sample = balanced_undersample(
         prepared.candidates.pairs(),

@@ -13,7 +13,7 @@ use er_core::PairId;
 use er_datasets::{dirty_catalog, generate_dirty};
 use er_eval::experiment::PreparedDataset;
 use er_eval::metrics::Effectiveness;
-use er_features::{FeatureSet, Scheme};
+use er_features::{FeatureMatrix, FeatureSet, Scheme};
 use er_learn::{
     balanced_undersample, Classifier, LogisticRegression, LogisticRegressionConfig,
     ProbabilisticClassifier, TrainingSet,
@@ -34,7 +34,11 @@ fn main() {
     let dataset = generate_dirty(config).expect("generation failed");
     let prepared = PreparedDataset::prepare(dataset).expect("blocking failed");
     let feature_set = FeatureSet::blast_optimal();
-    let (matrix, _) = prepared.build_features(feature_set);
+    let matrix = FeatureMatrix::build_with_threads(
+        &prepared.context(),
+        feature_set,
+        er_core::available_threads(),
+    );
     let schemes: Vec<Scheme> = feature_set.schemes();
 
     println!(

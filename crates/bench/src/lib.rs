@@ -285,49 +285,32 @@ pub fn feature_sweep(
     prepared: &[PreparedDataset],
     repetitions: usize,
 ) -> Vec<(er_features::FeatureSet, er_eval::Effectiveness)> {
-    use er_eval::experiment::{default_config, run_with_matrix};
+    use er_eval::experiment::{default_config, run_averaged};
     use er_eval::Effectiveness;
-    use er_features::{FeatureMatrix, FeatureSet};
+    use er_features::FeatureSet;
     use meta_blocking::pipeline::MetaBlockingConfig;
-    use std::time::Duration;
 
     let full_sweep = env_flag("GSMB_FULL_SWEEP");
     let sets: Vec<FeatureSet> = FeatureSet::all_combinations()
         .filter(|s| full_sweep || s.num_schemes() <= 5)
         .collect();
 
-    // One all-schemes matrix per dataset; every combination is a projection.
-    let matrices: Vec<FeatureMatrix> = prepared
-        .iter()
-        .map(|p| p.build_features(FeatureSet::all_schemes()).0)
-        .collect();
-
+    // Each combination is scored afresh through the pipeline's stages: an
+    // all-schemes matrix to project from would hold 72 B per pair.
     let mut results = Vec::with_capacity(sets.len());
     for &set in &sets {
-        let mut per_dataset = Vec::new();
-        for (dataset, matrix) in prepared.iter().zip(&matrices) {
-            let projected = matrix.project(set);
-            let config = MetaBlockingConfig {
-                feature_set: set,
-                per_class: 250,
-                ..default_config()
-            };
-            let mut per_run = Vec::new();
-            for rep in 0..repetitions.max(1) {
-                let seed = er_core::rng::derive_seed(config.seed, rep as u64);
-                let runs = run_with_matrix(
-                    dataset,
-                    &projected,
-                    Duration::ZERO,
-                    &[algorithm],
-                    &config,
-                    seed,
-                )
-                .expect("sweep run failed");
-                per_run.push(runs[0].effectiveness);
-            }
-            per_dataset.push(Effectiveness::mean(&per_run));
-        }
+        let config = MetaBlockingConfig {
+            feature_set: set,
+            per_class: 250,
+            ..default_config()
+        };
+        let per_dataset: Vec<Effectiveness> = prepared
+            .iter()
+            .map(|dataset| {
+                let runs = run_averaged(dataset, &[algorithm], &config, repetitions);
+                runs.expect("sweep run failed")[0].effectiveness
+            })
+            .collect();
         results.push((set, Effectiveness::mean(&per_dataset)));
     }
     results.sort_by(|a, b| b.1.f1.partial_cmp(&a.1.f1).unwrap());

@@ -26,7 +26,9 @@
 //! [`prepare`] and [`train`] are public because every batch consumer runs
 //! them: [`MetaBlockingPipeline::run`], the streaming bootstrap
 //! ([`crate::StreamingPipeline::bootstrap`]) and the experiment harness in
-//! `er-eval`.  A step of the paper's workflow therefore has one copy.
+//! `er-eval`.  [`score`] is public because the pipeline and the experiment
+//! harness both score through it.  A step of the paper's workflow therefore
+//! has one copy.
 //!
 //! The outcome records the valid and the retained pairs, the probabilities
 //! and a run-time breakdown matching the paper's definition of `RT`
@@ -36,11 +38,10 @@
 //! materialises the full feature matrix.  Training needs feature vectors for
 //! only the ~50 sampled pairs (computed directly from the
 //! [`FeatureContext`]), and every candidate's probability is produced by
-//! [`FeatureMatrix::score_stream_folded`], which streams each pair's fused
-//! feature row straight into the classifier.  The `features` timing
-//! therefore covers index construction (block statistics, candidate CSR,
-//! per-entity tables) and `scoring` covers the fused feature + probability
-//! pass.
+//! the [`score`] stage, which streams each pair's fused feature row straight
+//! into the classifier.  The `features` timing therefore covers index
+//! construction (block statistics, candidate CSR, per-entity tables) and
+//! `scoring` covers the fused feature + probability pass.
 //!
 //! # The candidate index lives until training ends
 //!
@@ -64,7 +65,9 @@ use er_blocking::{
     DEFAULT_CHUNK_PAIRS,
 };
 use er_core::{Dataset, GroundTruth, PairId, Result};
-use er_features::{FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig};
+use er_features::{
+    FeatureContext, FeatureMatrix, FeatureSet, ScoreboardConfig, StreamFeatureContext,
+};
 use er_learn::{
     balanced_undersample_from_positives, BalancedSample, Classifier, LinearSvm, LinearSvmConfig,
     LogisticRegression, LogisticRegressionConfig, ProbabilisticClassifier, SavedModel, TrainingSet,
@@ -125,7 +128,9 @@ pub struct MetaBlockingConfig {
     pub per_class: usize,
     /// The classifier to train.
     pub classifier: ClassifierKind,
-    /// BLAST's pruning ratio.
+    /// BLAST's pruning ratio, within `(0, 1]`.  Ratios above 0.5 retain no
+    /// pair: a pair's probability never exceeds either endpoint's maximum
+    /// (see [`Blast::new`]).
     pub blast_ratio: f64,
     /// Seed controlling the training-pair sampling.
     pub seed: u64,
@@ -278,7 +283,6 @@ impl MetaBlockingPipeline {
         let feature_start = Instant::now();
         let stats = BlockStats::from_entity_side(&csr, entity_side, threads);
         let (stats, candidates) = prepare(&csr, stats, threads)?;
-        let set = self.config.feature_set;
         let context = FeatureContext::new(&stats, &candidates);
         let feature_time = feature_start.elapsed();
 
@@ -290,31 +294,13 @@ impl MetaBlockingPipeline {
         // The partner array is released first: the pass needs only the
         // index's counts, and folds each run off the blocks on the walk it
         // makes anyway — the same probabilities, bit for bit, at every
-        // chunk size.  Each chunk keeps its valid pairs as it is scored.
+        // chunk size.
         let scoring_start = Instant::now();
         let num_candidates = candidates.len();
         let stream = CandidateStream::from_counts(&stats, &candidates);
         let context = context.into_stream_context(&stream);
         drop(candidates);
-        let probability = |features: &[f64]| model.probability(features).clamp(0.0, 1.0);
-        let chunk_pairs = self
-            .config
-            .candidate_chunk_pairs
-            .unwrap_or(DEFAULT_CHUNK_PAIRS);
-        let (probabilities, valid) = FeatureMatrix::score_stream_folded(
-            &context,
-            &stream,
-            set,
-            threads,
-            &self.config.scoreboard,
-            chunk_pairs,
-            probability,
-            ValidChunk::default,
-            |chunk, id, a, b, p| chunk.push(PairId::from(id as usize), a, b, p),
-        );
-        // Joining the chunks makes `CachedScores::new`'s range check.
-        let valid = ValidPairs::from_chunks(stats.num_entities(), valid);
-        let scores = CachedScores::range_checked_by_caller(probabilities);
+        let (scores, valid) = score(&self.config, &model, &context, &stream);
         let scoring_time = scoring_start.elapsed();
 
         let pruning_start = Instant::now();
@@ -400,6 +386,47 @@ pub fn train(
         training.push(row.clone(), label);
     }
     config.classifier.fit_saved(&training)
+}
+
+/// The **score** stage of the batch workflow: one fused feature +
+/// probability pass of `model` over every pair of `stream`
+/// ([`FeatureMatrix::score_stream_folded`], chunks of
+/// `config.candidate_chunk_pairs` pairs on `config.effective_threads()`
+/// workers), which keeps each chunk's valid pairs as it scores them.  It
+/// returns the probabilities by pair id and the [`ValidPairs`] pruning
+/// decides on, both bit-identical at every thread count and chunk size.
+///
+/// [`MetaBlockingPipeline::run`] and the experiment harness in `er-eval`
+/// both score here, over a [`CandidateStream::from_counts`] stream and the
+/// per-entity tables [`FeatureContext::into_stream_context`] keeps.
+///
+/// # Panics
+///
+/// If `model` returns NaN for a pair (the check
+/// [`CachedScores::new`] makes, with the same message); every other value
+/// is clamped to `[0, 1]`.
+pub fn score(
+    config: &MetaBlockingConfig,
+    model: &SavedModel,
+    context: &StreamFeatureContext<'_>,
+    stream: &CandidateStream<'_>,
+) -> (CachedScores, ValidPairs) {
+    let probability = |features: &[f64]| model.probability(features).clamp(0.0, 1.0);
+    let chunk_pairs = config.candidate_chunk_pairs.unwrap_or(DEFAULT_CHUNK_PAIRS);
+    let (probabilities, valid) = FeatureMatrix::score_stream_folded(
+        context,
+        stream,
+        config.feature_set,
+        config.effective_threads(),
+        &config.scoreboard,
+        chunk_pairs,
+        probability,
+        ValidChunk::default,
+        |chunk, id, a, b, p| chunk.push(PairId::from(id as usize), a, b, p),
+    );
+    // Joining the chunks makes `CachedScores::new`'s range check.
+    let valid = ValidPairs::from_chunks(context.stats().num_entities(), valid);
+    (CachedScores::range_checked_by_caller(probabilities), valid)
 }
 
 /// The balanced training sample of [`train`], seeded with `config.seed`.

@@ -24,6 +24,11 @@ impl Blast {
 
     /// Creates BLAST with an explicit pruning ratio `r ∈ (0, 1]`.
     ///
+    /// A pair's probability never exceeds either endpoint's maximum, so
+    /// `r · (max[i] + max[j]) ≥ 2r · p`: a ratio of 0.5 retains only the
+    /// pairs that are the maximum of both endpoints, and every ratio above
+    /// 0.5 retains no pair at all.
+    ///
     /// # Panics
     /// Panics if the ratio is outside `(0, 1]`.
     pub fn new(ratio: f64) -> Self {

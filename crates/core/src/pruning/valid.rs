@@ -103,10 +103,17 @@ impl ValidPairs {
     /// the same message.
     pub(crate) fn from_chunks(num_entities: usize, chunks: Vec<ValidChunk>) -> Self {
         assert_probabilities(chunks.iter().all(|chunk| !chunk.out_of_range));
-        let mut pairs = Vec::with_capacity(chunks.iter().map(|c| c.pairs.len()).sum());
-        for chunk in chunks {
-            pairs.extend_from_slice(&chunk.pairs);
-        }
+        // A lone chunk's list is the result: it is taken, not copied.
+        let pairs = match <[ValidChunk; 1]>::try_from(chunks) {
+            Ok([chunk]) => chunk.pairs,
+            Err(chunks) => {
+                let mut pairs = Vec::with_capacity(chunks.iter().map(|c| c.pairs.len()).sum());
+                for chunk in chunks {
+                    pairs.extend_from_slice(&chunk.pairs);
+                }
+                pairs
+            }
+        };
         ValidPairs {
             num_entities,
             pairs,

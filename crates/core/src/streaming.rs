@@ -16,7 +16,7 @@
 
 use er_blocking::{build_blocks, BlockStats, CandidateStream, CsrBlockCollection, TokenKeys};
 use er_core::{Dataset, EntityId, EntityProfile, FxHashMap, Result};
-use er_features::{for_each_scored_chunk, FeatureContext, StreamFeatureContext};
+use er_features::{for_each_scored_chunk, FeatureContext};
 use er_learn::ProbabilisticClassifier;
 use er_stream::{DeltaBatch, MutationRef, StreamingConfig, StreamingMetaBlocker};
 
@@ -103,9 +103,10 @@ impl StreamingPipeline {
         // in ascending pair order, so the absorbed stamps are identical to
         // one global absorb of the batch-scored vector, while only
         // O(threads × chunk) scored pairs are ever in flight.  The walk
-        // reads the index built for training; no run is derived again.
+        // reads the index and the per-entity tables built for training; no
+        // run and no table is derived again.
         let stream = CandidateStream::from_candidates(&stats, &candidates);
-        let stream_context = StreamFeatureContext::new(&stats, stream.lcp_table());
+        let stream_context = context.stream_context();
         let chunk_pairs = config
             .candidate_chunk_pairs
             .unwrap_or(er_blocking::DEFAULT_CHUNK_PAIRS);
@@ -119,7 +120,7 @@ impl StreamingPipeline {
             let view = LiveView::with_default_ratio(blocker.index());
             let mut pool: FxHashMap<(EntityId, EntityId), f64> = FxHashMap::default();
             for_each_scored_chunk(
-                &stream_context,
+                stream_context,
                 &stream,
                 set,
                 threads,
@@ -138,7 +139,7 @@ impl StreamingPipeline {
             cleaned_state = Some(CleanedState { view, pool });
         } else {
             for_each_scored_chunk(
-                &stream_context,
+                stream_context,
                 &stream,
                 set,
                 threads,

@@ -2,26 +2,30 @@
 //!
 //! A [`PreparedDataset`] runs the blocking workflow and the pipeline's
 //! [`prepare`] stage once; every experiment (algorithm comparison, feature
-//! selection, training-size sweep, …) then runs on top of it, training
-//! through the pipeline's [`train`] stage.  A run trains and scores once,
-//! collects the valid pairs once, and lets every algorithm it compares
-//! decide on that one list ([`run_with_matrix`]); [`run_averaged`] repeats
-//! that with different sampling seeds and averages the effectiveness,
-//! exactly like the paper's 10-run averages.  Every runner takes the
-//! pipeline's [`MetaBlockingConfig`]; [`default_config`] holds the harness's
-//! defaults.
+//! selection, training-size sweep, …) then runs on top of it, through the
+//! pipeline's [`train`] and [`score`] stages ([`train_and_score`]) — the
+//! fused feature + probability pass `MetaBlockingPipeline::run` makes, so
+//! the paper's numbers come from the pipeline's own scoring path.  A run
+//! trains and scores once, keeping the valid pairs as it scores, and lets
+//! every algorithm it compares decide on that one list ([`run_with_seed`]);
+//! [`run_averaged`] repeats that with different sampling seeds and averages
+//! the effectiveness, exactly like the paper's 10-run averages.  Every
+//! runner takes the pipeline's [`MetaBlockingConfig`]; [`default_config`]
+//! holds the harness's defaults.
 //!
 //! Each algorithm's `RT` ([`Timings::total_rt`]) keeps the paper's
-//! definition, as if it ran alone: the shared feature generation, training,
-//! scoring and valid-pair collection, plus that algorithm's own decision.
+//! definition, as if it ran alone: the shared per-entity feature tables,
+//! training and fused feature + probability pass, plus that algorithm's own
+//! decision.
 
 use std::time::{Duration, Instant};
 
-use er_blocking::{clean_blocks_csr, BlockStats, CandidatePairs, CsrBlockCollection};
+use er_blocking::{
+    clean_blocks_csr, BlockStats, CandidatePairs, CandidateStream, CsrBlockCollection,
+};
 use er_core::{Dataset, PairId, Result};
-use er_features::{FeatureContext, FeatureMatrix, FeatureSet};
-use er_learn::ProbabilisticClassifier;
-use meta_blocking::pipeline::{prepare, train, MetaBlockingConfig, Timings};
+use er_features::{FeatureContext, FeatureSet};
+use meta_blocking::pipeline::{prepare, score, train, MetaBlockingConfig, Timings};
 use meta_blocking::pruning::{AlgorithmKind, ValidPairs};
 use meta_blocking::scoring::CachedScores;
 
@@ -82,14 +86,6 @@ impl PreparedDataset {
     /// Builds the feature context for this dataset.
     pub fn context(&self) -> FeatureContext<'_> {
         FeatureContext::new(&self.stats, &self.candidates)
-    }
-
-    /// Builds (and times) the feature matrix for a feature set.
-    pub fn build_features(&self, set: FeatureSet) -> (FeatureMatrix, Duration) {
-        let start = Instant::now();
-        let context = self.context();
-        let matrix = FeatureMatrix::build_parallel(&context, set);
-        (matrix, start.elapsed())
     }
 
     /// Snapshot payload tag of prepared-dataset files.
@@ -193,11 +189,12 @@ pub struct RunResult {
     /// `MetaBlockingOutcome::retained` holds for the same configuration.
     pub retained_ids: Vec<PairId>,
     /// Run-time breakdown; [`Timings::total_rt`] is the paper's `RT`.
-    /// `features` is the matrix construction time the caller reported
-    /// (zero for a cached matrix), `blocking` the prepared dataset's;
-    /// `training` and `scoring` are shared by every algorithm of the run,
-    /// and `pruning` is the shared valid-pair collection plus this
-    /// algorithm's own decision.
+    /// `blocking` is the prepared dataset's.  `features` (the per-entity
+    /// feature tables), `training` and `scoring` (the fused feature +
+    /// probability pass, which also keeps the valid pairs) are shared by
+    /// every algorithm of the run, and `pruning` is this algorithm's own
+    /// decision.  The statistics and the candidate index are built once per
+    /// prepared dataset and counted in none of them.
     pub timings: Timings,
 }
 
@@ -212,7 +209,7 @@ pub struct AveragedResult {
     pub effectiveness: Effectiveness,
     /// Per-repetition effectiveness.
     pub per_run: Vec<Effectiveness>,
-    /// Mean `RT` in seconds (features counted once).
+    /// Mean `RT` in seconds over the repetitions.
     pub mean_rt_seconds: f64,
     /// Mean number of retained pairs.
     pub mean_retained: f64,
@@ -231,84 +228,74 @@ pub fn effective_per_class(prepared: &PreparedDataset, requested: usize) -> usiz
         .min((negatives / 2).max(1))
 }
 
-/// Scores every candidate pair with a model trained on a balanced sample and
-/// returns the cached probabilities plus the training/scoring times.
+/// Trains a model on a balanced sample and scores every candidate pair with
+/// it, as `MetaBlockingPipeline::run` does: the per-entity feature tables,
+/// the pipeline's [`train`] stage, then its [`score`] stage over a
+/// [`CandidateStream::from_counts`] stream of the prepared index.  Returns
+/// the probabilities by pair id, the valid pairs and the run's timings
+/// (`pruning` is zero).
 ///
-/// Training is the pipeline's [`train`] stage, run over the matrix's feature
-/// set with sampling seed `seed` and the requested `per_class` capped via
+/// Sampling uses seed `seed` and the requested `per_class` capped via
 /// [`effective_per_class`], so that experiments keep running on small
-/// dataset analogues.  Scoring reads the matrix's rows, so a feature sweep
-/// can project one all-schemes matrix per dataset.
+/// dataset analogues.
 pub fn train_and_score(
     prepared: &PreparedDataset,
-    matrix: &FeatureMatrix,
     config: &MetaBlockingConfig,
     seed: u64,
-) -> Result<(CachedScores, Duration, Duration)> {
+) -> Result<(CachedScores, ValidPairs, Timings)> {
+    let feature_start = Instant::now();
+    let context = prepared.context();
+    let feature_time = feature_start.elapsed();
+
     let training_start = Instant::now();
     let config = MetaBlockingConfig {
-        feature_set: matrix.feature_set(),
         per_class: effective_per_class(prepared, config.per_class),
         seed,
         ..config.clone()
     };
-    let model = train(&config, &prepared.context(), &prepared.dataset.ground_truth)?;
+    let model = train(&config, &context, &prepared.dataset.ground_truth)?;
     let training_time = training_start.elapsed();
 
     let scoring_start = Instant::now();
-    let probabilities: Vec<f64> = (0..matrix.num_pairs())
-        .map(|i| {
-            model
-                .probability(matrix.row(PairId::from(i)))
-                .clamp(0.0, 1.0)
-        })
-        .collect();
-    let scores = CachedScores::new(probabilities);
-    let scoring_time = scoring_start.elapsed();
-    Ok((scores, training_time, scoring_time))
+    let stream = CandidateStream::from_counts(&prepared.stats, &prepared.candidates);
+    let context = context.into_stream_context(&stream);
+    let (scores, valid) = score(&config, &model, &context, &stream);
+    let timings = Timings {
+        blocking: prepared.blocking_time,
+        features: feature_time,
+        training: training_time,
+        scoring: scoring_start.elapsed(),
+        pruning: Duration::ZERO,
+    };
+    Ok((scores, valid, timings))
 }
 
-/// Refuses, before any work, parameters one of `algorithms` could not be
-/// built with (an invalid BLAST ratio).
-fn check_parameters(algorithms: &[AlgorithmKind], config: &MetaBlockingConfig) -> Result<()> {
-    algorithms
-        .iter()
-        .try_for_each(|algorithm| algorithm.check_parameters(config.blast_ratio))
-}
-
-/// Runs `algorithms` once on a prepared dataset with a pre-built feature
-/// matrix and returns one result per algorithm, in order.  The run trains
-/// and scores once ([`train_and_score`]) and collects the valid pairs once,
-/// in parallel from the probability slice ([`ValidPairs::collect`]); then
-/// each algorithm decides on them
+/// Runs `algorithms` once on a prepared dataset with sampling seed `seed`
+/// and returns one result per algorithm, in order.  The run trains and
+/// scores once ([`train_and_score`]), keeping the valid pairs as it scores;
+/// then each algorithm decides on them
 /// ([`PruningAlgorithm::prune_valid`](meta_blocking::pruning::PruningAlgorithm::prune_valid)),
 /// as in `MetaBlockingPipeline::run`, and its retained ids are resolved in
-/// one forward walk over the index.  Each result's `pruning` time is the
-/// collection plus that algorithm's own decision.
-pub fn run_with_matrix(
+/// one forward walk over the index.  Each result's `pruning` time is that
+/// algorithm's own decision.
+pub fn run_with_seed(
     prepared: &PreparedDataset,
-    matrix: &FeatureMatrix,
-    feature_time: Duration,
     algorithms: &[AlgorithmKind],
     config: &MetaBlockingConfig,
     seed: u64,
 ) -> Result<Vec<RunResult>> {
-    check_parameters(algorithms, config)?;
-    let (scores, training_time, scoring_time) = train_and_score(prepared, matrix, config, seed)?;
-
-    let collection_start = Instant::now();
-    let valid = ValidPairs::collect(
-        &prepared.candidates,
-        scores.as_slice(),
-        config.effective_threads(),
-    );
-    let collection_time = collection_start.elapsed();
+    // Parameters an algorithm could not be built with (an invalid BLAST
+    // ratio) are refused before any work.
+    algorithms
+        .iter()
+        .try_for_each(|algorithm| algorithm.check_parameters(config.blast_ratio))?;
+    let (_, valid, timings) = train_and_score(prepared, config, seed)?;
 
     let run = |&algorithm: &AlgorithmKind| {
         let decision_start = Instant::now();
         let pruner = algorithm.build_with_csr(&prepared.blocks, config.blast_ratio);
         let retained = pruner.prune_valid(&valid);
-        let pruning_time = collection_time + decision_start.elapsed();
+        let pruning = decision_start.elapsed();
 
         let retained_pairs = prepared.candidates.resolve(&retained);
         let effectiveness = Effectiveness::evaluate(
@@ -320,52 +307,33 @@ pub fn run_with_matrix(
             effectiveness,
             retained: retained.len(),
             retained_ids: retained,
-            timings: Timings {
-                blocking: prepared.blocking_time,
-                features: feature_time,
-                training: training_time,
-                scoring: scoring_time,
-                pruning: pruning_time,
-            },
+            timings: Timings { pruning, ..timings },
         }
     };
     Ok(algorithms.iter().map(run).collect())
 }
 
-/// Runs one algorithm once, building the feature matrix as part of the run
-/// (matches the paper's definition of `RT`).
+/// Runs one algorithm once with the configuration's own seed.
 pub fn run_once(
     prepared: &PreparedDataset,
     algorithm: AlgorithmKind,
     config: &MetaBlockingConfig,
 ) -> Result<RunResult> {
-    check_parameters(&[algorithm], config)?;
-    let (matrix, feature_time) = prepared.build_features(config.feature_set);
-    let mut results = run_with_matrix(
-        prepared,
-        &matrix,
-        feature_time,
-        &[algorithm],
-        config,
-        config.seed,
-    )?;
+    let mut results = run_with_seed(prepared, &[algorithm], config, config.seed)?;
     Ok(results.remove(0))
 }
 
 /// Runs `algorithms` `repetitions` times with different sampling seeds and
-/// returns one averaged result per algorithm, in order.  The feature matrix
-/// is built once and its construction time is included in every reported
-/// mean `RT`; each repetition trains, scores and collects the valid pairs
-/// once for all the algorithms ([`run_with_matrix`]).
+/// returns one averaged result per algorithm, in order.  Each repetition
+/// trains, scores and keeps the valid pairs once for all the algorithms
+/// ([`run_with_seed`]).
 pub fn run_averaged(
     prepared: &PreparedDataset,
     algorithms: &[AlgorithmKind],
     config: &MetaBlockingConfig,
     repetitions: usize,
 ) -> Result<Vec<AveragedResult>> {
-    check_parameters(algorithms, config)?;
     let repetitions = repetitions.max(1);
-    let (matrix, feature_time) = prepared.build_features(config.feature_set);
     // The sums accumulate in the mean fields and are divided at the end.
     let mut averaged: Vec<AveragedResult> = algorithms
         .iter()
@@ -380,7 +348,7 @@ pub fn run_averaged(
         .collect();
     for rep in 0..repetitions {
         let seed = er_core::rng::derive_seed(config.seed, rep as u64);
-        let results = run_with_matrix(prepared, &matrix, feature_time, algorithms, config, seed)?;
+        let results = run_with_seed(prepared, algorithms, config, seed)?;
         for (average, result) in averaged.iter_mut().zip(results) {
             average.per_run.push(result.effectiveness);
             average.mean_rt_seconds += result.timings.total_rt().as_secs_f64();
@@ -483,14 +451,12 @@ mod tests {
             blast_ratio,
             ..default_config()
         };
-        let (matrix, _) = prepared.build_features(FeatureSet::original());
         let blast_rcnp = [AlgorithmKind::Blast, AlgorithmKind::Rcnp];
         for ratio in [f64::NAN, 0.0, 1.5] {
             let config = config(ratio);
             let refused = std::panic::catch_unwind(|| {
                 [
-                    run_with_matrix(&prepared, &matrix, Duration::ZERO, &blast_rcnp, &config, 1)
-                        .map(drop),
+                    run_with_seed(&prepared, &blast_rcnp, &config, 1).map(drop),
                     run_once(&prepared, AlgorithmKind::Blast, &config).map(drop),
                     run_averaged(&prepared, &blast_rcnp, &config, 2).map(drop),
                 ]
@@ -504,15 +470,8 @@ mod tests {
             }
         }
         let run = |algorithm, ratio| {
-            run_with_matrix(
-                &prepared,
-                &matrix,
-                Duration::ZERO,
-                &[algorithm],
-                &config(ratio),
-                1,
-            )
-            .map(|mut results| results.remove(0))
+            run_with_seed(&prepared, &[algorithm], &config(ratio), 1)
+                .map(|mut results| results.remove(0))
         };
         // A ratio of 1 is accepted.  It retains nothing: both endpoints'
         // maxima are at least the pair's own probability.

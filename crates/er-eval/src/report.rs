@@ -134,8 +134,7 @@ mod tests {
             feature_set: FeatureSet::blast_optimal(),
             ..default_config()
         };
-        let (matrix, _) = prepared.build_features(config.feature_set);
-        let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 7).unwrap();
+        let (scores, _, _) = train_and_score(&prepared, &config, 7).unwrap();
         let histogram = ProbabilityHistogram::build(&prepared, &scores, 20);
         assert_eq!(histogram.matching.len(), 20);
         let total: usize =

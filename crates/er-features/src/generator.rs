@@ -44,7 +44,6 @@ const PARALLEL_THRESHOLD: usize = 1024;
 /// A dense, row-major matrix holding one feature vector per candidate pair.
 #[derive(Debug, Clone)]
 pub struct FeatureMatrix {
-    feature_set: FeatureSet,
     num_features: usize,
     num_pairs: usize,
     values: Vec<f64>,
@@ -84,7 +83,6 @@ impl FeatureMatrix {
         );
 
         FeatureMatrix {
-            feature_set: set,
             num_features,
             num_pairs,
             values,
@@ -106,7 +104,6 @@ impl FeatureMatrix {
             values[i * num_features..(i + 1) * num_features].copy_from_slice(&row);
         }
         FeatureMatrix {
-            feature_set: set,
             num_features,
             num_pairs,
             values,
@@ -228,24 +225,13 @@ impl FeatureMatrix {
 
     /// Assembles a matrix from raw parts (used by the retained naive
     /// reference engine in [`crate::reference`]).
-    pub(crate) fn from_parts(
-        feature_set: FeatureSet,
-        num_features: usize,
-        num_pairs: usize,
-        values: Vec<f64>,
-    ) -> Self {
+    pub(crate) fn from_parts(num_features: usize, num_pairs: usize, values: Vec<f64>) -> Self {
         debug_assert_eq!(values.len(), num_features * num_pairs);
         FeatureMatrix {
-            feature_set,
             num_features,
             num_pairs,
             values,
         }
-    }
-
-    /// The feature set the matrix was built for.
-    pub fn feature_set(&self) -> FeatureSet {
-        self.feature_set
     }
 
     /// Number of columns (features per pair).
@@ -277,56 +263,6 @@ impl FeatureMatrix {
                 &self.values[start..start + self.num_features],
             )
         })
-    }
-
-    /// Projects the matrix onto a sub-feature-set, selecting the relevant
-    /// columns without recomputing any scheme.
-    ///
-    /// This is how the 255-combination feature-selection sweep (Tables 3 and
-    /// 4 of the paper) is made affordable: the all-schemes matrix is built
-    /// once per dataset and every combination is a cheap column selection.
-    ///
-    /// # Panics
-    /// Panics if `target` contains a scheme that is absent from this matrix's
-    /// feature set.
-    pub fn project(&self, target: FeatureSet) -> FeatureMatrix {
-        use crate::schemes::Scheme;
-        assert!(
-            target
-                .schemes()
-                .iter()
-                .all(|s| self.feature_set.contains(*s)),
-            "cannot project {} out of {}",
-            target,
-            self.feature_set
-        );
-        // Column offsets of each scheme in the source layout.
-        let mut columns = Vec::with_capacity(target.vector_len());
-        let mut offset = 0usize;
-        for scheme in Scheme::ALL {
-            if !self.feature_set.contains(scheme) {
-                continue;
-            }
-            if target.contains(scheme) {
-                for i in 0..scheme.arity() {
-                    columns.push(offset + i);
-                }
-            }
-            offset += scheme.arity();
-        }
-        let num_features = columns.len();
-        let mut values = Vec::with_capacity(num_features * self.num_pairs);
-        for (_, row) in self.rows() {
-            for &c in &columns {
-                values.push(row[c]);
-            }
-        }
-        FeatureMatrix {
-            feature_set: target,
-            num_features,
-            num_pairs: self.num_pairs,
-            values,
-        }
     }
 }
 
@@ -803,7 +739,6 @@ mod tests {
         // the former `values.chunks(num_features.max(1))` implementation
         // yielded 0 rows for `num_features == 0` while `num_pairs()` said 5.
         let matrix = FeatureMatrix {
-            feature_set: FeatureSet::original(),
             num_features: 0,
             num_pairs: 5,
             values: Vec::new(),
@@ -813,38 +748,6 @@ mod tests {
             assert_eq!(id, PairId::from(i));
             assert!(row.is_empty());
         }
-    }
-
-    #[test]
-    fn projection_matches_direct_build() {
-        let bc = fixture();
-        let stats = BlockStats::from_csr(&bc);
-        let cands = CandidatePairs::from_stats(&stats, 1);
-        let ctx = FeatureContext::new(&stats, &cands);
-        let full = FeatureMatrix::build(&ctx, FeatureSet::all_schemes());
-        for target in [
-            FeatureSet::original(),
-            FeatureSet::blast_optimal(),
-            FeatureSet::rcnp_optimal(),
-        ] {
-            let projected = full.project(target);
-            let direct = FeatureMatrix::build(&ctx, target);
-            assert_eq!(projected.num_features(), direct.num_features());
-            for (id, row) in direct.rows() {
-                assert_eq!(projected.row(id), row, "mismatch for {target}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot project")]
-    fn projection_onto_missing_scheme_panics() {
-        let bc = fixture();
-        let stats = BlockStats::from_csr(&bc);
-        let cands = CandidatePairs::from_stats(&stats, 1);
-        let ctx = FeatureContext::new(&stats, &cands);
-        let small = FeatureMatrix::build(&ctx, FeatureSet::blast_optimal());
-        let _ = small.project(FeatureSet::original());
     }
 
     #[test]

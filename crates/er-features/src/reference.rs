@@ -236,7 +236,7 @@ impl<'a> NaiveFeatureContext<'a> {
             });
         }
 
-        FeatureMatrix::from_parts(set, num_features, num_pairs, values)
+        FeatureMatrix::from_parts(num_features, num_pairs, values)
     }
 }
 

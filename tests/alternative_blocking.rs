@@ -3,15 +3,13 @@
 //! meta-blocking must work unchanged on any redundancy-positive block
 //! collection, exactly as the paper states.
 
-use std::time::Duration;
-
 use gsmb::blocking::{
     block_filtering_csr, block_purging_csr, qgrams_blocking_csr, suffix_array_blocking_csr,
     BlockStats, CandidatePairs, CsrBlockCollection, SuffixArrayConfig,
 };
 use gsmb::core::PairId;
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{default_config, run_with_matrix, train_and_score, PreparedDataset};
+use gsmb::eval::experiment::{default_config, run_with_seed, train_and_score, PreparedDataset};
 use gsmb::eval::Effectiveness;
 use gsmb::features::{FeatureContext, FeatureMatrix, FeatureSet};
 use gsmb::learn::balanced_undersample;
@@ -113,8 +111,7 @@ fn materialized_output_matches_pruning_summary() {
         feature_set: FeatureSet::blast_optimal(),
         ..default_config()
     };
-    let (matrix, _) = prepared.build_features(config.feature_set);
-    let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 3).unwrap();
+    let (scores, _, _) = train_and_score(&prepared, &config, 3).unwrap();
     let pruner = AlgorithmKind::Rcnp.build_csr(&prepared.blocks);
     let retained = pruner.prune(&prepared.candidates, &scores);
 
@@ -136,17 +133,10 @@ fn materialized_output_matches_pruning_summary() {
         "pruning should remove most negatives"
     );
 
-    // The run_with_matrix effectiveness must agree with the summary counts.
-    let run = run_with_matrix(
-        &prepared,
-        &matrix,
-        Duration::ZERO,
-        &[AlgorithmKind::Rcnp],
-        &config,
-        3,
-    )
-    .unwrap()
-    .remove(0);
+    // The run_with_seed effectiveness must agree with the summary counts.
+    let run = run_with_seed(&prepared, &[AlgorithmKind::Rcnp], &config, 3)
+        .unwrap()
+        .remove(0);
     assert_eq!(run.retained, retained.len());
 }
 
@@ -159,8 +149,7 @@ fn progressive_schedule_front_loads_the_duplicates() {
         feature_set: FeatureSet::blast_optimal(),
         ..default_config()
     };
-    let (matrix, _) = prepared.build_features(config.feature_set);
-    let (scores, _, _) = train_and_score(&prepared, &matrix, &config, 5).unwrap();
+    let (scores, _, _) = train_and_score(&prepared, &config, 5).unwrap();
 
     let mut schedule = ProgressiveSchedule::new(&scores);
     let total = schedule.remaining();

@@ -1,16 +1,19 @@
 //! The experiment harness measures the pipeline: on one Clean-Clean and one
 //! Dirty catalog dataset, `er_eval`'s `run_once` on a `PreparedDataset`
 //! retains exactly the pairs `MetaBlockingPipeline::run` retains, for every
-//! pruning algorithm and both scoring modes of the pipeline (materialised
-//! and streamed).  Both run the pipeline's one `prepare` and `train` stage;
-//! the harness scores from a materialised feature matrix, the pipeline from
-//! the fused pass, and the two must not differ by a single pair.
+//! pruning algorithm and both chunk-size settings of the pipeline.  Both run
+//! the pipeline's one `prepare`, `train` and `score` stage, so the harness's
+//! `train_and_score` must produce the pipeline's probabilities bit for bit
+//! and its valid pairs exactly, and the two must not differ by a single
+//! retained pair.
 
 use gsmb::blocking::{BlockStats, CandidatePairs, DEFAULT_CHUNK_PAIRS};
 use gsmb::core::Dataset;
 use gsmb::datasets::{dirty_catalog, generate_catalog_dataset, generate_dirty};
 use gsmb::datasets::{CatalogOptions, DatasetName};
-use gsmb::eval::experiment::{default_config, effective_per_class, run_once, PreparedDataset};
+use gsmb::eval::experiment::{
+    default_config, effective_per_class, run_once, train_and_score, PreparedDataset,
+};
 use gsmb::eval::Effectiveness;
 use gsmb::meta::pipeline::{MetaBlockingConfig, MetaBlockingPipeline};
 use gsmb::meta::pruning::AlgorithmKind;
@@ -44,6 +47,19 @@ fn assert_harness_retains_what_the_pipeline_retains(dataset: Dataset) {
                 .run(dataset, algorithm)
                 .unwrap();
             let run = run_once(&prepared, algorithm, &config).unwrap();
+            let (probabilities, valid, _) =
+                train_and_score(&prepared, &config, config.seed).unwrap();
+            let bits = |p: &[f64]| p.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(probabilities.as_slice()),
+                bits(outcome.probabilities.as_slice()),
+                "{context}: probabilities"
+            );
+            assert_eq!(
+                valid.pairs(),
+                outcome.valid.pairs(),
+                "{context}: valid pairs"
+            );
             // The outcome keeps the valid pairs, not the index: the index is
             // extracted again from the blocks the pipeline ran on.
             let candidates = CandidatePairs::from_stats(&BlockStats::from_csr(&outcome.blocks), 2);

@@ -10,6 +10,7 @@ use gsmb::blocking::TokenKeys;
 use gsmb::core::EntityId;
 use gsmb::datasets::{generate_catalog_dataset, CatalogOptions, DatasetName};
 use gsmb::eval::experiment::PreparedDataset;
+use gsmb::features::FeatureMatrix;
 use gsmb::learn::{load_model, save_model, ProbabilisticClassifier};
 use gsmb::meta::pipeline::MetaBlockingConfig;
 use gsmb::meta::{DurableStreamingPipeline, StreamingPipeline};
@@ -37,7 +38,7 @@ fn prepared_dataset_and_model_survive_disk() {
     // Train through the pipeline's classifier config, save, load, and
     // require bit-identical probabilities.
     let config = MetaBlockingConfig::default();
-    let (matrix, _) = prepared.build_features(config.feature_set);
+    let matrix = FeatureMatrix::build_with_threads(&prepared.context(), config.feature_set, 2);
     let mut training = gsmb::learn::TrainingSet::new();
     for (i, &(a, b)) in prepared.candidates.pairs().iter().enumerate().take(40) {
         training.push(

@@ -82,12 +82,9 @@ fn weight_based_algorithms_nest_as_expected() {
         feature_set: FeatureSet::original(),
         ..default_config()
     };
-    let (matrix, _) = prepared.build_features(config.feature_set);
     let seed = 42;
-    let runs = gsmb::eval::experiment::run_with_matrix(
+    let runs = gsmb::eval::experiment::run_with_seed(
         &prepared,
-        &matrix,
-        std::time::Duration::ZERO,
         &[
             AlgorithmKind::Bcl,
             AlgorithmKind::Wep,
